@@ -317,37 +317,31 @@ fn main() {
         format!("{exec_panicked} (must be 0)"),
     );
 
-    // --- Medium smoke gate: the bigger-rung scatter baseline ran, both
-    // arms (shared executor and the spawn-per-request reference) completed
-    // every cold request, and every request really fanned out to all 4
-    // shards. Latencies are reported, not gated — a shared CI runner's
-    // scheduler is too noisy to enforce a ratio between the arms.
-    let smoke_requests = num(Some("medium_smoke"), "requests_per_arm");
+    // --- Medium smoke gate: the bigger-rung scatter baseline ran, it
+    // completed every cold request, and every request really fanned out to
+    // all 4 shards. Latencies are reported, not gated.
+    let smoke_requests = num(Some("medium_smoke"), "requests");
     gate.check(
         "medium_smoke ran",
         smoke_requests >= 1.0,
-        format!("{smoke_requests} requests per arm (must be >= 1)"),
+        format!("{smoke_requests} requests (must be >= 1)"),
     );
     if smoke_requests >= 1.0 {
-        for arm in ["executor", "spawn_reference"] {
-            let completed = num(Some(arm), "completed");
-            gate.check(
-                &format!("medium_smoke.{arm} completed"),
-                completed == smoke_requests && num(Some(arm), "invalid") == 0.0,
-                format!("{completed}/{smoke_requests} cold scatters, 0 invalid"),
-            );
-        }
-        for key in ["executor_fanout_total", "reference_fanout_total"] {
-            let fanout = num(Some("medium_smoke"), key);
-            gate.check(
-                &format!("medium_smoke.{key}"),
-                fanout == smoke_requests * 4.0,
-                format!(
-                    "{fanout} (must be requests x 4 shards = {})",
-                    smoke_requests * 4.0
-                ),
-            );
-        }
+        let completed = num(Some("medium_smoke"), "completed");
+        gate.check(
+            "medium_smoke.scatter completed",
+            completed == smoke_requests && num(Some("medium_smoke"), "invalid") == 0.0,
+            format!("{completed}/{smoke_requests} cold scatters, 0 invalid"),
+        );
+        let fanout = num(Some("medium_smoke"), "fanout_total");
+        gate.check(
+            "medium_smoke.fanout_total",
+            fanout == smoke_requests * 4.0,
+            format!(
+                "{fanout} (must be requests x 4 shards = {})",
+                smoke_requests * 4.0
+            ),
+        );
     }
 
     // --- Front-end gate: thousands of idle sessions on a small pool.

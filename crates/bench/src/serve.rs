@@ -77,13 +77,12 @@ pub struct ServeLoadOptions {
     /// populates the cluster-tier stages (`shard_rtt`, `edge_merge`) in the
     /// same shared `"stages"` section; `0` skips the phase.
     pub cluster_shards: usize,
-    /// Cold scatter requests **per arm** of the `medium`-scale smoke phase
-    /// (`0` skips it). The phase builds a 4-shard edge over the `medium`
-    /// dataset and drives the same cold-completion scatter through two
-    /// routers — the shared executor and the spawn-per-request reference —
-    /// so the report carries the bigger-rung baseline the ROADMAP asks for
-    /// *and* the counterfactual, at a fixed CI budget instead of the full
-    /// workload (one `medium` QSM question alone can run for minutes).
+    /// Cold scatter requests of the `medium`-scale smoke phase (`0` skips
+    /// it). The phase builds a 4-shard edge over the `medium` dataset and
+    /// drives cold-completion scatters through it, so the report carries
+    /// the bigger-rung baseline the ROADMAP asks for at a fixed CI budget
+    /// instead of the full workload (one `medium` QSM question alone can
+    /// run for minutes).
     pub medium_smoke_requests: usize,
 }
 
@@ -735,24 +734,20 @@ pub fn run(opts: &ServeLoadOptions) -> String {
 }
 
 /// The `medium`-scale smoke phase: the ROADMAP's bigger-rung baseline at a
-/// fixed CI budget, plus the spawn-per-request counterfactual.
+/// fixed CI budget.
 ///
 /// Builds a 4-shard (1 replica) edge over the `medium` dataset and drives
-/// `requests_per_arm` **cold** completion scatters through two routers over
-/// the *same* shard replicas: one on the shared executor (the product
-/// configuration) and one forced onto the old spawn-per-request reference
-/// path. Every term is salted unique per arm, so every request misses every
-/// cache on both sides and the two arms measure the same all-cold scatter
-/// work — the latency delta is the thread-spawn overhead and nothing else.
-/// Arms run in alternating chunks so scheduler drift lands on both equally.
+/// `requests` **cold** completion scatters through it from 4 client
+/// threads. Every term is salted unique, so every request misses every
+/// cache and pays the full 4-way scatter on the shared executor.
 ///
 /// The full `medium` workload is deliberately NOT run here: a single
 /// Appendix-B QSM question at `medium` can relax for minutes, which no CI
 /// budget survives — that is exactly why the committed baseline stayed
 /// `tiny` until now.
-fn medium_smoke_phase(requests_per_arm: usize) -> String {
-    if requests_per_arm == 0 {
-        return "{\"requests_per_arm\": 0}".to_string();
+fn medium_smoke_phase(requests: usize) -> String {
+    if requests == 0 {
+        return "{\"requests\": 0}".to_string();
     }
     eprintln!("(medium smoke: generating dataset + initializing 4 shard models…)");
     let bringup_clock = Instant::now();
@@ -769,18 +764,11 @@ fn medium_smoke_phase(requests_per_arm: usize) -> String {
     )
     .expect("medium shard initialization");
     drop(graph);
-    let replicas = cluster.shards().to_vec();
     let bringup_us = bringup_clock.elapsed().as_micros() as u64;
+    let router = ClusterRouter::new(cluster, ClusterConfig::default());
 
-    let executor_router = Arc::new(ClusterRouter::new(cluster, ClusterConfig::default()));
-    let mut reference =
-        ClusterRouter::new(Cluster::from_replicas(replicas), ClusterConfig::default());
-    reference.set_reference_spawns(true);
-    let reference_router = Arc::new(reference);
-
-    // Per-arm term lists: real workload prefixes, salted with the arm tag
-    // and a sequence number so no term repeats and no term is shared across
-    // arms — cold at the edge caches AND the shard caches, symmetrically.
+    // Real workload prefixes, salted with a sequence number so no term
+    // repeats — cold at the edge caches AND the shard caches.
     let mut base: Vec<String> = Vec::new();
     for question in appendix_b() {
         for input in &question.script.rows {
@@ -790,21 +778,19 @@ fn medium_smoke_phase(requests_per_arm: usize) -> String {
             }
         }
     }
-    let terms_for = |arm: &str| -> Vec<String> {
-        (0..requests_per_arm)
-            .map(|i| format!("{}~{arm}{i}", base[i % base.len()]))
-            .collect()
-    };
+    let terms: Vec<String> = (0..requests)
+        .map(|i| format!("{}~{i}", base[i % base.len()]))
+        .collect();
 
-    let run_chunk = |router: &Arc<ClusterRouter>, terms: &[String]| -> (ClassStats, Duration) {
-        let workers = 4.min(terms.len());
-        let started = Instant::now();
-        let mut stats = ClassStats::default();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let router = router.clone();
-                handles.push(scope.spawn(move || {
+    eprintln!("(medium smoke: {requests} cold scatters, 4-way fan-out…)");
+    let workers = 4.min(terms.len());
+    let started = Instant::now();
+    let mut stats = ClassStats::default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (router, terms) = (&router, &terms);
+                scope.spawn(move || {
                     let mut s = ClassStats::default();
                     for term in terms.iter().skip(w).step_by(workers) {
                         let t = Instant::now();
@@ -812,93 +798,21 @@ fn medium_smoke_phase(requests_per_arm: usize) -> String {
                         s.record(t, &crate::cluster::flatten(r));
                     }
                     s
-                }));
-            }
-            for h in handles {
-                stats.merge(h.join().expect("no smoke worker panics"));
-            }
-        });
-        (stats, started.elapsed())
-    };
-
-    eprintln!("(medium smoke: {requests_per_arm} cold scatters per arm, 4-way fan-out…)");
-    let executor_terms = terms_for("e");
-    let reference_terms = terms_for("r");
-    const CHUNKS: usize = 4;
-    let chunk_len = requests_per_arm.div_ceil(CHUNKS);
-    let mut executor_stats = ClassStats::default();
-    let mut reference_stats = ClassStats::default();
-    let (mut executor_wall, mut reference_wall) = (Duration::ZERO, Duration::ZERO);
-    for chunk in 0..CHUNKS {
-        let range = |terms: &[String]| -> std::ops::Range<usize> {
-            (chunk * chunk_len).min(terms.len())..((chunk + 1) * chunk_len).min(terms.len())
-        };
-        // Alternate which arm goes first so a drifting scheduler taxes both.
-        let order: [(
-            &Arc<ClusterRouter>,
-            &[String],
-            &mut ClassStats,
-            &mut Duration,
-        ); 2] = if chunk % 2 == 0 {
-            [
-                (
-                    &executor_router,
-                    &executor_terms[range(&executor_terms)],
-                    &mut executor_stats,
-                    &mut executor_wall,
-                ),
-                (
-                    &reference_router,
-                    &reference_terms[range(&reference_terms)],
-                    &mut reference_stats,
-                    &mut reference_wall,
-                ),
-            ]
-        } else {
-            [
-                (
-                    &reference_router,
-                    &reference_terms[range(&reference_terms)],
-                    &mut reference_stats,
-                    &mut reference_wall,
-                ),
-                (
-                    &executor_router,
-                    &executor_terms[range(&executor_terms)],
-                    &mut executor_stats,
-                    &mut executor_wall,
-                ),
-            ]
-        };
-        for (router, terms, stats, wall) in order {
-            let (s, w) = run_chunk(router, terms);
-            stats.merge(s);
-            *wall += w;
+                })
+            })
+            .collect();
+        for h in handles {
+            stats.merge(h.join().expect("no smoke worker panics"));
         }
-    }
+    });
+    let wall = started.elapsed();
 
-    let p99 = |stats: &ClassStats| -> u64 {
-        let mut sorted = stats.latencies_us.clone();
-        sorted.sort_unstable();
-        match sorted.len() {
-            0 => 0,
-            n => sorted[(99.0 / 100.0 * (n - 1) as f64).round() as usize],
-        }
-    };
-    let executor_p99 = p99(&executor_stats);
-    let reference_p99 = p99(&reference_stats);
-    let fanout =
-        |router: &Arc<ClusterRouter>| -> u64 { router.metrics().fanout_per_shard.iter().sum() };
+    let fanout_total: u64 = router.metrics().fanout_per_shard.iter().sum();
     format!(
         "{{\"scale\": \"medium\", \"shards\": 4, \"replicas\": 1, \"triples\": {triples}, \
-         \"bringup_us\": {bringup_us}, \"requests_per_arm\": {requests_per_arm}, \
-         \"executor_p99_us\": {executor_p99}, \"reference_p99_us\": {reference_p99}, \
-         \"executor_fanout_total\": {}, \"reference_fanout_total\": {}, \
-         \"executor\": {}, \"spawn_reference\": {}}}",
-        fanout(&executor_router),
-        fanout(&reference_router),
-        executor_stats.json(executor_wall),
-        reference_stats.json(reference_wall),
+         \"bringup_us\": {bringup_us}, \"requests\": {requests}, \
+         \"fanout_total\": {fanout_total}, \"scatter\": {}}}",
+        stats.json(wall),
     )
 }
 

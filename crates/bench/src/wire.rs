@@ -5,7 +5,7 @@
 //! but with a **real process boundary** on the edge↔shard hop: every
 //! replica is hosted behind a [`WireServer`] on a loopback socket and the
 //! [`ClusterRouter`] talks to it through a [`WireClient`] — serialization,
-//! framing, connection pooling, and transport failures all on the hot
+//! framing, pipelined connections, and transport failures all on the hot
 //! path. Two extra switches:
 //!
 //! * `--processes` — shards run as separate **OS processes** (the

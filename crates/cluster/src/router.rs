@@ -24,9 +24,9 @@
 //!
 //! The edge is itself a serving tier: QCM/QSM responses are memoized in
 //! sharded response caches and identical in-flight requests are
-//! single-flighted with the same [`Coalescer`] the servers use, keyed by the
-//! same normalized request keys — so coalescing composes across tiers
-//! exactly as the PR-2 design intended.
+//! single-flighted through the same [`ReadThrough`] front the servers use,
+//! keyed by the same normalized request keys — so coalescing composes across
+//! tiers exactly as the PR-2 design intended.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -42,9 +42,8 @@ use sapphire_endpoint::{
     query_fingerprint, Backoff, EndpointError, Jitter, QueryService, ServiceEndpoint, ServiceError,
 };
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
-use sapphire_server::coalesce::Join;
-use sapphire_server::response_cache::ShardedResponseCache;
-use sapphire_server::{Coalescer, ServerError, ShardService, TransportStats};
+use sapphire_server::coalesce::{ReadThrough, Served};
+use sapphire_server::{ServerError, ShardService, TransportStats};
 use sapphire_sparql::{Projection, Query, QueryResult, SelectQuery, Solutions, TermPattern};
 
 use crate::merge::{
@@ -314,13 +313,9 @@ pub struct ClusterRunPayload {
     /// True when any shard produced its suggestions at a reduced budget
     /// ([`tier`](Self::tier) > 0). Such a merge is cached only under the
     /// tier the edge requested, and never when a shard shed *deeper* than
-    /// requested (see `cache_run`) — so it can never be served to a
+    /// requested (see `run_tiered`) — so it can never be served to a
     /// full-budget request.
     pub degraded: bool,
-}
-
-fn run_from(payload: Arc<ClusterRunPayload>, cached: bool) -> ClusterRun {
-    ClusterRun { cached, payload }
 }
 
 /// What the edge completion cache stores.
@@ -644,19 +639,13 @@ pub struct ClusterRouter {
     cluster: Option<Cluster>,
     config: ClusterConfig,
     k: usize,
-    completion_cache: ShardedResponseCache<MergedCompletion>,
-    run_cache: ShardedResponseCache<ClusterRunPayload>,
+    completions: ReadThrough<MergedCompletion, ClusterError>,
+    runs: ReadThrough<ClusterRunPayload, ClusterError>,
+    /// Raw queries single-flight at the edge but are never edge-cached.
+    raw: ReadThrough<QueryResult, ClusterError>,
     tenants: sapphire_server::admission::TenantBudgets,
-    completion_coalescer: Coalescer<MergedCompletion, ClusterError>,
-    run_coalescer: Coalescer<ClusterRunPayload, ClusterError>,
-    service_coalescer: Coalescer<QueryResult, ClusterError>,
     counters: Counters,
     obs: Arc<Obs>,
-    /// Test-only escape hatch: route scatter and hedges through per-request
-    /// thread spawns (the pre-executor implementation) instead of the shared
-    /// executor. The byte-identity oracle (`tests/executor_oracle.rs`)
-    /// compares the two paths on the full Appendix-B workload.
-    reference_spawns: bool,
 }
 
 impl ClusterRouter {
@@ -716,25 +705,15 @@ impl ClusterRouter {
         // Every replica of every shard shares one model config; the edge
         // presents the same top-k the shards compute.
         let k = shards[0][0].top_k();
+        let (cache_shards, waiters) = (config.cache_shards, config.coalesce_waiters_per_key);
+        let capacity = Some(config.cache_capacity_per_shard);
         ClusterRouter {
             tenants: sapphire_server::admission::TenantBudgets::new(config.tenant_window_budget),
-            completion_cache: ShardedResponseCache::new(
-                config.cache_shards,
-                config.cache_capacity_per_shard,
-            ),
-            run_cache: ShardedResponseCache::new(
-                config.cache_shards,
-                config.cache_capacity_per_shard,
-            ),
-            completion_coalescer: Coalescer::new(
-                config.cache_shards,
-                config.coalesce_waiters_per_key,
-            ),
-            run_coalescer: Coalescer::new(config.cache_shards, config.coalesce_waiters_per_key),
-            service_coalescer: Coalescer::new(config.cache_shards, config.coalesce_waiters_per_key),
+            completions: ReadThrough::new("edge completion", cache_shards, capacity, waiters),
+            runs: ReadThrough::new("edge run", cache_shards, capacity, waiters),
+            raw: ReadThrough::new("edge service", cache_shards, None, waiters),
             counters: Counters::new(shard_count),
             obs,
-            reference_spawns: false,
             k,
             shards,
             cluster,
@@ -824,8 +803,8 @@ impl ClusterRouter {
             rejected_after_retry: self.counters.rejected_after_retry.load(Ordering::Relaxed),
             merges: self.counters.merges.load(Ordering::Relaxed),
             merge_depth_max: self.counters.merge_depth_max.load(Ordering::Relaxed),
-            completion_cache: self.completion_cache.stats(),
-            run_cache: self.run_cache.stats(),
+            completion_cache: self.completions.cache_stats(),
+            run_cache: self.runs.cache_stats(),
             edge_coalesced_hits: self.counters.edge_coalesced_hits.load(Ordering::Relaxed),
             edge_coalesce_leaders: self.counters.edge_coalesce_leaders.load(Ordering::Relaxed),
             degraded_runs: self.counters.degraded_runs.load(Ordering::Relaxed),
@@ -887,21 +866,15 @@ impl ClusterRouter {
         hub
     }
 
-    /// Record a coalesce-follower wait (satellite of the cross-tier
-    /// single-flight design: followers — and only followers — spend real
-    /// time blocked in `join`, so only they feed the `coalesce_wait` stage).
-    fn note_coalesce_wait(&self, started: Instant, surface: &'static str) {
-        let waited_us = started.elapsed().as_micros() as u64;
-        self.obs.record(Stage::CoalesceWait, waited_us);
-        if let Some((trace, parent)) = trace::current_ctx() {
-            trace.add_span(
-                Stage::CoalesceWait.name(),
-                started,
-                waited_us,
-                parent,
-                format!("{surface} follower wait_us={waited_us}"),
-            );
-        }
+    /// Land one edge request in its metrics bucket (cache hits and bypasses
+    /// have no edge counter).
+    fn count_served(&self, served: Served) {
+        let counter = match served {
+            Served::LateHit | Served::Follower => &self.counters.edge_coalesced_hits,
+            Served::Leader => &self.counters.edge_coalesce_leaders,
+            Served::Hit | Served::Bypass => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     // --- QCM ---------------------------------------------------------------
@@ -912,71 +885,15 @@ impl ClusterRouter {
     pub fn complete(&self, tenant: &str, term: &str) -> Result<ClusterCompletion, ClusterError> {
         let _req = self.obs.request_scope("complete", tenant);
         self.charge(tenant, self.config.completion_cost)?;
-        let key = completion_request_key(term);
-        let lookup = {
-            let mut t = self.obs.time(Stage::CacheLookup);
-            let hit = self.completion_cache.get(&key);
-            t.tag(if hit.is_some() {
-                "edge completion hit"
-            } else {
-                "edge completion miss"
-            });
-            hit
-        };
-        if let Some(hit) = lookup {
-            return Ok(hit.to_completion(true));
-        }
-        let join_started = Instant::now();
-        let joined = self.completion_coalescer.join(&key);
-        if matches!(joined, Join::Follower(_)) {
-            self.note_coalesce_wait(join_started, "edge completion");
-        }
-        match joined {
-            Join::Leader(token) => {
-                if let Some(hit) = self.completion_cache.peek(&key) {
-                    self.counters
-                        .edge_coalesced_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    token.complete(Ok(hit.clone()));
-                    return Ok(hit.to_completion(true));
-                }
-                self.counters
-                    .edge_coalesce_leaders
-                    .fetch_add(1, Ordering::Relaxed);
-                match self.scatter_complete(tenant, term) {
-                    Ok(payload) => {
-                        let shared = self.completion_cache.insert(key, payload);
-                        token.complete(Ok(shared.clone()));
-                        Ok(shared.to_completion(false))
-                    }
-                    Err(e) => {
-                        token.complete(Err(e.clone()));
-                        Err(e)
-                    }
-                }
-            }
-            Join::Follower(outcome) => match outcome {
-                Ok(shared) => {
-                    self.counters
-                        .edge_coalesced_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    Ok(shared.to_completion(true))
-                }
-                // The leader died on its own tenant's quota; ours may be
-                // fine — scatter for ourselves instead of inheriting it.
-                Err(e) if tenant_scoped(&e) => self.scatter_complete(tenant, term).map(|payload| {
-                    self.completion_cache
-                        .insert(key, payload)
-                        .to_completion(false)
-                }),
-                Err(e) => Err(e),
-            },
-            Join::Bypass => self.scatter_complete(tenant, term).map(|payload| {
-                self.completion_cache
-                    .insert(key, payload)
-                    .to_completion(false)
-            }),
-        }
+        let (served, result) = self.completions.serve(
+            &self.obs,
+            completion_request_key(term),
+            |_| self.scatter_complete(tenant, term),
+            |_| true,
+            tenant_scoped,
+        );
+        self.count_served(served);
+        result.map(|shared| shared.to_completion(served.cached()))
     }
 
     fn scatter_complete(&self, tenant: &str, term: &str) -> Result<MergedCompletion, ClusterError> {
@@ -1044,70 +961,26 @@ impl ClusterRouter {
         // requests can never exchange payloads at the edge — the same
         // never-mix discipline the shards' tier-suffixed keys enforce. A
         // merge that came back degraded *deeper* than requested is
-        // additionally refused by `cache_run` below.
+        // additionally refused by the insert veto below.
         let requested = self.requested_tier(floor, started);
-        let key = run_request_key_tier(query, requested);
-        let lookup = {
-            let mut t = self.obs.time(Stage::CacheLookup);
-            let hit = self.run_cache.get(&key);
-            t.tag(if hit.is_some() {
-                "edge run hit"
-            } else {
-                "edge run miss"
-            });
-            hit
-        };
-        if let Some(hit) = lookup {
-            return Ok(run_from(hit, true));
-        }
-        let join_started = Instant::now();
-        let joined = self.run_coalescer.join(&key);
-        if matches!(joined, Join::Follower(_)) {
-            self.note_coalesce_wait(join_started, "edge run");
-        }
-        match joined {
-            Join::Leader(token) => {
-                if let Some(hit) = self.run_cache.peek(&key) {
-                    self.counters
-                        .edge_coalesced_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    token.complete(Ok(hit.clone()));
-                    return Ok(run_from(hit, true));
-                }
-                self.counters
-                    .edge_coalesce_leaders
-                    .fetch_add(1, Ordering::Relaxed);
-                match self.scatter_run(tenant, query, requested, started) {
-                    Ok(payload) => {
-                        let shared = self.cache_run(query, requested, payload);
-                        token.complete(Ok(shared.clone()));
-                        Ok(run_from(shared, false))
-                    }
-                    Err(e) => {
-                        token.complete(Err(e.clone()));
-                        Err(e)
-                    }
-                }
-            }
-            Join::Follower(outcome) => match outcome {
-                Ok(shared) => {
-                    self.counters
-                        .edge_coalesced_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    Ok(run_from(shared, true))
-                }
-                // Leader failed on its own tenant's quota — scatter for
-                // ourselves rather than inheriting a rejection that does
-                // not apply to our tenant.
-                Err(e) if tenant_scoped(&e) => self
-                    .scatter_run(tenant, query, requested, started)
-                    .map(|payload| run_from(self.cache_run(query, requested, payload), false)),
-                Err(e) => Err(e),
-            },
-            Join::Bypass => self
-                .scatter_run(tenant, query, requested, started)
-                .map(|payload| run_from(self.cache_run(query, requested, payload), false)),
-        }
+        let (served, result) = self.runs.serve(
+            &self.obs,
+            run_request_key_tier(query, requested),
+            |_| self.scatter_run(tenant, query, requested, started),
+            // A payload that came back *deeper* than requested — a shard
+            // shed on its own pressure beyond what the edge asked for — is
+            // handed to the caller but never cached: its key would promise
+            // more fidelity than its contents hold. (A payload *shallower*
+            // than requested is fine: the query had no relaxation to shed,
+            // so the "degraded" execution is byte-identical to the full one.)
+            |payload| payload.tier <= requested,
+            tenant_scoped,
+        );
+        self.count_served(served);
+        result.map(|payload| ClusterRun {
+            cached: served.cached(),
+            payload,
+        })
     }
 
     /// The QSM shed tier the edge requests for a run it is about to serve:
@@ -1153,37 +1026,6 @@ impl ClusterRouter {
             .degrade
             .as_ref()
             .map(|policy| policy.deadline.saturating_sub(started.elapsed()))
-    }
-
-    /// Cache a merged run payload under the tier the edge *requested* —
-    /// degraded merges are tier-keyed at the edge exactly as on the shards
-    /// ([`sapphire_core::run_request_key_tier`]), so a tier-0 lookup can
-    /// never see one. Every degraded merge is counted
-    /// ([`ClusterMetrics::degraded_runs`], per-tier in
-    /// [`ClusterMetrics::degraded_by_tier`]). A payload that came back
-    /// *deeper* than requested — a shard shed on its own pressure beyond
-    /// what the edge asked for — is handed to the caller but never
-    /// inserted: its key would promise more fidelity than its contents
-    /// hold, which is precisely the cross-contamination the never-mix
-    /// guarantee forbids. (A payload *shallower* than requested is fine:
-    /// the query had no relaxation to shed, so the "degraded" execution is
-    /// byte-identical to the full one.)
-    fn cache_run(
-        &self,
-        query: &SelectQuery,
-        requested: usize,
-        payload: ClusterRunPayload,
-    ) -> Arc<ClusterRunPayload> {
-        if payload.degraded {
-            self.counters.degraded_runs.fetch_add(1, Ordering::Relaxed);
-            let tier = payload.tier.min(SteinerConfig::MAX_TIER);
-            self.counters.degraded_by_tier[tier].fetch_add(1, Ordering::Relaxed);
-        }
-        if payload.tier > requested {
-            return Arc::new(payload);
-        }
-        self.run_cache
-            .insert(run_request_key_tier(query, requested), payload)
     }
 
     fn scatter_run(
@@ -1334,6 +1176,11 @@ impl ClusterRouter {
             relaxations.push(suggestion);
         }
 
+        if degraded {
+            self.counters.degraded_runs.fetch_add(1, Ordering::Relaxed);
+            self.counters.degraded_by_tier[tier.min(SteinerConfig::MAX_TIER)]
+                .fetch_add(1, Ordering::Relaxed);
+        }
         Ok(ClusterRunPayload {
             answers,
             executed,
@@ -1461,35 +1308,13 @@ impl ClusterRouter {
         if shards == 1 {
             return Ok(vec![self.shard_rtt(0, req)?]);
         }
-        // Scatter tasks run on executor workers (or, for the reference
-        // path, fresh threads): hand each one the request's trace context so
-        // its shard span parents under this request, and a request mark so
-        // the shard server's own request scope stays inert.
+        // Scatter tasks run on executor workers: hand each one the request's
+        // trace context so its shard span parents under this request, and a
+        // request mark so the shard server's own request scope stays inert.
+        // One task per shard, zero thread spawns, and `run` collects in
+        // task-index (= shard) order, so the gather never depends on
+        // completion order.
         let ctx = trace::current_ctx();
-        if self.reference_spawns {
-            return std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|shard| {
-                        let ctx = ctx.clone();
-                        scope.spawn(move || {
-                            let _mark = RequestMark::new();
-                            let _scope = ctx.map(|(trace, parent)| match parent {
-                                Some(p) => TraceScope::enter_with_parent(trace, p),
-                                None => TraceScope::enter(Some(trace)),
-                            });
-                            self.shard_rtt(shard, req)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard call never panics"))
-                    .collect()
-            });
-        }
-        // One task per shard on the shared executor: zero thread spawns, and
-        // `run` collects in task-index (= shard) order, so the gather is
-        // byte-identical to the spawn-per-shard reference.
         exec::global()
             .run(shards, |shard| {
                 let _mark = RequestMark::new();
@@ -1632,7 +1457,7 @@ impl ClusterRouter {
         req: &ShardRequest,
     ) -> Result<ShardReply, ServerError> {
         let (tx, rx) = mpsc::channel();
-        let submit_call = |replica: usize, hedged: bool| -> HedgeCall {
+        let submit_call = |replica: usize, hedged: bool| -> exec::TaskHandle {
             let server = replicas[replica].clone();
             let req = req.clone();
             let tx = tx.clone();
@@ -1647,14 +1472,7 @@ impl ClusterRouter {
                 }
                 let _ = tx.send((hedged, result));
             };
-            if self.reference_spawns {
-                // Reference path: a detached thread, as before the executor.
-                // Nothing joins it; the task owns everything it touches.
-                std::thread::spawn(job);
-                HedgeCall::Thread
-            } else {
-                HedgeCall::Exec(exec::global().spawn(job))
-            }
+            exec::global().spawn(job)
         };
         let primary_call = submit_call(primary, false);
         match rx.recv_timeout(budget) {
@@ -1746,32 +1564,6 @@ impl ClusterRouter {
     pub fn hedges_in_flight(&self) -> u64 {
         self.counters.hedges_in_flight.load(Ordering::Relaxed)
     }
-
-    /// Test-only: route scatter and hedges through per-request thread spawns
-    /// (the pre-executor reference implementation). See
-    /// `tests/executor_oracle.rs`.
-    #[doc(hidden)]
-    pub fn set_reference_spawns(&mut self, on: bool) {
-        self.reference_spawns = on;
-    }
-}
-
-/// A submitted hedge-race call: an executor task on the production path, a
-/// real thread on the test-only reference path.
-enum HedgeCall {
-    Exec(exec::TaskHandle),
-    Thread,
-}
-
-impl HedgeCall {
-    /// Progress guarantee: claim the call and run it on this thread if it is
-    /// still queued behind a saturated pool. Reference threads always make
-    /// progress on their own, so this is a no-op for them.
-    fn run_now(&self) {
-        if let HedgeCall::Exec(handle) = self {
-            handle.run_now();
-        }
-    }
 }
 
 /// The raw SPARQL surface of the cluster: the router is itself a
@@ -1795,7 +1587,6 @@ impl QueryService for ClusterRouter {
         };
         self.charge(tenant, cost)
             .map_err(ClusterError::into_service_error)?;
-        let key = query_fingerprint(query);
         let execute = |tenant: &str, query: &Query| -> Result<QueryResult, ClusterError> {
             match query {
                 Query::Select(select) => self
@@ -1829,31 +1620,16 @@ impl QueryService for ClusterRouter {
                 }
             }
         };
-        let join_started = Instant::now();
-        let joined = self.service_coalescer.join(&key);
-        if matches!(joined, Join::Follower(_)) {
-            self.note_coalesce_wait(join_started, "edge service");
-        }
-        match joined {
-            Join::Leader(token) => {
-                self.counters
-                    .edge_coalesce_leaders
-                    .fetch_add(1, Ordering::Relaxed);
-                let outcome = execute(tenant, query).map(Arc::new);
-                token.complete(outcome.clone());
-                outcome
-                    .map(|shared| (*shared).clone())
-                    .map_err(ClusterError::into_service_error)
-            }
-            Join::Follower(outcome) => {
-                self.counters
-                    .edge_coalesced_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                outcome
-                    .map(|shared| (*shared).clone())
-                    .map_err(ClusterError::into_service_error)
-            }
-            Join::Bypass => execute(tenant, query).map_err(ClusterError::into_service_error),
-        }
+        let (served, result) = self.raw.serve(
+            &self.obs,
+            query_fingerprint(query),
+            |_| execute(tenant, query),
+            |_| true,
+            |_| false,
+        );
+        self.count_served(served);
+        result
+            .map(Arc::unwrap_or_clone)
+            .map_err(ClusterError::into_service_error)
     }
 }

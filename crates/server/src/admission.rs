@@ -7,26 +7,27 @@
 //! that is rejected with a typed error, and each tenant spends from a work
 //! budget denominated in the same units the evaluator charges.
 //!
-//! Two ways to wait for a slot share one fair FIFO queue:
+//! There is one way to wait for a slot — a queued [`AdmissionTicket`] whose
+//! grant *callback* fires when a releaser hands it the slot — and two ways
+//! to use it:
 //!
-//! * **Parked** ([`AdmissionController::admit`]) — the classic
-//!   thread-per-request shape: the calling thread blocks on its ticket's
-//!   private condvar until a releaser hands it the slot or its deadline
-//!   passes.
 //! * **Evented** ([`AdmissionController::admit_evented`]) — nothing blocks:
-//!   the caller receives an [`AdmissionTicket`] and a grant *callback* fires
-//!   when a releaser hands the ticket its slot. The evented front-end
-//!   ([`crate::frontend`]) parks *sessions* in its reactor instead of
-//!   parking worker threads here, which is what lets a fixed worker pool
+//!   the caller keeps the ticket and supplies the callback. The evented
+//!   front-end ([`crate::frontend`]) parks *sessions* in its reactor instead
+//!   of parking worker threads here, which is what lets a fixed worker pool
 //!   hold thousands of open sessions.
+//! * **Parked** ([`AdmissionController::admit`]) — the classic
+//!   thread-per-request shape, built on the evented one: the callback
+//!   signals a private one-shot channel and the calling thread blocks on it
+//!   until the grant or its deadline.
 //!
-//! Both kinds of waiter are strictly ordered by arrival: a freed slot is
-//! handed to the queue head whichever kind it is, so evented waiters can
-//! never barge past parked ones or vice versa.
+//! Waiters are strictly ordered by arrival: a freed slot is handed to the
+//! queue head however its owner waits, so evented waiters can never barge
+//! past parked ones or vice versa.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::ServerError;
@@ -41,23 +42,6 @@ use crate::error::ServerError;
 /// [`AdmissionTicket::try_claim`].
 pub type GrantCallback = Box<dyn FnOnce() + Send>;
 
-/// How a queued ticket's owner wants to learn about its grant.
-enum Wakeup {
-    /// A thread is parked on the ticket's condvar.
-    Park,
-    /// Nobody is parked: fire the callback (taken out exactly once).
-    Callback(Mutex<Option<GrantCallback>>),
-}
-
-impl std::fmt::Debug for Wakeup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Wakeup::Park => write!(f, "Park"),
-            Wakeup::Callback(_) => write!(f, "Callback"),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TicketState {
     /// Still queued; owns no slot.
@@ -71,34 +55,23 @@ enum TicketState {
     Claimed,
 }
 
-/// One queued request's private wake-up slot.
+/// One queued request: its settlement state and its grant callback.
 ///
-/// Each ticket gets its *own* mutex + condvar: the releaser hands a freed
-/// execution slot to exactly the queue head and notifies only that waiter,
-/// so a release never wakes the whole queue (no thundering herd) and can
-/// never wake the wrong waiter (strict FIFO).
-#[derive(Debug)]
+/// The releaser hands a freed execution slot to exactly the queue head and
+/// fires only that ticket's callback, so a release never wakes the whole
+/// queue (no thundering herd) and can never wake the wrong waiter (strict
+/// FIFO).
 struct Ticket {
     state: Mutex<TicketState>,
-    granted: Condvar,
-    wakeup: Wakeup,
+    /// Taken out exactly once, by the releaser that grants this ticket.
+    on_grant: Mutex<Option<GrantCallback>>,
 }
 
-impl Ticket {
-    fn parked() -> Arc<Self> {
-        Arc::new(Ticket {
-            state: Mutex::new(TicketState::Waiting),
-            granted: Condvar::new(),
-            wakeup: Wakeup::Park,
-        })
-    }
-
-    fn evented(on_grant: GrantCallback) -> Arc<Self> {
-        Arc::new(Ticket {
-            state: Mutex::new(TicketState::Waiting),
-            granted: Condvar::new(),
-            wakeup: Wakeup::Callback(Mutex::new(Some(on_grant))),
-        })
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("state", &*self.state.lock().unwrap())
+            .finish()
     }
 }
 
@@ -165,14 +138,15 @@ impl AdmissionController {
         }
     }
 
-    /// Take a free slot *now* or queue a ticket; shared head of both the
-    /// parked and the evented admission paths. `Ok(Ok(permit))` = admitted
-    /// immediately, `Ok(Err(ticket))` = queued.
-    #[allow(clippy::type_complexity)]
+    /// Take a free slot *now* or join the FIFO queue with a ticket expiring
+    /// `queue_wait` from now. `on_grant` is only called — and so the
+    /// callback is only built — when the request actually queues: an
+    /// immediate grant allocates nothing.
     fn admit_or_enqueue(
         self: &Arc<Self>,
-        make_ticket: impl FnOnce() -> Arc<Ticket>,
-    ) -> Result<Result<AdmissionPermit, Arc<Ticket>>, ServerError> {
+        queue_wait: Duration,
+        on_grant: impl FnOnce() -> GrantCallback,
+    ) -> Result<AsyncAdmission, ServerError> {
         let mut state = self.state.lock().unwrap();
         // A free slot goes to a new arrival only when nobody is queued
         // ahead of it; released slots are handed to the queue head, so
@@ -180,7 +154,7 @@ impl AdmissionController {
         // always join the back.
         if state.queue.is_empty() && state.in_flight < self.max_in_flight {
             state.in_flight += 1;
-            return Ok(Ok(self.permit()));
+            return Ok(AsyncAdmission::Ready(self.permit()));
         }
         if state.queue.len() >= self.max_queue_depth {
             return Err(ServerError::Overloaded {
@@ -188,9 +162,21 @@ impl AdmissionController {
                 queue_depth: state.queue.len(),
             });
         }
-        let ticket = make_ticket();
+        let enqueued = Instant::now();
+        let ticket = Arc::new(Ticket {
+            state: Mutex::new(TicketState::Waiting),
+            on_grant: Mutex::new(Some(on_grant())),
+        });
         state.queue.push_back(ticket.clone());
-        Ok(Err(ticket))
+        Ok(AsyncAdmission::Queued(AdmissionTicket {
+            ticket,
+            controller: Arc::clone(self),
+            enqueued,
+            // `checked_add`, not `+`: a huge `queue_wait` ("wait as long as
+            // it takes") must mean *no deadline*, never an Instant-overflow
+            // panic.
+            deadline: enqueued.checked_add(queue_wait),
+        }))
     }
 
     /// Acquire an execution slot, blocking in the queue if allowed.
@@ -213,74 +199,40 @@ impl AdmissionController {
         self: &Arc<Self>,
         queue_wait: Duration,
     ) -> Result<AdmissionPermit, ServerError> {
-        let ticket = match self.admit_or_enqueue(Ticket::parked)? {
-            Ok(permit) => return Ok(permit),
-            Err(ticket) => ticket,
+        let mut granted = None;
+        let queued = self.admit_or_enqueue(queue_wait, || {
+            let (tx, rx) = mpsc::channel();
+            granted = Some(rx);
+            // The receiver may already be gone (deadline passed, ticket
+            // settled through `cancel`); the grant is not lost with it.
+            Box::new(move || {
+                let _ = tx.send(());
+            })
+        })?;
+        let ticket = match queued {
+            AsyncAdmission::Ready(permit) => return Ok(permit),
+            AsyncAdmission::Queued(ticket) => ticket,
         };
-
-        let start = Instant::now();
-        // `checked_add`, not `+`: a huge `queue_wait` ("wait as long as it
-        // takes") must mean *no deadline*, never an Instant-overflow panic.
-        let deadline = start.checked_add(queue_wait);
-        let mut ts = ticket.state.lock().unwrap();
-        while *ts == TicketState::Waiting {
-            match deadline {
-                None => ts = ticket.granted.wait(ts).unwrap(),
-                Some(d) => {
-                    // `saturating_duration_since`, not `d - now`: the clock
-                    // may pass the deadline between the loop's check and the
-                    // subtraction, and a bare `Duration` subtraction would
-                    // panic exactly then (under load, with an expired or
-                    // zero deadline — the worst possible moment).
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    ts = ticket.granted.wait_timeout(ts, remaining).unwrap().0;
-                }
+        let granted = granted.expect("a queued ticket built its callback");
+        // The wake-up is only a hint: whichever way the wait ends, the
+        // ticket settles the outcome below.
+        match ticket.deadline {
+            None => {
+                let _ = granted.recv();
+            }
+            // `saturating_duration_since`, not `d - now`: the clock may
+            // already be past the deadline (an expired or zero budget), and
+            // a bare subtraction would panic exactly then.
+            Some(d) => {
+                let _ = granted.recv_timeout(d.saturating_duration_since(Instant::now()));
             }
         }
-        if *ts == TicketState::Granted {
-            *ts = TicketState::Claimed;
-            return Ok(self.permit());
-        }
-        drop(ts);
-
-        // Deadline passed. Remove ourselves from the queue under the
-        // controller lock — but a releaser may have granted us between the
-        // condvar timeout and taking that lock, so re-check first. Grants
-        // only happen under the controller lock, so after this check the
-        // outcome is settled.
-        let mut state = self.state.lock().unwrap();
-        {
-            let mut ts = ticket.state.lock().unwrap();
-            if *ts == TicketState::Granted {
-                *ts = TicketState::Claimed;
-                drop(ts);
-                drop(state);
-                return Ok(self.permit());
-            }
-            *ts = TicketState::Cancelled;
-        }
-        if let Some(pos) = state.queue.iter().position(|t| Arc::ptr_eq(t, &ticket)) {
-            state.queue.remove(pos);
-        }
-        drop(state);
-        Err(ServerError::QueueTimeout {
-            waited_ms: start.elapsed().as_millis() as u64,
-        })
-    }
-
-    /// Take a free slot if one exists *right now*; never queues, never
-    /// blocks, never consumes queue capacity.
-    pub fn try_admit(self: &Arc<Self>) -> Option<AdmissionPermit> {
-        let mut state = self.state.lock().unwrap();
-        if state.queue.is_empty() && state.in_flight < self.max_in_flight {
-            state.in_flight += 1;
-            Some(self.permit())
-        } else {
-            None
-        }
+        ticket
+            .try_claim()
+            .or_else(|| ticket.cancel())
+            .ok_or_else(|| ServerError::QueueTimeout {
+                waited_ms: ticket.waited_ms(),
+            })
     }
 
     /// Non-blocking admission: grant a free slot immediately, or join the
@@ -299,16 +251,7 @@ impl AdmissionController {
         self: &Arc<Self>,
         on_grant: GrantCallback,
     ) -> Result<AsyncAdmission, ServerError> {
-        let enqueued = Instant::now();
-        match self.admit_or_enqueue(|| Ticket::evented(on_grant))? {
-            Ok(permit) => Ok(AsyncAdmission::Ready(permit)),
-            Err(ticket) => Ok(AsyncAdmission::Queued(AdmissionTicket {
-                ticket,
-                controller: Arc::clone(self),
-                enqueued,
-                deadline: enqueued.checked_add(self.queue_wait),
-            })),
-        }
+        self.admit_or_enqueue(self.queue_wait, || on_grant)
     }
 
     /// Current `(in_flight, queued)` snapshot.
@@ -434,25 +377,17 @@ impl Drop for AdmissionPermit {
             // Hand the slot straight to the oldest waiter: in-flight stays
             // unchanged (the slot changes owners, it never frees), and only
             // that waiter is notified. Waiters abandon the queue only under
-            // the controller lock held here, so the head is live — parked on
-            // its condvar, subscribed through its callback, or about to
-            // settle its state under this same lock — and the grant cannot
-            // be stranded.
+            // the controller lock held here, so the head is live —
+            // subscribed through its callback, or about to settle its state
+            // under this same lock — and the grant cannot be stranded.
             *head.state.lock().unwrap() = TicketState::Granted;
             self.controller.handoffs.fetch_add(1, Ordering::Relaxed);
-            match &head.wakeup {
-                Wakeup::Park => {
-                    head.granted.notify_one();
-                }
-                Wakeup::Callback(cb) => {
-                    // Fire outside the controller lock so the callback may
-                    // re-enter the controller (claim, cancel, even admit).
-                    let cb = cb.lock().unwrap().take();
-                    drop(state);
-                    if let Some(cb) = cb {
-                        cb();
-                    }
-                }
+            // Fire outside the controller lock so the callback may
+            // re-enter the controller (claim, cancel, even admit).
+            let on_grant = head.on_grant.lock().unwrap().take();
+            drop(state);
+            if let Some(on_grant) = on_grant {
+                on_grant();
             }
         } else {
             state.in_flight -= 1;

@@ -30,12 +30,20 @@
 //! [`sapphire_core::run_request_key`] /
 //! [`sapphire_endpoint::query_fingerprint`]), so the two layers agree
 //! exactly on which requests are "identical".
+//!
+//! [`ReadThrough`] is how the serving tiers actually use the two layers: one
+//! cache-lookup → join → re-check → work → insert → publish sequence shared
+//! by every QCM, run, and raw surface of the server and the cluster edge.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
-use crate::response_cache::shard_index;
+use sapphire_core::CacheStats;
+use sapphire_obs::{Obs, Stage};
+
+use crate::response_cache::{shard_index, ShardedResponseCache};
 
 /// One in-flight execution of a keyed request.
 #[derive(Debug)]
@@ -278,6 +286,160 @@ impl<V, E> Drop for LeaderToken<'_, V, E> {
     }
 }
 
+/// How [`ReadThrough::serve`] produced its result. Every request lands in
+/// exactly one variant, so a tier's metrics are one `match` on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// Response-cache hit: one counted `get`, the coalescer never touched.
+    Hit,
+    /// Joined as leader, but the flight that completed between this
+    /// request's cache miss and its join had already filled the cache — no
+    /// work ran. Morally a coalesced hit.
+    LateHit,
+    /// Led the flight and ran the work; followers share the outcome.
+    Leader,
+    /// Received a concurrent leader's outcome (its value *or* its error).
+    Follower,
+    /// Ran the work uncoalesced: the flight's waiter cap was full, or the
+    /// leader failed with an error the caller's `retry_own` predicate scoped
+    /// to the leader alone.
+    Bypass,
+}
+
+impl Served {
+    /// True if this request ran no work of its own.
+    pub fn cached(self) -> bool {
+        matches!(self, Served::Hit | Served::LateHit | Served::Follower)
+    }
+}
+
+/// A read-through, single-flight front for one request surface: an optional
+/// response cache and the [`Coalescer`] keyed like it.
+///
+/// [`serve`](Self::serve) is the only place that sequences the two, so the
+/// subtle parts live once: the hit path is one counted `get` and nothing
+/// else; a leader re-checks the cache with an uncounted `peek` so a second
+/// scan of a key never runs behind a flight that just finished; the flight
+/// is completed on the error path too, so followers never hang; and a
+/// follower's block time is recorded into [`Stage::CoalesceWait`].
+#[derive(Debug)]
+pub struct ReadThrough<V, E> {
+    surface: &'static str,
+    cache: Option<ShardedResponseCache<V>>,
+    flights: Coalescer<V, E>,
+}
+
+impl<V, E: Clone> ReadThrough<V, E> {
+    /// `surface` labels this front's trace spans (`"completion"`,
+    /// `"edge run"`, ...). Cache and coalescer are sharded alike;
+    /// `cache_capacity_per_shard` is `None` for surfaces whose results must
+    /// not be memoized (raw federated queries), which single-flight only.
+    pub fn new(
+        surface: &'static str,
+        shards: usize,
+        cache_capacity_per_shard: Option<usize>,
+        max_waiters_per_key: usize,
+    ) -> Self {
+        ReadThrough {
+            surface,
+            cache: cache_capacity_per_shard.map(|cap| ShardedResponseCache::new(shards, cap)),
+            flights: Coalescer::new(shards, max_waiters_per_key),
+        }
+    }
+
+    /// The response cache's counters (all zero for an uncached surface).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
+    }
+
+    /// Keys with a live flight right now (see [`Coalescer::occupancy`]).
+    pub fn occupancy(&self) -> usize {
+        self.flights.occupancy()
+    }
+
+    /// Serve `key` from the cache, a concurrent identical request, or
+    /// `work` — and say which.
+    ///
+    /// `work` runs at most once, told whether it runs as
+    /// [`Served::Leader`] or [`Served::Bypass`]. Its value is cached unless
+    /// `insert` vetoes it (the value is still returned, and still shared
+    /// with followers — only the cache is skipped). A follower whose leader
+    /// failed with an error `retry_own` accepts runs `work` for itself
+    /// instead of inheriting a failure that was about the leader's request,
+    /// not the key.
+    pub fn serve(
+        &self,
+        obs: &Obs,
+        key: String,
+        work: impl FnOnce(Served) -> Result<V, E>,
+        insert: impl FnOnce(&V) -> bool,
+        retry_own: impl Fn(&E) -> bool,
+    ) -> (Served, Result<Arc<V>, E>) {
+        if let Some(cache) = &self.cache {
+            let started = Instant::now();
+            let hit = cache.get(&key);
+            let outcome = if hit.is_some() { "hit" } else { "miss" };
+            record_span(obs, Stage::CacheLookup, started, |_| {
+                format!("{} {outcome}", self.surface)
+            });
+            if let Some(hit) = hit {
+                return (Served::Hit, Ok(hit));
+            }
+        }
+        self.serve_miss(obs, key, work, insert, retry_own)
+    }
+
+    /// [`serve`](Self::serve) past the counted cache lookup.
+    fn serve_miss(
+        &self,
+        obs: &Obs,
+        key: String,
+        work: impl FnOnce(Served) -> Result<V, E>,
+        insert: impl FnOnce(&V) -> bool,
+        retry_own: impl Fn(&E) -> bool,
+    ) -> (Served, Result<Arc<V>, E>) {
+        let run = |how: Served, key: String| {
+            work(how).map(|value| match &self.cache {
+                Some(cache) if insert(&value) => cache.insert(key, value),
+                _ => Arc::new(value),
+            })
+        };
+        let join_started = Instant::now();
+        match self.flights.join(&key) {
+            Join::Leader(token) => {
+                // Uncounted: this request already logged its miss.
+                if let Some(hit) = self.cache.as_ref().and_then(|c| c.peek(&key)) {
+                    token.complete(Ok(hit.clone()));
+                    return (Served::LateHit, Ok(hit));
+                }
+                let outcome = run(Served::Leader, key);
+                token.complete(outcome.clone());
+                (Served::Leader, outcome)
+            }
+            Join::Follower(outcome) => {
+                record_span(obs, Stage::CoalesceWait, join_started, |us| {
+                    format!("{} follower wait_us={us}", self.surface)
+                });
+                match outcome {
+                    Err(e) if retry_own(&e) => (Served::Bypass, run(Served::Bypass, key)),
+                    outcome => (Served::Follower, outcome),
+                }
+            }
+            Join::Bypass => (Served::Bypass, run(Served::Bypass, key)),
+        }
+    }
+}
+
+/// Record `started..now` into `stage`'s histogram and, on a sampled request,
+/// as a span (the detail string materializes only then).
+fn record_span(obs: &Obs, stage: Stage, started: Instant, detail: impl FnOnce(u64) -> String) {
+    let us = started.elapsed().as_micros() as u64;
+    obs.record(stage, us);
+    if let Some((trace, parent)) = sapphire_obs::trace::current_ctx() {
+        trace.add_span(stage.name(), started, us, parent, detail(us));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,5 +606,147 @@ mod tests {
         }
         assert_eq!(coalescer.stats().leaders, 3);
         assert_eq!(coalescer.waiting("k"), 0);
+    }
+
+    // --- ReadThrough -------------------------------------------------------
+
+    type Front = ReadThrough<u64, String>;
+    type Out = (Served, Result<Arc<u64>, String>);
+
+    fn no_work(_: Served) -> Result<u64, String> {
+        panic!("this request must be served without running work")
+    }
+
+    /// Serve `"k"`: always cache, self-retry on errors starting "quota".
+    fn serve(front: &Front, obs: &Obs, work: impl FnOnce(Served) -> Result<u64, String>) -> Out {
+        let retry_own = |e: &String| e.starts_with("quota");
+        front.serve(obs, "k".to_string(), work, |_| true, retry_own)
+    }
+
+    /// A leader whose work blocks until one follower is parked behind it,
+    /// then finishes with `leader_outcome`; the follower's own work would
+    /// produce 99. Returns both requests' results.
+    fn leader_then_follower(
+        front: &Front,
+        obs: &Obs,
+        leader_outcome: Result<u64, String>,
+    ) -> (Out, Out) {
+        let (leading_tx, leading) = mpsc::channel();
+        let (go, go_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                serve(front, obs, |how| {
+                    assert_eq!(how, Served::Leader);
+                    leading_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                    leader_outcome
+                })
+            });
+            leading.recv().unwrap();
+            let follower = scope.spawn(|| serve(front, obs, |_| Ok(99)));
+            while front.flights.waiting("k") == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            go.send(()).unwrap();
+            (leader.join().unwrap(), follower.join().unwrap())
+        })
+    }
+
+    #[test]
+    fn hit_is_one_counted_get_and_no_coalescer_touch() {
+        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let (served, value) = serve(&front, &obs, |_| Ok(7));
+        assert_eq!((served, *value.unwrap()), (Served::Leader, 7));
+        let (served, value) = serve(&front, &obs, no_work);
+        assert_eq!((served, *value.unwrap()), (Served::Hit, 7));
+        let cache = front.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (1, 1));
+        assert_eq!(front.flights.stats().leaders, 1, "the hit never joined");
+        assert_eq!(obs.stage_snapshot(Stage::CacheLookup).count(), 2);
+    }
+
+    /// The window `serve` cannot otherwise be steered into: the cache was
+    /// filled after this request's counted miss but before its join.
+    #[test]
+    fn late_hit_under_leadership_runs_no_work_and_releases_the_flight() {
+        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        front.cache.as_ref().unwrap().insert("k".to_string(), 7);
+        let (served, value) = front.serve_miss(&obs, "k".to_string(), no_work, |_| true, |_| false);
+        assert_eq!((served, *value.unwrap()), (Served::LateHit, 7));
+        let cache = front.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (0, 0), "the re-check is a peek");
+        assert_eq!(front.occupancy(), 0, "leadership was completed");
+    }
+
+    #[test]
+    fn follower_shares_the_leaders_value_and_records_its_wait() {
+        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let ((led, leader), (followed, follower)) = leader_then_follower(&front, &obs, Ok(7));
+        assert_eq!((led, followed), (Served::Leader, Served::Follower));
+        assert!(Arc::ptr_eq(&leader.unwrap(), &follower.unwrap()));
+        assert_eq!(obs.stage_snapshot(Stage::CoalesceWait).count(), 1);
+        assert_eq!(serve(&front, &obs, no_work).0, Served::Hit);
+    }
+
+    #[test]
+    fn leader_error_releases_followers_and_the_key() {
+        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let (leader, follower) = leader_then_follower(&front, &obs, Err("boom".to_string()));
+        assert_eq!(leader, (Served::Leader, Err("boom".to_string())));
+        assert_eq!(follower, (Served::Follower, Err("boom".to_string())));
+        // Nothing was cached and the flight is gone: the next request leads.
+        assert_eq!(front.occupancy(), 0);
+        assert_eq!(serve(&front, &obs, |_| Ok(1)).0, Served::Leader);
+    }
+
+    #[test]
+    fn follower_retries_for_itself_when_the_error_was_the_leaders_own() {
+        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let quota = Err("quota: the leader's tenant".to_string());
+        let (leader, (followed, follower)) = leader_then_follower(&front, &obs, quota.clone());
+        assert!(leader.1.is_err());
+        assert_eq!((followed, *follower.unwrap()), (Served::Bypass, 99));
+        let (served, value) = serve(&front, &obs, no_work);
+        assert_eq!(
+            (served, *value.unwrap()),
+            (Served::Hit, 99),
+            "and cached it"
+        );
+    }
+
+    #[test]
+    fn full_waiter_cap_bypasses_and_still_fills_the_cache() {
+        let (front, obs) = (Front::new("test", 2, Some(8), 0), Obs::new());
+        let (served, _) = serve(&front, &obs, |_| {
+            // A duplicate arriving mid-flight: cap 0, so it cannot park.
+            let (inner, value) = serve(&front, &obs, |how| Ok(how as u64));
+            assert_eq!(
+                (inner, *value.unwrap()),
+                (Served::Bypass, Served::Bypass as u64)
+            );
+            Ok(6)
+        });
+        assert_eq!(served, Served::Leader);
+        assert_eq!(serve(&front, &obs, no_work).0, Served::Hit);
+    }
+
+    #[test]
+    fn vetoed_and_uncached_values_are_returned_but_never_cached() {
+        let vetoing = Front::new("test", 2, Some(8), 8);
+        let uncached = Front::new("test", 2, None, 8);
+        let obs = Obs::new();
+        for round in 0..2 {
+            for front in [&vetoing, &uncached] {
+                let out = front.serve(&obs, "k".to_string(), |_| Ok(round), |_| false, |_| false);
+                assert_eq!(out, (Served::Leader, Ok(Arc::new(round))));
+            }
+        }
+        assert_eq!(vetoing.cache.as_ref().unwrap().len(), 0);
+        assert_eq!(uncached.cache_stats(), CacheStats::default());
+        assert_eq!(
+            obs.stage_snapshot(Stage::CacheLookup).count(),
+            2,
+            "vetoing's"
+        );
     }
 }

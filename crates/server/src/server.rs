@@ -13,10 +13,10 @@ use sapphire_obs::{MetricsHub, Obs, Stage};
 use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, WorkBudget};
 
 use crate::admission::{AdmissionController, AdmissionPermit, TenantBudgets};
-use crate::coalesce::{Coalescer, Join};
+use crate::coalesce::{ReadThrough, Served};
 use crate::error::{from_federation, ServerError};
 use crate::registry::{SessionId, SessionRegistry};
-use crate::response_cache::{completion_key, run_key_tier, ShardedResponseCache};
+use crate::response_cache::{completion_key, run_key_tier};
 
 /// Tuning knobs of a [`SapphireServer`].
 #[derive(Debug, Clone)]
@@ -272,11 +272,10 @@ pub struct SapphireServer {
     registry: SessionRegistry,
     admission: Arc<AdmissionController>,
     tenants: TenantBudgets,
-    completion_cache: ShardedResponseCache<CompletionResult>,
-    run_cache: ShardedResponseCache<RunPayload>,
-    completion_coalescer: Coalescer<CompletionResult, ServerError>,
-    run_coalescer: Coalescer<RunPayload, ServerError>,
-    service_coalescer: Coalescer<QueryResult, ServerError>,
+    completions: ReadThrough<CompletionResult, ServerError>,
+    runs: ReadThrough<RunPayload, ServerError>,
+    /// Raw federated queries single-flight but are never response-cached.
+    raw: ReadThrough<QueryResult, ServerError>,
     counters: Counters,
     obs: Arc<Obs>,
 }
@@ -292,6 +291,8 @@ impl SapphireServer {
     /// set of stage histograms and one flight recorder across tiers.
     pub fn with_obs(pum: Arc<PredictiveUserModel>, config: ServerConfig, obs: Arc<Obs>) -> Self {
         pum.install_obs(obs.clone());
+        let (shards, waiters) = (config.cache_shards, config.coalesce_waiters_per_key);
+        let capacity = Some(config.cache_capacity_per_shard);
         SapphireServer {
             registry: SessionRegistry::new(config.registry_shards, config.max_sessions),
             admission: Arc::new(AdmissionController::new(
@@ -300,20 +301,9 @@ impl SapphireServer {
                 config.queue_wait,
             )),
             tenants: TenantBudgets::new(config.tenant_window_budget),
-            completion_cache: ShardedResponseCache::new(
-                config.cache_shards,
-                config.cache_capacity_per_shard,
-            ),
-            run_cache: ShardedResponseCache::new(
-                config.cache_shards,
-                config.cache_capacity_per_shard,
-            ),
-            completion_coalescer: Coalescer::new(
-                config.cache_shards,
-                config.coalesce_waiters_per_key,
-            ),
-            run_coalescer: Coalescer::new(config.cache_shards, config.coalesce_waiters_per_key),
-            service_coalescer: Coalescer::new(config.cache_shards, config.coalesce_waiters_per_key),
+            completions: ReadThrough::new("completion", shards, capacity, waiters),
+            runs: ReadThrough::new("run", shards, capacity, waiters),
+            raw: ReadThrough::new("service", shards, None, waiters),
             counters: Counters::default(),
             pum,
             config,
@@ -335,41 +325,34 @@ impl SapphireServer {
     /// Admit through the gate with the wait time recorded into the
     /// [`Stage::AdmissionWait`] histogram (and the sampled trace, if any) —
     /// immediate grants record as ~0µs, queued grants as their park time.
-    fn admit_timed(&self) -> Result<AdmissionPermit, ServerError> {
-        let _t = self.obs.time(Stage::AdmissionWait);
-        self.admission.admit()
-    }
-
-    /// [`admit_timed`](Self::admit_timed) with an optional per-request
-    /// deadline budget: the queue wait is capped at
-    /// `min(budget, queue_wait)` so a request can never park longer than
+    /// An optional per-request deadline `budget` caps the queue wait at
+    /// `min(budget, queue_wait)`, so a request can never park longer than
     /// the deadline its caller is still willing to wait.
-    fn admit_within_timed(&self, budget: Option<Duration>) -> Result<AdmissionPermit, ServerError> {
-        match budget {
-            None => self.admit_timed(),
-            Some(b) => {
-                let _t = self.obs.time(Stage::AdmissionWait);
-                self.admission.admit_within(b.min(self.config.queue_wait))
-            }
-        }
+    fn admit_timed(&self, budget: Option<Duration>) -> Result<AdmissionPermit, ServerError> {
+        let _t = self.obs.time(Stage::AdmissionWait);
+        let wait = self.config.queue_wait;
+        self.admission
+            .admit_within(budget.map_or(wait, |b| b.min(wait)))
     }
 
-    /// Record one single-flight follower's block time behind a leader's scan
-    /// into the [`Stage::CoalesceWait`] histogram, and tag the sampled
-    /// trace's span with the surface and the wait. Leaders and bypasses do
-    /// not report here — their time is the scan itself.
-    fn note_coalesce_wait(&self, started: std::time::Instant, surface: &'static str) {
-        let waited_us = started.elapsed().as_micros() as u64;
-        self.obs.record(Stage::CoalesceWait, waited_us);
-        if let Some((trace, parent)) = sapphire_obs::trace::current_ctx() {
-            trace.add_span(
-                Stage::CoalesceWait.name(),
-                started,
-                waited_us,
-                parent,
-                format!("{surface} follower wait_us={waited_us}"),
-            );
-        }
+    /// Land one served request in its metrics bucket. `surface_hits` is the
+    /// per-surface subset of `coalesced_hits` (QCM and run have one).
+    fn count_served(&self, served: Served, surface_hits: Option<&AtomicU64>) {
+        let counter = match served {
+            Served::Hit => return,
+            // A late hit was served by the scan of a flight that beat this
+            // one — counted as coalesced, so every request lands in exactly
+            // one bucket.
+            Served::LateHit | Served::Follower => {
+                if let Some(hits) = surface_hits {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                }
+                &self.counters.coalesced_hits
+            }
+            Served::Leader => &self.counters.coalesce_leader_runs,
+            Served::Bypass => &self.counters.coalesce_bypass_runs,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The configuration in effect.
@@ -471,7 +454,7 @@ impl SapphireServer {
         k: usize,
     ) -> Result<CompletionResult, ServerError> {
         let _req = self.obs.request_scope("complete", tenant);
-        let permit = self.count_rejection(self.admit_timed())?;
+        let permit = self.count_rejection(self.admit_timed(None))?;
         self.complete_top_admitted(tenant, typed, k, permit)
     }
 
@@ -494,78 +477,24 @@ impl SapphireServer {
         } else {
             format!("{}\u{1}top{k}", completion_key(typed))
         };
-        let lookup = {
-            let mut t = self.obs.time(Stage::CacheLookup);
-            let hit = self.completion_cache.get(&key);
-            t.tag(if hit.is_some() {
-                "completion hit"
-            } else {
-                "completion miss"
-            });
-            hit
-        };
-        if let Some(hit) = lookup {
-            drop(permit);
-            return Ok((*hit).clone());
-        }
-        let join_started = std::time::Instant::now();
-        let joined = self.completion_coalescer.join(&key);
-        if matches!(joined, Join::Follower(_)) {
-            self.note_coalesce_wait(join_started, "completion");
-        }
-        let result = match joined {
-            Join::Leader(token) => {
-                // Re-check the cache under leadership (uncounted peek): the
-                // flight that completed between our miss and this join
-                // filled it, and a second scan of the same key must never
-                // run.
-                if let Some(hit) = self.completion_cache.peek(&key) {
-                    // Served by the scan of a flight that beat this one —
-                    // morally a coalesced hit, and counted as one so every
-                    // request lands in exactly one metrics bucket.
-                    self.counters.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .coalesced_completion_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    token.complete(Ok(hit.clone()));
-                    (*hit).clone()
+        let (served, result) = self.completions.serve(
+            &self.obs,
+            key,
+            |how| {
+                let mut t = self.obs.time(Stage::QcmScan);
+                t.tag(if how == Served::Leader {
+                    "leader"
                 } else {
-                    self.counters
-                        .coalesce_leader_runs
-                        .fetch_add(1, Ordering::Relaxed);
-                    let result = {
-                        let mut t = self.obs.time(Stage::QcmScan);
-                        t.tag("leader");
-                        self.pum.complete_top(typed, k)
-                    };
-                    let shared = self.completion_cache.insert(key, result.clone());
-                    token.complete(Ok(shared));
-                    result
-                }
-            }
-            Join::Follower(outcome) => {
-                let shared = outcome?;
-                self.counters.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .coalesced_completion_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                (*shared).clone()
-            }
-            Join::Bypass => {
-                self.counters
-                    .coalesce_bypass_runs
-                    .fetch_add(1, Ordering::Relaxed);
-                let result = {
-                    let mut t = self.obs.time(Stage::QcmScan);
-                    t.tag("bypass");
-                    self.pum.complete_top(typed, k)
-                };
-                self.completion_cache.insert(key, result.clone());
-                result
-            }
-        };
+                    "bypass"
+                });
+                Ok(self.pum.complete_top(typed, k))
+            },
+            |_| true,
+            |_| false,
+        );
+        self.count_served(served, Some(&self.counters.coalesced_completion_hits));
         drop(permit);
-        Ok(result)
+        result.map(Arc::unwrap_or_clone)
     }
 
     /// QSM + execution: press "Run" on session `id`.
@@ -594,7 +523,7 @@ impl SapphireServer {
         // query building resolves keyword predicates against the shared
         // cache. The quota charge needs the built query's shape, so it
         // follows — an over-budget tenant gives its slot straight back.
-        let permit = self.count_rejection(self.admit_timed())?;
+        let permit = self.count_rejection(self.admit_timed(None))?;
         self.run_committed(&entry, snapshot, permit, 0)
     }
 
@@ -731,7 +660,7 @@ impl SapphireServer {
     ) -> Result<QueryRun, ServerError> {
         self.counters.run_requests.fetch_add(1, Ordering::Relaxed);
         let _req = self.obs.request_scope("run", tenant);
-        let permit = self.count_rejection(self.admit_within_timed(budget))?;
+        let permit = self.count_rejection(self.admit_timed(budget))?;
         self.count_rejection(self.tenants.charge(tenant, self.run_cost(query)))?;
         let tier = requested_tier
             .max(self.qsm_tier())
@@ -793,54 +722,15 @@ impl SapphireServer {
                 .qsm_degraded_runs
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let key = run_key_tier(query, tier);
-        let lookup = {
-            let mut t = self.obs.time(Stage::CacheLookup);
-            let hit = self.run_cache.get(&key);
-            t.tag(if hit.is_some() { "run hit" } else { "run miss" });
-            hit
-        };
-        if let Some(hit) = lookup {
-            return Ok((true, hit));
-        }
-        let join_started = std::time::Instant::now();
-        let joined = self.run_coalescer.join(&key);
-        if matches!(joined, Join::Follower(_)) {
-            self.note_coalesce_wait(join_started, "run");
-        }
-        match joined {
-            Join::Leader(token) => {
-                if let Some(hit) = self.run_cache.peek(&key) {
-                    self.counters.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .coalesced_run_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    token.complete(Ok(hit.clone()));
-                    Ok((true, hit))
-                } else {
-                    self.counters
-                        .coalesce_leader_runs
-                        .fetch_add(1, Ordering::Relaxed);
-                    let run = self.run_cache.insert(key, self.scan(query, tier));
-                    token.complete(Ok(run.clone()));
-                    Ok((false, run))
-                }
-            }
-            Join::Follower(outcome) => {
-                let shared = outcome?;
-                self.counters.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .coalesced_run_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok((true, shared))
-            }
-            Join::Bypass => {
-                self.counters
-                    .coalesce_bypass_runs
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok((false, self.run_cache.insert(key, self.scan(query, tier))))
-            }
-        }
+        let (served, result) = self.runs.serve(
+            &self.obs,
+            run_key_tier(query, tier),
+            |_| Ok(self.scan(query, tier)),
+            |_| true,
+            |_| false,
+        );
+        self.count_served(served, Some(&self.counters.coalesced_run_hits));
+        result.map(|payload| (served.cached(), payload))
     }
 
     /// Accept the `alt_index`-th term alternative from `id`'s last run:
@@ -914,8 +804,8 @@ impl SapphireServer {
             coalesce_bypass_runs: self.counters.coalesce_bypass_runs.load(Ordering::Relaxed),
             fifo_handoffs: self.admission.handoffs(),
             qsm_degraded_runs: self.counters.qsm_degraded_runs.load(Ordering::Relaxed),
-            completion_cache: self.completion_cache.stats(),
-            run_cache: self.run_cache.stats(),
+            completion_cache: self.completions.cache_stats(),
+            run_cache: self.runs.cache_stats(),
             open_sessions: self.registry.len(),
         }
     }
@@ -1045,9 +935,7 @@ impl SapphireServer {
     /// scans this server is running at this instant. Cheap enough for load
     /// probes and bench reports to poll.
     pub fn coalesce_occupancy(&self) -> usize {
-        self.completion_coalescer.occupancy()
-            + self.run_coalescer.occupancy()
-            + self.service_coalescer.occupancy()
+        self.completions.occupancy() + self.runs.occupancy() + self.raw.occupancy()
     }
 
     /// Execute the model scan for a built query (the expensive part a
@@ -1128,7 +1016,7 @@ impl QueryService for SapphireServer {
             .fetch_add(1, Ordering::Relaxed);
         let _req = self.obs.request_scope("query", tenant);
         let permit = self
-            .count_rejection(self.admit_timed())
+            .count_rejection(self.admit_timed(None))
             .map_err(ServerError::into_service_error)?;
         self.execute_query_admitted(tenant, query, permit)
             .map_err(ServerError::into_service_error)
@@ -1154,39 +1042,20 @@ impl SapphireServer {
         };
         self.count_rejection(self.tenants.charge(tenant, cost))?;
         let _permit = permit; // held through execution, released on return
-        let execute = || {
-            self.pum
-                .federation()
-                .execute_parsed(query)
-                .map_err(from_federation)
-        };
-        let key = sapphire_endpoint::query_fingerprint(query);
-        let join_started = std::time::Instant::now();
-        let joined = self.service_coalescer.join(&key);
-        if matches!(joined, Join::Follower(_)) {
-            self.note_coalesce_wait(join_started, "service");
-        }
-        let result = match joined {
-            Join::Leader(token) => {
-                self.counters
-                    .coalesce_leader_runs
-                    .fetch_add(1, Ordering::Relaxed);
-                let outcome = execute().map(Arc::new);
-                token.complete(outcome.clone());
-                outcome
-            }
-            Join::Follower(outcome) => {
-                self.counters.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-                outcome
-            }
-            Join::Bypass => {
-                self.counters
-                    .coalesce_bypass_runs
-                    .fetch_add(1, Ordering::Relaxed);
-                execute().map(Arc::new)
-            }
-        };
-        result.map(|shared| (*shared).clone())
+        let (served, result) = self.raw.serve(
+            &self.obs,
+            sapphire_endpoint::query_fingerprint(query),
+            |_| {
+                self.pum
+                    .federation()
+                    .execute_parsed(query)
+                    .map_err(from_federation)
+            },
+            |_| true,
+            |_| false,
+        );
+        self.count_served(served, None);
+        result.map(Arc::unwrap_or_clone)
     }
 }
 

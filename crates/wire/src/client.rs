@@ -7,15 +7,14 @@
 //!    another *replica* — it maps every transport failure onto the typed
 //!    [`ServerError::Unreachable`] and lets the router's bounded retry /
 //!    hedging machinery (built long before this crate existed) decide. The
-//!    one exception is a *stale pooled connection*: if the request write
-//!    itself fails on a connection checked out of the pool, the far side
-//!    most likely closed it while idle, so the client redials once and
-//!    replays — the request provably never reached the replica. Once the
-//!    write has succeeded the request may be executing, so any later
-//!    failure (a read timeout on a slow replica especially) surfaces
-//!    directly instead of silently doubling the replica's work and the
-//!    caller's latency; the router's bounded retry decides what happens
-//!    next.
+//!    one exception is a *stale connection*: if the request write itself
+//!    fails on a connection that predates the call, the far side most
+//!    likely closed it while idle, so the client redials once and replays
+//!    — the request provably never reached the replica. Once the write has
+//!    succeeded the request may be executing, so any later failure (a
+//!    read timeout on a slow replica especially) surfaces directly instead
+//!    of silently doubling the replica's work and the caller's latency;
+//!    the router's bounded retry decides what happens next.
 //! 2. **Load probes never block.** [`ShardService::admission_load`] and
 //!    [`ShardService::shed_pressure_tier`] are answered from the load
 //!    header piggybacked on the last reply (see
@@ -40,7 +39,7 @@ use sapphire_sparql::{Query, QueryResult, SelectQuery};
 use crate::codec::{
     decode_hello_ok, decode_reply, encode_hello, encode_request, WireReply, WireRequest,
 };
-use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION, WIRE_VERSION_PIPELINED};
+use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION};
 
 /// Tuning knobs for a [`WireClient`].
 #[derive(Debug, Clone)]
@@ -49,21 +48,11 @@ pub struct WireClientConfig {
     pub connect_timeout: Duration,
     /// Deadline for one request/reply exchange (the read side).
     pub call_timeout: Duration,
-    /// Idle connections kept for reuse **on the legacy v1 path**, where
-    /// each in-flight call holds one connection exclusively; this then
-    /// also bounds the client's socket-level concurrency against the
-    /// replica. A pipelined (v2) replica is reached over one shared
-    /// connection instead, bounded by `pipeline_depth`.
-    pub max_pool: usize,
     /// Largest frame payload accepted from the server.
     pub max_frame: u32,
-    /// Newest protocol version offered in the HELLO. Defaults to
-    /// [`frame::WIRE_VERSION_MAX`]; pin to 1 to force the legacy pooled
-    /// protocol even against a pipelining-capable server.
-    pub max_version: u32,
-    /// Cap on in-flight requests sharing the pipelined connection; callers
-    /// past it wait for a reply slot (the socket-level analogue of
-    /// `max_pool`).
+    /// Cap on in-flight requests sharing the connection; callers past it
+    /// wait for a reply slot. This bounds the client's socket-level
+    /// concurrency against the replica.
     pub pipeline_depth: usize,
 }
 
@@ -72,9 +61,7 @@ impl Default for WireClientConfig {
         WireClientConfig {
             connect_timeout: Duration::from_secs(1),
             call_timeout: Duration::from_secs(10),
-            max_pool: 4,
             max_frame: MAX_FRAME,
-            max_version: frame::WIRE_VERSION_MAX,
             pipeline_depth: 128,
         }
     }
@@ -91,7 +78,7 @@ const READER_POLL: Duration = Duration::from_millis(100);
 /// id being misread as a protocol violation.
 const TOMBSTONE_CAP: usize = 1024;
 
-/// A reconnecting, pooling client for one replica's [`WireServer`]
+/// A reconnecting, pipelining client for one replica's [`WireServer`]
 /// (see the module docs).
 ///
 /// [`WireServer`]: crate::WireServer
@@ -100,15 +87,10 @@ pub struct WireClient {
     config: WireClientConfig,
     name: String,
     k: usize,
-    pool: Mutex<Vec<TcpStream>>,
-    /// The pipelined (v2) connection, when the replica negotiated one.
-    /// Replaced wholesale on failure; in-flight callers keep their `Arc`
-    /// to the dead one and surface its error.
+    /// The live connection, shared by every in-flight call. Replaced
+    /// wholesale on failure; in-flight callers keep their `Arc` to the
+    /// dead one and surface its error.
     pipe: Mutex<Option<Arc<PipeConn>>>,
-    /// Set once a handshake lands on protocol v1 — the replica will never
-    /// speak v2, so later dials offer v1 directly instead of burning a
-    /// doomed offer + retry on every reconnect.
-    negotiated_v1: AtomicBool,
     /// Set on an IO failure, cleared by the next successful dial — that
     /// dial is a *re*connect.
     broken: AtomicBool,
@@ -125,18 +107,14 @@ pub struct WireClient {
 }
 
 impl WireClient {
-    /// Dial `addr` and handshake, learning the replica's name, top-k, and
-    /// protocol version. On v2 the handshaken connection becomes the
-    /// pipelined connection; on v1 it seeds the pool.
+    /// Dial `addr` and handshake, learning the replica's name and top-k.
     pub fn connect(addr: SocketAddr, config: WireClientConfig) -> Result<WireClient, WireError> {
         let mut client = WireClient {
             addr,
             config,
             name: String::new(),
             k: 0,
-            pool: Mutex::new(Vec::new()),
             pipe: Mutex::new(None),
-            negotiated_v1: AtomicBool::new(false),
             broken: AtomicBool::new(false),
             connects: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
@@ -146,10 +124,13 @@ impl WireClient {
             load_queued: AtomicUsize::new(0),
             load_pressure: AtomicUsize::new(0),
         };
-        let (stream, name, k, version) = client.dial()?;
+        let (stream, name, k) = client.dial()?;
         client.name = name;
         client.k = k;
-        client.adopt(stream, version);
+        // A spawn failure just drops the stream; the first call redials.
+        if let Ok(p) = PipeConn::spawn(stream, client.config.max_frame, &client.corrupt_frames) {
+            *client.pipe.lock().unwrap() = Some(p);
+        }
         Ok(client)
     }
 
@@ -158,61 +139,13 @@ impl WireClient {
         self.addr
     }
 
-    /// The protocol version in use: 2 when a pipelined connection is live,
-    /// 1 on the legacy pooled path (or before any v2 dial).
+    /// The protocol version every handshake of this client settled on.
     pub fn protocol_version(&self) -> u32 {
-        if self.pipe.lock().unwrap().is_some() {
-            WIRE_VERSION_PIPELINED
-        } else {
-            WIRE_VERSION
-        }
+        WIRE_VERSION
     }
 
-    /// File a freshly handshaken connection where its protocol version
-    /// says it belongs.
-    fn adopt(&self, stream: TcpStream, version: u32) {
-        if version >= WIRE_VERSION_PIPELINED {
-            // A try_clone failure just drops the stream; the next call
-            // redials.
-            if let Ok(p) = PipeConn::spawn(stream, self.config.max_frame, &self.corrupt_frames) {
-                *self.pipe.lock().unwrap() = Some(p);
-            }
-        } else {
-            self.negotiated_v1.store(true, Ordering::Relaxed);
-            self.check_in(stream);
-        }
-    }
-
-    /// TCP connect + HELLO/HELLO_OK handshake, negotiating the protocol
-    /// version. Offers the configured max; an old server that predates
-    /// negotiation answers an unknown version by disconnecting, so a
-    /// failed v2+ offer is retried once at v1 (and the downgrade is
-    /// remembered).
-    fn dial(&self) -> Result<(TcpStream, String, usize, u32), WireError> {
-        let offer = if self.negotiated_v1.load(Ordering::Relaxed) {
-            WIRE_VERSION
-        } else {
-            self.config
-                .max_version
-                .clamp(WIRE_VERSION, frame::WIRE_VERSION_MAX)
-        };
-        match self.dial_version(offer) {
-            Ok(out) => {
-                if out.3 < WIRE_VERSION_PIPELINED {
-                    self.negotiated_v1.store(true, Ordering::Relaxed);
-                }
-                Ok(out)
-            }
-            Err(e) if offer > WIRE_VERSION && e.is_transport() => {
-                let out = self.dial_version(WIRE_VERSION)?;
-                self.negotiated_v1.store(true, Ordering::Relaxed);
-                Ok(out)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn dial_version(&self, offer: u32) -> Result<(TcpStream, String, usize, u32), WireError> {
+    /// TCP connect + HELLO/HELLO_OK handshake.
+    fn dial(&self) -> Result<(TcpStream, String, usize), WireError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout).map_err(
             |e| match e.kind() {
                 std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => WireError::Timeout,
@@ -222,150 +155,54 @@ impl WireClient {
         stream.set_nodelay(true).ok();
         frame::set_deadline(&stream, Some(self.config.connect_timeout))?;
         let mut s = &stream;
-        frame::write_frame(&mut s, kind::HELLO, &encode_hello(offer))?;
+        frame::write_frame(&mut s, kind::HELLO, &encode_hello(WIRE_VERSION))?;
         let (k, payload) = frame::read_frame(&mut s, self.config.max_frame)?;
         if k != kind::HELLO_OK {
             return Err(WireError::Corrupt(format!("expected HELLO_OK, got {k}")));
         }
         let (name, top_k, _server_max, chosen) = decode_hello_ok(&payload)?;
-        if !(WIRE_VERSION..=offer).contains(&chosen) {
+        if chosen != WIRE_VERSION {
             return Err(WireError::Corrupt(format!("negotiated version {chosen}")));
         }
         self.connects.fetch_add(1, Ordering::Relaxed);
         if self.broken.swap(false, Ordering::Relaxed) {
             self.reconnects.fetch_add(1, Ordering::Relaxed);
         }
-        Ok((stream, name, top_k, chosen))
+        Ok((stream, name, top_k))
     }
 
-    fn checkout(&self) -> Option<TcpStream> {
-        self.pool.lock().unwrap().pop()
-    }
-
-    fn check_in(&self, stream: TcpStream) {
-        let mut pool = self.pool.lock().unwrap();
-        if pool.len() < self.config.max_pool {
-            pool.push(stream);
-        }
-    }
-
-    /// One request/reply exchange on one connection. `wrote` is set once
-    /// the request write has succeeded — past that point the replica may
-    /// be executing the request, so a failure is no longer provably
-    /// pre-delivery (see [`call`](Self::call)).
-    fn exchange(
-        &self,
-        stream: &TcpStream,
-        payload: &[u8],
-        wrote: &mut bool,
-    ) -> Result<Result<WireReply, ServerError>, WireError> {
-        frame::set_deadline(stream, Some(self.config.call_timeout))?;
-        let mut s = stream;
-        frame::write_frame(&mut s, kind::REQUEST, payload)?;
-        *wrote = true;
-        let (k, reply) = frame::read_frame(&mut s, self.config.max_frame)?;
-        if k != kind::REPLY {
-            return Err(WireError::Corrupt(format!("expected REPLY, got {k}")));
-        }
-        let (load, result) = decode_reply(&reply)?;
-        self.load_in_flight
-            .store(load.in_flight as usize, Ordering::Relaxed);
-        self.load_queued
-            .store(load.queued as usize, Ordering::Relaxed);
-        self.load_pressure
-            .store(load.pressure as usize, Ordering::Relaxed);
-        Ok(result)
-    }
-
-    /// Issue one request, with the stale-pool redial described in the
-    /// module docs, mapping transport failures onto typed errors. On a
-    /// pipelined replica the request shares the live v2 connection with
-    /// every other in-flight call; otherwise it checks a connection out of
-    /// the legacy pool.
+    /// Issue one request over the shared connection, with the
+    /// stale-connection redial described in the module docs, mapping
+    /// transport failures onto typed errors.
     pub fn call(&self, req: &WireRequest) -> Result<WireReply, ServerError> {
         let payload = encode_request(req);
-        if self.config.max_version >= WIRE_VERSION_PIPELINED
-            && !self.negotiated_v1.load(Ordering::Relaxed)
-        {
-            if let Some(result) = self.call_pipelined(&payload) {
-                return result;
-            }
-            // The dial negotiated down to v1 mid-call; the fresh stream is
-            // already pooled. Fall through to the legacy path.
-        }
-        let mut fresh = false;
-        let mut stream = match self.checkout() {
-            Some(s) => s,
-            None => {
-                fresh = true;
-                self.dial().map_err(|e| self.fail(e))?.0
-            }
-        };
-        loop {
-            let mut wrote = false;
-            match self.exchange(&stream, &payload, &mut wrote) {
-                Ok(result) => {
-                    self.check_in(stream);
-                    return result;
-                }
-                Err(e) if !e.is_transport() => {
-                    // Protocol violation: the connection may be desynced,
-                    // never reuse it.
-                    self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                    return Err(e.to_server_error());
-                }
-                Err(e) if fresh || wrote => {
-                    // Once the request write succeeded the replica may be
-                    // executing it; replaying here would double its work
-                    // (and stack a second call_timeout on top) exactly
-                    // when it is slow. Surface the typed failure and let
-                    // the router's bounded retry decide.
-                    return Err(self.fail(e));
-                }
-                Err(_) => {
-                    // The request write failed on a pooled connection: it
-                    // died while idle (replica restarted, proxy killed
-                    // it) and the request provably never reached the
-                    // replica, so one redial is safe.
-                    self.io_errors.fetch_add(1, Ordering::Relaxed);
-                    self.broken.store(true, Ordering::Relaxed);
-                    fresh = true;
-                    stream = self.dial().map_err(|e| self.fail(e))?.0;
-                }
-            }
-        }
-    }
-
-    /// The pipelined analogue of the `call` loop. `None` means the dial
-    /// discovered a v1-only replica (the stream went into the pool);
-    /// the caller falls back to the legacy path.
-    fn call_pipelined(&self, payload: &[u8]) -> Option<Result<WireReply, ServerError>> {
         let mut retried = false;
         loop {
-            let (pipe, fresh) = match self.get_pipe() {
-                Ok(Some(p)) => p,
-                Ok(None) => return None,
-                Err(e) => return Some(Err(e)),
-            };
+            let (pipe, fresh) = self.get_pipe()?;
             let mut wrote = false;
             let reply = pipe.call(
-                payload,
+                &payload,
                 self.config.pipeline_depth,
                 self.config.call_timeout,
                 &mut wrote,
             );
             match reply {
-                Ok(bytes) => return Some(self.finish_reply(&bytes)),
+                Ok(bytes) => return self.finish_reply(&bytes),
                 Err(e) if !e.is_transport() => {
                     self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                    return Some(Err(e.to_server_error()));
+                    return Err(e.to_server_error());
                 }
-                Err(e) if fresh || wrote || retried => return Some(Err(self.fail(e))),
+                // Once the request write succeeded the replica may be
+                // executing it; replaying here would double its work (and
+                // stack a second call_timeout on top) exactly when it is
+                // slow. Surface the typed failure and let the router's
+                // bounded retry decide.
+                Err(e) if fresh || wrote || retried => return Err(self.fail(e)),
                 Err(_) => {
-                    // Same rule as the pooled path: the enqueue/write
-                    // failed on a connection that predates this call, so
-                    // the request provably never reached the replica and
-                    // one redial is safe.
+                    // The enqueue/write failed on a connection that predates
+                    // this call: it died while idle (replica restarted,
+                    // proxy killed it) and the request provably never
+                    // reached the replica, so one redial is safe.
                     self.io_errors.fetch_add(1, Ordering::Relaxed);
                     self.broken.store(true, Ordering::Relaxed);
                     retried = true;
@@ -374,26 +211,19 @@ impl WireClient {
         }
     }
 
-    /// The live pipelined connection, dialing a replacement if the current
-    /// one is dead or absent. `Ok(Some((conn, fresh)))` on success
-    /// (`fresh` = this call dialed it); `Ok(None)` when the replica turned
-    /// out to be v1-only.
-    fn get_pipe(&self) -> Result<Option<(Arc<PipeConn>, bool)>, ServerError> {
+    /// The live connection, dialing a replacement if the current one is
+    /// dead or absent. `fresh` = this call dialed it.
+    fn get_pipe(&self) -> Result<(Arc<PipeConn>, bool), ServerError> {
         let mut guard = self.pipe.lock().unwrap();
         if let Some(p) = guard.as_ref() {
             if !p.failed.load(Ordering::SeqCst) {
-                return Ok(Some((p.clone(), false)));
+                return Ok((p.clone(), false));
             }
         }
         // Dead or absent: replace it. The dial happens under the lock so
         // concurrent callers hitting the same dead connection produce one
         // reconnect, not a stampede.
-        let (stream, _, _, version) = self.dial().map_err(|e| self.fail(e))?;
-        if version < WIRE_VERSION_PIPELINED {
-            *guard = None;
-            self.check_in(stream);
-            return Ok(None);
-        }
+        let (stream, _, _) = self.dial().map_err(|e| self.fail(e))?;
         if let Some(old) = guard.take() {
             // Its reader saw the failure (the socket is shot) and is
             // exiting; reclaim the thread.
@@ -402,7 +232,7 @@ impl WireClient {
         let p = PipeConn::spawn(stream, self.config.max_frame, &self.corrupt_frames)
             .map_err(|e| self.fail(e))?;
         *guard = Some(p.clone());
-        Ok(Some((p, true)))
+        Ok((p, true))
     }
 
     /// Decode a reply's load header + result and fold the header into the
@@ -446,7 +276,7 @@ impl Drop for WireClient {
     }
 }
 
-/// One pipelined (protocol v2) connection: many in-flight requests share
+/// One pipelined connection: many in-flight requests share
 /// one socket, each tagged with a correlation id; a demux reader thread
 /// routes replies — in whatever order the replica finishes them — to the
 /// callers parked on per-request channels.
@@ -504,7 +334,7 @@ impl PipeConn {
 
     /// One pipelined exchange. `wrote` is set once the request frame hit
     /// the socket — past that point the replica may be executing it, so
-    /// the caller must not replay (same contract as `exchange`).
+    /// the caller must not replay.
     fn call(
         &self,
         payload: &[u8],
@@ -589,7 +419,6 @@ fn pipe_down() -> WireError {
 
 fn reader_loop(conn: &PipeConn, mut stream: TcpStream, max_frame: u32) {
     let mut reader = frame::FrameReader::new();
-    reader.set_version(WIRE_VERSION_PIPELINED);
     loop {
         if conn.failed.load(Ordering::SeqCst) {
             return;

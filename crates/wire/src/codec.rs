@@ -1184,8 +1184,7 @@ pub fn decode_reply(buf: &[u8]) -> Result<(LoadHeader, Result<WireReply, ServerE
     Ok((load, result))
 }
 
-/// Encode a HELLO frame payload: the newest protocol version the client
-/// speaks (a v1-only client sends 1; a pipelining-capable one sends 2).
+/// Encode a HELLO frame payload: the protocol version the client offers.
 pub fn encode_hello(version: u32) -> Vec<u8> {
     version.to_le_bytes().to_vec()
 }
@@ -1199,38 +1198,24 @@ pub fn decode_hello(buf: &[u8]) -> Result<u32, WireError> {
 }
 
 /// Encode a HELLO_OK frame payload: the replica's name, its model's top-k,
-/// and the largest frame it will accept.
-///
-/// `chosen_version` is the negotiated protocol version, appended as a
-/// trailing `u32` **only when it is not 1**: a v1 client's
-/// [`decode_hello_ok`] rejects trailing bytes, so the server keeps the
-/// legacy shape exactly when the client asked for v1 — that is what keeps
-/// old peers working.
+/// the largest frame it will accept, and the protocol version it chose.
 pub fn encode_hello_ok(name: &str, k: usize, max_frame: u32, chosen_version: u32) -> Vec<u8> {
     let mut out = Vec::new();
     put_str(&mut out, name);
     put_usize(&mut out, k);
     put_u32(&mut out, max_frame);
-    if chosen_version != 1 {
-        put_u32(&mut out, chosen_version);
-    }
+    put_u32(&mut out, chosen_version);
     out
 }
 
-/// Decode a HELLO_OK frame payload. Returns
-/// `(name, k, max_frame, chosen_version)` — a payload without the trailing
-/// version field (a v1 server, or a v2 server answering a v1 client) means
-/// version 1.
+/// Decode a HELLO_OK frame payload into
+/// `(name, k, max_frame, chosen_version)`.
 pub fn decode_hello_ok(buf: &[u8]) -> Result<(String, usize, u32, u32), WireError> {
     let mut r = Reader::new(buf);
     let name = r.str("replica name")?;
     let k = r.usize("top k")?;
     let max_frame = r.u32("max frame")?;
-    let chosen_version = if r.remaining() > 0 {
-        r.u32("chosen version")?
-    } else {
-        1
-    };
+    let chosen_version = r.u32("chosen version")?;
     r.done()?;
     Ok((name, k, max_frame, chosen_version))
 }

@@ -1,19 +1,6 @@
 //! Frame layer: the only thing that ever touches a socket.
 //!
-//! Every message is one frame. Version 1 frames (and every handshake frame,
-//! regardless of what gets negotiated):
-//!
-//! ```text
-//! +-------+-------+-----------------+------------------+
-//! | magic | kind  | len (u32 LE)    | payload (len B)  |
-//! | 0xC5  | 1 B   | 4 B             | codec-encoded    |
-//! +-------+-------+-----------------+------------------+
-//! ```
-//!
-//! Version 2 — negotiated in HELLO/HELLO_OK — adds a `u64` correlation id
-//! so one connection can carry many in-flight requests (pipelining): the
-//! client stamps each REQUEST, the server echoes the stamp on the matching
-//! REPLY, and replies may arrive in any order:
+//! Every message is one frame:
 //!
 //! ```text
 //! +-------+-------+--------------+-------------------+------------------+
@@ -21,6 +8,11 @@
 //! | 0xC5  | 1 B   | 4 B          | 8 B               | codec-encoded    |
 //! +-------+-------+--------------+-------------------+------------------+
 //! ```
+//!
+//! The correlation id is what lets one connection carry many in-flight
+//! requests (pipelining): the client stamps each REQUEST, the server echoes
+//! the stamp on the matching REPLY, and replies may arrive in any order.
+//! Handshake frames (HELLO/HELLO_OK) carry id 0.
 //!
 //! The magic byte catches desynchronized streams immediately (a reader that
 //! lost frame alignment sees garbage where 0xC5 should be, not a plausible
@@ -34,19 +26,15 @@ use std::time::Duration;
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xC5;
 
-/// The baseline protocol version: 6-byte headers, one request in flight
-/// per connection. Every HELLO/HELLO_OK is framed at this version — the
-/// handshake must be readable before any negotiation has happened.
-pub const WIRE_VERSION: u32 = 1;
+/// The protocol version this build speaks, carried in HELLO/HELLO_OK. There
+/// is exactly one: a peer offering less is refused at the handshake.
+pub const WIRE_VERSION: u32 = 2;
 
-/// The pipelined protocol version: 14-byte headers carrying a `u64`
-/// correlation id, many requests in flight per connection, replies in any
-/// order.
-pub const WIRE_VERSION_PIPELINED: u32 = 2;
-
-/// The newest version this build speaks. Peers negotiate down to the
-/// smaller of their maxima in the HELLO handshake.
-pub const WIRE_VERSION_MAX: u32 = WIRE_VERSION_PIPELINED;
+/// Bytes before the payload: magic, kind, length, correlation id.
+const HEADER_LEN: usize = 14;
+/// The header prefix that is validated (magic, length cap) as soon as it
+/// has arrived — before waiting on the rest of a possibly hostile stream.
+const PREFIX_LEN: usize = 6;
 
 /// Default upper bound on one frame's payload (64 MiB) — generous for a
 /// shard reply full of prefetched suggestion answers, tiny next to what a
@@ -57,7 +45,8 @@ pub const MAX_FRAME: u32 = 64 << 20;
 pub mod kind {
     /// Client → server, first frame on a connection: `[version u32]`.
     pub const HELLO: u8 = 1;
-    /// Server → client handshake ack: `[name][k u32][max_frame u32]`.
+    /// Server → client handshake ack:
+    /// `[name][k u32][max_frame u32][version u32]`.
     pub const HELLO_OK: u8 = 2;
     /// Client → server: one encoded [`WireRequest`](crate::WireRequest).
     pub const REQUEST: u8 = 3;
@@ -159,57 +148,27 @@ fn io_error(e: std::io::Error) -> WireError {
 /// deadlines.
 ///
 /// [`read_frame`] forgets any bytes it already consumed when the socket's
-/// read deadline fires mid-frame — fine for a client whose deadline covers
-/// the whole exchange (the connection is discarded on timeout), fatal for
-/// a server using a short poll-style deadline to check a shutdown flag
+/// read deadline fires mid-frame — fine for a handshake whose deadline
+/// covers the whole exchange (the connection is discarded on timeout), fatal
+/// for a peer using a short poll-style deadline to check a shutdown flag
 /// between frames: a frame arriving in chunks spaced wider than the poll
 /// interval would desync the stream, and the next read would parse payload
 /// bytes as a header. This reader keeps the header/payload cursor across
 /// calls, so after a [`WireError::Timeout`] the caller can simply call
 /// again and resume exactly where the stream left off.
+#[derive(Default)]
 pub struct FrameReader {
-    /// Big enough for a v2 header; only the first `header_len()` bytes are
-    /// ever used.
-    header: [u8; 14],
+    header: [u8; HEADER_LEN],
     header_have: usize,
-    /// Allocated once the header is complete and validated.
+    /// Allocated once the header prefix is complete and validated.
     payload: Option<Vec<u8>>,
     payload_have: usize,
-    version: u32,
-}
-
-impl Default for FrameReader {
-    fn default() -> FrameReader {
-        FrameReader {
-            header: [0; 14],
-            header_have: 0,
-            payload: None,
-            payload_have: 0,
-            version: WIRE_VERSION,
-        }
-    }
 }
 
 impl FrameReader {
-    /// A reader positioned at a frame boundary, expecting v1 frames.
+    /// A reader positioned at a frame boundary.
     pub fn new() -> FrameReader {
         FrameReader::default()
-    }
-
-    /// Switch the expected header layout after version negotiation. Only
-    /// legal at a frame boundary — the handshake frames preceding the
-    /// switch are always v1-framed, so this is called right after HELLO_OK.
-    pub fn set_version(&mut self, version: u32) {
-        assert!(!self.mid_frame(), "version switch mid-frame would desync");
-        self.version = version;
-    }
-
-    fn header_len(&self) -> usize {
-        if self.version >= WIRE_VERSION_PIPELINED {
-            14
-        } else {
-            6
-        }
     }
 
     /// True when part of the next frame has already been consumed (a
@@ -219,22 +178,12 @@ impl FrameReader {
         self.header_have > 0 || self.payload.is_some()
     }
 
-    /// Read (or continue reading) one frame, validating magic and length
-    /// cap before allocating. Returns `(kind, corr, payload)` — `corr` is 0
-    /// on a v1 stream — and resets to the next frame boundary on success.
-    /// On [`WireError::Timeout`] all partial progress is kept — call again
-    /// to resume. Any other error is fatal for the connection (the stream
-    /// position is unspecified).
-    pub fn read_frame_corr(
-        &mut self,
-        r: &mut impl Read,
-        max_frame: u32,
-    ) -> Result<(u8, u64, Vec<u8>), WireError> {
-        let header_len = self.header_len();
-        while self.header_have < header_len {
-            match r.read(&mut self.header[self.header_have..header_len]) {
+    /// Fill `header[..upto]`, keeping progress across calls.
+    fn fill_header(&mut self, r: &mut impl Read, upto: usize) -> Result<(), WireError> {
+        while self.header_have < upto {
+            match r.read(&mut self.header[self.header_have..upto]) {
                 // EOF exactly on a frame boundary is a graceful close;
-                // mid-header (or mid-payload below) it is a short read.
+                // mid-header (or mid-payload) it is a short read.
                 Ok(0) => {
                     return Err(if self.mid_frame() {
                         WireError::ShortRead
@@ -247,6 +196,20 @@ impl FrameReader {
                 Err(e) => return Err(io_error(e)),
             }
         }
+        Ok(())
+    }
+
+    /// Read (or continue reading) one frame, validating magic and length
+    /// cap before allocating. Returns `(kind, corr, payload)` and resets to
+    /// the next frame boundary on success. On [`WireError::Timeout`] all
+    /// partial progress is kept — call again to resume. Any other error is
+    /// fatal for the connection (the stream position is unspecified).
+    pub fn read_frame_corr(
+        &mut self,
+        r: &mut impl Read,
+        max_frame: u32,
+    ) -> Result<(u8, u64, Vec<u8>), WireError> {
+        self.fill_header(r, PREFIX_LEN)?;
         if self.payload.is_none() {
             if self.header[0] != MAGIC {
                 return Err(WireError::Corrupt(format!(
@@ -269,6 +232,7 @@ impl FrameReader {
             self.payload = Some(vec![0u8; len as usize]);
             self.payload_have = 0;
         }
+        self.fill_header(r, HEADER_LEN)?;
         let payload = self.payload.as_mut().expect("payload allocated above");
         while self.payload_have < payload.len() {
             match r.read(&mut payload[self.payload_have..]) {
@@ -279,56 +243,29 @@ impl FrameReader {
             }
         }
         let kind = self.header[1];
-        let corr = if header_len == 14 {
-            u64::from_le_bytes(
-                self.header[6..14]
-                    .try_into()
-                    .expect("slice is exactly 8 bytes"),
-            )
-        } else {
-            0
-        };
+        let corr = u64::from_le_bytes(
+            self.header[PREFIX_LEN..]
+                .try_into()
+                .expect("slice is exactly 8 bytes"),
+        );
         let payload = self.payload.take().expect("payload allocated above");
         self.header_have = 0;
         self.payload_have = 0;
         Ok((kind, corr, payload))
     }
-
-    /// [`Self::read_frame_corr`] for v1 streams, dropping the (always-zero)
-    /// correlation id.
-    pub fn read_frame(
-        &mut self,
-        r: &mut impl Read,
-        max_frame: u32,
-    ) -> Result<(u8, Vec<u8>), WireError> {
-        self.read_frame_corr(r, max_frame)
-            .map(|(kind, _corr, payload)| (kind, payload))
-    }
 }
 
-/// Write one v1 frame. The header and payload go out in a single
-/// `write_all` so a concurrent reader never sees a torn header.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), WireError> {
-    let mut frame = Vec::with_capacity(6 + payload.len());
-    frame.push(MAGIC);
-    frame.push(kind);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame).map_err(io_error)?;
-    w.flush().map_err(io_error)
-}
-
-/// Write one v2 (pipelined) frame carrying a correlation id. Single
-/// `write_all`, same torn-header guarantee as [`write_frame`] — which is
-/// what lets many threads interleave whole frames on one connection under
-/// a write lock.
+/// Write one frame carrying a correlation id. The header and payload go
+/// out in a single `write_all` so a concurrent reader never sees a torn
+/// header — which is what lets many threads interleave whole frames on one
+/// connection under a write lock.
 pub fn write_frame_corr(
     w: &mut impl Write,
     kind: u8,
     corr: u64,
     payload: &[u8],
 ) -> Result<(), WireError> {
-    let mut frame = Vec::with_capacity(14 + payload.len());
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.push(MAGIC);
     frame.push(kind);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -338,12 +275,20 @@ pub fn write_frame_corr(
     w.flush().map_err(io_error)
 }
 
+/// Write one uncorrelated (handshake) frame: correlation id 0.
+pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), WireError> {
+    write_frame_corr(w, kind, 0, payload)
+}
+
 /// Read one frame, validating magic and length cap before allocating.
 /// Returns `(kind, payload)`. One-shot: a deadline that fires mid-frame
 /// loses the bytes already consumed, so only use this where a timeout is
-/// fatal for the connection — pollers must hold a [`FrameReader`].
+/// fatal for the connection (the handshake) — pollers must hold a
+/// [`FrameReader`].
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(u8, Vec<u8>), WireError> {
-    FrameReader::new().read_frame(r, max_frame)
+    FrameReader::new()
+        .read_frame_corr(r, max_frame)
+        .map(|(kind, _corr, payload)| (kind, payload))
 }
 
 /// A read deadline for the next frame(s) on a socket. `None` blocks forever.
@@ -365,40 +310,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trip_carries_the_correlation_id() {
+    fn round_trip_carries_the_correlation_id() {
         let mut buf = Vec::new();
         write_frame_corr(&mut buf, kind::REQUEST, 0xDEAD_BEEF_0042, b"pipelined").unwrap();
-        let mut reader = FrameReader::new();
-        reader.set_version(WIRE_VERSION_PIPELINED);
-        let (k, corr, p) = reader.read_frame_corr(&mut &buf[..], MAX_FRAME).unwrap();
+        let (k, corr, p) = FrameReader::new()
+            .read_frame_corr(&mut &buf[..], MAX_FRAME)
+            .unwrap();
         assert_eq!(k, kind::REQUEST);
         assert_eq!(corr, 0xDEAD_BEEF_0042);
         assert_eq!(p, b"pipelined");
-    }
-
-    #[test]
-    fn version_switch_after_a_v1_handshake_frame() {
-        // A v1 HELLO_OK followed by v2 traffic on the same stream — exactly
-        // the negotiation sequence.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, kind::HELLO_OK, b"ok").unwrap();
-        write_frame_corr(&mut buf, kind::REPLY, 7, b"first").unwrap();
-        write_frame_corr(&mut buf, kind::REPLY, 3, b"second").unwrap();
-        let mut src = &buf[..];
-        let mut reader = FrameReader::new();
-        assert_eq!(
-            reader.read_frame(&mut src, MAX_FRAME).unwrap(),
-            (kind::HELLO_OK, b"ok".to_vec())
-        );
-        reader.set_version(WIRE_VERSION_PIPELINED);
-        assert_eq!(
-            reader.read_frame_corr(&mut src, MAX_FRAME).unwrap(),
-            (kind::REPLY, 7, b"first".to_vec())
-        );
-        assert_eq!(
-            reader.read_frame_corr(&mut src, MAX_FRAME).unwrap(),
-            (kind::REPLY, 3, b"second".to_vec())
-        );
     }
 
     #[test]
@@ -463,8 +383,8 @@ mod tests {
     #[test]
     fn frame_reader_survives_timeouts_mid_frame() {
         let mut data = Vec::new();
-        write_frame(&mut data, kind::REQUEST, &[7; 100]).unwrap();
-        write_frame(&mut data, kind::REQUEST, b"second").unwrap();
+        write_frame_corr(&mut data, kind::REQUEST, 1, &[7; 100]).unwrap();
+        write_frame_corr(&mut data, kind::REQUEST, 2, b"second").unwrap();
         // 3-byte chunks split both the header and the payload across many
         // timeout ticks; every boundary must be survivable.
         let mut src = Trickle {
@@ -477,14 +397,14 @@ mod tests {
         let mut frames = Vec::new();
         let mut timeouts = 0;
         while frames.len() < 2 {
-            match reader.read_frame(&mut src, MAX_FRAME) {
+            match reader.read_frame_corr(&mut src, MAX_FRAME) {
                 Ok(f) => frames.push(f),
                 Err(WireError::Timeout) => timeouts += 1,
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        assert_eq!(frames[0], (kind::REQUEST, vec![7; 100]));
-        assert_eq!(frames[1], (kind::REQUEST, b"second".to_vec()));
+        assert_eq!(frames[0], (kind::REQUEST, 1, vec![7; 100]));
+        assert_eq!(frames[1], (kind::REQUEST, 2, b"second".to_vec()));
         assert!(timeouts > 10, "the trickle must actually have timed out");
     }
 
@@ -496,7 +416,7 @@ mod tests {
         let mut reader = FrameReader::new();
         assert!(!reader.mid_frame());
         assert_eq!(
-            reader.read_frame(&mut &data[..], MAX_FRAME),
+            reader.read_frame_corr(&mut &data[..], MAX_FRAME),
             Err(WireError::ShortRead)
         );
         assert!(reader.mid_frame());

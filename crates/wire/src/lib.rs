@@ -17,8 +17,8 @@
 //! * [`WireServer`] — hosts any [`ShardService`] behind a TCP listener
 //!   (bounded accept/worker model, graceful drain, and a `kill` switch for
 //!   fault drills);
-//! * [`WireClient`] — implements [`ShardService`] over a reconnecting
-//!   connection pool with per-call deadlines, typed mapping of every IO
+//! * [`WireClient`] — implements [`ShardService`] over one reconnecting
+//!   pipelined connection with per-call deadlines, typed mapping of every IO
 //!   failure onto [`ServerError::Unreachable`] (so the router's existing
 //!   backoff/hedging/degradation machinery fires unchanged), and piggybacked
 //!   load headers that keep the router's load probes round-trip-free;

@@ -6,18 +6,16 @@
 //! queue depth, queue deadline) already live in the [`SapphireServer`]'s
 //! admission controller behind the service. The wire layer only has to
 //! avoid *adding* an unbounded queue in front of it, which the connection
-//! cap does: an edge with `max_pool` connections per replica can never
-//! hold more than `max_pool` requests open against one replica socket-side.
+//! cap and the per-connection pipeline depth do.
 //!
-//! Protocol v2 (pipelined connections) keeps that shape but decouples
-//! reading from serving: the connection thread stays in its frame loop,
-//! while each correlated request runs as a task on the shared
-//! [`exec`] pool and writes its reply — tagged with the request's
-//! correlation id, in whatever order it finishes — under the connection's
-//! write lock. Backlog per connection is bounded by
-//! [`WireServerConfig::pipeline_depth`]: past the cap the connection
-//! thread serves the oldest unstarted request inline, so a saturated
-//! executor degrades to the v1 serial behavior instead of queueing
+//! Connections are pipelined, which decouples reading from serving: the
+//! connection thread stays in its frame loop, while each correlated
+//! request runs as a task on the shared [`exec`] pool and writes its reply
+//! — tagged with the request's correlation id, in whatever order it
+//! finishes — under the connection's write lock. Backlog per connection is
+//! bounded by [`WireServerConfig::pipeline_depth`]: past the cap the
+//! connection thread serves the oldest unstarted request inline, so a
+//! saturated executor degrades to serial request/reply instead of queueing
 //! without bound. If the executor has no idle worker the request also
 //! runs inline — the connection thread is itself a worker of last resort,
 //! so replies never depend on executor capacity.
@@ -48,24 +46,20 @@ use sapphire_server::ShardService;
 use crate::codec::{
     decode_hello, decode_request, encode_hello_ok, encode_reply, LoadHeader, WireReply, WireRequest,
 };
-use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION, WIRE_VERSION_PIPELINED};
+use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION};
 
 /// Tuning knobs for a [`WireServer`].
 #[derive(Debug, Clone)]
 pub struct WireServerConfig {
     /// Maximum concurrent connections; accepts beyond this are closed
-    /// immediately (the edge's reconnect pool treats that as "reset" and
+    /// immediately (the edge's reconnecting client treats that as "reset" and
     /// its router retries elsewhere).
     pub max_connections: usize,
     /// How often an idle connection thread wakes to check for shutdown.
     pub idle_poll: Duration,
     /// Largest frame payload accepted from a client.
     pub max_frame: u32,
-    /// Newest protocol version this server will negotiate. Defaults to
-    /// [`frame::WIRE_VERSION_MAX`]; pin to 1 to force every connection onto
-    /// the legacy serial request/reply protocol.
-    pub max_version: u32,
-    /// Per-connection cap on pipelined (v2) requests admitted before their
+    /// Per-connection cap on pipelined requests admitted before their
     /// reply is written. When a connection exceeds it, the connection
     /// thread executes the oldest unstarted request inline instead of
     /// queueing more work onto the executor.
@@ -78,7 +72,6 @@ impl Default for WireServerConfig {
             max_connections: 64,
             idle_poll: Duration::from_millis(50),
             max_frame: MAX_FRAME,
-            max_version: frame::WIRE_VERSION_MAX,
             pipeline_depth: 32,
         }
     }
@@ -234,6 +227,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             drop(stream);
             continue;
         }
+        // Replies are whole frames written in one call, so Nagle has
+        // nothing to batch — it only holds a reply back while an earlier
+        // one to a caller that has since gone quiet awaits the client's
+        // delayed (~40 ms) ACK.
+        stream.set_nodelay(true).ok();
         shared.active.fetch_add(1, Ordering::SeqCst);
         shared.accepted.fetch_add(1, Ordering::Relaxed);
         let token = shared.next_conn.fetch_add(1, Ordering::Relaxed);
@@ -271,8 +269,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         return;
     }
     // The write half is shared with pipelined request tasks, which reply
-    // out of order under this lock once the connection negotiates v2. On
-    // a v1 connection only this thread ever touches it.
+    // out of order under this lock.
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
@@ -281,7 +278,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // request, reply write failure) from outside this thread; the frame
     // loop checks it every poll tick and drops the connection.
     let failed = Arc::new(AtomicBool::new(false));
-    let mut version = WIRE_VERSION;
     // Pipelined requests admitted but not yet known-started, oldest first.
     let mut inflight: Vec<exec::TaskHandle> = Vec::new();
     // The idle_poll deadline doubles as the shutdown-check tick, so it can
@@ -320,23 +316,11 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 }
             };
         let outcome = match kind {
-            kind::HELLO => match handle_hello(&writer, shared, &payload) {
-                Ok(chosen) => {
-                    version = chosen;
-                    if version >= WIRE_VERSION_PIPELINED {
-                        // Safe: read_frame_corr returned a whole frame, so
-                        // the reader sits at a frame boundary.
-                        reader.set_version(version);
-                    }
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            },
-            kind::REQUEST if version >= WIRE_VERSION_PIPELINED => {
+            kind::HELLO => handle_hello(&writer, shared, &payload),
+            kind::REQUEST => {
                 submit_request(&writer, shared, &failed, &mut inflight, corr, payload);
                 Ok(())
             }
-            kind::REQUEST => handle_request(&writer, shared, &payload),
             _ => {
                 shared.corrupt.fetch_add(1, Ordering::Relaxed);
                 drain_inflight(&mut inflight);
@@ -385,7 +369,7 @@ fn submit_request(
         let shared = shared.clone();
         let failed = failed.clone();
         move || {
-            if serve_one(&writer, &shared, Some(corr), &payload).is_err() {
+            if serve_one(&writer, &shared, corr, &payload).is_err() {
                 failed.store(true, Ordering::SeqCst);
                 // Wake the connection thread out of its poll wait so the
                 // failure is noticed within one tick even on an idle link.
@@ -401,13 +385,11 @@ fn submit_request(
     }
 }
 
-/// Decode, dispatch, and answer one request. `corr` is `Some` on a v2
-/// connection — the reply carries it in a v2 header — and `None` on v1,
-/// where the reply keeps the legacy 6-byte header.
+/// Decode, dispatch, and answer one request; the reply echoes `corr`.
 fn serve_one(
     writer: &Arc<Mutex<TcpStream>>,
     shared: &Shared,
-    corr: Option<u64>,
+    corr: u64,
     payload: &[u8],
 ) -> Result<(), WireError> {
     let req = match decode_request(payload) {
@@ -427,51 +409,29 @@ fn serve_one(
     };
     let reply = encode_reply(load, &result);
     let mut w = writer.lock().unwrap();
-    match corr {
-        Some(corr) => frame::write_frame_corr(&mut *w, kind::REPLY, corr, &reply),
-        None => frame::write_frame(&mut *w, kind::REPLY, &reply),
-    }
+    frame::write_frame_corr(&mut *w, kind::REPLY, corr, &reply)
 }
 
 fn handle_hello(
     writer: &Arc<Mutex<TcpStream>>,
     shared: &Shared,
     payload: &[u8],
-) -> Result<u32, WireError> {
-    let client_max = match decode_hello(payload) {
-        Ok(v) => v,
-        Err(_) => {
-            shared.corrupt.fetch_add(1, Ordering::Relaxed);
-            return Err(WireError::Corrupt("hello".into()));
-        }
-    };
-    if client_max < WIRE_VERSION {
-        // A peer below our floor would misparse every frame we send;
-        // disconnecting is the only safe answer.
-        return Err(WireError::Corrupt(format!("version {client_max}")));
+) -> Result<(), WireError> {
+    // Undecodable, or below our floor: such a peer would misparse every
+    // frame we send, so disconnecting (counted, no HELLO_OK) is the only
+    // safe answer.
+    if !decode_hello(payload).is_ok_and(|offered| offered >= WIRE_VERSION) {
+        shared.corrupt.fetch_add(1, Ordering::Relaxed);
+        return Err(WireError::Corrupt("hello".into()));
     }
-    // Negotiate down to the newer peer's floor. The HELLO_OK echoes the
-    // choice only when the client offered v2+ (a v1 client rejects
-    // trailing bytes — see `encode_hello_ok`), and is always v1-framed:
-    // the version switch takes effect on the *next* frame.
-    let chosen = client_max.min(shared.config.max_version).max(WIRE_VERSION);
     let hello_ok = encode_hello_ok(
         &shared.service.shard_name(),
         shared.service.top_k(),
         shared.config.max_frame,
-        chosen,
+        WIRE_VERSION,
     );
     let mut w = writer.lock().unwrap();
-    frame::write_frame(&mut *w, kind::HELLO_OK, &hello_ok)?;
-    Ok(chosen)
-}
-
-fn handle_request(
-    writer: &Arc<Mutex<TcpStream>>,
-    shared: &Shared,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    serve_one(writer, shared, None, payload)
+    frame::write_frame(&mut *w, kind::HELLO_OK, &hello_ok)
 }
 
 fn dispatch(

@@ -1,7 +1,7 @@
-//! Protocol-v2 (pipelined connection) properties: the correlation-id frame
-//! header, version negotiation against both newer and older peers, and the
-//! client's demux totality — out-of-order and orphaned replies must settle
-//! every caller (right reply, or a typed error), never hang one.
+//! Pipelined-connection properties: the correlation-id frame header, the
+//! handshake's refusal of a peer below the protocol floor, and the client's
+//! demux totality — out-of-order and orphaned replies must settle every
+//! caller (right reply, or a typed error), never hang one.
 //!
 //! The demux tests drive a real `WireClient` against a hand-rolled raw
 //! server so the test controls reply order and correlation ids exactly —
@@ -9,7 +9,7 @@
 //! of pipelining but useless for pinning the demux edge cases.
 
 use std::io::Read;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,12 +19,10 @@ use sapphire_core::MatchSource;
 use sapphire_server::{RunPayload, ServerError, ShardService};
 use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions};
 use sapphire_wire::codec::{
-    decode_hello, decode_hello_ok, decode_request, encode_hello_ok, encode_reply, LoadHeader,
+    decode_hello, decode_request, encode_hello, encode_hello_ok, encode_reply, LoadHeader,
     WireReply, WireRequest,
 };
-use sapphire_wire::frame::{
-    self, kind, FrameReader, MAX_FRAME, WIRE_VERSION, WIRE_VERSION_PIPELINED,
-};
+use sapphire_wire::frame::{self, kind, FrameReader, MAX_FRAME, WIRE_VERSION};
 use sapphire_wire::{WireClient, WireClientConfig, WireServer, WireServerConfig};
 
 // ---------------------------------------------------------- frame header --
@@ -39,7 +37,6 @@ fn correlation_ids_round_trip_through_the_v2_header() {
         let mut buf = Vec::new();
         frame::write_frame_corr(&mut buf, kind::REPLY, corr, &payload).unwrap();
         let mut reader = FrameReader::new();
-        reader.set_version(WIRE_VERSION_PIPELINED);
         let (k, got_corr, got_payload) = reader
             .read_frame_corr(&mut &buf[..], MAX_FRAME)
             .expect("v2 frame decodes");
@@ -55,7 +52,6 @@ fn truncated_v2_frames_fail_typed_at_every_cut() {
     frame::write_frame_corr(&mut buf, kind::REQUEST, 0xAB54_A98C_EB1F_0AD2, &[9u8; 16]).unwrap();
     for cut in 0..buf.len() {
         let mut reader = FrameReader::new();
-        reader.set_version(WIRE_VERSION_PIPELINED);
         let err = reader
             .read_frame_corr(&mut &buf[..cut], MAX_FRAME)
             .expect_err("truncated v2 frame decoded");
@@ -69,41 +65,7 @@ fn truncated_v2_frames_fail_typed_at_every_cut() {
 
 // ------------------------------------------------------------ negotiation --
 
-#[test]
-fn hello_ok_round_trips_and_keeps_the_v1_shape_for_v1_peers() {
-    let mut g = Gen::new("wire::v2::hello_ok");
-    for case in 0..CASES {
-        g.start_case(case);
-        let name: String = (0..g.below(12))
-            .map(|_| (b'a' + g.below(26) as u8) as char)
-            .collect();
-        let k = g.below(1 << 16) as usize;
-        let max_frame = g.below(u32::MAX as u64) as u32;
-        let chosen = 1 + g.below(2) as u32; // 1 or 2
-        let bytes = encode_hello_ok(&name, k, max_frame, chosen);
-        let (got_name, got_k, got_max, got_chosen) =
-            decode_hello_ok(&bytes).expect("hello_ok decodes");
-        assert_eq!(got_name, name, "case {case}");
-        assert_eq!(got_k, k, "case {case}");
-        assert_eq!(got_max, max_frame, "case {case}");
-        assert_eq!(got_chosen, chosen, "case {case}");
-        // The v1 shape is exactly the legacy payload: a chosen version of 1
-        // must add no trailing bytes (an old client's decoder rejects any).
-        if chosen == 1 {
-            assert_eq!(
-                bytes,
-                encode_hello_ok(&name, k, max_frame, 1),
-                "case {case}: v1 shape is stable"
-            );
-            assert_eq!(
-                bytes.len() + 4,
-                encode_hello_ok(&name, k, max_frame, 2).len()
-            );
-        }
-    }
-}
-
-/// A trivial shard for negotiation-matrix runs over real sockets.
+/// A trivial shard for handshake runs over real sockets.
 struct EchoService;
 
 impl ShardService for EchoService {
@@ -165,49 +127,40 @@ fn expect_echo(client: &WireClient, term: &str) {
     }
 }
 
+/// The HELLO version integer has a floor: a peer offering less would
+/// misparse every frame, so it gets no HELLO_OK — just a counted
+/// disconnect — and the listener keeps serving everyone else.
 #[test]
-fn version_negotiation_matrix_interoperates_both_ways() {
-    for (server_max, client_max, expect) in [
-        (WIRE_VERSION_PIPELINED, WIRE_VERSION_PIPELINED, 2u32),
-        // Old server (pinned v1) with a new client: negotiated down.
-        (WIRE_VERSION, WIRE_VERSION_PIPELINED, 1),
-        // Old client (pinned v1) with a new server: legacy shape answered.
-        (WIRE_VERSION_PIPELINED, WIRE_VERSION, 1),
-        (WIRE_VERSION, WIRE_VERSION, 1),
-    ] {
-        let server = WireServer::serve(
-            Arc::new(EchoService),
-            "127.0.0.1:0",
-            WireServerConfig {
-                max_version: server_max,
-                ..WireServerConfig::default()
-            },
-        )
-        .expect("bind");
-        let client = WireClient::connect(
-            server.local_addr(),
-            WireClientConfig {
-                max_version: client_max,
-                ..WireClientConfig::default()
-            },
-        )
-        .expect("handshake");
-        assert_eq!(
-            client.protocol_version(),
-            expect,
-            "server max {server_max} x client max {client_max}"
-        );
-        expect_echo(&client, "alpha");
-        expect_echo(&client, "beta");
-        assert_eq!(server.stats().corrupt_frames, 0);
-        drop(client);
-        server.shutdown();
+fn hello_below_the_version_floor_is_refused_and_counted() {
+    let server = WireServer::serve(
+        Arc::new(EchoService),
+        "127.0.0.1:0",
+        WireServerConfig::default(),
+    )
+    .expect("bind");
+    let mut old_peer = TcpStream::connect(server.local_addr()).expect("dial");
+    old_peer
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    frame::write_frame(&mut old_peer, kind::HELLO, &encode_hello(WIRE_VERSION - 1)).unwrap();
+    match frame::read_frame(&mut old_peer, MAX_FRAME) {
+        Err(frame::WireError::Closed | frame::WireError::Io(..)) => {}
+        other => panic!("expected a disconnect and no HELLO_OK, got {other:?}"),
     }
+    assert_eq!(server.stats().corrupt_frames, 1, "the refusal is counted");
+
+    let client =
+        WireClient::connect(server.local_addr(), WireClientConfig::default()).expect("handshake");
+    assert_eq!(client.protocol_version(), WIRE_VERSION);
+    expect_echo(&client, "alpha");
+    assert_eq!(server.stats().corrupt_frames, 1);
+    drop(client);
+    server.shutdown();
 }
 
 // ------------------------------------------------------------------ demux --
 
-/// Accept one v2 connection, serve `requests` Complete calls with the
+/// Accept one connection, serve `requests` Complete calls with the
 /// given reply schedule, then drain the socket until the client hangs up.
 fn raw_v2_server(
     listener: TcpListener,
@@ -217,17 +170,17 @@ fn raw_v2_server(
     std::thread::spawn(move || {
         let (mut s, _) = listener.accept().expect("accept");
         let mut reader = FrameReader::new();
-        let (k, hello) = reader.read_frame(&mut s, MAX_FRAME).expect("hello frame");
+        let (k, _, hello) = reader
+            .read_frame_corr(&mut s, MAX_FRAME)
+            .expect("hello frame");
         assert_eq!(k, kind::HELLO);
-        let offered = decode_hello(&hello).expect("hello decodes");
-        assert!(offered >= WIRE_VERSION_PIPELINED, "client offers v2");
+        assert_eq!(decode_hello(&hello).expect("hello decodes"), WIRE_VERSION);
         frame::write_frame(
             &mut s,
             kind::HELLO_OK,
-            &encode_hello_ok("raw", 3, MAX_FRAME, WIRE_VERSION_PIPELINED),
+            &encode_hello_ok("raw", 3, MAX_FRAME, WIRE_VERSION),
         )
         .expect("hello_ok");
-        reader.set_version(WIRE_VERSION_PIPELINED);
         let mut pending = Vec::new();
         while pending.len() < requests {
             let (k, corr, payload) = reader

@@ -1,16 +1,16 @@
-//! Byte-identity oracle for the shared scatter/scan executor.
+//! What only the executor-driven scatter needs pinned.
 //!
-//! The executor moved the cluster scatter, hedging, and the residual-bin
-//! parallel scans off per-request `thread::spawn`/`thread::scope` and onto
-//! a fixed work-stealing pool. None of that is allowed to be observable:
-//! this suite drives the Appendix-B workload through two routers over the
-//! same dataset — one on the executor (the default), one forced back onto
-//! the spawn-per-request reference path — and requires every reply to be
-//! byte-identical, including runs traced at sampling 1 (the `TraceScope`
-//! parenting that used to ride on spawned threads now crosses the
-//! executor's queue and must still attach per-shard spans to their
-//! request's trace).
+//! The cluster scatter, hedging, and the residual-bin parallel scans run on
+//! a fixed work-stealing pool instead of per-request threads. That scatter
+//! being byte-identical to the single-server oracle over all of Appendix B
+//! is `tests/cluster.rs::four_shard_cluster_matches_single_server_oracle`;
+//! this suite holds the rest: a run traced at sampling 1 answers exactly as
+//! an untraced one, the per-shard `shard_rtt` spans still land under their
+//! request's trace after crossing the executor's queue (the `TraceScope`
+//! is handed to pool workers, not inherited by a spawned thread), and every
+//! cold request fans out to every shard exactly once.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sapphire_cluster::{Cluster, ClusterConfig, ClusterRouter};
@@ -32,31 +32,31 @@ fn sapphire_config() -> SapphireConfig {
     }
 }
 
-/// A 4-shard router over the fixed tiny dataset. `reference_spawns`
-/// selects the comparison arm: the old spawn-per-request scatter instead
-/// of the shared executor.
-fn router(reference_spawns: bool) -> ClusterRouter {
+const SHARDS: usize = 4;
+
+/// A 4-shard router over the fixed tiny dataset, tracing one request in
+/// `sampling` (0 = off).
+fn router(sampling: u32) -> ClusterRouter {
     let graph = generate(DatasetConfig::tiny(42));
     let cluster = Cluster::build(
         "edge",
         &graph,
-        4,
+        SHARDS,
         1,
         &Lexicon::dbpedia_default(),
         &sapphire_config(),
         &ServerConfig::for_tests(),
     )
     .unwrap();
-    let mut router = ClusterRouter::new(
+    let router = ClusterRouter::new(
         cluster,
         ClusterConfig {
-            // Hedging off: identical replies must come from identical
-            // primary calls, not a hedge racing ahead on one arm.
+            // Hedging off: fan-out must count primary calls only.
             hedge_after: None,
             ..ClusterConfig::for_tests()
         },
     );
-    router.set_reference_spawns(reference_spawns);
+    router.obs().set_sampling(sampling);
     router
 }
 
@@ -108,82 +108,77 @@ fn assert_alternatives_equal(a: &[TermAlternative], b: &[TermAlternative], ctx: 
 }
 
 /// The whole Appendix-B workload — per-keystroke QCM completions and every
-/// scripted QSM run — answered byte-identically by the executor-driven
-/// scatter and the spawn-per-request reference.
+/// scripted QSM run — answered byte-identically with every request traced
+/// and with tracing off, each cold completion fanning out to all shards
+/// once, and each traced scatter keeping its shard spans.
 #[test]
-fn executor_scatter_matches_spawn_per_request_reference() {
-    let exec_router = router(false);
-    let ref_router = router(true);
+fn traced_scatter_matches_untraced_and_keeps_shard_spans_through_the_executor() {
+    let untraced = router(0);
+    let traced = router(1);
 
-    let mut prefixes = 0;
+    let mut prefixes = BTreeSet::new();
     for q in appendix_b() {
         for input in &q.script.rows {
             let keyword = input.object.trim_start_matches('?');
             for end in 1..=keyword.chars().count().min(3) {
-                let prefix: String = keyword.chars().take(end).collect();
-                let on_exec = exec_router.complete("alice", &prefix).unwrap();
-                let on_ref = ref_router.complete("alice", &prefix).unwrap();
-                assert_eq!(
-                    on_exec.suggestions, on_ref.suggestions,
-                    "prefix {prefix:?}: completions diverged"
-                );
-                prefixes += 1;
+                prefixes.insert(keyword.chars().take(end).collect::<String>());
             }
         }
     }
-    assert!(prefixes > 30, "the QCM comparison covered the workload");
-
-    for (i, query) in workload_queries().iter().enumerate() {
-        let on_exec = exec_router.run("alice", query).unwrap();
-        let on_ref = ref_router.run("alice", query).unwrap();
-        assert_eq!(on_exec.answers, on_ref.answers, "question {i}: answers");
-        assert_alternatives_equal(
-            &on_exec.alternatives,
-            &on_ref.alternatives,
-            &format!("question {i}"),
+    assert!(
+        prefixes.len() > 30,
+        "the QCM comparison covers the workload"
+    );
+    for prefix in &prefixes {
+        let plain = untraced.complete("alice", prefix).unwrap();
+        let with_trace = traced.complete("alice", prefix).unwrap();
+        assert_eq!(
+            plain.suggestions, with_trace.suggestions,
+            "prefix {prefix:?}: completions diverged"
         );
-        assert_eq!(on_exec.executed, on_ref.executed, "question {i}");
+        assert!(!plain.cached && !with_trace.cached, "{prefix:?} is cold");
     }
-
-    // Both arms really scattered to all 4 shards.
-    for (label, r) in [("exec", &exec_router), ("reference", &ref_router)] {
+    // Every prefix was distinct, so every request scattered: fan-out is
+    // exactly shards × requests, no retries, nothing shed.
+    for (label, r) in [("untraced", &untraced), ("traced", &traced)] {
         let m = r.metrics();
-        assert_eq!(m.fanout_per_shard.len(), 4, "{label}: shard fanout");
+        assert_eq!(
+            m.fanout_per_shard,
+            vec![prefixes.len() as u64; SHARDS],
+            "{label}: one call per shard per cold request"
+        );
         assert_eq!(m.rejected_after_retry, 0, "{label}: no rejections");
     }
-}
 
-/// Traced runs (sampling 1) stay byte-identical, and the per-shard
-/// `shard_rtt` spans still land inside their request's trace after the
-/// scatter crossed the executor queue instead of a spawned thread.
-#[test]
-fn traced_runs_match_and_keep_shard_spans_through_the_executor() {
-    let exec_router = router(false);
-    let ref_router = router(true);
-    exec_router.obs().set_sampling(1);
-    ref_router.obs().set_sampling(1);
-
-    for (i, query) in workload_queries().iter().take(5).enumerate() {
-        let on_exec = exec_router.run("alice", query).unwrap();
-        let on_ref = ref_router.run("alice", query).unwrap();
-        assert_eq!(on_exec.answers, on_ref.answers, "traced question {i}");
-        assert_alternatives_equal(
-            &on_exec.alternatives,
-            &on_ref.alternatives,
-            &format!("traced question {i}"),
-        );
+    // Each traced completion carries one `shard_rtt` span per shard, and the
+    // replica round trips timed *on the executor workers* parent under them
+    // — the trace context crossed the pool's queue with the task.
+    let completions: Vec<_> = traced.obs().recorder().recent();
+    assert!(!completions.is_empty(), "sampling 1 records every request");
+    for trace in completions.iter().filter(|t| t.kind == "complete") {
+        let (per_shard, round_trips): (Vec<_>, Vec<_>) = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == Stage::ShardRtt.name())
+            .partition(|s| s.tag.starts_with("shard"));
+        let shards: BTreeSet<&str> = per_shard.iter().map(|s| s.tag.as_str()).collect();
+        assert_eq!(shards.len(), SHARDS, "trace {}: {shards:?}", trace.id);
+        assert_eq!(round_trips.len(), SHARDS, "trace {}", trace.id);
+        for rtt in round_trips {
+            let parent = &trace.spans[rtt.parent.expect("timed under a shard span") as usize];
+            assert!(shards.contains(parent.tag.as_str()), "{parent:?}");
+        }
     }
 
-    let recorder = exec_router.obs().recorder();
-    assert!(recorder.recorded() > 0, "sampling 1 records every request");
-    let shard_span_name = Stage::ShardRtt.name();
-    let traced_scatters = recorder
-        .recent()
-        .iter()
-        .filter(|t| t.spans.iter().any(|s| s.name == shard_span_name))
-        .count();
-    assert!(
-        traced_scatters > 0,
-        "executor-run shard calls must attach their spans to the request trace"
-    );
+    for (i, query) in workload_queries().iter().enumerate() {
+        let plain = untraced.run("alice", query).unwrap();
+        let with_trace = traced.run("alice", query).unwrap();
+        assert_eq!(plain.answers, with_trace.answers, "question {i}: answers");
+        assert_alternatives_equal(
+            &plain.alternatives,
+            &with_trace.alternatives,
+            &format!("question {i}"),
+        );
+        assert_eq!(plain.executed, with_trace.executed, "question {i}");
+    }
 }
