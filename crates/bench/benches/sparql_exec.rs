@@ -1,39 +1,17 @@
-//! SPARQL evaluator benchmarks over the generated dataset: BGP joins of the
-//! shapes the workload and the initialization queries use.
+//! SPARQL evaluator benchmarks over the generated dataset: the BGP joins and
+//! initialization page shapes of [`SPARQL_EXEC_CASES`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sapphire_bench::SPARQL_EXEC_CASES;
 use sapphire_datagen::{generate, DatasetConfig};
 use sapphire_sparql::{evaluate_select, parse_select, WorkBudget};
 use std::hint::black_box;
 
 fn bench_queries(c: &mut Criterion) {
     let graph = generate(DatasetConfig::small(42));
-    let cases = [
-        ("point_lookup", r#"SELECT ?tz WHERE { ?c dbo:name "Salt Lake City"@en . ?c dbo:timeZone ?tz }"#),
-        (
-            "three_hop_join",
-            r#"SELECT ?pop WHERE { ?c dbo:name "Australia"@en . ?c dbo:capital ?cap . ?cap dbo:population ?pop }"#,
-        ),
-        (
-            "self_join",
-            "SELECT ?p WHERE { ?p a dbo:ChessPlayer . ?p dbo:birthPlace ?place . ?p dbo:deathPlace ?place }",
-        ),
-        (
-            "filter_scan",
-            "SELECT ?o WHERE { ?s dbo:name ?o . FILTER(isliteral(?o) && lang(?o) = 'en' && strlen(str(?o)) < 80) }",
-        ),
-        (
-            "group_count",
-            "SELECT ?p (COUNT(*) AS ?frequency) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?frequency)",
-        ),
-        (
-            "order_limit",
-            "SELECT ?c ?p WHERE { ?c a dbo:City ; dbo:population ?p } ORDER BY DESC(?p) LIMIT 1",
-        ),
-    ];
     let mut group = c.benchmark_group("sparql_exec");
     group.sample_size(20);
-    for (name, query) in cases {
+    for &(name, query) in SPARQL_EXEC_CASES {
         let parsed = parse_select(query).unwrap();
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -15,6 +15,62 @@ use sapphire_core::SapphireConfig;
 use sapphire_datagen::DatasetConfig;
 use sapphire_rdf::{Graph, Term};
 
+/// The `sparql_exec` bench's queries, over the `small` dataset: BGP joins of
+/// the shapes the workload uses, and the §5 initialization page shapes (Q6
+/// `distinct_page`, Q8 `group_order_page`) at OFFSET 0 and at a late offset.
+/// Shared with `tests/evaluator_pins.rs`, which pins each one's work units
+/// and answer.
+pub const SPARQL_EXEC_CASES: &[(&str, &str)] = &[
+    (
+        "point_lookup",
+        r#"SELECT ?tz WHERE { ?c dbo:name "Salt Lake City"@en . ?c dbo:timeZone ?tz }"#,
+    ),
+    (
+        "three_hop_join",
+        r#"SELECT ?pop WHERE { ?c dbo:name "Australia"@en . ?c dbo:capital ?cap . ?cap dbo:population ?pop }"#,
+    ),
+    (
+        "self_join",
+        "SELECT ?p WHERE { ?p a dbo:ChessPlayer . ?p dbo:birthPlace ?place . ?p dbo:deathPlace ?place }",
+    ),
+    (
+        "filter_scan",
+        "SELECT ?o WHERE { ?s dbo:name ?o . FILTER(isliteral(?o) && lang(?o) = 'en' && strlen(str(?o)) < 80) }",
+    ),
+    (
+        "group_count",
+        "SELECT ?p (COUNT(*) AS ?frequency) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?frequency)",
+    ),
+    (
+        "order_limit",
+        "SELECT ?c ?p WHERE { ?c a dbo:City ; dbo:population ?p } ORDER BY DESC(?p) LIMIT 1",
+    ),
+    (
+        "distinct_page",
+        "SELECT DISTINCT ?o WHERE { ?s a dbo:Person . ?s dbo:name ?o . \
+         FILTER(isliteral(?o) && lang(?o) = \"en\" && strlen(str(?o)) < 80) } LIMIT 100 OFFSET 0",
+    ),
+    (
+        "distinct_page_late",
+        "SELECT DISTINCT ?o WHERE { ?s a dbo:Person . ?s dbo:name ?o . \
+         FILTER(isliteral(?o) && lang(?o) = \"en\" && strlen(str(?o)) < 80) } LIMIT 100 OFFSET 500",
+    ),
+    (
+        "group_order_page",
+        "SELECT DISTINCT ?o (COUNT(?subject) AS ?frequency) WHERE { \
+         ?s a dbo:Place . ?subject ?p2 ?s . ?s dbo:name ?o . \
+         FILTER(lang(?o) = \"en\" && strlen(str(?o)) < 80) } \
+         GROUP BY ?o ORDER BY DESC(?frequency) LIMIT 50 OFFSET 0",
+    ),
+    (
+        "group_order_page_late",
+        "SELECT DISTINCT ?o (COUNT(?subject) AS ?frequency) WHERE { \
+         ?s a dbo:Place . ?subject ?p2 ?s . ?s dbo:name ?o . \
+         FILTER(lang(?o) = \"en\" && strlen(str(?o)) < 80) } \
+         GROUP BY ?o ORDER BY DESC(?frequency) LIMIT 50 OFFSET 100",
+    ),
+];
+
 /// Parse the experiment scale from argv (`--scale tiny|small|medium|large`,
 /// default `small`). An unrecognized name aborts the binary.
 pub fn scale_from_args() -> DatasetConfig {

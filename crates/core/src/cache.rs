@@ -311,7 +311,9 @@ impl CachedData {
     ///
     /// `literals` pairs each cached literal with its significance score
     /// (Definition 1); the top [`SapphireConfig::suffix_tree_capacity`] by
-    /// score go into the suffix tree and the rest become residual.
+    /// score go into the suffix tree and the rest become residual. Scores
+    /// decide only that cut: the residual literals enter their bins in text
+    /// order, whatever they scored.
     pub fn assemble(
         predicates: Vec<CachedPredicate>,
         mut literals: Vec<(String, u64)>,
@@ -321,15 +323,15 @@ impl CachedData {
         literals.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         literals.dedup_by(|a, b| a.0 == b.0);
         // Significance order: highest score first, ties by shorter text.
-        literals.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(a.0.len().cmp(&b.0.len()))
-                .then(a.0.cmp(&b.0))
-        });
+        let by_text = |a: &(String, u64), b: &(String, u64)| {
+            a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0))
+        };
+        literals.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| by_text(a, b)));
 
         let split = literals.len().min(config.suffix_tree_capacity);
-        let significant: Vec<(String, u64)> = literals[..split].to_vec();
-        let residual = &literals[split..];
+        let mut residual = literals.split_off(split);
+        residual.sort_by(by_text);
+        let significant = literals;
 
         let mut tree = SuffixTree::new();
         let mut tree_entries = Vec::new();
@@ -344,7 +346,7 @@ impl CachedData {
 
         let mut bins = ResidualBins::new();
         for (text, _) in residual {
-            bins.add(text.clone());
+            bins.add(text);
         }
 
         CachedData {

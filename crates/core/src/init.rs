@@ -12,7 +12,7 @@
 //!
 //! The query templates Q1–Q10 below are the ones listed in Appendix A.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use sapphire_endpoint::{Endpoint, EndpointError};
 use sapphire_rdf::ClassHierarchy;
@@ -69,6 +69,41 @@ impl InitStats {
     }
 }
 
+/// What §5 initialization retrieved — from one endpoint, or pooled over
+/// several with [`absorb`](Self::absorb) — before the suffix tree and the
+/// residual bins are built over it.
+#[derive(Debug, Clone, Default)]
+pub struct InitParts {
+    /// All predicates, most frequent first (Q1/Q4).
+    pub predicates: Vec<CachedPredicate>,
+    /// Classes (Q2/Q3), sorted by IRI.
+    pub classes: Vec<CachedClass>,
+    /// Every cached literal with its best significance score (Definition 1),
+    /// sorted by text.
+    pub literals: Vec<(String, u64)>,
+}
+
+impl InitParts {
+    /// Pool another endpoint's parts into these: predicates and classes keep
+    /// their first occurrence, literals keep every score (the highest wins
+    /// in [`assemble`](Self::assemble)).
+    pub fn absorb(&mut self, other: InitParts) {
+        fn extend_unseen<T>(into: &mut Vec<T>, from: Vec<T>, iri: fn(&T) -> &String) {
+            let mut seen: HashSet<String> = into.iter().map(|x| iri(x).clone()).collect();
+            into.extend(from.into_iter().filter(|x| seen.insert(iri(x).clone())));
+        }
+        extend_unseen(&mut self.predicates, other.predicates, |p| &p.iri);
+        extend_unseen(&mut self.classes, other.classes, |c| &c.iri);
+        self.literals.extend(other.literals);
+    }
+
+    /// Build the cache: one suffix tree and one set of bins, ranked over
+    /// every literal's real score.
+    pub fn assemble(self, config: &SapphireConfig) -> CachedData {
+        CachedData::assemble(self.predicates, self.literals, config).with_classes(self.classes)
+    }
+}
+
 /// Which retrieval plan to use (§5.1 / Appendix A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitMode {
@@ -106,8 +141,17 @@ impl<'a> Initializer<'a> {
         }
     }
 
-    /// Run the full §5 pipeline and assemble the cache.
-    pub fn run(mut self) -> Result<(CachedData, InitStats), InitError> {
+    /// Run the full §5 pipeline and assemble the cache: [`parts`](Self::parts)
+    /// followed by [`InitParts::assemble`].
+    pub fn run(self) -> Result<(CachedData, InitStats), InitError> {
+        let config = self.config;
+        let (parts, stats) = self.parts()?;
+        Ok((parts.assemble(config), stats))
+    }
+
+    /// Run the full §5 pipeline and hand back what it retrieved, before any
+    /// index is built over it — what a multi-endpoint model pools.
+    pub fn parts(mut self) -> Result<(InitParts, InitStats), InitError> {
         // Q1 — all predicates by frequency.
         let q1 = "SELECT DISTINCT ?p (COUNT(*) AS ?frequency) WHERE { ?s ?p ?o } \
                   GROUP BY ?p ORDER BY DESC(?frequency)";
@@ -206,10 +250,16 @@ impl<'a> Initializer<'a> {
             .collect();
         classes.sort_by(|a, b| a.iri.cmp(&b.iri));
         classes.dedup_by(|a, b| a.iri == b.iri);
-        let literal_scores: Vec<(String, u64)> = self.literals.into_iter().collect();
-        let cache =
-            CachedData::assemble(predicates, literal_scores, self.config).with_classes(classes);
-        Ok((cache, self.stats))
+        // Sorted, so the parts repeat exactly from run to run (the map's
+        // iteration order does not).
+        let mut literals: Vec<(String, u64)> = self.literals.into_iter().collect();
+        literals.sort();
+        let parts = InitParts {
+            predicates,
+            classes,
+            literals,
+        };
+        Ok((parts, self.stats))
     }
 
     fn metadata(&mut self, query: &str) -> Result<Solutions, InitError> {

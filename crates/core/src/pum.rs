@@ -9,7 +9,7 @@ use sapphire_text::Lexicon;
 
 use crate::cache::CachedData;
 use crate::config::SapphireConfig;
-use crate::init::{InitError, InitMode, InitStats, Initializer};
+use crate::init::{InitError, InitMode, InitParts, InitStats, Initializer};
 use crate::qcm::{CompletionResult, QueryCompletion};
 use crate::qsm::{QsmOutput, QuerySuggestion};
 
@@ -59,9 +59,11 @@ pub struct PredictiveUserModel {
 }
 
 impl PredictiveUserModel {
-    /// Register endpoints and run §5 initialization on each, merging the
-    /// caches (predicates and literals are pooled; the suffix tree is built
-    /// over the merged significance ranking).
+    /// Register endpoints and run §5 initialization on each, pooling what
+    /// they retrieve — predicates, classes, and every literal with its real
+    /// significance score — and assembling one cache over the pool: the
+    /// suffix tree holds the most significant literals of the *merged*
+    /// ranking.
     pub fn initialize(
         endpoints: Vec<Arc<dyn Endpoint>>,
         lexicon: Lexicon,
@@ -69,36 +71,17 @@ impl PredictiveUserModel {
         mode: InitMode,
     ) -> Result<Self, PumError> {
         let mut fed = FederatedProcessor::new();
-        let mut predicates = Vec::new();
-        let mut classes: Vec<crate::cache::CachedClass> = Vec::new();
-        let mut literals: Vec<(String, u64)> = Vec::new();
+        let mut pooled = InitParts::default();
         let mut init_stats = Vec::new();
         for ep in endpoints {
-            let (cache, stats) = Initializer::new(ep.as_ref(), &config, mode)
-                .run()
+            let (parts, stats) = Initializer::new(ep.as_ref(), &config, mode)
+                .parts()
                 .map_err(PumError::Init)?;
             init_stats.push((ep.name().to_string(), stats));
-            for p in cache.predicates {
-                if !predicates
-                    .iter()
-                    .any(|q: &crate::cache::CachedPredicate| q.iri == p.iri)
-                {
-                    predicates.push(p);
-                }
-            }
-            for c in cache.classes {
-                if !classes.iter().any(|k| k.iri == c.iri) {
-                    classes.push(c);
-                }
-            }
-            literals.extend(cache.significant.iter().cloned());
-            for i in 0..cache.bins.len() as u32 {
-                literals.push((cache.bins.literal(i).to_string(), 0));
-            }
+            pooled.absorb(parts);
             fed.register(ep);
         }
-        let cache =
-            Arc::new(CachedData::assemble(predicates, literals, &config).with_classes(classes));
+        let cache = Arc::new(pooled.assemble(&config));
         Ok(Self::from_cache(cache, lexicon, fed, config, init_stats))
     }
 
@@ -283,6 +266,56 @@ res:RFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:name "Robert F. Kennedy"@e
             .find(|a| a.replacement == "Kennedy")
             .unwrap();
         assert_eq!(alt.answer_count(), 2);
+    }
+
+    /// An endpoint of `(name, in-degree)` entities: the in-degree is the
+    /// name literal's significance (Definition 1).
+    fn scored_endpoint(name: &str, entities: &[(&str, usize)]) -> Arc<dyn Endpoint> {
+        let mut data = String::from("dbo:Thing a owl:Class ; rdfs:subClassOf owl:Thing .\n");
+        for (literal, in_degree) in entities {
+            data += &format!("res:{literal} a dbo:Thing ; dbo:name \"{literal}\"@en .\n");
+            for i in 0..*in_degree {
+                data += &format!("res:{literal}_fan{i} dbo:link res:{literal} .\n");
+            }
+        }
+        Arc::new(LocalEndpoint::new(
+            name,
+            turtle::parse(&data).unwrap(),
+            EndpointLimits::warehouse(),
+        ))
+    }
+
+    #[test]
+    fn two_endpoints_are_ranked_over_their_pooled_scores() {
+        // Regression: each endpoint's cache used to be assembled on its own
+        // and taken apart again, which zeroed every literal under *that
+        // endpoint's* cut — so "Aaa" (score 3, third of endpoint A's three
+        // with a tree of two) ranked below endpoint B's "Bbb" (score 1) in
+        // the merged cache. Pooled scores are real, the tree holds the top
+        // of the merged ranking, and a shared literal keeps its best score.
+        let a = scored_endpoint("a", &[("Alpha", 5), ("Bravo", 4), ("Aaa", 3), ("Both", 0)]);
+        let b = scored_endpoint("b", &[("Bbb", 1), ("Both", 6)]);
+        let config = SapphireConfig {
+            suffix_tree_capacity: 2,
+            ..SapphireConfig::for_tests()
+        };
+        let p = PredictiveUserModel::initialize(
+            vec![a, b],
+            Lexicon::dbpedia_default(),
+            config,
+            InitMode::Federated,
+        )
+        .unwrap();
+        let cache = p.qcm().cache();
+        assert_eq!(
+            cache.significant,
+            vec![("Both".to_string(), 6), ("Alpha".to_string(), 5)]
+        );
+        let residual: Vec<&str> = (0..cache.bins.len() as u32)
+            .map(|i| cache.bins.literal(i))
+            .collect();
+        assert_eq!(residual, vec!["Aaa", "Bbb", "Bravo"]);
+        assert_eq!(p.init_stats().len(), 2);
     }
 
     #[test]

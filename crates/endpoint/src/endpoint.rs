@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use sapphire_rdf::{vocab, Graph, Literal, Term};
 use sapphire_sparql::ast::{Aggregate, Expr, Projection, SelectItem, TermPattern};
 use sapphire_sparql::eval::{evaluate, EvalError, WorkBudget};
-use sapphire_sparql::{parse_query, Query, QueryResult, SelectQuery, Solutions};
+use sapphire_sparql::{parse_query, OrderKey, Query, QueryResult, SelectQuery, Solutions};
 
 /// Endpoint failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,9 +224,12 @@ impl LocalEndpoint {
 
 impl LocalEndpoint {
     /// Recognize the Q1/Q3/Q4 statistics shapes:
-    /// `SELECT ?g (COUNT(…) AS ?f) WHERE { one pattern } GROUP BY ?g`
+    /// `SELECT ?g (COUNT(…) AS ?f) WHERE { one pattern } GROUP BY ?g
+    /// [ORDER BY DESC(?f)] [LIMIT n]`
     /// where the pattern is `?s ?p ?o` (grouped by `?p`, optionally filtered
-    /// to literal objects) or `?s a ?o` (grouped by `?o`).
+    /// to literal objects) or `?s a ?o` (grouped by `?o`). The answer is the
+    /// statistics table as kept — most frequent first — so any other order,
+    /// an OFFSET or a `COUNT(DISTINCT …)` is left to the evaluator.
     fn try_statistics_answer(&self, query: &Query) -> Option<(Solutions, u64)> {
         let Query::Select(select) = query else {
             return None;
@@ -277,14 +280,24 @@ impl LocalEndpoint {
             return None;
         };
         let SelectItem::Agg {
-            agg: Aggregate::Count { .. },
+            agg: Aggregate::Count {
+                distinct: false, ..
+            },
             alias,
         } = c_item
         else {
             return None;
         };
-        if gv != group {
+        if gv != group || select.offset.is_some() {
             return None;
+        }
+        match select.order_by.as_slice() {
+            [] => {}
+            [OrderKey {
+                expr: Expr::Var(v),
+                descending: true,
+            }] if v == alias => {}
+            _ => return None,
         }
         let (TermPattern::Var(sv), TermPattern::Var(ov)) = (&tp.subject, &tp.object) else {
             return None;
@@ -459,6 +472,98 @@ mod tests {
             ep.execute("NOT SPARQL"),
             Err(EndpointError::Parse(_))
         ));
+    }
+
+    /// Two predicates with different frequencies and one subject repeated,
+    /// so every order and both COUNT flavours give different tables.
+    fn skewed() -> LocalEndpoint {
+        let mut g = graph(3);
+        for o in ["a", "b"] {
+            g.insert(
+                Term::iri("http://x/s0"),
+                Term::iri("http://x/a"),
+                Term::en(o),
+            );
+        }
+        LocalEndpoint::new("t", g, EndpointLimits::warehouse())
+    }
+
+    #[test]
+    fn statistics_shapes_are_answered_from_the_statistics() {
+        // Q1, Q4 and Q3 as initialization issues them: the fast path charges
+        // rows + 1, far below a scan of the graph.
+        let ep = skewed();
+        for (q, rows) in [
+            (
+                "SELECT DISTINCT ?p (COUNT(*) AS ?frequency) WHERE { ?s ?p ?o } \
+                 GROUP BY ?p ORDER BY DESC(?frequency)",
+                2,
+            ),
+            (
+                "SELECT DISTINCT ?p (COUNT(?o) AS ?frequency) WHERE { ?s ?p ?o . \
+                 FILTER(isliteral(?o)) } GROUP BY ?p ORDER BY DESC(?frequency)",
+                2,
+            ),
+            (
+                "SELECT DISTINCT ?o (COUNT(?s) AS ?frequency) WHERE { ?s a ?o } \
+                 GROUP BY ?o ORDER BY DESC(?frequency)",
+                0,
+            ),
+            (
+                "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p LIMIT 1",
+                1,
+            ),
+        ] {
+            ep.reset_stats();
+            let s = ep.select(q).unwrap();
+            assert_eq!(s.len(), rows, "{q}");
+            assert_eq!(ep.stats().total_work, rows as u64 + 1, "{q}");
+        }
+        let s = ep
+            .select("SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?n)")
+            .unwrap();
+        assert_eq!(s.get(0, "p").unwrap().lexical(), "http://x/p");
+        assert_eq!(s.get(0, "n").unwrap().lexical(), "3");
+    }
+
+    #[test]
+    fn statistics_fast_path_leaves_other_orders_offsets_and_distinct_counts_to_the_evaluator() {
+        // Regression: each of these used to get the descending triple-count
+        // table regardless of what it asked for.
+        let ep = skewed();
+        for q in [
+            "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p",
+            "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ASC(?n)",
+            "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?n) OFFSET 1",
+            "SELECT ?p (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?n)",
+        ] {
+            let evaluated = sapphire_sparql::evaluate_select(
+                ep.graph(),
+                &sapphire_sparql::parse_select(q).unwrap(),
+                &mut WorkBudget::unlimited(),
+            )
+            .unwrap();
+            assert_eq!(ep.select(q).unwrap(), evaluated, "{q}");
+        }
+        // … and what they ask for differs from the statistics table.
+        let by_name = ep
+            .select("SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p")
+            .unwrap();
+        assert_eq!(by_name.get(0, "p").unwrap().lexical(), "http://x/a");
+        let ascending = ep
+            .select("SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ASC(?n)")
+            .unwrap();
+        assert_eq!(ascending.get(0, "n").unwrap().lexical(), "2");
+        let second = ep
+            .select("SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?n) OFFSET 1")
+            .unwrap();
+        assert_eq!(second.len(), 1);
+        assert_eq!(second.get(0, "n").unwrap().lexical(), "2");
+        let subjects = ep
+            .select("SELECT ?p (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?n)")
+            .unwrap();
+        assert_eq!(subjects.get(1, "p").unwrap().lexical(), "http://x/a");
+        assert_eq!(subjects.get(1, "n").unwrap().lexical(), "1");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sapphire_rdf::Term;
-use sapphire_sparql::eval::filter_passes;
+use sapphire_sparql::eval::Filter;
 use sapphire_sparql::{
     GraphPattern, Projection, Query, QueryResult, SelectItem, SelectQuery, Solutions, TermPattern,
     TriplePattern,
@@ -323,12 +323,8 @@ impl FederatedProcessor {
             }
         }
         // Apply filters on complete bindings.
-        bindings.retain(|b| {
-            gp.filters.iter().all(|f| {
-                let resolve = |name: &str| b.get(name).cloned();
-                filter_passes(f, &resolve)
-            })
-        });
+        let filters: Vec<Filter<'_>> = gp.filters.iter().map(Filter::new).collect();
+        bindings.retain(|b| filters.iter().all(|f| f.passes(&|name: &str| b.get(name))));
         if let Some(l) = row_limit {
             bindings.truncate(l);
         }

@@ -211,7 +211,7 @@ impl Graph {
         self.spo.binary_search(&row).is_ok() || self.delta_spo.contains(&row)
     }
 
-    /// Iterate over all triples matching a pattern of optionally-bound ids.
+    /// All triples matching a pattern of optionally-bound ids, materialized.
     ///
     /// Chooses the most selective index for the bound positions. Results are
     /// produced in index order; every yielded triple is in (s, p, o) order.
@@ -221,28 +221,13 @@ impl Graph {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<IdTriple> {
-        let mut out = Vec::new();
-        self.for_each_matching(s, p, o, |t| {
-            out.push(t);
-            true
-        });
-        out
+        self.triples_matching(s, p, o).collect()
     }
 
-    /// Count the triples matching a pattern without materializing them.
+    /// Count the triples matching a pattern without materializing them: a
+    /// range subtraction on the sealed column plus the overlay's range.
     pub fn count_matching(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        match (s, p, o) {
-            // Prefix-bound patterns are pure range subtractions on the
-            // sealed column plus a bounded overlay count — no iteration.
-            (Some(s), Some(p), None) => self.scan2(Col::Spo, s.0, p.0).count(),
-            (Some(s), None, None) => self.scan1(Col::Spo, s.0).count(),
-            (None, Some(p), Some(o)) => self.scan2(Col::Pos, p.0, o.0).count(),
-            (None, Some(p), None) => self.scan1(Col::Pos, p.0).count(),
-            (None, None, Some(o)) => self.scan1(Col::Osp, o.0).count(),
-            (Some(s), None, Some(o)) => self.scan2(Col::Osp, o.0, s.0).count(),
-            (Some(s), Some(p), Some(o)) => usize::from(self.contains_row((s.0, p.0, o.0))),
-            (None, None, None) => self.len(),
-        }
+        self.triples_matching(s, p, o).remaining()
     }
 
     /// Visit each triple matching the pattern; the callback returns `false`
@@ -256,86 +241,54 @@ impl Graph {
     ) where
         F: FnMut(IdTriple) -> bool,
     {
-        #[inline]
-        fn t(a: u32, b: u32, c: u32) -> IdTriple {
-            [TermId(a), TermId(b), TermId(c)]
+        for t in self.triples_matching(s, p, o) {
+            if !f(t) {
+                return;
+            }
         }
-        match (s, p, o) {
+    }
+
+    /// The range of triples matching a pattern, as an iterator that knows
+    /// how many it has left ([`Matches::remaining`]) — what a caller needs to
+    /// account for a scan before walking it, and to recurse inside the walk.
+    /// Same index choice and order as [`matching`](Self::matching).
+    pub fn triples_matching(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> Matches<'_> {
+        let (col, scan) = match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
-                if self.contains_row((s.0, p.0, o.0)) {
-                    f(t(s.0, p.0, o.0));
-                }
+                let row = (s.0, p.0, o.0);
+                (Col::Spo, self.scan(Col::Spo, row, row))
             }
-            (Some(s), Some(p), None) => {
-                for (a, b, c) in self.scan2(Col::Spo, s.0, p.0) {
-                    if !f(t(a, b, c)) {
-                        return;
-                    }
-                }
-            }
-            (Some(s), None, None) => {
-                for (a, b, c) in self.scan1(Col::Spo, s.0) {
-                    if !f(t(a, b, c)) {
-                        return;
-                    }
-                }
-            }
-            (None, Some(p), Some(o)) => {
-                for (b, c, a) in self.scan2(Col::Pos, p.0, o.0) {
-                    if !f(t(a, b, c)) {
-                        return;
-                    }
-                }
-            }
-            (None, Some(p), None) => {
-                for (b, c, a) in self.scan1(Col::Pos, p.0) {
-                    if !f(t(a, b, c)) {
-                        return;
-                    }
-                }
-            }
-            (None, None, Some(o)) => {
-                for (c, a, b) in self.scan1(Col::Osp, o.0) {
-                    if !f(t(a, b, c)) {
-                        return;
-                    }
-                }
-            }
-            (Some(s), None, Some(o)) => {
-                for (c, a, b) in self.scan2(Col::Osp, o.0, s.0) {
-                    if !f(t(a, b, c)) {
-                        return;
-                    }
-                }
-            }
-            (None, None, None) => {
-                for (a, b, c) in self.scan_all(Col::Spo) {
-                    if !f(t(a, b, c)) {
-                        return;
-                    }
-                }
-            }
-        }
+            (Some(s), Some(p), None) => (Col::Spo, self.scan2(Col::Spo, s.0, p.0)),
+            (Some(s), None, None) => (Col::Spo, self.scan1(Col::Spo, s.0)),
+            (None, Some(p), Some(o)) => (Col::Pos, self.scan2(Col::Pos, p.0, o.0)),
+            (None, Some(p), None) => (Col::Pos, self.scan1(Col::Pos, p.0)),
+            (None, None, Some(o)) => (Col::Osp, self.scan1(Col::Osp, o.0)),
+            (Some(s), None, Some(o)) => (Col::Osp, self.scan2(Col::Osp, o.0, s.0)),
+            (None, None, None) => (Col::Spo, self.scan_all(Col::Spo)),
+        };
+        Matches { col, scan }
     }
 
     /// Estimated cardinality of a pattern — used for join ordering. Exact for
     /// fully-indexed prefixes, which all our patterns are.
     pub fn cardinality(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        match (s, p, o) {
-            (None, None, None) => self.len(),
-            _ => self.count_matching(s, p, o),
-        }
+        self.count_matching(s, p, o)
     }
 
     /// In-degree of a term: the number of triples in which it is the object.
     /// This powers the literal significance score (Definition 1).
     pub fn in_degree(&self, id: TermId) -> usize {
-        self.scan1(Col::Osp, id.0).count()
+        self.scan1(Col::Osp, id.0).remaining()
     }
 
     /// Out-degree of a term: the number of triples in which it is the subject.
     pub fn out_degree(&self, id: TermId) -> usize {
-        self.scan1(Col::Spo, id.0).count()
+        self.scan1(Col::Spo, id.0).remaining()
     }
 
     /// Per-predicate triple counts, optionally restricted to triples with
@@ -416,7 +369,15 @@ impl Graph {
     fn scan(&self, col: Col, lo: Row, hi: Row) -> MergedScan<'_> {
         let (column, delta) = self.column(col);
         let start = column.partition_point(|&r| r < lo);
-        let end = column.partition_point(|&r| r <= hi);
+        // A pattern's range is short next to the column: find its end by
+        // doubling steps from its start, not by a second full bisection.
+        let rest = &column[start..];
+        let mut step = 1;
+        while step < rest.len() && rest[step - 1] <= hi {
+            step *= 2;
+        }
+        let end =
+            start + step / 2 + rest[step / 2..step.min(rest.len())].partition_point(|&r| r <= hi);
         MergedScan {
             col: column[start..end].iter(),
             delta: delta.range((Bound::Included(lo), Bound::Included(hi))),
@@ -488,6 +449,51 @@ impl Iterator for MergedScan<'_> {
             col_lo.max(delta_lo) + buffered,
             col_hi.and_then(|c| delta_hi.map(|d| c + d + buffered)),
         )
+    }
+}
+
+impl MergedScan<'_> {
+    /// Rows left: the sealed slice's length plus the overlay range's (the
+    /// two are disjoint; the overlay is empty on a sealed graph).
+    fn remaining(&self) -> usize {
+        self.col.len()
+            + self.delta.clone().count()
+            + usize::from(self.col_next.is_some())
+            + usize::from(self.delta_next.is_some())
+    }
+}
+
+/// The triples matching one pattern, in index order — see
+/// [`Graph::triples_matching`].
+pub struct Matches<'a> {
+    col: Col,
+    scan: MergedScan<'a>,
+}
+
+impl Matches<'_> {
+    /// Exactly how many triples the iterator has yet to yield.
+    pub fn remaining(&self) -> usize {
+        self.scan.remaining()
+    }
+}
+
+impl Iterator for Matches<'_> {
+    type Item = IdTriple;
+
+    #[inline]
+    fn next(&mut self) -> Option<IdTriple> {
+        let (a, b, c) = self.scan.next()?;
+        // Undo the column's rotation.
+        let (s, p, o) = match self.col {
+            Col::Spo => (a, b, c),
+            Col::Pos => (c, a, b),
+            Col::Osp => (b, c, a),
+        };
+        Some([TermId(s), TermId(p), TermId(o)])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.scan.size_hint()
     }
 }
 
@@ -600,6 +606,16 @@ mod tests {
                         unsealed.count_matching(s, p, o),
                         sealed.count_matching(s, p, o)
                     );
+                    // The range iterator knows its length up front and as
+                    // it is walked, overlay or not.
+                    for g in [&unsealed, &sealed] {
+                        let mut matches = g.triples_matching(s, p, o);
+                        let n = g.matching(s, p, o).len();
+                        assert_eq!(matches.remaining(), n);
+                        if matches.next().is_some() {
+                            assert_eq!(matches.remaining(), n - 1);
+                        }
+                    }
                 }
             }
         }

@@ -53,7 +53,7 @@ pub mod term;
 pub mod turtle;
 pub mod vocab;
 
-pub use graph::{Graph, IdTriple};
+pub use graph::{Graph, IdTriple, Matches};
 pub use interner::{FnvMap, Interner, TermId};
 pub use partition::{shard_of, Partition, Partitioner};
 pub use schema::ClassHierarchy;

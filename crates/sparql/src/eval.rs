@@ -6,10 +6,12 @@
 //! initialization algorithm (§5.1) is driven by which queries time out, so the
 //! reproduction needs timeouts that do not depend on wall-clock noise.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use sapphire_rdf::{Graph, Term, TermId};
+use sapphire_rdf::{vocab, Graph, Literal, Term, TermId};
 
 use crate::ast::*;
 use crate::solutions::{QueryResult, Solutions};
@@ -80,11 +82,17 @@ impl WorkBudget {
         self.limit
     }
 
+    /// Consume `units`. Work is done a unit at a time and stops at the first
+    /// unit past the limit, so an exhausted budget has used exactly
+    /// `limit + 1` however large the charge that exhausted it.
     #[inline]
     fn charge(&mut self, units: u64) -> Result<(), EvalError> {
         self.used += units;
         match self.limit {
-            Some(l) if self.used > l => Err(EvalError::WorkLimitExceeded { used: self.used }),
+            Some(l) if self.used > l => {
+                self.used = l + 1;
+                Err(EvalError::WorkLimitExceeded { used: self.used })
+            }
             _ => Ok(()),
         }
     }
@@ -101,90 +109,99 @@ pub fn evaluate(
         Query::Ask(gp) => {
             let vars = VarTable::from_pattern(gp);
             let rows = match_bgp(graph, gp, &vars, budget, Some(1))?;
-            Ok(QueryResult::Boolean(!rows.is_empty()))
+            Ok(QueryResult::Boolean(rows.len() > 0))
         }
     }
 }
 
 /// Evaluate a SELECT query.
+///
+/// Everything between the graph and the result is done on interned ids: the
+/// BGP fills one flat binding table, and DISTINCT, GROUP BY, ORDER BY,
+/// OFFSET and LIMIT pick and arrange *row numbers* of it. [`Term`]s are
+/// cloned out of the interner only for the rows that survive the slice.
 pub fn evaluate_select(
     graph: &Graph,
     query: &SelectQuery,
     budget: &mut WorkBudget,
 ) -> Result<Solutions, EvalError> {
     let vars = VarTable::from_pattern(&query.pattern);
+    let aggregated = query.has_aggregates() || !query.group_by.is_empty();
+    // How many leading rows of the final order the slice can reach.
+    let reach = query
+        .limit
+        .map(|l| l.saturating_add(query.offset.unwrap_or(0)));
 
     // LIMIT can be pushed into BGP matching only when no operator above the
     // BGP can change row multiplicity or order.
-    let pushdown = if !query.distinct
-        && query.order_by.is_empty()
-        && query.group_by.is_empty()
-        && !query.has_aggregates()
-    {
-        query.limit.map(|l| l + query.offset.unwrap_or(0))
+    let pushdown = if !query.distinct && query.order_by.is_empty() && !aggregated {
+        reach
     } else {
         None
     };
+    let table = match_bgp(graph, &query.pattern, &vars, budget, pushdown)?;
 
-    let mut rows = match_bgp(graph, &query.pattern, &vars, budget, pushdown)?;
-
-    let aggregated = query.has_aggregates() || !query.group_by.is_empty();
-    // SPARQL orders solutions *before* projection, so sort keys may refer to
-    // variables that are not projected (SELECT ?city … ORDER BY DESC(?pop)).
-    // For aggregate queries the keys refer to output aliases instead, so the
-    // sort happens after aggregation below.
-    if !aggregated && !query.order_by.is_empty() {
-        order_binding_rows(graph, &vars, &mut rows, &query.order_by);
-    }
-
-    let mut solutions = if aggregated {
-        aggregate(graph, query, &vars, rows)?
+    if aggregated {
+        select_aggregated(graph, query, &vars, &table, reach)
     } else {
-        project(graph, query, &vars, rows)
-    };
-
-    if query.distinct {
-        dedup_rows(&mut solutions.rows);
+        Ok(select_bindings(graph, query, &vars, &table, reach))
     }
-    if aggregated && !query.order_by.is_empty() {
-        order_rows(&mut solutions, &query.order_by);
-    }
-    if let Some(offset) = query.offset {
-        solutions.rows.drain(..offset.min(solutions.rows.len()));
-    }
-    if let Some(limit) = query.limit {
-        solutions.rows.truncate(limit);
-    }
-    Ok(solutions)
 }
 
 // ---------------------------------------------------------------------------
 // Variable table and BGP matching
 // ---------------------------------------------------------------------------
 
-/// Maps variable names to dense indices for the binding vector.
+/// Maps variable names to dense indices for the binding rows. Patterns name
+/// a handful of variables, so lookup is a scan, not a hash.
 struct VarTable {
     names: Vec<String>,
-    index: HashMap<String, usize>,
 }
 
 impl VarTable {
     fn from_pattern(gp: &GraphPattern) -> Self {
-        let names = gp.variables();
-        let index = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
-        VarTable { names, index }
+        VarTable {
+            names: gp.variables(),
+        }
     }
 
     fn get(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+        self.names.iter().position(|n| n == name)
     }
 
     fn len(&self) -> usize {
         self.names.len()
+    }
+}
+
+/// The BGP's solutions: one id (or unbound) per variable per row, row-major
+/// in a single allocation, columns indexed by [`VarTable`].
+struct BindingTable {
+    width: usize,
+    rows: usize,
+    cells: Vec<Option<TermId>>,
+}
+
+impl BindingTable {
+    fn new(width: usize) -> Self {
+        BindingTable {
+            width,
+            rows: 0,
+            cells: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows
+    }
+
+    fn row(&self, row: usize) -> &[Option<TermId>] {
+        &self.cells[row * self.width..(row + 1) * self.width]
+    }
+
+    fn push(&mut self, row: &[Option<TermId>]) {
+        self.cells.extend_from_slice(row);
+        self.rows += 1;
     }
 }
 
@@ -252,48 +269,64 @@ impl CompiledPattern {
     }
 }
 
-/// Match the BGP and return binding rows (indexed by [`VarTable`]).
+/// Match the BGP and return its binding rows (columns per [`VarTable`]).
 fn match_bgp(
     graph: &Graph,
     gp: &GraphPattern,
     vars: &VarTable,
     budget: &mut WorkBudget,
     row_limit: Option<usize>,
-) -> Result<Vec<Vec<Option<TermId>>>, EvalError> {
+) -> Result<BindingTable, EvalError> {
+    let mut out = BindingTable::new(vars.len());
     let compiled: Vec<CompiledPattern> = gp
         .triples
         .iter()
         .map(|tp| CompiledPattern::compile(tp, graph, vars))
         .collect();
     if compiled.iter().any(|c| !c.is_satisfiable()) {
-        return Ok(Vec::new());
+        return Ok(out);
     }
-
-    // Filters that only reference variables not present in any pattern can be
-    // evaluated against the empty binding; more commonly every filter depends
-    // on pattern vars and fires as soon as its last var binds.
-    let filter_vars: Vec<Vec<usize>> = gp
-        .filters
-        .iter()
-        .map(|f| f.variables().iter().filter_map(|v| vars.get(v)).collect())
-        .collect();
 
     // Greedy join order: repeatedly pick the remaining pattern with the most
     // bound positions, breaking ties by the smaller base cardinality.
     let order = plan_order(graph, &compiled, vars.len());
 
-    let mut bindings: Vec<Option<TermId>> = vec![None; vars.len()];
-    let mut out: Vec<Vec<Option<TermId>>> = Vec::new();
-    let mut ctx = MatchCtx {
+    // The join order fixes the step at which each variable binds, and so the
+    // step at which each filter fires: the one that binds the last of its
+    // variables. Filters that never get there — no variables at all, or a
+    // variable no pattern binds (an unbound reference is a SPARQL error,
+    // which makes the filter false) — are evaluated on complete rows, in
+    // the extra last slot.
+    let mut binds_at: Vec<Option<usize>> = vec![None; vars.len()];
+    for (step, &pattern) in order.iter().enumerate() {
+        for slot in &compiled[pattern].slots {
+            if let Slot::Var(v) = slot {
+                binds_at[*v].get_or_insert(step);
+            }
+        }
+    }
+    let mut filters_at: Vec<Vec<Filter<'_>>> = Vec::new();
+    filters_at.resize_with(order.len() + 1, Vec::new);
+    for expr in &gp.filters {
+        let steps: Option<Vec<usize>> = expr
+            .variables()
+            .iter()
+            .map(|v| binds_at[vars.get(v).expect("var registered")])
+            .collect();
+        let fires = steps.and_then(|steps| steps.into_iter().max());
+        filters_at[fires.unwrap_or(order.len())].push(Filter::new(expr));
+    }
+
+    let ctx = MatchCtx {
         graph,
-        gp,
         vars,
         compiled: &compiled,
         order: &order,
-        filter_vars: &filter_vars,
+        filters_at: &filters_at,
         row_limit,
     };
-    recurse(&mut ctx, 0, &mut bindings, &mut out, budget)?;
+    let mut bindings: Vec<Option<TermId>> = vec![None; vars.len()];
+    ctx.recurse(0, &mut bindings, &mut out, budget)?;
     Ok(out)
 }
 
@@ -325,144 +358,113 @@ fn plan_order(graph: &Graph, compiled: &[CompiledPattern], nvars: usize) -> Vec<
 
 struct MatchCtx<'a> {
     graph: &'a Graph,
-    gp: &'a GraphPattern,
     vars: &'a VarTable,
     compiled: &'a [CompiledPattern],
     order: &'a [usize],
-    filter_vars: &'a [Vec<usize>],
+    /// Filters by the join step that fires them; complete-row filters last.
+    filters_at: &'a [Vec<Filter<'a>>],
     row_limit: Option<usize>,
 }
 
-fn recurse(
-    ctx: &mut MatchCtx<'_>,
-    depth: usize,
-    bindings: &mut Vec<Option<TermId>>,
-    out: &mut Vec<Vec<Option<TermId>>>,
-    budget: &mut WorkBudget,
-) -> Result<(), EvalError> {
-    if let Some(limit) = ctx.row_limit {
-        if out.len() >= limit {
+impl MatchCtx<'_> {
+    fn full(&self, out: &BindingTable) -> bool {
+        self.row_limit.is_some_and(|limit| out.len() >= limit)
+    }
+
+    fn filters_pass(&self, step: usize, bindings: &[Option<TermId>]) -> bool {
+        self.filters_at[step].iter().all(|filter| {
+            filter.passes(&|name: &str| {
+                let id = bindings[self.vars.get(name)?]?;
+                Some(self.graph.term(id))
+            })
+        })
+    }
+
+    fn recurse(
+        &self,
+        depth: usize,
+        bindings: &mut [Option<TermId>],
+        out: &mut BindingTable,
+        budget: &mut WorkBudget,
+    ) -> Result<(), EvalError> {
+        if self.full(out) {
             return Ok(());
         }
-    }
-    if depth == ctx.order.len() {
-        // All patterns matched. Filters whose variables all bound during the
-        // walk already fired; evaluate the rest here (no-variable filters and
-        // filters over variables that never bound — SPARQL makes an unbound
-        // reference an error, which `eval_filter` maps to false).
-        for (fi, fv) in ctx.filter_vars.iter().enumerate() {
-            let already_fired = !fv.is_empty() && fv.iter().all(|v| bindings[*v].is_some());
-            if !already_fired && !eval_filter(ctx.graph, &ctx.gp.filters[fi], bindings, ctx.vars) {
-                return Ok(());
+        if depth == self.order.len() {
+            // All patterns matched; one unit per produced row.
+            if self.filters_pass(depth, bindings) {
+                budget.charge(1)?;
+                out.push(bindings);
             }
+            return Ok(());
         }
-        budget.charge(1)?;
-        out.push(bindings.clone());
-        return Ok(());
-    }
 
-    let pattern = &ctx.compiled[ctx.order[depth]];
-    let lookup = |slot: &Slot, bindings: &[Option<TermId>]| -> Option<TermId> {
-        match slot {
-            Slot::Ground(id) => Some(*id),
-            Slot::Var(v) => bindings[*v],
+        let slots = &self.compiled[self.order[depth]].slots;
+        let [s, p, o] = slots.map(|slot| match slot {
+            Slot::Ground(id) => Some(id),
+            Slot::Var(v) => bindings[v],
             Slot::Absent => unreachable!("absent patterns filtered before matching"),
-        }
-    };
-    let s = lookup(&pattern.slots[0], bindings);
-    let p = lookup(&pattern.slots[1], bindings);
-    let o = lookup(&pattern.slots[2], bindings);
+        });
+        // One unit per candidate scanned, charged for the whole range before
+        // walking it (a LIMIT that stops the walk early has still paid for
+        // the scan).
+        let candidates = self.graph.triples_matching(s, p, o);
+        budget.charge(candidates.remaining() as u64)?;
 
-    // Materialize the candidates for this step, charging one unit per
-    // candidate scanned. We collect first because recursion inside the scan
-    // callback cannot propagate errors.
-    let mut candidates = Vec::new();
-    let mut overflow = false;
-    ctx.graph.for_each_matching(s, p, o, |t| {
-        candidates.push(t);
-        if let Some(l) = budget.limit {
-            if budget.used + candidates.len() as u64 > l {
-                overflow = true;
-                return false;
-            }
-        }
-        true
-    });
-    budget.charge(candidates.len() as u64)?;
-    if overflow {
-        return Err(EvalError::WorkLimitExceeded { used: budget.used });
-    }
-
-    for triple in candidates {
-        // Bind the variable slots, checking consistency for repeated vars.
-        let mut newly_bound: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for (i, slot) in pattern.slots.iter().enumerate() {
-            if let Slot::Var(v) = slot {
-                match bindings[*v] {
-                    Some(existing) if existing != triple[i] => {
-                        ok = false;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        bindings[*v] = Some(triple[i]);
-                        newly_bound.push(*v);
+        for triple in candidates {
+            // Bind the variable slots, checking consistency for repeated vars.
+            let mut newly_bound = [0usize; 3];
+            let mut n_new = 0;
+            let mut consistent = true;
+            for (slot, id) in slots.iter().zip(triple) {
+                if let Slot::Var(v) = slot {
+                    match bindings[*v] {
+                        Some(existing) if existing != id => {
+                            consistent = false;
+                            break;
+                        }
+                        Some(_) => {}
+                        None => {
+                            bindings[*v] = Some(id);
+                            newly_bound[n_new] = *v;
+                            n_new += 1;
+                        }
                     }
                 }
             }
-        }
-        if ok {
-            // Apply every filter whose variables are all bound and at least
-            // one of them was bound at this step (earlier filters already ran).
-            let mut pass = true;
-            for (fi, fv) in ctx.filter_vars.iter().enumerate() {
-                if fv.is_empty() {
-                    continue;
-                }
-                let fires_now = fv.iter().any(|v| newly_bound.contains(v));
-                let all_bound = fv.iter().all(|v| bindings[*v].is_some());
-                if fires_now
-                    && all_bound
-                    && !eval_filter(ctx.graph, &ctx.gp.filters[fi], bindings, ctx.vars)
-                {
-                    pass = false;
-                    break;
-                }
+            if consistent && self.filters_pass(depth, bindings) {
+                self.recurse(depth + 1, bindings, out, budget)?;
             }
-            if pass {
-                recurse(ctx, depth + 1, bindings, out, budget)?;
+            for &v in &newly_bound[..n_new] {
+                bindings[v] = None;
             }
-        }
-        for v in newly_bound {
-            bindings[v] = None;
-        }
-        if let Some(limit) = ctx.row_limit {
-            if out.len() >= limit {
+            if self.full(out) {
                 return Ok(());
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Expression evaluation
 // ---------------------------------------------------------------------------
 
-/// A computed expression value.
+/// A computed expression value. Terms and strings are borrowed from the
+/// bindings and the expression wherever the operation does not build a new
+/// string.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Term(Term),
+enum Value<'a> {
+    Term(&'a Term),
     Num(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     Bool(bool),
     /// Evaluation error (unbound variable, type error). SPARQL treats these
     /// as errors that make the enclosing FILTER false.
     Error,
 }
 
-impl Value {
+impl<'a> Value<'a> {
     fn effective_bool(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
@@ -483,12 +485,12 @@ impl Value {
         }
     }
 
-    fn as_string(&self) -> Option<String> {
+    fn into_string(self) -> Option<Cow<'a, str>> {
         match self {
-            Value::Str(s) => Some(s.clone()),
-            Value::Term(t) => Some(t.lexical().to_string()),
-            Value::Num(n) => Some(format_num(*n)),
-            Value::Bool(b) => Some(b.to_string()),
+            Value::Str(s) => Some(s),
+            Value::Term(t) => Some(Cow::Borrowed(t.lexical())),
+            Value::Num(n) => Some(Cow::Owned(format_num(n))),
+            Value::Bool(b) => Some(Cow::Borrowed(if b { "true" } else { "false" })),
             Value::Error => None,
         }
     }
@@ -511,123 +513,156 @@ fn format_num(n: f64) -> String {
     }
 }
 
-fn eval_filter(graph: &Graph, expr: &Expr, bindings: &[Option<TermId>], vars: &VarTable) -> bool {
-    let resolve = |name: &str| -> Option<Term> {
-        vars.get(name)
-            .and_then(|i| bindings[i])
-            .map(|id| graph.term(id).clone())
-    };
-    filter_passes(expr, &resolve)
+/// A FILTER expression prepared for evaluation against many rows: what does
+/// not depend on the row — the case-folded pattern of each `REGEX(…, "i")` —
+/// is computed here, once.
+///
+/// Bindings come from a resolver closure handing out *borrowed* terms, so
+/// the evaluator (interned ids) and the federated query processor (owned
+/// terms in a map) share it without cloning a term per variable reference.
+pub struct Filter<'a> {
+    expr: &'a Expr,
+    /// `(REGEX node, its pattern lowercased)`, for the case-insensitive ones.
+    folded: Vec<(&'a Expr, String)>,
 }
 
-/// Evaluate a filter expression against bindings supplied by a resolver
-/// closure. Used by the federated query processor, which holds owned terms
-/// rather than graph-interned ids. Unbound variables are SPARQL errors, which
-/// make the filter false.
-pub fn filter_passes(expr: &Expr, resolve: &dyn Fn(&str) -> Option<Term>) -> bool {
-    eval_expr(expr, resolve).effective_bool()
-}
-
-fn eval_expr(expr: &Expr, resolve: &dyn Fn(&str) -> Option<Term>) -> Value {
-    match expr {
-        Expr::Var(name) => match resolve(name) {
-            Some(t) => Value::Term(t),
-            None => Value::Error,
-        },
-        Expr::Const(t) => Value::Term(t.clone()),
-        Expr::And(a, b) => Value::Bool(
-            eval_expr(a, resolve).effective_bool() && eval_expr(b, resolve).effective_bool(),
-        ),
-        Expr::Or(a, b) => Value::Bool(
-            eval_expr(a, resolve).effective_bool() || eval_expr(b, resolve).effective_bool(),
-        ),
-        Expr::Not(e) => Value::Bool(!eval_expr(e, resolve).effective_bool()),
-        Expr::Cmp(op, a, b) => {
-            let va = eval_expr(a, resolve);
-            let vb = eval_expr(b, resolve);
-            compare(*op, &va, &vb)
+impl<'a> Filter<'a> {
+    /// Prepare `expr`.
+    pub fn new(expr: &'a Expr) -> Self {
+        fn fold<'a>(expr: &'a Expr, out: &mut Vec<(&'a Expr, String)>) {
+            match expr {
+                Expr::Var(_) | Expr::Const(_) | Expr::Bound(_) => {}
+                Expr::And(a, b)
+                | Expr::Or(a, b)
+                | Expr::Cmp(_, a, b)
+                | Expr::Contains(a, b)
+                | Expr::StrStarts(a, b) => {
+                    fold(a, out);
+                    fold(b, out);
+                }
+                Expr::Not(e)
+                | Expr::IsLiteral(e)
+                | Expr::IsIri(e)
+                | Expr::Lang(e)
+                | Expr::Str(e)
+                | Expr::StrLen(e)
+                | Expr::LCase(e)
+                | Expr::UCase(e)
+                | Expr::Year(e) => fold(e, out),
+                Expr::Regex(e, pattern, case_insensitive) => {
+                    if *case_insensitive {
+                        out.push((expr, pattern.to_lowercase()));
+                    }
+                    fold(e, out);
+                }
+            }
         }
-        Expr::IsLiteral(e) => match eval_expr(e, resolve) {
-            Value::Term(t) => Value::Bool(t.is_literal()),
-            Value::Str(_) | Value::Num(_) | Value::Bool(_) => Value::Bool(true),
-            Value::Error => Value::Error,
-        },
-        Expr::IsIri(e) => match eval_expr(e, resolve) {
-            Value::Term(t) => Value::Bool(t.is_iri()),
-            Value::Error => Value::Error,
-            _ => Value::Bool(false),
-        },
-        Expr::Lang(e) => match eval_expr(e, resolve) {
-            Value::Term(Term::Literal(l)) => Value::Str(l.lang.clone().unwrap_or_default()),
-            Value::Str(_) => Value::Str(String::new()),
-            _ => Value::Error,
-        },
-        Expr::Str(e) => match eval_expr(e, resolve).as_string() {
-            Some(s) => Value::Str(s),
-            None => Value::Error,
-        },
-        Expr::StrLen(e) => match eval_expr(e, resolve).as_string() {
-            Some(s) => Value::Num(s.chars().count() as f64),
-            None => Value::Error,
-        },
-        Expr::Contains(a, b) => str_pair(a, b, resolve, |x, y| x.contains(y)),
-        Expr::StrStarts(a, b) => str_pair(a, b, resolve, |x, y| x.starts_with(y)),
-        Expr::Regex(e, pattern, ci) => {
-            let Some(text) = eval_expr(e, resolve).as_string() else {
-                return Value::Error;
-            };
-            Value::Bool(regex_lite_match(&text, pattern, *ci))
-        }
-        Expr::LCase(e) => match eval_expr(e, resolve).as_string() {
-            Some(s) => Value::Str(s.to_lowercase()),
-            None => Value::Error,
-        },
-        Expr::UCase(e) => match eval_expr(e, resolve).as_string() {
-            Some(s) => Value::Str(s.to_uppercase()),
-            None => Value::Error,
-        },
-        Expr::Year(e) => match eval_expr(e, resolve) {
-            Value::Term(Term::Literal(l)) => match l.year() {
-                Some(y) => Value::Num(f64::from(y)),
-                None => Value::Error,
-            },
-            Value::Str(s) => match sapphire_rdf::Literal::simple(s).year() {
-                Some(y) => Value::Num(f64::from(y)),
-                None => Value::Error,
-            },
-            _ => Value::Error,
-        },
-        Expr::Bound(v) => Value::Bool(resolve(v).is_some()),
+        let mut folded = Vec::new();
+        fold(expr, &mut folded);
+        Filter { expr, folded }
     }
-}
 
-fn str_pair(
-    a: &Expr,
-    b: &Expr,
-    resolve: &dyn Fn(&str) -> Option<Term>,
-    f: impl Fn(&str, &str) -> bool,
-) -> Value {
-    let (Some(x), Some(y)) = (
-        eval_expr(a, resolve).as_string(),
-        eval_expr(b, resolve).as_string(),
-    ) else {
-        return Value::Error;
-    };
-    Value::Bool(f(&x, &y))
+    /// True if the row `resolve` describes passes the filter. Unbound
+    /// variables are SPARQL errors, which make the filter false.
+    pub fn passes(&self, resolve: &dyn Fn(&str) -> Option<&'a Term>) -> bool {
+        self.eval(self.expr, resolve).effective_bool()
+    }
+
+    fn eval(&self, expr: &'a Expr, resolve: &dyn Fn(&str) -> Option<&'a Term>) -> Value<'a> {
+        let string = |e: &'a Expr| self.eval(e, resolve).into_string();
+        let string_pair =
+            |a: &'a Expr, b: &'a Expr, test: fn(&str, &str) -> bool| match (string(a), string(b)) {
+                (Some(x), Some(y)) => Value::Bool(test(&x, &y)),
+                _ => Value::Error,
+            };
+        match expr {
+            Expr::Var(name) => match resolve(name) {
+                Some(t) => Value::Term(t),
+                None => Value::Error,
+            },
+            Expr::Const(t) => Value::Term(t),
+            Expr::And(a, b) => Value::Bool(
+                self.eval(a, resolve).effective_bool() && self.eval(b, resolve).effective_bool(),
+            ),
+            Expr::Or(a, b) => Value::Bool(
+                self.eval(a, resolve).effective_bool() || self.eval(b, resolve).effective_bool(),
+            ),
+            Expr::Not(e) => Value::Bool(!self.eval(e, resolve).effective_bool()),
+            Expr::Cmp(op, a, b) => compare(*op, self.eval(a, resolve), self.eval(b, resolve)),
+            Expr::IsLiteral(e) => match self.eval(e, resolve) {
+                Value::Term(t) => Value::Bool(t.is_literal()),
+                Value::Str(_) | Value::Num(_) | Value::Bool(_) => Value::Bool(true),
+                Value::Error => Value::Error,
+            },
+            Expr::IsIri(e) => match self.eval(e, resolve) {
+                Value::Term(t) => Value::Bool(t.is_iri()),
+                Value::Error => Value::Error,
+                _ => Value::Bool(false),
+            },
+            Expr::Lang(e) => match self.eval(e, resolve) {
+                Value::Term(Term::Literal(l)) => {
+                    Value::Str(Cow::Borrowed(l.lang.as_deref().unwrap_or_default()))
+                }
+                Value::Str(_) => Value::Str(Cow::Borrowed("")),
+                _ => Value::Error,
+            },
+            Expr::Str(e) => match string(e) {
+                Some(s) => Value::Str(s),
+                None => Value::Error,
+            },
+            Expr::StrLen(e) => match string(e) {
+                Some(s) => Value::Num(s.chars().count() as f64),
+                None => Value::Error,
+            },
+            Expr::Contains(a, b) => string_pair(a, b, |x, y| x.contains(y)),
+            Expr::StrStarts(a, b) => string_pair(a, b, |x, y| x.starts_with(y)),
+            Expr::Regex(e, pattern, case_insensitive) => {
+                let Some(text) = string(e) else {
+                    return Value::Error;
+                };
+                Value::Bool(if *case_insensitive {
+                    let (_, pattern) = self
+                        .folded
+                        .iter()
+                        .find(|(node, _)| std::ptr::eq(*node, expr))
+                        .expect("every case-insensitive REGEX was folded in new()");
+                    regex_lite_match(&text.to_lowercase(), pattern)
+                } else {
+                    regex_lite_match(&text, pattern)
+                })
+            }
+            Expr::LCase(e) => match string(e) {
+                Some(s) => Value::Str(Cow::Owned(s.to_lowercase())),
+                None => Value::Error,
+            },
+            Expr::UCase(e) => match string(e) {
+                Some(s) => Value::Str(Cow::Owned(s.to_uppercase())),
+                None => Value::Error,
+            },
+            Expr::Year(e) => {
+                let year = match self.eval(e, resolve) {
+                    Value::Term(Term::Literal(l)) => l.year(),
+                    Value::Str(s) => sapphire_rdf::Literal::simple(s).year(),
+                    _ => None,
+                };
+                match year {
+                    Some(y) => Value::Num(f64::from(y)),
+                    None => Value::Error,
+                }
+            }
+            Expr::Bound(v) => Value::Bool(resolve(v).is_some()),
+        }
+    }
 }
 
 /// A deliberately small regex engine: supports `^`/`$` anchors around a
-/// literal pattern, and the `i` flag. This covers every REGEX use in the
-/// paper's workload (keyword containment tests).
-fn regex_lite_match(text: &str, pattern: &str, case_insensitive: bool) -> bool {
-    let (mut text, mut pat) = (text.to_string(), pattern.to_string());
-    if case_insensitive {
-        text = text.to_lowercase();
-        pat = pat.to_lowercase();
-    }
-    let anchored_start = pat.starts_with('^');
-    let anchored_end = pat.ends_with('$') && !pat.ends_with("\\$");
-    let body = pat.trim_start_matches('^').trim_end_matches('$');
+/// literal pattern. The `i` flag is the caller's: it passes text and pattern
+/// already case-folded. This covers every REGEX use in the paper's workload
+/// (keyword containment tests).
+fn regex_lite_match(text: &str, pattern: &str) -> bool {
+    let anchored_start = pattern.starts_with('^');
+    let anchored_end = pattern.ends_with('$') && !pattern.ends_with("\\$");
+    let body = pattern.trim_start_matches('^').trim_end_matches('$');
     match (anchored_start, anchored_end) {
         (true, true) => text == body,
         (true, false) => text.starts_with(body),
@@ -636,10 +671,10 @@ fn regex_lite_match(text: &str, pattern: &str, case_insensitive: bool) -> bool {
     }
 }
 
-fn compare(op: CmpOp, a: &Value, b: &Value) -> Value {
+fn compare(op: CmpOp, a: Value<'_>, b: Value<'_>) -> Value<'static> {
     // Equality/inequality on two ground terms is term equality, per SPARQL.
     if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-        if let (Value::Term(ta), Value::Term(tb)) = (a, b) {
+        if let (Value::Term(ta), Value::Term(tb)) = (&a, &b) {
             // Numeric literals compare by value ("8.0E7" = "80000000").
             let eq = match (
                 ta.as_literal().and_then(|l| l.as_f64()),
@@ -652,11 +687,11 @@ fn compare(op: CmpOp, a: &Value, b: &Value) -> Value {
         }
     }
     // Numeric comparison if both sides are numbers.
-    if let (Some(x), Some(y)) = (a.as_num(), b.as_num()) {
+    if let Some((x, y)) = a.as_num().and_then(|x| Some((x, b.as_num()?))) {
         return Value::Bool(apply_cmp(op, x.partial_cmp(&y)));
     }
     // Fall back to string comparison.
-    match (a.as_string(), b.as_string()) {
+    match (a.into_string(), b.into_string()) {
         (Some(x), Some(y)) => Value::Bool(apply_cmp(op, Some(x.cmp(&y)))),
         _ => Value::Error,
     }
@@ -693,44 +728,354 @@ fn apply_cmp(op: CmpOp, ord: Option<Ordering>) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Projection, aggregation, ordering
+// Solution modifiers, on row numbers
 // ---------------------------------------------------------------------------
+//
+// A modifier never moves a row: DISTINCT, ORDER BY, OFFSET and LIMIT edit a
+// list of row numbers (of the binding table, or of the groups), and only the
+// numbers left at the end are turned into terms.
 
-fn project(
+/// Numbers distinct keys — rows of hashable cells — in first-seen order.
+/// Lookups borrow the caller's scratch row; a key is boxed only the first
+/// time it is seen.
+struct KeyIndex<K> {
+    numbers: HashMap<Box<[K]>, usize>,
+}
+
+impl<K: Hash + Eq + Clone> KeyIndex<K> {
+    fn new() -> Self {
+        KeyIndex {
+            numbers: HashMap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.numbers.len()
+    }
+
+    /// The key's number, and whether this call assigned it.
+    fn number(&mut self, key: &[K]) -> (usize, bool) {
+        if let Some(&n) = self.numbers.get(key) {
+            return (n, false);
+        }
+        let n = self.len();
+        self.numbers.insert(key.into(), n);
+        (n, true)
+    }
+}
+
+/// DISTINCT: keep the first row of each distinct key (`key_of` writes a row's
+/// key into the scratch vector), in order. Rows past the `reach`-th distinct
+/// one cannot survive the slice and are dropped unexamined.
+fn retain_distinct<K: Hash + Eq + Clone>(
+    rows: &mut Vec<usize>,
+    reach: Option<usize>,
+    mut key_of: impl FnMut(usize, &mut Vec<K>),
+) {
+    let mut seen = KeyIndex::new();
+    let mut key = Vec::new();
+    rows.retain(|&row| {
+        if reach.is_some_and(|reach| seen.len() >= reach) {
+            return false;
+        }
+        key.clear();
+        key_of(row, &mut key);
+        seen.number(&key).1
+    });
+}
+
+/// One ORDER BY key of one row: the two views `value_order` takes of a
+/// term — its numeric reading and its lexical form — taken once, before the
+/// sort, instead of once per comparison.
+#[derive(Clone, Copy)]
+enum SortKey<'a> {
+    Unbound,
+    Value { num: Option<f64>, lexical: &'a str },
+}
+
+impl<'a> SortKey<'a> {
+    fn of(term: &'a Term) -> Self {
+        SortKey::Value {
+            num: term.as_literal().and_then(|l| l.as_f64()),
+            lexical: term.lexical(),
+        }
+    }
+
+    /// Total order on terms for MIN/MAX/ORDER BY: numeric-aware for
+    /// literals, lexical otherwise, with unbound values first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        use SortKey::{Unbound, Value};
+        match (self, other) {
+            (Unbound, Unbound) => Ordering::Equal,
+            (Unbound, Value { .. }) => Ordering::Less,
+            (Value { .. }, Unbound) => Ordering::Greater,
+            (Value { num: a, lexical: x }, Value { num: b, lexical: y }) => match (a, b) {
+                (Some(a), Some(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
+                _ => x.cmp(y),
+            },
+        }
+    }
+}
+
+fn value_order(a: &Term, b: &Term) -> Ordering {
+    SortKey::of(a).cmp(&SortKey::of(b))
+}
+
+/// ORDER BY: arrange `rows` (row numbers, ascending on entry) by `order`, a
+/// `(descending, column)` pair per sort key; `key_of(row, column)` reads one
+/// key.
+///
+/// With no `reach` this is the stable sort. With one, only the first `reach`
+/// rows of that stable order are wanted: they are selected (rows enter in
+/// ascending number, so "stable" is "ties by row number" and the order is
+/// total) and the rest dropped, without sorting what the slice will cut.
+fn order_rows<'a>(
+    rows: &mut Vec<usize>,
+    reach: Option<usize>,
+    order: &[(bool, usize)],
+    key_of: impl Fn(usize, usize) -> SortKey<'a>,
+) {
+    // Keys are read (and their numbers parsed) once per row, not once per
+    // comparison: `keys[row * width + k]` is row's k-th key.
+    let width = order.len();
+    let mut keys = vec![SortKey::Unbound; rows.last().map_or(0, |last| last + 1) * width];
+    for &row in rows.iter() {
+        for (k, &(_, column)) in order.iter().enumerate() {
+            keys[row * width + k] = key_of(row, column);
+        }
+    }
+    let by_keys = |a: &usize, b: &usize| {
+        for (k, &(descending, _)) in order.iter().enumerate() {
+            let ord = keys[a * width + k].cmp(&keys[b * width + k]);
+            let ord = if descending { ord.reverse() } else { ord };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    };
+    match reach {
+        Some(0) => rows.clear(),
+        Some(reach) if reach < rows.len() => {
+            let total = |a: &usize, b: &usize| by_keys(a, b).then(a.cmp(b));
+            rows.select_nth_unstable_by(reach - 1, total);
+            rows.truncate(reach);
+            rows.sort_unstable_by(total);
+        }
+        _ => rows.sort_by(by_keys),
+    }
+}
+
+/// OFFSET then LIMIT.
+fn slice_rows(rows: &mut Vec<usize>, query: &SelectQuery) {
+    if let Some(offset) = query.offset {
+        rows.drain(..offset.min(rows.len()));
+    }
+    if let Some(limit) = query.limit {
+        rows.truncate(limit);
+    }
+}
+
+/// `(descending, column)` for each ORDER BY key that names a column
+/// (`column` resolves a variable name). Other keys order nothing.
+fn order_columns(keys: &[OrderKey], column: impl Fn(&str) -> Option<usize>) -> Vec<(bool, usize)> {
+    keys.iter()
+        .filter_map(|k| match &k.expr {
+            Expr::Var(v) => Some((k.descending, column(v)?)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Modifiers and projection of a query without aggregates, over the BGP's
+/// binding rows.
+fn select_bindings(
     graph: &Graph,
     query: &SelectQuery,
     vars: &VarTable,
-    rows: Vec<Vec<Option<TermId>>>,
+    table: &BindingTable,
+    reach: Option<usize>,
 ) -> Solutions {
     let names: Vec<String> = match &query.projection {
         Projection::Star => vars.names.clone(),
         Projection::Items(items) => items.iter().map(|i| i.name().to_string()).collect(),
     };
     let cols: Vec<Option<usize>> = names.iter().map(|n| vars.get(n)).collect();
-    let out_rows = rows
+    let mut rows: Vec<usize> = (0..table.len()).collect();
+
+    // SPARQL orders solutions *before* projection, so sort keys may refer to
+    // variables that are not projected (SELECT ?city … ORDER BY DESC(?pop)).
+    if !query.order_by.is_empty() {
+        let order = order_columns(&query.order_by, |v| vars.get(v));
+        // DISTINCT may drop rows from the head of the order, so under it the
+        // slice's reach into the *sorted* rows is unknown.
+        let reach = reach.filter(|_| !query.distinct);
+        order_rows(&mut rows, reach, &order, |row, col| {
+            match table.row(row)[col] {
+                Some(id) => SortKey::of(graph.term(id)),
+                None => SortKey::Unbound,
+            }
+        });
+    }
+    if query.distinct {
+        retain_distinct(&mut rows, reach, |row, key| {
+            let row = table.row(row);
+            key.extend(cols.iter().map(|c| c.and_then(|c| row[c])));
+        });
+    }
+    slice_rows(&mut rows, query);
+
+    let rows = rows
         .into_iter()
         .map(|row| {
+            let row = table.row(row);
             cols.iter()
-                .map(|c| c.and_then(|i| row[i]).map(|id| graph.term(id).clone()))
+                .map(|c| c.and_then(|c| row[c]).map(|id| graph.term(id).clone()))
                 .collect()
         })
         .collect();
-    Solutions {
-        vars: names,
-        rows: out_rows,
+    Solutions { vars: names, rows }
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation
+// ---------------------------------------------------------------------------
+
+/// The binding rows partitioned by GROUP BY key: groups are numbered in
+/// first-seen order. With no GROUP BY all rows form one group (even when
+/// there are none: aggregates over the empty input still yield one row,
+/// e.g. COUNT() = 0).
+struct Groups {
+    /// Group number of each binding row.
+    of_row: Vec<usize>,
+    /// The groups' keys, `width` ids per group, row-major.
+    keys: Vec<Option<TermId>>,
+    width: usize,
+    len: usize,
+}
+
+impl Groups {
+    fn partition(table: &BindingTable, group_cols: &[usize]) -> Self {
+        let width = group_cols.len();
+        if width == 0 {
+            return Groups {
+                of_row: vec![0; table.len()],
+                keys: Vec::new(),
+                width,
+                len: 1,
+            };
+        }
+        let mut index = KeyIndex::new();
+        let mut keys = Vec::new();
+        let mut key = Vec::with_capacity(width);
+        let of_row = (0..table.len())
+            .map(|row| {
+                let row = table.row(row);
+                key.clear();
+                key.extend(group_cols.iter().map(|&c| row[c]));
+                let (group, new) = index.number(&key);
+                if new {
+                    keys.extend_from_slice(&key);
+                }
+                group
+            })
+            .collect();
+        Groups {
+            of_row,
+            keys,
+            width,
+            len: index.len(),
+        }
+    }
+
+    fn key(&self, group: usize) -> &[Option<TermId>] {
+        &self.keys[group * self.width..(group + 1) * self.width]
     }
 }
 
-fn aggregate(
+/// One output column of an aggregate query, one entry per group.
+enum Column {
+    /// A grouping variable: its position in the group key.
+    Key(usize),
+    /// COUNT, kept as integers until the surviving rows are materialized.
+    Counts(Vec<usize>),
+    /// SUM / AVG: computed literals.
+    Computed(Vec<Term>),
+    /// MIN / MAX: a term of the graph, or `None` for a group with no bound
+    /// value (an error, raised if the column is reached).
+    Extremes(Vec<Option<TermId>>),
+    /// The item cannot be evaluated (raised if there is a group to evaluate
+    /// it for).
+    Invalid(EvalError),
+}
+
+/// One output value of an aggregate query. Within a column every cell is of
+/// the same kind, so cell equality is equality of the terms they stand for.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Cell<'a> {
+    Id(Option<TermId>),
+    Count(usize),
+    Computed(&'a Term),
+}
+
+impl Column {
+    /// The column's value for `group`. Callers have ruled errors out.
+    fn cell<'a>(&'a self, group: usize, groups: &Groups) -> Cell<'a> {
+        match self {
+            Column::Key(at) => Cell::Id(groups.key(group)[*at]),
+            Column::Counts(n) => Cell::Count(n[group]),
+            Column::Computed(terms) => Cell::Computed(&terms[group]),
+            Column::Extremes(ids) => Cell::Id(ids[group]),
+            Column::Invalid(_) => unreachable!("invalid columns are raised before any is read"),
+        }
+    }
+
+    /// The error evaluating this column for `group` raises, if any.
+    fn error(&self, group: usize) -> Option<EvalError> {
+        match self {
+            Column::Invalid(e) => Some(e.clone()),
+            Column::Extremes(ids) if ids[group].is_none() => {
+                Some(EvalError::Unsupported("MIN/MAX over empty group".into()))
+            }
+            _ => None,
+        }
+    }
+}
+
+impl<'a> Cell<'a> {
+    fn sort_key(self, graph: &'a Graph) -> SortKey<'a> {
+        match self {
+            Cell::Id(None) => SortKey::Unbound,
+            Cell::Id(Some(id)) => SortKey::of(graph.term(id)),
+            // Counts only ever meet counts, which compare as numbers.
+            Cell::Count(n) => SortKey::Value {
+                num: Some(n as f64),
+                lexical: "",
+            },
+            Cell::Computed(term) => SortKey::of(term),
+        }
+    }
+
+    fn into_term(self, graph: &Graph) -> Option<Term> {
+        match self {
+            Cell::Id(id) => id.map(|id| graph.term(id).clone()),
+            Cell::Count(n) => Some(Term::Literal(Literal::integer(n as i64))),
+            Cell::Computed(term) => Some(term.clone()),
+        }
+    }
+}
+
+/// GROUP BY, aggregates, modifiers and projection of an aggregate query.
+fn select_aggregated(
     graph: &Graph,
     query: &SelectQuery,
     vars: &VarTable,
-    rows: Vec<Vec<Option<TermId>>>,
+    table: &BindingTable,
+    reach: Option<usize>,
 ) -> Result<Solutions, EvalError> {
     let Projection::Items(items) = &query.projection else {
         return Err(EvalError::Unsupported("SELECT * with GROUP BY".into()));
     };
-
     let group_cols: Vec<usize> = query
         .group_by
         .iter()
@@ -739,236 +1084,175 @@ fn aggregate(
                 .ok_or_else(|| EvalError::Unsupported(format!("GROUP BY unknown variable ?{g}")))
         })
         .collect::<Result<_, _>>()?;
-
-    // Group rows; with no GROUP BY all rows form one group (even when empty,
-    // aggregates over the empty input still yield one row, e.g. COUNT() = 0).
-    type GroupKey = Vec<Option<TermId>>;
-    let mut groups: Vec<(GroupKey, Vec<GroupKey>)> = Vec::new();
-    let mut index: HashMap<Vec<Option<TermId>>, usize> = HashMap::new();
-    if group_cols.is_empty() {
-        groups.push((Vec::new(), rows));
-    } else {
-        for row in rows {
-            let key: Vec<Option<TermId>> = group_cols.iter().map(|&c| row[c]).collect();
-            let slot = *index.entry(key.clone()).or_insert_with(|| {
-                groups.push((key, Vec::new()));
-                groups.len() - 1
-            });
-            groups[slot].1.push(row);
-        }
-    }
+    let groups = Groups::partition(table, &group_cols);
 
     let names: Vec<String> = items.iter().map(|i| i.name().to_string()).collect();
-    let mut out_rows = Vec::with_capacity(groups.len());
-    for (key, members) in &groups {
-        let mut row: Vec<Option<Term>> = Vec::with_capacity(items.len());
-        for item in items {
-            match item {
-                SelectItem::Var(v) => {
-                    // Must be a grouping variable; take it from the key.
-                    let gpos = query.group_by.iter().position(|g| g == v).ok_or_else(|| {
-                        EvalError::Unsupported(format!(
-                            "projected variable ?{v} is neither aggregated nor grouped"
-                        ))
-                    })?;
-                    row.push(
-                        key.get(gpos)
-                            .copied()
-                            .flatten()
-                            .map(|id| graph.term(id).clone()),
-                    );
-                }
-                SelectItem::Agg { agg, .. } => {
-                    row.push(Some(eval_aggregate(graph, agg, vars, members)?));
-                }
+    let columns: Vec<Column> = items
+        .iter()
+        .map(|item| match item {
+            // Must be a grouping variable; read it from the key.
+            SelectItem::Var(v) => match query.group_by.iter().position(|g| g == v) {
+                Some(at) => Column::Key(at),
+                None => Column::Invalid(EvalError::Unsupported(format!(
+                    "projected variable ?{v} is neither aggregated nor grouped"
+                ))),
+            },
+            SelectItem::Agg { agg, .. } => {
+                aggregate_column(graph, agg, vars, table, &groups).unwrap_or_else(Column::Invalid)
             }
-        }
-        out_rows.push(row);
+        })
+        .collect();
+    // Errors surface in (group, item) order, and only if there is a group.
+    if let Some(error) =
+        (0..groups.len).find_map(|group| columns.iter().find_map(|c| c.error(group)))
+    {
+        return Err(error);
     }
-    Ok(Solutions {
-        vars: names,
-        rows: out_rows,
-    })
+
+    let mut rows: Vec<usize> = (0..groups.len).collect();
+    // Rows that carry their whole group key are distinct as they stand.
+    let keyed = (0..groups.width).all(|at| {
+        columns
+            .iter()
+            .any(|c| matches!(c, Column::Key(k) if *k == at))
+    });
+    if query.distinct && !keyed {
+        retain_distinct(&mut rows, None, |group, key| {
+            key.extend(columns.iter().map(|c| c.cell(group, &groups)));
+        });
+    }
+    // The sort keys of an aggregate query refer to output columns.
+    if !query.order_by.is_empty() {
+        let order = order_columns(&query.order_by, |v| names.iter().position(|n| n == v));
+        order_rows(&mut rows, reach, &order, |group, col| {
+            columns[col].cell(group, &groups).sort_key(graph)
+        });
+    }
+    slice_rows(&mut rows, query);
+
+    let rows = rows
+        .into_iter()
+        .map(|group| {
+            columns
+                .iter()
+                .map(|c| c.cell(group, &groups).into_term(graph))
+                .collect()
+        })
+        .collect();
+    Ok(Solutions { vars: names, rows })
 }
 
-fn eval_aggregate(
+/// Evaluate one aggregate for every group, in one pass over the binding rows
+/// (in row order, so order-sensitive folds see each group's rows in order).
+fn aggregate_column(
     graph: &Graph,
     agg: &Aggregate,
     vars: &VarTable,
-    rows: &[Vec<Option<TermId>>],
-) -> Result<Term, EvalError> {
-    use sapphire_rdf::{vocab, Literal};
+    table: &BindingTable,
+    groups: &Groups,
+) -> Result<Column, EvalError> {
     let col = |v: &String| -> Result<usize, EvalError> {
         vars.get(v)
             .ok_or_else(|| EvalError::Unsupported(format!("aggregate over unknown variable ?{v}")))
     };
-    let term = match agg {
-        Aggregate::Count { distinct, var } => {
-            let n = match var {
-                None => {
-                    if *distinct {
-                        let mut seen: Vec<&Vec<Option<TermId>>> = rows.iter().collect();
-                        seen.sort_unstable();
-                        seen.dedup();
-                        seen.len()
-                    } else {
-                        rows.len()
-                    }
-                }
-                Some(v) => {
-                    let c = col(v)?;
-                    if *distinct {
-                        let mut vals: Vec<TermId> = rows.iter().filter_map(|r| r[c]).collect();
-                        vals.sort_unstable();
-                        vals.dedup();
-                        vals.len()
-                    } else {
-                        rows.iter().filter(|r| r[c].is_some()).count()
-                    }
-                }
-            };
-            Term::Literal(Literal::integer(n as i64))
-        }
-        Aggregate::Sum(v) => {
-            let c = col(v)?;
-            let sum: f64 = rows
-                .iter()
-                .filter_map(|r| r[c])
-                .filter_map(|id| graph.term(id).as_literal().and_then(|l| l.as_f64()))
-                .sum();
-            Term::Literal(Literal::typed(format_num(sum), vocab::xsd::DECIMAL))
-        }
-        Aggregate::Avg(v) => {
-            let c = col(v)?;
-            let nums: Vec<f64> = rows
-                .iter()
-                .filter_map(|r| r[c])
-                .filter_map(|id| graph.term(id).as_literal().and_then(|l| l.as_f64()))
-                .collect();
-            let avg = if nums.is_empty() {
-                0.0
-            } else {
-                nums.iter().sum::<f64>() / nums.len() as f64
-            };
-            Term::Literal(Literal::typed(format!("{avg}"), vocab::xsd::DECIMAL))
-        }
-        Aggregate::Min(v) | Aggregate::Max(v) => {
-            let c = col(v)?;
-            let want_max = matches!(agg, Aggregate::Max(_));
-            let mut best: Option<Term> = None;
-            for id in rows.iter().filter_map(|r| r[c]) {
-                let t = graph.term(id).clone();
-                best = Some(match best {
-                    None => t,
-                    Some(b) => {
-                        let ord = value_order(&b, &t);
-                        if (want_max && ord == Ordering::Less)
-                            || (!want_max && ord == Ordering::Greater)
-                        {
-                            t
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.ok_or(EvalError::Unsupported("MIN/MAX over empty group".into()))?
-        }
+    // `(group, bound id)` of column `c`, per binding row that binds it.
+    let bound = |c: usize| {
+        (0..table.len()).filter_map(move |row| Some((groups.of_row[row], table.row(row)[c]?)))
     };
-    Ok(term)
-}
-
-/// Total order on terms for MIN/MAX/ORDER BY: numeric-aware for literals,
-/// lexical otherwise, with unbound values first.
-fn value_order(a: &Term, b: &Term) -> Ordering {
-    let num = |t: &Term| t.as_literal().and_then(|l| l.as_f64());
-    match (num(a), num(b)) {
-        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-        _ => a.lexical().cmp(b.lexical()),
-    }
-}
-
-/// Stable sort of unprojected binding rows by the ORDER BY keys.
-fn order_binding_rows(
-    graph: &Graph,
-    vars: &VarTable,
-    rows: &mut [Vec<Option<TermId>>],
-    keys: &[OrderKey],
-) {
-    let key_cols: Vec<(Option<usize>, bool)> = keys
-        .iter()
-        .map(|k| {
-            let col = match &k.expr {
-                Expr::Var(v) => vars.get(v),
-                _ => None,
-            };
-            (col, k.descending)
-        })
-        .collect();
-    rows.sort_by(|ra, rb| {
-        for (col, desc) in &key_cols {
-            let ord = match col {
-                Some(c) => match (ra[*c], rb[*c]) {
-                    (Some(a), Some(b)) => value_order(graph.term(a), graph.term(b)),
-                    (None, Some(_)) => Ordering::Less,
-                    (Some(_), None) => Ordering::Greater,
-                    (None, None) => Ordering::Equal,
-                },
-                None => Ordering::Equal,
-            };
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
+    // Numeric readings of column `c`, per group.
+    let numbers = |c: usize| {
+        let mut nums: Vec<Vec<f64>> = vec![Vec::new(); groups.len];
+        for (group, id) in bound(c) {
+            if let Some(n) = graph.term(id).as_literal().and_then(|l| l.as_f64()) {
+                nums[group].push(n);
             }
         }
-        Ordering::Equal
-    });
-}
-
-fn dedup_rows(rows: &mut Vec<Vec<Option<Term>>>) {
-    let mut seen: Vec<Vec<Option<Term>>> = Vec::new();
-    rows.retain(|row| {
-        if seen.contains(row) {
-            false
-        } else {
-            seen.push(row.clone());
-            true
-        }
-    });
-}
-
-fn order_rows(solutions: &mut Solutions, keys: &[OrderKey]) {
-    // Only variable sort keys refer to projected columns; evaluate each key
-    // against the projected row.
-    let col_of = |name: &str| solutions.vars.iter().position(|v| v == name);
-    let key_cols: Vec<(Option<usize>, bool)> = keys
-        .iter()
-        .map(|k| {
-            let col = match &k.expr {
-                Expr::Var(v) => col_of(v),
-                _ => None,
-            };
-            (col, k.descending)
-        })
-        .collect();
-    solutions.rows.sort_by(|ra, rb| {
-        for (col, desc) in &key_cols {
-            let ord = match col {
-                Some(c) => match (&ra[*c], &rb[*c]) {
-                    (Some(a), Some(b)) => value_order(a, b),
-                    (None, Some(_)) => Ordering::Less,
-                    (Some(_), None) => Ordering::Greater,
-                    (None, None) => Ordering::Equal,
-                },
-                None => Ordering::Equal,
-            };
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
+        nums
+    };
+    let mut counts = vec![0usize; groups.len];
+    Ok(match agg {
+        Aggregate::Count {
+            distinct: false,
+            var: None,
+        } => {
+            for &group in &groups.of_row {
+                counts[group] += 1;
             }
+            Column::Counts(counts)
         }
-        Ordering::Equal
-    });
+        Aggregate::Count {
+            distinct: false,
+            var: Some(v),
+        } => {
+            for (group, _) in bound(col(v)?) {
+                counts[group] += 1;
+            }
+            Column::Counts(counts)
+        }
+        Aggregate::Count {
+            distinct: true,
+            var: Some(v),
+        } => {
+            let mut values: Vec<(usize, TermId)> = bound(col(v)?).collect();
+            values.sort_unstable();
+            values.dedup();
+            for (group, _) in values {
+                counts[group] += 1;
+            }
+            Column::Counts(counts)
+        }
+        Aggregate::Count {
+            distinct: true,
+            var: None,
+        } => {
+            let keyed = |row: &usize| (groups.of_row[*row], table.row(*row));
+            let mut rows: Vec<usize> = (0..table.len()).collect();
+            rows.sort_unstable_by_key(keyed);
+            rows.dedup_by_key(|row| keyed(row));
+            for row in rows {
+                counts[groups.of_row[row]] += 1;
+            }
+            Column::Counts(counts)
+        }
+        Aggregate::Sum(v) => Column::Computed(
+            numbers(col(v)?)
+                .iter()
+                .map(|nums| {
+                    let sum: f64 = nums.iter().sum();
+                    Term::Literal(Literal::typed(format_num(sum), vocab::xsd::DECIMAL))
+                })
+                .collect(),
+        ),
+        Aggregate::Avg(v) => Column::Computed(
+            numbers(col(v)?)
+                .iter()
+                .map(|nums| {
+                    let avg = if nums.is_empty() {
+                        0.0
+                    } else {
+                        nums.iter().sum::<f64>() / nums.len() as f64
+                    };
+                    Term::Literal(Literal::typed(format!("{avg}"), vocab::xsd::DECIMAL))
+                })
+                .collect(),
+        ),
+        Aggregate::Min(v) | Aggregate::Max(v) => {
+            let replaces = if matches!(agg, Aggregate::Max(_)) {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            let mut best: Vec<Option<TermId>> = vec![None; groups.len];
+            for (group, id) in bound(col(v)?) {
+                let replace = best[group]
+                    .is_none_or(|b| value_order(graph.term(b), graph.term(id)) == replaces);
+                if replace {
+                    best[group] = Some(id);
+                }
+            }
+            Column::Extremes(best)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1126,6 +1410,129 @@ res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra
         // The same query under a generous budget succeeds.
         let mut roomy = WorkBudget::limited(1_000_000);
         assert!(evaluate_select(&g, &query, &mut roomy).is_ok());
+    }
+
+    #[test]
+    fn an_exhausted_budget_has_used_one_unit_past_its_limit() {
+        // Whether a scan or a row runs it out, and however long the scan.
+        let g = city_graph();
+        for (q, limit) in [
+            ("SELECT ?s WHERE { ?s ?p ?o }", 3),
+            ("SELECT ?s WHERE { ?s ?p ?o }", g.len() as u64 + 2),
+            ("SELECT ?c WHERE { ?c a dbo:City . ?c dbo:name ?n }", 4),
+        ] {
+            let mut budget = WorkBudget::limited(limit);
+            let err = evaluate_select(&g, &parse_select(q).unwrap(), &mut budget).unwrap_err();
+            assert_eq!(err, EvalError::WorkLimitExceeded { used: limit + 1 });
+            assert_eq!(budget.used(), limit + 1);
+        }
+    }
+
+    #[test]
+    fn sliced_order_by_is_the_head_of_the_stable_sort() {
+        // Three cities in two countries: ordering by country ties Sydney and
+        // Canberra, and every slice must cut the same stable order.
+        let g = city_graph();
+        let q = "SELECT ?c WHERE { ?c a dbo:City ; dbo:country ?k } ORDER BY ?k";
+        let full = run(&g, q);
+        assert_eq!(full.len(), 3);
+        for limit in 0..4 {
+            for offset in 0..4 {
+                let page = run(&g, &format!("{q} LIMIT {limit} OFFSET {offset}"));
+                let expected: Vec<_> = full.rows.iter().skip(offset).take(limit).collect();
+                assert_eq!(page.rows.iter().collect::<Vec<_>>(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_under_order_by_keeps_the_first_row_in_sorted_order() {
+        // DISTINCT ?k sorted by an unprojected key: Australia's first row in
+        // population order is Canberra's, so it sorts before the USA.
+        let g = city_graph();
+        let s = run(
+            &g,
+            "SELECT DISTINCT ?k WHERE { ?c dbo:country ?k ; dbo:population ?p } ORDER BY ?p LIMIT 1",
+        );
+        assert_eq!(
+            s.rows[0][0].as_ref().unwrap().lexical(),
+            "http://dbpedia.org/resource/Australia"
+        );
+        let s = run(
+            &g,
+            "SELECT DISTINCT ?k WHERE { ?c dbo:country ?k ; dbo:population ?p } ORDER BY DESC(?p)",
+        );
+        assert_eq!(s.len(), 2);
+        assert_eq!(
+            s.rows[0][0].as_ref().unwrap().lexical(),
+            "http://dbpedia.org/resource/USA"
+        );
+    }
+
+    #[test]
+    fn distinct_merges_aggregate_rows_that_drop_their_key() {
+        let g = city_graph();
+        // One name per city: three groups, all of count 1.
+        let s = run(
+            &g,
+            "SELECT DISTINCT (COUNT(?n) AS ?names) WHERE { ?c a dbo:City ; dbo:name ?n } GROUP BY ?c",
+        );
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.sole_value().unwrap().lexical(), "1");
+        // With the key projected the rows are distinct as they stand.
+        let s = run(
+            &g,
+            "SELECT DISTINCT ?c (COUNT(?n) AS ?names) WHERE { ?c a dbo:City ; dbo:name ?n } GROUP BY ?c",
+        );
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn count_distinct_counts_values_not_rows() {
+        let g = city_graph();
+        let s = run(
+            &g,
+            "SELECT (COUNT(DISTINCT ?k) AS ?n) (COUNT(?k) AS ?m) WHERE { ?c a dbo:City ; dbo:country ?k }",
+        );
+        assert_eq!(s.rows[0][0].as_ref().unwrap().lexical(), "2");
+        assert_eq!(s.rows[0][1].as_ref().unwrap().lexical(), "3");
+    }
+
+    #[test]
+    fn aggregate_errors_need_a_group_to_surface() {
+        let g = city_graph();
+        let eval =
+            |q: &str| evaluate_select(&g, &parse_select(q).unwrap(), &mut WorkBudget::unlimited());
+        let bad =
+            "SELECT ?c (COUNT(?n) AS ?names) WHERE { ?c a dbo:Person ; dbo:name ?n } GROUP BY ?n";
+        assert_eq!(eval(bad).unwrap().len(), 0);
+        let bad =
+            "SELECT ?c (COUNT(?n) AS ?names) WHERE { ?c a dbo:City ; dbo:name ?n } GROUP BY ?n";
+        assert!(matches!(eval(bad), Err(EvalError::Unsupported(_))));
+        let empty = "SELECT (MIN(?p) AS ?m) WHERE { ?c a dbo:Person ; dbo:population ?p }";
+        assert!(matches!(eval(empty), Err(EvalError::Unsupported(_))));
+    }
+
+    #[test]
+    fn case_insensitive_regex_folds_text_and_pattern() {
+        let g = city_graph();
+        let s = run(
+            &g,
+            r#"SELECT ?c WHERE { ?c dbo:name ?n . FILTER(regex(str(?n), "^NEW y", "i")) }"#,
+        );
+        assert_eq!(s.len(), 1);
+        // Without the flag the same pattern matches nothing.
+        let s = run(
+            &g,
+            r#"SELECT ?c WHERE { ?c dbo:name ?n . FILTER(regex(str(?n), "^NEW y")) }"#,
+        );
+        assert!(s.is_empty());
+        // Two folded patterns in one filter are kept apart.
+        let s = run(
+            &g,
+            r#"SELECT ?c WHERE { ?c dbo:name ?n . FILTER(regex(str(?n), "SYD", "i") || regex(str(?n), "BERRA$", "i")) }"#,
+        );
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

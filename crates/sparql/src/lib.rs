@@ -17,7 +17,9 @@
 //! * [`eval`] — an evaluator over [`sapphire_rdf::Graph`] with greedy
 //!   selectivity-based join ordering and a deterministic [`eval::WorkBudget`]
 //!   that the endpoint layer uses to simulate remote timeouts (the driver of
-//!   the paper's §5.1 initialization algorithm).
+//!   the paper's §5.1 initialization algorithm). Joins and every solution
+//!   modifier run on interned ids; terms are materialized for the rows that
+//!   survive the slice.
 //! * [`solutions`] — materialized result tables.
 //!
 //! ## Example
