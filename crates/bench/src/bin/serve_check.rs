@@ -32,6 +32,10 @@
 //!   (`qsm_shed_budget` off), so *no* run may come back at a reduced budget
 //!   tier; a nonzero count means degraded output leaked into a deployment
 //!   that never opted in.
+//! * request ledger — for the closed-loop server and the front-end's, QCM
+//!   and runs *offered* by the harness equal those *counted* by the
+//!   server's pre-gate: a request counted twice (or never) by the shared
+//!   request path changes no answer, so only this gate sees it.
 //! * threading model — the front-end fleet stays within a fixed
 //!   thread/RSS budget, the closed-loop hot phase creates **zero** new
 //!   threads (steady-state serving runs entirely on warm pools: front-end
@@ -211,6 +215,21 @@ fn main() {
         final_queued == 0.0,
         format!("{final_queued} (must be 0)"),
     );
+
+    // --- Request ledger: offered == counted, per tier, for the closed-loop
+    // server (top-level section) and the front-end's (nested in its
+    // section). Both admission styles count in the server's one pre-gate.
+    for section in ["request_ledger", "frontend"] {
+        for tier in ["qcm", "runs"] {
+            let offered = num(Some(section), &format!("offered_{tier}"));
+            let counted = num(Some(section), &format!("counted_{tier}"));
+            gate.check(
+                &format!("{section} ledger: {tier}"),
+                offered == counted && offered > 0.0,
+                format!("{offered} offered, {counted} counted (must be equal)"),
+            );
+        }
+    }
 
     // --- Observability gates: the shared `"stages"` section and tracing.
     //

@@ -532,7 +532,9 @@ pub fn phase(
          \"hot_threads_after\": {hot_threads_after}, \
          \"threads_peak\": {}, \"rss_peak_kb\": {}, \"peak_ready\": {}, \
          \"final_backlog\": {final_backlog}, \"sessions_leaked\": {}, \
-         \"qcm\": {}, \"qsm\": {}}}",
+         \"qcm\": {}, \"qsm\": {}, \
+         \"request_ledger\": {{\"offered_qcm\": {}, \"offered_runs\": {}, \
+         \"counted_qcm\": {}, \"counted_runs\": {}}}}}",
         opts.sessions,
         workers,
         opts.think_ms,
@@ -552,6 +554,13 @@ pub fn phase(
         server_metrics.open_sessions,
         qcm.json(think_wall),
         qsm.json(think_wall),
+        // Offered vs counted (see `serve::run`'s ledger): the think phase's
+        // scripted requests plus the hot phase's completions, against the
+        // server's pre-gate counters.
+        qcm.offered() + hot_requests + hot_errors,
+        qsm.offered(),
+        server_metrics.completion_requests,
+        server_metrics.run_requests,
     )
 }
 

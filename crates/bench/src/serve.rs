@@ -167,6 +167,12 @@ impl ClassStats {
         self.overloaded + self.queue_timeout + self.quota
     }
 
+    /// Requests recorded, whatever their outcome — what the harness offered
+    /// the server in this class.
+    pub(crate) fn offered(&self) -> u64 {
+        self.latencies_us.len() as u64 + self.rejected() + self.invalid
+    }
+
     /// The typed outcome buckets in ledger order — overloaded, queue
     /// timeout, quota, invalid. The open-loop overload harness reports each
     /// class separately per sweep step (its gate distinguishes typed
@@ -620,6 +626,21 @@ pub fn run(opts: &ServeLoadOptions) -> String {
         alt.predicate.misses,
         alt.predicate.evictions,
     );
+    // Offered vs counted: every `complete`/`run` this harness issued against
+    // `server` — closed loop, duplicate burst (one of each per user per
+    // round), and the tracing-overhead probe (one warm-up plus `hot_ops` on
+    // each side of the pair) — beside what the server's pre-gate counted.
+    // serve_check gates equality: a request counted twice or never is the
+    // one thing a change to the request path can break without any answer
+    // changing.
+    let request_ledger = format!(
+        "{{\"offered_qcm\": {}, \"offered_runs\": {}, \"counted_qcm\": {}, \
+         \"counted_runs\": {}}}",
+        qcm.offered() + burst.offered() / 2 + 2 * hot_ops + 1,
+        qsm.offered() + burst.offered() / 2,
+        metrics.completion_requests,
+        metrics.run_requests,
+    );
     let mut report = format!(
         "{{\n  \"benchmark\": \"serve_load\",\n  \"config\": {{\"users\": {users}, \
          \"rounds\": {rounds}, \"scale\": \"{scale_label}\", \"triples\": {triple_count}, \
@@ -633,6 +654,7 @@ pub fn run(opts: &ServeLoadOptions) -> String {
          \"coalescing\": {{\"coalesced_hits\": {}, \"leader_runs\": {}, \"bypass_runs\": {}, \
          \"fifo_handoffs\": {}}},\n  \
          \"qsm_relax\": {qsm_relax},\n  \
+         \"request_ledger\": {request_ledger},\n  \
          \"rejected_total\": {},\n  \
          \"completion_cache\": {},\n  \"run_cache\": {},\n  \
          \"sessions_leaked\": {}\n}}",

@@ -129,58 +129,12 @@ impl ResidualBins {
         }
         // Large scan: run the same task list on the shared executor. `run`
         // returns results in task-index order, so the concatenation is
-        // byte-identical to both the inline path and the old spawn path.
+        // byte-identical to the inline path.
         crate::exec::global()
             .run(tasks.len(), |i| run_task(&tasks[i]))
             .into_iter()
             .flatten()
             .collect()
-    }
-
-    /// The pre-executor reference implementation of [`Self::scan_parallel`]:
-    /// identical Algorithm-1 task list, but each task on its own scoped
-    /// thread. Kept (test-only surface) as the byte-identity oracle for the
-    /// executor path — see `tests/executor_oracle.rs`.
-    #[doc(hidden)]
-    pub fn scan_parallel_reference<F>(
-        &self,
-        range: Range<usize>,
-        processes: usize,
-        accept: F,
-    ) -> Vec<(LitId, f64)>
-    where
-        F: Fn(&str) -> Option<f64> + Sync,
-    {
-        let bins = self.bins_in_range(range);
-        if bins.is_empty() {
-            return Vec::new();
-        }
-        let tasks = assign_tasks(&bins, processes.max(1));
-        let run_task = |task: &[Segment]| {
-            let mut found = Vec::new();
-            for seg in task {
-                for &id in &bins[seg.bin][seg.range.clone()] {
-                    if let Some(score) = accept(self.literal(id)) {
-                        found.push((id, score));
-                    }
-                }
-            }
-            found
-        };
-        let mut results: Vec<Vec<(LitId, f64)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
-                .iter()
-                .map(|task| {
-                    let run_task = &run_task;
-                    scope.spawn(move || run_task(task))
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("scan worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
     }
 }
 
@@ -350,16 +304,23 @@ mod tests {
     #[test]
     fn executor_scan_matches_reference_above_inline_threshold() {
         // 6k literals beats INLINE_SCAN_THRESHOLD, forcing the executor
-        // path; the spawn-per-task reference must produce identical bytes.
+        // path; the Algorithm-1 task list walked sequentially in worker
+        // order (what the inline arm does) must produce identical bytes.
         let mut b = ResidualBins::new();
         for i in 0..6000 {
             b.add(format!("residual literal number {i:05}"));
         }
         let accept = |s: &str| s.ends_with('7').then_some(s.len() as f64);
+        let bins = b.bins_in_range(0..100);
         for p in [1, 2, 4, 8] {
             let via_exec = b.scan_parallel(0..100, p, accept);
-            let via_spawn = b.scan_parallel_reference(0..100, p, accept);
-            assert_eq!(via_exec, via_spawn, "P = {p}");
+            let in_worker_order: Vec<(LitId, f64)> = assign_tasks(&bins, p)
+                .iter()
+                .flatten()
+                .flat_map(|seg| &bins[seg.bin][seg.range.clone()])
+                .filter_map(|&id| accept(b.literal(id)).map(|score| (id, score)))
+                .collect();
+            assert_eq!(via_exec, in_worker_order, "P = {p}");
             assert!(!via_exec.is_empty());
         }
     }

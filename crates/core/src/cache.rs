@@ -45,9 +45,11 @@ impl CacheStats {
     }
 }
 
-/// Hash `key` onto one of `n` shards — shared by this crate's sharded maps
-/// (the QSM's cross-request caches) so shard selection lives in one place.
-pub(crate) fn shard_index<K: Hash + ?Sized>(key: &K, n: usize) -> usize {
+/// Hash `key` onto one of `n` shards — the one shard picker behind every
+/// sharded map in the workspace ([`ShardedLru`] here; the serving tier's
+/// single-flight map and tenant meters), so shard selection can only ever
+/// change in one place.
+pub fn shard_index<K: Hash + ?Sized>(key: &K, n: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() as usize) % n
@@ -55,18 +57,18 @@ pub(crate) fn shard_index<K: Hash + ?Sized>(key: &K, n: usize) -> usize {
 
 /// A sharded, concurrent [`BoundedCache`]: each shard is an independently
 /// locked LRU, so contention is proportional to key collisions rather than
-/// total traffic. The building block of this crate's cross-request QSM
+/// total traffic. The one sharded LRU behind this crate's cross-request QSM
 /// caches (the Steiner [`NeighborhoodCache`](crate::qsm::NeighborhoodCache)
-/// and the Algorithm-2 alternative memos), mirroring the serving tier's
-/// response cache.
+/// and the Algorithm-2 alternative memos) and the serving tier's response
+/// cache.
 #[derive(Debug)]
-pub(crate) struct ShardedLru<K, V> {
+pub struct ShardedLru<K, V> {
     shards: Vec<std::sync::Mutex<BoundedCache<K, V>>>,
 }
 
 impl<K: Clone + Eq + Hash, V: Clone> ShardedLru<K, V> {
     /// `shards` independent LRUs of `capacity_per_shard` entries each.
-    pub(crate) fn new(shards: usize, capacity_per_shard: usize) -> Self {
+    pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
         ShardedLru {
             shards: (0..shards.clamp(1, 1024))
                 .map(|_| std::sync::Mutex::new(BoundedCache::new(capacity_per_shard)))
@@ -74,30 +76,47 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedLru<K, V> {
         }
     }
 
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &std::sync::Mutex<BoundedCache<K, V>> {
+        &self.shards[shard_index(key, self.shards.len())]
+    }
+
     /// Cached value for `key`, if present (counts a hit or miss, refreshes
     /// recency). Accepts borrowed key forms, like [`BoundedCache::get`].
-    pub(crate) fn get<Q>(&self, key: &Q) -> Option<V>
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
     where
         K: std::borrow::Borrow<Q>,
         Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
     {
-        let shard = &self.shards[shard_index(key, self.shards.len())];
-        shard.lock().unwrap().get(key).cloned()
+        self.shard(key).lock().unwrap().get(key).cloned()
+    }
+
+    /// Cached value for `key` without touching counters or recency (see
+    /// [`BoundedCache::peek`]).
+    pub fn peek<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.shard(key).lock().unwrap().peek(key).cloned()
     }
 
     /// Insert (or replace) an entry.
-    pub(crate) fn insert(&self, key: K, value: V) {
-        let shard = &self.shards[shard_index(&key, self.shards.len())];
-        shard.lock().unwrap().insert(key, value);
+    pub fn insert(&self, key: K, value: V) {
+        self.shard(&key).lock().unwrap().insert(key, value);
     }
 
     /// Live entries across all shards.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
     }
 
+    /// True if every shard is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Aggregated counters across all shards.
-    pub(crate) fn stats(&self) -> CacheStats {
+    pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
             let s = shard.lock().unwrap().stats();

@@ -65,7 +65,7 @@ pub mod session;
 pub use answers::AnswerTable;
 pub use cache::{
     completion_request_key, run_request_key, run_request_key_tier, BoundedCache, CacheMatch,
-    CacheStats, CachedClass, CachedData, CachedPredicate, MatchSource,
+    CacheStats, CachedClass, CachedData, CachedPredicate, MatchSource, ShardedLru,
 };
 pub use config::{SapphireConfig, SteinerConfig};
 pub use exec::{ExecStats, Executor, TaskHandle};

@@ -21,8 +21,8 @@
 //! skipped. The savings are visible in [`NeighborhoodStats::queries_saved`],
 //! not in the relaxation output.
 //!
-//! Sharded like the server's response cache (a crate-internal `ShardedLru`
-//! of independently locked [`BoundedCache`](crate::BoundedCache) LRUs), so
+//! Sharded like the server's response cache (the same
+//! [`ShardedLru`] of independently locked LRUs), so
 //! concurrent relaxations contend only on actual key collisions. Values are
 //! `Arc`'d so a hit never deep-clones a neighbor list under the shard lock.
 

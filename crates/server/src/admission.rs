@@ -447,7 +447,7 @@ impl TenantBudgets {
     }
 
     fn shard(&self, tenant: &str) -> &Mutex<sapphire_core::BoundedCache<String, u64>> {
-        &self.shards[crate::response_cache::shard_index(tenant, self.shards.len())]
+        &self.shards[sapphire_core::cache::shard_index(tenant, self.shards.len())]
     }
 
     /// Charge `work` units to `tenant`, rejecting if it would exceed the

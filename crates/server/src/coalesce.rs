@@ -40,10 +40,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use sapphire_core::cache::shard_index;
 use sapphire_core::CacheStats;
 use sapphire_obs::{Obs, Stage};
 
-use crate::response_cache::{shard_index, ShardedResponseCache};
+use crate::response_cache::ShardedResponseCache;
 
 /// One in-flight execution of a keyed request.
 #[derive(Debug)]

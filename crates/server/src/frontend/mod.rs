@@ -619,6 +619,107 @@ mod tests {
     }
 
     #[test]
+    fn request_behind_a_close_answers_unknown_session_without_touching_the_gate() {
+        // The gate is full and queues nothing, so any request that reaches
+        // it is bounced `Overloaded`. A completion queued behind its own
+        // session's `Close` must never get that far: the pre-gate half
+        // resolves the session first, for evented admission exactly as for
+        // the blocking `complete`.
+        let fe = Frontend::new(
+            Arc::new(SapphireServer::new(
+                pum(),
+                ServerConfig {
+                    max_in_flight: 1,
+                    max_queue_depth: 0,
+                    ..ServerConfig::for_tests()
+                },
+            )),
+            FrontendConfig {
+                workers: 1,
+                ..FrontendConfig::for_tests()
+            },
+        );
+        let _slot = fe.server().hold_slot().unwrap();
+        // Pin the only worker inside another session's callback until both
+        // requests are queued — `submit` itself rejects on a session whose
+        // close has already executed, and that is not the path under test.
+        let (pinned_tx, pinned) = std::sync::mpsc::channel();
+        let (go, go_rx) = std::sync::mpsc::channel::<()>();
+        let other = fe.open_session("bob").unwrap();
+        fe.submit(
+            other,
+            FrontRequest::SetModifiers {
+                modifiers: Default::default(),
+            },
+            Box::new(move |_| {
+                pinned_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+            }),
+        )
+        .unwrap();
+        pinned.recv().unwrap();
+
+        let s = fe.open_session("alice").unwrap();
+        let (answer_tx, answer) = std::sync::mpsc::channel();
+        fe.submit(s, FrontRequest::Close, Box::new(|_| {})).unwrap();
+        fe.submit(
+            s,
+            FrontRequest::Complete {
+                typed: "Kenn".into(),
+            },
+            Box::new(move |r| answer_tx.send(r).unwrap()),
+        )
+        .unwrap();
+        go.send(()).unwrap();
+
+        let err = answer.recv().unwrap().expect_err("the session is gone");
+        assert_eq!(err, ServerError::UnknownSession(s));
+        let m = fe.server().metrics();
+        assert_eq!(m.rejected_overloaded, 0, "it never reached the gate");
+        assert_eq!(m.completion_requests, 1, "and was still counted");
+    }
+
+    #[test]
+    fn dead_raw_target_surfaces_as_unreachable_not_backend() {
+        // A raw service (a cluster router, say) reporting a dead shard must
+        // keep its retryable type through the front-end.
+        struct DeadShard;
+        impl QueryService for DeadShard {
+            fn service_name(&self) -> &str {
+                "dead"
+            }
+            fn execute_query(
+                &self,
+                _tenant: &str,
+                _query: &sapphire_sparql::Query,
+            ) -> Result<sapphire_sparql::QueryResult, sapphire_endpoint::ServiceError> {
+                Err(sapphire_endpoint::ServiceError::Backend(
+                    sapphire_endpoint::EndpointError::Unreachable {
+                        reason: "connect".into(),
+                    },
+                ))
+            }
+        }
+        let fe = Frontend::with_raw_service(
+            Arc::new(SapphireServer::new(pum(), ServerConfig::for_tests())),
+            Arc::new(DeadShard),
+            FrontendConfig::for_tests(),
+        );
+        let s = fe.open_session("alice").unwrap();
+        let query = sapphire_sparql::parse_query("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
+        let err = fe
+            .call(s, FrontRequest::Query { query })
+            .expect_err("the target is dead");
+        assert_eq!(
+            err,
+            ServerError::Unreachable {
+                reason: "connect".into()
+            }
+        );
+        assert!(err.is_rejection(), "retryable, like any dead replica");
+    }
+
+    #[test]
     fn session_queue_depth_is_typed_backpressure() {
         let fe = Frontend::new(
             Arc::new(SapphireServer::new(pum(), ServerConfig::for_tests())),

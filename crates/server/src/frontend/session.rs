@@ -115,10 +115,11 @@ pub(crate) enum Phase {
     AwaitingGrant,
 }
 
-/// A request parked mid-execution on a queued admission ticket.
+/// A request parked between the server's two halves on a queued admission
+/// ticket: already counted, resolved, and snapshotted by the pre-gate.
 pub(crate) struct PendingAdmission {
     pub(crate) ticket: AdmissionTicket,
-    pub(crate) request: FrontRequest,
+    pub(crate) request: crate::server::Request<'static>,
     pub(crate) respond: ResponseCallback,
     pub(crate) since: Instant,
     /// The sampled trace following this request across its park (None when

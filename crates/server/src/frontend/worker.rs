@@ -10,16 +10,17 @@
 //! tickets whose queue wait expired, and the worker settles those to a typed
 //! [`ServerError::QueueTimeout`].
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sapphire_endpoint::ServiceError;
 use sapphire_obs::{RequestMark, Stage, Trace, TraceScope};
 
 use crate::admission::{AdmissionPermit, AsyncAdmission};
 use crate::error::ServerError;
 use crate::registry::SessionId;
+use crate::server::{Reply, Request, RunOutput, What, Who};
 
 use super::session::{FrontRequest, FrontResponse, PendingAdmission, Phase, ResponseCallback};
 use super::{RawTarget, Shared};
@@ -164,7 +165,7 @@ fn resolve_pending(
             .ticket_grants
             .fetch_add(1, Ordering::Relaxed);
         note_admission_wait(shared, p.since, p.trace.as_ref(), "granted");
-        execute_admitted(shared, id, p.request, permit, p.respond, p.trace);
+        execute(shared, p.request, permit, p.respond, p.trace);
         return Ownership::Held;
     }
     if p.ticket.expired() {
@@ -174,7 +175,7 @@ fn resolve_pending(
             Some(permit) => {
                 shared.counters.late_grants.fetch_add(1, Ordering::Relaxed);
                 note_admission_wait(shared, p.since, p.trace.as_ref(), "late");
-                execute_admitted(shared, id, p.request, permit, p.respond, p.trace);
+                execute(shared, p.request, permit, p.respond, p.trace);
             }
             None => {
                 note_admission_wait(shared, p.since, p.trace.as_ref(), "timeout");
@@ -217,7 +218,7 @@ fn park(
             .fetch_add(1, Ordering::Relaxed);
         drop(st);
         note_admission_wait(shared, p.since, p.trace.as_ref(), "granted");
-        execute_admitted(shared, id, p.request, permit, p.respond, p.trace);
+        execute(shared, p.request, permit, p.respond, p.trace);
         return Ownership::Held;
     }
     // Any grant from here on finds the phase `AwaitingGrant` once we
@@ -263,7 +264,9 @@ fn finish(
     }
 }
 
-/// Execute one request from the head of a session's queue.
+/// Execute one request from the head of a session's queue: session edits
+/// answer on the spot; the three model-touching kinds go through the
+/// server's pre-gate and on to the non-blocking admission gate.
 fn dispatch(
     shared: &Arc<Shared>,
     id: u64,
@@ -273,27 +276,27 @@ fn dispatch(
     state_arc: &Arc<std::sync::Mutex<super::session::SessionState>>,
 ) -> Ownership {
     let sid = SessionId(id);
-    match request {
+    let what = match request {
         FrontRequest::SetRow { idx, input } => {
             let r = shared.server.set_row(sid, idx, input);
             shared.reply(respond, r.map(|()| FrontResponse::Ack));
-            Ownership::Held
+            return Ownership::Held;
         }
         FrontRequest::SetModifiers { modifiers } => {
             let r = shared.server.set_modifiers(sid, modifiers);
             shared.reply(respond, r.map(|()| FrontResponse::Ack));
-            Ownership::Held
+            return Ownership::Held;
         }
         FrontRequest::ApplyAlternative { index } => {
             let r = shared.server.apply_alternative(sid, index);
             shared.reply(respond, r.map(FrontResponse::Table));
-            Ownership::Held
+            return Ownership::Held;
         }
         FrontRequest::Close => {
             shared.server.close_session(sid);
             state_arc.lock().unwrap().closed = true;
             shared.reply(respond, Ok(FrontResponse::Closed));
-            Ownership::Held
+            return Ownership::Held;
         }
         FrontRequest::Query { query } => {
             if let RawTarget::External(service) = &shared.raw {
@@ -303,44 +306,32 @@ fn dispatch(
                 // with the front-end owning the end-to-end measurement.
                 let _mark = RequestMark::new();
                 let _scope = TraceScope::enter(trace);
-                let tenant = match shared.server.session_tenant(sid) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        shared.reply(respond, Err(e));
-                        return Ownership::Held;
-                    }
-                };
-                let r = service
-                    .execute_query(&tenant, &query)
-                    .map(FrontResponse::Query)
-                    .map_err(service_to_server);
+                let r = shared.server.session_tenant(sid).and_then(|tenant| {
+                    service
+                        .execute_query(&tenant, &query)
+                        .map(FrontResponse::Query)
+                        .map_err(ServerError::from_service)
+                });
                 shared.reply(respond, r);
                 return Ownership::Held;
             }
-            shared.server.note_service_request();
-            admit_then(
-                shared,
-                id,
-                FrontRequest::Query { query },
-                respond,
-                trace,
-                state_arc,
-            )
+            let query = Cow::Owned(query);
+            What::Raw { query }
         }
-        FrontRequest::Complete { typed } => {
-            shared.server.note_completion_request();
-            admit_then(
-                shared,
-                id,
-                FrontRequest::Complete { typed },
-                respond,
-                trace,
-                state_arc,
-            )
-        }
-        FrontRequest::Run => {
-            shared.server.note_run_request();
-            admit_then(shared, id, FrontRequest::Run, respond, trace, state_arc)
+        FrontRequest::Complete { typed } => What::Complete {
+            typed: Cow::Owned(typed),
+            k: shared.server.model().config().k,
+        },
+        FrontRequest::Run => What::Run {
+            query: None,
+            tier_floor: 0,
+        },
+    };
+    match shared.server.pre_gate(Who::Session(sid), what, None) {
+        Ok(request) => admit_then(shared, id, request, respond, trace, state_arc),
+        Err(e) => {
+            shared.reply(respond, Err(e));
+            Ownership::Held
         }
     }
 }
@@ -351,7 +342,7 @@ fn dispatch(
 fn admit_then(
     shared: &Arc<Shared>,
     id: u64,
-    request: FrontRequest,
+    request: Request<'static>,
     respond: ResponseCallback,
     trace: Option<Trace>,
     state_arc: &Arc<std::sync::Mutex<super::session::SessionState>>,
@@ -373,7 +364,7 @@ fn admit_then(
                 .immediate_grants
                 .fetch_add(1, Ordering::Relaxed);
             note_admission_wait(shared, asked, trace.as_ref(), "immediate");
-            execute_admitted(shared, id, request, permit, respond, trace);
+            execute(shared, request, permit, respond, trace);
             Ownership::Held
         }
         Ok(AsyncAdmission::Queued(ticket)) => {
@@ -399,47 +390,31 @@ fn admit_then(
     }
 }
 
-/// Run an admitted request against the server, permit in hand. The body
-/// executes inside this request's trace context with the request depth
-/// marked, so the server's own entry points know a front-end tier already
-/// owns the end-to-end measurement and the root trace.
-fn execute_admitted(
+/// Run a request through the server's post-gate half, permit in hand. The
+/// body executes inside this request's trace context with the request depth
+/// marked, so the server knows a front-end tier already owns the end-to-end
+/// measurement and the root trace.
+fn execute(
     shared: &Arc<Shared>,
-    id: u64,
-    request: FrontRequest,
+    mut request: Request<'static>,
     permit: AdmissionPermit,
     respond: ResponseCallback,
     trace: Option<Trace>,
 ) {
     let _mark = RequestMark::new();
     let _scope = TraceScope::enter(trace);
-    let sid = SessionId(id);
-    let result = match request {
-        FrontRequest::Complete { typed } => shared
-            .server
-            .complete_admitted(sid, &typed, permit)
-            .map(FrontResponse::Completion),
-        FrontRequest::Run => shared
-            .server
-            .run_admitted(sid, permit, shed_floor(shared))
-            .map(FrontResponse::Run),
-        FrontRequest::Query { query } => {
-            let tenant = match shared.server.session_tenant(sid) {
-                Ok(t) => t,
-                Err(e) => {
-                    drop(permit);
-                    return shared.reply(respond, Err(e));
-                }
-            };
-            shared
-                .server
-                .execute_query_admitted(&tenant, &query, permit)
-                .map(FrontResponse::Query)
-        }
-        // Only admission-controlled requests reach this point.
-        other => unreachable!("non-admitted request {other:?} routed through admission"),
-    };
-    shared.reply(respond, result);
+    // Sampled only now, after the grant: the floor should reflect the
+    // backlog this front-end still faces while the run holds its slot.
+    request.raise_run_floor(|| shed_floor(shared));
+    let result = shared.server.post_gate(request, permit);
+    shared.reply(
+        respond,
+        result.map(|reply| match reply {
+            Reply::Completion(found) => FrontResponse::Completion(found),
+            Reply::Run { run, attempts } => FrontResponse::Run(RunOutput::new(run, attempts)),
+            Reply::Raw(result) => FrontResponse::Query(result),
+        }),
+    );
 }
 
 /// Front-end-initiated shedding: pick a degradation-tier floor from the
@@ -471,31 +446,4 @@ fn shed_floor(shared: &Shared) -> usize {
             .fetch_add(1, Ordering::Relaxed);
     }
     floor
-}
-
-/// Map a raw-target service failure onto the server's typed error space
-/// (the same correspondence `ServerError::into_service_error` defines, run
-/// backwards).
-fn service_to_server(e: ServiceError) -> ServerError {
-    match e {
-        ServiceError::Overloaded {
-            in_flight,
-            queue_depth,
-        } => ServerError::Overloaded {
-            in_flight,
-            queue_depth,
-        },
-        ServiceError::Timeout { work_used } => ServerError::Timeout { work_used },
-        ServiceError::QueueTimeout { waited_ms } => ServerError::QueueTimeout { waited_ms },
-        ServiceError::QuotaExhausted {
-            tenant,
-            used,
-            budget,
-        } => ServerError::QuotaExhausted {
-            tenant,
-            used,
-            budget,
-        },
-        ServiceError::Backend(e) => ServerError::Backend(e.to_string()),
-    }
 }

@@ -24,7 +24,7 @@
 //!   clients can tell back-pressure from failure.
 //! * **Response caching** — a sharded bounded LRU
 //!   ([`response_cache::ShardedResponseCache`], built on
-//!   [`sapphire_core::BoundedCache`]) memoizing QCM completions and QSM run
+//!   [`sapphire_core::ShardedLru`]) memoizing QCM completions and QSM run
 //!   payloads by normalized request.
 //! * **Single-flight coalescing** — a burst of identical not-yet-cached
 //!   requests costs *one* model scan: the first miss leads, concurrent

@@ -6,24 +6,15 @@
 //! suffix tree, re-scanning residual bins, or re-running SPARQL. Keys are
 //! *normalized* request descriptions (lowercased trimmed completion terms,
 //! canonical query renderings) so trivially different spellings of the same
-//! request share an entry. Shard selection hashes the key; each shard is an
-//! independently locked [`BoundedCache`], keeping contention proportional to
-//! actual key collisions rather than global traffic.
+//! request share an entry (the key functions live in `sapphire_core`, next to
+//! the requests they describe). The sharding itself is
+//! [`sapphire_core::ShardedLru`] — independently locked LRUs picked by key
+//! hash, keeping contention proportional to actual key collisions rather
+//! than global traffic.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use sapphire_core::{BoundedCache, CacheStats};
-
-/// Hash `key` onto one of `n` shards. Shared by every sharded map in this
-/// crate (response caches, tenant budget meters) so shard selection can only
-/// ever change in one place.
-pub(crate) fn shard_index(key: &str, n: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % n
-}
+use sapphire_core::{CacheStats, ShardedLru};
 
 /// A sharded, bounded, counted LRU keyed by normalized request strings.
 ///
@@ -32,86 +23,49 @@ pub(crate) fn shard_index(key: &str, n: usize) -> usize {
 /// results carry full answer sets) while the shard lock is held.
 #[derive(Debug)]
 pub struct ShardedResponseCache<V> {
-    shards: Vec<Mutex<BoundedCache<String, Arc<V>>>>,
+    lru: ShardedLru<String, Arc<V>>,
 }
 
 impl<V> ShardedResponseCache<V> {
     /// `shards` independent LRUs of `capacity_per_shard` entries each.
     pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
-        let shards = shards.clamp(1, 1024);
         ShardedResponseCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(BoundedCache::new(capacity_per_shard)))
-                .collect(),
+            lru: ShardedLru::new(shards, capacity_per_shard),
         }
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<BoundedCache<String, Arc<V>>> {
-        &self.shards[shard_index(key, self.shards.len())]
     }
 
     /// Cached value for `key`, if present (counts a hit or miss).
     pub fn get(&self, key: &str) -> Option<Arc<V>> {
-        self.shard(key).lock().unwrap().get(key).cloned()
+        self.lru.get(key)
     }
 
     /// Cached value for `key` without touching counters or recency (see
     /// [`sapphire_core::BoundedCache::peek`]).
     pub fn peek(&self, key: &str) -> Option<Arc<V>> {
-        self.shard(key).lock().unwrap().peek(key).cloned()
+        self.lru.peek(key)
     }
 
     /// Insert a response, handing back the shared pointer now holding it.
     pub fn insert(&self, key: String, value: V) -> Arc<V> {
         let value = Arc::new(value);
-        self.shard(&key).lock().unwrap().insert(key, value.clone());
+        self.lru.insert(key, value.clone());
         value
     }
 
     /// Aggregated counters across all shards.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let s = shard.lock().unwrap().stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-        }
-        total
+        self.lru.stats()
     }
 
     /// Total live entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.lru.len()
     }
 
     /// True if every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lru.is_empty()
     }
-}
-
-/// Normalize a QCM completion term into a cache key.
-///
-/// The normalization itself lives in [`sapphire_core::completion_request_key`]
-/// so the response cache and the single-flight [`Coalescer`](crate::coalesce)
-/// can never disagree on what "the same request" means.
-pub fn completion_key(term: &str) -> String {
-    sapphire_core::completion_request_key(term)
-}
-
-/// Normalize a built query into a cache key
-/// (see [`sapphire_core::run_request_key`]).
-pub fn run_key(query: &impl std::fmt::Debug) -> String {
-    sapphire_core::run_request_key(query)
-}
-
-/// Normalize a built query *and its QSM budget tier* into a cache key
-/// (see [`sapphire_core::run_request_key_tier`]): tier 0 is the plain
-/// [`run_key`], degraded tiers get distinct keys so a reduced-budget payload
-/// can never be served to (or coalesced with) a full-budget request.
-pub fn run_key_tier(query: &impl std::fmt::Debug, tier: usize) -> String {
-    sapphire_core::run_request_key_tier(query, tier)
 }
 
 #[cfg(test)]
@@ -137,15 +91,5 @@ mod tests {
         }
         assert!(cache.len() <= 8, "2 shards x 4 entries");
         assert!(cache.stats().evictions > 0);
-    }
-
-    #[test]
-    fn completion_keys_normalize() {
-        assert_eq!(completion_key("  Kennedy "), completion_key("Kennedy"));
-        assert_ne!(completion_key("kennedy"), completion_key("kennedys"));
-        // Case is load-bearing: the tree stage matches case-sensitively, so
-        // "Kennedy" and "kennedy" are different requests — a shared key
-        // would let one spelling's scan poison the other's cache entry.
-        assert_ne!(completion_key("Kennedy"), completion_key("kennedy"));
     }
 }

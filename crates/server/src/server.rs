@@ -1,13 +1,16 @@
 //! The multi-session Sapphire server.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sapphire_core::qcm::CompletionResult;
 use sapphire_core::qsm::QsmOutput;
-use sapphire_core::session::{Modifiers, Session, TripleInput};
-use sapphire_core::{AnswerTable, CacheStats, PredictiveUserModel};
+use sapphire_core::session::{Modifiers, Session, SessionError, TripleInput};
+use sapphire_core::{
+    completion_request_key, run_request_key_tier, AnswerTable, CacheStats, PredictiveUserModel,
+};
 use sapphire_endpoint::{QueryService, ServiceError};
 use sapphire_obs::{MetricsHub, Obs, Stage};
 use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, WorkBudget};
@@ -15,8 +18,7 @@ use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, WorkBudget};
 use crate::admission::{AdmissionController, AdmissionPermit, TenantBudgets};
 use crate::coalesce::{ReadThrough, Served};
 use crate::error::{from_federation, ServerError};
-use crate::registry::{SessionId, SessionRegistry};
-use crate::response_cache::{completion_key, run_key_tier};
+use crate::registry::{SessionEntry, SessionId, SessionRegistry};
 
 /// Tuning knobs of a [`SapphireServer`].
 #[derive(Debug, Clone)]
@@ -217,6 +219,20 @@ pub struct RunOutput {
     pub cached: bool,
 }
 
+impl RunOutput {
+    /// The session-facing shape of a served run; `attempts` is the session's
+    /// count after the run's commit.
+    pub(crate) fn new(run: QueryRun, attempts: u32) -> Self {
+        RunOutput {
+            answers: AnswerTable::new(run.payload.answers.clone()),
+            suggestions: run.payload.suggestions.clone(),
+            executed: run.payload.executed,
+            attempts,
+            cached: run.cached,
+        }
+    }
+}
+
 /// What one run produces as a pure function of the query — the payload the
 /// run cache stores and single-flight leaders share, without any
 /// session-specific bookkeeping. Suggestions are shared (`Arc`) because they
@@ -235,14 +251,118 @@ pub struct RunPayload {
     pub suggestions: Arc<QsmOutput>,
 }
 
-/// A session's state captured under its lock for one run request.
+/// A session's rows as they stood at the pre-gate, and the entry the run
+/// commits back to.
 #[derive(Debug)]
-struct RunSnapshot {
-    tenant: String,
+struct SessionRun {
+    entry: Arc<Mutex<SessionEntry>>,
     triples: Vec<TripleInput>,
     modifiers: Modifiers,
     attempts: u32,
     generation: u64,
+}
+
+/// Who an admission-controlled request acts for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Who<'a> {
+    /// An interactive session: billed to its owning tenant, and a run of
+    /// its own rows commits back to it.
+    Session(SessionId),
+    /// A tenant with no session on this server — the stateless surface a
+    /// cluster edge scatters over.
+    Tenant(&'a str),
+}
+
+/// What an admission-controlled request asks of the model. The blocking
+/// entry points borrow their arguments; the evented front-end owns them
+/// (`'static`), because its request outlives the worker that parked it.
+#[derive(Debug)]
+pub(crate) enum What<'a> {
+    /// QCM: complete `typed`, returning at most `k` suggestions.
+    Complete { typed: Cow<'a, str>, k: usize },
+    /// QSM + execution of `query`, or — `None` — of the requesting
+    /// session's own rows, with the run committed back to that session.
+    /// `tier_floor` lower-bounds the degradation tier.
+    Run {
+        query: Option<Cow<'a, SelectQuery>>,
+        tier_floor: usize,
+    },
+    /// A raw parsed query on the federated backend.
+    Raw { query: Cow<'a, Query> },
+}
+
+impl What<'_> {
+    /// Stable label for traces and stage metrics.
+    fn kind(&self) -> &'static str {
+        match self {
+            What::Complete { .. } => "complete",
+            What::Run { .. } => "run",
+            What::Raw { .. } => "query",
+        }
+    }
+}
+
+/// One admission-controlled request between the two halves of its path:
+/// built (and counted) by [`SapphireServer::pre_gate`], carried across the
+/// admission gate — on a parked thread's stack or in an evented ticket's
+/// `PendingAdmission` — and consumed by [`SapphireServer::post_gate`].
+#[derive(Debug)]
+pub(crate) struct Request<'a> {
+    /// The tenant charged, resolved pre-gate.
+    tenant: Cow<'a, str>,
+    what: What<'a>,
+    /// Present iff a session asked to run its own rows.
+    session: Option<SessionRun>,
+    /// Remaining deadline budget: caps a parked queue wait. Evented
+    /// requests come from interactive sessions and carry none.
+    budget: Option<Duration>,
+}
+
+impl Request<'_> {
+    /// Raise a run's tier floor to at least `floor()` (not called for other
+    /// kinds) — for a tier that can only be sampled once the grant arrives.
+    pub(crate) fn raise_run_floor(&mut self, floor: impl FnOnce() -> usize) {
+        if let What::Run { tier_floor, .. } = &mut self.what {
+            *tier_floor = (*tier_floor).max(floor());
+        }
+    }
+}
+
+/// The answer to a [`Request`], one variant per [`What`].
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// Answer to [`What::Complete`].
+    Completion(CompletionResult),
+    /// Answer to [`What::Run`]. `attempts` is the session's count after the
+    /// commit, 0 for a sessionless run.
+    Run { run: QueryRun, attempts: u32 },
+    /// Answer to [`What::Raw`].
+    Raw(QueryResult),
+}
+
+// `post_gate` answers each kind with its own variant, so a mismatch below is
+// a bug in this file, not a condition a caller can cause.
+impl Reply {
+    fn completion(self) -> CompletionResult {
+        match self {
+            Reply::Completion(found) => found,
+            other => panic!("a completion was answered {other:?}"),
+        }
+    }
+
+    fn run(self) -> (QueryRun, u32) {
+        match self {
+            Reply::Run { run, attempts } => (run, attempts),
+            other => panic!("a run was answered {other:?}"),
+        }
+    }
+
+    fn raw(self) -> QueryResult {
+        match self {
+            Reply::Raw(result) => result,
+            other => panic!("a raw query was answered {other:?}"),
+        }
+    }
 }
 
 /// A run served through the sessionless [`SapphireServer::run_select`]
@@ -406,95 +526,35 @@ impl SapphireServer {
     /// across all sessions share one cached response, and a *burst* of
     /// identical not-yet-cached terms is single-flighted: one request scans
     /// the model as the leader, the rest receive its result ([`ServerMetrics`]
-    /// counts them as `coalesced_hits`). Followers hold their admission slot
-    /// while they wait, exactly as if they were running the scan themselves.
+    /// counts them as `coalesced_hits`).
     pub fn complete(&self, id: SessionId, typed: &str) -> Result<CompletionResult, ServerError> {
-        // Count before the session lookup, exactly as `run` does: a burst of
-        // stale-session completions must stay visible in the request
-        // denominator. The inner path counts too, so delegate uncounted.
-        self.counters
-            .completion_requests
-            .fetch_add(1, Ordering::Relaxed);
-        let tenant = self.registry.get(id)?.lock().unwrap().tenant.clone();
-        self.complete_top_inner(&tenant, typed, self.pum.config().k)
+        let what = What::Complete {
+            typed: Cow::Borrowed(typed),
+            k: self.pum.config().k,
+        };
+        self.serve_parked(Who::Session(id), what, None)
+            .map(Reply::completion)
     }
 
-    /// QCM for a tenant *without* a session — the surface a cluster edge
-    /// router scatters over shard replicas, where the session state lives at
-    /// the edge and shards see only stateless (tenant, term) requests.
-    /// Identical admission control, budgets, caching, and coalescing as
-    /// [`complete`](Self::complete).
-    pub fn complete_for(&self, tenant: &str, typed: &str) -> Result<CompletionResult, ServerError> {
-        self.complete_top(tenant, typed, self.pum.config().k)
-    }
-
-    /// QCM with an explicit result budget — the cluster over-fetch surface
-    /// (see [`sapphire_core::qcm::QueryCompletion::complete_top`]). A
-    /// non-default budget gets its own response-cache/coalescing key, so a
-    /// deep edge fetch can never be served a user-depth cached list or vice
-    /// versa.
+    /// QCM for a tenant *without* a session and with an explicit result
+    /// budget — the surface a cluster edge router scatters over shard
+    /// replicas (the session state lives at the edge; shards see only
+    /// stateless (tenant, term) requests) and over-fetches through (see
+    /// [`sapphire_core::qcm::QueryCompletion::complete_top`]). Identical
+    /// admission control, budgets, caching, and coalescing as
+    /// [`complete`](Self::complete). A non-default budget gets its own
+    /// response-cache/coalescing key, so a deep edge fetch can never be
+    /// served a user-depth cached list or vice versa.
     pub fn complete_top(
         &self,
         tenant: &str,
         typed: &str,
         k: usize,
     ) -> Result<CompletionResult, ServerError> {
-        self.counters
-            .completion_requests
-            .fetch_add(1, Ordering::Relaxed);
-        self.complete_top_inner(tenant, typed, k)
-    }
-
-    /// [`complete_top`](Self::complete_top) without the request counter —
-    /// for callers that already counted (the session surface).
-    fn complete_top_inner(
-        &self,
-        tenant: &str,
-        typed: &str,
-        k: usize,
-    ) -> Result<CompletionResult, ServerError> {
-        let _req = self.obs.request_scope("complete", tenant);
-        let permit = self.count_rejection(self.admit_timed(None))?;
-        self.complete_top_admitted(tenant, typed, k, permit)
-    }
-
-    /// The post-admission QCM path: budgets, response cache, single-flight,
-    /// model scan — with an execution slot the caller already owns. This is
-    /// the entry point the evented front-end drives once a grant arrives
-    /// ([`crate::frontend`]); the blocking surfaces go through
-    /// [`complete_top_inner`](Self::complete_top_inner), which acquires the
-    /// permit by parking. Does not bump the request counter — the caller did.
-    pub(crate) fn complete_top_admitted(
-        &self,
-        tenant: &str,
-        typed: &str,
-        k: usize,
-        permit: AdmissionPermit,
-    ) -> Result<CompletionResult, ServerError> {
-        self.count_rejection(self.tenants.charge(tenant, self.config.completion_cost))?;
-        let key = if k == self.pum.config().k {
-            completion_key(typed)
-        } else {
-            format!("{}\u{1}top{k}", completion_key(typed))
-        };
-        let (served, result) = self.completions.serve(
-            &self.obs,
-            key,
-            |how| {
-                let mut t = self.obs.time(Stage::QcmScan);
-                t.tag(if how == Served::Leader {
-                    "leader"
-                } else {
-                    "bypass"
-                });
-                Ok(self.pum.complete_top(typed, k))
-            },
-            |_| true,
-            |_| false,
-        );
-        self.count_served(served, Some(&self.counters.coalesced_completion_hits));
-        drop(permit);
-        result.map(Arc::unwrap_or_clone)
+        let typed = Cow::Borrowed(typed);
+        let what = What::Complete { typed, k };
+        self.serve_parked(Who::Tenant(tenant), what, None)
+            .map(Reply::completion)
     }
 
     /// QSM + execution: press "Run" on session `id`.
@@ -508,119 +568,16 @@ impl SapphireServer {
     /// from its own snapshot, and a run whose snapshot has been superseded
     /// (the generation moved while it executed) keeps its attempt but does
     /// not overwrite the newer state's suggestions. The model-derived payload
-    /// is memoized across sessions by normalized query; a cache hit still
-    /// passes admission (the key requires building the query against the
-    /// shared cache) and still consumes quota — budgets are deliberately
-    /// request-denominated, so a tenant cannot exceed its window by replaying
-    /// one hot query. Concurrent identical *cold* queries are additionally
-    /// single-flighted: one leader scans, everyone else receives its result
-    /// (see [`crate::coalesce`]).
+    /// is memoized across sessions by normalized query, and concurrent
+    /// identical *cold* queries are additionally single-flighted: one leader
+    /// scans, everyone else receives its result (see [`crate::coalesce`]).
     pub fn run(&self, id: SessionId) -> Result<RunOutput, ServerError> {
-        self.counters.run_requests.fetch_add(1, Ordering::Relaxed);
-        let (entry, snapshot) = self.run_snapshot(id)?;
-        let _req = self.obs.request_scope("run", &snapshot.tenant);
-        // Admission comes first: a shed request must cost nothing, and even
-        // query building resolves keyword predicates against the shared
-        // cache. The quota charge needs the built query's shape, so it
-        // follows — an over-budget tenant gives its slot straight back.
-        let permit = self.count_rejection(self.admit_timed(None))?;
-        self.run_committed(&entry, snapshot, permit, 0)
-    }
-
-    /// The post-admission session run path — snapshot, execute, commit —
-    /// with an execution slot the caller already owns. Driven by the evented
-    /// front-end once a grant arrives; the snapshot is taken *here* (after
-    /// the grant) rather than before the wait as [`run`](Self::run) does,
-    /// which is indistinguishable to callers: each run builds from its own
-    /// snapshot and the generation check already governs every interleaving
-    /// with concurrent edits. Does not bump the request counter.
-    ///
-    /// `tier_floor` is the caller's degradation-tier floor — the same
-    /// surface [`run_select_tiered`](Self::run_select_tiered) gives a
-    /// cluster edge, here for an upstream front-end shedding on its *own*
-    /// backlog (its reactor ready-queue depth). The run executes at the
-    /// deeper of the floor and this server's own pressure signal, through
-    /// the same tier-keyed cache/coalescer discipline.
-    pub(crate) fn run_admitted(
-        &self,
-        id: SessionId,
-        permit: AdmissionPermit,
-        tier_floor: usize,
-    ) -> Result<RunOutput, ServerError> {
-        let (entry, snapshot) = self.run_snapshot(id)?;
-        self.run_committed(&entry, snapshot, permit, tier_floor)
-    }
-
-    /// Snapshot a session's state under its lock (released before any
-    /// admission wait or model work).
-    fn run_snapshot(
-        &self,
-        id: SessionId,
-    ) -> Result<
-        (
-            Arc<std::sync::Mutex<crate::registry::SessionEntry>>,
-            RunSnapshot,
-        ),
-        ServerError,
-    > {
-        let entry = self.registry.get(id)?;
-        let snapshot = {
-            let entry = entry.lock().unwrap();
-            RunSnapshot {
-                tenant: entry.tenant.clone(),
-                triples: entry.triples.clone(),
-                modifiers: entry.modifiers.clone(),
-                attempts: entry.attempts,
-                generation: entry.generation,
-            }
+        let what = What::Run {
+            query: None,
+            tier_floor: 0,
         };
-        Ok((entry, snapshot))
-    }
-
-    /// Build, charge, execute, and commit one session run from `snapshot`,
-    /// holding `permit` through the model work. `tier_floor` lower-bounds
-    /// the degradation tier (a front-end shedding on its own backlog);
-    /// the run executes at the deeper of the floor and this server's own
-    /// pressure tier, clamped to the ladder.
-    fn run_committed(
-        &self,
-        entry: &std::sync::Mutex<crate::registry::SessionEntry>,
-        snapshot: RunSnapshot,
-        permit: AdmissionPermit,
-        tier_floor: usize,
-    ) -> Result<RunOutput, ServerError> {
-        let query = Session::resume(
-            &self.pum,
-            snapshot.triples,
-            snapshot.modifiers,
-            snapshot.attempts,
-        )
-        .build_query()?;
-        let cost = self.run_cost(&query);
-        self.count_rejection(self.tenants.charge(&snapshot.tenant, cost))?;
-        let tier = tier_floor
-            .max(self.qsm_tier())
-            .min(sapphire_core::SteinerConfig::MAX_TIER);
-        let (cached, run) = self.execute_run(&query, tier)?;
-        drop(permit);
-        let attempts = {
-            let mut entry = entry.lock().unwrap();
-            entry.attempts += 1;
-            // Commit suggestions only if they still describe the session's
-            // current rows; a superseded run must not clobber a newer run's
-            // suggestions with ones the user can no longer see.
-            if entry.generation == snapshot.generation {
-                entry.last_suggestions = Some(run.suggestions.clone());
-            }
-            entry.attempts
-        };
-        Ok(RunOutput {
-            answers: AnswerTable::new(run.answers.clone()),
-            suggestions: run.suggestions.clone(),
-            executed: run.executed,
-            attempts,
-            cached,
-        })
+        let (run, attempts) = self.serve_parked(Who::Session(id), what, None)?.run();
+        Ok(RunOutput::new(run, attempts))
     }
 
     /// QSM + execution for a tenant *without* a session: run an
@@ -658,16 +615,165 @@ impl SapphireServer {
         requested_tier: usize,
         budget: Option<Duration>,
     ) -> Result<QueryRun, ServerError> {
-        self.counters.run_requests.fetch_add(1, Ordering::Relaxed);
-        let _req = self.obs.request_scope("run", tenant);
-        let permit = self.count_rejection(self.admit_timed(budget))?;
-        self.count_rejection(self.tenants.charge(tenant, self.run_cost(query)))?;
-        let tier = requested_tier
-            .max(self.qsm_tier())
-            .min(sapphire_core::SteinerConfig::MAX_TIER);
-        let (cached, payload) = self.execute_run(query, tier)?;
-        drop(permit);
-        Ok(QueryRun { cached, payload })
+        let what = What::Run {
+            query: Some(Cow::Borrowed(query)),
+            tier_floor: requested_tier,
+        };
+        self.serve_parked(Who::Tenant(tenant), what, budget)
+            .map(|reply| reply.run().0)
+    }
+
+    /// One request across the *parking* gate: the body of every blocking
+    /// entry point above and of [`QueryService::execute_query`]. The evented
+    /// front-end ([`crate::frontend`]) runs the same two halves around its
+    /// non-blocking gate, carrying the [`Request`] across the park.
+    fn serve_parked(
+        &self,
+        who: Who<'_>,
+        what: What<'_>,
+        budget: Option<Duration>,
+    ) -> Result<Reply, ServerError> {
+        let request = self.pre_gate(who, what, budget)?;
+        let _req = self.obs.request_scope(request.what.kind(), &request.tenant);
+        let permit = self.count_rejection(self.admit_timed(request.budget))?;
+        self.post_gate(request, permit)
+    }
+
+    /// The **pre-gate** half: what a request does before it may wait for an
+    /// execution slot — once, for both admission styles. Counts it, resolves
+    /// a session to its tenant, and snapshots a session run.
+    ///
+    /// The count comes before the session lookup: a burst of stale-session
+    /// requests must stay visible in the request denominator. The lookup
+    /// comes before the gate: a request on a closed session answers
+    /// [`ServerError::UnknownSession`] without taking (or being refused) an
+    /// admission slot. And a run's rows are snapshotted here, under a
+    /// session lock that is released before any admission wait, so an edit
+    /// made while the run queues supersedes it (see the commit in
+    /// [`post_gate`](Self::post_gate)).
+    pub(crate) fn pre_gate<'a>(
+        &self,
+        who: Who<'a>,
+        what: What<'a>,
+        budget: Option<Duration>,
+    ) -> Result<Request<'a>, ServerError> {
+        let received = match what {
+            What::Complete { .. } => &self.counters.completion_requests,
+            What::Run { .. } => &self.counters.run_requests,
+            What::Raw { .. } => &self.counters.service_requests,
+        };
+        received.fetch_add(1, Ordering::Relaxed);
+        let (tenant, session) = match who {
+            Who::Tenant(tenant) => (Cow::Borrowed(tenant), None),
+            Who::Session(id) => {
+                let entry = self.registry.get(id)?;
+                let state = entry.lock().unwrap();
+                let tenant = Cow::Owned(state.tenant.clone());
+                let own_rows = matches!(what, What::Run { query: None, .. });
+                let session = own_rows.then(|| SessionRun {
+                    entry: entry.clone(),
+                    triples: state.triples.clone(),
+                    modifiers: state.modifiers.clone(),
+                    attempts: state.attempts,
+                    generation: state.generation,
+                });
+                (tenant, session)
+            }
+        };
+        Ok(Request {
+            tenant,
+            what,
+            session,
+            budget,
+        })
+    }
+
+    /// The **post-gate** half: what a request does with an execution slot in
+    /// hand, however the slot was acquired (by parking in
+    /// [`serve_parked`](Self::serve_parked), or by the front-end claiming an
+    /// evented ticket). Charges the tenant, picks the tier, serves through
+    /// the surface's [`ReadThrough`], drops the permit, and commits a
+    /// session run.
+    ///
+    /// Admission came first because a shed request must cost nothing, and
+    /// even query building resolves keyword predicates against the shared
+    /// cache — so a session run's query is built here, not pre-gate. The
+    /// quota charge needs the built query's shape, so it follows; an
+    /// over-budget tenant gives its slot straight back. A cache hit still
+    /// passes admission (its key requires the built query) and still
+    /// consumes quota: budgets are deliberately request-denominated, so a
+    /// tenant cannot exceed its window by replaying one hot query.
+    /// Single-flight followers hold their slot while they wait, exactly as
+    /// if they were running the scan themselves.
+    pub(crate) fn post_gate(
+        &self,
+        request: Request<'_>,
+        permit: AdmissionPermit,
+    ) -> Result<Reply, ServerError> {
+        let Request {
+            tenant,
+            what,
+            session,
+            ..
+        } = request;
+        // `permit` is held to the end of the call unless an arm has work to
+        // do without it.
+        match what {
+            What::Complete { typed, k } => {
+                self.charge(&tenant, self.config.completion_cost)?;
+                self.serve_completion(&typed, k).map(Reply::Completion)
+            }
+            What::Run { query, tier_floor } => {
+                let (query, commit) = match (query, session) {
+                    (Some(query), _) => (query, None),
+                    (None, Some(s)) => {
+                        let query = Session::resume(&self.pum, s.triples, s.modifiers, s.attempts)
+                            .build_query()?;
+                        (Cow::Owned(query), Some((s.entry, s.generation)))
+                    }
+                    // Neither a built query nor a session's rows to build
+                    // one from.
+                    (None, None) => return Err(SessionError::EmptyQuery.into()),
+                };
+                self.charge(&tenant, self.pattern_cost(query.pattern.triples.len()))?;
+                // The deeper of the caller's floor (a cluster edge's
+                // requested tier, a front-end shedding on its own backlog)
+                // and this server's own pressure signal, clamped to the
+                // ladder.
+                let tier = tier_floor
+                    .max(self.qsm_tier())
+                    .min(sapphire_core::SteinerConfig::MAX_TIER);
+                let run = self.execute_run(&query, tier)?;
+                drop(permit);
+                let attempts = commit.map_or(0, |(entry, generation)| {
+                    let mut entry = entry.lock().unwrap();
+                    entry.attempts += 1;
+                    // Commit suggestions only if they still describe the
+                    // session's current rows; a superseded run must not
+                    // clobber a newer run's suggestions with ones the user
+                    // can no longer see.
+                    if entry.generation == generation {
+                        entry.last_suggestions = Some(run.payload.suggestions.clone());
+                    }
+                    entry.attempts
+                });
+                Ok(Reply::Run { run, attempts })
+            }
+            What::Raw { query } => {
+                let patterns = match &*query {
+                    Query::Select(s) => s.pattern.triples.len(),
+                    Query::Ask(gp) => gp.triples.len(),
+                };
+                self.charge(&tenant, self.pattern_cost(patterns))?;
+                self.serve_raw(&query).map(Reply::Raw)
+            }
+        }
+    }
+
+    /// Charge `cost` work units to `tenant`'s window — the one place quota
+    /// is spent (and a quota rejection counted).
+    fn charge(&self, tenant: &str, cost: u64) -> Result<(), ServerError> {
+        self.count_rejection(self.tenants.charge(tenant, cost))
     }
 
     /// The shed tier this server's *current* admission backlog argues for,
@@ -701,22 +807,44 @@ impl SapphireServer {
         self.shed_pressure_tier()
     }
 
-    /// The cached + coalesced run path shared by [`run`](Self::run) and
-    /// [`run_select`](Self::run_select). Must be called with an admission
-    /// permit held. A burst of identical cold queries (many users pressing
-    /// Run on the same question at once) costs one model scan; the returned
-    /// flag stays an honest "this request ran no scan of its own": true for
-    /// cache hits and followers, false for the scanning leader and bypasses.
+    /// The cached + coalesced QCM path, slot in hand. A non-default `k` gets
+    /// its own cache/coalescer key (see [`complete_top`](Self::complete_top)).
+    fn serve_completion(&self, typed: &str, k: usize) -> Result<CompletionResult, ServerError> {
+        let key = if k == self.pum.config().k {
+            completion_request_key(typed)
+        } else {
+            format!("{}\u{1}top{k}", completion_request_key(typed))
+        };
+        let (served, result) = self.completions.serve(
+            &self.obs,
+            key,
+            |how| {
+                let mut t = self.obs.time(Stage::QcmScan);
+                t.tag(if how == Served::Leader {
+                    "leader"
+                } else {
+                    "bypass"
+                });
+                Ok(self.pum.complete_top(typed, k))
+            },
+            |_| true,
+            |_| false,
+        );
+        self.count_served(served, Some(&self.counters.coalesced_completion_hits));
+        result.map(Arc::unwrap_or_clone)
+    }
+
+    /// The cached + coalesced run path, slot in hand. A burst of identical
+    /// cold queries (many users pressing Run on the same question at once)
+    /// costs one model scan; the returned `cached` flag stays an honest
+    /// "this request ran no scan of its own": true for cache hits and
+    /// followers, false for the scanning leader and bypasses.
     ///
     /// The cache/coalescer key carries `tier`, so a degraded-budget run can
     /// only ever hit, lead, or follow *other degraded runs of the same
     /// tier* — full-budget requests and degraded requests never exchange
     /// payloads in either direction.
-    fn execute_run(
-        &self,
-        query: &SelectQuery,
-        tier: usize,
-    ) -> Result<(bool, Arc<RunPayload>), ServerError> {
+    fn execute_run(&self, query: &SelectQuery, tier: usize) -> Result<QueryRun, ServerError> {
         if tier > 0 {
             self.counters
                 .qsm_degraded_runs
@@ -724,13 +852,35 @@ impl SapphireServer {
         }
         let (served, result) = self.runs.serve(
             &self.obs,
-            run_key_tier(query, tier),
+            run_request_key_tier(query, tier),
             |_| Ok(self.scan(query, tier)),
             |_| true,
             |_| false,
         );
         self.count_served(served, Some(&self.counters.coalesced_run_hits));
-        result.map(|payload| (served.cached(), payload))
+        result.map(|payload| QueryRun {
+            cached: served.cached(),
+            payload,
+        })
+    }
+
+    /// The single-flighted raw-query path, slot in hand (see the
+    /// [`QueryService`] impl for why results are never response-cached).
+    fn serve_raw(&self, query: &Query) -> Result<QueryResult, ServerError> {
+        let (served, result) = self.raw.serve(
+            &self.obs,
+            sapphire_endpoint::query_fingerprint(query),
+            |_| {
+                self.pum
+                    .federation()
+                    .execute_parsed(query)
+                    .map_err(from_federation)
+            },
+            |_| true,
+            |_| false,
+        );
+        self.count_served(served, None);
+        result.map(Arc::unwrap_or_clone)
     }
 
     /// Accept the `alt_index`-th term alternative from `id`'s last run:
@@ -891,43 +1041,11 @@ impl SapphireServer {
         Ok(self.registry.get(id)?.lock().unwrap().tenant.clone())
     }
 
-    /// The post-admission session QCM path (see
-    /// [`complete_top_admitted`](Self::complete_top_admitted)). Does not
-    /// bump the request counter — the caller did.
-    pub(crate) fn complete_admitted(
-        &self,
-        id: SessionId,
-        typed: &str,
-        permit: AdmissionPermit,
-    ) -> Result<CompletionResult, ServerError> {
-        let tenant = self.session_tenant(id)?;
-        self.complete_top_admitted(&tenant, typed, self.pum.config().k, permit)
-    }
-
     /// Record a typed rejection produced outside the blocking surfaces (the
     /// evented front-end rejects with `Overloaded`/`QueueTimeout` from its
     /// own loop) so [`ServerMetrics`] stays one honest ledger.
     pub(crate) fn note_rejection(&self, e: &ServerError) {
         let _ = self.count_rejection::<()>(Err(e.clone()));
-    }
-
-    /// Count one QCM request received (evented intake path).
-    pub(crate) fn note_completion_request(&self) {
-        self.counters
-            .completion_requests
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one run request received (evented intake path).
-    pub(crate) fn note_run_request(&self) {
-        self.counters.run_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one raw-service request received (evented intake path).
-    pub(crate) fn note_service_request(&self) {
-        self.counters
-            .service_requests
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Request keys with a live single-flight execution right now, summed
@@ -964,9 +1082,10 @@ impl SapphireServer {
         }
     }
 
-    fn run_cost(&self, query: &SelectQuery) -> u64 {
-        self.config.run_base_cost
-            + self.config.run_per_pattern_cost * query.pattern.triples.len() as u64
+    /// Work units charged for a run or raw query over `patterns` triple
+    /// patterns.
+    fn pattern_cost(&self, patterns: usize) -> u64 {
+        self.config.run_base_cost + self.config.run_per_pattern_cost * patterns as u64
     }
 
     fn count_rejection<T>(&self, result: Result<T, ServerError>) -> Result<T, ServerError> {
@@ -1011,51 +1130,10 @@ impl QueryService for SapphireServer {
     }
 
     fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError> {
-        self.counters
-            .service_requests
-            .fetch_add(1, Ordering::Relaxed);
-        let _req = self.obs.request_scope("query", tenant);
-        let permit = self
-            .count_rejection(self.admit_timed(None))
-            .map_err(ServerError::into_service_error)?;
-        self.execute_query_admitted(tenant, query, permit)
+        let query = Cow::Borrowed(query);
+        self.serve_parked(Who::Tenant(tenant), What::Raw { query }, None)
+            .map(Reply::raw)
             .map_err(ServerError::into_service_error)
-    }
-}
-
-impl SapphireServer {
-    /// The post-admission raw-query path: budgets, single-flight, federated
-    /// execution — with an execution slot the caller already owns (the
-    /// evented front-end's raw surface). Does not bump the request counter.
-    pub(crate) fn execute_query_admitted(
-        &self,
-        tenant: &str,
-        query: &Query,
-        permit: AdmissionPermit,
-    ) -> Result<QueryResult, ServerError> {
-        let cost = match query {
-            Query::Select(s) => self.run_cost(s),
-            Query::Ask(gp) => {
-                self.config.run_base_cost
-                    + self.config.run_per_pattern_cost * gp.triples.len() as u64
-            }
-        };
-        self.count_rejection(self.tenants.charge(tenant, cost))?;
-        let _permit = permit; // held through execution, released on return
-        let (served, result) = self.raw.serve(
-            &self.obs,
-            sapphire_endpoint::query_fingerprint(query),
-            |_| {
-                self.pum
-                    .federation()
-                    .execute_parsed(query)
-                    .map_err(from_federation)
-            },
-            |_| true,
-            |_| false,
-        );
-        self.count_served(served, None);
-        result.map(Arc::unwrap_or_clone)
     }
 }
 

@@ -229,6 +229,7 @@ fn evented_tier_is_byte_identical_to_the_thread_per_request_oracle() {
             .expect("roomy queue accepts the whole script");
         }
     }
+    let evented = fe.server().clone();
     let metrics = fe.shutdown();
     assert_eq!(metrics.completed, metrics.submitted, "drained completely");
 
@@ -242,6 +243,31 @@ fn evented_tier_is_byte_identical_to_the_thread_per_request_oracle() {
         }
         assert_eq!(got.len(), expected.len(), "session user-{u}: length");
     }
+
+    // Same answers is not enough: both admission styles walk the same
+    // pre-gate and post-gate halves, so both servers must also have counted,
+    // looked up and charged every request exactly once. (Hits vs misses
+    // depend on how requests overlapped; lookups do not.)
+    let ledger = |server: &SapphireServer| {
+        let m = server.metrics();
+        let usage: Vec<u64> = (0..SESSIONS)
+            .map(|u| server.tenant_usage(&format!("user-{u}")))
+            .collect();
+        (
+            (m.completion_requests, m.run_requests, m.service_requests),
+            (
+                m.rejected_overloaded,
+                m.rejected_queue_timeout,
+                m.rejected_quota,
+            ),
+            m.completion_cache.hits + m.completion_cache.misses,
+            m.run_cache.hits + m.run_cache.misses,
+            usage,
+        )
+    };
+    let (oracle, evented) = (ledger(&oracle), ledger(&evented));
+    assert!(oracle.0 .0 > 0 && oracle.0 .1 > 0 && oracle.4.iter().all(|&w| w > 0));
+    assert_eq!(evented, oracle, "request ledgers diverged");
 }
 
 /// Shutdown drain: every submitted request is answered, no session leaks,
