@@ -1,12 +1,20 @@
-//! CI benchmark-regression gate for the serving tier.
+//! CI regression gate for the serving tier: counts, invariants and same-run
+//! ratios. Speed belongs to `BENCHMARK.json` (ten seeds, 30 s runs, bounds
+//! from measured spread); nothing here compares a timing with a number
+//! from another run or another machine.
 //!
-//! Runs the `serve_load` workload (via [`sapphire_bench::serve`], the same
-//! code the `serve_load` binary runs) and **fails the build** — exit code 1
-//! — instead of asking a human to eyeball the JSON, enforcing:
+//! Runs the `serve_load` workloads in-process (via [`sapphire_bench::serve`]
+//! and its siblings, the same code the `serve_load` binary runs), reads each
+//! run's [`MetricsHub`] by `(section, field)` and **fails the build** — exit
+//! code 1 — when a gate does not hold. A gated field that is missing from
+//! the report fails its gate; nothing passes by absence.
 //!
-//! * `rejected_total == 0` — the fixed-seed workload fits the default gate;
-//!   any shedding is a regression in admission or a stall in the hot path.
-//! * `sessions_leaked == 0` — every load-generator session closed.
+//! Single-server workload ([`serve_gates`]):
+//!
+//! * `summary.rejected_total == 0` — the fixed-seed workload fits the
+//!   default gate; any shedding is a regression in admission or a stall in
+//!   the hot path. `server.open_sessions == 0` — every load-generator
+//!   session closed. `stats.final_queued == 0` — pressure drained.
 //! * both caches' *effective* hit ratios ≥ 0.90 — the paper's >90%
 //!   hit-ratio claim, kept true under the serving tier. Effective = cache
 //!   hits plus single-flight followers (served from a concurrent identical
@@ -20,626 +28,975 @@
 //!   phase — a burst of identical cold requests must cost ~one model scan
 //!   per request class per round, not one per user (bypass scans count, so
 //!   a broken waiter cap cannot pass on leader count alone).
-//! * throughput ≥ 50% of the committed `BENCH_serve.json` baseline — loose
-//!   enough for noisy shared CI runners, tight enough to catch a serializing
-//!   lock or an accidental O(n) on the hot path.
-//! * `qsm.p99_us` ≤ 2× the committed baseline — the QSM tail gate. The tail
-//!   is dominated by Steiner expansion round trips; the shared
-//!   `NeighborhoodCache` is what keeps it down, so a regression there (or a
-//!   new serialization on the relax path) trips this before anyone eyeballs
-//!   a latency chart. Same 2× posture as the throughput floor.
-//! * `qsm_relax.degraded_runs == 0` — this is the default no-shed posture
+//! * `server.qsm_degraded_runs == 0` — this is the default no-shed posture
 //!   (`qsm_shed_budget` off), so *no* run may come back at a reduced budget
-//!   tier; a nonzero count means degraded output leaked into a deployment
-//!   that never opted in.
-//! * request ledger — for the closed-loop server and the front-end's, QCM
-//!   and runs *offered* by the harness equal those *counted* by the
-//!   server's pre-gate: a request counted twice (or never) by the shared
-//!   request path changes no answer, so only this gate sees it.
-//! * threading model — the front-end fleet stays within a fixed
-//!   thread/RSS budget, the closed-loop hot phase creates **zero** new
-//!   threads (steady-state serving runs entirely on warm pools: front-end
-//!   workers plus the shared scatter/scan executor), and the executor's
-//!   task accounting balances (`tasks_run + inline_runs ==
-//!   spawns_avoided`, zero panics) after the drain.
-//! * overload smoke (a bounded open-loop sweep past saturation on a 2x2
-//!   cluster; see [`sapphire_bench::overload`]) — graceful degradation
-//!   holds: past-saturation goodput ≥ 50% of the sweep's peak, zero
-//!   untyped failures, zero tier-keyed cache cross-contamination, and the
-//!   offered-load sweep itself is monotone.
-//! * wire smoke (the cluster workload over real loopback sockets with one
-//!   replica crashed mid-run; see [`sapphire_bench::wire`]) — zero
-//!   surviving rejections after bounded retry under replica loss, zero
-//!   divergences from the in-process oracle, and the transport counters
-//!   prove the crash was real (`wire_io_errors ≥ 1`, the dead replica
-//!   refuses a direct probe).
-//! * snapshot smoke (shard **processes** brought up from freshly written
-//!   columnar snapshots at `tiny`; see [`sapphire_bench::wire`]) — every
-//!   child actually loaded its snapshot (zero generate fallbacks), the
-//!   snapshot-fed fleet is byte-identical to the generate-from-scratch
-//!   oracle (zero mismatches), and the slowest snapshot load beat the
-//!   parent's generate+partition time — the whole point of the format.
+//!   tier.
+//! * request ledger — for the closed-loop server (`request_ledger`) and the
+//!   front-end's (`frontend`), QCM and runs *offered* by the harness equal
+//!   those *counted* by the server's pre-gate: a request counted twice (or
+//!   never) by the shared request path changes no answer, so only this
+//!   gate sees it.
+//! * stages — at least 8 of the 11 named stages recorded observations, and
+//!   no stage's p99 exceeds the `end_to_end` max (every stage nests inside
+//!   some recorded request; `exec_queue` also times warm-up tasks that run
+//!   outside any request and is exempt).
+//! * tracing — `trace.dropped == 0` at default sampling, and the cache-hit
+//!   hot loop sampled at 1/64 keeps ≥ 90% of its untraced rate (both sides
+//!   measured in alternating chunks of this run).
+//! * executor — `spawns_avoided ≥ 1`, `tasks_run + inline_runs ==
+//!   spawns_avoided` after the drain, zero panics.
+//! * medium smoke — the `medium`-rung scatter ran, completed every cold
+//!   request, and fanned each out to all 4 shards.
+//! * front-end — ≥ 2,000 open think-time sessions on ≤ 8 workers: zero
+//!   rejections, nothing leaked, backlog drained, the fleet inside a fixed
+//!   thread/RSS budget, and the closed-loop hot phase creates **zero** new
+//!   threads (steady-state serving runs entirely on warm pools).
+//!
+//! Cluster smoke, 2 shards × 2 replicas ([`cluster_gates`]): zero
+//! rejections after bounded retry, zero requests out of retry budget, zero
+//! merge mismatches against a cold second edge.
+//!
+//! Overload smoke, a bounded open-loop sweep past saturation
+//! ([`overload_gates`]; see [`sapphire_bench::overload`]): past-saturation
+//! goodput ≥ 50% of the sweep's peak, zero untyped failures, zero
+//! tier-keyed cache cross-contamination, a monotone offered-load sweep.
+//!
+//! Wire smoke, the cluster workload over loopback sockets with one replica
+//! crashed mid-run ([`wire_gates`]; see [`sapphire_bench::wire`]): zero
+//! surviving rejections, zero divergences from the in-process oracle, and
+//! the crash is real and visible (`wire_io_errors ≥ 1`, the dead replica
+//! refuses a direct probe).
+//!
+//! Snapshot smoke, shard **processes** brought up from freshly written
+//! columnar snapshots ([`snapshot_gates`]): every child loaded its snapshot
+//! (zero generate fallbacks), byte-identical to the generate-from-scratch
+//! oracle, and the slowest snapshot load beat the parent's
+//! generate+partition time measured in the same run.
 //!
 //! Usage: `cargo run --release -p sapphire-bench --bin serve_check
-//!         [--rounds 2] [--baseline BENCH_serve.json]`
-//!
-//! The committed baseline is read *before* the run and never rewritten here;
-//! regenerating it after an intentional perf change is `serve_load`'s job.
+//!         [--rounds 2]`
 
+use sapphire_bench::args::Args;
 use sapphire_bench::cluster::{self, ClusterLoadOptions};
 use sapphire_bench::overload::{self, OverloadOptions};
-use sapphire_bench::serve::{self, arg_string, arg_usize, json_f64, ServeLoadOptions};
+use sapphire_bench::serve::{self, ServeLoadOptions};
 use sapphire_bench::wire::{self, WireLoadOptions};
+use sapphire_obs::MetricsHub;
 
-struct Gate {
-    failures: u32,
+/// One judged gate: its name, whether it held, and the numbers behind it.
+type Row = (String, bool, String);
+
+/// One phase's gate table: a report in, one row per gate out.
+type GateTable = fn(&MetricsHub) -> Vec<Row>;
+
+/// Judges one report, one row per gate.
+struct Gates<'a> {
+    hub: &'a MetricsHub,
+    rows: Vec<Row>,
 }
 
-impl Gate {
-    fn check(&mut self, name: &str, pass: bool, detail: String) {
-        if pass {
-            eprintln!("PASS {name}: {detail}");
-        } else {
-            self.failures += 1;
-            eprintln!("FAIL {name}: {detail}");
+impl<'a> Gates<'a> {
+    fn over(hub: &'a MetricsHub) -> Self {
+        Gates {
+            hub,
+            rows: Vec::new(),
         }
+    }
+
+    /// Read `fields` and let `judge` rule on their values; a field the
+    /// report does not carry fails the gate by name.
+    fn check<const N: usize>(
+        &mut self,
+        name: &str,
+        fields: [(&str, &str); N],
+        judge: impl FnOnce([f64; N]) -> (bool, String),
+    ) {
+        let mut values = [0.0; N];
+        for (slot, (section, field)) in values.iter_mut().zip(fields) {
+            match self.hub.get_f64(section, field) {
+                Some(v) => *slot = v,
+                None => {
+                    let detail = format!("{section}.{field} is missing from the report");
+                    self.rows.push((name.to_string(), false, detail));
+                    return;
+                }
+            }
+        }
+        let (pass, detail) = judge(values);
+        self.rows.push((name.to_string(), pass, detail));
+    }
+
+    /// `section.field` must be 0; `what` says what a non-zero count means.
+    fn zero(&mut self, name: &str, section: &str, field: &str, what: &str) {
+        self.check(name, [(section, field)], |[v]| {
+            (v == 0.0, format!("{v} {what} (must be 0)"))
+        });
     }
 }
 
-fn main() {
-    let baseline_path = arg_string("--baseline").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!(
-                "FAIL baseline: cannot read {baseline_path}: {e}\n\
-                 (regenerate with `cargo run --release -p sapphire-bench --bin serve_load` \
-                 and commit the result)"
-            );
-            std::process::exit(1);
-        }
-    };
-    let baseline_rps = match json_f64(&baseline, None, "total_throughput_rps") {
-        Some(v) if v > 0.0 => v,
-        _ => {
-            eprintln!("FAIL baseline: {baseline_path} has no total_throughput_rps");
-            std::process::exit(1);
-        }
-    };
+const STAGES: [&str; 11] = [
+    "frontend_queue",
+    "admission_wait",
+    "coalesce_wait",
+    "cache_lookup",
+    "qcm_scan",
+    "qsm_scan",
+    "steiner_relax",
+    "shard_rtt",
+    "edge_merge",
+    "exec_queue",
+    "end_to_end",
+];
 
-    let opts = ServeLoadOptions {
-        rounds: arg_usize("--rounds", 2),
-        // A relaxed queue deadline: the zero-rejection gate must catch real
-        // admission regressions, not a noisy CI runner descheduling one
-        // thread past the serving posture's 100ms for a moment.
-        queue_wait_ms: 1_000,
-        ..ServeLoadOptions::default()
-    };
-    let report = serve::run(&opts);
-    println!("{report}");
-
-    let num = |section: Option<&str>, key: &str| -> f64 {
-        match json_f64(&report, section, key) {
-            Some(v) => v,
-            None => {
-                eprintln!("FAIL report: missing field {key:?} (section {section:?})");
-                std::process::exit(1);
-            }
-        }
-    };
-
-    let mut gate = Gate { failures: 0 };
-    let rejected = num(None, "rejected_total");
-    gate.check(
+/// The single-server workload's gates (see the module docs).
+fn serve_gates(hub: &MetricsHub) -> Vec<Row> {
+    let mut g = Gates::over(hub);
+    g.zero(
         "rejected_total",
-        rejected == 0.0,
-        format!("{rejected} (must be 0)"),
+        "summary",
+        "rejected_total",
+        "typed rejections",
     );
-    let leaked = num(None, "sessions_leaked");
-    gate.check(
+    g.zero(
         "sessions_leaked",
-        leaked == 0.0,
-        format!("{leaked} (must be 0)"),
+        "server",
+        "open_sessions",
+        "sessions still open",
     );
     // The >90% floor gates the *effective* ratio — requests served without
     // a model scan, i.e. response-cache hits plus single-flight followers.
     // A follower logs a genuine cache miss (nothing was cached yet) but
     // costs no scan; counting it against the floor would make the gate
     // wobble with request overlap (scheduler noise), not with regressions.
-    let completion_ratio = num(Some("completion_cache"), "effective_hit_ratio");
-    gate.check(
-        "completion_cache.effective_hit_ratio",
-        completion_ratio >= 0.90,
-        format!("{completion_ratio:.3} (floor 0.90)"),
-    );
-    let run_ratio = num(Some("run_cache"), "effective_hit_ratio");
-    gate.check(
-        "run_cache.effective_hit_ratio",
-        run_ratio >= 0.90,
-        format!("{run_ratio:.3} (floor 0.90)"),
-    );
+    for cache in ["completion_cache", "run_cache"] {
+        g.check(
+            &format!("{cache}.effective_hit_ratio"),
+            [(cache, "effective_hit_ratio")],
+            |[ratio]| (ratio >= 0.90, format!("{ratio:.3} (floor 0.90)")),
+        );
+    }
     // Single-flight contract: a burst of identical cold requests costs one
     // scan per request class per round (QCM + QSM), give or take nothing.
     // Bypass scans count too — a regression that made every duplicate
     // bypass (e.g. a broken waiter cap) must not pass on leader count alone.
-    let burst_rounds = num(Some("config"), "burst_rounds");
-    let burst_scans =
-        num(Some("duplicate_burst"), "leader_runs") + num(Some("duplicate_burst"), "bypass_runs");
-    gate.check(
+    g.check(
         "duplicate_burst scans",
-        burst_scans <= 2.0 * burst_rounds,
-        format!(
-            "{burst_scans} scans for {burst_rounds} burst rounds (cap {})",
-            2.0 * burst_rounds
-        ),
+        [
+            ("config", "burst_rounds"),
+            ("duplicate_burst", "leader_runs"),
+            ("duplicate_burst", "bypass_runs"),
+        ],
+        |[rounds, leaders, bypasses]| {
+            let (scans, cap) = (leaders + bypasses, 2.0 * rounds);
+            (
+                scans <= cap,
+                format!("{scans} scans for {rounds} burst rounds (cap {cap})"),
+            )
+        },
     );
-    let rps = num(None, "total_throughput_rps");
-    let floor = baseline_rps * 0.5;
-    gate.check(
-        "total_throughput_rps",
-        rps >= floor,
-        format!("{rps:.1} vs baseline {baseline_rps:.1} (floor {floor:.1})"),
+    g.zero(
+        "server.qsm_degraded_runs",
+        "server",
+        "qsm_degraded_runs",
+        "degraded-budget runs with qsm_shed_budget off",
     );
-    // QSM tail gate: p99 within 2× of the committed baseline. (The baseline
-    // itself is the post-NeighborhoodCache number; regenerate it with
-    // serve_load after any intentional relax-path change.)
-    let baseline_qsm_p99 = match json_f64(&baseline, Some("qsm"), "p99_us") {
-        Some(v) if v > 0.0 => v,
-        _ => {
-            eprintln!(
-                "FAIL baseline: {baseline_path} has no qsm.p99_us \
-                 (regenerate with serve_load and commit the result)"
-            );
-            std::process::exit(1);
-        }
-    };
-    let qsm_p99 = num(Some("qsm"), "p99_us");
-    let p99_cap = baseline_qsm_p99 * 2.0;
-    gate.check(
-        "qsm.p99_us",
-        qsm_p99 <= p99_cap,
-        format!("{qsm_p99:.0}us vs baseline {baseline_qsm_p99:.0}us (cap {p99_cap:.0}us)"),
-    );
-    // Default posture never sheds: zero degraded-budget runs, full stop.
-    let degraded_runs = num(Some("qsm_relax"), "degraded_runs");
-    gate.check(
-        "qsm_relax.degraded_runs",
-        degraded_runs == 0.0,
-        format!("{degraded_runs} (must be 0 with qsm_shed_budget off)"),
-    );
-    // Pressure drained: the load/occupancy stats section must end at zero —
-    // a nonzero final queue would mean requests outlived the workload.
-    let final_queued = num(Some("stats"), "final_queued");
-    gate.check(
+    g.zero(
         "stats.final_queued",
-        final_queued == 0.0,
-        format!("{final_queued} (must be 0)"),
+        "stats",
+        "final_queued",
+        "requests still queued after the workload",
     );
-
-    // --- Request ledger: offered == counted, per tier, for the closed-loop
-    // server (top-level section) and the front-end's (nested in its
-    // section). Both admission styles count in the server's one pre-gate.
+    // Both admission styles count in the server's one pre-gate.
     for section in ["request_ledger", "frontend"] {
         for tier in ["qcm", "runs"] {
-            let offered = num(Some(section), &format!("offered_{tier}"));
-            let counted = num(Some(section), &format!("counted_{tier}"));
-            gate.check(
+            g.check(
                 &format!("{section} ledger: {tier}"),
-                offered == counted && offered > 0.0,
-                format!("{offered} offered, {counted} counted (must be equal)"),
+                [
+                    (section, &format!("offered_{tier}")),
+                    (section, &format!("counted_{tier}")),
+                ],
+                |[offered, counted]| {
+                    (
+                        offered == counted && offered > 0.0,
+                        format!("{offered} offered, {counted} counted (must be equal)"),
+                    )
+                },
             );
         }
     }
 
-    // --- Observability gates: the shared `"stages"` section and tracing.
-    //
-    // Coverage: at least 8 named stages recorded observations, spanning the
-    // front-end (frontend_queue), admission (admission_wait), server
-    // (cache_lookup/qcm_scan/qsm_scan/steiner_relax/coalesce_wait), and
-    // cluster (shard_rtt/edge_merge) tiers — a stage that silently stopped
-    // recording is an instrumentation regression, not a tuning knob.
-    const STAGES: [&str; 11] = [
-        "frontend_queue",
-        "admission_wait",
-        "coalesce_wait",
-        "cache_lookup",
-        "qcm_scan",
-        "qsm_scan",
-        "steiner_relax",
-        "shard_rtt",
-        "edge_merge",
-        "exec_queue",
-        "end_to_end",
-    ];
+    // A stage that silently stopped recording is an instrumentation
+    // regression, not a tuning knob; an unrecorded stage has no section.
     let recorded: Vec<&str> = STAGES
-        .iter()
-        .copied()
-        .filter(|s| json_f64(&report, Some(s), "count").is_some_and(|c| c >= 1.0))
+        .into_iter()
+        .filter(|stage| hub.get_f64(stage, "count").is_some_and(|c| c >= 1.0))
         .collect();
-    gate.check(
-        "stages coverage",
+    g.rows.push((
+        "stages coverage".to_string(),
         recorded.len() >= 8,
         format!("{} stages recorded: {recorded:?} (floor 8)", recorded.len()),
-    );
-    // Self-consistency: every stage nests inside some recorded end-to-end
-    // request and percentiles report bucket ceilings clamped to the exact
-    // max, so no stage's p99 can exceed the end-to-end max. A violation
-    // means a stage timer leaked outside request scope (or a histogram
-    // merged the wrong shard).
-    let e2e_max = num(Some("end_to_end"), "max_us");
+    ));
+    // Percentiles report bucket ceilings clamped to the exact max, so a p99
+    // above the end-to-end max means a stage timer leaked outside request
+    // scope (or a histogram merged the wrong shard).
     for &stage in &recorded {
-        // exec_queue also times the warm-up residual-bin scan tasks, which
-        // run during model initialization — outside any request — so it is
-        // exempt from the nests-inside-end_to_end invariant.
         if stage == "end_to_end" || stage == "exec_queue" {
             continue;
         }
-        let p99 = num(Some(stage), "p99_us");
-        gate.check(
+        g.check(
             &format!("stages.{stage}.p99_us"),
-            p99 <= e2e_max,
-            format!("{p99:.0}us vs end_to_end max {e2e_max:.0}us"),
+            [(stage, "p99_us"), ("end_to_end", "max_us")],
+            |[p99, e2e_max]| {
+                (
+                    p99 <= e2e_max,
+                    format!("{p99}us vs end_to_end max {e2e_max}us"),
+                )
+            },
         );
     }
-    // At the default sampling rate the flight-recorder ring must never
-    // overflow — a dropped trace at rest means the recorder shrank or
-    // something traces when it should not.
-    let dropped = num(Some("trace"), "dropped");
-    gate.check(
+    g.zero(
         "trace.dropped",
-        dropped == 0.0,
-        format!("{dropped} (must be 0 at default sampling)"),
+        "trace",
+        "dropped",
+        "traces dropped at default sampling",
     );
-    // Tracing overhead: the same cache-hit hot loop, untraced vs sampled at
-    // 1/64 in alternating chunks (both sides of the pair come from this
-    // run, so runner speed cancels out). Sampled must keep ≥ 90%.
-    let hot_untraced = num(Some("trace"), "hot_rps_untraced");
-    let hot_sampled = num(Some("trace"), "hot_rps_sampled");
-    gate.check(
+    g.check(
         "trace sampling overhead",
-        hot_sampled >= 0.9 * hot_untraced,
-        format!(
-            "{hot_sampled:.0} rps sampled (1/64) vs {hot_untraced:.0} rps untraced \
-             (floor 90%, ratio {:.3})",
-            hot_sampled / hot_untraced.max(1.0)
-        ),
+        [("trace", "hot_rps_sampled"), ("trace", "hot_rps_untraced")],
+        |[sampled, untraced]| {
+            (
+                sampled >= 0.9 * untraced,
+                format!(
+                    "{sampled:.0} rps sampled (1/64) vs {untraced:.0} rps untraced \
+                     (floor 90%, ratio {:.3})",
+                    sampled / untraced.max(1.0)
+                ),
+            )
+        },
     );
 
-    // --- Executor gate: the shared scatter/scan pool actually absorbed
-    // the work that per-request thread spawns used to carry, and its
-    // accounting is consistent — every task submitted (`spawns_avoided`)
-    // was run exactly once, either by a worker (`tasks_run`) or inline by
-    // a caller helping out (`inline_runs`). An imbalance after the full
-    // drain would mean lost or duplicated tasks; zero panics is the
-    // catch_unwind contract holding.
-    let exec_spawns_avoided = num(Some("exec"), "spawns_avoided");
-    gate.check(
-        "exec.spawns_avoided",
-        exec_spawns_avoided >= 1.0,
-        format!("{exec_spawns_avoided} thread spawns avoided (must be >= 1)"),
-    );
-    let exec_tasks = num(Some("exec"), "tasks_run") + num(Some("exec"), "inline_runs");
-    gate.check(
+    g.check("exec.spawns_avoided", [("exec", "spawns_avoided")], |[n]| {
+        (
+            n >= 1.0,
+            format!("{n} thread spawns avoided (must be >= 1)"),
+        )
+    });
+    // Every task submitted was run exactly once, by a worker or inline by
+    // a caller helping out; an imbalance after the full drain would mean
+    // lost or duplicated tasks.
+    g.check(
         "exec task accounting",
-        exec_tasks == exec_spawns_avoided,
-        format!(
-            "{:.0} worker + {:.0} inline runs vs {exec_spawns_avoided} submitted \
-             (must balance after drain)",
-            num(Some("exec"), "tasks_run"),
-            num(Some("exec"), "inline_runs"),
-        ),
+        [
+            ("exec", "tasks_run"),
+            ("exec", "inline_runs"),
+            ("exec", "spawns_avoided"),
+        ],
+        |[worker, inline, submitted]| {
+            (
+                worker + inline == submitted,
+                format!(
+                    "{worker} worker + {inline} inline runs vs {submitted} submitted \
+                     (must balance after drain)"
+                ),
+            )
+        },
     );
-    let exec_panicked = num(Some("exec"), "panicked");
-    gate.check(
+    g.zero(
         "exec.panicked",
-        exec_panicked == 0.0,
-        format!("{exec_panicked} (must be 0)"),
+        "exec",
+        "panicked",
+        "detached jobs panicked",
     );
 
-    // --- Medium smoke gate: the bigger-rung scatter baseline ran, it
-    // completed every cold request, and every request really fanned out to
-    // all 4 shards. Latencies are reported, not gated.
-    let smoke_requests = num(Some("medium_smoke"), "requests");
-    gate.check(
-        "medium_smoke ran",
-        smoke_requests >= 1.0,
-        format!("{smoke_requests} requests (must be >= 1)"),
-    );
-    if smoke_requests >= 1.0 {
-        let completed = num(Some("medium_smoke"), "completed");
-        gate.check(
+    // Latencies of the medium smoke are reported, not gated.
+    g.check("medium_smoke ran", [("medium_smoke", "requests")], |[n]| {
+        (n >= 1.0, format!("{n} requests (must be >= 1)"))
+    });
+    if hub.get_f64("medium_smoke", "requests") >= Some(1.0) {
+        g.check(
             "medium_smoke.scatter completed",
-            completed == smoke_requests && num(Some("medium_smoke"), "invalid") == 0.0,
-            format!("{completed}/{smoke_requests} cold scatters, 0 invalid"),
+            [
+                ("medium_smoke", "requests"),
+                ("medium_smoke", "completed"),
+                ("medium_smoke", "invalid"),
+            ],
+            |[requests, completed, invalid]| {
+                (
+                    completed == requests && invalid == 0.0,
+                    format!("{completed}/{requests} cold scatters, {invalid} invalid"),
+                )
+            },
         );
-        let fanout = num(Some("medium_smoke"), "fanout_total");
-        gate.check(
+        g.check(
             "medium_smoke.fanout_total",
-            fanout == smoke_requests * 4.0,
-            format!(
-                "{fanout} (must be requests x 4 shards = {})",
-                smoke_requests * 4.0
-            ),
+            [
+                ("medium_smoke", "requests"),
+                ("medium_smoke", "fanout_total"),
+            ],
+            |[requests, fanout]| {
+                (
+                    fanout == requests * 4.0,
+                    format!(
+                        "{fanout} (must be requests x 4 shards = {})",
+                        requests * 4.0
+                    ),
+                )
+            },
         );
     }
 
-    // --- Front-end gate: thousands of idle sessions on a small pool.
-    //
-    // The report's "frontend" section ran 2,000+ open think-time sessions
-    // on ≤ 8 worker threads over the same model. Enforced contracts: zero
-    // rejections at think-time load, every session closed and every queue
-    // drained, the process held a *fixed* thread/RSS budget (the
-    // thread-per-session failure mode is exactly a thread count scaling
-    // with sessions), and the closed-loop hot phase keeps at least half the
-    // committed thread-per-request throughput.
-    let f = |key: &str| num(Some("frontend"), key);
-    gate.check(
+    g.check(
         "frontend.sessions/workers",
-        f("sessions") >= 2000.0 && f("workers") <= 8.0,
-        format!("{} sessions on {} workers", f("sessions"), f("workers")),
+        [("frontend", "sessions"), ("frontend", "workers")],
+        |[sessions, workers]| {
+            (
+                sessions >= 2000.0 && workers <= 8.0,
+                format!("{sessions} sessions on {workers} workers"),
+            )
+        },
     );
-    gate.check(
+    g.zero(
         "frontend.rejected_total",
-        f("rejected_total") == 0.0,
-        format!("{} (must be 0)", f("rejected_total")),
+        "frontend",
+        "rejected_total",
+        "rejections at think-time load",
     );
-    gate.check(
+    g.zero(
         "frontend.sessions_leaked",
-        f("sessions_leaked") == 0.0,
-        format!("{} (must be 0)", f("sessions_leaked")),
+        "frontend",
+        "sessions_leaked",
+        "sessions still open",
     );
-    gate.check(
+    g.zero(
         "frontend.final_backlog",
-        f("final_backlog") == 0.0,
-        format!("{} (must be 0)", f("final_backlog")),
+        "frontend",
+        "final_backlog",
+        "requests still queued",
     );
-    let threads_peak = f("threads_peak");
-    gate.check(
+    // The thread-per-session failure mode is exactly a thread count that
+    // scales with sessions.
+    g.check(
         "frontend.threads_peak",
-        threads_peak <= 48.0,
-        format!("{threads_peak} (budget 48; 0 = /proc unavailable)"),
+        [("frontend", "threads_peak")],
+        |[peak]| {
+            (
+                peak <= 48.0,
+                format!("{peak} (budget 48; 0 = /proc unavailable)"),
+            )
+        },
     );
-    // Steady-state serving must not create threads: the hot loop runs
-    // after every pool (workers, reactor, shared executor) is warm, so the
-    // process thread count sampled before and after it must match exactly.
-    // This is the gate that keeps spawn-per-request from creeping back in.
-    let hot_before = f("hot_threads_before");
-    let hot_after = f("hot_threads_after");
-    gate.check(
+    // The hot loop runs after every pool (workers, reactor, shared
+    // executor) is warm, so the process thread count sampled before and
+    // after it must match exactly. This is the gate that keeps
+    // spawn-per-request from creeping back in.
+    g.check(
         "frontend.hot loop creates zero threads",
-        hot_before == hot_after && (hot_before > 0.0 || cfg!(not(target_os = "linux"))),
-        format!("{hot_before} threads before hot loop, {hot_after} after (must be equal)"),
+        [
+            ("frontend", "hot_threads_before"),
+            ("frontend", "hot_threads_after"),
+        ],
+        |[before, after]| {
+            (
+                before == after && (before > 0.0 || cfg!(not(target_os = "linux"))),
+                format!("{before} threads before hot loop, {after} after (must be equal)"),
+            )
+        },
     );
-    let rss_peak = f("rss_peak_kb");
-    gate.check(
+    g.check(
         "frontend.rss_peak_kb",
-        rss_peak <= 2_097_152.0,
-        format!("{rss_peak} (budget 2 GiB; 0 = /proc unavailable)"),
+        [("frontend", "rss_peak_kb")],
+        |[peak]| {
+            (
+                peak <= 2_097_152.0,
+                format!("{peak} (budget 2 GiB; 0 = /proc unavailable)"),
+            )
+        },
     );
-    let hot_rps = f("hot_throughput_rps");
-    let hot_floor = baseline_rps * 0.5;
-    gate.check(
-        "frontend.hot_throughput_rps",
-        hot_rps >= hot_floor,
-        format!(
-            "{hot_rps:.1} vs thread-per-request baseline {baseline_rps:.1} (floor {hot_floor:.1})"
-        ),
-    );
+    g.rows
+}
 
-    // --- Cluster smoke gate: 2 shards x 2 replicas over the same workload.
-    //
-    // Enforces the sharded tier's three contracts: every request survives
-    // routing (typed rejections are retried/failed over, so zero reach the
-    // client), merges are deterministic (a cold second edge over the same
-    // shards reproduces every byte), and the scatter overhead stays within
-    // 60% of the committed single-server throughput.
-    eprintln!("\n(cluster smoke gate: 2 shards x 2 replicas…)");
-    let cluster_report = cluster::run(&ClusterLoadOptions::default());
-    println!("{cluster_report}");
-    let cnum = |section: Option<&str>, key: &str| -> f64 {
-        match json_f64(&cluster_report, section, key) {
-            Some(v) => v,
-            None => {
-                eprintln!("FAIL cluster report: missing field {key:?} (section {section:?})");
-                std::process::exit(1);
-            }
-        }
-    };
-    let cluster_rejected = cnum(None, "rejected_total");
-    gate.check(
+/// The sharded tier's contracts: every request survives routing (typed
+/// rejections are retried/failed over, so zero reach the client) and merges
+/// are deterministic (a cold second edge over the same shards reproduces
+/// every byte).
+fn cluster_gates(hub: &MetricsHub) -> Vec<Row> {
+    let mut g = Gates::over(hub);
+    g.zero(
         "cluster rejected_total",
-        cluster_rejected == 0.0,
-        format!("{cluster_rejected} rejections after bounded retry (must be 0)"),
+        "summary",
+        "rejected_total",
+        "rejections after bounded retry",
     );
-    let mismatches = cnum(None, "merge_mismatches");
-    gate.check(
+    g.zero(
         "cluster merge_mismatches",
-        mismatches == 0.0,
-        format!("{mismatches} non-deterministic merges (must be 0)"),
+        "summary",
+        "merge_mismatches",
+        "non-deterministic merges",
     );
-    let lost = cnum(Some("routing"), "rejected_after_retry");
-    gate.check(
+    g.zero(
         "cluster rejected_after_retry",
-        lost == 0.0,
-        format!("{lost} requests exhausted the retry budget (must be 0)"),
+        "cluster",
+        "rejected_after_retry",
+        "requests exhausted the retry budget",
     );
-    let cluster_rps = cnum(None, "total_throughput_rps");
-    let cluster_floor = baseline_rps * 0.4;
-    gate.check(
-        "cluster total_throughput_rps",
-        cluster_rps >= cluster_floor,
-        format!(
-            "{cluster_rps:.1} vs single-server baseline {baseline_rps:.1} (floor {cluster_floor:.1})"
-        ),
-    );
+    g.rows
+}
 
-    // --- Overload smoke gate: a bounded open-loop sweep past saturation
-    // (2x2 cluster, short steps). Enforces graceful degradation: goodput at
-    // the deepest offered load holds >= 50% of the sweep's peak, every
-    // shed request fails *typed* (zero untyped failures), and tier-keyed
-    // caches never leak a degraded payload into a tier-0 lookup.
-    eprintln!("\n(overload smoke gate: open-loop sweep, 2 shards x 2 replicas…)");
-    let overload_report = overload::run(&OverloadOptions::smoke());
-    println!("{overload_report}");
-    let onum = |key: &str| -> f64 {
-        match json_f64(&overload_report, Some("overload"), key) {
-            Some(v) => v,
-            None => {
-                eprintln!("FAIL overload report: missing field {key:?}");
-                std::process::exit(1);
-            }
+/// Graceful degradation past saturation: goodput at the deepest offered
+/// load holds, every shed request fails *typed*, and tier-keyed caches
+/// never leak a degraded payload into a tier-0 lookup.
+fn overload_gates(hub: &MetricsHub) -> Vec<Row> {
+    let mut g = Gates::over(hub);
+    g.check(
+        "overload goodput_floor_ratio",
+        [
+            ("overload", "goodput_floor_ratio"),
+            ("overload", "past_saturation_goodput_rps"),
+            ("overload", "peak_goodput_rps"),
+        ],
+        |[ratio, past, peak]| {
+            (
+                ratio >= 0.5,
+                format!(
+                    "past-saturation goodput is {:.0}% of peak ({past:.1} vs {peak:.1} rps; \
+                     floor 50%)",
+                    ratio * 100.0
+                ),
+            )
+        },
+    );
+    g.zero(
+        "overload untyped_failures",
+        "overload",
+        "untyped_failures",
+        "failures without a typed rejection",
+    );
+    g.zero(
+        "overload tier_mix_violations",
+        "overload",
+        "tier_mix_violations",
+        "degraded payloads leaked into tier-0 lookups",
+    );
+    g.check(
+        "overload monotone_offered",
+        [("overload", "monotone_offered")],
+        |[flag]| {
+            (
+                flag == 1.0,
+                format!("offered-load sweep monotone flag = {flag} (must be 1)"),
+            )
+        },
+    );
+    g.rows
+}
+
+/// The transport's contracts under replica loss: the router's bounded
+/// retry + failover absorbs it, the socket path reproduces the in-process
+/// oracle's bytes, and the crash is real and *visible*.
+fn wire_gates(hub: &MetricsHub) -> Vec<Row> {
+    let mut g = Gates::over(hub);
+    g.zero(
+        "wire rejected_total",
+        "summary",
+        "rejected_total",
+        "errors survived bounded retry under replica loss",
+    );
+    g.zero(
+        "wire merge_mismatches",
+        "summary",
+        "merge_mismatches",
+        "divergences from the in-process oracle",
+    );
+    g.check(
+        "wire replica kill drill",
+        [
+            ("kill_drill", "replica_killed"),
+            ("kill_drill", "dead_probe_failed"),
+        ],
+        |[killed, probe_failed]| {
+            (
+                killed == 1.0 && probe_failed == 1.0,
+                format!(
+                    "replica_killed={killed} dead_probe_failed={probe_failed} (both must be \
+                     1: the crash happened and the dead replica refuses direct calls)"
+                ),
+            )
+        },
+    );
+    g.check(
+        "wire io_errors observed",
+        [("cluster", "wire_io_errors")],
+        |[n]| {
+            (
+                n >= 1.0,
+                format!("{n} transport errors counted (must be >= 1 after a crash)"),
+            )
+        },
+    );
+    g.zero(
+        "wire rejected_after_retry",
+        "cluster",
+        "rejected_after_retry",
+        "requests exhausted the retry budget",
+    );
+    g.rows
+}
+
+/// The snapshot format's contracts: every child loads its snapshot (a
+/// fallback means the bytes were rejected), the snapshot-fed fleet answers
+/// byte-identically to the oracle built by generating from scratch, and
+/// the slowest child's load is strictly faster than the parent's
+/// generate+partition (the regenerate path every child would otherwise pay).
+fn snapshot_gates(hub: &MetricsHub) -> Vec<Row> {
+    let mut g = Gates::over(hub);
+    g.check(
+        "snapshot loads",
+        [
+            ("config", "shards"),
+            ("config", "replicas"),
+            ("bringup", "snapshot_loads"),
+            ("bringup", "generate_fallbacks"),
+        ],
+        |[shards, replicas, loads, fallbacks]| {
+            let children = shards * replicas;
+            (
+                loads == children && fallbacks == 0.0,
+                format!(
+                    "{loads} of {children} children loaded snapshots, {fallbacks} fell \
+                     back to generate (must be all / 0)"
+                ),
+            )
+        },
+    );
+    g.zero(
+        "snapshot merge_mismatches",
+        "summary",
+        "merge_mismatches",
+        "divergences from the generate-path oracle",
+    );
+    g.zero(
+        "snapshot rejected_total",
+        "summary",
+        "rejected_total",
+        "errors surfaced to clients",
+    );
+    g.check(
+        "snapshot bringup faster than regenerate",
+        [
+            ("bringup", "max_child_data_us"),
+            ("bringup", "parent_generate_us"),
+            ("bringup", "parent_partition_us"),
+        ],
+        |[load, generate, partition]| {
+            let regenerate = generate + partition;
+            (
+                load < regenerate,
+                format!(
+                    "slowest child snapshot load {load}µs vs parent generate+partition \
+                     {regenerate}µs (must be strictly faster)"
+                ),
+            )
+        },
+    );
+    g.rows
+}
+
+/// `--rounds N` (default 2), the only flag.
+fn parse(mut args: Args) -> Result<usize, String> {
+    let rounds = args.number("--rounds", 2)?;
+    args.finish()?;
+    Ok(rounds)
+}
+
+fn main() {
+    let rounds = parse(Args::from_env()).unwrap_or_else(|e| {
+        eprintln!("serve_check: {e}");
+        std::process::exit(2);
+    });
+
+    let mut failures = 0;
+    let mut judge = |hub: MetricsHub, gates: GateTable| {
+        println!("{}", hub.to_json());
+        for (name, pass, detail) in gates(&hub) {
+            eprintln!("{} {name}: {detail}", if pass { "PASS" } else { "FAIL" });
+            failures += u32::from(!pass);
         }
     };
-    let floor_ratio = onum("goodput_floor_ratio");
-    gate.check(
-        "overload goodput_floor_ratio",
-        floor_ratio >= 0.5,
-        format!(
-            "past-saturation goodput is {:.0}% of peak ({:.1} vs {:.1} rps; floor 50%)",
-            floor_ratio * 100.0,
-            onum("past_saturation_goodput_rps"),
-            onum("peak_goodput_rps"),
-        ),
-    );
-    let untyped = onum("untyped_failures");
-    gate.check(
-        "overload untyped_failures",
-        untyped == 0.0,
-        format!("{untyped} failures without a typed rejection (must be 0)"),
-    );
-    let tier_mix = onum("tier_mix_violations");
-    gate.check(
-        "overload tier_mix_violations",
-        tier_mix == 0.0,
-        format!(
-            "{tier_mix} degraded payloads leaked into tier-0 lookups \
-             (sample {}, must be 0)",
-            onum("tier_mix_sample"),
-        ),
-    );
-    let monotone = onum("monotone_offered");
-    gate.check(
-        "overload monotone_offered",
-        monotone == 1.0,
-        format!("offered-load sweep monotone flag = {monotone} (must be 1)"),
-    );
 
-    // --- Wire smoke gate: the cluster workload over real loopback sockets
-    // (2 shards x 2 replicas behind WireServer/WireClient), with one replica
-    // crashed mid-run. Enforces the transport's three contracts: the
-    // router's bounded retry + failover absorbs the loss (zero requests
-    // surface an error), the socket path reproduces the in-process oracle's
-    // bytes, and the crash is real and *visible* — the dead replica refuses
-    // a direct probe and the transport counters record the IO errors.
+    let opts = ServeLoadOptions {
+        rounds,
+        // A relaxed queue deadline: the zero-rejection gate must catch real
+        // admission regressions, not a noisy CI runner descheduling one
+        // thread past the serving posture's 100ms for a moment.
+        queue_wait_ms: 1_000,
+        ..ServeLoadOptions::default()
+    };
+    judge(serve::run(&opts), serve_gates);
+    eprintln!("\n(cluster smoke gate: 2 shards x 2 replicas…)");
+    judge(cluster::run(&ClusterLoadOptions::default()), cluster_gates);
+    eprintln!("\n(overload smoke gate: open-loop sweep, 2 shards x 2 replicas…)");
+    judge(overload::run(&OverloadOptions::smoke()), overload_gates);
     eprintln!(
         "\n(wire smoke gate: 2 shards x 2 replicas over sockets, one replica killed mid-run…)"
     );
-    let wire_report = wire::run(&WireLoadOptions::smoke());
-    println!("{wire_report}");
-    let wnum = |section: Option<&str>, key: &str| -> f64 {
-        match json_f64(&wire_report, section, key) {
-            Some(v) => v,
-            None => {
-                eprintln!("FAIL wire report: missing field {key:?} (section {section:?})");
-                std::process::exit(1);
-            }
-        }
-    };
-    let wire_rejected = wnum(None, "rejected_total");
-    gate.check(
-        "wire rejected_total",
-        wire_rejected == 0.0,
-        format!("{wire_rejected} errors survived bounded retry under replica loss (must be 0)"),
-    );
-    let wire_mismatches = wnum(None, "merge_mismatches");
-    gate.check(
-        "wire merge_mismatches",
-        wire_mismatches == 0.0,
-        format!("{wire_mismatches} divergences from the in-process oracle (must be 0)"),
-    );
-    let killed = wnum(Some("transport"), "replica_killed");
-    let probe_failed = wnum(Some("transport"), "dead_probe_failed");
-    gate.check(
-        "wire replica kill drill",
-        killed == 1.0 && probe_failed == 1.0,
-        format!(
-            "replica_killed={killed} dead_probe_failed={probe_failed} (both must be 1: \
-             the crash happened and the dead replica refuses direct calls)"
-        ),
-    );
-    let wire_io_errors = wnum(Some("transport"), "wire_io_errors");
-    gate.check(
-        "wire io_errors observed",
-        wire_io_errors >= 1.0,
-        format!("{wire_io_errors} transport errors counted (must be >= 1 after a crash)"),
-    );
-    let wire_lost = wnum(Some("routing"), "rejected_after_retry");
-    gate.check(
-        "wire rejected_after_retry",
-        wire_lost == 0.0,
-        format!("{wire_lost} requests exhausted the retry budget (must be 0)"),
-    );
-
-    // --- Snapshot smoke gate: real `wire_shard` OS processes brought up
-    // from per-shard columnar snapshots written moments earlier. Enforces
-    // the snapshot format's contracts: every child loads its snapshot
-    // (zero fallbacks to regenerate — a fallback means the bytes were
-    // rejected), the snapshot-fed fleet answers byte-identically to the
-    // in-process oracle built by generating from scratch, and the slowest
-    // child's snapshot load is strictly faster than the parent's
-    // generate+partition cost (the regenerate path every child would
-    // otherwise pay).
+    judge(wire::run(&WireLoadOptions::smoke()), wire_gates);
     eprintln!("\n(snapshot smoke gate: shard processes from columnar snapshots at tiny…)");
-    let snap_opts = WireLoadOptions::snapshot_smoke();
-    let snap_report = wire::run(&snap_opts);
-    println!("{snap_report}");
-    let snum = |section: Option<&str>, key: &str| -> f64 {
-        match json_f64(&snap_report, section, key) {
-            Some(v) => v,
-            None => {
-                eprintln!("FAIL snapshot report: missing field {key:?} (section {section:?})");
-                std::process::exit(1);
-            }
-        }
-    };
-    let snap_children = (snap_opts.shards * snap_opts.replicas) as f64;
-    let snap_loads = snum(Some("bringup"), "snapshot_loads");
-    let snap_fallbacks = snum(Some("bringup"), "generate_fallbacks");
-    gate.check(
-        "snapshot loads",
-        snap_loads == snap_children && snap_fallbacks == 0.0,
-        format!(
-            "{snap_loads} of {snap_children} children loaded snapshots, \
-             {snap_fallbacks} fell back to generate (must be all / 0)"
-        ),
-    );
-    let snap_mismatches = snum(None, "merge_mismatches");
-    gate.check(
-        "snapshot merge_mismatches",
-        snap_mismatches == 0.0,
-        format!("{snap_mismatches} divergences from the generate-path oracle (must be 0)"),
-    );
-    let snap_rejected = snum(None, "rejected_total");
-    gate.check(
-        "snapshot rejected_total",
-        snap_rejected == 0.0,
-        format!("{snap_rejected} errors surfaced to clients (must be 0)"),
-    );
-    let regenerate_us =
-        snum(Some("bringup"), "parent_generate_us") + snum(Some("bringup"), "parent_partition_us");
-    let max_load_us = snum(Some("bringup"), "max_child_data_us");
-    gate.check(
-        "snapshot bringup faster than regenerate",
-        max_load_us < regenerate_us,
-        format!(
-            "slowest child snapshot load {max_load_us:.0}µs vs parent \
-             generate+partition {regenerate_us:.0}µs (must be strictly faster)"
-        ),
+    judge(
+        wire::run(&WireLoadOptions::snapshot_smoke()),
+        snapshot_gates,
     );
 
-    if gate.failures > 0 {
-        eprintln!("serve_check: {} gate(s) FAILED", gate.failures);
+    if failures > 0 {
+        eprintln!("serve_check: {failures} gate(s) FAILED");
         std::process::exit(1);
     }
     eprintln!("serve_check: all gates passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report every gate of its phase passes, as `(section, field, value)`
+    /// rows. Eight stages are recorded — the coverage floor exactly, so
+    /// dropping any one `count` must fail.
+    type Fixture = &'static [(&'static str, &'static str, f64)];
+
+    const SERVE: Fixture = &[
+        ("summary", "rejected_total", 0.0),
+        ("server", "open_sessions", 0.0),
+        ("server", "qsm_degraded_runs", 0.0),
+        ("completion_cache", "effective_hit_ratio", 0.998),
+        ("run_cache", "effective_hit_ratio", 0.949),
+        ("config", "burst_rounds", 8.0),
+        ("duplicate_burst", "leader_runs", 16.0),
+        ("duplicate_burst", "bypass_runs", 0.0),
+        ("stats", "final_queued", 0.0),
+        ("request_ledger", "offered_qcm", 97665.0),
+        ("request_ledger", "counted_qcm", 97665.0),
+        ("request_ledger", "offered_runs", 1856.0),
+        ("request_ledger", "counted_runs", 1856.0),
+        ("frontend", "offered_qcm", 35696.0),
+        ("frontend", "counted_qcm", 35696.0),
+        ("frontend", "offered_runs", 1196.0),
+        ("frontend", "counted_runs", 1196.0),
+        ("frontend_queue", "count", 9.0),
+        ("frontend_queue", "p99_us", 3071.0),
+        ("admission_wait", "count", 9.0),
+        ("admission_wait", "p99_us", 1023.0),
+        ("cache_lookup", "count", 9.0),
+        ("cache_lookup", "p99_us", 2.0),
+        ("qcm_scan", "count", 9.0),
+        ("qcm_scan", "p99_us", 23.0),
+        ("qsm_scan", "count", 9.0),
+        ("qsm_scan", "p99_us", 8191.0),
+        ("shard_rtt", "count", 9.0),
+        ("shard_rtt", "p99_us", 50.0),
+        ("edge_merge", "count", 9.0),
+        ("edge_merge", "p99_us", 1.0),
+        ("end_to_end", "count", 9.0),
+        ("end_to_end", "max_us", 56120.0),
+        ("trace", "dropped", 0.0),
+        ("trace", "hot_rps_sampled", 633376.0),
+        ("trace", "hot_rps_untraced", 645239.0),
+        ("exec", "spawns_avoided", 1040.0),
+        ("exec", "tasks_run", 376.0),
+        ("exec", "inline_runs", 664.0),
+        ("exec", "panicked", 0.0),
+        ("medium_smoke", "requests", 256.0),
+        ("medium_smoke", "completed", 256.0),
+        ("medium_smoke", "invalid", 0.0),
+        ("medium_smoke", "fanout_total", 1024.0),
+        ("frontend", "sessions", 2000.0),
+        ("frontend", "workers", 8.0),
+        ("frontend", "rejected_total", 0.0),
+        ("frontend", "sessions_leaked", 0.0),
+        ("frontend", "final_backlog", 0.0),
+        ("frontend", "threads_peak", 18.0),
+        ("frontend", "hot_threads_before", 18.0),
+        ("frontend", "hot_threads_after", 18.0),
+        ("frontend", "rss_peak_kb", 44608.0),
+    ];
+    const CLUSTER: Fixture = &[
+        ("summary", "rejected_total", 0.0),
+        ("summary", "merge_mismatches", 0.0),
+        ("cluster", "rejected_after_retry", 0.0),
+    ];
+    const OVERLOAD: Fixture = &[
+        ("overload", "goodput_floor_ratio", 0.91),
+        ("overload", "past_saturation_goodput_rps", 833.1),
+        ("overload", "peak_goodput_rps", 918.5),
+        ("overload", "untyped_failures", 0.0),
+        ("overload", "tier_mix_violations", 0.0),
+        ("overload", "monotone_offered", 1.0),
+    ];
+    const WIRE: Fixture = &[
+        ("summary", "rejected_total", 0.0),
+        ("summary", "merge_mismatches", 0.0),
+        ("kill_drill", "replica_killed", 1.0),
+        ("kill_drill", "dead_probe_failed", 1.0),
+        ("cluster", "wire_io_errors", 8.0),
+        ("cluster", "rejected_after_retry", 0.0),
+    ];
+    const SNAPSHOT: Fixture = &[
+        ("config", "shards", 2.0),
+        ("config", "replicas", 2.0),
+        ("bringup", "snapshot_loads", 4.0),
+        ("bringup", "generate_fallbacks", 0.0),
+        ("summary", "merge_mismatches", 0.0),
+        ("summary", "rejected_total", 0.0),
+        ("bringup", "max_child_data_us", 1840.0),
+        ("bringup", "parent_generate_us", 3000.0),
+        ("bringup", "parent_partition_us", 407.0),
+    ];
+    const PHASES: [(Fixture, GateTable, usize); 5] = [
+        (SERVE, serve_gates, 34),
+        (CLUSTER, cluster_gates, 3),
+        (OVERLOAD, overload_gates, 4),
+        (WIRE, wire_gates, 5),
+        (SNAPSHOT, snapshot_gates, 4),
+    ];
+
+    /// The fixture as a hub, with row `doctored` left out (`None`) or set
+    /// to another value.
+    fn hub(fixture: Fixture, doctored: Option<(usize, Option<f64>)>) -> MetricsHub {
+        let mut hub = MetricsHub::new();
+        for (i, &(section, field, value)) in fixture.iter().enumerate() {
+            match doctored {
+                Some((at, None)) if at == i => {}
+                Some((at, Some(other))) if at == i => {
+                    hub.section(section).field(field, other);
+                }
+                _ => {
+                    hub.section(section).field(field, value);
+                }
+            }
+        }
+        hub
+    }
+
+    fn failed(rows: &[Row]) -> Vec<&str> {
+        rows.iter()
+            .filter(|(_, pass, _)| !pass)
+            .map(|(name, _, _)| name.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn an_all_good_report_passes_every_gate() {
+        for (fixture, gates, count) in PHASES {
+            let rows = gates(&hub(fixture, None));
+            assert_eq!(failed(&rows), Vec::<&str>::new());
+            assert_eq!(rows.len(), count, "gates judged");
+        }
+    }
+
+    #[test]
+    fn a_report_missing_any_gated_field_fails() {
+        for (fixture, gates, _) in PHASES {
+            for (i, (section, field, _)) in fixture.iter().enumerate() {
+                let rows = gates(&hub(fixture, Some((i, None))));
+                assert!(
+                    !failed(&rows).is_empty(),
+                    "no gate noticed that {section}.{field} is missing"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_counted_twice_fails_the_ledger_and_only_the_ledger() {
+        let at = SERVE
+            .iter()
+            .position(|row| (row.0, row.1) == ("request_ledger", "counted_qcm"))
+            .unwrap();
+        let rows = serve_gates(&hub(SERVE, Some((at, Some(97666.0)))));
+        assert_eq!(failed(&rows), ["request_ledger ledger: qcm"]);
+    }
+
+    #[test]
+    fn each_gate_fails_on_the_value_that_breaks_it() {
+        type Doctoring = (&'static str, &'static str, f64, &'static str);
+        let cases: [(Fixture, GateTable, &[Doctoring]); 5] = [
+            (
+                SERVE,
+                serve_gates,
+                &[
+                    ("summary", "rejected_total", 1.0, "rejected_total"),
+                    ("server", "open_sessions", 1.0, "sessions_leaked"),
+                    (
+                        "run_cache",
+                        "effective_hit_ratio",
+                        0.89,
+                        "run_cache.effective_hit_ratio",
+                    ),
+                    (
+                        "duplicate_burst",
+                        "bypass_runs",
+                        1.0,
+                        "duplicate_burst scans",
+                    ),
+                    (
+                        "server",
+                        "qsm_degraded_runs",
+                        1.0,
+                        "server.qsm_degraded_runs",
+                    ),
+                    ("stats", "final_queued", 1.0, "stats.final_queued"),
+                    ("frontend", "offered_runs", 1.0, "frontend ledger: runs"),
+                    ("qsm_scan", "count", 0.0, "stages coverage"),
+                    ("qsm_scan", "p99_us", 56121.0, "stages.qsm_scan.p99_us"),
+                    ("trace", "dropped", 1.0, "trace.dropped"),
+                    (
+                        "trace",
+                        "hot_rps_sampled",
+                        500000.0,
+                        "trace sampling overhead",
+                    ),
+                    ("exec", "spawns_avoided", 0.0, "exec.spawns_avoided"),
+                    ("exec", "inline_runs", 663.0, "exec task accounting"),
+                    ("exec", "panicked", 1.0, "exec.panicked"),
+                    ("medium_smoke", "requests", 0.0, "medium_smoke ran"),
+                    (
+                        "medium_smoke",
+                        "invalid",
+                        1.0,
+                        "medium_smoke.scatter completed",
+                    ),
+                    (
+                        "medium_smoke",
+                        "fanout_total",
+                        768.0,
+                        "medium_smoke.fanout_total",
+                    ),
+                    ("frontend", "workers", 9.0, "frontend.sessions/workers"),
+                    ("frontend", "rejected_total", 1.0, "frontend.rejected_total"),
+                    (
+                        "frontend",
+                        "sessions_leaked",
+                        1.0,
+                        "frontend.sessions_leaked",
+                    ),
+                    ("frontend", "final_backlog", 1.0, "frontend.final_backlog"),
+                    ("frontend", "threads_peak", 49.0, "frontend.threads_peak"),
+                    (
+                        "frontend",
+                        "hot_threads_after",
+                        19.0,
+                        "frontend.hot loop creates zero threads",
+                    ),
+                    (
+                        "frontend",
+                        "rss_peak_kb",
+                        2_097_153.0,
+                        "frontend.rss_peak_kb",
+                    ),
+                ],
+            ),
+            (
+                CLUSTER,
+                cluster_gates,
+                &[
+                    ("summary", "rejected_total", 1.0, "cluster rejected_total"),
+                    (
+                        "summary",
+                        "merge_mismatches",
+                        1.0,
+                        "cluster merge_mismatches",
+                    ),
+                    (
+                        "cluster",
+                        "rejected_after_retry",
+                        1.0,
+                        "cluster rejected_after_retry",
+                    ),
+                ],
+            ),
+            (
+                OVERLOAD,
+                overload_gates,
+                &[
+                    (
+                        "overload",
+                        "goodput_floor_ratio",
+                        0.49,
+                        "overload goodput_floor_ratio",
+                    ),
+                    (
+                        "overload",
+                        "untyped_failures",
+                        1.0,
+                        "overload untyped_failures",
+                    ),
+                    (
+                        "overload",
+                        "tier_mix_violations",
+                        1.0,
+                        "overload tier_mix_violations",
+                    ),
+                    (
+                        "overload",
+                        "monotone_offered",
+                        0.0,
+                        "overload monotone_offered",
+                    ),
+                ],
+            ),
+            (
+                WIRE,
+                wire_gates,
+                &[
+                    ("summary", "rejected_total", 1.0, "wire rejected_total"),
+                    ("summary", "merge_mismatches", 1.0, "wire merge_mismatches"),
+                    (
+                        "kill_drill",
+                        "dead_probe_failed",
+                        0.0,
+                        "wire replica kill drill",
+                    ),
+                    ("cluster", "wire_io_errors", 0.0, "wire io_errors observed"),
+                    (
+                        "cluster",
+                        "rejected_after_retry",
+                        1.0,
+                        "wire rejected_after_retry",
+                    ),
+                ],
+            ),
+            (
+                SNAPSHOT,
+                snapshot_gates,
+                &[
+                    ("bringup", "generate_fallbacks", 1.0, "snapshot loads"),
+                    (
+                        "summary",
+                        "merge_mismatches",
+                        1.0,
+                        "snapshot merge_mismatches",
+                    ),
+                    ("summary", "rejected_total", 1.0, "snapshot rejected_total"),
+                    (
+                        "bringup",
+                        "max_child_data_us",
+                        3407.0,
+                        "snapshot bringup faster than regenerate",
+                    ),
+                ],
+            ),
+        ];
+        for (fixture, gates, doctorings) in cases {
+            for &(section, field, bad, gate) in doctorings {
+                let at = fixture
+                    .iter()
+                    .position(|row| (row.0, row.1) == (section, field))
+                    .unwrap();
+                let rows = gates(&hub(fixture, Some((at, Some(bad)))));
+                assert!(
+                    failed(&rows).contains(&gate),
+                    "{section}.{field} = {bad} should fail {gate:?}, failed: {:?}",
+                    failed(&rows)
+                );
+            }
+        }
+    }
 }

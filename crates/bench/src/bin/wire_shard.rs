@@ -37,7 +37,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sapphire_bench::serve::{arg_string, arg_usize};
+use sapphire_bench::args::Args;
 use sapphire_bench::{dataset_for, experiment_config};
 use sapphire_core::{InitMode, PredictiveUserModel};
 use sapphire_datagen::generate;
@@ -47,12 +47,26 @@ use sapphire_server::{SapphireServer, ServerConfig, ShardService};
 use sapphire_text::Lexicon;
 use sapphire_wire::{WireServer, WireServerConfig};
 
+/// `(scale, shards, shard, replica, snapshot path)` from the command line.
+fn parse(mut args: Args) -> Result<(String, usize, usize, usize, Option<String>), String> {
+    let parsed = (
+        args.string("--scale")?
+            .unwrap_or_else(|| "tiny".to_string()),
+        args.number("--shards", 2)?,
+        args.number("--shard", 0)?,
+        args.number("--replica", 0)?,
+        args.string("--snapshot")?,
+    );
+    args.finish()?;
+    Ok(parsed)
+}
+
 fn main() {
-    let scale = arg_string("--scale").unwrap_or_else(|| "tiny".to_string());
-    let shards = arg_usize("--shards", 2);
-    let shard = arg_usize("--shard", 0);
-    let replica = arg_usize("--replica", 0);
-    let snapshot_path = arg_string("--snapshot");
+    let (scale, shards, shard, replica, snapshot_path) =
+        parse(Args::from_env()).unwrap_or_else(|e| {
+            eprintln!("wire_shard: {e}");
+            std::process::exit(2);
+        });
     assert!(shards >= 1, "--shards must be at least 1");
     assert!(
         shard < shards,

@@ -5,25 +5,26 @@
 //! instead of one `SapphireServer` — the scatter-gather edge, load-aware
 //! routing, typed retry, and the deterministic merges all on the hot path.
 //! On top of throughput/latency it reports the router's own observability
-//! ([`sapphire_cluster::ClusterMetrics`]) and runs a
+//! ([`ClusterRouter::export_metrics`]) and runs a
 //! **determinism self-check**: a second router with fresh edge caches over
 //! the *same* shard replicas replays a sample of the workload, and any
-//! byte-level divergence is counted in `merge_mismatches` (the CI gate
-//! requires zero).
+//! byte-level divergence is counted in `summary.merge_mismatches` (the CI
+//! gate requires zero).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use sapphire_cluster::{Cluster, ClusterConfig, ClusterError, ClusterRouter};
 use sapphire_core::session::{Modifiers, Session};
-use sapphire_core::{CacheStats, PredictiveUserModel};
+use sapphire_core::PredictiveUserModel;
 use sapphire_datagen::generate;
 use sapphire_datagen::workload::{appendix_b, Question};
+use sapphire_obs::MetricsHub;
 use sapphire_server::{ServerConfig, ServerError};
 use sapphire_sparql::SelectQuery;
 use sapphire_text::Lexicon;
 
-use crate::serve::ClassStats;
+use crate::serve::{closed_loop_sections, ClassStats};
 use crate::{dataset_for, experiment_config};
 
 /// Everything the cluster harness can be asked to do.
@@ -107,8 +108,8 @@ pub(crate) fn workload_queries(
         .collect()
 }
 
-/// Run the cluster workload and return the JSON report.
-pub fn run(opts: &ClusterLoadOptions) -> String {
+/// Run the cluster workload and return the report.
+pub fn run(opts: &ClusterLoadOptions) -> MetricsHub {
     let dataset = dataset_for(&opts.scale);
     eprintln!(
         "(generating dataset + initializing {} shard models x {} replicas…)",
@@ -246,26 +247,6 @@ pub fn run(opts: &ClusterLoadOptions) -> String {
         }
     }
 
-    let metrics = router.metrics();
-    let cache_stats = |s: CacheStats| {
-        format!(
-            "{{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_ratio\": {:.3}}}",
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.hit_ratio()
-        )
-    };
-    let fanout_total: u64 = metrics.fanout_per_shard.iter().sum();
-    // One ledger with the overload report: the steady-state run surfaces the
-    // same degraded-merge counters (total and per tier) the router counts.
-    let degraded_tiers: String = metrics
-        .degraded_by_tier
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(tier, runs)| format!(", \"degraded_tier{tier}\": {runs}"))
-        .collect();
     let obs = router.obs();
     if opts.trace_sample > 0 {
         eprintln!(
@@ -273,55 +254,32 @@ pub fn run(opts: &ClusterLoadOptions) -> String {
             obs.recorder().dump_slowest(5)
         );
     }
-    let report = format!(
-        "{{\n  \"benchmark\": \"serve_cluster\",\n  \"config\": {{\"users\": {}, \
-         \"rounds\": {}, \"scale\": \"{}\", \"shards\": {}, \"replicas\": {}, \
-         \"triples\": {triple_count}, \"schema_triples\": {schema_triples}, \
-         \"stored_triples\": {stored_triples}}},\n  \
-         \"wall_seconds\": {:.3},\n  \"total_throughput_rps\": {:.1},\n  \
-         \"qcm\": {},\n  \"qsm\": {},\n  \
-         \"routing\": {{\"fanout_total\": {fanout_total}, \"hedges_fired\": {}, \
-         \"hedges_won\": {}, \"replica_retries\": {}, \"rejected_after_retry\": {}, \
-         \"merges\": {}, \"merge_depth_max\": {}, \"edge_coalesced_hits\": {}, \
-         \"edge_coalesce_leaders\": {}, \"degraded_runs\": {}{degraded_tiers}}},\n  \
-         \"transport\": {{\"wire_connects\": {}, \"wire_reconnects\": {}, \
-         \"wire_io_errors\": {}, \"wire_corrupt_frames\": {}}},\n  \
-         \"edge_completion_cache\": {},\n  \"edge_run_cache\": {},\n  \
-         \"stages\": {},\n  \
-         \"trace\": {{\"sampling\": {}, \"recorded\": {}, \"dropped\": {}}},\n  \
-         \"bringup\": {{\"mode\": \"generate\", \"generate_us\": {generate_us}, \
-         \"partition_us\": {partition_us}, \"model_init_us\": {model_init_us}}},\n  \
-         \"merge_mismatches\": {merge_mismatches},\n  \
-         \"rejected_total\": {}\n}}",
-        opts.users,
-        opts.rounds,
-        opts.scale,
-        opts.shards,
-        opts.replicas,
-        wall.as_secs_f64(),
-        (qcm.latencies_us.len() + qsm.latencies_us.len()) as f64 / wall.as_secs_f64().max(1e-9),
-        qcm.json(wall),
-        qsm.json(wall),
-        metrics.hedges_fired,
-        metrics.hedges_won,
-        metrics.replica_retries,
-        metrics.rejected_after_retry,
-        metrics.merges,
-        metrics.merge_depth_max,
-        metrics.edge_coalesced_hits,
-        metrics.edge_coalesce_leaders,
-        metrics.degraded_runs,
-        metrics.wire_connects,
-        metrics.wire_reconnects,
-        metrics.wire_io_errors,
-        metrics.wire_corrupt_frames,
-        cache_stats(metrics.completion_cache),
-        cache_stats(metrics.run_cache),
-        obs.stages_json(),
-        opts.trace_sample,
-        obs.recorder().recorded(),
-        obs.recorder().evicted(),
-        qcm.rejected() + qsm.rejected(),
-    );
-    report
+    let mut hub = MetricsHub::new();
+    hub.section("summary").field("benchmark", "serve_cluster");
+    hub.section("config")
+        .field("users", opts.users)
+        .field("rounds", opts.rounds)
+        .field("scale", opts.scale.as_str())
+        .field("shards", opts.shards)
+        .field("replicas", opts.replicas)
+        .field("triples", triple_count)
+        .field("schema_triples", schema_triples)
+        .field("stored_triples", stored_triples);
+    closed_loop_sections(&mut hub, wall, &qcm, &qsm);
+    hub.section("summary")
+        .field("rejected_total", qcm.rejected() + qsm.rejected())
+        .field("merge_mismatches", merge_mismatches);
+    // Routing, transport and degraded-merge counters, per-shard fan-out,
+    // the edge caches and the router's stages: the router's own export.
+    hub.merge(router.export_metrics());
+    hub.section("trace")
+        .field("sampling", u64::from(opts.trace_sample))
+        .field("recorded", obs.recorder().recorded())
+        .field("dropped", obs.recorder().evicted());
+    hub.section("bringup")
+        .field("mode", "generate")
+        .field("generate_us", generate_us)
+        .field("partition_us", partition_us)
+        .field("model_init_us", model_init_us);
+    hub
 }

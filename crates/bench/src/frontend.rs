@@ -20,12 +20,12 @@
 //! 2. **Hot phase** — a subset of sessions turns think time off and drives
 //!    closed-loop through the same front-end (each response immediately
 //!    submits the next request), measuring the event loop's throughput
-//!    ceiling against the committed thread-per-request baseline.
+//!    ceiling.
 //!
 //! Standalone: `cargo run --release -p sapphire-bench --bin serve_load --
 //! --frontend [--sessions 2000] [--workers 8] [--think 100] [--hold 1500]`.
 //! `serve_load`'s default single-server run also embeds this phase as the
-//! `"frontend"` report section (over the same shared model), which the
+//! `frontend*` report sections (over the same shared model), which the
 //! `serve_check` CI gate enforces.
 
 use std::cmp::Reverse;
@@ -42,6 +42,7 @@ use sapphire_core::session::Modifiers;
 use sapphire_core::{InitMode, PredictiveUserModel};
 use sapphire_datagen::generate;
 use sapphire_datagen::workload::{appendix_b, Question};
+use sapphire_obs::MetricsHub;
 use sapphire_server::frontend::{FrontRequest, FrontResponse};
 use sapphire_server::{Frontend, FrontendConfig, SapphireServer, ServerConfig, ServerError};
 
@@ -284,14 +285,17 @@ fn hot_next(state: &Arc<HotState>) {
 // --- The phase itself -------------------------------------------------------
 
 /// Run the front-end phase over an already-initialized shared model and
-/// return its JSON report section (one `{...}` object). `obs` aggregates
-/// this phase's stage histograms and traces into a caller-shared handle
-/// (`None` gives the phase its own).
+/// return its report: the front-end's own
+/// [`export_metrics`](Frontend::export_metrics) (its server, caches, stages
+/// and `frontend` counters) with the harness's measurements added to
+/// `frontend` and the per-class stats in `frontend_qcm`/`frontend_qsm`.
+/// `obs` aggregates this phase's stage histograms and traces into a
+/// caller-shared handle (`None` gives the phase its own).
 pub fn phase(
     pum: Arc<PredictiveUserModel>,
     opts: &FrontendPhaseOptions,
     obs: Option<Arc<sapphire_obs::Obs>>,
-) -> String {
+) -> MetricsHub {
     let queue_wait_ms = if opts.queue_wait_ms > 0 {
         opts.queue_wait_ms
     } else {
@@ -509,64 +513,62 @@ pub fn phase(
     }
     let final_backlog = fe.backlog();
     drop(hot_states);
-    let frontend = Arc::try_unwrap(fe)
+    // Every close has been answered, so the front-end's counters are final.
+    let mut hub = fe.export_metrics();
+    Arc::try_unwrap(fe)
         .unwrap_or_else(|_| panic!("all front-end handles released"))
         .shutdown();
     sampler_stop.store(true, Ordering::Relaxed);
     sampler.join().expect("sampler never panics");
 
     let server_metrics = server.metrics();
-    // Queue timeouts are NOT added separately: they arrive through the same
-    // callbacks as every other outcome and are already inside the class
-    // stats (think phase) and `hot_errors` (hot phase) — adding
-    // `frontend.queue_timeouts` on top would double-count each one.
-    let rejected_total = qcm.rejected() + qsm.rejected() + instant_failures + hot_errors;
-    format!(
-        "{{\"sessions\": {}, \"workers\": {}, \"think_ms\": {}, \"hold_seconds\": {:.3}, \
-         \"submitted\": {}, \"completed\": {}, \"rejected_total\": {rejected_total}, \
-         \"queue_timeouts\": {}, \"ticket_waits\": {}, \"immediate_grants\": {}, \
-         \"think_requests\": {think_requests}, \"think_throughput_rps\": {:.1}, \
-         \"hot_sessions\": {}, \"hot_requests\": {hot_requests}, \"hot_seconds\": {:.3}, \
-         \"hot_throughput_rps\": {:.1}, \"hot_p50_us\": {hot_p50}, \
-         \"hot_threads_before\": {hot_threads_before}, \
-         \"hot_threads_after\": {hot_threads_after}, \
-         \"threads_peak\": {}, \"rss_peak_kb\": {}, \"peak_ready\": {}, \
-         \"final_backlog\": {final_backlog}, \"sessions_leaked\": {}, \
-         \"qcm\": {}, \"qsm\": {}, \
-         \"request_ledger\": {{\"offered_qcm\": {}, \"offered_runs\": {}, \
-         \"counted_qcm\": {}, \"counted_runs\": {}}}}}",
-        opts.sessions,
-        workers,
-        opts.think_ms,
-        think_wall.as_secs_f64(),
-        frontend.submitted,
-        frontend.completed,
-        frontend.queue_timeouts,
-        frontend.ticket_waits,
-        frontend.immediate_grants,
-        think_sampled as f64 / think_wall.as_secs_f64().max(1e-9),
-        opts.hot_sessions,
-        hot_wall.as_secs_f64(),
-        hot_requests as f64 / hot_wall.as_secs_f64().max(1e-9),
-        peaks.0.load(Ordering::Relaxed),
-        peaks.1.load(Ordering::Relaxed),
-        frontend.peak_ready,
-        server_metrics.open_sessions,
-        qcm.json(think_wall),
-        qsm.json(think_wall),
+    qcm.fields(think_wall, hub.section("frontend_qcm"));
+    qsm.fields(think_wall, hub.section("frontend_qsm"));
+    hub.section("frontend")
+        .field("sessions", opts.sessions)
+        .field("workers", workers)
+        .field("think_ms", opts.think_ms)
+        .field("hold_seconds", think_wall.as_secs_f64())
+        // Queue timeouts are NOT added separately: they arrive through the
+        // same callbacks as every other outcome and are already inside the
+        // class stats (think phase) and `hot_errors` (hot phase) — adding
+        // the front-end's `queue_timeouts` on top would double-count each.
+        .field(
+            "rejected_total",
+            qcm.rejected() + qsm.rejected() + instant_failures + hot_errors,
+        )
+        .field("think_requests", think_requests)
+        .field(
+            "think_throughput_rps",
+            think_sampled as f64 / think_wall.as_secs_f64().max(1e-9),
+        )
+        .field("hot_sessions", opts.hot_sessions)
+        .field("hot_requests", hot_requests)
+        .field("hot_seconds", hot_wall.as_secs_f64())
+        .field(
+            "hot_throughput_rps",
+            hot_requests as f64 / hot_wall.as_secs_f64().max(1e-9),
+        )
+        .field("hot_p50_us", hot_p50)
+        .field("hot_threads_before", hot_threads_before)
+        .field("hot_threads_after", hot_threads_after)
+        .field("threads_peak", peaks.0.load(Ordering::Relaxed))
+        .field("rss_peak_kb", peaks.1.load(Ordering::Relaxed))
+        .field("final_backlog", final_backlog)
+        .field("sessions_leaked", server_metrics.open_sessions)
         // Offered vs counted (see `serve::run`'s ledger): the think phase's
         // scripted requests plus the hot phase's completions, against the
         // server's pre-gate counters.
-        qcm.offered() + hot_requests + hot_errors,
-        qsm.offered(),
-        server_metrics.completion_requests,
-        server_metrics.run_requests,
-    )
+        .field("offered_qcm", qcm.offered() + hot_requests + hot_errors)
+        .field("offered_runs", qsm.offered())
+        .field("counted_qcm", server_metrics.completion_requests)
+        .field("counted_runs", server_metrics.run_requests);
+    hub
 }
 
 /// Standalone `frontend_load` run: build the dataset and shared model, run
-/// the phase, and return the full JSON report.
-pub fn run(opts: &FrontendPhaseOptions, scale: &str) -> String {
+/// the phase, and return the full report.
+pub fn run(opts: &FrontendPhaseOptions, scale: &str) -> MetricsHub {
     let dataset = dataset_for(scale);
     eprintln!("(generating dataset + initializing shared model…)");
     let graph = generate(dataset);
@@ -585,9 +587,10 @@ pub fn run(opts: &FrontendPhaseOptions, scale: &str) -> String {
         )
         .expect("initialization"),
     );
-    format!(
-        "{{\n  \"benchmark\": \"frontend_load\",\n  \"config\": {{\"scale\": \"{scale}\", \
-         \"triples\": {triple_count}}},\n  \"frontend\": {}\n}}",
-        phase(pum, opts, None)
-    )
+    let mut hub = phase(pum, opts, None);
+    hub.section("summary").field("benchmark", "frontend_load");
+    hub.section("config")
+        .field("scale", scale)
+        .field("triples", triple_count);
+    hub
 }

@@ -2,9 +2,10 @@
 //!
 //! Experiment harness for the Sapphire reproduction: report binaries that
 //! regenerate every table and figure of the paper's evaluation (§7), plus
-//! Criterion micro-benchmarks. See DESIGN.md's per-experiment index and
-//! EXPERIMENTS.md for paper-vs-measured numbers.
+//! the serving-tier load generators and their CI gate. See DESIGN.md's
+//! per-experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
 
+pub mod args;
 pub mod cluster;
 pub mod frontend;
 pub mod overload;
@@ -15,11 +16,10 @@ use sapphire_core::SapphireConfig;
 use sapphire_datagen::DatasetConfig;
 use sapphire_rdf::{Graph, Term};
 
-/// The `sparql_exec` bench's queries, over the `small` dataset: BGP joins of
-/// the shapes the workload uses, and the §5 initialization page shapes (Q6
+/// Evaluator probe queries over the `small` dataset: BGP joins of the
+/// shapes the workload uses, and the §5 initialization page shapes (Q6
 /// `distinct_page`, Q8 `group_order_page`) at OFFSET 0 and at a late offset.
-/// Shared with `tests/evaluator_pins.rs`, which pins each one's work units
-/// and answer.
+/// `tests/evaluator_pins.rs` pins each one's work units and answer.
 pub const SPARQL_EXEC_CASES: &[(&str, &str)] = &[
     (
         "point_lookup",
@@ -116,8 +116,8 @@ pub fn experiment_config() -> SapphireConfig {
 /// significance scores directly from a graph.
 ///
 /// This bypasses the initialization query pipeline; it is used only by
-/// micro-benchmarks that need a large literal corpus without paying init
-/// time. The *experiment* binaries (`init_cost`) use the real pipeline.
+/// report binaries (`qcm_response`, `ablation`) that need a large literal
+/// corpus without paying init time. `init_cost` uses the real pipeline.
 pub fn harvest_literals(graph: &Graph, language: &str, max_len: usize) -> Vec<(String, u64)> {
     use std::collections::HashMap;
     let mut scores: HashMap<String, u64> = HashMap::new();

@@ -14,8 +14,9 @@
 //! measured from the *scheduled* arrival, not the launch, so a backed-up
 //! launcher pool cannot hide queueing delay.
 //!
-//! Past saturation the contract is *graceful degradation*, and the
-//! `overload` report section measures exactly that, per sweep step:
+//! Past saturation the contract is *graceful degradation*, and the report's
+//! `overload` section (sweep totals) and `step<N>` sections measure exactly
+//! that, per sweep step:
 //!
 //! * **goodput** — completed requests per second (degraded answers count:
 //!   they are correct, just shallower);
@@ -45,7 +46,7 @@ use sapphire_core::PredictiveUserModel;
 use sapphire_datagen::generate;
 use sapphire_datagen::workload::appendix_b;
 use sapphire_endpoint::Backoff;
-use sapphire_obs::{Snapshot, Stage};
+use sapphire_obs::{MetricsHub, Snapshot, Stage};
 use sapphire_server::ServerConfig;
 use sapphire_sparql::SelectQuery;
 use sapphire_text::Lexicon;
@@ -387,8 +388,8 @@ fn run_step(
 }
 
 /// Run the calibration phase plus the offered-load sweep and return the
-/// JSON report (with the `overload` section the CI gate reads).
-pub fn run(opts: &OverloadOptions) -> String {
+/// report (with the `overload` section the CI gate reads).
+pub fn run(opts: &OverloadOptions) -> MetricsHub {
     assert!(
         opts.steps.windows(2).all(|w| w[0] <= w[1]),
         "the offered-load sweep must be non-decreasing"
@@ -538,82 +539,59 @@ pub fn run(opts: &OverloadOptions) -> String {
     };
     let monotone_offered = outcomes
         .windows(2)
-        .all(|w| w[0].offered_rps <= w[1].offered_rps) as u8;
+        .all(|w| w[0].offered_rps <= w[1].offered_rps);
     let untyped_failures: u64 = outcomes.iter().map(|o| o.stats.typed_counts().3).sum();
     let late_launches: u64 = outcomes.iter().map(|o| o.late_launches).sum();
-    let metrics = router.metrics();
-    let steps_json: Vec<String> = outcomes
-        .iter()
-        .zip(goodputs.iter())
-        .map(|(o, goodput)| {
-            let (overloaded, queue_timeout, quota, invalid) = o.stats.typed_counts();
-            let tiers: String = o
-                .degraded_by_tier
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(tier, runs)| format!(", \"degraded_tier{tier}\": {runs}"))
-                .collect();
-            format!(
-                "{{\"offered_rps\": {:.1}, \"arrivals\": {}, \"completed\": {}, \
-                 \"goodput_rps\": {goodput:.1}, \"wall_seconds\": {:.3}, \
-                 \"degraded\": {}{tiers}, \"rejected_overloaded\": {overloaded}, \
-                 \"rejected_queue_timeout\": {queue_timeout}, \
-                 \"rejected_quota\": {quota}, \"untyped\": {invalid}, \
-                 \"late_launches\": {}, \"admission_wait_p99_us\": {}, \
-                 \"coalesce_wait_p99_us\": {}, \"end_to_end_p99_us\": {}}}",
-                o.offered_rps,
-                o.arrivals,
-                o.stats.latencies_us.len(),
-                o.wall.as_secs_f64(),
-                o.degraded,
-                o.late_launches,
-                o.admission_p99_us,
-                o.coalesce_p99_us,
-                o.end_to_end_p99_us,
-            )
-        })
-        .collect();
-    let degraded_tiers: String = metrics
-        .degraded_by_tier
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(tier, runs)| format!(", \"degraded_tier{tier}\": {runs}"))
-        .collect();
-    format!(
-        "{{\n  \"benchmark\": \"serve_overload\",\n  \"config\": {{\"scale\": \"{}\", \
-         \"shards\": {}, \"replicas\": {}, \"launchers\": {}, \"seed\": {}, \
-         \"step_ms\": {}, \"deadline_ms\": {}, \"calibration_requests\": {}, \
-         \"triples\": {triple_count}}},\n  \
-         \"calibrated_rps\": {calibrated_rps:.1},\n  \
-         \"overload\": {{\n    \"peak_goodput_rps\": {peak_goodput:.1},\n    \
-         \"past_saturation_goodput_rps\": {past_saturation_goodput:.1},\n    \
-         \"goodput_floor_ratio\": {goodput_floor_ratio:.3},\n    \
-         \"untyped_failures\": {untyped_failures},\n    \
-         \"tier_mix_violations\": {tier_mix_violations},\n    \
-         \"tier_mix_sample\": {},\n    \
-         \"monotone_offered\": {monotone_offered},\n    \
-         \"late_launches\": {late_launches},\n    \
-         \"degraded_runs\": {}{degraded_tiers},\n    \
-         \"steps\": [\n      {}\n    ]\n  }},\n  \
-         \"routing\": {{\"replica_retries\": {}, \"rejected_after_retry\": {}}},\n  \
-         \"stages\": {}\n}}",
-        opts.scale,
-        opts.shards,
-        opts.replicas,
-        opts.launchers,
-        opts.seed,
-        opts.step.as_millis(),
-        opts.deadline.as_millis(),
-        opts.calibration_requests,
-        sample.len(),
-        metrics.degraded_runs,
-        steps_json.join(",\n      "),
-        metrics.replica_retries,
-        metrics.rejected_after_retry,
-        router.obs().stages_json(),
-    )
+
+    let mut hub = MetricsHub::new();
+    hub.section("summary")
+        .field("benchmark", "serve_overload")
+        .field("calibrated_rps", calibrated_rps);
+    hub.section("config")
+        .field("scale", opts.scale.as_str())
+        .field("shards", opts.shards)
+        .field("replicas", opts.replicas)
+        .field("launchers", opts.launchers)
+        .field("seed", opts.seed)
+        .field("step_ms", opts.step.as_millis() as u64)
+        .field("deadline_ms", opts.deadline.as_millis() as u64)
+        .field("calibration_requests", opts.calibration_requests)
+        .field("triples", triple_count);
+    hub.section("overload")
+        .field("peak_goodput_rps", peak_goodput)
+        .field("past_saturation_goodput_rps", past_saturation_goodput)
+        .field("goodput_floor_ratio", goodput_floor_ratio)
+        .field("untyped_failures", untyped_failures)
+        .field("tier_mix_violations", tier_mix_violations)
+        .field("tier_mix_sample", sample.len())
+        .field("monotone_offered", u64::from(monotone_offered))
+        .field("late_launches", late_launches)
+        .field("steps", outcomes.len());
+    for (index, (o, goodput)) in outcomes.iter().zip(&goodputs).enumerate() {
+        let (overloaded, queue_timeout, quota, invalid) = o.stats.typed_counts();
+        let step = hub.section(&format!("step{index}"));
+        step.field("offered_rps", o.offered_rps)
+            .field("arrivals", o.arrivals)
+            .field("completed", o.stats.latencies_us.len())
+            .field("goodput_rps", *goodput)
+            .field("wall_seconds", o.wall.as_secs_f64())
+            .field("degraded", o.degraded);
+        for (tier, runs) in o.degraded_by_tier.iter().enumerate().skip(1) {
+            step.field(&format!("degraded_tier{tier}"), *runs);
+        }
+        step.field("rejected_overloaded", overloaded)
+            .field("rejected_queue_timeout", queue_timeout)
+            .field("rejected_quota", quota)
+            .field("untyped", invalid)
+            .field("late_launches", o.late_launches)
+            .field("admission_wait_p99_us", o.admission_p99_us)
+            .field("coalesce_wait_p99_us", o.coalesce_p99_us)
+            .field("end_to_end_p99_us", o.end_to_end_p99_us);
+    }
+    // Sweep-wide routing and degraded-merge counters (total and per tier),
+    // and the edge router's cumulative stages: the router's own export.
+    hub.merge(router.export_metrics());
+    hub
 }
 
 #[cfg(test)]

@@ -2,9 +2,8 @@
 //!
 //! The closed-loop load generator used to live entirely inside the
 //! `serve_load` binary; it is a library module so the CI regression gate
-//! (`serve_check`) can drive the *same* workload in-process and validate the
-//! same JSON report it would have eyeballed — one workload definition, two
-//! consumers.
+//! (`serve_check`) can drive the *same* workload in-process and gate the
+//! same report `serve_load` prints — one workload definition, two consumers.
 //!
 //! Two phases:
 //!
@@ -19,8 +18,10 @@
 //!    number, not a claim. Run it with `coalesce_waiters == 0` to measure
 //!    the pre-coalescing behaviour (every duplicate scans).
 //!
-//! The JSON report is assembled by hand (the build has no serde); the
-//! [`json_f64`] helper on the parsing side is matched to exactly this shape.
+//! The report is a [`MetricsHub`]: the server's own
+//! [`export_metrics`](SapphireServer::export_metrics) sections plus the
+//! harness's. `serve_load` prints its `to_json()`; `serve_check` reads the
+//! values with `get`, never the text.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -31,7 +32,7 @@ use sapphire_core::session::Modifiers;
 use sapphire_core::InitMode;
 use sapphire_datagen::generate;
 use sapphire_datagen::workload::appendix_b;
-use sapphire_obs::Obs;
+use sapphire_obs::{MetricsHub, Obs, Section};
 use sapphire_server::{SapphireServer, ServerConfig, ServerError};
 
 use crate::dataset_for;
@@ -66,7 +67,7 @@ pub struct ServeLoadOptions {
     pub queue_wait_ms: u64,
     /// Open sessions for the evented front-end phase
     /// ([`crate::frontend::phase`], run over the same shared model and
-    /// reported as the `"frontend"` section; `0` skips the phase).
+    /// reported as the `frontend*` sections; `0` skips the phase).
     pub frontend_sessions: usize,
     /// Worker threads of the front-end phase.
     pub frontend_workers: usize,
@@ -75,7 +76,7 @@ pub struct ServeLoadOptions {
     pub trace_sample: u32,
     /// Shards of the embedded cluster scatter phase (1 replica each), which
     /// populates the cluster-tier stages (`shard_rtt`, `edge_merge`) in the
-    /// same shared `"stages"` section; `0` skips the phase.
+    /// same stage sections; `0` skips the phase.
     pub cluster_shards: usize,
     /// Cold scatter requests of the `medium`-scale smoke phase (`0` skips
     /// it). The phase builds a 4-shard edge over the `medium` dataset and
@@ -105,26 +106,6 @@ impl Default for ServeLoadOptions {
             medium_smoke_requests: 256,
         }
     }
-}
-
-/// `--name N` from argv, or `default` — shared by the `serve_load` and
-/// `serve_check` binaries so flag parsing can only ever change in one place.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// `--name VALUE` from argv, if present.
-pub fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// Latency samples and rejection counters for one request class (shared
@@ -194,37 +175,50 @@ impl ClassStats {
         sorted[idx]
     }
 
-    pub(crate) fn json(&self, wall: Duration) -> String {
+    /// Write this class's counts, throughput over `wall` and latency
+    /// percentiles into `section`.
+    pub(crate) fn fields(&self, wall: Duration, section: &mut Section) {
         let mut sorted = self.latencies_us.clone();
         sorted.sort_unstable();
-        let count = sorted.len();
-        let throughput = count as f64 / wall.as_secs_f64().max(1e-9);
-        format!(
-            "{{\"completed\": {count}, \"throughput_rps\": {throughput:.1}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"rejected_overloaded\": {}, \"rejected_queue_timeout\": {}, \
-             \"rejected_quota\": {}, \"invalid\": {}}}",
-            self.percentile(&sorted, 50.0),
-            self.percentile(&sorted, 95.0),
-            self.percentile(&sorted, 99.0),
-            self.overloaded,
-            self.queue_timeout,
-            self.quota,
-            self.invalid
-        )
+        section
+            .field("completed", sorted.len())
+            .field(
+                "throughput_rps",
+                sorted.len() as f64 / wall.as_secs_f64().max(1e-9),
+            )
+            .field("p50_us", self.percentile(&sorted, 50.0))
+            .field("p95_us", self.percentile(&sorted, 95.0))
+            .field("p99_us", self.percentile(&sorted, 99.0))
+            .field("rejected_overloaded", self.overloaded)
+            .field("rejected_queue_timeout", self.queue_timeout)
+            .field("rejected_quota", self.quota)
+            .field("invalid", self.invalid);
     }
 }
 
-/// Run the full workload and return the JSON report.
-///
-/// Does **not** write `BENCH_serve.json` — persisting the baseline is the
-/// `serve_load` binary's job; the CI gate runs the same workload without
-/// clobbering the committed reference.
-pub fn run(opts: &ServeLoadOptions) -> String {
-    // `dataset_for` hard-errors on unknown names, so the label is always
-    // exactly what ran.
-    let scale_label = opts.scale.clone();
-    let dataset = dataset_for(&scale_label);
+/// What every closed-loop report shares: `summary`'s wall clock and
+/// QCM+QSM completion rate, and the two class sections.
+pub(crate) fn closed_loop_sections(
+    hub: &mut MetricsHub,
+    wall: Duration,
+    qcm: &ClassStats,
+    qsm: &ClassStats,
+) {
+    hub.section("summary")
+        .field("wall_seconds", wall.as_secs_f64())
+        .field(
+            "total_throughput_rps",
+            (qcm.latencies_us.len() + qsm.latencies_us.len()) as f64 / wall.as_secs_f64().max(1e-9),
+        );
+    qcm.fields(wall, hub.section("qcm"));
+    qsm.fields(wall, hub.section("qsm"));
+}
+
+/// Run the full workload and return the report.
+pub fn run(opts: &ServeLoadOptions) -> MetricsHub {
+    // `dataset_for` hard-errors on unknown names, so the reported scale is
+    // always exactly what ran.
+    let dataset = dataset_for(&opts.scale);
 
     eprintln!("(generating dataset + initializing shared model…)");
     let graph = generate(dataset);
@@ -293,9 +287,21 @@ pub fn run(opts: &ServeLoadOptions) -> String {
         coalesce_waiters_per_key: opts.coalesce_waiters,
         ..ServerConfig::default()
     };
+    let mut hub = MetricsHub::new();
+    hub.section("summary").field("benchmark", "serve_load");
+    hub.section("config")
+        .field("users", opts.users)
+        .field("rounds", opts.rounds)
+        .field("scale", opts.scale.as_str())
+        .field("triples", triple_count)
+        .field("max_in_flight", max_in_flight)
+        .field("max_queue_depth", max_queue_depth)
+        .field("burst_users", opts.burst_users)
+        .field("burst_rounds", opts.burst_rounds)
+        .field("coalesce_waiters", opts.coalesce_waiters);
     // One shared observability handle across every phase — single-box
     // server, evented front-end, and the cluster scatter phase — so the
-    // report's `"stages"` section spans all tiers.
+    // report's stage sections span all tiers.
     let obs = Arc::new(Obs::new());
     obs.set_sampling(opts.trace_sample);
     // Feed the shared executor's queue-wait samples into the same stage
@@ -491,33 +497,29 @@ pub fn run(opts: &ServeLoadOptions) -> String {
     //
     // A short completion workload through a ClusterRouter sharing this run's
     // `Obs`, so the cluster-tier stages (`shard_rtt` per replica attempt,
-    // `edge_merge` per top-k merge) land in the same `"stages"` section the
+    // `edge_merge` per top-k merge) land in the same stage sections the
     // single-box stages do. Each term is issued twice: the repeat probes the
     // edge response cache.
-    let cluster_section = match mini_cluster {
-        None => "{\"shards\": 0, \"requests\": 0, \"fanout_total\": 0, \"merges\": 0}".to_string(),
-        Some(cluster) => {
-            let shards = cluster.shard_count();
-            eprintln!("(cluster scatter phase: {shards} shards x 1 replica…)");
-            let router = ClusterRouter::with_obs(cluster, ClusterConfig::default(), obs.clone());
-            let (mut issued, mut completed) = (0u64, 0u64);
-            for question in questions.iter().take(8) {
-                let keyword = question.script.rows[0].object.trim_start_matches('?');
-                for _ in 0..2 {
-                    issued += 1;
-                    completed += u64::from(router.complete("edge-user", keyword).is_ok());
-                }
+    if let Some(cluster) = mini_cluster {
+        eprintln!(
+            "(cluster scatter phase: {} shards x 1 replica…)",
+            cluster.shard_count()
+        );
+        let router = ClusterRouter::with_obs(cluster, ClusterConfig::default(), obs.clone());
+        let (mut issued, mut completed) = (0u64, 0u64);
+        for question in questions.iter().take(8) {
+            let keyword = question.script.rows[0].object.trim_start_matches('?');
+            for _ in 0..2 {
+                issued += 1;
+                completed += u64::from(router.complete("edge-user", keyword).is_ok());
             }
-            let m = router.metrics();
-            format!(
-                "{{\"shards\": {shards}, \"requests\": {issued}, \"completed\": {completed}, \
-                 \"fanout_total\": {}, \"merges\": {}, \"edge_cache_hits\": {}}}",
-                m.fanout_per_shard.iter().sum::<u64>(),
-                m.merges,
-                m.completion_cache.hits,
-            )
         }
-    };
+        hub.section("cluster_scatter")
+            .field("requests", issued)
+            .field("completed", completed);
+        // The router's own `cluster` and edge-cache sections ride along.
+        hub.merge(router.export_metrics());
+    }
 
     // --- Tracing-overhead pair: the same cache-hit hot loop untraced vs
     // sampled at 1/64, in alternating chunks so scheduler drift lands on
@@ -553,136 +555,9 @@ pub fn run(opts: &ServeLoadOptions) -> String {
     let hot_rps_untraced = hot_ops as f64 / untraced.as_secs_f64().max(1e-9);
     let hot_rps_sampled = hot_ops as f64 / sampled.as_secs_f64().max(1e-9);
 
-    let metrics = server.metrics();
-    // `effective_hit_ratio` additionally credits single-flight followers:
-    // such a request logged a genuine cache miss but was still served from
-    // a concurrent identical request's scan. `(hits + coalesced) / lookups`
-    // is therefore the fraction of requests served *without a model scan* —
-    // the paper's >90% claim as the serving tier actually delivers it — and
-    // unlike the raw ratio it does not wobble with how requests happened to
-    // overlap on a given run.
-    let cache_stats = |s: sapphire_core::CacheStats, coalesced: u64| {
-        let lookups = (s.hits + s.misses).max(1);
-        format!(
-            "{{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_ratio\": {:.3}, \
-             \"effective_hit_ratio\": {:.3}}}",
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.hit_ratio(),
-            (s.hits + coalesced) as f64 / lookups as f64,
-        )
-    };
-    // Requests actually issued: zero when the phase was skipped, so the
-    // report never claims traffic that did not happen.
-    let burst_requests = if burst_ran {
-        (opts.burst_users * opts.burst_rounds * 2) as u64
-    } else {
-        0
-    };
-    // The load/occupancy snapshot: peaks observed by the sampler plus the
-    // end-of-run values (the latter pin "everything drained"). This section
-    // must stay *ahead of* `duplicate_burst` in the report: that section
-    // nests its own `"stats"` object, and `json_f64`'s section search finds
-    // the first occurrence.
-    let stats = format!(
-        "{{\"peak_in_flight\": {}, \"peak_queued\": {}, \"peak_coalesce_occupancy\": {}, \
-         \"final_in_flight\": {in_flight_now}, \"final_queued\": {queued_now}, \
-         \"final_coalesce_occupancy\": {}}}",
-        peaks.0.load(std::sync::atomic::Ordering::Relaxed),
-        peaks.1.load(std::sync::atomic::Ordering::Relaxed),
-        peaks.2.load(std::sync::atomic::Ordering::Relaxed),
-        server.coalesce_occupancy(),
-    );
-    // The QSM-tail section: how the Steiner expansion budget was actually
-    // spent. `expansion_queries` are SPARQL round trips executed,
-    // `queries_saved` are round trips skipped because the neighbor list was
-    // already in the shared cross-request NeighborhoodCache (budget still
-    // charged — determinism), `degraded_runs` counts reduced-budget runs
-    // (must be 0 in this default no-shed posture; serve_check gates it).
-    let relax = pum.relax_cache_stats();
-    // The memoized alternative-sweep caches ride along: a hit is a whole
-    // Jaro-Winkler corpus sweep skipped, the other lever (besides the
-    // NeighborhoodCache) that keeps the QSM tail down.
-    let alt = pum.alt_cache_stats();
-    let qsm_relax = format!(
-        "{{\"expansion_queries\": {}, \"queries_saved\": {}, \"neighborhood_hits\": {}, \
-         \"neighborhood_misses\": {}, \"neighborhood_fills\": {}, \
-         \"neighborhood_evictions\": {}, \"degraded_runs\": {}, \
-         \"alt_literal_hits\": {}, \"alt_literal_misses\": {}, \"alt_literal_evictions\": {}, \
-         \"alt_predicate_hits\": {}, \"alt_predicate_misses\": {}, \
-         \"alt_predicate_evictions\": {}}}",
-        relax.queries_executed,
-        relax.queries_saved,
-        relax.hits,
-        relax.misses,
-        relax.fills,
-        relax.evictions,
-        metrics.qsm_degraded_runs,
-        alt.literal.hits,
-        alt.literal.misses,
-        alt.literal.evictions,
-        alt.predicate.hits,
-        alt.predicate.misses,
-        alt.predicate.evictions,
-    );
-    // Offered vs counted: every `complete`/`run` this harness issued against
-    // `server` — closed loop, duplicate burst (one of each per user per
-    // round), and the tracing-overhead probe (one warm-up plus `hot_ops` on
-    // each side of the pair) — beside what the server's pre-gate counted.
-    // serve_check gates equality: a request counted twice or never is the
-    // one thing a change to the request path can break without any answer
-    // changing.
-    let request_ledger = format!(
-        "{{\"offered_qcm\": {}, \"offered_runs\": {}, \"counted_qcm\": {}, \
-         \"counted_runs\": {}}}",
-        qcm.offered() + burst.offered() / 2 + 2 * hot_ops + 1,
-        qsm.offered() + burst.offered() / 2,
-        metrics.completion_requests,
-        metrics.run_requests,
-    );
-    let mut report = format!(
-        "{{\n  \"benchmark\": \"serve_load\",\n  \"config\": {{\"users\": {users}, \
-         \"rounds\": {rounds}, \"scale\": \"{scale_label}\", \"triples\": {triple_count}, \
-         \"max_in_flight\": {max_in_flight}, \"max_queue_depth\": {max_queue_depth}, \
-         \"burst_users\": {}, \"burst_rounds\": {}, \"coalesce_waiters\": {}}},\n  \
-         \"stats\": {stats},\n  \
-         \"wall_seconds\": {:.3},\n  \"total_throughput_rps\": {:.1},\n  \
-         \"qcm\": {},\n  \"qsm\": {},\n  \
-         \"duplicate_burst\": {{\"requests\": {burst_requests}, \"wall_seconds\": {:.3}, \
-         \"leader_runs\": {}, \"bypass_runs\": {}, \"coalesced_hits\": {}, \"stats\": {}}},\n  \
-         \"coalescing\": {{\"coalesced_hits\": {}, \"leader_runs\": {}, \"bypass_runs\": {}, \
-         \"fifo_handoffs\": {}}},\n  \
-         \"qsm_relax\": {qsm_relax},\n  \
-         \"request_ledger\": {request_ledger},\n  \
-         \"rejected_total\": {},\n  \
-         \"completion_cache\": {},\n  \"run_cache\": {},\n  \
-         \"sessions_leaked\": {}\n}}",
-        opts.burst_users,
-        opts.burst_rounds,
-        opts.coalesce_waiters,
-        wall.as_secs_f64(),
-        (qcm.latencies_us.len() + qsm.latencies_us.len()) as f64 / wall.as_secs_f64().max(1e-9),
-        qcm.json(wall),
-        qsm.json(wall),
-        burst_wall.as_secs_f64(),
-        metrics.coalesce_leader_runs - before_burst.coalesce_leader_runs,
-        metrics.coalesce_bypass_runs - before_burst.coalesce_bypass_runs,
-        metrics.coalesced_hits - before_burst.coalesced_hits,
-        burst.json(burst_wall),
-        metrics.coalesced_hits,
-        metrics.coalesce_leader_runs,
-        metrics.coalesce_bypass_runs,
-        metrics.fifo_handoffs,
-        qcm.rejected() + qsm.rejected() + burst.rejected(),
-        cache_stats(metrics.completion_cache, metrics.completion_coalesced_hits),
-        cache_stats(metrics.run_cache, metrics.run_coalesced_hits),
-        metrics.open_sessions,
-    );
-
     // --- Phase 4: evented front-end (own server over the same model) ---
-    let frontend_section = (opts.frontend_sessions > 0).then(|| {
-        crate::frontend::phase(
+    if opts.frontend_sessions > 0 {
+        let mut frontend = crate::frontend::phase(
             pum,
             &crate::frontend::FrontendPhaseOptions {
                 sessions: opts.frontend_sessions,
@@ -691,68 +566,139 @@ pub fn run(opts: &ServeLoadOptions) -> String {
                 ..Default::default()
             },
             Some(obs.clone()),
-        )
-    });
+        );
+        // That phase's server is a second `SapphireServer`: its `server` and
+        // cache sections would land on the closed-loop server's below, and
+        // what the gate needs from them the phase restates in `frontend`.
+        frontend.retain(|s| matches!(s, "frontend" | "frontend_qcm" | "frontend_qsm"));
+        hub.merge(frontend);
+    }
 
     // --- Phase 5: medium-scale smoke (bigger-rung scatter baseline) ---
-    let medium_smoke_section = medium_smoke_phase(opts.medium_smoke_requests);
+    medium_smoke_phase(opts.medium_smoke_requests, hub.section("medium_smoke"));
 
-    // The cross-tier sections snapshot only after EVERY phase has run, so
-    // `"stages"` carries the front-end's `frontend_queue`/`end_to_end`
+    // Everything below snapshots only after EVERY phase has run, so the
+    // stage sections carry the front-end's `frontend_queue`/`end_to_end`
     // observations alongside the single-box and cluster-tier stages.
-    let trace_section = format!(
-        "{{\"sampling\": {}, \"recorded\": {}, \"dropped\": {}, \"hot_ops\": {hot_ops}, \
-         \"hot_rps_untraced\": {hot_rps_untraced:.1}, \"hot_rps_sampled\": {hot_rps_sampled:.1}}}",
-        opts.trace_sample,
-        obs.recorder().recorded(),
-        obs.recorder().evicted(),
+    let metrics = server.metrics();
+    closed_loop_sections(&mut hub, wall, &qcm, &qsm);
+    hub.section("summary").field(
+        "rejected_total",
+        qcm.rejected() + qsm.rejected() + burst.rejected(),
     );
-    let cut = report.rfind('}').expect("report ends with a brace");
-    report.truncate(cut);
-    while report.ends_with(char::is_whitespace) {
-        report.pop();
+    // The load/occupancy snapshot: peaks observed by the sampler plus the
+    // end-of-run values (the latter pin "everything drained").
+    hub.section("stats")
+        .field(
+            "peak_in_flight",
+            peaks.0.load(std::sync::atomic::Ordering::Relaxed),
+        )
+        .field(
+            "peak_queued",
+            peaks.1.load(std::sync::atomic::Ordering::Relaxed),
+        )
+        .field(
+            "peak_coalesce_occupancy",
+            peaks.2.load(std::sync::atomic::Ordering::Relaxed),
+        )
+        .field("final_in_flight", in_flight_now)
+        .field("final_queued", queued_now)
+        .field("final_coalesce_occupancy", server.coalesce_occupancy());
+    // Requests actually issued: zero when the phase was skipped, so the
+    // report never claims traffic that did not happen.
+    let burst_requests = if burst_ran {
+        opts.burst_users * opts.burst_rounds * 2
+    } else {
+        0
+    };
+    let duplicate_burst = hub.section("duplicate_burst");
+    duplicate_burst
+        .field("requests", burst_requests)
+        .field("wall_seconds", burst_wall.as_secs_f64())
+        .field(
+            "leader_runs",
+            metrics.coalesce_leader_runs - before_burst.coalesce_leader_runs,
+        )
+        .field(
+            "bypass_runs",
+            metrics.coalesce_bypass_runs - before_burst.coalesce_bypass_runs,
+        )
+        .field(
+            "coalesced_hits",
+            metrics.coalesced_hits - before_burst.coalesced_hits,
+        );
+    burst.fields(burst_wall, duplicate_burst);
+    // Offered vs counted: every `complete`/`run` this harness issued against
+    // `server` — closed loop, duplicate burst (one of each per user per
+    // round), and the tracing-overhead probe (one warm-up plus `hot_ops` on
+    // each side of the pair) — beside what the server's pre-gate counted.
+    // serve_check gates equality: a request counted twice or never is the
+    // one thing a change to the request path can break without any answer
+    // changing.
+    hub.section("request_ledger")
+        .field(
+            "offered_qcm",
+            qcm.offered() + burst.offered() / 2 + 2 * hot_ops + 1,
+        )
+        .field("offered_runs", qsm.offered() + burst.offered() / 2)
+        .field("counted_qcm", metrics.completion_requests)
+        .field("counted_runs", metrics.run_requests);
+    // The server's own sections: request/rejection/coalescing counters
+    // (`open_sessions` is the leaked-session count; `qsm_degraded_runs`
+    // must be 0 in this no-shed posture), both response caches, the
+    // model's relaxation and alternative-sweep caches, every stage.
+    hub.merge(server.export_metrics());
+    // `effective_hit_ratio` additionally credits single-flight followers:
+    // such a request logged a genuine cache miss but was still served from
+    // a concurrent identical request's scan. `(hits + coalesced) / lookups`
+    // is therefore the fraction of requests served *without a model scan* —
+    // the paper's >90% claim as the serving tier actually delivers it — and
+    // unlike the raw ratio it does not wobble with how requests happened to
+    // overlap on a given run.
+    for (cache, stats, coalesced) in [
+        (
+            "completion_cache",
+            metrics.completion_cache,
+            metrics.completion_coalesced_hits,
+        ),
+        ("run_cache", metrics.run_cache, metrics.run_coalesced_hits),
+    ] {
+        let lookups = (stats.hits + stats.misses).max(1);
+        hub.section(cache).field(
+            "effective_hit_ratio",
+            (stats.hits + coalesced) as f64 / lookups as f64,
+        );
     }
     // Executor snapshot after every phase: how much scatter/scan/hedge
     // work the shared pool absorbed that per-request threads used to
     // carry. `spawns_avoided` is the headline — each one is a
     // thread::spawn the steady-state path no longer pays for.
     let exec_stats = sapphire_core::exec::global().stats();
-    let exec_section = format!(
-        "{{\"workers\": {}, \"tasks_run\": {}, \"inline_runs\": {}, \"steals\": {}, \
-         \"spawns_avoided\": {}, \"panicked\": {}, \"queue_p50_us\": {}, \
-         \"queue_p95_us\": {}, \"queue_p99_us\": {}, \"queue_max_us\": {}}}",
-        exec_stats.workers,
-        exec_stats.tasks_run,
-        exec_stats.inline_runs,
-        exec_stats.steals,
-        exec_stats.spawns_avoided,
-        exec_stats.panicked,
-        exec_stats.queue_p50_us,
-        exec_stats.queue_p95_us,
-        exec_stats.queue_p99_us,
-        exec_stats.queue_max_us,
-    );
-    report.push_str(&format!(
-        ",\n  \"cluster_scatter\": {cluster_section},\n  \"exec\": {exec_section},\n  \
-         \"medium_smoke\": {medium_smoke_section},\n  \
-         \"stages\": {},\n  \"trace\": {trace_section}",
-        obs.stages_json(),
-    ));
-    // The front-end section stays LAST: its object nests keys that also
-    // exist at the top level (`rejected_total`, `sessions_leaked`, `qcm`…),
-    // and `json_f64`'s section/key searches resolve to the *first*
-    // occurrence — everything above must win unsectioned reads.
-    if let Some(section) = frontend_section {
-        report.push_str(&format!(",\n  \"frontend\": {section}"));
-    }
-    report.push_str("\n}");
+    hub.section("exec")
+        .field("workers", exec_stats.workers)
+        .field("tasks_run", exec_stats.tasks_run)
+        .field("inline_runs", exec_stats.inline_runs)
+        .field("steals", exec_stats.steals)
+        .field("spawns_avoided", exec_stats.spawns_avoided)
+        .field("panicked", exec_stats.panicked)
+        .field("queue_p50_us", exec_stats.queue_p50_us)
+        .field("queue_p95_us", exec_stats.queue_p95_us)
+        .field("queue_p99_us", exec_stats.queue_p99_us)
+        .field("queue_max_us", exec_stats.queue_max_us);
+    hub.section("trace")
+        .field("sampling", u64::from(opts.trace_sample))
+        .field("recorded", obs.recorder().recorded())
+        .field("dropped", obs.recorder().evicted())
+        .field("hot_ops", hot_ops)
+        .field("hot_rps_untraced", hot_rps_untraced)
+        .field("hot_rps_sampled", hot_rps_sampled);
     if opts.trace_sample > 0 {
         eprintln!(
             "(flight recorder: slowest end-to-end traces)\n{}",
             obs.recorder().dump_slowest(5)
         );
     }
-    report
+    hub
 }
 
 /// The `medium`-scale smoke phase: the ROADMAP's bigger-rung baseline at a
@@ -767,9 +713,10 @@ pub fn run(opts: &ServeLoadOptions) -> String {
 /// Appendix-B QSM question at `medium` can relax for minutes, which no CI
 /// budget survives — that is exactly why the committed baseline stayed
 /// `tiny` until now.
-fn medium_smoke_phase(requests: usize) -> String {
+fn medium_smoke_phase(requests: usize, section: &mut Section) {
+    section.field("requests", requests);
     if requests == 0 {
-        return "{\"requests\": 0}".to_string();
+        return;
     }
     eprintln!("(medium smoke: generating dataset + initializing 4 shard models…)");
     let bringup_clock = Instant::now();
@@ -829,185 +776,15 @@ fn medium_smoke_phase(requests: usize) -> String {
     });
     let wall = started.elapsed();
 
-    let fanout_total: u64 = router.metrics().fanout_per_shard.iter().sum();
-    format!(
-        "{{\"scale\": \"medium\", \"shards\": 4, \"replicas\": 1, \"triples\": {triples}, \
-         \"bringup_us\": {bringup_us}, \"requests\": {requests}, \
-         \"fanout_total\": {fanout_total}, \"scatter\": {}}}",
-        stats.json(wall),
-    )
-}
-
-/// Pull a numeric field out of a `serve_load` JSON report.
-///
-/// `section` of `None` searches the whole report; `Some(name)` restricts the
-/// search to the whole `{...}` object that follows `"name"`, nested objects
-/// included (braces are depth-matched, so a section like `duplicate_burst`
-/// that carries an inner `"stats": {...}` is covered wherever the inner
-/// object sits). This is not a JSON parser — the build is offline and has no
-/// serde — but it is exact for the report shape [`run`] emits, and the tests
-/// below pin that shape, nested objects included.
-pub fn json_f64(report: &str, section: Option<&str>, key: &str) -> Option<f64> {
-    let haystack = match section {
-        None => report,
-        Some(name) => {
-            let at = report.find(&format!("\"{name}\""))?;
-            let open = at + report[at..].find('{')?;
-            let mut depth = 0usize;
-            let close = report[open..].char_indices().find_map(|(i, c)| match c {
-                '{' => {
-                    depth += 1;
-                    None
-                }
-                '}' => {
-                    depth -= 1;
-                    (depth == 0).then_some(open + i)
-                }
-                _ => None,
-            })?;
-            &report[open..close]
-        }
-    };
-    let at = haystack.find(&format!("\"{key}\""))?;
-    let colon = at + haystack[at..].find(':')?;
-    let value: String = haystack[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    value.parse().ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Mirrors the real report's structural hazards: duplicate_burst carries
-    // a *nested* object, here deliberately placed BEFORE the scalar fields
-    // so the extraction is proven to depth-match rather than stop at the
-    // first closing brace.
-    const REPORT: &str = r#"{
-  "benchmark": "serve_load",
-  "config": {"users": 32, "rounds": 1},
-  "stats": {"peak_in_flight": 8, "peak_queued": 3, "peak_coalesce_occupancy": 2, "final_in_flight": 0, "final_queued": 0, "final_coalesce_occupancy": 0},
-  "total_throughput_rps": 36948.1,
-  "qcm": {"completed": 26304, "p50_us": 370},
-  "qsm": {"completed": 2592, "p50_us": 521},
-  "duplicate_burst": {"requests": 256, "stats": {"completed": 256, "p50_us": 24}, "leader_runs": 16, "bypass_runs": 0, "coalesced_hits": 240},
-  "qsm_relax": {"expansion_queries": 4199, "queries_saved": 10260, "neighborhood_hits": 5130, "neighborhood_misses": 2887, "neighborhood_fills": 2887, "neighborhood_evictions": 0, "degraded_runs": 0, "alt_literal_hits": 3120, "alt_literal_misses": 84, "alt_literal_evictions": 0, "alt_predicate_hits": 2960, "alt_predicate_misses": 61, "alt_predicate_evictions": 0},
-  "rejected_total": 0,
-  "completion_cache": {"hits": 26113, "misses": 191, "hit_ratio": 0.993, "effective_hit_ratio": 0.996},
-  "run_cache": {"hits": 2490, "misses": 102, "hit_ratio": 0.961, "effective_hit_ratio": 0.978},
-  "sessions_leaked": 0,
-  "cluster_scatter": {"shards": 2, "requests": 16, "completed": 16, "fanout_total": 16, "merges": 8, "edge_cache_hits": 8},
-  "stages": {"admission_wait": {"count": 28896, "p50_us": 1, "p95_us": 3, "p99_us": 7, "max_us": 120}, "qcm_scan": {"count": 207, "p50_us": 255, "p95_us": 511, "p99_us": 1023, "max_us": 980}, "end_to_end": {"count": 28896, "p50_us": 380, "p95_us": 2047, "p99_us": 4095, "max_us": 9100}},
-  "trace": {"sampling": 0, "recorded": 625, "dropped": 0, "hot_ops": 40000, "hot_rps_untraced": 412345.1, "hot_rps_sampled": 401234.9}
-}"#;
-
-    #[test]
-    fn json_f64_reads_top_level_and_sectioned_fields() {
-        assert_eq!(
-            json_f64(REPORT, None, "total_throughput_rps"),
-            Some(36948.1)
+    section
+        .field("scale", "medium")
+        .field("shards", 4u64)
+        .field("replicas", 1u64)
+        .field("triples", triples)
+        .field("bringup_us", bringup_us)
+        .field(
+            "fanout_total",
+            router.metrics().fanout_per_shard.iter().sum::<u64>(),
         );
-        assert_eq!(json_f64(REPORT, None, "rejected_total"), Some(0.0));
-        assert_eq!(json_f64(REPORT, None, "sessions_leaked"), Some(0.0));
-        assert_eq!(
-            json_f64(REPORT, Some("completion_cache"), "hit_ratio"),
-            Some(0.993)
-        );
-        assert_eq!(
-            json_f64(REPORT, Some("run_cache"), "hit_ratio"),
-            Some(0.961)
-        );
-        assert_eq!(
-            json_f64(REPORT, Some("run_cache"), "effective_hit_ratio"),
-            Some(0.978)
-        );
-        // These two sit *after* the nested "stats" object — the reads that
-        // serve_check's burst gate depends on.
-        assert_eq!(
-            json_f64(REPORT, Some("duplicate_burst"), "leader_runs"),
-            Some(16.0)
-        );
-        assert_eq!(
-            json_f64(REPORT, Some("duplicate_burst"), "bypass_runs"),
-            Some(0.0)
-        );
-        assert_eq!(json_f64(REPORT, Some("qcm"), "completed"), Some(26304.0));
-        // The QSM-tail section the serve_check gates read. "qsm_relax" must
-        // not be shadowed by the "qsm" section search (the quoted-key match
-        // is exact) and vice versa.
-        assert_eq!(
-            json_f64(REPORT, Some("qsm_relax"), "degraded_runs"),
-            Some(0.0)
-        );
-        assert_eq!(
-            json_f64(REPORT, Some("qsm_relax"), "queries_saved"),
-            Some(10260.0)
-        );
-        assert_eq!(json_f64(REPORT, Some("qsm"), "p50_us"), Some(521.0));
-    }
-
-    #[test]
-    fn json_f64_reads_the_observability_sections() {
-        // Satellite counters of the QSM tail: the alternative-sweep caches.
-        assert_eq!(
-            json_f64(REPORT, Some("qsm_relax"), "alt_literal_hits"),
-            Some(3120.0)
-        );
-        assert_eq!(
-            json_f64(REPORT, Some("qsm_relax"), "alt_predicate_misses"),
-            Some(61.0)
-        );
-        // Per-stage sections live inside the nested "stages" object; the
-        // quoted-key search must reach them and must not confuse
-        // "qcm_scan" with the "qcm" class section (or vice versa).
-        assert_eq!(json_f64(REPORT, Some("qcm_scan"), "p99_us"), Some(1023.0));
-        assert_eq!(json_f64(REPORT, Some("end_to_end"), "max_us"), Some(9100.0));
-        assert_eq!(json_f64(REPORT, Some("qcm"), "completed"), Some(26304.0));
-        assert_eq!(
-            json_f64(REPORT, Some("admission_wait"), "count"),
-            Some(28896.0)
-        );
-        // The tracing gates' reads.
-        assert_eq!(json_f64(REPORT, Some("trace"), "dropped"), Some(0.0));
-        assert_eq!(
-            json_f64(REPORT, Some("trace"), "hot_rps_sampled"),
-            Some(401234.9)
-        );
-        assert_eq!(
-            json_f64(REPORT, Some("cluster_scatter"), "fanout_total"),
-            Some(16.0)
-        );
-        // "stats" and "stages" must not shadow each other.
-        assert_eq!(json_f64(REPORT, Some("stats"), "peak_in_flight"), Some(8.0));
-    }
-
-    #[test]
-    fn json_f64_reads_the_top_level_stats_section_not_the_burst_one() {
-        // `duplicate_burst` nests its own `"stats"` object; the load/occupancy
-        // section must sit earlier in the report so the first-occurrence
-        // section search resolves to it.
-        assert_eq!(json_f64(REPORT, Some("stats"), "peak_in_flight"), Some(8.0));
-        assert_eq!(json_f64(REPORT, Some("stats"), "peak_queued"), Some(3.0));
-        assert_eq!(
-            json_f64(REPORT, Some("stats"), "peak_coalesce_occupancy"),
-            Some(2.0)
-        );
-        assert_eq!(json_f64(REPORT, Some("stats"), "final_queued"), Some(0.0));
-        // The burst's nested stats are still reachable through their parent.
-        assert_eq!(
-            json_f64(REPORT, Some("duplicate_burst"), "completed"),
-            Some(256.0)
-        );
-    }
-
-    #[test]
-    fn json_f64_is_none_for_missing_fields() {
-        assert_eq!(json_f64(REPORT, None, "no_such_key"), None);
-        assert_eq!(json_f64(REPORT, Some("no_such_section"), "hits"), None);
-        // A key outside the requested section must not leak in.
-        assert_eq!(json_f64(REPORT, Some("qcm"), "hit_ratio"), None);
-    }
+    stats.fields(wall, section);
 }

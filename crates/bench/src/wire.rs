@@ -21,7 +21,8 @@
 //! Correctness is checked against an **in-process oracle**: a plain
 //! `ClusterRouter` over the same partitioning serves a sample of the
 //! workload, and any byte-level divergence (answers, suggestion lists,
-//! completions) counts in `merge_mismatches` (the CI gate requires zero).
+//! completions) counts in `summary.merge_mismatches` (the CI gate requires
+//! zero).
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -34,6 +35,7 @@ use std::time::Instant;
 use sapphire_cluster::{Cluster, ClusterConfig, ClusterRouter};
 use sapphire_datagen::generate;
 use sapphire_datagen::workload::appendix_b;
+use sapphire_obs::MetricsHub;
 use sapphire_rdf::{snapshot, Partitioner};
 use sapphire_server::{ServerConfig, ShardService};
 use sapphire_sparql::SelectQuery;
@@ -41,7 +43,7 @@ use sapphire_text::Lexicon;
 use sapphire_wire::{WireClient, WireClientConfig, WireServer, WireServerConfig};
 
 use crate::cluster::{flatten, workload_queries};
-use crate::serve::ClassStats;
+use crate::serve::{closed_loop_sections, ClassStats};
 use crate::{dataset_for, experiment_config};
 
 /// Everything the wire harness can be asked to do.
@@ -286,8 +288,8 @@ fn host_processes(
     Ok(((hosts, addrs), bringups))
 }
 
-/// Run the wire-mode workload and return the JSON report.
-pub fn run(opts: &WireLoadOptions) -> String {
+/// Run the wire-mode workload and return the report.
+pub fn run(opts: &WireLoadOptions) -> MetricsHub {
     assert!(
         !opts.snapshot || opts.processes,
         "--snapshot needs --processes: in thread mode there is no separate \
@@ -541,55 +543,57 @@ pub fn run(opts: &WireLoadOptions) -> String {
         }
     }
 
-    let metrics = router.metrics();
-    let report = format!(
-        "{{\n  \"benchmark\": \"serve_wire\",\n  \"config\": {{\"users\": {}, \
-         \"rounds\": {}, \"scale\": \"{}\", \"shards\": {}, \"replicas\": {}, \
-         \"processes\": {}, \"kill_replica\": {}, \"snapshot\": {}, \
-         \"triples\": {triple_count}}},\n  \
-         \"wall_seconds\": {:.3},\n  \"total_throughput_rps\": {:.1},\n  \
-         \"qcm\": {},\n  \"qsm\": {},\n  \
-         \"routing\": {{\"hedges_fired\": {}, \"hedges_won\": {}, \
-         \"replica_retries\": {}, \"rejected_after_retry\": {}, \
-         \"merges\": {}, \"degraded_runs\": {}}},\n  \
-         \"transport\": {{\"wire_connects\": {}, \"wire_reconnects\": {}, \
-         \"wire_io_errors\": {}, \"wire_corrupt_frames\": {}, \
-         \"replica_killed\": {}, \"dead_probe_failed\": {}}},\n  \
-         {},\n  \
-         \"merge_mismatches\": {merge_mismatches},\n  \
-         \"rejected_total\": {surviving_errors}\n}}",
-        opts.users,
-        opts.rounds,
-        opts.scale,
-        opts.shards,
-        opts.replicas,
-        opts.processes,
-        opts.kill_replica,
-        opts.snapshot,
-        wall.as_secs_f64(),
-        (qcm.latencies_us.len() + qsm.latencies_us.len()) as f64 / wall.as_secs_f64().max(1e-9),
-        qcm.json(wall),
-        qsm.json(wall),
-        metrics.hedges_fired,
-        metrics.hedges_won,
-        metrics.replica_retries,
-        metrics.rejected_after_retry,
-        metrics.merges,
-        metrics.degraded_runs,
-        metrics.wire_connects,
-        metrics.wire_reconnects,
-        metrics.wire_io_errors,
-        metrics.wire_corrupt_frames,
-        u8::from(replica_killed),
-        u8::from(dead_probe_failed),
-        bringup_json(
-            opts,
-            parent_generate_us,
-            parent_partition_us,
-            snapshot_write_us,
-            &child_bringups,
-        ),
-    );
+    let mut hub = MetricsHub::new();
+    hub.section("summary").field("benchmark", "serve_wire");
+    hub.section("config")
+        .field("users", opts.users)
+        .field("rounds", opts.rounds)
+        .field("scale", opts.scale.as_str())
+        .field("shards", opts.shards)
+        .field("replicas", opts.replicas)
+        .field("processes", u64::from(opts.processes))
+        .field("kill_replica", u64::from(opts.kill_replica))
+        .field("snapshot", u64::from(opts.snapshot))
+        .field("triples", triple_count);
+    closed_loop_sections(&mut hub, wall, &qcm, &qsm);
+    hub.section("summary")
+        .field("rejected_total", surviving_errors)
+        .field("merge_mismatches", merge_mismatches);
+    // Routing and transport counters (`wire_connects`, `wire_io_errors`, …):
+    // the router's own export.
+    hub.merge(router.export_metrics());
+    hub.section("kill_drill")
+        .field("replica_killed", u64::from(replica_killed))
+        .field("dead_probe_failed", u64::from(dead_probe_failed));
+    // How every tier got its data and what it cost.
+    let snapshot_loads = child_bringups
+        .iter()
+        .filter(|c| c.mode == "snapshot")
+        .count();
+    let bringup = hub.section("bringup");
+    bringup
+        .field(
+            "mode",
+            match (opts.processes, opts.snapshot) {
+                (false, _) => "threads",
+                (true, false) => "generate",
+                (true, true) => "snapshot",
+            },
+        )
+        .field("parent_generate_us", parent_generate_us)
+        .field("parent_partition_us", parent_partition_us)
+        .field("snapshot_write_us", snapshot_write_us)
+        .field("snapshot_loads", snapshot_loads)
+        .field("generate_fallbacks", child_bringups.len() - snapshot_loads)
+        .field(
+            "max_child_data_us",
+            child_bringups.iter().map(|c| c.data_us).max().unwrap_or(0),
+        );
+    for c in &child_bringups {
+        bringup
+            .field(&format!("s{}r{}_mode", c.shard, c.replica), c.mode.as_str())
+            .field(&format!("s{}r{}_data_us", c.shard, c.replica), c.data_us);
+    }
 
     // Graceful teardown of everything still alive.
     for shard_hosts in hosts.drain(..) {
@@ -600,48 +604,5 @@ pub fn run(opts: &WireLoadOptions) -> String {
     if let Some(dir) = &snapshot_dir {
         std::fs::remove_dir_all(dir).ok();
     }
-    report
-}
-
-/// The `bringup` report section: how every tier got its data and what it
-/// cost. Scalar gate fields (`max_child_data_us`, `parent_generate_us`, …)
-/// come **before** the per-child array so `json_f64`'s first-occurrence
-/// search finds them and not a per-child field of the same spelling.
-fn bringup_json(
-    opts: &WireLoadOptions,
-    parent_generate_us: u64,
-    parent_partition_us: u64,
-    snapshot_write_us: u64,
-    children: &[ChildBringup],
-) -> String {
-    let mode = if !opts.processes {
-        "threads"
-    } else if opts.snapshot {
-        "snapshot"
-    } else {
-        "generate"
-    };
-    let snapshot_loads = children.iter().filter(|c| c.mode == "snapshot").count();
-    let generate_fallbacks = children.len() - snapshot_loads;
-    let max_child_data_us = children.iter().map(|c| c.data_us).max().unwrap_or(0);
-    let per_child: Vec<String> = children
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"shard\": {}, \"replica\": {}, \"mode\": \"{}\", \"data_us\": {}}}",
-                c.shard, c.replica, c.mode, c.data_us
-            )
-        })
-        .collect();
-    format!(
-        "\"bringup\": {{\"mode\": \"{mode}\", \
-         \"parent_generate_us\": {parent_generate_us}, \
-         \"parent_partition_us\": {parent_partition_us}, \
-         \"snapshot_write_us\": {snapshot_write_us}, \
-         \"snapshot_loads\": {snapshot_loads}, \
-         \"generate_fallbacks\": {generate_fallbacks}, \
-         \"max_child_data_us\": {max_child_data_us}, \
-         \"children\": [{}]}}",
-        per_child.join(", ")
-    )
+    hub
 }

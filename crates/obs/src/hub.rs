@@ -4,15 +4,16 @@
 //! `ClusterMetrics`, `FrontendMetrics`, `NeighborhoodStats`, the AltCache
 //! stats) with five ad-hoc readouts. The hub is the neutral meeting point:
 //! each tier converts its own struct into named sections of typed fields,
-//! and the hub renders the lot as JSON (hand-rolled, same discipline as the
-//! bench's `json_f64` parser — the build has no serde) or Prometheus-style
-//! text exposition. The hub holds no references — it is a snapshot, safe to
-//! build under load and ship across threads.
+//! and the hub renders the lot as JSON (hand-rolled — the build has no
+//! serde) or Prometheus-style text exposition. Consumers in the same
+//! process read values back typed, with [`MetricsHub::get`], never by
+//! parsing the rendered text. The hub holds no references — it is a
+//! snapshot, safe to build under load and ship across threads.
 
 use std::fmt::Write as _;
 
 /// One metric value. Floats render with three decimals so JSON consumers
-/// (and `json_f64`) always see a number, never `NaN`/`inf` (both clamp).
+/// always see a number, never `NaN`/`inf` (both clamp).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     U64(u64),
@@ -58,9 +59,15 @@ pub struct Section {
 }
 
 impl Section {
-    /// Append a field (insertion order is render order).
+    /// Set a field. A new name appends (insertion order is render order); a
+    /// repeated name replaces the earlier value in place, so a section never
+    /// holds — and `to_json` never emits — the same key twice.
     pub fn field(&mut self, name: &str, value: impl Into<Value>) -> &mut Section {
-        self.fields.push((name.to_string(), value.into()));
+        let value = value.into();
+        match self.fields.iter_mut().find(|(n, _)| n == name) {
+            Some(slot) => slot.1 = value,
+            None => self.fields.push((name.to_string(), value)),
+        }
         self
     }
 }
@@ -93,6 +100,38 @@ impl MetricsHub {
         self.sections.is_empty()
     }
 
+    /// The value of `field` in `section`, if both exist.
+    pub fn get(&self, section: &str, field: &str) -> Option<&Value> {
+        let section = self.sections.iter().find(|s| s.name == section)?;
+        let (_, value) = section.fields.iter().find(|(n, _)| n == field)?;
+        Some(value)
+    }
+
+    /// [`get`](Self::get) as a number; `None` for text fields too.
+    pub fn get_f64(&self, section: &str, field: &str) -> Option<f64> {
+        match self.get(section, field)? {
+            Value::U64(v) => Some(*v as f64),
+            Value::F64(v) => Some(*v),
+            Value::Text(_) => None,
+        }
+    }
+
+    /// Keep only the sections whose name `keep` accepts.
+    pub fn retain(&mut self, keep: impl Fn(&str) -> bool) {
+        self.sections.retain(|s| keep(&s.name));
+    }
+
+    /// Fold `other` in: a section new to this hub appends, a section both
+    /// hold is extended field by field (`other`'s value wins a shared name).
+    pub fn merge(&mut self, other: MetricsHub) {
+        for theirs in other.sections {
+            let ours = self.section(&theirs.name);
+            for (name, value) in theirs.fields {
+                ours.field(&name, value);
+            }
+        }
+    }
+
     /// Render as one JSON object: `{"section": {"field": value, …}, …}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
@@ -100,12 +139,12 @@ impl MetricsHub {
             if si > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\": {{", section.name);
+            let _ = write!(out, "\"{}\": {{", escape(&section.name));
             for (fi, (name, value)) in section.fields.iter().enumerate() {
                 if fi > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{name}\": ");
+                let _ = write!(out, "\"{}\": ", escape(name));
                 match value {
                     Value::U64(v) => {
                         let _ = write!(out, "{v}");
@@ -210,6 +249,58 @@ mod tests {
         assert_eq!(
             hub.to_json(),
             "{\"a\": {\"x\": 1, \"z\": 3}, \"b\": {\"y\": 2}}"
+        );
+    }
+
+    #[test]
+    fn a_repeated_field_name_replaces_the_earlier_value() {
+        let mut hub = MetricsHub::new();
+        hub.section("frontend")
+            .field("completed", 1u64)
+            .field("workers", 8u64);
+        hub.section("frontend").field("completed", 2u64);
+        assert_eq!(
+            hub.to_json(),
+            "{\"frontend\": {\"completed\": 2, \"workers\": 8}}"
+        );
+        assert_eq!(hub.get("frontend", "completed"), Some(&Value::U64(2)));
+    }
+
+    #[test]
+    fn section_and_field_names_escape_like_text_values() {
+        let mut hub = MetricsHub::new();
+        hub.section("a\"b").field("c\\d\ne", 1u64);
+        assert_eq!(hub.to_json(), "{\"a\\\"b\": {\"c\\\\d\\ne\": 1}}");
+    }
+
+    #[test]
+    fn get_is_typed_and_none_when_absent() {
+        let mut hub = MetricsHub::new();
+        hub.section("s")
+            .field("n", 3u64)
+            .field("r", 0.5_f64)
+            .field("t", "tiny");
+        assert_eq!(hub.get_f64("s", "n"), Some(3.0));
+        assert_eq!(hub.get_f64("s", "r"), Some(0.5));
+        assert_eq!(hub.get("s", "t"), Some(&Value::Text("tiny".to_string())));
+        assert_eq!(hub.get_f64("s", "t"), None);
+        assert_eq!(hub.get("s", "missing"), None);
+        assert_eq!(hub.get("missing", "n"), None);
+    }
+
+    #[test]
+    fn merge_extends_shared_sections_and_retain_drops_the_rest() {
+        let mut hub = MetricsHub::new();
+        hub.section("a").field("x", 1u64);
+        let mut other = MetricsHub::new();
+        other.section("a").field("x", 9u64).field("y", 2u64);
+        other.section("b").field("z", 3u64);
+        other.section("c").field("w", 4u64);
+        other.retain(|name| name != "c");
+        hub.merge(other);
+        assert_eq!(
+            hub.to_json(),
+            "{\"a\": {\"x\": 9, \"y\": 2}, \"b\": {\"z\": 3}}"
         );
     }
 
