@@ -54,7 +54,10 @@
 //!
 //! Cluster smoke, 2 shards × 2 replicas ([`cluster_gates`]): zero
 //! rejections after bounded retry, zero requests out of retry budget, zero
-//! merge mismatches against a cold second edge.
+//! merge mismatches against a cold second edge, and the shard-call ledger —
+//! every shard call the router counted (`cluster.fanout_total`) was observed
+//! as a `shard_rtt` round trip or fired as a hedge inside one, so no call
+//! site routes round the one shard-call policy.
 //!
 //! Overload smoke, a bounded open-loop sweep past saturation
 //! ([`overload_gates`]; see [`sapphire_bench::overload`]): past-saturation
@@ -63,9 +66,9 @@
 //!
 //! Wire smoke, the cluster workload over loopback sockets with one replica
 //! crashed mid-run ([`wire_gates`]; see [`sapphire_bench::wire`]): zero
-//! surviving rejections, zero divergences from the in-process oracle, and
-//! the crash is real and visible (`wire_io_errors ≥ 1`, the dead replica
-//! refuses a direct probe).
+//! surviving rejections, zero divergences from the in-process oracle, the
+//! crash is real and visible (`wire_io_errors ≥ 1`, the dead replica
+//! refuses a direct probe), and the same shard-call ledger.
 //!
 //! Snapshot smoke, shard **processes** brought up from freshly written
 //! columnar snapshots ([`snapshot_gates`]): every child loaded its snapshot
@@ -131,6 +134,28 @@ impl<'a> Gates<'a> {
         self.check(name, [(section, field)], |[v]| {
             (v == 0.0, format!("{v} {what} (must be 0)"))
         });
+    }
+
+    /// A router's report: every shard call counted in the fan-out is one
+    /// `shard_rtt` observation, or a hedge fired inside one.
+    fn shard_call_ledger(&mut self, name: &str) {
+        self.check(
+            name,
+            [
+                ("cluster", "fanout_total"),
+                ("shard_rtt", "count"),
+                ("cluster", "hedges_fired"),
+            ],
+            |[fanout, observed, hedges]| {
+                (
+                    fanout == observed + hedges && fanout > 0.0,
+                    format!(
+                        "{fanout} shard calls counted, {observed} observed + {hedges} hedges \
+                         (must be equal)"
+                    ),
+                )
+            },
+        );
     }
 }
 
@@ -439,6 +464,7 @@ fn cluster_gates(hub: &MetricsHub) -> Vec<Row> {
         "rejected_after_retry",
         "requests exhausted the retry budget",
     );
+    g.shard_call_ledger("cluster shard-call ledger");
     g.rows
 }
 
@@ -539,6 +565,7 @@ fn wire_gates(hub: &MetricsHub) -> Vec<Row> {
         "rejected_after_retry",
         "requests exhausted the retry budget",
     );
+    g.shard_call_ledger("wire shard-call ledger");
     g.rows
 }
 
@@ -721,6 +748,9 @@ mod tests {
         ("summary", "rejected_total", 0.0),
         ("summary", "merge_mismatches", 0.0),
         ("cluster", "rejected_after_retry", 0.0),
+        ("cluster", "fanout_total", 1542.0),
+        ("shard_rtt", "count", 1530.0),
+        ("cluster", "hedges_fired", 12.0),
     ];
     const OVERLOAD: Fixture = &[
         ("overload", "goodput_floor_ratio", 0.91),
@@ -737,6 +767,9 @@ mod tests {
         ("kill_drill", "dead_probe_failed", 1.0),
         ("cluster", "wire_io_errors", 8.0),
         ("cluster", "rejected_after_retry", 0.0),
+        ("cluster", "fanout_total", 1542.0),
+        ("shard_rtt", "count", 1530.0),
+        ("cluster", "hedges_fired", 12.0),
     ];
     const SNAPSHOT: Fixture = &[
         ("config", "shards", 2.0),
@@ -751,9 +784,9 @@ mod tests {
     ];
     const PHASES: [(Fixture, GateTable, usize); 5] = [
         (SERVE, serve_gates, 34),
-        (CLUSTER, cluster_gates, 3),
+        (CLUSTER, cluster_gates, 4),
         (OVERLOAD, overload_gates, 4),
-        (WIRE, wire_gates, 5),
+        (WIRE, wire_gates, 6),
         (SNAPSHOT, snapshot_gates, 4),
     ];
 
@@ -910,6 +943,9 @@ mod tests {
                         1.0,
                         "cluster rejected_after_retry",
                     ),
+                    // The parent's reading: bound-join sub-queries counted
+                    // once per shard per plan and observed never.
+                    ("shard_rtt", "count", 312.0, "cluster shard-call ledger"),
                 ],
             ),
             (
@@ -961,6 +997,7 @@ mod tests {
                         1.0,
                         "wire rejected_after_retry",
                     ),
+                    ("cluster", "fanout_total", 1541.0, "wire shard-call ledger"),
                 ],
             ),
             (

@@ -108,6 +108,48 @@ pub(crate) fn workload_queries(
         .collect()
 }
 
+/// Replay the first `sample` queries (and each one's first QCM keyword)
+/// through two routers and count the requests whose bytes differ — answers,
+/// alternative lists, completions — or that either side failed. Shared with
+/// the wire-mode harness, whose second router is the in-process oracle.
+pub(crate) fn replay_mismatches(
+    router: &ClusterRouter,
+    reference: &ClusterRouter,
+    queries: &[SelectQuery],
+    questions: &[Question],
+    sample: usize,
+) -> u64 {
+    let sample = sample.min(queries.len());
+    let mut mismatches = 0u64;
+    for query in &queries[..sample] {
+        let same = match (router.run("replay", query), reference.run("replay", query)) {
+            (Ok(a), Ok(b)) => {
+                a.answers == b.answers
+                    && a.alternatives.len() == b.alternatives.len()
+                    && a.alternatives.iter().zip(&b.alternatives).all(|(x, y)| {
+                        x.replacement == y.replacement
+                            && x.position == y.position
+                            && x.answers == y.answers
+                    })
+            }
+            _ => false,
+        };
+        mismatches += u64::from(!same);
+    }
+    for question in &questions[..sample] {
+        let keyword = question.script.rows[0].object.trim_start_matches('?');
+        let same = match (
+            router.complete("replay", keyword),
+            reference.complete("replay", keyword),
+        ) {
+            (Ok(a), Ok(b)) => a.suggestions == b.suggestions,
+            _ => false,
+        };
+        mismatches += u64::from(!same);
+    }
+    mismatches
+}
+
 /// Run the cluster workload and return the report.
 pub fn run(opts: &ClusterLoadOptions) -> MetricsHub {
     let dataset = dataset_for(&opts.scale);
@@ -214,38 +256,13 @@ pub fn run(opts: &ClusterLoadOptions) -> MetricsHub {
 
     // Determinism self-check: a cold second edge over the same shards must
     // reproduce every byte (answers, suggestion list, completions).
-    let sample = opts.determinism_sample.min(queries.len());
-    let mut merge_mismatches = 0u64;
-    for query in queries.iter().take(sample) {
-        match (router.run("replay", query), replay.run("replay", query)) {
-            (Ok(a), Ok(b)) => {
-                let alts_match = a.alternatives.len() == b.alternatives.len()
-                    && a.alternatives.iter().zip(&b.alternatives).all(|(x, y)| {
-                        x.replacement == y.replacement
-                            && x.position == y.position
-                            && x.answers == y.answers
-                    });
-                if a.answers != b.answers || !alts_match {
-                    merge_mismatches += 1;
-                }
-            }
-            _ => merge_mismatches += 1,
-        }
-    }
-    for question in questions.iter().take(sample) {
-        let keyword = question.script.rows[0].object.trim_start_matches('?');
-        match (
-            router.complete("replay", keyword),
-            replay.complete("replay", keyword),
-        ) {
-            (Ok(a), Ok(b)) => {
-                if a.suggestions != b.suggestions {
-                    merge_mismatches += 1;
-                }
-            }
-            _ => merge_mismatches += 1,
-        }
-    }
+    let merge_mismatches = replay_mismatches(
+        &router,
+        &replay,
+        &queries,
+        &questions,
+        opts.determinism_sample,
+    );
 
     let obs = router.obs();
     if opts.trace_sample > 0 {

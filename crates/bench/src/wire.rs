@@ -42,7 +42,7 @@ use sapphire_sparql::SelectQuery;
 use sapphire_text::Lexicon;
 use sapphire_wire::{WireClient, WireClientConfig, WireServer, WireServerConfig};
 
-use crate::cluster::{flatten, workload_queries};
+use crate::cluster::{flatten, replay_mismatches, workload_queries};
 use crate::serve::{closed_loop_sections, ClassStats};
 use crate::{dataset_for, experiment_config};
 
@@ -510,38 +510,13 @@ pub fn run(opts: &WireLoadOptions) -> MetricsHub {
 
     // Oracle check: the socket path must reproduce the in-process bytes —
     // answers, alternative lists, and completions.
-    let sample = opts.determinism_sample.min(queries.len());
-    let mut merge_mismatches = 0u64;
-    for query in queries.iter().take(sample) {
-        match (router.run("replay", query), oracle.run("replay", query)) {
-            (Ok(a), Ok(b)) => {
-                let alts_match = a.alternatives.len() == b.alternatives.len()
-                    && a.alternatives.iter().zip(&b.alternatives).all(|(x, y)| {
-                        x.replacement == y.replacement
-                            && x.position == y.position
-                            && x.answers == y.answers
-                    });
-                if a.answers != b.answers || !alts_match {
-                    merge_mismatches += 1;
-                }
-            }
-            _ => merge_mismatches += 1,
-        }
-    }
-    for question in questions.iter().take(sample) {
-        let keyword = question.script.rows[0].object.trim_start_matches('?');
-        match (
-            router.complete("replay", keyword),
-            oracle.complete("replay", keyword),
-        ) {
-            (Ok(a), Ok(b)) => {
-                if a.suggestions != b.suggestions {
-                    merge_mismatches += 1;
-                }
-            }
-            _ => merge_mismatches += 1,
-        }
-    }
+    let merge_mismatches = replay_mismatches(
+        &router,
+        &oracle,
+        &queries,
+        &questions,
+        opts.determinism_sample,
+    );
 
     let mut hub = MetricsHub::new();
     hub.section("summary").field("benchmark", "serve_wire");

@@ -13,12 +13,18 @@
 //! arrival order. Merging the single-box oracle's own answer list through
 //! the same functions is the identity on the content and canonicalizes the
 //! order, so "cluster == merge(oracle)" is a byte-level equality check.
+//!
+//! Solution rows are only *canonicalized* here (concatenate, sort, dedup
+//! full bindings). What a query's ORDER BY, projection, DISTINCT and slice
+//! mean is defined once, by the evaluator: both solution merges end in
+//! [`sapphire_sparql::select_rows`], so a unique answer is the single-box
+//! evaluator's answer with nothing to canonicalize.
 
 use sapphire_core::qcm::Completion;
 use sapphire_core::qsm::TermAlternative;
 use sapphire_core::MatchSource;
 use sapphire_rdf::Term;
-use sapphire_sparql::{Aggregate, Projection, SelectItem, SelectQuery, Solutions};
+use sapphire_sparql::{select_rows, Aggregate, Projection, SelectItem, SelectQuery, Solutions};
 
 /// The canonical rank of one completion: suffix-tree matches before
 /// residual-bin matches (the QCM's own contract), predicates before literals
@@ -63,79 +69,33 @@ pub fn merge_completions(lists: Vec<Vec<Completion>>, k: usize) -> Vec<Completio
     all
 }
 
-/// Numeric-aware term comparison for ORDER BY keys (mirrors the federated
-/// processor: numbers compare numerically, everything else lexically, and
-/// unbound sorts first).
-fn cmp_order_terms(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => {
-            let nx = x.as_literal().and_then(|l| l.as_f64());
-            let ny = y.as_literal().and_then(|l| l.as_f64());
-            match (nx, ny) {
-                (Some(p), Some(q)) => p.partial_cmp(&q).unwrap_or(Ordering::Equal),
-                _ => x.lexical().cmp(y.lexical()),
-            }
-        }
-    }
-}
-
-/// Merge per-shard solution sets for one query into the canonical cluster
-/// answer: concatenate, dedup when the query is DISTINCT, sort by the
-/// query's ORDER BY keys with a whole-row total-order tie-break, and apply
-/// OFFSET/LIMIT last (the router strips the slice before scattering, so
-/// shards never pre-truncate).
-pub fn merge_solutions(query: &SelectQuery, lists: Vec<Solutions>) -> Solutions {
-    let mut merged = Solutions::default();
-    let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
+/// Every list's rows under the first list's variables.
+fn concat(lists: Vec<Solutions>) -> (Vec<String>, Vec<Vec<Option<Term>>>) {
+    let mut vars = Vec::new();
+    let mut rows = Vec::new();
     for list in lists {
-        if merged.vars.is_empty() {
-            merged.vars = list.vars;
+        if vars.is_empty() {
+            vars = list.vars;
         }
         rows.extend(list.rows);
     }
-    if query.distinct {
-        rows.sort();
-        rows.dedup();
-    }
-    let keys: Vec<(Option<usize>, bool)> = query
-        .order_by
-        .iter()
-        .map(|key| {
-            let col = match &key.expr {
-                sapphire_sparql::Expr::Var(v) => merged.vars.iter().position(|x| x == v),
-                _ => None,
-            };
-            (col, key.descending)
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        for (col, desc) in &keys {
-            if let Some(c) = col {
-                let ord = cmp_order_terms(&a[*c], &b[*c]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-        a.cmp(b)
-    });
-    if let Some(offset) = query.offset {
-        rows.drain(..offset.min(rows.len()));
-    }
-    if let Some(limit) = query.limit {
-        rows.truncate(limit);
-    }
-    merged.rows = rows;
-    merged
+    (vars, rows)
+}
+
+/// Merge per-shard solution sets for one query into the canonical cluster
+/// answer: concatenate, sort into the canonical (whole-row) order, and let
+/// the evaluator's own modifiers ([`select_rows`]) order, dedup when the
+/// query is DISTINCT, and apply OFFSET/LIMIT last (the router strips the
+/// slice before scattering, so shards never pre-truncate). ORDER BY ties
+/// keep the canonical order.
+pub fn merge_solutions(query: &SelectQuery, lists: Vec<Solutions>) -> Solutions {
+    let (vars, mut rows) = concat(lists);
+    rows.sort();
+    select_rows(query, &vars, rows)
 }
 
 /// Merge *full-binding* (`SELECT *`) shard rows exactly, then apply the
-/// query's own projection, DISTINCT, ORDER BY, and slice.
+/// query's own ORDER BY, projection, DISTINCT and slice.
 ///
 /// The router scatters pattern queries with a star projection precisely so
 /// this merge can deduplicate **full bindings** first: over a BGP, solutions
@@ -144,49 +104,15 @@ pub fn merge_solutions(query: &SelectQuery, lists: Vec<Solutions>) -> Solutions 
 /// the schema slice — e.g. `?s rdfs:subClassOf ?o` matches the replicated
 /// hierarchy on every shard. Deduplicating *after* projection would be
 /// wrong the other way: projection legitimately collapses distinct bindings
-/// onto equal rows, and a non-DISTINCT query keeps those duplicates. So:
-/// dedup bindings, then project, then hand off to [`merge_solutions`] for
-/// the query's own DISTINCT/ORDER/slice semantics.
+/// onto equal rows, and a non-DISTINCT query keeps those duplicates. And
+/// ordering after projection would lose every sort key the query does not
+/// project. So: dedup bindings, then hand the full bindings to
+/// [`select_rows`], which orders before it projects.
 pub fn merge_bindings(query: &SelectQuery, lists: Vec<Solutions>) -> Solutions {
-    let mut full = Solutions::default();
-    for list in lists {
-        if full.vars.is_empty() {
-            full.vars = list.vars;
-        }
-        full.rows.extend(list.rows);
-    }
-    full.rows.sort();
-    full.rows.dedup();
-    let projected = match &query.projection {
-        Projection::Star => full,
-        Projection::Items(items) => {
-            let names: Vec<String> = items
-                .iter()
-                .filter_map(|item| match item {
-                    SelectItem::Var(v) => Some(v.clone()),
-                    SelectItem::Agg { .. } => None,
-                })
-                .collect();
-            let columns: Vec<Option<usize>> = names
-                .iter()
-                .map(|n| full.vars.iter().position(|v| v == n))
-                .collect();
-            Solutions {
-                rows: full
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        columns
-                            .iter()
-                            .map(|c| c.and_then(|c| row[c].clone()))
-                            .collect()
-                    })
-                    .collect(),
-                vars: names,
-            }
-        }
-    };
-    merge_solutions(query, vec![projected])
+    let (vars, mut rows) = concat(lists);
+    rows.sort();
+    rows.dedup();
+    select_rows(query, &vars, rows)
 }
 
 /// The single-aggregate COUNT shape the session UI produces
@@ -386,6 +312,51 @@ mod tests {
             vec!["http://x/b", "http://x/c", "http://x/d"],
             "{merged:?}"
         );
+    }
+
+    /// A sort key the query does not project still orders the merge: the
+    /// full bindings are ordered, then projected — `evaluate_select`'s answer,
+    /// however the bindings were split over shards.
+    #[test]
+    fn bindings_merge_orders_by_unprojected_keys_like_the_evaluator() {
+        let graph = sapphire_rdf::turtle::parse(
+            r#"
+res:London dbo:name "London" ; dbo:population 9000000 .
+res:Paris dbo:name "Paris" ; dbo:population 11000000 .
+res:Rome dbo:name "Rome" ; dbo:population 4000000 .
+"#,
+        )
+        .unwrap();
+        let run = |text: &str| {
+            let query = parse_select(text).unwrap();
+            let mut budget = sapphire_sparql::WorkBudget::unlimited();
+            let answer = sapphire_sparql::evaluate_select(&graph, &query, &mut budget).unwrap();
+            (query, answer)
+        };
+        let pattern = "WHERE { ?c dbo:name ?name ; dbo:population ?pop }";
+        let (_, star) = run(&format!("SELECT * {pattern}"));
+        let shard = |rows: &[usize]| Solutions {
+            vars: star.vars.clone(),
+            rows: rows.iter().map(|&r| star.rows[r].clone()).collect(),
+        };
+        for modifiers in [
+            "ORDER BY DESC(?pop) LIMIT 1",
+            "ORDER BY ?pop LIMIT 2 OFFSET 1",
+        ] {
+            let (query, expected) = run(&format!("SELECT ?name {pattern} {modifiers}"));
+            for lists in [
+                vec![shard(&[0, 1, 2])],
+                vec![shard(&[2, 0]), shard(&[1])],
+                // A binding replicated on two shards still counts once.
+                vec![shard(&[1, 2]), shard(&[0, 1])],
+            ] {
+                assert_eq!(merge_bindings(&query, lists), expected, "{modifiers}");
+            }
+        }
+        let (_, top) = run(&format!(
+            "SELECT ?name {pattern} ORDER BY DESC(?pop) LIMIT 1"
+        ));
+        assert_eq!(top.rows[0][0].as_ref().unwrap().lexical(), "Paris");
     }
 
     #[test]

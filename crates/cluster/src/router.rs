@@ -22,6 +22,14 @@
 //!   surfaces immediately. Only when every attempt is shed does the router
 //!   give up, with [`ClusterError::ShardUnavailable`].
 //!
+//! There is one such policy and every shard call takes it: a scatter arm, a
+//! targeted call, and each probe and sub-query of a cross-shard bound join
+//! (the federated processor sees each shard as an endpoint whose every
+//! query is one routed shard call). So every call is counted in
+//! [`ClusterMetrics::fanout_per_shard`], observed in the `shard_rtt`
+//! histogram and, in a sampled request, spanned under it — the fan-out
+//! total is the `shard_rtt` count plus the hedges fired.
+//!
 //! The edge is itself a serving tier: QCM/QSM responses are memoized in
 //! sharded response caches and identical in-flight requests are
 //! single-flighted through the same [`ReadThrough`] front the servers use,
@@ -39,7 +47,7 @@ use sapphire_core::{
     completion_request_key, run_request_key, run_request_key_tier, CacheStats, SteinerConfig,
 };
 use sapphire_endpoint::{
-    query_fingerprint, Backoff, EndpointError, Jitter, QueryService, ServiceEndpoint, ServiceError,
+    query_fingerprint, Backoff, Endpoint, EndpointError, QueryService, ServiceError,
 };
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
@@ -338,8 +346,9 @@ impl MergedCompletion {
 /// Point-in-time router observability snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterMetrics {
-    /// Shard calls issued, per shard (scatter fan-out plus targeted calls,
-    /// retries and hedges included).
+    /// Shard calls issued, per shard: scatter fan-out, targeted calls and
+    /// the probes and sub-queries of cross-shard bound joins, retries and
+    /// hedges included.
     pub fanout_per_shard: Vec<u64>,
     /// Hedge requests fired (primary exceeded the hedge budget).
     pub hedges_fired: u64,
@@ -539,51 +548,39 @@ fn is_retryable(e: &ServerError) -> bool {
     )
 }
 
-/// The retry-after view of a server rejection (via the endpoint-level hint).
-fn as_endpoint_error(e: &ServerError) -> EndpointError {
+/// How long a rejection suggests waiting before a retry, as the endpoint
+/// layer reads it (nothing, for a rejection without a hint).
+fn retry_hint(e: &ServerError) -> Duration {
     EndpointError::from(e.clone().into_service_error())
+        .retry_after()
+        .unwrap_or_default()
 }
 
-/// One shard's replica set behind a [`QueryService`] face, for the
-/// federated bound-join path: every raw query it receives is routed to the
-/// least-loaded replica *at that moment*, with the router's typed bounded
-/// retry on back-pressure and transport failures. Without this, the bound
-/// join would pin one replica for the whole plan — and a replica dying
-/// mid-plan (the exact drill `serve_check` gates) would fail the query even
-/// though a healthy sibling holds the same shard.
-struct ShardFanout {
-    name: String,
-    replicas: Vec<Arc<dyn ShardService>>,
-    backoff: Backoff,
-    jitter_seq: AtomicU64,
+/// One shard as the [`Endpoint`] a cross-shard bound join probes and
+/// sub-queries: each query is one [`ClusterRouter::shard_rtt`] — the same
+/// load-ordered, hedged, retried, counted and spanned shard call every
+/// scatter makes — so the join keeps choosing a replica per query instead
+/// of pinning whichever was least loaded (or alive) when the plan started.
+struct ShardEndpoint<'a> {
+    router: &'a ClusterRouter,
+    shard: usize,
+    tenant: &'a str,
 }
 
-impl QueryService for ShardFanout {
-    fn service_name(&self) -> &str {
-        &self.name
+impl Endpoint for ShardEndpoint<'_> {
+    fn name(&self) -> &str {
+        &self.router.config.name
     }
 
-    fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError> {
-        let mut order: Vec<usize> = (0..self.replicas.len()).collect();
-        order.sort_by_key(|&i| {
-            let (in_flight, queued) = self.replicas[i].admission_load();
-            (in_flight + queued, i)
-        });
-        let mut jitter = Jitter::new(self.jitter_seq.fetch_add(1, Ordering::Relaxed));
-        let mut attempt: u32 = 0;
-        loop {
-            let replica = &self.replicas[order[attempt as usize % order.len()]];
-            match replica.execute_raw(tenant, query) {
-                Ok(result) => return Ok(result),
-                Err(e) if is_retryable(&e) && attempt < self.backoff.max_retries => {
-                    std::thread::sleep(
-                        self.backoff
-                            .jittered_wait(&as_endpoint_error(&e), &mut jitter),
-                    );
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into_service_error()),
-            }
+    fn execute_parsed(&self, query: &Query) -> Result<QueryResult, EndpointError> {
+        let request = ShardRequest::Raw {
+            tenant: self.tenant.to_string(),
+            query: query.clone(),
+        };
+        match self.router.shard_rtt(self.shard, &request) {
+            Ok(ShardReply::Raw(result)) => Ok(result),
+            Ok(_) => unreachable!("a raw request yields a raw reply"),
+            Err(e) => Err(e.into_service_error().into()),
         }
     }
 }
@@ -851,6 +848,7 @@ impl ClusterRouter {
             for (shard, calls) in m.fanout_per_shard.iter().enumerate() {
                 cluster.field(&format!("fanout_shard{shard}"), *calls);
             }
+            cluster.field("fanout_total", m.fanout_per_shard.iter().sum::<u64>());
         }
         for (name, stats) in [
             ("edge_completion_cache", &m.completion_cache),
@@ -1194,8 +1192,7 @@ impl ClusterRouter {
     /// The exact cluster-wide answer set of one SELECT: targeted single-shard
     /// routing for ground-subject stars, scatter + full-binding merge for
     /// variable-subject stars, edge recount for the session COUNT shape, and
-    /// a federated bound join over one replica per shard for patterns
-    /// spanning shards.
+    /// a federated bound join over the shards for patterns spanning them.
     fn cluster_answers(
         &self,
         tenant: &str,
@@ -1254,41 +1251,30 @@ impl ClusterRouter {
         }
     }
 
-    /// Cross-shard fallback: a federated bound join over one (least-loaded)
-    /// replica endpoint per shard, via the partition-safe
-    /// [`execute_partitioned`](sapphire_endpoint::FederatedProcessor::execute_partitioned)
+    /// Cross-shard fallback: a federated bound join over the shards, each a
+    /// [`ShardEndpoint`], via the partition-safe
+    /// [`execute_partitioned`](sapphire_endpoint::federation::execute_partitioned)
     /// path (the covering-endpoint shortcut is unsound over shards of one
     /// dataset). Admission control and budgets still hold at every shard —
     /// the endpoints are the servers themselves.
     fn federated_rows(&self, tenant: &str, query: &SelectQuery) -> Result<Solutions, ClusterError> {
-        let mut fed = sapphire_endpoint::FederatedProcessor::new();
-        for shard in 0..self.shard_count() {
-            self.counters.fanout[shard].fetch_add(1, Ordering::Relaxed);
-            // A bound join issues *many* raw queries against each shard
-            // over the plan's lifetime, so the endpoint it binds must keep
-            // making the load/failover decision per query — a `ShardFanout`
-            // over the whole replica set — rather than pinning whichever
-            // replica was least loaded (or even alive) at plan start.
-            fed.register(Arc::new(ServiceEndpoint::new(
-                Arc::new(ShardFanout {
-                    name: format!("{}-s{shard}", self.config.name),
-                    replicas: self.shards[shard].clone(),
-                    backoff: self.config.backoff,
-                    jitter_seq: AtomicU64::new(
-                        self.counters.jitter_seq.fetch_add(1, Ordering::Relaxed),
-                    ),
-                }),
+        let shards: Vec<ShardEndpoint<'_>> = (0..self.shard_count())
+            .map(|shard| ShardEndpoint {
+                router: self,
+                shard,
                 tenant,
-            )));
-        }
+            })
+            .collect();
+        let endpoints: Vec<&dyn Endpoint> = shards.iter().map(|s| s as &dyn Endpoint).collect();
         // The federated plan spans every shard, so a failure here cannot be
         // pinned on one shard index — it surfaces as the dedicated
         // cross-shard variant (still typed: back-pressure stays a
         // rejection).
-        fed.execute_partitioned(query)
-            .map_err(|e| ClusterError::CrossShard {
+        sapphire_endpoint::federation::execute_partitioned(&endpoints, query).map_err(|e| {
+            ClusterError::CrossShard {
                 error: sapphire_server::error::from_federation(e),
-            })
+            }
+        })
     }
 
     // --- Routing core ------------------------------------------------------
@@ -1362,74 +1348,86 @@ impl ClusterRouter {
     }
 
     /// One shard call under the full routing policy: load-ordered replica
-    /// choice, hedging, and typed bounded retry with failover.
+    /// choice, hedging, and typed bounded retry with failover — the retry
+    /// loop itself is [`Backoff::run`].
     fn call_shard(&self, shard: usize, req: &ShardRequest) -> Result<ShardReply, ClusterError> {
         let order = self.replica_order(shard);
-        let replicas = self.shard_replicas(shard);
-        let mut attempt: u32 = 0;
-        // When the request carries a deadline budget, the retry loop stops
-        // once the budget is spent — retrying a shard call nobody is still
+        // When the request carries a deadline budget, retrying stops once
+        // the budget is spent — retrying a shard call nobody is still
         // waiting for only deepens the overload it is reacting to.
         let call_started = Instant::now();
         let budget = request_budget(req);
         // Per-call jitter stream: concurrent callers shed by the same
         // saturated replica must not retry in lock-step (the seed sequence
         // gives every call its own decorrelated schedule).
-        let mut jitter = Jitter::new(self.counters.jitter_seq.fetch_add(1, Ordering::Relaxed));
-        loop {
-            self.counters.fanout[shard].fetch_add(1, Ordering::Relaxed);
-            let primary = order[attempt as usize % order.len()];
-            // With wire replicas this is a *real* network round trip;
-            // in-process it is a function call. Tag every observation with
-            // the transport so the histogram never silently mixes the two.
-            let transport = replicas[primary].transport();
-            let attempt_started = Instant::now();
-            let mut rtt = self.obs.time(Stage::ShardRtt);
-            rtt.tag(transport);
-            let result = match (self.config.hedge_after, order.len() > 1) {
-                (Some(budget), true) => {
-                    let secondary = order[(attempt as usize + 1) % order.len()];
-                    self.call_hedged(shard, replicas, primary, secondary, budget, req)
-                }
-                _ => call_replica(replicas[primary].as_ref(), req),
-            };
-            let attempt_us = attempt_started.elapsed().as_micros() as u64;
-            drop(rtt);
-            if let Some((trace, parent)) = trace::current_ctx() {
-                trace.add_span(
-                    "replica_call",
-                    attempt_started,
-                    attempt_us,
-                    parent,
-                    format!(
-                        "shard{shard} replica{primary} attempt{attempt} transport={transport} ok={}",
-                        result.is_ok()
-                    ),
-                );
+        let seed = self.counters.jitter_seq.fetch_add(1, Ordering::Relaxed);
+        let attempt = |attempt: u32| {
+            if attempt > 0 {
+                self.counters
+                    .replica_retries
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            match result {
-                Ok(reply) => return Ok(reply),
-                Err(e) if is_retryable(&e) => {
-                    let budget_spent = budget.is_some_and(|b| call_started.elapsed() >= b);
-                    if attempt >= self.config.backoff.max_retries || budget_spent {
-                        self.counters
-                            .rejected_after_retry
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(ClusterError::ShardUnavailable { shard, last: e });
-                    }
-                    self.counters
-                        .replica_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(
-                        self.config
-                            .backoff
-                            .jittered_wait(&as_endpoint_error(&e), &mut jitter),
-                    );
-                    attempt += 1;
-                }
-                Err(e) => return Err(ClusterError::Shard { shard, error: e }),
+            self.attempt_shard(shard, &order, attempt, req)
+        };
+        let retry_after = |e: &ServerError| {
+            let budget_spent = budget.is_some_and(|b| call_started.elapsed() >= b);
+            (is_retryable(e) && !budget_spent).then(|| retry_hint(e))
+        };
+        match self.config.backoff.run(seed, attempt, retry_after) {
+            Ok(reply) => Ok(reply),
+            Err(e) if is_retryable(&e) => {
+                self.counters
+                    .rejected_after_retry
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(ClusterError::ShardUnavailable { shard, last: e })
             }
+            Err(e) => Err(ClusterError::Shard { shard, error: e }),
         }
+    }
+
+    /// Attempt number `attempt` of a shard call: one round trip to the
+    /// replica that attempt falls on (hedged against the next in load order
+    /// when there is one), counted in the fan-out, observed as `shard_rtt`
+    /// and — in a sampled request — spanned as `replica_call`.
+    fn attempt_shard(
+        &self,
+        shard: usize,
+        order: &[usize],
+        attempt: u32,
+        req: &ShardRequest,
+    ) -> Result<ShardReply, ServerError> {
+        let replicas = self.shard_replicas(shard);
+        self.counters.fanout[shard].fetch_add(1, Ordering::Relaxed);
+        let primary = order[attempt as usize % order.len()];
+        // With wire replicas this is a *real* network round trip;
+        // in-process it is a function call. Tag every observation with
+        // the transport so the histogram never silently mixes the two.
+        let transport = replicas[primary].transport();
+        let attempt_started = Instant::now();
+        let mut rtt = self.obs.time(Stage::ShardRtt);
+        rtt.tag(transport);
+        let result = match (self.config.hedge_after, order.len() > 1) {
+            (Some(budget), true) => {
+                let secondary = order[(attempt as usize + 1) % order.len()];
+                self.call_hedged(shard, replicas, primary, secondary, budget, req)
+            }
+            _ => call_replica(replicas[primary].as_ref(), req),
+        };
+        let attempt_us = attempt_started.elapsed().as_micros() as u64;
+        drop(rtt);
+        if let Some((trace, parent)) = trace::current_ctx() {
+            trace.add_span(
+                "replica_call",
+                attempt_started,
+                attempt_us,
+                parent,
+                format!(
+                    "shard{shard} replica{primary} attempt{attempt} transport={transport} ok={}",
+                    result.is_ok()
+                ),
+            );
+        }
+        result
     }
 
     /// Fire at `primary`; if it does not answer within `budget`, fire the
@@ -1568,7 +1566,8 @@ impl ClusterRouter {
 
 /// The raw SPARQL surface of the cluster: the router is itself a
 /// [`QueryService`], so a further edge tier can federate over the whole
-/// cluster through a [`ServiceEndpoint`] — multi-tier topologies compose.
+/// cluster through a [`ServiceEndpoint`](sapphire_endpoint::ServiceEndpoint) —
+/// multi-tier topologies compose.
 /// Identical in-flight queries coalesce at this tier by
 /// [`query_fingerprint`], the same key every other tier uses.
 impl QueryService for ClusterRouter {

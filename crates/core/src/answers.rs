@@ -5,7 +5,7 @@
 //! columns, and dragging a cell value back into the query boxes.
 
 use sapphire_rdf::Term;
-use sapphire_sparql::Solutions;
+use sapphire_sparql::{term_order, Solutions};
 
 /// An interactive view over query answers.
 #[derive(Debug, Clone, Default)]
@@ -116,7 +116,7 @@ impl AnswerTable {
         if let Some((col, desc)) = &self.sort {
             if let Some(idx) = vars.iter().position(|v| v == col) {
                 rows.sort_by(|a, b| {
-                    let ord = cmp_cells(&a[idx], &b[idx]);
+                    let ord = term_order(a[idx].as_ref(), b[idx].as_ref());
                     if *desc {
                         ord.reverse()
                     } else {
@@ -133,23 +133,6 @@ impl AnswerTable {
     pub fn drag_value(&self, row: usize, column: &str) -> Option<String> {
         let view = self.view();
         view.get(row, column).map(|t| t.lexical().to_string())
-    }
-}
-
-fn cmp_cells(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => {
-            let nx = x.as_literal().and_then(|l| l.as_f64());
-            let ny = y.as_literal().and_then(|l| l.as_f64());
-            match (nx, ny) {
-                (Some(p), Some(q)) => p.partial_cmp(&q).unwrap_or(Ordering::Equal),
-                _ => x.lexical().cmp(y.lexical()),
-            }
-        }
     }
 }
 

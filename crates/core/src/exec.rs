@@ -23,10 +23,11 @@
 //!   picked up yet before blocking. Results are collected in task-index
 //!   order, which is what keeps scatter merges and Algorithm-1 bin scans
 //!   byte-identical to the old spawn-per-request code.
-//! - **Queue-wait visibility.** The executor keeps a log-bucketed histogram
-//!   of enqueue→start latency (`queue_p99_us` in [`ExecStats`]) and can feed
-//!   each sample to an installed observer so `sapphire-obs` can fold it into
-//!   its stage histograms without `core` depending on `obs`.
+//! - **Queue-wait visibility.** The executor keeps a
+//!   [`sapphire_obs::Histogram`] of enqueue→start latency (`queue_p99_us` in
+//!   [`ExecStats`]) and feeds each sample to an installed observer, which is
+//!   how a tier folds it into its own `Obs`'s `exec_queue` stage — the pool
+//!   is process-global, an `Obs` is per tier.
 //!
 //! The process-global instance ([`global`]) is sized from
 //! `SAPPHIRE_EXEC_WORKERS` (or `max(8, available_parallelism)` — generous,
@@ -38,6 +39,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
+
+use sapphire_obs::Histogram;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -89,55 +92,6 @@ struct Park {
     shutdown: bool,
 }
 
-/// Log-bucketed latency histogram (power-of-two microsecond buckets), same
-/// shape as the `sapphire-obs` stage histograms but private to the executor
-/// so `core` stays dependency-free.
-struct WaitHisto {
-    buckets: [AtomicU64; WaitHisto::BUCKETS],
-    max_us: AtomicU64,
-}
-
-impl WaitHisto {
-    const BUCKETS: usize = 40;
-
-    fn new() -> Self {
-        WaitHisto {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            max_us: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, us: u64) {
-        let b = (u64::BITS - us.leading_zeros()) as usize; // 0 -> bucket 0
-        let b = b.min(Self::BUCKETS - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// Upper bound of the bucket holding the q-quantile sample (q in 0..=100).
-    fn percentile_us(&self, q: u64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (total * q).div_ceil(100).max(1);
-        let mut seen = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Bucket i holds values in [2^(i-1), 2^i - 1]; report the cap.
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
-            }
-        }
-        self.max_us.load(Ordering::Relaxed)
-    }
-}
-
 type WaitObserver = Box<dyn Fn(u64) + Send + Sync>;
 
 struct Inner {
@@ -153,7 +107,7 @@ struct Inner {
     steals: AtomicU64,
     spawns_avoided: AtomicU64,
     panicked: AtomicU64,
-    queue_wait: WaitHisto,
+    queue_wait: Histogram,
     wait_observer: OnceLock<WaitObserver>,
 }
 
@@ -258,7 +212,8 @@ pub struct ExecStats {
     pub spawns_avoided: u64,
     /// Detached jobs that panicked (batch panics re-throw at the submitter).
     pub panicked: u64,
-    /// Enqueue→start latency, p50 (log-bucket upper bound, µs).
+    /// Enqueue→start latency, p50 (log-bucket upper bound clamped to the
+    /// largest observed, µs).
     pub queue_p50_us: u64,
     /// Enqueue→start latency, p95.
     pub queue_p95_us: u64,
@@ -319,7 +274,7 @@ impl Executor {
             steals: AtomicU64::new(0),
             spawns_avoided: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
-            queue_wait: WaitHisto::new(),
+            queue_wait: Histogram::new(),
             wait_observer: OnceLock::new(),
         });
         let handles = (0..workers)
@@ -477,6 +432,7 @@ impl Executor {
     /// Snapshot the counters.
     pub fn stats(&self) -> ExecStats {
         let i = &self.inner;
+        let queue_wait = i.queue_wait.snapshot();
         ExecStats {
             workers: self.workers.len(),
             tasks_run: i.tasks_run.load(Ordering::Relaxed),
@@ -484,10 +440,10 @@ impl Executor {
             steals: i.steals.load(Ordering::Relaxed),
             spawns_avoided: i.spawns_avoided.load(Ordering::Relaxed),
             panicked: i.panicked.load(Ordering::Relaxed),
-            queue_p50_us: i.queue_wait.percentile_us(50),
-            queue_p95_us: i.queue_wait.percentile_us(95),
-            queue_p99_us: i.queue_wait.percentile_us(99),
-            queue_max_us: i.queue_wait.max_us.load(Ordering::Relaxed),
+            queue_p50_us: queue_wait.percentile(50.0),
+            queue_p95_us: queue_wait.percentile(95.0),
+            queue_p99_us: queue_wait.percentile(99.0),
+            queue_max_us: queue_wait.max,
         }
     }
 }
@@ -515,12 +471,6 @@ fn default_workers() -> usize {
 }
 
 static GLOBAL: OnceLock<Executor> = OnceLock::new();
-
-/// Size the process-global executor before first use. Returns `false` (and
-/// changes nothing) if the global pool already exists.
-pub fn configure_global(workers: usize) -> bool {
-    GLOBAL.set(Executor::new(workers)).is_ok()
-}
 
 /// The process-global executor shared by scatter, hedging, bin scans and
 /// the wire server. Sized from `SAPPHIRE_EXEC_WORKERS` if set, else
@@ -676,15 +626,11 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_are_monotone() {
-        let h = WaitHisto::new();
-        for us in [0u64, 1, 3, 9, 100, 1000, 5000] {
-            h.record(us);
-        }
-        let p50 = h.percentile_us(50);
-        let p95 = h.percentile_us(95);
-        let p99 = h.percentile_us(99);
-        assert!(p50 <= p95 && p95 <= p99);
-        assert!(p99 <= h.max_us.load(Ordering::Relaxed).next_power_of_two());
+        let exec = Executor::new(2);
+        let _ = exec.run(32, |i| i);
+        let s = exec.stats();
+        assert!(s.queue_p50_us <= s.queue_p95_us && s.queue_p95_us <= s.queue_p99_us);
+        assert!(s.queue_p99_us <= s.queue_max_us);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Typed retry/backoff for overloaded services.
 //!
 //! [`EndpointError::Overloaded`] is back-pressure, not failure: the service
-//! is telling the caller to come back later. Before this module every caller
-//! hand-rolled that loop; [`Backoff`] is the one shared policy — bounded
-//! attempts, exponential delay, and the error's own
-//! [retry-after hint](EndpointError::retry_after) folded in — used by
-//! [`ServiceEndpoint`](crate::ServiceEndpoint) callers and the cluster
-//! router alike.
+//! is telling the caller to come back later. [`Backoff`] is the policy —
+//! bounded attempts, a jittered delay that grows exponentially in
+//! expectation, the rejection's own
+//! [retry-after hint](EndpointError::retry_after) as its floor — and
+//! [`Backoff::run`] is the one loop that applies it. Its caller is the
+//! cluster router's shard call, which every request to a shard goes through
+//! (scatter, targeted, and each sub-query of a cross-shard bound join).
 //!
 //! **Jitter.** A bare exponential schedule is a synchronization machine:
 //! every caller shed by the same overloaded replica computes the same
 //! delays, so the whole cohort returns in lock-step and re-saturates the
 //! gate together (coalesced followers that fall back to their own scatter
-//! are exactly such a cohort). [`Jitter`] decorrelates them with the
+//! are exactly such a cohort). `Jitter` decorrelates them with the
 //! AWS-style "decorrelated jitter" schedule — each wait is drawn uniformly
 //! from `[base, 3 × previous]`, clamped to `[base, max_delay]` — using a
 //! tiny deterministic SplitMix64 stream seeded per caller, so retry timing
@@ -20,7 +21,7 @@
 
 use std::time::Duration;
 
-use crate::endpoint::{Endpoint, EndpointError};
+use crate::endpoint::EndpointError;
 
 /// A deterministic per-caller jitter stream (SplitMix64).
 ///
@@ -28,7 +29,7 @@ use crate::endpoint::{Endpoint, EndpointError};
 /// advances its own stream): two callers with different seeds produce
 /// different retry schedules, which is the whole point.
 #[derive(Debug, Clone)]
-pub struct Jitter {
+struct Jitter {
     state: u64,
     prev: Duration,
 }
@@ -37,7 +38,7 @@ impl Jitter {
     /// A jitter stream for one caller. Distinct seeds give distinct
     /// schedules; the same seed replays the same schedule (deterministic
     /// tests).
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Jitter {
             // Pre-mix so seeds 0,1,2,… start from well-spread states.
             state: seed ^ 0x9E37_79B9_7F4A_7C15,
@@ -81,12 +82,13 @@ impl EndpointError {
     }
 }
 
-/// A bounded exponential backoff policy for typed overload rejections.
+/// A bounded, jittered backoff policy for typed overload rejections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// Retries after the initial attempt (`0` = try once, never retry).
     pub max_retries: u32,
-    /// Delay before the first retry; doubles per subsequent retry.
+    /// Shortest delay before a retry; the first is drawn from `[base, 3 ×
+    /// base]`, each later one from `[base, 3 × the previous]`.
     pub base: Duration,
     /// Upper bound on any single delay.
     pub max_delay: Duration,
@@ -112,31 +114,16 @@ impl Backoff {
         }
     }
 
-    /// The delay before retry number `attempt` (0-based): `base * 2^attempt`
-    /// capped at [`max_delay`](Self::max_delay).
-    pub fn delay(&self, attempt: u32) -> Duration {
-        let exp = self.base.saturating_mul(1u32 << attempt.min(16));
-        exp.min(self.max_delay)
-    }
-
-    /// The actual wait before retry `attempt` given the rejection `error`:
-    /// the larger of the policy's exponential delay and the error's own
-    /// retry-after hint.
-    pub fn wait_for(&self, attempt: u32, error: &EndpointError) -> Duration {
-        let hint = error.retry_after().unwrap_or(Duration::ZERO);
-        self.delay(attempt).max(hint).min(self.max_delay)
-    }
-
     /// The decorrelated-jittered wait before the next retry, honoring the
-    /// rejection's retry-after hint as a floor and
+    /// rejection's retry-after `hint` as a floor and
     /// [`max_delay`](Self::max_delay) as the cap.
     ///
-    /// The schedule (per caller, via its own [`Jitter`] stream):
+    /// The schedule (per caller, via its own `Jitter` stream):
     /// `next = uniform(base, 3 × prev)` clamped to `[base, max_delay]`,
     /// with `prev` starting at `base`. Growth is exponential *in
     /// expectation* but no two callers walk the same sequence — a shed
     /// cohort spreads out instead of returning in lock-step.
-    pub fn jittered_wait(&self, error: &EndpointError, jitter: &mut Jitter) -> Duration {
+    fn jittered_wait(&self, hint: Duration, jitter: &mut Jitter) -> Duration {
         let base = self.base.max(Duration::from_nanos(1));
         let prev = if jitter.prev.is_zero() {
             base
@@ -148,75 +135,46 @@ impl Backoff {
             .min(self.max_delay)
             .saturating_sub(base);
         let drawn = base + span.mul_f64(jitter.next_f64());
-        let hint = error.retry_after().unwrap_or(Duration::ZERO);
         let wait = drawn.max(hint).min(self.max_delay);
         jitter.prev = wait.max(base);
         wait
     }
 
-    /// Run `op` with this policy: retry (sleeping [`wait_for`](Self::wait_for))
-    /// while it fails with a back-pressure rejection that carries a
-    /// retry-after hint, up to `max_retries` retries. Non-retryable errors
-    /// and exhausted budgets return the last error unchanged, so callers
-    /// still see the typed rejection.
+    /// The one retry loop: run `op` until it succeeds, fails with an error
+    /// `retry_after` has no hint for, or has been retried
+    /// [`max_retries`](Self::max_retries) times — sleeping a
+    /// decorrelated-jittered wait (see the module docs) from the caller's
+    /// own stream (`seed`) before each retry, so concurrent callers shed by
+    /// the same replica do not come back in lock-step. The last
+    /// error returns unchanged, so callers still see the typed rejection.
     ///
     /// `op` receives the 0-based attempt number, letting callers vary the
-    /// target per attempt (the cluster router fails over to another replica).
-    pub fn run<T>(
-        &self,
-        mut op: impl FnMut(u32) -> Result<T, EndpointError>,
-    ) -> Result<T, EndpointError> {
-        let mut attempt = 0;
-        loop {
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    if attempt >= self.max_retries || e.retry_after().is_none() {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.wait_for(attempt, &e));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// [`run`](Self::run) with decorrelated jitter: identical retry policy
-    /// and typed-error semantics, but the sleeps come from the caller's own
-    /// [`Jitter`] stream (`seed`) instead of the shared exponential
-    /// schedule — so concurrent callers shed by the same replica do not
-    /// retry in lock-step.
-    pub fn run_jittered<T>(
+    /// target per attempt (the cluster router fails over to another
+    /// replica). `retry_after` is asked once per failure, after it: the
+    /// rejecting side's hint ([`EndpointError::retry_after`] for endpoint
+    /// errors), or `None` to stop — the router also stops once its
+    /// request's deadline budget is spent.
+    pub fn run<T, E>(
         &self,
         seed: u64,
-        mut op: impl FnMut(u32) -> Result<T, EndpointError>,
-    ) -> Result<T, EndpointError> {
+        mut op: impl FnMut(u32) -> Result<T, E>,
+        retry_after: impl Fn(&E) -> Option<Duration>,
+    ) -> Result<T, E> {
         let mut jitter = Jitter::new(seed);
         let mut attempt = 0;
         loop {
-            match op(attempt) {
+            let error = match op(attempt) {
                 Ok(v) => return Ok(v),
-                Err(e) => {
-                    if attempt >= self.max_retries || e.retry_after().is_none() {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.jittered_wait(&e, &mut jitter));
+                Err(e) => e,
+            };
+            match retry_after(&error) {
+                Some(hint) if attempt < self.max_retries => {
+                    std::thread::sleep(self.jittered_wait(hint, &mut jitter));
                     attempt += 1;
                 }
+                _ => return Err(error),
             }
         }
-    }
-
-    /// Execute a parsed query against `endpoint` under this policy — the
-    /// common "call a possibly-overloaded [`ServiceEndpoint`]" shape.
-    ///
-    /// [`ServiceEndpoint`]: crate::ServiceEndpoint
-    pub fn execute_parsed(
-        &self,
-        endpoint: &dyn Endpoint,
-        query: &sapphire_sparql::Query,
-    ) -> Result<sapphire_sparql::QueryResult, EndpointError> {
-        self.run(|_| endpoint.execute_parsed(query))
     }
 }
 
@@ -254,33 +212,6 @@ mod tests {
         assert_eq!(EndpointError::Parse("x".into()).retry_after(), None);
     }
 
-    #[test]
-    fn delays_are_exponential_and_capped() {
-        let b = Backoff {
-            max_retries: 8,
-            base: Duration::from_millis(2),
-            max_delay: Duration::from_millis(10),
-        };
-        assert_eq!(b.delay(0), Duration::from_millis(2));
-        assert_eq!(b.delay(1), Duration::from_millis(4));
-        assert_eq!(b.delay(2), Duration::from_millis(8));
-        assert_eq!(b.delay(3), Duration::from_millis(10), "capped");
-        assert_eq!(b.delay(60), Duration::from_millis(10), "no shift overflow");
-    }
-
-    #[test]
-    fn wait_takes_the_larger_of_delay_and_hint() {
-        let b = Backoff {
-            max_retries: 3,
-            base: Duration::from_millis(1),
-            max_delay: Duration::from_millis(100),
-        };
-        // Hint (7ms) dominates the first delay (1ms)…
-        assert_eq!(b.wait_for(0, &overloaded(7)), Duration::from_millis(7));
-        // …the exponential delay dominates once it catches up.
-        assert_eq!(b.wait_for(4, &overloaded(7)), Duration::from_millis(16));
-    }
-
     /// Regression (issue 4 satellite): retry waits must not be a pure
     /// function of the attempt number, or every caller shed together
     /// retries together. With jitter, two callers (distinct seeds) walk
@@ -295,7 +226,7 @@ mod tests {
         let schedule = |seed: u64| -> Vec<Duration> {
             let mut j = Jitter::new(seed);
             (0..8)
-                .map(|_| b.jittered_wait(&overloaded(0), &mut j))
+                .map(|_| b.jittered_wait(Duration::from_millis(1), &mut j))
                 .collect()
         };
         let a = schedule(1);
@@ -303,8 +234,10 @@ mod tests {
         assert_eq!(a, schedule(1), "same seed, same schedule");
         assert_ne!(a, c, "different callers, different schedules");
         // Lock-step is the bug: pre-fix, every caller's wait for attempt i
-        // was exactly `delay(i).max(hint)` — identical across callers.
-        let fixed: Vec<Duration> = (0..8).map(|i| b.wait_for(i, &overloaded(0))).collect();
+        // was exactly `base * 2^i` — identical across callers.
+        let fixed: Vec<Duration> = (0..8)
+            .map(|i| (b.base * (1 << i)).min(b.max_delay))
+            .collect();
         assert_ne!(a, fixed, "jitter diverges from the fixed schedule");
     }
 
@@ -318,7 +251,7 @@ mod tests {
         for seed in 0..32 {
             let mut j = Jitter::new(seed);
             for i in 0..64 {
-                let w = b.jittered_wait(&overloaded(0), &mut j);
+                let w = b.jittered_wait(Duration::from_millis(1), &mut j);
                 assert!(
                     w >= b.base && w <= b.max_delay,
                     "seed {seed} attempt {i}: {w:?} outside [{:?}, {:?}]",
@@ -338,7 +271,7 @@ mod tests {
         };
         for seed in 0..16 {
             let mut j = Jitter::new(seed);
-            let w = b.jittered_wait(&overloaded(40), &mut j);
+            let w = b.jittered_wait(overloaded(40).retry_after().unwrap(), &mut j);
             assert!(
                 w >= Duration::from_millis(40),
                 "hint floors the wait: {w:?}"
@@ -355,22 +288,30 @@ mod tests {
             base: Duration::from_micros(10),
             max_delay: Duration::from_micros(50),
         };
-        let result = b.run_jittered(7, |attempt| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if attempt < 2 {
-                Err(overloaded(1))
-            } else {
-                Ok(attempt)
-            }
-        });
+        let result = b.run(
+            7,
+            |attempt| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                if attempt < 2 {
+                    Err(overloaded(1))
+                } else {
+                    Ok(attempt)
+                }
+            },
+            EndpointError::retry_after,
+        );
         assert_eq!(result, Ok(2));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         // Non-retryable errors still short-circuit.
         let calls = AtomicU32::new(0);
-        let result: Result<(), _> = b.run_jittered(7, |_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(EndpointError::Timeout { work_used: 1 })
-        });
+        let result: Result<(), _> = b.run(
+            7,
+            |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Err(EndpointError::Timeout { work_used: 1 })
+            },
+            EndpointError::retry_after,
+        );
         assert_eq!(result, Err(EndpointError::Timeout { work_used: 1 }));
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
@@ -383,14 +324,18 @@ mod tests {
             base: Duration::from_micros(10),
             max_delay: Duration::from_micros(50),
         };
-        let result = b.run(|attempt| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if attempt < 2 {
-                Err(overloaded(1))
-            } else {
-                Ok(attempt)
-            }
-        });
+        let result = b.run(
+            0,
+            |attempt| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                if attempt < 2 {
+                    Err(overloaded(1))
+                } else {
+                    Ok(attempt)
+                }
+            },
+            EndpointError::retry_after,
+        );
         assert_eq!(result, Ok(2));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
@@ -403,10 +348,14 @@ mod tests {
             base: Duration::from_micros(10),
             max_delay: Duration::from_micros(50),
         };
-        let result: Result<(), _> = b.run(|_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(overloaded(4))
-        });
+        let result: Result<(), _> = b.run(
+            0,
+            |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Err(overloaded(4))
+            },
+            EndpointError::retry_after,
+        );
         assert_eq!(result, Err(overloaded(4)), "last typed error surfaces");
         assert_eq!(calls.load(Ordering::Relaxed), 3, "1 attempt + 2 retries");
     }
@@ -414,10 +363,14 @@ mod tests {
     #[test]
     fn run_never_retries_non_retryable_errors() {
         let calls = AtomicU32::new(0);
-        let result: Result<(), _> = Backoff::default().run(|_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(EndpointError::Timeout { work_used: 1 })
-        });
+        let result: Result<(), _> = Backoff::default().run(
+            0,
+            |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Err(EndpointError::Timeout { work_used: 1 })
+            },
+            EndpointError::retry_after,
+        );
         assert_eq!(result, Err(EndpointError::Timeout { work_used: 1 }));
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
@@ -425,17 +378,21 @@ mod tests {
     #[test]
     fn none_policy_tries_exactly_once() {
         let calls = AtomicU32::new(0);
-        let result: Result<(), _> = Backoff::none().run(|_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(overloaded(1))
-        });
+        let result: Result<(), _> = Backoff::none().run(
+            0,
+            |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Err(overloaded(1))
+            },
+            EndpointError::retry_after,
+        );
         assert!(result.is_err());
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn execute_parsed_retries_an_overloaded_service_endpoint() {
-        use crate::endpoint::{EndpointLimits, LocalEndpoint};
+        use crate::endpoint::{Endpoint, EndpointLimits, LocalEndpoint};
         use crate::service::{QueryService, ServiceEndpoint, ServiceError};
         use sapphire_sparql::{parse_query, Query, QueryResult};
         use std::sync::Arc;
@@ -483,7 +440,9 @@ mod tests {
             base: Duration::from_micros(10),
             max_delay: Duration::from_micros(100),
         };
-        let result = policy.execute_parsed(&ep, &q).unwrap();
+        let result = policy
+            .run(0, |_| ep.execute_parsed(&q), EndpointError::retry_after)
+            .unwrap();
         assert!(matches!(result, QueryResult::Solutions(s) if s.len() == 1));
     }
 }

@@ -6,14 +6,19 @@
 //! Like FedX, we do per-triple-pattern source selection with cheap ASK
 //! probes, route single-source queries whole, and fall back to bound joins
 //! for genuinely federated ones.
+//!
+//! The bound join produces *full bindings* — one column per variable of the
+//! pattern — and nothing else: ORDER BY, projection, DISTINCT and the slice
+//! are [`sapphire_sparql::select_rows`], the evaluator's own modifiers over
+//! term rows, so an answer does not depend on how many endpoints held the
+//! data.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sapphire_rdf::Term;
 use sapphire_sparql::eval::Filter;
 use sapphire_sparql::{
-    GraphPattern, Projection, Query, QueryResult, SelectItem, SelectQuery, Solutions, TermPattern,
+    select_rows, GraphPattern, Query, QueryResult, SelectQuery, Solutions, TermPattern,
     TriplePattern,
 };
 
@@ -26,7 +31,8 @@ pub enum FederationError {
     NoEndpoints,
     /// No single endpoint can answer and the query shape cannot be bound-joined.
     Unsupported(String),
-    /// All candidate endpoints failed; the payload is the first error.
+    /// All candidate endpoints failed — or, on the partitioned path, any one
+    /// did; the payload is the first error.
     AllSourcesFailed(EndpointError),
     /// The query did not parse.
     Parse(String),
@@ -45,8 +51,9 @@ impl std::fmt::Display for FederationError {
 
 impl std::error::Error for FederationError {}
 
-/// One joined row of variable bindings.
-type Binding = HashMap<String, Term>;
+/// One joined row: a term (or unbound) per variable of the graph pattern,
+/// in [`GraphPattern::variables`] order.
+type Binding = Vec<Option<Term>>;
 
 /// The federated query processor.
 #[derive(Clone, Default)]
@@ -104,41 +111,21 @@ impl FederatedProcessor {
         }
     }
 
-    fn pattern_of(query: &Query) -> &GraphPattern {
-        match query {
+    fn execute_federated(&self, query: &Query) -> Result<QueryResult, FederationError> {
+        let gp = match query {
             Query::Select(s) => &s.pattern,
             Query::Ask(gp) => gp,
-        }
-    }
-
-    /// Per-pattern source selection: which endpoints have at least one match
-    /// for each triple pattern? (FedX's ASK-probe phase.)
-    fn select_sources(&self, gp: &GraphPattern) -> Vec<Vec<usize>> {
-        gp.triples
-            .iter()
-            .map(|tp| {
-                let probe = Query::Ask(GraphPattern {
-                    triples: vec![tp.clone()],
-                    filters: Vec::new(),
-                });
-                self.endpoints
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ep)| {
-                        matches!(ep.execute_parsed(&probe), Ok(QueryResult::Boolean(true)))
-                    })
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn execute_federated(&self, query: &Query) -> Result<QueryResult, FederationError> {
-        let gp = Self::pattern_of(query);
+        };
         if gp.triples.is_empty() {
             return Err(FederationError::Unsupported("empty graph pattern".into()));
         }
-        let sources = self.select_sources(gp);
+        // Independent datasets: a source that fails a probe or a sub-query
+        // is a source without matches, and the others still answer.
+        let plan = Plan {
+            endpoints: &self.endpoints.iter().map(Arc::as_ref).collect::<Vec<_>>(),
+            strict: false,
+        };
+        let sources = plan.select_sources(gp)?;
 
         // Endpoints able to answer every pattern can run the query whole.
         let covering: Vec<usize> = (0..self.endpoints.len())
@@ -170,7 +157,7 @@ impl FederatedProcessor {
         // Genuinely federated: bound-join plain SELECTs only.
         let Query::Select(select) = query else {
             return Ok(QueryResult::Boolean(
-                !self.bound_join(gp, &sources, Some(1))?.1.is_empty(),
+                !plan.bound_join(gp, &sources, Some(1))?.is_empty(),
             ));
         };
         if select.has_aggregates() || !select.group_by.is_empty() {
@@ -178,49 +165,12 @@ impl FederatedProcessor {
                 "aggregates over patterns spanning multiple endpoints".into(),
             ));
         }
-        let (var_order, rows) = self.bound_join(gp, &sources, None)?;
-        let mut solutions = project_rows(select, &var_order, rows);
-        if select.distinct {
-            dedup(&mut solutions.rows);
-        }
-        sort_rows(&mut solutions, select);
-        apply_slice(&mut solutions, select);
-        Ok(QueryResult::Solutions(solutions))
-    }
-
-    /// Execute a SELECT strictly by per-pattern source selection plus a
-    /// bound join, *skipping* the covering-endpoint shortcut.
-    ///
-    /// For independent datasets the shortcut is a pure optimization, but for
-    /// **partitioned** backends — every endpoint holding a slice of one
-    /// dataset — it is unsound: a shard can match every pattern individually
-    /// (schema triples are replicated; popular predicates appear everywhere)
-    /// while the join still spans shards, and its non-empty shard-local
-    /// answer would mask the rows that need the cross-shard join. The
-    /// cluster router routes every pattern-spanning query through this
-    /// method instead.
-    pub fn execute_partitioned(&self, select: &SelectQuery) -> Result<Solutions, FederationError> {
-        if self.endpoints.is_empty() {
-            return Err(FederationError::NoEndpoints);
-        }
-        if select.has_aggregates() || !select.group_by.is_empty() {
-            return Err(FederationError::Unsupported(
-                "aggregates over partitioned patterns".into(),
-            ));
-        }
-        let gp = &select.pattern;
-        if gp.triples.is_empty() {
-            return Err(FederationError::Unsupported("empty graph pattern".into()));
-        }
-        let sources = self.select_sources(gp);
-        let (var_order, rows) = self.bound_join(gp, &sources, None)?;
-        let mut solutions = project_rows(select, &var_order, rows);
-        if select.distinct {
-            dedup(&mut solutions.rows);
-        }
-        sort_rows(&mut solutions, select);
-        apply_slice(&mut solutions, select);
-        Ok(solutions)
+        let rows = plan.bound_join(gp, &sources, None)?;
+        Ok(QueryResult::Solutions(select_rows(
+            select,
+            &gp.variables(),
+            rows,
+        )))
     }
 
     /// Run the whole query on each covering endpoint and union the rows.
@@ -272,6 +222,91 @@ impl FederatedProcessor {
             None => QueryResult::Boolean(boolean),
         })
     }
+}
+
+/// Execute a SELECT over **partitioned** backends — every endpoint holding a
+/// slice of one dataset — strictly by per-pattern source selection plus a
+/// bound join, *skipping* the covering-endpoint shortcut.
+///
+/// For independent datasets the shortcut is a pure optimization, but over
+/// partitions it is unsound: a shard can match every pattern individually
+/// (schema triples are replicated; popular predicates appear everywhere)
+/// while the join still spans shards, and its non-empty shard-local answer
+/// would mask the rows that need the cross-shard join. And where every
+/// endpoint holds rows no other has, a source that fails mid-plan cannot be
+/// skipped: the first failed probe or sub-query fails the plan, typed
+/// ([`FederationError::AllSourcesFailed`]), instead of shrinking the answer.
+///
+/// The endpoints are borrowed for the plan: the cluster router hands over
+/// per-shard adapters that live on its stack.
+pub fn execute_partitioned(
+    endpoints: &[&dyn Endpoint],
+    select: &SelectQuery,
+) -> Result<Solutions, FederationError> {
+    if endpoints.is_empty() {
+        return Err(FederationError::NoEndpoints);
+    }
+    if select.has_aggregates() || !select.group_by.is_empty() {
+        return Err(FederationError::Unsupported(
+            "aggregates over partitioned patterns".into(),
+        ));
+    }
+    let gp = &select.pattern;
+    if gp.triples.is_empty() {
+        return Err(FederationError::Unsupported("empty graph pattern".into()));
+    }
+    let plan = Plan {
+        endpoints,
+        strict: true,
+    };
+    let sources = plan.select_sources(gp)?;
+    let rows = plan.bound_join(gp, &sources, None)?;
+    Ok(select_rows(select, &gp.variables(), rows))
+}
+
+/// Source selection and bound join over one set of endpoints.
+struct Plan<'a> {
+    endpoints: &'a [&'a dyn Endpoint],
+    /// Whether an endpoint error fails the plan (partitions of one dataset)
+    /// or reads as "no match there" (independent datasets).
+    strict: bool,
+}
+
+impl Plan<'_> {
+    /// `result`'s answer; for an error, the plan's failure when strict and
+    /// `None` — nothing from this source — otherwise.
+    fn answer(
+        &self,
+        result: Result<QueryResult, EndpointError>,
+    ) -> Result<Option<QueryResult>, FederationError> {
+        match result {
+            Ok(answer) => Ok(Some(answer)),
+            Err(e) if self.strict => Err(FederationError::AllSourcesFailed(e)),
+            Err(_) => Ok(None),
+        }
+    }
+
+    /// Per-pattern source selection: which endpoints have at least one match
+    /// for each triple pattern? (FedX's ASK-probe phase.)
+    fn select_sources(&self, gp: &GraphPattern) -> Result<Vec<Vec<usize>>, FederationError> {
+        let mut sources = Vec::with_capacity(gp.triples.len());
+        for tp in &gp.triples {
+            let probe = Query::Ask(GraphPattern {
+                triples: vec![tp.clone()],
+                filters: Vec::new(),
+            });
+            let mut matching = Vec::new();
+            for (i, endpoint) in self.endpoints.iter().enumerate() {
+                if let Some(QueryResult::Boolean(true)) =
+                    self.answer(endpoint.execute_parsed(&probe))?
+                {
+                    matching.push(i);
+                }
+            }
+            sources.push(matching);
+        }
+        Ok(sources)
+    }
 
     /// Nested-loop bound join: evaluate patterns left to right, substituting
     /// bindings and fanning each step out to that pattern's sources.
@@ -280,23 +315,25 @@ impl FederatedProcessor {
         gp: &GraphPattern,
         sources: &[Vec<usize>],
         row_limit: Option<usize>,
-    ) -> Result<(Vec<String>, Vec<Binding>), FederationError> {
-        let mut bindings: Vec<Binding> = vec![HashMap::new()];
+    ) -> Result<Vec<Binding>, FederationError> {
+        let names = gp.variables();
+        let column = |name: &str| names.iter().position(|n| n == name);
+        let mut bindings: Vec<Binding> = vec![vec![None; names.len()]];
         for (tp, srcs) in gp.triples.iter().zip(sources) {
             if srcs.is_empty() {
-                return Ok((gp.variables(), Vec::new()));
+                return Ok(Vec::new());
             }
             let mut next: Vec<Binding> = Vec::new();
             for binding in &bindings {
-                let bound = substitute(tp, binding);
+                let bound = substitute(tp, |v| column(v).and_then(|c| binding[c].as_ref()));
                 let vars: Vec<&str> = bound.variables().collect();
                 let sub_query = Query::Select(SelectQuery::star(GraphPattern {
                     triples: vec![bound.clone()],
                     filters: Vec::new(),
                 }));
                 for &src in srcs {
-                    let Ok(QueryResult::Solutions(sols)) =
-                        self.endpoints[src].execute_parsed(&sub_query)
+                    let Some(QueryResult::Solutions(sols)) =
+                        self.answer(self.endpoints[src].execute_parsed(&sub_query))?
                     else {
                         continue;
                     };
@@ -304,11 +341,9 @@ impl FederatedProcessor {
                         let mut extended = binding.clone();
                         let mut ok = true;
                         for v in &vars {
-                            match sols.get(r, v) {
-                                Some(t) => {
-                                    extended.insert((*v).to_string(), t.clone());
-                                }
-                                None => ok = false,
+                            match (column(v), sols.get(r, v)) {
+                                (Some(c), Some(t)) => extended[c] = Some(t.clone()),
+                                _ => ok = false,
                             }
                         }
                         if ok && !next.contains(&extended) {
@@ -324,116 +359,28 @@ impl FederatedProcessor {
         }
         // Apply filters on complete bindings.
         let filters: Vec<Filter<'_>> = gp.filters.iter().map(Filter::new).collect();
-        bindings.retain(|b| filters.iter().all(|f| f.passes(&|name: &str| b.get(name))));
+        bindings.retain(|b| {
+            filters
+                .iter()
+                .all(|f| f.passes(&|name: &str| column(name).and_then(|c| b[c].as_ref())))
+        });
         if let Some(l) = row_limit {
             bindings.truncate(l);
         }
-        Ok((gp.variables(), bindings))
+        Ok(bindings)
     }
 }
 
-fn substitute(tp: &TriplePattern, binding: &HashMap<String, Term>) -> TriplePattern {
+/// `tp` with every variable `bound` resolves replaced by its term.
+fn substitute<'a>(tp: &TriplePattern, bound: impl Fn(&str) -> Option<&'a Term>) -> TriplePattern {
     let subst = |p: &TermPattern| match p {
-        TermPattern::Var(v) => match binding.get(v) {
+        TermPattern::Var(v) => match bound(v) {
             Some(t) => TermPattern::Term(t.clone()),
             None => p.clone(),
         },
         ground => ground.clone(),
     };
     TriplePattern::new(subst(&tp.subject), subst(&tp.predicate), subst(&tp.object))
-}
-
-fn project_rows(
-    select: &SelectQuery,
-    var_order: &[String],
-    rows: Vec<HashMap<String, Term>>,
-) -> Solutions {
-    let names: Vec<String> = match &select.projection {
-        Projection::Star => var_order.to_vec(),
-        Projection::Items(items) => items
-            .iter()
-            .filter_map(|i| match i {
-                SelectItem::Var(v) => Some(v.clone()),
-                SelectItem::Agg { .. } => None,
-            })
-            .collect(),
-    };
-    let out_rows = rows
-        .into_iter()
-        .map(|b| names.iter().map(|n| b.get(n).cloned()).collect())
-        .collect();
-    Solutions {
-        vars: names,
-        rows: out_rows,
-    }
-}
-
-fn dedup(rows: &mut Vec<Vec<Option<Term>>>) {
-    let mut seen: Vec<Vec<Option<Term>>> = Vec::new();
-    rows.retain(|r| {
-        if seen.contains(r) {
-            false
-        } else {
-            seen.push(r.clone());
-            true
-        }
-    });
-}
-
-fn sort_rows(solutions: &mut Solutions, select: &SelectQuery) {
-    use sapphire_sparql::Expr;
-    if select.order_by.is_empty() {
-        return;
-    }
-    let keys: Vec<(Option<usize>, bool)> = select
-        .order_by
-        .iter()
-        .map(|k| {
-            let col = match &k.expr {
-                Expr::Var(v) => solutions.column(v),
-                _ => None,
-            };
-            (col, k.descending)
-        })
-        .collect();
-    solutions.rows.sort_by(|a, b| {
-        for (col, desc) in &keys {
-            if let Some(c) = col {
-                let ord = cmp_terms(&a[*c], &b[*c]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-}
-
-fn cmp_terms(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => {
-            let nx = x.as_literal().and_then(|l| l.as_f64());
-            let ny = y.as_literal().and_then(|l| l.as_f64());
-            match (nx, ny) {
-                (Some(p), Some(q)) => p.partial_cmp(&q).unwrap_or(Ordering::Equal),
-                _ => x.lexical().cmp(y.lexical()),
-            }
-        }
-    }
-}
-
-fn apply_slice(solutions: &mut Solutions, select: &SelectQuery) {
-    if let Some(offset) = select.offset {
-        solutions.rows.drain(..offset.min(solutions.rows.len()));
-    }
-    if let Some(limit) = select.limit {
-        solutions.rows.truncate(limit);
-    }
 }
 
 #[cfg(test)]
@@ -563,5 +510,108 @@ res:Paris a dbo:City ; dbo:name "Paris"@en ; dbo:country res:France .
             .unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(0, "name").unwrap().lexical(), "Ada Lovelace");
+    }
+
+    const PEOPLE: &str = r#"
+res:Ada dbo:name "Ada" ; dbo:birthPlace res:Ely .
+res:Bob dbo:name "Bob" ; dbo:birthPlace res:London .
+res:Cy1 dbo:name "Cy" ; dbo:birthPlace res:Leeds .
+res:Cy2 dbo:name "Cy" ; dbo:birthPlace res:Wells .
+"#;
+    const PLACES: &str = r#"
+res:Ely dbo:population 20000 .
+res:London dbo:population 9000000 .
+res:Leeds dbo:population 800000 .
+res:Wells dbo:population 12000 .
+"#;
+    const BY_POPULATION: &str =
+        "WHERE { ?s dbo:name ?name ; dbo:birthPlace ?p . ?p dbo:population ?pop } ORDER BY DESC(?pop)";
+
+    fn names(s: &Solutions) -> Vec<&str> {
+        s.values("name").map(|t| t.lexical()).collect()
+    }
+
+    /// ORDER BY sorts the full bindings, so a key that is not projected
+    /// orders the answer the same whether the data sits on one endpoint or
+    /// is joined across two.
+    #[test]
+    fn unprojected_order_key_answers_alike_from_one_endpoint_and_two() {
+        let one = FederatedProcessor::single(make("all", &format!("{PEOPLE}{PLACES}")));
+        let mut two = FederatedProcessor::new();
+        two.register(make("people", PEOPLE));
+        two.register(make("places", PLACES));
+        for (select, expected) in [
+            ("SELECT ?name", vec!["Bob", "Cy", "Ada", "Cy"]),
+            ("SELECT DISTINCT ?name", vec!["Bob", "Cy", "Ada"]),
+        ] {
+            for (slice, kept) in [("", expected.len()), (" LIMIT 1", 1)] {
+                let query = format!("{select} {BY_POPULATION}{slice}");
+                let split = two.select(&query).unwrap();
+                assert_eq!(split, one.select(&query).unwrap(), "{query}");
+                assert_eq!(names(&split), expected[..kept], "{query}");
+            }
+        }
+    }
+
+    /// Answers until its `fail_from`-th call, sheds from then on.
+    struct Shedding {
+        inner: Arc<dyn Endpoint>,
+        calls: std::sync::atomic::AtomicUsize,
+        fail_from: usize,
+    }
+
+    impl Endpoint for Shedding {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn execute_parsed(&self, query: &Query) -> Result<QueryResult, EndpointError> {
+            let call = 1 + self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if call >= self.fail_from {
+                return Err(EndpointError::Overloaded { in_flight: call });
+            }
+            self.inner.execute_parsed(query)
+        }
+    }
+
+    /// Over partitions a source that sheds mid-plan — at a probe or at any
+    /// sub-query — fails the plan with its typed error; the answer never
+    /// comes back shorter.
+    #[test]
+    fn partitioned_plan_fails_typed_when_a_source_sheds_mid_plan() {
+        let select =
+            sapphire_sparql::parse_select(&format!("SELECT ?name {BY_POPULATION}")).unwrap();
+        let people = make("people", PEOPLE);
+        let places = |fail_from| Shedding {
+            inner: make("places", PLACES),
+            calls: Default::default(),
+            fail_from,
+        };
+        let healthy = places(usize::MAX);
+        let full = execute_partitioned(&[people.as_ref(), &healthy], &select).unwrap();
+        assert_eq!(names(&full), ["Bob", "Cy", "Ada", "Cy"]);
+        let calls = healthy.calls.into_inner();
+        assert!(calls > 4, "probes and sub-queries both reach the source");
+        for fail_from in 1..=calls {
+            let flaky = places(fail_from);
+            assert_eq!(
+                execute_partitioned(&[people.as_ref(), &flaky], &select),
+                Err(FederationError::AllSourcesFailed(
+                    EndpointError::Overloaded {
+                        in_flight: fail_from
+                    }
+                )),
+                "shedding from call {fail_from} of {calls}"
+            );
+        }
+        // Between independent datasets the same source is simply skipped.
+        let mut lenient = FederatedProcessor::new();
+        lenient.register(people);
+        lenient.register(Arc::new(places(calls)));
+        assert!(lenient
+            .select(&format!("SELECT ?name {BY_POPULATION}"))
+            .is_ok());
     }
 }

@@ -38,7 +38,7 @@ pub mod endpoint;
 pub mod federation;
 pub mod service;
 
-pub use backoff::{Backoff, Jitter};
+pub use backoff::Backoff;
 pub use endpoint::{Endpoint, EndpointError, EndpointLimits, EndpointStats, LocalEndpoint};
 pub use federation::{FederatedProcessor, FederationError};
 pub use service::{query_fingerprint, QueryService, ServiceEndpoint, ServiceError};

@@ -5,10 +5,10 @@
 //! stats) with five ad-hoc readouts. The hub is the neutral meeting point:
 //! each tier converts its own struct into named sections of typed fields,
 //! and the hub renders the lot as JSON (hand-rolled — the build has no
-//! serde) or Prometheus-style text exposition. Consumers in the same
-//! process read values back typed, with [`MetricsHub::get`], never by
-//! parsing the rendered text. The hub holds no references — it is a
-//! snapshot, safe to build under load and ship across threads.
+//! serde). Consumers in the same process read values back typed, with
+//! [`MetricsHub::get`], never by parsing the rendered text. The hub holds no
+//! references — it is a snapshot, safe to build under load and ship across
+//! threads.
 
 use std::fmt::Write as _;
 
@@ -72,7 +72,7 @@ impl Section {
     }
 }
 
-/// An ordered collection of [`Section`]s with JSON and Prometheus readouts.
+/// An ordered collection of [`Section`]s with typed and JSON readouts.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
     sections: Vec<Section>,
@@ -163,39 +163,6 @@ impl MetricsHub {
         out.push('}');
         out
     }
-
-    /// Render as Prometheus-style text exposition: one
-    /// `<prefix>_<section>_<field> <value>` gauge line per numeric field;
-    /// text fields become `*_info{value="…"} 1` marker series.
-    pub fn to_prometheus(&self, prefix: &str) -> String {
-        let mut out = String::new();
-        for section in &self.sections {
-            for (name, value) in &section.fields {
-                let metric = format!(
-                    "{}_{}_{}",
-                    sanitize(prefix),
-                    sanitize(&section.name),
-                    sanitize(name)
-                );
-                match value {
-                    Value::U64(v) => {
-                        let _ = writeln!(out, "# TYPE {metric} gauge");
-                        let _ = writeln!(out, "{metric} {v}");
-                    }
-                    Value::F64(v) => {
-                        let clamped = if v.is_finite() { *v } else { 0.0 };
-                        let _ = writeln!(out, "# TYPE {metric} gauge");
-                        let _ = writeln!(out, "{metric} {clamped:.6}");
-                    }
-                    Value::Text(v) => {
-                        let _ = writeln!(out, "# TYPE {metric}_info gauge");
-                        let _ = writeln!(out, "{metric}_info{{value=\"{}\"}} 1", escape(v));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 fn escape(s: &str) -> String {
@@ -205,19 +172,6 @@ fn escape(s: &str) -> String {
             '\\' => vec!['\\', '\\'],
             '\n' => vec!['\\', 'n'],
             c => vec![c],
-        })
-        .collect()
-}
-
-/// Prometheus metric names allow `[a-zA-Z0-9_:]`; map the rest to `_`.
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
         })
         .collect()
 }
@@ -311,17 +265,6 @@ mod tests {
             .field("bad", f64::NAN)
             .field("inf", f64::INFINITY);
         assert_eq!(hub.to_json(), "{\"s\": {\"bad\": 0.000, \"inf\": 0.000}}");
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let mut hub = MetricsHub::new();
-        hub.section("qsm scan").field("p99_us", 6977u64);
-        hub.section("meta").field("scale", "tiny");
-        let text = hub.to_prometheus("sapphire");
-        assert!(text.contains("# TYPE sapphire_qsm_scan_p99_us gauge\n"));
-        assert!(text.contains("sapphire_qsm_scan_p99_us 6977\n"));
-        assert!(text.contains("sapphire_meta_scale_info{value=\"tiny\"} 1\n"));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   landing in a bounded lock-sharded ring buffer that also keeps the
 //!   slowest-N exemplars per stage.
 //! - **MetricsHub** ([`MetricsHub`]): a neutral snapshot container every
-//!   tier's metric struct converts into, with hand-rolled JSON and
-//!   Prometheus-style text exposition.
+//!   tier's metric struct converts into, read back typed or rendered as
+//!   hand-rolled JSON.
 //!
 //! Instrumentation must never perturb what the system computes: nothing in
 //! this crate feeds back into request execution, and the serving oracle
@@ -239,13 +239,6 @@ impl Obs {
                 .field("max_us", snap.max);
         }
     }
-
-    /// The `"stages"` report object: `{"<stage>": {"count": …, …}, …}`.
-    pub fn stages_json(&self) -> String {
-        let mut hub = MetricsHub::new();
-        self.stage_sections(&mut hub);
-        hub.to_json()
-    }
 }
 
 struct ActiveRequest {
@@ -406,11 +399,13 @@ mod tests {
     }
 
     #[test]
-    fn stages_json_emits_only_recorded_stages() {
+    fn stage_sections_hold_only_recorded_stages() {
         let obs = Obs::new();
         obs.record(Stage::AdmissionWait, 5);
         obs.record(Stage::AdmissionWait, 500);
-        let json = obs.stages_json();
+        let mut hub = MetricsHub::new();
+        obs.stage_sections(&mut hub);
+        let json = hub.to_json();
         assert!(json.starts_with("{\"admission_wait\": {\"count\": 2, "));
         assert!(!json.contains("qsm_scan"));
         assert!(json.contains("\"max_us\": 500"));

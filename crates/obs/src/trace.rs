@@ -45,11 +45,18 @@ struct Meta {
     tier: String,
 }
 
+/// Spans one trace keeps. A cross-shard run opens a `shard_rtt` and a
+/// `replica_call` span per bound-join sub-query — thousands — and the
+/// recorder holds thousands of traces; past the cap a span is counted
+/// ([`TraceRecord::dropped_spans`]), not stored.
+pub const MAX_SPANS: usize = 256;
+
 struct TraceInner {
     id: u64,
     started: Instant,
     meta: Mutex<Meta>,
     spans: Mutex<Vec<SpanRecord>>,
+    dropped_spans: AtomicU64,
 }
 
 /// Live handle to an in-flight sampled request. Clone freely; all clones
@@ -68,6 +75,7 @@ impl Trace {
                 tier: String::new(),
             }),
             spans: Mutex::new(Vec::new()),
+            dropped_spans: AtomicU64::new(0),
         }))
     }
 
@@ -85,7 +93,9 @@ impl Trace {
         self.0.meta.lock().unwrap().tier = tier.to_string();
     }
 
-    /// Append a completed span; returns its index (usable as a parent).
+    /// Append a completed span; returns its index (usable as a parent). Past
+    /// [`MAX_SPANS`] the span is only counted and the index names no span
+    /// (closing it is a no-op; its children are past the cap too).
     pub fn add_span(
         &self,
         name: &'static str,
@@ -98,6 +108,10 @@ impl Trace {
             .saturating_duration_since(self.0.started)
             .as_micros() as u64;
         let mut spans = self.0.spans.lock().unwrap();
+        if spans.len() == MAX_SPANS {
+            self.0.dropped_spans.fetch_add(1, Ordering::Relaxed);
+            return u32::MAX;
+        }
         spans.push(SpanRecord {
             name,
             start_us,
@@ -141,6 +155,7 @@ impl Trace {
             tier: meta.tier.clone(),
             total_us,
             spans,
+            dropped_spans: self.0.dropped_spans.load(Ordering::Relaxed),
         }
     }
 }
@@ -155,7 +170,10 @@ pub struct TraceRecord {
     pub tier: String,
     /// End-to-end duration, microseconds.
     pub total_us: u64,
+    /// The first [`MAX_SPANS`] spans the request opened.
     pub spans: Vec<SpanRecord>,
+    /// Spans opened past the cap: counted, not kept.
+    pub dropped_spans: u64,
 }
 
 impl TraceRecord {
@@ -196,6 +214,12 @@ impl TraceRecord {
                     render_span(&mut out, child, 2);
                 }
             }
+        }
+        if self.dropped_spans > 0 {
+            out.push_str(&format!(
+                "  (+{} spans past the cap of {MAX_SPANS})\n",
+                self.dropped_spans
+            ));
         }
         out
     }
@@ -456,6 +480,7 @@ mod tests {
                 parent: None,
                 tag: String::new(),
             }],
+            dropped_spans: 0,
         }
     }
 
@@ -522,5 +547,35 @@ mod tests {
         let child_line = text.lines().position(|l| l.contains("qsm_scan")).unwrap();
         assert_eq!(child_line, shard_line + 1);
         assert!(text.lines().nth(child_line).unwrap().starts_with("    "));
+    }
+
+    #[test]
+    fn spans_past_the_cap_are_counted_not_kept() {
+        let t = Trace::new(9, "run", "alice");
+        let at = Instant::now();
+        let (root, _) = t.open_span("shard_rtt", None, String::new());
+        for _ in 1..MAX_SPANS {
+            t.add_span("replica_call", at, 1, Some(root), String::new());
+        }
+        // Past the cap: the index names no span, so closing it is a no-op.
+        let (over, _) = t.open_span("shard_rtt", None, String::new());
+        t.add_span("replica_call", at, 1, Some(over), String::new());
+        t.close_span(over, 7);
+        t.close_span(root, 5);
+        let rec = t.finish();
+        assert_eq!(rec.spans.len(), MAX_SPANS);
+        assert_eq!(rec.dropped_spans, 2);
+        assert_eq!(rec.spans[root as usize].dur_us, 5);
+        assert!(rec.spans.iter().all(|s| s.dur_us != 7));
+        let text = rec.render();
+        assert_eq!(text.lines().count(), 1 + MAX_SPANS + 1);
+        assert!(text.ends_with(&format!("(+2 spans past the cap of {MAX_SPANS})\n")));
+
+        // Under the cap nothing is said about it.
+        let t = Trace::new(10, "run", "alice");
+        t.add_span("qsm_scan", at, 1, None, String::new());
+        let rec = t.finish();
+        assert_eq!(rec.dropped_spans, 0);
+        assert!(!rec.render().contains("past the cap"));
     }
 }

@@ -397,8 +397,8 @@ impl Frontend {
 
     /// Everything this front-end and its server export, as one
     /// [`sapphire_obs::MetricsHub`] — server/cache/model counters, per-stage
-    /// latency sections, and a `frontend` section — renderable as JSON or
-    /// Prometheus text.
+    /// latency sections, and a `frontend` section — readable typed or as
+    /// JSON.
     pub fn export_metrics(&self) -> sapphire_obs::MetricsHub {
         let mut hub = self.shared.server.export_metrics();
         let m = self.metrics();

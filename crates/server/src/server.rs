@@ -963,8 +963,7 @@ impl SapphireServer {
     /// Export every counter surface this server owns — request/rejection/
     /// coalescing counters, both response caches, the model's Steiner
     /// neighborhood and alternative-sweep caches, and the per-stage latency
-    /// histograms — as one [`MetricsHub`], renderable as JSON or Prometheus
-    /// text exposition.
+    /// histograms — as one [`MetricsHub`], readable typed or as JSON.
     pub fn export_metrics(&self) -> MetricsHub {
         let m = self.metrics();
         let mut hub = MetricsHub::new();

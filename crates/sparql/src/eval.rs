@@ -127,10 +127,7 @@ pub fn evaluate_select(
 ) -> Result<Solutions, EvalError> {
     let vars = VarTable::from_pattern(&query.pattern);
     let aggregated = query.has_aggregates() || !query.group_by.is_empty();
-    // How many leading rows of the final order the slice can reach.
-    let reach = query
-        .limit
-        .map(|l| l.saturating_add(query.offset.unwrap_or(0)));
+    let reach = slice_reach(query);
 
     // LIMIT can be pushed into BGP matching only when no operator above the
     // BGP can change row multiplicity or order.
@@ -784,7 +781,7 @@ fn retain_distinct<K: Hash + Eq + Clone>(
     });
 }
 
-/// One ORDER BY key of one row: the two views `value_order` takes of a
+/// One ORDER BY key of one row: the two views [`term_order`] takes of a
 /// term — its numeric reading and its lexical form — taken once, before the
 /// sort, instead of once per comparison.
 #[derive(Clone, Copy)]
@@ -799,6 +796,10 @@ impl<'a> SortKey<'a> {
             num: term.as_literal().and_then(|l| l.as_f64()),
             lexical: term.lexical(),
         }
+    }
+
+    fn of_cell(cell: Option<&'a Term>) -> Self {
+        cell.map_or(SortKey::Unbound, SortKey::of)
     }
 
     /// Total order on terms for MIN/MAX/ORDER BY: numeric-aware for
@@ -817,8 +818,11 @@ impl<'a> SortKey<'a> {
     }
 }
 
-fn value_order(a: &Term, b: &Term) -> Ordering {
-    SortKey::of(a).cmp(&SortKey::of(b))
+/// The one order on (possibly unbound) terms: what ORDER BY, MIN and MAX
+/// compare by here, and what every tier that sorts terms outside the
+/// evaluator (federation, cluster merge, the answer table) calls.
+pub fn term_order(a: Option<&Term>, b: Option<&Term>) -> Ordering {
+    SortKey::of_cell(a).cmp(&SortKey::of_cell(b))
 }
 
 /// ORDER BY: arrange `rows` (row numbers, ascending on entry) by `order`, a
@@ -864,6 +868,13 @@ fn order_rows<'a>(
         }
         _ => rows.sort_by(by_keys),
     }
+}
+
+/// How many leading rows of the final order the slice can reach.
+fn slice_reach(query: &SelectQuery) -> Option<usize> {
+    query
+        .limit
+        .map(|l| l.saturating_add(query.offset.unwrap_or(0)))
 }
 
 /// OFFSET then LIMIT.
@@ -931,6 +942,65 @@ fn select_bindings(
             let row = table.row(row);
             cols.iter()
                 .map(|c| c.and_then(|c| row[c]).map(|id| graph.term(id).clone()))
+                .collect()
+        })
+        .collect();
+    Solutions { vars: names, rows }
+}
+
+/// The evaluator's modifiers for rows that are already terms: ORDER BY,
+/// projection, DISTINCT and the slice of a query without aggregates, over
+/// *full-binding* rows (one column per entry of `vars`) wherever they were
+/// joined — a federated bound join, a scatter over shards. The id path's
+/// glue (`select_bindings`) with a different cell type: same helpers, same
+/// sequence — ordered over the full bindings (ties keep the rows' order on
+/// entry), then projected, DISTINCT, sliced — so given the rows
+/// [`evaluate_select`] matched, in its order, the answer is
+/// `evaluate_select`'s byte for byte.
+pub fn select_rows(
+    query: &SelectQuery,
+    vars: &[String],
+    mut rows: Vec<Vec<Option<Term>>>,
+) -> Solutions {
+    let column = |name: &str| vars.iter().position(|v| v == name);
+    let names: Vec<String> = match &query.projection {
+        Projection::Star => vars.to_vec(),
+        Projection::Items(items) => items.iter().map(|i| i.name().to_string()).collect(),
+    };
+    let cols: Vec<Option<usize>> = names.iter().map(|n| column(n)).collect();
+    let reach = slice_reach(query);
+    let mut picked: Vec<usize> = (0..rows.len()).collect();
+
+    if !query.order_by.is_empty() {
+        let order = order_columns(&query.order_by, column);
+        let reach = reach.filter(|_| !query.distinct);
+        order_rows(&mut picked, reach, &order, |row, col| {
+            SortKey::of_cell(rows[row][col].as_ref())
+        });
+    }
+    if query.distinct {
+        retain_distinct(&mut picked, reach, |row, key| {
+            key.extend(cols.iter().map(|c| c.and_then(|c| rows[row][c].as_ref())));
+        });
+    }
+    slice_rows(&mut picked, query);
+
+    // Each picked row is read once, so a cell moves out unless a later
+    // output column names the same variable again.
+    let rows = picked
+        .into_iter()
+        .map(|row| {
+            let row = &mut rows[row];
+            cols.iter()
+                .enumerate()
+                .map(|(at, &c)| {
+                    let c = c?;
+                    if cols[at + 1..].contains(&Some(c)) {
+                        row[c].clone()
+                    } else {
+                        row[c].take()
+                    }
+                })
                 .collect()
         })
         .collect();
@@ -1244,8 +1314,9 @@ fn aggregate_column(
             };
             let mut best: Vec<Option<TermId>> = vec![None; groups.len];
             for (group, id) in bound(col(v)?) {
-                let replace = best[group]
-                    .is_none_or(|b| value_order(graph.term(b), graph.term(id)) == replaces);
+                let replace = best[group].is_none_or(|b| {
+                    term_order(Some(graph.term(b)), Some(graph.term(id))) == replaces
+                });
                 if replace {
                     best[group] = Some(id);
                 }

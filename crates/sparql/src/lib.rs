@@ -47,6 +47,6 @@ pub use ast::{
     Aggregate, CmpOp, Expr, GraphPattern, OrderKey, Projection, Query, SelectItem, SelectQuery,
     TermPattern, TriplePattern,
 };
-pub use eval::{evaluate, evaluate_select, EvalError, WorkBudget};
+pub use eval::{evaluate, evaluate_select, select_rows, term_order, EvalError, WorkBudget};
 pub use parser::{parse_query, parse_select, ParseError};
 pub use solutions::{QueryResult, Solutions};

@@ -16,12 +16,18 @@
 //! to the unsliced answer exactly: the concatenation of `LIMIT p OFFSET
 //! k·p` pages *is* the unsliced answer, for any `p` — what §5
 //! initialization's page loops rely on.
+//!
+//! The last property holds `select_rows` — the same modifiers over rows that
+//! are already terms, which the federated processor and the cluster merge
+//! call — to both: byte for byte to the evaluator on the evaluator's own
+//! rows, and to the reference on those rows in any order.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use sapphire_rdf::{Graph, Literal, Term};
+use sapphire_sparql::select_rows;
 use sapphire_sparql::{evaluate_select, parse_select, Solutions, WorkBudget};
 
 type Row = Vec<Option<Term>>;
@@ -299,6 +305,59 @@ proptest! {
                 pages.extend(page.rows);
             }
             prop_assert_eq!(pages, full.rows);
+        }
+    }
+
+    /// For every query without aggregates, `select_rows` over the pattern's
+    /// full bindings (`SELECT *`, no modifier) is `evaluate_select` of the
+    /// query byte for byte, sliced or not; over the same bindings shuffled
+    /// it still satisfies the reference (multiset, sortedness, slice size).
+    #[test]
+    fn term_rows_agree_with_the_evaluator_and_the_reference(
+        triples in collection::vec((0usize..4, 0usize..3, 0usize..12), 0..28),
+        slice in (0usize..6, 0usize..6),
+        seed in 0u64..1_000,
+    ) {
+        let g = graph(&triples);
+        for spec in specs().filter(|spec| spec.2 < 3) {
+            let case = case(&g, spec);
+            let (pattern_text, _) = pattern(spec.0 % 4, &g);
+            let (filter_text, _) = filter(spec.1 % 5);
+            let (star, _) = run(&g, &format!("SELECT * WHERE {{ {pattern_text} {filter_text} }}"));
+            let mut shuffled = star.rows.clone();
+            let mut state = seed;
+            for i in (1..shuffled.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                shuffled.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let (limit, offset) = slice;
+            for text in [case.text.clone(), format!("{} LIMIT {limit} OFFSET {offset}", case.text)] {
+                let query = parse_select(&text).unwrap();
+                let (evaluated, _) = run(&g, &text);
+                let same_order = select_rows(&query, &star.vars, star.rows.clone());
+                prop_assert!(same_order == evaluated, "{text}: {same_order:?} != {evaluated:?}");
+
+                let any_order = select_rows(&query, &star.vars, shuffled.clone());
+                prop_assert_eq!(&any_order.vars, &evaluated.vars);
+                if query.limit.is_none() {
+                    prop_assert_eq!(sorted(any_order.rows.clone()), sorted(case.expected.clone()));
+                } else {
+                    prop_assert_eq!(any_order.len(), limit.min(case.expected.len().saturating_sub(offset)));
+                    let mut pool = case.expected.clone();
+                    for row in &any_order.rows {
+                        let at = pool.iter().position(|r| r == row);
+                        prop_assert!(at.is_some(), "{}: sliced row {row:?} not in the reference", text);
+                        pool.swap_remove(at.unwrap());
+                    }
+                }
+                if let Some((col, descending)) = case.order {
+                    for pair in any_order.rows.windows(2) {
+                        let ord = reference_order(&pair[0][col], &pair[1][col]);
+                        let ord = if descending { ord.reverse() } else { ord };
+                        prop_assert!(ord != Ordering::Greater, "{}: keys out of order", text);
+                    }
+                }
+            }
         }
     }
 }

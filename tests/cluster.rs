@@ -728,3 +728,280 @@ fn router_requested_tiers_never_leak_into_tier0_lookups() {
     assert_eq!(m.degraded_runs, 2);
     assert_eq!(m.degraded_by_tier, vec![0, 1, 1]);
 }
+
+/// Two questions whose ORDER BY key is not projected and whose top row is
+/// unique — a subject star, and a pattern whose join spans shards (book →
+/// publisher) — so the cluster's answer can be held to the single-box
+/// evaluator's directly, with nothing to canonicalize.
+const UNPROJECTED_KEY_QUESTIONS: [(&str, &str); 2] = [
+    (
+        "SELECT ?name WHERE { ?c a dbo:City ; dbo:name ?name ; dbo:population ?pop } \
+         ORDER BY DESC(?pop) LIMIT 1",
+        "Chester 15",
+    ),
+    (
+        "SELECT ?cname WHERE { ?b dbo:publisher ?pub ; dbo:numberOfPages ?pages . \
+         ?pub dbo:name ?cname } ORDER BY DESC(?pages) LIMIT 1",
+        "Globex Press 5",
+    ),
+];
+
+fn evaluated(text: &str) -> (SelectQuery, Solutions) {
+    let query = sapphire_sparql::parse_select(text).unwrap();
+    let answer = sapphire_sparql::evaluate_select(
+        &generate(DatasetConfig::tiny(42)),
+        &query,
+        &mut sapphire_sparql::WorkBudget::unlimited(),
+    )
+    .unwrap();
+    (query, answer)
+}
+
+/// ORDER BY is applied to the merged *full bindings*, before projection:
+/// a sort key the query does not project still decides the answer, through
+/// `run` and through the raw `execute_query` surface, for a scattered star
+/// and for a cross-shard bound join alike.
+#[test]
+fn unprojected_order_keys_answer_like_the_single_box_evaluator() {
+    use sapphire_endpoint::QueryService;
+    use sapphire_sparql::{Query, QueryResult};
+    let router = router(4, 1);
+    for (text, top) in UNPROJECTED_KEY_QUESTIONS {
+        let (query, expected) = evaluated(text);
+        assert_eq!(expected.len(), 1, "{text}");
+        assert_eq!(expected.rows[0][0].as_ref().unwrap().lexical(), top);
+        assert_eq!(
+            router.run("alice", &query).unwrap().answers,
+            expected,
+            "{text}"
+        );
+        assert_eq!(
+            router.execute_query("alice", &Query::Select(query)),
+            Ok(QueryResult::Solutions(expected)),
+            "{text}"
+        );
+    }
+}
+
+/// A shard replica that counts the calls it receives and can start shedding
+/// its raw surface at a chosen call.
+struct CountingReplica {
+    inner: Arc<SapphireServer>,
+    calls: std::sync::atomic::AtomicU64,
+    raw_calls: std::sync::atomic::AtomicU64,
+    /// Raw calls from this one (1-based) on answer `Overloaded`.
+    shed_raw_from: u64,
+}
+
+impl CountingReplica {
+    fn count(&self) {
+        self.calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+impl sapphire_server::ShardService for CountingReplica {
+    fn shard_name(&self) -> String {
+        self.inner.shard_name()
+    }
+
+    fn top_k(&self) -> usize {
+        self.inner.top_k()
+    }
+
+    fn complete_top(
+        &self,
+        tenant: &str,
+        typed: &str,
+        k: usize,
+    ) -> Result<sapphire_core::qcm::CompletionResult, sapphire_server::ServerError> {
+        self.count();
+        self.inner.complete_top(tenant, typed, k)
+    }
+
+    fn run_select_tiered(
+        &self,
+        tenant: &str,
+        query: &SelectQuery,
+        tier: usize,
+        budget: Option<std::time::Duration>,
+    ) -> Result<Arc<sapphire_server::RunPayload>, sapphire_server::ServerError> {
+        self.count();
+        sapphire_server::ShardService::run_select_tiered(&*self.inner, tenant, query, tier, budget)
+    }
+
+    fn execute_raw(
+        &self,
+        tenant: &str,
+        query: &sapphire_sparql::Query,
+    ) -> Result<sapphire_sparql::QueryResult, sapphire_server::ServerError> {
+        self.count();
+        let call = 1 + self
+            .raw_calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if call >= self.shed_raw_from {
+            return Err(sapphire_server::ServerError::Overloaded {
+                in_flight: 1,
+                queue_depth: 0,
+            });
+        }
+        self.inner.execute_raw(tenant, query)
+    }
+
+    fn admission_load(&self) -> (usize, usize) {
+        self.inner.admission_load()
+    }
+
+    fn shed_pressure_tier(&self) -> usize {
+        self.inner.shed_pressure_tier()
+    }
+}
+
+/// A 2-shard, 1-replica router over counting replicas; `shed_raw_from[s]` is
+/// shard `s`'s first shed raw call (`u64::MAX` = never).
+fn counting_router(
+    cluster: &Cluster,
+    shed_raw_from: [u64; 2],
+    backoff: Backoff,
+) -> (ClusterRouter, Vec<Arc<CountingReplica>>) {
+    let replicas: Vec<Arc<CountingReplica>> = (0..2)
+        .map(|shard| {
+            Arc::new(CountingReplica {
+                inner: cluster.replicas(shard)[0].clone(),
+                calls: Default::default(),
+                raw_calls: Default::default(),
+                shed_raw_from: shed_raw_from[shard],
+            })
+        })
+        .collect();
+    let router = ClusterRouter::over(
+        replicas
+            .iter()
+            .map(|r| vec![r.clone() as Arc<dyn sapphire_server::ShardService>])
+            .collect(),
+        ClusterConfig {
+            backoff,
+            ..ClusterConfig::for_tests()
+        },
+    );
+    (router, replicas)
+}
+
+fn two_shard_cluster() -> Cluster {
+    Cluster::build(
+        "edge",
+        &generate(DatasetConfig::tiny(42)),
+        2,
+        1,
+        &Lexicon::dbpedia_default(),
+        &sapphire_config(),
+        &ServerConfig::for_tests(),
+    )
+    .unwrap()
+}
+
+/// One shard-call policy, fully counted: over the cold Appendix-B Runs every
+/// call a replica received was issued by the router's one shard call — so it
+/// is in the fan-out counters and in the `shard_rtt` histogram (no hedges
+/// with one replica) — question by question, bound-join probes and
+/// sub-queries included; and a sampled cross-shard Run carries those
+/// sub-queries as `shard_rtt` spans, up to the per-trace cap.
+#[test]
+fn every_shard_call_is_counted_and_observed() {
+    use sapphire_obs::Stage;
+    let (pum, _) = oracle();
+    let cluster = two_shard_cluster();
+    let (router, replicas) = counting_router(&cluster, [u64::MAX; 2], Backoff::default());
+    router.obs().set_sampling(1);
+    let made = || -> u64 {
+        replicas
+            .iter()
+            .map(|r| r.calls.load(std::sync::atomic::Ordering::Relaxed))
+            .sum()
+    };
+    let counted = || router.metrics().fanout_per_shard.iter().sum::<u64>();
+    let observed = || router.obs().stage_snapshot(Stage::ShardRtt).count();
+    let mut cross_shard = 0;
+    for (i, query) in workload_queries(&pum).iter().enumerate() {
+        let before = (made(), counted(), observed());
+        router.run("alice", query).unwrap();
+        let calls = made() - before.0;
+        println!(
+            "question {i}: {calls} shard calls made, {} counted, {} observed",
+            counted() - before.1,
+            observed() - before.2
+        );
+        assert_eq!(counted() - before.1, calls, "question {i}: fan-out");
+        assert_eq!(observed() - before.2, calls, "question {i}: shard_rtt");
+        cross_shard += usize::from(calls > 2);
+    }
+    assert!(
+        cross_shard > 0,
+        "some question needed more than its scatter"
+    );
+    let m = router.metrics();
+    assert_eq!(
+        (m.hedges_fired, m.replica_retries, m.rejected_after_retry),
+        (0, 0, 0)
+    );
+
+    let busiest = router
+        .obs()
+        .recorder()
+        .recent()
+        .into_iter()
+        .max_by_key(|t| t.spans.len() as u64 + t.dropped_spans)
+        .unwrap();
+    let round_trips = busiest
+        .spans
+        .iter()
+        .filter(|s| s.name == Stage::ShardRtt.name())
+        .count();
+    assert!(
+        round_trips > 2,
+        "bound-join sub-queries are spanned: {round_trips}"
+    );
+    assert!(busiest.spans.len() <= sapphire_obs::trace::MAX_SPANS);
+}
+
+/// A shard whose raw surface sheds past the retry budget in the middle of a
+/// cross-shard plan fails the request with a typed, retryable `CrossShard`
+/// rejection — whichever probe or sub-query the shedding starts at, the
+/// answer never comes back shorter.
+#[test]
+fn shedding_shard_fails_a_cross_shard_plan_typed_never_short() {
+    use sapphire_cluster::ClusterError;
+    let cluster = two_shard_cluster();
+    let backoff = Backoff {
+        max_retries: 2,
+        base: std::time::Duration::from_micros(100),
+        max_delay: std::time::Duration::from_millis(1),
+    };
+    let (query, expected) = evaluated(UNPROJECTED_KEY_QUESTIONS[1].0);
+    let (healthy, replicas) = counting_router(&cluster, [u64::MAX; 2], backoff);
+    assert_eq!(healthy.run("alice", &query).unwrap().answers, expected);
+    let raw_calls = replicas[1]
+        .raw_calls
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(raw_calls > 8, "the plan probes and sub-queries shard 1");
+
+    for shed_from in [1, 2, 3, raw_calls / 2, raw_calls - 1, raw_calls] {
+        let (router, _) = counting_router(&cluster, [u64::MAX, shed_from], backoff);
+        let err = router
+            .run("alice", &query)
+            .expect_err("a shedding shard cannot yield an answer");
+        assert!(
+            matches!(
+                err,
+                ClusterError::CrossShard {
+                    error: sapphire_server::ServerError::Overloaded { .. }
+                }
+            ),
+            "shedding from raw call {shed_from} of {raw_calls}: {err:?}"
+        );
+        assert!(err.is_rejection());
+        let m = router.metrics();
+        assert_eq!(m.replica_retries, 2, "the shed call took the retry budget");
+        assert_eq!(m.rejected_after_retry, 1);
+    }
+}

@@ -279,6 +279,7 @@ fn record(id: u64, us: u64) -> TraceRecord {
             parent: None,
             tag: String::new(),
         }],
+        dropped_spans: 0,
     }
 }
 
