@@ -48,9 +48,12 @@
 //! * medium smoke — the `medium`-rung scatter ran, completed every cold
 //!   request, and fanned each out to all 4 shards.
 //! * front-end — ≥ 2,000 open think-time sessions on ≤ 8 workers: zero
-//!   rejections, nothing leaked, backlog drained, the fleet inside a fixed
-//!   thread/RSS budget, and the closed-loop hot phase creates **zero** new
-//!   threads (steady-state serving runs entirely on warm pools).
+//!   rejections, nothing leaked, backlog drained, every accepted request
+//!   answered once (`completed == submitted == answered_inline +
+//!   answered_by_worker`), the all-hit hot phase answered some requests on
+//!   the submitting thread, the fleet inside a fixed thread/RSS budget, and
+//!   the closed-loop hot phase creates **zero** new threads (steady-state
+//!   serving runs entirely on warm pools).
 //!
 //! Cluster smoke, 2 shards × 2 replicas ([`cluster_gates`]): zero
 //! rejections after bounded retry, zero requests out of retry budget, zero
@@ -398,6 +401,38 @@ fn serve_gates(hub: &MetricsHub) -> Vec<Row> {
         "final_backlog",
         "requests still queued",
     );
+    // Every accepted request is answered exactly once, by the thread that
+    // submitted it or by a worker — whichever path its dispatch took.
+    g.check(
+        "frontend.answered once",
+        [
+            ("frontend", "submitted"),
+            ("frontend", "completed"),
+            ("frontend", "answered_inline"),
+            ("frontend", "answered_by_worker"),
+        ],
+        |[submitted, completed, inline, by_worker]| {
+            (
+                completed == submitted && completed == inline + by_worker && completed > 0.0,
+                format!(
+                    "{submitted} submitted, {completed} completed = {inline} inline + \
+                     {by_worker} by a worker (must be equal)"
+                ),
+            )
+        },
+    );
+    // A cache hit on an idle session needs no worker: the all-hit hot loop
+    // must have answered some on the submitting thread.
+    g.check(
+        "frontend.hot loop answers inline",
+        [("frontend", "hot_answered_inline")],
+        |[inline]| {
+            (
+                inline > 0.0,
+                format!("{inline} hot requests answered by their submitter (must be > 0)"),
+            )
+        },
+    );
     // The thread-per-session failure mode is exactly a thread count that
     // scales with sessions.
     g.check(
@@ -739,6 +774,11 @@ mod tests {
         ("frontend", "rejected_total", 0.0),
         ("frontend", "sessions_leaked", 0.0),
         ("frontend", "final_backlog", 0.0),
+        ("frontend", "submitted", 50952.0),
+        ("frontend", "completed", 50952.0),
+        ("frontend", "answered_inline", 14068.0),
+        ("frontend", "answered_by_worker", 36884.0),
+        ("frontend", "hot_answered_inline", 32.0),
         ("frontend", "threads_peak", 18.0),
         ("frontend", "hot_threads_before", 18.0),
         ("frontend", "hot_threads_after", 18.0),
@@ -783,7 +823,7 @@ mod tests {
         ("bringup", "parent_partition_us", 407.0),
     ];
     const PHASES: [(Fixture, GateTable, usize); 5] = [
-        (SERVE, serve_gates, 34),
+        (SERVE, serve_gates, 36),
         (CLUSTER, cluster_gates, 4),
         (OVERLOAD, overload_gates, 4),
         (WIRE, wire_gates, 6),
@@ -911,6 +951,19 @@ mod tests {
                         "frontend.sessions_leaked",
                     ),
                     ("frontend", "final_backlog", 1.0, "frontend.final_backlog"),
+                    ("frontend", "completed", 50951.0, "frontend.answered once"),
+                    (
+                        "frontend",
+                        "answered_by_worker",
+                        36885.0,
+                        "frontend.answered once",
+                    ),
+                    (
+                        "frontend",
+                        "hot_answered_inline",
+                        0.0,
+                        "frontend.hot loop answers inline",
+                    ),
                     ("frontend", "threads_peak", 49.0, "frontend.threads_peak"),
                     (
                         "frontend",

@@ -446,6 +446,7 @@ pub fn phase(
     // create a single thread. serve_check gates on these two samples
     // being equal.
     let (hot_threads_before, _) = proc_status();
+    let inline_before_hot = fe.metrics().answered_inline;
     let (hot_tx, hot_rx) = mpsc::channel::<usize>();
     let hot_started = Instant::now();
     let hot_states: Vec<Arc<HotState>> = (0..opts.hot_sessions)
@@ -474,6 +475,12 @@ pub fn phase(
     }
     let hot_wall = hot_started.elapsed();
     let (hot_threads_after, _) = proc_status();
+    // Every hot term was typed in the think phase, so the hot loop is all
+    // cache hits: a chain's first request finds its session idle and — while
+    // no session is waiting for a worker, which holds for the first chain at
+    // least — is answered by the thread that submitted it (the rest re-enter
+    // from a callback, behind their own turn, and are a worker's).
+    let hot_answered_inline = fe.metrics().answered_inline - inline_before_hot;
     let mut hot_latencies: Vec<u64> = Vec::new();
     let mut hot_errors = 0u64;
     for state in &hot_states {
@@ -550,6 +557,7 @@ pub fn phase(
             hot_requests as f64 / hot_wall.as_secs_f64().max(1e-9),
         )
         .field("hot_p50_us", hot_p50)
+        .field("hot_answered_inline", hot_answered_inline)
         .field("hot_threads_before", hot_threads_before)
         .field("hot_threads_after", hot_threads_after)
         .field("threads_peak", peaks.0.load(Ordering::Relaxed))

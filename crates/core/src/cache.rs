@@ -323,6 +323,30 @@ pub struct CachedData {
     pub significant: Vec<(String, u64)>,
     /// Known classes (for rdf:type keyword resolution).
     pub classes: Vec<CachedClass>,
+    /// Case-folded predicate surface → lowest index in `predicates` with it.
+    predicate_by_surface: HashMap<String, usize>,
+    /// Case-folded class surface → lowest index in `classes` with it.
+    class_by_surface: HashMap<String, usize>,
+}
+
+/// Case-folded surface → the lowest index carrying it. Folded with
+/// `str::to_lowercase`, which is what [`jaro_winkler_ci`] folds with.
+fn surface_index<'a>(surfaces: impl Iterator<Item = &'a str>) -> HashMap<String, usize> {
+    let mut index = HashMap::new();
+    for (i, surface) in surfaces.enumerate() {
+        index.entry(surface.to_lowercase()).or_insert(i);
+    }
+    index
+}
+
+/// `s`'s entry in a [`surface_index`], else the head of `sweep`.
+fn exact_or_swept(
+    index: &HashMap<String, usize>,
+    s: &str,
+    sweep: impl FnOnce() -> Vec<(usize, f64)>,
+) -> Option<usize> {
+    let exact = index.get(&s.to_lowercase()).copied();
+    exact.or_else(|| sweep().first().map(|&(idx, _)| idx))
 }
 
 impl CachedData {
@@ -369,19 +393,34 @@ impl CachedData {
         }
 
         CachedData {
+            predicate_by_surface: surface_index(predicates.iter().map(|p| p.surface.as_str())),
             predicates,
             bins,
             tree,
             tree_entries,
             significant,
             classes: Vec::new(),
+            class_by_surface: HashMap::new(),
         }
     }
 
     /// Attach the classes discovered during initialization.
     pub fn with_classes(mut self, classes: Vec<CachedClass>) -> Self {
+        self.class_by_surface = surface_index(classes.iter().map(|c| c.surface.as_str()));
         self.classes = classes;
         self
+    }
+
+    /// The class a keyword names: `similar_classes(s, theta).first()`,
+    /// without the sweep when `s` is a class's surface form up to case.
+    ///
+    /// Jaro-Winkler is 1.0 exactly when the folded strings are equal, so an
+    /// exact surface outranks every other class at any `theta <= 1`, and the
+    /// sweep's stable sort breaks a tie between equal surfaces towards the
+    /// lowest index — the one the surface index keeps.
+    pub fn best_class(&self, s: &str, theta: f64) -> Option<usize> {
+        debug_assert!(theta <= 1.0);
+        exact_or_swept(&self.class_by_surface, s, || self.similar_classes(s, theta))
     }
 
     /// Classes whose surface form is Jaro-Winkler-similar to `s`.
@@ -479,6 +518,17 @@ impl CachedData {
             .collect();
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         out
+    }
+
+    /// The predicate a keyword names: `similar_predicates(s, theta).first()`,
+    /// answered from the surface index when `s` is a predicate's surface form
+    /// up to case (see [`best_class`](Self::best_class) for why that is the
+    /// same answer).
+    pub fn best_predicate(&self, s: &str, theta: f64) -> Option<usize> {
+        debug_assert!(theta <= 1.0);
+        exact_or_swept(&self.predicate_by_surface, s, || {
+            self.similar_predicates(s, theta)
+        })
     }
 
     /// Literals (residual bins *and* significant set) Jaro-Winkler-similar to
@@ -651,6 +701,49 @@ mod tests {
             c.predicates[sims[0].0].iri,
             "http://dbpedia.org/ontology/birthPlace"
         );
+    }
+
+    #[test]
+    fn best_predicate_and_class_are_the_head_of_the_sweep() {
+        let predicate = |iri: &str, surface: &str| CachedPredicate {
+            iri: iri.into(),
+            surface: surface.into(),
+            literal_count: 1,
+        };
+        let class = |iri: &str, surface: &str| CachedClass {
+            iri: iri.into(),
+            surface: surface.into(),
+        };
+        let c = CachedData::assemble(
+            vec![
+                predicate("http://x/deathPlace", "death place"),
+                predicate("http://a/birthPlace", "Birth Place"),
+                predicate("http://b/birthPlace", "birth place"),
+            ],
+            Vec::new(),
+            &SapphireConfig::for_tests(),
+        )
+        .with_classes(vec![
+            class("http://x/Person", "person"),
+            class("http://x/ChessPlayer", "chess player"),
+        ]);
+        let head = |sweep: Vec<(usize, f64)>| sweep.first().map(|&(idx, _)| idx);
+        // Equal up to case: the lowest index among the equal surfaces, which
+        // is where the sweep's stable sort leaves it.
+        for keyword in ["birth place", "BIRTH PLACE", "Birth Place"] {
+            assert_eq!(c.best_predicate(keyword, 0.85), Some(1));
+            assert_eq!(head(c.similar_predicates(keyword, 0.85)), Some(1));
+        }
+        assert_eq!(c.best_class("Chess Player", 0.8), Some(1));
+        // Not a surface: the sweep decides, including that nothing matches.
+        for keyword in ["birth plase", "deth place", "zzz", ""] {
+            let swept = head(c.similar_predicates(keyword, 0.85));
+            assert_eq!(c.best_predicate(keyword, 0.85), swept, "{keyword:?}");
+            let swept = head(c.similar_classes(keyword, 0.8));
+            assert_eq!(c.best_class(keyword, 0.8), swept, "{keyword:?}");
+        }
+        assert_eq!(c.best_predicate("birth plase", 0.85), Some(1));
+        assert_eq!(c.best_predicate("zzz", 0.85), None);
     }
 
     #[test]

@@ -295,7 +295,7 @@ impl<'a> Session<'a> {
         }
         // Keyword: resolve against cached predicates, best JW match first.
         let cache = self.pum.qcm().cache();
-        if let Some((idx, _)) = cache.similar_predicates(t, 0.85).into_iter().next() {
+        if let Some(idx) = cache.best_predicate(t, 0.85) {
             return Ok(TermPattern::iri(cache.predicates[idx].iri.clone()));
         }
         // Fall back to substring completion.
@@ -319,7 +319,7 @@ impl<'a> Session<'a> {
         // classes discovered during initialization.
         if predicate.as_term().and_then(Term::as_iri) == Some(sapphire_rdf::vocab::rdf::TYPE) {
             let cache = self.pum.qcm().cache();
-            if let Some((idx, _)) = cache.similar_classes(t, 0.8).into_iter().next() {
+            if let Some(idx) = cache.best_class(t, 0.8) {
                 return TermPattern::iri(cache.classes[idx].iri.clone());
             }
         }

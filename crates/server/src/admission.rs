@@ -247,11 +247,14 @@ impl AdmissionController {
     /// for calling [`AdmissionTicket::cancel`] once
     /// [`AdmissionTicket::expired`] turns true, and for answering the
     /// request with [`ServerError::QueueTimeout`].
+    ///
+    /// `on_grant` builds the callback and runs only if the request queues,
+    /// so an immediate grant allocates nothing.
     pub fn admit_evented(
         self: &Arc<Self>,
-        on_grant: GrantCallback,
+        on_grant: impl FnOnce() -> GrantCallback,
     ) -> Result<AsyncAdmission, ServerError> {
-        self.admit_or_enqueue(self.queue_wait, || on_grant)
+        self.admit_or_enqueue(self.queue_wait, on_grant)
     }
 
     /// Current `(in_flight, queued)` snapshot.
@@ -690,7 +693,7 @@ mod tests {
         let gate = gate(2, 4, Duration::from_secs(1));
         let fired = Arc::new(AtomicBool::new(false));
         let f = fired.clone();
-        match gate.admit_evented(Box::new(move || f.store(true, Ordering::SeqCst))) {
+        match gate.admit_evented(|| Box::new(move || f.store(true, Ordering::SeqCst))) {
             Ok(AsyncAdmission::Ready(permit)) => drop(permit),
             Ok(AsyncAdmission::Queued(_)) => panic!("free slot must grant immediately"),
             Err(e) => panic!("unexpected rejection: {e:?}"),
@@ -706,7 +709,7 @@ mod tests {
         let fired = Arc::new(AtomicBool::new(false));
         let f = fired.clone();
         let ticket = match gate
-            .admit_evented(Box::new(move || f.store(true, Ordering::SeqCst)))
+            .admit_evented(|| Box::new(move || f.store(true, Ordering::SeqCst)))
             .unwrap()
         {
             AsyncAdmission::Queued(t) => t,
@@ -749,7 +752,7 @@ mod tests {
         let granted = Arc::new(AtomicBool::new(false));
         let g = granted.clone();
         let ticket = match gate
-            .admit_evented(Box::new(move || g.store(true, Ordering::SeqCst)))
+            .admit_evented(|| Box::new(move || g.store(true, Ordering::SeqCst)))
             .unwrap()
         {
             AsyncAdmission::Queued(t) => t,
@@ -763,15 +766,60 @@ mod tests {
         assert_eq!(gate.load(), (0, 0));
     }
 
+    /// The grant callback is built once per request that queues — never for
+    /// an immediate grant, never for a rejection.
+    #[test]
+    fn evented_callback_is_built_only_for_a_queued_ticket() {
+        let gate = gate(1, 1, Duration::from_secs(1));
+        let built = AtomicUsize::new(0);
+        let ask = || {
+            gate.admit_evented(|| {
+                built.fetch_add(1, Ordering::SeqCst);
+                Box::new(|| {})
+            })
+        };
+        let holder = match ask().unwrap() {
+            AsyncAdmission::Ready(permit) => permit,
+            AsyncAdmission::Queued(_) => panic!("the gate was free"),
+        };
+        assert_eq!(
+            built.load(Ordering::SeqCst),
+            0,
+            "a free gate builds nothing"
+        );
+        let queued = match ask().unwrap() {
+            AsyncAdmission::Queued(ticket) => ticket,
+            AsyncAdmission::Ready(_) => panic!("slot was held"),
+        };
+        assert_eq!(
+            built.load(Ordering::SeqCst),
+            1,
+            "one ticket wait, one build"
+        );
+        assert!(matches!(ask(), Err(ServerError::Overloaded { .. })));
+        assert_eq!(
+            built.load(Ordering::SeqCst),
+            1,
+            "a rejection builds nothing"
+        );
+        drop(holder);
+        drop(
+            queued
+                .try_claim()
+                .expect("the freed slot went to the ticket"),
+        );
+        assert_eq!(gate.load(), (0, 0));
+    }
+
     #[test]
     fn evented_queue_overflow_rejects_typed() {
         let gate = gate(1, 1, Duration::from_secs(1));
         let _holder = gate.admit().unwrap();
-        let _queued = match gate.admit_evented(Box::new(|| {})).unwrap() {
+        let _queued = match gate.admit_evented(|| Box::new(|| {})).unwrap() {
             AsyncAdmission::Queued(t) => t,
             AsyncAdmission::Ready(_) => panic!("slot was held"),
         };
-        let err = gate.admit_evented(Box::new(|| {})).unwrap_err();
+        let err = gate.admit_evented(|| Box::new(|| {})).unwrap_err();
         assert!(matches!(
             err,
             ServerError::Overloaded {
@@ -785,7 +833,7 @@ mod tests {
     fn cancelled_ticket_leaves_the_queue_and_never_blocks_a_grant() {
         let gate = gate(1, 4, Duration::from_secs(5));
         let holder = gate.admit().unwrap();
-        let ticket = match gate.admit_evented(Box::new(|| {})).unwrap() {
+        let ticket = match gate.admit_evented(|| Box::new(|| {})).unwrap() {
             AsyncAdmission::Queued(t) => t,
             AsyncAdmission::Ready(_) => panic!("slot was held"),
         };
@@ -802,7 +850,7 @@ mod tests {
     fn cancel_after_grant_returns_the_permit_instead_of_stranding_it() {
         let gate = gate(1, 4, Duration::from_secs(5));
         let holder = gate.admit().unwrap();
-        let ticket = match gate.admit_evented(Box::new(|| {})).unwrap() {
+        let ticket = match gate.admit_evented(|| Box::new(|| {})).unwrap() {
             AsyncAdmission::Queued(t) => t,
             AsyncAdmission::Ready(_) => panic!("slot was held"),
         };
@@ -820,7 +868,7 @@ mod tests {
     fn dropping_a_granted_ticket_releases_the_slot() {
         let gate = gate(1, 4, Duration::from_secs(5));
         let holder = gate.admit().unwrap();
-        let ticket = match gate.admit_evented(Box::new(|| {})).unwrap() {
+        let ticket = match gate.admit_evented(|| Box::new(|| {})).unwrap() {
             AsyncAdmission::Queued(t) => t,
             AsyncAdmission::Ready(_) => panic!("slot was held"),
         };
@@ -834,7 +882,7 @@ mod tests {
     fn evented_tickets_carry_the_queue_deadline() {
         let gate = gate(1, 4, Duration::from_millis(5));
         let _holder = gate.admit().unwrap();
-        let ticket = match gate.admit_evented(Box::new(|| {})).unwrap() {
+        let ticket = match gate.admit_evented(|| Box::new(|| {})).unwrap() {
             AsyncAdmission::Queued(t) => t,
             AsyncAdmission::Ready(_) => panic!("slot was held"),
         };

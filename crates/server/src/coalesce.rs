@@ -358,6 +358,12 @@ impl<V, E: Clone> ReadThrough<V, E> {
         self.flights.occupancy()
     }
 
+    /// Followers blocked on `key`'s flight (see [`Coalescer::waiting`]).
+    #[cfg(test)]
+    pub(crate) fn waiting(&self, key: &str) -> usize {
+        self.flights.waiting(key)
+    }
+
     /// Serve `key` from the cache, a concurrent identical request, or
     /// `work` — and say which.
     ///
@@ -376,22 +382,30 @@ impl<V, E: Clone> ReadThrough<V, E> {
         insert: impl FnOnce(&V) -> bool,
         retry_own: impl Fn(&E) -> bool,
     ) -> (Served, Result<Arc<V>, E>) {
-        if let Some(cache) = &self.cache {
-            let started = Instant::now();
-            let hit = cache.get(&key);
-            let outcome = if hit.is_some() { "hit" } else { "miss" };
-            record_span(obs, Stage::CacheLookup, started, |_| {
-                format!("{} {outcome}", self.surface)
-            });
-            if let Some(hit) = hit {
-                return (Served::Hit, Ok(hit));
-            }
+        match self.lookup(obs, &key) {
+            Some(hit) => (Served::Hit, Ok(hit)),
+            None => self.serve_miss(obs, key, work, insert, retry_own),
         }
-        self.serve_miss(obs, key, work, insert, retry_own)
     }
 
-    /// [`serve`](Self::serve) past the counted cache lookup.
-    fn serve_miss(
+    /// The first half of [`serve`](Self::serve): the one counted cache
+    /// lookup. Never waits and runs no work, so a thread that may do neither
+    /// can still answer a hit; `None` — always, on an uncached surface —
+    /// obliges the caller to [`serve_miss`](Self::serve_miss) the same key.
+    pub(crate) fn lookup(&self, obs: &Obs, key: &str) -> Option<Arc<V>> {
+        let cache = self.cache.as_ref()?;
+        let started = Instant::now();
+        let hit = cache.get(key);
+        let outcome = if hit.is_some() { "hit" } else { "miss" };
+        record_span(obs, Stage::CacheLookup, started, |_| {
+            format!("{} {outcome}", self.surface)
+        });
+        hit
+    }
+
+    /// The second half of [`serve`](Self::serve), for a request whose
+    /// [`lookup`](Self::lookup) of `key` already logged its miss.
+    pub(crate) fn serve_miss(
         &self,
         obs: &Obs,
         key: String,

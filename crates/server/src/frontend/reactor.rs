@@ -14,6 +14,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -32,7 +33,6 @@ struct ReactorState {
     /// Sessions parked in `AwaitingGrant` (so shutdown drains them even
     /// when their ticket carries no deadline).
     parked: usize,
-    shutdown: bool,
     /// High-water mark of `ready.len()` (observability).
     peak_ready: usize,
 }
@@ -49,6 +49,14 @@ pub(crate) enum Work {
 pub(crate) struct Reactor {
     state: Mutex<ReactorState>,
     wake: Condvar,
+    /// Intake is closed and the pool is draining. Written only under
+    /// `state`'s lock, so the workers' exit test — which reads it under that
+    /// lock — is ordered with the queues it also inspects; `submit` reads it
+    /// without the lock.
+    shutdown: AtomicBool,
+    /// `ready.len()`, republished under the lock at every push and pop, so
+    /// `submit` can ask whether anybody is waiting for a worker without it.
+    waiting: AtomicUsize,
 }
 
 impl Reactor {
@@ -60,8 +68,20 @@ impl Reactor {
     pub(crate) fn schedule(&self, session: u64) {
         let mut state = self.state.lock().unwrap();
         state.ready.push_back(session);
-        state.peak_ready = state.peak_ready.max(state.ready.len());
+        self.publish_waiting(&mut state);
         self.wake.notify_one();
+    }
+
+    /// `ready` changed: republish its length and track its high-water mark.
+    fn publish_waiting(&self, state: &mut ReactorState) {
+        state.peak_ready = state.peak_ready.max(state.ready.len());
+        self.waiting.store(state.ready.len(), Ordering::Relaxed);
+    }
+
+    /// Whether some session is waiting for a worker right now. A hint: the
+    /// answer can be stale by the time the caller acts on it.
+    pub(crate) fn backlogged(&self) -> bool {
+        self.waiting.load(Ordering::Relaxed) > 0
     }
 
     /// Register an admission-deadline wake-up for `session`. Uses
@@ -84,7 +104,7 @@ impl Reactor {
     pub(crate) fn note_unparked(&self) {
         let mut state = self.state.lock().unwrap();
         state.parked -= 1;
-        if state.shutdown {
+        if self.shutdown.load(Ordering::SeqCst) {
             drop(state);
             self.wake.notify_all();
         }
@@ -99,6 +119,7 @@ impl Reactor {
         loop {
             if let Some(id) = state.ready.pop_front() {
                 state.busy += 1;
+                self.publish_waiting(&mut state);
                 return Work::Session(id);
             }
             let now = Instant::now();
@@ -114,7 +135,8 @@ impl Reactor {
             if woke_any {
                 continue;
             }
-            if state.shutdown && state.busy == 0 && state.parked == 0 && state.ready.is_empty() {
+            let shutdown = self.shutdown.load(Ordering::SeqCst);
+            if shutdown && state.busy == 0 && state.parked == 0 && state.ready.is_empty() {
                 // Everything drained; wake the rest of the pool so every
                 // worker observes the exit condition.
                 self.wake.notify_all();
@@ -138,11 +160,11 @@ impl Reactor {
         match followup {
             Some(id) => {
                 state.ready.push_back(id);
-                state.peak_ready = state.peak_ready.max(state.ready.len());
+                self.publish_waiting(&mut state);
                 self.wake.notify_one();
             }
             None => {
-                if state.shutdown && state.busy == 0 {
+                if self.shutdown.load(Ordering::SeqCst) && state.busy == 0 {
                     drop(state);
                     self.wake.notify_all();
                 }
@@ -152,12 +174,14 @@ impl Reactor {
 
     /// Stop intake and let the pool drain.
     pub(crate) fn begin_shutdown(&self) {
-        self.state.lock().unwrap().shutdown = true;
+        let state = self.state.lock().unwrap();
+        self.shutdown.store(true, Ordering::SeqCst);
+        drop(state);
         self.wake.notify_all();
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
-        self.state.lock().unwrap().shutdown
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// `(ready, parked, busy)` snapshot.

@@ -2,7 +2,7 @@
 //!
 //! A session at the evented tier is *data*, not a parked thread: a FIFO
 //! queue of not-yet-executed requests plus a phase tag saying where the
-//! session currently lives. Exactly one worker operates on a session at a
+//! session currently lives. Exactly one thread operates on a session at a
 //! time (the phase tag enforces it), so per-session request order is the
 //! submission order — the property the oracle test pins against the
 //! thread-per-request tier.
@@ -94,10 +94,17 @@ pub enum FrontResponse {
 }
 
 /// Completion callback: fires exactly once per submitted request, with the
-/// response or a typed error. Runs on a front-end worker thread (or, for
-/// submissions rejected synchronously, on the submitting thread) — it must
-/// not block for long, but it may submit follow-up requests (the closed-loop
-/// bench drives itself this way).
+/// response or a typed error.
+///
+/// It runs on whichever thread produced the answer: the *submitting* thread,
+/// before [`Frontend::submit`](super::Frontend::submit) returns, for a
+/// rejected submission and for an edit or a response-cache hit on an idle
+/// session; a front-end worker otherwise. So it must not block (on a worker
+/// it stalls the pool, on the submitter it stalls its own caller), must not
+/// assume it is on a worker thread, and `submit` must not be called while
+/// holding a lock the callback takes. It may submit follow-up requests (the
+/// closed-loop bench drives itself this way); those never run nested inside
+/// it — a submission made from within an answering callback is queued.
 pub type ResponseCallback = Box<dyn FnOnce(Result<FrontResponse, ServerError>) + Send>;
 
 /// Where a session currently lives.
@@ -107,7 +114,8 @@ pub(crate) enum Phase {
     Idle,
     /// In the reactor's ready queue, waiting for a worker.
     Queued,
-    /// A worker is operating on it right now.
+    /// A thread — a worker, or the submitter of a request that found the
+    /// session idle — is operating on it right now.
     Running,
     /// The head request holds an [`AdmissionTicket`]; the session re-enters
     /// the ready queue when the grant callback (or the deadline sweep)
@@ -127,6 +135,28 @@ pub(crate) struct PendingAdmission {
     pub(crate) trace: Option<sapphire_obs::Trace>,
 }
 
+/// A request a submitting thread took past its counted cache lookup and may
+/// take no further: admitted, charged, slot in hand, waiting for a worker
+/// to run [`SapphireServer::work`](crate::server::SapphireServer::work).
+pub(crate) struct HandedOver {
+    pub(crate) missed: crate::server::Missed<'static>,
+    pub(crate) respond: ResponseCallback,
+    /// When the submitter let go of it — the origin of the worker wait.
+    pub(crate) since: Instant,
+    pub(crate) trace: Option<sapphire_obs::Trace>,
+}
+
+/// The head request of a session that has started but not finished: the
+/// session's parked continuation.
+pub(crate) enum Pending {
+    /// Before the gate's grant: the session is `AwaitingGrant` and counted
+    /// in the reactor's parked set.
+    Ticket(PendingAdmission),
+    /// Past the counted lookup: the session is `Queued`, in the ready queue
+    /// like any other runnable session.
+    Missed(HandedOver),
+}
+
 /// One submission waiting in a session's FIFO queue.
 pub(crate) struct QueuedRequest {
     pub(crate) request: FrontRequest,
@@ -142,7 +172,7 @@ pub(crate) struct QueuedRequest {
 pub(crate) struct SessionState {
     pub(crate) queue: VecDeque<QueuedRequest>,
     pub(crate) phase: Phase,
-    pub(crate) pending: Option<PendingAdmission>,
+    pub(crate) pending: Option<Pending>,
     pub(crate) closed: bool,
 }
 
@@ -156,8 +186,8 @@ impl SessionState {
         }
     }
 
-    /// Queued requests plus the one parked on admission (the session's
-    /// whole backlog).
+    /// Queued requests plus the one parked on a ticket or handed over (the
+    /// session's whole backlog).
     pub(crate) fn backlog(&self) -> usize {
         self.queue.len() + usize::from(self.pending.is_some())
     }

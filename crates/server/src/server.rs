@@ -365,6 +365,52 @@ impl Reply {
     }
 }
 
+/// Where a session run commits its attempt and suggestions: the entry, and
+/// the generation its rows were snapshotted at.
+type RunCommit = (Arc<Mutex<SessionEntry>>, u64);
+
+/// What a missed request still has to do, with what
+/// [`SapphireServer::lookup`] derived for it.
+#[derive(Debug)]
+enum MissedWhat<'a> {
+    Complete {
+        typed: Cow<'a, str>,
+        k: usize,
+    },
+    Run {
+        query: Cow<'a, SelectQuery>,
+        tier: usize,
+        commit: Option<RunCommit>,
+    },
+    Raw {
+        query: Cow<'a, Query>,
+    },
+}
+
+/// A request past its counted cache lookup, between the two halves of
+/// [`SapphireServer::post_gate`]: charged, keyed, slot in hand, and not in
+/// the cache. Carried on the stack by blocking callers and workers, and
+/// across one thread hand-off by a front-end submitter, which may neither
+/// wait in a flight nor scan (see [`crate::frontend`]).
+#[derive(Debug)]
+pub(crate) struct Missed<'a> {
+    what: MissedWhat<'a>,
+    /// The response-cache and single-flight key the lookup missed on.
+    key: String,
+    /// Held until [`SapphireServer::work`] is done with it, exactly as a
+    /// granted ticket holds its slot while it waits for a worker.
+    permit: AdmissionPermit,
+}
+
+/// The outcome of [`SapphireServer::lookup`].
+#[derive(Debug)]
+pub(crate) enum Lookup<'a> {
+    /// Answered from the response cache; the slot is already released.
+    Hit(Reply),
+    /// Not cached: [`SapphireServer::work`] must finish it.
+    Miss(Missed<'a>),
+}
+
 /// A run served through the sessionless [`SapphireServer::run_select`]
 /// surface — what a cluster edge router scatters over shard replicas.
 #[derive(Debug, Clone)]
@@ -691,9 +737,25 @@ impl SapphireServer {
     /// The **post-gate** half: what a request does with an execution slot in
     /// hand, however the slot was acquired (by parking in
     /// [`serve_parked`](Self::serve_parked), or by the front-end claiming an
-    /// evented ticket). Charges the tenant, picks the tier, serves through
-    /// the surface's [`ReadThrough`], drops the permit, and commits a
-    /// session run.
+    /// evented ticket): [`lookup`](Self::lookup), then — on a miss —
+    /// [`work`](Self::work). A front-end submitter runs the two halves on
+    /// two threads; everyone else calls this.
+    pub(crate) fn post_gate(
+        &self,
+        request: Request<'_>,
+        permit: AdmissionPermit,
+    ) -> Result<Reply, ServerError> {
+        match self.lookup(request, permit)? {
+            Lookup::Hit(reply) => Ok(reply),
+            Lookup::Miss(missed) => self.work(missed),
+        }
+    }
+
+    /// The first half of [`post_gate`](Self::post_gate): everything up to
+    /// and including the one counted response-cache lookup. Charges the
+    /// tenant, builds a session run's query, picks the tier, computes the
+    /// key and looks it up; a hit commits a session run and replies. It
+    /// never waits and never scans the model.
     ///
     /// Admission came first because a shed request must cost nothing, and
     /// even query building resolves keyword predicates against the shared
@@ -703,25 +765,35 @@ impl SapphireServer {
     /// passes admission (its key requires the built query) and still
     /// consumes quota: budgets are deliberately request-denominated, so a
     /// tenant cannot exceed its window by replaying one hot query.
-    /// Single-flight followers hold their slot while they wait, exactly as
-    /// if they were running the scan themselves.
-    pub(crate) fn post_gate(
+    pub(crate) fn lookup<'a>(
         &self,
-        request: Request<'_>,
+        request: Request<'a>,
         permit: AdmissionPermit,
-    ) -> Result<Reply, ServerError> {
+    ) -> Result<Lookup<'a>, ServerError> {
         let Request {
             tenant,
             what,
             session,
             ..
         } = request;
-        // `permit` is held to the end of the call unless an arm has work to
-        // do without it.
         match what {
             What::Complete { typed, k } => {
                 self.charge(&tenant, self.config.completion_cost)?;
-                self.serve_completion(&typed, k).map(Reply::Completion)
+                // A non-default `k` gets its own cache/coalescer key (see
+                // [`complete_top`](Self::complete_top)).
+                let key = if k == self.pum.config().k {
+                    completion_request_key(&typed)
+                } else {
+                    format!("{}\u{1}top{k}", completion_request_key(&typed))
+                };
+                Ok(match self.completions.lookup(&self.obs, &key) {
+                    Some(hit) => Lookup::Hit(Reply::Completion(Arc::unwrap_or_clone(hit))),
+                    None => Lookup::Miss(Missed {
+                        what: MissedWhat::Complete { typed, k },
+                        key,
+                        permit,
+                    }),
+                })
             }
             What::Run { query, tier_floor } => {
                 let (query, commit) = match (query, session) {
@@ -743,21 +815,34 @@ impl SapphireServer {
                 let tier = tier_floor
                     .max(self.qsm_tier())
                     .min(sapphire_core::SteinerConfig::MAX_TIER);
-                let run = self.execute_run(&query, tier)?;
-                drop(permit);
-                let attempts = commit.map_or(0, |(entry, generation)| {
-                    let mut entry = entry.lock().unwrap();
-                    entry.attempts += 1;
-                    // Commit suggestions only if they still describe the
-                    // session's current rows; a superseded run must not
-                    // clobber a newer run's suggestions with ones the user
-                    // can no longer see.
-                    if entry.generation == generation {
-                        entry.last_suggestions = Some(run.payload.suggestions.clone());
+                if tier > 0 {
+                    self.counters
+                        .qsm_degraded_runs
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                // The key carries `tier`, so a degraded-budget run can only
+                // ever hit, lead, or follow *other degraded runs of the same
+                // tier* — full-budget and degraded requests never exchange
+                // payloads in either direction.
+                let key = run_request_key_tier(&*query, tier);
+                Ok(match self.runs.lookup(&self.obs, &key) {
+                    Some(payload) => {
+                        let run = QueryRun {
+                            cached: true,
+                            payload,
+                        };
+                        Lookup::Hit(commit_run(run, permit, commit))
                     }
-                    entry.attempts
-                });
-                Ok(Reply::Run { run, attempts })
+                    None => Lookup::Miss(Missed {
+                        what: MissedWhat::Run {
+                            query,
+                            tier,
+                            commit,
+                        },
+                        key,
+                        permit,
+                    }),
+                })
             }
             What::Raw { query } => {
                 let patterns = match &*query {
@@ -765,7 +850,84 @@ impl SapphireServer {
                     Query::Ask(gp) => gp.triples.len(),
                 };
                 self.charge(&tenant, self.pattern_cost(patterns))?;
-                self.serve_raw(&query).map(Reply::Raw)
+                // Raw results are never response-cached (see the
+                // [`QueryService`] impl), so this surface always misses.
+                Ok(Lookup::Miss(Missed {
+                    key: sapphire_endpoint::query_fingerprint(&query),
+                    what: MissedWhat::Raw { query },
+                    permit,
+                }))
+            }
+        }
+    }
+
+    /// The second half of [`post_gate`](Self::post_gate): lead, follow or
+    /// bypass the key's flight, drop the permit and commit a session run.
+    /// Single-flight followers hold their slot while they wait, exactly as
+    /// if they were running the scan themselves.
+    ///
+    /// A burst of identical cold requests (many users pressing Run on the
+    /// same question at once) costs one model scan; a run's `cached` flag
+    /// stays an honest "this request ran no scan of its own": true for cache
+    /// hits and followers, false for the scanning leader and bypasses.
+    pub(crate) fn work(&self, missed: Missed<'_>) -> Result<Reply, ServerError> {
+        let Missed { what, key, permit } = missed;
+        // `permit` is held to the end of the call unless an arm has work to
+        // do without it.
+        match what {
+            MissedWhat::Complete { typed, k } => {
+                let (served, result) = self.completions.serve_miss(
+                    &self.obs,
+                    key,
+                    |how| {
+                        let mut t = self.obs.time(Stage::QcmScan);
+                        t.tag(if how == Served::Leader {
+                            "leader"
+                        } else {
+                            "bypass"
+                        });
+                        Ok(self.pum.complete_top(&typed, k))
+                    },
+                    |_| true,
+                    |_| false,
+                );
+                self.count_served(served, Some(&self.counters.coalesced_completion_hits));
+                result.map(|found| Reply::Completion(Arc::unwrap_or_clone(found)))
+            }
+            MissedWhat::Run {
+                query,
+                tier,
+                commit,
+            } => {
+                let (served, result) = self.runs.serve_miss(
+                    &self.obs,
+                    key,
+                    |_| Ok(self.scan(&query, tier)),
+                    |_| true,
+                    |_| false,
+                );
+                self.count_served(served, Some(&self.counters.coalesced_run_hits));
+                let run = QueryRun {
+                    cached: served.cached(),
+                    payload: result?,
+                };
+                Ok(commit_run(run, permit, commit))
+            }
+            MissedWhat::Raw { query } => {
+                let (served, result) = self.raw.serve_miss(
+                    &self.obs,
+                    key,
+                    |_| {
+                        self.pum
+                            .federation()
+                            .execute_parsed(&query)
+                            .map_err(from_federation)
+                    },
+                    |_| true,
+                    |_| false,
+                );
+                self.count_served(served, None);
+                result.map(|found| Reply::Raw(Arc::unwrap_or_clone(found)))
             }
         }
     }
@@ -805,82 +967,6 @@ impl SapphireServer {
             return 0;
         }
         self.shed_pressure_tier()
-    }
-
-    /// The cached + coalesced QCM path, slot in hand. A non-default `k` gets
-    /// its own cache/coalescer key (see [`complete_top`](Self::complete_top)).
-    fn serve_completion(&self, typed: &str, k: usize) -> Result<CompletionResult, ServerError> {
-        let key = if k == self.pum.config().k {
-            completion_request_key(typed)
-        } else {
-            format!("{}\u{1}top{k}", completion_request_key(typed))
-        };
-        let (served, result) = self.completions.serve(
-            &self.obs,
-            key,
-            |how| {
-                let mut t = self.obs.time(Stage::QcmScan);
-                t.tag(if how == Served::Leader {
-                    "leader"
-                } else {
-                    "bypass"
-                });
-                Ok(self.pum.complete_top(typed, k))
-            },
-            |_| true,
-            |_| false,
-        );
-        self.count_served(served, Some(&self.counters.coalesced_completion_hits));
-        result.map(Arc::unwrap_or_clone)
-    }
-
-    /// The cached + coalesced run path, slot in hand. A burst of identical
-    /// cold queries (many users pressing Run on the same question at once)
-    /// costs one model scan; the returned `cached` flag stays an honest
-    /// "this request ran no scan of its own": true for cache hits and
-    /// followers, false for the scanning leader and bypasses.
-    ///
-    /// The cache/coalescer key carries `tier`, so a degraded-budget run can
-    /// only ever hit, lead, or follow *other degraded runs of the same
-    /// tier* — full-budget requests and degraded requests never exchange
-    /// payloads in either direction.
-    fn execute_run(&self, query: &SelectQuery, tier: usize) -> Result<QueryRun, ServerError> {
-        if tier > 0 {
-            self.counters
-                .qsm_degraded_runs
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let (served, result) = self.runs.serve(
-            &self.obs,
-            run_request_key_tier(query, tier),
-            |_| Ok(self.scan(query, tier)),
-            |_| true,
-            |_| false,
-        );
-        self.count_served(served, Some(&self.counters.coalesced_run_hits));
-        result.map(|payload| QueryRun {
-            cached: served.cached(),
-            payload,
-        })
-    }
-
-    /// The single-flighted raw-query path, slot in hand (see the
-    /// [`QueryService`] impl for why results are never response-cached).
-    fn serve_raw(&self, query: &Query) -> Result<QueryResult, ServerError> {
-        let (served, result) = self.raw.serve(
-            &self.obs,
-            sapphire_endpoint::query_fingerprint(query),
-            |_| {
-                self.pum
-                    .federation()
-                    .execute_parsed(query)
-                    .map_err(from_federation)
-            },
-            |_| true,
-            |_| false,
-        );
-        self.count_served(served, None);
-        result.map(Arc::unwrap_or_clone)
     }
 
     /// Accept the `alt_index`-th term alternative from `id`'s last run:
@@ -1108,6 +1194,25 @@ impl SapphireServer {
         }
         result
     }
+}
+
+/// The tail of a served run, hit or miss: give the slot back, then commit
+/// the session's attempt and suggestions (a sessionless run has no `commit`
+/// and reports 0 attempts).
+fn commit_run(run: QueryRun, permit: AdmissionPermit, commit: Option<RunCommit>) -> Reply {
+    drop(permit);
+    let attempts = commit.map_or(0, |(entry, generation)| {
+        let mut entry = entry.lock().unwrap();
+        entry.attempts += 1;
+        // Commit suggestions only if they still describe the session's
+        // current rows; a superseded run must not clobber a newer run's
+        // suggestions with ones the user can no longer see.
+        if entry.generation == generation {
+            entry.last_suggestions = Some(run.payload.suggestions.clone());
+        }
+        entry.attempts
+    });
+    Reply::Run { run, attempts }
 }
 
 /// Raw SPARQL surface: lets a `SapphireServer` stand behind a
@@ -1524,6 +1629,110 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(server.shed_pressure_tier(), 0, "drained queue recovers");
+    }
+
+    /// An endpoint that holds the first query after it is armed: it reports
+    /// the query on `entered` and answers once `release` yields.
+    struct GatedEndpoint {
+        inner: LocalEndpoint,
+        armed: std::sync::atomic::AtomicBool,
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Endpoint for GatedEndpoint {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn execute_parsed(
+            &self,
+            query: &Query,
+        ) -> Result<QueryResult, sapphire_endpoint::EndpointError> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            self.inner.execute_parsed(query)
+        }
+    }
+
+    /// A front-end submitter whose counted lookup misses while another
+    /// request leads the same key's flight never joins it: the miss is
+    /// handed over and a worker waits in the flight.
+    #[test]
+    fn frontend_submitter_hands_a_miss_behind_a_live_flight_to_a_worker() {
+        use crate::frontend::{FrontRequest, FrontResponse, Frontend, FrontendConfig};
+        use std::sync::mpsc;
+
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let graph = sapphire_rdf::turtle::parse(
+            r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:name "John F. Kennedy"@en ."#,
+        )
+        .unwrap();
+        let endpoint = Arc::new(GatedEndpoint {
+            inner: LocalEndpoint::new("dbpedia", graph, EndpointLimits::warehouse()),
+            armed: false.into(),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        let pum = Arc::new(
+            PredictiveUserModel::initialize(
+                vec![endpoint.clone() as Arc<dyn Endpoint>],
+                Lexicon::dbpedia_default(),
+                SapphireConfig::for_tests(),
+                InitMode::Federated,
+            )
+            .unwrap(),
+        );
+        let server = Arc::new(SapphireServer::new(pum, ServerConfig::for_tests()));
+        let fe = Frontend::new(server.clone(), FrontendConfig::for_tests());
+        let surname = TripleInput::new("?p", "surname", "Kennedy");
+        let run = |tenant: &str| {
+            let s = fe.open_session(tenant).unwrap();
+            server.set_row(s, 0, surname.clone()).unwrap();
+            let (tx, rx) = mpsc::channel();
+            fe.submit(s, FrontRequest::Run, Box::new(move |r| tx.send(r).unwrap()))
+                .unwrap();
+            rx
+        };
+        let cached = |answer: mpsc::Receiver<Result<FrontResponse, ServerError>>| match answer
+            .recv()
+            .unwrap()
+            .expect("the run succeeds")
+        {
+            FrontResponse::Run(out) => out.cached,
+            other => panic!("unexpected response {other:?}"),
+        };
+
+        endpoint.armed.store(true, Ordering::SeqCst);
+        let leader = run("alice");
+        entered.recv().unwrap();
+        // The leader's scan is stuck in the endpoint. Had this submitter
+        // joined its flight, `submit` would not come back before the
+        // release below — which comes after it.
+        let follower = run("bob");
+        let query = Session::resume(server.model(), vec![surname], Modifiers::default(), 0)
+            .build_query()
+            .unwrap();
+        let key = run_request_key_tier(&query, 0);
+        while server.runs.waiting(&key) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.send(()).unwrap();
+        assert!(!cached(leader), "the leader scanned");
+        assert!(cached(follower), "the follower did not");
+
+        let m = server.metrics();
+        assert_eq!((m.coalesce_leader_runs, m.run_coalesced_hits), (1, 1));
+        assert_eq!((m.run_cache.hits, m.run_cache.misses), (0, 2));
+        let waited = server.obs.stage_snapshot(Stage::CoalesceWait).count();
+        assert_eq!(waited, 1, "answered as a follower, in the flight");
+        let f = fe.shutdown();
+        assert_eq!(
+            (f.handed_over, f.answered_by_worker, f.answered_inline),
+            (2, 2, 0)
+        );
     }
 
     #[test]

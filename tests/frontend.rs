@@ -270,6 +270,112 @@ fn evented_tier_is_byte_identical_to_the_thread_per_request_oracle() {
     assert_eq!(evented, oracle, "request ledgers diverged");
 }
 
+/// The same oracle over a half-warm response cache, so all three ways a
+/// request can be answered interleave on each session: a cache hit or an
+/// edit on an idle session is answered by its submitter, a miss is handed
+/// over to a worker once, and whatever is submitted behind a hand-over
+/// queues for that worker. Transcripts — callbacks in submission order —
+/// and ledgers must still match the sequential oracle byte for byte.
+#[test]
+fn evented_tier_with_a_warm_cache_is_byte_identical_to_the_oracle() {
+    const SESSIONS: usize = 4;
+    let pum = pum();
+    let oracle = SapphireServer::new(pum.clone(), roomy_config());
+    let fe = Frontend::new(
+        Arc::new(SapphireServer::new(pum, roomy_config())),
+        FrontendConfig {
+            workers: 4,
+            session_queue_depth: 100_000,
+            shed_ready_threshold: None,
+        },
+    );
+
+    // Warm both sides with the first half of one script, one request at a
+    // time.
+    let warm_up = session_script(0);
+    let warm_up = &warm_up[..warm_up.len() / 2];
+    oracle_transcript(&oracle, "warm", warm_up);
+    let warm = fe.open_session("warm").unwrap();
+    for request in warm_up {
+        let _ = fe.call(warm, clone_request(request));
+    }
+    assert!(matches!(
+        fe.call(warm, FrontRequest::Close),
+        Ok(FrontResponse::Closed)
+    ));
+
+    let scripts: Vec<Vec<FrontRequest>> = (0..SESSIONS).map(session_script).collect();
+    let expected: Vec<Vec<String>> = scripts
+        .iter()
+        .enumerate()
+        .map(|(u, script)| oracle_transcript(&oracle, &format!("user-{u}"), script))
+        .collect();
+
+    let ids: Vec<SessionId> = (0..SESSIONS)
+        .map(|u| fe.open_session(&format!("user-{u}")).unwrap())
+        .collect();
+    let transcripts: Vec<Arc<Mutex<Vec<String>>>> = (0..SESSIONS)
+        .map(|_| Arc::new(Mutex::new(Vec::new())))
+        .collect();
+    let longest = scripts.iter().map(Vec::len).max().unwrap();
+    for step in 0..longest {
+        for (u, script) in scripts.iter().enumerate() {
+            let Some(request) = script.get(step) else {
+                continue;
+            };
+            let transcript = transcripts[u].clone();
+            fe.submit(
+                ids[u],
+                clone_request(request),
+                Box::new(move |result| transcript.lock().unwrap().push(render(&result))),
+            )
+            .expect("roomy queue accepts the whole script");
+        }
+    }
+    let evented = fe.server().clone();
+    let metrics = fe.shutdown();
+    assert_eq!(metrics.completed, metrics.submitted, "drained completely");
+    assert_eq!(
+        metrics.completed,
+        metrics.answered_inline + metrics.answered_by_worker
+    );
+    assert!(
+        metrics.answered_inline > 0
+            && metrics.handed_over > 0
+            && metrics.answered_by_worker > metrics.handed_over,
+        "inline answers, hand-overs and queued requests all happened: {metrics:?}"
+    );
+
+    for (u, expected) in expected.iter().enumerate() {
+        let got = transcripts[u].lock().unwrap();
+        for (step, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
+            assert_eq!(
+                g, e,
+                "session user-{u} step {step}: evented transcript diverged from the oracle"
+            );
+        }
+        assert_eq!(got.len(), expected.len(), "session user-{u}: length");
+    }
+
+    let ledger = |server: &SapphireServer| {
+        let m = server.metrics();
+        let usage: Vec<u64> = (0..SESSIONS)
+            .map(|u| server.tenant_usage(&format!("user-{u}")))
+            .collect();
+        (
+            (m.completion_requests, m.run_requests),
+            m.completion_cache.hits + m.completion_cache.misses,
+            m.run_cache.hits + m.run_cache.misses,
+            usage,
+        )
+    };
+    assert_eq!(
+        ledger(&evented),
+        ledger(&oracle),
+        "request ledgers diverged"
+    );
+}
+
 /// Shutdown drain: every submitted request is answered, no session leaks,
 /// and the final queues are empty — the front-end's mirror of serve_check's
 /// final-queue gate.

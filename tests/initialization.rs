@@ -1,9 +1,12 @@
 //! Initialization behaviour across endpoint resource regimes (§5):
 //! warehouse vs federated, timeout-driven hierarchy descent, query budgets.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sapphire_core::init::{InitMode, Initializer};
 use sapphire_core::SapphireConfig;
-use sapphire_datagen::{generate, DatasetConfig};
+use sapphire_datagen::userstudy::{flatten, misspell};
+use sapphire_datagen::{appendix_b, generate, DatasetConfig};
 use sapphire_endpoint::{EndpointLimits, LocalEndpoint};
 
 fn endpoint(timeout_work: Option<u64>) -> LocalEndpoint {
@@ -164,6 +167,65 @@ fn classes_are_available_for_type_keywords() {
     let chess = cache.similar_classes("chess player", 0.8);
     assert!(!chess.is_empty());
     assert!(cache.classes[chess[0].0].iri.ends_with("ChessPlayer"));
+}
+
+/// A keyword that is a predicate's or a class's surface form up to case is
+/// resolved from an index instead of a Jaro-Winkler sweep. The index may
+/// never change an answer: for everything a user of the Appendix-B workload
+/// can type — exact surfaces in any case, the keywords of the scripts and of
+/// their flattened forms, and misspellings of all of them — resolution
+/// equals the head of the sweep.
+#[test]
+fn keyword_resolution_equals_the_head_of_the_similarity_sweep() {
+    let graph = generate(DatasetConfig::small(42));
+    let ep = LocalEndpoint::new("dbpedia", graph, EndpointLimits::warehouse());
+    let (cache, _) = Initializer::new(&ep, &config(), InitMode::Federated)
+        .run()
+        .unwrap();
+    assert!(!cache.predicates.is_empty() && !cache.classes.is_empty());
+
+    let mut keywords = Vec::new();
+    let surfaces = cache.predicates.iter().map(|p| &p.surface);
+    for surface in surfaces.chain(cache.classes.iter().map(|c| &c.surface)) {
+        keywords.extend([
+            surface.clone(),
+            surface.to_uppercase(),
+            surface.to_lowercase(),
+        ]);
+    }
+    let mut rng = StdRng::seed_from_u64(42);
+    for question in appendix_b() {
+        let flat = flatten(&question.script);
+        let rows = question.script.rows.iter();
+        for row in rows.chain(flat.iter().flat_map(|script| &script.rows)) {
+            for keyword in [&row.predicate, &row.object] {
+                keywords.push(keyword.clone());
+                // Each call draws one of the three misspelling shapes.
+                keywords.extend((0..6).map(|_| misspell(keyword, &mut rng)));
+            }
+        }
+    }
+
+    let mut exact = 0;
+    for keyword in &keywords {
+        let swept = cache.similar_predicates(keyword, 0.85);
+        assert_eq!(
+            cache.best_predicate(keyword, 0.85),
+            swept.first().map(|&(idx, _)| idx),
+            "predicate keyword {keyword:?}"
+        );
+        exact += usize::from(swept.first().is_some_and(|&(_, score)| score == 1.0));
+        let swept = cache.similar_classes(keyword, 0.8);
+        assert_eq!(
+            cache.best_class(keyword, 0.8),
+            swept.first().map(|&(idx, _)| idx),
+            "class keyword {keyword:?}"
+        );
+    }
+    assert!(
+        exact >= 3 * cache.predicates.len(),
+        "the index was exercised"
+    );
 }
 
 #[test]
