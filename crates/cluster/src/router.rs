@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use sapphire_core::exec;
 use sapphire_core::qcm::{Completion, CompletionResult};
-use sapphire_core::qsm::{AlteredPosition, StructureSuggestion, TermAlternative};
+use sapphire_core::qsm::{top_with_answers, AlteredPosition, StructureSuggestion, TermAlternative};
 use sapphire_core::{
     completion_request_key, run_request_key, run_request_key_tier, CacheStats, SteinerConfig,
 };
@@ -51,7 +51,7 @@ use sapphire_endpoint::{
 };
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
-use sapphire_server::{ServerError, ShardService, TransportStats};
+use sapphire_server::{run_cost, ServerError, ShardService, TransportStats};
 use sapphire_sparql::{Projection, Query, QueryResult, SelectQuery, Solutions, TermPattern};
 
 use crate::merge::{
@@ -87,13 +87,6 @@ pub struct ClusterConfig {
     /// Per-key waiter cap of the edge coalescers (`0` disables edge
     /// single-flight).
     pub coalesce_waiters_per_key: usize,
-    /// How many completions to fetch *per shard* before the edge merge cuts
-    /// the global top-k. Shard-local significance ranks cannot drive the
-    /// global cut (they are computed from shard-local in-degrees), so the
-    /// edge must over-fetch: `0` means unbounded — every shard-local match
-    /// travels and the merged top-k is exact. Set a finite depth to trade
-    /// exactness at the tail for bandwidth on huge corpora.
-    pub completion_fetch: usize,
     /// Per-tenant work budget per accounting window at the *edge* tier
     /// (`None` = unlimited). Shard-side budgets alone cannot meter cluster
     /// traffic: an edge cache hit or coalesced follower never reaches a
@@ -103,11 +96,6 @@ pub struct ClusterConfig {
     pub tenant_window_budget: Option<u64>,
     /// Edge work units charged per QCM completion request.
     pub completion_cost: u64,
-    /// Edge work units charged per run/raw request, plus
-    /// [`run_per_pattern_cost`](Self::run_per_pattern_cost) per pattern.
-    pub run_base_cost: u64,
-    /// Extra edge work units per triple pattern in a run/raw request.
-    pub run_per_pattern_cost: u64,
     /// Router-driven degradation: when set, the edge *requests* a QSM shed
     /// tier from shards (chosen from shard queue pressure and the remaining
     /// deadline budget) and propagates the remaining budget on every run
@@ -169,11 +157,8 @@ impl Default for ClusterConfig {
             cache_shards: 16,
             cache_capacity_per_shard: 4096,
             coalesce_waiters_per_key: 1024,
-            completion_fetch: 0,
             tenant_window_budget: None,
             completion_cost: 1,
-            run_base_cost: 4,
-            run_per_pattern_cost: 4,
             degrade: None,
         }
     }
@@ -760,11 +745,6 @@ impl ClusterRouter {
             .map_err(ClusterError::EdgeRejected)
     }
 
-    fn run_cost(&self, query: &SelectQuery) -> u64 {
-        self.config.run_base_cost
-            + self.config.run_per_pattern_cost * query.pattern.triples.len() as u64
-    }
-
     /// The edge work charged to `tenant` in the current window.
     pub fn tenant_usage(&self, tenant: &str) -> u64 {
         self.tenants.used(tenant)
@@ -895,15 +875,14 @@ impl ClusterRouter {
     }
 
     fn scatter_complete(&self, tenant: &str, term: &str) -> Result<MergedCompletion, ClusterError> {
-        let fetch = match self.config.completion_fetch {
-            0 => usize::MAX,
-            depth => depth,
-        };
+        // Shard-local significance ranks cannot drive the global cut (they
+        // are computed from shard-local in-degrees), so every shard-local
+        // match travels and the merged top-k is exact.
         let replies = self.scatter(
             &ShardRequest::Complete {
                 tenant: tenant.to_string(),
                 term: term.to_string(),
-                fetch,
+                fetch: usize::MAX,
             },
             None,
         )?;
@@ -952,7 +931,7 @@ impl ClusterRouter {
         floor: usize,
     ) -> Result<ClusterRun, ClusterError> {
         let _req = self.obs.request_scope("run", tenant);
-        self.charge(tenant, self.run_cost(query))?;
+        self.charge(tenant, run_cost(query.pattern.triples.len()))?;
         let started = Instant::now();
         // The edge chooses the tier it will request BEFORE any lookup: the
         // tier keys the edge cache and the coalescer, so tier-0 and tier-N
@@ -1042,8 +1021,8 @@ impl ClusterRouter {
         // which is exactly what the exact merge needs (see `merge_bindings`)
         // — so the per-shard execution is paid once, not once for the run
         // and again for the answers. QSM candidate generation only reads
-        // the pattern, so the projection change costs the suggestions
-        // nothing (rewrites are grafted back onto the original query below).
+        // the pattern, and a candidate is an edit to whatever query it is
+        // applied to, so the projection change costs the suggestions nothing.
         let star = star_pattern_query(query);
         let replies = self.scatter(
             &ShardRequest::Run {
@@ -1092,61 +1071,52 @@ impl ClusterRouter {
 
         // Alternatives: merge the *unfiltered* candidate lists (a shard
         // cannot apply the "returns answers" cut — a rewrite whose answers
-        // live on other shards would be dropped by everyone), graft each
-        // rewrite back onto the original (unsliced) query, re-prefetch
-        // cluster-wide, and apply the cut at the edge.
-        let candidate_lists: Vec<Vec<TermAlternative>> = payloads
-            .iter()
-            .map(|p| (*p.suggestions.candidates).clone())
-            .collect();
+        // live on other shards would be dropped by everyone) and apply the
+        // model's own cut at the edge, to rewrites of the original
+        // (unprojected, unsliced) query, against cluster-wide answers.
+        let mut candidate_lists: Vec<Vec<TermAlternative>> = Vec::with_capacity(payloads.len());
+        let triples = query.pattern.triples.len();
+        for (shard, payload) in payloads.iter().enumerate() {
+            let candidates = &payload.suggestions.candidates;
+            // `triple_index` came off the wire: an edit aimed outside the
+            // query (`rewrite` would return `None`, the cut would pass it
+            // over) is a malformed reply — never an index panic and never a
+            // silently shorter list.
+            if let Some(bad) = candidates.iter().find(|c| c.triple_index >= triples) {
+                return Err(ClusterError::Shard {
+                    shard,
+                    error: ServerError::Backend(format!(
+                        "malformed suggestion: triple {} of {triples}",
+                        bad.triple_index
+                    )),
+                });
+            }
+            candidate_lists.push(candidates.to_vec());
+        }
         self.counters.record_merge(candidate_lists.len());
         let mut candidates = {
             let mut t = self.obs.time(Stage::EdgeMerge);
             t.tag("alternatives");
             dedup_alternatives(candidate_lists)
         };
+        // Canonical order puts every predicate rewrite before every literal
+        // rewrite, so one cut per kind probes in presentation order and
+        // stops once the kind's k/2 slots are full — the same early exit the
+        // single-box Algorithm 2 takes.
         sort_alternatives(&mut candidates);
+        let literals_from =
+            candidates.partition_point(|c| c.position == AlteredPosition::Predicate);
         let half = (self.k / 2).max(1);
-        let (mut predicates, mut literals) = (0usize, 0usize);
         let mut alternatives = Vec::new();
-        for mut cand in candidates {
-            // Canonical order lets the edge stop prefetching a kind once its
-            // k/2 presentation slots are full — the same early exit the
-            // single-box Algorithm 2 takes.
-            let slots = match cand.position {
-                AlteredPosition::Predicate => &mut predicates,
-                AlteredPosition::Object => &mut literals,
-            };
-            if *slots >= half {
-                continue;
-            }
-            let mut rebuilt = query.clone();
-            let altered = &cand.query.pattern.triples[cand.triple_index];
-            match cand.position {
-                AlteredPosition::Predicate => {
-                    rebuilt.pattern.triples[cand.triple_index].predicate =
-                        altered.predicate.clone();
-                }
-                AlteredPosition::Object => {
-                    rebuilt.pattern.triples[cand.triple_index].object = altered.object.clone();
-                }
-            }
+        for kind in [&candidates[..literals_from], &candidates[literals_from..]] {
             // A shed prefetch fails the whole run, typed and retryable,
             // rather than silently dropping the candidate: a degraded
             // suggestion list would make identical requests produce
             // different bytes depending on transient load, which is
             // exactly what the merge contract forbids.
-            let answers = self.cluster_answers(tenant, &rebuilt)?;
-            if answers.is_empty() {
-                continue;
-            }
-            match cand.position {
-                AlteredPosition::Predicate => predicates += 1,
-                AlteredPosition::Object => literals += 1,
-            }
-            cand.query = rebuilt;
-            cand.answers = answers;
-            alternatives.push(cand);
+            alternatives.extend(top_with_answers(query, kind, half, |rewritten| {
+                self.cluster_answers(tenant, rewritten)
+            })?);
         }
 
         // Relaxations: dedup by relaxed-query identity, prefer complete
@@ -1577,14 +1547,11 @@ impl QueryService for ClusterRouter {
 
     fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError> {
         let _req = self.obs.request_scope("query", tenant);
-        let cost = match query {
-            Query::Select(select) => self.run_cost(select),
-            Query::Ask(pattern) => {
-                self.config.run_base_cost
-                    + self.config.run_per_pattern_cost * pattern.triples.len() as u64
-            }
+        let pattern = match query {
+            Query::Select(select) => &select.pattern,
+            Query::Ask(pattern) => pattern,
         };
-        self.charge(tenant, cost)
+        self.charge(tenant, run_cost(pattern.triples.len()))
             .map_err(ClusterError::into_service_error)?;
         let execute = |tenant: &str, query: &Query| -> Result<QueryResult, ClusterError> {
             match query {

@@ -7,12 +7,18 @@
 //! in exactly one term ("did you mean X instead of Y?"), and the top `k/2`
 //! predicate and `k/2` literal queries *that return answers* are suggested,
 //! with their answers prefetched.
+//!
+//! An alternative *is* that one difference — `(triple, position, term)` — and
+//! nothing more: a [`TermAlternative`] is an edit to whatever query it is
+//! applied to, and [`TermAlternative::rewrite`] is the only place it becomes
+//! a query. [`top_with_answers`] is the only implementation of the "top `k/2`
+//! with answers" cut (lines 23–24); the model calls it with the federated
+//! processor, a cluster edge with its cluster-wide answers.
 
 use std::sync::Arc;
 
-use sapphire_endpoint::FederatedProcessor;
 use sapphire_rdf::{Literal, Term};
-use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, TermPattern};
+use sapphire_sparql::{SelectQuery, Solutions, TermPattern};
 use sapphire_text::{surface_form, Lexicon};
 
 use crate::cache::{CachedData, ShardedLru};
@@ -27,13 +33,20 @@ pub enum AlteredPosition {
     Object,
 }
 
-/// One "did you mean …?" suggestion.
+/// One "did you mean …?" suggestion: the edit `(triple_index, position) :=
+/// term`, its display texts and score, and — once it survived the cut — the
+/// answers of the edited query. It holds no query; [`rewrite`](Self::rewrite)
+/// applies it to one.
 #[derive(Debug, Clone)]
 pub struct TermAlternative {
     /// Index of the altered triple pattern in the query.
     pub triple_index: usize,
     /// Which position changed.
     pub position: AlteredPosition,
+    /// The replacement exactly as it enters the pattern: the alternative
+    /// predicate's IRI, or the literal with the language tag that makes it
+    /// ground-match the data.
+    pub term: Term,
     /// Display text of the original term.
     pub original: String,
     /// Display text of the replacement.
@@ -41,8 +54,6 @@ pub struct TermAlternative {
     /// Jaro-Winkler similarity between original (or its lexica) and the
     /// replacement.
     pub similarity: f64,
-    /// The full rewritten query.
-    pub query: SelectQuery,
     /// Prefetched answers of the rewritten query (§4: answers "are prefetched
     /// so that when the user decides to choose one of the alternatives … the
     /// answers are displayed almost-instantaneously").
@@ -50,6 +61,20 @@ pub struct TermAlternative {
 }
 
 impl TermAlternative {
+    /// `base` with this alternative's one term replaced — the query Algorithm
+    /// 2 proposes. `None` when `triple_index` is outside `base`: the field
+    /// may have arrived off the wire, so it is checked, not trusted.
+    pub fn rewrite(&self, base: &SelectQuery) -> Option<SelectQuery> {
+        let mut query = base.clone();
+        let triple = query.pattern.triples.get_mut(self.triple_index)?;
+        let slot = match self.position {
+            AlteredPosition::Predicate => &mut triple.predicate,
+            AlteredPosition::Object => &mut triple.object,
+        };
+        *slot = TermPattern::Term(self.term.clone());
+        Some(query)
+    }
+
     /// Number of prefetched answers.
     pub fn answer_count(&self) -> usize {
         self.answers.len()
@@ -199,33 +224,10 @@ impl AlternativeFinder {
         })
     }
 
-    /// Run Algorithm 2: collect, rank, execute, and keep the top `k/2`
-    /// predicate-alternative and `k/2` literal-alternative queries that
-    /// return answers.
-    pub fn suggest(&self, query: &SelectQuery, fed: &FederatedProcessor) -> Vec<TermAlternative> {
-        let (predicate_candidates, literal_candidates) = self.candidate_lists(query);
-        // Lines 23–24: top k/2 of each list *with answers*, prefetched.
-        let half = (self.config.k / 2).max(1);
-        let mut out = self.top_with_answers(&predicate_candidates, half, fed);
-        out.extend(self.top_with_answers(&literal_candidates, half, fed));
-        out
-    }
-
-    /// The ranked rewrite candidates of Algorithm 2 lines 1–14, *before*
-    /// execution: every similar predicate and literal, sorted by similarity,
-    /// with empty (not yet prefetched) answers. A cluster edge gathers these
-    /// from every shard and applies the "returns answers" cut itself,
-    /// against the *global* answer set — a shard cannot apply it locally,
-    /// because a rewrite whose answers live on other shards would be dropped
-    /// by everyone.
-    pub fn candidates(&self, query: &SelectQuery) -> Vec<TermAlternative> {
-        let (mut predicates, literals) = self.candidate_lists(query);
-        predicates.extend(literals);
-        predicates
-    }
-
-    /// Candidate generation shared by [`suggest`](Self::suggest) and
-    /// [`candidates`](Self::candidates): per-kind lists sorted by similarity.
+    /// The ranked candidates of Algorithm 2 lines 1–14, *before* execution:
+    /// every similar predicate and every similar literal as an edit with
+    /// empty (not yet prefetched) answers, one list per kind, each sorted by
+    /// similarity.
     pub(crate) fn candidate_lists(
         &self,
         query: &SelectQuery,
@@ -237,15 +239,13 @@ impl AlternativeFinder {
             // Predicates.
             if let TermPattern::Term(Term::Iri(p_iri)) = &triple.predicate {
                 for (alt_iri, score) in self.predicate_alternatives(p_iri).iter() {
-                    let mut q = query.clone();
-                    q.pattern.triples[ti].predicate = TermPattern::Term(Term::iri(alt_iri.clone()));
                     predicate_candidates.push(TermAlternative {
                         triple_index: ti,
                         position: AlteredPosition::Predicate,
+                        term: Term::iri(alt_iri.clone()),
                         original: surface_form(p_iri),
                         replacement: surface_form(alt_iri),
                         similarity: *score,
-                        query: q,
                         answers: Solutions::default(),
                     });
                 }
@@ -253,16 +253,13 @@ impl AlternativeFinder {
             // Literals (objects only; literals cannot be subjects).
             if let TermPattern::Term(Term::Literal(lit)) = &triple.object {
                 for (alt_text, score) in self.literal_alternatives(&lit.value).iter() {
-                    let mut q = query.clone();
-                    q.pattern.triples[ti].object =
-                        TermPattern::Term(Term::Literal(self.replacement_literal(lit, alt_text)));
                     literal_candidates.push(TermAlternative {
                         triple_index: ti,
                         position: AlteredPosition::Object,
+                        term: Term::Literal(self.replacement_literal(lit, alt_text)),
                         original: lit.value.clone(),
                         replacement: alt_text.clone(),
                         similarity: *score,
-                        query: q,
                         answers: Solutions::default(),
                     });
                 }
@@ -291,40 +288,50 @@ impl AlternativeFinder {
             }
         }
     }
+}
 
-    /// Borrows the candidate slice and clones only the entries it keeps, so
-    /// callers can hand the full (shared) candidate list around without a
-    /// wholesale copy per scan.
-    pub(crate) fn top_with_answers(
-        &self,
-        candidates: &[TermAlternative],
-        take: usize,
-        fed: &FederatedProcessor,
-    ) -> Vec<TermAlternative> {
-        let mut kept: Vec<TermAlternative> = Vec::new();
-        for cand in candidates {
-            if kept.len() >= take {
-                break;
-            }
-            let result = fed.execute_parsed(&Query::Select(cand.query.clone()));
-            if let Ok(QueryResult::Solutions(answers)) = result {
-                if !answers.is_empty() {
-                    let mut kept_cand = cand.clone();
-                    kept_cand.answers = answers;
-                    kept.push(kept_cand);
-                }
-            }
+/// Algorithm 2 lines 23–24: walk one kind's ranked `candidates`, ask
+/// `answers` for each one's rewrite of `base`, and keep the first `take` whose
+/// rewrite returns any — with those answers attached. Probing stops as soon
+/// as `take` are kept, and at the closure's first `Err`, which is returned
+/// as is. Only kept candidates are cloned.
+///
+/// A candidate that does not fit `base` (see [`TermAlternative::rewrite`]) is
+/// skipped here; a caller whose candidates come from outside the process
+/// checks them before it calls.
+pub fn top_with_answers<E>(
+    base: &SelectQuery,
+    candidates: &[TermAlternative],
+    take: usize,
+    mut answers: impl FnMut(&SelectQuery) -> Result<Solutions, E>,
+) -> Result<Vec<TermAlternative>, E> {
+    let mut kept: Vec<TermAlternative> = Vec::new();
+    for cand in candidates {
+        if kept.len() >= take {
+            break;
         }
-        kept
+        let Some(rewritten) = cand.rewrite(base) else {
+            continue;
+        };
+        let found = answers(&rewritten)?;
+        if !found.is_empty() {
+            kept.push(TermAlternative {
+                answers: found,
+                ..cand.clone()
+            });
+        }
     }
+    Ok(kept)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sapphire_endpoint::{Endpoint, EndpointLimits, LocalEndpoint};
+    use crate::qsm::QuerySuggestion;
+    use sapphire_endpoint::{Endpoint, EndpointLimits, FederatedProcessor, LocalEndpoint};
     use sapphire_rdf::turtle;
     use sapphire_sparql::parse_select;
+    use std::convert::Infallible;
 
     const DATA: &str = r#"
 res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:spouse res:Jackie .
@@ -334,7 +341,7 @@ res:Ada a dbo:Person ; dbo:surname "Lovelace"@en ; dbo:almaMater res:UoL .
 res:UoL a dbo:University ; dbo:name "University of London"@en .
 "#;
 
-    fn setup() -> (AlternativeFinder, FederatedProcessor) {
+    fn setup() -> (QuerySuggestion, FederatedProcessor) {
         let config = SapphireConfig {
             processes: 2,
             ..SapphireConfig::for_tests()
@@ -362,18 +369,18 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
             &config,
         );
         (
-            AlternativeFinder::new(Arc::new(cache), Lexicon::dbpedia_default(), config.clone()),
+            QuerySuggestion::new(Arc::new(cache), Lexicon::dbpedia_default(), config),
             fed,
         )
     }
 
     #[test]
     fn kennedys_suggestion_matches_figure_2() {
-        let (finder, fed) = setup();
+        let (qsm, fed) = setup();
         // The paper's running example: surname "Kennedys" returns nothing;
         // the QSM suggests "Kennedy".
         let q = parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedys"@en }"#).unwrap();
-        let suggestions = finder.suggest(&q, &fed);
+        let suggestions = qsm.suggest(&q, &fed).alternatives;
         let lit = suggestions
             .iter()
             .find(|s| s.position == AlteredPosition::Object)
@@ -385,7 +392,8 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
 
     #[test]
     fn lexicon_maps_wife_to_spouse() {
-        let (finder, _) = setup();
+        let (qsm, _) = setup();
+        let finder = qsm.finder();
         // A predicate verbalized as "wife" should reach dbo:spouse through
         // the lexicon even though JW("wife", "spouse") < θ.
         let alts = finder.predicate_alternatives("http://dbpedia.org/ontology/wife");
@@ -398,16 +406,17 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
 
     #[test]
     fn jw_finds_misspelled_predicates() {
-        let (finder, _) = setup();
+        let (qsm, _) = setup();
+        let finder = qsm.finder();
         let alts = finder.predicate_alternatives("http://dbpedia.org/ontology/surnames");
         assert_eq!(alts[0].0, "http://dbpedia.org/ontology/surname");
     }
 
     #[test]
     fn suggestions_only_with_answers() {
-        let (finder, fed) = setup();
+        let (qsm, fed) = setup();
         let q = parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "Lovelacey"@en }"#).unwrap();
-        let suggestions = finder.suggest(&q, &fed);
+        let suggestions = qsm.suggest(&q, &fed).alternatives;
         for s in &suggestions {
             assert!(
                 s.answer_count() > 0,
@@ -419,9 +428,9 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
 
     #[test]
     fn at_most_k_over_2_per_kind() {
-        let (finder, fed) = setup();
+        let (qsm, fed) = setup();
         let q = parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedy Onasis"@en }"#).unwrap();
-        let suggestions = finder.suggest(&q, &fed);
+        let suggestions = qsm.suggest(&q, &fed).alternatives;
         let k = 10;
         let lits = suggestions
             .iter()
@@ -437,11 +446,102 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
 
     #[test]
     fn literal_alternatives_respect_length_band() {
-        let (finder, _) = setup();
+        let (qsm, _) = setup();
+        let finder = qsm.finder();
         // |"Kennedy"| = 7; α=2, β=3 ⇒ lengths 5..=10. "Kennedy Onassis" (15)
         // is out of range even though similar.
         let alts = finder.literal_alternatives("Kennedyx");
         assert!(alts.iter().any(|(t, _)| t == "Kennedy"));
         assert!(alts.iter().all(|(t, _)| t != "Kennedy Onassis"));
+    }
+
+    /// Five literal candidates for the one-triple query, best first.
+    fn five_candidates() -> (SelectQuery, Vec<TermAlternative>) {
+        let q = parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "x"@en }"#).unwrap();
+        let candidates = (0..5)
+            .map(|i| TermAlternative {
+                triple_index: 0,
+                position: AlteredPosition::Object,
+                term: Term::Literal(Literal::lang_tagged(format!("alt{i}"), "en")),
+                original: "x".into(),
+                replacement: format!("alt{i}"),
+                similarity: 1.0 - i as f64 / 10.0,
+                answers: Solutions::default(),
+            })
+            .collect();
+        (q, candidates)
+    }
+
+    fn one_row() -> Solutions {
+        Solutions {
+            vars: vec!["p".into()],
+            rows: vec![vec![Some(Term::iri("http://x/a"))]],
+        }
+    }
+
+    #[test]
+    fn rewrite_replaces_exactly_its_slot_and_checks_the_index() {
+        let (q, candidates) = five_candidates();
+        let expected = parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "alt2"@en }"#).unwrap();
+        assert_eq!(candidates[2].rewrite(&q), Some(expected));
+        let stray = TermAlternative {
+            triple_index: 1,
+            ..candidates[2].clone()
+        };
+        assert_eq!(stray.rewrite(&q), None);
+    }
+
+    #[test]
+    fn the_cut_stops_probing_once_take_are_kept() {
+        let (q, candidates) = five_candidates();
+        let mut probes = 0;
+        let kept = top_with_answers(&q, &candidates, 2, |_| {
+            probes += 1;
+            Ok::<_, Infallible>(one_row())
+        })
+        .unwrap();
+        assert_eq!(
+            probes, 2,
+            "candidates past the second kept are not executed"
+        );
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept[0].replacement, "alt0");
+        assert_eq!(kept[1].answers, one_row());
+    }
+
+    #[test]
+    fn the_cut_skips_rewrites_without_answers() {
+        let (q, candidates) = five_candidates();
+        let mut probed = Vec::new();
+        let kept = top_with_answers(&q, &candidates, 2, |rewritten| {
+            probed.push(rewritten.pattern.triples[0].object.clone());
+            let hit = probed.len() % 2 == 0;
+            Ok::<_, Infallible>(if hit { one_row() } else { Solutions::default() })
+        })
+        .unwrap();
+        let names: Vec<&str> = kept.iter().map(|a| a.replacement.as_str()).collect();
+        assert_eq!(names, ["alt1", "alt3"]);
+        // Each probe was the candidate's own rewrite, in rank order.
+        let expected: Vec<TermPattern> = candidates[..4]
+            .iter()
+            .map(|c| TermPattern::Term(c.term.clone()))
+            .collect();
+        assert_eq!(probed, expected);
+    }
+
+    #[test]
+    fn the_cut_returns_the_first_error_without_probing_further() {
+        let (q, candidates) = five_candidates();
+        let mut probes = 0;
+        let result = top_with_answers(&q, &candidates, 5, |_| {
+            probes += 1;
+            if probes == 2 {
+                Err("shed")
+            } else {
+                Ok(one_row())
+            }
+        });
+        assert_eq!(result.unwrap_err(), "shed");
+        assert_eq!(probes, 2);
     }
 }

@@ -12,6 +12,7 @@ pub mod neighborhood;
 pub mod relax;
 
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -23,7 +24,9 @@ use sapphire_text::Lexicon;
 use crate::cache::CachedData;
 use crate::config::SapphireConfig;
 
-pub use alternatives::{AltCacheStats, AlteredPosition, AlternativeFinder, TermAlternative};
+pub use alternatives::{
+    top_with_answers, AltCacheStats, AlteredPosition, AlternativeFinder, TermAlternative,
+};
 pub use neighborhood::{Neighbor, NeighborhoodCache, NeighborhoodStats};
 pub use relax::{RelaxedQuery, StructureRelaxer};
 
@@ -46,10 +49,10 @@ pub struct QsmOutput {
     /// Every ranked rewrite candidate *before* the "returns answers" cut
     /// (answers not prefetched). A cluster edge merges these across shards
     /// and applies the cut against the global answer set; single-box users
-    /// read [`alternatives`](Self::alternatives). Shared (`Arc`) because
-    /// `QsmOutput` is cloned per run request on the serving hot path and the
-    /// candidate list (one rewritten query per candidate) must stay a
-    /// pointer bump there.
+    /// read [`alternatives`](Self::alternatives). A candidate is an edit —
+    /// two short display strings, a score and the replacement [`Term`], no
+    /// query — and the list is shared (`Arc`) so that cloning a `QsmOutput`
+    /// per run request on the serving hot path stays a pointer bump.
     pub candidates: Arc<Vec<TermAlternative>>,
     /// Wall-clock time spent producing the suggestions (§7.3.2 reports ~10 s
     /// on live DBpedia; ours is dominated by the simulated endpoint).
@@ -146,15 +149,17 @@ impl QuerySuggestion {
                 .chain(literal_candidates)
                 .collect(),
         );
+        // Lines 23–24, once per kind. A rewrite the endpoint fails on has no
+        // answers to show, so it is passed over like an empty one.
         let half = (self.config.k / 2).max(1);
-        let mut alternatives =
-            self.finder
-                .top_with_answers(&candidates[..predicate_count], half, fed);
-        alternatives.extend(self.finder.top_with_answers(
-            &candidates[predicate_count..],
-            half,
-            fed,
-        ));
+        let (predicates, literals) = candidates.split_at(predicate_count);
+        let mut alternatives = Vec::new();
+        for kind in [predicates, literals] {
+            let Ok(kept) = top_with_answers(query, kind, half, |rewritten| {
+                Ok::<_, Infallible>(answers_or_empty(fed, rewritten))
+            });
+            alternatives.extend(kept);
+        }
 
         // Structure relaxation: seed groups are each query literal plus its
         // top k−1 alternatives (Algorithm 3 line 3).
@@ -199,10 +204,7 @@ impl QuerySuggestion {
             }
             drop(timer);
             if let Some(relaxed) = relaxed {
-                let answers = match fed.execute_parsed(&Query::Select(relaxed.query.clone())) {
-                    Ok(QueryResult::Solutions(s)) => s,
-                    _ => Solutions::default(),
-                };
+                let answers = answers_or_empty(fed, &relaxed.query);
                 if !answers.is_empty() {
                     relaxations.push(StructureSuggestion { relaxed, answers });
                 }
@@ -217,6 +219,15 @@ impl QuerySuggestion {
             tier,
             degraded: tier > 0,
         }
+    }
+}
+
+/// The federated answers of a suggested query; an endpoint error or a
+/// non-SELECT result reads as no answers (the suggestion is then not shown).
+fn answers_or_empty(fed: &FederatedProcessor, query: &SelectQuery) -> Solutions {
+    match fed.execute_parsed(&Query::Select(query.clone())) {
+        Ok(QueryResult::Solutions(s)) => s,
+        _ => Solutions::default(),
     }
 }
 
@@ -252,12 +263,8 @@ fn preferred_predicates(query: &SelectQuery, alternatives: &[TermAlternative]) -
         }
     }
     for alt in alternatives {
-        if alt.position == AlteredPosition::Predicate {
-            if let TermPattern::Term(Term::Iri(iri)) =
-                &alt.query.pattern.triples[alt.triple_index].predicate
-            {
-                out.insert(iri.clone());
-            }
+        if let (AlteredPosition::Predicate, Term::Iri(iri)) = (alt.position, &alt.term) {
+            out.insert(iri.clone());
         }
     }
     out

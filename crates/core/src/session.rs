@@ -246,9 +246,7 @@ impl<'a> Session<'a> {
         if let Some(row) = self.triples.get_mut(alt.triple_index) {
             match alt.position {
                 crate::qsm::AlteredPosition::Predicate => {
-                    if let TermPattern::Term(Term::Iri(iri)) =
-                        &alt.query.pattern.triples[alt.triple_index].predicate
-                    {
+                    if let Term::Iri(iri) = &alt.term {
                         row.predicate = format!("<{iri}>");
                     }
                 }
@@ -416,6 +414,15 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
         assert_eq!(session.triples[0].object, "Kennedy");
         assert_eq!(table.total_rows(), 2);
         assert_eq!(session.attempts(), 1);
+        // An edit aimed past the last row (the index may have come off the
+        // wire) changes no box and does not panic.
+        let stray = TermAlternative {
+            triple_index: 9,
+            ..alt.clone()
+        };
+        let rows = session.triples.clone();
+        session.apply_alternative(&stray);
+        assert_eq!(session.triples, rows);
     }
 
     #[test]

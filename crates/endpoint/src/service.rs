@@ -125,33 +125,6 @@ pub trait QueryService: Send + Sync {
     /// Execute a query on behalf of `tenant`, subject to the service's
     /// admission control and budgets.
     fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError>;
-
-    /// Execute a query with a *requested* degradation tier. Tier 0 demands
-    /// full fidelity; a higher tier tells the service that output degraded
-    /// up to that tier is acceptable in exchange for a smaller work budget
-    /// (in Sapphire, a shallower Steiner relaxation sweep). A cluster edge
-    /// under queue pressure or a shrinking deadline uses this to shed work
-    /// on the shards it scatters to, instead of each shard discovering
-    /// overload on its own.
-    ///
-    /// The tier is a ceiling on fidelity, not a floor on effort: an
-    /// implementation may execute at a *deeper* tier than requested (its own
-    /// overload machinery still applies), but it must never satisfy a tier-0
-    /// request with degraded output, and any response caching it performs
-    /// must be keyed by the tier it actually honored — degraded and full
-    /// payloads never share a cache or coalescer entry. The default
-    /// implementation ignores the request and executes at full fidelity,
-    /// which is correct for services with no degraded mode (a raw SPARQL
-    /// backend has no relaxation to shed).
-    fn execute_query_tiered(
-        &self,
-        tenant: &str,
-        query: &Query,
-        tier: usize,
-    ) -> Result<QueryResult, ServiceError> {
-        let _ = tier;
-        self.execute_query(tenant, query)
-    }
 }
 
 /// Adapter presenting a [`QueryService`] as an [`Endpoint`] for one tenant.
@@ -284,64 +257,6 @@ mod tests {
         // clone: alternating outcomes interleave across both adapters.
         assert!(ep.execute_parsed(&q).is_ok());
         assert!(ep2.execute_parsed(&q).is_err());
-    }
-
-    /// A service with a real degraded mode: it records the deepest tier it
-    /// honored and sheds the (fake) expensive half of its work past tier 0.
-    struct TieredService {
-        inner: LocalEndpoint,
-        deepest: std::sync::atomic::AtomicUsize,
-    }
-
-    impl QueryService for TieredService {
-        fn service_name(&self) -> &str {
-            "tiered"
-        }
-
-        fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError> {
-            self.execute_query_tiered(tenant, query, 0)
-        }
-
-        fn execute_query_tiered(
-            &self,
-            _tenant: &str,
-            query: &Query,
-            tier: usize,
-        ) -> Result<QueryResult, ServiceError> {
-            self.deepest
-                .fetch_max(tier, std::sync::atomic::Ordering::Relaxed);
-            self.inner
-                .execute_parsed(query)
-                .map_err(ServiceError::Backend)
-        }
-    }
-
-    #[test]
-    fn tiered_surface_defaults_to_full_fidelity_and_lets_services_honor_tiers() {
-        let g = sapphire_rdf::turtle::parse("res:A a dbo:Thing .").unwrap();
-        // The default implementation ignores the tier entirely.
-        let flaky = Arc::new(FlakyService {
-            inner: LocalEndpoint::new("inner", g, EndpointLimits::warehouse()),
-            admitted: std::sync::Mutex::new(false),
-        });
-        let q = parse_query("SELECT ?s WHERE { ?s a dbo:Thing }").unwrap();
-        assert!(matches!(
-            flaky.execute_query_tiered("t", &q, 2),
-            Ok(QueryResult::Solutions(s)) if s.len() == 1
-        ));
-        // A tier-honoring service sees exactly the requested tier.
-        let g = sapphire_rdf::turtle::parse("res:A a dbo:Thing .").unwrap();
-        let tiered = TieredService {
-            inner: LocalEndpoint::new("inner", g, EndpointLimits::warehouse()),
-            deepest: std::sync::atomic::AtomicUsize::new(0),
-        };
-        assert!(tiered.execute_query_tiered("t", &q, 1).is_ok());
-        assert!(tiered.execute_query("t", &q).is_ok());
-        assert_eq!(
-            tiered.deepest.load(std::sync::atomic::Ordering::Relaxed),
-            1,
-            "tier 1 was honored; the untiered call requested tier 0"
-        );
     }
 
     #[test]

@@ -967,8 +967,7 @@ mod tests {
         let m = server.metrics();
         assert_eq!(m.run_requests, 1);
         assert_eq!((m.run_cache.hits, m.run_cache.misses), (0, 1));
-        let run_cost = server.config().run_base_cost + server.config().run_per_pattern_cost;
-        assert_eq!(server.tenant_usage("alice"), run_cost);
+        assert_eq!(server.tenant_usage("alice"), crate::run_cost(1));
         assert_eq!(server.admission_load(), (0, 0));
         // The suggestions were committed: accepting one works, once.
         fe.call(s, FrontRequest::ApplyAlternative { index: 0 })

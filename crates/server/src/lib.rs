@@ -74,7 +74,10 @@ pub use coalesce::{CoalesceStats, Coalescer};
 pub use error::ServerError;
 pub use frontend::{FrontRequest, FrontResponse, Frontend, FrontendConfig, FrontendMetrics};
 pub use registry::{SessionEntry, SessionId, SessionRegistry};
-pub use server::{QueryRun, RunOutput, RunPayload, SapphireServer, ServerConfig, ServerMetrics};
+pub use server::{
+    run_cost, QueryRun, RunOutput, RunPayload, SapphireServer, ServerConfig, ServerMetrics,
+    RUN_BASE_COST, RUN_PER_PATTERN_COST,
+};
 pub use shard::{ShardService, TransportStats};
 
 use sapphire_core::PredictiveUserModel;

@@ -20,6 +20,18 @@ use crate::coalesce::{ReadThrough, Served};
 use crate::error::{from_federation, ServerError};
 use crate::registry::{SessionEntry, SessionId, SessionRegistry};
 
+/// Work units every run or raw request is charged, whatever its size.
+pub const RUN_BASE_COST: u64 = 4;
+/// Work units charged on top for each triple pattern of the query.
+pub const RUN_PER_PATTERN_COST: u64 = 4;
+
+/// Work units a tenant is charged for a run or raw query over `patterns`
+/// triple patterns — the one tariff of every tier that meters requests (this
+/// server, and a cluster edge in front of it).
+pub fn run_cost(patterns: usize) -> u64 {
+    RUN_BASE_COST + RUN_PER_PATTERN_COST * patterns as u64
+}
+
 /// Tuning knobs of a [`SapphireServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -39,11 +51,6 @@ pub struct ServerConfig {
     pub tenant_window_budget: Option<u64>,
     /// Work units charged per QCM completion request.
     pub completion_cost: u64,
-    /// Work units charged per run request, plus
-    /// [`run_per_pattern_cost`](Self::run_per_pattern_cost) per triple pattern.
-    pub run_base_cost: u64,
-    /// Extra work units charged per triple pattern in a run request.
-    pub run_per_pattern_cost: u64,
     /// Response-cache shards.
     pub cache_shards: usize,
     /// LRU capacity per response-cache shard.
@@ -84,8 +91,6 @@ impl Default for ServerConfig {
             queue_wait: Duration::from_millis(250),
             tenant_window_budget: None,
             completion_cost: 1,
-            run_base_cost: 4,
-            run_per_pattern_cost: 4,
             cache_shards: 16,
             cache_capacity_per_shard: 4096,
             registry_shards: 16,
@@ -807,7 +812,7 @@ impl SapphireServer {
                     // one from.
                     (None, None) => return Err(SessionError::EmptyQuery.into()),
                 };
-                self.charge(&tenant, self.pattern_cost(query.pattern.triples.len()))?;
+                self.charge(&tenant, run_cost(query.pattern.triples.len()))?;
                 // The deeper of the caller's floor (a cluster edge's
                 // requested tier, a front-end shedding on its own backlog)
                 // and this server's own pressure signal, clamped to the
@@ -849,7 +854,7 @@ impl SapphireServer {
                     Query::Select(s) => s.pattern.triples.len(),
                     Query::Ask(gp) => gp.triples.len(),
                 };
-                self.charge(&tenant, self.pattern_cost(patterns))?;
+                self.charge(&tenant, run_cost(patterns))?;
                 // Raw results are never response-cached (see the
                 // [`QueryService`] impl), so this surface always misses.
                 Ok(Lookup::Miss(Missed {
@@ -1165,12 +1170,6 @@ impl SapphireServer {
             executed: outcome.executed,
             suggestions: Arc::new(outcome.suggestions),
         }
-    }
-
-    /// Work units charged for a run or raw query over `patterns` triple
-    /// patterns.
-    fn pattern_cost(&self, patterns: usize) -> u64 {
-        self.config.run_base_cost + self.config.run_per_pattern_cost * patterns as u64
     }
 
     fn count_rejection<T>(&self, result: Result<T, ServerError>) -> Result<T, ServerError> {

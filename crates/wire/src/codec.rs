@@ -832,7 +832,7 @@ fn put_term_alternative(out: &mut Vec<u8>, a: &TermAlternative) {
     put_str(out, &a.original);
     put_str(out, &a.replacement);
     put_f64(out, a.similarity);
-    put_select_query(out, &a.query);
+    put_term(out, &a.term);
     put_solutions(out, &a.answers);
 }
 
@@ -847,7 +847,7 @@ fn get_term_alternative(r: &mut Reader) -> Result<TermAlternative, WireError> {
         original: r.str("original")?,
         replacement: r.str("replacement")?,
         similarity: r.f64("similarity")?,
-        query: get_select_query(r)?,
+        term: get_term(r)?,
         answers: get_solutions(r)?,
     })
 }

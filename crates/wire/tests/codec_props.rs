@@ -285,7 +285,7 @@ fn gen_term_alternative(g: &mut Gen) -> TermAlternative {
         // Raw bit patterns: NaN, infinities, and subnormals must all
         // survive the f64-as-bits encoding byte-exactly.
         similarity: f64::from_bits(g.bits()),
-        query: gen_select_query(g),
+        term: gen_term(g),
         answers: gen_solutions(g),
     }
 }

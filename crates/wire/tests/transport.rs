@@ -271,7 +271,11 @@ fn pipelined_timeouts_keep_the_connection() {
         },
     )
     .expect("handshake through proxy");
-    assert_eq!(client.protocol_version(), 2, "loopback peers negotiate v2");
+    assert_eq!(
+        client.protocol_version(),
+        WIRE_VERSION,
+        "loopback peers negotiate the one version"
+    );
 
     // Half-open partition: the request executes, the reply vanishes, the
     // per-call deadline fires after a successful write. The failure surfaces typed — but on a pipelined connection

@@ -116,24 +116,9 @@ fn oracle_alternatives(server: &SapphireServer, query: &SelectQuery) -> Vec<Term
         dedup_alternatives(vec![(*run.payload.suggestions.candidates).clone()])
             .into_iter()
             .filter_map(|mut cand| {
-                let mut rebuilt = query.clone();
-                let altered = &cand.query.pattern.triples[cand.triple_index];
-                match cand.position {
-                    sapphire_core::qsm::AlteredPosition::Predicate => {
-                        rebuilt.pattern.triples[cand.triple_index].predicate =
-                            altered.predicate.clone();
-                    }
-                    sapphire_core::qsm::AlteredPosition::Object => {
-                        rebuilt.pattern.triples[cand.triple_index].object = altered.object.clone();
-                    }
-                }
-                let answers = oracle_answers(server, &rebuilt);
-                if answers.is_empty() {
-                    return None;
-                }
-                cand.query = rebuilt;
-                cand.answers = answers;
-                Some(cand)
+                let rewritten = cand.rewrite(query).expect("the model's own candidate fits");
+                cand.answers = oracle_answers(server, &rewritten);
+                (!cand.answers.is_empty()).then_some(cand)
             })
             .collect();
     rank_alternatives(kept, server.model().config().k)
@@ -147,7 +132,7 @@ fn assert_alternatives_equal(cluster: &[TermAlternative], oracle: &[TermAlternat
         assert_eq!(c.original, o.original, "{ctx}");
         assert_eq!(c.triple_index, o.triple_index, "{ctx}");
         assert!((c.similarity - o.similarity).abs() < f64::EPSILON, "{ctx}");
-        assert_eq!(c.query, o.query, "{ctx}");
+        assert_eq!(c.term, o.term, "{ctx}");
         assert_eq!(c.answers, o.answers, "{ctx}: prefetched answers");
     }
 }
@@ -784,13 +769,16 @@ fn unprojected_order_keys_answer_like_the_single_box_evaluator() {
 }
 
 /// A shard replica that counts the calls it receives and can start shedding
-/// its raw surface at a chosen call.
+/// its raw surface at a chosen call, or skew its run replies.
 struct CountingReplica {
     inner: Arc<SapphireServer>,
     calls: std::sync::atomic::AtomicU64,
     raw_calls: std::sync::atomic::AtomicU64,
     /// Raw calls from this one (1-based) on answer `Overloaded`.
     shed_raw_from: u64,
+    /// Run replies carry one more candidate, aimed at this triple index —
+    /// what a version-skewed or corrupted `REPLY` can decode to.
+    stray_candidate: Option<usize>,
 }
 
 impl CountingReplica {
@@ -827,7 +815,33 @@ impl sapphire_server::ShardService for CountingReplica {
         budget: Option<std::time::Duration>,
     ) -> Result<Arc<sapphire_server::RunPayload>, sapphire_server::ServerError> {
         self.count();
-        sapphire_server::ShardService::run_select_tiered(&*self.inner, tenant, query, tier, budget)
+        let payload = sapphire_server::ShardService::run_select_tiered(
+            &*self.inner,
+            tenant,
+            query,
+            tier,
+            budget,
+        )?;
+        let Some(triple_index) = self.stray_candidate else {
+            return Ok(payload);
+        };
+        let mut suggestions = (*payload.suggestions).clone();
+        let mut candidates = (*suggestions.candidates).clone();
+        candidates.push(TermAlternative {
+            triple_index,
+            position: sapphire_core::qsm::AlteredPosition::Object,
+            term: sapphire_rdf::Term::iri("http://example.org/stray"),
+            original: "here".into(),
+            replacement: "there".into(),
+            similarity: 1.0,
+            answers: Solutions::default(),
+        });
+        suggestions.candidates = Arc::new(candidates);
+        Ok(Arc::new(sapphire_server::RunPayload {
+            answers: payload.answers.clone(),
+            executed: payload.executed,
+            suggestions: Arc::new(suggestions),
+        }))
     }
 
     fn execute_raw(
@@ -871,6 +885,7 @@ fn counting_router(
                 calls: Default::default(),
                 raw_calls: Default::default(),
                 shed_raw_from: shed_raw_from[shard],
+                stray_candidate: None,
             })
         })
         .collect();
@@ -962,6 +977,45 @@ fn every_shard_call_is_counted_and_observed() {
         "bound-join sub-queries are spanned: {round_trips}"
     );
     assert!(busiest.spans.len() <= sapphire_obs::trace::MAX_SPANS);
+}
+
+/// A run reply whose candidate names a triple the query does not have — the
+/// index is any `usize` off the wire — fails the Run with a typed,
+/// non-retryable error naming the shard: the edge neither panics on the
+/// index nor answers with that candidate quietly missing.
+#[test]
+fn out_of_range_candidate_from_a_shard_fails_the_run_typed() {
+    use sapphire_cluster::ClusterError;
+    let (pum, _) = oracle();
+    let cluster = two_shard_cluster();
+    let replicas: Vec<Vec<Arc<dyn sapphire_server::ShardService>>> = (0..2)
+        .map(|shard| {
+            vec![Arc::new(CountingReplica {
+                inner: cluster.replicas(shard)[0].clone(),
+                calls: Default::default(),
+                raw_calls: Default::default(),
+                shed_raw_from: u64::MAX,
+                stray_candidate: (shard == 1).then_some(9),
+            }) as Arc<dyn sapphire_server::ShardService>]
+        })
+        .collect();
+    let router = ClusterRouter::over(replicas, ClusterConfig::for_tests());
+    let query = &workload_queries(&pum)[0];
+    let err = router.run("alice", query).unwrap_err();
+    assert!(!err.is_rejection(), "not retryable: {err}");
+    match err {
+        ClusterError::Shard {
+            shard: 1,
+            error: sapphire_server::ServerError::Backend(message),
+        } => assert_eq!(
+            message,
+            format!(
+                "malformed suggestion: triple 9 of {}",
+                query.pattern.triples.len()
+            )
+        ),
+        other => panic!("expected shard 1's malformed suggestion, got {other:?}"),
+    }
 }
 
 /// A shard whose raw surface sheds past the retry budget in the middle of a

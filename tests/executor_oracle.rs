@@ -102,7 +102,7 @@ fn assert_alternatives_equal(a: &[TermAlternative], b: &[TermAlternative], ctx: 
         assert_eq!(x.original, y.original, "{ctx}");
         assert_eq!(x.triple_index, y.triple_index, "{ctx}");
         assert!((x.similarity - y.similarity).abs() < f64::EPSILON, "{ctx}");
-        assert_eq!(x.query, y.query, "{ctx}");
+        assert_eq!(x.term, y.term, "{ctx}");
         assert_eq!(x.answers, y.answers, "{ctx}: prefetched answers");
     }
 }

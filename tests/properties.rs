@@ -1,11 +1,169 @@
 //! Cross-crate property-based tests on the reproduction's core invariants.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
 use sapphire_core::bins::{assign_tasks, LitId, ResidualBins};
-use sapphire_core::{CachedData, SapphireConfig};
+use sapphire_core::qsm::{AlteredPosition, TermAlternative};
+use sapphire_core::session::{Modifiers, Session};
+use sapphire_core::{CachedData, InitMode, PredictiveUserModel, SapphireConfig};
+use sapphire_datagen::userstudy::{flatten, misspell};
+use sapphire_datagen::workload::SessionScript;
+use sapphire_datagen::{appendix_b, generate, DatasetConfig};
+use sapphire_endpoint::EndpointLimits;
 use sapphire_rdf::{ntriples, Graph, Term};
-use sapphire_sparql::{evaluate_select, parse_select, WorkBudget};
+use sapphire_server::RunPayload;
+use sapphire_sparql::{evaluate_select, parse_select, SelectQuery, TermPattern, WorkBudget};
+use sapphire_text::Lexicon;
+use sapphire_wire::codec::{encode_reply, encode_request, LoadHeader, WireReply, WireRequest};
+
+fn tiny_model() -> PredictiveUserModel {
+    PredictiveUserModel::initialize_local(
+        "tiny",
+        generate(DatasetConfig::tiny(42)),
+        EndpointLimits::warehouse(),
+        Lexicon::dbpedia_default(),
+        SapphireConfig {
+            processes: 2,
+            ..SapphireConfig::default()
+        },
+        InitMode::Federated,
+    )
+    .unwrap()
+}
+
+/// Every Appendix-B script as a user would run it: as written, with its
+/// entity hops flattened (Figure 6's mistake), and with its first literal
+/// keyword misspelled (Figure 2's).
+fn run_pool(pum: &PredictiveUserModel) -> Vec<(String, SelectQuery)> {
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut pool = Vec::new();
+    for question in appendix_b() {
+        let script = &question.script;
+        let mut variants: Vec<(&str, SessionScript)> = vec![("as written", script.clone())];
+        if let Some(flat) = flatten(script) {
+            variants.push(("flattened", flat));
+        }
+        let literal_row = script.rows.iter().position(|row| {
+            !row.object.starts_with('?') && !matches!(row.predicate.trim(), "a" | "type" | "is a")
+        });
+        if let Some(row) = literal_row {
+            let mut typo = script.clone();
+            typo.rows[row].object = misspell(&typo.rows[row].object, &mut rng);
+            variants.push(("misspelled", typo));
+        }
+        for (variant, script) in variants {
+            let modifiers = Modifiers {
+                distinct: false,
+                order_by: script.order_by.clone(),
+                limit: script.limit,
+                count: script.count,
+                filters: script.filters.clone(),
+            };
+            let query = Session::resume(pum, script.rows.clone(), modifiers, 0)
+                .build_query()
+                .expect("workload scripts build");
+            pool.push((format!("{} {variant}", question.id), query));
+        }
+    }
+    pool
+}
+
+/// `rewritten` is `base` with exactly the slot `alt` names holding `alt.term`.
+fn assert_one_slot_edit(
+    alt: &TermAlternative,
+    base: &SelectQuery,
+    rewritten: &SelectQuery,
+    ctx: &str,
+) {
+    let (was, now) = (&base.pattern.triples, &rewritten.pattern.triples);
+    assert_eq!(was.len(), now.len(), "{ctx}");
+    let replacement = TermPattern::Term(alt.term.clone());
+    for (i, (was, now)) in was.iter().zip(now).enumerate() {
+        let mut expected = was.clone();
+        if i == alt.triple_index {
+            match alt.position {
+                AlteredPosition::Predicate => expected.predicate = replacement.clone(),
+                AlteredPosition::Object => expected.object = replacement.clone(),
+            }
+            assert_ne!(&expected, was, "{ctx}: an alternative changes its slot");
+        }
+        assert_eq!(&expected, now, "{ctx}: triple {i}");
+    }
+    let mut outside = rewritten.clone();
+    outside.pattern = base.pattern.clone();
+    assert_eq!(&outside, base, "{ctx}: nothing outside the pattern moved");
+}
+
+/// Algorithm 2 proposes queries "differing in exactly one term": every
+/// candidate and every shown alternative of every pool Run rewrites the query
+/// in exactly its own slot, whatever surrounds the pattern — so the rewrite
+/// of the star-projected query a shard saw and of the user's query differ
+/// only where those two did, which is what lets a cluster edge apply shard
+/// candidates to the original.
+#[test]
+fn every_candidate_is_a_one_slot_edit_of_any_query_over_the_pattern() {
+    let pum = tiny_model();
+    let mut checked = 0;
+    for (label, query) in run_pool(&pum) {
+        let star = SelectQuery::star(query.pattern.clone());
+        let suggestions = pum.run(&query).suggestions;
+        for alt in suggestions
+            .candidates
+            .iter()
+            .chain(&suggestions.alternatives)
+        {
+            let ctx = format!("{label}: {} -> {}", alt.original, alt.replacement);
+            let rewritten = alt.rewrite(&query).expect("the model's own edit fits");
+            assert_one_slot_edit(alt, &query, &rewritten, &ctx);
+            let star_rewritten = alt.rewrite(&star).expect("same pattern, same fit");
+            assert_one_slot_edit(alt, &star, &star_rewritten, &ctx);
+            assert_eq!(star_rewritten.pattern, rewritten.pattern, "{ctx}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 100, "the pool produces candidates: {checked}");
+}
+
+/// A candidate travels as an edit, not as a copy of the query: the encoded
+/// reply of a Run with many candidates is shorter than that many encoded
+/// queries.
+#[test]
+fn a_run_reply_is_shorter_than_one_query_per_candidate() {
+    let pum = tiny_model();
+    let mut sized = 0;
+    for (label, query) in run_pool(&pum) {
+        let outcome = pum.run(&query);
+        let candidates = outcome.suggestions.candidates.len();
+        if candidates < 10 {
+            continue;
+        }
+        let request = encode_request(&WireRequest::Run {
+            tenant: String::new(),
+            query,
+            tier: 0,
+            budget: None,
+        });
+        let reply = encode_reply(
+            LoadHeader::default(),
+            &Ok(WireReply::Run(RunPayload {
+                answers: outcome.answers,
+                executed: outcome.executed,
+                suggestions: Arc::new(outcome.suggestions),
+            })),
+        );
+        assert!(
+            reply.len() < candidates * request.len(),
+            "{label}: {} B reply, {candidates} candidates, {} B query",
+            reply.len(),
+            request.len()
+        );
+        sized += 1;
+    }
+    assert!(sized > 0, "some Run has ten candidates");
+}
 
 proptest! {
     /// N-Triples serialization round-trips arbitrary term-shaped graphs.
