@@ -9,9 +9,9 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use sapphire_suffix::SuffixTree;
-use sapphire_text::{jaro_winkler_ci, surface_form};
+use sapphire_text::{surface_form, SimilarityProbe};
 
-use crate::bins::{LitId, ResidualBins};
+use crate::bins::{FoldedArena, FoldedLiteral, FoldedNeedle, LitId, ResidualBins};
 use crate::config::SapphireConfig;
 
 /// Hit/miss/eviction counters of a [`BoundedCache`].
@@ -327,16 +327,34 @@ pub struct CachedData {
     predicate_by_surface: HashMap<String, usize>,
     /// Case-folded class surface → lowest index in `classes` with it.
     class_by_surface: HashMap<String, usize>,
+    /// What the similarity sweeps read, folded once at assembly: the
+    /// `str::to_lowercase` of each predicate surface, class surface and
+    /// significant literal, and each significant literal's `char` length.
+    predicate_folded: FoldedArena,
+    class_folded: FoldedArena,
+    significant_folded: FoldedArena,
+    significant_char_lens: Vec<usize>,
 }
 
 /// Case-folded surface → the lowest index carrying it. Folded with
-/// `str::to_lowercase`, which is what [`jaro_winkler_ci`] folds with.
-fn surface_index<'a>(surfaces: impl Iterator<Item = &'a str>) -> HashMap<String, usize> {
+/// `str::to_lowercase`, which is what the similarity sweeps fold with.
+fn surface_index(folded: &FoldedArena) -> HashMap<String, usize> {
     let mut index = HashMap::new();
-    for (i, surface) in surfaces.enumerate() {
-        index.entry(surface.to_lowercase()).or_insert(i);
+    for i in 0..folded.len() {
+        index.entry(folded.get(i).to_string()).or_insert(i);
     }
     index
+}
+
+/// Indices of the folded surfaces Jaro-Winkler-similar to `s` at `theta`,
+/// best first (ties keep index order).
+fn similar_surfaces(folded: &FoldedArena, s: &str, theta: f64) -> Vec<(usize, f64)> {
+    let mut probe = SimilarityProbe::new(s);
+    let mut out: Vec<(usize, f64)> = (0..folded.len())
+        .filter_map(|i| Some((i, probe.similarity(folded.get(i), theta)?)))
+        .collect();
+    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    out
 }
 
 /// `s`'s entry in a [`surface_index`], else the head of `sweep`.
@@ -392,8 +410,15 @@ impl CachedData {
             bins.add(text);
         }
 
+        let predicate_folded: FoldedArena = predicates.iter().map(|p| p.surface.as_str()).collect();
         CachedData {
-            predicate_by_surface: surface_index(predicates.iter().map(|p| p.surface.as_str())),
+            predicate_by_surface: surface_index(&predicate_folded),
+            predicate_folded,
+            significant_folded: significant.iter().map(|(text, _)| text.as_str()).collect(),
+            significant_char_lens: significant
+                .iter()
+                .map(|(text, _)| text.chars().count())
+                .collect(),
             predicates,
             bins,
             tree,
@@ -401,12 +426,14 @@ impl CachedData {
             significant,
             classes: Vec::new(),
             class_by_surface: HashMap::new(),
+            class_folded: FoldedArena::default(),
         }
     }
 
     /// Attach the classes discovered during initialization.
     pub fn with_classes(mut self, classes: Vec<CachedClass>) -> Self {
-        self.class_by_surface = surface_index(classes.iter().map(|c| c.surface.as_str()));
+        self.class_folded = classes.iter().map(|c| c.surface.as_str()).collect();
+        self.class_by_surface = surface_index(&self.class_folded);
         self.classes = classes;
         self
     }
@@ -425,17 +452,7 @@ impl CachedData {
 
     /// Classes whose surface form is Jaro-Winkler-similar to `s`.
     pub fn similar_classes(&self, s: &str, theta: f64) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = self
-            .classes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let score = jaro_winkler_ci(s, &c.surface);
-                (score >= theta).then_some((i, score))
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        out
+        similar_surfaces(&self.class_folded, s, theta)
     }
 
     /// Build a cache directly from raw predicate IRIs and literal/score pairs
@@ -492,10 +509,10 @@ impl CachedData {
     /// Returns matched literal ids (scores unused for containment).
     pub fn residual_lookup(&self, t: &str, gamma: usize, processes: usize) -> Vec<LitId> {
         let len = t.chars().count();
-        let needle = t.to_lowercase();
+        let needle = FoldedNeedle::new(t);
         self.bins
-            .scan_parallel(len..len + gamma + 1, processes, |lit| {
-                lit.to_lowercase().contains(&needle).then_some(0.0)
+            .scan_parallel(len..len + gamma + 1, processes, || {
+                |lit: FoldedLiteral<'_>| lit.contains(&needle).then_some(0.0)
             })
             .into_iter()
             .map(|(id, _)| id)
@@ -507,17 +524,7 @@ impl CachedData {
     /// Predicates are few, so this is a plain scan (the paper stores them
     /// entirely in memory for the same reason).
     pub fn similar_predicates(&self, s: &str, theta: f64) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = self
-            .predicates
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| {
-                let score = jaro_winkler_ci(s, &p.surface);
-                (score >= theta).then_some((i, score))
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        out
+        similar_surfaces(&self.predicate_folded, s, theta)
     }
 
     /// The predicate a keyword names: `similar_predicates(s, theta).first()`,
@@ -544,22 +551,21 @@ impl CachedData {
         let len = l.chars().count();
         let lo = len.saturating_sub(alpha);
         let hi = len + beta;
+        let mut probe = SimilarityProbe::new(l);
         let mut out: Vec<(String, f64)> = self
             .bins
-            .scan_parallel(lo..hi + 1, processes, |lit| {
-                let score = jaro_winkler_ci(l, lit);
-                (score >= theta).then_some(score)
+            .scan_parallel(lo..hi + 1, processes, || {
+                let mut probe = probe.clone();
+                move |lit: FoldedLiteral<'_>| probe.similarity(lit.text(), theta)
             })
             .into_iter()
             .map(|(id, score)| (self.bins.literal(id).to_string(), score))
             .collect();
-        for (text, _) in &self.significant {
-            let tlen = text.chars().count();
-            if tlen < lo || tlen > hi {
+        for (i, (text, _)) in self.significant.iter().enumerate() {
+            if !(lo..=hi).contains(&self.significant_char_lens[i]) {
                 continue;
             }
-            let score = jaro_winkler_ci(l, text);
-            if score >= theta {
+            if let Some(score) = probe.similarity(self.significant_folded.get(i), theta) {
                 out.push((text.clone(), score));
             }
         }
@@ -690,6 +696,80 @@ mod tests {
         // Gamma large enough to reach "Kennedys of Massachusetts" (25).
         let ids = c.residual_lookup("kenne", 20, 2);
         assert_eq!(ids.len(), 2);
+    }
+
+    /// A mixed-case, partly non-ASCII corpus of `n` literals in one narrow
+    /// length band, so a lookup's band holds nearly all of it.
+    fn mixed_corpus(n: usize) -> CachedData {
+        let stems = ["Kennedy", "ΟΔΟΣ", "İstanbul", "Straße", "kenneth", "ÉCOLE"];
+        let literals = (0..n)
+            .map(|i| (format!("{} {i:07}", stems[i % stems.len()]), 0))
+            .collect();
+        let config = SapphireConfig {
+            suffix_tree_capacity: 0,
+            ..SapphireConfig::for_tests()
+        };
+        CachedData::from_raw(vec![], literals, &config)
+    }
+
+    #[test]
+    fn residual_lookup_equals_the_naive_scan_on_both_sides_of_the_threshold() {
+        use crate::bins::INLINE_SCAN_THRESHOLD;
+        for n in [INLINE_SCAN_THRESHOLD / 8, INLINE_SCAN_THRESHOLD + 64] {
+            let c = mixed_corpus(n);
+            for needle in [
+                "KENNE", "enne", "οδοσ", "ΟΔΟΣ", "İ", "i̇stan", "SS", "ß", "éco", "7", "zz", "",
+            ] {
+                let len = needle.chars().count();
+                let band = len..=len + 20;
+                let folded = needle.to_lowercase();
+                let mut naive: Vec<LitId> = (0..c.bins.len() as LitId)
+                    .filter(|&id| {
+                        band.contains(&c.bins.char_len(id))
+                            && c.bins.literal(id).to_lowercase().contains(&folded)
+                    })
+                    .collect();
+                for p in 1..6 {
+                    let mut got = c.residual_lookup(needle, 20, p);
+                    if p == 1 {
+                        // One worker walks bins in length order, each in
+                        // insertion order — the order the parent returned.
+                        let key = |&id: &LitId| (c.bins.char_len(id), id);
+                        naive.sort_by_key(key);
+                        assert_eq!(got, naive, "n {n} needle {needle:?}");
+                    }
+                    got.sort_unstable();
+                    naive.sort_unstable();
+                    assert_eq!(got, naive, "n {n} needle {needle:?} P {p}");
+                }
+            }
+            assert!(!c.residual_lookup("kenne", 20, 2).is_empty());
+            assert!(!c.residual_lookup("οδος", 20, 2).is_empty());
+        }
+    }
+
+    #[test]
+    fn similar_literals_equals_the_pairwise_reference() {
+        let c = mixed_corpus(600);
+        for probe in ["Kennedys 0000012", "οδοσ 0000100", "strasse 0000004", "zzz"] {
+            for theta in [0.5, 0.7, 0.85, 1.0] {
+                let len = probe.chars().count();
+                let mut reference: Vec<(String, f64)> = (0..c.bins.len() as LitId)
+                    .map(|id| c.bins.literal(id))
+                    .filter(|lit| (len.saturating_sub(2)..=len + 3).contains(&lit.chars().count()))
+                    .map(|lit| (lit.to_string(), sapphire_text::jaro_winkler_ci(probe, lit)))
+                    .filter(|&(_, score)| score >= theta)
+                    .collect();
+                reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+                for p in [1, 3] {
+                    let got = c.similar_literals(probe, 2, 3, theta, p);
+                    assert_eq!(got, reference, "{probe:?} θ {theta} P {p}");
+                }
+            }
+        }
+        assert!(!c
+            .similar_literals("Kennedys 0000012", 2, 3, 0.7, 2)
+            .is_empty());
     }
 
     #[test]

@@ -123,13 +123,8 @@ impl QueryCompletion {
         // "The shortest result literals are returned as part of the k
         // auto-complete suggestions." Compare in place — cloning every
         // literal for the sort dominated QCM latency on large match sets.
-        ids.sort_unstable_by(|&a, &b| {
-            let (la, lb) = (self.cache.bins.literal(a), self.cache.bins.literal(b));
-            la.chars()
-                .count()
-                .cmp(&lb.chars().count())
-                .then_with(|| la.cmp(lb))
-        });
+        let bins = &self.cache.bins;
+        ids.sort_unstable_by_key(|&id| (bins.char_len(id), bins.literal(id)));
         for id in ids.into_iter().take(k - result.suggestions.len()) {
             result.suggestions.push(Completion {
                 text: self.cache.bins.literal(id).to_string(),

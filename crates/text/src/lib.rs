@@ -9,7 +9,8 @@
 //! * [`tokenize`] — IRI → keyword surface forms (`almaMater` → `alma mater`),
 //!   since Sapphire matches user *keywords*, not URIs (§5.1).
 //! * [`lexicon`] — a Lemon-style verbalization lexicon standing in for the
-//!   DBpedia Lemon lexicon the paper uses (see DESIGN.md substitutions).
+//!   DBpedia Lemon lexicon the paper uses (its module docs say what was
+//!   substituted and why).
 
 #![warn(missing_docs)]
 
@@ -18,7 +19,9 @@ pub mod similarity;
 pub mod tokenize;
 
 pub use lexicon::Lexicon;
-pub use similarity::{jaro, jaro_winkler, jaro_winkler_ci, levenshtein, levenshtein_similarity};
+pub use similarity::{
+    jaro, jaro_winkler, jaro_winkler_ci, levenshtein, levenshtein_similarity, SimilarityProbe,
+};
 pub use tokenize::{keywords, local_name, normalize, split_identifier, surface_form};
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-use sapphire_core::bins::{assign_tasks, LitId, ResidualBins};
+use sapphire_core::bins::{assign_tasks, FoldedLiteral, LitId, ResidualBins};
 use sapphire_core::qsm::{AlteredPosition, TermAlternative};
 use sapphire_core::session::{Modifiers, Session};
 use sapphire_core::{CachedData, InitMode, PredictiveUserModel, SapphireConfig};
@@ -221,25 +221,29 @@ proptest! {
     }
 
     /// The parallel residual scan finds exactly what a sequential scan finds,
-    /// for any worker count.
+    /// for any worker count — on the case-folded view, whatever the case of
+    /// the literals and the needle.
     #[test]
     fn parallel_scan_equivalence(
-        literals in proptest::collection::vec("[a-d]{1,12}", 1..60),
-        needle in "[a-d]{1,3}",
+        literals in proptest::collection::vec("[a-dA-DΣé]{1,12}", 1..60),
+        needle in "[a-dA-Dσ]{1,3}",
         p in 1usize..6,
     ) {
         let mut bins = ResidualBins::new();
         for l in &literals {
             bins.add(l.clone());
         }
+        let needle = needle.to_lowercase();
         let mut parallel: Vec<LitId> = bins
-            .scan_parallel(0..20, p, |s| s.contains(needle.as_str()).then_some(1.0))
+            .scan_parallel(0..20, p, || {
+                |lit: FoldedLiteral<'_>| lit.text().contains(needle.as_str()).then_some(1.0)
+            })
             .into_iter()
             .map(|(id, _)| id)
             .collect();
         parallel.sort_unstable();
         let sequential: Vec<LitId> = (0..bins.len() as u32)
-            .filter(|&id| bins.literal(id).contains(needle.as_str()))
+            .filter(|&id| bins.literal(id).to_lowercase().contains(needle.as_str()))
             .collect();
         prop_assert_eq!(parallel, sequential);
     }
