@@ -4,7 +4,7 @@
 //! (*Sapphire: Querying RDF Data Made Simple*, El-Roby et al., VLDB 2016).
 //!
 //! §7.2 compares Sapphire against four runnable systems; each is
-//! reimplemented here faithful to its *capability class* (see DESIGN.md):
+//! reimplemented here faithful to its *capability class* (see ARCHITECTURE.md, "Substitutions"):
 //!
 //! * [`qakis`] — QAKiS \[7\]: relational-pattern NL QA. Entity mention +
 //!   relation pattern → single-relation SPARQL. No joins, no aggregates.

@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out (not a paper table):
+//! Ablations of the design choices the paper asserts without a table (see
+//! ARCHITECTURE.md, "Substitutions", for what the data stands in for):
 //!
 //! 1. Jaro-Winkler vs Jaro vs normalized Levenshtein for term alternatives
 //!    (the paper asserts JW "outperforms other similarity measures in our

@@ -14,7 +14,9 @@ fn main() {
         "{}",
         heading("Table 1 — Comparing systems using questions from QALD-5")
     );
-    println!("(synthetic DBpedia substitute; see DESIGN.md. Building harness…)");
+    println!(
+        "(synthetic DBpedia substitute; see ARCHITECTURE.md, \"Substitutions\". Building harness…)"
+    );
     let harness = ComparisonHarness::build(dataset, experiment_config());
     let measured = harness.run();
 

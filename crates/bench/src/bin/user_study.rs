@@ -1,6 +1,6 @@
 //! Regenerates **Figures 8–11** (the §7.1 user study) and the §7.3.2 QSM
-//! usage breakdown, with 16 simulated participants (see DESIGN.md for the
-//! human-participant substitution).
+//! usage breakdown, with 16 simulated participants (see ARCHITECTURE.md,
+//! "Substitutions", for the human-participant substitution).
 //!
 //! Usage: `cargo run -p sapphire-bench --bin user_study --release [--scale tiny|small|medium]`
 

@@ -2,8 +2,9 @@
 //!
 //! Experiment harness for the Sapphire reproduction: report binaries that
 //! regenerate every table and figure of the paper's evaluation (§7), plus
-//! the serving-tier load generators and their CI gate. See DESIGN.md's
-//! per-experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
+//! the serving-tier load generators and their CI gate. See ARCHITECTURE.md,
+//! "Substitutions", for what each experiment stands in for and this crate's
+//! README for the report schema.
 
 pub mod args;
 pub mod cluster;

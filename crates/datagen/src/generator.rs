@@ -1,7 +1,8 @@
 //! The seeded DBpedia-like dataset generator.
 //!
-//! Substitutes for the live DBpedia endpoint (see DESIGN.md). The generated
-//! graph reproduces the statistical shapes Sapphire's design depends on:
+//! Substitutes for the live DBpedia endpoint (see ARCHITECTURE.md,
+//! "Substitutions"). The generated graph reproduces the statistical shapes
+//! Sapphire's design depends on:
 //! few predicates vs. many literals, an RDFS class hierarchy with
 //! materialized transitive types (as DBpedia publishes), skewed entity
 //! in-degrees (so literal significance is meaningful), literal lengths
@@ -11,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sapphire_rdf::{vocab, Graph, Literal, Term};
+use sapphire_rdf::{vocab, Graph, GraphBuilder, Literal, Term};
 
 use crate::names;
 use crate::ontology::{dbo, res, ANCHORS, CLASS_HIERARCHY};
@@ -104,7 +105,7 @@ impl DatasetConfig {
 /// Generate the dataset.
 pub fn generate(config: DatasetConfig) -> Graph {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
 
     emit_ontology(&mut g);
     sapphire_rdf::turtle::parse_into(ANCHORS, &mut g).expect("anchor turtle parses");
@@ -117,10 +118,7 @@ pub fn generate(config: DatasetConfig) -> Graph {
     emit_noise(&mut g, &mut rng, config.noise_literals);
 
     materialize_types(&mut g);
-    // Hand back a sealed graph: scans run at full columnar speed and the
-    // result is immediately snapshot-writable.
-    g.seal();
-    g
+    g.build()
 }
 
 fn iri(s: String) -> Term {
@@ -131,7 +129,7 @@ fn en(s: impl Into<String>) -> Term {
     Term::en(s)
 }
 
-fn emit_ontology(g: &mut Graph) {
+fn emit_ontology(g: &mut GraphBuilder) {
     for (class, parent) in CLASS_HIERARCHY {
         let class_iri = dbo(class);
         let parent_iri = if *parent == "Thing" {
@@ -158,7 +156,7 @@ fn emit_ontology(g: &mut Graph) {
     );
 }
 
-fn emit_countries(g: &mut Graph, rng: &mut StdRng, n: usize) -> Vec<String> {
+fn emit_countries(g: &mut GraphBuilder, rng: &mut StdRng, n: usize) -> Vec<String> {
     let mut out = Vec::new();
     for i in 0..n {
         let name = names::COUNTRY_NAMES[i % names::COUNTRY_NAMES.len()];
@@ -176,7 +174,12 @@ fn emit_countries(g: &mut Graph, rng: &mut StdRng, n: usize) -> Vec<String> {
     out
 }
 
-fn emit_cities(g: &mut Graph, rng: &mut StdRng, n: usize, countries: &[String]) -> Vec<String> {
+fn emit_cities(
+    g: &mut GraphBuilder,
+    rng: &mut StdRng,
+    n: usize,
+    countries: &[String],
+) -> Vec<String> {
     let mut out = Vec::new();
     for i in 0..n {
         let base = names::CITY_NAMES[i % names::CITY_NAMES.len()];
@@ -204,7 +207,7 @@ fn emit_cities(g: &mut Graph, rng: &mut StdRng, n: usize, countries: &[String]) 
 }
 
 fn emit_organisations(
-    g: &mut Graph,
+    g: &mut GraphBuilder,
     rng: &mut StdRng,
     n: usize,
     cities: &[String],
@@ -276,7 +279,7 @@ struct Persons {
 }
 
 fn emit_persons(
-    g: &mut Graph,
+    g: &mut GraphBuilder,
     rng: &mut StdRng,
     n: usize,
     cities: &[String],
@@ -363,7 +366,13 @@ fn emit_persons(
     persons
 }
 
-fn emit_works(g: &mut Graph, rng: &mut StdRng, n: usize, persons: &Persons, orgs: &Organisations) {
+fn emit_works(
+    g: &mut GraphBuilder,
+    rng: &mut StdRng,
+    n: usize,
+    persons: &Persons,
+    orgs: &Organisations,
+) {
     for i in 0..n {
         let head = names::TITLE_HEADS[rng.gen_range(0..names::TITLE_HEADS.len())];
         let tail = names::TITLE_TAILS[rng.gen_range(0..names::TITLE_TAILS.len())];
@@ -427,7 +436,7 @@ fn emit_works(g: &mut Graph, rng: &mut StdRng, n: usize, persons: &Persons, orgs
 
 /// Noise: misspelled names (exercising JW search), non-English literals and
 /// over-long literals (exercising the init filters).
-fn emit_noise(g: &mut Graph, rng: &mut StdRng, n: usize) {
+fn emit_noise(g: &mut GraphBuilder, rng: &mut StdRng, n: usize) {
     for i in 0..n {
         let id = res(&format!("Noise_{i}"));
         g.insert(
@@ -503,7 +512,7 @@ fn mutate(s: &str, rng: &mut StdRng) -> String {
 /// Add `rdf:type` triples for every superclass of each entity's declared
 /// types — DBpedia materializes the transitive closure, and Sapphire's
 /// class-hierarchy walk (§5.1) relies on it.
-fn materialize_types(g: &mut Graph) {
+fn materialize_types(g: &mut GraphBuilder) {
     use std::collections::HashMap;
     let parents: HashMap<String, String> = CLASS_HIERARCHY
         .iter()
@@ -516,22 +525,22 @@ fn materialize_types(g: &mut Graph) {
             (dbo(c), parent)
         })
         .collect();
+    // Every class and `owl:Thing` is already interned by `emit_ontology`,
+    // so these triples add rows, never terms: term ids do not depend on the
+    // order they are found in.
     let type_term = Term::iri(vocab::rdf::TYPE);
-    let Some(type_id) = g.term_id(&type_term) else {
-        return;
-    };
-    let mut to_add: Vec<(Term, Term)> = Vec::new();
-    for t in g.matching(None, Some(type_id), None) {
-        let subject = g.term(t[0]).clone();
-        let mut class = g.term(t[2]).lexical().to_string();
-        while let Some(parent) = parents.get(&class) {
-            to_add.push((subject.clone(), Term::iri(parent.clone())));
-            class = parent.clone();
+    let mut inferred: Vec<(Term, Term, Term)> = Vec::new();
+    for (s, p, o) in g.iter_terms() {
+        if *p != type_term {
+            continue;
+        }
+        let mut class = o.lexical();
+        while let Some(parent) = parents.get(class) {
+            inferred.push((s.clone(), type_term.clone(), Term::iri(parent.clone())));
+            class = parent;
         }
     }
-    for (s, c) in to_add {
-        g.insert(s, type_term.clone(), c);
-    }
+    g.extend(inferred);
 }
 
 #[cfg(test)]
@@ -618,12 +627,6 @@ mod tests {
         let tiny = generate(DatasetConfig::tiny(2));
         let small = generate(DatasetConfig::small(2));
         assert!(small.len() > tiny.len() * 3);
-    }
-
-    #[test]
-    fn generated_graph_is_sealed() {
-        let g = generate(DatasetConfig::tiny(2));
-        assert!(g.is_sealed(), "generate() must hand back a sealed graph");
     }
 
     #[test]

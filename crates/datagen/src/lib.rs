@@ -4,7 +4,8 @@
 //! (*Sapphire: Querying RDF Data Made Simple*, El-Roby et al., VLDB 2016).
 //!
 //! The paper evaluates on live DBpedia with human participants; neither ships
-//! in a reproduction, so this crate provides the substitutes (see DESIGN.md):
+//! in a reproduction, so this crate provides the substitutes (see ARCHITECTURE.md,
+//! "Substitutions"):
 //!
 //! * [`generator`] — a seeded DBpedia-like RDF dataset: RDFS class hierarchy
 //!   with materialized types, multi-domain entities, skewed in-degrees, and

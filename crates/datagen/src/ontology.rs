@@ -266,7 +266,7 @@ mod tests {
         let tid = g.term_id(&type_iri).unwrap();
         let classes: std::collections::HashSet<String> =
             CLASS_HIERARCHY.iter().map(|(c, _)| dbo(c)).collect();
-        for t in g.matching(None, Some(tid), None) {
+        for t in g.triples_matching(None, Some(tid), None) {
             let class = g.term(t[2]).lexical().to_string();
             assert!(
                 classes.contains(&class),

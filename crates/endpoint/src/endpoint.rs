@@ -214,8 +214,8 @@ impl LocalEndpoint {
                     0
                 } else {
                     self.graph
-                        .cardinality(id(&tp.subject), id(&tp.predicate), id(&tp.object))
-                        as u64
+                        .triples_matching(id(&tp.subject), id(&tp.predicate), id(&tp.object))
+                        .len() as u64
                 }
             })
             .sum()
@@ -382,16 +382,18 @@ mod tests {
     use super::*;
     use sapphire_rdf::Term;
 
-    fn graph(n: usize) -> Graph {
-        let mut g = Graph::new();
-        for i in 0..n {
-            g.insert(
+    fn triples(n: usize) -> impl Iterator<Item = (Term, Term, Term)> {
+        (0..n).map(|i| {
+            (
                 Term::iri(format!("http://x/s{i}")),
                 Term::iri("http://x/p"),
                 Term::en(format!("value {i}")),
-            );
-        }
-        g
+            )
+        })
+    }
+
+    fn graph(n: usize) -> Graph {
+        Graph::from_term_triples(triples(n))
     }
 
     #[test]
@@ -477,14 +479,14 @@ mod tests {
     /// Two predicates with different frequencies and one subject repeated,
     /// so every order and both COUNT flavours give different tables.
     fn skewed() -> LocalEndpoint {
-        let mut g = graph(3);
-        for o in ["a", "b"] {
-            g.insert(
+        let extra = ["a", "b"].map(|o| {
+            (
                 Term::iri("http://x/s0"),
                 Term::iri("http://x/a"),
                 Term::en(o),
-            );
-        }
+            )
+        });
+        let g = Graph::from_term_triples(triples(3).chain(extra));
         LocalEndpoint::new("t", g, EndpointLimits::warehouse())
     }
 

@@ -13,9 +13,10 @@
 //!   nodes, and N-Triples-style escaping.
 //! * [`interner`] — dense `u32` term ids so triples are 12 bytes and joins are
 //!   integer comparisons.
-//! * [`graph`] — an in-memory graph with sorted columnar SPO/POS/OSP indexes
-//!   (binary-search range scans, a B-tree delta overlay for incremental
-//!   inserts, and a sealed bulk-build path).
+//! * [`graph`] — an immutable in-memory [`Graph`] with sorted columnar
+//!   SPO/POS/OSP indexes answered by binary-search range scans, and the
+//!   [`GraphBuilder`] every graph is made by (intern, collect rows, sort each
+//!   column once).
 //! * [`snapshot`] — a versioned, checksummed on-disk format whose layout is
 //!   exactly the in-memory columns + interner table, so shards load a
 //!   partition with one sequential read instead of regenerating it.
@@ -29,16 +30,17 @@
 //! ## Example
 //!
 //! ```
-//! use sapphire_rdf::{Graph, Term};
+//! use sapphire_rdf::{GraphBuilder, Term};
 //!
-//! let mut g = Graph::new();
-//! g.insert(
+//! let mut builder = GraphBuilder::new();
+//! builder.insert(
 //!     Term::iri("http://dbpedia.org/resource/New_York"),
 //!     Term::iri("http://dbpedia.org/ontology/population"),
 //!     Term::literal("8400000"),
 //! );
+//! let g = builder.build();
 //! let p = g.term_id(&Term::iri("http://dbpedia.org/ontology/population")).unwrap();
-//! assert_eq!(g.matching(None, Some(p), None).len(), 1);
+//! assert_eq!(g.triples_matching(None, Some(p), None).len(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -53,7 +55,7 @@ pub mod term;
 pub mod turtle;
 pub mod vocab;
 
-pub use graph::{Graph, IdTriple, Matches};
+pub use graph::{Graph, GraphBuilder, IdTriple, Matches};
 pub use interner::{FnvMap, Interner, TermId};
 pub use partition::{shard_of, Partition, Partitioner};
 pub use schema::ClassHierarchy;

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphBuilder};
 use crate::term::{unescape_literal, Literal, Term};
 
 /// A parse error with 1-based line number context.
@@ -27,13 +27,13 @@ impl std::error::Error for ParseError {}
 
 /// Parse an N-Triples document into a new [`Graph`].
 pub fn parse(input: &str) -> Result<Graph, ParseError> {
-    let mut graph = Graph::new();
-    parse_into(input, &mut graph)?;
-    Ok(graph)
+    let mut builder = GraphBuilder::new();
+    parse_into(input, &mut builder)?;
+    Ok(builder.build())
 }
 
-/// Parse an N-Triples document, inserting into an existing graph.
-pub fn parse_into(input: &str, graph: &mut Graph) -> Result<(), ParseError> {
+/// Parse an N-Triples document, adding its triples to a builder.
+pub fn parse_into(input: &str, graph: &mut GraphBuilder) -> Result<(), ParseError> {
     for (idx, line) in input.lines().enumerate() {
         let line_no = idx + 1;
         let trimmed = line.trim();

@@ -21,7 +21,7 @@
 //! dataset partitions the same way on every run and every machine, which is
 //! what makes cluster answers reproducible against a single-box oracle.
 
-use crate::{vocab, Graph, Term};
+use crate::{vocab, Graph, GraphBuilder, Term};
 
 /// Deterministic shard assignment for a subject term.
 ///
@@ -116,30 +116,28 @@ impl Partitioner {
             });
         }
 
-        // Route term triples to per-shard buffers in one pass, then bulk-build
-        // each shard graph: terms intern in the same (s, p, o) visit order the
-        // old per-triple inserts used — so shard-local ids are unchanged —
-        // but every column sorts exactly once and the shards come out
-        // sealed, i.e. immediately snapshot-writable.
-        let mut routed: Vec<Vec<(Term, Term, Term)>> =
-            (0..self.shards).map(|_| Vec::new()).collect();
+        // Route each triple of the SPO column to its shard's builder: a
+        // shard's terms intern in the order its triples are visited here, so
+        // shard-local ids are a function of the source graph alone.
+        let mut builders: Vec<GraphBuilder> =
+            (0..self.shards).map(|_| GraphBuilder::new()).collect();
         let mut data_triples = vec![0usize; self.shards];
         let mut schema_triples = 0usize;
-        for (s, p, o) in graph.iter_terms() {
-            let subject_id = graph.term_id(s).expect("subject interned");
-            if classes.contains(&subject_id) {
+        for t in graph.triples_matching(None, None, None) {
+            let [s, p, o] = t.map(|id| graph.term(id));
+            if classes.contains(&t[0]) {
                 schema_triples += 1;
-                for buf in &mut routed {
-                    buf.push((s.clone(), p.clone(), o.clone()));
+                for builder in &mut builders {
+                    builder.insert(s.clone(), p.clone(), o.clone());
                 }
             } else {
                 let idx = shard_of(s, self.shards);
                 data_triples[idx] += 1;
-                routed[idx].push((s.clone(), p.clone(), o.clone()));
+                builders[idx].insert(s.clone(), p.clone(), o.clone());
             }
         }
         Partition {
-            shards: routed.into_iter().map(Graph::from_term_triples).collect(),
+            shards: builders.into_iter().map(GraphBuilder::build).collect(),
             schema_triples,
             data_triples,
         }
@@ -219,12 +217,24 @@ res:Alan a dbo:Person ; dbo:surname "Turing"@en .
     }
 
     #[test]
-    fn shards_come_out_sealed() {
-        // The bulk-build path must hand back snapshot-writable graphs.
+    fn shards_equal_the_bulk_build() {
+        // Each shard is exactly what a bulk build of the triples routed to
+        // it yields — same term table, same columns, same snapshot bytes.
         let g = turtle::parse(DATA).unwrap();
         let p = Partitioner::new(3).split(&g);
-        assert!(p.shards.iter().all(Graph::is_sealed));
-        assert!(p.shards.iter().all(|s| crate::snapshot::encode(s).is_ok()));
+        // The only class that is a subject in DATA.
+        let person = Term::iri("http://dbpedia.org/ontology/Person");
+        for (i, shard) in p.shards.iter().enumerate() {
+            let routed = g
+                .iter_terms()
+                .filter(|(s, _, _)| **s == person || shard_of(s, 3) == i)
+                .map(|(s, p, o)| (s.clone(), p.clone(), o.clone()));
+            assert_eq!(
+                crate::snapshot::encode(shard).unwrap(),
+                crate::snapshot::encode(&Graph::from_term_triples(routed)).unwrap(),
+                "shard {i}"
+            );
+        }
     }
 
     #[test]

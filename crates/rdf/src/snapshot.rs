@@ -85,9 +85,6 @@ pub enum SnapshotError {
         /// What invariant was violated.
         &'static str,
     ),
-    /// The graph still has triples in its delta overlay; call
-    /// [`Graph::seal`] before writing.
-    Unsealed,
 }
 
 impl fmt::Display for SnapshotError {
@@ -112,12 +109,6 @@ impl fmt::Display for SnapshotError {
                 "snapshot checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
             SnapshotError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
-            SnapshotError::Unsealed => {
-                write!(
-                    f,
-                    "graph has unsealed delta triples; seal() before snapshotting"
-                )
-            }
         }
     }
 }
@@ -144,20 +135,21 @@ pub fn shard_file_name(scale: &str, shard: usize, shards: usize) -> String {
     format!("{scale}-s{shard}of{shards}.snap")
 }
 
-/// Serialize a sealed graph into the version-1 snapshot byte layout.
+/// Serialize a graph into the version-1 snapshot byte layout. Every
+/// [`Graph`] is writable, so this never fails; the `Result` is the signature
+/// its callers hold.
 pub fn encode(graph: &Graph) -> Result<Vec<u8>, SnapshotError> {
-    let (spo, pos, osp) = graph.sealed_columns().ok_or(SnapshotError::Unsealed)?;
     let interner = graph.interner();
-    let mut buf = Vec::with_capacity(64 + interner.len() * 24 + spo.len() * 36);
+    let mut buf = Vec::with_capacity(64 + interner.len() * 24 + graph.len() * 36);
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&0u32.to_le_bytes());
     buf.extend_from_slice(&(interner.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&(spo.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&(graph.len() as u64).to_le_bytes());
     for (_, term) in interner.iter() {
         encode_term(&mut buf, term);
     }
-    for column in [spo, pos, osp] {
+    for column in graph.columns() {
         for &(a, b, c) in column {
             buf.extend_from_slice(&a.to_le_bytes());
             buf.extend_from_slice(&b.to_le_bytes());
@@ -169,7 +161,7 @@ pub fn encode(graph: &Graph) -> Result<Vec<u8>, SnapshotError> {
     Ok(buf)
 }
 
-/// Write a sealed graph's snapshot to `path`, returning the byte size.
+/// Write a graph's snapshot to `path`, returning the byte size.
 pub fn write(graph: &Graph, path: &Path) -> Result<u64, SnapshotError> {
     let bytes = encode(graph)?;
     std::fs::write(path, &bytes)?;
@@ -412,30 +404,33 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    fn sample_sealed() -> Graph {
-        let mut g = Graph::new();
-        g.insert(
-            Term::iri("http://x/s1"),
-            Term::iri("http://x/p"),
-            Term::en("one"),
-        );
-        g.insert(
-            Term::iri("http://x/s1"),
-            Term::iri("http://x/p"),
-            Term::literal("plain"),
-        );
-        g.insert(
-            Term::iri("http://x/s2"),
-            Term::iri("http://x/p"),
-            Term::Literal(Literal::integer(42)),
-        );
-        g.insert(
-            Term::iri("http://x/s2"),
-            Term::iri("http://x/q"),
-            Term::blank("b0"),
-        );
-        g.seal();
-        g
+    fn sample() -> Graph {
+        Graph::from_term_triples([
+            (
+                Term::iri("http://x/s1"),
+                Term::iri("http://x/p"),
+                Term::en("one"),
+            ),
+            (
+                Term::iri("http://x/s1"),
+                Term::iri("http://x/p"),
+                Term::literal("plain"),
+            ),
+            (
+                Term::iri("http://x/s2"),
+                Term::iri("http://x/p"),
+                Term::Literal(Literal::integer(42)),
+            ),
+            (
+                Term::iri("http://x/s2"),
+                Term::iri("http://x/q"),
+                Term::blank("b0"),
+            ),
+        ])
+    }
+
+    fn all(g: &Graph) -> Vec<crate::IdTriple> {
+        g.triples_matching(None, None, None).collect()
     }
 
     /// Recompute and overwrite the trailing checksum after a test mutation,
@@ -448,49 +443,36 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_triples_ids_and_answers() {
-        let g = sample_sealed();
+        let g = sample();
         let loaded = decode(&encode(&g).unwrap()).unwrap();
         assert_eq!(loaded.len(), g.len());
-        assert_eq!(
-            loaded.matching(None, None, None),
-            g.matching(None, None, None)
-        );
+        assert_eq!(all(&loaded), all(&g));
         for (id, term) in g.interner().iter() {
             assert_eq!(loaded.interner().resolve(id), term);
         }
         let p = g.term_id(&Term::iri("http://x/p")).unwrap();
-        assert_eq!(
-            loaded.matching(None, Some(p), None),
-            g.matching(None, Some(p), None)
-        );
-    }
-
-    #[test]
-    fn unsealed_graph_is_rejected() {
-        let mut g = Graph::new();
-        g.insert(Term::iri("s"), Term::iri("p"), Term::iri("o"));
-        assert!(matches!(encode(&g), Err(SnapshotError::Unsealed)));
-        g.seal();
-        assert!(encode(&g).is_ok());
+        assert!(loaded
+            .triples_matching(None, Some(p), None)
+            .eq(g.triples_matching(None, Some(p), None)));
     }
 
     #[test]
     fn empty_graph_roundtrips() {
-        let g = Graph::new();
+        let g = Graph::default();
         let loaded = decode(&encode(&g).unwrap()).unwrap();
         assert!(loaded.is_empty());
     }
 
     #[test]
     fn bad_magic_is_typed() {
-        let mut bytes = encode(&sample_sealed()).unwrap();
+        let mut bytes = encode(&sample()).unwrap();
         bytes[0] ^= 0xFF;
         assert!(matches!(decode(&bytes), Err(SnapshotError::BadMagic)));
     }
 
     #[test]
     fn wrong_version_is_typed() {
-        let mut bytes = encode(&sample_sealed()).unwrap();
+        let mut bytes = encode(&sample()).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         refresh_checksum(&mut bytes);
         assert!(matches!(
@@ -501,7 +483,7 @@ mod tests {
 
     #[test]
     fn every_truncation_point_fails_typed() {
-        let bytes = encode(&sample_sealed()).unwrap();
+        let bytes = encode(&sample()).unwrap();
         for cut in 0..bytes.len() {
             let err = decode(&bytes[..cut]).expect_err("truncated file must not load");
             assert!(
@@ -521,7 +503,7 @@ mod tests {
     fn every_single_bit_flip_fails_or_roundtrips_identically() {
         // Flipping any single bit must either be caught (almost always by
         // the checksum) — never a panic, never a silently different graph.
-        let g = sample_sealed();
+        let g = sample();
         let bytes = encode(&g).unwrap();
         for byte in 0..bytes.len() {
             let mut mutated = bytes.clone();
@@ -535,7 +517,7 @@ mod tests {
 
     #[test]
     fn crafted_unsorted_column_is_structurally_rejected() {
-        let g = sample_sealed();
+        let g = sample();
         let mut bytes = encode(&g).unwrap();
         // Swap the first two SPO rows (each 12 bytes) and fix the checksum:
         // the checksum now matches, so only the sortedness check can object.
@@ -553,7 +535,7 @@ mod tests {
 
     #[test]
     fn crafted_rotation_mismatch_is_rejected() {
-        let g = sample_sealed();
+        let g = sample();
         let mut bytes = encode(&g).unwrap();
         // Point the last OSP row at a different (valid, in-range) value.
         let osp_last = bytes.len() - 8 - 12;
@@ -568,14 +550,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sapphire-snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(shard_file_name("tiny", 0, 2));
-        let g = sample_sealed();
+        let g = sample();
         let size = write(&g, &path).unwrap();
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
         let loaded = load(&path).unwrap();
-        assert_eq!(
-            loaded.matching(None, None, None),
-            g.matching(None, None, None)
-        );
+        assert_eq!(all(&loaded), all(&g));
         std::fs::remove_dir_all(&dir).ok();
     }
 

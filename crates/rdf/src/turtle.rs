@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphBuilder};
 use crate::term::{unescape_literal, Literal, Term};
 use crate::vocab;
 
@@ -31,13 +31,13 @@ impl std::error::Error for TurtleError {}
 
 /// Parse a Turtle document into a fresh graph.
 pub fn parse(input: &str) -> Result<Graph, TurtleError> {
-    let mut g = Graph::new();
-    parse_into(input, &mut g)?;
-    Ok(g)
+    let mut builder = GraphBuilder::new();
+    parse_into(input, &mut builder)?;
+    Ok(builder.build())
 }
 
-/// Parse a Turtle document into an existing graph.
-pub fn parse_into(input: &str, graph: &mut Graph) -> Result<(), TurtleError> {
+/// Parse a Turtle document, adding its triples to a builder.
+pub fn parse_into(input: &str, graph: &mut GraphBuilder) -> Result<(), TurtleError> {
     let mut p = Parser {
         input,
         pos: 0,
@@ -111,7 +111,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn document(&mut self, graph: &mut Graph) -> Result<(), TurtleError> {
+    fn document(&mut self, graph: &mut GraphBuilder) -> Result<(), TurtleError> {
         loop {
             self.skip_trivia();
             if self.rest().is_empty() {
@@ -144,7 +144,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn triples_block(&mut self, graph: &mut Graph) -> Result<(), TurtleError> {
+    fn triples_block(&mut self, graph: &mut GraphBuilder) -> Result<(), TurtleError> {
         let subject = self.term()?;
         if subject.is_literal() {
             return Err(self.err("literal in subject position"));

@@ -26,7 +26,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sapphire_rdf::{Graph, Literal, Term};
+use sapphire_rdf::{Graph, GraphBuilder, Literal, Term};
 use sapphire_sparql::select_rows;
 use sapphire_sparql::{evaluate_select, parse_select, Solutions, WorkBudget};
 
@@ -54,11 +54,11 @@ fn object(k: usize) -> Term {
 }
 
 fn graph(triples: &[(usize, usize, usize)]) -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     for &(s, p, o) in triples {
         g.insert(iri("s", s), iri("p", p), object(o));
     }
-    g
+    g.build()
 }
 
 /// The four FILTERs over `?o`: SPARQL text and the same test in Rust.

@@ -11,7 +11,8 @@ use sapphire_datagen::{generate, DatasetConfig};
 
 fn main() {
     // 1. A SPARQL endpoint. In production this is a remote server; here it is
-    //    the simulated DBpedia-like endpoint (see DESIGN.md).
+    //    the simulated DBpedia-like endpoint (see ARCHITECTURE.md,
+    //    "Substitutions").
     println!("generating a DBpedia-like dataset…");
     let graph = generate(DatasetConfig::tiny(42));
     println!("  {} triples", graph.len());

@@ -174,14 +174,13 @@ proptest! {
             1..30,
         )
     ) {
-        let mut g = Graph::new();
-        for (s, p, o) in &triples {
-            g.insert(
+        let g = Graph::from_term_triples(triples.iter().map(|(s, p, o)| {
+            (
                 Term::iri(format!("http://x/{s}")),
                 Term::iri(format!("http://x/{p}")),
                 Term::en(o.clone()),
-            );
-        }
+            )
+        }));
         let text = ntriples::serialize(&g);
         let g2 = ntriples::parse(&text).expect("serialized graph parses");
         prop_assert_eq!(g.len(), g2.len());
@@ -295,14 +294,13 @@ proptest! {
         names in proptest::collection::vec("[a-f]{1,6}", 1..25),
         limit in 1usize..10,
     ) {
-        let mut g = Graph::new();
-        for (i, n) in names.iter().enumerate() {
-            g.insert(
+        let g = Graph::from_term_triples(names.iter().enumerate().map(|(i, n)| {
+            (
                 Term::iri(format!("http://x/e{i}")),
                 Term::iri("http://x/name"),
                 Term::en(n.clone()),
-            );
-        }
+            )
+        }));
         let all = parse_select("SELECT ?n WHERE { ?s <http://x/name> ?n }").unwrap();
         let distinct = parse_select("SELECT DISTINCT ?n WHERE { ?s <http://x/name> ?n }").unwrap();
         let limited =
