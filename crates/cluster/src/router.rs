@@ -1113,9 +1113,11 @@ impl ClusterRouter {
             // rather than silently dropping the candidate: a degraded
             // suggestion list would make identical requests produce
             // different bytes depending on transient load, which is
-            // exactly what the merge contract forbids.
-            alternatives.extend(top_with_answers(query, kind, half, |rewritten| {
-                self.cluster_answers(tenant, rewritten)
+            // exactly what the merge contract forbids. (A shed *probe*
+            // changes no bytes: the cut then prefetches what it would have
+            // passed over.)
+            alternatives.extend(top_with_answers(query, kind, half, |asked| {
+                self.cluster_answers(tenant, asked).map(Some)
             })?);
         }
 

@@ -15,10 +15,13 @@
 //! with answers" cut (lines 23–24); the model calls it with the federated
 //! processor, a cluster edge with its cluster-wide answers.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use sapphire_rdf::{Literal, Term};
-use sapphire_sparql::{SelectQuery, Solutions, TermPattern};
+use sapphire_sparql::{
+    GraphPattern, InlineData, Projection, SelectItem, SelectQuery, Solutions, TermPattern,
+};
 use sapphire_text::{surface_form, Lexicon};
 
 use crate::cache::{CachedData, ShardedLru};
@@ -66,12 +69,8 @@ impl TermAlternative {
     /// may have arrived off the wire, so it is checked, not trusted.
     pub fn rewrite(&self, base: &SelectQuery) -> Option<SelectQuery> {
         let mut query = base.clone();
-        let triple = query.pattern.triples.get_mut(self.triple_index)?;
-        let slot = match self.position {
-            AlteredPosition::Predicate => &mut triple.predicate,
-            AlteredPosition::Object => &mut triple.object,
-        };
-        *slot = TermPattern::Term(self.term.clone());
+        *slot_mut(&mut query.pattern, (self.triple_index, self.position))? =
+            TermPattern::Term(self.term.clone());
         Some(query)
     }
 
@@ -290,38 +289,116 @@ impl AlternativeFinder {
     }
 }
 
-/// Algorithm 2 lines 23–24: walk one kind's ranked `candidates`, ask
-/// `answers` for each one's rewrite of `base`, and keep the first `take` whose
-/// rewrite returns any — with those answers attached. Probing stops as soon
-/// as `take` are kept, and at the closure's first `Err`, which is returned
-/// as is. Only kept candidates are cloned.
+/// Algorithm 2 lines 23–24: walk one kind's ranked `candidates` and keep the
+/// first `take` whose rewrite of `base` returns answers, with those answers
+/// attached. Only kept candidates are cloned.
 ///
-/// A candidate that does not fit `base` (see [`TermAlternative::rewrite`]) is
-/// skipped here; a caller whose candidates come from outside the process
-/// checks them before it calls.
+/// `answers` is the endpoint: the rows of a query, `Ok(None)` for a query it
+/// could not answer but that fails nothing, `Err` for a failure the caller
+/// wants back. It is asked two kinds of question:
+///
+/// * one **probe** per `(triple_index, position)` slot, the first time the
+///   walk reaches a candidate of that slot: `base`'s pattern and filters with
+///   the slot turned into a fresh variable, `VALUES` that variable over the
+///   slot's candidate terms, `SELECT DISTINCT` that variable — *which* of the
+///   candidates have any answer. A candidate the probe does not report is
+///   passed over without its rewrite being run: a pattern without solutions
+///   has no rows under any modifiers. (Except an aggregate without `GROUP
+///   BY`, which answers one row over no solutions: such a `base` is not
+///   probed.) A probe that was not answered — `Ok(None)` or `Err` — filters
+///   nothing: what is kept never depends on whether a probe succeeded.
+/// * one **prefetch** per candidate that may be kept: its whole rewrite,
+///   modifiers and all. It is kept if that returns rows, passed over on
+///   `Ok(None)`; the first `Err` ends the walk and is returned as is.
+///
+/// The walk stops as soon as `take` are kept, so the endpoint is asked a
+/// question per slot and one per candidate with solutions down to the
+/// `take`-th kept, where every candidate's rewrite used to be one. A
+/// candidate that does not fit `base` (see
+/// [`TermAlternative::rewrite`]) is neither probed nor rewritten; a caller
+/// whose candidates come from outside the process checks them before it
+/// calls.
 pub fn top_with_answers<E>(
     base: &SelectQuery,
     candidates: &[TermAlternative],
     take: usize,
-    mut answers: impl FnMut(&SelectQuery) -> Result<Solutions, E>,
+    mut answers: impl FnMut(&SelectQuery) -> Result<Option<Solutions>, E>,
 ) -> Result<Vec<TermAlternative>, E> {
+    let probed =
+        base.pattern.values.is_none() && (!base.has_aggregates() || !base.group_by.is_empty());
+    // Per slot reached so far: the candidate terms with answers, or `None`
+    // when the probe was not answered.
+    let mut live: Vec<(Slot, Option<HashSet<Term>>)> = Vec::new();
     let mut kept: Vec<TermAlternative> = Vec::new();
     for cand in candidates {
         if kept.len() >= take {
             break;
         }
-        let Some(rewritten) = cand.rewrite(base) else {
+        if cand.triple_index >= base.pattern.triples.len() {
             continue;
-        };
-        let found = answers(&rewritten)?;
-        if !found.is_empty() {
-            kept.push(TermAlternative {
+        }
+        if probed {
+            let slot = (cand.triple_index, cand.position);
+            if !live.iter().any(|(s, _)| *s == slot) {
+                let found = answers(&probe(base, slot, candidates)).ok().flatten();
+                let terms = |f: Solutions| f.rows.into_iter().filter_map(|mut row| row.pop()?);
+                live.push((slot, found.map(|f| terms(f).collect())));
+            }
+            let (_, live) = live.iter().find(|(s, _)| *s == slot).expect("just probed");
+            if live.as_ref().is_some_and(|live| !live.contains(&cand.term)) {
+                continue;
+            }
+        }
+        let rewritten = cand.rewrite(base).expect("the index is inside `base`");
+        match answers(&rewritten)? {
+            Some(found) if !found.is_empty() => kept.push(TermAlternative {
                 answers: found,
                 ..cand.clone()
-            });
+            }),
+            _ => {}
         }
     }
     Ok(kept)
+}
+
+/// What one alternative replaces.
+type Slot = (usize, AlteredPosition);
+
+fn slot_mut(pattern: &mut GraphPattern, (triple, position): Slot) -> Option<&mut TermPattern> {
+    let triple = pattern.triples.get_mut(triple)?;
+    Some(match position {
+        AlteredPosition::Predicate => &mut triple.predicate,
+        AlteredPosition::Object => &mut triple.object,
+    })
+}
+
+/// "Which of `slot`'s candidate terms have any answer?" — see
+/// [`top_with_answers`].
+fn probe(base: &SelectQuery, slot: Slot, candidates: &[TermAlternative]) -> SelectQuery {
+    let taken = base.pattern.variables();
+    let var = (0..)
+        .map(|n| format!("alt{n}"))
+        .find(|name| !taken.contains(name))
+        .expect("a pattern names finitely many variables");
+    let mut pattern = base.pattern.clone();
+    *slot_mut(&mut pattern, slot).expect("the slot is inside `base`") =
+        TermPattern::Var(var.clone());
+    // Counted before they are cloned: a list of a thousand terms is
+    // allocated once, at its size.
+    let of_slot: Vec<&Term> = candidates
+        .iter()
+        .filter(|c| (c.triple_index, c.position) == slot)
+        .map(|c| &c.term)
+        .collect();
+    pattern.values = Some(InlineData {
+        terms: of_slot.into_iter().cloned().collect(),
+        var: var.clone(),
+    });
+    SelectQuery {
+        distinct: true,
+        projection: Projection::Items(vec![SelectItem::Var(var)]),
+        ..SelectQuery::star(pattern)
+    }
 }
 
 #[cfg(test)]
@@ -491,57 +568,231 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
         assert_eq!(stray.rewrite(&q), None);
     }
 
+    /// A stub endpoint for the cut: a probe (the one question with `VALUES`)
+    /// is answered with `live`, one row a term; anything else is a prefetch,
+    /// logged by the term it put in the first triple's object slot and
+    /// answered by `prefetch` (given that log's length).
+    #[derive(Default)]
+    struct Asked {
+        probes: Vec<SelectQuery>,
+        prefetched: Vec<Term>,
+    }
+
+    fn ask<E>(
+        asked: &mut Asked,
+        query: &SelectQuery,
+        live: &[&Term],
+        prefetch: impl FnOnce(usize) -> Result<Option<Solutions>, E>,
+    ) -> Result<Option<Solutions>, E> {
+        if let Some(data) = &query.pattern.values {
+            asked.probes.push(query.clone());
+            return Ok(Some(Solutions {
+                vars: vec![data.var.clone()],
+                rows: live.iter().map(|t| vec![Some((*t).clone())]).collect(),
+            }));
+        }
+        let slot = query.pattern.triples[0].object.as_term().unwrap().clone();
+        asked.prefetched.push(slot);
+        prefetch(asked.prefetched.len())
+    }
+
+    fn terms(candidates: &[TermAlternative]) -> Vec<Term> {
+        candidates.iter().map(|c| c.term.clone()).collect()
+    }
+
     #[test]
     fn the_cut_stops_probing_once_take_are_kept() {
         let (q, candidates) = five_candidates();
-        let mut probes = 0;
-        let kept = top_with_answers(&q, &candidates, 2, |_| {
-            probes += 1;
-            Ok::<_, Infallible>(one_row())
+        let all = terms(&candidates);
+        let live: Vec<&Term> = all.iter().collect();
+        let mut log = Asked::default();
+        let kept = top_with_answers(&q, &candidates, 2, |query| {
+            ask(&mut log, query, &live, |_| {
+                Ok::<_, Infallible>(Some(one_row()))
+            })
         })
         .unwrap();
-        assert_eq!(
-            probes, 2,
-            "candidates past the second kept are not executed"
-        );
+        // One probe for the one slot, then a prefetch per kept candidate:
+        // candidates past the second kept are not executed.
+        assert_eq!(log.probes.len(), 1);
+        assert_eq!(log.prefetched, all[..2]);
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[0].replacement, "alt0");
         assert_eq!(kept[1].answers, one_row());
+        // The probe: the pattern with the slot a fresh variable, that
+        // variable over every candidate term in rank order, DISTINCT, bare.
+        let expected = parse_select(&format!(
+            "SELECT DISTINCT ?alt0 WHERE {{ ?p dbo:surname ?alt0 VALUES ?alt0 {{ {} }} }}",
+            all.iter()
+                .map(Term::to_string)
+                .collect::<Vec<_>>()
+                .join(" ")
+        ))
+        .unwrap();
+        assert_eq!(log.probes[0], expected);
     }
 
     #[test]
     fn the_cut_skips_rewrites_without_answers() {
-        let (q, candidates) = five_candidates();
-        let mut probed = Vec::new();
-        let kept = top_with_answers(&q, &candidates, 2, |rewritten| {
-            probed.push(rewritten.pattern.triples[0].object.clone());
-            let hit = probed.len() % 2 == 0;
-            Ok::<_, Infallible>(if hit { one_row() } else { Solutions::default() })
+        let (q, mut candidates) = five_candidates();
+        // Best of all, but aimed outside the query: neither probed nor
+        // rewritten.
+        let stray = TermAlternative {
+            triple_index: 1,
+            term: Term::en("stray"),
+            ..candidates[0].clone()
+        };
+        candidates.insert(0, stray);
+        let all = terms(&candidates[1..]);
+        let live = [&all[1], &all[3], &all[4]];
+        let mut log = Asked::default();
+        let kept = top_with_answers(&q, &candidates, 2, |query| {
+            // alt1 has solutions but its whole rewrite (a slice, say) no rows.
+            ask(&mut log, query, &live, |nth| {
+                Ok::<_, Infallible>(Some(if nth == 1 {
+                    Solutions::default()
+                } else {
+                    one_row()
+                }))
+            })
         })
         .unwrap();
         let names: Vec<&str> = kept.iter().map(|a| a.replacement.as_str()).collect();
-        assert_eq!(names, ["alt1", "alt3"]);
-        // Each probe was the candidate's own rewrite, in rank order.
-        let expected: Vec<TermPattern> = candidates[..4]
-            .iter()
-            .map(|c| TermPattern::Term(c.term.clone()))
+        assert_eq!(names, ["alt3", "alt4"]);
+        // What the probe did not report was never run; what it did report
+        // was, each its own rewrite, in rank order.
+        assert_eq!(
+            log.prefetched,
+            [live[0].clone(), live[1].clone(), live[2].clone()]
+        );
+        assert_eq!(log.probes.len(), 1);
+        let data = log.probes[0].pattern.values.as_ref().unwrap();
+        assert_eq!(
+            data.terms.to_vec(),
+            all,
+            "the stray's term is not asked about"
+        );
+    }
+
+    #[test]
+    fn the_cut_probes_a_slot_when_the_walk_first_reaches_it() {
+        let q = parse_select(
+            r#"SELECT ?p WHERE { ?p dbo:surname "x"@en . ?p dbo:name "y"@en } ORDER BY ?p LIMIT 3"#,
+        )
+        .unwrap();
+        let (_, first) = five_candidates();
+        // Ranked: slot 0, slot 1, slot 0, slot 1, slot 0.
+        let candidates: Vec<TermAlternative> = first
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| TermAlternative {
+                triple_index: i % 2,
+                ..c
+            })
             .collect();
-        assert_eq!(probed, expected);
+        let all = terms(&candidates);
+        for (take, probes, prefetches) in [(1, 1, 1), (2, 2, 2), (9, 2, 5)] {
+            let live: Vec<&Term> = all.iter().collect();
+            let mut log = Asked::default();
+            let mut prefetched = Vec::new();
+            let kept = top_with_answers(&q, &candidates, take, |query| {
+                if query.pattern.values.is_none() {
+                    prefetched.push(query.clone());
+                }
+                ask(&mut log, query, &live, |_| {
+                    Ok::<_, Infallible>(Some(one_row()))
+                })
+            })
+            .unwrap();
+            assert_eq!(kept.len(), prefetches);
+            assert_eq!((log.probes.len(), prefetched.len()), (probes, prefetches));
+            // A prefetch is the candidate's own rewrite, modifiers and all; a
+            // probe carries the pattern alone, its slot's terms only.
+            for (rewritten, cand) in prefetched.iter().zip(&candidates) {
+                assert_eq!(Some(rewritten), cand.rewrite(&q).as_ref());
+            }
+            for (slot, probe) in log.probes.iter().enumerate() {
+                assert!(probe.order_by.is_empty() && probe.limit.is_none());
+                let data = probe.pattern.values.as_ref().unwrap();
+                let of_slot: Vec<Term> = all.iter().skip(slot).step_by(2).cloned().collect();
+                assert_eq!(data.terms.to_vec(), of_slot);
+                assert_eq!(
+                    probe.pattern.triples[slot].object,
+                    TermPattern::var(&data.var)
+                );
+                assert_eq!(probe.pattern.triples[1 - slot], q.pattern.triples[1 - slot]);
+            }
+        }
     }
 
     #[test]
     fn the_cut_returns_the_first_error_without_probing_further() {
         let (q, candidates) = five_candidates();
-        let mut probes = 0;
-        let result = top_with_answers(&q, &candidates, 5, |_| {
-            probes += 1;
-            if probes == 2 {
-                Err("shed")
-            } else {
-                Ok(one_row())
-            }
+        let all = terms(&candidates);
+        let live: Vec<&Term> = all.iter().collect();
+        let mut log = Asked::default();
+        let result = top_with_answers(&q, &candidates, 5, |query| {
+            ask(&mut log, query, &live, |nth| match nth {
+                1 => Ok(None),
+                2 => Ok(Some(one_row())),
+                _ => Err("shed"),
+            })
         });
         assert_eq!(result.unwrap_err(), "shed");
-        assert_eq!(probes, 2);
+        assert_eq!((log.probes.len(), log.prefetched.len()), (1, 3));
+        // A prefetch the endpoint could not answer is passed over.
+        let kept = top_with_answers(&q, &candidates, 5, |query| {
+            ask(&mut Asked::default(), query, &live, |_| {
+                Ok::<_, Infallible>(None)
+            })
+        })
+        .unwrap();
+        assert!(kept.is_empty());
+    }
+
+    #[test]
+    fn a_probe_that_is_not_answered_filters_nothing() {
+        let (q, candidates) = five_candidates();
+        let all = terms(&candidates);
+        for failed in [Ok(None), Err("probe refused")] {
+            let mut prefetched = Vec::new();
+            let kept = top_with_answers(&q, &candidates, 2, |query| {
+                if query.pattern.values.is_some() {
+                    return failed.clone();
+                }
+                prefetched.push(query.pattern.triples[0].object.as_term().unwrap().clone());
+                Ok(Some(if prefetched.len() % 2 == 0 {
+                    one_row()
+                } else {
+                    Solutions::default()
+                }))
+            })
+            .unwrap();
+            // The walk of old: every candidate's rewrite, in rank order,
+            // until `take` are kept.
+            assert_eq!(prefetched, all[..4]);
+            let names: Vec<&str> = kept.iter().map(|a| a.replacement.as_str()).collect();
+            assert_eq!(names, ["alt1", "alt3"]);
+        }
+    }
+
+    #[test]
+    fn an_aggregate_without_group_by_is_not_probed() {
+        let (_, candidates) = five_candidates();
+        let count = r#"SELECT (COUNT(?p) AS ?n) WHERE { ?p dbo:surname "x"@en }"#;
+        let grouped = r#"SELECT ?p (COUNT(?p) AS ?n) WHERE { ?p dbo:surname "x"@en } GROUP BY ?p"#;
+        for (query, probes, prefetches) in [(count, 0, 5), (grouped, 1, 0)] {
+            let mut log = Asked::default();
+            let kept = top_with_answers(&parse_select(query).unwrap(), &candidates, 9, |q| {
+                // No candidate has a solution; a bare COUNT answers "0" anyway.
+                ask(&mut log, q, &[], |_| Ok::<_, Infallible>(Some(one_row())))
+            })
+            .unwrap();
+            assert_eq!(
+                (log.probes.len(), log.prefetched.len()),
+                (probes, prefetches)
+            );
+            assert_eq!(kept.len(), prefetches);
+        }
     }
 }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use sapphire_endpoint::FederatedProcessor;
 use sapphire_rdf::{Literal, Term};
-use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, TermPattern};
+use sapphire_sparql::{Query, SelectQuery, Solutions, TermPattern};
 use sapphire_text::Lexicon;
 
 use crate::cache::CachedData;
@@ -155,8 +155,8 @@ impl QuerySuggestion {
         let (predicates, literals) = candidates.split_at(predicate_count);
         let mut alternatives = Vec::new();
         for kind in [predicates, literals] {
-            let Ok(kept) = top_with_answers(query, kind, half, |rewritten| {
-                Ok::<_, Infallible>(answers_or_empty(fed, rewritten))
+            let Ok(kept) = top_with_answers(query, kind, half, |asked| {
+                Ok::<_, Infallible>(answers(fed, asked))
             });
             alternatives.extend(kept);
         }
@@ -204,8 +204,7 @@ impl QuerySuggestion {
             }
             drop(timer);
             if let Some(relaxed) = relaxed {
-                let answers = answers_or_empty(fed, &relaxed.query);
-                if !answers.is_empty() {
+                if let Some(answers) = answers(fed, &relaxed.query).filter(|a| !a.is_empty()) {
                     relaxations.push(StructureSuggestion { relaxed, answers });
                 }
             }
@@ -222,13 +221,14 @@ impl QuerySuggestion {
     }
 }
 
-/// The federated answers of a suggested query; an endpoint error or a
-/// non-SELECT result reads as no answers (the suggestion is then not shown).
-fn answers_or_empty(fed: &FederatedProcessor, query: &SelectQuery) -> Solutions {
-    match fed.execute_parsed(&Query::Select(query.clone())) {
-        Ok(QueryResult::Solutions(s)) => s,
-        _ => Solutions::default(),
-    }
+/// The federated answers of a suggested query, `None` when the endpoint
+/// failed it: a suggestion is not shown without answers either way, but a
+/// probe that failed says nothing about its candidates
+/// (see [`top_with_answers`]).
+fn answers(fed: &FederatedProcessor, query: &SelectQuery) -> Option<Solutions> {
+    fed.execute_parsed(&Query::Select(query.clone()))
+        .ok()?
+        .into_solutions()
 }
 
 /// Ground literals appearing as objects in the query.

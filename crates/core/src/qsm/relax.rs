@@ -205,7 +205,7 @@ impl<'a> Explorer<'a> {
     ) -> Option<sapphire_sparql::Solutions> {
         let query = Query::Select(SelectQuery::star(GraphPattern {
             triples: vec![TriplePattern::new(s, p, o)],
-            filters: Vec::new(),
+            ..GraphPattern::default()
         }));
         match self.fed.execute_parsed(&query) {
             Ok(QueryResult::Solutions(sols)) => Some(sols),

@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use sapphire_rdf::{vocab, Graph, Literal, Term};
+use sapphire_rdf::{vocab, Graph, Literal, Term, TermId};
 use sapphire_sparql::ast::{Aggregate, Expr, Projection, SelectItem, TermPattern};
 use sapphire_sparql::eval::{evaluate, EvalError, WorkBudget};
 use sapphire_sparql::{parse_query, OrderKey, Query, QueryResult, SelectQuery, Solutions};
@@ -192,30 +192,44 @@ impl LocalEndpoint {
     /// The endpoint's up-front cost estimate for a query: the sum of index
     /// cardinalities of its triple patterns with only ground terms bound —
     /// a crude planner estimate, which is exactly what public endpoints use
-    /// for admission control.
+    /// for admission control. A `VALUES` variable counts as bound: a pattern
+    /// it occurs in costs the sum of its ranges over the values the graph
+    /// holds, so a batched look-up is priced as the look-ups it replaces,
+    /// not as a scan.
     pub fn estimate_cost(&self, query: &Query) -> u64 {
-        let pattern = match query {
-            Query::Select(s) => &s.pattern,
-            Query::Ask(gp) => gp,
-        };
+        let pattern = query.pattern();
+        let inline = pattern.values.as_ref();
+        let present: Vec<TermId> = inline
+            .iter()
+            .flat_map(|data| data.terms.iter())
+            .filter_map(|t| self.graph.term_id(t))
+            .collect();
         pattern
             .triples
             .iter()
             .map(|tp| {
-                let id = |p: &sapphire_sparql::TermPattern| {
-                    p.as_term().and_then(|t| self.graph.term_id(t))
+                // The pattern's range with `value` standing where the
+                // `VALUES` variable does.
+                let range = |value: Option<TermId>| -> u64 {
+                    let mut ids = [None; 3];
+                    for (id, position) in ids.iter_mut().zip(tp.positions()) {
+                        *id = match position {
+                            TermPattern::Term(t) => match self.graph.term_id(t) {
+                                Some(id) => Some(id),
+                                // A ground term absent from the graph ⇒ zero matches.
+                                None => return 0,
+                            },
+                            TermPattern::Var(v) if inline.is_some_and(|d| d.var == *v) => value,
+                            TermPattern::Var(_) => None,
+                        };
+                    }
+                    let [s, p, o] = ids;
+                    self.graph.triples_matching(s, p, o).len() as u64
                 };
-                // A ground term absent from the graph ⇒ zero matches.
-                let any_absent = tp
-                    .positions()
-                    .iter()
-                    .any(|p| p.as_term().is_some() && id(p).is_none());
-                if any_absent {
-                    0
+                if inline.is_some_and(|d| tp.variables().any(|v| v == d.var)) {
+                    present.iter().map(|&id| range(Some(id))).sum()
                 } else {
-                    self.graph
-                        .triples_matching(id(&tp.subject), id(&tp.predicate), id(&tp.object))
-                        .len() as u64
+                    range(None)
                 }
             })
             .sum()
@@ -263,7 +277,10 @@ impl LocalEndpoint {
         &self,
         select: &SelectQuery,
     ) -> Option<(String, String, Vec<(sapphire_rdf::TermId, usize)>)> {
-        if select.pattern.triples.len() != 1 || select.group_by.len() != 1 {
+        if select.pattern.triples.len() != 1
+            || select.group_by.len() != 1
+            || select.pattern.values.is_some()
+        {
             return None;
         }
         let tp = &select.pattern.triples[0];
@@ -364,6 +381,15 @@ impl Endpoint for LocalEndpoint {
         match result {
             Ok(mut r) => {
                 if let (Some(cap), QueryResult::Solutions(s)) = (self.limits.max_results, &mut r) {
+                    // Whoever batches look-ups with `VALUES` reads a value
+                    // without rows as a value without matches, so a cut
+                    // answer is refused, not returned short.
+                    if s.rows.len() > cap && query.pattern().values.is_some() {
+                        return Err(EndpointError::Eval(format!(
+                            "inline-data answer of {} rows exceeds the row cap {cap}",
+                            s.rows.len()
+                        )));
+                    }
                     s.rows.truncate(cap);
                 }
                 Ok(r)
@@ -453,6 +479,64 @@ mod tests {
         let ep = LocalEndpoint::new("t", graph(10), EndpointLimits::warehouse());
         let q = parse_query("SELECT ?o WHERE { <http://x/missing> ?p ?o }").unwrap();
         assert_eq!(ep.estimate_cost(&q), 0);
+    }
+
+    #[test]
+    fn a_values_variable_estimates_as_bound() {
+        // Ten subjects under one predicate; the batched look-up of three
+        // objects (one absent) is priced at its two ranges, the scan at ten.
+        let ep = LocalEndpoint::new("t", graph(10), EndpointLimits::warehouse());
+        let scan = parse_query("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap();
+        assert_eq!(ep.estimate_cost(&scan), 10);
+        let batched = parse_query(
+            r#"SELECT DISTINCT ?o WHERE { ?s <http://x/p> ?o VALUES ?o { "value 1"@en "value 7"@en "no such"@en } }"#,
+        )
+        .unwrap();
+        assert_eq!(ep.estimate_cost(&batched), 2);
+        // A pattern the variable is not in costs what it cost, and a guarded
+        // endpoint that rejects the scan admits the batch.
+        let joined =
+            parse_query(r#"ASK { ?s <http://x/p> ?o . ?s ?q ?r VALUES ?o { "value 1"@en } }"#)
+                .unwrap();
+        assert_eq!(ep.estimate_cost(&joined), 1 + 10);
+        let limits = EndpointLimits {
+            timeout_work: None,
+            reject_above: Some(5),
+            max_results: None,
+        };
+        let guarded = LocalEndpoint::new("strict", graph(10), limits);
+        assert!(matches!(
+            guarded.execute_parsed(&scan),
+            Err(EndpointError::Rejected { estimated_cost: 10 })
+        ));
+        assert_eq!(
+            guarded
+                .execute_parsed(&batched)
+                .unwrap()
+                .into_solutions()
+                .unwrap()
+                .len(),
+            2
+        );
+    }
+
+    #[test]
+    fn an_inline_data_answer_over_the_row_cap_is_refused_not_cut() {
+        let limits = EndpointLimits {
+            timeout_work: None,
+            reject_above: None,
+            max_results: Some(2),
+        };
+        let ep = LocalEndpoint::new("capped", graph(10), limits);
+        let values = |n: usize| {
+            let listed: Vec<String> = (0..n).map(|i| format!("\"value {i}\"@en")).collect();
+            format!(
+                "SELECT DISTINCT ?o WHERE {{ ?s <http://x/p> ?o VALUES ?o {{ {} }} }}",
+                listed.join(" ")
+            )
+        };
+        assert_eq!(ep.select(&values(2)).unwrap().len(), 2);
+        assert!(matches!(ep.select(&values(3)), Err(EndpointError::Eval(_))));
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //! are [`sapphire_sparql::select_rows`], the evaluator's own modifiers over
 //! term rows, so an answer does not depend on how many endpoints held the
 //! data.
+//!
+//! A query with inline data (`VALUES`) is answered whole or not at all: its
+//! sender reads a value without rows as a value without matches, so it is
+//! never routed to a covering endpoint alone and a source's error fails it.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use sapphire_rdf::Term;
@@ -112,18 +117,23 @@ impl FederatedProcessor {
     }
 
     fn execute_federated(&self, query: &Query) -> Result<QueryResult, FederationError> {
-        let gp = match query {
-            Query::Select(s) => &s.pattern,
-            Query::Ask(gp) => gp,
-        };
+        let gp = query.pattern();
         if gp.triples.is_empty() {
             return Err(FederationError::Unsupported("empty graph pattern".into()));
         }
+        let aggregated = matches!(query, Query::Select(select)
+            if select.has_aggregates() || !select.group_by.is_empty());
         // Independent datasets: a source that fails a probe or a sub-query
-        // is a source without matches, and the others still answer.
+        // is a source without matches, and the others still answer. Not so
+        // under inline data: whoever batches look-ups with `VALUES` reads a
+        // value without rows as a value without matches, so that answer is
+        // whole or an error — a source that fails fails the plan, and the
+        // join is always taken across sources (a covering endpoint's own
+        // answer, empty or not, lacks the values whose join spans).
+        let batched = gp.values.is_some();
         let plan = Plan {
             endpoints: &self.endpoints.iter().map(Arc::as_ref).collect::<Vec<_>>(),
-            strict: false,
+            strict: batched,
         };
         let sources = plan.select_sources(gp)?;
 
@@ -132,8 +142,8 @@ impl FederatedProcessor {
             .filter(|i| sources.iter().all(|s| s.contains(i)))
             .collect();
 
-        if !covering.is_empty() {
-            let result = self.union_over(query, &covering)?;
+        if !covering.is_empty() && (aggregated || !batched) {
+            let result = plan.union_over(query, &covering)?;
             // A covering endpoint answers each pattern individually, but the
             // *join* may still span endpoints (e.g. people on one source,
             // their birthplaces' names on another). If the single-source
@@ -144,13 +154,8 @@ impl FederatedProcessor {
             let join_may_span = sources
                 .iter()
                 .any(|s| s.iter().any(|i| !covering.contains(i)));
-            if !(came_back_empty && join_may_span) {
+            if aggregated || !(came_back_empty && join_may_span) {
                 return Ok(result);
-            }
-            if let Query::Select(select) = query {
-                if select.has_aggregates() || !select.group_by.is_empty() {
-                    return Ok(result);
-                }
             }
         }
 
@@ -160,7 +165,7 @@ impl FederatedProcessor {
                 !plan.bound_join(gp, &sources, Some(1))?.is_empty(),
             ));
         };
-        if select.has_aggregates() || !select.group_by.is_empty() {
+        if aggregated {
             return Err(FederationError::Unsupported(
                 "aggregates over patterns spanning multiple endpoints".into(),
             ));
@@ -171,56 +176,6 @@ impl FederatedProcessor {
             &gp.variables(),
             rows,
         )))
-    }
-
-    /// Run the whole query on each covering endpoint and union the rows.
-    fn union_over(
-        &self,
-        query: &Query,
-        covering: &[usize],
-    ) -> Result<QueryResult, FederationError> {
-        let mut first_err: Option<EndpointError> = None;
-        let mut merged: Option<Solutions> = None;
-        let mut boolean = false;
-        let mut any_ok = false;
-        for &i in covering {
-            match self.endpoints[i].execute_parsed(query) {
-                Ok(QueryResult::Boolean(b)) => {
-                    any_ok = true;
-                    boolean |= b;
-                }
-                Ok(QueryResult::Solutions(s)) => {
-                    any_ok = true;
-                    merged = Some(match merged.take() {
-                        None => s,
-                        Some(mut acc) => {
-                            if acc.vars == s.vars {
-                                for row in s.rows {
-                                    if !acc.rows.contains(&row) {
-                                        acc.rows.push(row);
-                                    }
-                                }
-                            }
-                            acc
-                        }
-                    });
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if !any_ok {
-            return Err(FederationError::AllSourcesFailed(
-                first_err.unwrap_or(EndpointError::Eval("no covering endpoint".into())),
-            ));
-        }
-        Ok(match merged {
-            Some(s) => QueryResult::Solutions(s),
-            None => QueryResult::Boolean(boolean),
-        })
     }
 }
 
@@ -267,8 +222,9 @@ pub fn execute_partitioned(
 /// Source selection and bound join over one set of endpoints.
 struct Plan<'a> {
     endpoints: &'a [&'a dyn Endpoint],
-    /// Whether an endpoint error fails the plan (partitions of one dataset)
-    /// or reads as "no match there" (independent datasets).
+    /// Whether an endpoint error fails the plan (partitions of one dataset,
+    /// or inline data anywhere) or reads as "no match there" (independent
+    /// datasets).
     strict: bool,
 }
 
@@ -286,6 +242,53 @@ impl Plan<'_> {
         }
     }
 
+    /// Run the whole query on each covering endpoint and union the rows.
+    fn union_over(
+        &self,
+        query: &Query,
+        covering: &[usize],
+    ) -> Result<QueryResult, FederationError> {
+        let mut first_err: Option<EndpointError> = None;
+        // The first answer's row count, and every compatible answer's rows.
+        let mut merged: Option<(usize, Solutions)> = None;
+        let mut boolean = false;
+        let mut any_ok = false;
+        for &i in covering {
+            match self.endpoints[i].execute_parsed(query) {
+                Ok(QueryResult::Boolean(b)) => {
+                    any_ok = true;
+                    boolean |= b;
+                }
+                Ok(QueryResult::Solutions(s)) => {
+                    any_ok = true;
+                    match &mut merged {
+                        None => merged = Some((s.rows.len(), s)),
+                        Some((_, acc)) if acc.vars == s.vars => acc.rows.extend(s.rows),
+                        Some(_) => {}
+                    }
+                }
+                Err(e) if self.strict => return Err(FederationError::AllSourcesFailed(e)),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        if !any_ok {
+            return Err(FederationError::AllSourcesFailed(
+                first_err.unwrap_or(EndpointError::Eval("no covering endpoint".into())),
+            ));
+        }
+        Ok(match merged {
+            Some((first, mut s)) => {
+                // The first endpoint's answer stands as it came; a later
+                // endpoint adds the rows not seen before it.
+                retain_first_seen(&mut s.rows, first);
+                QueryResult::Solutions(s)
+            }
+            None => QueryResult::Boolean(boolean),
+        })
+    }
+
     /// Per-pattern source selection: which endpoints have at least one match
     /// for each triple pattern? (FedX's ASK-probe phase.)
     fn select_sources(&self, gp: &GraphPattern) -> Result<Vec<Vec<usize>>, FederationError> {
@@ -293,7 +296,7 @@ impl Plan<'_> {
         for tp in &gp.triples {
             let probe = Query::Ask(GraphPattern {
                 triples: vec![tp.clone()],
-                filters: Vec::new(),
+                ..GraphPattern::default()
             });
             let mut matching = Vec::new();
             for (i, endpoint) in self.endpoints.iter().enumerate() {
@@ -310,6 +313,11 @@ impl Plan<'_> {
 
     /// Nested-loop bound join: evaluate patterns left to right, substituting
     /// bindings and fanning each step out to that pattern's sources.
+    ///
+    /// Inline data rides on the step that first meets its variable: that
+    /// pattern's sub-queries carry the `VALUES` block, so a source answers
+    /// for all the values at once and the join goes on with the values that
+    /// matched — at the cost of one join, not one per value.
     fn bound_join(
         &self,
         gp: &GraphPattern,
@@ -318,6 +326,12 @@ impl Plan<'_> {
     ) -> Result<Vec<Binding>, FederationError> {
         let names = gp.variables();
         let column = |name: &str| names.iter().position(|n| n == name);
+        if let Some(data) = gp.values.as_ref().filter(|data| !gp.binds(&data.var)) {
+            return Err(FederationError::Unsupported(format!(
+                "VALUES ?{} without a triple pattern that binds it",
+                data.var
+            )));
+        }
         let mut bindings: Vec<Binding> = vec![vec![None; names.len()]];
         for (tp, srcs) in gp.triples.iter().zip(sources) {
             if srcs.is_empty() {
@@ -330,6 +344,11 @@ impl Plan<'_> {
                 let sub_query = Query::Select(SelectQuery::star(GraphPattern {
                     triples: vec![bound.clone()],
                     filters: Vec::new(),
+                    values: gp
+                        .values
+                        .as_ref()
+                        .filter(|data| vars.contains(&data.var.as_str()))
+                        .cloned(),
                 }));
                 for &src in srcs {
                     let Some(QueryResult::Solutions(sols)) =
@@ -346,12 +365,13 @@ impl Plan<'_> {
                                 _ => ok = false,
                             }
                         }
-                        if ok && !next.contains(&extended) {
+                        if ok {
                             next.push(extended);
                         }
                     }
                 }
             }
+            retain_first_seen(&mut next, 0);
             bindings = next;
             if bindings.is_empty() {
                 break;
@@ -369,6 +389,19 @@ impl Plan<'_> {
         }
         Ok(bindings)
     }
+}
+
+/// Drop every row equal to one before it; the first `standing` rows stay
+/// whatever they repeat.
+fn retain_first_seen(rows: &mut Vec<Binding>, standing: usize) {
+    let mut seen: HashSet<&Binding> = HashSet::with_capacity(rows.len());
+    let fresh: Vec<bool> = rows
+        .iter()
+        .enumerate()
+        .map(|(at, row)| seen.insert(row) || at < standing)
+        .collect();
+    let mut fresh = fresh.into_iter();
+    rows.retain(|_| fresh.next().expect("one flag per row"));
 }
 
 /// `tp` with every variable `bound` resolves replaced by its term.
@@ -553,6 +586,114 @@ res:Wells dbo:population 12000 .
         }
     }
 
+    /// Inline data answers alike wherever the data sits: on the one endpoint
+    /// that holds it all, bound-joined across two that each hold half, and
+    /// across two that overlap.
+    #[test]
+    fn a_values_probe_answers_alike_from_one_endpoint_and_from_two() {
+        let all = format!("{PEOPLE}{PLACES}");
+        let one = FederatedProcessor::single(make("all", &all));
+        let mut split = FederatedProcessor::new();
+        split.register(make("people", PEOPLE));
+        split.register(make("places", PLACES));
+        let mut overlapping = FederatedProcessor::new();
+        overlapping.register(make("people", PEOPLE));
+        overlapping.register(make("all", &all));
+        let sorted = |fed: &FederatedProcessor, query: &str| {
+            let mut rows = fed.select(query).unwrap().rows;
+            rows.sort();
+            rows
+        };
+        for (query, expected) in [
+            (
+                r#"SELECT DISTINCT ?n WHERE { ?s dbo:name ?n ; dbo:birthPlace ?p
+                   VALUES ?n { "Cy" "Zed" "Ada" "Cy" } }"#,
+                vec![Term::literal("Ada"), Term::literal("Cy")],
+            ),
+            (
+                r#"SELECT DISTINCT ?p WHERE { ?s dbo:name "Cy" ; dbo:birthPlace ?p . ?p dbo:population ?pop
+                   VALUES ?p { res:Ely res:Wells res:Mars res:Leeds } }"#,
+                vec![
+                    Term::iri("http://dbpedia.org/resource/Leeds"),
+                    Term::iri("http://dbpedia.org/resource/Wells"),
+                ],
+            ),
+        ] {
+            let expected: Vec<Binding> = expected.into_iter().map(|t| vec![Some(t)]).collect();
+            for fed in [&one, &split, &overlapping] {
+                assert_eq!(sorted(fed, query), expected, "{query}");
+            }
+        }
+        // Not DISTINCT, the one endpoint's duplicates stand and the second's
+        // copies of them are dropped.
+        let twice = r#"SELECT ?n WHERE { ?s dbo:name ?n VALUES ?n { "Cy" } }"#;
+        assert_eq!(sorted(&one, twice).len(), 2);
+        assert_eq!(sorted(&overlapping, twice), sorted(&one, twice));
+        assert!(matches!(
+            split.select(
+                r#"SELECT ?n WHERE { ?s dbo:name ?n . ?p dbo:population ?q VALUES ?x { "Cy" } }"#
+            ),
+            Err(FederationError::Unsupported(_))
+        ));
+    }
+
+    /// Rows of two covering endpoints are unioned: the first's stand as they
+    /// came, duplicates included, and the second adds only what is new.
+    #[test]
+    fn a_covering_union_keeps_the_first_answer_and_adds_unseen_rows() {
+        let mut fed = FederatedProcessor::new();
+        fed.register(make("people", PEOPLE));
+        fed.register(make("more", &format!("{PEOPLE}res:Dee dbo:name \"Dee\" .")));
+        let s = fed
+            .select("SELECT ?name WHERE { ?s dbo:name ?name }")
+            .unwrap();
+        assert_eq!(names(&s), ["Ada", "Bob", "Cy", "Cy", "Dee"]);
+    }
+
+    /// Whoever sends inline data reads a value without rows as a value
+    /// without matches, so that answer is whole or an error: a covering
+    /// endpoint's own, shorter answer does not stand in for the join across
+    /// sources, and a source that fails is not skipped.
+    #[test]
+    fn inline_data_is_answered_whole_or_not_at_all() {
+        // "most" matches every pattern but joins only "Cy" by itself; "Ada"
+        // needs the name and birthplace that "rest" holds.
+        let most = format!("res:Cy1 dbo:name \"Cy\" ; dbo:birthPlace res:Leeds .{PLACES}");
+        let rest = r#"res:Ada dbo:name "Ada" ; dbo:birthPlace res:Ely ."#;
+        let pattern = "?s dbo:name ?n ; dbo:birthPlace ?p . ?p dbo:population ?pop";
+        let probe =
+            format!(r#"SELECT DISTINCT ?n WHERE {{ {pattern} VALUES ?n {{ "Cy" "Zed" "Ada" }} }}"#);
+        let federation = |fail_from| {
+            let flaky = Arc::new(shedding(make("rest", rest), fail_from));
+            let mut fed = FederatedProcessor::new();
+            fed.register(make("most", &most));
+            fed.register(flaky.clone());
+            (fed, flaky)
+        };
+        let (fed, healthy) = federation(usize::MAX);
+        let whole = fed.select(&probe).unwrap();
+        let found: Vec<&str> = whole.values("n").map(|t| t.lexical()).collect();
+        assert_eq!(found, ["Cy", "Ada"]);
+        let calls = healthy.calls.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(calls > 2, "probes and sub-queries both reach the source");
+        for fail_from in 1..=calls {
+            let (fed, _) = federation(fail_from);
+            assert_eq!(
+                fed.select(&probe),
+                Err(FederationError::AllSourcesFailed(
+                    EndpointError::Overloaded {
+                        in_flight: fail_from
+                    }
+                )),
+                "shedding from call {fail_from} of {calls}"
+            );
+        }
+        // Without inline data the same source is a source without matches.
+        let (fed, _) = federation(1);
+        let plain = fed.select(&format!("SELECT DISTINCT ?n WHERE {{ {pattern} }}"));
+        assert_eq!(plain.unwrap().len(), 1);
+    }
+
     /// Answers until its `fail_from`-th call, sheds from then on.
     struct Shedding {
         inner: Arc<dyn Endpoint>,
@@ -576,6 +717,14 @@ res:Wells dbo:population 12000 .
         }
     }
 
+    fn shedding(inner: Arc<dyn Endpoint>, fail_from: usize) -> Shedding {
+        Shedding {
+            inner,
+            calls: Default::default(),
+            fail_from,
+        }
+    }
+
     /// Over partitions a source that sheds mid-plan — at a probe or at any
     /// sub-query — fails the plan with its typed error; the answer never
     /// comes back shorter.
@@ -584,11 +733,7 @@ res:Wells dbo:population 12000 .
         let select =
             sapphire_sparql::parse_select(&format!("SELECT ?name {BY_POPULATION}")).unwrap();
         let people = make("people", PEOPLE);
-        let places = |fail_from| Shedding {
-            inner: make("places", PLACES),
-            calls: Default::default(),
-            fail_from,
-        };
+        let places = |fail_from| shedding(make("places", PLACES), fail_from);
         let healthy = places(usize::MAX);
         let full = execute_partitioned(&[people.as_ref(), &healthy], &select).unwrap();
         assert_eq!(names(&full), ["Bob", "Cy", "Ada", "Cy"]);

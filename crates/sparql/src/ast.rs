@@ -3,9 +3,14 @@
 //! The subset covers everything the paper's queries use (Q1–Q10 in Appendix A,
 //! the user-study gold queries, and the QSM's generated queries): `SELECT
 //! [DISTINCT]`, basic graph patterns, `FILTER` expressions, aggregates with
-//! `GROUP BY`, `ORDER BY`, `LIMIT`/`OFFSET`, and `ASK`.
+//! `GROUP BY`, `ORDER BY`, `LIMIT`/`OFFSET`, `ASK`, and single-variable
+//! inline data (`VALUES ?v { t1 … tn }`) — what lets the QSM ask *which* of a
+//! slot's candidate terms have any answer in one query: Algorithm 2's "top
+//! k/2 with answers" cut is one such probe per slot plus at most k
+//! prefetches.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sapphire_rdf::Term;
 
@@ -262,34 +267,53 @@ pub struct OrderKey {
     pub descending: bool,
 }
 
-/// The body shared by SELECT and ASK: a basic graph pattern plus filters.
+/// Single-variable inline data, `VALUES ?var { t1 … tn }`: the pattern's
+/// solutions are those with `?var` bound to one of `terms`, once per
+/// occurrence of the term in the list and in list order.
+///
+/// The subset joins inline data against the data: `var` must occur in a
+/// triple pattern, so a term the queried graph does not hold contributes no
+/// solution. The list is shared — a query is cloned on its way to an
+/// endpoint, a probe's thousand candidate terms are not.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InlineData {
+    /// The variable, stored without the leading `?`.
+    pub var: String,
+    /// The values, duplicates allowed.
+    pub terms: Arc<[Term]>,
+}
+
+/// The body shared by SELECT and ASK: a basic graph pattern plus filters,
+/// optionally joined with inline data.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GraphPattern {
     /// Triple patterns, in source order.
     pub triples: Vec<TriplePattern>,
     /// Filter expressions (conjunctive).
     pub filters: Vec<Expr>,
+    /// `VALUES` block, if any.
+    pub values: Option<InlineData>,
 }
 
 impl GraphPattern {
-    /// All distinct variable names in the pattern, in first-mention order.
+    /// All distinct variable names in the pattern, in first-mention order
+    /// (triples, then filters, then the `VALUES` variable).
     pub fn variables(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for t in &self.triples {
-            for v in t.variables() {
-                if !seen.iter().any(|s| s == v) {
-                    seen.push(v.to_string());
-                }
-            }
-        }
-        for f in &self.filters {
-            for v in f.variables() {
-                if !seen.iter().any(|s| s == v) {
-                    seen.push(v.to_string());
-                }
+        let triples = self.triples.iter().flat_map(|t| t.variables());
+        let filters = self.filters.iter().flat_map(|f| f.variables());
+        let values = self.values.iter().map(|d| d.var.as_str());
+        let mut seen: Vec<String> = Vec::new();
+        for v in triples.chain(filters).chain(values) {
+            if !seen.iter().any(|s| s == v) {
+                seen.push(v.to_string());
             }
         }
         seen
+    }
+
+    /// True if `var` occurs in some triple pattern.
+    pub fn binds(&self, var: &str) -> bool {
+        self.triples.iter().any(|t| t.variables().any(|v| v == var))
     }
 }
 
@@ -303,6 +327,14 @@ pub enum Query {
 }
 
 impl Query {
+    /// The graph pattern the query matches.
+    pub fn pattern(&self) -> &GraphPattern {
+        match self {
+            Query::Select(s) => &s.pattern,
+            Query::Ask(gp) => gp,
+        }
+    }
+
     /// The SELECT form, if this is one.
     pub fn as_select(&self) -> Option<&SelectQuery> {
         match self {

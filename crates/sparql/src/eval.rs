@@ -108,7 +108,7 @@ pub fn evaluate(
         Query::Select(s) => evaluate_select(graph, s, budget).map(QueryResult::Solutions),
         Query::Ask(gp) => {
             let vars = VarTable::from_pattern(gp);
-            let rows = match_bgp(graph, gp, &vars, budget, Some(1))?;
+            let rows = match_bgp(graph, gp, &vars, budget, Walk::Rows(1))?;
             Ok(QueryResult::Boolean(rows.len() > 0))
         }
     }
@@ -130,13 +130,17 @@ pub fn evaluate_select(
     let reach = slice_reach(query);
 
     // LIMIT can be pushed into BGP matching only when no operator above the
-    // BGP can change row multiplicity or order.
-    let pushdown = if !query.distinct && query.order_by.is_empty() && !aggregated {
-        reach
+    // BGP can change row multiplicity or order. And when all that is asked
+    // of inline data is which of its values have a solution, one solution
+    // per value answers it.
+    let walk = if !query.distinct && query.order_by.is_empty() && !aggregated {
+        reach.map_or(Walk::All, Walk::Rows)
+    } else if asks_only_for_its_values(query) {
+        Walk::OncePerValue
     } else {
-        None
+        Walk::All
     };
-    let table = match_bgp(graph, &query.pattern, &vars, budget, pushdown)?;
+    let table = match_bgp(graph, &query.pattern, &vars, budget, walk)?;
 
     if aggregated {
         select_aggregated(graph, query, &vars, &table, reach)
@@ -145,9 +149,34 @@ pub fn evaluate_select(
     }
 }
 
+/// `SELECT DISTINCT ?v WHERE { … VALUES ?v { … } }` with no grouping and no
+/// order: the answer is the set of values with at least one solution, in
+/// list order, so solutions past a value's first change nothing.
+fn asks_only_for_its_values(query: &SelectQuery) -> bool {
+    let Some(data) = &query.pattern.values else {
+        return false;
+    };
+    query.distinct
+        && query.order_by.is_empty()
+        && query.group_by.is_empty()
+        && matches!(&query.projection, Projection::Items(items)
+            if matches!(items.as_slice(), [SelectItem::Var(v)] if *v == data.var))
+}
+
 // ---------------------------------------------------------------------------
 // Variable table and BGP matching
 // ---------------------------------------------------------------------------
+
+/// How much of the BGP's solutions the caller reads.
+#[derive(Clone, Copy)]
+enum Walk {
+    /// Every solution.
+    All,
+    /// The first `n`, in walk order.
+    Rows(usize),
+    /// The first of each inline-data value.
+    OncePerValue,
+}
 
 /// Maps variable names to dense indices for the binding rows. Patterns name
 /// a handful of variables, so lookup is a scan, not a hash.
@@ -252,11 +281,13 @@ impl CompiledPattern {
             .count()
     }
 
-    /// Base cardinality estimate using only ground positions.
-    fn base_cardinality(&self, graph: &Graph) -> usize {
+    /// Base cardinality estimate using only ground positions — and, for the
+    /// inline-data variable, the value `seed` stands in with.
+    fn base_cardinality(&self, graph: &Graph, seed: Option<(usize, TermId)>) -> usize {
         let pick = |s: &Slot| match s {
             Slot::Ground(id) => Some(*id),
-            _ => None,
+            Slot::Var(v) => seed.filter(|(var, _)| var == v).map(|(_, id)| id),
+            Slot::Absent => None,
         };
         graph
             .triples_matching(
@@ -269,14 +300,34 @@ impl CompiledPattern {
 }
 
 /// Match the BGP and return its binding rows (columns per [`VarTable`]).
+///
+/// Inline data enters the walk once per value the graph interns, in list
+/// order, with the variable already bound: the work is that of the same
+/// pattern with the value written in its place, value after value.
 fn match_bgp(
     graph: &Graph,
     gp: &GraphPattern,
     vars: &VarTable,
     budget: &mut WorkBudget,
-    row_limit: Option<usize>,
+    walk: Walk,
 ) -> Result<BindingTable, EvalError> {
     let mut out = BindingTable::new(vars.len());
+    let seeds: Option<(usize, Vec<TermId>)> = match &gp.values {
+        None => None,
+        Some(data) if !gp.binds(&data.var) => {
+            return Err(EvalError::Unsupported(format!(
+                "VALUES ?{} without a triple pattern that binds it",
+                data.var
+            )))
+        }
+        Some(data) => {
+            let ids: Vec<TermId> = data.terms.iter().filter_map(|t| graph.term_id(t)).collect();
+            if ids.is_empty() {
+                return Ok(out);
+            }
+            Some((vars.get(&data.var).expect("var registered"), ids))
+        }
+    };
     let compiled: Vec<CompiledPattern> = gp
         .triples
         .iter()
@@ -288,7 +339,8 @@ fn match_bgp(
 
     // Greedy join order: repeatedly pick the remaining pattern with the most
     // bound positions, breaking ties by the smaller base cardinality.
-    let order = plan_order(graph, &compiled, vars.len());
+    let seed = seeds.as_ref().map(|(var, ids)| (*var, ids[0]));
+    let order = plan_order(graph, &compiled, vars.len(), seed);
 
     // The join order fixes the step at which each variable binds, and so the
     // step at which each filter fires: the one that binds the last of its
@@ -297,6 +349,9 @@ fn match_bgp(
     // which makes the filter false) — are evaluated on complete rows, in
     // the extra last slot.
     let mut binds_at: Vec<Option<usize>> = vec![None; vars.len()];
+    if let Some((var, _)) = seed {
+        binds_at[var] = Some(0);
+    }
     for (step, &pattern) in order.iter().enumerate() {
         for slot in &compiled[pattern].slots {
             if let Slot::Var(v) = slot {
@@ -316,22 +371,48 @@ fn match_bgp(
         filters_at[fires.unwrap_or(order.len())].push(Filter::new(expr));
     }
 
-    let ctx = MatchCtx {
+    let mut ctx = MatchCtx {
         graph,
         vars,
         compiled: &compiled,
         order: &order,
         filters_at: &filters_at,
-        row_limit,
+        row_limit: match walk {
+            Walk::Rows(n) => Some(n),
+            Walk::All | Walk::OncePerValue => None,
+        },
     };
     let mut bindings: Vec<Option<TermId>> = vec![None; vars.len()];
-    ctx.recurse(0, &mut bindings, &mut out, budget)?;
+    let Some((var, ids)) = seeds else {
+        ctx.recurse(0, &mut bindings, &mut out, budget)?;
+        return Ok(out);
+    };
+    for id in ids {
+        if matches!(walk, Walk::OncePerValue) {
+            ctx.row_limit = Some(out.len() + 1);
+        } else if ctx.full(&out) {
+            break;
+        }
+        bindings[var] = Some(id);
+        ctx.recurse(0, &mut bindings, &mut out, budget)?;
+    }
     Ok(out)
 }
 
-fn plan_order(graph: &Graph, compiled: &[CompiledPattern], nvars: usize) -> Vec<usize> {
+/// Greedy join order. `seed` is the inline-data variable — bound before the
+/// walk starts — and one of its values, which sizes the patterns it occurs
+/// in: `(p, ?v)` is a range look-up, not a scan of `p`.
+fn plan_order(
+    graph: &Graph,
+    compiled: &[CompiledPattern],
+    nvars: usize,
+    seed: Option<(usize, TermId)>,
+) -> Vec<usize> {
     let mut remaining: Vec<usize> = (0..compiled.len()).collect();
     let mut bound = vec![false; nvars];
+    if let Some((var, _)) = seed {
+        bound[var] = true;
+    }
     let mut order = Vec::with_capacity(compiled.len());
     while !remaining.is_empty() {
         let (pos, &best) = remaining
@@ -341,7 +422,7 @@ fn plan_order(graph: &Graph, compiled: &[CompiledPattern], nvars: usize) -> Vec<
                 let c = &compiled[i];
                 let bc = c.bound_count(&bound);
                 // Prefer more-bound patterns; tiebreak on base cardinality.
-                (3 - bc, c.base_cardinality(graph))
+                (3 - bc, c.base_cardinality(graph, seed))
             })
             .expect("non-empty remaining");
         order.push(best);
@@ -1726,5 +1807,188 @@ res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra
             "SELECT (AVG(?p) AS ?mean) WHERE { ?c dbo:population ?p }",
         );
         assert_eq!(s.sole_value().unwrap().lexical(), "4710000");
+    }
+
+    // --- inline data ------------------------------------------------------
+
+    /// Work units a SELECT uses under an unlimited budget.
+    fn work(graph: &Graph, q: &str) -> u64 {
+        let mut budget = WorkBudget::unlimited();
+        evaluate_select(graph, &parse_select(q).unwrap(), &mut budget).unwrap();
+        budget.used()
+    }
+
+    fn lexicals(s: &Solutions, var: &str) -> Vec<String> {
+        s.values(var).map(|t| t.lexical().to_string()).collect()
+    }
+
+    #[test]
+    fn values_join_in_list_order_and_skip_terms_the_graph_lacks() {
+        let g = city_graph();
+        let s = run(
+            &g,
+            r#"SELECT ?n ?c WHERE { ?c dbo:name ?n VALUES ?n { "Sydney"@en "Atlantis"@en "Canberra"@en } }"#,
+        );
+        assert_eq!(lexicals(&s, "n"), ["Sydney", "Canberra"]);
+        assert_eq!(s.vars, ["n", "c"]);
+        // No value present at all: no solutions, no work.
+        let none = r#"SELECT ?c WHERE { ?c dbo:name ?n VALUES ?n { "Atlantis"@en } }"#;
+        assert!(run(&g, none).is_empty());
+        assert_eq!(work(&g, none), 0);
+        assert!(run(&g, "SELECT ?c WHERE { ?c dbo:name ?n VALUES ?n { } }").is_empty());
+    }
+
+    #[test]
+    fn duplicate_values_yield_duplicate_solutions() {
+        let g = city_graph();
+        let q = r#"?c WHERE { ?c dbo:country ?k VALUES ?k { res:USA res:Australia res:USA } }"#;
+        let s = run(&g, &format!("SELECT {q}"));
+        assert_eq!(s.len(), 4, "USA's city twice, Australia's two once");
+        assert_eq!(run(&g, &format!("SELECT DISTINCT {q}")).len(), 3);
+    }
+
+    #[test]
+    fn a_values_variable_repeated_in_a_pattern_must_agree_with_itself() {
+        let this = Term::iri("http://x/self");
+        let node = |n: &str| Term::iri(format!("http://x/{n}"));
+        let g = Graph::from_term_triples([
+            (node("loop"), this.clone(), node("loop")),
+            (node("loop"), this.clone(), node("other")),
+            (node("other"), this, node("loop")),
+        ]);
+        let s = run(
+            &g,
+            "SELECT ?x WHERE { ?x <http://x/self> ?x VALUES ?x { <http://x/other> <http://x/loop> } }",
+        );
+        assert_eq!(lexicals(&s, "x"), ["http://x/loop"]);
+    }
+
+    #[test]
+    fn filters_see_the_values_variable() {
+        let g = city_graph();
+        let s = run(
+            &g,
+            r#"SELECT ?c WHERE { ?c dbo:name ?n . FILTER(strlen(str(?n)) < 8)
+               VALUES ?n { "Sydney"@en "Canberra"@en } }"#,
+        );
+        assert_eq!(lexicals(&s, "c"), ["http://dbpedia.org/resource/Sydney"]);
+        // A filter on the values variable and one the pattern binds later.
+        let s = run(
+            &g,
+            r#"SELECT ?n WHERE { ?c dbo:name ?n ; dbo:population ?p . FILTER(?p > 1000000 && lang(?n) = "en")
+               VALUES ?n { "Canberra"@en "New York"@en } }"#,
+        );
+        assert_eq!(lexicals(&s, "n"), ["New York"]);
+    }
+
+    #[test]
+    fn ask_with_values_stops_at_the_first_solution() {
+        let g = city_graph();
+        let ask = |q: &str| {
+            let mut budget = WorkBudget::unlimited();
+            let answer = evaluate(&g, &parse_query(q).unwrap(), &mut budget).unwrap();
+            (answer.boolean().unwrap(), budget.used())
+        };
+        let (yes, used) =
+            ask("ASK { ?c dbo:country ?k VALUES ?k { res:Mars res:Australia res:USA } }");
+        assert!(yes);
+        // Australia's two cities scanned, one row produced; the USA not entered.
+        assert_eq!(used, 3);
+        assert!(!ask("ASK { ?c dbo:country ?k VALUES ?k { res:Mars } }").0);
+    }
+
+    #[test]
+    fn limit_is_pushed_down_across_values() {
+        let g = city_graph();
+        let q = "SELECT ?c WHERE { ?c dbo:country ?k VALUES ?k { res:Australia res:USA } }";
+        assert_eq!(run(&g, q).len(), 3);
+        let limited = format!("{q} LIMIT 2");
+        assert_eq!(run(&g, &limited).rows, run(&g, q).rows[..2]);
+        assert!(work(&g, &limited) < work(&g, q), "the USA is never entered");
+        let page = run(&g, &format!("{q} LIMIT 1 OFFSET 2"));
+        assert_eq!(page.rows, run(&g, q).rows[2..]);
+    }
+
+    #[test]
+    fn aggregates_run_over_the_joined_values() {
+        let g = city_graph();
+        let s = run(
+            &g,
+            "SELECT ?k (COUNT(?c) AS ?n) WHERE { ?c dbo:country ?k VALUES ?k { res:USA res:Australia res:Mars } } GROUP BY ?k",
+        );
+        assert_eq!(lexicals(&s, "n"), ["1", "2"]);
+        let s = run(
+            &g,
+            "SELECT (COUNT(?c) AS ?n) WHERE { ?c dbo:country ?k VALUES ?k { res:Mars } }",
+        );
+        assert_eq!(s.sole_value().unwrap().lexical(), "0");
+    }
+
+    #[test]
+    fn values_work_is_the_sum_of_the_per_value_queries() {
+        let g = city_graph();
+        let rest = "?n WHERE { ?c a dbo:City ; dbo:country ?k ; dbo:name ?n";
+        let batched = work(
+            &g,
+            &format!(
+                "SELECT {rest} VALUES ?k {{ res:Australia res:Mars res:USA res:Australia }} }}"
+            ),
+        );
+        let one = |k: &str| work(&g, &format!("SELECT {} }}", rest.replace("?k", k)));
+        assert_eq!(
+            batched,
+            2 * one("res:Australia") + one("res:USA") + one("res:Mars")
+        );
+        assert_eq!(one("res:Mars"), 0);
+        // The values variable counts as bound when the join is ordered: the
+        // pattern it is in leads, as a look-up, not as a scan of the predicate.
+        let unbound = work(&g, &format!("SELECT {rest} }}"));
+        assert!(one("res:USA") < unbound);
+    }
+
+    #[test]
+    fn asking_only_for_the_values_takes_one_solution_each() {
+        let g = city_graph();
+        let pattern = "WHERE { ?c dbo:country ?k ; dbo:name ?n VALUES ?k { res:Australia res:Mars res:USA res:Australia } }";
+        let which = run(&g, &format!("SELECT DISTINCT ?k {pattern}"));
+        assert_eq!(
+            lexicals(&which, "k"),
+            [
+                "http://dbpedia.org/resource/Australia",
+                "http://dbpedia.org/resource/USA"
+            ]
+        );
+        // Same answer as walking every solution, for less work.
+        let every = run(&g, &format!("SELECT ?k {pattern}"));
+        let mut all = lexicals(&every, "k");
+        all.dedup();
+        assert_eq!(all[..2], lexicals(&which, "k")[..]);
+        // Australia (twice): its range of two country triples, the first
+        // one's name triple, one row; the USA has one of each. Every
+        // solution: the second Australian city's name and row as well.
+        assert_eq!(
+            work(&g, &format!("SELECT DISTINCT ?k {pattern}")),
+            2 * 4 + 3
+        );
+        assert_eq!(work(&g, &format!("SELECT ?k {pattern}")), 2 * 6 + 3);
+        // Another projected variable, or an order, and every solution counts.
+        assert_eq!(
+            work(&g, &format!("SELECT DISTINCT ?k ?n {pattern}")),
+            work(&g, &format!("SELECT ?k ?n {pattern}"))
+        );
+        assert_eq!(
+            run(&g, &format!("SELECT DISTINCT ?k {pattern} ORDER BY ?n")).len(),
+            2
+        );
+    }
+
+    #[test]
+    fn values_on_a_variable_no_pattern_binds_is_unsupported() {
+        let g = city_graph();
+        let q = parse_select("SELECT ?c WHERE { ?c a dbo:City VALUES ?x { res:USA } }").unwrap();
+        assert!(matches!(
+            evaluate_select(&g, &q, &mut WorkBudget::unlimited()),
+            Err(EvalError::Unsupported(_))
+        ));
     }
 }

@@ -147,6 +147,7 @@ const KEYWORDS: &[&str] = &[
     "BOUND",
     "TRUE",
     "FALSE",
+    "VALUES",
 ];
 
 /// Tokenize a query string.

@@ -11,7 +11,7 @@
 //!
 //! * [`ast`] — the SPARQL subset: `SELECT [DISTINCT]` with aggregates,
 //!   basic graph patterns, `FILTER`, `GROUP BY`, `ORDER BY`,
-//!   `LIMIT`/`OFFSET`, and `ASK`.
+//!   `LIMIT`/`OFFSET`, `ASK`, and single-variable `VALUES`.
 //! * [`lexer`] / [`parser`] — hand-written tokenizer and recursive-descent
 //!   parser with prefix expansion.
 //! * [`eval`] — an evaluator over [`sapphire_rdf::Graph`] with greedy
@@ -44,8 +44,8 @@ pub mod parser;
 pub mod solutions;
 
 pub use ast::{
-    Aggregate, CmpOp, Expr, GraphPattern, OrderKey, Projection, Query, SelectItem, SelectQuery,
-    TermPattern, TriplePattern,
+    Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, Query, SelectItem,
+    SelectQuery, TermPattern, TriplePattern,
 };
 pub use eval::{evaluate, evaluate_select, select_rows, term_order, EvalError, WorkBudget};
 pub use parser::{parse_query, parse_select, ParseError};

@@ -351,12 +351,39 @@ impl Parser {
                     // Optional '.' after a filter.
                     self.eat(&Token::Dot);
                 }
+                Some(Token::Keyword(k)) if k == "VALUES" => {
+                    self.bump();
+                    if gp.values.is_some() {
+                        return Err(self.err("at most one VALUES block per pattern"));
+                    }
+                    gp.values = Some(self.inline_data()?);
+                    self.eat(&Token::Dot);
+                }
                 _ => {
                     self.triple_block(&mut gp)?;
                 }
             }
         }
         Ok(gp)
+    }
+
+    /// `?var { term* }`, after the `VALUES` keyword.
+    fn inline_data(&mut self) -> Result<InlineData, ParseError> {
+        let var = self.var()?;
+        self.expect(&Token::LBrace)?;
+        let mut terms = Vec::new();
+        while !self.eat(&Token::RBrace) {
+            match self.term_pattern()? {
+                TermPattern::Term(t) => terms.push(t),
+                TermPattern::Var(v) => {
+                    return Err(self.err(format!("expected a term in VALUES, found ?{v}")))
+                }
+            }
+        }
+        Ok(InlineData {
+            var,
+            terms: terms.into(),
+        })
     }
 
     fn triple_block(&mut self, gp: &mut GraphPattern) -> Result<(), ParseError> {
@@ -779,5 +806,52 @@ SELECT DISTINCT count (?uri) WHERE {
         .unwrap();
         assert_eq!(q.pattern.triples.len(), 2);
         assert_eq!(q.pattern.filters.len(), 1);
+    }
+
+    #[test]
+    fn values_block_round_trips_through_its_terms_own_display() {
+        let terms = vec![
+            Term::iri("http://dbpedia.org/resource/Ely"),
+            Term::en("Kennedy Onassis"),
+            Term::Literal(Literal::simple("plain \"quoted\"")),
+            Term::Literal(Literal::integer(42)),
+            Term::en("Kennedy Onassis"),
+        ];
+        let listed: Vec<String> = terms.iter().map(Term::to_string).collect();
+        let text = format!(
+            "SELECT DISTINCT ?v WHERE {{ ?s dbo:surname ?v . VALUES ?v {{ {} }} . FILTER(bound(?s)) }}",
+            listed.join(" ")
+        );
+        let q = parse_select(&text).unwrap();
+        let data = q.pattern.values.as_ref().expect("VALUES parsed");
+        assert_eq!(data.var, "v");
+        assert_eq!(data.terms.to_vec(), terms);
+        assert_eq!(q.pattern.triples.len(), 1);
+        assert_eq!(q.pattern.filters.len(), 1);
+        assert_eq!(q.pattern.variables(), ["s", "v"]);
+        // ASK takes the same body; prefixed names and keywords any case.
+        let ask = parse_query("ASK { ?s a ?k values ?k { dbo:City dbo:Country } }").unwrap();
+        let Query::Ask(gp) = ask else { panic!() };
+        assert_eq!(gp.values.unwrap().terms.len(), 2);
+        assert_eq!(
+            parse_select("SELECT ?s WHERE { ?s ?p ?o }")
+                .unwrap()
+                .pattern
+                .values,
+            None
+        );
+    }
+
+    #[test]
+    fn values_block_errors() {
+        for bad in [
+            "SELECT ?s WHERE { ?s ?p ?v VALUES ?v { ?x } }",
+            "SELECT ?s WHERE { ?s ?p ?v VALUES { <http://x/a> } }",
+            "SELECT ?s WHERE { ?s ?p ?v VALUES ?v { <http://x/a> }",
+            "SELECT ?s WHERE { ?s ?p ?v VALUES ?v { <http://x/a> } VALUES ?v { <http://x/b> } }",
+            "SELECT ?s WHERE { ?s ?p ?v VALUES (?v ?s) { (<http://x/a> <http://x/b>) } }",
+        ] {
+            assert!(parse_query(bad).is_err(), "{bad}");
+        }
     }
 }

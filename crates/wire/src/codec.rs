@@ -31,8 +31,8 @@ use sapphire_rdf::{Literal, Term};
 use sapphire_server::registry::SessionId;
 use sapphire_server::{RunPayload, ServerError};
 use sapphire_sparql::{
-    Aggregate, CmpOp, Expr, GraphPattern, OrderKey, Projection, Query, QueryResult, SelectItem,
-    SelectQuery, Solutions, TermPattern, TriplePattern,
+    Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, Query, QueryResult,
+    SelectItem, SelectQuery, Solutions, TermPattern, TriplePattern,
 };
 
 use crate::frame::WireError;
@@ -636,6 +636,17 @@ fn put_graph_pattern(out: &mut Vec<u8>, p: &GraphPattern) {
     for f in &p.filters {
         put_expr(out, f);
     }
+    match &p.values {
+        None => put_u8(out, 0),
+        Some(data) => {
+            put_u8(out, 1);
+            put_str(out, &data.var);
+            put_len(out, data.terms.len());
+            for t in data.terms.iter() {
+                put_term(out, t);
+            }
+        }
+    }
 }
 
 fn get_graph_pattern(r: &mut Reader) -> Result<GraphPattern, WireError> {
@@ -649,7 +660,27 @@ fn get_graph_pattern(r: &mut Reader) -> Result<GraphPattern, WireError> {
     for _ in 0..nf {
         filters.push(get_expr(r)?);
     }
-    Ok(GraphPattern { triples, filters })
+    let values = match r.u8("values tag")? {
+        0 => None,
+        1 => {
+            let var = r.str("values var")?;
+            let n = r.len("values terms")?;
+            let mut terms = bounded_vec(n);
+            for _ in 0..n {
+                terms.push(get_term(r)?);
+            }
+            Some(InlineData {
+                var,
+                terms: terms.into(),
+            })
+        }
+        _ => return Err(Reader::corrupt("values tag")),
+    };
+    Ok(GraphPattern {
+        triples,
+        filters,
+        values,
+    })
 }
 
 fn put_select_query(out: &mut Vec<u8>, q: &SelectQuery) {

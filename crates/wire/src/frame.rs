@@ -28,9 +28,9 @@ pub const MAGIC: u8 = 0xC5;
 
 /// The protocol version this build speaks, carried in HELLO/HELLO_OK. There
 /// is exactly one: a peer offering less is refused at the handshake. It
-/// moves whenever a frame's payload layout does (3: a `REPLY`'s suggestions
-/// carry the replacement term where they carried a rewritten query).
-pub const WIRE_VERSION: u32 = 3;
+/// moves whenever a frame's payload layout does (4: a graph pattern carries
+/// its optional `VALUES` block).
+pub const WIRE_VERSION: u32 = 4;
 
 /// Bytes before the payload: magic, kind, length, correlation id.
 const HEADER_LEN: usize = 14;

@@ -31,8 +31,8 @@ use sapphire_rdf::{Literal, Term};
 use sapphire_server::registry::SessionId;
 use sapphire_server::{RunPayload, ServerError};
 use sapphire_sparql::{
-    Aggregate, CmpOp, Expr, GraphPattern, OrderKey, Projection, Query, QueryResult, SelectItem,
-    SelectQuery, Solutions, TermPattern, TriplePattern,
+    Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, Query, QueryResult,
+    SelectItem, SelectQuery, Solutions, TermPattern, TriplePattern,
 };
 use sapphire_wire::codec::{
     decode_reply, decode_request, encode_reply, encode_request, LoadHeader, WireReply, WireRequest,
@@ -188,6 +188,10 @@ fn gen_graph_pattern(g: &mut Gen) -> GraphPattern {
     GraphPattern {
         triples: (0..g.below(4)).map(|_| gen_triple_pattern(g)).collect(),
         filters: (0..g.below(3)).map(|_| gen_expr(g, 2)).collect(),
+        values: (g.below(3) == 0).then(|| InlineData {
+            var: gen_str(g),
+            terms: (0..g.below(5)).map(|_| gen_term(g)).collect(),
+        }),
     }
 }
 
@@ -579,6 +583,7 @@ fn request_with_filter(filter: Expr) -> WireRequest {
             pattern: GraphPattern {
                 triples: Vec::new(),
                 filters: vec![filter],
+                values: None,
             },
             group_by: Vec::new(),
             order_by: Vec::new(),

@@ -23,7 +23,7 @@ use sapphire_datagen::workload::appendix_b;
 use sapphire_datagen::{generate, DatasetConfig};
 use sapphire_endpoint::{Backoff, EndpointLimits};
 use sapphire_server::{SapphireServer, ServerConfig};
-use sapphire_sparql::{SelectQuery, Solutions};
+use sapphire_sparql::{Query, SelectQuery, Solutions};
 use sapphire_text::Lexicon;
 
 fn sapphire_config() -> SapphireConfig {
@@ -749,7 +749,7 @@ fn evaluated(text: &str) -> (SelectQuery, Solutions) {
 #[test]
 fn unprojected_order_keys_answer_like_the_single_box_evaluator() {
     use sapphire_endpoint::QueryService;
-    use sapphire_sparql::{Query, QueryResult};
+    use sapphire_sparql::QueryResult;
     let router = router(4, 1);
     for (text, top) in UNPROJECTED_KEY_QUESTIONS {
         let (query, expected) = evaluated(text);
@@ -773,7 +773,8 @@ fn unprojected_order_keys_answer_like_the_single_box_evaluator() {
 struct CountingReplica {
     inner: Arc<SapphireServer>,
     calls: std::sync::atomic::AtomicU64,
-    raw_calls: std::sync::atomic::AtomicU64,
+    /// Every raw call received, answered or shed.
+    raw_log: std::sync::Mutex<Vec<Query>>,
     /// Raw calls from this one (1-based) on answer `Overloaded`.
     shed_raw_from: u64,
     /// Run replies carry one more candidate, aimed at this triple index —
@@ -847,12 +848,14 @@ impl sapphire_server::ShardService for CountingReplica {
     fn execute_raw(
         &self,
         tenant: &str,
-        query: &sapphire_sparql::Query,
+        query: &Query,
     ) -> Result<sapphire_sparql::QueryResult, sapphire_server::ServerError> {
         self.count();
-        let call = 1 + self
-            .raw_calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let call = {
+            let mut log = self.raw_log.lock().unwrap();
+            log.push(query.clone());
+            log.len() as u64
+        };
         if call >= self.shed_raw_from {
             return Err(sapphire_server::ServerError::Overloaded {
                 in_flight: 1,
@@ -883,7 +886,7 @@ fn counting_router(
             Arc::new(CountingReplica {
                 inner: cluster.replicas(shard)[0].clone(),
                 calls: Default::default(),
-                raw_calls: Default::default(),
+                raw_log: Default::default(),
                 shed_raw_from: shed_raw_from[shard],
                 stray_candidate: None,
             })
@@ -993,7 +996,7 @@ fn out_of_range_candidate_from_a_shard_fails_the_run_typed() {
             vec![Arc::new(CountingReplica {
                 inner: cluster.replicas(shard)[0].clone(),
                 calls: Default::default(),
-                raw_calls: Default::default(),
+                raw_log: Default::default(),
                 shed_raw_from: u64::MAX,
                 stray_candidate: (shard == 1).then_some(9),
             }) as Arc<dyn sapphire_server::ShardService>]
@@ -1034,12 +1037,30 @@ fn shedding_shard_fails_a_cross_shard_plan_typed_never_short() {
     let (query, expected) = evaluated(UNPROJECTED_KEY_QUESTIONS[1].0);
     let (healthy, replicas) = counting_router(&cluster, [u64::MAX; 2], backoff);
     assert_eq!(healthy.run("alice", &query).unwrap().answers, expected);
-    let raw_calls = replicas[1]
-        .raw_calls
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let log = replicas[1].raw_log.lock().unwrap().clone();
+    let raw_calls = log.len() as u64;
     assert!(raw_calls > 8, "the plan probes and sub-queries shard 1");
+    // Every raw call of this Run belongs to a cross-shard plan: an ASK per
+    // pattern, then the join's sub-queries. The plans that name the cut's
+    // fresh variable are its probes.
+    let mut probe_calls: Vec<u64> = Vec::new();
+    let mut at = 0;
+    while at < log.len() {
+        let mut end = (at + query.pattern.triples.len()).min(log.len());
+        while end < log.len() && matches!(log[end], Query::Select(_)) {
+            end += 1;
+        }
+        let names_alt = |q: &Query| q.pattern().variables().iter().any(|v| v.starts_with("alt"));
+        if log[at..end].iter().any(names_alt) {
+            probe_calls.extend(at as u64 + 1..=end as u64);
+        }
+        at = end;
+    }
+    let (first_probed, last_probed) = (probe_calls[0], *probe_calls.last().unwrap());
+    assert!(first_probed > 8, "the answer's own plan comes first");
 
-    for shed_from in [1, 2, 3, raw_calls / 2, raw_calls - 1, raw_calls] {
+    let shed_points = [1, 2, 3, raw_calls / 2, raw_calls - 1, raw_calls];
+    for shed_from in shed_points.into_iter().chain([first_probed, last_probed]) {
         let (router, _) = counting_router(&cluster, [u64::MAX, shed_from], backoff);
         let err = router
             .run("alice", &query)
@@ -1054,8 +1075,15 @@ fn shedding_shard_fails_a_cross_shard_plan_typed_never_short() {
             "shedding from raw call {shed_from} of {raw_calls}: {err:?}"
         );
         assert!(err.is_rejection());
+        // The shed call took the retry budget — and when it was a cut's
+        // probe, which fails nothing, so did the prefetch behind it.
+        let shed_calls = if probe_calls.contains(&shed_from) {
+            2
+        } else {
+            1
+        };
         let m = router.metrics();
-        assert_eq!(m.replica_retries, 2, "the shed call took the retry budget");
-        assert_eq!(m.rejected_after_retry, 1);
+        assert_eq!(m.rejected_after_retry, shed_calls, "call {shed_from}");
+        assert_eq!(m.replica_retries, 2 * shed_calls, "call {shed_from}");
     }
 }

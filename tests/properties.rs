@@ -1,29 +1,43 @@
 //! Cross-crate property-based tests on the reproduction's core invariants.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
 use sapphire_core::bins::{assign_tasks, FoldedLiteral, LitId, ResidualBins};
-use sapphire_core::qsm::{AlteredPosition, TermAlternative};
+use sapphire_core::qsm::{top_with_answers, AlteredPosition, TermAlternative};
 use sapphire_core::session::{Modifiers, Session};
 use sapphire_core::{CachedData, InitMode, PredictiveUserModel, SapphireConfig};
 use sapphire_datagen::userstudy::{flatten, misspell};
 use sapphire_datagen::workload::SessionScript;
 use sapphire_datagen::{appendix_b, generate, DatasetConfig};
-use sapphire_endpoint::EndpointLimits;
-use sapphire_rdf::{ntriples, Graph, Term};
+use sapphire_endpoint::{
+    Endpoint, EndpointError, EndpointLimits, FederatedProcessor, LocalEndpoint,
+};
+use sapphire_rdf::{ntriples, turtle, Graph, Term};
 use sapphire_server::RunPayload;
-use sapphire_sparql::{evaluate_select, parse_select, SelectQuery, TermPattern, WorkBudget};
+use sapphire_sparql::{
+    evaluate_select, parse_select, Aggregate, Projection, Query, QueryResult, SelectItem,
+    SelectQuery, Solutions, TermPattern, WorkBudget,
+};
 use sapphire_text::Lexicon;
 use sapphire_wire::codec::{encode_reply, encode_request, LoadHeader, WireReply, WireRequest};
 
 fn tiny_model() -> PredictiveUserModel {
-    PredictiveUserModel::initialize_local(
+    tiny_model_and_endpoint().0
+}
+
+/// The model, and its one endpoint for the counters.
+fn tiny_model_and_endpoint() -> (PredictiveUserModel, Arc<LocalEndpoint>) {
+    let endpoint = Arc::new(LocalEndpoint::new(
         "tiny",
         generate(DatasetConfig::tiny(42)),
         EndpointLimits::warehouse(),
+    ));
+    let pum = PredictiveUserModel::initialize(
+        vec![endpoint.clone()],
         Lexicon::dbpedia_default(),
         SapphireConfig {
             processes: 2,
@@ -31,7 +45,8 @@ fn tiny_model() -> PredictiveUserModel {
         },
         InitMode::Federated,
     )
-    .unwrap()
+    .unwrap();
+    (pum, endpoint)
 }
 
 /// Every Appendix-B script as a user would run it: as written, with its
@@ -125,6 +140,310 @@ fn every_candidate_is_a_one_slot_edit_of_any_query_over_the_pattern() {
         }
     }
     assert!(checked > 100, "the pool produces candidates: {checked}");
+}
+
+/// Algorithm 2 lines 23–24 as first written, the specification
+/// [`top_with_answers`] is held to: run every candidate's whole rewrite, in
+/// rank order, until `take` of them returned rows.
+fn sequential_cut(
+    base: &SelectQuery,
+    candidates: &[TermAlternative],
+    take: usize,
+    endpoint: &dyn Endpoint,
+) -> Vec<TermAlternative> {
+    let mut kept = Vec::new();
+    for cand in candidates {
+        if kept.len() >= take {
+            break;
+        }
+        let Some(rewritten) = cand.rewrite(base) else {
+            continue;
+        };
+        match answers_of(endpoint, &rewritten) {
+            Some(found) if !found.is_empty() => kept.push(TermAlternative {
+                answers: found,
+                ..cand.clone()
+            }),
+            _ => {}
+        }
+    }
+    kept
+}
+
+fn answers_of(endpoint: &dyn Endpoint, query: &SelectQuery) -> Option<Solutions> {
+    endpoint
+        .execute_parsed(&Query::Select(query.clone()))
+        .ok()?
+        .into_solutions()
+}
+
+/// The shipped cut over the same endpoint.
+fn shipped_cut(
+    base: &SelectQuery,
+    candidates: &[TermAlternative],
+    take: usize,
+    endpoint: &dyn Endpoint,
+) -> Vec<TermAlternative> {
+    let Ok(kept) = top_with_answers(base, candidates, take, |asked| {
+        Ok::<_, Infallible>(answers_of(endpoint, asked))
+    });
+    kept
+}
+
+/// One kind's candidates at a time, as the model and the edge hand them over.
+fn kinds(candidates: &[TermAlternative]) -> [&[TermAlternative]; 2] {
+    let literals_from = candidates.partition_point(|c| c.position == AlteredPosition::Predicate);
+    let (predicates, literals) = candidates.split_at(literals_from);
+    [predicates, literals]
+}
+
+fn slots(candidates: &[TermAlternative]) -> usize {
+    let mut slots: Vec<(usize, bool)> = candidates
+        .iter()
+        .map(|c| (c.triple_index, c.position == AlteredPosition::Object))
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots.len()
+}
+
+/// `query` as a COUNT over its first variable: bare (one row even over no
+/// solutions — the cut must not pre-filter) and grouped (no solutions, no
+/// rows — it may).
+fn count_variants(query: &SelectQuery) -> [SelectQuery; 2] {
+    let var = query.pattern.variables().swap_remove(0);
+    let count = SelectItem::Agg {
+        agg: Aggregate::Count {
+            distinct: false,
+            var: Some(var.clone()),
+        },
+        alias: "n".into(),
+    };
+    let bare = SelectQuery {
+        projection: Projection::Items(vec![count.clone()]),
+        ..SelectQuery::star(query.pattern.clone())
+    };
+    let grouped = SelectQuery {
+        projection: Projection::Items(vec![SelectItem::Var(var.clone()), count]),
+        group_by: vec![var],
+        ..bare.clone()
+    };
+    [bare, grouped]
+}
+
+/// The cut asks the endpoint one probe per slot and runs in full only what
+/// it may keep — and keeps, byte for byte, what running every candidate in
+/// turn kept: same candidates, same order, same prefetched answers, for every
+/// pool Run and for COUNTs over the same patterns, and the model's own
+/// output is that list.
+#[test]
+fn the_cut_keeps_what_the_sequential_walk_keeps() {
+    let (pum, endpoint) = tiny_model_and_endpoint();
+    let half = (pum.config().k / 2).max(1);
+    let charged = |cut: &mut dyn FnMut()| {
+        let before = endpoint.stats();
+        cut();
+        let after = endpoint.stats();
+        after.queries - before.queries
+    };
+    let (mut cuts, mut kept_total) = (0, 0);
+    let (mut shipped_queries, mut reference_queries) = (0, 0);
+    for (label, query) in run_pool(&pum) {
+        let suggestions = pum.run(&query).suggestions;
+        let mut as_run = Vec::new();
+        let [bare, grouped] = count_variants(&query);
+        for (shape, base) in [("as run", &query), ("count", &bare), ("grouped", &grouped)] {
+            for kind in kinds(&suggestions.candidates) {
+                let (mut shipped, mut reference) = (Vec::new(), Vec::new());
+                let queries =
+                    charged(&mut || shipped = shipped_cut(base, kind, half, endpoint.as_ref()));
+                let ref_queries = charged(&mut || {
+                    reference = sequential_cut(base, kind, half, endpoint.as_ref())
+                });
+                let ctx = format!("{label}, {shape}");
+                assert_eq!(format!("{shipped:?}"), format!("{reference:?}"), "{ctx}");
+                let bound = if shape == "count" {
+                    ref_queries
+                } else {
+                    (slots(kind) + half) as u64
+                };
+                assert!(queries <= bound, "{ctx}: {queries} queries, bound {bound}");
+                if shape == "as run" {
+                    as_run.extend(shipped);
+                    cuts += 1;
+                    shipped_queries += queries;
+                    reference_queries += ref_queries;
+                } else {
+                    kept_total += shipped.len();
+                }
+            }
+        }
+        assert_eq!(
+            format!("{as_run:?}"),
+            format!("{:?}", suggestions.alternatives),
+            "{label}: the model's alternatives are the cut's"
+        );
+        kept_total += as_run.len();
+    }
+    assert!(
+        cuts > 100 && kept_total > 50,
+        "{cuts} cuts kept {kept_total}"
+    );
+    assert!(
+        shipped_queries * 2 < reference_queries,
+        "{shipped_queries} queries where the walk made {reference_queries}"
+    );
+}
+
+/// What is kept never depends on whether a probe succeeded: an endpoint
+/// that times the batched probe out, or rejects it on its estimate, while
+/// it answers every single rewrite, gives the sequential walk's list.
+#[test]
+fn a_refused_probe_filters_nothing() {
+    let surname = |text: &str| Term::en(text);
+    let graph = || {
+        let person = |n: usize| Term::iri(format!("http://x/person{n}"));
+        let p = Term::iri("http://dbpedia.org/ontology/surname");
+        Graph::from_term_triples([
+            (person(0), p.clone(), surname("Kennedy")),
+            (person(1), p.clone(), surname("Kennedy")),
+            (person(2), p.clone(), surname("Kennedy Onassis")),
+            (person(3), p, surname("Kenney")),
+        ])
+    };
+    let base = parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "Kenedy"@en }"#).unwrap();
+    let candidates: Vec<TermAlternative> = ["Kennedi", "Kennedy", "Kenney", "Kennedy Onassis"]
+        .iter()
+        .enumerate()
+        .map(|(rank, text)| TermAlternative {
+            triple_index: 0,
+            position: AlteredPosition::Object,
+            term: surname(text),
+            original: "Kenedy".into(),
+            replacement: text.to_string(),
+            similarity: 1.0 - rank as f64 / 10.0,
+            answers: Solutions::default(),
+        })
+        .collect();
+    let open = LocalEndpoint::new("open", graph(), EndpointLimits::warehouse());
+    let reference = sequential_cut(&base, &candidates, 2, &open);
+    let names: Vec<&str> = reference.iter().map(|a| a.replacement.as_str()).collect();
+    assert_eq!(names, ["Kennedy", "Kenney"]);
+    open.reset_stats();
+    assert_eq!(
+        format!("{:?}", shipped_cut(&base, &candidates, 2, &open)),
+        format!("{reference:?}")
+    );
+    assert_eq!(open.stats().queries, 1 + 2, "a probe and two prefetches");
+
+    // The probe looks four surnames up (three present: 2 + 1 + 1 rows to
+    // scan, a row each); a rewrite at most two and two.
+    for limits in [
+        EndpointLimits {
+            timeout_work: Some(4),
+            ..EndpointLimits::warehouse()
+        },
+        EndpointLimits {
+            reject_above: Some(2),
+            ..EndpointLimits::warehouse()
+        },
+    ] {
+        let guarded = LocalEndpoint::new("guarded", graph(), limits);
+        assert_eq!(
+            format!("{:?}", shipped_cut(&base, &candidates, 2, &guarded)),
+            format!("{reference:?}"),
+            "{limits:?}"
+        );
+        let stats = guarded.stats();
+        assert_eq!(stats.timeouts + stats.rejected, 1, "the probe was refused");
+        assert_eq!(
+            stats.queries + stats.rejected,
+            1 + 3,
+            "then every rewrite down to the second kept was run"
+        );
+    }
+}
+
+/// A federation as the one endpoint the cut is given, the way the model asks
+/// it: whatever fails there is a query without an answer.
+struct Federated(FederatedProcessor);
+
+impl Endpoint for Federated {
+    fn name(&self) -> &str {
+        "federation"
+    }
+
+    fn execute_parsed(&self, query: &Query) -> Result<QueryResult, EndpointError> {
+        self.0
+            .execute_parsed(query)
+            .map_err(|e| EndpointError::Eval(e.to_string()))
+    }
+}
+
+/// Across independent endpoints a probe is answered whole or not at all,
+/// so the cut keeps what the walk keeps there too: when one endpoint matches
+/// every pattern but joins only some candidates by itself, and when one of
+/// two endpoints refuses the batched look-up and admits every single one.
+#[test]
+fn a_federated_probe_drops_no_candidate_the_walk_keeps() {
+    const PLACES: &str = "res:Ely dbo:population 20000 . res:London dbo:population 9000000 .
+res:Leeds dbo:population 800000 .";
+    let most = format!("res:Cy1 dbo:name \"Cy\" ; dbo:birthPlace res:Leeds . {PLACES}");
+    let rest = r#"res:Ada dbo:name "Ada" ; dbo:birthPlace res:Ely .
+res:Bob dbo:name "Bob" ; dbo:birthPlace res:London ."#;
+    let base = parse_select(
+        r#"SELECT ?s ?pop WHERE { ?s dbo:name "Cx" ; dbo:birthPlace ?p . ?p dbo:population ?pop }"#,
+    )
+    .unwrap();
+    let candidates: Vec<TermAlternative> = ["Cy", "Zed", "Ada", "Bob"]
+        .iter()
+        .enumerate()
+        .map(|(rank, text)| TermAlternative {
+            triple_index: 0,
+            position: AlteredPosition::Object,
+            term: Term::literal(*text),
+            original: "Cx".into(),
+            replacement: text.to_string(),
+            similarity: 1.0 - rank as f64 / 10.0,
+            answers: Solutions::default(),
+        })
+        .collect();
+    // A single look-up costs "rest" at most three units (a range of two and
+    // a row); the batched one over its two names, four.
+    for (limits, refused) in [
+        (EndpointLimits::warehouse(), 0),
+        (
+            EndpointLimits {
+                timeout_work: Some(3),
+                ..EndpointLimits::warehouse()
+            },
+            1,
+        ),
+    ] {
+        let guarded = Arc::new(LocalEndpoint::new(
+            "rest",
+            turtle::parse(rest).unwrap(),
+            limits,
+        ));
+        let mut fed = FederatedProcessor::new();
+        fed.register(Arc::new(LocalEndpoint::new(
+            "most",
+            turtle::parse(&most).unwrap(),
+            EndpointLimits::warehouse(),
+        )));
+        fed.register(guarded.clone());
+        let fed = Federated(fed);
+        let reference = sequential_cut(&base, &candidates, 3, &fed);
+        let names: Vec<&str> = reference.iter().map(|a| a.replacement.as_str()).collect();
+        assert_eq!(names, ["Cy", "Ada", "Bob"], "{limits:?}");
+        assert_eq!(guarded.stats().timeouts, 0, "every rewrite is admitted");
+        assert_eq!(
+            format!("{:?}", shipped_cut(&base, &candidates, 3, &fed)),
+            format!("{reference:?}"),
+            "{limits:?}"
+        );
+        assert_eq!(guarded.stats().timeouts, refused, "{limits:?}");
+    }
 }
 
 /// A candidate travels as an edit, not as a copy of the query: the encoded
