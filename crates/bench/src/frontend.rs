@@ -322,7 +322,6 @@ pub fn phase(
         FrontendConfig {
             workers,
             session_queue_depth: 64,
-            shed_ready_threshold: None,
         },
     ));
 

@@ -15,16 +15,16 @@
 //! order, so "cluster == merge(oracle)" is a byte-level equality check.
 //!
 //! Solution rows are only *canonicalized* here (concatenate, sort, dedup
-//! full bindings). What a query's ORDER BY, projection, DISTINCT and slice
-//! mean is defined once, by the evaluator: both solution merges end in
-//! [`sapphire_sparql::select_rows`], so a unique answer is the single-box
-//! evaluator's answer with nothing to canonicalize.
+//! full bindings). What a query's ORDER BY, projection, DISTINCT, slice and
+//! aggregates mean is defined once, by the evaluator: both solution merges
+//! end in [`sapphire_sparql::select_rows`], so a unique answer is the
+//! single-box evaluator's answer with nothing to canonicalize.
 
 use sapphire_core::qcm::Completion;
 use sapphire_core::qsm::TermAlternative;
 use sapphire_core::MatchSource;
 use sapphire_rdf::Term;
-use sapphire_sparql::{select_rows, Aggregate, Projection, SelectItem, SelectQuery, Solutions};
+use sapphire_sparql::{select_rows, EvalError, Projection, SelectQuery, Solutions};
 
 /// The canonical rank of one completion: suffix-tree matches before
 /// residual-bin matches (the QCM's own contract), predicates before literals
@@ -82,20 +82,26 @@ fn concat(lists: Vec<Solutions>) -> (Vec<String>, Vec<Vec<Option<Term>>>) {
     (vars, rows)
 }
 
-/// Merge per-shard solution sets for one query into the canonical cluster
+/// Merge per-shard *answers* to one query into the canonical cluster
 /// answer: concatenate, sort into the canonical (whole-row) order, and let
-/// the evaluator's own modifiers ([`select_rows`]) order, dedup when the
-/// query is DISTINCT, and apply OFFSET/LIMIT last (the router strips the
-/// slice before scattering, so shards never pre-truncate). ORDER BY ties
-/// keep the canonical order.
+/// the evaluator's own modifiers ([`select_rows`]) order by the answer's
+/// own columns, dedup when the query is DISTINCT, and apply OFFSET/LIMIT
+/// last (the router strips the slice before scattering, so shards never
+/// pre-truncate). ORDER BY ties keep the canonical order. Answers are
+/// never aggregated again: the query's aggregates already made them.
 pub fn merge_solutions(query: &SelectQuery, lists: Vec<Solutions>) -> Solutions {
     let (vars, mut rows) = concat(lists);
     rows.sort();
-    select_rows(query, &vars, rows)
+    let over_answers = SelectQuery {
+        projection: Projection::Star,
+        group_by: Vec::new(),
+        ..query.clone()
+    };
+    select_rows(&over_answers, &vars, rows).expect("a SELECT * without aggregates cannot fail")
 }
 
 /// Merge *full-binding* (`SELECT *`) shard rows exactly, then apply the
-/// query's own ORDER BY, projection, DISTINCT and slice.
+/// query — ORDER BY, projection, DISTINCT, slice and aggregates.
 ///
 /// The router scatters pattern queries with a star projection precisely so
 /// this merge can deduplicate **full bindings** first: over a BGP, solutions
@@ -106,66 +112,14 @@ pub fn merge_solutions(query: &SelectQuery, lists: Vec<Solutions>) -> Solutions 
 /// wrong the other way: projection legitimately collapses distinct bindings
 /// onto equal rows, and a non-DISTINCT query keeps those duplicates. And
 /// ordering after projection would lose every sort key the query does not
-/// project. So: dedup bindings, then hand the full bindings to
-/// [`select_rows`], which orders before it projects.
-pub fn merge_bindings(query: &SelectQuery, lists: Vec<Solutions>) -> Solutions {
+/// project, as aggregating per shard would lose every group and DISTINCT
+/// count that spans shards. So: dedup bindings, then hand the full bindings
+/// to [`select_rows`], which orders before it projects and aggregates once.
+pub fn merge_bindings(query: &SelectQuery, lists: Vec<Solutions>) -> Result<Solutions, EvalError> {
     let (vars, mut rows) = concat(lists);
     rows.sort();
     rows.dedup();
     select_rows(query, &vars, rows)
-}
-
-/// The single-aggregate COUNT shape the session UI produces
-/// (`SELECT (COUNT(?v) AS ?alias)`, no GROUP BY): the one aggregate a
-/// scatter can still answer exactly, by counting over the merged rows
-/// instead of summing pre-aggregated per-shard counts (which would be wrong
-/// for DISTINCT counts). Returns `(counted var, distinct, alias)`.
-pub fn count_shape(query: &SelectQuery) -> Option<(Option<String>, bool, String)> {
-    if !query.group_by.is_empty() {
-        return None;
-    }
-    let Projection::Items(items) = &query.projection else {
-        return None;
-    };
-    let [SelectItem::Agg {
-        agg: Aggregate::Count { distinct, var },
-        alias,
-    }] = items.as_slice()
-    else {
-        return None;
-    };
-    Some((var.clone(), *distinct, alias.clone()))
-}
-
-/// Evaluate a [`count_shape`] aggregate over merged (unaggregated) rows.
-pub fn count_rows(
-    merged: &Solutions,
-    var: &Option<String>,
-    distinct: bool,
-    alias: &str,
-) -> Solutions {
-    let n = match var {
-        Some(v) => {
-            let col = merged.vars.iter().position(|x| x == v);
-            let mut values: Vec<&Term> = merged
-                .rows
-                .iter()
-                .filter_map(|row| col.and_then(|c| row[c].as_ref()))
-                .collect();
-            if distinct {
-                values.sort();
-                values.dedup();
-            }
-            values.len()
-        }
-        None => merged.rows.len(),
-    };
-    Solutions {
-        vars: vec![alias.to_string()],
-        rows: vec![vec![Some(Term::Literal(sapphire_rdf::Literal::integer(
-            n as i64,
-        )))]],
-    }
 }
 
 /// A query stripped of its OFFSET/LIMIT slice: shards (and the single-box
@@ -350,7 +304,11 @@ res:Rome dbo:name "Rome" ; dbo:population 4000000 .
                 // A binding replicated on two shards still counts once.
                 vec![shard(&[1, 2]), shard(&[0, 1])],
             ] {
-                assert_eq!(merge_bindings(&query, lists), expected, "{modifiers}");
+                assert_eq!(
+                    merge_bindings(&query, lists),
+                    Ok(expected.clone()),
+                    "{modifiers}"
+                );
             }
         }
         let (_, top) = run(&format!(
@@ -368,47 +326,5 @@ res:Rome dbo:name "Rome" ; dbo:population 4000000 .
         };
         let merged = merge_solutions(&q, vec![one.clone(), one]);
         assert_eq!(merged.rows.len(), 2, "multiset semantics preserved");
-    }
-
-    #[test]
-    fn count_shape_detects_the_session_aggregate() {
-        let q = parse_select("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
-        assert!(count_shape(&q).is_none());
-        let mut counted = q.clone();
-        counted.projection = Projection::Items(vec![SelectItem::Agg {
-            agg: Aggregate::Count {
-                distinct: true,
-                var: Some("s".into()),
-            },
-            alias: "count".into(),
-        }]);
-        assert_eq!(
-            count_shape(&counted),
-            Some((Some("s".into()), true, "count".into()))
-        );
-    }
-
-    #[test]
-    fn count_rows_is_distinct_across_shard_fragments() {
-        let merged = Solutions {
-            vars: vec!["s".into()],
-            rows: vec![
-                vec![Some(Term::iri("http://x/a"))],
-                vec![Some(Term::iri("http://x/a"))],
-                vec![Some(Term::iri("http://x/b"))],
-                vec![None],
-            ],
-        };
-        let distinct = count_rows(&merged, &Some("s".into()), true, "count");
-        assert_eq!(distinct.vars, vec!["count"]);
-        assert_eq!(
-            distinct.rows[0][0].as_ref().unwrap().lexical(),
-            "2",
-            "distinct count ignores duplicates and unbound"
-        );
-        let plain = count_rows(&merged, &Some("s".into()), false, "count");
-        assert_eq!(plain.rows[0][0].as_ref().unwrap().lexical(), "3");
-        let star = count_rows(&merged, &None, false, "count");
-        assert_eq!(star.rows[0][0].as_ref().unwrap().lexical(), "4");
     }
 }

@@ -54,10 +54,7 @@ use sapphire_server::coalesce::{ReadThrough, Served};
 use sapphire_server::{run_cost, ServerError, ShardService, TransportStats};
 use sapphire_sparql::{Projection, Query, QueryResult, SelectQuery, Solutions, TermPattern};
 
-use crate::merge::{
-    count_rows, count_shape, dedup_alternatives, merge_bindings, merge_completions,
-    sort_alternatives,
-};
+use crate::merge::{dedup_alternatives, merge_bindings, merge_completions, sort_alternatives};
 use crate::topology::Cluster;
 
 /// Tuning knobs of a [`ClusterRouter`].
@@ -202,8 +199,8 @@ pub enum ClusterError {
     /// The edge itself rejected the request before consulting any shard
     /// (per-tenant budget exhausted at the edge tier).
     EdgeRejected(ServerError),
-    /// The query shape cannot be merged exactly from shard answers (e.g.
-    /// GROUP BY over a pattern spanning shards).
+    /// The evaluator cannot answer the query over the merged bindings (e.g.
+    /// a projected variable neither grouped nor aggregated).
     Unsupported(String),
 }
 
@@ -596,6 +593,11 @@ fn star_pattern_query(query: &SelectQuery) -> SelectQuery {
     }
 }
 
+/// A query the evaluator cannot answer over the merged bindings.
+fn unsupported(error: sapphire_sparql::EvalError) -> ClusterError {
+    ClusterError::Unsupported(error.to_string())
+}
+
 /// The home shard of a query whose patterns share one *ground* subject —
 /// the one case where scattering is pure waste and the router can route to
 /// a single shard.
@@ -909,21 +911,22 @@ impl ClusterRouter {
     // --- QSM / run ---------------------------------------------------------
 
     /// Cluster QSM + execution: scatter the (slice-stripped) query to every
-    /// shard, merge answers exactly (union for subject stars, recount for
-    /// the session COUNT shape, federated bound join for patterns spanning
-    /// shards), merge suggestions deterministically, and re-prefetch every
-    /// surviving suggestion's answers cluster-wide.
+    /// shard, merge answers exactly (the full bindings of a subject star's
+    /// scatter or of a federated bound join for patterns spanning shards,
+    /// then the query — aggregates included — applied to them once), merge
+    /// suggestions deterministically, and re-prefetch every surviving
+    /// suggestion's answers cluster-wide.
     pub fn run(&self, tenant: &str, query: &SelectQuery) -> Result<ClusterRun, ClusterError> {
         self.run_tiered(tenant, query, 0)
     }
 
     /// [`run`](Self::run) with a caller-imposed degradation-tier floor —
-    /// the surface an upstream tier (another edge, a front-end shedding on
-    /// its own queue) uses to propagate its shed decision downstream. The
-    /// tier actually *requested* from shards is the deeper of the floor and
-    /// this router's own [`DegradePolicy`] signals (queue pressure,
-    /// remaining deadline); without a policy the floor alone is honored,
-    /// and `run_tiered(t, q, 0)` is exactly [`run`](Self::run).
+    /// the surface an upstream tier (another edge, say) uses to propagate
+    /// its shed decision downstream. The tier actually *requested* from
+    /// shards is the deeper of the floor and this router's own
+    /// [`DegradePolicy`] signals (queue pressure, remaining deadline);
+    /// without a policy the floor alone is honored, and
+    /// `run_tiered(t, q, 0)` is exactly [`run`](Self::run).
     pub fn run_tiered(
         &self,
         tenant: &str,
@@ -1012,11 +1015,6 @@ impl ClusterRouter {
         requested: usize,
         started: Instant,
     ) -> Result<ClusterRunPayload, ClusterError> {
-        if count_shape(query).is_none() && (query.has_aggregates() || !query.group_by.is_empty()) {
-            return Err(ClusterError::Unsupported(
-                "aggregates beyond a single COUNT over a sharded pattern".into(),
-            ));
-        }
         // Scatter the *star-projected* query: shards return full bindings,
         // which is exactly what the exact merge needs (see `merge_bindings`)
         // — so the per-shard execution is paid once, not once for the run
@@ -1059,12 +1057,7 @@ impl ClusterRouter {
             self.counters.record_merge(lists.len());
             let mut t = self.obs.time(Stage::EdgeMerge);
             t.tag("run bindings");
-            if let Some((var, distinct, alias)) = count_shape(query) {
-                let rows = merge_bindings(&star, lists);
-                count_rows(&rows, &var, distinct, &alias)
-            } else {
-                merge_bindings(query, lists)
-            }
+            merge_bindings(query, lists).map_err(unsupported)?
         } else {
             self.cluster_answers(tenant, query)?
         };
@@ -1115,9 +1108,13 @@ impl ClusterRouter {
             // different bytes depending on transient load, which is
             // exactly what the merge contract forbids. (A shed *probe*
             // changes no bytes: the cut then prefetches what it would have
-            // passed over.)
+            // passed over. A rewrite the evaluator cannot answer — MIN over
+            // no solutions, say — is passed over, as the model passes it.)
             alternatives.extend(top_with_answers(query, kind, half, |asked| {
-                self.cluster_answers(tenant, asked).map(Some)
+                match self.cluster_answers(tenant, asked) {
+                    Err(ClusterError::Unsupported(_)) => Ok(None),
+                    answered => answered.map(Some),
+                }
             })?);
         }
 
@@ -1161,36 +1158,20 @@ impl ClusterRouter {
         })
     }
 
-    /// The exact cluster-wide answer set of one SELECT: targeted single-shard
-    /// routing for ground-subject stars, scatter + full-binding merge for
-    /// variable-subject stars, edge recount for the session COUNT shape, and
-    /// a federated bound join over the shards for patterns spanning them.
+    /// The exact cluster-wide answer set of one SELECT: full bindings —
+    /// targeted single-shard routing for ground-subject stars, a scatter for
+    /// variable-subject stars, a federated bound join over the shards for
+    /// patterns spanning them — merged, then the query applied to them once.
     fn cluster_answers(
         &self,
         tenant: &str,
         query: &SelectQuery,
     ) -> Result<Solutions, ClusterError> {
-        if let Some((var, distinct, alias)) = count_shape(query) {
-            // Count over the *merged* full bindings: per-shard counts cannot
-            // be summed for DISTINCT counts, so the edge counts once.
-            let star = star_pattern_query(query);
-            let lists = self.binding_lists(tenant, &star)?;
-            self.counters.record_merge(lists.len());
-            let mut t = self.obs.time(Stage::EdgeMerge);
-            t.tag("count recount");
-            let rows = merge_bindings(&star, lists);
-            return Ok(count_rows(&rows, &var, distinct, &alias));
-        }
-        if query.has_aggregates() || !query.group_by.is_empty() {
-            return Err(ClusterError::Unsupported(
-                "aggregates beyond a single COUNT over a sharded pattern".into(),
-            ));
-        }
         let lists = self.binding_lists(tenant, &star_pattern_query(query))?;
         self.counters.record_merge(lists.len());
         let mut t = self.obs.time(Stage::EdgeMerge);
         t.tag("bindings");
-        Ok(merge_bindings(query, lists))
+        merge_bindings(query, lists).map_err(unsupported)
     }
 
     /// Full-binding (`SELECT *`, no slice) row lists for a query's pattern,

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use sapphire_cluster::merge::{count_rows, merge_completions, merge_solutions};
+use sapphire_cluster::merge::{merge_bindings, merge_completions, merge_solutions};
 use sapphire_core::qcm::Completion;
 use sapphire_core::MatchSource;
 use sapphire_rdf::Term;
@@ -112,29 +112,44 @@ proptest! {
         }
     }
 
-    /// The edge recount of the session COUNT shape equals counting the
-    /// undivided corpus, for both DISTINCT and plain counts.
+    /// Aggregates over merged full bindings: COUNT, COUNT(DISTINCT) and a
+    /// grouped COUNT over any split of the bindings — a binding replicated
+    /// on every shard included — equal the same query over the whole.
     #[test]
     fn count_merge_is_shard_count_invariant(
-        values in proptest::collection::vec("[a-c]{1,3}", 1..20),
+        values in proptest::collection::vec(("[a-c]{1,3}", 0usize..4), 1..20),
         assignment in proptest::collection::vec(0usize..4, 8..9),
-        distinct in 0usize..2,
+        rot in 0usize..4,
+        form in 0usize..3,
     ) {
-        let rows: Vec<Vec<Option<Term>>> = values
+        let query = parse_select(match form {
+            0 => "SELECT (COUNT(?s) AS ?count) WHERE { ?s <http://x/p> ?o }",
+            1 => "SELECT (COUNT(DISTINCT ?s) AS ?count) WHERE { ?s <http://x/p> ?o }",
+            _ => "SELECT ?s (COUNT(?o) AS ?count) WHERE { ?s <http://x/p> ?o } GROUP BY ?s ORDER BY ?s",
+        })
+        .unwrap();
+        let vars = || vec!["s".to_string(), "o".to_string()];
+        let mut rows: Vec<Vec<Option<Term>>> = values
             .iter()
-            .map(|v| vec![Some(Term::iri(format!("http://x/{v}")))])
+            .map(|(s, o)| vec![
+                Some(Term::iri(format!("http://x/{s}"))),
+                Some(Term::Literal(sapphire_rdf::Literal::integer(*o as i64))),
+            ])
             .collect();
-        let var = Some("s".to_string());
-        let whole = Solutions { vars: vec!["s".into()], rows: rows.clone() };
-        let oracle = count_rows(&whole, &var, distinct == 1, "count");
+        rows.sort();
+        rows.dedup();
+        let whole = Solutions { vars: vars(), rows: rows.clone() };
+        let oracle = merge_bindings(&query, vec![whole]).unwrap();
         for shards in [1usize, 2, 4] {
-            let lists = deal(&rows, &assignment, shards);
-            let merged_rows = Solutions {
-                vars: vec!["s".into()],
-                rows: lists.into_iter().flatten().collect(),
-            };
-            let merged = count_rows(&merged_rows, &var, distinct == 1, "count");
-            prop_assert_eq!(&merged, &oracle);
+            let mut split = deal(&rows, &assignment, shards);
+            for list in &mut split {
+                list.push(rows[0].clone());
+            }
+            let lists: Vec<Solutions> = disorder(split, rot)
+                .into_iter()
+                .map(|rows| Solutions { vars: vars(), rows })
+                .collect();
+            prop_assert_eq!(&merge_bindings(&query, lists).unwrap(), &oracle);
         }
     }
 }

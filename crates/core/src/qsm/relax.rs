@@ -97,8 +97,8 @@ impl<'a> Explorer<'a> {
         )
     }
 
-    /// Reconstruct the union-graph edges a neighbor list contributes — the
-    /// same inserts the cold path performs as it parses each solution row.
+    /// Insert the union-graph edges a neighbor list contributes — warm or
+    /// cold, once the list is built.
     fn record_union_edges(&mut self, v: &Term, neighbors: &[Neighbor]) {
         for (other, pred, outgoing) in neighbors {
             let edge = if *outgoing {
@@ -157,7 +157,6 @@ impl<'a> Explorer<'a> {
                             continue;
                         }
                         neighbors.push((s.clone(), p.clone(), false));
-                        self.union_edges.insert((s.clone(), p.clone(), v.clone()));
                     }
                 }
             }
@@ -179,13 +178,13 @@ impl<'a> Explorer<'a> {
                                 continue;
                             }
                             neighbors.push((o.clone(), p.clone(), true));
-                            self.union_edges.insert((v.clone(), p.clone(), o.clone()));
                         }
                     }
                 }
                 None => complete = false,
             }
         }
+        self.record_union_edges(v, &neighbors);
         let neighbors = Arc::new(neighbors);
         if let Some(cache) = self.shared {
             cache.note_executed(charge as u64);

@@ -4,18 +4,24 @@
 //! (§3); the processor needs to (a) route queries to the endpoints that can
 //! answer them and (b) join patterns whose data lives on different endpoints.
 //! Like FedX, we do per-triple-pattern source selection with cheap ASK
-//! probes, route single-source queries whole, and fall back to bound joins
-//! for genuinely federated ones.
+//! probes and route a single-source query — one endpoint is the only source
+//! of every pattern — whole, slice and aggregates included: that endpoint
+//! holds the whole join.
 //!
-//! The bound join produces *full bindings* — one column per variable of the
-//! pattern — and nothing else: ORDER BY, projection, DISTINCT and the slice
-//! are [`sapphire_sparql::select_rows`], the evaluator's own modifiers over
-//! term rows, so an answer does not depend on how many endpoints held the
-//! data.
+//! Any other query is answered from *full bindings* — one column per
+//! variable of the pattern: the covering endpoints' `SELECT *` rows (each
+//! binding once, first copy kept), or the bound join's when those come back
+//! empty and the join may span endpoints. The processor then calls
+//! [`sapphire_sparql::select_rows`] once — the evaluator's own ORDER BY,
+//! projection, DISTINCT, slice and aggregates — so an answer does not depend
+//! on how many endpoints held the data.
 //!
-//! A query with inline data (`VALUES`) is answered whole or not at all: its
-//! sender reads a value without rows as a value without matches, so it is
-//! never routed to a covering endpoint alone and a source's error fails it.
+//! On a lenient plan (independent datasets) an endpoint error reads as "no
+//! match there": a failed probe, a refused sub-query, and a covering endpoint
+//! that refuses the unsliced star query alike. A query with inline data
+//! (`VALUES`) is answered whole or not at all: its sender reads a value
+//! without rows as a value without matches, so it is never answered from
+//! covering endpoints alone and a source's error fails it.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -121,62 +127,60 @@ impl FederatedProcessor {
         if gp.triples.is_empty() {
             return Err(FederationError::Unsupported("empty graph pattern".into()));
         }
-        let aggregated = matches!(query, Query::Select(select)
-            if select.has_aggregates() || !select.group_by.is_empty());
         // Independent datasets: a source that fails a probe or a sub-query
         // is a source without matches, and the others still answer. Not so
         // under inline data: whoever batches look-ups with `VALUES` reads a
         // value without rows as a value without matches, so that answer is
         // whole or an error — a source that fails fails the plan, and the
         // join is always taken across sources (a covering endpoint's own
-        // answer, empty or not, lacks the values whose join spans).
+        // rows lack the values whose join spans).
         let batched = gp.values.is_some();
         let plan = Plan {
             endpoints: &self.endpoints.iter().map(Arc::as_ref).collect::<Vec<_>>(),
             strict: batched,
         };
         let sources = plan.select_sources(gp)?;
-
-        // Endpoints able to answer every pattern can run the query whole.
-        let covering: Vec<usize> = (0..self.endpoints.len())
-            .filter(|i| sources.iter().all(|s| s.contains(i)))
-            .collect();
-
-        if !covering.is_empty() && (aggregated || !batched) {
-            let result = plan.union_over(query, &covering)?;
-            // A covering endpoint answers each pattern individually, but the
-            // *join* may still span endpoints (e.g. people on one source,
-            // their birthplaces' names on another). If the single-source
-            // route comes back empty and some pattern has non-covering
-            // sources too, retry with a bound join before giving up.
-            let came_back_empty = matches!(&result, QueryResult::Solutions(s) if s.is_empty())
-                || matches!(&result, QueryResult::Boolean(false));
-            let join_may_span = sources
-                .iter()
-                .any(|s| s.iter().any(|i| !covering.contains(i)));
-            if aggregated || !(came_back_empty && join_may_span) {
-                return Ok(result);
+        // FedX's single-source rule: the only source of every pattern holds
+        // the whole join, so it answers the query as asked.
+        if let [only] = sources[0][..] {
+            if sources.iter().all(|s| s[..] == [only]) {
+                return self.endpoints[only]
+                    .execute_parsed(query)
+                    .map_err(FederationError::AllSourcesFailed);
             }
         }
 
-        // Genuinely federated: bound-join plain SELECTs only.
-        let Query::Select(select) = query else {
-            return Ok(QueryResult::Boolean(
-                !plan.bound_join(gp, &sources, Some(1))?.is_empty(),
-            ));
+        // Endpoints able to answer every pattern hold a share of the join;
+        // it may still span endpoints (people on one source, their
+        // birthplaces' names on another), so if their rows come back empty
+        // and some pattern has non-covering sources, bound-join instead.
+        let covering: Vec<usize> = (0..self.endpoints.len())
+            .filter(|i| sources.iter().all(|s| s.contains(i)))
+            .collect();
+        let row_limit = matches!(query, Query::Ask(_)).then_some(1);
+        let mut rows = if batched {
+            Vec::new()
+        } else {
+            plan.covering_rows(gp, &covering, row_limit)?
         };
-        if aggregated {
-            return Err(FederationError::Unsupported(
-                "aggregates over patterns spanning multiple endpoints".into(),
-            ));
+        let join_may_span = batched
+            || sources
+                .iter()
+                .any(|s| s.iter().any(|i| !covering.contains(i)));
+        if rows.is_empty() && join_may_span {
+            rows = plan.bound_join(gp, &sources, row_limit)?;
         }
-        let rows = plan.bound_join(gp, &sources, None)?;
-        Ok(QueryResult::Solutions(select_rows(
-            select,
-            &gp.variables(),
-            rows,
-        )))
+        match query {
+            Query::Ask(_) => Ok(QueryResult::Boolean(!rows.is_empty())),
+            Query::Select(select) => select_over(select, rows).map(QueryResult::Solutions),
+        }
     }
+}
+
+/// `select`'s answer over full bindings of its pattern.
+fn select_over(select: &SelectQuery, rows: Vec<Binding>) -> Result<Solutions, FederationError> {
+    select_rows(select, &select.pattern.variables(), rows)
+        .map_err(|e| FederationError::Unsupported(e.to_string()))
 }
 
 /// Execute a SELECT over **partitioned** backends — every endpoint holding a
@@ -201,11 +205,6 @@ pub fn execute_partitioned(
     if endpoints.is_empty() {
         return Err(FederationError::NoEndpoints);
     }
-    if select.has_aggregates() || !select.group_by.is_empty() {
-        return Err(FederationError::Unsupported(
-            "aggregates over partitioned patterns".into(),
-        ));
-    }
     let gp = &select.pattern;
     if gp.triples.is_empty() {
         return Err(FederationError::Unsupported("empty graph pattern".into()));
@@ -215,8 +214,7 @@ pub fn execute_partitioned(
         strict: true,
     };
     let sources = plan.select_sources(gp)?;
-    let rows = plan.bound_join(gp, &sources, None)?;
-    Ok(select_rows(select, &gp.variables(), rows))
+    select_over(select, plan.bound_join(gp, &sources, None)?)
 }
 
 /// Source selection and bound join over one set of endpoints.
@@ -242,51 +240,32 @@ impl Plan<'_> {
         }
     }
 
-    /// Run the whole query on each covering endpoint and union the rows.
-    fn union_over(
+    /// The union of the covering endpoints' full bindings (`SELECT *`, at
+    /// most `row_limit` each): each binding once, first copy kept.
+    fn covering_rows(
         &self,
-        query: &Query,
+        gp: &GraphPattern,
         covering: &[usize],
-    ) -> Result<QueryResult, FederationError> {
-        let mut first_err: Option<EndpointError> = None;
-        // The first answer's row count, and every compatible answer's rows.
-        let mut merged: Option<(usize, Solutions)> = None;
-        let mut boolean = false;
-        let mut any_ok = false;
+        row_limit: Option<usize>,
+    ) -> Result<Vec<Binding>, FederationError> {
+        let names = gp.variables();
+        let star = Query::Select(SelectQuery {
+            limit: row_limit,
+            ..SelectQuery::star(gp.clone())
+        });
+        let mut rows: Vec<Binding> = Vec::new();
         for &i in covering {
-            match self.endpoints[i].execute_parsed(query) {
-                Ok(QueryResult::Boolean(b)) => {
-                    any_ok = true;
-                    boolean |= b;
-                }
-                Ok(QueryResult::Solutions(s)) => {
-                    any_ok = true;
-                    match &mut merged {
-                        None => merged = Some((s.rows.len(), s)),
-                        Some((_, acc)) if acc.vars == s.vars => acc.rows.extend(s.rows),
-                        Some(_) => {}
-                    }
-                }
-                Err(e) if self.strict => return Err(FederationError::AllSourcesFailed(e)),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+            if let Some(QueryResult::Solutions(sols)) =
+                self.answer(self.endpoints[i].execute_parsed(&star))?
+            {
+                rows.extend(
+                    (0..sols.len())
+                        .map(|r| names.iter().map(|v| sols.get(r, v).cloned()).collect()),
+                );
             }
         }
-        if !any_ok {
-            return Err(FederationError::AllSourcesFailed(
-                first_err.unwrap_or(EndpointError::Eval("no covering endpoint".into())),
-            ));
-        }
-        Ok(match merged {
-            Some((first, mut s)) => {
-                // The first endpoint's answer stands as it came; a later
-                // endpoint adds the rows not seen before it.
-                retain_first_seen(&mut s.rows, first);
-                QueryResult::Solutions(s)
-            }
-            None => QueryResult::Boolean(boolean),
-        })
+        retain_first_seen(&mut rows);
+        Ok(rows)
     }
 
     /// Per-pattern source selection: which endpoints have at least one match
@@ -371,7 +350,7 @@ impl Plan<'_> {
                     }
                 }
             }
-            retain_first_seen(&mut next, 0);
+            retain_first_seen(&mut next);
             bindings = next;
             if bindings.is_empty() {
                 break;
@@ -391,15 +370,10 @@ impl Plan<'_> {
     }
 }
 
-/// Drop every row equal to one before it; the first `standing` rows stay
-/// whatever they repeat.
-fn retain_first_seen(rows: &mut Vec<Binding>, standing: usize) {
+/// Drop every row equal to one before it.
+fn retain_first_seen(rows: &mut Vec<Binding>) {
     let mut seen: HashSet<&Binding> = HashSet::with_capacity(rows.len());
-    let fresh: Vec<bool> = rows
-        .iter()
-        .enumerate()
-        .map(|(at, row)| seen.insert(row) || at < standing)
-        .collect();
+    let fresh: Vec<bool> = rows.iter().map(|row| seen.insert(row)).collect();
     let mut fresh = fresh.into_iter();
     rows.retain(|_| fresh.next().expect("one flag per row"));
 }
@@ -584,6 +558,79 @@ res:Wells dbo:population 12000 .
                 assert_eq!(names(&split), expected[..kept], "{query}");
             }
         }
+    }
+
+    /// Cities by subject — each city on the endpoint of its country where
+    /// two endpoints split them, every country on a third where three do.
+    const ASH_CORK_ELY: &str = r#"
+res:A a dbo:City ; dbo:name "Ash" ; dbo:country res:X ; dbo:population 300 .
+res:C a dbo:City ; dbo:name "Cork" ; dbo:country res:X ; dbo:population 500 .
+res:E a dbo:City ; dbo:name "Ely" ; dbo:country res:X ; dbo:population 450 .
+"#;
+    const BATH_DOVER: &str = r#"
+res:B a dbo:City ; dbo:name "Bath" ; dbo:country res:Y ; dbo:population 100 .
+res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
+"#;
+    const COUNTRIES: [&str; 2] = [r#"res:X dbo:name "Xland" ."#, r#"res:Y dbo:name "Yland" ."#];
+
+    /// A session's modifiers and GROUP BY aggregates answer alike from one
+    /// endpoint holding the data and from the data split by subject over
+    /// two or three: covering endpoints' full bindings, or the bound join's,
+    /// under the evaluator's own modifiers and aggregates, once.
+    #[test]
+    fn a_split_answers_every_modifier_and_aggregate_like_one_endpoint() {
+        let [x, y] = COUNTRIES;
+        let federation = |parts: &[String]| {
+            let mut fed = FederatedProcessor::new();
+            for (i, part) in parts.iter().enumerate() {
+                fed.register(make(&format!("part{i}"), part));
+            }
+            fed
+        };
+        let one = federation(&[format!("{ASH_CORK_ELY}{BATH_DOVER}{x}{y}")]);
+        let two = federation(&[format!("{ASH_CORK_ELY}{x}"), format!("{BATH_DOVER}{y}")]);
+        let three = federation(&[
+            ASH_CORK_ELY.to_string(),
+            BATH_DOVER.to_string(),
+            format!("{x}{y}"),
+        ]);
+        let city = "?s dbo:name ?name ; dbo:country ?k ; dbo:population ?pop";
+        let countries = "?s dbo:country ?k . ?k dbo:name ?kn";
+        for query in [
+            format!("SELECT DISTINCT ?k WHERE {{ {city} }} ORDER BY ?k"),
+            format!("SELECT DISTINCT ?k WHERE {{ {city} }} ORDER BY DESC(?pop)"),
+            format!("SELECT ?name WHERE {{ {city} }} ORDER BY ?pop"),
+            format!("SELECT ?name WHERE {{ {city} }} ORDER BY DESC(?pop) LIMIT 2 OFFSET 1"),
+            format!("SELECT ?name ?pop WHERE {{ {city} }} ORDER BY DESC(?name) LIMIT 3"),
+            format!("SELECT ?name WHERE {{ {city} }} ORDER BY ?name OFFSET 4"),
+            format!("SELECT (COUNT(?s) AS ?n) WHERE {{ {city} }}"),
+            format!("SELECT (COUNT(DISTINCT ?k) AS ?n) WHERE {{ {city} }}"),
+            format!(
+                "SELECT ?k (SUM(?pop) AS ?sum) (AVG(?pop) AS ?avg) (MIN(?pop) AS ?min) \
+                 (MAX(?pop) AS ?max) WHERE {{ {city} }} GROUP BY ?k ORDER BY DESC(?k)"
+            ),
+            format!("SELECT ?kn ?s WHERE {{ {countries} }} ORDER BY ?s LIMIT 4"),
+            format!("SELECT (COUNT(DISTINCT ?kn) AS ?n) WHERE {{ {countries} }}"),
+            format!(
+                "SELECT ?kn (COUNT(?s) AS ?n) WHERE {{ {countries} }} GROUP BY ?kn ORDER BY DESC(?n)"
+            ),
+        ] {
+            let whole = one.select(&query).unwrap();
+            assert!(!whole.is_empty(), "{query}");
+            assert_eq!(two.select(&query).unwrap(), whole, "two: {query}");
+            assert_eq!(three.select(&query).unwrap(), whole, "three: {query}");
+        }
+        let count = two
+            .select(&format!("SELECT (COUNT(?s) AS ?n) WHERE {{ {city} }}"))
+            .unwrap();
+        assert_eq!(count.sole_value().unwrap().lexical(), "5");
+        let by_country = three
+            .select(&format!(
+                "SELECT ?kn (COUNT(?s) AS ?n) WHERE {{ {countries} }} GROUP BY ?kn ORDER BY ?kn"
+            ))
+            .unwrap();
+        let counts: Vec<&str> = by_country.values("n").map(|t| t.lexical()).collect();
+        assert_eq!(counts, ["3", "2"]);
     }
 
     /// Inline data answers alike wherever the data sits: on the one endpoint

@@ -70,13 +70,6 @@ pub struct FrontendConfig {
     /// [`ServerError::Overloaded`]. The bound is per-session back-pressure:
     /// a single runaway client cannot grow the front-end's memory.
     pub session_queue_depth: usize,
-    /// Ready-queue depth beyond which the front-end sheds fidelity on its
-    /// own initiative: dispatched runs carry degradation-tier floor 1 when
-    /// the reactor's ready queue is deeper than this, floor 2 beyond twice
-    /// it. The floor rides the server's `run_tiered` surface, so tier-0
-    /// requests keep their no-shed guarantee. `None` (the default) leaves
-    /// shedding to the server's own admission-queue signal.
-    pub shed_ready_threshold: Option<usize>,
 }
 
 impl Default for FrontendConfig {
@@ -87,7 +80,6 @@ impl Default for FrontendConfig {
                 .unwrap_or(8)
                 .min(8),
             session_queue_depth: 64,
-            shed_ready_threshold: None,
         }
     }
 }
@@ -98,7 +90,6 @@ impl FrontendConfig {
         FrontendConfig {
             workers: 2,
             session_queue_depth: 64,
-            shed_ready_threshold: None,
         }
     }
 }
@@ -133,10 +124,6 @@ pub struct FrontendMetrics {
     pub late_grants: u64,
     /// Parked sessions settled to [`ServerError::QueueTimeout`].
     pub queue_timeouts: u64,
-    /// Runs dispatched with a non-zero degradation-tier floor because the
-    /// reactor's ready queue exceeded
-    /// [`FrontendConfig::shed_ready_threshold`].
-    pub shed_dispatches: u64,
     /// Sessions the front-end currently tracks.
     pub open_sessions: usize,
     /// Sessions in the ready queue right now.
@@ -158,7 +145,6 @@ pub(crate) struct MetricCounters {
     pub(crate) ticket_grants: AtomicU64,
     pub(crate) late_grants: AtomicU64,
     pub(crate) queue_timeouts: AtomicU64,
-    pub(crate) shed_dispatches: AtomicU64,
 }
 
 /// The raw-query execution target.
@@ -437,7 +423,6 @@ impl Frontend {
             ticket_grants: self.shared.counters.ticket_grants.load(Ordering::Relaxed),
             late_grants: self.shared.counters.late_grants.load(Ordering::Relaxed),
             queue_timeouts: self.shared.counters.queue_timeouts.load(Ordering::Relaxed),
-            shed_dispatches: self.shared.counters.shed_dispatches.load(Ordering::Relaxed),
             open_sessions: self.shared.sessions.read().unwrap().len(),
             ready,
             parked,
@@ -463,7 +448,6 @@ impl Frontend {
             .field("ticket_grants", m.ticket_grants)
             .field("late_grants", m.late_grants)
             .field("queue_timeouts", m.queue_timeouts)
-            .field("shed_dispatches", m.shed_dispatches)
             .field("open_sessions", m.open_sessions)
             .field("ready", m.ready)
             .field("parked", m.parked)
@@ -1133,7 +1117,6 @@ mod tests {
             FrontendConfig {
                 workers: 1,
                 session_queue_depth: 2,
-                shed_ready_threshold: None,
             },
         );
         let s = fe.open_session("alice").unwrap();
@@ -1202,7 +1185,6 @@ mod tests {
             FrontendConfig {
                 workers: 1,
                 session_queue_depth: 2,
-                shed_ready_threshold: None,
             },
         );
         let s = fe.open_session("alice").unwrap();
@@ -1299,131 +1281,5 @@ mod tests {
             fe.open_session("bob"),
             Err(ServerError::ShuttingDown)
         ));
-    }
-
-    #[test]
-    fn ready_queue_backlog_sheds_tiers_but_never_onto_tier_zero() {
-        // Front-end-initiated shedding: one worker, threshold 0, so ANY
-        // ready-queue backlog at dispatch time floors the run's tier. The
-        // worker is pinned deterministically by blocking inside the first
-        // run's callback while the backlog is submitted behind it. Every
-        // session asks a different question: a cold run is always a
-        // worker's, so the first one submitted behind the pin starts the
-        // ready queue the rest line up in (a cached one would be answered
-        // by its submitter and queue nothing).
-        let fe = Frontend::new(
-            Arc::new(SapphireServer::new(pum(), ServerConfig::for_tests())),
-            FrontendConfig {
-                workers: 1,
-                shed_ready_threshold: Some(0),
-                ..FrontendConfig::for_tests()
-            },
-        );
-        // Two literal rows: the QSM only honors a degradation tier when the
-        // query has >= 2 literal groups to relax (a single-literal query
-        // reports tier 0 at every tier by design).
-        let rows = |fe: &Frontend, s: SessionId, surname: &str| {
-            fe.call(
-                s,
-                FrontRequest::SetRow {
-                    idx: 0,
-                    input: TripleInput::new("?p", "surname", surname),
-                },
-            )
-            .unwrap();
-            fe.call(
-                s,
-                FrontRequest::SetRow {
-                    idx: 1,
-                    input: TripleInput::new("?p", "name", "John F. Kennedy"),
-                },
-            )
-            .unwrap();
-        };
-        let sessions: Vec<_> = (0..8)
-            .map(|i| {
-                let s = fe.open_session(&format!("user{i}")).unwrap();
-                rows(&fe, s, &format!("Kennedy{i}"));
-                s
-            })
-            .collect();
-
-        // Pin the single worker: its first run's callback blocks until the
-        // gate opens, so every later submission lands in the ready queue.
-        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-        let tiers = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let pending = Arc::new(AtomicUsize::new(sessions.len()));
-        let (pinned_tx, pinned) = mpsc::channel();
-        {
-            let gate = gate.clone();
-            let tiers = tiers.clone();
-            let pending = pending.clone();
-            fe.submit(
-                sessions[0],
-                FrontRequest::Run,
-                Box::new(move |r| {
-                    let out = match r.expect("run succeeds") {
-                        FrontResponse::Run(out) => out,
-                        other => panic!("unexpected response {other:?}"),
-                    };
-                    tiers.lock().unwrap().push(out.suggestions.tier);
-                    pinned_tx.send(()).unwrap();
-                    let (lock, cvar) = &*gate;
-                    let mut open = lock.lock().unwrap();
-                    while !*open {
-                        open = cvar.wait(open).unwrap();
-                    }
-                    pending.fetch_sub(1, Ordering::SeqCst);
-                }),
-            )
-            .unwrap();
-        }
-        pinned.recv().unwrap();
-        for &s in &sessions[1..] {
-            let tiers = tiers.clone();
-            let pending = pending.clone();
-            fe.submit(
-                s,
-                FrontRequest::Run,
-                Box::new(move |r| {
-                    let out = match r.expect("run succeeds") {
-                        FrontResponse::Run(out) => out,
-                        other => panic!("unexpected response {other:?}"),
-                    };
-                    tiers.lock().unwrap().push(out.suggestions.tier);
-                    pending.fetch_sub(1, Ordering::SeqCst);
-                }),
-            )
-            .unwrap();
-        }
-        {
-            let (lock, cvar) = &*gate;
-            *lock.lock().unwrap() = true;
-            cvar.notify_all();
-        }
-        while pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        let tiers = tiers.lock().unwrap().clone();
-        assert!(
-            tiers.iter().any(|&t| t > 0),
-            "a dispatch behind the pinned worker must have shed: {tiers:?}"
-        );
-        assert!(fe.metrics().shed_dispatches >= 1);
-
-        // Tier-0 isolation: with the backlog drained, a query that was shed
-        // (the first one queued behind the hand-over certainly was) run
-        // fresh must come back full-fidelity — the tier-keyed caches never
-        // leak a shed answer into a tier-0 lookup.
-        let calm = fe.open_session("calm").unwrap();
-        rows(&fe, calm, "Kennedy2");
-        let out = match fe.call(calm, FrontRequest::Run).unwrap() {
-            FrontResponse::Run(out) => out,
-            other => panic!("unexpected response {other:?}"),
-        };
-        assert_eq!(out.suggestions.tier, 0, "tier-0 lookup saw a shed answer");
-        assert!(!out.suggestions.degraded);
-        assert!(out.executed);
     }
 }

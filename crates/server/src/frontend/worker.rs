@@ -517,7 +517,7 @@ impl Turn<'_> {
     /// the root trace.
     fn execute(
         &self,
-        mut request: Request<'static>,
+        request: Request<'static>,
         permit: AdmissionPermit,
         respond: ResponseCallback,
         trace: Option<Trace>,
@@ -525,9 +525,6 @@ impl Turn<'_> {
         let shared = self.shared;
         let _mark = RequestMark::new();
         let _scope = TraceScope::enter(trace.clone());
-        // Sampled only now, after the grant: the floor should reflect the
-        // backlog this front-end still faces while the run holds its slot.
-        request.raise_run_floor(|| shed_floor(shared));
         let result = match self.runner {
             Runner::Worker => shared.server.post_gate(request, permit),
             Runner::Submitter => match shared.server.lookup(request, permit) {
@@ -589,35 +586,4 @@ impl Turn<'_> {
         self.reply(h.respond, result.map(front_response));
         Ownership::Held
     }
-}
-
-/// Front-end-initiated shedding: pick a degradation-tier floor from the
-/// reactor's OWN ready-queue depth, so fidelity drops while work is still
-/// queued in the front-end — before the server's admission queue (the
-/// signal `SapphireServer::qsm_tier` watches) ever sees the backlog. The
-/// floor rides the same `run_tiered` surface a cluster edge uses, so
-/// tier-keyed caching and the tier-0 isolation guarantee hold unchanged.
-///
-/// Ladder, mirroring [`SapphireServer::shed_pressure_tier`]: a ready queue
-/// deeper than the threshold sheds tier 1; deeper than twice the threshold
-/// sheds tier 2. `None` (the default) disables front-end shedding.
-fn shed_floor(shared: &Shared) -> usize {
-    let Some(threshold) = shared.config.shed_ready_threshold else {
-        return 0;
-    };
-    let (ready, _parked, _busy) = shared.reactor.load();
-    let floor = if ready > threshold.saturating_mul(2) {
-        2
-    } else if ready > threshold {
-        1
-    } else {
-        0
-    };
-    if floor > 0 {
-        shared
-            .counters
-            .shed_dispatches
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    floor
 }

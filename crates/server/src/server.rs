@@ -323,16 +323,6 @@ pub(crate) struct Request<'a> {
     budget: Option<Duration>,
 }
 
-impl Request<'_> {
-    /// Raise a run's tier floor to at least `floor()` (not called for other
-    /// kinds) — for a tier that can only be sampled once the grant arrives.
-    pub(crate) fn raise_run_floor(&mut self, floor: impl FnOnce() -> usize) {
-        if let What::Run { tier_floor, .. } = &mut self.what {
-            *tier_floor = (*tier_floor).max(floor());
-        }
-    }
-}
-
 /// The answer to a [`Request`], one variant per [`What`].
 #[derive(Debug)]
 pub(crate) enum Reply {
@@ -814,9 +804,8 @@ impl SapphireServer {
                 };
                 self.charge(&tenant, run_cost(query.pattern.triples.len()))?;
                 // The deeper of the caller's floor (a cluster edge's
-                // requested tier, a front-end shedding on its own backlog)
-                // and this server's own pressure signal, clamped to the
-                // ladder.
+                // requested tier) and this server's own pressure signal,
+                // clamped to the ladder.
                 let tier = tier_floor
                     .max(self.qsm_tier())
                     .min(sapphire_core::SteinerConfig::MAX_TIER);

@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use sapphire_rdf::{vocab, Graph, Literal, Term, TermId};
+use sapphire_rdf::{vocab, Graph, Interner, Literal, Term, TermId};
 
 use crate::ast::*;
 use crate::solutions::{QueryResult, Solutions};
@@ -126,27 +126,66 @@ pub fn evaluate_select(
     budget: &mut WorkBudget,
 ) -> Result<Solutions, EvalError> {
     let vars = VarTable::from_pattern(&query.pattern);
-    let aggregated = query.has_aggregates() || !query.group_by.is_empty();
-    let reach = slice_reach(query);
-
     // LIMIT can be pushed into BGP matching only when no operator above the
     // BGP can change row multiplicity or order. And when all that is asked
     // of inline data is which of its values have a solution, one solution
     // per value answers it.
-    let walk = if !query.distinct && query.order_by.is_empty() && !aggregated {
-        reach.map_or(Walk::All, Walk::Rows)
+    let walk = if !query.distinct && query.order_by.is_empty() && !aggregated(query) {
+        slice_reach(query).map_or(Walk::All, Walk::Rows)
     } else if asks_only_for_its_values(query) {
         Walk::OncePerValue
     } else {
         Walk::All
     };
     let table = match_bgp(graph, &query.pattern, &vars, budget, walk)?;
+    select_table(graph.interner(), query, &vars, &table)
+}
 
-    if aggregated {
-        select_aggregated(graph, query, &vars, &table, reach)
+/// The query's GROUP BY, aggregates, modifiers and projection over binding
+/// rows whose ids `terms` resolves — the one place a SELECT is applied to
+/// rows.
+fn select_table(
+    terms: &Interner,
+    query: &SelectQuery,
+    vars: &VarTable,
+    table: &BindingTable,
+) -> Result<Solutions, EvalError> {
+    let reach = slice_reach(query);
+    if aggregated(query) {
+        select_aggregated(terms, query, vars, table, reach)
     } else {
-        Ok(select_bindings(graph, query, &vars, &table, reach))
+        Ok(select_bindings(terms, query, vars, table, reach))
     }
+}
+
+/// The evaluator's SELECT over rows that are already terms — *full
+/// bindings* (one column per entry of `vars`) wherever they were joined: a
+/// federated plan, a scatter over shards. The rows are interned into a
+/// throwaway term table and take the id path, aggregates included, so given
+/// the rows [`evaluate_select`] matched, in its order, the answer is
+/// `evaluate_select`'s byte for byte.
+pub fn select_rows(
+    query: &SelectQuery,
+    vars: &[String],
+    rows: Vec<Vec<Option<Term>>>,
+) -> Result<Solutions, EvalError> {
+    let mut terms = Interner::new();
+    let mut table = BindingTable::new(vars.len());
+    let mut ids = Vec::with_capacity(vars.len());
+    for row in rows {
+        ids.clear();
+        ids.extend(row.into_iter().map(|cell| cell.map(|t| terms.intern(t))));
+        table.push(&ids);
+    }
+    let vars = VarTable {
+        names: vars.to_vec(),
+    };
+    select_table(&terms, query, &vars, &table)
+}
+
+/// Whether the query groups its rows: GROUP BY, or an aggregate projected.
+fn aggregated(query: &SelectQuery) -> bool {
+    query.has_aggregates() || !query.group_by.is_empty()
 }
 
 /// `SELECT DISTINCT ?v WHERE { … VALUES ?v { … } }` with no grouping and no
@@ -984,7 +1023,7 @@ fn order_columns(keys: &[OrderKey], column: impl Fn(&str) -> Option<usize>) -> V
 /// Modifiers and projection of a query without aggregates, over the BGP's
 /// binding rows.
 fn select_bindings(
-    graph: &Graph,
+    terms: &Interner,
     query: &SelectQuery,
     vars: &VarTable,
     table: &BindingTable,
@@ -1006,7 +1045,7 @@ fn select_bindings(
         let reach = reach.filter(|_| !query.distinct);
         order_rows(&mut rows, reach, &order, |row, col| {
             match table.row(row)[col] {
-                Some(id) => SortKey::of(graph.term(id)),
+                Some(id) => SortKey::of(terms.resolve(id)),
                 None => SortKey::Unbound,
             }
         });
@@ -1024,66 +1063,7 @@ fn select_bindings(
         .map(|row| {
             let row = table.row(row);
             cols.iter()
-                .map(|c| c.and_then(|c| row[c]).map(|id| graph.term(id).clone()))
-                .collect()
-        })
-        .collect();
-    Solutions { vars: names, rows }
-}
-
-/// The evaluator's modifiers for rows that are already terms: ORDER BY,
-/// projection, DISTINCT and the slice of a query without aggregates, over
-/// *full-binding* rows (one column per entry of `vars`) wherever they were
-/// joined — a federated bound join, a scatter over shards. The id path's
-/// glue (`select_bindings`) with a different cell type: same helpers, same
-/// sequence — ordered over the full bindings (ties keep the rows' order on
-/// entry), then projected, DISTINCT, sliced — so given the rows
-/// [`evaluate_select`] matched, in its order, the answer is
-/// `evaluate_select`'s byte for byte.
-pub fn select_rows(
-    query: &SelectQuery,
-    vars: &[String],
-    mut rows: Vec<Vec<Option<Term>>>,
-) -> Solutions {
-    let column = |name: &str| vars.iter().position(|v| v == name);
-    let names: Vec<String> = match &query.projection {
-        Projection::Star => vars.to_vec(),
-        Projection::Items(items) => items.iter().map(|i| i.name().to_string()).collect(),
-    };
-    let cols: Vec<Option<usize>> = names.iter().map(|n| column(n)).collect();
-    let reach = slice_reach(query);
-    let mut picked: Vec<usize> = (0..rows.len()).collect();
-
-    if !query.order_by.is_empty() {
-        let order = order_columns(&query.order_by, column);
-        let reach = reach.filter(|_| !query.distinct);
-        order_rows(&mut picked, reach, &order, |row, col| {
-            SortKey::of_cell(rows[row][col].as_ref())
-        });
-    }
-    if query.distinct {
-        retain_distinct(&mut picked, reach, |row, key| {
-            key.extend(cols.iter().map(|c| c.and_then(|c| rows[row][c].as_ref())));
-        });
-    }
-    slice_rows(&mut picked, query);
-
-    // Each picked row is read once, so a cell moves out unless a later
-    // output column names the same variable again.
-    let rows = picked
-        .into_iter()
-        .map(|row| {
-            let row = &mut rows[row];
-            cols.iter()
-                .enumerate()
-                .map(|(at, &c)| {
-                    let c = c?;
-                    if cols[at + 1..].contains(&Some(c)) {
-                        row[c].clone()
-                    } else {
-                        row[c].take()
-                    }
-                })
+                .map(|c| c.and_then(|c| row[c]).map(|id| terms.resolve(id).clone()))
                 .collect()
         })
         .collect();
@@ -1154,7 +1134,7 @@ enum Column {
     Counts(Vec<usize>),
     /// SUM / AVG: computed literals.
     Computed(Vec<Term>),
-    /// MIN / MAX: a term of the graph, or `None` for a group with no bound
+    /// MIN / MAX: an interned term, or `None` for a group with no bound
     /// value (an error, raised if the column is reached).
     Extremes(Vec<Option<TermId>>),
     /// The item cannot be evaluated (raised if there is a group to evaluate
@@ -1196,10 +1176,10 @@ impl Column {
 }
 
 impl<'a> Cell<'a> {
-    fn sort_key(self, graph: &'a Graph) -> SortKey<'a> {
+    fn sort_key(self, terms: &'a Interner) -> SortKey<'a> {
         match self {
             Cell::Id(None) => SortKey::Unbound,
-            Cell::Id(Some(id)) => SortKey::of(graph.term(id)),
+            Cell::Id(Some(id)) => SortKey::of(terms.resolve(id)),
             // Counts only ever meet counts, which compare as numbers.
             Cell::Count(n) => SortKey::Value {
                 num: Some(n as f64),
@@ -1209,9 +1189,9 @@ impl<'a> Cell<'a> {
         }
     }
 
-    fn into_term(self, graph: &Graph) -> Option<Term> {
+    fn into_term(self, terms: &Interner) -> Option<Term> {
         match self {
-            Cell::Id(id) => id.map(|id| graph.term(id).clone()),
+            Cell::Id(id) => id.map(|id| terms.resolve(id).clone()),
             Cell::Count(n) => Some(Term::Literal(Literal::integer(n as i64))),
             Cell::Computed(term) => Some(term.clone()),
         }
@@ -1220,7 +1200,7 @@ impl<'a> Cell<'a> {
 
 /// GROUP BY, aggregates, modifiers and projection of an aggregate query.
 fn select_aggregated(
-    graph: &Graph,
+    terms: &Interner,
     query: &SelectQuery,
     vars: &VarTable,
     table: &BindingTable,
@@ -1251,7 +1231,7 @@ fn select_aggregated(
                 ))),
             },
             SelectItem::Agg { agg, .. } => {
-                aggregate_column(graph, agg, vars, table, &groups).unwrap_or_else(Column::Invalid)
+                aggregate_column(terms, agg, vars, table, &groups).unwrap_or_else(Column::Invalid)
             }
         })
         .collect();
@@ -1278,7 +1258,7 @@ fn select_aggregated(
     if !query.order_by.is_empty() {
         let order = order_columns(&query.order_by, |v| names.iter().position(|n| n == v));
         order_rows(&mut rows, reach, &order, |group, col| {
-            columns[col].cell(group, &groups).sort_key(graph)
+            columns[col].cell(group, &groups).sort_key(terms)
         });
     }
     slice_rows(&mut rows, query);
@@ -1288,7 +1268,7 @@ fn select_aggregated(
         .map(|group| {
             columns
                 .iter()
-                .map(|c| c.cell(group, &groups).into_term(graph))
+                .map(|c| c.cell(group, &groups).into_term(terms))
                 .collect()
         })
         .collect();
@@ -1298,7 +1278,7 @@ fn select_aggregated(
 /// Evaluate one aggregate for every group, in one pass over the binding rows
 /// (in row order, so order-sensitive folds see each group's rows in order).
 fn aggregate_column(
-    graph: &Graph,
+    terms: &Interner,
     agg: &Aggregate,
     vars: &VarTable,
     table: &BindingTable,
@@ -1316,7 +1296,7 @@ fn aggregate_column(
     let numbers = |c: usize| {
         let mut nums: Vec<Vec<f64>> = vec![Vec::new(); groups.len];
         for (group, id) in bound(c) {
-            if let Some(n) = graph.term(id).as_literal().and_then(|l| l.as_f64()) {
+            if let Some(n) = terms.resolve(id).as_literal().and_then(|l| l.as_f64()) {
                 nums[group].push(n);
             }
         }
@@ -1398,7 +1378,7 @@ fn aggregate_column(
             let mut best: Vec<Option<TermId>> = vec![None; groups.len];
             for (group, id) in bound(col(v)?) {
                 let replace = best[group].is_none_or(|b| {
-                    term_order(Some(graph.term(b)), Some(graph.term(id))) == replaces
+                    term_order(Some(terms.resolve(b)), Some(terms.resolve(id))) == replaces
                 });
                 if replace {
                     best[group] = Some(id);

@@ -79,4 +79,19 @@ fn main() {
         .expect("query parses");
     println!("\ncross-endpoint join ({} rows):", out.answers.len());
     print!("{}", out.answers.to_table());
+
+    // A pattern both endpoints match: their rows are unioned as full
+    // bindings and the query — a COUNT, a sliced order — applied once, so
+    // the answer is that of one endpoint holding both datasets.
+    let fed = pum.federation();
+    let count = fed
+        .select("SELECT (COUNT(?x) AS ?n) WHERE { ?x dbo:name ?name }")
+        .expect("count over both endpoints");
+    let n = count.sole_value().expect("one count").lexical();
+    println!("\nnames across both endpoints: {n}");
+    let first = fed
+        .select("SELECT ?name WHERE { ?x dbo:name ?name } ORDER BY ?name LIMIT 2")
+        .expect("sliced order over both endpoints");
+    println!("first two names ({} rows):", first.len());
+    print!("{}", first.to_table());
 }

@@ -768,6 +768,54 @@ fn unprojected_order_keys_answer_like_the_single_box_evaluator() {
     }
 }
 
+/// Aggregate questions over a subject star (scattered) and over a pattern
+/// whose join spans shards (book → publisher, bound-joined): COUNT DISTINCT,
+/// GROUP BY + ORDER BY + LIMIT, SUM/AVG and MIN/MAX. Every order is total, so
+/// each answer is the single-box evaluator's, through `run` and through the
+/// raw `execute_query` surface.
+#[test]
+fn aggregates_answer_like_the_single_box_evaluator() {
+    use sapphire_endpoint::QueryService;
+    use sapphire_sparql::QueryResult;
+    let router = router(4, 1);
+    let city = "?c a dbo:City ; dbo:country ?k ; dbo:population ?pop";
+    let book = "?b dbo:publisher ?pub ; dbo:numberOfPages ?pages . ?pub dbo:name ?pname";
+    for pattern in [city, book] {
+        let (group, measure, member) = if pattern == city {
+            ("?k", "?pop", "?c")
+        } else {
+            ("?pname", "?pages", "?b")
+        };
+        for text in [
+            format!("SELECT (COUNT(DISTINCT {group}) AS ?n) WHERE {{ {pattern} }}"),
+            format!(
+                "SELECT {group} (COUNT({member}) AS ?n) WHERE {{ {pattern} }} \
+                 GROUP BY {group} ORDER BY DESC(?n) {group} LIMIT 3"
+            ),
+            format!(
+                "SELECT {group} (SUM({measure}) AS ?sum) (AVG({measure}) AS ?avg) \
+                 WHERE {{ {pattern} }} GROUP BY {group} ORDER BY {group}"
+            ),
+            format!(
+                "SELECT (MIN({measure}) AS ?min) (MAX({measure}) AS ?max) WHERE {{ {pattern} }}"
+            ),
+        ] {
+            let (query, expected) = evaluated(&text);
+            assert!(!expected.is_empty(), "{text}");
+            assert_eq!(
+                router.run("alice", &query).unwrap().answers,
+                expected,
+                "{text}"
+            );
+            assert_eq!(
+                router.execute_query("alice", &Query::Select(query)),
+                Ok(QueryResult::Solutions(expected)),
+                "{text}"
+            );
+        }
+    }
+}
+
 /// A shard replica that counts the calls it receives and can start shedding
 /// its raw surface at a chosen call, or skew its run replies.
 struct CountingReplica {

@@ -192,7 +192,6 @@ fn evented_tier_is_byte_identical_to_the_thread_per_request_oracle() {
         FrontendConfig {
             workers: 4,
             session_queue_depth: 100_000,
-            shed_ready_threshold: None,
         },
     );
 
@@ -286,7 +285,6 @@ fn evented_tier_with_a_warm_cache_is_byte_identical_to_the_oracle() {
         FrontendConfig {
             workers: 4,
             session_queue_depth: 100_000,
-            shed_ready_threshold: None,
         },
     );
 
@@ -387,7 +385,6 @@ fn shutdown_drains_queues_and_leaks_no_sessions() {
         FrontendConfig {
             workers: 3,
             session_queue_depth: 1024,
-            shed_ready_threshold: None,
         },
     );
     let answered = Arc::new(AtomicUsize::new(0));

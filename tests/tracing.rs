@@ -195,7 +195,6 @@ fn full_sampling_is_byte_identical_to_the_untraced_oracle() {
         FrontendConfig {
             workers: 4,
             session_queue_depth: 100_000,
-            shed_ready_threshold: None,
         },
     );
 
