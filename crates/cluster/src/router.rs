@@ -43,12 +43,8 @@ use std::time::{Duration, Instant};
 use sapphire_core::exec;
 use sapphire_core::qcm::{Completion, CompletionResult};
 use sapphire_core::qsm::{top_with_answers, AlteredPosition, StructureSuggestion, TermAlternative};
-use sapphire_core::{
-    completion_request_key, run_request_key, run_request_key_tier, CacheStats, SteinerConfig,
-};
-use sapphire_endpoint::{
-    query_fingerprint, Backoff, Endpoint, EndpointError, QueryService, ServiceError,
-};
+use sapphire_core::{CacheStats, RequestKey, SteinerConfig};
+use sapphire_endpoint::{Backoff, Endpoint, EndpointError, QueryService, ServiceError};
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
 use sapphire_server::{run_cost, ServerError, ShardService, TransportStats};
@@ -123,7 +119,7 @@ pub struct ClusterConfig {
 ///   nobody will wait for.
 ///
 /// The requested tier keys the edge cache and coalescer
-/// ([`sapphire_core::run_request_key_tier`]), so tier-0 and tier-N
+/// ([`sapphire_core::RequestKey::run`]), so tier-0 and tier-N
 /// requests can never exchange payloads, and shards honor the request
 /// through the same tier-keyed discipline
 /// ([`SapphireServer::run_select_tiered`](sapphire_server::SapphireServer::run_select_tiered)).
@@ -867,7 +863,7 @@ impl ClusterRouter {
         self.charge(tenant, self.config.completion_cost)?;
         let (served, result) = self.completions.serve(
             &self.obs,
-            completion_request_key(term),
+            RequestKey::completion(term, self.k),
             |_| self.scatter_complete(tenant, term),
             |_| true,
             tenant_scoped,
@@ -945,7 +941,7 @@ impl ClusterRouter {
         let requested = self.requested_tier(floor, started);
         let (served, result) = self.runs.serve(
             &self.obs,
-            run_request_key_tier(query, requested),
+            RequestKey::run(query.clone(), requested),
             |_| self.scatter_run(tenant, query, requested, started),
             // A payload that came back *deeper* than requested — a shard
             // shed on its own pressure beyond what the edge asked for — is
@@ -1124,14 +1120,13 @@ impl ClusterRouter {
             .iter()
             .flat_map(|p| p.suggestions.relaxations.clone())
             .collect();
-        relaxed.sort_by(|a, b| {
-            b.relaxed.complete.cmp(&a.relaxed.complete).then_with(|| {
-                run_request_key(&a.relaxed.query).cmp(&run_request_key(&b.relaxed.query))
-            })
+        // The order among complete (or incomplete) trees is that of the
+        // queries' renderings: a cold merge of at most one tree a shard.
+        relaxed.sort_by_cached_key(|s| {
+            let rendered = format!("{:?}", s.relaxed.query);
+            (std::cmp::Reverse(s.relaxed.complete), rendered)
         });
-        relaxed.dedup_by(|later, first| {
-            run_request_key(&later.relaxed.query) == run_request_key(&first.relaxed.query)
-        });
+        relaxed.dedup_by(|later, first| later.relaxed.query == first.relaxed.query);
         relaxed.truncate(1);
         let mut relaxations = Vec::new();
         for mut suggestion in relaxed {
@@ -1521,8 +1516,8 @@ impl ClusterRouter {
 /// [`QueryService`], so a further edge tier can federate over the whole
 /// cluster through a [`ServiceEndpoint`](sapphire_endpoint::ServiceEndpoint) —
 /// multi-tier topologies compose.
-/// Identical in-flight queries coalesce at this tier by
-/// [`query_fingerprint`], the same key every other tier uses.
+/// Identical in-flight queries coalesce at this tier by their
+/// [`RequestKey`], the same key every other tier uses.
 impl QueryService for ClusterRouter {
     fn service_name(&self) -> &str {
         &self.config.name
@@ -1571,7 +1566,7 @@ impl QueryService for ClusterRouter {
         };
         let (served, result) = self.raw.serve(
             &self.obs,
-            query_fingerprint(query),
+            RequestKey::raw(query.clone()),
             |_| execute(tenant, query),
             |_| true,
             |_| false,

@@ -5,9 +5,13 @@
 //! significant literals), and the residual bins (every other cached literal,
 //! keyed by length).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use sapphire_sparql::{Query, SelectQuery};
 use sapphire_suffix::SuffixTree;
 use sapphire_text::{surface_form, SimilarityProbe};
 
@@ -50,7 +54,7 @@ impl CacheStats {
 /// single-flight map and tenant meters), so shard selection can only ever
 /// change in one place.
 pub fn shard_index<K: Hash + ?Sized>(key: &K, n: usize) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    let mut hasher = DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() as usize) % n
 }
@@ -85,7 +89,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedLru<K, V> {
     pub fn get<Q>(&self, key: &Q) -> Option<V>
     where
         K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+        Q: Hash + Eq + ?Sized,
     {
         self.shard(key).lock().unwrap().get(key).cloned()
     }
@@ -137,12 +141,22 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedLru<K, V> {
 #[derive(Debug)]
 pub struct BoundedCache<K, V> {
     capacity: usize,
-    entries: HashMap<K, (V, u64)>,
+    /// Each value with its current stamp. The stamp is a cell so a hit can
+    /// refresh it through the one `get_key_value` probe that also yields the
+    /// stored key (atomic only to keep the cache `Sync`; it is never raced).
+    entries: HashMap<K, (V, AtomicU64)>,
     /// `(stamp, key)` in stamp order; stale pairs (stamp no longer current
     /// for the key) are skipped during eviction.
     order: VecDeque<(u64, K)>,
     next_stamp: u64,
     stats: CacheStats,
+}
+
+/// True if `stamp` is the current stamp of `key` in `entries`.
+fn is_current<K: Eq + Hash, V>(entries: &HashMap<K, (V, AtomicU64)>, key: &K, stamp: u64) -> bool {
+    entries
+        .get(key)
+        .is_some_and(|(_, s)| s.load(Ordering::Relaxed) == stamp)
 }
 
 impl<K: Clone + Eq + Hash, V> BoundedCache<K, V> {
@@ -177,40 +191,40 @@ impl<K: Clone + Eq + Hash, V> BoundedCache<K, V> {
         self.stats
     }
 
-    fn touch(&mut self, key: K) -> u64 {
-        // Keep the queue from accumulating unbounded stale pairs. This runs
-        // here rather than in insert() because get() also touches: a
-        // hit-dominated steady state (the response cache's target workload)
-        // may go arbitrarily long between inserts, and the queue must stay
-        // bounded regardless. Compact *before* pushing so the fresh pair —
-        // not yet reflected in `entries` — survives the retain.
+    /// Take the next stamp, first compacting the queue if it has grown
+    /// long. Both `get` and `insert` come through here: a hit-dominated
+    /// steady state (the response cache's target workload) may go
+    /// arbitrarily long between inserts, and the queue must stay bounded
+    /// regardless. The caller pushes the fresh pair *after* this returns, so
+    /// the retain never sees it.
+    fn next_stamp(&mut self) -> u64 {
         if self.order.len() > self.capacity.saturating_mul(4).max(64) {
             self.compact();
         }
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.order.push_back((stamp, key));
         stamp
     }
 
-    /// Look up `key`, refreshing its recency on a hit. Accepts borrowed key
-    /// forms (`&str` for `String` keys) so hot paths don't allocate just to
-    /// probe the cache.
+    /// Look up `key`, refreshing its recency on a hit: one hash probe, and
+    /// the recency queue gets a clone of the *stored* key (a pointer for
+    /// `Arc`-backed keys), not of the caller's. Accepts borrowed key forms
+    /// (`&str` for `String` keys) so hot paths don't allocate just to probe
+    /// the cache.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+        Q: Hash + Eq + ?Sized,
     {
-        if self.entries.contains_key(key) {
-            self.stats.hits += 1;
-            let stamp = self.touch(key.to_owned());
-            let entry = self.entries.get_mut(key).expect("entry present");
-            entry.1 = stamp;
-            Some(&entry.0)
-        } else {
+        let stamp = self.next_stamp();
+        let Some((stored, (value, current))) = self.entries.get_key_value(key) else {
             self.stats.misses += 1;
-            None
-        }
+            return None;
+        };
+        self.stats.hits += 1;
+        current.store(stamp, Ordering::Relaxed);
+        self.order.push_back((stamp, stored.clone()));
+        Some(value)
     }
 
     /// Look up `key` *without* counting a hit/miss or refreshing recency.
@@ -230,14 +244,15 @@ impl<K: Clone + Eq + Hash, V> BoundedCache<K, V> {
     /// Insert (or replace) an entry, evicting the least recently used entry
     /// if the cache is over capacity.
     pub fn insert(&mut self, key: K, value: V) {
-        let stamp = self.touch(key.clone());
-        self.entries.insert(key, (value, stamp));
+        let stamp = self.next_stamp();
+        self.order.push_back((stamp, key.clone()));
+        self.entries.insert(key, (value, AtomicU64::new(stamp)));
         while self.entries.len() > self.capacity {
             match self.order.pop_front() {
                 Some((stamp, key)) => {
                     // Only evict if this is the key's *current* stamp;
                     // otherwise the pair is a stale residue of a later touch.
-                    if self.entries.get(&key).is_some_and(|(_, s)| *s == stamp) {
+                    if is_current(&self.entries, &key, stamp) {
                         self.entries.remove(&key);
                         self.stats.evictions += 1;
                     }
@@ -250,7 +265,7 @@ impl<K: Clone + Eq + Hash, V> BoundedCache<K, V> {
     fn compact(&mut self) {
         let entries = &self.entries;
         self.order
-            .retain(|(stamp, key)| entries.get(key).is_some_and(|(_, s)| s == stamp));
+            .retain(|(stamp, key)| is_current(entries, key, *stamp));
     }
 }
 
@@ -585,50 +600,115 @@ impl CachedData {
 }
 
 // --- Normalized request keys -----------------------------------------------
-//
-// QCM and QSM answers over an immutable model are pure functions of the
-// request, so every layer that memoizes or deduplicates them (the serving
-// tier's response cache, its single-flight coalescer) must agree on what
-// "the same request" means. These helpers are that single definition:
-// trivially different spellings of one request map to one key, and the
-// class prefix (separated by an unprintable byte) keeps QCM and QSM keys
-// from ever colliding.
 
-/// Normalize a QCM completion term into a request key: trimmed — and
-/// nothing more — so `" Kennedy "` and `"Kennedy"` share one cache entry
-/// and one in-flight scan.
+/// The normalized request a [`RequestKey`] stands for. Each variant is one
+/// class of request, so a completion, a run and a raw query can never be the
+/// same key whatever their text.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub enum KeyedRequest {
+    /// A QCM completion of `term`, trimmed, at result budget `k`.
+    Completion {
+        /// The typed term, trimmed — and nothing more.
+        term: String,
+        /// The result budget.
+        k: usize,
+    },
+    /// A QSM run of a built query at budget tier `tier` (0 = full budget).
+    Run {
+        /// The built query (keyword predicates already resolved to IRIs).
+        query: SelectQuery,
+        /// The QSM budget tier the run executes at.
+        tier: usize,
+    },
+    /// A raw parsed query on a federated backend.
+    Raw(Query),
+}
+
+/// The one definition of "the same request" for every layer that memoizes or
+/// deduplicates QCM, QSM and raw answers — the serving tier's and the
+/// cluster edge's response caches and single-flight coalescers. Answers over
+/// an immutable model are pure functions of the request, so those layers
+/// must agree on it exactly.
 ///
-/// Deliberately **case-preserving**: the suffix-tree stage of
+/// A key holds its [`KeyedRequest`] behind an [`Arc`] together with a 64-bit
+/// hash of it, computed once when the key is made. [`Hash`] writes only that
+/// hash, so a map probe hashes eight bytes and a clone is a pointer copy.
+/// Equality compares the hashes first and then the stored requests
+/// structurally, so two requests whose hashes collide are still two keys: a
+/// collision can cost a probe, never a wrong answer. The hash is std's
+/// SipHash under fixed keys, like [`shard_index`], so a key lands on the same
+/// shard in every process.
+///
+/// Normalization: a completion term is trimmed, so `" Kennedy "` and
+/// `"Kennedy"` share one cache entry and one in-flight scan. It is
+/// deliberately **case-preserving**: the suffix-tree stage of
 /// [`complete_top`](crate::qcm::QueryCompletion::complete_top) matches
 /// case-sensitively (only the residual-bin stage folds case), so `"T"` and
-/// `"t"` are *different requests* with different answers. An earlier
-/// lowercasing key conflated them, and under concurrency whichever spelling
-/// scanned first poisoned the shared cache entry for the other — the
-/// evented-front-end oracle test caught the divergence as nondeterminism.
-pub fn completion_request_key(term: &str) -> String {
-    format!("qcm\u{1}{}", term.trim())
+/// `"t"` are *different requests* with different answers. A run carries its
+/// tier, so a response cache or coalescer can never hand full-budget callers
+/// a degraded payload or vice versa.
+#[derive(Debug, Clone)]
+pub struct RequestKey {
+    hash: u64,
+    request: Arc<KeyedRequest>,
 }
 
-/// Normalize a built query into a request key. Uses the query's structural
-/// debug rendering, which is stable and canonical for our AST (keyword
-/// predicates are already resolved to IRIs by the time a query is built).
-pub fn run_request_key(query: &impl std::fmt::Debug) -> String {
-    format!("run\u{1}{query:?}")
+impl RequestKey {
+    fn new(request: KeyedRequest) -> Self {
+        let mut hasher = DefaultHasher::new();
+        request.hash(&mut hasher);
+        RequestKey {
+            hash: hasher.finish(),
+            request: Arc::new(request),
+        }
+    }
+
+    /// A QCM completion of `term` returning at most `k` suggestions.
+    pub fn completion(term: &str, k: usize) -> Self {
+        Self::new(KeyedRequest::Completion {
+            term: term.trim().to_string(),
+            k,
+        })
+    }
+
+    /// A QSM run of `query` at budget tier `tier`. The query moves into the
+    /// key; [`request`](Self::request) reads it back.
+    pub fn run(query: SelectQuery, tier: usize) -> Self {
+        Self::new(KeyedRequest::Run { query, tier })
+    }
+
+    /// A raw parsed query.
+    pub fn raw(query: Query) -> Self {
+        Self::new(KeyedRequest::Raw(query))
+    }
+
+    /// The request this key stands for.
+    pub fn request(&self) -> &KeyedRequest {
+        &self.request
+    }
+
+    /// `request` under a chosen hash, to force collisions in tests.
+    #[cfg(test)]
+    fn with_hash(request: KeyedRequest, hash: u64) -> Self {
+        RequestKey {
+            hash,
+            request: Arc::new(request),
+        }
+    }
 }
 
-/// [`run_request_key`] suffixed with the QSM budget tier the run executes
-/// at. Tier 0 (the full budget — the only tier a non-shedding deployment
-/// ever runs) keeps the plain key, so existing entries and oracles are
-/// untouched; degraded tiers get a distinct key, so a response cache or
-/// single-flight coalescer can never hand full-budget callers a degraded
-/// payload or vice versa — the same never-disagree key discipline the
-/// QCM/QSM split uses.
-pub fn run_request_key_tier(query: &impl std::fmt::Debug, tier: usize) -> String {
-    let base = run_request_key(query);
-    if tier == 0 {
-        base
-    } else {
-        format!("{base}\u{1}tier{tier}")
+impl PartialEq for RequestKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.request, &other.request) || self.request == other.request)
+    }
+}
+
+impl Eq for RequestKey {}
+
+impl Hash for RequestKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -939,46 +1019,264 @@ mod tests {
         assert!((c.stats().hit_ratio() - 1.0).abs() < f64::EPSILON);
     }
 
+    fn select(text: &str) -> SelectQuery {
+        sapphire_sparql::parse_select(text).unwrap()
+    }
+
+    fn hash_of(key: &RequestKey) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        hasher.finish()
+    }
+
     #[test]
     fn request_keys_normalize_and_never_collide_across_classes() {
+        let completion = |term: &str| RequestKey::completion(term, 10);
+        assert_eq!(completion("  Kennedy "), completion("Kennedy"));
         assert_eq!(
-            completion_request_key("  Kennedy "),
-            completion_request_key("Kennedy")
+            hash_of(&completion("  Kennedy ")),
+            hash_of(&completion("Kennedy"))
         );
-        assert_ne!(
-            completion_request_key("kennedy"),
-            completion_request_key("kennedys")
-        );
+        assert_ne!(completion("kennedy"), completion("kennedys"));
         // Case-preserving on purpose: the suffix-tree stage matches
         // case-sensitively, so differently-cased terms are different
         // requests and must never share a memoized answer.
+        assert_ne!(completion("Kennedy"), completion("kennedy"));
+        // A deeper result budget is a different request.
+        assert_ne!(completion("Kennedy"), RequestKey::completion("Kennedy", 11));
+        // A completion for the literal text of a query's rendering is not
+        // that query's run, and a run is not the same query asked raw.
+        let q = select("SELECT ?s WHERE { ?s a dbo:Thing }");
         assert_ne!(
-            completion_request_key("Kennedy"),
-            completion_request_key("kennedy")
+            completion(&format!("run\u{1}{q:?}")),
+            RequestKey::run(q.clone(), 0)
         );
-        // A completion for the literal text of a query rendering must not
-        // collide with that query's run key.
-        let q = "anything";
-        assert_ne!(completion_request_key(&format!("run\u{1}{q:?}")), {
-            run_request_key(&q)
-        });
+        assert_ne!(
+            RequestKey::raw(Query::Select(q.clone())),
+            RequestKey::run(q, 0)
+        );
     }
 
     #[test]
     fn tier_suffixed_run_keys_never_mix_degraded_and_full_output() {
-        let q = "SELECT-shape";
-        // Tier 0 is the plain run key: the default no-shed posture keys
-        // exactly as before this knob existed.
-        assert_eq!(run_request_key_tier(&q, 0), run_request_key(&q));
+        let q = select("SELECT ?s WHERE { ?s a dbo:Thing }");
+        // The same query at the same tier, built twice, is one key.
+        assert_eq!(RequestKey::run(q.clone(), 0), RequestKey::run(q.clone(), 0));
         // Every degraded tier is distinct from the full key and from every
         // other tier.
-        let keys: Vec<String> = (0..4).map(|t| run_request_key_tier(&q, t)).collect();
+        let keys: Vec<RequestKey> = (0..4).map(|t| RequestKey::run(q.clone(), t)).collect();
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
                 assert_ne!(a, b, "tiers must never share a cache entry");
             }
         }
         // A different query at the same tier still gets its own key.
-        assert_ne!(run_request_key_tier(&q, 1), run_request_key_tier(&"x", 1));
+        let other = select("SELECT ?s WHERE { ?s a dbo:Person }");
+        assert_ne!(RequestKey::run(q, 1), RequestKey::run(other, 1));
+    }
+
+    #[test]
+    fn raw_keys_identify_identical_queries() {
+        let parse = |text: &str| RequestKey::raw(sapphire_sparql::parse_query(text).unwrap());
+        let a = parse("SELECT ?s WHERE { ?s a dbo:Thing }");
+        let b = parse("SELECT ?s WHERE { ?s a dbo:Thing }");
+        let c = parse("SELECT ?s WHERE { ?s a dbo:Person }");
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_ne!(a, c);
+        assert_ne!(
+            parse("ASK { ?s a dbo:Thing }"),
+            parse("SELECT * WHERE { ?s a dbo:Thing }")
+        );
+    }
+
+    #[test]
+    fn colliding_requests_never_share_an_entry_or_a_flight() {
+        let run = KeyedRequest::Run {
+            query: select("SELECT ?s WHERE { ?s a dbo:Thing }"),
+            tier: 0,
+        };
+        let completion = || KeyedRequest::Completion {
+            term: "Kennedy".into(),
+            k: 10,
+        };
+        let (a, b) = (
+            RequestKey::with_hash(run, 7),
+            RequestKey::with_hash(completion(), 7),
+        );
+        assert_eq!(hash_of(&a), hash_of(&b), "forced to collide");
+        assert_ne!(a, b);
+        // The same request under the same hash is the same key.
+        let b_again = RequestKey::with_hash(completion(), 7);
+        assert_eq!(b, b_again);
+
+        let mut lru = BoundedCache::new(4);
+        lru.insert(a.clone(), "run");
+        lru.insert(b.clone(), "completion");
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.get(&a), Some(&"run"));
+        assert_eq!(lru.get(&b_again), Some(&"completion"));
+        let sharded = ShardedLru::new(4, 4);
+        sharded.insert(a.clone(), 1);
+        assert_eq!(sharded.get(&b), None, "a colliding request is a miss");
+        sharded.insert(b.clone(), 2);
+        assert_eq!((sharded.get(&a), sharded.get(&b_again)), (Some(1), Some(2)));
+        // A flight map is this: keys sharded by `shard_index`, one flight
+        // per key. Colliding keys land on one shard and still lead two
+        // flights.
+        assert_eq!(shard_index(&a, 16), shard_index(&b, 16));
+        let mut flights: HashMap<RequestKey, &str> = HashMap::new();
+        assert!(flights.insert(a, "leader a").is_none());
+        assert!(
+            flights.insert(b, "leader b").is_none(),
+            "b leads its own flight"
+        );
+        assert_eq!(flights.get(&b_again), Some(&"leader b"));
+    }
+
+    /// The key the serving tiers used before [`RequestKey`]: the run's
+    /// `{:?}` rendering, tier-suffixed above tier 0. Kept as the reference
+    /// the structural key must agree with.
+    fn rendered_run_key(query: &SelectQuery, tier: usize) -> String {
+        let base = format!("run\u{1}{query:?}");
+        if tier == 0 {
+            base
+        } else {
+            format!("{base}\u{1}tier{tier}")
+        }
+    }
+
+    /// A query drawn from `seed` over a small vocabulary: VALUES blocks,
+    /// filters with REGEX, aggregates, GROUP BY, ORDER BY, LIMIT and OFFSET
+    /// all vary.
+    fn generated_query(mut seed: u64) -> SelectQuery {
+        use sapphire_rdf::Term;
+        use sapphire_sparql::{
+            Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, SelectItem,
+            TermPattern, TriplePattern,
+        };
+        // SplitMix64.
+        let mut pick = |n: u64| {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let var = |i: u64| ["s", "o", "x"][i as usize].to_string();
+        let term = |i: u64| match i {
+            0 => Term::iri("http://dbpedia.org/ontology/name"),
+            1 => Term::en("Kennedy"),
+            _ => Term::literal("Kennedy"),
+        };
+        let mut pattern = GraphPattern::default();
+        for _ in 0..1 + pick(2) {
+            pattern.triples.push(TriplePattern::new(
+                TermPattern::var(var(pick(2))),
+                TermPattern::iri(["http://x/p", "http://x/q"][pick(2) as usize]),
+                if pick(2) == 0 {
+                    TermPattern::var(var(1 + pick(2)))
+                } else {
+                    TermPattern::Term(term(pick(3)))
+                },
+            ));
+        }
+        match pick(4) {
+            0 => pattern.filters.push(Expr::Regex(
+                Box::new(Expr::Var(var(pick(2)))),
+                ["^Ken", "nedy$"][pick(2) as usize].into(),
+                pick(2) == 0,
+            )),
+            1 => pattern.filters.push(Expr::Cmp(
+                CmpOp::Gt,
+                Box::new(Expr::StrLen(Box::new(Expr::Var(var(1))))),
+                Box::new(Expr::Const(Term::literal(pick(3).to_string()))),
+            )),
+            _ => {}
+        }
+        if pick(3) == 0 {
+            pattern.values = Some(InlineData {
+                var: var(pick(2)),
+                terms: (0..pick(3)).map(&term).collect(),
+            });
+        }
+        let projection = match pick(3) {
+            0 => Projection::Star,
+            1 => Projection::Items(vec![SelectItem::Var(var(0))]),
+            _ => Projection::Items(vec![SelectItem::Agg {
+                agg: Aggregate::Count {
+                    distinct: pick(2) == 0,
+                    var: (pick(2) == 0).then(|| var(1)),
+                },
+                alias: "n".into(),
+            }]),
+        };
+        SelectQuery {
+            distinct: pick(2) == 0,
+            projection,
+            pattern,
+            group_by: (0..pick(2)).map(|_| var(0)).collect(),
+            order_by: (0..pick(2))
+                .map(|_| OrderKey {
+                    expr: Expr::Var(var(pick(2))),
+                    descending: pick(2) == 0,
+                })
+                .collect(),
+            limit: (pick(2) == 0).then(|| pick(3) as usize),
+            offset: (pick(3) == 0).then(|| pick(2) as usize),
+        }
+    }
+
+    /// `query` changed in one place (`which` = 0 leaves it as drawn).
+    fn near_miss(mut query: SelectQuery, which: u64) -> SelectQuery {
+        match which {
+            0 => {}
+            1 => query.distinct = !query.distinct,
+            2 => query.limit = Some(query.limit.map_or(0, |l| l + 1)),
+            _ => {
+                let values = query
+                    .pattern
+                    .values
+                    .get_or_insert(sapphire_sparql::InlineData {
+                        var: "s".into(),
+                        terms: Arc::new([]),
+                    });
+                let mut terms = values.terms.to_vec();
+                terms.push(sapphire_rdf::Term::en("Kennedys"));
+                values.terms = terms.into();
+            }
+        }
+        query
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn run_keys_are_equal_iff_their_renderings_are(seed in 0u64..1 << 40, other in 0u64..4) {
+            // Every (near miss, tier) of two drawn queries, each request built
+            // twice: equal requests are separate allocations, and the others
+            // differ in one modifier, the VALUES block, the tier or all over.
+            let requests: Vec<(SelectQuery, usize)> = (0..48u64)
+                .map(|i| {
+                    let drawn = generated_query(seed + other * (i / 24));
+                    (near_miss(drawn, i / 3 % 4), (i % 3) as usize)
+                })
+                .collect();
+            let keys: Vec<RequestKey> =
+                requests.iter().map(|(q, tier)| RequestKey::run(q.clone(), *tier)).collect();
+            let rendered: Vec<String> =
+                requests.iter().map(|(q, tier)| rendered_run_key(q, *tier)).collect();
+            let mut equal_pairs = 0;
+            for (a, b) in (0..48).flat_map(|a| (0..48).map(move |b| (a, b))) {
+                let rendered_equal = rendered[a] == rendered[b];
+                proptest::prop_assert_eq!(keys[a] == keys[b], rendered_equal);
+                if rendered_equal {
+                    proptest::prop_assert_eq!(hash_of(&keys[a]), hash_of(&keys[b]));
+                    equal_pairs += 1;
+                }
+            }
+            // Each request equals itself and its twin; with `other` 0 the two
+            // draws coincide.
+            proptest::prop_assert!(equal_pairs >= 96, "{equal_pairs} equal pairs");
+        }
     }
 }

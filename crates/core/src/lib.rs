@@ -64,8 +64,8 @@ pub mod session;
 
 pub use answers::AnswerTable;
 pub use cache::{
-    completion_request_key, run_request_key, run_request_key_tier, BoundedCache, CacheMatch,
-    CacheStats, CachedClass, CachedData, CachedPredicate, MatchSource, ShardedLru,
+    BoundedCache, CacheMatch, CacheStats, CachedClass, CachedData, CachedPredicate, KeyedRequest,
+    MatchSource, RequestKey, ShardedLru,
 };
 pub use config::{SapphireConfig, SteinerConfig};
 pub use exec::{ExecStats, Executor, TaskHandle};

@@ -313,7 +313,9 @@ impl AlternativeFinder {
 ///
 /// The walk stops as soon as `take` are kept, so the endpoint is asked a
 /// question per slot and one per candidate with solutions down to the
-/// `take`-th kept, where every candidate's rewrite used to be one. A
+/// `take`-th kept, where every candidate's rewrite used to be one. A slot
+/// with a single candidate is not probed: that candidate's prefetch is the
+/// same question, so it costs one query, as in the walk. A
 /// candidate that does not fit `base` (see
 /// [`TermAlternative::rewrite`]) is neither probed nor rewritten; a caller
 /// whose candidates come from outside the process checks them before it
@@ -340,7 +342,17 @@ pub fn top_with_answers<E>(
         if probed {
             let slot = (cand.triple_index, cand.position);
             if !live.iter().any(|(s, _)| *s == slot) {
-                let found = answers(&probe(base, slot, candidates)).ok().flatten();
+                // A slot whose only candidate is `cand` is not probed: the
+                // prefetch below asks the same question, and nothing else
+                // would read the answer.
+                let mut of_slot = candidates
+                    .iter()
+                    .filter(|c| (c.triple_index, c.position) == slot);
+                let found = if of_slot.nth(1).is_none() {
+                    None
+                } else {
+                    answers(&probe(base, slot, candidates)).ok().flatten()
+                };
                 let terms = |f: Solutions| f.rows.into_iter().filter_map(|mut row| row.pop()?);
                 live.push((slot, found.map(|f| terms(f).collect())));
             }
@@ -722,6 +734,58 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
                 );
                 assert_eq!(probe.pattern.triples[1 - slot], q.pattern.triples[1 - slot]);
             }
+        }
+    }
+
+    #[test]
+    fn a_slot_with_one_candidate_is_prefetched_not_probed() {
+        let q = parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "x"@en . ?p dbo:name "y"@en }"#)
+            .unwrap();
+        let (_, five) = five_candidates();
+        // Slot 1 holds the best candidate alone; slot 0 the other four.
+        let candidates: Vec<TermAlternative> = five
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| TermAlternative {
+                triple_index: usize::from(i == 0),
+                ..c
+            })
+            .collect();
+        let all = terms(&candidates);
+        for (live, kept_names, prefetched) in [
+            (vec![&all[0], &all[2]], vec!["alt0", "alt2"], 2),
+            // The lone candidate has no solutions: the probe would have
+            // spared its prefetch, which now answers the same question.
+            (vec![&all[2], &all[3]], vec!["alt2", "alt3"], 3),
+        ] {
+            let mut probes = Vec::new();
+            let mut asked = 0;
+            let kept = top_with_answers(&q, &candidates, 2, |query| {
+                asked += 1;
+                if let Some(data) = &query.pattern.values {
+                    probes.push(data.terms.to_vec());
+                    let rows = live.iter().map(|t| vec![Some((*t).clone())]).collect();
+                    return Ok::<_, Infallible>(Some(Solutions {
+                        vars: vec![data.var.clone()],
+                        rows,
+                    }));
+                }
+                // A prefetch: the one object that differs from `q`'s.
+                let (rewritten, original) = (&query.pattern.triples, &q.pattern.triples);
+                let edited = (0..2).find(|&i| rewritten[i] != original[i]).unwrap();
+                let term = rewritten[edited].object.as_term().unwrap();
+                Ok(Some(if live.contains(&term) {
+                    one_row()
+                } else {
+                    Solutions::default()
+                }))
+            })
+            .unwrap();
+            let names: Vec<&str> = kept.iter().map(|a| a.replacement.as_str()).collect();
+            assert_eq!(names, kept_names);
+            // Only slot 0 is probed, and over its own four terms.
+            assert_eq!(probes, [all[1..].to_vec()]);
+            assert_eq!(asked, 1 + prefetched);
         }
     }
 

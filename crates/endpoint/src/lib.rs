@@ -41,4 +41,4 @@ pub mod service;
 pub use backoff::Backoff;
 pub use endpoint::{Endpoint, EndpointError, EndpointLimits, EndpointStats, LocalEndpoint};
 pub use federation::{FederatedProcessor, FederationError};
-pub use service::{query_fingerprint, QueryService, ServiceEndpoint, ServiceError};
+pub use service::{QueryService, ServiceEndpoint, ServiceError};

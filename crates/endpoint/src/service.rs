@@ -100,20 +100,6 @@ impl From<ServiceError> for EndpointError {
     }
 }
 
-/// Canonical fingerprint of a parsed query, shared across serving hops.
-///
-/// Two queries with the same fingerprint are the *same request* to a shared
-/// query service: a coalescing service (the Sapphire server single-flights
-/// identical in-flight queries on exactly this key) deduplicates them, and
-/// every federation hop that forwards a query unchanged forwards its
-/// fingerprint unchanged too — so a burst of identical queries fanning out
-/// through a multi-tier topology collapses to one backend execution per tier.
-/// The rendering is the AST's structural debug form, which is stable and
-/// canonical for parsed queries (prefixes are expanded at parse time).
-pub fn query_fingerprint(query: &Query) -> String {
-    format!("svc\u{1}{query:?}")
-}
-
 /// A shared, admission-controlled query processor.
 ///
 /// Implementations must be usable from many threads at once; the bound is
@@ -139,7 +125,8 @@ pub trait QueryService: Send + Sync {
 /// and therefore [`Clone`] — so one downstream service can stand behind any
 /// number of federation workers. Identical queries forwarded concurrently
 /// through *different* clones still deduplicate at the service: the
-/// downstream server single-flights them by [`query_fingerprint`], so a
+/// downstream server single-flights them by the query itself (structurally
+/// equal queries are one request; prefixes are expanded at parse time), so a
 /// burst of users asking the same question at an edge tier costs the
 /// warehouse tier one execution, not one per clone.
 pub struct ServiceEndpoint<S: QueryService> {
@@ -231,15 +218,6 @@ mod tests {
             EndpointError::Overloaded { in_flight: 7 }
         );
         assert_eq!(ep.name(), "flaky");
-    }
-
-    #[test]
-    fn query_fingerprints_identify_identical_queries() {
-        let a = parse_query("SELECT ?s WHERE { ?s a dbo:Thing }").unwrap();
-        let b = parse_query("SELECT ?s WHERE { ?s a dbo:Thing }").unwrap();
-        let c = parse_query("SELECT ?s WHERE { ?s a dbo:Person }").unwrap();
-        assert_eq!(query_fingerprint(&a), query_fingerprint(&b));
-        assert_ne!(query_fingerprint(&a), query_fingerprint(&c));
     }
 
     #[test]

@@ -25,23 +25,24 @@
 //!   follower retries from the top, one of them becoming the new leader.
 //!   Followers can block only while some leader is actually running.
 //!
-//! The coalescer is keyed by the same normalized request keys as the
-//! response cache ([`sapphire_core::completion_request_key`] /
-//! [`sapphire_core::run_request_key`] /
-//! [`sapphire_endpoint::query_fingerprint`]), so the two layers agree
-//! exactly on which requests are "identical".
+//! The coalescer is keyed like the response cache, by
+//! [`sapphire_core::RequestKey`] — the structural key of a normalized
+//! completion, run or raw query — so the two layers agree exactly on which
+//! requests are "identical".
 //!
 //! [`ReadThrough`] is how the serving tiers actually use the two layers: one
 //! cache-lookup → join → re-check → work → insert → publish sequence shared
 //! by every QCM, run, and raw surface of the server and the cluster edge.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use sapphire_core::cache::shard_index;
-use sapphire_core::CacheStats;
+use sapphire_core::{CacheStats, RequestKey};
 use sapphire_obs::{Obs, Stage};
 
 use crate::response_cache::ShardedResponseCache;
@@ -89,11 +90,11 @@ pub struct CoalesceStats {
 
 /// What [`Coalescer::join`] decided about this request.
 #[derive(Debug)]
-pub enum Join<'a, V, E> {
+pub enum Join<'a, V, E, K: Eq + Hash = String> {
     /// First in: the caller must execute the work and then
     /// [`complete`](LeaderToken::complete) the flight — on both success and
     /// failure — so followers are released.
-    Leader(LeaderToken<'a, V, E>),
+    Leader(LeaderToken<'a, V, E, K>),
     /// A concurrent leader already executed the work; this is its outcome.
     Follower(Result<Arc<V>, E>),
     /// The flight's waiter cap is full; the caller should execute the work
@@ -102,16 +103,17 @@ pub enum Join<'a, V, E> {
 }
 
 /// One shard of the in-flight map: key → its live flight.
-type FlightShard<V, E> = Mutex<HashMap<String, Arc<Flight<V, E>>>>;
+type FlightShard<V, E, K> = Mutex<HashMap<K, Arc<Flight<V, E>>>>;
 
 /// Single-flight deduplication of identical concurrent requests.
 ///
 /// Sharded like the response cache so hot coalescing traffic never funnels
 /// through one lock. `V` is the shared result payload, `E` the typed error a
-/// leader propagates to its followers.
+/// leader propagates to its followers, `K` the request key (plain strings
+/// unless a caller names a key type).
 #[derive(Debug)]
-pub struct Coalescer<V, E> {
-    shards: Vec<FlightShard<V, E>>,
+pub struct Coalescer<V, E, K = String> {
+    shards: Vec<FlightShard<V, E, K>>,
     max_waiters_per_key: usize,
     leaders: AtomicU64,
     followers: AtomicU64,
@@ -119,7 +121,7 @@ pub struct Coalescer<V, E> {
     abandoned_retries: AtomicU64,
 }
 
-impl<V, E> Coalescer<V, E> {
+impl<V, E, K: Eq + Hash> Coalescer<V, E, K> {
     /// A coalescer allowing at most `max_waiters_per_key` followers to block
     /// behind one leader (`0` disables coalescing: every duplicate bypasses).
     pub fn new(shards: usize, max_waiters_per_key: usize) -> Self {
@@ -134,12 +136,15 @@ impl<V, E> Coalescer<V, E> {
         }
     }
 
-    fn shard(&self, key: &str) -> &FlightShard<V, E> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &FlightShard<V, E, K> {
         &self.shards[shard_index(key, self.shards.len())]
     }
 
     /// Followers currently blocked on `key`'s flight (observability/tests).
-    pub fn waiting(&self, key: &str) -> usize {
+    pub fn waiting<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> usize
+    where
+        K: Borrow<Q>,
+    {
         let map = self.shard(key).lock().unwrap();
         match map.get(key) {
             Some(flight) => match *flight.state.lock().unwrap() {
@@ -168,7 +173,7 @@ impl<V, E> Coalescer<V, E> {
     }
 }
 
-impl<V, E: Clone> Coalescer<V, E> {
+impl<V, E: Clone, K: Eq + Hash> Coalescer<V, E, K> {
     /// Join the flight for `key`: become its leader, block as a follower
     /// until the leader completes, or bypass if the waiter cap is full.
     ///
@@ -176,7 +181,11 @@ impl<V, E: Clone> Coalescer<V, E> {
     /// already-admitted request doing bounded work, and an abandoned leader
     /// wakes every follower for a retry, so a follower can never outlive the
     /// work it waits for.
-    pub fn join(&self, key: &str) -> Join<'_, V, E> {
+    pub fn join<Q>(&self, key: &Q) -> Join<'_, V, E, K>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
         loop {
             let shard = self.shard(key);
             let flight = {
@@ -185,12 +194,12 @@ impl<V, E: Clone> Coalescer<V, E> {
                     Some(flight) => flight.clone(),
                     None => {
                         let flight = Arc::new(Flight::new());
-                        map.insert(key.to_string(), flight.clone());
+                        map.insert(key.to_owned(), flight.clone());
                         drop(map);
                         self.leaders.fetch_add(1, Ordering::Relaxed);
                         return Join::Leader(LeaderToken {
                             coalescer: self,
-                            key: key.to_string(),
+                            key: key.to_owned(),
                             flight,
                             completed: false,
                         });
@@ -244,14 +253,14 @@ impl<V, E: Clone> Coalescer<V, E> {
 /// the scan) marks the flight abandoned, which wakes every follower to retry
 /// — leadership can never be silently lost with followers still blocked.
 #[derive(Debug)]
-pub struct LeaderToken<'a, V, E> {
-    coalescer: &'a Coalescer<V, E>,
-    key: String,
+pub struct LeaderToken<'a, V, E, K: Eq + Hash = String> {
+    coalescer: &'a Coalescer<V, E, K>,
+    key: K,
     flight: Arc<Flight<V, E>>,
     completed: bool,
 }
 
-impl<V, E> LeaderToken<'_, V, E> {
+impl<V, E, K: Eq + Hash> LeaderToken<'_, V, E, K> {
     /// Publish the leader's outcome: followers receive a clone of `outcome`,
     /// and later requests for the key start a fresh flight.
     pub fn complete(mut self, outcome: Result<Arc<V>, E>) {
@@ -279,7 +288,7 @@ impl<V, E> LeaderToken<'_, V, E> {
     }
 }
 
-impl<V, E> Drop for LeaderToken<'_, V, E> {
+impl<V, E, K: Eq + Hash> Drop for LeaderToken<'_, V, E, K> {
     fn drop(&mut self) {
         if !self.completed {
             self.publish(FlightState::Abandoned);
@@ -326,8 +335,8 @@ impl Served {
 #[derive(Debug)]
 pub struct ReadThrough<V, E> {
     surface: &'static str,
-    cache: Option<ShardedResponseCache<V>>,
-    flights: Coalescer<V, E>,
+    cache: Option<ShardedResponseCache<V, RequestKey>>,
+    flights: Coalescer<V, E, RequestKey>,
 }
 
 impl<V, E: Clone> ReadThrough<V, E> {
@@ -360,7 +369,7 @@ impl<V, E: Clone> ReadThrough<V, E> {
 
     /// Followers blocked on `key`'s flight (see [`Coalescer::waiting`]).
     #[cfg(test)]
-    pub(crate) fn waiting(&self, key: &str) -> usize {
+    pub(crate) fn waiting(&self, key: &RequestKey) -> usize {
         self.flights.waiting(key)
     }
 
@@ -377,7 +386,7 @@ impl<V, E: Clone> ReadThrough<V, E> {
     pub fn serve(
         &self,
         obs: &Obs,
-        key: String,
+        key: RequestKey,
         work: impl FnOnce(Served) -> Result<V, E>,
         insert: impl FnOnce(&V) -> bool,
         retry_own: impl Fn(&E) -> bool,
@@ -392,7 +401,7 @@ impl<V, E: Clone> ReadThrough<V, E> {
     /// lookup. Never waits and runs no work, so a thread that may do neither
     /// can still answer a hit; `None` — always, on an uncached surface —
     /// obliges the caller to [`serve_miss`](Self::serve_miss) the same key.
-    pub(crate) fn lookup(&self, obs: &Obs, key: &str) -> Option<Arc<V>> {
+    pub(crate) fn lookup(&self, obs: &Obs, key: &RequestKey) -> Option<Arc<V>> {
         let cache = self.cache.as_ref()?;
         let started = Instant::now();
         let hit = cache.get(key);
@@ -408,12 +417,12 @@ impl<V, E: Clone> ReadThrough<V, E> {
     pub(crate) fn serve_miss(
         &self,
         obs: &Obs,
-        key: String,
+        key: RequestKey,
         work: impl FnOnce(Served) -> Result<V, E>,
         insert: impl FnOnce(&V) -> bool,
         retry_own: impl Fn(&E) -> bool,
     ) -> (Served, Result<Arc<V>, E>) {
-        let run = |how: Served, key: String| {
+        let run = |how: Served, key: RequestKey| {
             work(how).map(|value| match &self.cache {
                 Some(cache) if insert(&value) => cache.insert(key, value),
                 _ => Arc::new(value),
@@ -623,10 +632,44 @@ mod tests {
         assert_eq!(coalescer.waiting("k"), 0);
     }
 
+    /// A key whose every value hashes alike: requests that collide in the
+    /// hash and differ in equality.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Colliding(&'static str);
+
+    impl Hash for Colliding {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            state.write_u64(7);
+        }
+    }
+
+    /// Keys that collide in the hash but are not equal lead separate
+    /// flights: one never follows, or is answered by, the other.
+    #[test]
+    fn colliding_keys_lead_separate_flights() {
+        let coalescer: Coalescer<u64, String, Colliding> = Coalescer::new(4, 64);
+        let Join::Leader(a) = coalescer.join(&Colliding("a")) else {
+            panic!("a leads");
+        };
+        let Join::Leader(b) = coalescer.join(&Colliding("b")) else {
+            panic!("b collides with a but is not a: it leads its own flight");
+        };
+        assert_eq!(coalescer.occupancy(), 2);
+        a.complete(Ok(Arc::new(1)));
+        assert_eq!(coalescer.occupancy(), 1, "completing a leaves b's flight");
+        b.complete(Ok(Arc::new(2)));
+        assert_eq!(coalescer.stats().leaders, 2);
+    }
+
     // --- ReadThrough -------------------------------------------------------
 
     type Front = ReadThrough<u64, String>;
     type Out = (Served, Result<Arc<u64>, String>);
+
+    /// The one key these tests serve.
+    fn key() -> RequestKey {
+        RequestKey::completion("k", 10)
+    }
 
     fn no_work(_: Served) -> Result<u64, String> {
         panic!("this request must be served without running work")
@@ -635,7 +678,7 @@ mod tests {
     /// Serve `"k"`: always cache, self-retry on errors starting "quota".
     fn serve(front: &Front, obs: &Obs, work: impl FnOnce(Served) -> Result<u64, String>) -> Out {
         let retry_own = |e: &String| e.starts_with("quota");
-        front.serve(obs, "k".to_string(), work, |_| true, retry_own)
+        front.serve(obs, key(), work, |_| true, retry_own)
     }
 
     /// A leader whose work blocks until one follower is parked behind it,
@@ -659,7 +702,7 @@ mod tests {
             });
             leading.recv().unwrap();
             let follower = scope.spawn(|| serve(front, obs, |_| Ok(99)));
-            while front.flights.waiting("k") == 0 {
+            while front.flights.waiting(&key()) == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             go.send(()).unwrap();
@@ -685,8 +728,8 @@ mod tests {
     #[test]
     fn late_hit_under_leadership_runs_no_work_and_releases_the_flight() {
         let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
-        front.cache.as_ref().unwrap().insert("k".to_string(), 7);
-        let (served, value) = front.serve_miss(&obs, "k".to_string(), no_work, |_| true, |_| false);
+        front.cache.as_ref().unwrap().insert(key(), 7);
+        let (served, value) = front.serve_miss(&obs, key(), no_work, |_| true, |_| false);
         assert_eq!((served, *value.unwrap()), (Served::LateHit, 7));
         let cache = front.cache_stats();
         assert_eq!((cache.hits, cache.misses), (0, 0), "the re-check is a peek");
@@ -752,7 +795,7 @@ mod tests {
         let obs = Obs::new();
         for round in 0..2 {
             for front in [&vetoing, &uncached] {
-                let out = front.serve(&obs, "k".to_string(), |_| Ok(round), |_| false, |_| false);
+                let out = front.serve(&obs, key(), |_| Ok(round), |_| false, |_| false);
                 assert_eq!(out, (Served::Leader, Ok(Arc::new(round))));
             }
         }

@@ -139,7 +139,7 @@ pub(crate) struct PendingAdmission {
 /// take no further: admitted, charged, slot in hand, waiting for a worker
 /// to run [`SapphireServer::work`](crate::server::SapphireServer::work).
 pub(crate) struct HandedOver {
-    pub(crate) missed: crate::server::Missed<'static>,
+    pub(crate) missed: crate::server::Missed,
     pub(crate) respond: ResponseCallback,
     /// When the submitter let go of it — the origin of the worker wait.
     pub(crate) since: Instant,
@@ -147,7 +147,9 @@ pub(crate) struct HandedOver {
 }
 
 /// The head request of a session that has started but not finished: the
-/// session's parked continuation.
+/// session's parked continuation. One lives in each session's state, so the
+/// ticket stays inline rather than boxed on every park.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Pending {
     /// Before the gate's grant: the session is `AwaitingGrant` and counted
     /// in the reactor's parked set.

@@ -544,7 +544,7 @@ impl Turn<'_> {
     /// parked on the gate, so the reactor's parked count is not involved).
     fn hand_over(
         &self,
-        missed: Missed<'static>,
+        missed: Missed,
         respond: ResponseCallback,
         trace: Option<Trace>,
     ) -> Ownership {

@@ -3,30 +3,33 @@
 //! QCM and QSM answers over an immutable model are pure functions of the
 //! request, so identical requests — the common case when many users type the
 //! same prefixes — are served from a bounded LRU instead of re-searching the
-//! suffix tree, re-scanning residual bins, or re-running SPARQL. Keys are
-//! *normalized* request descriptions (lowercased trimmed completion terms,
-//! canonical query renderings) so trivially different spellings of the same
-//! request share an entry (the key functions live in `sapphire_core`, next to
-//! the requests they describe). The sharding itself is
+//! suffix tree, re-scanning residual bins, or re-running SPARQL. The serving
+//! tiers key it by [`sapphire_core::RequestKey`], the structural key of the
+//! normalized request (a trimmed completion term with its `k`, a built query
+//! with its tier): it hashes once when it is made, and trivially different
+//! spellings of one request share an entry. The sharding itself is
 //! [`sapphire_core::ShardedLru`] — independently locked LRUs picked by key
 //! hash, keeping contention proportional to actual key collisions rather
 //! than global traffic.
 
+use std::borrow::Borrow;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use sapphire_core::{CacheStats, ShardedLru};
 
-/// A sharded, bounded, counted LRU keyed by normalized request strings.
+/// A sharded, bounded, counted LRU keyed by normalized requests (`K`;
+/// plain strings unless a caller names a key type).
 ///
 /// Values are stored behind [`Arc`], so a hit hands back a reference-counted
 /// pointer instead of deep-cloning a potentially large payload (QSM run
 /// results carry full answer sets) while the shard lock is held.
 #[derive(Debug)]
-pub struct ShardedResponseCache<V> {
-    lru: ShardedLru<String, Arc<V>>,
+pub struct ShardedResponseCache<V, K = String> {
+    lru: ShardedLru<K, Arc<V>>,
 }
 
-impl<V> ShardedResponseCache<V> {
+impl<V, K: Clone + Eq + Hash> ShardedResponseCache<V, K> {
     /// `shards` independent LRUs of `capacity_per_shard` entries each.
     pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
         ShardedResponseCache {
@@ -35,18 +38,24 @@ impl<V> ShardedResponseCache<V> {
     }
 
     /// Cached value for `key`, if present (counts a hit or miss).
-    pub fn get(&self, key: &str) -> Option<Arc<V>> {
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+    {
         self.lru.get(key)
     }
 
     /// Cached value for `key` without touching counters or recency (see
     /// [`sapphire_core::BoundedCache::peek`]).
-    pub fn peek(&self, key: &str) -> Option<Arc<V>> {
+    pub fn peek<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+    {
         self.lru.peek(key)
     }
 
     /// Insert a response, handing back the shared pointer now holding it.
-    pub fn insert(&self, key: String, value: V) -> Arc<V> {
+    pub fn insert(&self, key: K, value: V) -> Arc<V> {
         let value = Arc::new(value);
         self.lru.insert(key, value.clone());
         value

@@ -8,9 +8,7 @@ use std::time::Duration;
 use sapphire_core::qcm::CompletionResult;
 use sapphire_core::qsm::QsmOutput;
 use sapphire_core::session::{Modifiers, Session, SessionError, TripleInput};
-use sapphire_core::{
-    completion_request_key, run_request_key_tier, AnswerTable, CacheStats, PredictiveUserModel,
-};
+use sapphire_core::{AnswerTable, CacheStats, KeyedRequest, PredictiveUserModel, RequestKey};
 use sapphire_endpoint::{QueryService, ServiceError};
 use sapphire_obs::{MetricsHub, Obs, Stage};
 use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, WorkBudget};
@@ -364,34 +362,19 @@ impl Reply {
 /// the generation its rows were snapshotted at.
 type RunCommit = (Arc<Mutex<SessionEntry>>, u64);
 
-/// What a missed request still has to do, with what
-/// [`SapphireServer::lookup`] derived for it.
-#[derive(Debug)]
-enum MissedWhat<'a> {
-    Complete {
-        typed: Cow<'a, str>,
-        k: usize,
-    },
-    Run {
-        query: Cow<'a, SelectQuery>,
-        tier: usize,
-        commit: Option<RunCommit>,
-    },
-    Raw {
-        query: Cow<'a, Query>,
-    },
-}
-
 /// A request past its counted cache lookup, between the two halves of
 /// [`SapphireServer::post_gate`]: charged, keyed, slot in hand, and not in
 /// the cache. Carried on the stack by blocking callers and workers, and
 /// across one thread hand-off by a front-end submitter, which may neither
 /// wait in a flight nor scan (see [`crate::frontend`]).
 #[derive(Debug)]
-pub(crate) struct Missed<'a> {
-    what: MissedWhat<'a>,
-    /// The response-cache and single-flight key the lookup missed on.
-    key: String,
+pub(crate) struct Missed {
+    /// The response-cache and single-flight key the lookup missed on. It
+    /// holds the request itself — the term, the built query and its tier,
+    /// the raw query — so [`SapphireServer::work`] reads them back from it.
+    key: RequestKey,
+    /// Where a session run commits; `None` for every other request.
+    commit: Option<RunCommit>,
     /// Held until [`SapphireServer::work`] is done with it, exactly as a
     /// granted ticket holds its slot while it waits for a worker.
     permit: AdmissionPermit,
@@ -399,11 +382,11 @@ pub(crate) struct Missed<'a> {
 
 /// The outcome of [`SapphireServer::lookup`].
 #[derive(Debug)]
-pub(crate) enum Lookup<'a> {
+pub(crate) enum Lookup {
     /// Answered from the response cache; the slot is already released.
     Hit(Reply),
     /// Not cached: [`SapphireServer::work`] must finish it.
-    Miss(Missed<'a>),
+    Miss(Missed),
 }
 
 /// A run served through the sessionless [`SapphireServer::run_select`]
@@ -760,11 +743,11 @@ impl SapphireServer {
     /// passes admission (its key requires the built query) and still
     /// consumes quota: budgets are deliberately request-denominated, so a
     /// tenant cannot exceed its window by replaying one hot query.
-    pub(crate) fn lookup<'a>(
+    pub(crate) fn lookup(
         &self,
-        request: Request<'a>,
+        request: Request<'_>,
         permit: AdmissionPermit,
-    ) -> Result<Lookup<'a>, ServerError> {
+    ) -> Result<Lookup, ServerError> {
         let Request {
             tenant,
             what,
@@ -774,18 +757,15 @@ impl SapphireServer {
         match what {
             What::Complete { typed, k } => {
                 self.charge(&tenant, self.config.completion_cost)?;
-                // A non-default `k` gets its own cache/coalescer key (see
+                // The key carries `k`, so a deep edge fetch and a user-depth
+                // list never share an entry (see
                 // [`complete_top`](Self::complete_top)).
-                let key = if k == self.pum.config().k {
-                    completion_request_key(&typed)
-                } else {
-                    format!("{}\u{1}top{k}", completion_request_key(&typed))
-                };
+                let key = RequestKey::completion(&typed, k);
                 Ok(match self.completions.lookup(&self.obs, &key) {
                     Some(hit) => Lookup::Hit(Reply::Completion(Arc::unwrap_or_clone(hit))),
                     None => Lookup::Miss(Missed {
-                        what: MissedWhat::Complete { typed, k },
                         key,
+                        commit: None,
                         permit,
                     }),
                 })
@@ -817,8 +797,9 @@ impl SapphireServer {
                 // The key carries `tier`, so a degraded-budget run can only
                 // ever hit, lead, or follow *other degraded runs of the same
                 // tier* — full-budget and degraded requests never exchange
-                // payloads in either direction.
-                let key = run_request_key_tier(&*query, tier);
+                // payloads in either direction. A session's freshly built
+                // query moves into it.
+                let key = RequestKey::run(query.into_owned(), tier);
                 Ok(match self.runs.lookup(&self.obs, &key) {
                     Some(payload) => {
                         let run = QueryRun {
@@ -828,12 +809,8 @@ impl SapphireServer {
                         Lookup::Hit(commit_run(run, permit, commit))
                     }
                     None => Lookup::Miss(Missed {
-                        what: MissedWhat::Run {
-                            query,
-                            tier,
-                            commit,
-                        },
                         key,
+                        commit,
                         permit,
                     }),
                 })
@@ -847,8 +824,8 @@ impl SapphireServer {
                 // Raw results are never response-cached (see the
                 // [`QueryService`] impl), so this surface always misses.
                 Ok(Lookup::Miss(Missed {
-                    key: sapphire_endpoint::query_fingerprint(&query),
-                    what: MissedWhat::Raw { query },
+                    key: RequestKey::raw(query.into_owned()),
+                    commit: None,
                     permit,
                 }))
             }
@@ -864,12 +841,18 @@ impl SapphireServer {
     /// same question at once) costs one model scan; a run's `cached` flag
     /// stays an honest "this request ran no scan of its own": true for cache
     /// hits and followers, false for the scanning leader and bypasses.
-    pub(crate) fn work(&self, missed: Missed<'_>) -> Result<Reply, ServerError> {
-        let Missed { what, key, permit } = missed;
-        // `permit` is held to the end of the call unless an arm has work to
-        // do without it.
-        match what {
-            MissedWhat::Complete { typed, k } => {
+    pub(crate) fn work(&self, missed: Missed) -> Result<Reply, ServerError> {
+        let Missed {
+            key,
+            commit,
+            permit,
+        } = missed;
+        // The flight takes the key; the work reads the request from this
+        // second handle on it. `permit` is held to the end of the call
+        // unless an arm has work to do without it.
+        let request = key.clone();
+        match request.request() {
+            KeyedRequest::Completion { term, k } => {
                 let (served, result) = self.completions.serve_miss(
                     &self.obs,
                     key,
@@ -880,7 +863,7 @@ impl SapphireServer {
                         } else {
                             "bypass"
                         });
-                        Ok(self.pum.complete_top(&typed, k))
+                        Ok(self.pum.complete_top(term, *k))
                     },
                     |_| true,
                     |_| false,
@@ -888,15 +871,11 @@ impl SapphireServer {
                 self.count_served(served, Some(&self.counters.coalesced_completion_hits));
                 result.map(|found| Reply::Completion(Arc::unwrap_or_clone(found)))
             }
-            MissedWhat::Run {
-                query,
-                tier,
-                commit,
-            } => {
+            KeyedRequest::Run { query, tier } => {
                 let (served, result) = self.runs.serve_miss(
                     &self.obs,
                     key,
-                    |_| Ok(self.scan(&query, tier)),
+                    |_| Ok(self.scan(query, *tier)),
                     |_| true,
                     |_| false,
                 );
@@ -907,14 +886,14 @@ impl SapphireServer {
                 };
                 Ok(commit_run(run, permit, commit))
             }
-            MissedWhat::Raw { query } => {
+            KeyedRequest::Raw(query) => {
                 let (served, result) = self.raw.serve_miss(
                     &self.obs,
                     key,
                     |_| {
                         self.pum
                             .federation()
-                            .execute_parsed(&query)
+                            .execute_parsed(query)
                             .map_err(from_federation)
                     },
                     |_| true,
@@ -1208,11 +1187,11 @@ fn commit_run(run: QueryRun, permit: AdmissionPermit, commit: Option<RunCommit>)
 /// deployments can federate over it, with this server's admission control
 /// and budgets still enforced.
 ///
-/// Identical in-flight queries are single-flighted by
-/// [`query_fingerprint`](sapphire_endpoint::query_fingerprint), so a burst
-/// of users asking the same question at an upstream tier costs this tier one
-/// federation execution — and because the fingerprint travels unchanged with
-/// the query, every further hop downstream coalesces the same way. Service
+/// Identical in-flight queries are single-flighted by their
+/// [`RequestKey`], so a burst of users asking the same question at an
+/// upstream tier costs this tier one federation execution — and because the
+/// key is the query itself, which travels unchanged, every further hop
+/// downstream coalesces the same way. Service
 /// results are not response-cached (federated backends are not assumed
 /// immutable the way the shared model is), so the leader's typed failure is
 /// propagated to every coalesced follower rather than retried.
@@ -1703,7 +1682,7 @@ mod tests {
         let query = Session::resume(server.model(), vec![surname], Modifiers::default(), 0)
             .build_query()
             .unwrap();
-        let key = run_request_key_tier(&query, 0);
+        let key = RequestKey::run(query, 0);
         while server.runs.waiting(&key) == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -130,7 +130,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// Filter/projection expressions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A variable reference.
     Var(String),
@@ -226,7 +226,7 @@ pub enum Aggregate {
 }
 
 /// One item of a SELECT projection.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SelectItem {
     /// A plain variable.
     Var(String),
@@ -250,7 +250,7 @@ impl SelectItem {
 }
 
 /// SELECT projection: explicit items or `*`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Projection {
     /// `SELECT *` — all variables in scope, sorted.
     Star,
@@ -259,7 +259,7 @@ pub enum Projection {
 }
 
 /// A sort key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderKey {
     /// Sort expression (usually a variable).
     pub expr: Expr,
@@ -275,7 +275,7 @@ pub struct OrderKey {
 /// triple pattern, so a term the queried graph does not hold contributes no
 /// solution. The list is shared — a query is cloned on its way to an
 /// endpoint, a probe's thousand candidate terms are not.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InlineData {
     /// The variable, stored without the leading `?`.
     pub var: String,
@@ -285,7 +285,7 @@ pub struct InlineData {
 
 /// The body shared by SELECT and ASK: a basic graph pattern plus filters,
 /// optionally joined with inline data.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct GraphPattern {
     /// Triple patterns, in source order.
     pub triples: Vec<TriplePattern>,
@@ -318,7 +318,7 @@ impl GraphPattern {
 }
 
 /// A parsed query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Query {
     /// `SELECT ... WHERE { ... }`.
     Select(SelectQuery),
@@ -345,7 +345,7 @@ impl Query {
 }
 
 /// A SELECT query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SelectQuery {
     /// `DISTINCT` modifier.
     pub distinct: bool,

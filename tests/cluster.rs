@@ -471,8 +471,9 @@ fn schema_replicated_triples_do_not_duplicate_in_merges() {
         oracle_answers(&oracle_server, &query),
         "each replicated edge appears exactly once"
     );
-    // The same pattern under the session COUNT shape: the edge recount must
-    // not multiply by the shard count either.
+    // The same pattern under the session COUNT shape: the COUNT the edge
+    // applies once to the merged bindings must not multiply by the shard
+    // count either.
     let mut counted = query.clone();
     counted.projection = Projection::Items(vec![SelectItem::Agg {
         agg: Aggregate::Count {

@@ -11,7 +11,7 @@
 //!   (leader, coalesced follower, or response-cache hit) — nothing is lost
 //!   or double-counted;
 //! * federated hops through `ServiceEndpoint` coalesce at the downstream
-//!   server by query fingerprint;
+//!   server by the query's structural key;
 //! * under a saturated gate, freed slots are handed to queued waiters
 //!   (observable as `fifo_handoffs`) and rejections stay typed.
 
