@@ -47,7 +47,7 @@ use sapphire_core::{CacheStats, RequestKey, SteinerConfig};
 use sapphire_endpoint::{Backoff, Endpoint, EndpointError, QueryService, ServiceError};
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
-use sapphire_server::{run_cost, ServerError, ShardService, TransportStats};
+use sapphire_server::{run_cost, ServerError, ShardService, TransportStats, COMPLETION_COST};
 use sapphire_sparql::{Projection, Query, QueryResult, SelectQuery, Solutions, TermPattern};
 
 use crate::merge::{dedup_alternatives, merge_bindings, merge_completions, sort_alternatives};
@@ -87,8 +87,6 @@ pub struct ClusterConfig {
     /// replay any cached request for free. Charged per request, before the
     /// edge caches — the same request-denominated posture the shards take.
     pub tenant_window_budget: Option<u64>,
-    /// Edge work units charged per QCM completion request.
-    pub completion_cost: u64,
     /// Router-driven degradation: when set, the edge *requests* a QSM shed
     /// tier from shards (chosen from shard queue pressure and the remaining
     /// deadline budget) and propagates the remaining budget on every run
@@ -151,7 +149,6 @@ impl Default for ClusterConfig {
             cache_capacity_per_shard: 4096,
             coalesce_waiters_per_key: 1024,
             tenant_window_budget: None,
-            completion_cost: 1,
             degrade: None,
         }
     }
@@ -860,7 +857,7 @@ impl ClusterRouter {
     /// same normalized key the shards use.
     pub fn complete(&self, tenant: &str, term: &str) -> Result<ClusterCompletion, ClusterError> {
         let _req = self.obs.request_scope("complete", tenant);
-        self.charge(tenant, self.config.completion_cost)?;
+        self.charge(tenant, COMPLETION_COST)?;
         let (served, result) = self.completions.serve(
             &self.obs,
             RequestKey::completion(term, self.k),
@@ -1169,10 +1166,10 @@ impl ClusterRouter {
         merge_bindings(query, lists).map_err(unsupported)
     }
 
-    /// Full-binding (`SELECT *`, no slice) row lists for a query's pattern,
-    /// one per consulted shard. Scattering star projections is what lets
+    /// Full-binding (`SELECT *`) row lists for a query's pattern, one per
+    /// consulted shard. Scattering star projections is what lets
     /// [`merge_bindings`] deduplicate schema-slice replicas exactly (see its
-    /// docs); the cross-shard bound join contributes one pre-joined list.
+    /// docs); the cross-shard plan contributes one list.
     fn binding_lists(
         &self,
         tenant: &str,
@@ -1199,11 +1196,12 @@ impl ClusterRouter {
         }
     }
 
-    /// Cross-shard fallback: a federated bound join over the shards, each a
-    /// [`ShardEndpoint`], via the partition-safe
-    /// [`execute_partitioned`](sapphire_endpoint::federation::execute_partitioned)
-    /// path (the covering-endpoint shortcut is unsound over shards of one
-    /// dataset). Admission control and budgets still hold at every shard —
+    /// Cross-shard fallback: the federated plan over the shards, each a
+    /// [`ShardEndpoint`], strict
+    /// ([`execute_partitioned`](sapphire_endpoint::federation::execute_partitioned)):
+    /// an ASK per pattern per shard, then the query whole to the one shard
+    /// that is the only source of every pattern, or else a bound join across
+    /// the sources. Admission control and budgets still hold at every shard —
     /// the endpoints are the servers themselves.
     fn federated_rows(&self, tenant: &str, query: &SelectQuery) -> Result<Solutions, ClusterError> {
         let shards: Vec<ShardEndpoint<'_>> = (0..self.shard_count())
@@ -1525,42 +1523,22 @@ impl QueryService for ClusterRouter {
 
     fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError> {
         let _req = self.obs.request_scope("query", tenant);
-        let pattern = match query {
-            Query::Select(select) => &select.pattern,
-            Query::Ask(pattern) => pattern,
-        };
-        self.charge(tenant, run_cost(pattern.triples.len()))
+        self.charge(tenant, run_cost(query.pattern().triples.len()))
             .map_err(ClusterError::into_service_error)?;
         let execute = |tenant: &str, query: &Query| -> Result<QueryResult, ClusterError> {
             match query {
                 Query::Select(select) => self
                     .cluster_answers(tenant, select)
                     .map(QueryResult::Solutions),
+                // A SELECT of at most one row per list: the pattern has an
+                // answer iff some list has a row.
                 Query::Ask(pattern) => {
-                    let probe = SelectQuery::star(pattern.clone());
-                    if single_subject(&probe) {
-                        let target = ground_subject_shard(&probe, self.shard_count());
-                        let replies = self.scatter(
-                            &ShardRequest::Raw {
-                                tenant: tenant.to_string(),
-                                query: query.clone(),
-                            },
-                            target,
-                        )?;
-                        let any = replies
-                            .iter()
-                            .any(|r| matches!(r, ShardReply::Raw(QueryResult::Boolean(true))));
-                        Ok(QueryResult::Boolean(any))
-                    } else {
-                        let rows = self.federated_rows(
-                            tenant,
-                            &SelectQuery {
-                                limit: Some(1),
-                                ..SelectQuery::star(pattern.clone())
-                            },
-                        )?;
-                        Ok(QueryResult::Boolean(!rows.is_empty()))
-                    }
+                    let probe = SelectQuery {
+                        limit: Some(1),
+                        ..SelectQuery::star(pattern.clone())
+                    };
+                    let lists = self.binding_lists(tenant, &probe)?;
+                    Ok(QueryResult::Boolean(lists.iter().any(|l| !l.is_empty())))
                 }
             }
         };

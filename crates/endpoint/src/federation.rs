@@ -3,25 +3,26 @@
 //! Sapphire "accesses the endpoints through a federated query processor"
 //! (§3); the processor needs to (a) route queries to the endpoints that can
 //! answer them and (b) join patterns whose data lives on different endpoints.
-//! Like FedX, we do per-triple-pattern source selection with cheap ASK
-//! probes and route a single-source query — one endpoint is the only source
-//! of every pattern — whole, slice and aggregates included: that endpoint
-//! holds the whole join.
+//! One plan answers every query over two or more endpoints. Like FedX, it
+//! selects sources per triple pattern with cheap ASK probes and routes a
+//! single-source query — one endpoint is the only source of every pattern —
+//! whole, slice and aggregates included: that endpoint holds every triple
+//! any of the patterns can match, so it holds the whole join.
 //!
-//! Any other query is answered from *full bindings* — one column per
-//! variable of the pattern: the covering endpoints' `SELECT *` rows (each
-//! binding once, first copy kept), or the bound join's when those come back
-//! empty and the join may span endpoints. The processor then calls
-//! [`sapphire_sparql::select_rows`] once — the evaluator's own ORDER BY,
-//! projection, DISTINCT, slice and aggregates — so an answer does not depend
-//! on how many endpoints held the data.
+//! Any other query is bound-joined across its sources into *full bindings*
+//! — one column per variable of the pattern, each binding once — and the
+//! processor calls [`sapphire_sparql::select_rows`] on them once: the
+//! evaluator's own ORDER BY, projection, DISTINCT, slice and aggregates. So
+//! an answer equals that of one endpoint holding all the data, however the
+//! data is split.
 //!
-//! On a lenient plan (independent datasets) an endpoint error reads as "no
-//! match there": a failed probe, a refused sub-query, and a covering endpoint
-//! that refuses the unsliced star query alike. A query with inline data
-//! (`VALUES`) is answered whole or not at all: its sender reads a value
-//! without rows as a value without matches, so it is never answered from
-//! covering endpoints alone and a source's error fails it.
+//! The plan's one mode is how it reads an endpoint error. A lenient plan
+//! (independent datasets) reads it as "no match there": a failed probe and
+//! a refused sub-query alike. A strict plan fails on it, typed: over
+//! partitions of one dataset ([`execute_partitioned`]), where every
+//! endpoint holds rows no other has, and for a query with inline data
+//! (`VALUES`), whose sender reads a value without rows as a value without
+//! matches.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -42,8 +43,9 @@ pub enum FederationError {
     NoEndpoints,
     /// No single endpoint can answer and the query shape cannot be bound-joined.
     Unsupported(String),
-    /// All candidate endpoints failed — or, on the partitioned path, any one
-    /// did; the payload is the first error.
+    /// An endpoint the plan cannot do without failed: the one endpoint asked
+    /// the query whole (the only one registered, or the only source of every
+    /// pattern), or any endpoint of a strict plan. The payload is its error.
     AllSourcesFailed(EndpointError),
     /// The query did not parse.
     Parse(String),
@@ -123,77 +125,23 @@ impl FederatedProcessor {
     }
 
     fn execute_federated(&self, query: &Query) -> Result<QueryResult, FederationError> {
-        let gp = query.pattern();
-        if gp.triples.is_empty() {
-            return Err(FederationError::Unsupported("empty graph pattern".into()));
-        }
         // Independent datasets: a source that fails a probe or a sub-query
         // is a source without matches, and the others still answer. Not so
         // under inline data: whoever batches look-ups with `VALUES` reads a
         // value without rows as a value without matches, so that answer is
-        // whole or an error — a source that fails fails the plan, and the
-        // join is always taken across sources (a covering endpoint's own
-        // rows lack the values whose join spans).
-        let batched = gp.values.is_some();
-        let plan = Plan {
+        // whole or an error.
+        Plan {
             endpoints: &self.endpoints.iter().map(Arc::as_ref).collect::<Vec<_>>(),
-            strict: batched,
-        };
-        let sources = plan.select_sources(gp)?;
-        // FedX's single-source rule: the only source of every pattern holds
-        // the whole join, so it answers the query as asked.
-        if let [only] = sources[0][..] {
-            if sources.iter().all(|s| s[..] == [only]) {
-                return self.endpoints[only]
-                    .execute_parsed(query)
-                    .map_err(FederationError::AllSourcesFailed);
-            }
+            strict: query.pattern().values.is_some(),
         }
-
-        // Endpoints able to answer every pattern hold a share of the join;
-        // it may still span endpoints (people on one source, their
-        // birthplaces' names on another), so if their rows come back empty
-        // and some pattern has non-covering sources, bound-join instead.
-        let covering: Vec<usize> = (0..self.endpoints.len())
-            .filter(|i| sources.iter().all(|s| s.contains(i)))
-            .collect();
-        let row_limit = matches!(query, Query::Ask(_)).then_some(1);
-        let mut rows = if batched {
-            Vec::new()
-        } else {
-            plan.covering_rows(gp, &covering, row_limit)?
-        };
-        let join_may_span = batched
-            || sources
-                .iter()
-                .any(|s| s.iter().any(|i| !covering.contains(i)));
-        if rows.is_empty() && join_may_span {
-            rows = plan.bound_join(gp, &sources, row_limit)?;
-        }
-        match query {
-            Query::Ask(_) => Ok(QueryResult::Boolean(!rows.is_empty())),
-            Query::Select(select) => select_over(select, rows).map(QueryResult::Solutions),
-        }
+        .execute(query)
     }
 }
 
-/// `select`'s answer over full bindings of its pattern.
-fn select_over(select: &SelectQuery, rows: Vec<Binding>) -> Result<Solutions, FederationError> {
-    select_rows(select, &select.pattern.variables(), rows)
-        .map_err(|e| FederationError::Unsupported(e.to_string()))
-}
-
 /// Execute a SELECT over **partitioned** backends — every endpoint holding a
-/// slice of one dataset — strictly by per-pattern source selection plus a
-/// bound join, *skipping* the covering-endpoint shortcut.
-///
-/// For independent datasets the shortcut is a pure optimization, but over
-/// partitions it is unsound: a shard can match every pattern individually
-/// (schema triples are replicated; popular predicates appear everywhere)
-/// while the join still spans shards, and its non-empty shard-local answer
-/// would mask the rows that need the cross-shard join. And where every
-/// endpoint holds rows no other has, a source that fails mid-plan cannot be
-/// skipped: the first failed probe or sub-query fails the plan, typed
+/// slice of one dataset — by the one federated plan, strict: every endpoint
+/// holds rows no other has, so a source that fails mid-plan cannot be
+/// skipped. The first failed probe or sub-query fails the plan, typed
 /// ([`FederationError::AllSourcesFailed`]), instead of shrinking the answer.
 ///
 /// The endpoints are borrowed for the plan: the cluster router hands over
@@ -205,19 +153,18 @@ pub fn execute_partitioned(
     if endpoints.is_empty() {
         return Err(FederationError::NoEndpoints);
     }
-    let gp = &select.pattern;
-    if gp.triples.is_empty() {
-        return Err(FederationError::Unsupported("empty graph pattern".into()));
-    }
     let plan = Plan {
         endpoints,
         strict: true,
     };
-    let sources = plan.select_sources(gp)?;
-    select_over(select, plan.bound_join(gp, &sources, None)?)
+    match plan.execute(&Query::Select(select.clone()))? {
+        QueryResult::Solutions(s) => Ok(s),
+        QueryResult::Boolean(_) => Err(FederationError::Unsupported("expected SELECT".into())),
+    }
 }
 
-/// Source selection and bound join over one set of endpoints.
+/// The federated plan over one set of endpoints: source selection, the
+/// single-source rule and the bound join.
 struct Plan<'a> {
     endpoints: &'a [&'a dyn Endpoint],
     /// Whether an endpoint error fails the plan (partitions of one dataset,
@@ -227,6 +174,34 @@ struct Plan<'a> {
 }
 
 impl Plan<'_> {
+    /// `query`'s answer over the plan's endpoints: one ASK per pattern per
+    /// endpoint, then the query whole to the only source of every pattern —
+    /// it holds every triple any of them can match, so it holds the whole
+    /// join — or else the bound join's full bindings under the query once.
+    fn execute(&self, query: &Query) -> Result<QueryResult, FederationError> {
+        let gp = query.pattern();
+        if gp.triples.is_empty() {
+            return Err(FederationError::Unsupported("empty graph pattern".into()));
+        }
+        let sources = self.select_sources(gp)?;
+        // FedX's single-source rule.
+        if let [only] = sources[0][..] {
+            if sources.iter().all(|s| s[..] == [only]) {
+                return self.endpoints[only]
+                    .execute_parsed(query)
+                    .map_err(FederationError::AllSourcesFailed);
+            }
+        }
+        let row_limit = matches!(query, Query::Ask(_)).then_some(1);
+        let rows = self.bound_join(gp, &sources, row_limit)?;
+        match query {
+            Query::Ask(_) => Ok(QueryResult::Boolean(!rows.is_empty())),
+            Query::Select(select) => select_rows(select, &gp.variables(), rows)
+                .map(QueryResult::Solutions)
+                .map_err(|e| FederationError::Unsupported(e.to_string())),
+        }
+    }
+
     /// `result`'s answer; for an error, the plan's failure when strict and
     /// `None` — nothing from this source — otherwise.
     fn answer(
@@ -238,34 +213,6 @@ impl Plan<'_> {
             Err(e) if self.strict => Err(FederationError::AllSourcesFailed(e)),
             Err(_) => Ok(None),
         }
-    }
-
-    /// The union of the covering endpoints' full bindings (`SELECT *`, at
-    /// most `row_limit` each): each binding once, first copy kept.
-    fn covering_rows(
-        &self,
-        gp: &GraphPattern,
-        covering: &[usize],
-        row_limit: Option<usize>,
-    ) -> Result<Vec<Binding>, FederationError> {
-        let names = gp.variables();
-        let star = Query::Select(SelectQuery {
-            limit: row_limit,
-            ..SelectQuery::star(gp.clone())
-        });
-        let mut rows: Vec<Binding> = Vec::new();
-        for &i in covering {
-            if let Some(QueryResult::Solutions(sols)) =
-                self.answer(self.endpoints[i].execute_parsed(&star))?
-            {
-                rows.extend(
-                    (0..sols.len())
-                        .map(|r| names.iter().map(|v| sols.get(r, v).cloned()).collect()),
-                );
-            }
-        }
-        retain_first_seen(&mut rows);
-        Ok(rows)
     }
 
     /// Per-pattern source selection: which endpoints have at least one match
@@ -486,7 +433,7 @@ res:Paris a dbo:City ; dbo:name "Paris"@en ; dbo:country res:France .
     }
 
     #[test]
-    fn union_of_rows_from_multiple_covering_endpoints() {
+    fn union_of_rows_from_multiple_sources() {
         let mut fed = FederatedProcessor::new();
         fed.register(make("a", "res:X a dbo:Thing ."));
         fed.register(make("b", "res:Y a dbo:Thing ."));
@@ -575,7 +522,8 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
 
     /// A session's modifiers and GROUP BY aggregates answer alike from one
     /// endpoint holding the data and from the data split by subject over
-    /// two or three: covering endpoints' full bindings, or the bound join's,
+    /// two or three — among them a split where both parts match every
+    /// pattern and a join still spans them: the bound join's full bindings
     /// under the evaluator's own modifiers and aggregates, once.
     #[test]
     fn a_split_answers_every_modifier_and_aggregate_like_one_endpoint() {
@@ -594,6 +542,9 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
             BATH_DOVER.to_string(),
             format!("{x}{y}"),
         ]);
+        // Both parts match both `countries` patterns, but Bath and Dover
+        // reach "Yland" only across them.
+        let spanning = federation(&[format!("{ASH_CORK_ELY}{x}{y}"), BATH_DOVER.to_string()]);
         let city = "?s dbo:name ?name ; dbo:country ?k ; dbo:population ?pop";
         let countries = "?s dbo:country ?k . ?k dbo:name ?kn";
         for query in [
@@ -619,6 +570,7 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
             assert!(!whole.is_empty(), "{query}");
             assert_eq!(two.select(&query).unwrap(), whole, "two: {query}");
             assert_eq!(three.select(&query).unwrap(), whole, "three: {query}");
+            assert_eq!(spanning.select(&query).unwrap(), whole, "spanning: {query}");
         }
         let count = two
             .select(&format!("SELECT (COUNT(?s) AS ?n) WHERE {{ {city} }}"))
@@ -684,10 +636,10 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         ));
     }
 
-    /// Rows of two covering endpoints are unioned: the first's stand as they
-    /// came, duplicates included, and the second adds only what is new.
+    /// Rows of two sources of one pattern are unioned: the first's stand as
+    /// they came, duplicates included, and the second adds only what is new.
     #[test]
-    fn a_covering_union_keeps_the_first_answer_and_adds_unseen_rows() {
+    fn a_union_across_sources_keeps_the_first_answer_and_adds_unseen_rows() {
         let mut fed = FederatedProcessor::new();
         fed.register(make("people", PEOPLE));
         fed.register(make("more", &format!("{PEOPLE}res:Dee dbo:name \"Dee\" .")));
@@ -698,9 +650,8 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
     }
 
     /// Whoever sends inline data reads a value without rows as a value
-    /// without matches, so that answer is whole or an error: a covering
-    /// endpoint's own, shorter answer does not stand in for the join across
-    /// sources, and a source that fails is not skipped.
+    /// without matches, so that answer is whole or an error: the join is
+    /// taken across sources, and a source that fails is not skipped.
     #[test]
     fn inline_data_is_answered_whole_or_not_at_all() {
         // "most" matches every pattern but joins only "Cy" by itself; "Ada"
@@ -741,10 +692,12 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         assert_eq!(plain.unwrap().len(), 1);
     }
 
-    /// Answers until its `fail_from`-th call, sheds from then on.
+    /// Answers until its `fail_from`-th call, sheds from then on; keeps
+    /// every query it receives.
     struct Shedding {
         inner: Arc<dyn Endpoint>,
         calls: std::sync::atomic::AtomicUsize,
+        received: std::sync::Mutex<Vec<Query>>,
         fail_from: usize,
     }
 
@@ -757,6 +710,7 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
             let call = 1 + self
                 .calls
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.received.lock().unwrap().push(query.clone());
             if call >= self.fail_from {
                 return Err(EndpointError::Overloaded { in_flight: call });
             }
@@ -768,6 +722,7 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         Shedding {
             inner,
             calls: Default::default(),
+            received: Default::default(),
             fail_from,
         }
     }
@@ -805,5 +760,48 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         assert!(lenient
             .select(&format!("SELECT ?name {BY_POPULATION}"))
             .is_ok());
+    }
+
+    /// Over partitions, an endpoint that is the only source of every pattern
+    /// holds the whole join: after one ASK per pattern per endpoint it gets
+    /// the query whole, once, and answers as one endpoint holding all the
+    /// data does. If it sheds that query, the plan fails typed.
+    #[test]
+    fn a_sole_source_answers_a_partitioned_query_whole() {
+        let all = format!("{PEOPLE}{PLACES}");
+        let text = format!("SELECT ?name {BY_POPULATION} LIMIT 3");
+        let select = sapphire_sparql::parse_select(&text).unwrap();
+        let one = FederatedProcessor::single(make("all", &all));
+        let other = shedding(make("other", "res:Zed dbo:author res:Ada ."), usize::MAX);
+        let sole = |fail_from| shedding(make("all", &all), fail_from);
+        let healthy = sole(usize::MAX);
+        let answer = execute_partitioned(&[&other, &healthy], &select).unwrap();
+        assert_eq!(answer, one.select(&text).unwrap());
+        assert_eq!(names(&answer), ["Bob", "Cy", "Ada"]);
+        let asks: Vec<Query> = select
+            .pattern
+            .triples
+            .iter()
+            .map(|tp| {
+                Query::Ask(GraphPattern {
+                    triples: vec![tp.clone()],
+                    ..GraphPattern::default()
+                })
+            })
+            .collect();
+        assert_eq!(*other.received.lock().unwrap(), asks);
+        let mut whole = asks.clone();
+        whole.push(Query::Select(select.clone()));
+        assert_eq!(*healthy.received.lock().unwrap(), whole);
+
+        let flaky = sole(whole.len());
+        assert_eq!(
+            execute_partitioned(&[&other, &flaky], &select),
+            Err(FederationError::AllSourcesFailed(
+                EndpointError::Overloaded {
+                    in_flight: whole.len()
+                }
+            ))
+        );
     }
 }

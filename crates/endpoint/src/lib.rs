@@ -16,9 +16,9 @@
 //!    their estimated execution time is above a threshold"; reproduced with a
 //!    cardinality-based cost estimate.
 //!
-//! [`FederatedProcessor`] substitutes for FedX: ASK-probe source selection,
-//! whole-query routing to covering endpoints, and nested-loop bound joins for
-//! genuinely federated patterns.
+//! [`FederatedProcessor`] substitutes for FedX with one plan: ASK-probe
+//! source selection, whole-query routing to the only source of every
+//! pattern, and otherwise a nested-loop bound join across the sources.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -891,10 +891,7 @@ mod tests {
 
         let m = server.metrics();
         assert_eq!(m.completion_requests, 1);
-        assert_eq!(
-            server.tenant_usage("alice"),
-            server.config().completion_cost
-        );
+        assert_eq!(server.tenant_usage("alice"), crate::COMPLETION_COST);
         let cache = m.completion_cache;
         assert_eq!((cache.hits, cache.misses), (0, 1), "one counted lookup");
         assert_eq!(m.coalesce_leader_runs, 1, "one scan");

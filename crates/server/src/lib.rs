@@ -76,7 +76,7 @@ pub use frontend::{FrontRequest, FrontResponse, Frontend, FrontendConfig, Fronte
 pub use registry::{SessionEntry, SessionId, SessionRegistry};
 pub use server::{
     run_cost, QueryRun, RunOutput, RunPayload, SapphireServer, ServerConfig, ServerMetrics,
-    RUN_BASE_COST, RUN_PER_PATTERN_COST,
+    COMPLETION_COST, RUN_BASE_COST, RUN_PER_PATTERN_COST,
 };
 pub use shard::{ShardService, TransportStats};
 
@@ -264,7 +264,6 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
     fn tenant_quota_rejections_are_typed_and_windowed() {
         let config = ServerConfig {
             tenant_window_budget: Some(2),
-            completion_cost: 1,
             ..ServerConfig::for_tests()
         };
         let srv = Arc::new(SapphireServer::new(pum(), config));

@@ -18,6 +18,9 @@ use crate::coalesce::{ReadThrough, Served};
 use crate::error::{from_federation, ServerError};
 use crate::registry::{SessionEntry, SessionId, SessionRegistry};
 
+/// Work units a QCM completion request is charged, at a server and at a
+/// cluster edge alike.
+pub const COMPLETION_COST: u64 = 1;
 /// Work units every run or raw request is charged, whatever its size.
 pub const RUN_BASE_COST: u64 = 4;
 /// Work units charged on top for each triple pattern of the query.
@@ -47,14 +50,10 @@ pub struct ServerConfig {
     /// Denominated in evaluator work units — see
     /// [`ServerConfig::with_tenant_budget`].
     pub tenant_window_budget: Option<u64>,
-    /// Work units charged per QCM completion request.
-    pub completion_cost: u64,
     /// Response-cache shards.
     pub cache_shards: usize,
     /// LRU capacity per response-cache shard.
     pub cache_capacity_per_shard: usize,
-    /// Session-registry shards.
-    pub registry_shards: usize,
     /// Maximum concurrently open sessions.
     pub max_sessions: usize,
     /// Followers allowed to block behind one in-flight model scan per
@@ -88,10 +87,8 @@ impl Default for ServerConfig {
             max_queue_depth: cores * 4,
             queue_wait: Duration::from_millis(250),
             tenant_window_budget: None,
-            completion_cost: 1,
             cache_shards: 16,
             cache_capacity_per_shard: 4096,
-            registry_shards: 16,
             max_sessions: 65_536,
             coalesce_waiters_per_key: 1024,
             qsm_shed_budget: false,
@@ -108,7 +105,6 @@ impl ServerConfig {
             queue_wait: Duration::from_millis(100),
             cache_shards: 4,
             cache_capacity_per_shard: 64,
-            registry_shards: 4,
             max_sessions: 256,
             ..Self::default()
         }
@@ -424,6 +420,9 @@ pub struct SapphireServer {
     obs: Arc<Obs>,
 }
 
+/// Session-registry shards.
+const REGISTRY_SHARDS: usize = 16;
+
 impl SapphireServer {
     /// Stand up a server over a shared model.
     pub fn new(pum: Arc<PredictiveUserModel>, config: ServerConfig) -> Self {
@@ -438,7 +437,7 @@ impl SapphireServer {
         let (shards, waiters) = (config.cache_shards, config.coalesce_waiters_per_key);
         let capacity = Some(config.cache_capacity_per_shard);
         SapphireServer {
-            registry: SessionRegistry::new(config.registry_shards, config.max_sessions),
+            registry: SessionRegistry::new(REGISTRY_SHARDS, config.max_sessions),
             admission: Arc::new(AdmissionController::new(
                 config.max_in_flight,
                 config.max_queue_depth,
@@ -756,7 +755,7 @@ impl SapphireServer {
         } = request;
         match what {
             What::Complete { typed, k } => {
-                self.charge(&tenant, self.config.completion_cost)?;
+                self.charge(&tenant, COMPLETION_COST)?;
                 // The key carries `k`, so a deep edge fetch and a user-depth
                 // list never share an entry (see
                 // [`complete_top`](Self::complete_top)).

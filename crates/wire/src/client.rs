@@ -48,12 +48,6 @@ pub struct WireClientConfig {
     pub connect_timeout: Duration,
     /// Deadline for one request/reply exchange (the read side).
     pub call_timeout: Duration,
-    /// Largest frame payload accepted from the server.
-    pub max_frame: u32,
-    /// Cap on in-flight requests sharing the connection; callers past it
-    /// wait for a reply slot. This bounds the client's socket-level
-    /// concurrency against the replica.
-    pub pipeline_depth: usize,
 }
 
 impl Default for WireClientConfig {
@@ -61,8 +55,6 @@ impl Default for WireClientConfig {
         WireClientConfig {
             connect_timeout: Duration::from_secs(1),
             call_timeout: Duration::from_secs(10),
-            max_frame: MAX_FRAME,
-            pipeline_depth: 128,
         }
     }
 }
@@ -77,6 +69,11 @@ const READER_POLL: Duration = Duration::from_millis(100);
 /// sick and the connection is failed rather than risking an unrecognized
 /// id being misread as a protocol violation.
 const TOMBSTONE_CAP: usize = 1024;
+
+/// Cap on in-flight requests sharing the connection; callers past it wait
+/// for a reply slot. This bounds the client's socket-level concurrency
+/// against the replica.
+const PIPELINE_DEPTH: usize = 128;
 
 /// A reconnecting, pipelining client for one replica's [`WireServer`]
 /// (see the module docs).
@@ -128,7 +125,7 @@ impl WireClient {
         client.name = name;
         client.k = k;
         // A spawn failure just drops the stream; the first call redials.
-        if let Ok(p) = PipeConn::spawn(stream, client.config.max_frame, &client.corrupt_frames) {
+        if let Ok(p) = PipeConn::spawn(stream, &client.corrupt_frames) {
             *client.pipe.lock().unwrap() = Some(p);
         }
         Ok(client)
@@ -156,7 +153,7 @@ impl WireClient {
         frame::set_deadline(&stream, Some(self.config.connect_timeout))?;
         let mut s = &stream;
         frame::write_frame(&mut s, kind::HELLO, &encode_hello(WIRE_VERSION))?;
-        let (k, payload) = frame::read_frame(&mut s, self.config.max_frame)?;
+        let (k, payload) = frame::read_frame(&mut s, MAX_FRAME)?;
         if k != kind::HELLO_OK {
             return Err(WireError::Corrupt(format!("expected HELLO_OK, got {k}")));
         }
@@ -180,12 +177,7 @@ impl WireClient {
         loop {
             let (pipe, fresh) = self.get_pipe()?;
             let mut wrote = false;
-            let reply = pipe.call(
-                &payload,
-                self.config.pipeline_depth,
-                self.config.call_timeout,
-                &mut wrote,
-            );
+            let reply = pipe.call(&payload, self.config.call_timeout, &mut wrote);
             match reply {
                 Ok(bytes) => return self.finish_reply(&bytes),
                 Err(e) if !e.is_transport() => {
@@ -229,8 +221,7 @@ impl WireClient {
             // exiting; reclaim the thread.
             old.join_reader();
         }
-        let p = PipeConn::spawn(stream, self.config.max_frame, &self.corrupt_frames)
-            .map_err(|e| self.fail(e))?;
+        let p = PipeConn::spawn(stream, &self.corrupt_frames).map_err(|e| self.fail(e))?;
         *guard = Some(p.clone());
         Ok((p, true))
     }
@@ -300,11 +291,7 @@ struct PipeState {
 }
 
 impl PipeConn {
-    fn spawn(
-        stream: TcpStream,
-        max_frame: u32,
-        corrupt: &Arc<AtomicU64>,
-    ) -> Result<Arc<PipeConn>, WireError> {
+    fn spawn(stream: TcpStream, corrupt: &Arc<AtomicU64>) -> Result<Arc<PipeConn>, WireError> {
         frame::set_deadline(&stream, Some(READER_POLL))?;
         let writer = stream
             .try_clone()
@@ -325,7 +312,7 @@ impl PipeConn {
             let conn = conn.clone();
             std::thread::Builder::new()
                 .name("sapphire-wire-demux".into())
-                .spawn(move || reader_loop(&conn, stream, max_frame))
+                .spawn(move || reader_loop(&conn, stream))
                 .map_err(|e| WireError::Io(e.kind(), e.to_string()))?
         };
         *conn.reader.lock().unwrap() = Some(handle);
@@ -338,7 +325,6 @@ impl PipeConn {
     fn call(
         &self,
         payload: &[u8],
-        depth: usize,
         timeout: Duration,
         wrote: &mut bool,
     ) -> Result<Vec<u8>, WireError> {
@@ -346,7 +332,7 @@ impl PipeConn {
         let (tx, rx) = mpsc::channel();
         {
             let mut st = self.state.lock().unwrap();
-            while st.waiters.len() >= depth.max(1) {
+            while st.waiters.len() >= PIPELINE_DEPTH {
                 if self.failed.load(Ordering::SeqCst) {
                     return Err(pipe_down());
                 }
@@ -417,13 +403,13 @@ fn pipe_down() -> WireError {
     )
 }
 
-fn reader_loop(conn: &PipeConn, mut stream: TcpStream, max_frame: u32) {
+fn reader_loop(conn: &PipeConn, mut stream: TcpStream) {
     let mut reader = frame::FrameReader::new();
     loop {
         if conn.failed.load(Ordering::SeqCst) {
             return;
         }
-        let (k, corr, payload) = match reader.read_frame_corr(&mut stream, max_frame) {
+        let (k, corr, payload) = match reader.read_frame_corr(&mut stream, MAX_FRAME) {
             Ok(f) => f,
             Err(WireError::Timeout) => continue, // idle poll tick
             Err(_) => {

@@ -13,7 +13,7 @@
 //! request runs as a task on the shared [`exec`] pool and writes its reply
 //! — tagged with the request's correlation id, in whatever order it
 //! finishes — under the connection's write lock. Backlog per connection is
-//! bounded by [`WireServerConfig::pipeline_depth`]: past the cap the
+//! bounded by a fixed pipeline depth: past the cap the
 //! connection thread serves the oldest unstarted request inline, so a
 //! saturated executor degrades to serial request/reply instead of queueing
 //! without bound. If the executor has no idle worker the request also
@@ -51,28 +51,14 @@ use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION};
 /// Tuning knobs for a [`WireServer`].
 #[derive(Debug, Clone)]
 pub struct WireServerConfig {
-    /// Maximum concurrent connections; accepts beyond this are closed
-    /// immediately (the edge's reconnecting client treats that as "reset" and
-    /// its router retries elsewhere).
-    pub max_connections: usize,
     /// How often an idle connection thread wakes to check for shutdown.
     pub idle_poll: Duration,
-    /// Largest frame payload accepted from a client.
-    pub max_frame: u32,
-    /// Per-connection cap on pipelined requests admitted before their
-    /// reply is written. When a connection exceeds it, the connection
-    /// thread executes the oldest unstarted request inline instead of
-    /// queueing more work onto the executor.
-    pub pipeline_depth: usize,
 }
 
 impl Default for WireServerConfig {
     fn default() -> Self {
         WireServerConfig {
-            max_connections: 64,
             idle_poll: Duration::from_millis(50),
-            max_frame: MAX_FRAME,
-            pipeline_depth: 32,
         }
     }
 }
@@ -208,6 +194,11 @@ impl Drop for WireServer {
     }
 }
 
+/// Maximum concurrent connections; accepts beyond this are closed
+/// immediately (the edge's reconnecting client treats that as "reset" and
+/// its router retries elsewhere).
+const MAX_CONNECTIONS: usize = 64;
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
@@ -222,7 +213,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
+        if shared.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             shared.refused.fetch_add(1, Ordering::Relaxed);
             drop(stream);
             continue;
@@ -291,30 +282,29 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             drain_inflight(&mut inflight);
             return;
         }
-        let (kind, corr, payload) =
-            match reader.read_frame_corr(&mut stream, shared.config.max_frame) {
-                Ok(f) => f,
-                Err(WireError::Timeout) => {
-                    // Poll tick: the connection is idle on the read side, so
-                    // help the executor along — run the oldest unstarted
-                    // pipelined request inline and forget handles whose job
-                    // a worker has already claimed.
-                    if let Some(h) = inflight.first() {
-                        h.run_now();
-                    }
-                    inflight.retain(|h| !h.started());
-                    continue; // progress kept
+        let (kind, corr, payload) = match reader.read_frame_corr(&mut stream, MAX_FRAME) {
+            Ok(f) => f,
+            Err(WireError::Timeout) => {
+                // Poll tick: the connection is idle on the read side, so
+                // help the executor along — run the oldest unstarted
+                // pipelined request inline and forget handles whose job
+                // a worker has already claimed.
+                if let Some(h) = inflight.first() {
+                    h.run_now();
                 }
-                Err(WireError::Corrupt(_)) | Err(WireError::TooLarge { .. }) => {
-                    shared.corrupt.fetch_add(1, Ordering::Relaxed);
-                    drain_inflight(&mut inflight);
-                    return; // protocol violation: drop the connection
-                }
-                Err(_) => {
-                    drain_inflight(&mut inflight);
-                    return; // closed / reset / short read
-                }
-            };
+                inflight.retain(|h| !h.started());
+                continue; // progress kept
+            }
+            Err(WireError::Corrupt(_)) | Err(WireError::TooLarge { .. }) => {
+                shared.corrupt.fetch_add(1, Ordering::Relaxed);
+                drain_inflight(&mut inflight);
+                return; // protocol violation: drop the connection
+            }
+            Err(_) => {
+                drain_inflight(&mut inflight);
+                return; // closed / reset / short read
+            }
+        };
         let outcome = match kind {
             kind::HELLO => handle_hello(&writer, shared, &payload),
             kind::REQUEST => {
@@ -345,9 +335,15 @@ fn drain_inflight(inflight: &mut Vec<exec::TaskHandle>) {
     }
 }
 
+/// Per-connection cap on pipelined requests admitted before their reply is
+/// written. When a connection exceeds it, the connection thread executes
+/// the oldest unstarted request inline instead of queueing more work onto
+/// the executor.
+const PIPELINE_DEPTH: usize = 32;
+
 /// Run one pipelined request as an executor task (inline when the pool has
 /// no idle worker), bounding this connection's unstarted backlog by
-/// `pipeline_depth`.
+/// [`PIPELINE_DEPTH`].
 fn submit_request(
     writer: &Arc<Mutex<TcpStream>>,
     shared: &Arc<Shared>,
@@ -357,7 +353,7 @@ fn submit_request(
     payload: Vec<u8>,
 ) {
     inflight.retain(|h| !h.started());
-    while inflight.len() >= shared.config.pipeline_depth.max(1) {
+    while inflight.len() >= PIPELINE_DEPTH {
         // Over the depth cap: serve the oldest unstarted request on this
         // thread instead of queueing deeper.
         let h = inflight.remove(0);
@@ -427,7 +423,7 @@ fn handle_hello(
     let hello_ok = encode_hello_ok(
         &shared.service.shard_name(),
         shared.service.top_k(),
-        shared.config.max_frame,
+        MAX_FRAME,
         WIRE_VERSION,
     );
     let mut w = writer.lock().unwrap();

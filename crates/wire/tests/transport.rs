@@ -104,15 +104,8 @@ fn serve_stub(idle_poll: Duration) -> WireServer {
 }
 
 fn serve(service: Arc<StubService>, idle_poll: Duration) -> WireServer {
-    WireServer::serve(
-        service,
-        "127.0.0.1:0",
-        WireServerConfig {
-            idle_poll,
-            ..WireServerConfig::default()
-        },
-    )
-    .expect("bind loopback server")
+    WireServer::serve(service, "127.0.0.1:0", WireServerConfig { idle_poll })
+        .expect("bind loopback server")
 }
 
 fn frame_bytes(kind: u8, corr: u64, payload: &[u8]) -> Vec<u8> {

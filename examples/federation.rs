@@ -16,6 +16,9 @@ dbo:Person a owl:Class ; rdfs:subClassOf owl:Thing .
 res:Ada a dbo:Person ; dbo:name "Ada Lovelace"@en ; dbo:birthPlace res:London .
 res:Alan a dbo:Person ; dbo:name "Alan Turing"@en ; dbo:birthPlace res:London .
 res:Grace a dbo:Person ; dbo:name "Grace Hopper"@en ; dbo:birthPlace res:NYC .
+res:Emmy a dbo:Person ; dbo:name "Emmy Noether"@en ; dbo:birthPlace res:Erlangen .
+res:Erlangen dbo:country res:Germany .
+res:Germany dbo:name "Germany"@en .
 "#;
 
 const PLACES: &str = r#"
@@ -68,7 +71,10 @@ fn main() {
     }
 
     // A query joining people (endpoint 1) with places (endpoint 2): the
-    // federated processor bound-joins across sources.
+    // federated processor bound-joins across sources. Emmy's whole chain
+    // sits on `people`, so that endpoint alone matches every pattern; the
+    // answer still holds every person, as one endpoint holding both
+    // datasets would return.
     let out = pum
         .run_str(
             r#"SELECT ?name ?country WHERE {
@@ -82,7 +88,8 @@ fn main() {
 
     // A pattern both endpoints match: their rows are unioned as full
     // bindings and the query — a COUNT, a sliced order — applied once, so
-    // the answer is that of one endpoint holding both datasets.
+    // the answer is that of one endpoint holding both datasets (five names
+    // on `people`, four on `places`).
     let fed = pum.federation();
     let count = fed
         .select("SELECT (COUNT(?x) AS ?n) WHERE { ?x dbo:name ?name }")

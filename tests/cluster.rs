@@ -817,6 +817,56 @@ fn aggregates_answer_like_the_single_box_evaluator() {
     }
 }
 
+/// ASK takes the SELECT path at the edge — at most one row per consulted
+/// shard, true iff some shard returned one — so each answer is the
+/// single-box evaluator's: for a ground-subject star (its home shard only),
+/// a variable-subject star (scattered), a pattern whose join spans shards
+/// (book → publisher, the federated plan) and patterns with no answer.
+#[test]
+fn ask_answers_like_the_single_box_evaluator() {
+    use sapphire_endpoint::QueryService;
+    use sapphire_sparql::{QueryResult, WorkBudget};
+    let router = router(4, 1);
+    let graph = generate(DatasetConfig::tiny(42));
+    let [chester, globex] = UNPROJECTED_KEY_QUESTIONS.map(|(text, _)| {
+        let (_, top) = evaluated(text);
+        top.sole_value().unwrap().clone()
+    });
+    let (_, city) = evaluated(&format!(
+        "SELECT ?c WHERE {{ ?c a dbo:City ; dbo:name {chester} }}"
+    ));
+    let city = city.sole_value().unwrap();
+    for (text, expected) in [
+        (
+            format!("ASK {{ {city} a dbo:City ; dbo:population ?pop }}"),
+            true,
+        ),
+        (
+            format!("ASK {{ {city} a dbo:City ; dbo:name {globex} }}"),
+            false,
+        ),
+        ("ASK { ?c a dbo:City ; dbo:population ?pop }".into(), true),
+        (
+            format!("ASK {{ ?b dbo:publisher ?pub . ?pub dbo:name {globex} }}"),
+            true,
+        ),
+        (
+            format!("ASK {{ ?b dbo:publisher ?pub . ?pub dbo:name {chester} }}"),
+            false,
+        ),
+    ] {
+        let query = sapphire_sparql::parse_query(&text).unwrap();
+        let single_box =
+            sapphire_sparql::evaluate(&graph, &query, &mut WorkBudget::unlimited()).unwrap();
+        assert_eq!(single_box, QueryResult::Boolean(expected), "{text}");
+        assert_eq!(
+            router.execute_query("alice", &query),
+            Ok(single_box),
+            "{text}"
+        );
+    }
+}
+
 /// A shard replica that counts the calls it receives and can start shedding
 /// its raw surface at a chosen call, or skew its run replies.
 struct CountingReplica {

@@ -216,7 +216,6 @@ fn tenant_quota_rejections_are_deterministic_under_concurrency() {
     // Budget admits exactly 10 completions (cost 1 each) per tenant-window.
     let config = ServerConfig {
         tenant_window_budget: Some(10),
-        completion_cost: 1,
         max_in_flight: THREADS,
         max_queue_depth: THREADS * REQUESTS_PER_THREAD,
         ..ServerConfig::for_tests()
