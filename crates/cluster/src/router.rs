@@ -2,12 +2,14 @@
 //! hedged, typed-retry routing.
 //!
 //! A [`ClusterRouter`] is the tier users talk to. For every request it
-//! *scatters* a stateless shard request to each shard (picking the replica
+//! *scatters* one stateless [`WireRequest`] to each shard (picking the replica
 //! with the lowest [`admission_load`](sapphire_server::SapphireServer::admission_load)),
 //! *gathers* the per-shard answers, and *merges* them with the deterministic
 //! score-then-key merges of [`crate::merge`] — so the cluster's answers are a
-//! pure function of the data, never of replica timing. The routing policy
-//! around each shard call:
+//! pure function of the data, never of replica timing. Every replica answers
+//! through [`ShardService::call`], in process or over a socket, and a reply
+//! of the wrong kind is a typed `protocol:` failure of its shard, never a
+//! shorter answer. The routing policy around each shard call:
 //!
 //! * **Load-aware replica choice** — replicas are tried in ascending
 //!   admission-load order, so a saturated replica is naturally deprioritized
@@ -41,13 +43,15 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use sapphire_core::exec;
-use sapphire_core::qcm::{Completion, CompletionResult};
+use sapphire_core::qcm::Completion;
 use sapphire_core::qsm::{top_with_answers, AlteredPosition, StructureSuggestion, TermAlternative};
 use sapphire_core::{CacheStats, RequestKey, SteinerConfig};
 use sapphire_endpoint::{Backoff, Endpoint, EndpointError, QueryService, ServiceError};
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
-use sapphire_server::{run_cost, ServerError, ShardService, TransportStats, COMPLETION_COST};
+use sapphire_server::{
+    run_cost, ServerError, ShardService, TransportStats, WireReply, WireRequest, COMPLETION_COST,
+};
 use sapphire_sparql::{Projection, Query, QueryResult, SelectQuery, Solutions, TermPattern};
 
 use crate::merge::{dedup_alternatives, merge_bindings, merge_completions, sort_alternatives};
@@ -425,69 +429,6 @@ impl Counters {
     }
 }
 
-/// The stateless request one shard replica serves. Cloneable so hedged
-/// calls can hand an owned copy to a second replica's thread.
-#[derive(Debug, Clone)]
-enum ShardRequest {
-    Complete {
-        tenant: String,
-        term: String,
-        fetch: usize,
-    },
-    Run {
-        tenant: String,
-        query: SelectQuery,
-        /// The QSM shed tier the edge requests (0 = full budget). A shard
-        /// may deepen it under its own pressure, never shallow it.
-        tier: usize,
-        /// Remaining per-request deadline budget, when the edge runs a
-        /// [`DegradePolicy`]: caps the shard's admission-queue wait and
-        /// this call's retry loop.
-        budget: Option<Duration>,
-    },
-    Raw {
-        tenant: String,
-        query: Query,
-    },
-}
-
-/// The deadline budget a request carries, if any — read by the retry loop.
-fn request_budget(req: &ShardRequest) -> Option<Duration> {
-    match req {
-        ShardRequest::Run { budget, .. } => *budget,
-        _ => None,
-    }
-}
-
-enum ShardReply {
-    Completion(CompletionResult),
-    Run(Arc<sapphire_server::RunPayload>),
-    Raw(QueryResult),
-}
-
-fn call_replica(replica: &dyn ShardService, req: &ShardRequest) -> Result<ShardReply, ServerError> {
-    match req {
-        ShardRequest::Complete {
-            tenant,
-            term,
-            fetch,
-        } => replica
-            .complete_top(tenant, term, *fetch)
-            .map(ShardReply::Completion),
-        ShardRequest::Run {
-            tenant,
-            query,
-            tier,
-            budget,
-        } => replica
-            .run_select_tiered(tenant, query, *tier, *budget)
-            .map(ShardReply::Run),
-        ShardRequest::Raw { tenant, query } => {
-            replica.execute_raw(tenant, query).map(ShardReply::Raw)
-        }
-    }
-}
-
 /// True when a failure is scoped to the *requesting tenant* (a quota
 /// rejection): an edge single-flight leader failing this way must not take
 /// its followers down with it — their tenants may have plenty of budget
@@ -548,15 +489,24 @@ impl Endpoint for ShardEndpoint<'_> {
     }
 
     fn execute_parsed(&self, query: &Query) -> Result<QueryResult, EndpointError> {
-        let request = ShardRequest::Raw {
+        let request = WireRequest::Raw {
             tenant: self.tenant.to_string(),
             query: query.clone(),
         };
-        match self.router.shard_rtt(self.shard, &request) {
-            Ok(ShardReply::Raw(result)) => Ok(result),
-            Ok(_) => unreachable!("a raw request yields a raw reply"),
-            Err(e) => Err(e.into_service_error().into()),
-        }
+        self.router
+            .shard_rtt(self.shard, &request, None, WireReply::into_raw)
+            .map_err(|e| e.into_service_error().into())
+    }
+}
+
+/// The rows of a raw SELECT's reply: a boolean is a reply of the wrong kind,
+/// a typed `protocol:` failure like any other — never zero rows.
+fn raw_select_rows(reply: WireReply) -> Result<Solutions, ServerError> {
+    match reply.into_raw()? {
+        QueryResult::Solutions(rows) => Ok(rows),
+        QueryResult::Boolean(_) => Err(ServerError::Backend(
+            "protocol: expected Solutions reply, got Boolean".into(),
+        )),
     }
 }
 
@@ -873,21 +823,16 @@ impl ClusterRouter {
         // Shard-local significance ranks cannot drive the global cut (they
         // are computed from shard-local in-degrees), so every shard-local
         // match travels and the merged top-k is exact.
-        let replies = self.scatter(
-            &ShardRequest::Complete {
+        let lists: Vec<Vec<Completion>> = self.scatter(
+            &WireRequest::Complete {
                 tenant: tenant.to_string(),
                 term: term.to_string(),
                 fetch: usize::MAX,
             },
             None,
+            None,
+            |reply| Ok(reply.into_completion()?.suggestions),
         )?;
-        let lists: Vec<Vec<Completion>> = replies
-            .into_iter()
-            .map(|reply| match reply {
-                ShardReply::Completion(c) => c.suggestions,
-                _ => unreachable!("complete scatter yields completion replies"),
-            })
-            .collect();
         let merge_depth = lists.len();
         self.counters.record_merge(merge_depth);
         let suggestions = {
@@ -1014,23 +959,18 @@ impl ClusterRouter {
         // and again for the answers. QSM candidate generation only reads
         // the pattern, and a candidate is an edit to whatever query it is
         // applied to, so the projection change costs the suggestions nothing.
-        let star = star_pattern_query(query);
-        let replies = self.scatter(
-            &ShardRequest::Run {
+        let budget = self.remaining_budget(started);
+        let mut payloads = self.scatter(
+            &WireRequest::Run {
                 tenant: tenant.to_string(),
-                query: star.clone(),
+                query: star_pattern_query(query),
                 tier: requested,
-                budget: self.remaining_budget(started),
+                budget,
             },
             None,
+            budget,
+            WireReply::into_run,
         )?;
-        let payloads: Vec<Arc<sapphire_server::RunPayload>> = replies
-            .into_iter()
-            .map(|reply| match reply {
-                ShardReply::Run(p) => p,
-                _ => unreachable!("run scatter yields run replies"),
-            })
-            .collect();
         let executed = payloads.iter().all(|p| p.executed);
         // Each shard executes at the deeper of the requested tier and its
         // own pressure tier; the merge is degraded if any contributor was,
@@ -1046,7 +986,10 @@ impl ClusterRouter {
         // stars; patterns spanning shards still need the federated bound
         // join (the per-shard bindings lack the cross-shard join rows).
         let answers = if single_subject(query) {
-            let lists: Vec<Solutions> = payloads.iter().map(|p| p.answers.clone()).collect();
+            let lists: Vec<Solutions> = payloads
+                .iter_mut()
+                .map(|p| std::mem::take(&mut p.answers))
+                .collect();
             self.counters.record_merge(lists.len());
             let mut t = self.obs.time(Stage::EdgeMerge);
             t.tag("run bindings");
@@ -1177,20 +1120,15 @@ impl ClusterRouter {
     ) -> Result<Vec<Solutions>, ClusterError> {
         if single_subject(star) {
             let target = ground_subject_shard(star, self.shard_count());
-            let replies = self.scatter(
-                &ShardRequest::Raw {
+            self.scatter(
+                &WireRequest::Raw {
                     tenant: tenant.to_string(),
                     query: Query::Select(star.clone()),
                 },
                 target,
-            )?;
-            Ok(replies
-                .into_iter()
-                .map(|reply| match reply {
-                    ShardReply::Raw(QueryResult::Solutions(s)) => s,
-                    _ => Solutions::default(),
-                })
-                .collect())
+                None,
+                raw_select_rows,
+            )
         } else {
             Ok(vec![self.federated_rows(tenant, star)?])
         }
@@ -1226,19 +1164,22 @@ impl ClusterRouter {
     // --- Routing core ------------------------------------------------------
 
     /// Scatter one request: to every shard (`target == None`) or to a single
-    /// home shard. Shards are called concurrently; the gather preserves
-    /// shard order, so merges never depend on completion order.
-    fn scatter(
+    /// home shard, each reply taken as the `kind` the request expects.
+    /// Shards are called concurrently; the gather preserves shard order, so
+    /// merges never depend on completion order.
+    fn scatter<T: Send + 'static>(
         &self,
-        req: &ShardRequest,
+        req: &WireRequest,
         target: Option<usize>,
-    ) -> Result<Vec<ShardReply>, ClusterError> {
+        budget: Option<Duration>,
+        kind: fn(WireReply) -> Result<T, ServerError>,
+    ) -> Result<Vec<T>, ClusterError> {
         if let Some(shard) = target {
-            return Ok(vec![self.shard_rtt(shard, req)?]);
+            return Ok(vec![self.shard_rtt(shard, req, budget, kind)?]);
         }
         let shards = self.shard_count();
         if shards == 1 {
-            return Ok(vec![self.shard_rtt(0, req)?]);
+            return Ok(vec![self.shard_rtt(0, req, budget, kind)?]);
         }
         // Scatter tasks run on executor workers: hand each one the request's
         // trace context so its shard span parents under this request, and a
@@ -1254,7 +1195,7 @@ impl ClusterRouter {
                     Some(p) => TraceScope::enter_with_parent(trace, p),
                     None => TraceScope::enter(Some(trace)),
                 });
-                self.shard_rtt(shard, req)
+                self.shard_rtt(shard, req, budget, kind)
             })
             .into_iter()
             .collect()
@@ -1264,7 +1205,13 @@ impl ClusterRouter {
     /// hedging, typed retry) timed under a `shard_rtt` span; per-attempt
     /// observations land inside `call_shard` so the histogram sees every
     /// round trip, hedges and retries included.
-    fn shard_rtt(&self, shard: usize, req: &ShardRequest) -> Result<ShardReply, ClusterError> {
+    fn shard_rtt<T>(
+        &self,
+        shard: usize,
+        req: &WireRequest,
+        budget: Option<Duration>,
+        kind: fn(WireReply) -> Result<T, ServerError>,
+    ) -> Result<T, ClusterError> {
         let started = Instant::now();
         let span = trace::current_ctx().map(|(trace, parent)| {
             let (idx, _) = trace.open_span(Stage::ShardRtt.name(), parent, format!("shard{shard}"));
@@ -1273,7 +1220,7 @@ impl ClusterRouter {
         let guard = span
             .as_ref()
             .map(|(trace, idx)| TraceScope::enter_with_parent(trace.clone(), *idx));
-        let result = self.call_shard(shard, req);
+        let result = self.call_shard(shard, req, budget, kind);
         drop(guard);
         if let Some((trace, idx)) = span {
             trace.close_span(idx, started.elapsed().as_micros() as u64);
@@ -1295,14 +1242,20 @@ impl ClusterRouter {
 
     /// One shard call under the full routing policy: load-ordered replica
     /// choice, hedging, and typed bounded retry with failover — the retry
-    /// loop itself is [`Backoff::run`].
-    fn call_shard(&self, shard: usize, req: &ShardRequest) -> Result<ShardReply, ClusterError> {
+    /// loop itself is [`Backoff::run`]. A reply of another kind than `kind`
+    /// takes is a non-retryable protocol failure of the shard.
+    fn call_shard<T>(
+        &self,
+        shard: usize,
+        req: &WireRequest,
+        budget: Option<Duration>,
+        kind: fn(WireReply) -> Result<T, ServerError>,
+    ) -> Result<T, ClusterError> {
         let order = self.replica_order(shard);
         // When the request carries a deadline budget, retrying stops once
         // the budget is spent — retrying a shard call nobody is still
         // waiting for only deepens the overload it is reacting to.
         let call_started = Instant::now();
-        let budget = request_budget(req);
         // Per-call jitter stream: concurrent callers shed by the same
         // saturated replica must not retry in lock-step (the seed sequence
         // gives every call its own decorrelated schedule).
@@ -1314,6 +1267,7 @@ impl ClusterRouter {
                     .fetch_add(1, Ordering::Relaxed);
             }
             self.attempt_shard(shard, &order, attempt, req)
+                .and_then(kind)
         };
         let retry_after = |e: &ServerError| {
             let budget_spent = budget.is_some_and(|b| call_started.elapsed() >= b);
@@ -1340,8 +1294,8 @@ impl ClusterRouter {
         shard: usize,
         order: &[usize],
         attempt: u32,
-        req: &ShardRequest,
-    ) -> Result<ShardReply, ServerError> {
+        req: &WireRequest,
+    ) -> Result<WireReply, ServerError> {
         let replicas = self.shard_replicas(shard);
         self.counters.fanout[shard].fetch_add(1, Ordering::Relaxed);
         let primary = order[attempt as usize % order.len()];
@@ -1357,7 +1311,7 @@ impl ClusterRouter {
                 let secondary = order[(attempt as usize + 1) % order.len()];
                 self.call_hedged(shard, replicas, primary, secondary, budget, req)
             }
-            _ => call_replica(replicas[primary].as_ref(), req),
+            _ => replicas[primary].call(req),
         };
         let attempt_us = attempt_started.elapsed().as_micros() as u64;
         drop(rtt);
@@ -1398,8 +1352,8 @@ impl ClusterRouter {
         primary: usize,
         secondary: usize,
         budget: Duration,
-        req: &ShardRequest,
-    ) -> Result<ShardReply, ServerError> {
+        req: &WireRequest,
+    ) -> Result<WireReply, ServerError> {
         let (tx, rx) = mpsc::channel();
         let submit_call = |replica: usize, hedged: bool| -> exec::TaskHandle {
             let server = replicas[replica].clone();
@@ -1410,7 +1364,7 @@ impl ClusterRouter {
             // admission slot), not task lifetimes.
             let gauge = hedged.then(|| Arc::clone(&self.counters.hedges_in_flight));
             let job = move || {
-                let result = call_replica(server.as_ref(), &req);
+                let result = server.call(&req);
                 if let Some(gauge) = gauge {
                     gauge.fetch_sub(1, Ordering::Relaxed);
                 }

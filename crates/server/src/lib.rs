@@ -78,7 +78,7 @@ pub use server::{
     run_cost, QueryRun, RunOutput, RunPayload, SapphireServer, ServerConfig, ServerMetrics,
     COMPLETION_COST, RUN_BASE_COST, RUN_PER_PATTERN_COST,
 };
-pub use shard::{ShardService, TransportStats};
+pub use shard::{ShardService, TransportStats, WireReply, WireRequest};
 
 use sapphire_core::PredictiveUserModel;
 

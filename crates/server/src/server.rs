@@ -238,8 +238,9 @@ impl RunOutput {
 /// also land in `SessionEntry::last_suggestions`: committing them must be a
 /// pointer bump, not a deep copy of per-alternative answer sets under the
 /// session lock.
-// `Clone` is a pointer bump on `suggestions` plus the answer table; the wire
-// server clones one payload per remote run reply to serialize it.
+// `Clone` is a pointer bump on `suggestions` plus the answer table;
+// `ShardService::call` clones one per run reply while the run cache still
+// holds the payload, since a reply is owned.
 #[derive(Debug, Clone)]
 pub struct RunPayload {
     /// The query's answers (empty if execution failed).

@@ -3,17 +3,26 @@
 //! Before the wire transport existed, the cluster router held
 //! `Arc<SapphireServer>` replicas and every "shard call" was a function
 //! call. [`ShardService`] is that surface as a trait: everything the edge
-//! needs from one replica — the three stateless request shapes (QCM
-//! completion, tiered QSM run, raw query), the cheap load probes behind
-//! load-aware routing and router-requested degradation, and the top-k the
-//! model computes — with two implementations:
+//! needs from one replica — one stateless [`WireRequest`] (QCM completion,
+//! tiered QSM run or raw query) answered by one [`call`](ShardService::call),
+//! the cheap load probes behind load-aware routing and router-requested
+//! degradation, and the top-k the model computes — with two
+//! implementations:
 //!
 //! * [`SapphireServer`] itself (the in-process topology, still the oracle
-//!   every wire-mode answer is compared against), and
-//! * `sapphire_wire::WireClient`, which speaks the length-prefixed binary
-//!   protocol to a replica behind a TCP socket and maps every transport
-//!   failure onto the typed [`ServerError::Unreachable`] so the router's
-//!   hedging/backoff/failover machinery fires unchanged.
+//!   every wire-mode answer is compared against), which answers through
+//!   the provided `call`: the one interpreter of a request, over the typed
+//!   methods below, and
+//! * `sapphire_wire::WireClient`, which overrides `call` with one round
+//!   trip of the length-prefixed binary protocol to a replica behind a TCP
+//!   socket — whose `WireServer` answers it with the replica's own `call` —
+//!   and maps every transport failure onto the typed
+//!   [`ServerError::Unreachable`] so the router's hedging/backoff/failover
+//!   machinery fires unchanged.
+//!
+//! A new protocol field therefore goes into one enum, one codec arm and
+//! `call`. A reply of the wrong kind is a typed `protocol:` error, checked
+//! in one place ([`WireReply::into_completion`] and its siblings).
 //!
 //! The load probes deserve a note: the router reads them on *every* scatter
 //! (replica ordering, shed-tier selection), so an implementation must answer
@@ -30,6 +39,92 @@ use sapphire_sparql::{Query, QueryResult, SelectQuery};
 
 use crate::error::ServerError;
 use crate::server::{RunPayload, SapphireServer};
+
+/// One stateless edge→shard request — what the cluster router sends every
+/// replica, in process and (encoded by `sapphire_wire`'s codec) over the
+/// socket — with the degradation tier and the remaining deadline budget
+/// travelling with the query.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WireRequest {
+    /// QCM completion with an explicit over-fetch budget.
+    Complete {
+        /// Requesting tenant (billing identity at the shard).
+        tenant: String,
+        /// The typed prefix.
+        term: String,
+        /// How many suggestions to return.
+        fetch: usize,
+    },
+    /// Stateless QSM run with edge-requested degradation.
+    Run {
+        /// Requesting tenant.
+        tenant: String,
+        /// The query to run.
+        query: SelectQuery,
+        /// Degradation tier the edge requests (shards may deepen, never
+        /// shallow, exactly as in-process).
+        tier: usize,
+        /// Deadline budget remaining at the edge when the scatter started.
+        budget: Option<Duration>,
+    },
+    /// Raw query execution (the federated bound-join building block).
+    Raw {
+        /// Requesting tenant.
+        tenant: String,
+        /// The query.
+        query: Query,
+    },
+}
+
+/// One shard→edge reply body (the success arm; errors travel as a
+/// [`ServerError`]).
+#[derive(Debug, Clone)]
+pub enum WireReply {
+    /// Reply to [`WireRequest::Complete`].
+    Completion(CompletionResult),
+    /// Reply to [`WireRequest::Run`], owned: the edge merges out of it.
+    Run(RunPayload),
+    /// Reply to [`WireRequest::Raw`].
+    Raw(QueryResult),
+}
+
+impl WireReply {
+    /// The completion, or a typed `protocol:` error for a reply of another
+    /// kind.
+    pub fn into_completion(self) -> Result<CompletionResult, ServerError> {
+        match self {
+            WireReply::Completion(c) => Ok(c),
+            other => Err(other.mismatch("Completion")),
+        }
+    }
+
+    /// The run payload, or a typed `protocol:` error for a reply of another
+    /// kind.
+    pub fn into_run(self) -> Result<RunPayload, ServerError> {
+        match self {
+            WireReply::Run(p) => Ok(p),
+            other => Err(other.mismatch("Run")),
+        }
+    }
+
+    /// The raw query result, or a typed `protocol:` error for a reply of
+    /// another kind.
+    pub fn into_raw(self) -> Result<QueryResult, ServerError> {
+        match self {
+            WireReply::Raw(r) => Ok(r),
+            other => Err(other.mismatch("Raw")),
+        }
+    }
+
+    fn mismatch(&self, want: &str) -> ServerError {
+        let got = match self {
+            WireReply::Completion(_) => "Completion",
+            WireReply::Run(_) => "Run",
+            WireReply::Raw(_) => "Raw",
+        };
+        ServerError::Backend(format!("protocol: expected {want} reply, got {got}"))
+    }
+}
 
 /// Cumulative transport-level counters of one remote replica connection
 /// (all zero for in-process replicas, which have no transport).
@@ -89,6 +184,33 @@ pub trait ShardService: Send + Sync {
 
     /// Raw query execution (the federated bound-join building block).
     fn execute_raw(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServerError>;
+
+    /// Answer one request — the only interpreter of a [`WireRequest`]: the
+    /// typed method it names, its reply wrapped (a run's shared payload is
+    /// taken out of its `Arc`, copied only while a cache still holds it). A
+    /// socket-backed replica overrides this with one round trip.
+    fn call(&self, req: &WireRequest) -> Result<WireReply, ServerError> {
+        match req {
+            WireRequest::Complete {
+                tenant,
+                term,
+                fetch,
+            } => self
+                .complete_top(tenant, term, *fetch)
+                .map(WireReply::Completion),
+            WireRequest::Run {
+                tenant,
+                query,
+                tier,
+                budget,
+            } => self
+                .run_select_tiered(tenant, query, *tier, *budget)
+                .map(|payload| WireReply::Run(Arc::unwrap_or_clone(payload))),
+            WireRequest::Raw { tenant, query } => {
+                self.execute_raw(tenant, query).map(WireReply::Raw)
+            }
+        }
+    }
 
     /// Current `(in_flight, queued)` admission snapshot — must be cheap
     /// (no round trip); see the module docs.

@@ -1,5 +1,7 @@
 //! `WireClient`: a shard replica behind a socket, presented to the cluster
-//! router as just another [`ShardService`].
+//! router as just another [`ShardService`] whose
+//! [`call`](ShardService::call) is one round trip — its typed methods are
+//! that `call` plus the reply's kind check.
 //!
 //! Design rules, in order:
 //!
@@ -166,41 +168,6 @@ impl WireClient {
             self.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         Ok((stream, name, top_k))
-    }
-
-    /// Issue one request over the shared connection, with the
-    /// stale-connection redial described in the module docs, mapping
-    /// transport failures onto typed errors.
-    pub fn call(&self, req: &WireRequest) -> Result<WireReply, ServerError> {
-        let payload = encode_request(req);
-        let mut retried = false;
-        loop {
-            let (pipe, fresh) = self.get_pipe()?;
-            let mut wrote = false;
-            let reply = pipe.call(&payload, self.config.call_timeout, &mut wrote);
-            match reply {
-                Ok(bytes) => return self.finish_reply(&bytes),
-                Err(e) if !e.is_transport() => {
-                    self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                    return Err(e.to_server_error());
-                }
-                // Once the request write succeeded the replica may be
-                // executing it; replaying here would double its work (and
-                // stack a second call_timeout on top) exactly when it is
-                // slow. Surface the typed failure and let the router's
-                // bounded retry decide.
-                Err(e) if fresh || wrote || retried => return Err(self.fail(e)),
-                Err(_) => {
-                    // The enqueue/write failed on a connection that predates
-                    // this call: it died while idle (replica restarted,
-                    // proxy killed it) and the request provably never
-                    // reached the replica, so one redial is safe.
-                    self.io_errors.fetch_add(1, Ordering::Relaxed);
-                    self.broken.store(true, Ordering::Relaxed);
-                    retried = true;
-                }
-            }
-        }
     }
 
     /// The live connection, dialing a replacement if the current one is
@@ -458,14 +425,12 @@ impl ShardService for WireClient {
         typed: &str,
         k: usize,
     ) -> Result<CompletionResult, ServerError> {
-        match self.call(&WireRequest::Complete {
+        self.call(&WireRequest::Complete {
             tenant: tenant.to_string(),
             term: typed.to_string(),
             fetch: k,
-        })? {
-            WireReply::Completion(c) => Ok(c),
-            other => Err(protocol_mismatch("Completion", &other)),
-        }
+        })?
+        .into_completion()
     }
 
     fn run_select_tiered(
@@ -474,25 +439,57 @@ impl ShardService for WireClient {
         query: &SelectQuery,
         tier: usize,
         budget: Option<Duration>,
-    ) -> Result<std::sync::Arc<RunPayload>, ServerError> {
-        match self.call(&WireRequest::Run {
+    ) -> Result<Arc<RunPayload>, ServerError> {
+        self.call(&WireRequest::Run {
             tenant: tenant.to_string(),
             query: query.clone(),
             tier,
             budget,
-        })? {
-            WireReply::Run(p) => Ok(std::sync::Arc::new(p)),
-            other => Err(protocol_mismatch("Run", &other)),
-        }
+        })?
+        .into_run()
+        .map(Arc::new)
     }
 
     fn execute_raw(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServerError> {
-        match self.call(&WireRequest::Raw {
+        self.call(&WireRequest::Raw {
             tenant: tenant.to_string(),
             query: query.clone(),
-        })? {
-            WireReply::Raw(qr) => Ok(qr),
-            other => Err(protocol_mismatch("Raw", &other)),
+        })?
+        .into_raw()
+    }
+
+    /// One request over the shared connection, with the stale-connection
+    /// redial described in the module docs, mapping transport failures onto
+    /// typed errors.
+    fn call(&self, req: &WireRequest) -> Result<WireReply, ServerError> {
+        let payload = encode_request(req);
+        let mut retried = false;
+        loop {
+            let (pipe, fresh) = self.get_pipe()?;
+            let mut wrote = false;
+            let reply = pipe.call(&payload, self.config.call_timeout, &mut wrote);
+            match reply {
+                Ok(bytes) => return self.finish_reply(&bytes),
+                Err(e) if !e.is_transport() => {
+                    self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                    return Err(e.to_server_error());
+                }
+                // Once the request write succeeded the replica may be
+                // executing it; replaying here would double its work (and
+                // stack a second call_timeout on top) exactly when it is
+                // slow. Surface the typed failure and let the router's
+                // bounded retry decide.
+                Err(e) if fresh || wrote || retried => return Err(self.fail(e)),
+                Err(_) => {
+                    // The enqueue/write failed on a connection that predates
+                    // this call: it died while idle (replica restarted,
+                    // proxy killed it) and the request provably never
+                    // reached the replica, so one redial is safe.
+                    self.io_errors.fetch_add(1, Ordering::Relaxed);
+                    self.broken.store(true, Ordering::Relaxed);
+                    retried = true;
+                }
+            }
         }
     }
 
@@ -519,13 +516,4 @@ impl ShardService for WireClient {
             corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
         }
     }
-}
-
-fn protocol_mismatch(want: &str, got: &WireReply) -> ServerError {
-    let got = match got {
-        WireReply::Completion(_) => "Completion",
-        WireReply::Run(_) => "Run",
-        WireReply::Raw(_) => "Raw",
-    };
-    ServerError::Backend(format!("protocol: expected {want} reply, got {got}"))
 }

@@ -1,4 +1,6 @@
-//! Hand-rolled binary codec for the edge↔shard request/reply types.
+//! Hand-rolled binary codec for the one edge↔shard request and its reply,
+//! [`WireRequest`] and [`WireReply`] — defined beside `ShardService`, whose
+//! `call` answers them on both sides of the socket.
 //!
 //! The repo takes no serde dependency, so the wire format is written out by
 //! hand — which also keeps it honest: every byte is accounted for, and the
@@ -30,60 +32,13 @@ use sapphire_core::MatchSource;
 use sapphire_rdf::{Literal, Term};
 use sapphire_server::registry::SessionId;
 use sapphire_server::{RunPayload, ServerError};
+pub use sapphire_server::{WireReply, WireRequest};
 use sapphire_sparql::{
     Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, Query, QueryResult,
     SelectItem, SelectQuery, Solutions, TermPattern, TriplePattern,
 };
 
 use crate::frame::WireError;
-
-/// One stateless edge→shard request — the wire form of the cluster
-/// router's internal scatter shapes, with the degradation tier and the
-/// remaining deadline budget travelling with the query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireRequest {
-    /// QCM completion with an explicit over-fetch budget.
-    Complete {
-        /// Requesting tenant (billing identity at the shard).
-        tenant: String,
-        /// The typed prefix.
-        term: String,
-        /// How many suggestions to return.
-        fetch: usize,
-    },
-    /// Stateless QSM run with edge-requested degradation.
-    Run {
-        /// Requesting tenant.
-        tenant: String,
-        /// The query to run.
-        query: SelectQuery,
-        /// Degradation tier the edge requests (shards may deepen, never
-        /// shallow, exactly as in-process).
-        tier: usize,
-        /// Deadline budget remaining at the edge when the scatter started.
-        budget: Option<Duration>,
-    },
-    /// Raw query execution (the federated bound-join building block).
-    Raw {
-        /// Requesting tenant.
-        tenant: String,
-        /// The query.
-        query: Query,
-    },
-}
-
-/// One shard→edge reply body (the success arm; errors travel as an encoded
-/// [`ServerError`]).
-#[derive(Debug, Clone)]
-pub enum WireReply {
-    /// Reply to [`WireRequest::Complete`].
-    Completion(CompletionResult),
-    /// Reply to [`WireRequest::Run`]. Owned here; the client re-wraps it in
-    /// an `Arc` for the router's payload sharing.
-    Run(RunPayload),
-    /// Reply to [`WireRequest::Raw`].
-    Raw(QueryResult),
-}
 
 /// Replica load piggybacked on every reply frame, so the edge's load-aware
 /// replica ordering and shed-tier probes cost zero extra round trips.

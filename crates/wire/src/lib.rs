@@ -14,11 +14,13 @@
 //!   remaining-deadline included, with a *total* decoder: corrupt bytes
 //!   return [`WireError::Corrupt`], never a panic, a hang, or a huge
 //!   allocation;
-//! * [`WireServer`] — hosts any [`ShardService`] behind a TCP listener
-//!   (bounded accept/worker model, graceful drain, and a `kill` switch for
-//!   fault drills);
-//! * [`WireClient`] — implements [`ShardService`] over one reconnecting
-//!   pipelined connection with per-call deadlines, typed mapping of every IO
+//! * [`WireServer`] — hosts any [`ShardService`] behind a TCP listener,
+//!   answering each decoded [`WireRequest`] with the service's own
+//!   [`call`](sapphire_server::ShardService::call) (bounded accept/worker
+//!   model, graceful drain, and a `kill` switch for fault drills);
+//! * [`WireClient`] — implements [`ShardService`] by overriding `call` with
+//!   a round trip over one reconnecting pipelined connection, with
+//!   per-call deadlines, typed mapping of every IO
 //!   failure onto [`ServerError::Unreachable`] (so the router's existing
 //!   backoff/hedging/degradation machinery fires unchanged), and piggybacked
 //!   load headers that keep the router's load probes round-trip-free;
@@ -26,8 +28,8 @@
 //!   kills, and one-way partitions between any client and server.
 //!
 //! The contract that makes all of this safe: every request on this wire is
-//! **stateless and idempotent** (the cluster scatter shapes carry the
-//! tenant and full query; sessions never cross shards), so "the link died,
+//! **stateless and idempotent** (a [`WireRequest`] carries the tenant and
+//! full query; sessions never cross shards), so "the link died,
 //! fail over to a sibling replica" is always correct.
 //!
 //! [`ShardService`]: sapphire_server::ShardService

@@ -43,9 +43,7 @@ use std::time::Duration;
 use sapphire_core::exec;
 use sapphire_server::ShardService;
 
-use crate::codec::{
-    decode_hello, decode_request, encode_hello_ok, encode_reply, LoadHeader, WireReply, WireRequest,
-};
+use crate::codec::{decode_hello, decode_request, encode_hello_ok, encode_reply, LoadHeader};
 use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION};
 
 /// Tuning knobs for a [`WireServer`].
@@ -381,7 +379,8 @@ fn submit_request(
     }
 }
 
-/// Decode, dispatch, and answer one request; the reply echoes `corr`.
+/// Decode one request, answer it with the hosted service's own
+/// [`ShardService::call`], and write the reply, which echoes `corr`.
 fn serve_one(
     writer: &Arc<Mutex<TcpStream>>,
     shared: &Shared,
@@ -395,7 +394,7 @@ fn serve_one(
             return Err(WireError::Corrupt("request".into()));
         }
     };
-    let result = dispatch(&*shared.service, req);
+    let result = shared.service.call(&req);
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let (in_flight, queued) = shared.service.admission_load();
     let load = LoadHeader {
@@ -428,30 +427,4 @@ fn handle_hello(
     );
     let mut w = writer.lock().unwrap();
     frame::write_frame(&mut *w, kind::HELLO_OK, &hello_ok)
-}
-
-fn dispatch(
-    service: &dyn ShardService,
-    req: WireRequest,
-) -> Result<WireReply, sapphire_server::ServerError> {
-    match req {
-        WireRequest::Complete {
-            tenant,
-            term,
-            fetch,
-        } => service
-            .complete_top(&tenant, &term, fetch)
-            .map(WireReply::Completion),
-        WireRequest::Run {
-            tenant,
-            query,
-            tier,
-            budget,
-        } => service
-            .run_select_tiered(&tenant, &query, tier, budget)
-            .map(|payload| WireReply::Run((*payload).clone())),
-        WireRequest::Raw { tenant, query } => {
-            service.execute_raw(&tenant, &query).map(WireReply::Raw)
-        }
-    }
 }

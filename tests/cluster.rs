@@ -1017,6 +1017,15 @@ fn two_shard_cluster() -> Cluster {
     .unwrap()
 }
 
+/// The shard calls each cold Appendix-B Run makes on `two_shard_cluster()`,
+/// in question order: the scatter, then the alternatives cut's probes and
+/// prefetches and the relaxation prefetch, bound-join probes and
+/// sub-queries included. A change to what the edge sends re-records these
+/// exactly.
+const SHARD_CALLS_PER_RUN: [u64; 27] = [
+    6, 8, 6, 6, 8, 8, 6, 8, 6, 8, 8, 49, 6, 6, 57, 6, 49, 37, 12, 62, 148, 63, 77, 75, 6, 12, 61,
+];
+
 /// One shard-call policy, fully counted: over the cold Appendix-B Runs every
 /// call a replica received was issued by the router's one shard call — so it
 /// is in the fan-out counters and in the `shard_rtt` histogram (no hedges
@@ -1039,6 +1048,7 @@ fn every_shard_call_is_counted_and_observed() {
     let counted = || router.metrics().fanout_per_shard.iter().sum::<u64>();
     let observed = || router.obs().stage_snapshot(Stage::ShardRtt).count();
     let mut cross_shard = 0;
+    let mut per_question = Vec::new();
     for (i, query) in workload_queries(&pum).iter().enumerate() {
         let before = (made(), counted(), observed());
         router.run("alice", query).unwrap();
@@ -1051,11 +1061,14 @@ fn every_shard_call_is_counted_and_observed() {
         assert_eq!(counted() - before.1, calls, "question {i}: fan-out");
         assert_eq!(observed() - before.2, calls, "question {i}: shard_rtt");
         cross_shard += usize::from(calls > 2);
+        per_question.push(calls);
     }
     assert!(
         cross_shard > 0,
         "some question needed more than its scatter"
     );
+    assert_eq!(per_question, SHARD_CALLS_PER_RUN, "what the edge sends");
+    assert_eq!(per_question.iter().sum::<u64>(), 804);
     let m = router.metrics();
     assert_eq!(
         (m.hedges_fired, m.replica_retries, m.rejected_after_retry),
@@ -1184,5 +1197,194 @@ fn shedding_shard_fails_a_cross_shard_plan_typed_never_short() {
         let m = router.metrics();
         assert_eq!(m.rejected_after_retry, shed_calls, "call {shed_from}");
         assert_eq!(m.replica_retries, 2 * shed_calls, "call {shed_from}");
+    }
+}
+
+/// A replica whose raw surface answers every SELECT with `true`: a reply of
+/// the wrong kind, as a version-skewed or corrupted shard can send one.
+struct BooleanSelects(Arc<SapphireServer>);
+
+impl sapphire_server::ShardService for BooleanSelects {
+    fn shard_name(&self) -> String {
+        self.0.shard_name()
+    }
+
+    fn top_k(&self) -> usize {
+        self.0.top_k()
+    }
+
+    fn complete_top(
+        &self,
+        tenant: &str,
+        typed: &str,
+        k: usize,
+    ) -> Result<sapphire_core::qcm::CompletionResult, sapphire_server::ServerError> {
+        self.0.complete_top(tenant, typed, k)
+    }
+
+    fn run_select_tiered(
+        &self,
+        tenant: &str,
+        query: &SelectQuery,
+        tier: usize,
+        budget: Option<std::time::Duration>,
+    ) -> Result<Arc<sapphire_server::RunPayload>, sapphire_server::ServerError> {
+        sapphire_server::ShardService::run_select_tiered(&*self.0, tenant, query, tier, budget)
+    }
+
+    fn execute_raw(
+        &self,
+        tenant: &str,
+        query: &Query,
+    ) -> Result<sapphire_sparql::QueryResult, sapphire_server::ServerError> {
+        match query {
+            Query::Select(_) => Ok(sapphire_sparql::QueryResult::Boolean(true)),
+            Query::Ask(_) => self.0.execute_raw(tenant, query),
+        }
+    }
+
+    fn admission_load(&self) -> (usize, usize) {
+        self.0.admission_load()
+    }
+
+    fn shed_pressure_tier(&self) -> usize {
+        self.0.shed_pressure_tier()
+    }
+}
+
+/// A shard that answers a scattered SELECT with a boolean fails the query
+/// typed and non-retryable — `ClusterError::Shard` with a `protocol:`
+/// backend error, which the `QueryService` surface carries as that backend
+/// failure — never a SELECT short by the shard's rows, nor an ASK that
+/// reads `false`.
+#[test]
+fn a_wrong_kind_reply_fails_typed_never_short() {
+    use sapphire_endpoint::QueryService;
+    use sapphire_server::ServerError;
+    let cluster = two_shard_cluster();
+    let replicas = (0..2)
+        .map(|shard| {
+            vec![Arc::new(BooleanSelects(cluster.replicas(shard)[0].clone()))
+                as Arc<dyn sapphire_server::ShardService>]
+        })
+        .collect();
+    let router = ClusterRouter::over(replicas, ClusterConfig::for_tests());
+    let pattern = "?c a dbo:City ; dbo:population ?pop";
+    for text in [
+        format!("SELECT * WHERE {{ {pattern} }}"),
+        format!("ASK {{ {pattern} }}"),
+    ] {
+        let query = sapphire_sparql::parse_query(&text).unwrap();
+        let err = router
+            .execute_query("alice", &query)
+            .expect_err("a wrong-kind reply cannot yield an answer");
+        let expected =
+            ServerError::Backend("protocol: expected Solutions reply, got Boolean".into());
+        assert!(!expected.is_rejection());
+        assert_eq!(err, expected.into_service_error(), "{text}");
+    }
+}
+
+/// Both sides of the one `ShardService::call` — the provided default an
+/// in-process replica answers through, and the socket round trip a
+/// `WireClient` overrides it with: a router over `WireClient`s, each
+/// replica behind a loopback `WireServer`, answers every Appendix-B question
+/// exactly as the in-process router over the same replicas — runs (answers,
+/// alternatives, relaxations), completions of the question's literal
+/// prefixes, SELECT and ASK through `execute_query` — and sends the same
+/// shard calls, question by question, its Runs' the pinned
+/// `SHARD_CALLS_PER_RUN`.
+#[test]
+fn a_router_over_wire_replicas_answers_like_the_in_process_router() {
+    use sapphire_endpoint::QueryService;
+    use sapphire_server::ShardService;
+    use sapphire_wire::{WireClient, WireClientConfig, WireServer, WireServerConfig};
+    let (pum, _) = oracle();
+    let cluster = two_shard_cluster();
+    let hosts: Vec<Vec<WireServer>> = cluster
+        .shards()
+        .iter()
+        .map(|replicas| {
+            replicas
+                .iter()
+                .map(|replica| {
+                    WireServer::serve(replica.clone(), "127.0.0.1:0", WireServerConfig::default())
+                        .unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    let clients = hosts
+        .iter()
+        .map(|replicas| {
+            replicas
+                .iter()
+                .map(|host| {
+                    let client =
+                        WireClient::connect(host.local_addr(), WireClientConfig::default());
+                    Arc::new(client.unwrap()) as Arc<dyn ShardService>
+                })
+                .collect()
+        })
+        .collect();
+    let config = ClusterConfig {
+        hedge_after: None,
+        ..ClusterConfig::for_tests()
+    };
+    let wire = ClusterRouter::over(clients, config.clone());
+    let local = ClusterRouter::new(cluster, config);
+    let fanout = |r: &ClusterRouter| r.metrics().fanout_per_shard;
+    let since = |r: &ClusterRouter, before: &[u64]| -> Vec<u64> {
+        fanout(r)
+            .iter()
+            .zip(before)
+            .map(|(now, was)| now - was)
+            .collect()
+    };
+
+    for (i, (question, query)) in appendix_b().iter().zip(workload_queries(&pum)).enumerate() {
+        let before = (fanout(&wire), fanout(&local));
+        let (over_wire, in_process) = (
+            wire.run("alice", &query).unwrap(),
+            local.run("alice", &query).unwrap(),
+        );
+        assert_eq!(over_wire.answers, in_process.answers, "question {i}");
+        assert_eq!(
+            format!("{:?}", over_wire.alternatives),
+            format!("{:?}", in_process.alternatives),
+            "question {i}: alternatives"
+        );
+        assert_eq!(
+            format!("{:?}", over_wire.relaxations),
+            format!("{:?}", in_process.relaxations),
+            "question {i}: relaxations"
+        );
+        let run_calls = since(&wire, &before.0);
+        assert_eq!(run_calls, since(&local, &before.1), "question {i}: run");
+        assert_eq!(run_calls.iter().sum::<u64>(), SHARD_CALLS_PER_RUN[i]);
+
+        for input in &question.script.rows {
+            let keyword = input.object.trim_start_matches('?');
+            for end in 1..=keyword.chars().count().min(5) {
+                let prefix: String = keyword.chars().take(end).collect();
+                assert_eq!(
+                    wire.complete("alice", &prefix).unwrap().suggestions,
+                    local.complete("alice", &prefix).unwrap().suggestions,
+                    "question {i}: prefix {prefix:?}"
+                );
+            }
+        }
+        for raw in [Query::Select(query.clone()), Query::Ask(query.pattern)] {
+            assert_eq!(
+                wire.execute_query("alice", &raw),
+                local.execute_query("alice", &raw),
+                "question {i}: {raw:?}"
+            );
+        }
+        assert_eq!(
+            since(&wire, &before.0),
+            since(&local, &before.1),
+            "question {i}: fan-out"
+        );
     }
 }
