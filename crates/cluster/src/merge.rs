@@ -18,35 +18,17 @@
 //! full bindings). What a query's ORDER BY, projection, DISTINCT, slice and
 //! aggregates mean is defined once, by the evaluator: both solution merges
 //! end in [`sapphire_sparql::select_rows`], so a unique answer is the
-//! single-box evaluator's answer with nothing to canonicalize.
+//! single-box evaluator's answer with nothing to canonicalize. Completions
+//! likewise rank by the QCM's own order, so a single box's completion list
+//! is already its own merge.
 
-use sapphire_core::qcm::Completion;
+use sapphire_core::qcm::{completion_rank, Completion};
 use sapphire_core::qsm::TermAlternative;
-use sapphire_core::MatchSource;
 use sapphire_rdf::Term;
 use sapphire_sparql::{select_rows, EvalError, Projection, SelectQuery, Solutions};
 
-/// The canonical rank of one completion: suffix-tree matches before
-/// residual-bin matches (the QCM's own contract), predicates before literals
-/// within the tree (the tree is built predicates-first), then shortest text
-/// first (the QCM's residual preference), then text and IRI as the final
-/// total-order key.
-fn completion_rank(c: &Completion) -> (u8, u8, usize, &str, Option<&str>) {
-    let source = match c.source {
-        MatchSource::SuffixTree => 0u8,
-        MatchSource::ResidualBins => 1,
-    };
-    let kind = if c.predicate_iri.is_some() { 0u8 } else { 1 };
-    (
-        source,
-        kind,
-        c.text.chars().count(),
-        c.text.as_str(),
-        c.predicate_iri.as_deref(),
-    )
-}
-
-/// Merge per-shard completion lists into the canonical cluster top-`k`.
+/// Merge per-shard completion lists into the cluster top-`k`, ranked by the
+/// QCM's own [`completion_rank`].
 ///
 /// Duplicates (same text and predicate IRI, surfaced by several shards) keep
 /// their strongest source: a literal significant on *any* shard ranks as a
@@ -198,6 +180,7 @@ pub fn rank_alternatives(mut alts: Vec<TermAlternative>, k: usize) -> Vec<TermAl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sapphire_core::MatchSource;
     use sapphire_sparql::parse_select;
 
     fn completion(text: &str, iri: Option<&str>, source: MatchSource) -> Completion {

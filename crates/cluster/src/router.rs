@@ -820,14 +820,14 @@ impl ClusterRouter {
     }
 
     fn scatter_complete(&self, tenant: &str, term: &str) -> Result<MergedCompletion, ClusterError> {
-        // Shard-local significance ranks cannot drive the global cut (they
-        // are computed from shard-local in-degrees), so every shard-local
-        // match travels and the merged top-k is exact.
+        // Each shard sends its own top k, and the merge of those is the
+        // global top k: a completion a shard cut has k distinct entries
+        // ranked ahead of it on that shard, each as strong in the merge.
         let lists: Vec<Vec<Completion>> = self.scatter(
             &WireRequest::Complete {
                 tenant: tenant.to_string(),
                 term: term.to_string(),
-                fetch: usize::MAX,
+                fetch: self.k,
             },
             None,
             None,

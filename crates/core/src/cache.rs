@@ -17,6 +17,7 @@ use sapphire_text::{surface_form, SimilarityProbe};
 
 use crate::bins::{FoldedArena, FoldedLiteral, FoldedNeedle, LitId, ResidualBins};
 use crate::config::SapphireConfig;
+use crate::qcm::{completion_rank, Completion};
 
 /// Hit/miss/eviction counters of a [`BoundedCache`].
 ///
@@ -330,7 +331,8 @@ pub struct CachedData {
     pub predicates: Vec<CachedPredicate>,
     /// Residual literals in length bins.
     pub bins: ResidualBins,
-    /// Suffix tree over predicate surfaces + significant literals.
+    /// Suffix tree over predicate surfaces + significant literals, inserted
+    /// in [`completion_rank`] order.
     pub tree: SuffixTree,
     /// Parallel to the tree's string ids.
     tree_entries: Vec<TreeEntry>,
@@ -389,7 +391,8 @@ impl CachedData {
     /// (Definition 1); the top [`SapphireConfig::suffix_tree_capacity`] by
     /// score go into the suffix tree and the rest become residual. Scores
     /// decide only that cut: the residual literals enter their bins in text
-    /// order, whatever they scored.
+    /// order, whatever they scored. The tree's strings go in in
+    /// [`completion_rank`] order, so its smallest ids are its best matches.
     pub fn assemble(
         predicates: Vec<CachedPredicate>,
         mut literals: Vec<(String, u64)>,
@@ -409,15 +412,28 @@ impl CachedData {
         residual.sort_by(by_text);
         let significant = literals;
 
+        // String ids in completion order: the tree's smallest are its best.
+        let tree_literals = significant
+            .iter()
+            .map(|(text, _)| (text, None, TreeEntry::Literal));
+        let mut entries: Vec<(Completion, TreeEntry)> = (predicates.iter().enumerate())
+            .map(|(i, p)| (&p.surface, Some(&p.iri), TreeEntry::Predicate(i)))
+            .chain(tree_literals)
+            .map(|(text, iri, entry)| {
+                let tree_match = Completion {
+                    text: text.clone(),
+                    predicate_iri: iri.cloned(),
+                    source: MatchSource::SuffixTree,
+                };
+                (tree_match, entry)
+            })
+            .collect();
+        entries.sort_by(|a, b| completion_rank(&a.0).cmp(&completion_rank(&b.0)));
         let mut tree = SuffixTree::new();
         let mut tree_entries = Vec::new();
-        for (i, p) in predicates.iter().enumerate() {
-            tree.insert(p.surface.clone());
-            tree_entries.push(TreeEntry::Predicate(i));
-        }
-        for (text, _) in &significant {
-            tree.insert(text.clone());
-            tree_entries.push(TreeEntry::Literal);
+        for (c, entry) in entries {
+            tree.insert(c.text);
+            tree_entries.push(entry);
         }
 
         let mut bins = ResidualBins::new();
@@ -499,7 +515,8 @@ impl CachedData {
         self.tree.len()
     }
 
-    /// Substring lookup in the suffix tree, capped at `limit`.
+    /// Substring lookup in the suffix tree: the first `limit` matches in
+    /// [`completion_rank`] order.
     pub fn tree_lookup(&self, t: &str, limit: usize) -> Vec<CacheMatch> {
         self.tree
             .find_containing(t, limit)

@@ -5,6 +5,12 @@
 //! `O(|t| + z)`); if fewer than `k`, the remainder comes from a parallel
 //! sequential scan of the residual bins restricted to literal lengths
 //! `|t| ..= |t| + γ`, preferring the shortest results.
+//!
+//! Which `k` the user sees is decided here, by one order:
+//! [`completion_rank`]. The suffix tree's string ids follow it, so its
+//! smallest matching ids are the best tree matches, and the residual stage
+//! appends in it — the output is already in rank order, and a cluster
+//! edge's merge of per-shard lists ranks by the same function.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,11 +29,29 @@ pub struct Completion {
     pub source: MatchSource,
 }
 
+/// The rank of one completion, smallest first: suffix-tree matches before
+/// residual-bin matches, predicates before literals, then shorter text
+/// (in `char`s), then text and IRI as the final total-order key.
+pub fn completion_rank(c: &Completion) -> (u8, u8, usize, &str, Option<&str>) {
+    let source = match c.source {
+        MatchSource::SuffixTree => 0u8,
+        MatchSource::ResidualBins => 1,
+    };
+    let kind = if c.predicate_iri.is_some() { 0u8 } else { 1 };
+    (
+        source,
+        kind,
+        c.text.chars().count(),
+        c.text.as_str(),
+        c.predicate_iri.as_deref(),
+    )
+}
+
 /// Result of one QCM invocation, with the latency breakdown the §7.3.1
 /// experiment reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletionResult {
-    /// Up to `k` suggestions; suffix-tree matches first.
+    /// Up to `k` suggestions, in [`completion_rank`] order.
     pub suggestions: Vec<Completion>,
     /// True if the suffix tree produced at least one match (the "hit ratio"
     /// numerator).
@@ -73,12 +97,8 @@ impl QueryCompletion {
     }
 
     /// Complete with an explicit result budget `k` instead of the configured
-    /// one — the scatter-gather over-fetch hook. A cluster edge asks each
-    /// shard for a deeper (or unbounded, `usize::MAX`) list than users ever
-    /// see, because the global top-k selection is only exact when the edge
-    /// merge sees every shard-local match; the shard's own significance
-    /// ranking is computed from shard-local in-degrees and cannot drive the
-    /// global cut.
+    /// one: the first `k` of every cached match in [`completion_rank`]
+    /// order (`usize::MAX` for all of them).
     pub fn complete_top(&self, t: &str, k: usize) -> CompletionResult {
         let mut result = CompletionResult {
             suggestions: Vec::new(),
@@ -121,8 +141,9 @@ impl QueryCompletion {
             .cache
             .residual_lookup(t, self.config.gamma, self.config.processes);
         // "The shortest result literals are returned as part of the k
-        // auto-complete suggestions." Compare in place — cloning every
-        // literal for the sort dominated QCM latency on large match sets.
+        // auto-complete suggestions." The key is `completion_rank`'s for a
+        // residual literal, compared in place — cloning every literal for
+        // the sort dominated QCM latency on large match sets.
         let bins = &self.cache.bins;
         ids.sort_unstable_by_key(|&id| (bins.char_len(id), bins.literal(id)));
         for id in ids.into_iter().take(k - result.suggestions.len()) {

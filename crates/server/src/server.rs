@@ -561,14 +561,12 @@ impl SapphireServer {
     }
 
     /// QCM for a tenant *without* a session and with an explicit result
-    /// budget — the surface a cluster edge router scatters over shard
-    /// replicas (the session state lives at the edge; shards see only
-    /// stateless (tenant, term) requests) and over-fetches through (see
-    /// [`sapphire_core::qcm::QueryCompletion::complete_top`]). Identical
-    /// admission control, budgets, caching, and coalescing as
-    /// [`complete`](Self::complete). A non-default budget gets its own
-    /// response-cache/coalescing key, so a deep edge fetch can never be
-    /// served a user-depth cached list or vice versa.
+    /// budget (see [`sapphire_core::qcm::QueryCompletion::complete_top`]) —
+    /// the surface a cluster edge router scatters over shard replicas (the
+    /// session state lives at the edge; shards see only stateless (tenant,
+    /// term) requests). Identical admission control, budgets, caching, and
+    /// coalescing as [`complete`](Self::complete); the budget is part of the
+    /// response-cache/coalescing key.
     pub fn complete_top(
         &self,
         tenant: &str,
@@ -757,9 +755,6 @@ impl SapphireServer {
         match what {
             What::Complete { typed, k } => {
                 self.charge(&tenant, COMPLETION_COST)?;
-                // The key carries `k`, so a deep edge fetch and a user-depth
-                // list never share an entry (see
-                // [`complete_top`](Self::complete_top)).
                 let key = RequestKey::completion(&typed, k);
                 Ok(match self.completions.lookup(&self.obs, &key) {
                     Some(hit) => Lookup::Hit(Reply::Completion(Arc::unwrap_or_clone(hit))),

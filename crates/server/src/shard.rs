@@ -46,7 +46,7 @@ use crate::server::{RunPayload, SapphireServer};
 /// travelling with the query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireRequest {
-    /// QCM completion with an explicit over-fetch budget.
+    /// QCM completion: the shard's top `fetch`.
     Complete {
         /// Requesting tenant (billing identity at the shard).
         tenant: String,
@@ -164,7 +164,7 @@ pub trait ShardService: Send + Sync {
     /// shard shares one model config, and the edge presents the same k.
     fn top_k(&self) -> usize;
 
-    /// QCM with an explicit result budget (the cluster over-fetch surface).
+    /// QCM: the replica's top `k` completions, in the QCM's rank order.
     fn complete_top(
         &self,
         tenant: &str,

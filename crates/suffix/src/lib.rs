@@ -14,8 +14,11 @@
 //! ```
 //! use sapphire_suffix::SuffixTree;
 //!
-//! let tree = SuffixTree::build(["almaMater", "birthPlace", "spouse"]);
-//! assert_eq!(tree.find_strings("Place", 10), vec!["birthPlace"]);
+//! let tree = SuffixTree::build(["almaMater", "birthPlace", "placeOfBirth", "spouse"]);
+//! // Ids are insertion order; a lookup returns the smallest first.
+//! let ids = tree.find_containing("irth", 10);
+//! assert_eq!(ids, vec![1, 2]);
+//! assert_eq!(tree.string(ids[0]), "birthPlace");
 //! ```
 
 #![warn(missing_docs)]
@@ -37,8 +40,7 @@ mod proptests {
             pattern in "[a-c]{0,4}",
         ) {
             let tree = SuffixTree::build(strings.iter().cloned());
-            let mut got = tree.find_containing(&pattern, usize::MAX);
-            got.sort_unstable();
+            let got = tree.find_containing(&pattern, usize::MAX);
             let want: Vec<u32> = strings
                 .iter()
                 .enumerate()
@@ -54,24 +56,28 @@ mod proptests {
             let tree = SuffixTree::build([s.clone()]);
             for start in 0..s.len() {
                 for end in start + 1..=s.len() {
-                    prop_assert!(tree.contains(&s[start..end]));
+                    prop_assert_eq!(tree.find_containing(&s[start..end], 1), vec![0]);
                 }
             }
         }
 
-        /// A limit of k never yields more than k results, and results are a
-        /// subset of the unlimited result set.
+        /// A limit of k yields exactly the k smallest matching ids, in
+        /// ascending order.
         #[test]
         fn limit_is_respected(
             strings in proptest::collection::vec("[a-b]{0,6}", 1..20),
             pattern in "[a-b]{1,3}",
-            k in 1usize..5,
+            k in 1usize..24,
         ) {
             let tree = SuffixTree::build(strings.iter().cloned());
-            let capped = tree.find_containing(&pattern, k);
-            let all = tree.find_containing(&pattern, usize::MAX);
-            prop_assert!(capped.len() <= k);
-            prop_assert!(capped.iter().all(|id| all.contains(id)));
+            let naive: Vec<u32> = strings
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.contains(pattern.as_str()))
+                .map(|(i, _)| i as u32)
+                .take(k)
+                .collect();
+            prop_assert_eq!(tree.find_containing(&pattern, k), naive);
         }
     }
 }

@@ -11,8 +11,15 @@
 //! a shared symbol buffer followed by a unique terminator symbol, so no
 //! suffix spans two strings. Leaves record the string they belong to, and
 //! "open" leaf ends resolve per string, which keeps construction online.
+//!
+//! Every node also records the smallest string id below it, so a lookup
+//! returns the *smallest* ids containing the pattern, in ascending order —
+//! a function of the strings and their insertion order, never of a hash
+//! seed. The QCM inserts its strings in completion rank order, so those are
+//! its best matches.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Symbols are `char`s widened to `u32`; values `>= TERMINATOR_BASE` are
 /// per-string terminators (they cannot collide with Unicode scalars).
@@ -35,10 +42,39 @@ struct Node {
     /// Edge label: `text[start..end]` on the edge from the parent.
     start: u32,
     end: End,
-    children: HashMap<u32, u32>,
+    /// `(first edge symbol, child)`, sorted by symbol.
+    children: Vec<(u32, u32)>,
     suffix_link: u32,
-    /// For leaves: which string's suffix this leaf represents.
+    /// For leaves: which string's suffix this leaf represents. For internal
+    /// nodes: the smallest such id below. Ids only grow while the tree is
+    /// built, so a new node's smallest id is known when it is made.
     string_id: StringId,
+}
+
+impl Node {
+    fn new(start: u32, end: End, string_id: StringId) -> Self {
+        Node {
+            start,
+            end,
+            children: Vec::new(),
+            suffix_link: NO_LINK,
+            string_id,
+        }
+    }
+
+    fn child(&self, symbol: u32) -> Option<u32> {
+        let at = self.children.binary_search_by_key(&symbol, |&(s, _)| s);
+        at.ok().map(|i| self.children[i].1)
+    }
+
+    /// Point the edge starting with `symbol` at `child`. A terminator is the
+    /// largest symbol yet, so its edge appends.
+    fn set_child(&mut self, symbol: u32, child: u32) {
+        match self.children.binary_search_by_key(&symbol, |&(s, _)| s) {
+            Ok(i) => self.children[i].1 = child,
+            Err(i) => self.children.insert(i, (symbol, child)),
+        }
+    }
 }
 
 const NO_LINK: u32 = u32::MAX;
@@ -71,16 +107,9 @@ impl Default for SuffixTree {
 impl SuffixTree {
     /// An empty tree.
     pub fn new() -> Self {
-        let root = Node {
-            start: 0,
-            end: End::Fixed(0),
-            children: HashMap::new(),
-            suffix_link: NO_LINK,
-            string_id: 0,
-        };
         SuffixTree {
             text: Vec::new(),
-            nodes: vec![root],
+            nodes: vec![Node::new(0, End::Fixed(0), 0)],
             string_ends: Vec::new(),
             string_starts: Vec::new(),
             strings: Vec::new(),
@@ -135,7 +164,7 @@ impl SuffixTree {
         let node_bytes: usize = self
             .nodes
             .iter()
-            .map(|n| std::mem::size_of::<Node>() + n.children.capacity() * 16)
+            .map(|n| size_of::<Node>() + n.children.capacity() * size_of::<(u32, u32)>())
             .sum();
         self.text.len() * 4 + node_bytes + self.strings.iter().map(|s| s.len() + 24).sum::<usize>()
     }
@@ -180,25 +209,8 @@ impl SuffixTree {
         self.end_of(node) - self.nodes[node as usize].start
     }
 
-    fn new_leaf(&mut self, start: u32, sid: StringId) -> u32 {
-        self.nodes.push(Node {
-            start,
-            end: End::Open(sid),
-            children: HashMap::new(),
-            suffix_link: NO_LINK,
-            string_id: sid,
-        });
-        (self.nodes.len() - 1) as u32
-    }
-
-    fn new_internal(&mut self, start: u32, end: u32) -> u32 {
-        self.nodes.push(Node {
-            start,
-            end: End::Fixed(end),
-            children: HashMap::new(),
-            suffix_link: NO_LINK,
-            string_id: 0,
-        });
+    fn push(&mut self, node: Node) -> u32 {
+        self.nodes.push(node);
         (self.nodes.len() - 1) as u32
     }
 
@@ -214,17 +226,11 @@ impl SuffixTree {
                 self.active_edge = pos;
             }
             let edge_sym = self.text[self.active_edge as usize];
-            let child = self.nodes[self.active_node as usize]
-                .children
-                .get(&edge_sym)
-                .copied();
-            match child {
+            match self.nodes[self.active_node as usize].child(edge_sym) {
                 None => {
                     // No edge: create a leaf.
-                    let leaf = self.new_leaf(pos, sid);
-                    self.nodes[self.active_node as usize]
-                        .children
-                        .insert(edge_sym, leaf);
+                    let leaf = self.push(Node::new(pos, End::Open(sid), sid));
+                    self.nodes[self.active_node as usize].set_child(edge_sym, leaf);
                     if last_new_node != NO_LINK {
                         self.nodes[last_new_node as usize].suffix_link = self.active_node;
                         last_new_node = NO_LINK;
@@ -249,17 +255,18 @@ impl SuffixTree {
                         self.active_length += 1;
                         break;
                     }
-                    // Split the edge.
+                    // Split the edge. The split adopts `next`, whose subtree
+                    // holds every id below it but the new leaf's, the largest.
                     let split_start = self.nodes[next as usize].start;
-                    let split = self.new_internal(split_start, split_start + self.active_length);
-                    self.nodes[self.active_node as usize]
-                        .children
-                        .insert(edge_sym, split);
+                    let split_end = End::Fixed(split_start + self.active_length);
+                    let smallest = self.nodes[next as usize].string_id;
+                    let split = self.push(Node::new(split_start, split_end, smallest));
+                    self.nodes[self.active_node as usize].set_child(edge_sym, split);
                     self.nodes[next as usize].start = split_start + self.active_length;
                     let next_sym = self.text[self.nodes[next as usize].start as usize];
-                    self.nodes[split as usize].children.insert(next_sym, next);
-                    let leaf = self.new_leaf(pos, sid);
-                    self.nodes[split as usize].children.insert(c, leaf);
+                    self.nodes[split as usize].set_child(next_sym, next);
+                    let leaf = self.push(Node::new(pos, End::Open(sid), sid));
+                    self.nodes[split as usize].set_child(c, leaf);
                     if last_new_node != NO_LINK {
                         self.nodes[last_new_node as usize].suffix_link = split;
                     }
@@ -283,7 +290,7 @@ impl SuffixTree {
         let mut node = 0u32;
         let mut i = 0usize;
         while i < pattern.len() {
-            let child = *self.nodes[node as usize].children.get(&pattern[i])?;
+            let child = self.nodes[node as usize].child(pattern[i])?;
             let start = self.nodes[child as usize].start;
             let end = self.end_of(child);
             let mut j = start;
@@ -302,20 +309,13 @@ impl SuffixTree {
         Some((node, self.edge_len(node)))
     }
 
-    /// True if `pattern` occurs as a substring of any indexed string.
-    pub fn contains(&self, pattern: &str) -> bool {
-        if pattern.is_empty() {
-            return true;
-        }
-        let symbols: Vec<u32> = pattern.chars().map(|c| c as u32).collect();
-        self.locate(&symbols).is_some()
-    }
-
-    /// Ids of strings containing `pattern`, in discovery order, capped at
-    /// `limit` (`usize::MAX` for all). The paper's QCM calls this with
-    /// `limit = k = 10`.
+    /// Ids of the strings containing `pattern`: the `limit` smallest, in
+    /// ascending order (`usize::MAX` for all). The QCM calls this with
+    /// `limit = k`.
     ///
-    /// Runs in `O(|pattern| + z)` where `z` is the number of visited leaves.
+    /// Walks the pattern's subtree best-first by each node's smallest id, so
+    /// leaves come out in ascending id order and a string's repeated
+    /// occurrences come out together; it stops at the `limit`-th id.
     pub fn find_containing(&self, pattern: &str, limit: usize) -> Vec<StringId> {
         if limit == 0 {
             return Vec::new();
@@ -327,35 +327,23 @@ impl SuffixTree {
         let Some((node, _)) = self.locate(&symbols) else {
             return Vec::new();
         };
-        // DFS the subtree collecting distinct string ids from leaves.
         let mut found: Vec<StringId> = Vec::new();
-        let mut seen = vec![false; self.strings.len()];
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            let nd = &self.nodes[n as usize];
-            if nd.children.is_empty() {
-                let sid = nd.string_id;
-                if !seen[sid as usize] {
-                    seen[sid as usize] = true;
-                    found.push(sid);
-                    if found.len() >= limit {
-                        return found;
-                    }
+        let mut heap = BinaryHeap::from([Reverse((self.nodes[node as usize].string_id, node))]);
+        while let Some(Reverse((sid, n))) = heap.pop() {
+            let children = &self.nodes[n as usize].children;
+            if !children.is_empty() {
+                let ranked = children
+                    .iter()
+                    .map(|&(_, c)| (self.nodes[c as usize].string_id, c));
+                heap.extend(ranked.map(Reverse));
+            } else if found.last() != Some(&sid) {
+                found.push(sid);
+                if found.len() == limit {
+                    break;
                 }
-            } else {
-                stack.extend(nd.children.values().copied());
             }
         }
         found
-    }
-
-    /// The strings containing `pattern` (convenience over
-    /// [`find_containing`](Self::find_containing)).
-    pub fn find_strings(&self, pattern: &str, limit: usize) -> Vec<&str> {
-        self.find_containing(pattern, limit)
-            .into_iter()
-            .map(|id| self.string(id))
-            .collect()
     }
 }
 
@@ -372,14 +360,18 @@ mod tests {
             .collect()
     }
 
+    fn occurs(t: &SuffixTree, pattern: &str) -> bool {
+        !t.find_containing(pattern, 1).is_empty()
+    }
+
     #[test]
     fn single_string_substrings() {
         let t = SuffixTree::build(["banana"]);
         for sub in ["b", "a", "na", "ana", "banana", "nan", ""] {
-            assert!(t.contains(sub), "should contain {sub:?}");
+            assert!(occurs(&t, sub), "should contain {sub:?}");
         }
         for sub in ["x", "ab", "bananas", "nab"] {
-            assert!(!t.contains(sub), "should not contain {sub:?}");
+            assert!(!occurs(&t, sub), "should not contain {sub:?}");
         }
     }
 
@@ -387,12 +379,8 @@ mod tests {
     fn multi_string_lookup() {
         let strings = ["New York", "Newcastle", "York Minster", "Boston"];
         let t = SuffixTree::build(strings);
-        let mut ids = t.find_containing("York", usize::MAX);
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 2]);
-        let mut ids = t.find_containing("New", usize::MAX);
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1]);
+        assert_eq!(t.find_containing("York", usize::MAX), vec![0, 2]);
+        assert_eq!(t.find_containing("New", usize::MAX), vec![0, 1]);
         assert!(t.find_containing("Chicago", usize::MAX).is_empty());
     }
 
@@ -400,24 +388,28 @@ mod tests {
     fn limit_caps_results() {
         let strings: Vec<String> = (0..100).map(|i| format!("predicate_{i}")).collect();
         let t = SuffixTree::build(strings);
+        // The ten smallest ids, whatever order the walk meets them in.
         let ids = t.find_containing("predicate", 10);
-        assert_eq!(ids.len(), 10);
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        assert_eq!(t.find_containing("_9", 3), vec![9, 90, 91]);
     }
 
     #[test]
     fn no_cross_string_phantom_matches() {
         // "ab" + "cd" must not produce a phantom "bc" match.
         let t = SuffixTree::build(["ab", "cd"]);
-        assert!(!t.contains("bc"));
-        assert!(t.contains("ab"));
-        assert!(t.contains("cd"));
+        assert!(!occurs(&t, "bc"));
+        assert!(occurs(&t, "ab"));
+        assert!(occurs(&t, "cd"));
     }
 
     #[test]
     fn repeated_insertions_of_same_text() {
         let t = SuffixTree::build(["same", "same", "same"]);
-        let ids = t.find_containing("same", usize::MAX);
-        assert_eq!(ids.len(), 3);
+        assert_eq!(t.find_containing("same", usize::MAX), vec![0, 1, 2]);
+        // A string with several occurrences is returned once.
+        let t = SuffixTree::build(["aaaa", "ba", "aa"]);
+        assert_eq!(t.find_containing("a", usize::MAX), vec![0, 1, 2]);
     }
 
     #[test]
@@ -446,8 +438,7 @@ mod tests {
         for pattern in [
             "al", "ma", "Place", "place", "a m", "irth", "spouse", "zz", "e",
         ] {
-            let mut got = t.find_containing(pattern, usize::MAX);
-            got.sort_unstable();
+            let got = t.find_containing(pattern, usize::MAX);
             let want: Vec<u32> = naive_containing(&strings, pattern)
                 .into_iter()
                 .map(|i| i as u32)
@@ -459,8 +450,8 @@ mod tests {
     #[test]
     fn empty_pattern_returns_everything_up_to_limit() {
         let t = SuffixTree::build(["a", "b", "c"]);
-        assert_eq!(t.find_containing("", 2).len(), 2);
-        assert_eq!(t.find_containing("", usize::MAX).len(), 3);
+        assert_eq!(t.find_containing("", 2), vec![0, 1]);
+        assert_eq!(t.find_containing("", usize::MAX), vec![0, 1, 2]);
     }
 
     #[test]
@@ -475,8 +466,11 @@ mod tests {
     #[test]
     fn find_strings_returns_text() {
         let t = SuffixTree::build(["Kennedy", "Kennedys", "Kenneth"]);
-        let mut got = t.find_strings("Kennedy", usize::MAX);
-        got.sort_unstable();
+        let got: Vec<&str> = t
+            .find_containing("Kennedy", usize::MAX)
+            .into_iter()
+            .map(|id| t.string(id))
+            .collect();
         assert_eq!(got, vec!["Kennedy", "Kennedys"]);
     }
 }

@@ -1,14 +1,17 @@
 //! Cluster-vs-oracle contracts: a sharded, replicated deployment must be
 //! *indistinguishable in content* from one big server over the same data.
 //!
-//! The comparison contract: the cluster defines a canonical answer order
-//! (the deterministic score-then-key merges of `sapphire_cluster::merge`),
-//! and the single-box oracle's answers are passed through the *same public
-//! merge functions* (a merge of one list canonicalizes order without
-//! touching content) before the byte-for-byte equality check. Slices
-//! (LIMIT/OFFSET) are owned by the edge on both sides — the oracle runs the
-//! slice-stripped query and the canonical merge applies the cut — because a
-//! pre-merge cut is exactly the bug a sharded top-k must not have.
+//! Completions are compared as the user sees them: the QCM owns the one
+//! completion order, each shard sends its own top k, and the edge's merge
+//! of those is the single box's top k byte for byte, with nothing
+//! canonicalized. Answers have a canonical order instead (the
+//! deterministic score-then-key merges of `sapphire_cluster::merge`): the
+//! single-box oracle's answers are passed through the *same public merge
+//! functions* (a merge of one list canonicalizes order without touching
+//! content) before the byte-for-byte equality check. Slices (LIMIT/OFFSET)
+//! are owned by the edge on both sides — the oracle runs the slice-stripped
+//! query and the canonical merge applies the cut — because a pre-merge cut
+//! is exactly the bug a sharded answer slice must not have.
 
 use std::sync::Arc;
 
@@ -154,20 +157,8 @@ fn four_shard_cluster_matches_single_server_oracle() {
             for end in 1..=keyword.chars().count().min(5) {
                 let prefix: String = keyword.chars().take(end).collect();
                 let cluster = router.complete("alice", &prefix).unwrap();
-                // The oracle's *full* match list through the same canonical
-                // top-k: the user-facing k-cut is selected by global
-                // significance, which is the one thing shard-local caches
-                // cannot see — the cluster's contract is the canonical cut.
-                let oracle = merge_completions(
-                    vec![
-                        oracle_server
-                            .complete_top("oracle", &prefix, usize::MAX)
-                            .unwrap()
-                            .suggestions,
-                    ],
-                    k,
-                );
-                assert_eq!(cluster.suggestions, oracle, "prefix {prefix:?}");
+                let oracle = oracle_server.complete_top("oracle", &prefix, k).unwrap();
+                assert_eq!(cluster.suggestions, oracle.suggestions, "prefix {prefix:?}");
                 terms += 1;
             }
         }
@@ -865,6 +856,134 @@ fn ask_answers_like_the_single_box_evaluator() {
             "{text}"
         );
     }
+}
+
+/// A shard replica that records the `k` of every completion it is asked for.
+struct RecordingReplica {
+    inner: Arc<SapphireServer>,
+    asked_k: std::sync::Mutex<Vec<usize>>,
+}
+
+impl sapphire_server::ShardService for RecordingReplica {
+    fn shard_name(&self) -> String {
+        self.inner.shard_name()
+    }
+
+    fn top_k(&self) -> usize {
+        self.inner.top_k()
+    }
+
+    fn complete_top(
+        &self,
+        tenant: &str,
+        typed: &str,
+        k: usize,
+    ) -> Result<sapphire_core::qcm::CompletionResult, sapphire_server::ServerError> {
+        self.asked_k.lock().unwrap().push(k);
+        self.inner.complete_top(tenant, typed, k)
+    }
+
+    fn run_select_tiered(
+        &self,
+        tenant: &str,
+        query: &SelectQuery,
+        tier: usize,
+        budget: Option<std::time::Duration>,
+    ) -> Result<Arc<sapphire_server::RunPayload>, sapphire_server::ServerError> {
+        sapphire_server::ShardService::run_select_tiered(&*self.inner, tenant, query, tier, budget)
+    }
+
+    fn execute_raw(
+        &self,
+        tenant: &str,
+        query: &Query,
+    ) -> Result<sapphire_sparql::QueryResult, sapphire_server::ServerError> {
+        self.inner.execute_raw(tenant, query)
+    }
+
+    fn admission_load(&self) -> (usize, usize) {
+        self.inner.admission_load()
+    }
+
+    fn shed_pressure_tier(&self) -> usize {
+        self.inner.shed_pressure_tier()
+    }
+}
+
+/// The edge asks each shard for k and its cut is the cut over every match:
+/// on 2- and 4-shard clusters, for every 1- to 6-character prefix of every
+/// Appendix-B keyword, the edge's completions are `merge_completions` over
+/// each shard's full match list cut to k — and every completion the router
+/// sends asks for the replica's own `top_k()`.
+#[test]
+fn the_edge_cut_at_k_is_the_cut_over_every_match() {
+    use sapphire_server::ShardService;
+    let graph = generate(DatasetConfig::tiny(42));
+    let mut prefixes: Vec<String> = appendix_b()
+        .iter()
+        .flat_map(|q| &q.script.rows)
+        .flat_map(|input| [&input.predicate, &input.object])
+        .flat_map(|keyword| {
+            let keyword = keyword.trim_start_matches('?');
+            (1..=keyword.chars().count().min(6)).map(|end| keyword.chars().take(end).collect())
+        })
+        .collect();
+    prefixes.sort();
+    prefixes.dedup();
+    for shards in [2, 4] {
+        let cluster = Cluster::build(
+            "edge",
+            &graph,
+            shards,
+            1,
+            &Lexicon::dbpedia_default(),
+            &sapphire_config(),
+            &ServerConfig::for_tests(),
+        )
+        .unwrap();
+        let replicas: Vec<Arc<RecordingReplica>> = (0..shards)
+            .map(|shard| {
+                Arc::new(RecordingReplica {
+                    inner: cluster.replicas(shard)[0].clone(),
+                    asked_k: Default::default(),
+                })
+            })
+            .collect();
+        let router = ClusterRouter::over(
+            replicas
+                .iter()
+                .map(|r| vec![r.clone() as Arc<dyn ShardService>])
+                .collect(),
+            ClusterConfig {
+                hedge_after: None,
+                ..ClusterConfig::for_tests()
+            },
+        );
+        let k = replicas[0].inner.top_k();
+        for prefix in &prefixes {
+            let every_match = replicas
+                .iter()
+                .map(|r| {
+                    let all = r.inner.complete_top("oracle", prefix, usize::MAX);
+                    all.unwrap().suggestions
+                })
+                .collect();
+            assert_eq!(
+                router.complete("alice", prefix).unwrap().suggestions,
+                merge_completions(every_match, k),
+                "{shards} shards: prefix {prefix:?}"
+            );
+        }
+        for replica in &replicas {
+            let asked = replica.asked_k.lock().unwrap();
+            assert!(!asked.is_empty(), "{shards} shards: every shard was asked");
+            assert!(
+                asked.iter().all(|&asked| asked == replica.top_k()),
+                "{shards} shards: asked for {asked:?}, top k {k}"
+            );
+        }
+    }
+    assert!(prefixes.len() > 100, "{} prefixes", prefixes.len());
 }
 
 /// A shard replica that counts the calls it receives and can start shedding

@@ -4,9 +4,11 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use sapphire_cluster::merge::merge_completions;
 use sapphire_core::bins::{assign_tasks, FoldedLiteral, LitId, ResidualBins};
+use sapphire_core::qcm::QueryCompletion;
 use sapphire_core::qsm::{top_with_answers, AlteredPosition, TermAlternative};
 use sapphire_core::session::{Modifiers, Session};
 use sapphire_core::{CachedData, InitMode, PredictiveUserModel, SapphireConfig};
@@ -605,6 +607,53 @@ proptest! {
         expected.sort();
         expected.dedup();
         prop_assert_eq!(found, expected);
+    }
+
+    /// Completions are a function of the data. Two caches assembled from the
+    /// same predicates and scored literals, fed in two shuffled orders,
+    /// complete every prefix of every cached string alike — with the suffix
+    /// tree holding none, some or all of the literals — and each answer is
+    /// already the edge's merge of the full match list, cut at k.
+    #[test]
+    fn completions_are_a_function_of_the_data(
+        names in proptest::collection::vec("[a-cA-C]{1,6}", 1..8),
+        literals in proptest::collection::vec("[a-cA-C ]{1,8}", 1..40),
+        seed in 0u64..1 << 32,
+        k in 1usize..6,
+    ) {
+        let predicates: Vec<(String, u64)> =
+            names.iter().enumerate().map(|(i, n)| (format!("http://x/{n}{i}"), i as u64)).collect();
+        let scored: Vec<(String, u64)> =
+            literals.iter().enumerate().map(|(i, l)| (l.clone(), i as u64 % 3)).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shuffled = |items: &[(String, u64)]| {
+            let mut items = items.to_vec();
+            for i in (1..items.len()).rev() {
+                items.swap(i, rng.gen_range(0..=i));
+            }
+            items
+        };
+        for capacity in [0, literals.len() / 2, literals.len() + 1] {
+            let config = SapphireConfig {
+                suffix_tree_capacity: capacity,
+                processes: 2,
+                ..SapphireConfig::default()
+            };
+            let [a, b] = [(); 2].map(|_| {
+                let cache = CachedData::from_raw(shuffled(&predicates), shuffled(&scored), &config);
+                QueryCompletion::new(Arc::new(cache), config.clone())
+            });
+            let surfaces = a.cache().predicates.iter().map(|p| p.surface.clone());
+            for text in surfaces.chain(literals.iter().cloned()) {
+                for end in 1..=text.chars().count() {
+                    let typed: String = text.chars().take(end).collect();
+                    let got = a.complete_top(&typed, k).suggestions;
+                    prop_assert_eq!(&got, &b.complete_top(&typed, k).suggestions);
+                    let every = a.complete_top(&typed, usize::MAX).suggestions;
+                    prop_assert_eq!(got, merge_completions(vec![every], k));
+                }
+            }
+        }
     }
 
     /// DISTINCT never increases result counts and is idempotent; LIMIT caps.
