@@ -46,7 +46,7 @@ use sapphire_core::exec;
 use sapphire_core::qcm::Completion;
 use sapphire_core::qsm::{top_with_answers, AlteredPosition, StructureSuggestion, TermAlternative};
 use sapphire_core::{CacheStats, RequestKey, SteinerConfig};
-use sapphire_endpoint::{Backoff, Endpoint, EndpointError, QueryService, ServiceError};
+use sapphire_endpoint::{Backoff, Endpoint, EndpointError};
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
 use sapphire_server::{
@@ -60,7 +60,8 @@ use crate::topology::Cluster;
 /// Tuning knobs of a [`ClusterRouter`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Router name (reported through the [`QueryService`] surface).
+    /// Router name: the endpoint name each shard carries in the cross-shard
+    /// federated plan.
     pub name: String,
     /// Fire the same request at a second replica when the first has not
     /// answered within this budget; `None` disables hedging.
@@ -229,18 +230,6 @@ impl ClusterError {
             }
             ClusterError::EdgeRejected(error) => error.is_rejection(),
             ClusterError::Unsupported(_) => false,
-        }
-    }
-
-    fn into_service_error(self) -> ServiceError {
-        match self {
-            ClusterError::ShardUnavailable { last, .. } => last.into_service_error(),
-            ClusterError::Shard { error, .. }
-            | ClusterError::CrossShard { error }
-            | ClusterError::EdgeRejected(error) => error.into_service_error(),
-            ClusterError::Unsupported(m) => {
-                ServiceError::Backend(EndpointError::Eval(format!("unsupported: {m}")))
-            }
         }
     }
 }
@@ -467,7 +456,7 @@ fn is_retryable(e: &ServerError) -> bool {
 /// How long a rejection suggests waiting before a retry, as the endpoint
 /// layer reads it (nothing, for a rejection without a hint).
 fn retry_hint(e: &ServerError) -> Duration {
-    EndpointError::from(e.clone().into_service_error())
+    EndpointError::from(e.clone())
         .retry_after()
         .unwrap_or_default()
 }
@@ -495,7 +484,11 @@ impl Endpoint for ShardEndpoint<'_> {
         };
         self.router
             .shard_rtt(self.shard, &request, None, WireReply::into_raw)
-            .map_err(|e| e.into_service_error().into())
+            .map_err(|e| match e {
+                ClusterError::ShardUnavailable { last: error, .. }
+                | ClusterError::Shard { error, .. } => error.into(),
+                other => unreachable!("a shard call fails as its shard: {other}"),
+            })
     }
 }
 
@@ -1093,6 +1086,41 @@ impl ClusterRouter {
         })
     }
 
+    // --- Raw queries -------------------------------------------------------
+
+    /// The cluster's raw SPARQL surface: a SELECT answered exactly, as a
+    /// [`run`](Self::run)'s answers are, and an ASK as a SELECT of at most
+    /// one row per consulted shard. Charged like a run, never
+    /// edge-cached, and identical in-flight queries coalesce at this tier by
+    /// their [`RequestKey`], the same key every other tier uses.
+    pub fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ClusterError> {
+        let _req = self.obs.request_scope("query", tenant);
+        self.charge(tenant, run_cost(query.pattern().triples.len()))?;
+        let (served, result) = self.raw.serve(
+            &self.obs,
+            RequestKey::raw(query.clone()),
+            |_| match query {
+                Query::Select(select) => self
+                    .cluster_answers(tenant, select)
+                    .map(QueryResult::Solutions),
+                // A SELECT of at most one row per list: the pattern has an
+                // answer iff some list has a row.
+                Query::Ask(pattern) => {
+                    let probe = SelectQuery {
+                        limit: Some(1),
+                        ..SelectQuery::star(pattern.clone())
+                    };
+                    let lists = self.binding_lists(tenant, &probe)?;
+                    Ok(QueryResult::Boolean(lists.iter().any(|l| !l.is_empty())))
+                }
+            },
+            |_| true,
+            |_| false,
+        );
+        self.count_served(served);
+        result.map(Arc::unwrap_or_clone)
+    }
+
     /// The exact cluster-wide answer set of one SELECT: full bindings —
     /// targeted single-shard routing for ground-subject stars, a scatter for
     /// variable-subject stars, a federated bound join over the shards for
@@ -1464,48 +1492,39 @@ impl ClusterRouter {
     }
 }
 
-/// The raw SPARQL surface of the cluster: the router is itself a
-/// [`QueryService`], so a further edge tier can federate over the whole
-/// cluster through a [`ServiceEndpoint`](sapphire_endpoint::ServiceEndpoint) —
-/// multi-tier topologies compose.
-/// Identical in-flight queries coalesce at this tier by their
-/// [`RequestKey`], the same key every other tier uses.
-impl QueryService for ClusterRouter {
-    fn service_name(&self) -> &str {
-        &self.config.name
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError> {
-        let _req = self.obs.request_scope("query", tenant);
-        self.charge(tenant, run_cost(query.pattern().triples.len()))
-            .map_err(ClusterError::into_service_error)?;
-        let execute = |tenant: &str, query: &Query| -> Result<QueryResult, ClusterError> {
-            match query {
-                Query::Select(select) => self
-                    .cluster_answers(tenant, select)
-                    .map(QueryResult::Solutions),
-                // A SELECT of at most one row per list: the pattern has an
-                // answer iff some list has a row.
-                Query::Ask(pattern) => {
-                    let probe = SelectQuery {
-                        limit: Some(1),
-                        ..SelectQuery::star(pattern.clone())
-                    };
-                    let lists = self.binding_lists(tenant, &probe)?;
-                    Ok(QueryResult::Boolean(lists.iter().any(|l| !l.is_empty())))
-                }
-            }
+    #[test]
+    fn retry_hint_reads_the_endpoint_layers_hint() {
+        let overloaded = |in_flight| ServerError::Overloaded {
+            in_flight,
+            queue_depth: 0,
         };
-        let (served, result) = self.raw.serve(
-            &self.obs,
-            RequestKey::raw(query.clone()),
-            |_| execute(tenant, query),
-            |_| true,
-            |_| false,
-        );
-        self.count_served(served);
-        result
-            .map(Arc::unwrap_or_clone)
-            .map_err(ClusterError::into_service_error)
+        let ms = Duration::from_millis;
+        for (error, hint) in [
+            (overloaded(3), ms(3)),
+            (overloaded(0), ms(1)),
+            (ServerError::QueueTimeout { waited_ms: 250 }, ms(1)),
+            (
+                ServerError::Unreachable {
+                    reason: "reset".into(),
+                },
+                ms(1),
+            ),
+            (ServerError::Timeout { work_used: 9 }, Duration::ZERO),
+            (
+                ServerError::QuotaExhausted {
+                    tenant: "t".into(),
+                    used: 9,
+                    budget: 8,
+                },
+                Duration::ZERO,
+            ),
+            (ServerError::Backend("boom".into()), Duration::ZERO),
+        ] {
+            assert_eq!(retry_hint(&error), hint, "{error:?}");
+        }
     }
 }

@@ -389,60 +389,4 @@ mod tests {
         assert!(result.is_err());
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
-
-    #[test]
-    fn execute_parsed_retries_an_overloaded_service_endpoint() {
-        use crate::endpoint::{Endpoint, EndpointLimits, LocalEndpoint};
-        use crate::service::{QueryService, ServiceEndpoint, ServiceError};
-        use sapphire_sparql::{parse_query, Query, QueryResult};
-        use std::sync::Arc;
-
-        // Sheds the first N requests, then answers — the shape a briefly
-        // saturated admission gate presents.
-        struct Shedding {
-            inner: LocalEndpoint,
-            remaining: AtomicU32,
-        }
-        impl QueryService for Shedding {
-            fn service_name(&self) -> &str {
-                "shedding"
-            }
-            fn execute_query(
-                &self,
-                _tenant: &str,
-                query: &Query,
-            ) -> Result<QueryResult, ServiceError> {
-                if self
-                    .remaining
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    return Err(ServiceError::Overloaded {
-                        in_flight: 2,
-                        queue_depth: 0,
-                    });
-                }
-                self.inner
-                    .execute_parsed(query)
-                    .map_err(ServiceError::Backend)
-            }
-        }
-
-        let g = sapphire_rdf::turtle::parse("res:A a dbo:Thing .").unwrap();
-        let service = Arc::new(Shedding {
-            inner: LocalEndpoint::new("inner", g, EndpointLimits::warehouse()),
-            remaining: AtomicU32::new(2),
-        });
-        let ep = ServiceEndpoint::new(service, "tenant");
-        let q = parse_query("SELECT ?s WHERE { ?s a dbo:Thing }").unwrap();
-        let policy = Backoff {
-            max_retries: 3,
-            base: Duration::from_micros(10),
-            max_delay: Duration::from_micros(100),
-        };
-        let result = policy
-            .run(0, |_| ep.execute_parsed(&q), EndpointError::retry_after)
-            .unwrap();
-        assert!(matches!(result, QueryResult::Solutions(s) if s.len() == 1));
-    }
 }

@@ -30,12 +30,13 @@ pub enum EndpointError {
         /// The endpoint's cost estimate.
         estimated_cost: u64,
     },
-    /// A shared query service turned the request away at admission control —
-    /// the service-level analogue of [`EndpointError::Rejected`], raised on
+    /// A serving tier behind the endpoint (a Sapphire server, or a shard the
+    /// cluster edge reaches) turned the request away at admission control —
+    /// the serving-tier analogue of [`EndpointError::Rejected`], raised on
     /// queue overflow rather than per-query cost.
     Overloaded {
         /// Requests already in flight when this one arrived (`0` when the
-        /// rejecting service no longer knows, e.g. a queue-deadline miss).
+        /// rejecting tier no longer knows, e.g. a queue-deadline miss).
         in_flight: usize,
     },
     /// The endpoint could not be reached, or the connection died mid-call

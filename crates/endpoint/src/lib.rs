@@ -19,6 +19,10 @@
 //! [`FederatedProcessor`] substitutes for FedX with one plan: ASK-probe
 //! source selection, whole-query routing to the only source of every
 //! pattern, and otherwise a nested-loop bound join across the sources.
+//! The same plan federates over a serving tier — the cluster edge presents
+//! each shard as an [`Endpoint`] — and the serving tier's typed rejections
+//! arrive as [`EndpointError::Overloaded`] / [`EndpointError::Unreachable`],
+//! which [`Backoff`] retries.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -36,9 +40,7 @@
 pub mod backoff;
 pub mod endpoint;
 pub mod federation;
-pub mod service;
 
 pub use backoff::Backoff;
 pub use endpoint::{Endpoint, EndpointError, EndpointLimits, EndpointStats, LocalEndpoint};
 pub use federation::{FederatedProcessor, FederationError};
-pub use service::{QueryService, ServiceEndpoint, ServiceError};

@@ -1,7 +1,7 @@
 //! Typed failures of the serving tier.
 
 use sapphire_core::session::SessionError;
-use sapphire_endpoint::{EndpointError, FederationError, ServiceError};
+use sapphire_endpoint::{EndpointError, FederationError};
 
 use crate::registry::SessionId;
 
@@ -152,65 +152,25 @@ impl ServerError {
                 | ServerError::Unreachable { .. }
         )
     }
+}
 
-    /// Convert for the [`sapphire_endpoint::QueryService`] surface.
-    pub fn into_service_error(self) -> ServiceError {
-        match self {
-            ServerError::Overloaded {
-                in_flight,
-                queue_depth,
-            } => ServiceError::Overloaded {
-                in_flight,
-                queue_depth,
-            },
-            ServerError::QueueTimeout { waited_ms } => ServiceError::QueueTimeout { waited_ms },
-            ServerError::Timeout { work_used } => ServiceError::Timeout { work_used },
-            ServerError::QuotaExhausted {
-                tenant,
-                used,
-                budget,
-            } => ServiceError::QuotaExhausted {
-                tenant,
-                used,
-                budget,
-            },
-            ServerError::Unreachable { reason } => {
-                ServiceError::Backend(EndpointError::Unreachable { reason })
-            }
-            other => ServiceError::Backend(EndpointError::Eval(other.to_string())),
-        }
-    }
-
-    /// Flatten a service-surface failure back into a `ServerError`,
-    /// preserving every typed back-pressure variant — the inverse of
-    /// [`into_service_error`](Self::into_service_error) for the variants
-    /// that survive the round trip. Used by tiers that consume a
-    /// [`QueryService`](sapphire_endpoint::QueryService) but account in
-    /// server-error terms (the cluster router's raw scatter path).
-    pub fn from_service(e: ServiceError) -> ServerError {
+/// A shard's failure as the federated plan sees it, when the cluster edge
+/// presents the shard as an [`Endpoint`](sapphire_endpoint::Endpoint):
+/// back-pressure keeps its retryable type (a queue-deadline miss no longer
+/// knows its in-flight count), a quota rejection reads as a refused query,
+/// and everything else is an evaluation failure carrying the server's own
+/// message. [`from_federation`] is the way back.
+impl From<ServerError> for EndpointError {
+    fn from(e: ServerError) -> Self {
         match e {
-            ServiceError::Overloaded {
-                in_flight,
-                queue_depth,
-            } => ServerError::Overloaded {
-                in_flight,
-                queue_depth,
+            ServerError::Overloaded { in_flight, .. } => EndpointError::Overloaded { in_flight },
+            ServerError::QueueTimeout { .. } => EndpointError::Overloaded { in_flight: 0 },
+            ServerError::Timeout { work_used } => EndpointError::Timeout { work_used },
+            ServerError::QuotaExhausted { used, .. } => EndpointError::Rejected {
+                estimated_cost: used,
             },
-            ServiceError::Timeout { work_used } => ServerError::Timeout { work_used },
-            ServiceError::QueueTimeout { waited_ms } => ServerError::QueueTimeout { waited_ms },
-            ServiceError::QuotaExhausted {
-                tenant,
-                used,
-                budget,
-            } => ServerError::QuotaExhausted {
-                tenant,
-                used,
-                budget,
-            },
-            ServiceError::Backend(EndpointError::Unreachable { reason }) => {
-                ServerError::Unreachable { reason }
-            }
-            ServiceError::Backend(e) => ServerError::Backend(e.to_string()),
+            ServerError::Unreachable { reason } => EndpointError::Unreachable { reason },
+            other => EndpointError::Eval(other.to_string()),
         }
     }
 }
@@ -233,5 +193,50 @@ pub fn from_federation(e: FederationError) -> ServerError {
             ServerError::Unreachable { reason }
         }
         other => ServerError::Backend(other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_server_error_becomes_one_endpoint_error() {
+        let reason = || "reset".to_string();
+        for (error, expected) in [
+            (
+                ServerError::Overloaded {
+                    in_flight: 7,
+                    queue_depth: 3,
+                },
+                EndpointError::Overloaded { in_flight: 7 },
+            ),
+            (
+                ServerError::QueueTimeout { waited_ms: 250 },
+                EndpointError::Overloaded { in_flight: 0 },
+            ),
+            (
+                ServerError::Timeout { work_used: 42 },
+                EndpointError::Timeout { work_used: 42 },
+            ),
+            (
+                ServerError::QuotaExhausted {
+                    tenant: "t".into(),
+                    used: 9,
+                    budget: 8,
+                },
+                EndpointError::Rejected { estimated_cost: 9 },
+            ),
+            (
+                ServerError::Unreachable { reason: reason() },
+                EndpointError::Unreachable { reason: reason() },
+            ),
+            (
+                ServerError::Backend("boom".into()),
+                EndpointError::Eval("backend failure: boom".into()),
+            ),
+        ] {
+            assert_eq!(EndpointError::from(error.clone()), expected, "{error:?}");
+        }
     }
 }

@@ -21,8 +21,7 @@
 //!   sessions and drives [`SapphireServer`] request execution to
 //!   completion — the requests a submitter could not finish: cache misses
 //!   (handed over once, past their counted lookup, slot in hand), sessions
-//!   resuming from a parked ticket, submissions to a busy session, and raw
-//!   queries on an external service;
+//!   resuming from a parked ticket, and submissions to a busy session;
 //! * **admission never parks a thread**: a full gate hands back an
 //!   [`AdmissionTicket`](crate::admission::AdmissionTicket) and the
 //!   *session* waits in `AwaitingGrant` — the queue wait lives in the
@@ -33,12 +32,9 @@
 //! them holds a session is the phase tag, so per-session ordering is exactly
 //! submission order (one thread operates on a session at a time) and the
 //! evented tier answers byte-for-byte like the thread-per-request tier —
-//! pinned by the root `tests/frontend.rs` oracle.
-//!
-//! The front-end can also drive any other [`QueryService`] for raw queries
-//! ([`FrontRequest::Query`]) — in particular a cluster edge router — so one
-//! event loop fronts a single server and a sharded topology alike
-//! ([`Frontend::with_raw_service`]).
+//! pinned by the root `tests/frontend.rs` oracle. Every request a session
+//! submits, a raw [`FrontRequest::Query`] included, goes to its own server
+//! through that dispatch.
 
 pub(crate) mod reactor;
 pub mod session;
@@ -48,7 +44,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use sapphire_endpoint::QueryService;
 use sapphire_obs::Stage;
 
 use crate::error::ServerError;
@@ -147,18 +142,8 @@ pub(crate) struct MetricCounters {
     pub(crate) queue_timeouts: AtomicU64,
 }
 
-/// The raw-query execution target.
-pub(crate) enum RawTarget {
-    /// The session server itself (evented admission applies).
-    Server,
-    /// An external service — e.g. a cluster edge router — with its own
-    /// admission tiers.
-    External(Arc<dyn QueryService>),
-}
-
 pub(crate) struct Shared {
     pub(crate) server: Arc<SapphireServer>,
-    pub(crate) raw: RawTarget,
     pub(crate) config: FrontendConfig,
     pub(crate) reactor: reactor::Reactor,
     sessions: RwLock<HashMap<u64, Arc<Mutex<SessionState>>>>,
@@ -197,28 +182,11 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    /// Stand a front-end over `server`; raw queries execute on the server
-    /// itself.
+    /// Stand a front-end over `server`.
     pub fn new(server: Arc<SapphireServer>, config: FrontendConfig) -> Self {
-        Self::build(server, RawTarget::Server, config)
-    }
-
-    /// Stand a front-end whose raw-query requests execute on `raw` — any
-    /// [`QueryService`], e.g. a cluster edge router — while session
-    /// requests (QCM/QSM) stay on `server`. One event loop, multiple tiers.
-    pub fn with_raw_service(
-        server: Arc<SapphireServer>,
-        raw: Arc<dyn QueryService>,
-        config: FrontendConfig,
-    ) -> Self {
-        Self::build(server, RawTarget::External(raw), config)
-    }
-
-    fn build(server: Arc<SapphireServer>, raw: RawTarget, config: FrontendConfig) -> Self {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             server,
-            raw,
             config,
             reactor: reactor::Reactor::new(),
             sessions: RwLock::new(HashMap::new()),
@@ -344,7 +312,7 @@ impl Frontend {
         match st.phase {
             // Nothing queued, nothing parked, nobody operating: this thread
             // takes the turn a worker would, under the same phase tag.
-            Phase::Idle if worker::submitter_may_dispatch(&self.shared, &q.request) => {
+            Phase::Idle if worker::submitter_may_dispatch(&self.shared) => {
                 st.phase = Phase::Running;
                 drop(st);
                 worker::dispatch_on_submitter(&self.shared, id.0, &state_arc, q);
@@ -656,28 +624,25 @@ mod tests {
         .expect("slot free again");
     }
 
-    /// A raw service that reports each call on `entered` and then blocks
-    /// until `release` yields: pins a worker for as long as a test likes (a
-    /// raw query on an external service is never dispatched by its
-    /// submitter).
-    struct BlockingService {
-        entered: Mutex<mpsc::Sender<()>>,
-        release: Mutex<mpsc::Receiver<()>>,
-    }
-
-    impl QueryService for BlockingService {
-        fn service_name(&self) -> &str {
-            "blocking"
-        }
-        fn execute_query(
-            &self,
-            _tenant: &str,
-            _query: &sapphire_sparql::Query,
-        ) -> Result<sapphire_sparql::QueryResult, sapphire_endpoint::ServiceError> {
-            self.entered.lock().unwrap().send(()).unwrap();
-            self.release.lock().unwrap().recv().unwrap();
-            Ok(sapphire_sparql::QueryResult::Boolean(true))
-        }
+    /// Pin the worker that answers `s`'s raw query — never cached, so always
+    /// a worker's — inside its callback, with `s` held by that worker's turn
+    /// until the returned sender sends or is dropped: requests submitted to
+    /// `s` meanwhile queue behind it.
+    fn pin_session(fe: &Frontend, s: SessionId) -> mpsc::Sender<()> {
+        let (pinned_tx, pinned) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let query = sapphire_sparql::parse_query("ASK { ?s ?p ?o }").unwrap();
+        fe.submit(
+            s,
+            FrontRequest::Query { query },
+            Box::new(move |_| {
+                pinned_tx.send(()).unwrap();
+                let _ = released.recv();
+            }),
+        )
+        .unwrap();
+        pinned.recv().unwrap();
+        release
     }
 
     #[test]
@@ -687,9 +652,7 @@ mod tests {
         // session's `Close` must never get that far: the pre-gate half
         // resolves the session first, for evented admission exactly as for
         // the blocking `complete`.
-        let (entered_tx, entered) = mpsc::channel();
-        let (release, release_rx) = mpsc::channel();
-        let fe = Frontend::with_raw_service(
+        let fe = Frontend::new(
             Arc::new(SapphireServer::new(
                 pum(),
                 ServerConfig {
@@ -698,25 +661,19 @@ mod tests {
                     ..ServerConfig::for_tests()
                 },
             )),
-            Arc::new(BlockingService {
-                entered: Mutex::new(entered_tx),
-                release: Mutex::new(release_rx),
-            }),
             FrontendConfig {
                 workers: 1,
                 ..FrontendConfig::for_tests()
             },
         );
-        let _slot = fe.server().hold_slot().unwrap();
         // Pin the only worker inside the session's own raw query until both
         // requests are queued behind it — `submit` on an idle session would
         // execute the close itself and then reject the completion, and that
-        // is not the path under test.
+        // is not the path under test. The query took the slot and gave it
+        // back before its callback ran; now the gate fills.
         let s = fe.open_session("alice").unwrap();
-        let query = sapphire_sparql::parse_query("ASK { ?s ?p ?o }").unwrap();
-        fe.submit(s, FrontRequest::Query { query }, Box::new(|_| {}))
-            .unwrap();
-        entered.recv().unwrap();
+        let release = pin_session(&fe, s);
+        let _slot = fe.server().hold_slot().unwrap();
 
         let (answer_tx, answer) = mpsc::channel();
         fe.submit(s, FrontRequest::Close, Box::new(|_| {})).unwrap();
@@ -735,46 +692,6 @@ mod tests {
         let m = fe.server().metrics();
         assert_eq!(m.rejected_overloaded, 0, "it never reached the gate");
         assert_eq!(m.completion_requests, 1, "and was still counted");
-    }
-
-    #[test]
-    fn dead_raw_target_surfaces_as_unreachable_not_backend() {
-        // A raw service (a cluster router, say) reporting a dead shard must
-        // keep its retryable type through the front-end.
-        struct DeadShard;
-        impl QueryService for DeadShard {
-            fn service_name(&self) -> &str {
-                "dead"
-            }
-            fn execute_query(
-                &self,
-                _tenant: &str,
-                _query: &sapphire_sparql::Query,
-            ) -> Result<sapphire_sparql::QueryResult, sapphire_endpoint::ServiceError> {
-                Err(sapphire_endpoint::ServiceError::Backend(
-                    sapphire_endpoint::EndpointError::Unreachable {
-                        reason: "connect".into(),
-                    },
-                ))
-            }
-        }
-        let fe = Frontend::with_raw_service(
-            Arc::new(SapphireServer::new(pum(), ServerConfig::for_tests())),
-            Arc::new(DeadShard),
-            FrontendConfig::for_tests(),
-        );
-        let s = fe.open_session("alice").unwrap();
-        let query = sapphire_sparql::parse_query("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
-        let err = fe
-            .call(s, FrontRequest::Query { query })
-            .expect_err("the target is dead");
-        assert_eq!(
-            err,
-            ServerError::Unreachable {
-                reason: "connect".into()
-            }
-        );
-        assert!(err.is_rejection(), "retryable, like any dead replica");
     }
 
     /// Pin `n` workers of `fe`, each inside the callback of a cold
@@ -1101,28 +1018,19 @@ mod tests {
 
     #[test]
     fn a_sampled_rejection_reaches_the_flight_recorder_tagged() {
-        let (entered_tx, entered) = mpsc::channel();
-        let (release, release_rx) = mpsc::channel();
         let server = Arc::new(SapphireServer::new(pum(), ServerConfig::for_tests()));
         server.obs().set_sampling(1);
-        let fe = Frontend::with_raw_service(
+        let fe = Frontend::new(
             server.clone(),
-            Arc::new(BlockingService {
-                entered: Mutex::new(entered_tx),
-                release: Mutex::new(release_rx),
-            }),
             FrontendConfig {
                 workers: 1,
                 session_queue_depth: 2,
             },
         );
         let s = fe.open_session("alice").unwrap();
-        // The worker is inside a raw query; a close and an edit fill the
-        // session's backlog behind it.
-        let query = sapphire_sparql::parse_query("ASK { ?s ?p ?o }").unwrap();
-        fe.submit(s, FrontRequest::Query { query }, Box::new(|_| {}))
-            .unwrap();
-        entered.recv().unwrap();
+        // The worker is inside a raw query's callback; a close and an edit
+        // fill the session's backlog behind it.
+        let release = pin_session(&fe, s);
         fe.submit(s, FrontRequest::Close, Box::new(|_| {})).unwrap();
         let (closed_tx, closed) = mpsc::channel();
         let (reopen, reopened) = mpsc::channel::<()>();

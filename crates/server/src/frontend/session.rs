@@ -46,10 +46,9 @@ pub enum FrontRequest {
         /// Index into the last run's alternatives.
         index: usize,
     },
-    /// Execute a raw parsed query on the front-end's raw
-    /// [`QueryService`](sapphire_endpoint::QueryService) target, billed to
-    /// this session's tenant. Admission-controlled when the target is the
-    /// session server itself.
+    /// Execute a raw parsed query on the session's server, billed to this
+    /// session's tenant (admission-controlled, single-flighted, never
+    /// response-cached).
     Query {
         /// The parsed query.
         query: Query,

@@ -11,7 +11,9 @@
 //!   same [`Turn::dispatch`], but may neither wait nor work
 //!   ([`Runner::Submitter`]): it answers session edits and response-cache
 //!   hits on the spot and hands a request it cannot answer to a worker —
-//!   once, past its counted cache lookup, slot in hand.
+//!   once, past its counted cache lookup, slot in hand. A raw query is one
+//!   of the three model-touching kinds like any other, bound for the same
+//!   server; it is never response-cached, so a worker always finishes it.
 //!
 //! Admission-controlled requests never park a thread: a full gate yields an
 //! [`AdmissionTicket`](crate::admission::AdmissionTicket) and the *session*
@@ -38,7 +40,7 @@ use super::session::{
     FrontRequest, FrontResponse, HandedOver, Pending, PendingAdmission, Phase, QueuedRequest,
     ResponseCallback, SessionState,
 };
-use super::{RawTarget, Shared};
+use super::Shared;
 
 pub(crate) fn worker_loop(shared: Arc<Shared>) {
     loop {
@@ -148,11 +150,9 @@ thread_local! {
     static DISPATCHING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the thread submitting `request` may take the turn itself, given
-/// that it found the session idle. Three things say no:
+/// Whether a submitting thread may take the turn itself, given that it
+/// found the session idle. Two things say no:
 ///
-/// * a raw query on an external service — it blocks on a network for as
-///   long as the service likes;
 /// * being inside another such turn already (see [`DISPATCHING`]);
 /// * a session waiting for a worker. Like the admission gate, the front-end
 ///   lets no arrival barge past its queue — and a request handed over with
@@ -160,10 +160,8 @@ thread_local! {
 ///   that needs the very slot it is holding: a burst from one submitting
 ///   thread would otherwise carry the whole gate into the ready queue and
 ///   have the requests ahead of it bounced `Overloaded`.
-pub(crate) fn submitter_may_dispatch(shared: &Shared, request: &FrontRequest) -> bool {
-    let blocks = matches!(request, FrontRequest::Query { .. })
-        && matches!(shared.raw, RawTarget::External(_));
-    !blocks && !DISPATCHING.get() && !shared.reactor.backlogged()
+pub(crate) fn submitter_may_dispatch(shared: &Shared) -> bool {
+    !DISPATCHING.get() && !shared.reactor.backlogged()
 }
 
 /// The submitter's turn: `q` found its session idle and the caller set the
@@ -420,27 +418,9 @@ impl Turn<'_> {
                 self.reply(respond, Ok(FrontResponse::Closed));
                 return Ownership::Held;
             }
-            FrontRequest::Query { query } => {
-                if let RawTarget::External(service) = &shared.raw {
-                    // The external service runs its own admission tiers (a
-                    // ClusterRouter never parks at the edge), so the worker
-                    // drives it directly — under this request's trace context,
-                    // with the front-end owning the end-to-end measurement.
-                    debug_assert_eq!(self.runner, Runner::Worker, "it blocks on a network");
-                    let _mark = RequestMark::new();
-                    let _scope = TraceScope::enter(trace);
-                    let r = shared.server.session_tenant(sid).and_then(|tenant| {
-                        service
-                            .execute_query(&tenant, &query)
-                            .map(FrontResponse::Query)
-                            .map_err(ServerError::from_service)
-                    });
-                    self.reply(respond, r);
-                    return Ownership::Held;
-                }
-                let query = Cow::Owned(query);
-                What::Raw { query }
-            }
+            FrontRequest::Query { query } => What::Raw {
+                query: Cow::Owned(query),
+            },
             FrontRequest::Complete { typed } => What::Complete {
                 typed: Cow::Owned(typed),
                 k: shared.server.model().config().k,

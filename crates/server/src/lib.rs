@@ -30,11 +30,12 @@
 //!   requests costs *one* model scan: the first miss leads, concurrent
 //!   duplicates follow and receive the leader's shared result (or its typed
 //!   error), bounded by a per-key waiter cap ([`coalesce::Coalescer`]).
-//! * **Service endpoints** — [`SapphireServer`] implements
-//!   [`sapphire_endpoint::QueryService`], so one deployment can federate
-//!   over another through
-//!   [`ServiceEndpoint`](sapphire_endpoint::ServiceEndpoint) with admission
-//!   control enforced at every hop.
+//! * **Shard replicas** — [`SapphireServer`] is a [`ShardService`]: a
+//!   cluster edge sends it completions, runs and raw queries
+//!   ([`SapphireServer::execute_query`]) as [`WireRequest`]s, in process or
+//!   over a socket, with admission control enforced at every hop. Its
+//!   failures reach the edge's federated plan through the one conversion
+//!   `From<ServerError> for EndpointError` ([`error`]).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -96,7 +97,6 @@ mod tests {
     use super::*;
     use sapphire_core::prelude::*;
     use sapphire_core::InitMode;
-    use sapphire_endpoint::{QueryService, ServiceEndpoint};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -336,12 +336,14 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
     #[test]
     fn server_as_query_service_endpoint() {
         let srv = Arc::new(SapphireServer::new(pum(), ServerConfig::for_tests()));
-        assert_eq!(srv.service_name(), "sapphire");
-        let ep = ServiceEndpoint::new(srv.clone(), "downstream");
-        use sapphire_endpoint::Endpoint;
-        let rows = ep
-            .select(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedy"@en }"#)
-            .unwrap();
+        assert_eq!(srv.config().name, "sapphire");
+        let query =
+            sapphire_sparql::parse_query(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedy"@en }"#)
+                .unwrap();
+        let rows = match srv.execute_query("downstream", &query).unwrap() {
+            sapphire_sparql::QueryResult::Solutions(rows) => rows,
+            other => panic!("a SELECT answered {other:?}"),
+        };
         assert_eq!(rows.len(), 2);
         assert_eq!(srv.metrics().service_requests, 1);
         assert!(

@@ -9,7 +9,6 @@ use sapphire_core::qcm::CompletionResult;
 use sapphire_core::qsm::QsmOutput;
 use sapphire_core::session::{Modifiers, Session, SessionError, TripleInput};
 use sapphire_core::{AnswerTable, CacheStats, KeyedRequest, PredictiveUserModel, RequestKey};
-use sapphire_endpoint::{QueryService, ServiceError};
 use sapphire_obs::{MetricsHub, Obs, Stage};
 use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, WorkBudget};
 
@@ -36,7 +35,8 @@ pub fn run_cost(patterns: usize) -> u64 {
 /// Tuning knobs of a [`SapphireServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Service name (reported through the [`QueryService`] surface).
+    /// Service name: how a cluster edge names this replica
+    /// ([`ShardService::shard_name`](crate::ShardService::shard_name)).
     pub name: String,
     /// Requests allowed to execute concurrently.
     pub max_in_flight: usize,
@@ -126,7 +126,8 @@ pub struct ServerMetrics {
     pub completion_requests: u64,
     /// Run (QSM) requests received.
     pub run_requests: u64,
-    /// Raw queries served through the [`QueryService`] surface.
+    /// Raw queries received: [`SapphireServer::execute_query`] calls and a
+    /// session's [`FrontRequest::Query`](crate::FrontRequest::Query).
     pub service_requests: u64,
     /// Requests rejected with [`ServerError::Overloaded`].
     pub rejected_overloaded: u64,
@@ -645,8 +646,27 @@ impl SapphireServer {
             .map(|reply| reply.run().0)
     }
 
+    /// Raw SPARQL on the model's federated backend for a tenant without a
+    /// session, with this server's admission control and budgets enforced —
+    /// the query a cluster edge sends a shard replica as
+    /// [`WireRequest::Raw`](crate::WireRequest::Raw).
+    ///
+    /// Identical in-flight queries are single-flighted by their
+    /// [`RequestKey`], so a burst of users asking the same question at an
+    /// upstream tier costs this tier one federation execution — and because
+    /// the key is the query itself, which travels unchanged, every further
+    /// hop downstream coalesces the same way. Results are not
+    /// response-cached (federated backends are not assumed immutable the way
+    /// the shared model is), so the leader's typed failure is propagated to
+    /// every coalesced follower rather than retried.
+    pub fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServerError> {
+        let query = Cow::Borrowed(query);
+        self.serve_parked(Who::Tenant(tenant), What::Raw { query }, None)
+            .map(Reply::raw)
+    }
+
     /// One request across the *parking* gate: the body of every blocking
-    /// entry point above and of [`QueryService::execute_query`]. The evented
+    /// entry point above. The evented
     /// front-end ([`crate::frontend`]) runs the same two halves around its
     /// non-blocking gate, carrying the [`Request`] across the park.
     fn serve_parked(
@@ -816,8 +836,8 @@ impl SapphireServer {
                     Query::Ask(gp) => gp.triples.len(),
                 };
                 self.charge(&tenant, run_cost(patterns))?;
-                // Raw results are never response-cached (see the
-                // [`QueryService`] impl), so this surface always misses.
+                // Raw results are never response-cached (see
+                // `execute_query`), so this surface always misses.
                 Ok(Lookup::Miss(Missed {
                     key: RequestKey::raw(query.into_owned()),
                     commit: None,
@@ -1175,32 +1195,6 @@ fn commit_run(run: QueryRun, permit: AdmissionPermit, commit: Option<RunCommit>)
         entry.attempts
     });
     Reply::Run { run, attempts }
-}
-
-/// Raw SPARQL surface: lets a `SapphireServer` stand behind a
-/// [`ServiceEndpoint`](sapphire_endpoint::ServiceEndpoint) so other
-/// deployments can federate over it, with this server's admission control
-/// and budgets still enforced.
-///
-/// Identical in-flight queries are single-flighted by their
-/// [`RequestKey`], so a burst of users asking the same question at an
-/// upstream tier costs this tier one federation execution — and because the
-/// key is the query itself, which travels unchanged, every further hop
-/// downstream coalesces the same way. Service
-/// results are not response-cached (federated backends are not assumed
-/// immutable the way the shared model is), so the leader's typed failure is
-/// propagated to every coalesced follower rather than retried.
-impl QueryService for SapphireServer {
-    fn service_name(&self) -> &str {
-        &self.config.name
-    }
-
-    fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServiceError> {
-        let query = Cow::Borrowed(query);
-        self.serve_parked(Who::Tenant(tenant), What::Raw { query }, None)
-            .map(Reply::raw)
-            .map_err(ServerError::into_service_error)
-    }
 }
 
 #[cfg(test)]

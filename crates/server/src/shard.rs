@@ -262,9 +262,7 @@ impl ShardService for SapphireServer {
     }
 
     fn execute_raw(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServerError> {
-        use sapphire_endpoint::QueryService;
-        self.execute_query(tenant, query)
-            .map_err(ServerError::from_service)
+        SapphireServer::execute_query(self, tenant, query)
     }
 
     fn admission_load(&self) -> (usize, usize) {

@@ -740,7 +740,6 @@ fn evaluated(text: &str) -> (SelectQuery, Solutions) {
 /// and for a cross-shard bound join alike.
 #[test]
 fn unprojected_order_keys_answer_like_the_single_box_evaluator() {
-    use sapphire_endpoint::QueryService;
     use sapphire_sparql::QueryResult;
     let router = router(4, 1);
     for (text, top) in UNPROJECTED_KEY_QUESTIONS {
@@ -767,7 +766,6 @@ fn unprojected_order_keys_answer_like_the_single_box_evaluator() {
 /// raw `execute_query` surface.
 #[test]
 fn aggregates_answer_like_the_single_box_evaluator() {
-    use sapphire_endpoint::QueryService;
     use sapphire_sparql::QueryResult;
     let router = router(4, 1);
     let city = "?c a dbo:City ; dbo:country ?k ; dbo:population ?pop";
@@ -815,7 +813,6 @@ fn aggregates_answer_like_the_single_box_evaluator() {
 /// (book → publisher, the federated plan) and patterns with no answer.
 #[test]
 fn ask_answers_like_the_single_box_evaluator() {
-    use sapphire_endpoint::QueryService;
     use sapphire_sparql::{QueryResult, WorkBudget};
     let router = router(4, 1);
     let graph = generate(DatasetConfig::tiny(42));
@@ -1373,12 +1370,11 @@ impl sapphire_server::ShardService for BooleanSelects {
 
 /// A shard that answers a scattered SELECT with a boolean fails the query
 /// typed and non-retryable — `ClusterError::Shard` with a `protocol:`
-/// backend error, which the `QueryService` surface carries as that backend
-/// failure — never a SELECT short by the shard's rows, nor an ASK that
-/// reads `false`.
+/// backend error — never a SELECT short by the shard's rows, nor an ASK
+/// that reads `false`.
 #[test]
 fn a_wrong_kind_reply_fails_typed_never_short() {
-    use sapphire_endpoint::QueryService;
+    use sapphire_cluster::ClusterError;
     use sapphire_server::ServerError;
     let cluster = two_shard_cluster();
     let replicas = (0..2)
@@ -1400,7 +1396,10 @@ fn a_wrong_kind_reply_fails_typed_never_short() {
         let expected =
             ServerError::Backend("protocol: expected Solutions reply, got Boolean".into());
         assert!(!expected.is_rejection());
-        assert_eq!(err, expected.into_service_error(), "{text}");
+        assert!(
+            matches!(&err, ClusterError::Shard { error, .. } if *error == expected),
+            "{text}: {err:?}"
+        );
     }
 }
 
@@ -1415,7 +1414,6 @@ fn a_wrong_kind_reply_fails_typed_never_short() {
 /// `SHARD_CALLS_PER_RUN`.
 #[test]
 fn a_router_over_wire_replicas_answers_like_the_in_process_router() {
-    use sapphire_endpoint::QueryService;
     use sapphire_server::ShardService;
     use sapphire_wire::{WireClient, WireClientConfig, WireServer, WireServerConfig};
     let (pum, _) = oracle();

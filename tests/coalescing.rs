@@ -10,8 +10,9 @@
 //! * every request in such a burst lands in exactly one metrics bucket
 //!   (leader, coalesced follower, or response-cache hit) — nothing is lost
 //!   or double-counted;
-//! * federated hops through `ServiceEndpoint` coalesce at the downstream
-//!   server by the query's structural key;
+//! * raw queries from upstream hops (`execute_query`, what a cluster edge
+//!   sends a shard) coalesce at the downstream server by the query's
+//!   structural key;
 //! * under a saturated gate, freed slots are handed to queued waiters
 //!   (observable as `fifo_handoffs`) and rejections stay typed.
 
@@ -20,8 +21,8 @@ use std::time::Duration;
 
 use sapphire_core::prelude::*;
 use sapphire_core::InitMode;
-use sapphire_endpoint::{Endpoint, ServiceEndpoint};
 use sapphire_server::{SapphireServer, ServerConfig, ServerError};
+use sapphire_sparql::QueryResult;
 
 const DATA: &str = r#"
 res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:name "John F. Kennedy"@en .
@@ -138,23 +139,23 @@ fn cold_run_burst_costs_one_scan_and_commits_per_session() {
 fn federated_hops_coalesce_by_query_fingerprint() {
     const THREADS: usize = 8;
     let server = Arc::new(SapphireServer::new(pum(), wide_open(THREADS)));
-    // Two independent adapters over one downstream server — clones of a
-    // ServiceEndpoint as a multi-worker edge tier would hold them.
-    let edge_a = Arc::new(ServiceEndpoint::new(server.clone(), "edge"));
-    let edge_b = Arc::new(edge_a.as_ref().clone());
+    // Each thread parses its own copy of the query, as each upstream hop
+    // would: structurally equal queries are one request.
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
-        .map(|i| {
-            let ep = if i % 2 == 0 {
-                edge_a.clone()
-            } else {
-                edge_b.clone()
-            };
+        .map(|_| {
+            let server = server.clone();
             let barrier = barrier.clone();
             std::thread::spawn(move || {
+                let query = sapphire_sparql::parse_query(
+                    r#"SELECT ?p WHERE { ?p dbo:surname "Kennedy"@en }"#,
+                )
+                .unwrap();
                 barrier.wait();
-                ep.select(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedy"@en }"#)
-                    .unwrap()
+                match server.execute_query("edge", &query).unwrap() {
+                    QueryResult::Solutions(rows) => rows,
+                    other => panic!("a SELECT answered {other:?}"),
+                }
             })
         })
         .collect();

@@ -13,12 +13,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sapphire_cluster::{Cluster, ClusterConfig, ClusterRouter};
 use sapphire_core::session::Modifiers;
 use sapphire_core::{InitMode, PredictiveUserModel, SapphireConfig};
 use sapphire_datagen::workload::appendix_b;
 use sapphire_datagen::{generate, DatasetConfig};
-use sapphire_endpoint::{EndpointLimits, QueryService};
+use sapphire_endpoint::EndpointLimits;
 use sapphire_server::frontend::{FrontRequest, FrontResponse};
 use sapphire_server::{
     Frontend, FrontendConfig, SapphireServer, ServerConfig, ServerError, SessionId,
@@ -425,37 +424,4 @@ fn shutdown_drains_queues_and_leaks_no_sessions() {
     assert_eq!(metrics.ready, 0, "final ready queue drained");
     assert_eq!(metrics.parked, 0, "no admission ticket left parked");
     assert_eq!(server.metrics().open_sessions, 0, "no leaked sessions");
-}
-
-/// The front-end drives a cluster edge router through the same loop: raw
-/// queries go to the router (a `QueryService`), session requests to the
-/// local server — and the answers match a direct router call byte for byte.
-#[test]
-fn cluster_router_is_drivable_from_the_front_end_loop() {
-    let pum = pum();
-    let server = Arc::new(SapphireServer::new(pum, roomy_config()));
-    let router = Arc::new(ClusterRouter::new(
-        Cluster::from_replicas(vec![vec![server.clone()]]),
-        ClusterConfig {
-            hedge_after: None,
-            ..ClusterConfig::for_tests()
-        },
-    ));
-    let raw: Arc<dyn QueryService> = router.clone();
-    let fe = Frontend::with_raw_service(server, raw, FrontendConfig::for_tests());
-    let id = fe.open_session("alice").unwrap();
-
-    let query =
-        sapphire_sparql::parse_query(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedy"@en }"#).unwrap();
-    let direct = router.execute_query("alice", &query).unwrap();
-    let through_frontend = match fe.call(id, FrontRequest::Query { query }) {
-        Ok(FrontResponse::Query(result)) => result,
-        other => panic!("unexpected response {other:?}"),
-    };
-    assert_eq!(
-        format!("{direct:?}"),
-        format!("{through_frontend:?}"),
-        "same loop, same bytes"
-    );
-    fe.shutdown();
 }
