@@ -1,5 +1,5 @@
 //! The `frontend_load` harness: thousands of open, mostly-idle sessions on
-//! a small fixed worker pool.
+//! a few turns of the shared executor.
 //!
 //! `serve_load` measures the serving tier at full boil — every simulated
 //! user is always either requesting or about to. The interactive workload
@@ -14,9 +14,9 @@
 //!    exponentially distributed think times (mean `think_ms`) between
 //!    requests — a Poisson request process per session, seeded
 //!    deterministically per session. The whole fleet runs on `workers`
-//!    (default 8) front-end threads; the report carries the sampled
-//!    process thread-count and RSS peaks so "no thread per session" is
-//!    verifiable, and any rejection fails the CI gate.
+//!    (default 8) front-end turns on the shared executor; the report
+//!    carries the sampled process thread-count and RSS peaks so "no thread
+//!    per session" is verifiable, and any rejection fails the CI gate.
 //! 2. **Hot phase** — a subset of sessions turns think time off and drives
 //!    closed-loop through the same front-end (each response immediately
 //!    submits the next request), measuring the event loop's throughput
@@ -54,7 +54,7 @@ use crate::{dataset_for, experiment_config};
 pub struct FrontendPhaseOptions {
     /// Open sessions held through the think-time phase.
     pub sessions: usize,
-    /// Front-end worker threads (the whole serving thread budget).
+    /// Front-end turns at once on the shared executor.
     pub workers: usize,
     /// Mean think time between one session's requests, in milliseconds.
     pub think_ms: u64,
@@ -439,8 +439,8 @@ pub fn phase(
             })
             .collect(),
     );
-    // Steady-state thread accounting: every pool (front-end workers, the
-    // shared executor, reactor) is warm by now — the think phase already
+    // Steady-state thread accounting: the shared executor, which runs the
+    // front-end's turns and timers, is warm by now — the think phase already
     // drove requests through the whole stack — so the hot loop must not
     // create a single thread. serve_check gates on these two samples
     // being equal.

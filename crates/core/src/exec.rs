@@ -12,7 +12,11 @@
 //! - **Fixed workers, per-worker deques.** `Executor::new(workers)` starts
 //!   `workers` threads. Submission round-robins tasks across per-worker
 //!   deques; an idle worker first drains its own deque, then steals from
-//!   siblings (`steals` counter), then parks on a condvar.
+//!   siblings (`steals` counter), then parks on its own condvar. A
+//!   submission wakes nobody while some worker is between tasks — that one
+//!   will find it — and otherwise the worker that parked last, so light
+//!   load stays on the fewest threads (their stacks and allocator arenas
+//!   already warm) and resident memory does not grow with the pool size.
 //! - **Claimable tasks.** A task's job lives in a `Mutex<Option<Job>>`. Any
 //!   holder of the task can *claim* the job back if no worker has started it
 //!   (`TaskHandle::run_now`). This is the no-deadlock guarantee: a caller
@@ -23,6 +27,11 @@
 //!   picked up yet before blocking. Results are collected in task-index
 //!   order, which is what keeps scatter merges and Algorithm-1 bin scans
 //!   byte-identical to the old spawn-per-request code.
+//! - **Timers.** [`Executor::spawn_at`] holds a job in one map keyed by
+//!   instant, under the park lock, until that instant. A worker that finds
+//!   no task queues every due timer, then parks no longer than until the
+//!   earliest pending one — the idle workers are the clock, and a saturated
+//!   pool runs a due timer as soon as some worker looks for work.
 //! - **Queue-wait visibility.** The executor keeps a
 //!   [`sapphire_obs::Histogram`] of enqueue→start latency (`queue_p99_us` in
 //!   [`ExecStats`]) and feeds each sample to an installed observer, which is
@@ -32,13 +41,14 @@
 //! The process-global instance ([`global`]) is sized from
 //! `SAPPHIRE_EXEC_WORKERS` (or `max(8, available_parallelism)` — generous,
 //! because shard calls block on the wire) and is shared by the router, the
-//! bin scanner, and the wire server's pipelined dispatch.
+//! bin scanner, the wire server's pipelined dispatch, and the evented
+//! front-end's turns and admission-deadline timers.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sapphire_obs::Histogram;
 
@@ -88,8 +98,11 @@ impl TaskHandle {
 
 /// Parked-worker bookkeeping, guarded by `Inner::park`.
 struct Park {
-    idle: usize,
+    /// Parked workers, the most recently parked last.
+    idle: Vec<usize>,
     shutdown: bool,
+    /// Pending [`Executor::spawn_at`] jobs by instant, earliest first.
+    timers: BTreeMap<Instant, Vec<Job>>,
 }
 
 type WaitObserver = Box<dyn Fn(u64) + Send + Sync>;
@@ -100,8 +113,12 @@ struct Inner {
     /// Tasks sitting in queues (may briefly over-count claimed-back tasks,
     /// which workers discard as empty shells).
     pending: AtomicUsize,
+    /// Workers between tasks, looking for the next one; a submission wakes
+    /// a parked worker only when this is zero.
+    searching: AtomicUsize,
     park: Mutex<Park>,
-    cv: Condvar,
+    /// One condvar per worker, each used with `park`.
+    wake: Vec<Condvar>,
     tasks_run: AtomicU64,
     inline_runs: AtomicU64,
     steals: AtomicU64,
@@ -112,18 +129,52 @@ struct Inner {
 }
 
 impl Inner {
-    fn submit(&self, task: Arc<Task>) {
+    /// Count `job` as a spawn avoided and put it on a deque. Wakes nobody:
+    /// the caller does, or is a worker queueing due timers and about to look
+    /// for work itself.
+    fn push(&self, job: Job) -> Arc<Task> {
+        let task = Arc::new(Task {
+            job: Mutex::new(Some(job)),
+            enqueued: Instant::now(),
+        });
+        self.spawns_avoided.fetch_add(1, Ordering::Relaxed);
         let q = self.rr.fetch_add(1, Ordering::Relaxed) % self.queues.len();
         self.queues[q]
             .lock()
             .expect("exec queue lock")
-            .push_back(task);
+            .push_back(Arc::clone(&task));
         self.pending.fetch_add(1, Ordering::SeqCst);
-        let _park = self.park.lock().expect("exec park lock");
-        self.cv.notify_one();
+        task
+    }
+
+    /// `push` and make sure some worker will look: a searching one will
+    /// (`pending` rises before `searching` is read, and a worker stops
+    /// searching before it reads `pending`), else wake the last parked.
+    fn submit(&self, job: Job) -> Arc<Task> {
+        let task = self.push(job);
+        if self.searching.load(Ordering::SeqCst) == 0 {
+            self.wake(&mut self.park.lock().expect("exec park lock"), 1);
+        }
+        task
+    }
+
+    /// Wake up to `n` parked workers, the last parked first. Each counts as
+    /// searching from here, so submissions made before it runs wake nobody
+    /// else.
+    fn wake(&self, park: &mut Park, n: usize) {
+        let keep = park.idle.len().saturating_sub(n);
+        for worker in park.idle.drain(keep..) {
+            self.searching.fetch_add(1, Ordering::SeqCst);
+            self.wake[worker].notify_one();
+        }
     }
 
     fn find_task(&self, home: usize) -> Option<(Arc<Task>, bool)> {
+        // Nothing queued: skip the deque locks. A push not yet counted is
+        // caught by the re-check under the park lock.
+        if self.pending.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
         if let Some(t) = self.queues[home]
             .lock()
             .expect("exec queue lock")
@@ -167,8 +218,16 @@ impl Inner {
     }
 
     fn worker_loop(self: Arc<Self>, idx: usize) {
+        self.searching.fetch_add(1, Ordering::SeqCst);
         loop {
             if let Some((task, stolen)) = self.find_task(idx) {
+                // The last searcher to find work wakes a sibling for whatever
+                // was submitted while it searched.
+                if self.searching.fetch_sub(1, Ordering::SeqCst) == 1
+                    && self.pending.load(Ordering::SeqCst) > 0
+                {
+                    self.wake(&mut self.park.lock().expect("exec park lock"), 1);
+                }
                 let job = task.job.lock().expect("exec task lock").take();
                 if let Some(job) = job {
                     if stolen {
@@ -177,18 +236,43 @@ impl Inner {
                     self.note_start(&task, false);
                     self.execute_job(job);
                 }
+                self.searching.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
             let mut park = self.park.lock().expect("exec park lock");
             if park.shutdown {
                 return;
             }
-            if self.pending.load(Ordering::SeqCst) > 0 {
-                continue; // a task landed between our scan and the lock
+            // Queue every timer whose instant has passed.
+            let later = park.timers.split_off(&Instant::now());
+            for job in std::mem::replace(&mut park.timers, later)
+                .into_values()
+                .flatten()
+            {
+                self.push(job);
             }
-            park.idle += 1;
-            let mut park = self.cv.wait(park).expect("exec park lock");
-            park.idle -= 1;
+            self.searching.fetch_sub(1, Ordering::SeqCst);
+            if self.pending.load(Ordering::SeqCst) > 0 {
+                // A task landed between our scan and the lock, or was left
+                // to this worker by a submitter that saw it searching.
+                self.searching.fetch_add(1, Ordering::SeqCst);
+                continue;
+            }
+            park.idle.push(idx);
+            // Sleep until the earliest timer; with none, `Duration::MAX` is
+            // an untimed wait.
+            let wait = (park.timers.keys().next()).map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(Instant::now())
+            });
+            let (mut park, _) = self.wake[idx]
+                .wait_timeout(park, wait)
+                .expect("exec park lock");
+            // A waker took this worker off the list and counted it
+            // searching; a timeout did neither.
+            if let Some(at) = park.idle.iter().position(|&worker| worker == idx) {
+                park.idle.remove(at);
+                self.searching.fetch_add(1, Ordering::SeqCst);
+            }
             if park.shutdown {
                 return;
             }
@@ -264,11 +348,13 @@ impl Executor {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             rr: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
+            searching: AtomicUsize::new(0),
             park: Mutex::new(Park {
-                idle: 0,
+                idle: Vec::with_capacity(workers),
                 shutdown: false,
+                timers: BTreeMap::new(),
             }),
-            cv: Condvar::new(),
+            wake: (0..workers).map(|_| Condvar::new()).collect(),
             tasks_run: AtomicU64::new(0),
             inline_runs: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -348,14 +434,12 @@ impl Executor {
             // pointer) for strictly less time than `run` blocks (see above),
             // and both trait-object types have identical layout.
             let job: Job = unsafe { std::mem::transmute(job) };
-            let task = Arc::new(Task {
-                job: Mutex::new(Some(job)),
-                enqueued: Instant::now(),
-            });
-            tasks.push(Arc::clone(&task));
-            self.inner.spawns_avoided.fetch_add(1, Ordering::Relaxed);
-            self.inner.submit(task);
+            tasks.push(self.inner.push(job));
         }
+        // A batch is fan-out — shard calls that block on the wire, scan
+        // slices — so it wakes a worker per task, searchers or not.
+        self.inner
+            .wake(&mut self.inner.park.lock().expect("exec park lock"), n);
         // Caller-help: execute whatever the workers have not picked up.
         for task in tasks.iter().rev() {
             let job = task.job.lock().expect("exec task lock").take();
@@ -391,15 +475,32 @@ impl Executor {
     where
         F: FnOnce() + Send + 'static,
     {
-        let task = Arc::new(Task {
-            job: Mutex::new(Some(Box::new(f) as Job)),
-            enqueued: Instant::now(),
-        });
-        self.inner.spawns_avoided.fetch_add(1, Ordering::Relaxed);
-        self.inner.submit(Arc::clone(&task));
         TaskHandle {
-            task,
+            task: self.inner.submit(Box::new(f)),
             exec: Arc::clone(&self.inner),
+        }
+    }
+
+    /// Submit a detached task that no worker starts before `at`; an `at`
+    /// already past is an ordinary [`spawn`](Self::spawn). It counts in
+    /// `spawns_avoided` once it is queued. An idle worker runs it at `at`; a
+    /// saturated pool, once some worker next looks for work. Dropping the
+    /// executor discards timers that have not fired.
+    pub fn spawn_at<F>(&self, at: Instant, f: F)
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        if at <= Instant::now() {
+            self.spawn(f);
+            return;
+        }
+        let mut park = self.inner.park.lock().expect("exec park lock");
+        let earliest = park.timers.keys().next().is_none_or(|&first| at < first);
+        park.timers.entry(at).or_default().push(Box::new(f));
+        // A new earliest timer re-parks every idle worker against it, so a
+        // submission that then takes one of them leaves the rest watching.
+        if earliest {
+            self.inner.wake(&mut park, usize::MAX);
         }
     }
 
@@ -413,7 +514,7 @@ impl Executor {
     {
         {
             let park = self.inner.park.lock().expect("exec park lock");
-            if park.idle == 0 {
+            if park.idle.is_empty() {
                 return Err(f);
             }
         }
@@ -453,7 +554,8 @@ impl Drop for Executor {
         {
             let mut park = self.inner.park.lock().expect("exec park lock");
             park.shutdown = true;
-            self.inner.cv.notify_all();
+            park.timers.clear();
+            self.inner.wake(&mut park, usize::MAX);
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -490,7 +592,6 @@ pub fn global() -> &'static Executor {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
 
     #[test]
     fn batch_results_come_back_in_index_order() {
@@ -631,6 +732,88 @@ mod tests {
         let s = exec.stats();
         assert!(s.queue_p50_us <= s.queue_p95_us && s.queue_p95_us <= s.queue_p99_us);
         assert!(s.queue_p99_us <= s.queue_max_us);
+    }
+
+    /// Spin until `done` holds, failing after five seconds.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_timer_never_runs_before_its_instant() {
+        let exec = Executor::new(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let ats: Vec<Instant> = (0..4)
+            .map(|i| Instant::now() + Duration::from_millis(10 + 15 * i))
+            .collect();
+        for &at in &ats {
+            let tx = tx.clone();
+            exec.spawn_at(at, move || tx.send((at, Instant::now())).unwrap());
+        }
+        for _ in &ats {
+            let (at, ran) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(ran >= at, "ran {:?} early", at - ran);
+        }
+    }
+
+    #[test]
+    fn a_later_timer_with_an_earlier_instant_runs_first() {
+        let exec = Executor::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let now = Instant::now();
+        for (name, after_ms) in [("late", 120), ("early", 40)] {
+            let order = Arc::clone(&order);
+            let at = now + Duration::from_millis(after_ms);
+            exec.spawn_at(at, move || order.lock().unwrap().push(name));
+        }
+        wait_for("both timers fire", || order.lock().unwrap().len() == 2);
+        assert_eq!(*order.lock().unwrap(), ["early", "late"]);
+    }
+
+    #[test]
+    fn a_due_timer_runs_once_a_saturated_worker_frees() {
+        let exec = Executor::new(1);
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let _slow = exec.spawn(move || {
+            started_tx.send(()).unwrap();
+            let _ = released.recv();
+        });
+        started.recv().unwrap(); // the only worker is inside the slow task
+        let fired = Arc::new(AtomicBool::new(false));
+        let f2 = Arc::clone(&fired);
+        let at = Instant::now() + Duration::from_millis(5);
+        exec.spawn_at(at, move || f2.store(true, Ordering::SeqCst));
+        std::thread::sleep(Duration::from_millis(30)); // `at` passes
+        assert!(!fired.load(Ordering::SeqCst), "the only worker is busy");
+        drop(release);
+        wait_for("the timer fires once the worker frees", || {
+            fired.load(Ordering::SeqCst)
+        });
+    }
+
+    #[test]
+    fn stats_balance_once_every_timer_has_fired() {
+        let exec = Executor::new(2);
+        let fired = Arc::new(AtomicU64::new(0));
+        let now = Instant::now();
+        // Two instants already past (queued at once), three to come.
+        for ms in [0, 0, 5, 10, 20] {
+            let f2 = Arc::clone(&fired);
+            let at = now + Duration::from_millis(ms);
+            exec.spawn_at(at, move || {
+                f2.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let _ = exec.run(4, |i| i);
+        wait_for("every timer fires", || fired.load(Ordering::SeqCst) == 5);
+        let s = exec.stats();
+        assert_eq!(s.spawns_avoided, 5 + 4);
+        assert_eq!(s.tasks_run + s.inline_runs, s.spawns_avoided);
     }
 
     #[test]

@@ -381,9 +381,13 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
 "#;
 
     fn pum() -> PredictiveUserModel {
+        pum_over(DATA)
+    }
+
+    fn pum_over(data: &str) -> PredictiveUserModel {
         let ep: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
             "dbpedia",
-            turtle::parse(DATA).unwrap(),
+            turtle::parse(data).unwrap(),
             EndpointLimits::warehouse(),
         ));
         PredictiveUserModel::initialize(
@@ -437,6 +441,31 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
         };
         assert_eq!(iri, "http://dbpedia.org/ontology/surname");
         drop(session);
+    }
+
+    /// A keyword no predicate is Jaro-Winkler-close to falls back to the
+    /// tree's first substring match, and there a predicate's surface form
+    /// outranks a shorter literal: `completion_rank` orders kind before
+    /// length.
+    #[test]
+    fn keyword_fallback_prefers_a_predicate_to_a_shorter_literal() {
+        let p = pum_over(
+            r#"res:JFK a dbo:Person ; dbo:birthPlace "Brookline"@en ; dbo:name "placebo"@en ."#,
+        );
+        let cache = p.qcm().cache();
+        assert_eq!(cache.best_predicate("place", 0.85), None);
+        let matches = cache.tree_lookup("place", 2);
+        let matches: Vec<_> = (matches.iter())
+            .map(|m| (m.text.as_str(), m.predicate_iri.is_some()))
+            .collect();
+        assert_eq!(matches, [("birth place", true), ("placebo", false)]);
+        let mut s = Session::new(&p);
+        s.set_row(0, TripleInput::new("?x", "place", "?y"));
+        let q = s.build_query().unwrap();
+        assert_eq!(
+            q.pattern.triples[0].predicate,
+            TermPattern::iri("http://dbpedia.org/ontology/birthPlace")
+        );
     }
 
     #[test]

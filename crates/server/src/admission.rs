@@ -14,8 +14,8 @@
 //! * **Evented** ([`AdmissionController::admit_evented`]) — nothing blocks:
 //!   the caller keeps the ticket and supplies the callback. The evented
 //!   front-end ([`crate::frontend`]) parks *sessions* in its reactor instead
-//!   of parking worker threads here, which is what lets a fixed worker pool
-//!   hold thousands of open sessions.
+//!   of parking threads here, which is what lets a few turns on the shared
+//!   executor hold thousands of open sessions.
 //! * **Parked** ([`AdmissionController::admit`]) — the classic
 //!   thread-per-request shape, built on the evented one: the callback
 //!   signals a private one-shot channel and the calling thread blocks on it

@@ -1,5 +1,5 @@
-//! The evented serving front-end: thousands of open sessions on a small,
-//! fixed worker pool.
+//! The evented serving front-end: thousands of open sessions, and not one
+//! thread of its own.
 //!
 //! The paper's workload is interactive — users hold sessions open for
 //! minutes and issue requests in sub-second bursts between long think
@@ -17,18 +17,22 @@
 //!   service cost no thread hand-off at all;
 //! * the **reactor** (`reactor::Reactor`) holds the sessions that have
 //!   runnable work in one ready queue;
-//! * a **worker pool** of `FrontendConfig::workers` threads pulls ready
-//!   sessions and drives [`SapphireServer`] request execution to
-//!   completion — the requests a submitter could not finish: cache misses
-//!   (handed over once, past their counted lookup, slot in hand), sessions
-//!   resuming from a parked ticket, and submissions to a busy session;
+//! * **turn tasks** on the process-global executor
+//!   ([`sapphire_core::exec::global`]) — at most `FrontendConfig::workers`
+//!   at once — pop ready sessions and drive [`SapphireServer`] request
+//!   execution to completion: the requests a submitter could not finish,
+//!   i.e. cache misses (handed over once, past their counted lookup, slot
+//!   in hand), sessions resuming from a parked ticket, and submissions to a
+//!   busy session. A turn task ends when the queue is empty; the next
+//!   ready session starts another;
 //! * **admission never parks a thread**: a full gate hands back an
 //!   [`AdmissionTicket`](crate::admission::AdmissionTicket) and the
 //!   *session* waits in `AwaitingGrant` — the queue wait lives in the
 //!   reactor, not in a blocked thread
-//!   ([`AdmissionController::admit_evented`](crate::admission::AdmissionController::admit_evented)).
+//!   ([`AdmissionController::admit_evented`](crate::admission::AdmissionController::admit_evented)),
+//!   and its deadline is an executor timer.
 //!
-//! Submitter and workers run the *same* dispatch (`worker::Turn`); which of
+//! Submitter and turn tasks run the *same* dispatch (`worker::Turn`); which of
 //! them holds a session is the phase tag, so per-session ordering is exactly
 //! submission order (one thread operates on a session at a time) and the
 //! evented tier answers byte-for-byte like the thread-per-request tier —
@@ -44,6 +48,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
+use sapphire_core::exec;
 use sapphire_obs::Stage;
 
 use crate::error::ServerError;
@@ -57,8 +62,10 @@ use session::{Phase, SessionState};
 /// Tuning knobs of a [`Frontend`].
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
-    /// Worker threads driving request execution. This is the front-end's
-    /// whole thread budget — it does not grow with open sessions.
+    /// Turns this front-end runs at once on the shared executor
+    /// ([`sapphire_core::exec::global`]): the cap on its concurrent request
+    /// execution. The front-end owns no threads, and this does not grow
+    /// with open sessions.
     pub workers: usize,
     /// Requests one session may have queued (its typing-burst backlog);
     /// submissions beyond it are rejected typed with
@@ -102,10 +109,10 @@ pub struct FrontendMetrics {
     /// [`Frontend::submit`] returned: session edits and response-cache hits
     /// on an idle session (and whatever fails typed before it could wait).
     pub answered_inline: u64,
-    /// Requests answered by a front-end worker.
+    /// Requests answered by a turn task on the shared executor.
     pub answered_by_worker: u64,
     /// Requests a submitting thread took as far as a counted cache miss and
-    /// a worker finished — the one thread hand-off a cold request pays.
+    /// a turn task finished — the one thread hand-off a cold request pays.
     pub handed_over: u64,
     /// Admission-controlled requests granted a free slot immediately.
     pub immediate_grants: u64,
@@ -114,7 +121,7 @@ pub struct FrontendMetrics {
     pub ticket_waits: u64,
     /// Parked sessions resumed by a grant callback.
     pub ticket_grants: u64,
-    /// Grants that arrived in the same instant the deadline sweep fired —
+    /// Grants that arrived in the same instant the deadline timer fired —
     /// the slot is used, never bounced.
     pub late_grants: u64,
     /// Parked sessions settled to [`ServerError::QueueTimeout`].
@@ -159,8 +166,19 @@ impl Shared {
         self.sessions.write().unwrap().remove(&id);
     }
 
-    /// Admission grant callback target: a parked session becomes ready.
-    pub(crate) fn on_grant(&self, id: u64) {
+    /// Make session `id` ready, starting a turn task on the shared executor
+    /// unless `workers` are already alive.
+    pub(crate) fn schedule(self: &Arc<Self>, id: u64) {
+        if self.reactor.schedule(id) {
+            let shared = Arc::clone(self);
+            exec::global().spawn(move || worker::run_turns(&shared));
+        }
+    }
+
+    /// A parked session's admission grant arrived or its deadline passed:
+    /// it becomes ready, and a turn claims the grant or settles the expired
+    /// ticket.
+    pub(crate) fn on_grant(self: &Arc<Self>, id: u64) {
         let Some(state_arc) = self.session(id) else {
             return;
         };
@@ -168,7 +186,7 @@ impl Shared {
         if st.phase == Phase::AwaitingGrant {
             st.phase = Phase::Queued;
             drop(st);
-            self.reactor.schedule(id);
+            self.schedule(id);
         }
         // Any other phase: a thread holds the session right now and its
         // re-park path double-checks the ticket, so the wake is not lost.
@@ -178,33 +196,22 @@ impl Shared {
 /// The evented front-end: see the module docs.
 pub struct Frontend {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Frontend {
-    /// Stand a front-end over `server`.
+    /// Stand a front-end over `server`. It starts no thread: its turns and
+    /// deadline timers run on the process-global executor, which this
+    /// brings up if nothing has yet.
     pub fn new(server: Arc<SapphireServer>, config: FrontendConfig) -> Self {
-        let workers = config.workers.max(1);
+        exec::global();
         let shared = Arc::new(Shared {
             server,
+            reactor: reactor::Reactor::new(config.workers),
             config,
-            reactor: reactor::Reactor::new(),
             sessions: RwLock::new(HashMap::new()),
             counters: MetricCounters::default(),
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("sapphire-fe-{i}"))
-                    .spawn(move || worker::worker_loop(shared))
-                    .expect("worker thread spawns")
-            })
-            .collect();
-        Frontend {
-            shared,
-            workers: handles,
-        }
+        Frontend { shared }
     }
 
     /// The server behind this front-end.
@@ -234,8 +241,10 @@ impl Frontend {
     /// `submit` returns, for a session edit or a response-cache hit on an
     /// idle session (and for a submission rejected outright: unknown/closed
     /// session, per-session queue full, front-end shutting down); otherwise
-    /// later, from a worker. A rejection is also returned, so submit-loop
-    /// callers can react without waiting.
+    /// later, from a turn on a shared executor worker — so a callback that
+    /// blocks holds that worker, and one of this front-end's `workers`
+    /// turns, for as long as it blocks. A rejection is also returned, so
+    /// submit-loop callers can react without waiting.
     ///
     /// What the submitting thread *does* take, when it answers itself, is a
     /// handful of short locks nobody holds across a wait — this session's
@@ -321,7 +330,7 @@ impl Frontend {
                 st.queue.push_back(q);
                 st.phase = Phase::Queued;
                 drop(st);
-                self.shared.reactor.schedule(id.0);
+                self.shared.schedule(id.0);
             }
             // Whoever holds the session, or its grant, finds the request in
             // the queue when its turn ends.
@@ -372,7 +381,7 @@ impl Frontend {
 
     /// Observability snapshot.
     pub fn metrics(&self) -> FrontendMetrics {
-        let (ready, parked, _busy) = self.shared.reactor.load();
+        let (ready, parked, peak_ready) = self.shared.reactor.load();
         let counters = &self.shared.counters;
         let answered_inline = counters.answered_inline.load(Ordering::Relaxed);
         let answered_by_worker = counters.answered_by_worker.load(Ordering::Relaxed);
@@ -394,7 +403,7 @@ impl Frontend {
             open_sessions: self.shared.sessions.read().unwrap().len(),
             ready,
             parked,
-            peak_ready: self.shared.reactor.peak_ready(),
+            peak_ready,
         }
     }
 
@@ -425,14 +434,11 @@ impl Frontend {
 
     /// Drain and stop: reject new intake typed ([`ServerError::ShuttingDown`]),
     /// finish every queued request and parked admission (each gets its
-    /// response), then join the workers. Returns the final metrics —
-    /// `completed == submitted` is the drain guarantee the shutdown test
-    /// pins.
-    pub fn shutdown(mut self) -> FrontendMetrics {
-        self.shared.reactor.begin_shutdown();
-        for h in self.workers.drain(..) {
-            h.join().expect("front-end workers never panic");
-        }
+    /// response), then wait for the last turn task to end. Returns the
+    /// final metrics — `completed == submitted` is the drain guarantee the
+    /// shutdown test pins.
+    pub fn shutdown(self) -> FrontendMetrics {
+        self.shared.reactor.drain();
         self.metrics()
     }
 }
@@ -441,10 +447,7 @@ impl Drop for Frontend {
     fn drop(&mut self) {
         // Dropping without `shutdown()` still drains: otherwise queued
         // callbacks (and their callers) would silently never fire.
-        self.shared.reactor.begin_shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.shared.reactor.drain();
     }
 }
 
@@ -1162,12 +1165,41 @@ mod tests {
         assert_eq!(metrics.parked, 0);
     }
 
+    /// The names of this process's threads.
+    #[cfg(target_os = "linux")]
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_string())
+            .collect()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_front_end_owns_no_threads() {
+        let fe = frontend(ServerConfig::for_tests());
+        let s = fe.open_session("alice").unwrap();
+        let cold = FrontRequest::Complete {
+            typed: "Kenn".into(),
+        };
+        let Err(later) = answered_by_return(&fe, s, cold) else {
+            panic!("a cold completion was answered without a turn task");
+        };
+        later.recv().unwrap().expect("a turn task answers it");
+        assert_eq!(fe.metrics().handed_over, 1);
+        let mut names = thread_names();
+        assert!(names.iter().any(|n| n.starts_with("sapphire-exec")));
+        names.retain(|n| n.starts_with("sapphire-fe"));
+        assert!(names.is_empty(), "front-end threads: {names:?}");
+    }
+
     #[test]
     fn submissions_after_shutdown_are_rejected_typed() {
         let fe = frontend(ServerConfig::for_tests());
         let s = fe.open_session("alice").unwrap();
         let shared = fe.shared.clone();
-        shared.reactor.begin_shutdown();
+        shared.reactor.drain();
         let cb_seen = Arc::new(AtomicUsize::new(0));
         let flag = cb_seen.clone();
         let err = fe

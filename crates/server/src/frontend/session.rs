@@ -98,12 +98,14 @@ pub enum FrontResponse {
 /// It runs on whichever thread produced the answer: the *submitting* thread,
 /// before [`Frontend::submit`](super::Frontend::submit) returns, for a
 /// rejected submission and for an edit or a response-cache hit on an idle
-/// session; a front-end worker otherwise. So it must not block (on a worker
-/// it stalls the pool, on the submitter it stalls its own caller), must not
-/// assume it is on a worker thread, and `submit` must not be called while
-/// holding a lock the callback takes. It may submit follow-up requests (the
-/// closed-loop bench drives itself this way); those never run nested inside
-/// it — a submission made from within an answering callback is queued.
+/// session; a turn task on a shared executor worker otherwise. So it must
+/// not block (on a worker it holds that executor worker and one of the
+/// front-end's `workers` turns, on the submitter it stalls its own caller),
+/// must not assume it is on a worker thread, and `submit` must not be
+/// called while holding a lock the callback takes. It may submit follow-up
+/// requests (the closed-loop bench drives itself this way); those never run
+/// nested inside it — a submission made from within an answering callback
+/// is queued.
 pub type ResponseCallback = Box<dyn FnOnce(Result<FrontResponse, ServerError>) + Send>;
 
 /// Where a session currently lives.
@@ -117,7 +119,7 @@ pub(crate) enum Phase {
     /// session idle — is operating on it right now.
     Running,
     /// The head request holds an [`AdmissionTicket`]; the session re-enters
-    /// the ready queue when the grant callback (or the deadline sweep)
+    /// the ready queue when the grant callback (or the deadline timer)
     /// fires.
     AwaitingGrant,
 }

@@ -4,9 +4,10 @@
 //! `Running` ([`Turn`]) until it hands the session to its next state. Two
 //! kinds of thread take turns:
 //!
-//! * a **worker** loops on [`Reactor::next`](super::reactor::Reactor::next),
-//!   claims one ready session, and drives its head request to completion
-//!   against the shared [`SapphireServer`](crate::server::SapphireServer);
+//! * a **worker** — an executor worker running a turn task
+//!   ([`run_turns`]) — pops one ready session after another off the
+//!   reactor and drives each head request to completion against the shared
+//!   [`SapphireServer`](crate::server::SapphireServer);
 //! * the **submitter** of a request that found its session idle runs the
 //!   same [`Turn::dispatch`], but may neither wait nor work
 //!   ([`Runner::Submitter`]): it answers session edits and response-cache
@@ -19,8 +20,8 @@
 //! [`AdmissionTicket`](crate::admission::AdmissionTicket) and the *session*
 //! parks (`Phase::AwaitingGrant`) while the thread moves on. The grant
 //! callback — fired by whichever thread releases a slot — puts the session
-//! back in the ready queue; the deadline sweep does the same for tickets
-//! whose queue wait expired, and a worker settles those to a typed
+//! back in the ready queue; the ticket's deadline, an executor timer, does
+//! the same once its queue wait expires, and a worker settles it to a typed
 //! [`ServerError::QueueTimeout`].
 
 use std::borrow::Cow;
@@ -29,6 +30,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use sapphire_core::exec;
 use sapphire_obs::{RequestMark, Stage, Trace, TraceScope};
 
 use crate::admission::{AdmissionPermit, AsyncAdmission, GrantCallback};
@@ -42,22 +44,18 @@ use super::session::{
 };
 use super::Shared;
 
-pub(crate) fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        match shared.reactor.next() {
-            super::reactor::Work::Exit => return,
-            super::reactor::Work::Session(id) => {
-                let followup = process(&shared, id);
-                shared.reactor.done(followup);
-            }
-        }
+/// A turn task: operate on ready sessions until the reactor has none.
+pub(crate) fn run_turns(shared: &Arc<Shared>) {
+    while let Some(id) = shared.reactor.pop() {
+        let followup = process(shared, id);
+        shared.reactor.done(followup);
     }
 }
 
 /// Who is taking a [`Turn`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Runner {
-    /// A front-end worker: may wait in a flight and scan the model.
+    /// A turn task: may wait in a flight and scan the model.
     Worker,
     /// The thread inside [`Frontend::submit`](super::Frontend::submit): may
     /// neither wait nor work.
@@ -98,7 +96,7 @@ fn process(shared: &Arc<Shared>, id: u64) -> Option<u64> {
     let state_arc = shared.session(id)?;
     let mut st = state_arc.lock().unwrap();
     match st.phase {
-        // A spurious ready entry (deadline sweep racing a grant, or a
+        // A spurious ready entry (deadline timer racing a grant, or a
         // duplicate schedule): whoever owns the session now will
         // re-schedule it if needed.
         Phase::Idle | Phase::Running => return None,
@@ -194,7 +192,7 @@ pub(crate) fn dispatch_on_submitter(
         // callback) queued behind this turn: they are a worker's.
         Ownership::Held => {
             if let Some(id) = turn.finish() {
-                shared.reactor.schedule(id);
+                shared.schedule(id);
             }
         }
     }
@@ -321,7 +319,7 @@ impl Turn<'_> {
                 }
             };
         }
-        // Spurious wake (stale deadline entry after an early grant-and-repark,
+        // Spurious wake (stale deadline timer after an early grant-and-repark,
         // or a duplicate schedule): re-park via the shared race-safe path.
         self.park(p)
     }
@@ -357,10 +355,23 @@ impl Turn<'_> {
         // order; the reactor never takes a session lock.)
         shared.reactor.note_parked();
         drop(st);
+        // A one-shot wake, never cancelled: a session whose grant came first
+        // just sees a spurious wake at its old deadline.
         if let Some(at) = deadline {
-            shared.reactor.schedule_deadline(at, self.id);
+            exec::global().spawn_at(at, self.waker());
         }
         Ownership::Parked
+    }
+
+    /// What makes this session ready again once it parks on a ticket: its
+    /// grant callback and its deadline timer. Holds the front-end weakly.
+    fn waker(&self) -> impl FnOnce() + Send + 'static {
+        let (weak, id) = (Arc::downgrade(self.shared), self.id);
+        move || {
+            if let Some(shared) = weak.upgrade() {
+                shared.on_grant(id);
+            }
+        }
     }
 
     /// After one unit of owned work: hand the session to its next state.
@@ -454,14 +465,7 @@ impl Turn<'_> {
         let admission = shared
             .server
             .admission_gate()
-            .admit_evented(|| -> GrantCallback {
-                let (weak, id) = (Arc::downgrade(shared), self.id);
-                Box::new(move || {
-                    if let Some(shared) = weak.upgrade() {
-                        shared.on_grant(id);
-                    }
-                })
-            });
+            .admit_evented(|| -> GrantCallback { Box::new(self.waker()) });
         match admission {
             Ok(AsyncAdmission::Ready(permit)) => {
                 shared
@@ -542,7 +546,7 @@ impl Turn<'_> {
             .counters
             .handed_over
             .fetch_add(1, Ordering::Relaxed);
-        self.shared.reactor.schedule(self.id);
+        self.shared.schedule(self.id);
         Ownership::Parked
     }
 

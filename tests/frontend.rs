@@ -1,5 +1,5 @@
 //! Front-end-vs-oracle contracts: the evented tier (sessions multiplexed on
-//! a small worker pool, non-blocking admission) must be *indistinguishable
+//! a few executor turns, non-blocking admission) must be *indistinguishable
 //! in content* from the thread-per-request tier it replaces.
 //!
 //! The comparison contract: every session's response stream, rendered
