@@ -61,7 +61,8 @@ pub enum Stage {
     /// Cluster tier: merging shard partials into the final top-k.
     EdgeMerge,
     /// Shared executor: a task sitting in a worker queue before it starts
-    /// (scatter shard calls, hedges, residual-bin scan tasks).
+    /// (scatter shard calls, hedges, residual-bin scan tasks, wire request
+    /// dispatch, front-end turns, admission-deadline timers).
     ExecQueue,
     /// Whole request, entry tier → reply.
     EndToEnd,

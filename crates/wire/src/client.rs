@@ -24,13 +24,16 @@
 //! 3. **Every failure is counted.** `connects` / `reconnects` /
 //!    `io_errors` / `corrupt_frames` feed the cluster report's transport
 //!    section, so a flaky link is visible even when retries hide it from
-//!    latency numbers.
+//!    latency numbers. A request that encodes past the frame cap the
+//!    replica advertised is neither: it fails its own call as a
+//!    non-retryable [`ServerError::Backend`] before a byte is written.
 //!
 //! [`ServerError::Unreachable`]: sapphire_server::ServerError::Unreachable
+//! [`ServerError::Backend`]: sapphire_server::ServerError::Backend
 
 use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -86,6 +89,11 @@ pub struct WireClient {
     config: WireClientConfig,
     name: String,
     k: usize,
+    /// The largest frame payload the replica accepts, as its last
+    /// HELLO_OK advertised it. A request encoding past it fails its call
+    /// unwritten: the replica would refuse the frame by dropping the
+    /// connection every in-flight call shares.
+    max_frame: AtomicU32,
     /// The live connection, shared by every in-flight call. Replaced
     /// wholesale on failure; in-flight callers keep their `Arc` to the
     /// dead one and surface its error.
@@ -113,6 +121,7 @@ impl WireClient {
             config,
             name: String::new(),
             k: 0,
+            max_frame: AtomicU32::new(MAX_FRAME),
             pipe: Mutex::new(None),
             broken: AtomicBool::new(false),
             connects: AtomicU64::new(0),
@@ -159,10 +168,11 @@ impl WireClient {
         if k != kind::HELLO_OK {
             return Err(WireError::Corrupt(format!("expected HELLO_OK, got {k}")));
         }
-        let (name, top_k, _server_max, chosen) = decode_hello_ok(&payload)?;
+        let (name, top_k, server_max, chosen) = decode_hello_ok(&payload)?;
         if chosen != WIRE_VERSION {
             return Err(WireError::Corrupt(format!("negotiated version {chosen}")));
         }
+        self.max_frame.store(server_max, Ordering::Relaxed);
         self.connects.fetch_add(1, Ordering::Relaxed);
         if self.broken.swap(false, Ordering::Relaxed) {
             self.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -463,6 +473,13 @@ impl ShardService for WireClient {
     /// typed errors.
     fn call(&self, req: &WireRequest) -> Result<WireReply, ServerError> {
         let payload = encode_request(req);
+        let max = self.max_frame.load(Ordering::Relaxed);
+        if payload.len() > max as usize {
+            // Neither a link failure nor a corrupt frame: nothing is sent,
+            // and no counter moves.
+            let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+            return Err(WireError::TooLarge { len, max }.to_server_error());
+        }
         let mut retried = false;
         loop {
             let (pipe, fresh) = self.get_pipe()?;

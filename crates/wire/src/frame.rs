@@ -48,7 +48,8 @@ pub mod kind {
     /// Client → server, first frame on a connection: `[version u32]`.
     pub const HELLO: u8 = 1;
     /// Server → client handshake ack:
-    /// `[name][k u32][max_frame u32][version u32]`.
+    /// `[name][k u64][max_frame u32][version u32]`, the name a `u32`
+    /// byte length and its UTF-8.
     pub const HELLO_OK: u8 = 2;
     /// Client → server: one encoded [`WireRequest`](crate::WireRequest).
     pub const REQUEST: u8 = 3;

@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sapphire_core::exec;
-use sapphire_server::ShardService;
+use sapphire_server::{ServerError, ShardService};
 
 use crate::codec::{decode_hello, decode_request, encode_hello_ok, encode_reply, LoadHeader};
 use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION};
@@ -380,7 +380,10 @@ fn submit_request(
 }
 
 /// Decode one request, answer it with the hosted service's own
-/// [`ShardService::call`], and write the reply, which echoes `corr`.
+/// [`ShardService::call`], and write the reply, which echoes `corr`. A reply
+/// that encodes past [`MAX_FRAME`] is answered with a typed
+/// [`ServerError::Backend`] instead: the client's reader would refuse the
+/// frame by dropping the connection every pipelined call shares.
 fn serve_one(
     writer: &Arc<Mutex<TcpStream>>,
     shared: &Shared,
@@ -402,7 +405,14 @@ fn serve_one(
         queued: queued.min(u32::MAX as usize) as u32,
         pressure: shared.service.shed_pressure_tier().min(u8::MAX as usize) as u8,
     };
-    let reply = encode_reply(load, &result);
+    let mut reply = encode_reply(load, &result);
+    if reply.len() > MAX_FRAME as usize {
+        let error = ServerError::Backend(format!(
+            "reply of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+            reply.len()
+        ));
+        reply = encode_reply(load, &Err(error));
+    }
     let mut w = writer.lock().unwrap();
     frame::write_frame_corr(&mut *w, kind::REPLY, corr, &reply)
 }
