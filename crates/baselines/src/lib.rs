@@ -17,6 +17,7 @@
 //! * [`scoring`] / [`harness`] — the QALD measures and the §7.2 protocol
 //!   driver regenerating Table 1.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod entity_index;

@@ -6,6 +6,8 @@
 //! "Substitutions", for what each experiment stands in for and this crate's
 //! README for the report schema.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod cluster;
 pub mod frontend;

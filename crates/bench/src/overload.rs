@@ -35,7 +35,7 @@
 //!   then means a tier-keyed cache leaked across tiers
 //!   (`tier_mix_violations`, gated at zero).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -296,7 +296,7 @@ fn run_step(
     exec: &Executor,
     router: &Arc<ClusterRouter>,
     factory: &QueryFactory,
-    schedule: &[u64],
+    schedule: Vec<u64>,
     offered_rps: f64,
     serial_base: usize,
     launchers: usize,
@@ -313,31 +313,30 @@ fn run_step(
     let end_to_end_before = cluster_stage_snapshot(router, Stage::EndToEnd);
     let metrics_before = router.metrics();
 
-    let next = AtomicUsize::new(0);
-    let late = AtomicU64::new(0);
-    let degraded = AtomicU64::new(0);
-    let started = Instant::now();
-    let mut stats = ClassStats::default();
-    let launcher_outs = exec.run(launchers, |launcher| {
+    // The launchers' closure owns what they share (`run` holds it in one
+    // `Arc`); each launcher counts its own late launches and degraded runs.
+    let (next, started, launch_router) = (AtomicUsize::new(0), Instant::now(), Arc::clone(router));
+    let arrival_count = schedule.len();
+    let launcher_outs = exec.run(launchers, move |launcher| {
         let tenant = format!("open-{launcher}");
-        let mut stats = ClassStats::default();
-        let mut sampled = Vec::new();
+        let (mut stats, mut sampled, mut late, mut degraded) =
+            (ClassStats::default(), Vec::new(), 0u64, 0u64);
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= arrivals.len() {
-                return (stats, sampled);
+                return (stats, sampled, late, degraded);
             }
             let target = started + Duration::from_nanos(schedule[i]);
             let now = Instant::now();
             if now < target {
                 std::thread::sleep(target - now);
             } else if now > target + Duration::from_millis(5) {
-                late.fetch_add(1, Ordering::Relaxed);
+                late += 1;
             }
-            let outcome = router.run(&tenant, &arrivals[i]);
+            let outcome = launch_router.run(&tenant, &arrivals[i]);
             if let Ok(run) = &outcome {
                 if run.degraded {
-                    degraded.fetch_add(1, Ordering::Relaxed);
+                    degraded += 1;
                     if sampled.len() < 4 {
                         sampled.push(i);
                     }
@@ -348,8 +347,11 @@ fn run_step(
             stats.record(target, &flatten(outcome.map(|_| ())));
         }
     });
-    for (s, sampled) in launcher_outs {
+    let (mut stats, mut late_launches, mut degraded) = (ClassStats::default(), 0, 0);
+    for (s, sampled, late, degraded_runs) in launcher_outs {
         stats.merge(s);
+        late_launches += late;
+        degraded += degraded_runs;
         let mut sample = degraded_sample.lock().expect("sample lock");
         for i in sampled {
             if sample.len() >= sample_cap {
@@ -369,11 +371,11 @@ fn run_step(
         .collect();
     StepOutcome {
         offered_rps,
-        arrivals: schedule.len(),
+        arrivals: arrival_count,
         stats,
         wall,
-        late_launches: late.load(Ordering::Relaxed),
-        degraded: degraded.load(Ordering::Relaxed),
+        late_launches,
+        degraded,
         degraded_by_tier,
         admission_p99_us: cluster_stage_snapshot(router, Stage::AdmissionWait)
             .diff(&admission_before)
@@ -458,8 +460,10 @@ pub fn run(opts: &OverloadOptions) -> MetricsHub {
     serial += opts.calibration_requests;
     let next = AtomicUsize::new(0);
     let calibrated = Instant::now();
+    let calibrating = Arc::clone(&router);
+    let launchers = opts.launchers.min(opts.calibration_requests);
     let completed: u64 = exec
-        .run(opts.launchers.min(opts.calibration_requests), |launcher| {
+        .run(launchers, move |launcher| {
             let tenant = format!("calibrate-{launcher}");
             let mut done = 0u64;
             loop {
@@ -467,7 +471,7 @@ pub fn run(opts: &OverloadOptions) -> MetricsHub {
                 if i >= calibration.len() {
                     return done;
                 }
-                if router.run(&tenant, &calibration[i]).is_ok() {
+                if calibrating.run(&tenant, &calibration[i]).is_ok() {
                     done += 1;
                 }
             }
@@ -496,14 +500,14 @@ pub fn run(opts: &OverloadOptions) -> MetricsHub {
             &exec,
             &router,
             &factory,
-            &schedule,
+            schedule,
             offered,
             serial,
             opts.launchers,
             &degraded_sample,
             opts.tier_mix_sample,
         );
-        serial += schedule.len();
+        serial += outcome.arrivals;
         outcomes.push(outcome);
     }
 

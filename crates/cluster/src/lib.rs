@@ -50,6 +50,7 @@
 //! # let _ = completions;
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod merge;

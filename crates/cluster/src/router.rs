@@ -32,6 +32,14 @@
 //! histogram and, in a sampled request, spanned under it — the fan-out
 //! total is the `shard_rtt` count plus the hedges fired.
 //!
+//! A shard call reads one `Arc`-shared value: the replicas, the
+//! configuration, the counters and the edge's `Obs`. So each scatter arm
+//! and each hedged replica call is an ordinary `'static` executor task that
+//! owns what it touches, and each enters its request's trace context and
+//! request mark on whatever worker runs it: the shard server's spans land
+//! under the call's `shard_rtt` span, and an in-process replica never counts
+//! a request of its own.
+//!
 //! The edge is itself a serving tier: QCM/QSM responses are memoized in
 //! sharded response caches and identical in-flight requests are
 //! single-flighted through the same [`ReadThrough`] front the servers use,
@@ -373,10 +381,9 @@ struct Counters {
     hedges_won: AtomicU64,
     hedges_suppressed: AtomicU64,
     /// Gauge of hedged secondary calls currently running (each pins one
-    /// admission slot on its replica until its scan completes). Shared
-    /// (`Arc`) because the hedge thread itself decrements it when the scan
-    /// finishes, win or lose.
-    hedges_in_flight: Arc<AtomicU64>,
+    /// admission slot on its replica until its scan completes). The hedge
+    /// task itself decrements it when the scan finishes, win or lose.
+    hedges_in_flight: AtomicU64,
     /// Seed sequence for per-call retry jitter.
     jitter_seq: AtomicU64,
     replica_retries: AtomicU64,
@@ -396,7 +403,7 @@ impl Counters {
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
             hedges_suppressed: AtomicU64::new(0),
-            hedges_in_flight: Arc::new(AtomicU64::new(0)),
+            hedges_in_flight: AtomicU64::new(0),
             jitter_seq: AtomicU64::new(0),
             replica_retries: AtomicU64::new(0),
             rejected_after_retry: AtomicU64::new(0),
@@ -462,27 +469,27 @@ fn retry_hint(e: &ServerError) -> Duration {
 }
 
 /// One shard as the [`Endpoint`] a cross-shard bound join probes and
-/// sub-queries: each query is one [`ClusterRouter::shard_rtt`] — the same
+/// sub-queries: each query is one [`Routing::shard_rtt`] — the same
 /// load-ordered, hedged, retried, counted and spanned shard call every
 /// scatter makes — so the join keeps choosing a replica per query instead
 /// of pinning whichever was least loaded (or alive) when the plan started.
 struct ShardEndpoint<'a> {
-    router: &'a ClusterRouter,
+    routing: &'a Arc<Routing>,
     shard: usize,
     tenant: &'a str,
 }
 
 impl Endpoint for ShardEndpoint<'_> {
     fn name(&self) -> &str {
-        &self.router.config.name
+        &self.routing.config.name
     }
 
     fn execute_parsed(&self, query: &Query) -> Result<QueryResult, EndpointError> {
-        let request = WireRequest::Raw {
+        let request = Arc::new(WireRequest::Raw {
             tenant: self.tenant.to_string(),
             query: query.clone(),
-        };
-        self.router
+        });
+        self.routing
             .shard_rtt(self.shard, &request, None, WireReply::into_raw)
             .map_err(|e| match e {
                 ClusterError::ShardUnavailable { last: error, .. }
@@ -547,25 +554,55 @@ fn ground_subject_shard(query: &SelectQuery, shards: usize) -> Option<usize> {
     }
 }
 
-/// The sharded multi-tier edge router. See the module docs.
-pub struct ClusterRouter {
+/// What a shard call reads — the replicas, the routing policy, the
+/// counters and the edge's [`Obs`] — in one value the router shares (`Arc`)
+/// with the executor tasks that make its calls, so each task owns what it
+/// touches.
+struct Routing {
     /// What the router actually routes over: one [`ShardService`] per
     /// replica per shard. In-process replicas and wire clients mix freely
     /// (though a deployment normally picks one).
     shards: Vec<Vec<Arc<dyn ShardService>>>,
+    config: ClusterConfig,
+    counters: Counters,
+    obs: Arc<Obs>,
+}
+
+/// The calling request's trace context, carried into a task on an executor
+/// worker.
+#[derive(Clone)]
+struct RequestCtx(Option<(trace::Trace, Option<u32>)>);
+
+impl RequestCtx {
+    fn current() -> Self {
+        RequestCtx(trace::current_ctx())
+    }
+
+    /// Enter it on this thread for the guards' lifetime: spans parent under
+    /// the caller's, and a request mark keeps an in-process shard server's
+    /// own request scope inert.
+    fn enter(&self) -> (RequestMark, Option<TraceScope>) {
+        let scope = self.0.clone().map(|(trace, parent)| match parent {
+            Some(p) => TraceScope::enter_with_parent(trace, p),
+            None => TraceScope::enter(Some(trace)),
+        });
+        (RequestMark::new(), scope)
+    }
+}
+
+/// The sharded multi-tier edge router. See the module docs.
+pub struct ClusterRouter {
+    routing: Arc<Routing>,
     /// The in-process data tier, kept only when the router was built over
     /// one ([`new`](Self::new)/[`with_obs`](Self::with_obs)); a router over
     /// explicit shard services ([`over`](Self::over)) has none.
     cluster: Option<Cluster>,
-    config: ClusterConfig,
     k: usize,
     completions: ReadThrough<MergedCompletion, ClusterError>,
     runs: ReadThrough<ClusterRunPayload, ClusterError>,
     /// Raw queries single-flight at the edge but are never edge-cached.
     raw: ReadThrough<QueryResult, ClusterError>,
     tenants: sapphire_server::admission::TenantBudgets,
-    counters: Counters,
-    obs: Arc<Obs>,
 }
 
 impl ClusterRouter {
@@ -621,7 +658,6 @@ impl ClusterRouter {
             shards.iter().all(|r| !r.is_empty()),
             "every shard needs at least one replica"
         );
-        let shard_count = shards.len();
         // Every replica of every shard shares one model config; the edge
         // presents the same top-k the shards compute.
         let k = shards[0][0].top_k();
@@ -632,27 +668,25 @@ impl ClusterRouter {
             completions: ReadThrough::new("edge completion", cache_shards, capacity, waiters),
             runs: ReadThrough::new("edge run", cache_shards, capacity, waiters),
             raw: ReadThrough::new("edge service", cache_shards, None, waiters),
-            counters: Counters::new(shard_count),
-            obs,
+            routing: Arc::new(Routing {
+                counters: Counters::new(shards.len()),
+                obs,
+                shards,
+                config,
+            }),
             k,
-            shards,
             cluster,
-            config,
         }
     }
 
     fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_replicas(&self, shard: usize) -> &[Arc<dyn ShardService>] {
-        &self.shards[shard]
+        self.routing.shards.len()
     }
 
     /// The router's observability handle (edge stage histograms, trace
     /// sampler, flight recorder).
     pub fn obs(&self) -> &Arc<Obs> {
-        &self.obs
+        &self.routing.obs
     }
 
     /// The underlying in-process cluster.
@@ -670,7 +704,7 @@ impl ClusterRouter {
 
     /// The configuration in effect.
     pub fn config(&self) -> &ClusterConfig {
-        &self.config
+        &self.routing.config
     }
 
     /// Charge `cost` edge work units to `tenant` (typed
@@ -699,36 +733,29 @@ impl ClusterRouter {
         // they keep counting across requests (and across routers, if two
         // share clients), so the snapshot reads them live and sums.
         let mut transport = TransportStats::default();
-        for replicas in &self.shards {
+        for replicas in &self.routing.shards {
             for replica in replicas {
                 transport.merge(&replica.transport_stats());
             }
         }
+        let counters = &self.routing.counters;
+        let load =
+            |counters: &[AtomicU64]| counters.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         ClusterMetrics {
-            fanout_per_shard: self
-                .counters
-                .fanout
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            hedges_fired: self.counters.hedges_fired.load(Ordering::Relaxed),
-            hedges_won: self.counters.hedges_won.load(Ordering::Relaxed),
-            hedges_suppressed: self.counters.hedges_suppressed.load(Ordering::Relaxed),
-            replica_retries: self.counters.replica_retries.load(Ordering::Relaxed),
-            rejected_after_retry: self.counters.rejected_after_retry.load(Ordering::Relaxed),
-            merges: self.counters.merges.load(Ordering::Relaxed),
-            merge_depth_max: self.counters.merge_depth_max.load(Ordering::Relaxed),
+            fanout_per_shard: load(&counters.fanout),
+            hedges_fired: counters.hedges_fired.load(Ordering::Relaxed),
+            hedges_won: counters.hedges_won.load(Ordering::Relaxed),
+            hedges_suppressed: counters.hedges_suppressed.load(Ordering::Relaxed),
+            replica_retries: counters.replica_retries.load(Ordering::Relaxed),
+            rejected_after_retry: counters.rejected_after_retry.load(Ordering::Relaxed),
+            merges: counters.merges.load(Ordering::Relaxed),
+            merge_depth_max: counters.merge_depth_max.load(Ordering::Relaxed),
             completion_cache: self.completions.cache_stats(),
             run_cache: self.runs.cache_stats(),
-            edge_coalesced_hits: self.counters.edge_coalesced_hits.load(Ordering::Relaxed),
-            edge_coalesce_leaders: self.counters.edge_coalesce_leaders.load(Ordering::Relaxed),
-            degraded_runs: self.counters.degraded_runs.load(Ordering::Relaxed),
-            degraded_by_tier: self
-                .counters
-                .degraded_by_tier
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            edge_coalesced_hits: counters.edge_coalesced_hits.load(Ordering::Relaxed),
+            edge_coalesce_leaders: counters.edge_coalesce_leaders.load(Ordering::Relaxed),
+            degraded_runs: counters.degraded_runs.load(Ordering::Relaxed),
+            degraded_by_tier: load(&counters.degraded_by_tier),
             wire_connects: transport.connects,
             wire_reconnects: transport.reconnects,
             wire_io_errors: transport.io_errors,
@@ -778,7 +805,7 @@ impl ClusterRouter {
                 .field("evictions", stats.evictions)
                 .field("hit_ratio", stats.hit_ratio());
         }
-        self.obs.stage_sections(&mut hub);
+        self.routing.obs.stage_sections(&mut hub);
         hub
     }
 
@@ -786,8 +813,8 @@ impl ClusterRouter {
     /// have no edge counter).
     fn count_served(&self, served: Served) {
         let counter = match served {
-            Served::LateHit | Served::Follower => &self.counters.edge_coalesced_hits,
-            Served::Leader => &self.counters.edge_coalesce_leaders,
+            Served::LateHit | Served::Follower => &self.routing.counters.edge_coalesced_hits,
+            Served::Leader => &self.routing.counters.edge_coalesce_leaders,
             Served::Hit | Served::Bypass => return,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -799,10 +826,10 @@ impl ClusterRouter {
     /// lists into the canonical top-k. Edge-cached and edge-coalesced by the
     /// same normalized key the shards use.
     pub fn complete(&self, tenant: &str, term: &str) -> Result<ClusterCompletion, ClusterError> {
-        let _req = self.obs.request_scope("complete", tenant);
+        let _req = self.routing.obs.request_scope("complete", tenant);
         self.charge(tenant, COMPLETION_COST)?;
         let (served, result) = self.completions.serve(
-            &self.obs,
+            &self.routing.obs,
             RequestKey::completion(term, self.k),
             |_| self.scatter_complete(tenant, term),
             |_| true,
@@ -817,7 +844,7 @@ impl ClusterRouter {
         // global top k: a completion a shard cut has k distinct entries
         // ranked ahead of it on that shard, each as strong in the merge.
         let lists: Vec<Vec<Completion>> = self.scatter(
-            &WireRequest::Complete {
+            WireRequest::Complete {
                 tenant: tenant.to_string(),
                 term: term.to_string(),
                 fetch: self.k,
@@ -827,9 +854,9 @@ impl ClusterRouter {
             |reply| Ok(reply.into_completion()?.suggestions),
         )?;
         let merge_depth = lists.len();
-        self.counters.record_merge(merge_depth);
+        self.routing.counters.record_merge(merge_depth);
         let suggestions = {
-            let mut t = self.obs.time(Stage::EdgeMerge);
+            let mut t = self.routing.obs.time(Stage::EdgeMerge);
             t.tag("completions");
             merge_completions(lists, self.k)
         };
@@ -864,7 +891,7 @@ impl ClusterRouter {
         query: &SelectQuery,
         floor: usize,
     ) -> Result<ClusterRun, ClusterError> {
-        let _req = self.obs.request_scope("run", tenant);
+        let _req = self.routing.obs.request_scope("run", tenant);
         self.charge(tenant, run_cost(query.pattern.triples.len()))?;
         let started = Instant::now();
         // The edge chooses the tier it will request BEFORE any lookup: the
@@ -875,7 +902,7 @@ impl ClusterRouter {
         // additionally refused by the insert veto below.
         let requested = self.requested_tier(floor, started);
         let (served, result) = self.runs.serve(
-            &self.obs,
+            &self.routing.obs,
             RequestKey::run(query.clone(), requested),
             |_| self.scatter_run(tenant, query, requested, started),
             // A payload that came back *deeper* than requested — a shard
@@ -904,10 +931,8 @@ impl ClusterRouter {
     /// scatter must wait for all of them.
     fn requested_tier(&self, floor: usize, started: Instant) -> usize {
         let mut tier = floor;
-        if let Some(policy) = &self.config.degrade {
-            let pressure = self
-                .shards
-                .iter()
+        if let Some(policy) = &self.routing.config.degrade {
+            let pressure = (self.routing.shards.iter())
                 .map(|replicas| {
                     replicas
                         .iter()
@@ -933,8 +958,7 @@ impl ClusterRouter {
     /// The deadline budget still unspent `started` ago — what a run scatter
     /// hop propagates to shards. `None` without a [`DegradePolicy`].
     fn remaining_budget(&self, started: Instant) -> Option<Duration> {
-        self.config
-            .degrade
+        (self.routing.config.degrade)
             .as_ref()
             .map(|policy| policy.deadline.saturating_sub(started.elapsed()))
     }
@@ -954,7 +978,7 @@ impl ClusterRouter {
         // applied to, so the projection change costs the suggestions nothing.
         let budget = self.remaining_budget(started);
         let mut payloads = self.scatter(
-            &WireRequest::Run {
+            WireRequest::Run {
                 tenant: tenant.to_string(),
                 query: star_pattern_query(query),
                 tier: requested,
@@ -983,8 +1007,8 @@ impl ClusterRouter {
                 .iter_mut()
                 .map(|p| std::mem::take(&mut p.answers))
                 .collect();
-            self.counters.record_merge(lists.len());
-            let mut t = self.obs.time(Stage::EdgeMerge);
+            self.routing.counters.record_merge(lists.len());
+            let mut t = self.routing.obs.time(Stage::EdgeMerge);
             t.tag("run bindings");
             merge_bindings(query, lists).map_err(unsupported)?
         } else {
@@ -1015,9 +1039,9 @@ impl ClusterRouter {
             }
             candidate_lists.push(candidates.to_vec());
         }
-        self.counters.record_merge(candidate_lists.len());
+        self.routing.counters.record_merge(candidate_lists.len());
         let mut candidates = {
-            let mut t = self.obs.time(Stage::EdgeMerge);
+            let mut t = self.routing.obs.time(Stage::EdgeMerge);
             t.tag("alternatives");
             dedup_alternatives(candidate_lists)
         };
@@ -1072,8 +1096,9 @@ impl ClusterRouter {
         }
 
         if degraded {
-            self.counters.degraded_runs.fetch_add(1, Ordering::Relaxed);
-            self.counters.degraded_by_tier[tier.min(SteinerConfig::MAX_TIER)]
+            let counters = &self.routing.counters;
+            counters.degraded_runs.fetch_add(1, Ordering::Relaxed);
+            counters.degraded_by_tier[tier.min(SteinerConfig::MAX_TIER)]
                 .fetch_add(1, Ordering::Relaxed);
         }
         Ok(ClusterRunPayload {
@@ -1094,10 +1119,10 @@ impl ClusterRouter {
     /// edge-cached, and identical in-flight queries coalesce at this tier by
     /// their [`RequestKey`], the same key every other tier uses.
     pub fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ClusterError> {
-        let _req = self.obs.request_scope("query", tenant);
+        let _req = self.routing.obs.request_scope("query", tenant);
         self.charge(tenant, run_cost(query.pattern().triples.len()))?;
         let (served, result) = self.raw.serve(
-            &self.obs,
+            &self.routing.obs,
             RequestKey::raw(query.clone()),
             |_| match query {
                 Query::Select(select) => self
@@ -1131,8 +1156,8 @@ impl ClusterRouter {
         query: &SelectQuery,
     ) -> Result<Solutions, ClusterError> {
         let lists = self.binding_lists(tenant, &star_pattern_query(query))?;
-        self.counters.record_merge(lists.len());
-        let mut t = self.obs.time(Stage::EdgeMerge);
+        self.routing.counters.record_merge(lists.len());
+        let mut t = self.routing.obs.time(Stage::EdgeMerge);
         t.tag("bindings");
         merge_bindings(query, lists).map_err(unsupported)
     }
@@ -1149,7 +1174,7 @@ impl ClusterRouter {
         if single_subject(star) {
             let target = ground_subject_shard(star, self.shard_count());
             self.scatter(
-                &WireRequest::Raw {
+                WireRequest::Raw {
                     tenant: tenant.to_string(),
                     query: Query::Select(star.clone()),
                 },
@@ -1172,7 +1197,7 @@ impl ClusterRouter {
     fn federated_rows(&self, tenant: &str, query: &SelectQuery) -> Result<Solutions, ClusterError> {
         let shards: Vec<ShardEndpoint<'_>> = (0..self.shard_count())
             .map(|shard| ShardEndpoint {
-                router: self,
+                routing: &self.routing,
                 shard,
                 tenant,
             })
@@ -1197,46 +1222,46 @@ impl ClusterRouter {
     /// merges never depend on completion order.
     fn scatter<T: Send + 'static>(
         &self,
-        req: &WireRequest,
+        req: WireRequest,
         target: Option<usize>,
         budget: Option<Duration>,
         kind: fn(WireReply) -> Result<T, ServerError>,
     ) -> Result<Vec<T>, ClusterError> {
+        let req = Arc::new(req);
         if let Some(shard) = target {
-            return Ok(vec![self.shard_rtt(shard, req, budget, kind)?]);
+            return Ok(vec![self.routing.shard_rtt(shard, &req, budget, kind)?]);
         }
-        let shards = self.shard_count();
-        if shards == 1 {
-            return Ok(vec![self.shard_rtt(0, req, budget, kind)?]);
-        }
-        // Scatter tasks run on executor workers: hand each one the request's
-        // trace context so its shard span parents under this request, and a
-        // request mark so the shard server's own request scope stays inert.
-        // One task per shard, zero thread spawns, and `run` collects in
-        // task-index (= shard) order, so the gather never depends on
-        // completion order.
-        let ctx = trace::current_ctx();
+        // One task per shard on the shared executor, each in this request's
+        // context, zero thread spawns; `run` collects in task-index
+        // (= shard) order, so the gather never depends on completion order.
+        let (routing, ctx) = (Arc::clone(&self.routing), RequestCtx::current());
         exec::global()
-            .run(shards, |shard| {
-                let _mark = RequestMark::new();
-                let _scope = ctx.clone().map(|(trace, parent)| match parent {
-                    Some(p) => TraceScope::enter_with_parent(trace, p),
-                    None => TraceScope::enter(Some(trace)),
-                });
-                self.shard_rtt(shard, req, budget, kind)
+            .run(self.shard_count(), move |shard| {
+                let _in = ctx.enter();
+                routing.shard_rtt(shard, &req, budget, kind)
             })
             .into_iter()
             .collect()
     }
 
+    /// Hedged secondary calls running right now (each pinning an admission
+    /// slot on its replica). Bounded by
+    /// [`ClusterConfig::max_inflight_hedges`].
+    pub fn hedges_in_flight(&self) -> u64 {
+        let gauge = &self.routing.counters.hedges_in_flight;
+        gauge.load(Ordering::Relaxed)
+    }
+}
+
+impl Routing {
     /// One whole shard call ([`call_shard`]: load-ordered replica choice,
     /// hedging, typed retry) timed under a `shard_rtt` span; per-attempt
     /// observations land inside `call_shard` so the histogram sees every
     /// round trip, hedges and retries included.
     fn shard_rtt<T>(
-        &self,
+        self: &Arc<Self>,
         shard: usize,
-        req: &WireRequest,
+        req: &Arc<WireRequest>,
         budget: Option<Duration>,
         kind: fn(WireReply) -> Result<T, ServerError>,
     ) -> Result<T, ClusterError> {
@@ -1259,7 +1284,7 @@ impl ClusterRouter {
     /// Replica indices of one shard in ascending admission-load order
     /// (ties by index) — the load-aware routing decision.
     fn replica_order(&self, shard: usize) -> Vec<usize> {
-        let replicas = self.shard_replicas(shard);
+        let replicas = &self.shards[shard];
         let mut order: Vec<usize> = (0..replicas.len()).collect();
         order.sort_by_key(|&i| {
             let (in_flight, queued) = replicas[i].admission_load();
@@ -1273,9 +1298,9 @@ impl ClusterRouter {
     /// loop itself is [`Backoff::run`]. A reply of another kind than `kind`
     /// takes is a non-retryable protocol failure of the shard.
     fn call_shard<T>(
-        &self,
+        self: &Arc<Self>,
         shard: usize,
-        req: &WireRequest,
+        req: &Arc<WireRequest>,
         budget: Option<Duration>,
         kind: fn(WireReply) -> Result<T, ServerError>,
     ) -> Result<T, ClusterError> {
@@ -1318,13 +1343,13 @@ impl ClusterRouter {
     /// when there is one), counted in the fan-out, observed as `shard_rtt`
     /// and — in a sampled request — spanned as `replica_call`.
     fn attempt_shard(
-        &self,
+        self: &Arc<Self>,
         shard: usize,
         order: &[usize],
         attempt: u32,
-        req: &WireRequest,
+        req: &Arc<WireRequest>,
     ) -> Result<WireReply, ServerError> {
-        let replicas = self.shard_replicas(shard);
+        let replicas = &self.shards[shard];
         self.counters.fanout[shard].fetch_add(1, Ordering::Relaxed);
         let primary = order[attempt as usize % order.len()];
         // With wire replicas this is a *real* network round trip;
@@ -1374,31 +1399,37 @@ impl ClusterRouter {
     /// call this thread ends up blocked on gets claimed back and run inline
     /// ([`exec::TaskHandle::run_now`]).
     fn call_hedged(
-        &self,
+        self: &Arc<Self>,
         shard: usize,
         replicas: &[Arc<dyn ShardService>],
         primary: usize,
         secondary: usize,
         budget: Duration,
-        req: &WireRequest,
+        req: &Arc<WireRequest>,
     ) -> Result<WireReply, ServerError> {
         let (tx, rx) = mpsc::channel();
+        let ctx = RequestCtx::current();
         let submit_call = |replica: usize, hedged: bool| -> exec::TaskHandle {
-            let server = replicas[replica].clone();
-            let req = req.clone();
-            let tx = tx.clone();
-            // The hedge task itself releases its in-flight token when the
-            // scan completes — the gauge tracks scans (each pinning an
-            // admission slot), not task lifetimes.
-            let gauge = hedged.then(|| Arc::clone(&self.counters.hedges_in_flight));
-            let job = move || {
-                let result = server.call(&req);
-                if let Some(gauge) = gauge {
-                    gauge.fetch_sub(1, Ordering::Relaxed);
+            let (server, req, tx, ctx) = (
+                Arc::clone(&replicas[replica]),
+                Arc::clone(req),
+                tx.clone(),
+                ctx.clone(),
+            );
+            let routing = Arc::clone(self);
+            exec::global().spawn(move || {
+                let result = {
+                    let _in = ctx.enter();
+                    server.call(&req)
+                };
+                // The hedge task itself releases its in-flight token when
+                // the scan completes — the gauge tracks scans (each pinning
+                // an admission slot), not task lifetimes.
+                if hedged {
+                    (routing.counters.hedges_in_flight).fetch_sub(1, Ordering::Relaxed);
                 }
                 let _ = tx.send((hedged, result));
-            };
-            exec::global().spawn(job)
+            })
         };
         let primary_call = submit_call(primary, false);
         match rx.recv_timeout(budget) {
@@ -1482,13 +1513,6 @@ impl ClusterRouter {
                 unreachable!("sender lives in the submitted call")
             }
         }
-    }
-
-    /// Hedged secondary calls running right now (each pinning an admission
-    /// slot on its replica). Bounded by
-    /// [`ClusterConfig::max_inflight_hedges`].
-    pub fn hedges_in_flight(&self) -> u64 {
-        self.counters.hedges_in_flight.load(Ordering::Relaxed)
     }
 }
 

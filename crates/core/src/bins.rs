@@ -32,6 +32,7 @@
 //! never serialized.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Identifier of a literal stored in the bins.
 pub type LitId = u32;
@@ -210,25 +211,23 @@ impl ResidualBins {
         self.bins.get(len).map_or(&[], |b| &b.ids)
     }
 
-    /// Non-empty bins for lengths in `range` (clamped).
-    fn bins_in(&self, range: Range<usize>) -> impl Iterator<Item = &Bin> {
+    /// Lengths in `range` (clamped) whose bin is non-empty.
+    fn lens_in(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
         let hi = range.end.min(self.bins.len());
-        self.bins[range.start.min(hi)..hi]
-            .iter()
-            .filter(|b| !b.ids.is_empty())
+        (range.start.min(hi)..hi).filter(|&len| !self.bins[len].ids.is_empty())
     }
 
     /// Bins for lengths in `range` (clamped), as slices. This is the `bins'`
     /// input of Algorithms 1 and 2.
     pub fn bins_in_range(&self, range: Range<usize>) -> Vec<&[LitId]> {
-        self.bins_in(range).map(|b| b.ids.as_slice()).collect()
+        self.lens_in(range).map(|len| self.bin(len)).collect()
     }
 
     /// Number of literals within a length range — used to report how much of
     /// the corpus the length filter eliminates (§7.3.1: "filtering eliminates
     /// 46% of the literals").
     pub fn count_in_range(&self, range: Range<usize>) -> usize {
-        self.bins_in(range).map(|b| b.ids.len()).sum()
+        self.lens_in(range).map(|len| self.bin(len).len()).sum()
     }
 
     /// Scan the bins in `range` with `P = processes` workers, collecting
@@ -240,48 +239,60 @@ impl ResidualBins {
     ///
     /// Small scans run the *same* task list inline instead of going to the
     /// executor. Tasks execute in worker order either way, so the result
-    /// vector is byte-identical to the parallel path's concatenation.
+    /// vector is byte-identical to the parallel path's concatenation. A
+    /// large scan's tasks own what they read: an `Arc` of the bins, the
+    /// task list, and `worker` with whatever it captured.
     pub fn scan_parallel<A, F>(
-        &self,
+        self: &Arc<Self>,
         range: Range<usize>,
         processes: usize,
         worker: F,
     ) -> Vec<(LitId, f64)>
     where
-        F: Fn() -> A + Sync,
+        F: Fn() -> A + Send + Sync + 'static,
         A: FnMut(FoldedLiteral<'_>) -> Option<f64>,
     {
-        let bins: Vec<&Bin> = self.bins_in(range).collect();
-        if bins.is_empty() {
+        let lens: Vec<usize> = self.lens_in(range).collect();
+        if lens.is_empty() {
             return Vec::new();
         }
-        let ids: Vec<&[LitId]> = bins.iter().map(|b| b.ids.as_slice()).collect();
+        let ids: Vec<&[LitId]> = lens.iter().map(|&len| self.bin(len)).collect();
         let tasks = assign_tasks(&ids, processes.max(1));
-        let run_task = |task: &[Segment]| {
-            let mut accept = worker();
-            let mut found = Vec::new();
-            for seg in task {
-                let bin = bins[seg.bin];
-                for index in seg.range.clone() {
-                    if let Some(score) = accept(FoldedLiteral { bin, index }) {
-                        found.push((bin.ids[index], score));
-                    }
-                }
-            }
-            found
-        };
         let total: usize = ids.iter().map(|b| b.len()).sum();
         if total <= INLINE_SCAN_THRESHOLD {
-            return tasks.iter().flat_map(|t| run_task(t)).collect();
+            return (tasks.iter())
+                .flat_map(|task| self.scan_task(&lens, task, worker()))
+                .collect();
         }
         // Large scan: run the same task list on the shared executor. `run`
         // returns results in task-index order, so the concatenation is
         // byte-identical to the inline path.
+        let bins = Arc::clone(self);
         crate::exec::global()
-            .run(tasks.len(), |i| run_task(&tasks[i]))
+            .run(tasks.len(), move |i| {
+                bins.scan_task(&lens, &tasks[i], worker())
+            })
             .into_iter()
             .flatten()
             .collect()
+    }
+
+    /// One Algorithm-1 task: its segments of the bins of lengths `lens`,
+    /// through `accept`.
+    fn scan_task<A>(&self, lens: &[usize], task: &[Segment], mut accept: A) -> Vec<(LitId, f64)>
+    where
+        A: FnMut(FoldedLiteral<'_>) -> Option<f64>,
+    {
+        let mut found = Vec::new();
+        for seg in task {
+            let bin = &self.bins[lens[seg.bin]];
+            for index in seg.range.clone() {
+                if let Some(score) = accept(FoldedLiteral { bin, index }) {
+                    found.push((bin.ids[index], score));
+                }
+            }
+        }
+        found
     }
 }
 
@@ -452,10 +463,13 @@ mod tests {
         for lit in originals {
             b.add(lit.to_string());
         }
+        let b = Arc::new(b);
         // One task sees every literal, in bin order then insertion order.
-        let seen = std::sync::Mutex::new(Vec::new());
-        b.scan_parallel(0..100, 1, || {
-            |lit: FoldedLiteral<'_>| {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        b.scan_parallel(0..100, 1, move || {
+            let seen = Arc::clone(&sink);
+            move |lit: FoldedLiteral<'_>| {
                 assert_eq!(lit.bin.sigs[lit.index], byte_signature(lit.text()));
                 seen.lock().unwrap().push(lit.text().to_string());
                 Some(0.0)
@@ -492,6 +506,7 @@ mod tests {
         }
         b.add("Needle".into());
         b.add("needles".into());
+        let b = Arc::new(b);
         let sequential: Vec<LitId> = (0..b.len() as u32)
             .filter(|&id| b.literal(id).to_lowercase().contains("needle"))
             .collect();
@@ -517,11 +532,13 @@ mod tests {
         for i in 0..=INLINE_SCAN_THRESHOLD {
             b.add(format!("Residual Literal Number {i:07}"));
         }
+        let b = Arc::new(b);
         let accept = |s: &str| s.ends_with('7').then_some(s.len() as f64);
         let bins = b.bins_in_range(0..100);
         for p in [1, 2, 4, 8] {
-            let via_exec =
-                b.scan_parallel(0..100, p, || |lit: FoldedLiteral<'_>| accept(lit.text()));
+            let via_exec = b.scan_parallel(0..100, p, move || {
+                move |lit: FoldedLiteral<'_>| accept(lit.text())
+            });
             let in_worker_order: Vec<(LitId, f64)> = assign_tasks(&bins, p)
                 .iter()
                 .flatten()
@@ -539,13 +556,14 @@ mod tests {
         b.add("ab".into());
         b.add("abcd".into());
         b.add("abcdefgh".into());
+        let b = Arc::new(b);
         let hits = b.scan_parallel(2..5, 2, || |_| Some(1.0));
         assert_eq!(hits.len(), 2);
     }
 
     #[test]
     fn empty_bins_scan_is_empty() {
-        let b = ResidualBins::new();
+        let b = Arc::new(ResidualBins::new());
         assert!(b.scan_parallel(0..10, 4, || |_| Some(1.0)).is_empty());
         assert!(b.is_empty());
     }

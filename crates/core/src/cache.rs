@@ -329,8 +329,9 @@ pub struct CacheMatch {
 pub struct CachedData {
     /// All predicates of the dataset (Q1/Q4 results), most-frequent first.
     pub predicates: Vec<CachedPredicate>,
-    /// Residual literals in length bins.
-    pub bins: ResidualBins,
+    /// Residual literals in length bins, shared with the executor tasks of
+    /// a large scan.
+    pub bins: Arc<ResidualBins>,
     /// Suffix tree over predicate surfaces + significant literals, inserted
     /// in [`completion_rank`] order.
     pub tree: SuffixTree,
@@ -451,7 +452,7 @@ impl CachedData {
                 .map(|(text, _)| text.chars().count())
                 .collect(),
             predicates,
-            bins,
+            bins: Arc::new(bins),
             tree,
             tree_entries,
             significant,
@@ -543,8 +544,9 @@ impl CachedData {
         let len = t.chars().count();
         let needle = FoldedNeedle::new(t);
         self.bins
-            .scan_parallel(len..len + gamma + 1, processes, || {
-                |lit: FoldedLiteral<'_>| lit.contains(&needle).then_some(0.0)
+            .scan_parallel(len..len + gamma + 1, processes, move || {
+                let needle = needle.clone();
+                move |lit: FoldedLiteral<'_>| lit.contains(&needle).then_some(0.0)
             })
             .into_iter()
             .map(|(id, _)| id)
@@ -584,10 +586,11 @@ impl CachedData {
         let lo = len.saturating_sub(alpha);
         let hi = len + beta;
         let mut probe = SimilarityProbe::new(l);
+        let task_probe = probe.clone();
         let mut out: Vec<(String, f64)> = self
             .bins
-            .scan_parallel(lo..hi + 1, processes, || {
-                let mut probe = probe.clone();
+            .scan_parallel(lo..hi + 1, processes, move || {
+                let mut probe = task_probe.clone();
                 move |lit: FoldedLiteral<'_>| probe.similarity(lit.text(), theta)
             })
             .into_iter()

@@ -22,11 +22,14 @@
 //!   (`TaskHandle::run_now`). This is the no-deadlock guarantee: a caller
 //!   waiting on its own tasks can always execute them itself, so a saturated
 //!   pool degrades to serial execution instead of a hang.
-//! - **Caller-help batches.** [`Executor::run`] submits `n` index-closures,
-//!   then the calling thread claims-and-runs whatever the workers have not
-//!   picked up yet before blocking. Results are collected in task-index
-//!   order, which is what keeps scatter merges and Algorithm-1 bin scans
-//!   byte-identical to the old spawn-per-request code.
+//! - **Caller-help batches.** [`Executor::run`] is `n` ordinary tasks, each
+//!   holding an `Arc` of one `'static` index-closure and a sender of one
+//!   channel; the calling thread claims-and-runs whatever the workers have
+//!   not picked up yet, then drains the channel until every task has sent.
+//!   Results are placed in task-index order, which is what keeps scatter
+//!   merges and Algorithm-1 bin scans byte-identical to the old
+//!   spawn-per-request code. A batch's inputs are owned or `Arc`-shared, so
+//!   the type system, not a blocking call, keeps them alive.
 //! - **Timers.** [`Executor::spawn_at`] holds a job in one map keyed by
 //!   instant, under the park lock, until that instant. A worker that finds
 //!   no task queues every due timer, then parks no longer than until the
@@ -47,7 +50,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use sapphire_obs::Histogram;
@@ -79,15 +82,7 @@ impl TaskHandle {
     /// effect (e.g. a hedged shard call sending on a channel): when the pool
     /// is saturated, run the work inline instead of waiting forever.
     pub fn run_now(&self) -> bool {
-        let job = self.task.job.lock().expect("exec task lock").take();
-        match job {
-            Some(job) => {
-                self.exec.note_start(&self.task, true);
-                self.exec.execute_job(job);
-                true
-            }
-            None => false,
-        }
+        self.exec.run_inline(&self.task)
     }
 
     /// `true` once some thread has taken the job (it is running or done).
@@ -208,6 +203,17 @@ impl Inner {
         }
     }
 
+    /// Claim `task`'s job back and run it on this thread if no worker has
+    /// started it; returns whether this call ran it.
+    fn run_inline(&self, task: &Task) -> bool {
+        let Some(job) = task.job.lock().expect("exec task lock").take() else {
+            return false;
+        };
+        self.note_start(task, true);
+        self.execute_job(job);
+        true
+    }
+
     /// Run a job, catching panics so a panicking detached task cannot kill a
     /// pool worker. Batch jobs catch their own panics and re-throw them on
     /// the submitting thread, so this outer net only sees detached tasks.
@@ -316,30 +322,6 @@ pub struct Executor {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// `&F` smuggled into a `'static` job. Soundness argument lives in
-/// [`Executor::run`]: the pointer is only dereferenced while `run` is still
-/// blocked on the batch, so the borrow it shadows is always live.
-struct SendPtr<T: ?Sized>(*const T);
-unsafe impl<T: ?Sized> Send for SendPtr<T> {}
-unsafe impl<T: ?Sized> Sync for SendPtr<T> {}
-
-impl<T: ?Sized> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `SendPtr` — with 2021 disjoint capture, `fp.0` would capture the bare
-    /// raw pointer, which is not `Send`.
-    fn get(&self) -> *const T {
-        self.0
-    }
-}
-
-/// Shared state for one `run` batch: a result slot per task plus a
-/// remaining-count the submitter blocks on.
-struct Batch<T> {
-    slots: Vec<Mutex<Option<std::thread::Result<T>>>>,
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
 impl Executor {
     /// Start a pool with `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
@@ -392,16 +374,13 @@ impl Executor {
     /// is plain serial execution on the caller, never a deadlock. A panic in
     /// any task is re-thrown here after the whole batch has finished.
     ///
-    /// # Soundness
-    ///
-    /// Jobs capture `&f` as a raw pointer to satisfy the `'static` job type.
-    /// This is sound because every job's last action (writing its slot and
-    /// decrementing `remaining`) happens before `run` can observe
-    /// `remaining == 0` and return — so `f` outlives every dereference.
+    /// Each task holds an `Arc` of `f` and a sender of one channel, and
+    /// drops its `Arc` before it sends: the channel disconnects once every
+    /// task has run, and by then nothing `f` captured is held by the pool.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send + 'static,
-        F: Fn(usize) -> T + Sync,
+        F: Fn(usize) -> T + Send + Sync + 'static,
     {
         if n == 0 {
             return Vec::new();
@@ -409,63 +388,32 @@ impl Executor {
         if n == 1 {
             return vec![f(0)];
         }
-        let batch = Arc::new(Batch {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-        });
-        let mut tasks = Vec::with_capacity(n);
-        for i in 0..n {
-            let batch = Arc::clone(&batch);
-            let fp = SendPtr(&f as *const F);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // SAFETY: see "Soundness" above — `run` blocks until this
-                // job has finished, so the pointee is live.
-                let f = unsafe { &*fp.get() };
-                let out = catch_unwind(AssertUnwindSafe(|| f(i)));
-                *batch.slots[i].lock().expect("exec batch slot") = Some(out);
-                let mut rem = batch.remaining.lock().expect("exec batch remaining");
-                *rem -= 1;
-                if *rem == 0 {
-                    batch.done.notify_all();
-                }
-            });
-            // SAFETY: lifetime erasure only — the job borrows `f` (via raw
-            // pointer) for strictly less time than `run` blocks (see above),
-            // and both trait-object types have identical layout.
-            let job: Job = unsafe { std::mem::transmute(job) };
-            tasks.push(self.inner.push(job));
-        }
+        let f = Arc::new(f);
+        let (tx, rx) = mpsc::channel();
+        let tasks: Vec<Arc<Task>> = (0..n)
+            .map(|i| {
+                let (f, tx) = (Arc::clone(&f), tx.clone());
+                self.inner.push(Box::new(move || {
+                    let out = catch_unwind(AssertUnwindSafe(|| f(i)));
+                    drop(f);
+                    let _ = tx.send((i, out));
+                }))
+            })
+            .collect();
+        drop((f, tx));
         // A batch is fan-out — shard calls that block on the wire, scan
         // slices — so it wakes a worker per task, searchers or not.
         self.inner
             .wake(&mut self.inner.park.lock().expect("exec park lock"), n);
         // Caller-help: execute whatever the workers have not picked up.
         for task in tasks.iter().rev() {
-            let job = task.job.lock().expect("exec task lock").take();
-            if let Some(job) = job {
-                self.inner.note_start(task, true);
-                job();
-            }
+            self.inner.run_inline(task);
         }
-        let mut rem = batch.remaining.lock().expect("exec batch remaining");
-        while *rem != 0 {
-            rem = batch.done.wait(rem).expect("exec batch remaining");
-        }
-        drop(rem);
-        let mut out = Vec::with_capacity(n);
-        for slot in batch.slots.iter() {
-            match slot
-                .lock()
-                .expect("exec batch slot")
-                .take()
-                .expect("every batch slot is written before remaining hits 0")
-            {
-                Ok(v) => out.push(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
+        let mut outs: Vec<(usize, std::thread::Result<T>)> = rx.iter().collect();
+        outs.sort_unstable_by_key(|&(i, _)| i);
+        outs.into_iter()
+            .map(|(_, out)| out.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     }
 
     /// Submit a detached task. It runs on some worker eventually; use the
@@ -614,7 +562,7 @@ mod tests {
         let exec = Arc::new(Executor::new(1));
         let e2 = Arc::clone(&exec);
         let out = exec.run(4, move |i| {
-            let inner: usize = e2.run(3, |j| j + i).into_iter().sum();
+            let inner: usize = e2.run(3, move |j| j + i).into_iter().sum();
             inner
         });
         assert_eq!(out, vec![3, 6, 9, 12]);
@@ -626,7 +574,7 @@ mod tests {
         let finished = Arc::new(AtomicU64::new(0));
         let f2 = Arc::clone(&finished);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.run(8, |i| {
+            exec.run(8, move |i| {
                 if i == 3 {
                     panic!("boom");
                 }
@@ -635,6 +583,34 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(finished.load(Ordering::SeqCst), 7);
+    }
+
+    #[test]
+    fn a_batch_run_by_the_workers_holds_nothing_once_it_returns() {
+        let exec = Executor::new(4);
+        let state = Arc::new(AtomicU64::new(0));
+        let s2 = Arc::clone(&state);
+        exec.run(16, move |_| s2.fetch_add(1, Ordering::SeqCst));
+        assert_eq!(state.load(Ordering::SeqCst), 16);
+        assert_eq!(Arc::strong_count(&state), 1);
+    }
+
+    #[test]
+    fn a_batch_run_by_its_caller_holds_nothing_once_it_returns() {
+        let exec = Executor::new(1);
+        let (started_tx, started) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let _slow = exec.spawn(move || {
+            started_tx.send(()).unwrap();
+            let _ = released.recv();
+        });
+        started.recv().unwrap(); // the only worker is inside the slow task
+        let state = Arc::new(AtomicU64::new(0));
+        let s2 = Arc::clone(&state);
+        exec.run(16, move |_| s2.fetch_add(1, Ordering::SeqCst));
+        assert_eq!(exec.stats().inline_runs, 16, "every task claimed back");
+        assert_eq!(Arc::strong_count(&state), 1);
+        drop(release);
     }
 
     #[test]

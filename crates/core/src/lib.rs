@@ -49,6 +49,7 @@
 //! assert!(result.suggestions.alternatives.iter().any(|a| a.replacement == "Kennedy"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod answers;

@@ -18,6 +18,7 @@
 //! * [`userstudy`] — stochastic simulated participants that drive the real
 //!   Sapphire pipeline (Figures 8–11).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generator;

@@ -35,6 +35,7 @@
 //! assert_eq!(rows.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backoff;

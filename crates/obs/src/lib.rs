@@ -22,6 +22,8 @@
 //! test pins that sampled and unsampled runs produce byte-identical
 //! responses.
 
+#![forbid(unsafe_code)]
+
 pub mod histogram;
 pub mod hub;
 pub mod trace;

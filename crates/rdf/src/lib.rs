@@ -43,6 +43,7 @@
 //! assert_eq!(g.triples_matching(None, Some(p), None).len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graph;

@@ -60,6 +60,7 @@
 //! assert_eq!(out.answers.total_rows(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

@@ -35,6 +35,7 @@
 //! assert_eq!(rows.get(0, "n").unwrap().lexical(), "Alice");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -21,6 +21,7 @@
 //! assert_eq!(tree.string(ids[0]), "birthPlace");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod tree;

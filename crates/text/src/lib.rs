@@ -12,6 +12,7 @@
 //!   DBpedia Lemon lexicon the paper uses (its module docs say what was
 //!   substituted and why).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lexicon;

@@ -35,6 +35,7 @@
 //! [`ShardService`]: sapphire_server::ShardService
 //! [`ServerError::Unreachable`]: sapphire_server::ServerError::Unreachable
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -8,10 +8,13 @@
 //! an untraced one, the per-shard `shard_rtt` spans still land under their
 //! request's trace after crossing the executor's queue (the `TraceScope`
 //! is handed to pool workers, not inherited by a spawned thread), and every
-//! cold request fans out to every shard exactly once.
+//! cold request fans out to every shard exactly once. A hedged shard call
+//! is a task of its request too: its shard server's spans land under the
+//! call's `shard_rtt` span, and no replica counts a request of its own.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 use sapphire_cluster::{Cluster, ClusterConfig, ClusterRouter};
 use sapphire_core::qsm::TermAlternative;
@@ -180,5 +183,62 @@ fn traced_scatter_matches_untraced_and_keeps_shard_spans_through_the_executor() 
             &format!("question {i}"),
         );
         assert_eq!(plain.executed, with_trace.executed, "question {i}");
+    }
+}
+
+/// With two replicas a shard and hedging on, every shard call — the
+/// primary too — is an executor task. A budget no call reaches keeps every
+/// hedge unfired, so a traced cold run must look exactly as it does with
+/// hedging off: the shard server's `qsm_scan` parented under a `shard_rtt`
+/// span, and no replica recording an `end_to_end` of its own.
+#[test]
+fn a_hedged_shard_call_runs_inside_its_request() {
+    let graph = generate(DatasetConfig::tiny(42));
+    let query = &workload_queries()[0];
+    for hedge_after in [None, Some(Duration::from_secs(30))] {
+        let cluster = Cluster::build(
+            "edge",
+            &graph,
+            2,
+            2,
+            &Lexicon::dbpedia_default(),
+            &sapphire_config(),
+            &ServerConfig::for_tests(),
+        )
+        .unwrap();
+        let router = ClusterRouter::new(
+            cluster,
+            ClusterConfig {
+                hedge_after,
+                ..ClusterConfig::for_tests()
+            },
+        );
+        router.obs().set_sampling(1);
+        let run = router.run("alice", query).unwrap();
+        assert!(!run.cached, "{hedge_after:?}: the question is cold");
+        assert_eq!(router.metrics().hedges_fired, 0, "{hedge_after:?}");
+
+        let traces = router.obs().recorder().recent();
+        let trace = (traces.iter().find(|t| t.kind == "run")).expect("sampling 1 traces the run");
+        let scan_under_shard_rtt = trace.spans.iter().any(|span| {
+            span.name == Stage::QsmScan.name()
+                && span
+                    .parent
+                    .is_some_and(|p| trace.spans[p as usize].name == Stage::ShardRtt.name())
+        });
+        assert!(
+            scan_under_shard_rtt,
+            "{hedge_after:?}: no qsm_scan under a shard_rtt span in {:?}",
+            trace.spans
+        );
+        for (shard, replicas) in router.cluster().shards().iter().enumerate() {
+            for (replica, server) in replicas.iter().enumerate() {
+                assert_eq!(
+                    server.obs().stage_snapshot(Stage::EndToEnd).count(),
+                    0,
+                    "{hedge_after:?}: shard {shard} replica {replica} recorded a request"
+                );
+            }
+        }
     }
 }

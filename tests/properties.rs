@@ -553,10 +553,13 @@ proptest! {
         for l in &literals {
             bins.add(l.clone());
         }
+        let bins = Arc::new(bins);
         let needle = needle.to_lowercase();
+        let probe = needle.clone();
         let mut parallel: Vec<LitId> = bins
-            .scan_parallel(0..20, p, || {
-                |lit: FoldedLiteral<'_>| lit.text().contains(needle.as_str()).then_some(1.0)
+            .scan_parallel(0..20, p, move || {
+                let needle = probe.clone();
+                move |lit: FoldedLiteral<'_>| lit.text().contains(needle.as_str()).then_some(1.0)
             })
             .into_iter()
             .map(|(id, _)| id)
