@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use sapphire_core::init::InitMode;
 use sapphire_core::pum::PredictiveUserModel;
-use sapphire_core::session::Session;
+use sapphire_core::session::{Modifiers, Session};
 use sapphire_core::SapphireConfig;
 use sapphire_datagen::userstudy::{flatten, NlQaSystem};
 use sapphire_datagen::workload::{gold_answers, grade, qald_style_50, Grade, Question};
@@ -175,11 +175,10 @@ impl ComparisonHarness {
         for (i, row) in q.script.rows.iter().enumerate() {
             session.set_row(i, row.clone());
         }
-        session.modifiers.distinct = true;
-        session.modifiers.order_by = q.script.order_by.clone();
-        session.modifiers.limit = q.script.limit;
-        session.modifiers.count = q.script.count;
-        session.modifiers.filters = q.script.filters.clone();
+        session.modifiers = Modifiers {
+            distinct: true,
+            ..q.script.modifiers()
+        };
         let Ok(run) = session.run() else {
             return (false, Grade::Wrong);
         };
@@ -211,11 +210,6 @@ fn rank(g: Grade) -> u8 {
         Grade::Partial => 1,
         Grade::Wrong => 0,
     }
-}
-
-/// Convenience: QAKiS wrapped for the user-study harness.
-pub fn qakis_for_study(harness: &ComparisonHarness) -> &dyn NlQaSystem {
-    &harness.qakis
 }
 
 #[cfg(test)]

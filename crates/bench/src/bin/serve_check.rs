@@ -13,8 +13,11 @@
 //!
 //! * `summary.rejected_total == 0` — the fixed-seed workload fits the
 //!   default gate; any shedding is a regression in admission or a stall in
-//!   the hot path. `server.open_sessions == 0` — every load-generator
-//!   session closed. `stats.final_queued == 0` — pressure drained.
+//!   the hot path. `invalid == 0` in `qcm`, `qsm` and `duplicate_burst` —
+//!   no request failed untyped (`Backend`, `Unreachable`, `Timeout`,
+//!   `Session`), which `rejected_total` does not count here.
+//!   `server.open_sessions == 0` — every load-generator session closed.
+//!   `stats.final_queued == 0` — pressure drained.
 //! * both caches' *effective* hit ratios ≥ 0.90 — the paper's >90%
 //!   hit-ratio claim, kept true under the serving tier. Effective = cache
 //!   hits plus single-flight followers (served from a concurrent identical
@@ -55,6 +58,11 @@
 //!   the closed-loop hot phase creates **zero** new threads (steady-state
 //!   serving runs entirely on warm pools).
 //!
+//! The cluster, wire and snapshot smokes all run
+//! [`sapphire_bench::cluster`], whose `summary.rejected_total` counts every
+//! error a request surfaced; each also gates `qcm.invalid` and
+//! `qsm.invalid` at zero.
+//!
 //! Cluster smoke, 2 shards × 2 replicas ([`cluster_gates`]): zero
 //! rejections after bounded retry, zero requests out of retry budget, zero
 //! merge mismatches against a cold second edge, and the shard-call ledger —
@@ -68,16 +76,16 @@
 //! tier-keyed cache cross-contamination, a monotone offered-load sweep.
 //!
 //! Wire smoke, the cluster workload over loopback sockets with one replica
-//! crashed mid-run ([`wire_gates`]; see [`sapphire_bench::wire`]): zero
-//! surviving rejections, zero divergences from the in-process oracle, the
+//! crashed mid-run ([`wire_gates`]): zero surviving errors, zero
+//! divergences from the reference router over the in-process replicas, the
 //! crash is real and visible (`wire_io_errors ≥ 1`, the dead replica
 //! refuses a direct probe), and the same shard-call ledger.
 //!
 //! Snapshot smoke, shard **processes** brought up from freshly written
 //! columnar snapshots ([`snapshot_gates`]): every child loaded its snapshot
-//! (zero generate fallbacks), byte-identical to the generate-from-scratch
-//! oracle, and the slowest snapshot load beat the parent's
-//! generate+partition time measured in the same run.
+//! (zero generate fallbacks), byte-identical to the reference router over
+//! replicas built from the generated slices, and the slowest snapshot load
+//! beat the parent's generate+partition time measured in the same run.
 //!
 //! Usage: `cargo run --release -p sapphire-bench --bin serve_check
 //!         [--rounds 2]`
@@ -86,7 +94,6 @@ use sapphire_bench::args::Args;
 use sapphire_bench::cluster::{self, ClusterLoadOptions};
 use sapphire_bench::overload::{self, OverloadOptions};
 use sapphire_bench::serve::{self, ServeLoadOptions};
-use sapphire_bench::wire::{self, WireLoadOptions};
 use sapphire_obs::MetricsHub;
 
 /// One judged gate: its name, whether it held, and the numbers behind it.
@@ -139,6 +146,20 @@ impl<'a> Gates<'a> {
         });
     }
 
+    /// Each closed-loop class section in `sections` must report no untyped
+    /// failure (a `Backend`, `Unreachable`, `Timeout` or `Session` error):
+    /// one `{prefix}{section}.invalid` row each.
+    fn no_invalid(&mut self, prefix: &str, sections: &[&str]) {
+        for section in sections {
+            self.zero(
+                &format!("{prefix}{section}.invalid"),
+                section,
+                "invalid",
+                "untyped failures",
+            );
+        }
+    }
+
     /// A router's report: every shard call counted in the fan-out is one
     /// `shard_rtt` observation, or a hedge fired inside one.
     fn shard_call_ledger(&mut self, name: &str) {
@@ -185,6 +206,7 @@ fn serve_gates(hub: &MetricsHub) -> Vec<Row> {
         "rejected_total",
         "typed rejections",
     );
+    g.no_invalid("", &["qcm", "qsm", "duplicate_burst"]);
     g.zero(
         "sessions_leaked",
         "server",
@@ -487,6 +509,7 @@ fn cluster_gates(hub: &MetricsHub) -> Vec<Row> {
         "rejected_total",
         "rejections after bounded retry",
     );
+    g.no_invalid("cluster ", &["qcm", "qsm"]);
     g.zero(
         "cluster merge_mismatches",
         "summary",
@@ -562,6 +585,7 @@ fn wire_gates(hub: &MetricsHub) -> Vec<Row> {
         "rejected_total",
         "errors survived bounded retry under replica loss",
     );
+    g.no_invalid("wire ", &["qcm", "qsm"]);
     g.zero(
         "wire merge_mismatches",
         "summary",
@@ -642,6 +666,7 @@ fn snapshot_gates(hub: &MetricsHub) -> Vec<Row> {
         "rejected_total",
         "errors surfaced to clients",
     );
+    g.no_invalid("snapshot ", &["qcm", "qsm"]);
     g.check(
         "snapshot bringup faster than regenerate",
         [
@@ -701,10 +726,10 @@ fn main() {
     eprintln!(
         "\n(wire smoke gate: 2 shards x 2 replicas over sockets, one replica killed mid-run…)"
     );
-    judge(wire::run(&WireLoadOptions::smoke()), wire_gates);
+    judge(cluster::run(&ClusterLoadOptions::wire_smoke()), wire_gates);
     eprintln!("\n(snapshot smoke gate: shard processes from columnar snapshots at tiny…)");
     judge(
-        wire::run(&WireLoadOptions::snapshot_smoke()),
+        cluster::run(&ClusterLoadOptions::snapshot_smoke()),
         snapshot_gates,
     );
 
@@ -726,6 +751,9 @@ mod tests {
 
     const SERVE: Fixture = &[
         ("summary", "rejected_total", 0.0),
+        ("qcm", "invalid", 0.0),
+        ("qsm", "invalid", 0.0),
+        ("duplicate_burst", "invalid", 0.0),
         ("server", "open_sessions", 0.0),
         ("server", "qsm_degraded_runs", 0.0),
         ("completion_cache", "effective_hit_ratio", 0.998),
@@ -786,6 +814,8 @@ mod tests {
     ];
     const CLUSTER: Fixture = &[
         ("summary", "rejected_total", 0.0),
+        ("qcm", "invalid", 0.0),
+        ("qsm", "invalid", 0.0),
         ("summary", "merge_mismatches", 0.0),
         ("cluster", "rejected_after_retry", 0.0),
         ("cluster", "fanout_total", 1542.0),
@@ -802,6 +832,8 @@ mod tests {
     ];
     const WIRE: Fixture = &[
         ("summary", "rejected_total", 0.0),
+        ("qcm", "invalid", 0.0),
+        ("qsm", "invalid", 0.0),
         ("summary", "merge_mismatches", 0.0),
         ("kill_drill", "replica_killed", 1.0),
         ("kill_drill", "dead_probe_failed", 1.0),
@@ -818,16 +850,18 @@ mod tests {
         ("bringup", "generate_fallbacks", 0.0),
         ("summary", "merge_mismatches", 0.0),
         ("summary", "rejected_total", 0.0),
+        ("qcm", "invalid", 0.0),
+        ("qsm", "invalid", 0.0),
         ("bringup", "max_child_data_us", 1840.0),
         ("bringup", "parent_generate_us", 3000.0),
         ("bringup", "parent_partition_us", 407.0),
     ];
     const PHASES: [(Fixture, GateTable, usize); 5] = [
-        (SERVE, serve_gates, 36),
-        (CLUSTER, cluster_gates, 4),
+        (SERVE, serve_gates, 39),
+        (CLUSTER, cluster_gates, 6),
         (OVERLOAD, overload_gates, 4),
-        (WIRE, wire_gates, 6),
-        (SNAPSHOT, snapshot_gates, 4),
+        (WIRE, wire_gates, 8),
+        (SNAPSHOT, snapshot_gates, 6),
     ];
 
     /// The fixture as a hub, with row `doctored` left out (`None`) or set
@@ -896,6 +930,9 @@ mod tests {
                 serve_gates,
                 &[
                     ("summary", "rejected_total", 1.0, "rejected_total"),
+                    ("qcm", "invalid", 1.0, "qcm.invalid"),
+                    ("qsm", "invalid", 1.0, "qsm.invalid"),
+                    ("duplicate_burst", "invalid", 1.0, "duplicate_burst.invalid"),
                     ("server", "open_sessions", 1.0, "sessions_leaked"),
                     (
                         "run_cache",
@@ -984,6 +1021,8 @@ mod tests {
                 cluster_gates,
                 &[
                     ("summary", "rejected_total", 1.0, "cluster rejected_total"),
+                    ("qcm", "invalid", 1.0, "cluster qcm.invalid"),
+                    ("qsm", "invalid", 1.0, "cluster qsm.invalid"),
                     (
                         "summary",
                         "merge_mismatches",
@@ -1036,6 +1075,8 @@ mod tests {
                 wire_gates,
                 &[
                     ("summary", "rejected_total", 1.0, "wire rejected_total"),
+                    ("qcm", "invalid", 1.0, "wire qcm.invalid"),
+                    ("qsm", "invalid", 1.0, "wire qsm.invalid"),
                     ("summary", "merge_mismatches", 1.0, "wire merge_mismatches"),
                     (
                         "kill_drill",
@@ -1065,6 +1106,8 @@ mod tests {
                         "snapshot merge_mismatches",
                     ),
                     ("summary", "rejected_total", 1.0, "snapshot rejected_total"),
+                    ("qcm", "invalid", 1.0, "snapshot qcm.invalid"),
+                    ("qsm", "invalid", 1.0, "snapshot qsm.invalid"),
                     (
                         "bringup",
                         "max_child_data_us",

@@ -28,16 +28,16 @@
 //! [`sapphire_bench::frontend`]).
 //!
 //! Cluster mode: `serve_load -- --cluster [--shards 2] [--replicas 2]
-//! [--determinism-sample 8]` runs the same workload against a sharded
-//! topology behind a `ClusterRouter` (see [`sapphire_bench::cluster`]); it
-//! reports routing metrics plus a determinism self-check.
-//!
-//! Wire mode: `serve_load -- --cluster --wire [--processes]
-//! [--kill-replica] [--snapshot]` puts a real socket (and optionally a real
-//! OS process) under every edge↔shard call — see [`sapphire_bench::wire`].
-//! It exits 1 when a request surfaced an error, a merge diverged from the
-//! in-process oracle, or (with `--snapshot`) a child fell back to
-//! regenerating.
+//! [--determinism-sample 8] [--wire [--processes [--snapshot]]
+//! [--kill-replica]]` runs the same workload against a sharded topology
+//! behind a `ClusterRouter` and replays a sample against a reference router
+//! over the in-process replicas (see [`sapphire_bench::cluster`]). `--wire`
+//! puts a real socket under every edge↔shard call, `--processes` a real OS
+//! process per replica, `--snapshot` brings those processes up from
+//! per-shard snapshots (it needs `--processes`), and `--kill-replica`
+//! crashes one replica mid-run. A `--wire` run exits 1 when a request
+//! surfaced an error, a merge diverged from the reference, or (with
+//! `--snapshot`) a child fell back to regenerating.
 //!
 //! Overload mode: `serve_load -- --overload [--shards 2] [--replicas 2]
 //! [--launchers 64] [--step-ms 2000] [--calibration 256] [--seed 42]
@@ -59,11 +59,10 @@
 use std::time::Duration;
 
 use sapphire_bench::args::Args;
-use sapphire_bench::cluster::{self, ClusterLoadOptions};
+use sapphire_bench::cluster::{self, ClusterLoadOptions, Transport};
 use sapphire_bench::frontend::{self, FrontendPhaseOptions};
 use sapphire_bench::overload::{self, OverloadOptions};
 use sapphire_bench::serve::{self, ServeLoadOptions};
-use sapphire_bench::wire::{self, WireLoadOptions};
 use sapphire_obs::MetricsHub;
 
 /// What the command line selected.
@@ -71,7 +70,6 @@ use sapphire_obs::MetricsHub;
 enum Mode {
     Overload(OverloadOptions),
     Frontend(FrontendPhaseOptions, String),
-    Wire(WireLoadOptions),
     Cluster(ClusterLoadOptions),
     Serve(ServeLoadOptions),
 }
@@ -110,33 +108,29 @@ fn parse(mut args: Args) -> Result<Mode, String> {
             .unwrap_or_else(|| "tiny".to_string());
         Mode::Frontend(opts, scale)
     } else if args.switch("--cluster") {
-        if args.switch("--wire") {
-            let defaults = WireLoadOptions::default();
-            Mode::Wire(WireLoadOptions {
-                users: args.number("--users", defaults.users)?,
-                rounds: args.number("--rounds", defaults.rounds)?,
-                scale: args.string("--scale")?.unwrap_or(defaults.scale.clone()),
-                shards: args.number("--shards", defaults.shards)?,
-                replicas: args.number("--replicas", defaults.replicas)?,
-                determinism_sample: args
-                    .number("--determinism-sample", defaults.determinism_sample)?,
-                processes: args.switch("--processes"),
-                kill_replica: args.switch("--kill-replica"),
+        let defaults = ClusterLoadOptions::default();
+        // `--snapshot` is read only under `--processes`, and `--kill-replica`
+        // only under `--wire`: anywhere else each is an unknown flag.
+        let transport = if !args.switch("--wire") {
+            Transport::InProcess
+        } else if args.switch("--processes") {
+            Transport::Processes {
                 snapshot: args.switch("--snapshot"),
-            })
+            }
         } else {
-            let defaults = ClusterLoadOptions::default();
-            Mode::Cluster(ClusterLoadOptions {
-                users: args.number("--users", defaults.users)?,
-                rounds: args.number("--rounds", defaults.rounds)?,
-                scale: args.string("--scale")?.unwrap_or(defaults.scale.clone()),
-                shards: args.number("--shards", defaults.shards)?,
-                replicas: args.number("--replicas", defaults.replicas)?,
-                determinism_sample: args
-                    .number("--determinism-sample", defaults.determinism_sample)?,
-                trace_sample: trace_sample(&mut args)?,
-            })
-        }
+            Transport::Sockets
+        };
+        Mode::Cluster(ClusterLoadOptions {
+            users: args.number("--users", defaults.users)?,
+            rounds: args.number("--rounds", defaults.rounds)?,
+            scale: args.string("--scale")?.unwrap_or(defaults.scale.clone()),
+            shards: args.number("--shards", defaults.shards)?,
+            replicas: args.number("--replicas", defaults.replicas)?,
+            determinism_sample: args.number("--determinism-sample", defaults.determinism_sample)?,
+            trace_sample: trace_sample(&mut args)?,
+            transport,
+            kill_replica: transport != Transport::InProcess && args.switch("--kill-replica"),
+        })
     } else {
         let defaults = ServeLoadOptions::default();
         Mode::Serve(ServeLoadOptions {
@@ -174,16 +168,18 @@ fn main() {
     let hub = match &mode {
         Mode::Overload(opts) => overload::run(opts),
         Mode::Frontend(opts, scale) => frontend::run(opts, scale),
-        Mode::Wire(opts) => wire::run(opts),
         Mode::Cluster(opts) => cluster::run(opts),
         Mode::Serve(opts) => serve::run(opts),
     };
     println!("{}", hub.to_json());
-    if let Mode::Wire(opts) = &mode {
-        let nonzero = wire_failures(&hub, opts.snapshot);
-        if !nonzero.is_empty() {
-            eprintln!("serve_load: must be 0 but is not: {nonzero:?}");
-            std::process::exit(1);
+    if let Mode::Cluster(opts) = &mode {
+        if opts.transport != Transport::InProcess {
+            let snapshot = opts.transport == (Transport::Processes { snapshot: true });
+            let nonzero = wire_failures(&hub, snapshot);
+            if !nonzero.is_empty() {
+                eprintln!("serve_load: must be 0 but is not: {nonzero:?}");
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -216,6 +212,23 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(err, "unrecognised argument --kill-replicas");
+    }
+
+    #[test]
+    fn a_snapshot_without_processes_is_an_error() {
+        let err = parse(Args::new(["--cluster", "--wire", "--snapshot"])).unwrap_err();
+        assert_eq!(err, "unrecognised argument --snapshot");
+        match parse(Args::new([
+            "--cluster",
+            "--wire",
+            "--processes",
+            "--snapshot",
+        ])) {
+            Ok(Mode::Cluster(opts)) => {
+                assert_eq!(opts.transport, Transport::Processes { snapshot: true })
+            }
+            other => panic!("expected cluster mode, got {other:?}"),
+        }
     }
 
     #[test]
@@ -253,8 +266,8 @@ mod tests {
             "--users",
             "3",
         ])) {
-            Ok(Mode::Wire(opts)) => {
-                assert!(opts.kill_replica && !opts.processes);
+            Ok(Mode::Cluster(opts)) => {
+                assert!(opts.kill_replica && opts.transport == Transport::Sockets);
                 assert_eq!(opts.users, 3);
             }
             other => panic!("expected wire mode, got {other:?}"),

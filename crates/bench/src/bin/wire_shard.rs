@@ -7,9 +7,11 @@
 //! of the columnar [`sapphire_rdf::snapshot`] format) or **regenerates** the
 //! (deterministic, fixed-seed) dataset and re-partitions it locally with the
 //! same subject-hash partitioner the in-process `Cluster::build` uses,
-//! keeping only its own shard's slice. Either way it stands a
-//! [`SapphireServer`] behind a wire listener; the two bring-up paths produce
-//! byte-identical shard graphs, which the parent's oracle verifies.
+//! keeping only its own shard's slice. Either way it starts its replica
+//! through `sapphire_cluster::topology::start_shard`, as the in-process
+//! cluster does, and stands that [`SapphireServer`] behind a wire
+//! listener; the two bring-up paths produce byte-identical shard graphs,
+//! which the parent's reference router verifies.
 //!
 //! Bring-up handshake: one line on stdout —
 //!
@@ -38,12 +40,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sapphire_bench::args::Args;
-use sapphire_bench::{dataset_for, experiment_config};
-use sapphire_core::{InitMode, PredictiveUserModel};
+use sapphire_bench::{dataset_for, experiment_config, serving_posture};
+use sapphire_cluster::topology::start_shard;
 use sapphire_datagen::generate;
-use sapphire_endpoint::EndpointLimits;
 use sapphire_rdf::{snapshot, Graph, Partitioner};
-use sapphire_server::{SapphireServer, ServerConfig, ShardService};
+use sapphire_server::ShardService;
 use sapphire_text::Lexicon;
 use sapphire_wire::{WireServer, WireServerConfig};
 
@@ -101,9 +102,6 @@ fn main() {
     let shard_graph = loaded.unwrap_or_else(|| {
         eprintln!("(wire_shard s{shard}r{replica}: generating dataset…)");
         let graph = generate(dataset_for(&scale));
-        // The same slicing, model init, and serving posture as the
-        // in-process `Cluster::build` (and the parent's oracle router), so
-        // process-mode merges stay byte-identical to the in-process ones.
         Partitioner::new(shards)
             .split(&graph)
             .shards
@@ -113,26 +111,20 @@ fn main() {
     });
     let data_us = data_clock.elapsed().as_micros();
 
-    let pum = Arc::new(
-        PredictiveUserModel::initialize_local(
-            format!("edge-s{shard}"),
-            shard_graph,
-            EndpointLimits::warehouse(),
-            Lexicon::dbpedia_default(),
-            experiment_config(),
-            InitMode::Federated,
-        )
-        .expect("shard model initialization"),
-    );
-    let default_in_flight = ServerConfig::default().max_in_flight.max(8);
-    let config = ServerConfig {
-        name: format!("edge-s{shard}r{replica}"),
-        max_in_flight: default_in_flight,
-        max_queue_depth: default_in_flight * 4,
-        queue_wait: std::time::Duration::from_millis(1_000),
-        ..ServerConfig::default()
-    };
-    let server = Arc::new(SapphireServer::new(pum, config));
+    // The same start-up and serving posture as the in-process cluster
+    // (and the parent's reference router), so process-mode merges stay
+    // byte-identical to the in-process ones.
+    let server = start_shard(
+        "edge",
+        shard,
+        shard_graph,
+        replica..replica + 1,
+        &Lexicon::dbpedia_default(),
+        &experiment_config(),
+        &serving_posture(),
+    )
+    .expect("shard model initialization")
+    .remove(0);
     let wire = WireServer::serve(
         server as Arc<dyn ShardService>,
         "127.0.0.1:0",

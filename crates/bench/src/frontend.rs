@@ -38,7 +38,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sapphire_core::prelude::*;
-use sapphire_core::session::Modifiers;
 use sapphire_core::{InitMode, PredictiveUserModel};
 use sapphire_datagen::generate;
 use sapphire_datagen::workload::{appendix_b, Question};
@@ -162,13 +161,7 @@ impl ScriptCursor {
                 FrontRequest::SetRow { idx: row, input }
             }
             Step::Modifiers => {
-                let modifiers = Modifiers {
-                    distinct: false,
-                    order_by: q.script.order_by.clone(),
-                    limit: q.script.limit,
-                    count: q.script.count,
-                    filters: q.script.filters.clone(),
-                };
+                let modifiers = q.script.modifiers();
                 self.step = Step::Run;
                 FrontRequest::SetModifiers { modifiers }
             }

@@ -13,11 +13,11 @@ pub mod cluster;
 pub mod frontend;
 pub mod overload;
 pub mod serve;
-pub mod wire;
 
 use sapphire_core::SapphireConfig;
 use sapphire_datagen::DatasetConfig;
 use sapphire_rdf::{Graph, Term};
+use sapphire_server::ServerConfig;
 
 /// Evaluator probe queries over the `small` dataset: BGP joins of the
 /// shapes the workload uses, and the §5 initialization page shapes (Q6
@@ -112,6 +112,21 @@ pub fn experiment_config() -> SapphireConfig {
             .unwrap_or(8)
             .min(8),
         ..SapphireConfig::default()
+    }
+}
+
+/// The serving posture of every shard replica the cluster harness starts,
+/// in this process or in a `wire_shard` process: hardware-sized admission
+/// floored at 8 in flight (cramped CI boxes still exercise real
+/// parallelism), a queue four times that, and a 1 s queue deadline that a
+/// noisy runner's scheduler stall cannot trip.
+pub fn serving_posture() -> ServerConfig {
+    let max_in_flight = ServerConfig::default().max_in_flight.max(8);
+    ServerConfig {
+        max_in_flight,
+        max_queue_depth: max_in_flight * 4,
+        queue_wait: std::time::Duration::from_secs(1),
+        ..ServerConfig::default()
     }
 }
 

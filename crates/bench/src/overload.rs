@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use sapphire_cluster::{Cluster, ClusterConfig, ClusterRouter, DegradePolicy};
 use sapphire_core::exec::Executor;
-use sapphire_core::session::{Modifiers, Session, TripleInput};
+use sapphire_core::session::{Modifiers, TripleInput};
 use sapphire_core::PredictiveUserModel;
 use sapphire_datagen::generate;
 use sapphire_datagen::workload::appendix_b;
@@ -51,7 +51,7 @@ use sapphire_server::ServerConfig;
 use sapphire_sparql::SelectQuery;
 use sapphire_text::Lexicon;
 
-use crate::cluster::flatten;
+use crate::cluster::{flatten, resolve};
 use crate::serve::ClassStats;
 use crate::{dataset_for, experiment_config};
 
@@ -209,14 +209,8 @@ impl QueryFactory {
             if literal_rows < 2 {
                 continue;
             }
-            let modifiers = Modifiers {
-                distinct: false,
-                order_by: q.script.order_by.clone(),
-                limit: q.script.limit,
-                count: q.script.count,
-                filters: q.script.filters.clone(),
-            };
-            if let Some(query) = Self::resolve(&models, &q.script.rows, &modifiers) {
+            let modifiers = q.script.modifiers();
+            if let Some(query) = resolve(&models, &q.script.rows, &modifiers) {
                 bases.push((q.script.rows.clone(), modifiers));
                 fallbacks.push(query);
             }
@@ -232,20 +226,6 @@ impl QueryFactory {
         }
     }
 
-    /// Walk the shard models in order and take the first that resolves the
-    /// script (a rare predicate can be missing from one shard's slice).
-    fn resolve(
-        models: &[Arc<PredictiveUserModel>],
-        rows: &[TripleInput],
-        modifiers: &Modifiers,
-    ) -> Option<SelectQuery> {
-        models.iter().find_map(|m| {
-            Session::resume(m, rows.to_vec(), modifiers.clone(), 0)
-                .build_query()
-                .ok()
-        })
-    }
-
     /// The query for arrival number `serial` (process-wide, so no two
     /// arrivals in any phase share a cache key).
     fn unique(&self, serial: usize) -> SelectQuery {
@@ -255,8 +235,7 @@ impl QueryFactory {
         if let Some(row) = rows.iter_mut().rev().find(|r| !r.object.starts_with('?')) {
             row.object = format!("{}~{serial}", row.object);
         }
-        Self::resolve(&self.models, &rows, modifiers)
-            .unwrap_or_else(|| self.fallbacks[slot].clone())
+        resolve(&self.models, &rows, modifiers).unwrap_or_else(|| self.fallbacks[slot].clone())
     }
 }
 

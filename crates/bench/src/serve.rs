@@ -148,10 +148,15 @@ impl ClassStats {
         self.overloaded + self.queue_timeout + self.quota
     }
 
+    /// Requests that surfaced an error, typed rejection or not.
+    pub(crate) fn failed(&self) -> u64 {
+        self.rejected() + self.invalid
+    }
+
     /// Requests recorded, whatever their outcome — what the harness offered
     /// the server in this class.
     pub(crate) fn offered(&self) -> u64 {
-        self.latencies_us.len() as u64 + self.rejected() + self.invalid
+        self.latencies_us.len() as u64 + self.failed()
     }
 
     /// The typed outcome buckets in ledger order — overloaded, queue
@@ -387,16 +392,7 @@ pub fn run(opts: &ServeLoadOptions) -> MetricsHub {
                                 .expect("session owned by this thread");
                         }
                         server
-                            .set_modifiers(
-                                session,
-                                Modifiers {
-                                    distinct: false,
-                                    order_by: q.script.order_by.clone(),
-                                    limit: q.script.limit,
-                                    count: q.script.count,
-                                    filters: q.script.filters.clone(),
-                                },
-                            )
+                            .set_modifiers(session, q.script.modifiers())
                             .expect("session owned by this thread");
                         let t = Instant::now();
                         let r = server.run(session).map(|_| ());

@@ -9,6 +9,7 @@
 //! coalescers), not storage, exactly like processes of one shard behind a
 //! load balancer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sapphire_core::{InitMode, PredictiveUserModel, PumError, SapphireConfig};
@@ -16,6 +17,40 @@ use sapphire_endpoint::EndpointLimits;
 use sapphire_rdf::{Graph, Partitioner};
 use sapphire_server::{SapphireServer, ServerConfig};
 use sapphire_text::Lexicon;
+
+/// Start shard `index` of the deployment `name` over its slice `graph`:
+/// one shard-local model `{name}-s{index}`, initialized with the standard
+/// §5 pipeline, and one server `{name}-s{index}r{r}` over it for each `r`
+/// in `replicas`. [`Cluster::build_from_shards`] starts every replica of a
+/// shard here; a shard process starts its one replica here, so both serve
+/// the same bytes.
+pub fn start_shard(
+    name: &str,
+    index: usize,
+    graph: Graph,
+    replicas: Range<usize>,
+    lexicon: &Lexicon,
+    sapphire_config: &SapphireConfig,
+    server_config: &ServerConfig,
+) -> Result<Vec<Arc<SapphireServer>>, PumError> {
+    let pum = Arc::new(PredictiveUserModel::initialize_local(
+        format!("{name}-s{index}"),
+        graph,
+        EndpointLimits::warehouse(),
+        lexicon.clone(),
+        sapphire_config.clone(),
+        InitMode::Federated,
+    )?);
+    Ok(replicas
+        .map(|r| {
+            let config = ServerConfig {
+                name: format!("{name}-s{index}r{r}"),
+                ..server_config.clone()
+            };
+            Arc::new(SapphireServer::new(pum.clone(), config))
+        })
+        .collect())
+}
 
 /// A sharded, replicated set of Sapphire servers over one partitioned
 /// dataset.
@@ -59,8 +94,8 @@ impl Cluster {
     /// (possibly by another process) and arrives as a ready [`Graph`] instead
     /// of being re-split from the full dataset here. `schema_triples` /
     /// `data_triples` are the partition statistics to report (pass zeros if
-    /// unknown). Naming matches [`Cluster::build`] exactly, so answers are
-    /// byte-identical whichever constructor ran.
+    /// unknown). Each shard starts through [`start_shard`], as a shard
+    /// process does, so answers are byte-identical whichever started it.
     #[allow(clippy::too_many_arguments)]
     pub fn build_from_shards(
         name: &str,
@@ -72,27 +107,21 @@ impl Cluster {
         sapphire_config: &SapphireConfig,
         server_config: &ServerConfig,
     ) -> Result<Self, PumError> {
-        let mut tiers = Vec::with_capacity(shard_graphs.len());
-        for (i, shard_graph) in shard_graphs.into_iter().enumerate() {
-            let pum = Arc::new(PredictiveUserModel::initialize_local(
-                format!("{name}-s{i}"),
-                shard_graph,
-                EndpointLimits::warehouse(),
-                lexicon.clone(),
-                sapphire_config.clone(),
-                InitMode::Federated,
-            )?);
-            let replicas: Vec<Arc<SapphireServer>> = (0..replicas.max(1))
-                .map(|r| {
-                    let config = ServerConfig {
-                        name: format!("{name}-s{i}r{r}"),
-                        ..server_config.clone()
-                    };
-                    Arc::new(SapphireServer::new(pum.clone(), config))
-                })
-                .collect();
-            tiers.push(replicas);
-        }
+        let tiers = shard_graphs
+            .into_iter()
+            .enumerate()
+            .map(|(i, graph)| {
+                start_shard(
+                    name,
+                    i,
+                    graph,
+                    0..replicas.max(1),
+                    lexicon,
+                    sapphire_config,
+                    server_config,
+                )
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Cluster {
             shards: tiers,
             schema_triples,

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sapphire_core::pum::PredictiveUserModel;
-use sapphire_core::session::Session;
+use sapphire_core::session::{Modifiers, Session};
 use sapphire_sparql::Solutions;
 
 use crate::workload::{grade, Difficulty, Grade, Question, SessionScript};
@@ -409,11 +409,10 @@ fn simulate_sapphire(
         session.set_row(i, row.clone());
         time += t.type_term * 3.0 * (1.3 - skill).max(0.7);
     }
-    session.modifiers.distinct = true;
-    session.modifiers.order_by = script.order_by.clone();
-    session.modifiers.limit = script.limit;
-    session.modifiers.count = script.count;
-    session.modifiers.filters = script.filters.clone();
+    session.modifiers = Modifiers {
+        distinct: true,
+        ..script.modifiers()
+    };
     if script.order_by.is_some() || !script.filters.is_empty() || script.limit.is_some() {
         time += t.modifier;
     }
@@ -538,10 +537,10 @@ fn restore_ideal(session: &mut Session<'_>, script: &SessionScript) {
     for (i, row) in script.rows.iter().enumerate() {
         session.set_row(i, row.clone());
     }
-    session.modifiers.order_by = script.order_by.clone();
-    session.modifiers.limit = script.limit;
-    session.modifiers.count = script.count;
-    session.modifiers.filters = script.filters.clone();
+    session.modifiers = Modifiers {
+        distinct: session.modifiers.distinct,
+        ..script.modifiers()
+    };
 }
 
 /// Simulate a participant using a natural-language QA system: type the

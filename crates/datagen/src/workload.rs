@@ -7,7 +7,7 @@
 //! (the grader), and (c) a *session script* — the triple-pattern keywords an
 //! informed user would enter into Sapphire's text boxes.
 
-use sapphire_core::session::TripleInput;
+use sapphire_core::session::{Modifiers, TripleInput};
 use sapphire_endpoint::Endpoint;
 use sapphire_rdf::Term;
 use sapphire_sparql::{CmpOp, Expr, Solutions};
@@ -50,6 +50,18 @@ pub struct SessionScript {
 }
 
 impl SessionScript {
+    /// The script's ORDER BY, LIMIT, COUNT and filters as session
+    /// [`Modifiers`], without DISTINCT: a caller that wants it sets it.
+    pub fn modifiers(&self) -> Modifiers {
+        Modifiers {
+            distinct: false,
+            order_by: self.order_by.clone(),
+            limit: self.limit,
+            count: self.count,
+            filters: self.filters.clone(),
+        }
+    }
+
     fn rows(rows: &[(&str, &str, &str)]) -> Self {
         SessionScript {
             rows: rows

@@ -294,11 +294,6 @@ impl StageTimer<'_> {
     pub fn tag(&mut self, tag: impl Into<std::borrow::Cow<'static, str>>) {
         self.tag = Some(tag.into());
     }
-
-    /// Elapsed so far, microseconds.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
 }
 
 impl Drop for StageTimer<'_> {

@@ -51,11 +51,6 @@ impl ClassHierarchy {
         }
     }
 
-    /// Register a class with no known edges.
-    pub fn add_class(&mut self, class: String) {
-        self.classes.insert(class);
-    }
-
     /// All known classes.
     pub fn classes(&self) -> impl Iterator<Item = &str> {
         self.classes.iter().map(String::as_str)

@@ -334,14 +334,6 @@ impl Query {
             Query::Ask(gp) => gp,
         }
     }
-
-    /// The SELECT form, if this is one.
-    pub fn as_select(&self) -> Option<&SelectQuery> {
-        match self {
-            Query::Select(s) => Some(s),
-            Query::Ask(_) => None,
-        }
-    }
 }
 
 /// A SELECT query.

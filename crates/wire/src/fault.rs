@@ -2,15 +2,12 @@
 //! wire layer claims to survive.
 //!
 //! It sits between a [`WireClient`](crate::WireClient) and a
-//! [`WireServer`](crate::WireServer) and forwards raw bytes, with four
-//! independently switchable faults:
+//! [`WireServer`](crate::WireServer) and forwards raw bytes, with two
+//! injectable faults:
 //!
-//! * **latency** — sleep before forwarding each chunk (both directions);
-//! * **drop new** — accepted connections are closed before the upstream
-//!   dial, so the client handshake sees an immediate reset;
-//! * **one-way partition** — bytes in one direction are read and
-//!   discarded (the classic "requests arrive, replies vanish" half-open
-//!   failure that turns into client read timeouts);
+//! * **one-way partition** — server→client bytes are read and discarded
+//!   (the classic "requests arrive, replies vanish" half-open failure that
+//!   turns into client read timeouts);
 //! * **kill active** — every live connection pair is shot mid-stream.
 //!
 //! The proxy knows nothing about frames on purpose: faults land at
@@ -23,7 +20,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -31,33 +28,11 @@ use std::time::Duration;
 /// The switchboard of injectable faults, shared with every pump thread.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    /// Microseconds of delay injected before each forwarded chunk.
-    latency_us: AtomicU64,
-    /// Close newly accepted connections instead of dialing upstream.
-    drop_new: AtomicBool,
-    /// Discard client→server bytes (requests vanish).
-    blackhole_up: AtomicBool,
     /// Discard server→client bytes (replies vanish).
     blackhole_down: AtomicBool,
 }
 
 impl FaultPlan {
-    /// Inject `d` of latency before each forwarded chunk (each direction).
-    pub fn set_latency(&self, d: Duration) {
-        self.latency_us
-            .store(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Refuse (close) new connections when `on`.
-    pub fn set_drop_new(&self, on: bool) {
-        self.drop_new.store(on, Ordering::Relaxed);
-    }
-
-    /// One-way partition toward the server: requests are swallowed.
-    pub fn set_partition_to_server(&self, on: bool) {
-        self.blackhole_up.store(on, Ordering::Relaxed);
-    }
-
     /// One-way partition toward the client: replies are swallowed.
     pub fn set_partition_to_client(&self, on: bool) {
         self.blackhole_down.store(on, Ordering::Relaxed);
@@ -159,10 +134,6 @@ fn accept_loop(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if plan.drop_new.load(Ordering::Relaxed) {
-            drop(client);
-            continue;
-        }
         let server = match TcpStream::connect_timeout(&upstream, Duration::from_secs(1)) {
             Ok(s) => s,
             Err(_) => {
@@ -175,29 +146,16 @@ fn accept_loop(
                 conns.lock().unwrap().push(h);
             }
         }
-        // Two pump threads per pair, one per direction.
-        spawn_pump(
-            client.try_clone().ok(),
-            server.try_clone().ok(),
-            plan.clone(),
-            Direction::Up,
-        );
-        spawn_pump(Some(server), Some(client), plan.clone(), Direction::Down);
+        // Two pump threads per pair, one per direction; only the reply
+        // direction can be partitioned.
+        spawn_pump(client.try_clone().ok(), server.try_clone().ok(), None);
+        spawn_pump(Some(server), Some(client), Some(plan.clone()));
     }
 }
 
-#[derive(Clone, Copy)]
-enum Direction {
-    Up,
-    Down,
-}
-
-fn spawn_pump(
-    from: Option<TcpStream>,
-    to: Option<TcpStream>,
-    plan: Arc<FaultPlan>,
-    dir: Direction,
-) {
+/// Forward `from` to `to` until either side closes; with `plan`, its
+/// partition switch discards what this pump reads.
+fn spawn_pump(from: Option<TcpStream>, to: Option<TcpStream>, plan: Option<Arc<FaultPlan>>) {
     let (Some(mut from), Some(mut to)) = (from, to) else {
         return;
     };
@@ -208,15 +166,10 @@ fn spawn_pump(
                 Ok(0) | Err(_) => break,
                 Ok(n) => n,
             };
-            let latency = plan.latency_us.load(Ordering::Relaxed);
-            if latency > 0 {
-                std::thread::sleep(Duration::from_micros(latency));
-            }
-            let blackholed = match dir {
-                Direction::Up => plan.blackhole_up.load(Ordering::Relaxed),
-                Direction::Down => plan.blackhole_down.load(Ordering::Relaxed),
-            };
-            if blackholed {
+            if plan
+                .as_ref()
+                .is_some_and(|p| p.blackhole_down.load(Ordering::Relaxed))
+            {
                 continue; // read and discard: a half-open partition
             }
             if to.write_all(&buf[..n]).is_err() {

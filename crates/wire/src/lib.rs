@@ -24,8 +24,8 @@
 //!   failure onto [`ServerError::Unreachable`] (so the router's existing
 //!   backoff/hedging/degradation machinery fires unchanged), and piggybacked
 //!   load headers that keep the router's load probes round-trip-free;
-//! * [`FaultProxy`] — injectable latency, connection drops, mid-stream
-//!   kills, and one-way partitions between any client and server.
+//! * [`FaultProxy`] — injectable mid-stream kills and a one-way
+//!   (reply-swallowing) partition between any client and server.
 //!
 //! The contract that makes all of this safe: every request on this wire is
 //! **stateless and idempotent** (a [`WireRequest`] carries the tenant and

@@ -86,13 +86,7 @@ fn workload_queries(pum: &PredictiveUserModel) -> Vec<SelectQuery> {
     appendix_b()
         .iter()
         .map(|q| {
-            let modifiers = Modifiers {
-                distinct: false,
-                order_by: q.script.order_by.clone(),
-                limit: q.script.limit,
-                count: q.script.count,
-                filters: q.script.filters.clone(),
-            };
+            let modifiers = q.script.modifiers();
             Session::resume(pum, q.script.rows.clone(), modifiers, 0)
                 .build_query()
                 .expect("workload scripts build")

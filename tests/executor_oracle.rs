@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use sapphire_cluster::{Cluster, ClusterConfig, ClusterRouter};
 use sapphire_core::qsm::TermAlternative;
-use sapphire_core::session::{Modifiers, Session};
+use sapphire_core::session::Session;
 use sapphire_core::{InitMode, PredictiveUserModel, SapphireConfig};
 use sapphire_datagen::workload::appendix_b;
 use sapphire_datagen::{generate, DatasetConfig};
@@ -81,13 +81,7 @@ fn workload_queries() -> Vec<SelectQuery> {
     appendix_b()
         .iter()
         .map(|q| {
-            let modifiers = Modifiers {
-                distinct: false,
-                order_by: q.script.order_by.clone(),
-                limit: q.script.limit,
-                count: q.script.count,
-                filters: q.script.filters.clone(),
-            };
+            let modifiers = q.script.modifiers();
             Session::resume(&pum, q.script.rows.clone(), modifiers, 0)
                 .build_query()
                 .expect("workload scripts build")

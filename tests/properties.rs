@@ -10,7 +10,7 @@ use sapphire_cluster::merge::merge_completions;
 use sapphire_core::bins::{assign_tasks, FoldedLiteral, LitId, ResidualBins};
 use sapphire_core::qcm::QueryCompletion;
 use sapphire_core::qsm::{top_with_answers, AlteredPosition, TermAlternative};
-use sapphire_core::session::{Modifiers, Session};
+use sapphire_core::session::Session;
 use sapphire_core::{CachedData, InitMode, PredictiveUserModel, SapphireConfig};
 use sapphire_datagen::userstudy::{flatten, misspell};
 use sapphire_datagen::workload::SessionScript;
@@ -72,13 +72,7 @@ fn run_pool(pum: &PredictiveUserModel) -> Vec<(String, SelectQuery)> {
             variants.push(("misspelled", typo));
         }
         for (variant, script) in variants {
-            let modifiers = Modifiers {
-                distinct: false,
-                order_by: script.order_by.clone(),
-                limit: script.limit,
-                count: script.count,
-                filters: script.filters.clone(),
-            };
+            let modifiers = script.modifiers();
             let query = Session::resume(pum, script.rows.clone(), modifiers, 0)
                 .build_query()
                 .expect("workload scripts build");

@@ -12,7 +12,6 @@
 use std::sync::Arc;
 
 use sapphire_core::prelude::*;
-use sapphire_core::session::Modifiers;
 use sapphire_core::{InitMode, SapphireConfig};
 use sapphire_datagen::workload::appendix_b;
 use sapphire_datagen::{generate, DatasetConfig};
@@ -38,13 +37,7 @@ fn workload_queries(pum: &PredictiveUserModel) -> Vec<SelectQuery> {
     appendix_b()
         .iter()
         .filter_map(|q| {
-            let modifiers = Modifiers {
-                distinct: false,
-                order_by: q.script.order_by.clone(),
-                limit: q.script.limit,
-                count: q.script.count,
-                filters: q.script.filters.clone(),
-            };
+            let modifiers = q.script.modifiers();
             Session::resume(pum, q.script.rows.clone(), modifiers, 0)
                 .build_query()
                 .ok()

@@ -19,7 +19,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use sapphire_core::session::Modifiers;
 use sapphire_core::{InitMode, PredictiveUserModel, SapphireConfig};
 use sapphire_datagen::workload::appendix_b;
 use sapphire_datagen::{generate, DatasetConfig};
@@ -78,13 +77,7 @@ fn session_script(offset: usize) -> Vec<FrontRequest> {
             });
         }
         script.push(FrontRequest::SetModifiers {
-            modifiers: Modifiers {
-                distinct: false,
-                order_by: q.script.order_by.clone(),
-                limit: q.script.limit,
-                count: q.script.count,
-                filters: q.script.filters.clone(),
-            },
+            modifiers: q.script.modifiers(),
         });
         script.push(FrontRequest::Run);
         script.push(FrontRequest::ApplyAlternative { index: 0 });

@@ -3,7 +3,7 @@
 //! baselines exhibiting their characteristic capability classes.
 
 use sapphire_baselines::ComparisonHarness;
-use sapphire_core::session::Session;
+use sapphire_core::session::{Modifiers, Session};
 use sapphire_core::SapphireConfig;
 use sapphire_datagen::workload::{appendix_b, gold_answers, grade, Difficulty, Grade};
 use sapphire_datagen::DatasetConfig;
@@ -29,11 +29,10 @@ fn every_ideal_script_reaches_gold_through_sapphire() {
         for (i, row) in q.script.rows.iter().enumerate() {
             session.set_row(i, row.clone());
         }
-        session.modifiers.distinct = true;
-        session.modifiers.order_by = q.script.order_by.clone();
-        session.modifiers.limit = q.script.limit;
-        session.modifiers.count = q.script.count;
-        session.modifiers.filters = q.script.filters.clone();
+        session.modifiers = Modifiers {
+            distinct: true,
+            ..q.script.modifiers()
+        };
         match session.run() {
             Ok(result) => {
                 let g = grade(result.answers.solutions(), &gold);
