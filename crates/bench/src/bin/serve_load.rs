@@ -8,9 +8,7 @@
 //!
 //! Usage: `cargo run --release -p sapphire-bench --bin serve_load
 //!         [--users 32] [--rounds 3] [--scale tiny|small|medium]
-//!         [--inflight N] [--queue N] [--burst-users 16] [--burst-rounds 8]
-//!         [--coalesce N]` (waiter cap per key; `--coalesce 0` disables
-//! single-flight to measure the pre-coalescing baseline)
+//!         [--inflight N] [--queue N] [--burst-users 16] [--burst-rounds 8]`
 //!         `[--smoke N]` sets the cold scatters per arm of the
 //! `medium`-scale smoke phase (`0` skips it)
 //!         `[--frontend-sessions N] [--frontend-workers N]
@@ -141,7 +139,6 @@ fn parse(mut args: Args) -> Result<Mode, String> {
             max_queue_depth: args.number("--queue", 0)?,
             burst_users: args.number("--burst-users", defaults.burst_users)?,
             burst_rounds: args.number("--burst-rounds", defaults.burst_rounds)?,
-            coalesce_waiters: args.number("--coalesce", defaults.coalesce_waiters)?,
             queue_wait_ms: 0,
             frontend_sessions: args.number("--frontend-sessions", defaults.frontend_sessions)?,
             frontend_workers: args.number("--frontend-workers", defaults.frontend_workers)?,

@@ -158,9 +158,9 @@ pub(crate) fn flatten(result: Result<(), ClusterError>) -> Result<(), ServerErro
     match result {
         Ok(()) => Ok(()),
         Err(ClusterError::ShardUnavailable { last, .. }) => Err(last),
-        Err(ClusterError::Shard { error, .. })
-        | Err(ClusterError::CrossShard { error })
-        | Err(ClusterError::EdgeRejected(error)) => Err(error),
+        Err(ClusterError::Shard { error, .. }) | Err(ClusterError::CrossShard { error }) => {
+            Err(error)
+        }
         Err(ClusterError::Unsupported(m)) => Err(ServerError::Backend(m)),
     }
 }

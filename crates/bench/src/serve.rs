@@ -15,8 +15,7 @@
 //!    typing the same prefix at once. With single-flight coalescing each
 //!    round costs one model scan per request class; the report carries the
 //!    `coalesce_leader_runs` / `coalesced_hits` deltas so the effect is a
-//!    number, not a claim. Run it with `coalesce_waiters == 0` to measure
-//!    the pre-coalescing behaviour (every duplicate scans).
+//!    number, not a claim.
 //!
 //! The report is a [`MetricsHub`]: the server's own
 //! [`export_metrics`](SapphireServer::export_metrics) sections plus the
@@ -57,9 +56,6 @@ pub struct ServeLoadOptions {
     /// Rounds of the duplicate-burst phase; each round is one cold QCM term
     /// and one cold QSM query issued by every burst user simultaneously.
     pub burst_rounds: usize,
-    /// Per-key coalescing waiter cap (`0` disables single-flight — the
-    /// pre-coalescing baseline behaviour).
-    pub coalesce_waiters: usize,
     /// Queued-request deadline in milliseconds (`0` = 100ms, the serving
     /// posture). The CI gate raises this so a noisy-neighbor scheduler stall
     /// on a shared runner cannot manufacture a spurious `QueueTimeout`
@@ -97,7 +93,6 @@ impl Default for ServeLoadOptions {
             max_queue_depth: 0,
             burst_users: 16,
             burst_rounds: 8,
-            coalesce_waiters: ServerConfig::default().coalesce_waiters_per_key,
             queue_wait_ms: 0,
             frontend_sessions: crate::frontend::FrontendPhaseOptions::default().sessions,
             frontend_workers: crate::frontend::FrontendPhaseOptions::default().workers,
@@ -289,7 +284,6 @@ pub fn run(opts: &ServeLoadOptions) -> MetricsHub {
         max_in_flight,
         max_queue_depth,
         queue_wait: Duration::from_millis(queue_wait_ms),
-        coalesce_waiters_per_key: opts.coalesce_waiters,
         ..ServerConfig::default()
     };
     let mut hub = MetricsHub::new();
@@ -302,8 +296,7 @@ pub fn run(opts: &ServeLoadOptions) -> MetricsHub {
         .field("max_in_flight", max_in_flight)
         .field("max_queue_depth", max_queue_depth)
         .field("burst_users", opts.burst_users)
-        .field("burst_rounds", opts.burst_rounds)
-        .field("coalesce_waiters", opts.coalesce_waiters);
+        .field("burst_rounds", opts.burst_rounds);
     // One shared observability handle across every phase — single-box
     // server, evented front-end, and the cluster scatter phase — so the
     // report's stage sections span all tiers.

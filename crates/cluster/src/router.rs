@@ -57,9 +57,7 @@ use sapphire_core::{CacheStats, RequestKey, SteinerConfig};
 use sapphire_endpoint::{Backoff, Endpoint, EndpointError};
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
-use sapphire_server::{
-    run_cost, ServerError, ShardService, TransportStats, WireReply, WireRequest, COMPLETION_COST,
-};
+use sapphire_server::{ServerError, ShardService, TransportStats, WireReply, WireRequest};
 use sapphire_sparql::{Projection, Query, QueryResult, SelectQuery, Solutions, TermPattern};
 
 use crate::merge::{dedup_alternatives, merge_bindings, merge_completions, sort_alternatives};
@@ -68,9 +66,6 @@ use crate::topology::Cluster;
 /// Tuning knobs of a [`ClusterRouter`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Router name: the endpoint name each shard carries in the cross-shard
-    /// federated plan.
-    pub name: String,
     /// Fire the same request at a second replica when the first has not
     /// answered within this budget; `None` disables hedging.
     pub hedge_after: Option<Duration>,
@@ -90,16 +85,6 @@ pub struct ClusterConfig {
     pub cache_shards: usize,
     /// LRU capacity per edge response-cache shard.
     pub cache_capacity_per_shard: usize,
-    /// Per-key waiter cap of the edge coalescers (`0` disables edge
-    /// single-flight).
-    pub coalesce_waiters_per_key: usize,
-    /// Per-tenant work budget per accounting window at the *edge* tier
-    /// (`None` = unlimited). Shard-side budgets alone cannot meter cluster
-    /// traffic: an edge cache hit or coalesced follower never reaches a
-    /// shard, so without an edge meter a quota-exhausted tenant could
-    /// replay any cached request for free. Charged per request, before the
-    /// edge caches — the same request-denominated posture the shards take.
-    pub tenant_window_budget: Option<u64>,
     /// Router-driven degradation: when set, the edge *requests* a QSM shed
     /// tier from shards (chosen from shard queue pressure and the remaining
     /// deadline budget) and propagates the remaining budget on every run
@@ -154,14 +139,11 @@ impl Default for DegradePolicy {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            name: "sapphire-cluster".to_string(),
             hedge_after: Some(Duration::from_millis(50)),
             max_inflight_hedges: 32,
             backoff: Backoff::default(),
             cache_shards: 16,
             cache_capacity_per_shard: 4096,
-            coalesce_waiters_per_key: 1024,
-            tenant_window_budget: None,
             degrade: None,
         }
     }
@@ -202,9 +184,6 @@ pub enum ClusterError {
         /// The typed failure of the federated plan.
         error: ServerError,
     },
-    /// The edge itself rejected the request before consulting any shard
-    /// (per-tenant budget exhausted at the edge tier).
-    EdgeRejected(ServerError),
     /// The evaluator cannot answer the query over the merged bindings (e.g.
     /// a projected variable neither grouped nor aggregated).
     Unsupported(String),
@@ -220,7 +199,6 @@ impl std::fmt::Display for ClusterError {
             ClusterError::CrossShard { error } => {
                 write!(f, "cross-shard federated plan failed: {error}")
             }
-            ClusterError::EdgeRejected(error) => write!(f, "edge rejected: {error}"),
             ClusterError::Unsupported(m) => write!(f, "unsupported cluster query: {m}"),
         }
     }
@@ -236,7 +214,6 @@ impl ClusterError {
             ClusterError::Shard { error, .. } | ClusterError::CrossShard { error } => {
                 error.is_rejection()
             }
-            ClusterError::EdgeRejected(error) => error.is_rejection(),
             ClusterError::Unsupported(_) => false,
         }
     }
@@ -440,7 +417,7 @@ fn tenant_scoped(e: &ClusterError) -> bool {
             ..
         } | ClusterError::CrossShard {
             error: ServerError::QuotaExhausted { .. },
-        } | ClusterError::EdgeRejected(ServerError::QuotaExhausted { .. })
+        }
     )
 }
 
@@ -468,6 +445,9 @@ fn retry_hint(e: &ServerError) -> Duration {
         .unwrap_or_default()
 }
 
+/// The endpoint name every shard carries in a cross-shard federated plan.
+const ENDPOINT_NAME: &str = "sapphire-cluster";
+
 /// One shard as the [`Endpoint`] a cross-shard bound join probes and
 /// sub-queries: each query is one [`Routing::shard_rtt`] — the same
 /// load-ordered, hedged, retried, counted and spanned shard call every
@@ -481,7 +461,7 @@ struct ShardEndpoint<'a> {
 
 impl Endpoint for ShardEndpoint<'_> {
     fn name(&self) -> &str {
-        &self.routing.config.name
+        ENDPOINT_NAME
     }
 
     fn execute_parsed(&self, query: &Query) -> Result<QueryResult, EndpointError> {
@@ -602,7 +582,6 @@ pub struct ClusterRouter {
     runs: ReadThrough<ClusterRunPayload, ClusterError>,
     /// Raw queries single-flight at the edge but are never edge-cached.
     raw: ReadThrough<QueryResult, ClusterError>,
-    tenants: sapphire_server::admission::TenantBudgets,
 }
 
 impl ClusterRouter {
@@ -661,13 +640,12 @@ impl ClusterRouter {
         // Every replica of every shard shares one model config; the edge
         // presents the same top-k the shards compute.
         let k = shards[0][0].top_k();
-        let (cache_shards, waiters) = (config.cache_shards, config.coalesce_waiters_per_key);
+        let cache_shards = config.cache_shards;
         let capacity = Some(config.cache_capacity_per_shard);
         ClusterRouter {
-            tenants: sapphire_server::admission::TenantBudgets::new(config.tenant_window_budget),
-            completions: ReadThrough::new("edge completion", cache_shards, capacity, waiters),
-            runs: ReadThrough::new("edge run", cache_shards, capacity, waiters),
-            raw: ReadThrough::new("edge service", cache_shards, None, waiters),
+            completions: ReadThrough::new("edge completion", cache_shards, capacity),
+            runs: ReadThrough::new("edge run", cache_shards, capacity),
+            raw: ReadThrough::new("edge service", cache_shards, None),
             routing: Arc::new(Routing {
                 counters: Counters::new(shards.len()),
                 obs,
@@ -705,26 +683,6 @@ impl ClusterRouter {
     /// The configuration in effect.
     pub fn config(&self) -> &ClusterConfig {
         &self.routing.config
-    }
-
-    /// Charge `cost` edge work units to `tenant` (typed
-    /// [`ClusterError::EdgeRejected`] when the window budget is exhausted).
-    /// Runs before the edge caches so a cached request still consumes quota
-    /// — budgets are request-denominated, exactly as on the shards.
-    fn charge(&self, tenant: &str, cost: u64) -> Result<(), ClusterError> {
-        self.tenants
-            .charge(tenant, cost)
-            .map_err(ClusterError::EdgeRejected)
-    }
-
-    /// The edge work charged to `tenant` in the current window.
-    pub fn tenant_usage(&self, tenant: &str) -> u64 {
-        self.tenants.used(tenant)
-    }
-
-    /// Start a fresh edge budget accounting window.
-    pub fn reset_budget_window(&self) {
-        self.tenants.reset_window();
     }
 
     /// Observability snapshot.
@@ -827,7 +785,6 @@ impl ClusterRouter {
     /// same normalized key the shards use.
     pub fn complete(&self, tenant: &str, term: &str) -> Result<ClusterCompletion, ClusterError> {
         let _req = self.routing.obs.request_scope("complete", tenant);
-        self.charge(tenant, COMPLETION_COST)?;
         let (served, result) = self.completions.serve(
             &self.routing.obs,
             RequestKey::completion(term, self.k),
@@ -892,7 +849,6 @@ impl ClusterRouter {
         floor: usize,
     ) -> Result<ClusterRun, ClusterError> {
         let _req = self.routing.obs.request_scope("run", tenant);
-        self.charge(tenant, run_cost(query.pattern.triples.len()))?;
         let started = Instant::now();
         // The edge chooses the tier it will request BEFORE any lookup: the
         // tier keys the edge cache and the coalescer, so tier-0 and tier-N
@@ -1115,12 +1071,11 @@ impl ClusterRouter {
 
     /// The cluster's raw SPARQL surface: a SELECT answered exactly, as a
     /// [`run`](Self::run)'s answers are, and an ASK as a SELECT of at most
-    /// one row per consulted shard. Charged like a run, never
-    /// edge-cached, and identical in-flight queries coalesce at this tier by
-    /// their [`RequestKey`], the same key every other tier uses.
+    /// one row per consulted shard. Never edge-cached; identical in-flight
+    /// queries coalesce at this tier by their [`RequestKey`], the same key
+    /// every other tier uses.
     pub fn execute_query(&self, tenant: &str, query: &Query) -> Result<QueryResult, ClusterError> {
         let _req = self.routing.obs.request_scope("query", tenant);
-        self.charge(tenant, run_cost(query.pattern().triples.len()))?;
         let (served, result) = self.raw.serve(
             &self.routing.obs,
             RequestKey::raw(query.clone()),

@@ -147,12 +147,6 @@ impl<'a> Session<'a> {
         self.attempts
     }
 
-    /// Add an empty triple row; returns its index.
-    pub fn add_row(&mut self) -> usize {
-        self.triples.push(TripleInput::default());
-        self.triples.len() - 1
-    }
-
     /// Fill a triple row.
     pub fn set_row(&mut self, idx: usize, input: TripleInput) {
         if idx >= self.triples.len() {

@@ -18,8 +18,9 @@
 //!   `max_waiters_per_key` followers; once full, further duplicates *bypass*
 //!   coalescing and run their own scan. A hot key can therefore never grow
 //!   an unbounded queue of blocked requests behind one slow leader. A cap of
-//!   `0` disables coalescing entirely (every duplicate bypasses), which the
-//!   load generator uses to measure the before/after difference.
+//!   `0` disables coalescing entirely (every duplicate bypasses). Every
+//!   [`ReadThrough`] of the serving tiers uses one cap,
+//!   [`MAX_WAITERS_PER_KEY`].
 //! * **Abandoned-leader recovery** — if a leader unwinds without completing
 //!   (a panic in the scan), its flight is marked abandoned and every
 //!   follower retries from the top, one of them becoming the new leader.
@@ -339,6 +340,10 @@ pub struct ReadThrough<V, E> {
     flights: Coalescer<V, E, RequestKey>,
 }
 
+/// Followers one flight of a [`ReadThrough`] lets block behind its leader;
+/// further duplicates bypass it and run their own work.
+pub const MAX_WAITERS_PER_KEY: usize = 1024;
+
 impl<V, E: Clone> ReadThrough<V, E> {
     /// `surface` labels this front's trace spans (`"completion"`,
     /// `"edge run"`, ...). Cache and coalescer are sharded alike;
@@ -348,12 +353,11 @@ impl<V, E: Clone> ReadThrough<V, E> {
         surface: &'static str,
         shards: usize,
         cache_capacity_per_shard: Option<usize>,
-        max_waiters_per_key: usize,
     ) -> Self {
         ReadThrough {
             surface,
             cache: cache_capacity_per_shard.map(|cap| ShardedResponseCache::new(shards, cap)),
-            flights: Coalescer::new(shards, max_waiters_per_key),
+            flights: Coalescer::new(shards, MAX_WAITERS_PER_KEY),
         }
     }
 
@@ -712,7 +716,7 @@ mod tests {
 
     #[test]
     fn hit_is_one_counted_get_and_no_coalescer_touch() {
-        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
         let (served, value) = serve(&front, &obs, |_| Ok(7));
         assert_eq!((served, *value.unwrap()), (Served::Leader, 7));
         let (served, value) = serve(&front, &obs, no_work);
@@ -727,7 +731,7 @@ mod tests {
     /// filled after this request's counted miss but before its join.
     #[test]
     fn late_hit_under_leadership_runs_no_work_and_releases_the_flight() {
-        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
         front.cache.as_ref().unwrap().insert(key(), 7);
         let (served, value) = front.serve_miss(&obs, key(), no_work, |_| true, |_| false);
         assert_eq!((served, *value.unwrap()), (Served::LateHit, 7));
@@ -738,7 +742,7 @@ mod tests {
 
     #[test]
     fn follower_shares_the_leaders_value_and_records_its_wait() {
-        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
         let ((led, leader), (followed, follower)) = leader_then_follower(&front, &obs, Ok(7));
         assert_eq!((led, followed), (Served::Leader, Served::Follower));
         assert!(Arc::ptr_eq(&leader.unwrap(), &follower.unwrap()));
@@ -748,7 +752,7 @@ mod tests {
 
     #[test]
     fn leader_error_releases_followers_and_the_key() {
-        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
         let (leader, follower) = leader_then_follower(&front, &obs, Err("boom".to_string()));
         assert_eq!(leader, (Served::Leader, Err("boom".to_string())));
         assert_eq!(follower, (Served::Follower, Err("boom".to_string())));
@@ -759,7 +763,7 @@ mod tests {
 
     #[test]
     fn follower_retries_for_itself_when_the_error_was_the_leaders_own() {
-        let (front, obs) = (Front::new("test", 2, Some(8), 8), Obs::new());
+        let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
         let quota = Err("quota: the leader's tenant".to_string());
         let (leader, (followed, follower)) = leader_then_follower(&front, &obs, quota.clone());
         assert!(leader.1.is_err());
@@ -774,7 +778,11 @@ mod tests {
 
     #[test]
     fn full_waiter_cap_bypasses_and_still_fills_the_cache() {
-        let (front, obs) = (Front::new("test", 2, Some(8), 0), Obs::new());
+        let front = Front {
+            flights: Coalescer::new(2, 0),
+            ..Front::new("test", 2, Some(8))
+        };
+        let obs = Obs::new();
         let (served, _) = serve(&front, &obs, |_| {
             // A duplicate arriving mid-flight: cap 0, so it cannot park.
             let (inner, value) = serve(&front, &obs, |how| Ok(how as u64));
@@ -790,8 +798,8 @@ mod tests {
 
     #[test]
     fn vetoed_and_uncached_values_are_returned_but_never_cached() {
-        let vetoing = Front::new("test", 2, Some(8), 8);
-        let uncached = Front::new("test", 2, None, 8);
+        let vetoing = Front::new("test", 2, Some(8));
+        let uncached = Front::new("test", 2, None);
         let obs = Obs::new();
         for round in 0..2 {
             for front in [&vetoing, &uncached] {

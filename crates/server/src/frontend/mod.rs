@@ -9,14 +9,21 @@
 //!
 //! * a **session** is a lightweight state machine (`session::SessionState`)
 //!   — a FIFO queue of submitted requests plus a phase tag — never a
-//!   thread;
+//!   thread. It lives in the session's entry of the server's registry
+//!   ([`OpenSession`], beside the server's rows), so the front-end keeps
+//!   no table of its own: a session opened on the server is a session here,
+//!   and closing it there closes it here. [`Frontend::submit`] resolves
+//!   the id once; the ready queue, the turns, the grant callbacks and the
+//!   deadline timers carry the session itself;
 //! * **a request that needs neither waiting nor work stays on the thread
 //!   that asked**: [`Frontend::submit`] on an idle session takes the
 //!   session's turn itself and answers a session edit or a response-cache
 //!   hit before it returns — the commonest requests of an interactive
 //!   service cost no thread hand-off at all;
 //! * the **reactor** (`reactor::Reactor`) holds the sessions that have
-//!   runnable work in one ready queue;
+//!   runnable work in one ready queue — the sessions themselves, so a
+//!   session closed with requests still queued drains on its turn, and is
+//!   freed when the last of them has answered;
 //! * **turn tasks** on the process-global executor
 //!   ([`sapphire_core::exec::global`]) — at most `FrontendConfig::workers`
 //!   at once — pop ready sessions and drive [`SapphireServer`] request
@@ -44,20 +51,19 @@ pub(crate) mod reactor;
 pub mod session;
 mod worker;
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 use sapphire_core::exec;
 use sapphire_obs::Stage;
 
 use crate::error::ServerError;
-use crate::registry::SessionId;
+use crate::registry::{OpenSession, SessionId};
 use crate::server::SapphireServer;
 
 pub use session::{FrontRequest, FrontResponse, ResponseCallback};
 
-use session::{Phase, SessionState};
+use session::Phase;
 
 /// Tuning knobs of a [`Frontend`].
 #[derive(Debug, Clone)]
@@ -126,8 +132,6 @@ pub struct FrontendMetrics {
     pub late_grants: u64,
     /// Parked sessions settled to [`ServerError::QueueTimeout`].
     pub queue_timeouts: u64,
-    /// Sessions the front-end currently tracks.
-    pub open_sessions: usize,
     /// Sessions in the ready queue right now.
     pub ready: usize,
     /// Sessions parked awaiting an admission grant right now.
@@ -153,23 +157,14 @@ pub(crate) struct Shared {
     pub(crate) server: Arc<SapphireServer>,
     pub(crate) config: FrontendConfig,
     pub(crate) reactor: reactor::Reactor,
-    sessions: RwLock<HashMap<u64, Arc<Mutex<SessionState>>>>,
     pub(crate) counters: MetricCounters,
 }
 
 impl Shared {
-    pub(crate) fn session(&self, id: u64) -> Option<Arc<Mutex<SessionState>>> {
-        self.sessions.read().unwrap().get(&id).cloned()
-    }
-
-    pub(crate) fn forget_session(&self, id: u64) {
-        self.sessions.write().unwrap().remove(&id);
-    }
-
-    /// Make session `id` ready, starting a turn task on the shared executor
+    /// Make `session` ready, starting a turn task on the shared executor
     /// unless `workers` are already alive.
-    pub(crate) fn schedule(self: &Arc<Self>, id: u64) {
-        if self.reactor.schedule(id) {
+    pub(crate) fn schedule(self: &Arc<Self>, session: Arc<OpenSession>) {
+        if self.reactor.schedule(session) {
             let shared = Arc::clone(self);
             exec::global().spawn(move || worker::run_turns(&shared));
         }
@@ -178,15 +173,12 @@ impl Shared {
     /// A parked session's admission grant arrived or its deadline passed:
     /// it becomes ready, and a turn claims the grant or settles the expired
     /// ticket.
-    pub(crate) fn on_grant(self: &Arc<Self>, id: u64) {
-        let Some(state_arc) = self.session(id) else {
-            return;
-        };
-        let mut st = state_arc.lock().unwrap();
+    pub(crate) fn on_grant(self: &Arc<Self>, session: Arc<OpenSession>) {
+        let mut st = session.queue.lock().unwrap();
         if st.phase == Phase::AwaitingGrant {
             st.phase = Phase::Queued;
             drop(st);
-            self.schedule(id);
+            self.schedule(session);
         }
         // Any other phase: a thread holds the session right now and its
         // re-park path double-checks the ticket, so the wake is not lost.
@@ -208,7 +200,6 @@ impl Frontend {
             server,
             reactor: reactor::Reactor::new(config.workers),
             config,
-            sessions: RwLock::new(HashMap::new()),
             counters: MetricCounters::default(),
         });
         Frontend { shared }
@@ -219,19 +210,14 @@ impl Frontend {
         &self.shared.server
     }
 
-    /// Open an interactive session for `tenant` and register it with the
-    /// event loop.
+    /// Open an interactive session for `tenant` on the server — the same
+    /// session [`SapphireServer::open_session`] opens, refused once this
+    /// front-end is shutting down.
     pub fn open_session(&self, tenant: &str) -> Result<SessionId, ServerError> {
         if self.shared.reactor.is_shutdown() {
             return Err(ServerError::ShuttingDown);
         }
-        let id = self.shared.server.open_session(tenant)?;
-        self.shared
-            .sessions
-            .write()
-            .unwrap()
-            .insert(id.0, Arc::new(Mutex::new(SessionState::new())));
-        Ok(id)
+        self.shared.server.open_session(tenant)
     }
 
     /// Submit one request on `id`. Never waits on the admission gate, on a
@@ -247,10 +233,11 @@ impl Frontend {
     /// submit-loop callers can react without waiting.
     ///
     /// What the submitting thread *does* take, when it answers itself, is a
-    /// handful of short locks nobody holds across a wait — this session's
-    /// state, its registry entry, the admission gate's counter, the tenant
-    /// meter's shard, one response-cache shard — and, for a `Run`, the time
-    /// to turn the session's rows into a query (a few µs).
+    /// handful of short locks nobody holds across a wait — one registry
+    /// shard's read lock to resolve `id`, the session's queue and its entry,
+    /// the admission gate's counter, the tenant meter's shard, one
+    /// response-cache shard — and, for a `Run`, the time to turn the
+    /// session's rows into a query (a few µs).
     pub fn submit(
         &self,
         id: SessionId,
@@ -264,21 +251,20 @@ impl Frontend {
         if self.shared.reactor.is_shutdown() {
             return reject(ServerError::ShuttingDown, respond);
         }
-        let Some(state_arc) = self.shared.session(id.0) else {
-            return reject(ServerError::UnknownSession(id), respond);
-        };
-        // Begin the sampled trace before taking the session lock (the tenant
-        // lookup takes the registry lock). One relaxed load when sampling is
-        // off — the default — so untraced submission pays nothing.
+        // The one lookup of the id: from here on the session itself travels
+        // with the request.
+        let session = self.shared.server.session(id);
+        // Begin the sampled trace before taking the session's queue lock.
+        // One relaxed load when sampling is off — the default — so untraced
+        // submission pays nothing.
         let obs = self.shared.server.obs();
         let trace = if obs.sampling() == 0 {
             None
         } else {
-            let tenant = self
-                .shared
-                .server
-                .session_tenant(id)
-                .unwrap_or_else(|_| String::new());
+            let tenant = match &session {
+                Ok(session) => session.entry.lock().unwrap().tenant.clone(),
+                Err(_) => String::new(),
+            };
             obs.begin_trace(request.kind(), &tenant)
         };
         let enqueued = std::time::Instant::now();
@@ -294,11 +280,11 @@ impl Frontend {
             }
             reject(e, respond)
         };
-        let mut st = state_arc.lock().unwrap();
-        if st.closed {
-            drop(st);
-            return reject_begun(ServerError::UnknownSession(id), respond, trace);
-        }
+        let session = match session {
+            Ok(session) => session,
+            Err(e) => return reject_begun(e, respond, trace),
+        };
+        let mut st = session.queue.lock().unwrap();
         if st.backlog() >= self.shared.config.session_queue_depth.max(1) {
             let depth = st.backlog();
             drop(st);
@@ -324,13 +310,13 @@ impl Frontend {
             Phase::Idle if worker::submitter_may_dispatch(&self.shared) => {
                 st.phase = Phase::Running;
                 drop(st);
-                worker::dispatch_on_submitter(&self.shared, id.0, &state_arc, q);
+                worker::dispatch_on_submitter(&self.shared, &session, q);
             }
             Phase::Idle => {
                 st.queue.push_back(q);
                 st.phase = Phase::Queued;
                 drop(st);
-                self.shared.schedule(id.0);
+                self.shared.schedule(session);
             }
             // Whoever holds the session, or its grant, finds the request in
             // the queue when its turn ends.
@@ -372,11 +358,11 @@ impl Frontend {
         done.take().expect("loop exits only once filled")
     }
 
-    /// Requests queued across all sessions plus sessions parked on
-    /// admission — the front-end's total backlog.
+    /// Requests accepted and not yet answered — queued, parked on
+    /// admission, handed over or executing: the front-end's total backlog.
     pub fn backlog(&self) -> usize {
-        let sessions = self.shared.sessions.read().unwrap();
-        sessions.values().map(|s| s.lock().unwrap().backlog()).sum()
+        let m = self.metrics();
+        m.submitted.saturating_sub(m.completed) as usize
     }
 
     /// Observability snapshot.
@@ -400,7 +386,6 @@ impl Frontend {
             ticket_grants: self.shared.counters.ticket_grants.load(Ordering::Relaxed),
             late_grants: self.shared.counters.late_grants.load(Ordering::Relaxed),
             queue_timeouts: self.shared.counters.queue_timeouts.load(Ordering::Relaxed),
-            open_sessions: self.shared.sessions.read().unwrap().len(),
             ready,
             parked,
             peak_ready,
@@ -425,7 +410,6 @@ impl Frontend {
             .field("ticket_grants", m.ticket_grants)
             .field("late_grants", m.late_grants)
             .field("queue_timeouts", m.queue_timeouts)
-            .field("open_sessions", m.open_sessions)
             .field("ready", m.ready)
             .field("parked", m.parked)
             .field("peak_ready", m.peak_ready);
@@ -458,6 +442,7 @@ mod tests {
     use sapphire_core::prelude::*;
     use sapphire_core::session::TripleInput;
     use sapphire_core::InitMode;
+    use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -695,6 +680,154 @@ mod tests {
         let m = fe.server().metrics();
         assert_eq!(m.rejected_overloaded, 0, "it never reached the gate");
         assert_eq!(m.completion_requests, 1, "and was still counted");
+    }
+
+    #[test]
+    fn a_session_opened_on_the_server_is_served_by_the_front_end() {
+        let fe = frontend(ServerConfig::for_tests());
+        let s = fe.server().open_session("alice").unwrap();
+        fe.call(
+            s,
+            FrontRequest::SetRow {
+                idx: 0,
+                input: TripleInput::new("?p", "surname", "Kennedy"),
+            },
+        )
+        .expect("one table: the front-end knows the server's session");
+        match fe.call(s, FrontRequest::Run).unwrap() {
+            FrontResponse::Run(out) => assert_eq!(out.answers.total_rows(), 1),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert!(matches!(
+            fe.call(s, FrontRequest::Close),
+            Ok(FrontResponse::Closed)
+        ));
+        assert_eq!(fe.server().metrics().open_sessions, 0);
+    }
+
+    /// A front-end whose gate has one slot, held by the test, and a session
+    /// whose completion is parked on an admission ticket behind it. Returns
+    /// the slot, the session, a `Weak` of it, and where the parked request's
+    /// answer arrives.
+    #[allow(clippy::type_complexity)]
+    fn parked_session(
+        fe: &Frontend,
+    ) -> (
+        crate::admission::AdmissionPermit,
+        SessionId,
+        std::sync::Weak<OpenSession>,
+        mpsc::Receiver<Result<FrontResponse, ServerError>>,
+    ) {
+        let s = fe.open_session("alice").unwrap();
+        let weak = Arc::downgrade(&fe.server().session(s).unwrap());
+        let slot = fe.server().hold_slot().unwrap();
+        let kenn = FrontRequest::Complete {
+            typed: "Kenn".into(),
+        };
+        let Err(parked) = answered_by_return(fe, s, kenn) else {
+            panic!("answered through a full gate");
+        };
+        assert_eq!(fe.metrics().parked, 1, "parked on its ticket");
+        (slot, s, weak, parked)
+    }
+
+    fn one_slot_gate() -> ServerConfig {
+        ServerConfig {
+            max_in_flight: 1,
+            max_queue_depth: 8,
+            queue_wait: Duration::from_secs(5),
+            ..ServerConfig::for_tests()
+        }
+    }
+
+    #[test]
+    fn a_close_behind_a_parked_request_drains_the_session_and_frees_it() {
+        let fe = frontend(one_slot_gate());
+        let (slot, s, weak, parked) = parked_session(&fe);
+        let (close_tx, closed) = mpsc::channel();
+        fe.submit(
+            s,
+            FrontRequest::Close,
+            Box::new(move |r| close_tx.send(r).unwrap()),
+        )
+        .unwrap();
+        let query = sapphire_sparql::parse_query("ASK { ?s ?p ?o }").unwrap();
+        let behind = vec![
+            FrontRequest::SetRow {
+                idx: 0,
+                input: TripleInput::new("?p", "surname", "Kennedy"),
+            },
+            FrontRequest::SetModifiers {
+                modifiers: Default::default(),
+            },
+            FrontRequest::ApplyAlternative { index: 0 },
+            FrontRequest::Complete {
+                typed: "Kenn".into(),
+            },
+            FrontRequest::Run,
+            FrontRequest::Query { query },
+        ];
+        let answers: Vec<_> = behind
+            .into_iter()
+            .map(|request| {
+                let (tx, rx) = mpsc::channel();
+                fe.submit(s, request, Box::new(move |r| tx.send(r).unwrap()))
+                    .expect("queued behind the close");
+                rx
+            })
+            .collect();
+        assert_eq!(fe.backlog(), 8, "the parked request, the close, six more");
+        drop(slot);
+
+        match parked.recv().unwrap() {
+            Ok(FrontResponse::Completion(_)) | Err(ServerError::QueueTimeout { .. }) => {}
+            other => panic!("the parked request answered {other:?}"),
+        }
+        assert!(matches!(closed.recv().unwrap(), Ok(FrontResponse::Closed)));
+        for answer in answers {
+            assert_eq!(
+                answer.recv().unwrap().unwrap_err(),
+                ServerError::UnknownSession(s)
+            );
+        }
+        assert_eq!(fe.backlog(), 0);
+        assert_eq!(fe.server().metrics().open_sessions, 0);
+        // Once the last turn on it has ended, nothing holds the session.
+        fe.shutdown();
+        assert!(weak.upgrade().is_none(), "the closed session was freed");
+    }
+
+    #[test]
+    fn a_session_closed_on_the_server_while_parked_still_answers_its_requests() {
+        let fe = frontend(one_slot_gate());
+        let (slot, s, weak, parked) = parked_session(&fe);
+        let (tx, behind) = mpsc::channel();
+        fe.submit(
+            s,
+            FrontRequest::SetModifiers {
+                modifiers: Default::default(),
+            },
+            Box::new(move |r| tx.send(r).unwrap()),
+        )
+        .unwrap();
+        assert!(fe.server().close_session(s));
+        // The registry let go; the ticket's grant callback still holds it.
+        assert!(
+            weak.upgrade().is_some(),
+            "a parked session outlives its close"
+        );
+        drop(slot);
+        parked
+            .recv()
+            .unwrap()
+            .expect("admitted before the close, answered after it");
+        assert_eq!(
+            behind.recv().unwrap().unwrap_err(),
+            ServerError::UnknownSession(s)
+        );
+        let m = fe.shutdown();
+        assert_eq!((m.submitted, m.completed), (2, 2));
+        assert!(weak.upgrade().is_none(), "the closed session was freed");
     }
 
     /// Pin `n` workers of `fe`, each inside the callback of a cold

@@ -3,7 +3,9 @@
 //!
 //! The reactor never executes anything — it is the queue that replaces "one
 //! parked thread per waiting request" with "one queue entry per ready
-//! session". Three kinds of event make a session ready:
+//! session". An entry is the session itself (its registry `Arc`), so the
+//! turn that pops it needs no lookup, and a session closed while it waits
+//! here still gets its turn. Three kinds of event make a session ready:
 //!
 //! * a submission to an idle session,
 //! * an admission grant callback (the non-blocking admission path), and
@@ -18,14 +20,16 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+
+use crate::registry::OpenSession;
 
 #[derive(Debug, Default)]
 struct ReactorState {
     /// Sessions ready for a turn, in scheduling order. May contain spurious
     /// entries (a deadline timer races a grant); turns skip entries whose
     /// session is no longer in a runnable phase.
-    ready: VecDeque<u64>,
+    ready: VecDeque<Arc<OpenSession>>,
     /// Sessions a turn is currently operating on.
     busy: usize,
     /// Sessions parked in `AwaitingGrant` (so shutdown drains them even
@@ -63,7 +67,7 @@ impl Reactor {
 
     /// Make `session` ready. Returns `true` when the caller must start a
     /// turn task: fewer than `workers` are alive, and this one is counted.
-    pub(crate) fn schedule(&self, session: u64) -> bool {
+    pub(crate) fn schedule(&self, session: Arc<OpenSession>) -> bool {
         let mut state = self.state.lock().unwrap();
         state.ready.push_back(session);
         self.publish_waiting(&mut state);
@@ -101,9 +105,9 @@ impl Reactor {
     /// counted in `running` — when the queue is empty. Both happen under one
     /// lock, so a session scheduled after this empty look starts a task of
     /// its own.
-    pub(crate) fn pop(&self) -> Option<u64> {
+    pub(crate) fn pop(&self) -> Option<Arc<OpenSession>> {
         let mut state = self.state.lock().unwrap();
-        let Some(id) = state.ready.pop_front() else {
+        let Some(session) = state.ready.pop_front() else {
             state.running -= 1;
             if self.is_shutdown() {
                 self.drained.notify_all();
@@ -112,16 +116,16 @@ impl Reactor {
         };
         state.busy += 1;
         self.publish_waiting(&mut state);
-        Some(id)
+        Some(session)
     }
 
     /// A turn finished operating on a session; `followup` re-schedules it
     /// (more queued work) in one lock take, for the same turn task to pop.
-    pub(crate) fn done(&self, followup: Option<u64>) {
+    pub(crate) fn done(&self, followup: Option<Arc<OpenSession>>) {
         let mut state = self.state.lock().unwrap();
         state.busy -= 1;
-        if let Some(id) = followup {
-            state.ready.push_back(id);
+        if let Some(session) = followup {
+            state.ready.push_back(session);
             self.publish_waiting(&mut state);
         }
     }

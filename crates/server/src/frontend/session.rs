@@ -2,10 +2,12 @@
 //!
 //! A session at the evented tier is *data*, not a parked thread: a FIFO
 //! queue of not-yet-executed requests plus a phase tag saying where the
-//! session currently lives. Exactly one thread operates on a session at a
-//! time (the phase tag enforces it), so per-session request order is the
-//! submission order — the property the oracle test pins against the
-//! thread-per-request tier.
+//! session currently lives. It sits in the session's registry entry
+//! ([`OpenSession`](crate::registry::OpenSession)), beside the server's
+//! state, so it opens and closes with the session. Exactly one thread
+//! operates on a session at a time (the phase tag enforces it), so
+//! per-session request order is the submission order — the property the
+//! oracle test pins against the thread-per-request tier.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -54,8 +56,8 @@ pub enum FrontRequest {
         query: Query,
     },
     /// Close the session. Requests already queued behind the close still
-    /// execute (and answer `UnknownSession`); the front-end forgets the
-    /// session once its queue drains.
+    /// execute, and answer `UnknownSession`; the session is freed once they
+    /// have drained.
     Close,
 }
 
@@ -176,7 +178,6 @@ pub(crate) struct SessionState {
     pub(crate) queue: VecDeque<QueuedRequest>,
     pub(crate) phase: Phase,
     pub(crate) pending: Option<Pending>,
-    pub(crate) closed: bool,
 }
 
 impl SessionState {
@@ -185,7 +186,6 @@ impl SessionState {
             queue: VecDeque::new(),
             phase: Phase::Idle,
             pending: None,
-            closed: false,
         }
     }
 

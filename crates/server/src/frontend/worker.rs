@@ -23,11 +23,16 @@
 //! back in the ready queue; the ticket's deadline, an executor timer, does
 //! the same once its queue wait expires, and a worker settles it to a typed
 //! [`ServerError::QueueTimeout`].
+//!
+//! Every one of these carries the session itself — its registry `Arc`, which
+//! holds this queue — so no step looks a session up by id. The server's own
+//! calls still do, which is how a request queued behind a `Close` answers
+//! `UnknownSession`.
 
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sapphire_core::exec;
@@ -35,19 +40,19 @@ use sapphire_obs::{RequestMark, Stage, Trace, TraceScope};
 
 use crate::admission::{AdmissionPermit, AsyncAdmission, GrantCallback};
 use crate::error::ServerError;
-use crate::registry::SessionId;
+use crate::registry::OpenSession;
 use crate::server::{Lookup, Missed, Reply, Request, RunOutput, What, Who};
 
 use super::session::{
     FrontRequest, FrontResponse, HandedOver, Pending, PendingAdmission, Phase, QueuedRequest,
-    ResponseCallback, SessionState,
+    ResponseCallback,
 };
 use super::Shared;
 
 /// A turn task: operate on ready sessions until the reactor has none.
 pub(crate) fn run_turns(shared: &Arc<Shared>) {
-    while let Some(id) = shared.reactor.pop() {
-        let followup = process(shared, id);
+    while let Some(session) = shared.reactor.pop() {
+        let followup = process(shared, &session);
         shared.reactor.done(followup);
     }
 }
@@ -84,17 +89,15 @@ enum Ownership {
 /// [`Ownership::Parked`] or the thread calls [`finish`](Turn::finish).
 struct Turn<'a> {
     shared: &'a Arc<Shared>,
-    id: u64,
-    state: &'a Arc<Mutex<SessionState>>,
+    session: &'a Arc<OpenSession>,
     runner: Runner,
 }
 
 /// Operate on one scheduled session: resume its parked continuation first,
-/// otherwise execute the next queued request. Returns the session id if it
+/// otherwise execute the next queued request. Returns the session if it
 /// still has work and must be re-scheduled.
-fn process(shared: &Arc<Shared>, id: u64) -> Option<u64> {
-    let state_arc = shared.session(id)?;
-    let mut st = state_arc.lock().unwrap();
+fn process(shared: &Arc<Shared>, session: &Arc<OpenSession>) -> Option<Arc<OpenSession>> {
+    let mut st = session.queue.lock().unwrap();
     match st.phase {
         // A spurious ready entry (deadline timer racing a grant, or a
         // duplicate schedule): whoever owns the session now will
@@ -104,8 +107,7 @@ fn process(shared: &Arc<Shared>, id: u64) -> Option<u64> {
     }
     let turn = Turn {
         shared,
-        id,
-        state: &state_arc,
+        session,
         runner: Runner::Worker,
     };
     let owned = match st.pending.take() {
@@ -123,11 +125,6 @@ fn process(shared: &Arc<Shared>, id: u64) -> Option<u64> {
         None => {
             let Some(q) = st.queue.pop_front() else {
                 st.phase = Phase::Idle;
-                let closed = st.closed;
-                drop(st);
-                if closed {
-                    shared.forget_session(id);
-                }
                 return None;
             };
             st.phase = Phase::Running;
@@ -168,8 +165,7 @@ pub(crate) fn submitter_may_dispatch(shared: &Shared) -> bool {
 /// over, and a worker answers.
 pub(crate) fn dispatch_on_submitter(
     shared: &Arc<Shared>,
-    id: u64,
-    state: &Arc<Mutex<SessionState>>,
+    session: &Arc<OpenSession>,
     q: QueuedRequest,
 ) {
     struct Reset;
@@ -182,8 +178,7 @@ pub(crate) fn dispatch_on_submitter(
     let _reset = Reset;
     let turn = Turn {
         shared,
-        id,
-        state,
+        session,
         runner: Runner::Submitter,
     };
     match turn.start(q) {
@@ -191,8 +186,8 @@ pub(crate) fn dispatch_on_submitter(
         // Requests submitted meanwhile (by other threads, or by the
         // callback) queued behind this turn: they are a worker's.
         Ownership::Held => {
-            if let Some(id) = turn.finish() {
-                shared.schedule(id);
+            if let Some(session) = turn.finish() {
+                shared.schedule(session);
             }
         }
     }
@@ -333,7 +328,7 @@ impl Turn<'_> {
     fn park(&self, p: PendingAdmission) -> Ownership {
         let shared = self.shared;
         let deadline = p.ticket.deadline();
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.session.queue.lock().unwrap();
         if let Some(permit) = p.ticket.try_claim() {
             shared
                 .counters
@@ -356,42 +351,46 @@ impl Turn<'_> {
         shared.reactor.note_parked();
         drop(st);
         // A one-shot wake, never cancelled: a session whose grant came first
-        // just sees a spurious wake at its old deadline.
+        // just sees a spurious wake at its old deadline. It holds the session
+        // weakly, so a stale timer keeps no closed session alive.
         if let Some(at) = deadline {
-            exec::global().spawn_at(at, self.waker());
+            let (shared, session) = (Arc::downgrade(self.shared), Arc::downgrade(self.session));
+            exec::global().spawn_at(at, move || {
+                if let (Some(shared), Some(session)) = (shared.upgrade(), session.upgrade()) {
+                    shared.on_grant(session);
+                }
+            });
         }
         Ownership::Parked
     }
 
-    /// What makes this session ready again once it parks on a ticket: its
-    /// grant callback and its deadline timer. Holds the front-end weakly.
-    fn waker(&self) -> impl FnOnce() + Send + 'static {
-        let (weak, id) = (Arc::downgrade(self.shared), self.id);
-        move || {
-            if let Some(shared) = weak.upgrade() {
-                shared.on_grant(id);
+    /// The grant callback of this session's ticket: makes the session ready
+    /// again. It holds the front-end weakly and the session strongly — the
+    /// gate keeps it only until it grants the ticket or the ticket is
+    /// cancelled, and while it does, it is what keeps a parked session alive
+    /// once the registry has let go of it (closed on the server itself).
+    fn waker(&self) -> GrantCallback {
+        let (shared, session) = (Arc::downgrade(self.shared), Arc::clone(self.session));
+        Box::new(move || {
+            if let Some(shared) = shared.upgrade() {
+                shared.on_grant(session);
             }
-        }
+        })
     }
 
     /// After one unit of owned work: hand the session to its next state.
-    /// Returns the id when more queued work exists (the caller re-schedules
-    /// it). Only called while this thread holds the session, so the phase
-    /// here is necessarily our own `Running`.
-    fn finish(&self) -> Option<u64> {
-        let mut st = self.state.lock().unwrap();
+    /// Returns the session when more queued work exists (the caller
+    /// re-schedules it). Only called while this thread holds the session, so
+    /// the phase here is necessarily our own `Running`.
+    fn finish(&self) -> Option<Arc<OpenSession>> {
+        let mut st = self.session.queue.lock().unwrap();
         debug_assert_eq!(st.phase, Phase::Running, "finish() requires ownership");
         if st.queue.is_empty() {
             st.phase = Phase::Idle;
-            let closed = st.closed;
-            drop(st);
-            if closed {
-                self.shared.forget_session(self.id);
-            }
             None
         } else {
             st.phase = Phase::Queued;
-            Some(self.id)
+            Some(Arc::clone(self.session))
         }
     }
 
@@ -406,7 +405,7 @@ impl Turn<'_> {
         trace: Option<Trace>,
     ) -> Ownership {
         let shared = self.shared;
-        let sid = SessionId(self.id);
+        let sid = self.session.id();
         let what = match request {
             FrontRequest::SetRow { idx, input } => {
                 let r = shared.server.set_row(sid, idx, input);
@@ -425,7 +424,6 @@ impl Turn<'_> {
             }
             FrontRequest::Close => {
                 shared.server.close_session(sid);
-                self.state.lock().unwrap().closed = true;
                 self.reply(respond, Ok(FrontResponse::Closed));
                 return Ownership::Held;
             }
@@ -465,7 +463,7 @@ impl Turn<'_> {
         let admission = shared
             .server
             .admission_gate()
-            .admit_evented(|| -> GrantCallback { Box::new(self.waker()) });
+            .admit_evented(|| self.waker());
         match admission {
             Ok(AsyncAdmission::Ready(permit)) => {
                 shared
@@ -538,7 +536,7 @@ impl Turn<'_> {
             since: Instant::now(),
             trace,
         };
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.session.queue.lock().unwrap();
         st.pending = Some(Pending::Missed(handed));
         st.phase = Phase::Queued;
         drop(st);
@@ -546,7 +544,7 @@ impl Turn<'_> {
             .counters
             .handed_over
             .fetch_add(1, Ordering::Relaxed);
-        self.shared.schedule(self.id);
+        self.shared.schedule(Arc::clone(self.session));
         Ownership::Parked
     }
 

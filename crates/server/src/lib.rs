@@ -283,15 +283,6 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
     }
 
     #[test]
-    fn work_budget_converts_to_tenant_quota() {
-        use sapphire_sparql::WorkBudget;
-        let config = ServerConfig::for_tests().with_tenant_budget(&WorkBudget::limited(7));
-        assert_eq!(config.tenant_window_budget, Some(7));
-        let config = config.with_tenant_budget(&WorkBudget::unlimited());
-        assert_eq!(config.tenant_window_budget, None);
-    }
-
-    #[test]
     fn overload_rejections_under_a_tiny_gate() {
         let config = ServerConfig {
             max_in_flight: 1,

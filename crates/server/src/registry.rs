@@ -1,17 +1,30 @@
-//! The sharded session registry.
+//! The sharded session registry: the one table of open sessions.
+//!
+//! A registry entry is the whole session — one [`OpenSession`] behind one
+//! `Arc`, holding the server's [`SessionEntry`] and the evented front-end's
+//! request queue side by side. [`SapphireServer::open_session`] creates it
+//! and [`SapphireServer::close_session`] removes it, each once; the
+//! front-end keeps no table of its own. It resolves a session here once per
+//! submission, and from then on its ready queue, its turns and its
+//! admission-grant callbacks carry the `Arc` itself — so a session closed
+//! with requests still queued drains because its turn still holds it, and
+//! is freed when the last of them lets go.
 //!
 //! Sessions hold only *state* — triple-box text, modifiers, the attempt
 //! counter, and the last run's suggestions. The predictive model itself is
 //! shared and immutable, so a million sessions cost a million small structs,
 //! not a million model copies. The registry is sharded: lookups take one
 //! shard's read lock briefly to clone an `Arc`, then operate on the
-//! session's own mutex, so traffic on different sessions never contends on
+//! session's own mutexes, so traffic on different sessions never contends on
 //! a global lock. Same-session requests take the entry mutex only to read or
 //! commit state — never across the admission wait or model work — so a
 //! queued run cannot stall other requests on its session; runs snapshot the
 //! entry (with its [`generation`](SessionEntry::generation)) and commit
 //! afterwards, skipping the suggestions commit if the snapshot was
 //! superseded while they executed.
+//!
+//! [`SapphireServer::open_session`]: crate::SapphireServer::open_session
+//! [`SapphireServer::close_session`]: crate::SapphireServer::close_session
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,6 +34,7 @@ use sapphire_core::qsm::QsmOutput;
 use sapphire_core::session::{Modifiers, TripleInput};
 
 use crate::error::ServerError;
+use crate::frontend::session::SessionState;
 
 /// Opaque session handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,10 +70,39 @@ pub struct SessionEntry {
     pub last_suggestions: Option<Arc<QsmOutput>>,
 }
 
-/// Sharded map of [`SessionId`] → [`SessionEntry`].
+/// One open session: the server's state and the front-end's queue of not yet
+/// executed requests, each under its own mutex, behind the one `Arc` the
+/// registry holds until the session closes.
+pub struct OpenSession {
+    id: SessionId,
+    /// The server's state of the session: its rows, modifiers, attempts and
+    /// last suggestions.
+    pub(crate) entry: Mutex<SessionEntry>,
+    /// The evented front-end's state of the session: its request queue and
+    /// phase tag.
+    pub(crate) queue: Mutex<SessionState>,
+}
+
+impl OpenSession {
+    /// The session's id.
+    pub fn id(&self) -> SessionId {
+        self.id
+    }
+}
+
+impl std::fmt::Debug for OpenSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OpenSession")
+            .field("id", &self.id)
+            .field("entry", &self.entry)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Sharded map of [`SessionId`] → [`OpenSession`].
 #[derive(Debug)]
 pub struct SessionRegistry {
-    shards: Vec<RwLock<HashMap<u64, Arc<Mutex<SessionEntry>>>>>,
+    shards: Vec<RwLock<HashMap<u64, Arc<OpenSession>>>>,
     next_id: AtomicU64,
     open: AtomicUsize,
     max_sessions: usize,
@@ -77,7 +120,7 @@ impl SessionRegistry {
         }
     }
 
-    fn shard(&self, id: u64) -> &RwLock<HashMap<u64, Arc<Mutex<SessionEntry>>>> {
+    fn shard(&self, id: u64) -> &RwLock<HashMap<u64, Arc<OpenSession>>> {
         &self.shards[(id as usize) % self.shards.len()]
     }
 
@@ -93,20 +136,24 @@ impl SessionRegistry {
             });
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let entry = SessionEntry {
-            tenant: tenant.to_string(),
-            triples: vec![TripleInput::default()],
-            ..SessionEntry::default()
+        let session = OpenSession {
+            id: SessionId(id),
+            entry: Mutex::new(SessionEntry {
+                tenant: tenant.to_string(),
+                triples: vec![TripleInput::default()],
+                ..SessionEntry::default()
+            }),
+            queue: Mutex::new(SessionState::new()),
         };
         self.shard(id)
             .write()
             .unwrap()
-            .insert(id, Arc::new(Mutex::new(entry)));
+            .insert(id, Arc::new(session));
         Ok(SessionId(id))
     }
 
-    /// Fetch a session's state handle.
-    pub fn get(&self, id: SessionId) -> Result<Arc<Mutex<SessionEntry>>, ServerError> {
+    /// Fetch an open session.
+    pub fn get(&self, id: SessionId) -> Result<Arc<OpenSession>, ServerError> {
         self.shard(id.0)
             .read()
             .unwrap()
@@ -115,7 +162,9 @@ impl SessionRegistry {
             .ok_or(ServerError::UnknownSession(id))
     }
 
-    /// Close a session; returns true if it existed.
+    /// Close a session; returns true if it was open. Requests still queued
+    /// on it at the front-end keep the session until they have drained, and
+    /// each answers [`ServerError::UnknownSession`].
     pub fn close(&self, id: SessionId) -> bool {
         let removed = self.shard(id.0).write().unwrap().remove(&id.0).is_some();
         if removed {
@@ -148,8 +197,9 @@ mod tests {
     fn open_get_close_roundtrip() {
         let reg = SessionRegistry::new(4, 100);
         let id = reg.open("alice").unwrap();
-        let entry = reg.get(id).unwrap();
-        assert_eq!(entry.lock().unwrap().tenant, "alice");
+        let session = reg.get(id).unwrap();
+        assert_eq!(session.id(), id);
+        assert_eq!(session.entry.lock().unwrap().tenant, "alice");
         assert_eq!(reg.len(), 1);
         assert!(reg.close(id));
         assert!(!reg.close(id), "double close is a no-op");

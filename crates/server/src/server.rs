@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use sapphire_core::qcm::CompletionResult;
@@ -10,15 +10,14 @@ use sapphire_core::qsm::QsmOutput;
 use sapphire_core::session::{Modifiers, Session, SessionError, TripleInput};
 use sapphire_core::{AnswerTable, CacheStats, KeyedRequest, PredictiveUserModel, RequestKey};
 use sapphire_obs::{MetricsHub, Obs, Stage};
-use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions, WorkBudget};
+use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions};
 
 use crate::admission::{AdmissionController, AdmissionPermit, TenantBudgets};
 use crate::coalesce::{ReadThrough, Served};
 use crate::error::{from_federation, ServerError};
-use crate::registry::{SessionEntry, SessionId, SessionRegistry};
+use crate::registry::{OpenSession, SessionId, SessionRegistry};
 
-/// Work units a QCM completion request is charged, at a server and at a
-/// cluster edge alike.
+/// Work units a QCM completion request is charged.
 pub const COMPLETION_COST: u64 = 1;
 /// Work units every run or raw request is charged, whatever its size.
 pub const RUN_BASE_COST: u64 = 4;
@@ -26,8 +25,7 @@ pub const RUN_BASE_COST: u64 = 4;
 pub const RUN_PER_PATTERN_COST: u64 = 4;
 
 /// Work units a tenant is charged for a run or raw query over `patterns`
-/// triple patterns — the one tariff of every tier that meters requests (this
-/// server, and a cluster edge in front of it).
+/// triple patterns.
 pub fn run_cost(patterns: usize) -> u64 {
     RUN_BASE_COST + RUN_PER_PATTERN_COST * patterns as u64
 }
@@ -46,9 +44,8 @@ pub struct ServerConfig {
     /// How long a queued request may wait before a typed
     /// [`ServerError::QueueTimeout`].
     pub queue_wait: Duration,
-    /// Per-tenant work budget per accounting window (`None` = unlimited).
-    /// Denominated in evaluator work units — see
-    /// [`ServerConfig::with_tenant_budget`].
+    /// Per-tenant work budget per accounting window (`None` = unlimited),
+    /// in evaluator work units: see [`COMPLETION_COST`] and [`run_cost`].
     pub tenant_window_budget: Option<u64>,
     /// Response-cache shards.
     pub cache_shards: usize,
@@ -56,11 +53,6 @@ pub struct ServerConfig {
     pub cache_capacity_per_shard: usize,
     /// Maximum concurrently open sessions.
     pub max_sessions: usize,
-    /// Followers allowed to block behind one in-flight model scan per
-    /// request key (single-flight coalescing); further duplicates bypass
-    /// coalescing and run their own scan, so one hot key can never grow an
-    /// unbounded queue. `0` disables coalescing entirely.
-    pub coalesce_waiters_per_key: usize,
     /// Opt-in deadline-aware QSM budget shedding. When enabled, a run
     /// admitted while the admission queue is backed up executes its Steiner
     /// relaxation at a reduced budget tier from the
@@ -90,7 +82,6 @@ impl Default for ServerConfig {
             cache_shards: 16,
             cache_capacity_per_shard: 4096,
             max_sessions: 65_536,
-            coalesce_waiters_per_key: 1024,
             qsm_shed_budget: false,
         }
     }
@@ -108,14 +99,6 @@ impl ServerConfig {
             max_sessions: 256,
             ..Self::default()
         }
-    }
-
-    /// Derive the per-tenant window quota from an evaluator [`WorkBudget`] —
-    /// the same knob the endpoints use per query, promoted to a service-level
-    /// QoS setting. An unlimited budget disables quotas.
-    pub fn with_tenant_budget(mut self, budget: &WorkBudget) -> Self {
-        self.tenant_window_budget = budget.limit();
-        self
     }
 }
 
@@ -252,11 +235,11 @@ pub struct RunPayload {
     pub suggestions: Arc<QsmOutput>,
 }
 
-/// A session's rows as they stood at the pre-gate, and the entry the run
+/// A session's rows as they stood at the pre-gate, and the session the run
 /// commits back to.
 #[derive(Debug)]
 struct SessionRun {
-    entry: Arc<Mutex<SessionEntry>>,
+    session: Arc<OpenSession>,
     triples: Vec<TripleInput>,
     modifiers: Modifiers,
     attempts: u32,
@@ -356,9 +339,9 @@ impl Reply {
     }
 }
 
-/// Where a session run commits its attempt and suggestions: the entry, and
+/// Where a session run commits its attempt and suggestions: the session, and
 /// the generation its rows were snapshotted at.
-type RunCommit = (Arc<Mutex<SessionEntry>>, u64);
+type RunCommit = (Arc<OpenSession>, u64);
 
 /// A request past its counted cache lookup, between the two halves of
 /// [`SapphireServer::post_gate`]: charged, keyed, slot in hand, and not in
@@ -436,7 +419,7 @@ impl SapphireServer {
     /// set of stage histograms and one flight recorder across tiers.
     pub fn with_obs(pum: Arc<PredictiveUserModel>, config: ServerConfig, obs: Arc<Obs>) -> Self {
         pum.install_obs(obs.clone());
-        let (shards, waiters) = (config.cache_shards, config.coalesce_waiters_per_key);
+        let shards = config.cache_shards;
         let capacity = Some(config.cache_capacity_per_shard);
         SapphireServer {
             registry: SessionRegistry::new(REGISTRY_SHARDS, config.max_sessions),
@@ -446,9 +429,9 @@ impl SapphireServer {
                 config.queue_wait,
             )),
             tenants: TenantBudgets::new(config.tenant_window_budget),
-            completions: ReadThrough::new("completion", shards, capacity, waiters),
-            runs: ReadThrough::new("run", shards, capacity, waiters),
-            raw: ReadThrough::new("service", shards, None, waiters),
+            completions: ReadThrough::new("completion", shards, capacity),
+            runs: ReadThrough::new("run", shards, capacity),
+            raw: ReadThrough::new("service", shards, None),
             counters: Counters::default(),
             pum,
             config,
@@ -522,8 +505,8 @@ impl SapphireServer {
         idx: usize,
         input: TripleInput,
     ) -> Result<(), ServerError> {
-        let entry = self.registry.get(id)?;
-        let mut entry = entry.lock().unwrap();
+        let session = self.registry.get(id)?;
+        let mut entry = session.entry.lock().unwrap();
         if idx >= entry.triples.len() {
             entry.triples.resize_with(idx + 1, TripleInput::default);
         }
@@ -537,8 +520,8 @@ impl SapphireServer {
 
     /// Replace a session's query modifiers.
     pub fn set_modifiers(&self, id: SessionId, modifiers: Modifiers) -> Result<(), ServerError> {
-        let entry = self.registry.get(id)?;
-        let mut entry = entry.lock().unwrap();
+        let session = self.registry.get(id)?;
+        let mut entry = session.entry.lock().unwrap();
         entry.modifiers = modifiers;
         entry.generation += 1;
         entry.last_suggestions = None;
@@ -708,12 +691,12 @@ impl SapphireServer {
         let (tenant, session) = match who {
             Who::Tenant(tenant) => (Cow::Borrowed(tenant), None),
             Who::Session(id) => {
-                let entry = self.registry.get(id)?;
-                let state = entry.lock().unwrap();
+                let open = self.registry.get(id)?;
+                let state = open.entry.lock().unwrap();
                 let tenant = Cow::Owned(state.tenant.clone());
                 let own_rows = matches!(what, What::Run { query: None, .. });
                 let session = own_rows.then(|| SessionRun {
-                    entry: entry.clone(),
+                    session: open.clone(),
                     triples: state.triples.clone(),
                     modifiers: state.modifiers.clone(),
                     attempts: state.attempts,
@@ -791,7 +774,7 @@ impl SapphireServer {
                     (None, Some(s)) => {
                         let query = Session::resume(&self.pum, s.triples, s.modifiers, s.attempts)
                             .build_query()?;
-                        (Cow::Owned(query), Some((s.entry, s.generation)))
+                        (Cow::Owned(query), Some((s.session, s.generation)))
                     }
                     // Neither a built query nor a session's rows to build
                     // one from.
@@ -966,8 +949,8 @@ impl SapphireServer {
         id: SessionId,
         alt_index: usize,
     ) -> Result<AnswerTable, ServerError> {
-        let entry = self.registry.get(id)?;
-        let mut entry = entry.lock().unwrap();
+        let open = self.registry.get(id)?;
+        let mut entry = open.entry.lock().unwrap();
         let suggestions = entry
             .last_suggestions
             .clone()
@@ -1109,9 +1092,10 @@ impl SapphireServer {
         &self.admission
     }
 
-    /// Owning tenant of a session.
-    pub(crate) fn session_tenant(&self, id: SessionId) -> Result<String, ServerError> {
-        Ok(self.registry.get(id)?.lock().unwrap().tenant.clone())
+    /// An open session: what the evented front-end resolves a submission's
+    /// id to, once, and carries from then on.
+    pub(crate) fn session(&self, id: SessionId) -> Result<Arc<OpenSession>, ServerError> {
+        self.registry.get(id)
     }
 
     /// Record a typed rejection produced outside the blocking surfaces (the
@@ -1183,8 +1167,8 @@ impl SapphireServer {
 /// and reports 0 attempts).
 fn commit_run(run: QueryRun, permit: AdmissionPermit, commit: Option<RunCommit>) -> Reply {
     drop(permit);
-    let attempts = commit.map_or(0, |(entry, generation)| {
-        let mut entry = entry.lock().unwrap();
+    let attempts = commit.map_or(0, |(session, generation)| {
+        let mut entry = session.entry.lock().unwrap();
         entry.attempts += 1;
         // Commit suggestions only if they still describe the session's
         // current rows; a superseded run must not clobber a newer run's
@@ -1202,6 +1186,7 @@ mod tests {
     use super::*;
     use sapphire_core::prelude::*;
     use sapphire_core::InitMode;
+    use std::sync::Mutex;
 
     fn pum() -> Arc<PredictiveUserModel> {
         let graph = sapphire_rdf::turtle::parse(
@@ -1347,24 +1332,6 @@ mod tests {
             results.iter().filter(|r| !r.cached).count() <= 1,
             "at most the scanning leader reports an uncached run"
         );
-    }
-
-    #[test]
-    fn coalescing_disabled_by_zero_waiter_cap() {
-        let config = ServerConfig {
-            coalesce_waiters_per_key: 0,
-            ..ServerConfig::for_tests()
-        };
-        let server = SapphireServer::new(pum(), config);
-        let session = server.open_session("alice").unwrap();
-        // Sequential requests: the first leads (scan), the second hits the
-        // response cache — a zero cap only disables *blocking behind* a
-        // concurrent scan, never correctness.
-        server.complete(session, "Kenn").unwrap();
-        server.complete(session, "Kenn").unwrap();
-        let m = server.metrics();
-        assert_eq!(m.coalesce_leader_runs, 1);
-        assert_eq!(m.completion_cache.hits, 1);
     }
 
     #[test]

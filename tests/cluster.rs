@@ -475,53 +475,6 @@ fn schema_replicated_triples_do_not_duplicate_in_merges() {
     );
 }
 
-/// Edge-tier budgets: an edge cache hit never reaches a shard, so the edge
-/// meters tenants itself — a cached request still consumes quota, typed
-/// `EdgeRejected` when the window is exhausted, per tenant, cleared by a
-/// fresh window.
-#[test]
-fn edge_budget_meters_cached_requests() {
-    let graph = generate(DatasetConfig::tiny(7));
-    let cluster = Cluster::build(
-        "edge",
-        &graph,
-        2,
-        1,
-        &Lexicon::dbpedia_default(),
-        &sapphire_config(),
-        &ServerConfig::for_tests(),
-    )
-    .unwrap();
-    let router = ClusterRouter::new(
-        cluster,
-        ClusterConfig {
-            hedge_after: None,
-            tenant_window_budget: Some(2),
-            ..ClusterConfig::for_tests()
-        },
-    );
-    router.complete("alice", "Kenn").unwrap();
-    // Second identical request is an edge cache hit — still charged.
-    let hit = router.complete("alice", "Kenn").unwrap();
-    assert!(hit.cached);
-    assert_eq!(router.tenant_usage("alice"), 2);
-    let err = router.complete("alice", "Kenn").unwrap_err();
-    assert!(
-        matches!(
-            &err,
-            sapphire_cluster::ClusterError::EdgeRejected(
-                sapphire_server::ServerError::QuotaExhausted { budget: 2, .. }
-            )
-        ),
-        "typed edge rejection: {err:?}"
-    );
-    assert!(err.is_rejection());
-    // Other tenants are unaffected; a fresh window clears the meter.
-    router.complete("bob", "Kenn").unwrap();
-    router.reset_budget_window();
-    router.complete("alice", "Kenn").unwrap();
-}
-
 /// Regression (hedge-thread leak): a saturating hedge storm must never grow
 /// the population of in-flight hedge calls past
 /// `ClusterConfig::max_inflight_hedges`. Pre-fix, every hedged call was a
