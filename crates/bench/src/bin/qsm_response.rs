@@ -3,7 +3,8 @@
 //! suggestion machinery fires — and how many endpoint queries Algorithm 2's
 //! "top k/2 with answers" cut charged (`alt-qrys`): more than a probe per
 //! slot plus a prefetch per alternative shown — at most `k` — on any question
-//! fails the run (exit 1).
+//! fails the run (exit 1). `cands` is the ranked rewrite candidates the
+//! cut walked: what a shard sends a cluster edge for that question.
 //!
 //! Usage: `cargo run -p sapphire-bench --bin qsm_response --release [--scale tiny|small|medium]`
 
@@ -24,12 +25,13 @@ fn main() {
         heading("QSM: suggestion latency per executed query (§7.3.2)")
     );
     println!(
-        "{:<6} {:>9} {:>10} {:>9} {:>8} {:>8} {:>10}",
-        "qid", "latency", "relax-qrys", "alt-qrys", "#alts", "#relax", "flattened"
+        "{:<6} {:>9} {:>10} {:>9} {:>6} {:>8} {:>8} {:>10}",
+        "qid", "latency", "relax-qrys", "alt-qrys", "cands", "#alts", "#relax", "flattened"
     );
 
     let k = harness.pum.config().k;
     let mut latencies = Vec::new();
+    let mut candidate_counts = Vec::new();
     let mut over_budget = Vec::new();
     for q in appendix_b() {
         // Run the QSM on the *flattened* (structurally naive) script when one
@@ -63,8 +65,11 @@ fn main() {
         // not shown and reads here as one cut query.)
         let alt_queries =
             (after.0 - before.0) - (after.1 - before.1) - out.relaxations.len() as u64;
-        let mut slots: Vec<_> = out
-            .candidates
+        // The ranked candidates the cut walked (the output keeps none of
+        // them; rebuilding them from the memoized alternatives asks the
+        // endpoint nothing).
+        let candidates = harness.pum.qsm().candidates(&query);
+        let mut slots: Vec<_> = candidates
             .iter()
             .map(|c| (c.triple_index, c.position == AlteredPosition::Object))
             .collect();
@@ -83,12 +88,14 @@ fn main() {
             ));
         }
         latencies.push(out.elapsed.as_secs_f64());
+        candidate_counts.push(candidates.len());
         println!(
-            "{:<6} {:>6.1} ms {:>10} {:>9} {:>8} {:>8} {:>10}",
+            "{:<6} {:>6.1} ms {:>10} {:>9} {:>6} {:>8} {:>8} {:>10}",
             q.id,
             out.elapsed.as_secs_f64() * 1_000.0,
             relax_queries,
             alt_queries,
+            candidates.len(),
             out.alternatives.len(),
             out.relaxations.len(),
             flattened,
@@ -109,6 +116,12 @@ fn main() {
         "\naverage QSM latency: {:.1} ms; p95: {:.1} ms",
         avg * 1_000.0,
         p95 * 1_000.0
+    );
+    println!(
+        "ranked candidates per question: {:.1} on average, {} at most (a shard's Run \
+         reply carries them to a cluster edge; a Run keeps none)",
+        candidate_counts.iter().sum::<usize>() as f64 / candidate_counts.len().max(1) as f64,
+        candidate_counts.iter().max().unwrap_or(&0),
     );
     println!("(paper: ≈10 s average against live DBpedia over the network; the");
     println!(" bound here is the simulated endpoint — the *budgeted query count*");

@@ -347,11 +347,28 @@ pub struct CachedData {
     class_by_surface: HashMap<String, usize>,
     /// What the similarity sweeps read, folded once at assembly: the
     /// `str::to_lowercase` of each predicate surface, class surface and
-    /// significant literal, and each significant literal's `char` length.
+    /// significant literal.
     predicate_folded: FoldedArena,
     class_folded: FoldedArena,
     significant_folded: FoldedArena,
-    significant_char_lens: Vec<usize>,
+    /// Indices into `significant` grouped by `char` length (entry `n` holds
+    /// the literals of length `n`, ascending), so a similarity window reads
+    /// only the lengths it spans.
+    significant_by_len: Vec<Vec<usize>>,
+}
+
+/// The indices of `literals` grouped by `char` length: entry `n` lists, in
+/// ascending order, the literals `n` chars long.
+fn by_char_len(literals: &[(String, u64)]) -> Vec<Vec<usize>> {
+    let mut by_len: Vec<Vec<usize>> = Vec::new();
+    for (i, (text, _)) in literals.iter().enumerate() {
+        let len = text.chars().count();
+        if by_len.len() <= len {
+            by_len.resize_with(len + 1, Vec::new);
+        }
+        by_len[len].push(i);
+    }
+    by_len
 }
 
 /// Case-folded surface → the lowest index carrying it. Folded with
@@ -447,10 +464,7 @@ impl CachedData {
             predicate_by_surface: surface_index(&predicate_folded),
             predicate_folded,
             significant_folded: significant.iter().map(|(text, _)| text.as_str()).collect(),
-            significant_char_lens: significant
-                .iter()
-                .map(|(text, _)| text.chars().count())
-                .collect(),
+            significant_by_len: by_char_len(&significant),
             predicates,
             bins: Arc::new(bins),
             tree,
@@ -596,12 +610,12 @@ impl CachedData {
             .into_iter()
             .map(|(id, score)| (self.bins.literal(id).to_string(), score))
             .collect();
-        for (i, (text, _)) in self.significant.iter().enumerate() {
-            if !(lo..=hi).contains(&self.significant_char_lens[i]) {
-                continue;
-            }
+        // The window's significant literals, length by length: the sort
+        // below orders by score then text, so visiting order does not show.
+        let by_len = &self.significant_by_len;
+        for &i in by_len.iter().take(hi + 1).skip(lo).flatten() {
             if let Some(score) = probe.similarity(self.significant_folded.get(i), theta) {
-                out.push((text.clone(), score));
+                out.push((self.significant[i].0.clone(), score));
             }
         }
         out.sort_by(|a, b| {
@@ -850,26 +864,54 @@ mod tests {
 
     #[test]
     fn similar_literals_equals_the_pairwise_reference() {
-        let c = mixed_corpus(600);
-        for probe in ["Kennedys 0000012", "οδοσ 0000100", "strasse 0000004", "zzz"] {
-            for theta in [0.5, 0.7, 0.85, 1.0] {
-                let len = probe.chars().count();
-                let mut reference: Vec<(String, f64)> = (0..c.bins.len() as LitId)
-                    .map(|id| c.bins.literal(id))
-                    .filter(|lit| (len.saturating_sub(2)..=len + 3).contains(&lit.chars().count()))
-                    .map(|lit| (lit.to_string(), sapphire_text::jaro_winkler_ci(probe, lit)))
-                    .filter(|&(_, score)| score >= theta)
-                    .collect();
-                reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-                for p in [1, 3] {
-                    let got = c.similar_literals(probe, 2, 3, theta, p);
-                    assert_eq!(got, reference, "{probe:?} θ {theta} P {p}");
+        // Five lengths a stem and spread scores, so that a tree capacity
+        // strictly between 0 and n leaves every length in both sets.
+        let stems = ["Kennedy", "ΟΔΟΣ", "İstanbul", "Straße", "kenneth", "ÉCOLE"];
+        let literals: Vec<(String, u64)> = (0..600)
+            .map(|i| {
+                let text = format!("{} {i:0w$}", stems[i % stems.len()], w = 3 + i % 5);
+                (text, (i * 7 % 11) as u64)
+            })
+            .collect();
+        let probes = [
+            "Kennedys 0000012",
+            "οδοσ 00100",
+            "strasse 004",
+            "Kenneth 1",
+            "zzz",
+        ];
+        for capacity in [0, 250, 600] {
+            let config = SapphireConfig {
+                suffix_tree_capacity: capacity,
+                ..SapphireConfig::for_tests()
+            };
+            let c = CachedData::from_raw(vec![], literals.clone(), &config);
+            assert_eq!(c.significant.len(), capacity);
+            let every_literal: Vec<&str> = (0..c.bins.len() as LitId)
+                .map(|id| c.bins.literal(id))
+                .chain(c.significant.iter().map(|(text, _)| text.as_str()))
+                .collect();
+            for probe in probes {
+                for theta in [0.5, 0.7, 0.85, 1.0] {
+                    let len = probe.chars().count();
+                    let window = len.saturating_sub(2)..=len + 3;
+                    let mut reference: Vec<(String, f64)> = every_literal
+                        .iter()
+                        .filter(|lit| window.contains(&lit.chars().count()))
+                        .map(|lit| (lit.to_string(), sapphire_text::jaro_winkler_ci(probe, lit)))
+                        .filter(|&(_, score)| score >= theta)
+                        .collect();
+                    reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+                    for p in [1, 3] {
+                        let got = c.similar_literals(probe, 2, 3, theta, p);
+                        assert_eq!(got, reference, "cap {capacity} {probe:?} θ {theta} P {p}");
+                    }
                 }
             }
+            for probe in ["Kennedys 0000012", "Kenneth 1"] {
+                assert!(!c.similar_literals(probe, 2, 3, 0.7, 2).is_empty());
+            }
         }
-        assert!(!c
-            .similar_literals("Kennedys 0000012", 2, 3, 0.7, 2)
-            .is_empty());
     }
 
     #[test]

@@ -47,12 +47,14 @@ pub struct QsmOutput {
     /// Structure relaxations.
     pub relaxations: Vec<StructureSuggestion>,
     /// Every ranked rewrite candidate *before* the "returns answers" cut
-    /// (answers not prefetched). A cluster edge merges these across shards
-    /// and applies the cut against the global answer set; single-box users
-    /// read [`alternatives`](Self::alternatives). A candidate is an edit —
-    /// two short display strings, a score and the replacement [`Term`], no
-    /// query — and the list is shared (`Arc`) so that cloning a `QsmOutput`
-    /// per run request on the serving hot path stays a pointer bump.
+    /// (answers not prefetched), predicates first. **Empty in the model's
+    /// output**: nothing on a single box reads the list, so a Run, a cached
+    /// Run and a session's last suggestions do not keep it. It is filled
+    /// only on a shard's reply to a cluster edge, from
+    /// [`QuerySuggestion::candidates`]: the edge merges the lists across
+    /// shards and applies the cut against the global answer set. A
+    /// candidate is an edit — two short display strings, a score and the
+    /// replacement [`Term`], no query.
     pub candidates: Arc<Vec<TermAlternative>>,
     /// Wall-clock time spent producing the suggestions (§7.3.2 reports ~10 s
     /// on live DBpedia; ours is dominated by the simulated endpoint).
@@ -128,9 +130,19 @@ impl QuerySuggestion {
         self.suggest_tiered(query, fed, 0)
     }
 
+    /// Every ranked rewrite candidate of `query` before the "returns
+    /// answers" cut, predicates first, each kind by similarity — the list a
+    /// shard sends a cluster edge in [`QsmOutput::candidates`]. Built from
+    /// the memoized per-term alternatives, so it costs no endpoint query.
+    pub fn candidates(&self, query: &SelectQuery) -> Arc<Vec<TermAlternative>> {
+        let (predicates, literals) = self.finder.candidate_lists(query);
+        Arc::new(predicates.into_iter().chain(literals).collect())
+    }
+
     /// Produce suggestions with the Steiner relaxation running at budget
     /// `tier` (see [`SteinerConfig::budget_for`](crate::SteinerConfig::budget_for)).
     /// Tier 0 is the full budget; higher tiers mark the output `degraded`.
+    /// The output's [`candidates`](QsmOutput::candidates) are left empty.
     pub fn suggest_tiered(
         &self,
         query: &SelectQuery,
@@ -138,24 +150,14 @@ impl QuerySuggestion {
         tier: usize,
     ) -> QsmOutput {
         let start = Instant::now();
-        // Build the shared candidate list first (predicates lead, matching
-        // the presentation order), then prefetch by borrowing slices of it —
-        // the prefetch pass clones only the entries it keeps.
-        let (predicate_candidates, literal_candidates) = self.finder.candidate_lists(query);
-        let predicate_count = predicate_candidates.len();
-        let candidates: Arc<Vec<TermAlternative>> = Arc::new(
-            predicate_candidates
-                .into_iter()
-                .chain(literal_candidates)
-                .collect(),
-        );
         // Lines 23–24, once per kind. A rewrite the endpoint fails on has no
-        // answers to show, so it is passed over like an empty one.
+        // answers to show, so it is passed over like an empty one. The
+        // ranked lists are dropped here: the cut clones only what it keeps.
         let half = (self.config.k / 2).max(1);
-        let (predicates, literals) = candidates.split_at(predicate_count);
+        let (predicates, literals) = self.finder.candidate_lists(query);
         let mut alternatives = Vec::new();
         for kind in [predicates, literals] {
-            let Ok(kept) = top_with_answers(query, kind, half, |asked| {
+            let Ok(kept) = top_with_answers(query, &kind, half, |asked| {
                 Ok::<_, Infallible>(answers(fed, asked))
             });
             alternatives.extend(kept);
@@ -213,7 +215,7 @@ impl QuerySuggestion {
         QsmOutput {
             alternatives,
             relaxations,
-            candidates,
+            candidates: Arc::default(),
             elapsed: start.elapsed(),
             tier,
             degraded: tier > 0,

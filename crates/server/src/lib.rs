@@ -325,6 +325,73 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
         );
     }
 
+    /// Debug renderings, one per candidate: `TermAlternative` has no `Eq`.
+    fn rendered(candidates: &[sapphire_core::qsm::TermAlternative]) -> Vec<String> {
+        candidates.iter().map(|c| format!("{c:?}")).collect()
+    }
+
+    #[test]
+    fn a_run_keeps_no_rewrite_candidates() {
+        let srv = server();
+        let query =
+            sapphire_sparql::parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedys"@en }"#)
+                .unwrap();
+        let miss = srv.run_select("edge", &query).unwrap();
+        let hit = srv.run_select("edge", &query).unwrap();
+        assert!(!miss.cached && hit.cached);
+        for run in [&miss, &hit] {
+            assert!(run.payload.suggestions.candidates.is_empty());
+            assert!(!run.payload.suggestions.alternatives.is_empty());
+        }
+
+        let fe = Frontend::new(srv.clone(), FrontendConfig::for_tests());
+        let s = fe.open_session("alice").unwrap();
+        let row = TripleInput::new("?p", "surname", "Kennedys");
+        fe.call(s, FrontRequest::SetRow { idx: 0, input: row })
+            .unwrap();
+        let out = match fe.call(s, FrontRequest::Run).unwrap() {
+            FrontResponse::Run(out) => out,
+            other => panic!("unexpected response {other:?}"),
+        };
+        assert!(out.suggestions.candidates.is_empty());
+        assert!(!out.suggestions.alternatives.is_empty());
+    }
+
+    #[test]
+    fn a_shard_run_reply_carries_the_model_candidates() {
+        let srv = server();
+        let query =
+            sapphire_sparql::parse_select(r#"SELECT ?p WHERE { ?p dbo:surname "Kennedys"@en }"#)
+                .unwrap();
+        let expected = rendered(&srv.model().qsm().candidates(&query));
+        assert!(!expected.is_empty(), "a misspelled literal has candidates");
+        for pass in ["miss", "hit"] {
+            let reply = ShardService::run_select_tiered(&*srv, "edge", &query, 0, None).unwrap();
+            assert_eq!(rendered(&reply.suggestions.candidates), expected, "{pass}");
+        }
+        assert_eq!(
+            srv.metrics().run_cache.hits,
+            1,
+            "the second reply was a hit"
+        );
+        let reply = ShardService::call(
+            &*srv,
+            &WireRequest::Run {
+                tenant: "edge".into(),
+                query: query.clone(),
+                tier: 0,
+                budget: None,
+            },
+        )
+        .unwrap()
+        .into_run()
+        .unwrap();
+        assert_eq!(rendered(&reply.suggestions.candidates), expected, "call");
+        // The replies' lists never reach the cache.
+        let cached = srv.run_select("edge", &query).unwrap();
+        assert!(cached.cached && cached.payload.suggestions.candidates.is_empty());
+    }
+
     #[test]
     fn server_as_query_service_endpoint() {
         let srv = Arc::new(SapphireServer::new(pum(), ServerConfig::for_tests()));

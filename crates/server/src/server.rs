@@ -222,9 +222,9 @@ impl RunOutput {
 /// also land in `SessionEntry::last_suggestions`: committing them must be a
 /// pointer bump, not a deep copy of per-alternative answer sets under the
 /// session lock.
-// `Clone` is a pointer bump on `suggestions` plus the answer table;
-// `ShardService::call` clones one per run reply while the run cache still
-// holds the payload, since a reply is owned.
+// `Clone` is a pointer bump on `suggestions` plus the answer table; a
+// shard's reply to a cluster edge copies one while the run cache still
+// holds the payload, since it adds the ranked candidates.
 #[derive(Debug, Clone)]
 pub struct RunPayload {
     /// The query's answers (empty if execution failed).

@@ -186,9 +186,10 @@ pub trait ShardService: Send + Sync {
     fn execute_raw(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServerError>;
 
     /// Answer one request — the only interpreter of a [`WireRequest`]: the
-    /// typed method it names, its reply wrapped (a run's shared payload is
-    /// taken out of its `Arc`, copied only while a cache still holds it). A
-    /// socket-backed replica overrides this with one round trip.
+    /// typed method it names, its reply wrapped (a run's payload is taken
+    /// out of its `Arc`; a [`SapphireServer`] builds a fresh one per reply,
+    /// with its ranked candidates attached). A socket-backed replica
+    /// overrides this with one round trip.
     fn call(&self, req: &WireRequest) -> Result<WireReply, ServerError> {
         match req {
             WireRequest::Complete {
@@ -258,7 +259,13 @@ impl ShardService for SapphireServer {
         tier: usize,
         budget: Option<Duration>,
     ) -> Result<Arc<RunPayload>, ServerError> {
-        SapphireServer::run_select_tiered(self, tenant, query, tier, budget).map(|run| run.payload)
+        // The model's output carries no candidates (see
+        // `QsmOutput::candidates`); the edge's merge needs them, so each
+        // reply — response-cache hit or miss — builds them here, once.
+        let run = SapphireServer::run_select_tiered(self, tenant, query, tier, budget)?;
+        let mut payload = Arc::unwrap_or_clone(run.payload);
+        Arc::make_mut(&mut payload.suggestions).candidates = self.model().qsm().candidates(query);
+        Ok(Arc::new(payload))
     }
 
     fn execute_raw(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServerError> {

@@ -106,18 +106,15 @@ fn oracle_answers(server: &SapphireServer, query: &SelectQuery) -> Solutions {
 /// Canonicalize the oracle's "did you mean" list the same way the router
 /// builds the cluster's: dedup, re-prefetch canonically, rank.
 fn oracle_alternatives(server: &SapphireServer, query: &SelectQuery) -> Vec<TermAlternative> {
-    let run = server
-        .run_select("oracle", &strip_slice(query))
-        .expect("oracle run");
-    let kept: Vec<TermAlternative> =
-        dedup_alternatives(vec![(*run.payload.suggestions.candidates).clone()])
-            .into_iter()
-            .filter_map(|mut cand| {
-                let rewritten = cand.rewrite(query).expect("the model's own candidate fits");
-                cand.answers = oracle_answers(server, &rewritten);
-                (!cand.answers.is_empty()).then_some(cand)
-            })
-            .collect();
+    let candidates = server.model().qsm().candidates(&strip_slice(query));
+    let kept: Vec<TermAlternative> = dedup_alternatives(vec![(*candidates).clone()])
+        .into_iter()
+        .filter_map(|mut cand| {
+            let rewritten = cand.rewrite(query).expect("the model's own candidate fits");
+            cand.answers = oracle_answers(server, &rewritten);
+            (!cand.answers.is_empty()).then_some(cand)
+        })
+        .collect();
     rank_alternatives(kept, server.model().config().k)
 }
 

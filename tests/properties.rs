@@ -9,7 +9,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use sapphire_cluster::merge::merge_completions;
 use sapphire_core::bins::{assign_tasks, FoldedLiteral, LitId, ResidualBins};
 use sapphire_core::qcm::QueryCompletion;
-use sapphire_core::qsm::{top_with_answers, AlteredPosition, TermAlternative};
+use sapphire_core::qsm::{top_with_answers, AlteredPosition, QsmOutput, TermAlternative};
 use sapphire_core::session::Session;
 use sapphire_core::{CachedData, InitMode, PredictiveUserModel, SapphireConfig};
 use sapphire_datagen::userstudy::{flatten, misspell};
@@ -121,8 +121,9 @@ fn every_candidate_is_a_one_slot_edit_of_any_query_over_the_pattern() {
     for (label, query) in run_pool(&pum) {
         let star = SelectQuery::star(query.pattern.clone());
         let suggestions = pum.run(&query).suggestions;
-        for alt in suggestions
-            .candidates
+        for alt in pum
+            .qsm()
+            .candidates(&query)
             .iter()
             .chain(&suggestions.alternatives)
         {
@@ -246,10 +247,11 @@ fn the_cut_keeps_what_the_sequential_walk_keeps() {
     let (mut shipped_queries, mut reference_queries) = (0, 0);
     for (label, query) in run_pool(&pum) {
         let suggestions = pum.run(&query).suggestions;
+        let candidates = pum.qsm().candidates(&query);
         let mut as_run = Vec::new();
         let [bare, grouped] = count_variants(&query);
         for (shape, base) in [("as run", &query), ("count", &bare), ("grouped", &grouped)] {
-            for kind in kinds(&suggestions.candidates) {
+            for kind in kinds(&candidates) {
                 let (mut shipped, mut reference) = (Vec::new(), Vec::new());
                 let queries =
                     charged(&mut || shipped = shipped_cut(base, kind, half, endpoint.as_ref()));
@@ -451,7 +453,11 @@ fn a_run_reply_is_shorter_than_one_query_per_candidate() {
     let mut sized = 0;
     for (label, query) in run_pool(&pum) {
         let outcome = pum.run(&query);
-        let candidates = outcome.suggestions.candidates.len();
+        let suggestions = QsmOutput {
+            candidates: pum.qsm().candidates(&query),
+            ..outcome.suggestions
+        };
+        let candidates = suggestions.candidates.len();
         if candidates < 10 {
             continue;
         }
@@ -466,7 +472,7 @@ fn a_run_reply_is_shorter_than_one_query_per_candidate() {
             &Ok(WireReply::Run(RunPayload {
                 answers: outcome.answers,
                 executed: outcome.executed,
-                suggestions: Arc::new(outcome.suggestions),
+                suggestions: Arc::new(suggestions),
             })),
         );
         assert!(
