@@ -20,8 +20,8 @@
 //!
 //! * **goodput** — completed requests per second (degraded answers count:
 //!   they are correct, just shallower);
-//! * **typed rejections** — `Overloaded` / `QueueTimeout` / quota per
-//!   class; anything untyped is a failure the CI gate holds at zero;
+//! * **typed rejections** — `Overloaded` / `QueueTimeout` per class;
+//!   anything untyped is a failure the CI gate holds at zero;
 //! * **degraded tiers** — merges served at QSM shed tier 1/2, from the
 //!   router-requested degradation loop ([`DegradePolicy`] at the edge,
 //!   [`qsm_shed_budget`](sapphire_server::ServerConfig::qsm_shed_budget)
@@ -523,7 +523,7 @@ pub fn run(opts: &OverloadOptions) -> MetricsHub {
     let monotone_offered = outcomes
         .windows(2)
         .all(|w| w[0].offered_rps <= w[1].offered_rps);
-    let untyped_failures: u64 = outcomes.iter().map(|o| o.stats.typed_counts().3).sum();
+    let untyped_failures: u64 = outcomes.iter().map(|o| o.stats.typed_counts().2).sum();
     let late_launches: u64 = outcomes.iter().map(|o| o.late_launches).sum();
 
     let mut hub = MetricsHub::new();
@@ -551,7 +551,7 @@ pub fn run(opts: &OverloadOptions) -> MetricsHub {
         .field("late_launches", late_launches)
         .field("steps", outcomes.len());
     for (index, (o, goodput)) in outcomes.iter().zip(&goodputs).enumerate() {
-        let (overloaded, queue_timeout, quota, invalid) = o.stats.typed_counts();
+        let (overloaded, queue_timeout, invalid) = o.stats.typed_counts();
         let step = hub.section(&format!("step{index}"));
         step.field("offered_rps", o.offered_rps)
             .field("arrivals", o.arrivals)
@@ -564,7 +564,6 @@ pub fn run(opts: &OverloadOptions) -> MetricsHub {
         }
         step.field("rejected_overloaded", overloaded)
             .field("rejected_queue_timeout", queue_timeout)
-            .field("rejected_quota", quota)
             .field("untyped", invalid)
             .field("late_launches", o.late_launches)
             .field("admission_wait_p99_us", o.admission_p99_us)

@@ -110,7 +110,6 @@ pub(crate) struct ClassStats {
     pub(crate) latencies_us: Vec<u64>,
     overloaded: u64,
     queue_timeout: u64,
-    quota: u64,
     invalid: u64,
 }
 
@@ -126,7 +125,6 @@ impl ClassStats {
             Ok(()) => self.latencies_us.push(latency_us),
             Err(ServerError::Overloaded { .. }) => self.overloaded += 1,
             Err(ServerError::QueueTimeout { .. }) => self.queue_timeout += 1,
-            Err(ServerError::QuotaExhausted { .. }) => self.quota += 1,
             Err(_) => self.invalid += 1,
         }
     }
@@ -135,12 +133,11 @@ impl ClassStats {
         self.latencies_us.extend(other.latencies_us);
         self.overloaded += other.overloaded;
         self.queue_timeout += other.queue_timeout;
-        self.quota += other.quota;
         self.invalid += other.invalid;
     }
 
     pub(crate) fn rejected(&self) -> u64 {
-        self.overloaded + self.queue_timeout + self.quota
+        self.overloaded + self.queue_timeout
     }
 
     /// Requests that surfaced an error, typed rejection or not.
@@ -155,16 +152,11 @@ impl ClassStats {
     }
 
     /// The typed outcome buckets in ledger order — overloaded, queue
-    /// timeout, quota, invalid. The open-loop overload harness reports each
+    /// timeout, invalid. The open-loop overload harness reports each
     /// class separately per sweep step (its gate distinguishes typed
     /// rejections, which are graceful, from untyped failures, which are not).
-    pub(crate) fn typed_counts(&self) -> (u64, u64, u64, u64) {
-        (
-            self.overloaded,
-            self.queue_timeout,
-            self.quota,
-            self.invalid,
-        )
+    pub(crate) fn typed_counts(&self) -> (u64, u64, u64) {
+        (self.overloaded, self.queue_timeout, self.invalid)
     }
 
     fn percentile(&self, sorted: &[u64], p: f64) -> u64 {
@@ -191,7 +183,6 @@ impl ClassStats {
             .field("p99_us", self.percentile(&sorted, 99.0))
             .field("rejected_overloaded", self.overloaded)
             .field("rejected_queue_timeout", self.queue_timeout)
-            .field("rejected_quota", self.quota)
             .field("invalid", self.invalid);
     }
 }
@@ -258,8 +249,8 @@ pub fn run(opts: &ServeLoadOptions) -> MetricsHub {
     );
 
     // Service posture: hardware-sized concurrency (floored at 8 so cramped
-    // CI boxes still exercise real parallelism), a finite queue, and no
-    // tenant quotas — overload shedding comes from the gate alone.
+    // CI boxes still exercise real parallelism) and a finite queue:
+    // overload shedding comes from the gate alone.
     let default_in_flight = ServerConfig::default().max_in_flight.max(8);
     let max_in_flight = if opts.max_in_flight > 0 {
         opts.max_in_flight

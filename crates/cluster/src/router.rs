@@ -402,32 +402,13 @@ impl Counters {
     }
 }
 
-/// True when a failure is scoped to the *requesting tenant* (a quota
-/// rejection): an edge single-flight leader failing this way must not take
-/// its followers down with it — their tenants may have plenty of budget
-/// left, so they fall back to their own scatter instead.
-fn tenant_scoped(e: &ClusterError) -> bool {
-    matches!(
-        e,
-        ClusterError::Shard {
-            error: ServerError::QuotaExhausted { .. },
-            ..
-        } | ClusterError::ShardUnavailable {
-            last: ServerError::QuotaExhausted { .. },
-            ..
-        } | ClusterError::CrossShard {
-            error: ServerError::QuotaExhausted { .. },
-        }
-    )
-}
-
 /// Typed back-pressure worth failing over: the replica is busy *now*; a
 /// sibling (or a later retry) may not be. Transport failures
 /// ([`ServerError::Unreachable`]) join the list with the wire boundary:
 /// shard requests are stateless and idempotent, so a dead link is exactly
-/// the case replica failover exists for. Work-budget timeouts and quota
-/// rejections are deterministic for the same request and tenant, so
-/// retrying them elsewhere just doubles the damage.
+/// the case replica failover exists for. Work-budget timeouts are
+/// deterministic for the same request, so retrying them elsewhere just
+/// doubles the damage.
 fn is_retryable(e: &ServerError) -> bool {
     matches!(
         e,
@@ -790,7 +771,6 @@ impl ClusterRouter {
             RequestKey::completion(term, self.k),
             |_| self.scatter_complete(tenant, term),
             |_| true,
-            tenant_scoped,
         );
         self.count_served(served);
         result.map(|shared| shared.to_completion(served.cached()))
@@ -868,7 +848,6 @@ impl ClusterRouter {
             // than requested is fine: the query had no relaxation to shed,
             // so the "degraded" execution is byte-identical to the full one.)
             |payload| payload.tier <= requested,
-            tenant_scoped,
         );
         self.count_served(served);
         result.map(|payload| ClusterRun {
@@ -1095,7 +1074,6 @@ impl ClusterRouter {
                 }
             },
             |_| true,
-            |_| false,
         );
         self.count_served(served);
         result.map(Arc::unwrap_or_clone)
@@ -1493,14 +1471,6 @@ mod tests {
                 ms(1),
             ),
             (ServerError::Timeout { work_used: 9 }, Duration::ZERO),
-            (
-                ServerError::QuotaExhausted {
-                    tenant: "t".into(),
-                    used: 9,
-                    budget: 8,
-                },
-                Duration::ZERO,
-            ),
             (ServerError::Backend("boom".into()), Duration::ZERO),
         ] {
             assert_eq!(retry_hint(&error), hint, "{error:?}");

@@ -52,7 +52,7 @@ impl CacheStats {
 
 /// Hash `key` onto one of `n` shards — the one shard picker behind every
 /// sharded map in the workspace ([`ShardedLru`] here; the serving tier's
-/// single-flight map and tenant meters), so shard selection can only ever
+/// single-flight map), so shard selection can only ever
 /// change in one place.
 pub fn shard_index<K: Hash + ?Sized>(key: &K, n: usize) -> usize {
     let mut hasher = DefaultHasher::new();

@@ -12,8 +12,7 @@
 //! **Jitter.** A bare exponential schedule is a synchronization machine:
 //! every caller shed by the same overloaded replica computes the same
 //! delays, so the whole cohort returns in lock-step and re-saturates the
-//! gate together (coalesced followers that fall back to their own scatter
-//! are exactly such a cohort). `Jitter` decorrelates them with the
+//! gate together. `Jitter` decorrelates them with the
 //! AWS-style "decorrelated jitter" schedule — each wait is drawn uniformly
 //! from `[base, 3 × previous]`, clamped to `[base, max_delay]` — using a
 //! tiny deterministic SplitMix64 stream seeded per caller, so retry timing

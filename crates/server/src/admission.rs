@@ -1,11 +1,10 @@
-//! Per-request admission control and per-tenant work budgets.
+//! Per-request admission control.
 //!
 //! The paper's endpoints protect themselves with per-query work budgets
 //! ([`WorkBudget`](sapphire_sparql::WorkBudget)) and cost-estimate gates.
 //! The serving tier lifts the same idea one level up: a bounded number of
-//! requests run concurrently, a bounded number may wait, everything beyond
-//! that is rejected with a typed error, and each tenant spends from a work
-//! budget denominated in the same units the evaluator charges.
+//! requests run concurrently, a bounded number may wait, and everything
+//! beyond that is rejected with a typed error.
 //!
 //! There is one way to wait for a slot — a queued [`AdmissionTicket`] whose
 //! grant *callback* fires when a releaser hands it the slot — and two ways
@@ -398,116 +397,6 @@ impl Drop for AdmissionPermit {
     }
 }
 
-/// Per-tenant work accounting for one budget window.
-///
-/// Budgets use the evaluator's work units: a request is charged an estimate
-/// derived from its shape before it runs (see
-/// [`ServerConfig`](crate::ServerConfig)), and a tenant over budget receives
-/// typed [`ServerError::QuotaExhausted`] rejections until
-/// [`reset_window`](TenantBudgets::reset_window) is called.
-///
-/// Accounting is sharded by tenant hash so it never becomes a global
-/// serialization point, and each shard is a *bounded* LRU
-/// ([`sapphire_core::BoundedCache`]): only the most recently active tenants
-/// are tracked, so the meter cannot grow without bound under tenant-name
-/// churn. The bound cuts both ways: when a shard sees more distinct tenants
-/// than its capacity within one window, even a *legitimate, active* tenant's
-/// meter can be evicted and silently restart from zero, under-enforcing its
-/// quota — it is not only adversarial name cycling that slips through.
-/// Every evicted meter is therefore counted
-/// ([`TenantBudgets::evicted_meters`], surfaced as
-/// `ServerMetrics::tenant_meter_evictions`), so a deployment can see when
-/// its tenant cardinality outgrows the meter and quota enforcement degrades.
-#[derive(Debug)]
-pub struct TenantBudgets {
-    budget: Option<u64>,
-    shards: Vec<Mutex<sapphire_core::BoundedCache<String, u64>>>,
-    /// Meters evicted across all windows. Folded in at charge time, under
-    /// the owning shard's lock, as the delta in that shard's eviction count
-    /// around the insert — so the total is monotonic and exact, a metrics
-    /// read is one atomic load instead of a 16-shard lock walk, and no
-    /// read/reset interleaving can ever observe an eviction twice (the
-    /// double-count hazard the old `past_evictions` + walk-mutex scheme
-    /// existed to paper over).
-    evictions: AtomicU64,
-}
-
-/// Shards of the tenant meter.
-const TENANT_SHARDS: usize = 16;
-/// Most-recently-active tenants tracked per shard.
-const TRACKED_TENANTS_PER_SHARD: usize = 4096;
-
-impl TenantBudgets {
-    /// `None` disables quota enforcement (the warehouse posture).
-    pub fn new(budget: Option<u64>) -> Self {
-        TenantBudgets {
-            budget,
-            shards: (0..TENANT_SHARDS)
-                .map(|_| Mutex::new(sapphire_core::BoundedCache::new(TRACKED_TENANTS_PER_SHARD)))
-                .collect(),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, tenant: &str) -> &Mutex<sapphire_core::BoundedCache<String, u64>> {
-        &self.shards[sapphire_core::cache::shard_index(tenant, self.shards.len())]
-    }
-
-    /// Charge `work` units to `tenant`, rejecting if it would exceed the
-    /// window budget. Rejected requests are not charged; usage is metered
-    /// even when no budget is enforced (observability without enforcement).
-    pub fn charge(&self, tenant: &str, work: u64) -> Result<(), ServerError> {
-        let mut meter = self.shard(tenant).lock().unwrap();
-        let would_use = meter.get(tenant).copied().unwrap_or(0).saturating_add(work);
-        if let Some(budget) = self.budget {
-            if would_use > budget {
-                return Err(ServerError::QuotaExhausted {
-                    tenant: tenant.to_string(),
-                    used: would_use,
-                    budget,
-                });
-            }
-        }
-        let before = meter.stats().evictions;
-        meter.insert(tenant.to_string(), would_use);
-        let after = meter.stats().evictions;
-        if after > before {
-            // Still under the shard lock, so the delta is exactly the
-            // evictions this insert caused — the global count stays an
-            // every-eviction-once ledger.
-            self.evictions.fetch_add(after - before, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Work charged to `tenant` so far in this window.
-    pub fn used(&self, tenant: &str) -> u64 {
-        self.shard(tenant)
-            .lock()
-            .unwrap()
-            .get(tenant)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Meters evicted to keep the shards bounded, across all windows. Each
-    /// eviction forgot some tenant's in-window usage — a nonzero value means
-    /// quotas may have been under-enforced, and a growing one means tenant
-    /// cardinality exceeds `TRACKED_TENANTS_PER_SHARD` per shard. Monotonic:
-    /// successive reads never go backwards, concurrent resets included.
-    pub fn evicted_meters(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Start a fresh accounting window for every tenant. Eviction counts
-    /// survive: they were folded into the global ledger as they happened.
-    pub fn reset_window(&self) {
-        for shard in &self.shards {
-            *shard.lock().unwrap() = sapphire_core::BoundedCache::new(TRACKED_TENANTS_PER_SHARD);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -891,176 +780,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         assert!(ticket.expired(), "deadline passed");
         assert!(ticket.cancel().is_none());
-    }
-
-    #[test]
-    fn tenant_budget_rejects_after_exhaustion() {
-        let budgets = TenantBudgets::new(Some(10));
-        assert!(budgets.charge("alice", 6).is_ok());
-        assert!(budgets.charge("alice", 4).is_ok());
-        let err = budgets.charge("alice", 1).unwrap_err();
-        assert!(matches!(
-            err,
-            ServerError::QuotaExhausted {
-                used: 11,
-                budget: 10,
-                ..
-            }
-        ));
-        assert_eq!(budgets.used("alice"), 10, "rejected request not charged");
-        // Other tenants are unaffected; windows reset cleanly.
-        assert!(budgets.charge("bob", 10).is_ok());
-        budgets.reset_window();
-        assert!(budgets.charge("alice", 10).is_ok());
-    }
-
-    #[test]
-    fn tenant_meter_is_bounded_under_name_churn() {
-        let budgets = TenantBudgets::new(None);
-        for i in 0..200_000 {
-            budgets.charge(&format!("drive-by-{i}"), 1).unwrap();
-        }
-        // Capacity is TENANT_SHARDS * TRACKED_TENANTS_PER_SHARD (65,536);
-        // early drive-by tenants must have been evicted, recent ones kept.
-        assert_eq!(budgets.used("drive-by-0"), 0, "idle tenants evicted");
-        assert_eq!(budgets.used("drive-by-199999"), 1, "active tenants tracked");
-        // Under-enforcement is observable: every forgotten meter is counted,
-        // and the count survives window resets.
-        let evicted = budgets.evicted_meters();
-        assert!(evicted > 0, "evictions surface in the metric");
-        budgets.reset_window();
-        assert_eq!(budgets.evicted_meters(), evicted, "count is cumulative");
-    }
-
-    #[test]
-    fn unlimited_budget_never_rejects() {
-        let budgets = TenantBudgets::new(None);
-        for _ in 0..1000 {
-            budgets.charge("anyone", u64::MAX / 2).unwrap();
-        }
-    }
-
-    #[test]
-    fn eviction_count_is_monotonic_and_exact_under_concurrency() {
-        // Regression for the old read-side scheme (past_evictions + a live
-        // shard walk), where a metrics read racing reset_window could count
-        // the same evictions twice. Readers and window resets now run
-        // concurrently with eviction-heavy charges; every observed value
-        // must be monotonic, and the final count must equal the exact number
-        // of meters the shards actually dropped.
-        const WRITERS: usize = 4;
-        const CHARGES_PER_WRITER: usize = 60_000;
-        let budgets = Arc::new(TenantBudgets::new(None));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let budgets = budgets.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    let mut last = 0u64;
-                    let mut reads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let now = budgets.evicted_meters();
-                        assert!(
-                            now >= last,
-                            "eviction count went backwards: {last} -> {now}"
-                        );
-                        last = now;
-                        reads += 1;
-                    }
-                    reads
-                })
-            })
-            .collect();
-
-        let hammer = |phase: &str| {
-            let writers: Vec<_> = (0..WRITERS)
-                .map(|w| {
-                    let budgets = budgets.clone();
-                    let phase = phase.to_string();
-                    std::thread::spawn(move || {
-                        // Distinct names per writer and phase: every charge
-                        // inserts a fresh meter, overflowing the per-shard
-                        // LRU capacity many times over.
-                        for i in 0..CHARGES_PER_WRITER {
-                            budgets.charge(&format!("{phase}-w{w}-{i}"), 1).unwrap();
-                        }
-                    })
-                })
-                .collect();
-            for w in writers {
-                w.join().unwrap();
-            }
-        };
-
-        // Phase A, no resets: 240k fresh meters into 65,536 capacity must
-        // evict, and concurrent reads stay monotonic while they do.
-        hammer("a");
-        let after_phase_a = budgets.evicted_meters();
-        assert!(after_phase_a > 0, "churn forced evictions");
-
-        // Phase B: same hammer, now racing window resets — the interleaving
-        // the old read-side scheme double-counted under.
-        let resetter = {
-            let budgets = budgets.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    budgets.reset_window();
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            })
-        };
-        hammer("b");
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            assert!(r.join().unwrap() > 0, "readers observed the live count");
-        }
-        resetter.join().unwrap();
-
-        // Every charge inserted one fresh meter and none was reinserted, so
-        // at most inserted - resident meters can ever have been evicted
-        // (resets drop entries without counting them as evictions). The old
-        // scheme could exceed this bound by counting an eviction twice.
-        let resident: u64 = ["a", "b"]
-            .iter()
-            .flat_map(|phase| (0..WRITERS).map(move |w| (phase, w)))
-            .map(|(phase, w)| {
-                (0..CHARGES_PER_WRITER)
-                    .filter(|i| budgets.used(&format!("{phase}-w{w}-{i}")) > 0)
-                    .count() as u64
-            })
-            .sum();
-        let final_count = budgets.evicted_meters();
-        assert!(final_count >= after_phase_a, "ledger survives resets");
-        assert!(
-            final_count <= (2 * WRITERS * CHARGES_PER_WRITER) as u64 - resident,
-            "counted more evictions ({final_count}) than meters that left the shards"
-        );
-        assert_eq!(
-            budgets.evicted_meters(),
-            final_count,
-            "quiescent reads are stable"
-        );
-    }
-
-    #[test]
-    fn eviction_count_exact_single_threaded() {
-        // Exactness without concurrency noise: fill one logical window past
-        // total capacity and check the ledger equals inserted - resident.
-        let budgets = TenantBudgets::new(None);
-        const INSERTED: usize = 100_000;
-        for i in 0..INSERTED {
-            budgets.charge(&format!("t{i}"), 1).unwrap();
-        }
-        let resident = (0..INSERTED)
-            .filter(|i| budgets.used(&format!("t{i}")) > 0)
-            .count();
-        assert_eq!(
-            budgets.evicted_meters(),
-            (INSERTED - resident) as u64,
-            "every eviction counted exactly once"
-        );
     }
 }

@@ -311,9 +311,7 @@ pub enum Served {
     Leader,
     /// Received a concurrent leader's outcome (its value *or* its error).
     Follower,
-    /// Ran the work uncoalesced: the flight's waiter cap was full, or the
-    /// leader failed with an error the caller's `retry_own` predicate scoped
-    /// to the leader alone.
+    /// Ran the work uncoalesced: the flight's waiter cap was full.
     Bypass,
 }
 
@@ -383,21 +381,17 @@ impl<V, E: Clone> ReadThrough<V, E> {
     /// `work` runs at most once, told whether it runs as
     /// [`Served::Leader`] or [`Served::Bypass`]. Its value is cached unless
     /// `insert` vetoes it (the value is still returned, and still shared
-    /// with followers — only the cache is skipped). A follower whose leader
-    /// failed with an error `retry_own` accepts runs `work` for itself
-    /// instead of inheriting a failure that was about the leader's request,
-    /// not the key.
+    /// with followers — only the cache is skipped).
     pub fn serve(
         &self,
         obs: &Obs,
         key: RequestKey,
         work: impl FnOnce(Served) -> Result<V, E>,
         insert: impl FnOnce(&V) -> bool,
-        retry_own: impl Fn(&E) -> bool,
     ) -> (Served, Result<Arc<V>, E>) {
         match self.lookup(obs, &key) {
             Some(hit) => (Served::Hit, Ok(hit)),
-            None => self.serve_miss(obs, key, work, insert, retry_own),
+            None => self.serve_miss(obs, key, work, insert),
         }
     }
 
@@ -424,7 +418,6 @@ impl<V, E: Clone> ReadThrough<V, E> {
         key: RequestKey,
         work: impl FnOnce(Served) -> Result<V, E>,
         insert: impl FnOnce(&V) -> bool,
-        retry_own: impl Fn(&E) -> bool,
     ) -> (Served, Result<Arc<V>, E>) {
         let run = |how: Served, key: RequestKey| {
             work(how).map(|value| match &self.cache {
@@ -448,10 +441,7 @@ impl<V, E: Clone> ReadThrough<V, E> {
                 record_span(obs, Stage::CoalesceWait, join_started, |us| {
                     format!("{} follower wait_us={us}", self.surface)
                 });
-                match outcome {
-                    Err(e) if retry_own(&e) => (Served::Bypass, run(Served::Bypass, key)),
-                    outcome => (Served::Follower, outcome),
-                }
+                (Served::Follower, outcome)
             }
             Join::Bypass => (Served::Bypass, run(Served::Bypass, key)),
         }
@@ -679,10 +669,9 @@ mod tests {
         panic!("this request must be served without running work")
     }
 
-    /// Serve `"k"`: always cache, self-retry on errors starting "quota".
+    /// Serve `"k"`, always caching.
     fn serve(front: &Front, obs: &Obs, work: impl FnOnce(Served) -> Result<u64, String>) -> Out {
-        let retry_own = |e: &String| e.starts_with("quota");
-        front.serve(obs, key(), work, |_| true, retry_own)
+        front.serve(obs, key(), work, |_| true)
     }
 
     /// A leader whose work blocks until one follower is parked behind it,
@@ -733,7 +722,7 @@ mod tests {
     fn late_hit_under_leadership_runs_no_work_and_releases_the_flight() {
         let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
         front.cache.as_ref().unwrap().insert(key(), 7);
-        let (served, value) = front.serve_miss(&obs, key(), no_work, |_| true, |_| false);
+        let (served, value) = front.serve_miss(&obs, key(), no_work, |_| true);
         assert_eq!((served, *value.unwrap()), (Served::LateHit, 7));
         let cache = front.cache_stats();
         assert_eq!((cache.hits, cache.misses), (0, 0), "the re-check is a peek");
@@ -759,21 +748,6 @@ mod tests {
         // Nothing was cached and the flight is gone: the next request leads.
         assert_eq!(front.occupancy(), 0);
         assert_eq!(serve(&front, &obs, |_| Ok(1)).0, Served::Leader);
-    }
-
-    #[test]
-    fn follower_retries_for_itself_when_the_error_was_the_leaders_own() {
-        let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
-        let quota = Err("quota: the leader's tenant".to_string());
-        let (leader, (followed, follower)) = leader_then_follower(&front, &obs, quota.clone());
-        assert!(leader.1.is_err());
-        assert_eq!((followed, *follower.unwrap()), (Served::Bypass, 99));
-        let (served, value) = serve(&front, &obs, no_work);
-        assert_eq!(
-            (served, *value.unwrap()),
-            (Served::Hit, 99),
-            "and cached it"
-        );
     }
 
     #[test]
@@ -803,7 +777,7 @@ mod tests {
         let obs = Obs::new();
         for round in 0..2 {
             for front in [&vetoing, &uncached] {
-                let out = front.serve(&obs, key(), |_| Ok(round), |_| false, |_| false);
+                let out = front.serve(&obs, key(), |_| Ok(round), |_| false);
                 assert_eq!(out, (Served::Leader, Ok(Arc::new(round))));
             }
         }

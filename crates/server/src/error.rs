@@ -9,8 +9,7 @@ use crate::registry::SessionId;
 ///
 /// Overload conditions are *typed*, not stringly: load generators and
 /// clients match on [`ServerError::Overloaded`] / [`ServerError::QueueTimeout`]
-/// / [`ServerError::QuotaExhausted`] to distinguish back-pressure (retry
-/// later, shed load) from real failures.
+/// to distinguish back-pressure (retry later, shed load) from real failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
     /// Admission control rejected the request outright: the in-flight limit
@@ -33,16 +32,6 @@ pub enum ServerError {
     Timeout {
         /// Work units consumed before the backend gave up.
         work_used: u64,
-    },
-    /// The tenant exhausted its work budget for the current accounting
-    /// window (the service-level analogue of a per-query `WorkBudget`).
-    QuotaExhausted {
-        /// Offending tenant.
-        tenant: String,
-        /// Work units charged in this window, including this request.
-        used: u64,
-        /// The per-window budget.
-        budget: u64,
     },
     /// No session with this id exists (never created, or closed).
     UnknownSession(SessionId),
@@ -103,16 +92,6 @@ impl std::fmt::Display for ServerError {
             ServerError::Timeout { work_used } => {
                 write!(f, "backend timed out after {work_used} work units")
             }
-            ServerError::QuotaExhausted {
-                tenant,
-                used,
-                budget,
-            } => {
-                write!(
-                    f,
-                    "tenant {tenant:?} exhausted work budget ({used}/{budget})"
-                )
-            }
             ServerError::UnknownSession(id) => write!(f, "unknown session {id:?}"),
             ServerError::SessionLimit { open, limit } => {
                 write!(f, "session registry full ({open}/{limit})")
@@ -140,15 +119,14 @@ impl From<SessionError> for ServerError {
 
 impl ServerError {
     /// True for back-pressure rejections (overload, queue timeout, backend
-    /// work-budget timeout, quota) — the request was turned away or cut off
-    /// by a resource limit and may be retried later.
+    /// work-budget timeout, unreachable replica) — the request was turned
+    /// away or cut off by a resource limit and may be retried later.
     pub fn is_rejection(&self) -> bool {
         matches!(
             self,
             ServerError::Overloaded { .. }
                 | ServerError::QueueTimeout { .. }
                 | ServerError::Timeout { .. }
-                | ServerError::QuotaExhausted { .. }
                 | ServerError::Unreachable { .. }
         )
     }
@@ -157,18 +135,14 @@ impl ServerError {
 /// A shard's failure as the federated plan sees it, when the cluster edge
 /// presents the shard as an [`Endpoint`](sapphire_endpoint::Endpoint):
 /// back-pressure keeps its retryable type (a queue-deadline miss no longer
-/// knows its in-flight count), a quota rejection reads as a refused query,
-/// and everything else is an evaluation failure carrying the server's own
-/// message. [`from_federation`] is the way back.
+/// knows its in-flight count), and everything else is an evaluation failure
+/// carrying the server's own message. [`from_federation`] is the way back.
 impl From<ServerError> for EndpointError {
     fn from(e: ServerError) -> Self {
         match e {
             ServerError::Overloaded { in_flight, .. } => EndpointError::Overloaded { in_flight },
             ServerError::QueueTimeout { .. } => EndpointError::Overloaded { in_flight: 0 },
             ServerError::Timeout { work_used } => EndpointError::Timeout { work_used },
-            ServerError::QuotaExhausted { used, .. } => EndpointError::Rejected {
-                estimated_cost: used,
-            },
             ServerError::Unreachable { reason } => EndpointError::Unreachable { reason },
             other => EndpointError::Eval(other.to_string()),
         }
@@ -218,14 +192,6 @@ mod tests {
             (
                 ServerError::Timeout { work_used: 42 },
                 EndpointError::Timeout { work_used: 42 },
-            ),
-            (
-                ServerError::QuotaExhausted {
-                    tenant: "t".into(),
-                    used: 9,
-                    budget: 8,
-                },
-                EndpointError::Rejected { estimated_cost: 9 },
             ),
             (
                 ServerError::Unreachable { reason: reason() },

@@ -48,9 +48,8 @@ pub enum FrontRequest {
         /// Index into the last run's alternatives.
         index: usize,
     },
-    /// Execute a raw parsed query on the session's server, billed to this
-    /// session's tenant (admission-controlled, single-flighted, never
-    /// response-cached).
+    /// Execute a raw parsed query on the session's server
+    /// (admission-controlled, single-flighted, never response-cached).
     Query {
         /// The parsed query.
         query: Query,

@@ -16,12 +16,10 @@
 //! * **Admission control** — a bounded in-flight limit with a bounded,
 //!   deadline-limited, **fair FIFO** wait queue
 //!   ([`admission::AdmissionController`]: each waiter has its own condvar
-//!   slot and freed slots are handed to the queue head in arrival order) and
-//!   per-tenant work budgets ([`admission::TenantBudgets`]) denominated in
-//!   the evaluator's [`WorkBudget`](sapphire_sparql::WorkBudget) units.
+//!   slot and freed slots are handed to the queue head in arrival order).
 //!   Rejections are typed ([`ServerError::Overloaded`],
-//!   [`ServerError::QueueTimeout`], [`ServerError::QuotaExhausted`]), so
-//!   clients can tell back-pressure from failure.
+//!   [`ServerError::QueueTimeout`]), so clients can tell back-pressure from
+//!   failure.
 //! * **Response caching** — a sharded bounded LRU
 //!   ([`response_cache::ShardedResponseCache`], built on
 //!   [`sapphire_core::ShardedLru`]) memoizing QCM completions and QSM run
@@ -76,10 +74,7 @@ pub use coalesce::{CoalesceStats, Coalescer};
 pub use error::ServerError;
 pub use frontend::{FrontRequest, FrontResponse, Frontend, FrontendConfig, FrontendMetrics};
 pub use registry::{SessionEntry, SessionId, SessionRegistry};
-pub use server::{
-    run_cost, QueryRun, RunOutput, RunPayload, SapphireServer, ServerConfig, ServerMetrics,
-    COMPLETION_COST, RUN_BASE_COST, RUN_PER_PATTERN_COST,
-};
+pub use server::{QueryRun, RunOutput, RunPayload, SapphireServer, ServerConfig, ServerMetrics};
 pub use shard::{ShardService, TransportStats, WireReply, WireRequest};
 
 use sapphire_core::PredictiveUserModel;
@@ -262,27 +257,6 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
     }
 
     #[test]
-    fn tenant_quota_rejections_are_typed_and_windowed() {
-        let config = ServerConfig {
-            tenant_window_budget: Some(2),
-            ..ServerConfig::for_tests()
-        };
-        let srv = Arc::new(SapphireServer::new(pum(), config));
-        let s = srv.open_session("alice").unwrap();
-        srv.complete(s, "Ken").unwrap();
-        srv.complete(s, "Kenn").unwrap();
-        let err = srv.complete(s, "Kenne").unwrap_err();
-        assert!(matches!(err, ServerError::QuotaExhausted { budget: 2, .. }));
-        assert!(err.is_rejection());
-        assert_eq!(srv.metrics().rejected_quota, 1);
-        // Other tenants unaffected; a new window clears the meter.
-        let s2 = srv.open_session("bob").unwrap();
-        srv.complete(s2, "Ken").unwrap();
-        srv.reset_budget_window();
-        srv.complete(s, "Kenne").unwrap();
-    }
-
-    #[test]
     fn overload_rejections_under_a_tiny_gate() {
         let config = ServerConfig {
             max_in_flight: 1,
@@ -405,9 +379,5 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
         };
         assert_eq!(rows.len(), 2);
         assert_eq!(srv.metrics().service_requests, 1);
-        assert!(
-            srv.tenant_usage("downstream") > 0,
-            "service queries are billed"
-        );
     }
 }

@@ -49,7 +49,7 @@ impl std::fmt::Display for SessionId {
 /// Mutable state of one interactive session.
 #[derive(Debug, Default)]
 pub struct SessionEntry {
-    /// Owning tenant (billing identity for budgets).
+    /// Owning tenant: a label for traces.
     pub tenant: String,
     /// Triple-pattern rows, as typed so far.
     pub triples: Vec<TripleInput>,

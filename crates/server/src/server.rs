@@ -12,23 +12,10 @@ use sapphire_core::{AnswerTable, CacheStats, KeyedRequest, PredictiveUserModel, 
 use sapphire_obs::{MetricsHub, Obs, Stage};
 use sapphire_sparql::{Query, QueryResult, SelectQuery, Solutions};
 
-use crate::admission::{AdmissionController, AdmissionPermit, TenantBudgets};
+use crate::admission::{AdmissionController, AdmissionPermit};
 use crate::coalesce::{ReadThrough, Served};
 use crate::error::{from_federation, ServerError};
 use crate::registry::{OpenSession, SessionId, SessionRegistry};
-
-/// Work units a QCM completion request is charged.
-pub const COMPLETION_COST: u64 = 1;
-/// Work units every run or raw request is charged, whatever its size.
-pub const RUN_BASE_COST: u64 = 4;
-/// Work units charged on top for each triple pattern of the query.
-pub const RUN_PER_PATTERN_COST: u64 = 4;
-
-/// Work units a tenant is charged for a run or raw query over `patterns`
-/// triple patterns.
-pub fn run_cost(patterns: usize) -> u64 {
-    RUN_BASE_COST + RUN_PER_PATTERN_COST * patterns as u64
-}
 
 /// Tuning knobs of a [`SapphireServer`].
 #[derive(Debug, Clone)]
@@ -44,9 +31,6 @@ pub struct ServerConfig {
     /// How long a queued request may wait before a typed
     /// [`ServerError::QueueTimeout`].
     pub queue_wait: Duration,
-    /// Per-tenant work budget per accounting window (`None` = unlimited),
-    /// in evaluator work units: see [`COMPLETION_COST`] and [`run_cost`].
-    pub tenant_window_budget: Option<u64>,
     /// Response-cache shards.
     pub cache_shards: usize,
     /// LRU capacity per response-cache shard.
@@ -78,7 +62,6 @@ impl Default for ServerConfig {
             max_in_flight: cores,
             max_queue_depth: cores * 4,
             queue_wait: Duration::from_millis(250),
-            tenant_window_budget: None,
             cache_shards: 16,
             cache_capacity_per_shard: 4096,
             max_sessions: 65_536,
@@ -116,13 +99,6 @@ pub struct ServerMetrics {
     pub rejected_overloaded: u64,
     /// Requests rejected with [`ServerError::QueueTimeout`].
     pub rejected_queue_timeout: u64,
-    /// Requests rejected with [`ServerError::QuotaExhausted`].
-    pub rejected_quota: u64,
-    /// Tenant meters evicted from the bounded budget-accounting LRU. Each
-    /// eviction silently reset some tenant's in-window usage, so a nonzero
-    /// value means quotas may have been under-enforced; a growing one means
-    /// tenant cardinality exceeds what the meter tracks.
-    pub tenant_meter_evictions: u64,
     /// Requests served with a concurrent identical request's result instead
     /// of their own model scan (single-flight followers), across the QCM,
     /// QSM, and raw-query surfaces.
@@ -142,9 +118,8 @@ pub struct ServerMetrics {
     /// Model scans executed as single-flight leaders — for a burst of N
     /// identical cold requests this increments once, not N times.
     pub coalesce_leader_runs: u64,
-    /// Model scans executed because a flight's waiter cap was full (or
-    /// coalescing was disabled): the request ran its own scan instead of
-    /// blocking. `coalesce_leader_runs + coalesce_bypass_runs` is the total
+    /// Model scans executed because a flight's waiter cap was full: the
+    /// request ran its own scan instead of blocking. `coalesce_leader_runs + coalesce_bypass_runs` is the total
     /// cold-path scan count.
     pub coalesce_bypass_runs: u64,
     /// Admission slots handed directly from a finishing request to the
@@ -174,7 +149,6 @@ struct Counters {
     service_requests: AtomicU64,
     rejected_overloaded: AtomicU64,
     rejected_queue_timeout: AtomicU64,
-    rejected_quota: AtomicU64,
     coalesced_hits: AtomicU64,
     coalesced_completion_hits: AtomicU64,
     coalesced_run_hits: AtomicU64,
@@ -249,7 +223,7 @@ struct SessionRun {
 /// Who an admission-controlled request acts for.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Who<'a> {
-    /// An interactive session: billed to its owning tenant, and a run of
+    /// An interactive session: labelled by its owning tenant, and a run of
     /// its own rows commits back to it.
     Session(SessionId),
     /// A tenant with no session on this server — the stateless surface a
@@ -292,8 +266,6 @@ impl What<'_> {
 /// `PendingAdmission` — and consumed by [`SapphireServer::post_gate`].
 #[derive(Debug)]
 pub(crate) struct Request<'a> {
-    /// The tenant charged, resolved pre-gate.
-    tenant: Cow<'a, str>,
     what: What<'a>,
     /// Present iff a session asked to run its own rows.
     session: Option<SessionRun>,
@@ -344,7 +316,7 @@ impl Reply {
 type RunCommit = (Arc<OpenSession>, u64);
 
 /// A request past its counted cache lookup, between the two halves of
-/// [`SapphireServer::post_gate`]: charged, keyed, slot in hand, and not in
+/// [`SapphireServer::post_gate`]: keyed, slot in hand, and not in
 /// the cache. Carried on the stack by blocking callers and workers, and
 /// across one thread hand-off by a front-end submitter, which may neither
 /// wait in a flight nor scan (see [`crate::frontend`]).
@@ -388,15 +360,13 @@ pub struct QueryRun {
 /// the assembled cache (suffix tree + residual bins), the lexica. Sessions
 /// are entries in a sharded registry holding only the user's typed state;
 /// requests rehydrate a [`Session`] against the shared model for their
-/// duration. Every model-touching request passes admission control and
-/// per-tenant budgets first, and QCM/QSM responses are memoized in a sharded
-/// bounded LRU.
+/// duration. Every model-touching request passes admission control first,
+/// and QCM/QSM responses are memoized in a sharded bounded LRU.
 pub struct SapphireServer {
     pum: Arc<PredictiveUserModel>,
     config: ServerConfig,
     registry: SessionRegistry,
     admission: Arc<AdmissionController>,
-    tenants: TenantBudgets,
     completions: ReadThrough<CompletionResult, ServerError>,
     runs: ReadThrough<RunPayload, ServerError>,
     /// Raw federated queries single-flight but are never response-cached.
@@ -428,7 +398,6 @@ impl SapphireServer {
                 config.max_queue_depth,
                 config.queue_wait,
             )),
-            tenants: TenantBudgets::new(config.tenant_window_budget),
             completions: ReadThrough::new("completion", shards, capacity),
             runs: ReadThrough::new("run", shards, capacity),
             raw: ReadThrough::new("service", shards, None),
@@ -530,11 +499,11 @@ impl SapphireServer {
 
     /// QCM: complete the term being typed in one of `id`'s text boxes.
     ///
-    /// Admission-controlled and budget-charged; identical (normalized) terms
-    /// across all sessions share one cached response, and a *burst* of
-    /// identical not-yet-cached terms is single-flighted: one request scans
-    /// the model as the leader, the rest receive its result ([`ServerMetrics`]
-    /// counts them as `coalesced_hits`).
+    /// Admission-controlled; identical (normalized) terms across all
+    /// sessions share one cached response, and a *burst* of identical
+    /// not-yet-cached terms is single-flighted: one request scans the model
+    /// as the leader, the rest receive its result ([`ServerMetrics`] counts
+    /// them as `coalesced_hits`).
     pub fn complete(&self, id: SessionId, typed: &str) -> Result<CompletionResult, ServerError> {
         let what = What::Complete {
             typed: Cow::Borrowed(typed),
@@ -548,8 +517,8 @@ impl SapphireServer {
     /// budget (see [`sapphire_core::qcm::QueryCompletion::complete_top`]) —
     /// the surface a cluster edge router scatters over shard replicas (the
     /// session state lives at the edge; shards see only stateless (tenant,
-    /// term) requests). Identical admission control, budgets, caching, and
-    /// coalescing as [`complete`](Self::complete); the budget is part of the
+    /// term) requests). Identical admission control, caching, and coalescing
+    /// as [`complete`](Self::complete); the budget is part of the
     /// response-cache/coalescing key.
     pub fn complete_top(
         &self,
@@ -587,9 +556,9 @@ impl SapphireServer {
     }
 
     /// QSM + execution for a tenant *without* a session: run an
-    /// already-built query through admission, budgets, the response cache,
-    /// and single-flight coalescing — the surface a cluster edge router
-    /// scatters over shard replicas. The caller owns the session state (if
+    /// already-built query through admission, the response cache, and
+    /// single-flight coalescing — the surface a cluster edge router scatters
+    /// over shard replicas. The caller owns the session state (if
     /// any); the shard sees only the stateless (tenant, query) request, so
     /// there is no attempt counter or suggestion commit here.
     pub fn run_select(&self, tenant: &str, query: &SelectQuery) -> Result<QueryRun, ServerError> {
@@ -630,8 +599,8 @@ impl SapphireServer {
     }
 
     /// Raw SPARQL on the model's federated backend for a tenant without a
-    /// session, with this server's admission control and budgets enforced —
-    /// the query a cluster edge sends a shard replica as
+    /// session, with this server's admission control enforced — the query a
+    /// cluster edge sends a shard replica as
     /// [`WireRequest::Raw`](crate::WireRequest::Raw).
     ///
     /// Identical in-flight queries are single-flighted by their
@@ -659,14 +628,25 @@ impl SapphireServer {
         budget: Option<Duration>,
     ) -> Result<Reply, ServerError> {
         let request = self.pre_gate(who, what, budget)?;
-        let _req = self.obs.request_scope(request.what.kind(), &request.tenant);
+        let tenant = match who {
+            Who::Tenant(tenant) => Cow::Borrowed(tenant),
+            // Read for the trace label only: a session closed since the
+            // pre-gate goes unlabelled.
+            Who::Session(id) => Cow::Owned(
+                self.registry
+                    .get(id)
+                    .map(|open| open.entry.lock().unwrap().tenant.clone())
+                    .unwrap_or_default(),
+            ),
+        };
+        let _req = self.obs.request_scope(request.what.kind(), &tenant);
         let permit = self.count_rejection(self.admit_timed(request.budget))?;
         self.post_gate(request, permit)
     }
 
     /// The **pre-gate** half: what a request does before it may wait for an
-    /// execution slot — once, for both admission styles. Counts it, resolves
-    /// a session to its tenant, and snapshots a session run.
+    /// execution slot — once, for both admission styles. Counts it, checks
+    /// that a session is open, and snapshots a session run.
     ///
     /// The count comes before the session lookup: a burst of stale-session
     /// requests must stay visible in the request denominator. The lookup
@@ -688,25 +668,24 @@ impl SapphireServer {
             What::Raw { .. } => &self.counters.service_requests,
         };
         received.fetch_add(1, Ordering::Relaxed);
-        let (tenant, session) = match who {
-            Who::Tenant(tenant) => (Cow::Borrowed(tenant), None),
+        let session = match who {
+            Who::Tenant(_) => None,
             Who::Session(id) => {
                 let open = self.registry.get(id)?;
-                let state = open.entry.lock().unwrap();
-                let tenant = Cow::Owned(state.tenant.clone());
                 let own_rows = matches!(what, What::Run { query: None, .. });
-                let session = own_rows.then(|| SessionRun {
-                    session: open.clone(),
-                    triples: state.triples.clone(),
-                    modifiers: state.modifiers.clone(),
-                    attempts: state.attempts,
-                    generation: state.generation,
-                });
-                (tenant, session)
+                own_rows.then(|| {
+                    let state = open.entry.lock().unwrap();
+                    SessionRun {
+                        session: open.clone(),
+                        triples: state.triples.clone(),
+                        modifiers: state.modifiers.clone(),
+                        attempts: state.attempts,
+                        generation: state.generation,
+                    }
+                })
             }
         };
         Ok(Request {
-            tenant,
             what,
             session,
             budget,
@@ -731,33 +710,23 @@ impl SapphireServer {
     }
 
     /// The first half of [`post_gate`](Self::post_gate): everything up to
-    /// and including the one counted response-cache lookup. Charges the
-    /// tenant, builds a session run's query, picks the tier, computes the
-    /// key and looks it up; a hit commits a session run and replies. It
-    /// never waits and never scans the model.
+    /// and including the one counted response-cache lookup. Builds a session
+    /// run's query, picks the tier, computes the key and looks it up; a hit
+    /// commits a session run and replies. It never waits and never scans the
+    /// model.
     ///
     /// Admission came first because a shed request must cost nothing, and
     /// even query building resolves keyword predicates against the shared
-    /// cache — so a session run's query is built here, not pre-gate. The
-    /// quota charge needs the built query's shape, so it follows; an
-    /// over-budget tenant gives its slot straight back. A cache hit still
-    /// passes admission (its key requires the built query) and still
-    /// consumes quota: budgets are deliberately request-denominated, so a
-    /// tenant cannot exceed its window by replaying one hot query.
+    /// cache — so a session run's query is built here, not pre-gate. A cache
+    /// hit still passes admission: its key requires the built query.
     pub(crate) fn lookup(
         &self,
         request: Request<'_>,
         permit: AdmissionPermit,
     ) -> Result<Lookup, ServerError> {
-        let Request {
-            tenant,
-            what,
-            session,
-            ..
-        } = request;
+        let Request { what, session, .. } = request;
         match what {
             What::Complete { typed, k } => {
-                self.charge(&tenant, COMPLETION_COST)?;
                 let key = RequestKey::completion(&typed, k);
                 Ok(match self.completions.lookup(&self.obs, &key) {
                     Some(hit) => Lookup::Hit(Reply::Completion(Arc::unwrap_or_clone(hit))),
@@ -780,7 +749,6 @@ impl SapphireServer {
                     // one from.
                     (None, None) => return Err(SessionError::EmptyQuery.into()),
                 };
-                self.charge(&tenant, run_cost(query.pattern.triples.len()))?;
                 // The deeper of the caller's floor (a cluster edge's
                 // requested tier) and this server's own pressure signal,
                 // clamped to the ladder.
@@ -814,11 +782,6 @@ impl SapphireServer {
                 })
             }
             What::Raw { query } => {
-                let patterns = match &*query {
-                    Query::Select(s) => s.pattern.triples.len(),
-                    Query::Ask(gp) => gp.triples.len(),
-                };
-                self.charge(&tenant, run_cost(patterns))?;
                 // Raw results are never response-cached (see
                 // `execute_query`), so this surface always misses.
                 Ok(Lookup::Miss(Missed {
@@ -864,19 +827,13 @@ impl SapphireServer {
                         Ok(self.pum.complete_top(term, *k))
                     },
                     |_| true,
-                    |_| false,
                 );
                 self.count_served(served, Some(&self.counters.coalesced_completion_hits));
                 result.map(|found| Reply::Completion(Arc::unwrap_or_clone(found)))
             }
             KeyedRequest::Run { query, tier } => {
-                let (served, result) = self.runs.serve_miss(
-                    &self.obs,
-                    key,
-                    |_| Ok(self.scan(query, *tier)),
-                    |_| true,
-                    |_| false,
-                );
+                let scan = |_| Ok(self.scan(query, *tier));
+                let (served, result) = self.runs.serve_miss(&self.obs, key, scan, |_| true);
                 self.count_served(served, Some(&self.counters.coalesced_run_hits));
                 let run = QueryRun {
                     cached: served.cached(),
@@ -895,18 +852,11 @@ impl SapphireServer {
                             .map_err(from_federation)
                     },
                     |_| true,
-                    |_| false,
                 );
                 self.count_served(served, None);
                 result.map(|found| Reply::Raw(Arc::unwrap_or_clone(found)))
             }
         }
-    }
-
-    /// Charge `cost` work units to `tenant`'s window — the one place quota
-    /// is spent (and a quota rejection counted).
-    fn charge(&self, tenant: &str, cost: u64) -> Result<(), ServerError> {
-        self.count_rejection(self.tenants.charge(tenant, cost))
     }
 
     /// The shed tier this server's *current* admission backlog argues for,
@@ -981,16 +931,6 @@ impl SapphireServer {
         Ok(answers)
     }
 
-    /// The per-tenant work charged so far in this window.
-    pub fn tenant_usage(&self, tenant: &str) -> u64 {
-        self.tenants.used(tenant)
-    }
-
-    /// Start a fresh tenant-budget accounting window.
-    pub fn reset_budget_window(&self) {
-        self.tenants.reset_window();
-    }
-
     /// Observability snapshot.
     pub fn metrics(&self) -> ServerMetrics {
         ServerMetrics {
@@ -999,8 +939,6 @@ impl SapphireServer {
             service_requests: self.counters.service_requests.load(Ordering::Relaxed),
             rejected_overloaded: self.counters.rejected_overloaded.load(Ordering::Relaxed),
             rejected_queue_timeout: self.counters.rejected_queue_timeout.load(Ordering::Relaxed),
-            rejected_quota: self.counters.rejected_quota.load(Ordering::Relaxed),
-            tenant_meter_evictions: self.tenants.evicted_meters(),
             coalesced_hits: self.counters.coalesced_hits.load(Ordering::Relaxed),
             completion_coalesced_hits: self
                 .counters
@@ -1030,8 +968,6 @@ impl SapphireServer {
             .field("service_requests", m.service_requests)
             .field("rejected_overloaded", m.rejected_overloaded)
             .field("rejected_queue_timeout", m.rejected_queue_timeout)
-            .field("rejected_quota", m.rejected_quota)
-            .field("tenant_meter_evictions", m.tenant_meter_evictions)
             .field("coalesced_hits", m.coalesced_hits)
             .field("completion_coalesced_hits", m.completion_coalesced_hits)
             .field("run_coalesced_hits", m.run_coalesced_hits)
@@ -1151,9 +1087,6 @@ impl SapphireServer {
                     self.counters
                         .rejected_queue_timeout
                         .fetch_add(1, Ordering::Relaxed);
-                }
-                ServerError::QuotaExhausted { .. } => {
-                    self.counters.rejected_quota.fetch_add(1, Ordering::Relaxed);
                 }
                 _ => {}
             }

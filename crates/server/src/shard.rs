@@ -48,7 +48,7 @@ use crate::server::{RunPayload, SapphireServer};
 pub enum WireRequest {
     /// QCM completion: the shard's top `fetch`.
     Complete {
-        /// Requesting tenant (billing identity at the shard).
+        /// Requesting tenant (a label for the shard's traces).
         tenant: String,
         /// The typed prefix.
         term: String,

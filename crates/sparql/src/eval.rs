@@ -75,13 +75,6 @@ impl WorkBudget {
         self.used
     }
 
-    /// The configured cap, if any (`None` for unlimited budgets). Lets
-    /// higher layers — e.g. a serving tier's per-tenant quotas — reuse a
-    /// budget's units without re-deriving them.
-    pub fn limit(&self) -> Option<u64> {
-        self.limit
-    }
-
     /// Consume `units`. Work is done a unit at a time and stops at the first
     /// unit past the limit, so an exhausted budget has used exactly
     /// `limit + 1` however large the charge that exhausted it.

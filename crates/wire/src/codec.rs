@@ -27,7 +27,9 @@
 //!   both);
 //! * tuples, `Box<T>`, `Arc<T>` — their contents, nothing added;
 //! * enums — `u8` discriminant in declaration order; unknown discriminants
-//!   are `Corrupt` naming the enum, never a default (each enum's impl);
+//!   are `Corrupt` naming the enum, never a default (each enum's impl).
+//!   `ServerError` tag 3, the retired `QuotaExhausted`, is reserved: it
+//!   decodes as unknown and is never reused;
 //! * expression nesting — bounded on decode (`Expr`).
 
 use std::sync::Arc;
@@ -896,16 +898,6 @@ impl Wire for ServerError {
             }
             ServerError::QueueTimeout { waited_ms } => tagged(out, 1, waited_ms),
             ServerError::Timeout { work_used } => tagged(out, 2, work_used),
-            ServerError::QuotaExhausted {
-                tenant,
-                used,
-                budget,
-            } => {
-                3u8.put(out);
-                tenant.put(out);
-                used.put(out);
-                budget.put(out);
-            }
             ServerError::UnknownSession(id) => {
                 4u8.put(out);
                 id.0.put(out);
@@ -937,11 +929,6 @@ impl Wire for ServerError {
             },
             2 => ServerError::Timeout {
                 work_used: Wire::get(r)?,
-            },
-            3 => ServerError::QuotaExhausted {
-                tenant: Wire::get(r)?,
-                used: Wire::get(r)?,
-                budget: Wire::get(r)?,
             },
             4 => ServerError::UnknownSession(SessionId(Wire::get(r)?)),
             5 => ServerError::SessionLimit {

@@ -34,6 +34,7 @@ use sapphire_wire::codec::{
     decode_hello, decode_hello_ok, decode_reply, decode_request, encode_hello, encode_hello_ok,
     encode_reply, encode_request, LoadHeader, WireReply, WireRequest,
 };
+use sapphire_wire::WireError;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -394,11 +395,6 @@ fn every_server_error() -> Vec<ServerError> {
         ServerError::Timeout {
             work_used: u64::MAX,
         },
-        ServerError::QuotaExhausted {
-            tenant: "tenant-α".to_string(),
-            used: 1_000_001,
-            budget: 1_000_000,
-        },
         ServerError::UnknownSession(SessionId(0xDEAD_BEEF)),
         ServerError::SessionLimit {
             open: 4096,
@@ -499,7 +495,10 @@ fn replies() -> Vec<(String, LoadHeader, Result<WireReply, ServerError>)> {
             Ok(WireReply::Raw(QueryResult::Boolean(false))),
         ),
     ];
-    for (i, e) in every_server_error().into_iter().enumerate() {
+    // Numbered as before the retired tag-3 error left the corpus, so every
+    // remaining pin keeps its name.
+    let numbers = (0..).filter(|&i| i != 3);
+    for (i, e) in numbers.zip(every_server_error()) {
         out.push((format!("error_{i}"), load, Err(e)));
     }
     out
@@ -589,7 +588,6 @@ const PINS: &[(&str, usize, u64)] = &[
     ("reply/error_0", 27, 0xa3a1e04721e81c66),
     ("reply/error_1", 19, 0xa526d07b47fc9d7b),
     ("reply/error_2", 19, 0xca7cbc365306e540),
-    ("reply/error_3", 40, 0x6d1dd1a57e8a8985),
     ("reply/error_4", 19, 0xc5b33a82459e927c),
     ("reply/error_5", 27, 0x9b4cba76b871e0ed),
     ("reply/error_6", 27, 0x26f78c0173748815),
@@ -664,4 +662,29 @@ fn a_completion_request_is_laid_out_byte_for_byte() {
             "0500000000000000", // fetch
         )
     );
+}
+
+/// `ServerError` tag 3 is retired, not reused: a reply laid out as the
+/// quota error that once held it — the tag, a tenant string and two `u64`s,
+/// the exact bytes its `reply/error_3` pin held — is corrupt.
+#[test]
+fn the_retired_server_error_tag_3_decodes_as_corrupt() {
+    let load = LoadHeader {
+        in_flight: 3,
+        queued: 70_000,
+        pressure: 2,
+    };
+    let mut bytes = encode_reply(load, &Err(ServerError::ShuttingDown));
+    assert_eq!(bytes.pop(), Some(7), "ShuttingDown's tag ends the reply");
+    bytes.push(3);
+    let tenant = "tenant-α".as_bytes();
+    bytes.extend_from_slice(&(tenant.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(tenant);
+    bytes.extend_from_slice(&1_000_001u64.to_le_bytes());
+    bytes.extend_from_slice(&1_000_000u64.to_le_bytes());
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (40, 0x6d1dd1a57e8a8985));
+    match decode_reply(&bytes) {
+        Err(WireError::Corrupt(message)) => assert_eq!(message, "unknown ServerError tag 3"),
+        other => panic!("the retired tag decoded as {other:?}"),
+    }
 }

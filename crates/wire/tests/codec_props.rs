@@ -328,7 +328,7 @@ fn gen_run_payload(g: &mut Gen) -> RunPayload {
 }
 
 fn gen_server_error(g: &mut Gen) -> ServerError {
-    match g.below(11) {
+    match g.below(10) {
         0 => ServerError::Overloaded {
             in_flight: g.below(1 << 16) as usize,
             queue_depth: g.below(1 << 16) as usize,
@@ -339,27 +339,22 @@ fn gen_server_error(g: &mut Gen) -> ServerError {
         2 => ServerError::Timeout {
             work_used: g.bits(),
         },
-        3 => ServerError::QuotaExhausted {
-            tenant: gen_str(g),
-            used: g.bits(),
-            budget: g.bits(),
-        },
-        4 => ServerError::UnknownSession(SessionId(g.bits())),
-        5 => ServerError::SessionLimit {
+        3 => ServerError::UnknownSession(SessionId(g.bits())),
+        4 => ServerError::SessionLimit {
             open: g.below(1 << 20) as usize,
             limit: g.below(1 << 20) as usize,
         },
-        6 => ServerError::UnknownSuggestion {
+        5 => ServerError::UnknownSuggestion {
             index: g.below(1 << 20) as usize,
             available: g.below(1 << 20) as usize,
         },
-        7 => ServerError::ShuttingDown,
-        8 => ServerError::Session(match g.below(3) {
+        6 => ServerError::ShuttingDown,
+        7 => ServerError::Session(match g.below(3) {
             0 => SessionError::InvalidSubject(gen_str(g)),
             1 => SessionError::UnknownPredicate(gen_str(g)),
             _ => SessionError::EmptyQuery,
         }),
-        9 => ServerError::Unreachable { reason: gen_str(g) },
+        8 => ServerError::Unreachable { reason: gen_str(g) },
         _ => ServerError::Backend(gen_str(g)),
     }
 }
