@@ -325,6 +325,11 @@ pub struct CacheMatch {
     pub source: MatchSource,
 }
 
+/// A cached literal, residual or significant: a [`LitId`] below
+/// `bins.len()`, significant literal `i` at `bins.len() + i`. Resolved by
+/// [`CachedData::literal_text`].
+pub type LitRef = u32;
+
 /// The assembled cache for one endpoint.
 pub struct CachedData {
     /// All predicates of the dataset (Q1/Q4 results), most-frequent first.
@@ -587,7 +592,8 @@ impl CachedData {
     }
 
     /// Literals (residual bins *and* significant set) Jaro-Winkler-similar to
-    /// `l` at threshold `theta`, searching lengths `|l|-alpha ..= |l|+beta`.
+    /// `l` at threshold `theta`, searching lengths `|l|-alpha ..= |l|+beta`,
+    /// best score first, ties by text, each text once.
     pub fn similar_literals(
         &self,
         l: &str,
@@ -596,35 +602,58 @@ impl CachedData {
         theta: f64,
         processes: usize,
     ) -> Vec<(String, f64)> {
+        self.similar_literal_refs(l, alpha, beta, theta, processes)
+            .into_iter()
+            .map(|(lit, score)| (self.literal_text(lit).to_string(), score))
+            .collect()
+    }
+
+    /// The sweep behind [`similar_literals`](Self::similar_literals), as
+    /// references into the literal arena, in the same order.
+    pub(crate) fn similar_literal_refs(
+        &self,
+        l: &str,
+        alpha: usize,
+        beta: usize,
+        theta: f64,
+        processes: usize,
+    ) -> Vec<(LitRef, f64)> {
         let len = l.chars().count();
         let lo = len.saturating_sub(alpha);
         let hi = len + beta;
         let mut probe = SimilarityProbe::new(l);
         let task_probe = probe.clone();
-        let mut out: Vec<(String, f64)> = self
-            .bins
-            .scan_parallel(lo..hi + 1, processes, move || {
+        let mut out: Vec<(LitRef, f64)> =
+            self.bins.scan_parallel(lo..hi + 1, processes, move || {
                 let mut probe = task_probe.clone();
                 move |lit: FoldedLiteral<'_>| probe.similarity(lit.text(), theta)
-            })
-            .into_iter()
-            .map(|(id, score)| (self.bins.literal(id).to_string(), score))
-            .collect();
+            });
         // The window's significant literals, length by length: the sort
         // below orders by score then text, so visiting order does not show.
         let by_len = &self.significant_by_len;
+        let first_significant = self.bins.len();
         for &i in by_len.iter().take(hi + 1).skip(lo).flatten() {
             if let Some(score) = probe.similarity(self.significant_folded.get(i), theta) {
-                out.push((self.significant[i].0.clone(), score));
+                let lit = LitRef::try_from(first_significant + i).expect("more than 2^32 literals");
+                out.push((lit, score));
             }
         }
         out.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
+                .then_with(|| self.literal_text(a.0).cmp(self.literal_text(b.0)))
         });
-        out.dedup_by(|a, b| a.0 == b.0);
+        out.dedup_by(|a, b| self.literal_text(a.0) == self.literal_text(b.0));
         out
+    }
+
+    /// The text of a cached literal.
+    pub fn literal_text(&self, lit: LitRef) -> &str {
+        let residual = self.bins.len();
+        match (lit as usize).checked_sub(residual) {
+            None => self.bins.literal(lit),
+            Some(i) => &self.significant[i].0,
+        }
     }
 
     /// Look up a predicate by IRI.

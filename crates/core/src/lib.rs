@@ -66,7 +66,7 @@ pub mod session;
 pub use answers::AnswerTable;
 pub use cache::{
     BoundedCache, CacheMatch, CacheStats, CachedClass, CachedData, CachedPredicate, KeyedRequest,
-    MatchSource, RequestKey, ShardedLru,
+    LitRef, MatchSource, RequestKey, ShardedLru,
 };
 pub use config::{SapphireConfig, SteinerConfig};
 pub use exec::{ExecStats, Executor, TaskHandle};

@@ -12,9 +12,13 @@
 //! nothing more: a [`TermAlternative`] is an edit to whatever query it is
 //! applied to, and [`TermAlternative::rewrite`] is the only place it becomes
 //! a query. [`top_with_answers`] is the only implementation of the "top `k/2`
-//! with answers" cut (lines 23–24); the model calls it with the federated
-//! processor, a cluster edge with its cluster-wide answers.
+//! with answers" cut (lines 23–24), over any [`RankedCandidates`]: the model
+//! hands it its literal candidates as references into the memo, so only what
+//! the cut keeps becomes a [`TermAlternative`]; a cluster edge hands it the
+//! list its shards sent, with its cluster-wide answers.
 
+use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -24,7 +28,7 @@ use sapphire_sparql::{
 };
 use sapphire_text::{surface_form, Lexicon};
 
-use crate::cache::{CachedData, ShardedLru};
+use crate::cache::{CachedData, LitRef, ShardedLru};
 use crate::config::SapphireConfig;
 
 /// Which position of a triple pattern an alternative replaces.
@@ -35,6 +39,9 @@ pub enum AlteredPosition {
     /// The object literal was replaced.
     Object,
 }
+
+/// What one alternative replaces: `(triple_index, position)`.
+pub type Slot = (usize, AlteredPosition);
 
 /// One "did you mean …?" suggestion: the edit `(triple_index, position) :=
 /// term`, its display texts and score, and — once it survived the cut — the
@@ -68,10 +75,7 @@ impl TermAlternative {
     /// 2 proposes. `None` when `triple_index` is outside `base`: the field
     /// may have arrived off the wire, so it is checked, not trusted.
     pub fn rewrite(&self, base: &SelectQuery) -> Option<SelectQuery> {
-        let mut query = base.clone();
-        *slot_mut(&mut query.pattern, (self.triple_index, self.position))? =
-            TermPattern::Term(self.term.clone());
-        Some(query)
+        rewrite(base, (self.triple_index, self.position), &self.term)
     }
 
     /// Number of prefetched answers.
@@ -90,6 +94,11 @@ impl TermAlternative {
     }
 }
 
+/// Lines 13–14's order: the higher similarity first.
+fn by_similarity(a: f64, b: f64) -> Ordering {
+    b.partial_cmp(&a).unwrap_or(Ordering::Equal)
+}
+
 /// Finds alternative query terms.
 ///
 /// Both alternative lookups — literal alternatives (a Jaro-Winkler sweep
@@ -105,33 +114,31 @@ pub struct AlternativeFinder {
     cache: Arc<CachedData>,
     lexicon: Lexicon,
     config: SapphireConfig,
-    literal_alts: AltCache,
-    predicate_alts: AltCache,
+    literal_alts: AltCache<Arc<[(LitRef, f64)]>>,
+    predicate_alts: AltCache<Arc<Vec<(String, f64)>>>,
 }
 
-/// A ranked list of `(text, score)` alternatives, shared across requests.
-type AltList = Arc<Vec<(String, f64)>>;
-
-/// A small sharded LRU over ranked alternative lists.
+/// A small sharded LRU over ranked alternative lists, keyed by the term
+/// they are alternatives of.
 #[derive(Debug)]
-struct AltCache {
-    shards: ShardedLru<String, AltList>,
+struct AltCache<V> {
+    shards: ShardedLru<String, V>,
 }
 
-impl AltCache {
+impl<V: Clone> AltCache<V> {
     fn new(shards: usize, capacity_per_shard: usize) -> Self {
         AltCache {
             shards: ShardedLru::new(shards, capacity_per_shard),
         }
     }
 
-    fn get_or_insert(&self, key: &str, compute: impl FnOnce() -> Vec<(String, f64)>) -> AltList {
+    fn get_or_insert(&self, key: &str, compute: impl FnOnce() -> V) -> V {
         if let Some(hit) = self.shards.get(key) {
             return hit;
         }
         // Compute outside the shard lock: the sweep is the expensive part,
         // and a concurrent duplicate sweep is idempotent (pure function).
-        let value = Arc::new(compute());
+        let value = compute();
         self.shards.insert(key.to_string(), value.clone());
         value
     }
@@ -146,7 +153,8 @@ impl AltCache {
 /// whole Jaro-Winkler corpus sweep was skipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AltCacheStats {
-    /// The literal-alternatives cache (bin-banded JW sweep per literal).
+    /// The literal-alternatives cache (bin-banded JW sweep per literal; an
+    /// entry holds 16 B an alternative — a [`LitRef`] and its score).
     pub literal: crate::cache::CacheStats,
     /// The predicate-alternatives cache (JW sweep per lexicon verbalization).
     pub predicate: crate::cache::CacheStats,
@@ -168,6 +176,12 @@ impl AlternativeFinder {
         }
     }
 
+    /// The cache whose literal arena
+    /// [`literal_alternatives`](Self::literal_alternatives) refers into.
+    pub fn cache(&self) -> &CachedData {
+        &self.cache
+    }
+
     /// Hit/miss/eviction counters of both memoization caches.
     pub fn alt_cache_stats(&self) -> AltCacheStats {
         AltCacheStats {
@@ -176,13 +190,17 @@ impl AlternativeFinder {
         }
     }
 
-    /// Literal alternatives for a single literal value — also used to build
+    /// Literal alternatives for a single literal value: the
+    /// [`similar_literals`](CachedData::similar_literals) of `value` other
+    /// than `value` itself, best first, as references into the cache's
+    /// literal arena ([`CachedData::literal_text`] reads one). Also read by
     /// the Steiner seed groups (Algorithm 3 line 3). Memoized across
-    /// requests (pure function of the model).
-    pub fn literal_alternatives(&self, value: &str) -> Arc<Vec<(String, f64)>> {
+    /// requests (pure function of the model); an entry holds no text, 16 B
+    /// an alternative.
+    pub fn literal_alternatives(&self, value: &str) -> Arc<[(LitRef, f64)]> {
         self.literal_alts.get_or_insert(value, || {
             self.cache
-                .similar_literals(
+                .similar_literal_refs(
                     value,
                     self.config.alpha,
                     self.config.beta,
@@ -190,7 +208,7 @@ impl AlternativeFinder {
                     self.config.processes,
                 )
                 .into_iter()
-                .filter(|(text, _)| text != value)
+                .filter(|&(lit, _)| self.cache.literal_text(lit) != value)
                 .collect()
         })
     }
@@ -218,80 +236,234 @@ impl AlternativeFinder {
                     }
                 }
             }
-            best.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            best
+            best.sort_by(|a, b| by_similarity(a.1, b.1));
+            Arc::new(best)
         })
     }
 
-    /// The ranked candidates of Algorithm 2 lines 1–14, *before* execution:
-    /// every similar predicate and every similar literal as an edit with
-    /// empty (not yet prefetched) answers, one list per kind, each sorted by
-    /// similarity.
-    pub(crate) fn candidate_lists(
-        &self,
-        query: &SelectQuery,
-    ) -> (Vec<TermAlternative>, Vec<TermAlternative>) {
+    /// The ranked candidates of Algorithm 2 lines 1–14, *before* execution,
+    /// one kind each: every similar predicate as an edit with empty (not
+    /// yet prefetched) answers, sorted by similarity, and every similar
+    /// literal as a [`LiteralCandidates`] view over the memo.
+    pub(crate) fn candidate_lists<'a>(
+        &'a self,
+        query: &'a SelectQuery,
+    ) -> (Vec<TermAlternative>, LiteralCandidates<'a>) {
         let mut predicate_candidates: Vec<TermAlternative> = Vec::new();
-        let mut literal_candidates: Vec<TermAlternative> = Vec::new();
+        let mut literal_slots: Vec<LiteralSlot<'a>> = Vec::new();
 
         for (ti, triple) in query.pattern.triples.iter().enumerate() {
             // Predicates.
             if let TermPattern::Term(Term::Iri(p_iri)) = &triple.predicate {
+                let original = surface_form(p_iri);
                 for (alt_iri, score) in self.predicate_alternatives(p_iri).iter() {
                     predicate_candidates.push(TermAlternative {
                         triple_index: ti,
                         position: AlteredPosition::Predicate,
                         term: Term::iri(alt_iri.clone()),
-                        original: surface_form(p_iri),
+                        original: original.clone(),
                         replacement: surface_form(alt_iri),
                         similarity: *score,
                         answers: Solutions::default(),
                     });
                 }
             }
-            // Literals (objects only; literals cannot be subjects).
+            // Literals (objects only; literals cannot be subjects). Cached
+            // literals were retrieved with the configured language filter,
+            // so replacements keep the original's language tag (or gain the
+            // configured one) — this is what makes the rewritten query
+            // ground-match the data.
             if let TermPattern::Term(Term::Literal(lit)) = &triple.object {
-                for (alt_text, score) in self.literal_alternatives(&lit.value).iter() {
-                    literal_candidates.push(TermAlternative {
-                        triple_index: ti,
-                        position: AlteredPosition::Object,
-                        term: Term::Literal(self.replacement_literal(lit, alt_text)),
-                        original: lit.value.clone(),
-                        replacement: alt_text.clone(),
-                        similarity: *score,
-                        answers: Solutions::default(),
-                    });
-                }
+                literal_slots.push(LiteralSlot {
+                    triple_index: ti,
+                    original: &lit.value,
+                    lang: lit.lang.as_deref().unwrap_or(&self.config.language),
+                    alternatives: self.literal_alternatives(&lit.value),
+                    terms: OnceCell::new(),
+                });
             }
         }
 
         // Lines 13–14: sort by similarity.
-        let by_score = |a: &TermAlternative, b: &TermAlternative| {
-            b.similarity
-                .partial_cmp(&a.similarity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        };
-        predicate_candidates.sort_by(by_score);
-        literal_candidates.sort_by(by_score);
-        (predicate_candidates, literal_candidates)
+        predicate_candidates.sort_by(|a, b| by_similarity(a.similarity, b.similarity));
+        (
+            predicate_candidates,
+            LiteralCandidates::new(&self.cache, literal_slots),
+        )
+    }
+}
+
+/// One kind's ranked candidates as [`top_with_answers`] walks them, by rank
+/// `i`. A list of [`TermAlternative`]s is one (a cluster edge's merged
+/// list); the model's literal candidates are another, references into its
+/// memo that become an alternative only when the cut keeps them.
+pub trait RankedCandidates {
+    /// Number of candidates.
+    fn len(&self) -> usize;
+
+    /// True if there is no candidate.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Cached literals were retrieved with the configured language filter, so
-    /// replacements keep the original's language tag (or gain the configured
-    /// one) — this is what makes the rewritten query ground-match the data.
-    fn replacement_literal(&self, original: &Literal, alt_text: &str) -> Literal {
-        match (&original.lang, &original.datatype) {
-            (Some(lang), _) => Literal::lang_tagged(alt_text, lang.clone()),
-            (None, Some(_)) | (None, None) => {
-                Literal::lang_tagged(alt_text, self.config.language.clone())
-            }
+    /// The slot candidate `i` replaces.
+    fn slot(&self, i: usize) -> Slot;
+
+    /// Candidate `i`'s replacement term.
+    fn term(&self, i: usize) -> &Term;
+
+    /// The terms of every candidate of `slot`, in rank order — what the
+    /// slot's probe asks about.
+    fn slot_terms(&self, slot: Slot) -> Arc<[Term]>;
+
+    /// Candidate `i` as an alternative with `answers` prefetched.
+    fn keep(&self, i: usize, answers: Solutions) -> TermAlternative;
+}
+
+/// A list of alternatives — a slice, a `Vec` — ranked as it stands.
+impl<L: AsRef<[TermAlternative]> + ?Sized> RankedCandidates for L {
+    fn len(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    fn slot(&self, i: usize) -> Slot {
+        let c = &self.as_ref()[i];
+        (c.triple_index, c.position)
+    }
+
+    fn term(&self, i: usize) -> &Term {
+        &self.as_ref()[i].term
+    }
+
+    fn slot_terms(&self, slot: Slot) -> Arc<[Term]> {
+        // Counted before they are cloned: a list of a thousand terms is
+        // allocated once, at its size.
+        let of_slot: Vec<&Term> = (self.as_ref().iter())
+            .filter(|c| (c.triple_index, c.position) == slot)
+            .map(|c| &c.term)
+            .collect();
+        of_slot.into_iter().cloned().collect()
+    }
+
+    fn keep(&self, i: usize, answers: Solutions) -> TermAlternative {
+        TermAlternative {
+            answers,
+            ..self.as_ref()[i].clone()
         }
+    }
+}
+
+/// The model's literal candidates of one query (Algorithm 2 lines 8–14):
+/// each ground object literal's memoized alternatives, by reference, ranked
+/// together. A slot's terms are built once, when the walk first reaches
+/// it, and shared by its probe, the liveness checks and the prefetches;
+/// only what the cut keeps becomes a [`TermAlternative`].
+pub(crate) struct LiteralCandidates<'a> {
+    cache: &'a CachedData,
+    slots: Vec<LiteralSlot<'a>>,
+    /// `(slot, alternative)` pairs in rank order: the slot-major list,
+    /// stably sorted by similarity.
+    order: Vec<(usize, usize)>,
+}
+
+/// One ground object literal of the query and its alternatives.
+struct LiteralSlot<'a> {
+    triple_index: usize,
+    original: &'a str,
+    /// The language tag every replacement carries.
+    lang: &'a str,
+    alternatives: Arc<[(LitRef, f64)]>,
+    terms: OnceCell<Arc<[Term]>>,
+}
+
+impl<'a> LiteralCandidates<'a> {
+    fn new(cache: &'a CachedData, slots: Vec<LiteralSlot<'a>>) -> Self {
+        let mut order: Vec<(usize, usize)> = (slots.iter().enumerate())
+            .flat_map(|(s, slot)| (0..slot.alternatives.len()).map(move |j| (s, j)))
+            .collect();
+        let score = |&(s, j): &(usize, usize)| slots[s].alternatives[j].1;
+        order.sort_by(|a, b| by_similarity(score(a), score(b)));
+        LiteralCandidates {
+            cache,
+            slots,
+            order,
+        }
+    }
+
+    /// Slot `s`'s replacement terms, in its memo's order.
+    fn terms(&self, s: usize) -> &Arc<[Term]> {
+        let slot = &self.slots[s];
+        slot.terms.get_or_init(|| {
+            (slot.alternatives.iter())
+                .map(|&(lit, _)| {
+                    Term::Literal(Literal::lang_tagged(
+                        self.cache.literal_text(lit),
+                        slot.lang,
+                    ))
+                })
+                .collect()
+        })
+    }
+
+    /// Alternative `j` of slot `s`, with `answers`.
+    fn alternative(&self, s: usize, j: usize, answers: Solutions) -> TermAlternative {
+        let slot = &self.slots[s];
+        let (lit, similarity) = slot.alternatives[j];
+        TermAlternative {
+            triple_index: slot.triple_index,
+            position: AlteredPosition::Object,
+            term: self.terms(s)[j].clone(),
+            original: slot.original.to_string(),
+            replacement: self.cache.literal_text(lit).to_string(),
+            similarity,
+            answers,
+        }
+    }
+
+    /// Every candidate as an alternative with empty answers, built slot by
+    /// slot and then stably sorted by similarity — the list a shard sends a
+    /// cluster edge, and the order [`RankedCandidates::slot`] is held to.
+    pub(crate) fn materialize(&self) -> Vec<TermAlternative> {
+        let mut all: Vec<TermAlternative> = (self.slots.iter().enumerate())
+            .flat_map(|(s, slot)| (0..slot.alternatives.len()).map(move |j| (s, j)))
+            .map(|(s, j)| self.alternative(s, j, Solutions::default()))
+            .collect();
+        all.sort_by(|a, b| by_similarity(a.similarity, b.similarity));
+        all
+    }
+}
+
+impl RankedCandidates for LiteralCandidates<'_> {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn slot(&self, i: usize) -> Slot {
+        let triple = self.slots[self.order[i].0].triple_index;
+        (triple, AlteredPosition::Object)
+    }
+
+    fn term(&self, i: usize) -> &Term {
+        let (s, j) = self.order[i];
+        &self.terms(s)[j]
+    }
+
+    fn slot_terms(&self, slot: Slot) -> Arc<[Term]> {
+        let of_slot = |s: &LiteralSlot| (s.triple_index, AlteredPosition::Object) == slot;
+        let s = self.slots.iter().position(of_slot);
+        s.map_or_else(Arc::default, |s| self.terms(s).clone())
+    }
+
+    fn keep(&self, i: usize, answers: Solutions) -> TermAlternative {
+        let (s, j) = self.order[i];
+        self.alternative(s, j, answers)
     }
 }
 
 /// Algorithm 2 lines 23–24: walk one kind's ranked `candidates` and keep the
 /// first `take` whose rewrite of `base` returns answers, with those answers
-/// attached. Only kept candidates are cloned.
+/// attached. Only kept candidates become [`TermAlternative`]s
+/// ([`RankedCandidates::keep`]).
 ///
 /// `answers` is the endpoint: the rows of a query, `Ok(None)` for a query it
 /// could not answer but that fails nothing, `Err` for a failure the caller
@@ -320,61 +492,60 @@ impl AlternativeFinder {
 /// [`TermAlternative::rewrite`]) is neither probed nor rewritten; a caller
 /// whose candidates come from outside the process checks them before it
 /// calls.
-pub fn top_with_answers<E>(
+pub fn top_with_answers<R, E>(
     base: &SelectQuery,
-    candidates: &[TermAlternative],
+    candidates: &R,
     take: usize,
     mut answers: impl FnMut(&SelectQuery) -> Result<Option<Solutions>, E>,
-) -> Result<Vec<TermAlternative>, E> {
+) -> Result<Vec<TermAlternative>, E>
+where
+    R: RankedCandidates + ?Sized,
+{
     let probed =
         base.pattern.values.is_none() && (!base.has_aggregates() || !base.group_by.is_empty());
     // Per slot reached so far: the candidate terms with answers, or `None`
     // when the probe was not answered.
     let mut live: Vec<(Slot, Option<HashSet<Term>>)> = Vec::new();
     let mut kept: Vec<TermAlternative> = Vec::new();
-    for cand in candidates {
+    for i in 0..candidates.len() {
         if kept.len() >= take {
             break;
         }
-        if cand.triple_index >= base.pattern.triples.len() {
+        let slot = candidates.slot(i);
+        if slot.0 >= base.pattern.triples.len() {
             continue;
         }
         if probed {
-            let slot = (cand.triple_index, cand.position);
             if !live.iter().any(|(s, _)| *s == slot) {
-                // A slot whose only candidate is `cand` is not probed: the
+                // A slot whose only candidate is this one is not probed: the
                 // prefetch below asks the same question, and nothing else
                 // would read the answer.
-                let mut of_slot = candidates
-                    .iter()
-                    .filter(|c| (c.triple_index, c.position) == slot);
-                let found = if of_slot.nth(1).is_none() {
+                let terms = candidates.slot_terms(slot);
+                let found = if terms.len() < 2 {
                     None
                 } else {
-                    answers(&probe(base, slot, candidates)).ok().flatten()
+                    answers(&probe(base, slot, terms)).ok().flatten()
                 };
                 let terms = |f: Solutions| f.rows.into_iter().filter_map(|mut row| row.pop()?);
                 live.push((slot, found.map(|f| terms(f).collect())));
             }
             let (_, live) = live.iter().find(|(s, _)| *s == slot).expect("just probed");
-            if live.as_ref().is_some_and(|live| !live.contains(&cand.term)) {
+            if live
+                .as_ref()
+                .is_some_and(|live| !live.contains(candidates.term(i)))
+            {
                 continue;
             }
         }
-        let rewritten = cand.rewrite(base).expect("the index is inside `base`");
+        let rewritten =
+            rewrite(base, slot, candidates.term(i)).expect("the index is inside `base`");
         match answers(&rewritten)? {
-            Some(found) if !found.is_empty() => kept.push(TermAlternative {
-                answers: found,
-                ..cand.clone()
-            }),
+            Some(found) if !found.is_empty() => kept.push(candidates.keep(i, found)),
             _ => {}
         }
     }
     Ok(kept)
 }
-
-/// What one alternative replaces.
-type Slot = (usize, AlteredPosition);
 
 fn slot_mut(pattern: &mut GraphPattern, (triple, position): Slot) -> Option<&mut TermPattern> {
     let triple = pattern.triples.get_mut(triple)?;
@@ -384,9 +555,16 @@ fn slot_mut(pattern: &mut GraphPattern, (triple, position): Slot) -> Option<&mut
     })
 }
 
-/// "Which of `slot`'s candidate terms have any answer?" — see
+/// `base` with `slot` holding `term`; `None` when the slot is outside it.
+fn rewrite(base: &SelectQuery, slot: Slot, term: &Term) -> Option<SelectQuery> {
+    let mut query = base.clone();
+    *slot_mut(&mut query.pattern, slot)? = TermPattern::Term(term.clone());
+    Some(query)
+}
+
+/// "Which of `slot`'s candidate `terms` have any answer?" — see
 /// [`top_with_answers`].
-fn probe(base: &SelectQuery, slot: Slot, candidates: &[TermAlternative]) -> SelectQuery {
+fn probe(base: &SelectQuery, slot: Slot, terms: Arc<[Term]>) -> SelectQuery {
     let taken = base.pattern.variables();
     let var = (0..)
         .map(|n| format!("alt{n}"))
@@ -395,15 +573,8 @@ fn probe(base: &SelectQuery, slot: Slot, candidates: &[TermAlternative]) -> Sele
     let mut pattern = base.pattern.clone();
     *slot_mut(&mut pattern, slot).expect("the slot is inside `base`") =
         TermPattern::Var(var.clone());
-    // Counted before they are cloned: a list of a thousand terms is
-    // allocated once, at its size.
-    let of_slot: Vec<&Term> = candidates
-        .iter()
-        .filter(|c| (c.triple_index, c.position) == slot)
-        .map(|c| &c.term)
-        .collect();
     pattern.values = Some(InlineData {
-        terms: of_slot.into_iter().cloned().collect(),
+        terms,
         var: var.clone(),
     });
     SelectQuery {
@@ -540,8 +711,65 @@ res:UoL a dbo:University ; dbo:name "University of London"@en .
         // |"Kennedy"| = 7; α=2, β=3 ⇒ lengths 5..=10. "Kennedy Onassis" (15)
         // is out of range even though similar.
         let alts = finder.literal_alternatives("Kennedyx");
-        assert!(alts.iter().any(|(t, _)| t == "Kennedy"));
-        assert!(alts.iter().all(|(t, _)| t != "Kennedy Onassis"));
+        let texts: Vec<&str> = alts
+            .iter()
+            .map(|&(lit, _)| finder.cache().literal_text(lit))
+            .collect();
+        assert!(texts.contains(&"Kennedy"));
+        assert!(!texts.contains(&"Kennedy Onassis"));
+    }
+
+    /// The memo holds references on both sides of the arena boundary —
+    /// residual ids below `bins.len()`, significant literals above it — and
+    /// read back as text they are the sweep's list without the value itself.
+    #[test]
+    fn literal_alternatives_read_back_as_the_similar_literals() {
+        let stems = ["Kennedy", "ΟΔΟΣ", "İstanbul", "Straße", "kenneth", "ÉCOLE"];
+        let literals: Vec<(String, u64)> = (0..600)
+            .map(|i| {
+                let text = format!("{} {i:0w$}", stems[i % stems.len()], w = 3 + i % 5);
+                (text, (i * 7 % 11) as u64)
+            })
+            .collect();
+        let values = [
+            "Kennedys 0000012",
+            "οδοσ 00100",
+            "strasse 004",
+            "Kenneth 1",
+            "Kennedy 000",
+            "zzz",
+        ];
+        for capacity in [0, 250, 600] {
+            let config = SapphireConfig {
+                suffix_tree_capacity: capacity,
+                processes: 2,
+                ..SapphireConfig::for_tests()
+            };
+            let cache = Arc::new(CachedData::from_raw(vec![], literals.clone(), &config));
+            let residual = cache.bins.len() as LitRef;
+            let finder = AlternativeFinder::new(cache.clone(), Lexicon::dbpedia_default(), config);
+            let c = &finder.config;
+            let (mut below, mut above) = (0, 0);
+            for value in values {
+                let expected: Vec<(String, f64)> = cache
+                    .similar_literals(value, c.alpha, c.beta, c.theta, c.processes)
+                    .into_iter()
+                    .filter(|(text, _)| text != value)
+                    .collect();
+                for _ in 0..2 {
+                    let refs = finder.literal_alternatives(value);
+                    let texts: Vec<(String, f64)> = refs
+                        .iter()
+                        .map(|&(lit, score)| (cache.literal_text(lit).to_string(), score))
+                        .collect();
+                    assert_eq!(texts, expected, "capacity {capacity} {value:?}");
+                    below += refs.iter().filter(|&&(lit, _)| lit < residual).count();
+                    above += refs.iter().filter(|&&(lit, _)| lit >= residual).count();
+                }
+            }
+            assert_eq!(below > 0, capacity < 600, "capacity {capacity}");
+            assert_eq!(above > 0, capacity > 0, "capacity {capacity}");
+        }
     }
 
     /// Five literal candidates for the one-triple query, best first.

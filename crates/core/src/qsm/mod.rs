@@ -25,7 +25,8 @@ use crate::cache::CachedData;
 use crate::config::SapphireConfig;
 
 pub use alternatives::{
-    top_with_answers, AltCacheStats, AlteredPosition, AlternativeFinder, TermAlternative,
+    top_with_answers, AltCacheStats, AlteredPosition, AlternativeFinder, RankedCandidates, Slot,
+    TermAlternative,
 };
 pub use neighborhood::{Neighbor, NeighborhoodCache, NeighborhoodStats};
 pub use relax::{RelaxedQuery, StructureRelaxer};
@@ -135,8 +136,9 @@ impl QuerySuggestion {
     /// shard sends a cluster edge in [`QsmOutput::candidates`]. Built from
     /// the memoized per-term alternatives, so it costs no endpoint query.
     pub fn candidates(&self, query: &SelectQuery) -> Arc<Vec<TermAlternative>> {
-        let (predicates, literals) = self.finder.candidate_lists(query);
-        Arc::new(predicates.into_iter().chain(literals).collect())
+        let (mut candidates, literals) = self.finder.candidate_lists(query);
+        candidates.extend(literals.materialize());
+        Arc::new(candidates)
     }
 
     /// Produce suggestions with the Steiner relaxation running at budget
@@ -152,16 +154,14 @@ impl QuerySuggestion {
         let start = Instant::now();
         // Lines 23–24, once per kind. A rewrite the endpoint fails on has no
         // answers to show, so it is passed over like an empty one. The
-        // ranked lists are dropped here: the cut clones only what it keeps.
+        // ranked candidates are dropped here: only what the cut keeps
+        // becomes an alternative.
         let half = (self.config.k / 2).max(1);
         let (predicates, literals) = self.finder.candidate_lists(query);
-        let mut alternatives = Vec::new();
-        for kind in [predicates, literals] {
-            let Ok(kept) = top_with_answers(query, &kind, half, |asked| {
-                Ok::<_, Infallible>(answers(fed, asked))
-            });
-            alternatives.extend(kept);
-        }
+        let ask = |asked: &SelectQuery| Ok::<_, Infallible>(answers(fed, asked));
+        let Ok(mut alternatives) = top_with_answers(query, &predicates, half, ask);
+        let Ok(kept) = top_with_answers(query, &literals, half, ask);
+        alternatives.extend(kept);
 
         // Structure relaxation: seed groups are each query literal plus its
         // top k−1 alternatives (Algorithm 3 line 3).
@@ -174,19 +174,20 @@ impl QuerySuggestion {
         let tier = if literals.len() >= 2 { tier } else { 0 };
         let mut relaxations = Vec::new();
         if literals.len() >= 2 {
+            let cache = self.finder.cache();
             let groups: Vec<Vec<Term>> = literals
                 .iter()
                 .map(|lit| {
                     let mut group = vec![ground_literal(lit, &self.config.language)];
-                    for (alt, _) in self
+                    for &(alt, _) in self
                         .finder
                         .literal_alternatives(&lit.value)
                         .iter()
                         .take(self.config.steiner.seeds_per_group.saturating_sub(1))
                     {
                         group.push(Term::Literal(Literal::lang_tagged(
-                            alt.clone(),
-                            self.config.language.clone(),
+                            cache.literal_text(alt),
+                            self.config.language.as_str(),
                         )));
                     }
                     group

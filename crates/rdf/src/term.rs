@@ -29,9 +29,11 @@ impl Literal {
 
     /// A language-tagged string literal. The tag is lowercased.
     pub fn lang_tagged(value: impl Into<String>, lang: impl Into<String>) -> Self {
+        let mut lang = lang.into();
+        lang.make_ascii_lowercase();
         Literal {
             value: value.into(),
-            lang: Some(lang.into().to_ascii_lowercase()),
+            lang: Some(lang),
             datatype: None,
         }
     }

@@ -5,18 +5,25 @@
 //! "outperforms other similarity measures in our context" — normalized
 //! Levenshtein is provided so the ablation bench can check that claim.
 //!
-//! # One kernel, bit-identical scores
+//! # One greedy, bit-identical scores
 //!
-//! There is one Jaro implementation, `match_counts`: it takes two slices
-//! of comparable elements — the bytes of two ASCII strings, or the `char`s
-//! of anything else, decoded into buffers the caller owns — and records
-//! which elements matched in bit masks instead of a `Vec<bool>` and two
-//! `Vec<char>` per pair. Operands of up to 128 elements (every literal under
-//! the paper's 80-character cap) use one `u128` a side, on the stack; the
-//! transposition count walks the two masks' set bits in step with
-//! `trailing_zeros`. [`jaro`], [`jaro_winkler`] and [`jaro_winkler_ci`] are
-//! thin wrappers over it, and so is [`SimilarityProbe`], which the model's
-//! sweeps use.
+//! There is one Jaro matching rule — each element of `a` takes the first
+//! free equal element of `b` in its window — in two kernels. The general
+//! one, `match_counts`, takes two slices of comparable elements — the bytes
+//! of two ASCII strings, or the `char`s of anything else, decoded into
+//! buffers the caller owns — and records which elements matched in bit
+//! masks instead of a `Vec<bool>` and two `Vec<char>` per pair. Operands of
+//! up to 128 elements (every literal under the paper's 80-character cap)
+//! use one `u128` a side, on the stack; the transposition count walks the
+//! two masks' set bits in step with `trailing_zeros`. ASCII operands of up
+//! to 128 bytes — nearly every pair a sweep scores — take
+//! `ascii_match_counts`, the same rule bit-parallel: with a table of
+//! per-byte position masks of `b`, the first free match of `a[i]` is the
+//! lowest set bit of `positions[a[i]] & window(i) & !b_hit`, with no scan
+//! of the window. [`jaro`], [`jaro_winkler`] and [`jaro_winkler_ci`] are
+//! thin wrappers over them (on a per-thread scratch, so a call allocates
+//! nothing), and so is [`SimilarityProbe`], which the model's sweeps use
+//! and which owns its scratch.
 //!
 //! **Contract:** a score is `(m/|a| + m/|b| + (m − t)/m) / 3`, then
 //! `j + ℓ · 0.1 · (1 − j)`, evaluated in `f64` in exactly that operation
@@ -59,15 +66,23 @@ const MASK_BITS: usize = u128::BITS as usize;
 /// any `f64` rounding of a value in `[0, 1]`, far below any score gap.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// Buffers the kernel borrows for operands its stack path cannot take:
+/// Buffers the kernels borrow for operands their stack path cannot take:
 /// decoded `char`s for non-ASCII text, mask words for operands over
-/// [`MASK_BITS`] elements. Empty until first needed, then reused.
+/// [`MASK_BITS`] elements, and the ASCII kernel's position table (one mask
+/// per byte value, all zero between pairs). Empty until first needed, then
+/// reused.
 #[derive(Debug, Default, Clone)]
 struct Scratch {
     a: Vec<char>,
     b: Vec<char>,
     a_hit: Vec<u128>,
     b_hit: Vec<u128>,
+    positions: Vec<u128>,
+}
+
+thread_local! {
+    /// The free functions' scratch.
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
 }
 
 fn hit(mask: &[u128], i: usize) -> bool {
@@ -123,10 +138,58 @@ fn match_counts<T: Copy + Eq>(
     (m, out_of_order / 2)
 }
 
+/// The bits below position `n`.
+fn below(n: usize) -> u128 {
+    if n >= MASK_BITS {
+        u128::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// `match_counts` of two ASCII operands of at most [`MASK_BITS`] bytes,
+/// bit-parallel. `positions` (128 masks, all zero) gets bit `j` of
+/// `positions[b[j]]` set for the pair and is zeroed again before returning.
+/// Each byte of `a` takes the lowest free position of its own byte in its
+/// window — the first free equal element, as in `match_counts`.
+fn ascii_match_counts(a: &[u8], b: &[u8], positions: &mut [u128]) -> (usize, usize) {
+    for (j, &cb) in b.iter().enumerate() {
+        positions[usize::from(cb)] |= 1 << j;
+    }
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let (mut a_hit, mut b_hit) = (0u128, 0u128);
+    for (i, &ca) in a.iter().enumerate() {
+        let in_window = below(i + window + 1) & !below(i.saturating_sub(window));
+        let free = positions[usize::from(ca)] & in_window & !b_hit;
+        if free != 0 {
+            b_hit |= free & free.wrapping_neg();
+            a_hit |= 1 << i;
+        }
+    }
+    for &cb in b {
+        positions[usize::from(cb)] = 0;
+    }
+    let out_of_order = hits(&[a_hit])
+        .zip(hits(&[b_hit]))
+        .filter(|&(i, j)| a[i] != b[j])
+        .count();
+    (a_hit.count_ones() as usize, out_of_order / 2)
+}
+
+/// The Jaro score of `m` matches and `t` transpositions between operands of
+/// `a_len` and `b_len` elements.
+fn jaro_score(a_len: usize, b_len: usize, (m, transpositions): (usize, usize)) -> f64 {
+    if m == 0 {
+        return 0.0;
+    }
+    let m = m as f64;
+    (m / a_len as f64 + m / b_len as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
 /// Jaro of two non-empty, unequal element slices.
 fn jaro_of<T: Copy + Eq>(a: &[T], b: &[T], a_hit: &mut Vec<u128>, b_hit: &mut Vec<u128>) -> f64 {
     let words = a.len().max(b.len()).div_ceil(MASK_BITS);
-    let (m, transpositions) = if words == 1 {
+    let counts = if words == 1 {
         match_counts(a, b, &mut [0], &mut [0])
     } else {
         for mask in [&mut *a_hit, &mut *b_hit] {
@@ -135,11 +198,7 @@ fn jaro_of<T: Copy + Eq>(a: &[T], b: &[T], a_hit: &mut Vec<u128>, b_hit: &mut Ve
         }
         match_counts(a, b, a_hit, b_hit)
     };
-    if m == 0 {
-        return 0.0;
-    }
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    jaro_score(a.len(), b.len(), counts)
 }
 
 /// Shared prefix in characters, up to [`MAX_PREFIX`].
@@ -160,7 +219,16 @@ impl Scratch {
             return 0.0;
         }
         if a.is_ascii() && b.is_ascii() {
-            return jaro_of(a.as_bytes(), b.as_bytes(), &mut self.a_hit, &mut self.b_hit);
+            let (a, b) = (a.as_bytes(), b.as_bytes());
+            if a.len().max(b.len()) > MASK_BITS {
+                return jaro_of(a, b, &mut self.a_hit, &mut self.b_hit);
+            }
+            self.positions.resize(128, 0);
+            return jaro_score(
+                a.len(),
+                b.len(),
+                ascii_match_counts(a, b, &mut self.positions),
+            );
         }
         self.a.clear();
         self.a.extend(a.chars());
@@ -180,7 +248,7 @@ impl Scratch {
 /// Counts matching characters within the standard window
 /// `max(|a|,|b|)/2 - 1` and discounts transpositions.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    Scratch::default().jaro(a, b)
+    SCRATCH.with_borrow_mut(|scratch| scratch.jaro(a, b))
 }
 
 /// Jaro-Winkler similarity: Jaro boosted by a shared prefix (up to 4 chars)
@@ -188,7 +256,7 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// score to strings that match from the beginning" (§6.2.1) — exactly the
 /// behaviour wanted for typo-tolerant term matching ("Kennedys" → "Kennedy").
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    Scratch::default().jaro_winkler(a, b)
+    SCRATCH.with_borrow_mut(|scratch| scratch.jaro_winkler(a, b))
 }
 
 /// Case-insensitive Jaro-Winkler — what the QSM actually uses, since users
