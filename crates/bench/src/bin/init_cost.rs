@@ -77,13 +77,14 @@ fn main() {
         );
         println!("total queries:            {}", stats.total_queries());
         println!("literals cached:          {}", stats.literals_cached);
+        let indexed_chars: usize = cache.tree.strings().iter().map(|s| s.chars().count()).sum();
         println!(
-            "suffix tree:              {} strings ({} predicates + {} significant literals), ≈{} KiB, {} nodes",
+            "suffix tree:              {} strings ({} predicates + {} significant literals), ≈{} KiB, {:.1} B per indexed char",
             cache.tree_string_count(),
             cache.predicates.len(),
             cache.significant.len(),
             cache.tree.approx_bytes() / 1024,
-            cache.tree.node_count(),
+            cache.tree.approx_bytes() as f64 / indexed_chars.max(1) as f64,
         );
         println!(
             "residual literals:        {} across {} non-empty bins  (paper: 21M across 80 bins)",

@@ -41,6 +41,13 @@ fn probe_terms() -> Vec<&'static str> {
     ]
 }
 
+/// FNV-1a 64 of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn main() {
     let dataset = scale_from_args();
     println!("(generating dataset and harvesting literal corpus…)");
@@ -64,6 +71,9 @@ fn main() {
         "{:<12} {:>12} {:>10} {:>14} {:>14} {:>12}",
         "tree size", "tree strings", "hit ratio", "tree time/op", "bins time/op", "tree bytes"
     );
+    // What each capacity returned, pinned apart from its timings: FNV-1a 64
+    // over every completion's text, IRI and source, term by term.
+    let mut digests = Vec::new();
     for capacity in [0usize, 1_000, 5_000, 20_000, 40_000] {
         let config = SapphireConfig {
             suffix_tree_capacity: capacity,
@@ -78,9 +88,18 @@ fn main() {
         let mut hits = 0usize;
         let mut tree_ns = 0u128;
         let mut bins_ns = 0u128;
+        let mut shown: Vec<u8> = Vec::new();
         let terms = probe_terms();
         for t in &terms {
             let r = qcm.complete(t);
+            for c in &r.suggestions {
+                shown.extend_from_slice(c.text.as_bytes());
+                shown.push(0xFF);
+                shown.extend_from_slice(c.predicate_iri.as_deref().unwrap_or("").as_bytes());
+                shown.push(0xFF);
+                shown.push(c.source as u8);
+            }
+            shown.push(0xFE);
             hits += usize::from(r.tree_hit);
             tree_ns += r.tree_time.as_nanos();
             bins_ns += r.bins_time.as_nanos();
@@ -94,6 +113,10 @@ fn main() {
             bins_ns as f64 / terms.len() as f64 / 1_000.0,
             cache.tree.approx_bytes(),
         );
+        digests.push((capacity, fnv1a64(&shown)));
+    }
+    for (capacity, digest) in digests {
+        println!("completions digest at tree size {capacity}: {digest:016x}");
     }
 
     // ---- Parallel scan scaling (paper: 0.6 s @ 1 core → 0.16 s @ 8 cores,

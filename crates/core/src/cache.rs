@@ -452,12 +452,11 @@ impl CachedData {
             })
             .collect();
         entries.sort_by(|a, b| completion_rank(&a.0).cmp(&completion_rank(&b.0)));
-        let mut tree = SuffixTree::new();
-        let mut tree_entries = Vec::new();
-        for (c, entry) in entries {
-            tree.insert(c.text);
-            tree_entries.push(entry);
-        }
+        let (tree_strings, tree_entries): (Vec<String>, Vec<TreeEntry>) = entries
+            .into_iter()
+            .map(|(c, entry)| (c.text, entry))
+            .unzip();
+        let tree = SuffixTree::build(tree_strings);
 
         let mut bins = ResidualBins::new();
         for (text, _) in residual {

@@ -11,6 +11,16 @@
 //! smallest matching ids are the best tree matches, and the residual stage
 //! appends in it — the output is already in rank order, and a cluster
 //! edge's merge of per-shard lists ranks by the same function.
+//!
+//! The two stages disagree on case, and the paper is silent on it. The
+//! suffix tree matches `t` case-sensitively; the residual scan folds both
+//! sides with `str::to_lowercase` (`bins.rs`). So which stage holds a
+//! literal — decided by [`SapphireConfig::suffix_tree_capacity`], a sizing
+//! setting — decides whether a keystroke in another case finds it. Over
+//! `Kennedy Space Center`, `Kennedy` and `kennedy airport` (scored in that
+//! order), typing `kenn` shows `Kennedy` from the bins at capacity 0 or 1,
+//! nothing at 2, and only `kennedy airport` from the tree at 3. This is the
+//! rule as it stands, not a decision.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -1,136 +1,115 @@
-//! Generalized suffix tree built with Ukkonen's online algorithm.
+//! A generalized suffix array, standing in for §5.2's suffix tree.
 //!
 //! The paper indexes all RDF predicates plus the *most significant literals*
 //! in a suffix tree because the QCM's core lookup — "which strings contain
-//! the typed prefix `t`?" — runs in `O(|t| + z)` on it (§5.2). The quoted
-//! downside also holds here: the tree can be an order of magnitude larger
-//! than its input, which is why only a subset of literals is indexed and the
-//! rest live in residual bins.
+//! the typed prefix `t`?" — runs in `O(|t| + z)` on it (§5.2), and pays for
+//! it in memory, which is why only a subset of literals is indexed and the
+//! rest live in residual bins. This index answers the same question from
+//! flat arrays. A suffix array is the tree's leaves in order: the suffixes
+//! below any tree node are one contiguous run of it, found by two binary
+//! searches in `O(|t| log n)`. The tree's other job, each node's smallest
+//! string id, is done by an argmin segment tree over the run's ids. The type
+//! keeps the paper's name.
 //!
-//! Multiple strings are handled the standard way: each string is appended to
-//! a shared symbol buffer followed by a unique terminator symbol, so no
-//! suffix spans two strings. Leaves record the string they belong to, and
-//! "open" leaf ends resolve per string, which keeps construction online.
-//!
-//! Every node also records the smallest string id below it, so a lookup
-//! returns the *smallest* ids containing the pattern, in ascending order —
-//! a function of the strings and their insertion order, never of a hash
-//! seed. The QCM inserts its strings in completion rank order, so those are
-//! its best matches.
+//! * **Text.** The strings' UTF-8 bytes back to back, each followed by
+//!   `0xFF`, a byte UTF-8 never uses, so no match spans two strings. UTF-8 is
+//!   self-synchronizing: a valid pattern occurs in a string's bytes exactly
+//!   when it occurs in its `char`s, and only at a `char` boundary, so only
+//!   those positions are indexed.
+//! * **Order.** Suffixes sort by their bytes through their separator, ties
+//!   by position. One `sort_unstable` on the first eight of those bytes,
+//!   packed big-endian into a `u64`, does most of the work; each run of
+//!   equal keys is then sorted by the whole suffix. A comparison stops at
+//!   the first separator, so it costs at most the longest string (literals
+//!   are ≤ 80 chars, §5.1).
+//! * **Lookup.** Two binary searches inside the pattern's first-byte bucket
+//!   find its run. A best-first walk over the run, smallest id first, then
+//!   returns the smallest ids containing the pattern in ascending order, at
+//!   `O(log n)` per id — a function of the strings and their order, never of
+//!   a hash seed. The QCM adds its strings in completion rank order, so
+//!   those are its best matches.
 
-use std::cmp::Reverse;
+use std::cmp::{min_by_key, Reverse};
 use std::collections::BinaryHeap;
 
-/// Symbols are `char`s widened to `u32`; values `>= TERMINATOR_BASE` are
-/// per-string terminators (they cannot collide with Unicode scalars).
-const TERMINATOR_BASE: u32 = 0x0011_0000;
+/// Ends every string in the text; never a byte of UTF-8.
+const SEPARATOR: u8 = 0xFF;
 
-/// Identifier of an indexed string.
+/// Identifier of an indexed string: its position in the build order.
 pub type StringId = u32;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum End {
-    /// Fixed end offset (exclusive).
-    Fixed(u32),
-    /// Leaf of `StringId` that is still growing while that string is built;
-    /// resolves to the string's final end afterwards.
-    Open(StringId),
-}
+/// A sub-run of suffix ranks `l..r`, keyed by its smallest id and that id's
+/// rank: `(id, rank, l, r)`, smallest first in a max-heap.
+type SubRun = Reverse<(StringId, u32, u32, u32)>;
 
-#[derive(Debug)]
-struct Node {
-    /// Edge label: `text[start..end]` on the edge from the parent.
-    start: u32,
-    end: End,
-    /// `(first edge symbol, child)`, sorted by symbol.
-    children: Vec<(u32, u32)>,
-    suffix_link: u32,
-    /// For leaves: which string's suffix this leaf represents. For internal
-    /// nodes: the smallest such id below. Ids only grow while the tree is
-    /// built, so a new node's smallest id is known when it is made.
-    string_id: StringId,
-}
-
-impl Node {
-    fn new(start: u32, end: End, string_id: StringId) -> Self {
-        Node {
-            start,
-            end,
-            children: Vec::new(),
-            suffix_link: NO_LINK,
-            string_id,
-        }
-    }
-
-    fn child(&self, symbol: u32) -> Option<u32> {
-        let at = self.children.binary_search_by_key(&symbol, |&(s, _)| s);
-        at.ok().map(|i| self.children[i].1)
-    }
-
-    /// Point the edge starting with `symbol` at `child`. A terminator is the
-    /// largest symbol yet, so its edge appends.
-    fn set_child(&mut self, symbol: u32, child: u32) {
-        match self.children.binary_search_by_key(&symbol, |&(s, _)| s) {
-            Ok(i) => self.children[i].1 = child,
-            Err(i) => self.children.insert(i, (symbol, child)),
-        }
-    }
-}
-
-const NO_LINK: u32 = u32::MAX;
-
-/// A generalized suffix tree over a set of strings.
+/// A generalized suffix index over a set of strings. It keeps §5.2's name
+/// but is a suffix array: the tree's leaves in order, with an argmin tree
+/// over their string ids doing the job of the nodes' smallest ids (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub struct SuffixTree {
-    text: Vec<u32>,
-    nodes: Vec<Node>,
-    /// Final (exclusive) end offset of each indexed string's region,
-    /// including its terminator.
-    string_ends: Vec<u32>,
-    /// Start offset of each string's region.
-    string_starts: Vec<u32>,
+    /// Every string's bytes followed by [`SEPARATOR`].
+    text: Vec<u8>,
+    /// The text positions of every string's `char`s, in suffix order.
+    suffixes: Vec<u32>,
+    /// The string each of `suffixes` lies in.
+    ids: Vec<StringId>,
+    /// Argmin segment tree over `ids`: node `i < n` holds the rank with the
+    /// smallest id below it, leaf `n + r` holds rank `r`.
+    min_rank: Vec<u32>,
+    /// `buckets[b]` is the first rank whose suffix starts with a byte `>= b`,
+    /// so a lookup searches only its first byte's ranks.
+    buckets: Vec<u32>,
     /// The original strings, for retrieval.
     strings: Vec<String>,
-    // --- Ukkonen build state (valid during a single string's insertion) ---
-    active_node: u32,
-    active_edge: u32,
-    active_length: u32,
-    remainder: u32,
-}
-
-impl Default for SuffixTree {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SuffixTree {
-    /// An empty tree.
-    pub fn new() -> Self {
-        SuffixTree {
-            text: Vec::new(),
-            nodes: vec![Node::new(0, End::Fixed(0), 0)],
-            string_ends: Vec::new(),
-            string_starts: Vec::new(),
-            strings: Vec::new(),
-            active_node: 0,
-            active_edge: 0,
-            active_length: 0,
-            remainder: 0,
-        }
-    }
-
-    /// Build a tree over the given strings.
+    /// Build an index over the given strings; ids follow their order.
     pub fn build<I, S>(strings: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut t = SuffixTree::new();
-        for s in strings {
-            t.insert(s.into());
+        let strings: Vec<String> = strings.into_iter().map(Into::into).collect();
+        let mut text = Vec::with_capacity(strings.iter().map(|s| s.len() + 1).sum());
+        let mut keyed: Vec<(u64, u32, StringId)> = Vec::new();
+        for (id, s) in strings.iter().enumerate() {
+            let start = text.len();
+            text.extend_from_slice(s.as_bytes());
+            text.push(SEPARATOR);
+            for (i, _) in s.char_indices() {
+                let (pos, mut key) = (u32::try_from(start + i).expect("text < 4 GiB"), [0u8; 8]);
+                let head = head(&text, pos, 8);
+                key[..head.len()].copy_from_slice(head);
+                keyed.push((u64::from_be_bytes(key), pos, id as StringId));
+            }
         }
-        t
+        keyed.sort_unstable();
+        for run in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_unstable_by(|a, b| {
+                let whole = |pos| head(&text, pos, usize::MAX);
+                whole(a.1).cmp(whole(b.1)).then(a.1.cmp(&b.1))
+            });
+        }
+        let below = |b| keyed.partition_point(|e| e.0 >> 56 < b) as u32;
+        let buckets = (0..=256).map(below).collect();
+        let (suffixes, ids): (Vec<u32>, Vec<StringId>) =
+            keyed.into_iter().map(|(_, pos, id)| (pos, id)).unzip();
+
+        let n = ids.len();
+        let mut min_rank: Vec<u32> = (0..2 * n).map(|i| i.saturating_sub(n) as u32).collect();
+        for i in (1..n).rev() {
+            min_rank[i] = min_by_key(min_rank[2 * i], min_rank[2 * i + 1], |&r| ids[r as usize]);
+        }
+        SuffixTree {
+            text,
+            suffixes,
+            ids,
+            min_rank,
+            buckets,
+            strings,
+        }
     }
 
     /// Number of indexed strings.
@@ -153,198 +132,81 @@ impl SuffixTree {
         &self.strings
     }
 
-    /// Number of tree nodes (root included).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Approximate resident size in bytes — used to reproduce the paper's
-    /// "400 MB tree over 43K strings" observation at our scale.
+    /// Approximate resident size in bytes: the text, the three `u32`
+    /// arrays (4 + 4 + 8 bytes per indexed `char`), 1 KiB of buckets and the
+    /// strings kept for retrieval. The paper's suffix tree took 400 MB over
+    /// 43K strings; this index takes about 19 bytes per `char` of ASCII text.
     pub fn approx_bytes(&self) -> usize {
-        let node_bytes: usize = self
-            .nodes
-            .iter()
-            .map(|n| size_of::<Node>() + n.children.capacity() * size_of::<(u32, u32)>())
-            .sum();
-        self.text.len() * 4 + node_bytes + self.strings.iter().map(|s| s.len() + 24).sum::<usize>()
+        let words = self.suffixes.len() + self.ids.len() + self.min_rank.len() + self.buckets.len();
+        let strings: usize = self.strings.iter().map(|s| s.len() + 24).sum();
+        self.text.len() + words * size_of::<u32>() + strings
     }
 
-    /// Insert one string and return its id.
-    pub fn insert(&mut self, s: String) -> StringId {
-        let id = self.strings.len() as StringId;
-        let start = self.text.len() as u32;
-        self.string_starts.push(start);
-        // Reset the active point: previous strings are fully built (their
-        // terminators made every suffix explicit).
-        self.active_node = 0;
-        self.active_edge = 0;
-        self.active_length = 0;
-        self.remainder = 0;
-
-        let symbols: Vec<u32> = s
-            .chars()
-            .map(|c| c as u32)
-            .chain([TERMINATOR_BASE + id])
-            .collect();
-        // `string_ends` must be pushed before extension so Open ends resolve;
-        // we update it as the string grows.
-        self.string_ends.push(start);
-        for sym in symbols {
-            self.text.push(sym);
-            self.string_ends[id as usize] = self.text.len() as u32;
-            self.extend(id);
+    /// Ranks `l..r` as a [`SubRun`], or `None` if empty. Reads `O(log n)`
+    /// nodes of the argmin tree.
+    fn sub_run(&self, l: u32, r: u32) -> Option<SubRun> {
+        let n = self.ids.len();
+        let lower =
+            |best, node: usize| min_by_key(best, self.min_rank[node], |&i| self.ids[i as usize]);
+        let (mut best, mut a, mut b) = (l, l as usize + n, r as usize + n);
+        while a < b {
+            if a % 2 == 1 {
+                best = lower(best, a);
+                a += 1;
+            }
+            if b % 2 == 1 {
+                b -= 1;
+                best = lower(best, b);
+            }
+            (a, b) = (a / 2, b / 2);
         }
-        self.strings.push(s);
-        id
-    }
-
-    fn end_of(&self, node: u32) -> u32 {
-        match self.nodes[node as usize].end {
-            End::Fixed(e) => e,
-            End::Open(sid) => self.string_ends[sid as usize],
-        }
-    }
-
-    fn edge_len(&self, node: u32) -> u32 {
-        self.end_of(node) - self.nodes[node as usize].start
-    }
-
-    fn push(&mut self, node: Node) -> u32 {
-        self.nodes.push(node);
-        (self.nodes.len() - 1) as u32
-    }
-
-    /// One Ukkonen extension for the symbol at `text.len() - 1`.
-    fn extend(&mut self, sid: StringId) {
-        let pos = (self.text.len() - 1) as u32;
-        let c = self.text[pos as usize];
-        self.remainder += 1;
-        let mut last_new_node: u32 = NO_LINK;
-
-        while self.remainder > 0 {
-            if self.active_length == 0 {
-                self.active_edge = pos;
-            }
-            let edge_sym = self.text[self.active_edge as usize];
-            match self.nodes[self.active_node as usize].child(edge_sym) {
-                None => {
-                    // No edge: create a leaf.
-                    let leaf = self.push(Node::new(pos, End::Open(sid), sid));
-                    self.nodes[self.active_node as usize].set_child(edge_sym, leaf);
-                    if last_new_node != NO_LINK {
-                        self.nodes[last_new_node as usize].suffix_link = self.active_node;
-                        last_new_node = NO_LINK;
-                    }
-                }
-                Some(next) => {
-                    // Walk down if the active length exceeds this edge.
-                    let el = self.edge_len(next);
-                    if self.active_length >= el {
-                        self.active_edge += el;
-                        self.active_length -= el;
-                        self.active_node = next;
-                        continue;
-                    }
-                    let probe =
-                        self.text[(self.nodes[next as usize].start + self.active_length) as usize];
-                    if probe == c {
-                        // Symbol already present: rule 3 (showstopper).
-                        if last_new_node != NO_LINK {
-                            self.nodes[last_new_node as usize].suffix_link = self.active_node;
-                        }
-                        self.active_length += 1;
-                        break;
-                    }
-                    // Split the edge. The split adopts `next`, whose subtree
-                    // holds every id below it but the new leaf's, the largest.
-                    let split_start = self.nodes[next as usize].start;
-                    let split_end = End::Fixed(split_start + self.active_length);
-                    let smallest = self.nodes[next as usize].string_id;
-                    let split = self.push(Node::new(split_start, split_end, smallest));
-                    self.nodes[self.active_node as usize].set_child(edge_sym, split);
-                    self.nodes[next as usize].start = split_start + self.active_length;
-                    let next_sym = self.text[self.nodes[next as usize].start as usize];
-                    self.nodes[split as usize].set_child(next_sym, next);
-                    let leaf = self.push(Node::new(pos, End::Open(sid), sid));
-                    self.nodes[split as usize].set_child(c, leaf);
-                    if last_new_node != NO_LINK {
-                        self.nodes[last_new_node as usize].suffix_link = split;
-                    }
-                    last_new_node = split;
-                }
-            }
-            self.remainder -= 1;
-            if self.active_node == 0 && self.active_length > 0 {
-                self.active_length -= 1;
-                self.active_edge = pos - self.remainder + 1;
-            } else if self.active_node != 0 {
-                let link = self.nodes[self.active_node as usize].suffix_link;
-                self.active_node = if link == NO_LINK { 0 } else { link };
-            }
-        }
-    }
-
-    /// Locate the node (and consumed-edge offset) reached by matching
-    /// `pattern` from the root, or `None` if the pattern does not occur.
-    fn locate(&self, pattern: &[u32]) -> Option<(u32, u32)> {
-        let mut node = 0u32;
-        let mut i = 0usize;
-        while i < pattern.len() {
-            let child = self.nodes[node as usize].child(pattern[i])?;
-            let start = self.nodes[child as usize].start;
-            let end = self.end_of(child);
-            let mut j = start;
-            while j < end && i < pattern.len() {
-                if self.text[j as usize] != pattern[i] {
-                    return None;
-                }
-                j += 1;
-                i += 1;
-            }
-            if i == pattern.len() {
-                return Some((child, j - start));
-            }
-            node = child;
-        }
-        Some((node, self.edge_len(node)))
+        (l < r).then(|| Reverse((self.ids[best as usize], best, l, r)))
     }
 
     /// Ids of the strings containing `pattern`: the `limit` smallest, in
     /// ascending order (`usize::MAX` for all). The QCM calls this with
     /// `limit = k`.
     ///
-    /// Walks the pattern's subtree best-first by each node's smallest id, so
-    /// leaves come out in ascending id order and a string's repeated
-    /// occurrences come out together; it stops at the `limit`-th id.
+    /// Two binary searches in the pattern's first-byte bucket find the run
+    /// of suffixes starting with `pattern`; `pattern` holds no separator, so
+    /// each comparison is decided by a suffix's separator at the latest. The
+    /// walk then pops the rank with the smallest id from a heap of sub-runs,
+    /// emits its id unless it was the last one emitted (a string with
+    /// several occurrences comes out together), and pushes the two sub-runs
+    /// either side of it; it stops at the `limit`-th id.
     pub fn find_containing(&self, pattern: &str, limit: usize) -> Vec<StringId> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        if pattern.is_empty() {
+        if limit == 0 || pattern.is_empty() {
             return (0..self.strings.len().min(limit) as u32).collect();
         }
-        let symbols: Vec<u32> = pattern.chars().map(|c| c as u32).collect();
-        let Some((node, _)) = self.locate(&symbols) else {
-            return Vec::new();
-        };
-        let mut found: Vec<StringId> = Vec::new();
-        let mut heap = BinaryHeap::from([Reverse((self.nodes[node as usize].string_id, node))]);
-        while let Some(Reverse((sid, n))) = heap.pop() {
-            let children = &self.nodes[n as usize].children;
-            if !children.is_empty() {
-                let ranked = children
-                    .iter()
-                    .map(|&(_, c)| (self.nodes[c as usize].string_id, c));
-                heap.extend(ranked.map(Reverse));
-            } else if found.last() != Some(&sid) {
-                found.push(sid);
+        let p = pattern.as_bytes();
+        let prefix = |&pos: &u32| self.text[pos as usize..].iter().take(p.len());
+        let bucket = &self.buckets[p[0] as usize..];
+        let (lo, hi) = (bucket[0] as usize, bucket[1] as usize);
+        let start = lo + self.suffixes[lo..hi].partition_point(|pos| prefix(pos).lt(p));
+        let end = start + self.suffixes[start..hi].partition_point(|pos| prefix(pos).eq(p));
+
+        let mut found = Vec::with_capacity(limit.min(end - start));
+        let mut heap = BinaryHeap::with_capacity(limit.min(end - start) + 1);
+        heap.extend(self.sub_run(start as u32, end as u32));
+        while let Some(Reverse((id, m, l, r))) = heap.pop() {
+            if found.last() != Some(&id) {
+                found.push(id);
                 if found.len() == limit {
                     break;
                 }
             }
+            heap.extend(self.sub_run(l, m));
+            heap.extend(self.sub_run(m + 1, r));
         }
         found
     }
+}
+
+/// At most `len` bytes of the suffix at `pos`, cut after its separator.
+fn head(text: &[u8], pos: u32, len: usize) -> &[u8] {
+    let bytes = &text[pos as usize..][..len.min(text.len() - pos as usize)];
+    let end = bytes.iter().position(|&b| b == SEPARATOR);
+    end.map_or(bytes, |i| &bytes[..=i])
 }
 
 #[cfg(test)]
@@ -460,7 +322,6 @@ mod tests {
         let big = SuffixTree::build((0..200).map(|i| format!("some literal value number {i}")));
         assert!(small.approx_bytes() > 0);
         assert!(big.approx_bytes() > small.approx_bytes());
-        assert!(big.node_count() > 200);
     }
 
     #[test]

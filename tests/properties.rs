@@ -8,10 +8,10 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use sapphire_cluster::merge::merge_completions;
 use sapphire_core::bins::{assign_tasks, FoldedLiteral, LitId, ResidualBins};
-use sapphire_core::qcm::QueryCompletion;
+use sapphire_core::qcm::{completion_rank, Completion, QueryCompletion};
 use sapphire_core::qsm::{top_with_answers, AlteredPosition, QsmOutput, TermAlternative};
 use sapphire_core::session::Session;
-use sapphire_core::{CachedData, InitMode, PredictiveUserModel, SapphireConfig};
+use sapphire_core::{CachedData, InitMode, MatchSource, PredictiveUserModel, SapphireConfig};
 use sapphire_datagen::userstudy::{flatten, misspell};
 use sapphire_datagen::workload::SessionScript;
 use sapphire_datagen::{appendix_b, generate, DatasetConfig};
@@ -486,6 +486,43 @@ fn a_run_reply_is_shorter_than_one_query_per_candidate() {
     assert!(sized > 0, "some Run has ten candidates");
 }
 
+/// Every completion of `typed`, brute-forced from `cache`'s split with no
+/// index, no bins scan and no executor: the indexed predicates and
+/// significant literals containing it case-sensitively, in
+/// [`completion_rank`] order, then the residual literals of `|t| ..=
+/// |t| + gamma` chars containing it up to case, by (length, text).
+fn reference_completions(cache: &CachedData, typed: &str, gamma: usize) -> Vec<Completion> {
+    let t = typed.trim();
+    if t.is_empty() {
+        return Vec::new();
+    }
+    let completion = |text: &str, iri: Option<&String>, source| Completion {
+        text: text.to_string(),
+        predicate_iri: iri.cloned(),
+        source,
+    };
+    let predicates = cache.predicates.iter().map(|p| (&p.surface, Some(&p.iri)));
+    let significant = cache.significant.iter().map(|(text, _)| (text, None));
+    let mut indexed: Vec<Completion> = predicates
+        .chain(significant)
+        .filter(|(text, _)| text.contains(t))
+        .map(|(text, iri)| completion(text, iri, MatchSource::SuffixTree))
+        .collect();
+    indexed.sort_by(|a, b| completion_rank(a).cmp(&completion_rank(b)));
+    let (len, needle) = (t.chars().count(), t.to_lowercase());
+    let mut residual: Vec<&str> = (0..cache.bins.len() as LitId)
+        .map(|id| cache.bins.literal(id))
+        .filter(|l| (len..=len + gamma).contains(&l.chars().count()))
+        .filter(|l| l.to_lowercase().contains(&needle))
+        .collect();
+    residual.sort_by_key(|l| (l.chars().count(), *l));
+    let residual = residual
+        .into_iter()
+        .map(|l| completion(l, None, MatchSource::ResidualBins));
+    indexed.extend(residual);
+    indexed
+}
+
 proptest! {
     /// N-Triples serialization round-trips arbitrary term-shaped graphs.
     #[test]
@@ -616,7 +653,8 @@ proptest! {
     /// same predicates and scored literals, fed in two shuffled orders,
     /// complete every prefix of every cached string alike — with the suffix
     /// tree holding none, some or all of the literals — and each answer is
-    /// already the edge's merge of the full match list, cut at k.
+    /// already the edge's merge of the full match list, cut at k. The full
+    /// list is [`reference_completions`]'s brute force over the cache's split.
     #[test]
     fn completions_are_a_function_of_the_data(
         names in proptest::collection::vec("[a-cA-C]{1,6}", 1..8),
@@ -653,6 +691,7 @@ proptest! {
                     let got = a.complete_top(&typed, k).suggestions;
                     prop_assert_eq!(&got, &b.complete_top(&typed, k).suggestions);
                     let every = a.complete_top(&typed, usize::MAX).suggestions;
+                    prop_assert_eq!(&every, &reference_completions(a.cache(), &typed, config.gamma));
                     prop_assert_eq!(got, merge_completions(vec![every], k));
                 }
             }
