@@ -1,11 +1,15 @@
-//! Residual literal bins and the parallel scan (Algorithm 1).
+//! Residual literal bins, their byte-pair index, and the parallel scan
+//! (Algorithm 1).
 //!
 //! Literals not in the suffix tree are organized "into bins of residual
 //! literals … where each bin has all the literals of a given length" (§5.2).
 //! Both the QCM and the QSM only ever search a narrow band of lengths, so the
-//! binning prunes most of the corpus before any string comparison happens;
-//! the rest is scanned sequentially by `P` parallel workers with the
-//! load-balanced task assignment of Algorithm 1.
+//! binning prunes most of the corpus before any string comparison happens.
+//! The QCM's containment lookup then reads only the literals that share the
+//! needle's rarest byte pair (`ResidualBins::containing`); the QSM's
+//! similarity sweep, and a containment lookup of a one-byte needle, which has
+//! no pair, scan the band sequentially with `P` parallel workers and the
+//! load-balanced task assignment of Algorithm 1 ([`ResidualBins::scan_parallel`]).
 //!
 //! # Layout
 //!
@@ -27,9 +31,21 @@
 //!   contain the needle without reading it; when the test passes the bytes
 //!   are searched ([`FoldedLiteral::contains`]). The filter can only reject
 //!   non-matches, so answers and their order do not depend on it.
+//! * **Ordinals.** A literal's ordinal is its position in length-major
+//!   order: bin `len` ascending, each bin in insertion order — the order in
+//!   which the tasks of a scan concatenate. `ord_start[len]` is the first
+//!   ordinal of bin `len`, so a length band is one ordinal range.
+//! * **Byte-pair postings.** Each distinct pair of adjacent bytes of a
+//!   folded literal gives the literal's ordinal one posting, in that pair's
+//!   ascending list (`PairIndex`: the pairs present, sorted, with `u32`
+//!   offsets and `u32` postings — about 4 B per folded byte). A literal that
+//!   contains the needle holds every pair of the needle, so a lookup cuts
+//!   each of the needle's lists to the band, walks the shortest, and checks
+//!   each candidate with [`FoldedLiteral::contains`]. The lists only narrow
+//!   what is checked, so the answer is the scan's, ids and order alike.
 //!
-//! All of this is derived from the originals when they are added and is
-//! never serialized.
+//! All of this is derived from the originals when the bins are built —
+//! once, by collecting them ([`FromIterator`]) — and is never serialized.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -43,7 +59,7 @@ fn byte_signature(folded: &str) -> u64 {
     folded.bytes().fold(0, |sig, b| sig | 1 << (b & 63))
 }
 
-/// A containment scan's search term: folded once, with its signature.
+/// A containment lookup's search term: folded once, with its signature.
 #[derive(Debug, Clone)]
 pub struct FoldedNeedle {
     text: String,
@@ -63,6 +79,7 @@ impl FoldedNeedle {
 
 /// Byte-substring search: skip to each occurrence of the needle's first
 /// byte, compare the rest there. On valid UTF-8 this is `str::contains`.
+#[inline]
 fn contains_bytes(hay: &[u8], needle: &[u8]) -> bool {
     let Some((&first, rest)) = needle.split_first() else {
         return true;
@@ -99,6 +116,7 @@ impl FoldedArena {
         self.ends.len()
     }
 
+    #[inline]
     pub(crate) fn get(&self, k: usize) -> &str {
         let start = if k == 0 { 0 } else { self.ends[k - 1] };
         &self.text[start as usize..self.ends[k] as usize]
@@ -131,22 +149,111 @@ pub struct FoldedLiteral<'a> {
     index: usize,
 }
 
+// `text` and `contains` run once per literal of a scan, inside a closure
+// that may be compiled in another crate (`qcm_response`'s sweep): `#[inline]`
+// on them and on what they call lets them inline there too.
 impl<'a> FoldedLiteral<'a> {
     /// The literal's `str::to_lowercase`.
+    #[inline]
     pub fn text(&self) -> &'a str {
         self.bin.folded.get(self.index)
     }
 
     /// `self.text().contains(needle)`, reading the text only when the
     /// literal's signature has every byte of the needle's.
+    #[inline]
     pub fn contains(&self, needle: &FoldedNeedle) -> bool {
         needle.sig & !self.bin.sigs[self.index] == 0
             && contains_bytes(self.text().as_bytes(), needle.text.as_bytes())
     }
 }
 
-/// Length-keyed bins over a deduplicated literal corpus.
-#[derive(Debug, Default, Clone)]
+/// The index key of two adjacent bytes.
+fn pair_key(pair: &[u8]) -> u16 {
+    u16::from_be_bytes([pair[0], pair[1]])
+}
+
+/// The byte pairs of a folded text, as keys, each once (in `scratch`, which
+/// is reused across calls).
+fn distinct_pairs<'s>(folded: &str, scratch: &'s mut Vec<u16>) -> &'s [u16] {
+    scratch.clear();
+    scratch.extend(folded.as_bytes().windows(2).map(pair_key));
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch
+}
+
+/// Byte-pair postings: for each pair present, the ascending ordinals of the
+/// literals whose folded text holds it.
+#[derive(Debug, Clone)]
+struct PairIndex {
+    /// The pairs present, ascending.
+    keys: Vec<u16>,
+    /// Key `k`'s postings are `postings[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    postings: Vec<u32>,
+}
+
+impl PairIndex {
+    /// Index `folded`, the folded literals in ordinal order. Two passes over
+    /// the texts — count, then fill — so no `(pair, ordinal)` list is ever
+    /// held: what is allocated is what is kept, plus one 256 KB counter
+    /// table while building.
+    fn build<'a>(folded: impl Iterator<Item = &'a str> + Clone) -> Self {
+        let mut scratch = Vec::new();
+        // Pass 1: `slot[pair]` counts the literals holding the pair.
+        let mut slot = vec![0u32; 1 << 16];
+        for text in folded.clone() {
+            for &pair in distinct_pairs(text, &mut scratch) {
+                slot[pair as usize] += 1;
+            }
+        }
+        let keys: Vec<u16> = (0..=u16::MAX).filter(|&p| slot[p as usize] > 0).collect();
+        let mut starts = Vec::with_capacity(keys.len() + 1);
+        let mut end = 0u32;
+        starts.push(end);
+        for &key in &keys {
+            let count = std::mem::replace(&mut slot[key as usize], end);
+            end = end.checked_add(count).expect("more than 2^32 postings");
+            starts.push(end);
+        }
+        // Pass 2: `slot[pair]` is now the pair's next free posting. Ordinals
+        // arrive ascending, so every list comes out sorted.
+        let mut postings = vec![0u32; end as usize];
+        for (ord, text) in folded.enumerate() {
+            for &pair in distinct_pairs(text, &mut scratch) {
+                let at = &mut slot[pair as usize];
+                postings[*at as usize] = ord as u32;
+                *at += 1;
+            }
+        }
+        PairIndex {
+            keys,
+            starts,
+            postings,
+        }
+    }
+
+    /// The postings of `pair` inside the ordinal range `ords`.
+    fn within(&self, pair: u16, ords: Range<u32>) -> &[u32] {
+        let Ok(k) = self.keys.binary_search(&pair) else {
+            return &[];
+        };
+        let list = &self.postings[self.starts[k] as usize..self.starts[k + 1] as usize];
+        let from = list.partition_point(|&ord| ord < ords.start);
+        let to = list.partition_point(|&ord| ord < ords.end);
+        &list[from..to]
+    }
+
+    fn approx_bytes(&self) -> usize {
+        2 * self.keys.len() + 4 * (self.starts.len() + self.postings.len())
+    }
+}
+
+/// Length-keyed bins over a deduplicated literal corpus, with the byte-pair
+/// index of their folded text. Built once, by collecting the literals in
+/// insertion order; a literal's [`LitId`] is its position in that order.
+#[derive(Debug, Clone)]
 pub struct ResidualBins {
     /// All literals, indexed by [`LitId`].
     literals: Vec<String>,
@@ -154,32 +261,53 @@ pub struct ResidualBins {
     char_lens: Vec<u32>,
     /// `bins[len]` holds the literals whose `char` length is `len`.
     bins: Vec<Bin>,
+    /// `ord_start[len]` is the ordinal of bin `len`'s first literal;
+    /// `ord_start[bins.len()]` is the number of literals.
+    ord_start: Vec<u32>,
+    /// Byte-pair postings over the folded literals, by ordinal.
+    pairs: PairIndex,
+}
+
+impl FromIterator<String> for ResidualBins {
+    /// Bin the literals, fold them, sign them and index their byte pairs.
+    /// Duplicates are stored once per occurrence — the cache layer dedups
+    /// before building.
+    fn from_iter<I: IntoIterator<Item = String>>(literals: I) -> Self {
+        let literals: Vec<String> = literals.into_iter().collect();
+        let mut char_lens = Vec::with_capacity(literals.len());
+        let mut bins: Vec<Bin> = Vec::new();
+        for (id, literal) in literals.iter().enumerate() {
+            let id = LitId::try_from(id).expect("more than 2^32 literals");
+            let len = literal.chars().count();
+            if bins.len() <= len {
+                bins.resize_with(len + 1, Bin::default);
+            }
+            let bin = &mut bins[len];
+            bin.ids.push(id);
+            let sig = byte_signature(bin.folded.push(literal));
+            bin.sigs.push(sig);
+            char_lens.push(u32::try_from(len).expect("literal over 2^32 chars"));
+        }
+        let ord_start = std::iter::once(0)
+            .chain(bins.iter().scan(0u32, |end, bin| {
+                *end += bin.ids.len() as u32;
+                Some(*end)
+            }))
+            .collect();
+        let folded = bins
+            .iter()
+            .flat_map(|bin| (0..bin.ids.len()).map(|k| bin.folded.get(k)));
+        ResidualBins {
+            pairs: PairIndex::build(folded),
+            literals,
+            char_lens,
+            bins,
+            ord_start,
+        }
+    }
 }
 
 impl ResidualBins {
-    /// Empty bins.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert a literal; returns its id. Duplicates are stored once per call
-    /// site decision — the cache layer dedups before insertion.
-    pub fn add(&mut self, literal: String) -> LitId {
-        let id = LitId::try_from(self.literals.len()).expect("more than 2^32 literals");
-        let len = literal.chars().count();
-        if self.bins.len() <= len {
-            self.bins.resize_with(len + 1, Bin::default);
-        }
-        let bin = &mut self.bins[len];
-        bin.ids.push(id);
-        let sig = byte_signature(bin.folded.push(&literal));
-        bin.sigs.push(sig);
-        self.char_lens
-            .push(u32::try_from(len).expect("literal over 2^32 chars"));
-        self.literals.push(literal);
-        id
-    }
-
     /// The literal text for an id.
     pub fn literal(&self, id: LitId) -> &str {
         &self.literals[id as usize]
@@ -228,6 +356,48 @@ impl ResidualBins {
     /// 46% of the literals").
     pub fn count_in_range(&self, range: Range<usize>) -> usize {
         self.lens_in(range).map(|len| self.bin(len).len()).sum()
+    }
+
+    /// Ids of the literals in the bins of `range` (clamped) whose folded
+    /// text contains `needle`, read from the byte-pair index: the postings
+    /// of the needle's rarest pair inside the band, each checked with
+    /// [`FoldedLiteral::contains`]. Ids come in ordinal order — lengths
+    /// ascending, each bin in insertion order — which is the order a
+    /// containment scan of the band with [`scan_parallel`](Self::scan_parallel)
+    /// returns them in.
+    ///
+    /// `None` when the folded needle is shorter than two bytes: it has no
+    /// pair to look up, and only a scan answers it.
+    pub(crate) fn containing(
+        &self,
+        needle: &FoldedNeedle,
+        range: Range<usize>,
+    ) -> Option<Vec<LitId>> {
+        let last = self.bins.len();
+        let first_len = range.start.min(last);
+        let lo = self.ord_start[first_len];
+        let hi = self.ord_start[range.end.min(last)].max(lo);
+        let candidates = (needle.text.as_bytes().windows(2))
+            .map(|pair| self.pairs.within(pair_key(pair), lo..hi))
+            .min_by_key(|list| list.len())?;
+        let mut len = first_len;
+        let mut found = Vec::new();
+        for &ord in candidates {
+            while self.ord_start[len + 1] <= ord {
+                len += 1;
+            }
+            let bin = &self.bins[len];
+            let index = (ord - self.ord_start[len]) as usize;
+            if (FoldedLiteral { bin, index }).contains(needle) {
+                found.push(bin.ids[index]);
+            }
+        }
+        Some(found)
+    }
+
+    /// Heap bytes of the byte-pair index and the ordinal table.
+    pub fn index_bytes(&self) -> usize {
+        self.pairs.approx_bytes() + 4 * self.ord_start.len()
     }
 
     /// Scan the bins in `range` with `P = processes` workers, collecting
@@ -308,11 +478,14 @@ impl ResidualBins {
 /// 161 µs; at 6 k, 125 → 138 µs). The containment scan costs 0.7–1.5 ns a
 /// literal where signatures mostly reject and 5 ns where most pass, so a
 /// 34 k band still loses (47 → 61 µs) and `qcm_response`'s 190 k bands,
-/// 0.12 ms inline, do not gain either. One count has to serve both kernels: this one
-/// keeps every scan a serving model of this repository's sizes makes inline
-/// (the benchmark's bands hold ≈ 2 k), lets a sweep go parallel from about
-/// 0.6 ms of work, and costs a mid-sized scan a few tens of µs that a busy
-/// server would not have had a free core for anyway.
+/// 0.12 ms inline, do not gain either. In serving, the containment scan now
+/// answers only one-byte needles — a longer needle reads the byte-pair index
+/// (`ResidualBins::containing`) and never reaches this threshold — so the
+/// count is set for the similarity sweep: it keeps every scan a serving model
+/// of this repository's sizes makes inline (the benchmark's bands hold
+/// ≈ 2 k), lets a sweep go parallel from about 0.6 ms of work, and costs a
+/// mid-sized scan a few tens of µs that a busy server would not have had a
+/// free core for anyway.
 pub(crate) const INLINE_SCAN_THRESHOLD: usize = 32_768;
 
 /// A contiguous slice of one bin assigned to a worker.
@@ -389,8 +562,8 @@ mod tests {
 
     #[test]
     fn add_and_lookup() {
-        let mut b = ResidualBins::new();
-        let id = b.add("New York".to_string());
+        let b: ResidualBins = ["New York".to_string()].into_iter().collect();
+        let id: LitId = 0;
         assert_eq!(b.literal(id), "New York");
         assert_eq!(b.bin(8), &[id]);
         assert_eq!(b.len(), 1);
@@ -399,10 +572,10 @@ mod tests {
 
     #[test]
     fn bins_in_range_clamps() {
-        let mut b = ResidualBins::new();
-        b.add("ab".into());
-        b.add("abc".into());
-        b.add("abcdef".into());
+        let b: ResidualBins = ["ab", "abc", "abcdef"]
+            .map(String::from)
+            .into_iter()
+            .collect();
         assert_eq!(b.bins_in_range(0..100).len(), 3);
         assert_eq!(b.bins_in_range(3..4).len(), 1);
         assert_eq!(b.count_in_range(2..4), 2);
@@ -411,8 +584,8 @@ mod tests {
 
     #[test]
     fn unicode_length_is_chars_not_bytes() {
-        let mut b = ResidualBins::new();
-        let id = b.add("Zürich".into());
+        let b: ResidualBins = ["Zürich".to_string()].into_iter().collect();
+        let id: LitId = 0;
         assert_eq!(b.bin(6), &[id], "6 chars even though 7 bytes");
     }
 
@@ -458,12 +631,8 @@ mod tests {
 
     #[test]
     fn folded_view_is_the_whole_string_lowercased() {
-        let mut b = ResidualBins::new();
         let originals = ["New York", "ΟΔΟΣ", "İstanbul", "Straße", "ZÜRICH"];
-        for lit in originals {
-            b.add(lit.to_string());
-        }
-        let b = Arc::new(b);
+        let b: Arc<ResidualBins> = Arc::new(originals.map(String::from).into_iter().collect());
         // One task sees every literal, in bin order then insertion order.
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
@@ -500,12 +669,10 @@ mod tests {
 
     #[test]
     fn parallel_scan_equals_sequential() {
-        let mut b = ResidualBins::new();
-        for i in 0..500 {
-            b.add(format!("Literal Value {i}"));
-        }
-        b.add("Needle".into());
-        b.add("needles".into());
+        let b: ResidualBins = (0..500)
+            .map(|i| format!("Literal Value {i}"))
+            .chain(["Needle".into(), "needles".into()])
+            .collect();
         let b = Arc::new(b);
         let sequential: Vec<LitId> = (0..b.len() as u32)
             .filter(|&id| b.literal(id).to_lowercase().contains("needle"))
@@ -528,10 +695,9 @@ mod tests {
         // One literal more than INLINE_SCAN_THRESHOLD forces the executor
         // path; the Algorithm-1 task list walked sequentially in worker
         // order (what the inline arm does) must produce identical bytes.
-        let mut b = ResidualBins::new();
-        for i in 0..=INLINE_SCAN_THRESHOLD {
-            b.add(format!("Residual Literal Number {i:07}"));
-        }
+        let b: ResidualBins = (0..=INLINE_SCAN_THRESHOLD)
+            .map(|i| format!("Residual Literal Number {i:07}"))
+            .collect();
         let b = Arc::new(b);
         let accept = |s: &str| s.ends_with('7').then_some(s.len() as f64);
         let bins = b.bins_in_range(0..100);
@@ -552,18 +718,121 @@ mod tests {
 
     #[test]
     fn scan_respects_length_range() {
-        let mut b = ResidualBins::new();
-        b.add("ab".into());
-        b.add("abcd".into());
-        b.add("abcdefgh".into());
+        let b: ResidualBins = ["ab", "abcd", "abcdefgh"]
+            .map(String::from)
+            .into_iter()
+            .collect();
         let b = Arc::new(b);
         let hits = b.scan_parallel(2..5, 2, || |_| Some(1.0));
         assert_eq!(hits.len(), 2);
     }
 
+    /// The band's literals containing `needle` up to case, each folded on
+    /// the spot, in length-then-insertion order.
+    fn naive_containing(b: &ResidualBins, needle: &str, band: Range<usize>) -> Vec<LitId> {
+        let folded = needle.to_lowercase();
+        let mut ids: Vec<LitId> = (0..b.len() as LitId)
+            .filter(|&id| band.contains(&b.char_len(id)))
+            .filter(|&id| b.literal(id).to_lowercase().contains(&folded))
+            .collect();
+        ids.sort_by_key(|&id| b.char_len(id));
+        ids
+    }
+
+    fn sample_bins() -> ResidualBins {
+        [
+            "Kennedy Space Center",
+            "kennedy",
+            "ΟΔΟΣ ΚΕΝΝΕΔΥ",
+            "KENNETH",
+            "İstanbul",
+            "Ken",
+            "Straße",
+            "bennet",
+            "Sskenn",
+        ]
+        .map(String::from)
+        .into_iter()
+        .collect()
+    }
+
+    #[test]
+    fn index_answers_like_the_scan_in_scan_order() {
+        let b = Arc::new(sample_bins());
+        for needle in ["ken", "ENN", "nn", "ß", "İ", "i̇s", "οσ", "κεν", "en", "ss"] {
+            for band in [0..100, 3..8, 7..8, 8..9, 0..0, 50..60] {
+                let got = b.containing(&FoldedNeedle::new(needle), band.clone());
+                let scanned: Vec<LitId> = b
+                    .scan_parallel(band.clone(), 3, move || {
+                        let needle = FoldedNeedle::new(needle);
+                        move |lit: FoldedLiteral<'_>| lit.contains(&needle).then_some(0.0)
+                    })
+                    .into_iter()
+                    .map(|(id, _)| id)
+                    .collect();
+                assert_eq!(got.as_ref(), Some(&scanned), "{needle:?} in {band:?}");
+                assert_eq!(scanned, naive_containing(&b, needle, band));
+            }
+        }
+        assert!(!naive_containing(&b, "ken", 0..100).is_empty());
+    }
+
+    #[test]
+    fn a_needle_without_a_byte_pair_is_left_to_the_scan() {
+        let b = sample_bins();
+        for needle in ["k", "E", " ", ""] {
+            assert_eq!(b.containing(&FoldedNeedle::new(needle), 0..100), None);
+        }
+        // One char, two bytes: it has a pair.
+        assert!(b.containing(&FoldedNeedle::new("ß"), 0..100).is_some());
+    }
+
+    #[test]
+    fn a_pair_absent_from_the_corpus_answers_empty() {
+        let b = sample_bins();
+        for needle in ["zq", "kenz", "xken", "😀"] {
+            let got = b.containing(&FoldedNeedle::new(needle), 0..100);
+            assert_eq!(got, Some(Vec::new()), "{needle:?}");
+        }
+        // Every pair present, but never together: the check rejects it.
+        let needle = "kennedy center";
+        let total = b.ord_start[b.bins.len()];
+        assert!((needle.as_bytes().windows(2))
+            .all(|pair| !b.pairs.within(pair_key(pair), 0..total).is_empty()));
+        assert_eq!(
+            b.containing(&FoldedNeedle::new(needle), 0..100),
+            Some(Vec::new())
+        );
+    }
+
+    #[test]
+    fn a_needle_longer_than_every_literal_in_its_band_answers_empty() {
+        let b = sample_bins();
+        // Past the longest bin: the band clamps to nothing.
+        let long = FoldedNeedle::new("Kennedy Space Center, Florida");
+        assert_eq!(b.containing(&long, 29..40), Some(Vec::new()));
+        // In bytes, not chars: "ßßß" is 3 chars and 6 bytes, "Ken" 3 bytes.
+        let wide = FoldedNeedle::new("ßßß");
+        assert_eq!(b.containing(&wide, 3..4), Some(Vec::new()));
+        assert_eq!(naive_containing(&b, "ßßß", 3..4), Vec::<LitId>::new());
+    }
+
+    #[test]
+    fn the_index_costs_at_most_four_bytes_a_folded_byte() {
+        let b: ResidualBins = (0..2_000)
+            .map(|i| format!("Residual Literal Ünïcode {i:05} ΟΔΟΣ"))
+            .collect();
+        let folded: usize = (0..b.len() as LitId)
+            .map(|id| b.literal(id).to_lowercase().len())
+            .sum();
+        let keys = b.pairs.keys.len();
+        assert!(b.pairs.postings.len() < folded);
+        assert!(b.index_bytes() <= 4 * folded + 6 * (keys + 1) + 4 * (b.bins.len() + 1));
+    }
+
     #[test]
     fn empty_bins_scan_is_empty() {
-        let b = Arc::new(ResidualBins::new());
+        let b: Arc<ResidualBins> = Arc::new(std::iter::empty().collect());
         assert!(b.scan_parallel(0..10, 4, || |_| Some(1.0)).is_empty());
         assert!(b.is_empty());
     }

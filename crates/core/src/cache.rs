@@ -8,6 +8,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -310,7 +311,7 @@ pub enum TreeEntry {
 pub enum MatchSource {
     /// Hit in the suffix tree.
     SuffixTree,
-    /// Found by scanning residual bins.
+    /// Found in the residual bins.
     ResidualBins,
 }
 
@@ -360,6 +361,12 @@ pub struct CachedData {
     /// the literals of length `n`, ascending), so a similarity window reads
     /// only the lengths it spans.
     significant_by_len: Vec<Vec<usize>>,
+}
+
+/// The QCM's length band for a term of `len` chars: `len ..= len + gamma`,
+/// without an upper end when that sum does not fit a `usize`.
+pub(crate) fn completion_band(len: usize, gamma: usize) -> Range<usize> {
+    len..len.saturating_add(gamma).saturating_add(1)
 }
 
 /// The indices of `literals` grouped by `char` length: entry `n` lists, in
@@ -458,11 +465,6 @@ impl CachedData {
             .unzip();
         let tree = SuffixTree::build(tree_strings);
 
-        let mut bins = ResidualBins::new();
-        for (text, _) in residual {
-            bins.add(text);
-        }
-
         let predicate_folded: FoldedArena = predicates.iter().map(|p| p.surface.as_str()).collect();
         CachedData {
             predicate_by_surface: surface_index(&predicate_folded),
@@ -470,7 +472,7 @@ impl CachedData {
             significant_folded: significant.iter().map(|(text, _)| text.as_str()).collect(),
             significant_by_len: by_char_len(&significant),
             predicates,
-            bins: Arc::new(bins),
+            bins: Arc::new(residual.into_iter().map(|(text, _)| text).collect()),
             tree,
             tree_entries,
             significant,
@@ -555,14 +557,24 @@ impl CachedData {
             .collect()
     }
 
-    /// Case-insensitive substring scan of the residual bins restricted to
-    /// lengths `|t| ..= |t| + gamma`, parallelized over `processes` workers.
-    /// Returns matched literal ids (scores unused for containment).
+    /// The residual literals of lengths `|t| ..= |t| + gamma` that contain
+    /// `t` up to case (both sides folded with `str::to_lowercase`), as ids in
+    /// length-then-insertion order.
+    ///
+    /// A term that folds to two bytes or more is answered from the bins'
+    /// byte-pair index (`ResidualBins::containing`), which reads only the
+    /// band's literals holding the term's rarest byte pair. A one-byte term
+    /// has no pair and takes Algorithm 1's scan of the band over
+    /// `processes` workers, which is what `processes` still governs here.
+    /// Both return the same ids in the same order as the scan would.
     pub fn residual_lookup(&self, t: &str, gamma: usize, processes: usize) -> Vec<LitId> {
-        let len = t.chars().count();
+        let band = completion_band(t.chars().count(), gamma);
         let needle = FoldedNeedle::new(t);
+        if let Some(ids) = self.bins.containing(&needle, band.clone()) {
+            return ids;
+        }
         self.bins
-            .scan_parallel(len..len + gamma + 1, processes, move || {
+            .scan_parallel(band, processes, move || {
                 let needle = needle.clone();
                 move |lit: FoldedLiteral<'_>| lit.contains(&needle).then_some(0.0)
             })
@@ -619,19 +631,20 @@ impl CachedData {
     ) -> Vec<(LitRef, f64)> {
         let len = l.chars().count();
         let lo = len.saturating_sub(alpha);
-        let hi = len + beta;
+        let hi = len.saturating_add(beta);
         let mut probe = SimilarityProbe::new(l);
         let task_probe = probe.clone();
         let mut out: Vec<(LitRef, f64)> =
-            self.bins.scan_parallel(lo..hi + 1, processes, move || {
-                let mut probe = task_probe.clone();
-                move |lit: FoldedLiteral<'_>| probe.similarity(lit.text(), theta)
-            });
+            self.bins
+                .scan_parallel(lo..hi.saturating_add(1), processes, move || {
+                    let mut probe = task_probe.clone();
+                    move |lit: FoldedLiteral<'_>| probe.similarity(lit.text(), theta)
+                });
         // The window's significant literals, length by length: the sort
         // below orders by score then text, so visiting order does not show.
         let by_len = &self.significant_by_len;
         let first_significant = self.bins.len();
-        for &i in by_len.iter().take(hi + 1).skip(lo).flatten() {
+        for &i in by_len.iter().take(hi.saturating_add(1)).skip(lo).flatten() {
             if let Some(score) = probe.similarity(self.significant_folded.get(i), theta) {
                 let lit = LitRef::try_from(first_significant + i).expect("more than 2^32 literals");
                 out.push((lit, score));
@@ -838,6 +851,14 @@ mod tests {
         // Gamma large enough to reach "Kennedys of Massachusetts" (25).
         let ids = c.residual_lookup("kenne", 20, 2);
         assert_eq!(ids.len(), 2);
+    }
+
+    #[test]
+    fn a_similarity_window_without_an_upper_end_reaches_every_longer_literal() {
+        let c = sample_cache();
+        let unbounded = c.similar_literals("Kennedy", 2, usize::MAX, 0.7, 2);
+        assert!(!unbounded.is_empty());
+        assert_eq!(unbounded, c.similar_literals("Kennedy", 2, 1_000, 0.7, 2));
     }
 
     /// A mixed-case, partly non-ASCII corpus of `n` literals in one narrow

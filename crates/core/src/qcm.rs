@@ -2,9 +2,14 @@
 //!
 //! Invoked on every keystroke: given the string `t` typed so far, return `k`
 //! cached strings containing `t`. Suffix-tree matches return first (they are
-//! `O(|t| + z)`); if fewer than `k`, the remainder comes from a parallel
-//! sequential scan of the residual bins restricted to literal lengths
-//! `|t| ..= |t| + γ`, preferring the shortest results.
+//! `O(|t| + z)`); if fewer than `k`, the remainder comes from the residual
+//! bins restricted to literal lengths `|t| ..= |t| + γ`, preferring the
+//! shortest results. The paper finds those with a parallel sequential scan
+//! of the band (Algorithm 1); here a term of two folded bytes or more reads
+//! the bins' byte-pair index instead — only the band's literals that hold
+//! the term's rarest byte pair are checked — and only a one-byte term, which
+//! has no pair, is scanned. Both give the same ids in the same order
+//! ([`CachedData::residual_lookup`]).
 //!
 //! Which `k` the user sees is decided here, by one order:
 //! [`completion_rank`]. The suffix tree's string ids follow it, so its
@@ -13,7 +18,7 @@
 //! edge's merge of per-shard lists ranks by the same function.
 //!
 //! The two stages disagree on case, and the paper is silent on it. The
-//! suffix tree matches `t` case-sensitively; the residual scan folds both
+//! suffix tree matches `t` case-sensitively; the residual stage folds both
 //! sides with `str::to_lowercase` (`bins.rs`). So which stage holds a
 //! literal — decided by [`SapphireConfig::suffix_tree_capacity`], a sizing
 //! setting — decides whether a keystroke in another case finds it. Over
@@ -25,7 +30,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheMatch, CachedData, MatchSource};
+use crate::cache::{completion_band, CacheMatch, CachedData, MatchSource};
 use crate::config::SapphireConfig;
 
 /// One auto-complete suggestion.
@@ -68,7 +73,7 @@ pub struct CompletionResult {
     pub tree_hit: bool,
     /// Time spent in the suffix tree.
     pub tree_time: Duration,
-    /// Time spent scanning residual bins (zero if the tree filled `k`).
+    /// Time spent in the residual bins (zero if the tree filled `k`).
     pub bins_time: Duration,
     /// Number of residual literals inside the searched length band — i.e.
     /// what survived the bin length filter.
@@ -140,13 +145,13 @@ impl QueryCompletion {
             return result;
         }
 
-        // Stage 2: parallel residual-bin scan over lengths |t| ..= |t| + γ.
+        // Stage 2: the residual bins of lengths |t| ..= |t| + γ.
         let bins_start = Instant::now();
         let len = t.chars().count();
         result.residual_candidates = self
             .cache
             .bins
-            .count_in_range(len..len + self.config.gamma + 1);
+            .count_in_range(completion_band(len, self.config.gamma));
         let mut ids = self
             .cache
             .residual_lookup(t, self.config.gamma, self.config.processes);
@@ -177,7 +182,7 @@ impl QueryCompletion {
         let surviving = self
             .cache
             .bins
-            .count_in_range(term_len..term_len + self.config.gamma + 1);
+            .count_in_range(completion_band(term_len, self.config.gamma));
         1.0 - surviving as f64 / total as f64
     }
 }
@@ -302,5 +307,31 @@ mod tests {
         assert!(r.suggestions.is_empty());
         assert!(!r.tree_hit);
         assert!(r.total_time() >= r.tree_time);
+    }
+
+    #[test]
+    fn a_band_without_an_upper_end_finds_every_longer_literal() {
+        // `|t| + γ + 1` does not fit a `usize`: a band that wrapped would be
+        // `len..len` and show nothing.
+        let config = SapphireConfig {
+            suffix_tree_capacity: 0,
+            gamma: usize::MAX,
+            ..SapphireConfig::for_tests()
+        };
+        let literals = vec![
+            ("Kennedy".to_string(), 0),
+            ("Kennedys Creek".to_string(), 0),
+        ];
+        let q = QueryCompletion::new(
+            Arc::new(CachedData::from_raw(vec![], literals, &config)),
+            config,
+        );
+        let r = q.complete("Kenn");
+        let texts: Vec<&str> = r.suggestions.iter().map(|s| s.text.as_str()).collect();
+        assert_eq!(texts, vec!["Kennedy", "Kennedys Creek"]);
+        assert_eq!(r.residual_candidates, 2);
+        assert_eq!(q.filter_elimination_ratio(4), 0.0);
+        // One-byte terms take the scan, whose band has the same end.
+        assert_eq!(q.complete("K").suggestions.len(), 2);
     }
 }

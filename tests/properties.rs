@@ -586,10 +586,7 @@ proptest! {
         needle in "[a-dA-Dσ]{1,3}",
         p in 1usize..6,
     ) {
-        let mut bins = ResidualBins::new();
-        for l in &literals {
-            bins.add(l.clone());
-        }
+        let bins: ResidualBins = literals.iter().cloned().collect();
         let bins = Arc::new(bins);
         let needle = needle.to_lowercase();
         let probe = needle.clone();
@@ -606,6 +603,42 @@ proptest! {
             .filter(|&id| bins.literal(id).to_lowercase().contains(needle.as_str()))
             .collect();
         prop_assert_eq!(parallel, sequential);
+    }
+
+    /// The residual lookup — the byte-pair index for a needle of two folded
+    /// bytes or more, the scan for one byte — answers like folding every
+    /// literal of the band, in length-then-insertion order, unsorted.
+    #[test]
+    fn residual_lookup_is_the_fold_every_time_scan_in_order(
+        literals in proptest::collection::vec("[a-cA-CΣσİéß😀 ]{0,12}", 0..60),
+        needle in "[a-cA-CΣσİéß😀 ]{1,4}",
+        gamma_pick in 0usize..4,
+        p in 1usize..4,
+        from in 0usize..60,
+        at in 0usize..12,
+    ) {
+        let gamma = [0, 2, 10, usize::MAX][gamma_pick];
+        let config = SapphireConfig {
+            suffix_tree_capacity: 0,
+            ..SapphireConfig::default()
+        };
+        let scored: Vec<(String, u64)> = literals.iter().map(|l| (l.clone(), 0)).collect();
+        let cache = CachedData::from_raw(vec![], scored, &config);
+        // A second needle cut from a literal, so that most lookups match.
+        let host = literals.get(from % literals.len().max(1)).map_or("", String::as_str);
+        let cut: String = host.chars().skip(at).take(needle.chars().count()).collect();
+        for needle in [needle.as_str(), cut.as_str()] {
+            let len = needle.chars().count();
+            let folded = needle.to_lowercase();
+            let bins = &cache.bins;
+            let mut naive: Vec<LitId> = (0..bins.len() as LitId)
+                .filter(|&id| len <= bins.char_len(id) && bins.char_len(id) - len <= gamma)
+                .filter(|&id| bins.literal(id).to_lowercase().contains(&folded))
+                .collect();
+            // Ids are insertion order, so a stable sort by length is the order.
+            naive.sort_by_key(|&id| bins.char_len(id));
+            prop_assert_eq!(cache.residual_lookup(needle, gamma, p), naive);
+        }
     }
 
     /// QCM lookups through the whole cache (tree + bins) return every cached
