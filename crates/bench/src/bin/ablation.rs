@@ -110,9 +110,9 @@ fn main() {
         let mut candidates = 0usize;
         let mut found = 0usize;
         for (prefix, original) in &typo_probes {
-            candidates += cache
-                .bins
-                .count_in_range(prefix.len()..prefix.len() + gamma + 1);
+            // The band `residual_lookup` searches: lengths in chars.
+            let len = prefix.chars().count();
+            candidates += cache.bins.count_in_range(len..len + gamma + 1);
             let ids = cache.residual_lookup(prefix, gamma, config.processes);
             if ids.iter().any(|&id| cache.bins.literal(id) == original) {
                 found += 1;

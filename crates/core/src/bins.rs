@@ -13,39 +13,45 @@
 //!
 //! # Layout
 //!
-//! * **Originals by id.** `literals[id]` is the text as the endpoint
-//!   returned it — what a suggestion shows — and `char_lens[id]` its length
-//!   in `char`s, which is the bin it sits in.
-//! * **One folded arena per bin.** Both scans are case-insensitive, so each
-//!   bin keeps the `str::to_lowercase` of its literals back to back in one
-//!   byte buffer (`FoldedArena`: `u32` end offsets, entry `k` belongs to
-//!   `ids[k]`). A scan of a length band reads a handful of buffers front to
-//!   back and folds nothing. The *whole string* is folded, never one `char`
-//!   at a time: `to_lowercase` is context-sensitive (a final `Σ` folds to
-//!   `ς`, any other to `σ`), and folding the needle and the probe the same
-//!   way is what makes the scans agree with
+//! * **Ids are completion ranks.** Building sorts the literals once by
+//!   `(char length, text)` — [`completion_rank`](crate::qcm::completion_rank)'s
+//!   order among residual literals — and a literal's [`LitId`] is its
+//!   position in that order. `literals[id]` is the text as the endpoint
+//!   returned it, which is what a suggestion shows.
+//! * **Bins are id ranges.** `len_start[len]` is the first id of length
+//!   `len`, so bin `len` is `len_start[len]..len_start[len + 1]`, a band of
+//!   lengths is one id range, and a literal's length is a binary search.
+//!   Whatever visits a band in id order — a scan's tasks, concatenated, or
+//!   the index's postings — yields its matches in rank order.
+//! * **One folded arena.** Both scans are case-insensitive, so entry `id`
+//!   of one byte buffer (`FoldedArena`: `u32` end offsets) is literal
+//!   `id`'s `str::to_lowercase`. A scan of a band reads one stretch of it
+//!   front to back and folds nothing. The *whole string* is folded, never
+//!   one `char` at a time: `to_lowercase` is context-sensitive (a final `Σ`
+//!   folds to `ς`, any other to `σ`), and folding the needle and the probe
+//!   the same way is what makes the scans agree with
 //!   `lit.to_lowercase().contains(&needle.to_lowercase())` on every input.
-//! * **A 64-bit byte signature per literal.** Bit `b & 63` is set for every
-//!   byte `b` of the folded text. A substring's bytes are a subset of its
-//!   host's, so `needle_sig & !literal_sig != 0` proves the literal does not
-//!   contain the needle without reading it; when the test passes the bytes
-//!   are searched ([`FoldedLiteral::contains`]). The filter can only reject
-//!   non-matches, so answers and their order do not depend on it.
-//! * **Ordinals.** A literal's ordinal is its position in length-major
-//!   order: bin `len` ascending, each bin in insertion order — the order in
-//!   which the tasks of a scan concatenate. `ord_start[len]` is the first
-//!   ordinal of bin `len`, so a length band is one ordinal range.
+//! * **A 64-bit byte signature per literal**, `sigs[id]`. Bit `b & 63` is
+//!   set for every byte `b` of the folded text. A substring's bytes are a
+//!   subset of its host's, so `needle_sig & !literal_sig != 0` proves the
+//!   literal does not contain the needle without reading it; when the test
+//!   passes the bytes are searched ([`FoldedLiteral::contains`]). The filter
+//!   can only reject non-matches, so answers and their order do not depend
+//!   on it.
 //! * **Byte-pair postings.** Each distinct pair of adjacent bytes of a
-//!   folded literal gives the literal's ordinal one posting, in that pair's
+//!   folded literal gives the literal's id one posting, in that pair's
 //!   ascending list (`PairIndex`: the pairs present, sorted, with `u32`
 //!   offsets and `u32` postings — about 4 B per folded byte). A literal that
 //!   contains the needle holds every pair of the needle, so a lookup cuts
-//!   each of the needle's lists to the band, walks the shortest, and checks
-//!   each candidate with [`FoldedLiteral::contains`]. The lists only narrow
-//!   what is checked, so the answer is the scan's, ids and order alike.
+//!   each of the needle's lists to the band's id range, walks the shortest,
+//!   and checks each candidate with [`FoldedLiteral::contains`]. The lists
+//!   only narrow what is checked, so the answer is the scan's, ids and order
+//!   alike.
 //!
 //! All of this is derived from the originals when the bins are built —
 //! once, by collecting them ([`FromIterator`]) — and is never serialized.
+//! Each part is a flat array indexed by id (or by pair), so a model
+//! snapshot could store it as is.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -103,15 +109,6 @@ pub(crate) struct FoldedArena {
 }
 
 impl FoldedArena {
-    /// Fold `original` and append it; returns the folded text.
-    pub(crate) fn push(&mut self, original: &str) -> &str {
-        let start = self.text.len();
-        self.text.push_str(&original.to_lowercase());
-        self.ends
-            .push(u32::try_from(self.text.len()).expect("folded arena over 4 GiB"));
-        &self.text[start..]
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.ends.len()
     }
@@ -127,26 +124,19 @@ impl<'a> FromIterator<&'a str> for FoldedArena {
     fn from_iter<I: IntoIterator<Item = &'a str>>(originals: I) -> Self {
         let mut arena = FoldedArena::default();
         for original in originals {
-            arena.push(original);
+            arena.text.push_str(&original.to_lowercase());
+            let end = u32::try_from(arena.text.len()).expect("folded arena over 4 GiB");
+            arena.ends.push(end);
         }
         arena
     }
 }
 
-/// The literals of one `char` length: ids, folded text and signatures, all
-/// in insertion order.
-#[derive(Debug, Default, Clone)]
-struct Bin {
-    ids: Vec<LitId>,
-    folded: FoldedArena,
-    sigs: Vec<u64>,
-}
-
 /// A literal as a scan sees it: case-folded.
 #[derive(Debug, Clone, Copy)]
 pub struct FoldedLiteral<'a> {
-    bin: &'a Bin,
-    index: usize,
+    bins: &'a ResidualBins,
+    id: usize,
 }
 
 // `text` and `contains` run once per literal of a scan, inside a closure
@@ -156,14 +146,14 @@ impl<'a> FoldedLiteral<'a> {
     /// The literal's `str::to_lowercase`.
     #[inline]
     pub fn text(&self) -> &'a str {
-        self.bin.folded.get(self.index)
+        self.bins.folded.get(self.id)
     }
 
     /// `self.text().contains(needle)`, reading the text only when the
     /// literal's signature has every byte of the needle's.
     #[inline]
     pub fn contains(&self, needle: &FoldedNeedle) -> bool {
-        needle.sig & !self.bin.sigs[self.index] == 0
+        needle.sig & !self.bins.sigs[self.id] == 0
             && contains_bytes(self.text().as_bytes(), needle.text.as_bytes())
     }
 }
@@ -183,7 +173,7 @@ fn distinct_pairs<'s>(folded: &str, scratch: &'s mut Vec<u16>) -> &'s [u16] {
     scratch
 }
 
-/// Byte-pair postings: for each pair present, the ascending ordinals of the
+/// Byte-pair postings: for each pair present, the ascending ids of the
 /// literals whose folded text holds it.
 #[derive(Debug, Clone)]
 struct PairIndex {
@@ -191,12 +181,12 @@ struct PairIndex {
     keys: Vec<u16>,
     /// Key `k`'s postings are `postings[starts[k]..starts[k + 1]]`.
     starts: Vec<u32>,
-    postings: Vec<u32>,
+    postings: Vec<LitId>,
 }
 
 impl PairIndex {
-    /// Index `folded`, the folded literals in ordinal order. Two passes over
-    /// the texts — count, then fill — so no `(pair, ordinal)` list is ever
+    /// Index `folded`, the folded literals in id order. Two passes over
+    /// the texts — count, then fill — so no `(pair, id)` list is ever
     /// held: what is allocated is what is kept, plus one 256 KB counter
     /// table while building.
     fn build<'a>(folded: impl Iterator<Item = &'a str> + Clone) -> Self {
@@ -217,13 +207,13 @@ impl PairIndex {
             end = end.checked_add(count).expect("more than 2^32 postings");
             starts.push(end);
         }
-        // Pass 2: `slot[pair]` is now the pair's next free posting. Ordinals
+        // Pass 2: `slot[pair]` is now the pair's next free posting. Ids
         // arrive ascending, so every list comes out sorted.
         let mut postings = vec![0u32; end as usize];
-        for (ord, text) in folded.enumerate() {
+        for (id, text) in folded.enumerate() {
             for &pair in distinct_pairs(text, &mut scratch) {
                 let at = &mut slot[pair as usize];
-                postings[*at as usize] = ord as u32;
+                postings[*at as usize] = id as LitId;
                 *at += 1;
             }
         }
@@ -234,14 +224,14 @@ impl PairIndex {
         }
     }
 
-    /// The postings of `pair` inside the ordinal range `ords`.
-    fn within(&self, pair: u16, ords: Range<u32>) -> &[u32] {
+    /// The postings of `pair` inside the id range `ids`.
+    fn within(&self, pair: u16, ids: Range<usize>) -> &[LitId] {
         let Ok(k) = self.keys.binary_search(&pair) else {
             return &[];
         };
         let list = &self.postings[self.starts[k] as usize..self.starts[k + 1] as usize];
-        let from = list.partition_point(|&ord| ord < ords.start);
-        let to = list.partition_point(|&ord| ord < ords.end);
+        let from = list.partition_point(|&id| (id as usize) < ids.start);
+        let to = list.partition_point(|&id| (id as usize) < ids.end);
         &list[from..to]
     }
 
@@ -251,58 +241,51 @@ impl PairIndex {
 }
 
 /// Length-keyed bins over a deduplicated literal corpus, with the byte-pair
-/// index of their folded text. Built once, by collecting the literals in
-/// insertion order; a literal's [`LitId`] is its position in that order.
+/// index of their folded text. Built once, by collecting the literals; a
+/// literal's [`LitId`] is its rank by `(char length, text)`.
 #[derive(Debug, Clone)]
 pub struct ResidualBins {
     /// All literals, indexed by [`LitId`].
     literals: Vec<String>,
-    /// `char` length of each literal, indexed by [`LitId`].
-    char_lens: Vec<u32>,
-    /// `bins[len]` holds the literals whose `char` length is `len`.
-    bins: Vec<Bin>,
-    /// `ord_start[len]` is the ordinal of bin `len`'s first literal;
-    /// `ord_start[bins.len()]` is the number of literals.
-    ord_start: Vec<u32>,
-    /// Byte-pair postings over the folded literals, by ordinal.
+    /// The folded literals, indexed by [`LitId`].
+    folded: FoldedArena,
+    /// Byte signature of each folded literal, indexed by [`LitId`].
+    sigs: Vec<u64>,
+    /// `len_start[len]` is the first id of `char` length `len`; the last
+    /// entry is the number of literals.
+    len_start: Vec<u32>,
+    /// Byte-pair postings over the folded literals, by id.
     pairs: PairIndex,
 }
 
 impl FromIterator<String> for ResidualBins {
-    /// Bin the literals, fold them, sign them and index their byte pairs.
+    /// Rank the literals, fold them, sign them and index their byte pairs.
     /// Duplicates are stored once per occurrence — the cache layer dedups
     /// before building.
     fn from_iter<I: IntoIterator<Item = String>>(literals: I) -> Self {
-        let literals: Vec<String> = literals.into_iter().collect();
-        let mut char_lens = Vec::with_capacity(literals.len());
-        let mut bins: Vec<Bin> = Vec::new();
-        for (id, literal) in literals.iter().enumerate() {
-            let id = LitId::try_from(id).expect("more than 2^32 literals");
-            let len = literal.chars().count();
-            if bins.len() <= len {
-                bins.resize_with(len + 1, Bin::default);
-            }
-            let bin = &mut bins[len];
-            bin.ids.push(id);
-            let sig = byte_signature(bin.folded.push(literal));
-            bin.sigs.push(sig);
-            char_lens.push(u32::try_from(len).expect("literal over 2^32 chars"));
-        }
-        let ord_start = std::iter::once(0)
-            .chain(bins.iter().scan(0u32, |end, bin| {
-                *end += bin.ids.len() as u32;
-                Some(*end)
-            }))
+        let mut ranked: Vec<(u32, String)> = (literals.into_iter())
+            .map(|text| {
+                let len = u32::try_from(text.chars().count()).expect("literal over 2^32 chars");
+                (len, text)
+            })
             .collect();
-        let folded = bins
-            .iter()
-            .flat_map(|bin| (0..bin.ids.len()).map(|k| bin.folded.get(k)));
+        ranked.sort_unstable();
+        let bins = ranked.last().map_or(0, |&(len, _)| len as usize + 1);
+        let len_start = (0..=bins)
+            .map(|len| {
+                let start = ranked.partition_point(|&(l, _)| (l as usize) < len);
+                LitId::try_from(start).expect("more than 2^32 literals")
+            })
+            .collect();
+        let literals: Vec<String> = ranked.into_iter().map(|(_, text)| text).collect();
+        let folded: FoldedArena = literals.iter().map(String::as_str).collect();
+        let texts = (0..folded.len()).map(|id| folded.get(id));
         ResidualBins {
-            pairs: PairIndex::build(folded),
+            sigs: texts.clone().map(byte_signature).collect(),
+            pairs: PairIndex::build(texts),
             literals,
-            char_lens,
-            bins,
-            ord_start,
+            folded,
+            len_start,
         }
     }
 }
@@ -315,7 +298,7 @@ impl ResidualBins {
 
     /// The literal's length in `char`s — the bin it is in.
     pub fn char_len(&self, id: LitId) -> usize {
-        self.char_lens[id as usize] as usize
+        self.len_start.partition_point(|&start| start <= id) - 1
     }
 
     /// Total number of stored literals.
@@ -331,40 +314,37 @@ impl ResidualBins {
     /// Number of non-empty bins (the paper reports 80 bins for DBpedia —
     /// one per observed length under the 80-char cap).
     pub fn bin_count(&self) -> usize {
-        self.bins.iter().filter(|b| !b.ids.is_empty()).count()
+        self.len_start.windows(2).filter(|w| w[0] < w[1]).count()
     }
 
-    /// The ids in the bin for exactly length `len`.
-    pub fn bin(&self, len: usize) -> &[LitId] {
-        self.bins.get(len).map_or(&[], |b| &b.ids)
+    /// The ids of the literals of exactly `len` chars.
+    pub fn bin(&self, len: usize) -> Range<LitId> {
+        let ids = self.band(len..len.saturating_add(1));
+        ids.start as LitId..ids.end as LitId
     }
 
-    /// Lengths in `range` (clamped) whose bin is non-empty.
-    fn lens_in(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        let hi = range.end.min(self.bins.len());
-        (range.start.min(hi)..hi).filter(|&len| !self.bins[len].ids.is_empty())
-    }
-
-    /// Bins for lengths in `range` (clamped), as slices. This is the `bins'`
-    /// input of Algorithms 1 and 2.
-    pub fn bins_in_range(&self, range: Range<usize>) -> Vec<&[LitId]> {
-        self.lens_in(range).map(|len| self.bin(len)).collect()
+    /// The ids of the literals whose length is in `lens` (clamped) — the
+    /// `bins'` input of Algorithms 1 and 2, as one range.
+    fn band(&self, lens: Range<usize>) -> Range<usize> {
+        let last = self.len_start.len() - 1;
+        let from = self.len_start[lens.start.min(last)] as usize;
+        let to = self.len_start[lens.end.min(last)] as usize;
+        from..to.max(from)
     }
 
     /// Number of literals within a length range — used to report how much of
     /// the corpus the length filter eliminates (§7.3.1: "filtering eliminates
     /// 46% of the literals").
     pub fn count_in_range(&self, range: Range<usize>) -> usize {
-        self.lens_in(range).map(|len| self.bin(len).len()).sum()
+        self.band(range).len()
     }
 
     /// Ids of the literals in the bins of `range` (clamped) whose folded
     /// text contains `needle`, read from the byte-pair index: the postings
     /// of the needle's rarest pair inside the band, each checked with
-    /// [`FoldedLiteral::contains`]. Ids come in ordinal order — lengths
-    /// ascending, each bin in insertion order — which is the order a
-    /// containment scan of the band with [`scan_parallel`](Self::scan_parallel)
-    /// returns them in.
+    /// [`FoldedLiteral::contains`]. Ids come ascending — rank order — which
+    /// is the order a containment scan of the band with
+    /// [`scan_parallel`](Self::scan_parallel) returns them in.
     ///
     /// `None` when the folded needle is shorter than two bytes: it has no
     /// pair to look up, and only a scan answers it.
@@ -373,31 +353,23 @@ impl ResidualBins {
         needle: &FoldedNeedle,
         range: Range<usize>,
     ) -> Option<Vec<LitId>> {
-        let last = self.bins.len();
-        let first_len = range.start.min(last);
-        let lo = self.ord_start[first_len];
-        let hi = self.ord_start[range.end.min(last)].max(lo);
+        let band = self.band(range);
         let candidates = (needle.text.as_bytes().windows(2))
-            .map(|pair| self.pairs.within(pair_key(pair), lo..hi))
+            .map(|pair| self.pairs.within(pair_key(pair), band.clone()))
             .min_by_key(|list| list.len())?;
-        let mut len = first_len;
-        let mut found = Vec::new();
-        for &ord in candidates {
-            while self.ord_start[len + 1] <= ord {
-                len += 1;
-            }
-            let bin = &self.bins[len];
-            let index = (ord - self.ord_start[len]) as usize;
-            if (FoldedLiteral { bin, index }).contains(needle) {
-                found.push(bin.ids[index]);
-            }
-        }
+        let found = (candidates.iter().copied())
+            .filter(|&id| self.folded_literal(id as usize).contains(needle))
+            .collect();
         Some(found)
     }
 
-    /// Heap bytes of the byte-pair index and the ordinal table.
+    /// Heap bytes of the byte-pair index and the length table.
     pub fn index_bytes(&self) -> usize {
-        self.pairs.approx_bytes() + 4 * self.ord_start.len()
+        self.pairs.approx_bytes() + 4 * self.len_start.len()
+    }
+
+    fn folded_literal(&self, id: usize) -> FoldedLiteral<'_> {
+        FoldedLiteral { bins: self, id }
     }
 
     /// Scan the bins in `range` with `P = processes` workers, collecting
@@ -405,7 +377,7 @@ impl ResidualBins {
     /// divided with Algorithm 1; each of the `P` tasks calls `worker` once
     /// for its own `accept`, so a scan can keep mutable scratch per task.
     /// `accept` sees the literal case-folded ([`FoldedLiteral`]). Returns
-    /// `(LitId, score)` pairs in worker order.
+    /// `(LitId, score)` pairs in worker order, which is ascending id order.
     ///
     /// Small scans run the *same* task list inline instead of going to the
     /// executor. Tasks execute in worker order either way, so the result
@@ -422,16 +394,14 @@ impl ResidualBins {
         F: Fn() -> A + Send + Sync + 'static,
         A: FnMut(FoldedLiteral<'_>) -> Option<f64>,
     {
-        let lens: Vec<usize> = self.lens_in(range).collect();
-        if lens.is_empty() {
+        let band = self.band(range);
+        if band.is_empty() {
             return Vec::new();
         }
-        let ids: Vec<&[LitId]> = lens.iter().map(|&len| self.bin(len)).collect();
-        let tasks = assign_tasks(&ids, processes.max(1));
-        let total: usize = ids.iter().map(|b| b.len()).sum();
-        if total <= INLINE_SCAN_THRESHOLD {
-            return (tasks.iter())
-                .flat_map(|task| self.scan_task(&lens, task, worker()))
+        let tasks = assign_tasks(band.clone(), processes);
+        if band.len() <= INLINE_SCAN_THRESHOLD {
+            return (tasks.into_iter())
+                .flat_map(|task| self.scan_task(task, worker()))
                 .collect();
         }
         // Large scan: run the same task list on the shared executor. `run`
@@ -440,29 +410,20 @@ impl ResidualBins {
         let bins = Arc::clone(self);
         crate::exec::global()
             .run(tasks.len(), move |i| {
-                bins.scan_task(&lens, &tasks[i], worker())
+                bins.scan_task(tasks[i].clone(), worker())
             })
             .into_iter()
             .flatten()
             .collect()
     }
 
-    /// One Algorithm-1 task: its segments of the bins of lengths `lens`,
-    /// through `accept`.
-    fn scan_task<A>(&self, lens: &[usize], task: &[Segment], mut accept: A) -> Vec<(LitId, f64)>
+    /// One Algorithm-1 task: the literals `ids`, through `accept`.
+    fn scan_task<A>(&self, ids: Range<usize>, mut accept: A) -> Vec<(LitId, f64)>
     where
         A: FnMut(FoldedLiteral<'_>) -> Option<f64>,
     {
-        let mut found = Vec::new();
-        for seg in task {
-            let bin = &self.bins[lens[seg.bin]];
-            for index in seg.range.clone() {
-                if let Some(score) = accept(FoldedLiteral { bin, index }) {
-                    found.push((bin.ids[index], score));
-                }
-            }
-        }
-        found
+        ids.filter_map(|id| Some((id as LitId, accept(self.folded_literal(id))?)))
+            .collect()
     }
 }
 
@@ -488,144 +449,81 @@ impl ResidualBins {
 /// free core for anyway.
 pub(crate) const INLINE_SCAN_THRESHOLD: usize = 32_768;
 
-/// A contiguous slice of one bin assigned to a worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
-    /// Index into the `bins'` slice list.
-    pub bin: usize,
-    /// Element range within that bin.
-    pub range: Range<usize>,
-}
-
-/// Algorithm 1: assign bins to `P` processes so every process scans (nearly)
-/// the same number of literals, with each assignment a set of contiguous bin
-/// slices.
-pub fn assign_tasks(bins: &[&[LitId]], processes: usize) -> Vec<Vec<Segment>> {
-    let n: usize = bins.iter().map(|b| b.len()).sum();
+/// Algorithm 1: assign the band of ids `band` to `P = processes` workers so
+/// that every worker scans (nearly) the same number of literals. The paper
+/// hands each process contiguous bin slices up to a capacity of ⌈n/P⌉
+/// literals; a band's bins are consecutive id ranges, so those slices
+/// concatenate to task `i` = ids `i·⌈n/P⌉ ..` of the band, ⌈n/P⌉ long or
+/// cut at its end. Always `P` tasks, in band order, the last ones possibly
+/// short or empty.
+pub fn assign_tasks(band: Range<usize>, processes: usize) -> Vec<Range<usize>> {
     let p = processes.max(1);
-    if n == 0 {
-        return vec![Vec::new(); p];
-    }
-    // Capacity d = ceil(n / P) so the last worker picks up the remainder.
-    let capacity = n.div_ceil(p);
-    let mut tasks: Vec<Vec<Segment>> = vec![Vec::new(); p];
-    let mut pid = 0usize;
-    let mut remaining_capacity = capacity;
-    for (bin_idx, bin) in bins.iter().enumerate() {
-        let mut offset = 0usize;
-        let mut j = bin.len();
-        while j > 0 {
-            if pid >= p {
-                // Numerical slack: dump the tail on the last worker.
-                pid = p - 1;
-                remaining_capacity = usize::MAX;
-            }
-            if j < remaining_capacity {
-                // Process takes all remaining literals in this bin.
-                tasks[pid].push(Segment {
-                    bin: bin_idx,
-                    range: offset..bin.len(),
-                });
-                remaining_capacity -= j;
-                j = 0;
-            } else {
-                // Process takes exactly its remaining capacity and retires.
-                tasks[pid].push(Segment {
-                    bin: bin_idx,
-                    range: offset..offset + remaining_capacity,
-                });
-                offset += remaining_capacity;
-                j -= remaining_capacity;
-                remaining_capacity = capacity;
-                pid += 1;
-            }
-        }
-    }
-    tasks
+    let capacity = band.len().div_ceil(p);
+    (0..p)
+        .map(|i| {
+            let start = band.start.saturating_add(i * capacity).min(band.end);
+            start..start.saturating_add(capacity).min(band.end)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn bins_with(sizes: &[usize]) -> Vec<Vec<LitId>> {
-        let mut next = 0u32;
-        sizes
-            .iter()
-            .map(|&s| {
-                let v: Vec<LitId> = (next..next + s as u32).collect();
-                next += s as u32;
-                v
-            })
-            .collect()
-    }
-
     #[test]
     fn add_and_lookup() {
         let b: ResidualBins = ["New York".to_string()].into_iter().collect();
         let id: LitId = 0;
         assert_eq!(b.literal(id), "New York");
-        assert_eq!(b.bin(8), &[id]);
+        assert_eq!(b.bin(8), id..id + 1);
         assert_eq!(b.len(), 1);
         assert_eq!(b.bin_count(), 1);
     }
 
     #[test]
-    fn bins_in_range_clamps() {
+    fn length_bands_clamp() {
         let b: ResidualBins = ["ab", "abc", "abcdef"]
             .map(String::from)
             .into_iter()
             .collect();
-        assert_eq!(b.bins_in_range(0..100).len(), 3);
-        assert_eq!(b.bins_in_range(3..4).len(), 1);
+        assert_eq!((0..100).filter(|&len| !b.bin(len).is_empty()).count(), 3);
+        assert_eq!(b.count_in_range(3..4), 1);
         assert_eq!(b.count_in_range(2..4), 2);
-        assert!(b.bins_in_range(7..9).is_empty());
+        assert_eq!(b.count_in_range(0..usize::MAX), 3);
+        assert_eq!(b.count_in_range(7..9), 0);
+        assert!(b.bin(usize::MAX).is_empty());
     }
 
     #[test]
     fn unicode_length_is_chars_not_bytes() {
         let b: ResidualBins = ["Zürich".to_string()].into_iter().collect();
         let id: LitId = 0;
-        assert_eq!(b.bin(6), &[id], "6 chars even though 7 bytes");
+        assert_eq!(b.bin(6), id..id + 1, "6 chars even though 7 bytes");
     }
 
     #[test]
     fn assign_tasks_covers_everything_exactly_once() {
-        for sizes in [
-            vec![10, 3, 7],
-            vec![1, 1, 1, 1],
-            vec![100],
-            vec![0, 5, 0, 5],
-        ] {
+        for band in [0..20, 3..7, 0..100, 5..15, 9..9, 0..1] {
             for p in 1..=8 {
-                let owned = bins_with(&sizes);
-                let bins: Vec<&[LitId]> = owned.iter().map(Vec::as_slice).collect();
-                let tasks = assign_tasks(&bins, p);
+                let tasks = assign_tasks(band.clone(), p);
                 assert_eq!(tasks.len(), p);
-                let mut seen: Vec<LitId> = tasks
-                    .iter()
-                    .flatten()
-                    .flat_map(|seg| bins[seg.bin][seg.range.clone()].iter().copied())
-                    .collect();
-                seen.sort_unstable();
-                let total: usize = sizes.iter().sum();
+                let seen: Vec<usize> = tasks.iter().cloned().flatten().collect();
                 assert_eq!(
                     seen,
-                    (0..total as u32).collect::<Vec<_>>(),
-                    "sizes {sizes:?} p {p}"
+                    band.clone().collect::<Vec<_>>(),
+                    "band {band:?} p {p}"
                 );
+                let capacity = band.len().div_ceil(p);
+                assert!(tasks.iter().all(|task| task.len() <= capacity));
             }
         }
     }
 
     #[test]
     fn assign_tasks_balances_load() {
-        let owned = bins_with(&[40, 40, 40, 40]);
-        let bins: Vec<&[LitId]> = owned.iter().map(Vec::as_slice).collect();
-        let tasks = assign_tasks(&bins, 4);
-        for t in &tasks {
-            let load: usize = t.iter().map(|s| s.range.len()).sum();
-            assert_eq!(load, 40);
+        for task in assign_tasks(0..160, 4) {
+            assert_eq!(task.len(), 40);
         }
     }
 
@@ -633,23 +531,23 @@ mod tests {
     fn folded_view_is_the_whole_string_lowercased() {
         let originals = ["New York", "ΟΔΟΣ", "İstanbul", "Straße", "ZÜRICH"];
         let b: Arc<ResidualBins> = Arc::new(originals.map(String::from).into_iter().collect());
-        // One task sees every literal, in bin order then insertion order.
+        // One task sees every literal, in rank order.
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         b.scan_parallel(0..100, 1, move || {
             let seen = Arc::clone(&sink);
             move |lit: FoldedLiteral<'_>| {
-                assert_eq!(lit.bin.sigs[lit.index], byte_signature(lit.text()));
+                assert_eq!(lit.bins.sigs[lit.id], byte_signature(lit.text()));
                 seen.lock().unwrap().push(lit.text().to_string());
                 Some(0.0)
             }
         });
-        let mut expected: Vec<&str> = originals.to_vec();
-        expected.sort_by_key(|lit| lit.chars().count());
-        let expected: Vec<String> = expected.iter().map(|lit| lit.to_lowercase()).collect();
+        let mut ranked: Vec<&str> = originals.to_vec();
+        ranked.sort_by_key(|lit| (lit.chars().count(), *lit));
+        let expected: Vec<String> = ranked.iter().map(|lit| lit.to_lowercase()).collect();
         assert_eq!(*seen.lock().unwrap(), expected);
         assert!(expected.contains(&"οδος".to_string()), "final sigma kept");
-        for (id, lit) in originals.iter().enumerate() {
+        for (id, lit) in ranked.iter().enumerate() {
             assert_eq!(b.literal(id as LitId), *lit, "originals untouched");
             assert_eq!(b.char_len(id as LitId), lit.chars().count());
         }
@@ -700,16 +598,15 @@ mod tests {
             .collect();
         let b = Arc::new(b);
         let accept = |s: &str| s.ends_with('7').then_some(s.len() as f64);
-        let bins = b.bins_in_range(0..100);
         for p in [1, 2, 4, 8] {
             let via_exec = b.scan_parallel(0..100, p, move || {
                 move |lit: FoldedLiteral<'_>| accept(lit.text())
             });
-            let in_worker_order: Vec<(LitId, f64)> = assign_tasks(&bins, p)
-                .iter()
+            let in_worker_order: Vec<(LitId, f64)> = assign_tasks(0..b.len(), p)
+                .into_iter()
                 .flatten()
-                .flat_map(|seg| &bins[seg.bin][seg.range.clone()])
-                .filter_map(|&id| accept(&b.literal(id).to_lowercase()).map(|score| (id, score)))
+                .map(|id| id as LitId)
+                .filter_map(|id| accept(&b.literal(id).to_lowercase()).map(|score| (id, score)))
                 .collect();
             assert_eq!(via_exec, in_worker_order, "P = {p}");
             assert!(!via_exec.is_empty());
@@ -728,7 +625,7 @@ mod tests {
     }
 
     /// The band's literals containing `needle` up to case, each folded on
-    /// the spot, in length-then-insertion order.
+    /// the spot, by length, then by id.
     fn naive_containing(b: &ResidualBins, needle: &str, band: Range<usize>) -> Vec<LitId> {
         let folded = needle.to_lowercase();
         let mut ids: Vec<LitId> = (0..b.len() as LitId)
@@ -796,9 +693,8 @@ mod tests {
         }
         // Every pair present, but never together: the check rejects it.
         let needle = "kennedy center";
-        let total = b.ord_start[b.bins.len()];
         assert!((needle.as_bytes().windows(2))
-            .all(|pair| !b.pairs.within(pair_key(pair), 0..total).is_empty()));
+            .all(|pair| !b.pairs.within(pair_key(pair), 0..b.len()).is_empty()));
         assert_eq!(
             b.containing(&FoldedNeedle::new(needle), 0..100),
             Some(Vec::new())
@@ -827,7 +723,7 @@ mod tests {
             .sum();
         let keys = b.pairs.keys.len();
         assert!(b.pairs.postings.len() < folded);
-        assert!(b.index_bytes() <= 4 * folded + 6 * (keys + 1) + 4 * (b.bins.len() + 1));
+        assert!(b.index_bytes() <= 4 * folded + 6 * (keys + 1) + 4 * b.len_start.len());
     }
 
     #[test]

@@ -335,8 +335,8 @@ pub type LitRef = u32;
 pub struct CachedData {
     /// All predicates of the dataset (Q1/Q4 results), most-frequent first.
     pub predicates: Vec<CachedPredicate>,
-    /// Residual literals in length bins, shared with the executor tasks of
-    /// a large scan.
+    /// Residual literals in length bins, numbered by [`completion_rank`],
+    /// shared with the executor tasks of a large scan.
     pub bins: Arc<ResidualBins>,
     /// Suffix tree over predicate surfaces + significant literals, inserted
     /// in [`completion_rank`] order.
@@ -420,9 +420,10 @@ impl CachedData {
     /// `literals` pairs each cached literal with its significance score
     /// (Definition 1); the top [`SapphireConfig::suffix_tree_capacity`] by
     /// score go into the suffix tree and the rest become residual. Scores
-    /// decide only that cut: the residual literals enter their bins in text
-    /// order, whatever they scored. The tree's strings go in in
-    /// [`completion_rank`] order, so its smallest ids are its best matches.
+    /// decide only that cut: the bins number the residual literals by
+    /// [`completion_rank`], whatever they scored, and the tree's strings go
+    /// in in that order too, so on both sides the smallest ids are the best
+    /// matches.
     pub fn assemble(
         predicates: Vec<CachedPredicate>,
         mut literals: Vec<(String, u64)>,
@@ -432,14 +433,14 @@ impl CachedData {
         literals.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         literals.dedup_by(|a, b| a.0 == b.0);
         // Significance order: highest score first, ties by shorter text.
-        let by_text = |a: &(String, u64), b: &(String, u64)| {
-            a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0))
-        };
-        literals.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| by_text(a, b)));
+        literals.sort_by(|a, b| {
+            (b.1.cmp(&a.1))
+                .then_with(|| a.0.len().cmp(&b.0.len()))
+                .then_with(|| a.0.cmp(&b.0))
+        });
 
         let split = literals.len().min(config.suffix_tree_capacity);
-        let mut residual = literals.split_off(split);
-        residual.sort_by(by_text);
+        let residual = literals.split_off(split);
         let significant = literals;
 
         // String ids in completion order: the tree's smallest are its best.
@@ -558,15 +559,16 @@ impl CachedData {
     }
 
     /// The residual literals of lengths `|t| ..= |t| + gamma` that contain
-    /// `t` up to case (both sides folded with `str::to_lowercase`), as ids in
-    /// length-then-insertion order.
+    /// `t` up to case (both sides folded with `str::to_lowercase`), as
+    /// ascending ids. A residual literal's id is its [`completion_rank`], so
+    /// that is the order the QCM shows them in.
     ///
     /// A term that folds to two bytes or more is answered from the bins'
     /// byte-pair index (`ResidualBins::containing`), which reads only the
     /// band's literals holding the term's rarest byte pair. A one-byte term
     /// has no pair and takes Algorithm 1's scan of the band over
     /// `processes` workers, which is what `processes` still governs here.
-    /// Both return the same ids in the same order as the scan would.
+    /// Both return the same ids, ascending.
     pub fn residual_lookup(&self, t: &str, gamma: usize, processes: usize) -> Vec<LitId> {
         let band = completion_band(t.chars().count(), gamma);
         let needle = FoldedNeedle::new(t);

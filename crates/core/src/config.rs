@@ -34,14 +34,13 @@ pub struct SapphireConfig {
     pub init_page_size: usize,
     /// Steiner-tree expansion parameters (§6.2.2).
     pub steiner: SteinerConfig,
-    /// Shards of the QSM's cross-request memo caches: the Steiner
-    /// neighborhood cache ([`crate::qsm::NeighborhoodCache`]) *and* the two
-    /// Algorithm-2 alternative caches (literal and predicate sweeps inside
-    /// `AlternativeFinder`) — all three are sharded identically.
-    pub neighborhood_cache_shards: usize,
-    /// LRU capacity per shard of those same three caches: expanded vertices
-    /// whose neighbor lists stay resident, and query terms whose ranked
-    /// alternative lists stay resident.
+    /// LRU capacity per shard of the QSM's three cross-request memo caches
+    /// — the Steiner neighborhood cache ([`crate::qsm::NeighborhoodCache`])
+    /// and the two Algorithm-2 alternative caches (literal and predicate
+    /// sweeps inside `AlternativeFinder`), each of
+    /// [`MEMO_CACHE_SHARDS`](crate::qsm::MEMO_CACHE_SHARDS) shards: expanded
+    /// vertices whose neighbor lists stay resident, and query terms whose
+    /// ranked alternative lists stay resident.
     pub neighborhood_cache_capacity: usize,
 }
 
@@ -119,7 +118,6 @@ impl Default for SapphireConfig {
             init_query_limit: None,
             init_page_size: 1_000,
             steiner: SteinerConfig::default(),
-            neighborhood_cache_shards: 16,
             neighborhood_cache_capacity: 4096,
         }
     }
@@ -132,8 +130,6 @@ impl SapphireConfig {
             suffix_tree_capacity: 64,
             processes: 2,
             init_page_size: 64,
-            neighborhood_cache_shards: 4,
-            neighborhood_cache_capacity: 256,
             ..Self::default()
         }
     }

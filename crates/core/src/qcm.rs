@@ -8,14 +8,16 @@
 //! of the band (Algorithm 1); here a term of two folded bytes or more reads
 //! the bins' byte-pair index instead — only the band's literals that hold
 //! the term's rarest byte pair are checked — and only a one-byte term, which
-//! has no pair, is scanned. Both give the same ids in the same order
+//! has no pair, is scanned. Both give the same ids, ascending
 //! ([`CachedData::residual_lookup`]).
 //!
 //! Which `k` the user sees is decided here, by one order:
 //! [`completion_rank`]. The suffix tree's string ids follow it, so its
-//! smallest matching ids are the best tree matches, and the residual stage
-//! appends in it — the output is already in rank order, and a cluster
-//! edge's merge of per-shard lists ranks by the same function.
+//! smallest matching ids are the best tree matches, and a residual
+//! literal's id *is* its rank among residual literals, so the residual
+//! stage takes the first ids it is handed. Neither stage sorts: the output
+//! is in rank order by construction, and a cluster edge's merge of
+//! per-shard lists ranks by the same function.
 //!
 //! The two stages disagree on case, and the paper is silent on it. The
 //! suffix tree matches `t` case-sensitively; the residual stage folds both
@@ -152,15 +154,11 @@ impl QueryCompletion {
             .cache
             .bins
             .count_in_range(completion_band(len, self.config.gamma));
-        let mut ids = self
+        let ids = self
             .cache
             .residual_lookup(t, self.config.gamma, self.config.processes);
         // "The shortest result literals are returned as part of the k
-        // auto-complete suggestions." The key is `completion_rank`'s for a
-        // residual literal, compared in place — cloning every literal for
-        // the sort dominated QCM latency on large match sets.
-        let bins = &self.cache.bins;
-        ids.sort_unstable_by_key(|&id| (bins.char_len(id), bins.literal(id)));
+        // auto-complete suggestions": the ids come in rank order.
         for id in ids.into_iter().take(k - result.suggestions.len()) {
             result.suggestions.push(Completion {
                 text: self.cache.bins.literal(id).to_string(),

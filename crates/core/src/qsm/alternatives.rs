@@ -30,6 +30,7 @@ use sapphire_text::{surface_form, Lexicon};
 
 use crate::cache::{CachedData, LitRef, ShardedLru};
 use crate::config::SapphireConfig;
+use crate::qsm::MEMO_CACHE_SHARDS;
 
 /// Which position of a triple pattern an alternative replaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,9 +127,9 @@ struct AltCache<V> {
 }
 
 impl<V: Clone> AltCache<V> {
-    fn new(shards: usize, capacity_per_shard: usize) -> Self {
+    fn new(capacity_per_shard: usize) -> Self {
         AltCache {
-            shards: ShardedLru::new(shards, capacity_per_shard),
+            shards: ShardedLru::new(MEMO_CACHE_SHARDS, capacity_per_shard),
         }
     }
 
@@ -163,16 +164,13 @@ pub struct AltCacheStats {
 impl AlternativeFinder {
     /// Build a finder.
     pub fn new(cache: Arc<CachedData>, lexicon: Lexicon, config: SapphireConfig) -> Self {
-        let (shards, capacity) = (
-            config.neighborhood_cache_shards,
-            config.neighborhood_cache_capacity,
-        );
+        let capacity = config.neighborhood_cache_capacity;
         AlternativeFinder {
             cache,
             lexicon,
             config,
-            literal_alts: AltCache::new(shards, capacity),
-            predicate_alts: AltCache::new(shards, capacity),
+            literal_alts: AltCache::new(capacity),
+            predicate_alts: AltCache::new(capacity),
         }
     }
 

@@ -28,7 +28,7 @@ pub use alternatives::{
     top_with_answers, AltCacheStats, AlteredPosition, AlternativeFinder, RankedCandidates, Slot,
     TermAlternative,
 };
-pub use neighborhood::{Neighbor, NeighborhoodCache, NeighborhoodStats};
+pub use neighborhood::{Neighbor, NeighborhoodCache, NeighborhoodStats, MEMO_CACHE_SHARDS};
 pub use relax::{RelaxedQuery, StructureRelaxer};
 
 /// A relaxed-structure suggestion with prefetched answers.
@@ -102,7 +102,7 @@ impl QuerySuggestion {
         QuerySuggestion {
             finder: AlternativeFinder::new(cache, lexicon, config.clone()),
             neighborhood: Arc::new(NeighborhoodCache::new(
-                config.neighborhood_cache_shards,
+                MEMO_CACHE_SHARDS,
                 config.neighborhood_cache_capacity,
             )),
             config,

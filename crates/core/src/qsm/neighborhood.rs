@@ -68,6 +68,10 @@ impl NeighborhoodStats {
     }
 }
 
+/// Shards of each of the QSM's three cross-request memo caches: this one
+/// and the two Algorithm-2 alternative caches inside `AlternativeFinder`.
+pub const MEMO_CACHE_SHARDS: usize = 16;
+
 /// A bounded, sharded, concurrent map `Term → Arc<Vec<Neighbor>>` shared by
 /// every Steiner relaxation running against one model.
 #[derive(Debug)]

@@ -547,34 +547,21 @@ proptest! {
         }
     }
 
-    /// Algorithm 1 is a partition: every literal assigned exactly once, and
-    /// the per-worker load never exceeds ⌈n/P⌉ except for the final worker's
-    /// remainder absorption.
+    /// Algorithm 1 is a partition: `P` tasks, every literal of the band
+    /// assigned exactly once, in band order, and no worker's load above
+    /// ⌈n/P⌉.
     #[test]
     fn algorithm1_partition_invariants(
-        sizes in proptest::collection::vec(0usize..40, 1..12),
+        start in 0usize..40,
+        n in 0usize..400,
         p in 1usize..9,
     ) {
-        let mut next: u32 = 0;
-        let owned: Vec<Vec<LitId>> = sizes
-            .iter()
-            .map(|&s| {
-                let v: Vec<LitId> = (next..next + s as u32).collect();
-                next += s as u32;
-                v
-            })
-            .collect();
-        let bins: Vec<&[LitId]> = owned.iter().map(Vec::as_slice).collect();
-        let tasks = assign_tasks(&bins, p);
+        let band = start..start + n;
+        let tasks = assign_tasks(band.clone(), p);
         prop_assert_eq!(tasks.len(), p);
-        let mut seen: Vec<LitId> = tasks
-            .iter()
-            .flatten()
-            .flat_map(|seg| bins[seg.bin][seg.range.clone()].iter().copied())
-            .collect();
-        seen.sort_unstable();
-        let total: usize = sizes.iter().sum();
-        prop_assert_eq!(seen, (0..total as u32).collect::<Vec<_>>());
+        let seen: Vec<usize> = tasks.iter().cloned().flatten().collect();
+        prop_assert_eq!(seen, band.collect::<Vec<_>>());
+        prop_assert!(tasks.iter().all(|task| task.len() <= n.div_ceil(p)));
     }
 
     /// The parallel residual scan finds exactly what a sequential scan finds,
@@ -607,7 +594,7 @@ proptest! {
 
     /// The residual lookup — the byte-pair index for a needle of two folded
     /// bytes or more, the scan for one byte — answers like folding every
-    /// literal of the band, in length-then-insertion order, unsorted.
+    /// literal of the band, in rank order, unsorted.
     #[test]
     fn residual_lookup_is_the_fold_every_time_scan_in_order(
         literals in proptest::collection::vec("[a-cA-CΣσİéß😀 ]{0,12}", 0..60),
@@ -635,9 +622,66 @@ proptest! {
                 .filter(|&id| len <= bins.char_len(id) && bins.char_len(id) - len <= gamma)
                 .filter(|&id| bins.literal(id).to_lowercase().contains(&folded))
                 .collect();
-            // Ids are insertion order, so a stable sort by length is the order.
+            // Ids are ranks by (length, text), so the sort changes nothing.
             naive.sort_by_key(|&id| bins.char_len(id));
             prop_assert_eq!(cache.residual_lookup(needle, gamma, p), naive);
+        }
+    }
+
+    /// A residual literal's id is its completion rank. Over corpora with
+    /// multi-byte characters, deduplicated the way `assemble` does: the
+    /// literals ascend by (chars, text), and bins collected from a shuffled
+    /// copy hold the same order; the bins are id ranges that tile the ids,
+    /// each holding its length; band counts are naive counts; and every
+    /// lookup returns strictly ascending ids.
+    #[test]
+    fn residual_ids_are_completion_rank(
+        literals in proptest::collection::vec("[a-cA-CΣσİéß😀 ]{0,10}", 0..60),
+        needle in "[a-cA-CΣσİéß😀 ]{1,3}",
+        gamma_pick in 0usize..3,
+        p in 1usize..4,
+        lo in 0usize..14,
+        width in 0usize..14,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut corpus = literals.clone();
+        corpus.sort();
+        corpus.dedup();
+        let config = SapphireConfig { suffix_tree_capacity: 0, ..SapphireConfig::default() };
+        let scored: Vec<(String, u64)> = literals.iter().map(|l| (l.clone(), 0)).collect();
+        let cache = CachedData::from_raw(vec![], scored, &config);
+        let bins = &cache.bins;
+        prop_assert_eq!(bins.len(), corpus.len());
+        let rank = |id: LitId| (bins.literal(id).chars().count(), bins.literal(id));
+        let ids = 0..bins.len() as LitId;
+        prop_assert!(ids.clone().skip(1).all(|id| rank(id - 1) < rank(id)));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..corpus.len()).rev() {
+            corpus.swap(i, rng.gen_range(0..=i));
+        }
+        let collected: ResidualBins = corpus.into_iter().collect();
+        prop_assert!(ids.clone().all(|id| collected.literal(id) == bins.literal(id)));
+
+        let mut next = 0;
+        for len in 0..=12 {
+            let bin = bins.bin(len);
+            prop_assert_eq!(bin.start, next);
+            prop_assert!(bin.clone().all(|id| bins.char_len(id) == len && rank(id).0 == len));
+            next = bin.end;
+        }
+        prop_assert_eq!(next as usize, bins.len());
+        let band = lo..lo + width;
+        let naive = ids.filter(|&id| band.contains(&rank(id).0)).count();
+        prop_assert_eq!(bins.count_in_range(band), naive);
+
+        let gamma = [0, 3, usize::MAX][gamma_pick];
+        let cuts = literals.iter().flat_map(|l| {
+            let chars: Vec<char> = l.chars().collect();
+            (1..=chars.len().min(3)).map(move |n| chars[..n].iter().collect::<String>())
+        });
+        for needle in std::iter::once(needle.clone()).chain(cuts) {
+            let found = cache.residual_lookup(&needle, gamma, p);
+            prop_assert!(found.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", needle, found);
         }
     }
 
@@ -667,7 +711,7 @@ proptest! {
         // Residual scan from length 0: emulate by searching the whole band.
         for len in 0..20 {
             let needle = probe.to_lowercase();
-            for &id in cache.bins.bin(len) {
+            for id in cache.bins.bin(len) {
                 if cache.bins.literal(id).to_lowercase().contains(&needle) {
                     found.push(cache.bins.literal(id).to_string());
                 }
