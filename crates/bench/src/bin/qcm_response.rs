@@ -166,8 +166,9 @@ fn main() {
         ));
         // Measure the Algorithm-1 scan itself (what §7.3.1 times): the
         // containment kernel over each term's band, through `scan_parallel`.
-        // `complete()` answers these terms from the byte-pair index instead;
-        // its timings are in the tree sweep above.
+        // `complete()` answers these terms with the residual walk instead
+        // (`ResidualBins::matching`, stopped at k); its timings are in the
+        // tree sweep above.
         let scan = |t: &str| {
             let len = t.chars().count();
             let needle = FoldedNeedle::new(t);

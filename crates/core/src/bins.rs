@@ -5,11 +5,13 @@
 //! literals … where each bin has all the literals of a given length" (§5.2).
 //! Both the QCM and the QSM only ever search a narrow band of lengths, so the
 //! binning prunes most of the corpus before any string comparison happens.
-//! The QCM's containment lookup then reads only the literals that share the
-//! needle's rarest byte pair (`ResidualBins::containing`); the QSM's
-//! similarity sweep, and a containment lookup of a one-byte needle, which has
-//! no pair, scan the band sequentially with `P` parallel workers and the
-//! load-balanced task assignment of Algorithm 1 ([`ResidualBins::scan_parallel`]).
+//! The QCM's containment lookup then walks, in rank order, only the band's
+//! literals that share the needle's rarest byte pair — every literal of the
+//! band when a one-byte needle has no pair — and stops when the caller has
+//! enough (`ResidualBins::matching`). What still scans the band with `P`
+//! parallel workers and the load-balanced task assignment of Algorithm 1
+//! ([`ResidualBins::scan_parallel`]) is the QSM's similarity sweep and
+//! `qcm_response`'s §7.3.1 worker sweep.
 //!
 //! # Layout
 //!
@@ -45,8 +47,8 @@
 //!   contains the needle holds every pair of the needle, so a lookup cuts
 //!   each of the needle's lists to the band's id range, walks the shortest,
 //!   and checks each candidate with [`FoldedLiteral::contains`]. The lists
-//!   only narrow what is checked, so the answer is the scan's, ids and order
-//!   alike.
+//!   only narrow what is checked, so the answer is a scan's of the band,
+//!   ids and order alike.
 //!
 //! All of this is derived from the originals when the bins are built —
 //! once, by collecting them ([`FromIterator`]) — and is never serialized.
@@ -340,27 +342,28 @@ impl ResidualBins {
     }
 
     /// Ids of the literals in the bins of `range` (clamped) whose folded
-    /// text contains `needle`, read from the byte-pair index: the postings
-    /// of the needle's rarest pair inside the band, each checked with
-    /// [`FoldedLiteral::contains`]. Ids come ascending — rank order — which
-    /// is the order a containment scan of the band with
-    /// [`scan_parallel`](Self::scan_parallel) returns them in.
-    ///
-    /// `None` when the folded needle is shorter than two bytes: it has no
-    /// pair to look up, and only a scan answers it.
-    pub(crate) fn containing(
-        &self,
-        needle: &FoldedNeedle,
+    /// text contains `needle`, ascending — rank order — and found lazily, so
+    /// a caller that wants the first `k` checks no candidate past the `k`-th
+    /// match. The candidates are the band's postings for the needle's
+    /// rarest byte pair, or the whole band when the folded needle is
+    /// shorter than two bytes and has no pair; each is checked with
+    /// [`FoldedLiteral::contains`].
+    pub(crate) fn matching<'a>(
+        &'a self,
+        needle: &'a FoldedNeedle,
         range: Range<usize>,
-    ) -> Option<Vec<LitId>> {
+    ) -> impl Iterator<Item = LitId> + 'a {
         let band = self.band(range);
-        let candidates = (needle.text.as_bytes().windows(2))
+        let rarest = (needle.text.as_bytes().windows(2))
             .map(|pair| self.pairs.within(pair_key(pair), band.clone()))
-            .min_by_key(|list| list.len())?;
-        let found = (candidates.iter().copied())
-            .filter(|&id| self.folded_literal(id as usize).contains(needle))
-            .collect();
-        Some(found)
+            .min_by_key(|list| list.len());
+        let (postings, whole_band) = match rarest {
+            Some(list) => (list, 0..0),
+            None => (&[][..], band.start as LitId..band.end as LitId),
+        };
+        (postings.iter().copied())
+            .chain(whole_band)
+            .filter(move |&id| self.folded_literal(id as usize).contains(needle))
     }
 
     /// Heap bytes of the byte-pair index and the length table.
@@ -439,9 +442,10 @@ impl ResidualBins {
 /// 161 µs; at 6 k, 125 → 138 µs). The containment scan costs 0.7–1.5 ns a
 /// literal where signatures mostly reject and 5 ns where most pass, so a
 /// 34 k band still loses (47 → 61 µs) and `qcm_response`'s 190 k bands,
-/// 0.12 ms inline, do not gain either. In serving, the containment scan now
-/// answers only one-byte needles — a longer needle reads the byte-pair index
-/// (`ResidualBins::containing`) and never reaches this threshold — so the
+/// 0.12 ms inline, do not gain either. No served completion scans: the QCM
+/// walks its band's candidates on the calling thread
+/// (`ResidualBins::matching`) and never reaches this threshold, and the
+/// containment scan runs only in `qcm_response`'s worker sweep — so the
 /// count is set for the similarity sweep: it keeps every scan a serving model
 /// of this repository's sizes makes inline (the benchmark's bands hold
 /// ≈ 2 k), lets a sweep go parallel from about 0.6 ms of work, and costs a
@@ -628,12 +632,18 @@ mod tests {
     /// the spot, by length, then by id.
     fn naive_containing(b: &ResidualBins, needle: &str, band: Range<usize>) -> Vec<LitId> {
         let folded = needle.to_lowercase();
+        let len = |id: LitId| b.literal(id).chars().count();
         let mut ids: Vec<LitId> = (0..b.len() as LitId)
-            .filter(|&id| band.contains(&b.char_len(id)))
+            .filter(|&id| band.contains(&len(id)))
             .filter(|&id| b.literal(id).to_lowercase().contains(&folded))
             .collect();
-        ids.sort_by_key(|&id| b.char_len(id));
+        ids.sort_by_key(|&id| len(id));
         ids
+    }
+
+    /// The walk, collected.
+    fn matching(b: &ResidualBins, needle: &str, band: Range<usize>) -> Vec<LitId> {
+        b.matching(&FoldedNeedle::new(needle), band).collect()
     }
 
     fn sample_bins() -> ResidualBins {
@@ -658,7 +668,7 @@ mod tests {
         let b = Arc::new(sample_bins());
         for needle in ["ken", "ENN", "nn", "ß", "İ", "i̇s", "οσ", "κεν", "en", "ss"] {
             for band in [0..100, 3..8, 7..8, 8..9, 0..0, 50..60] {
-                let got = b.containing(&FoldedNeedle::new(needle), band.clone());
+                let got = matching(&b, needle, band.clone());
                 let scanned: Vec<LitId> = b
                     .scan_parallel(band.clone(), 3, move || {
                         let needle = FoldedNeedle::new(needle);
@@ -667,7 +677,7 @@ mod tests {
                     .into_iter()
                     .map(|(id, _)| id)
                     .collect();
-                assert_eq!(got.as_ref(), Some(&scanned), "{needle:?} in {band:?}");
+                assert_eq!(got, scanned, "{needle:?} in {band:?}");
                 assert_eq!(scanned, naive_containing(&b, needle, band));
             }
         }
@@ -675,41 +685,44 @@ mod tests {
     }
 
     #[test]
-    fn a_needle_without_a_byte_pair_is_left_to_the_scan() {
+    fn a_needle_without_a_byte_pair_walks_its_band() {
         let b = sample_bins();
-        for needle in ["k", "E", " ", ""] {
-            assert_eq!(b.containing(&FoldedNeedle::new(needle), 0..100), None);
+        // "ß" is one char of two bytes: it has a pair, and reads its postings.
+        for needle in ["k", "E", " ", "", "ß"] {
+            for band in [0..100, 0..1, 3..8, 7..8, 12..13, 0..0, 50..60] {
+                let want = naive_containing(&b, needle, band.clone());
+                assert_eq!(
+                    matching(&b, needle, band.clone()),
+                    want,
+                    "{needle:?} in {band:?}"
+                );
+            }
         }
-        // One char, two bytes: it has a pair.
-        assert!(b.containing(&FoldedNeedle::new("ß"), 0..100).is_some());
+        assert_eq!(matching(&b, "", 0..100).len(), b.len());
+        assert_eq!(matching(&b, "k", 0..100).len(), 5);
     }
 
     #[test]
     fn a_pair_absent_from_the_corpus_answers_empty() {
         let b = sample_bins();
         for needle in ["zq", "kenz", "xken", "😀"] {
-            let got = b.containing(&FoldedNeedle::new(needle), 0..100);
-            assert_eq!(got, Some(Vec::new()), "{needle:?}");
+            assert_eq!(matching(&b, needle, 0..100), Vec::new(), "{needle:?}");
         }
         // Every pair present, but never together: the check rejects it.
         let needle = "kennedy center";
         assert!((needle.as_bytes().windows(2))
             .all(|pair| !b.pairs.within(pair_key(pair), 0..b.len()).is_empty()));
-        assert_eq!(
-            b.containing(&FoldedNeedle::new(needle), 0..100),
-            Some(Vec::new())
-        );
+        assert_eq!(matching(&b, needle, 0..100), Vec::new());
     }
 
     #[test]
     fn a_needle_longer_than_every_literal_in_its_band_answers_empty() {
         let b = sample_bins();
         // Past the longest bin: the band clamps to nothing.
-        let long = FoldedNeedle::new("Kennedy Space Center, Florida");
-        assert_eq!(b.containing(&long, 29..40), Some(Vec::new()));
+        let long = "Kennedy Space Center, Florida";
+        assert_eq!(matching(&b, long, 29..40), Vec::new());
         // In bytes, not chars: "ßßß" is 3 chars and 6 bytes, "Ken" 3 bytes.
-        let wide = FoldedNeedle::new("ßßß");
-        assert_eq!(b.containing(&wide, 3..4), Some(Vec::new()));
+        assert_eq!(matching(&b, "ßßß", 3..4), Vec::new());
         assert_eq!(naive_containing(&b, "ßßß", 3..4), Vec::<LitId>::new());
     }
 

@@ -315,17 +315,6 @@ pub enum MatchSource {
     ResidualBins,
 }
 
-/// A string from the cache matching a lookup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheMatch {
-    /// The matched text (predicate surface form or literal value).
-    pub text: String,
-    /// Predicate IRI if the match is a predicate.
-    pub predicate_iri: Option<String>,
-    /// Where it came from.
-    pub source: MatchSource,
-}
-
 /// A cached literal, residual or significant: a [`LitId`] below
 /// `bins.len()`, significant literal `i` at `bins.len() + i`. Resolved by
 /// [`CachedData::literal_text`].
@@ -539,7 +528,7 @@ impl CachedData {
 
     /// Substring lookup in the suffix tree: the first `limit` matches in
     /// [`completion_rank`] order.
-    pub fn tree_lookup(&self, t: &str, limit: usize) -> Vec<CacheMatch> {
+    pub fn tree_lookup(&self, t: &str, limit: usize) -> Vec<Completion> {
         self.tree
             .find_containing(t, limit)
             .into_iter()
@@ -549,7 +538,7 @@ impl CachedData {
                     TreeEntry::Predicate(i) => Some(self.predicates[i].iri.clone()),
                     TreeEntry::Literal => None,
                 };
-                CacheMatch {
+                Completion {
                     text,
                     predicate_iri,
                     source: MatchSource::SuffixTree,
@@ -563,26 +552,15 @@ impl CachedData {
     /// ascending ids. A residual literal's id is its [`completion_rank`], so
     /// that is the order the QCM shows them in.
     ///
-    /// A term that folds to two bytes or more is answered from the bins'
-    /// byte-pair index (`ResidualBins::containing`), which reads only the
-    /// band's literals holding the term's rarest byte pair. A one-byte term
-    /// has no pair and takes Algorithm 1's scan of the band over
-    /// `processes` workers, which is what `processes` still governs here.
-    /// Both return the same ids, ascending.
-    pub fn residual_lookup(&self, t: &str, gamma: usize, processes: usize) -> Vec<LitId> {
+    /// This is the QCM's residual walk (`ResidualBins::matching`: the band's
+    /// postings for the term's rarest byte pair, or the whole band for a
+    /// one-byte term), run to the end. No scan runs here, so `_processes`
+    /// governs nothing. It stays in the signature only because the
+    /// benchmark package (`benchmark/src/ledger.rs`) passes one; it goes
+    /// with the next change to that package.
+    pub fn residual_lookup(&self, t: &str, gamma: usize, _processes: usize) -> Vec<LitId> {
         let band = completion_band(t.chars().count(), gamma);
-        let needle = FoldedNeedle::new(t);
-        if let Some(ids) = self.bins.containing(&needle, band.clone()) {
-            return ids;
-        }
-        self.bins
-            .scan_parallel(band, processes, move || {
-                let needle = needle.clone();
-                move |lit: FoldedLiteral<'_>| lit.contains(&needle).then_some(0.0)
-            })
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+        self.bins.matching(&FoldedNeedle::new(t), band).collect()
     }
 
     /// Predicates whose surface form (or their lexica, supplied by the
@@ -606,7 +584,8 @@ impl CachedData {
 
     /// Literals (residual bins *and* significant set) Jaro-Winkler-similar to
     /// `l` at threshold `theta`, searching lengths `|l|-alpha ..= |l|+beta`,
-    /// best score first, ties by text, each text once.
+    /// best score first, ties by text. Each text comes once: `assemble`
+    /// dedups the texts before it splits them between tree and bins.
     pub fn similar_literals(
         &self,
         l: &str,
@@ -657,7 +636,6 @@ impl CachedData {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| self.literal_text(a.0).cmp(self.literal_text(b.0)))
         });
-        out.dedup_by(|a, b| self.literal_text(a.0) == self.literal_text(b.0));
         out
     }
 
@@ -878,7 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn residual_lookup_equals_the_naive_scan_on_both_sides_of_the_threshold() {
+    fn residual_lookup_equals_the_naive_fold_in_rank_order() {
         use crate::bins::INLINE_SCAN_THRESHOLD;
         for n in [INLINE_SCAN_THRESHOLD / 8, INLINE_SCAN_THRESHOLD + 64] {
             let c = mixed_corpus(n);
@@ -888,25 +866,19 @@ mod tests {
                 let len = needle.chars().count();
                 let band = len..=len + 20;
                 let folded = needle.to_lowercase();
-                let mut naive: Vec<LitId> = (0..c.bins.len() as LitId)
+                let naive: Vec<LitId> = (0..c.bins.len() as LitId)
                     .filter(|&id| {
-                        band.contains(&c.bins.char_len(id))
-                            && c.bins.literal(id).to_lowercase().contains(&folded)
+                        let literal = c.bins.literal(id);
+                        band.contains(&literal.chars().count())
+                            && literal.to_lowercase().contains(&folded)
                     })
                     .collect();
-                for p in 1..6 {
-                    let mut got = c.residual_lookup(needle, 20, p);
-                    if p == 1 {
-                        // One worker walks bins in length order, each in
-                        // insertion order — the order the parent returned.
-                        let key = |&id: &LitId| (c.bins.char_len(id), id);
-                        naive.sort_by_key(key);
-                        assert_eq!(got, naive, "n {n} needle {needle:?}");
-                    }
-                    got.sort_unstable();
-                    naive.sort_unstable();
-                    assert_eq!(got, naive, "n {n} needle {needle:?} P {p}");
-                }
+                // Ids are ranks, so ascending ids are the order shown.
+                assert_eq!(
+                    c.residual_lookup(needle, 20, 1),
+                    naive,
+                    "n {n} needle {needle:?}"
+                );
             }
             assert!(!c.residual_lookup("kenne", 20, 2).is_empty());
             assert!(!c.residual_lookup("οδος", 20, 2).is_empty());

@@ -65,8 +65,8 @@ pub mod session;
 
 pub use answers::AnswerTable;
 pub use cache::{
-    BoundedCache, CacheMatch, CacheStats, CachedClass, CachedData, CachedPredicate, KeyedRequest,
-    LitRef, MatchSource, RequestKey, ShardedLru,
+    BoundedCache, CacheStats, CachedClass, CachedData, CachedPredicate, KeyedRequest, LitRef,
+    MatchSource, RequestKey, ShardedLru,
 };
 pub use config::{SapphireConfig, SteinerConfig};
 pub use exec::{ExecStats, Executor, TaskHandle};

@@ -5,11 +5,12 @@
 //! `O(|t| + z)`); if fewer than `k`, the remainder comes from the residual
 //! bins restricted to literal lengths `|t| ..= |t| + γ`, preferring the
 //! shortest results. The paper finds those with a parallel sequential scan
-//! of the band (Algorithm 1); here a term of two folded bytes or more reads
-//! the bins' byte-pair index instead — only the band's literals that hold
-//! the term's rarest byte pair are checked — and only a one-byte term, which
-//! has no pair, is scanned. Both give the same ids, ascending
-//! ([`CachedData::residual_lookup`]).
+//! of the band (Algorithm 1); here stage 2 walks the band's candidates in
+//! rank order on the calling thread and stops at the `k`-th match. The
+//! candidates are the band's literals that hold the term's rarest byte pair
+//! (the bins' byte-pair index), or every literal of the band when a
+//! one-byte term has no pair; each is checked against the folded term. The
+//! walk run to the end is [`CachedData::residual_lookup`].
 //!
 //! Which `k` the user sees is decided here, by one order:
 //! [`completion_rank`]. The suffix tree's string ids follow it, so its
@@ -32,7 +33,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cache::{completion_band, CacheMatch, CachedData, MatchSource};
+use crate::bins::FoldedNeedle;
+use crate::cache::{completion_band, CachedData, MatchSource};
 use crate::config::SapphireConfig;
 
 /// One auto-complete suggestion.
@@ -132,34 +134,23 @@ impl QueryCompletion {
         // Stage 1: suffix tree. Matches "are returned to the user as soon as
         // they are found".
         let tree_start = Instant::now();
-        let tree_matches: Vec<CacheMatch> = self.cache.tree_lookup(t, k);
+        result.suggestions = self.cache.tree_lookup(t, k);
         result.tree_time = tree_start.elapsed();
-        result.tree_hit = !tree_matches.is_empty();
-        result
-            .suggestions
-            .extend(tree_matches.into_iter().map(|m| Completion {
-                text: m.text,
-                predicate_iri: m.predicate_iri,
-                source: MatchSource::SuffixTree,
-            }));
+        result.tree_hit = !result.suggestions.is_empty();
         if result.suggestions.len() >= k {
-            result.suggestions.truncate(k);
             return result;
         }
 
         // Stage 2: the residual bins of lengths |t| ..= |t| + γ.
         let bins_start = Instant::now();
-        let len = t.chars().count();
-        result.residual_candidates = self
-            .cache
-            .bins
-            .count_in_range(completion_band(len, self.config.gamma));
-        let ids = self
-            .cache
-            .residual_lookup(t, self.config.gamma, self.config.processes);
+        let band = completion_band(t.chars().count(), self.config.gamma);
+        result.residual_candidates = self.cache.bins.count_in_range(band.clone());
+        let needle = FoldedNeedle::new(t);
+        let ids = self.cache.bins.matching(&needle, band);
         // "The shortest result literals are returned as part of the k
-        // auto-complete suggestions": the ids come in rank order.
-        for id in ids.into_iter().take(k - result.suggestions.len()) {
+        // auto-complete suggestions": the ids come in rank order, so the
+        // walk stops at the k-th.
+        for id in ids.take(k - result.suggestions.len()) {
             result.suggestions.push(Completion {
                 text: self.cache.bins.literal(id).to_string(),
                 predicate_iri: None,
@@ -193,7 +184,6 @@ mod tests {
     fn qcm(tree_capacity: usize) -> QueryCompletion {
         let config = SapphireConfig {
             suffix_tree_capacity: tree_capacity,
-            processes: 2,
             ..SapphireConfig::for_tests()
         };
         let predicates = vec![
@@ -274,7 +264,6 @@ mod tests {
     fn k_caps_suggestions() {
         let config = SapphireConfig {
             k: 2,
-            processes: 2,
             suffix_tree_capacity: 0,
             ..SapphireConfig::for_tests()
         };
@@ -329,7 +318,7 @@ mod tests {
         assert_eq!(texts, vec!["Kennedy", "Kennedys Creek"]);
         assert_eq!(r.residual_candidates, 2);
         assert_eq!(q.filter_elimination_ratio(4), 0.0);
-        // One-byte terms take the scan, whose band has the same end.
+        // A one-byte term walks the whole band, which has the same end.
         assert_eq!(q.complete("K").suggestions.len(), 2);
     }
 }
