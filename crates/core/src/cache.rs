@@ -497,8 +497,10 @@ impl CachedData {
         similar_surfaces(&self.class_folded, s, theta)
     }
 
-    /// Build a cache directly from raw predicate IRIs and literal/score pairs
-    /// (used by tests and the warehouse path).
+    /// Build a cache directly from raw predicate IRIs and literal/score pairs,
+    /// without initialization: for tests and the `qcm_response` / `ablation`
+    /// report binaries. Both §5 plans build theirs with
+    /// [`InitParts::assemble`](crate::init::InitParts::assemble).
     pub fn from_raw(
         predicate_iris: Vec<(String, u64)>,
         literals: Vec<(String, u64)>,

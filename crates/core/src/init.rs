@@ -341,6 +341,55 @@ impl<'a> Initializer<'a> {
     /// Issue the paginated Q6/Q7 (literals) or Q8 (significance) sequence for
     /// one (class, predicate) pair.
     fn paginate_class(&mut self, predicate: &str, class: &str, kind: RetrievalKind) -> PageOutcome {
+        let config = self.config;
+        let (lang, max) = (&config.language, config.literal_max_len);
+        self.paginate(kind, |page, offset| match kind {
+            // Q6/Q7.
+            RetrievalKind::Literals => format!(
+                "SELECT DISTINCT ?o WHERE {{ ?s a <{class}> . ?s <{predicate}> ?o . \
+                 FILTER(isliteral(?o) && lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
+                 LIMIT {page} OFFSET {offset}"
+            ),
+            // Q8: the predicate is literal-associated, so only the
+            // language/length filters apply.
+            RetrievalKind::Significance => format!(
+                "SELECT DISTINCT ?o (COUNT(?subject) AS ?frequency) WHERE {{ \
+                 ?s a <{class}> . ?subject ?p2 ?s . ?s <{predicate}> ?o . \
+                 FILTER(lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
+                 GROUP BY ?o ORDER BY DESC(?frequency) LIMIT {page} OFFSET {offset}"
+            ),
+        })
+    }
+
+    /// Warehouse-mode retrieval: Q9 (literals) and Q10 (significance) with
+    /// pagination only, no class partitioning.
+    fn retrieve_warehouse(&mut self) {
+        let config = self.config;
+        let (lang, max) = (&config.language, config.literal_max_len);
+        self.paginate(RetrievalKind::Literals, |page, offset| {
+            format!(
+                "SELECT DISTINCT ?o WHERE {{ ?s ?p ?o . \
+                 FILTER(isliteral(?o) && lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
+                 LIMIT {page} OFFSET {offset}"
+            )
+        });
+        self.paginate(RetrievalKind::Significance, |page, offset| {
+            format!(
+                "SELECT DISTINCT ?o (COUNT(?s1) AS ?frequency) WHERE {{ ?s1 ?p ?s2 . ?s2 ?p2 ?o . \
+                 FILTER(isliteral(?o) && lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
+                 GROUP BY ?o ORDER BY DESC(?frequency) LIMIT {page} OFFSET {offset}"
+            )
+        });
+    }
+
+    /// The one page loop of both plans: issue `query(page, offset)` at
+    /// offsets 0, page, 2·page, … and absorb each answer as `kind`, until a
+    /// short page, a timeout or the query limit.
+    fn paginate(
+        &mut self,
+        kind: RetrievalKind,
+        query: impl Fn(usize, usize) -> String,
+    ) -> PageOutcome {
         let page = self.config.init_page_size;
         let mut offset = 0usize;
         let mut found_any = false;
@@ -348,31 +397,11 @@ impl<'a> Initializer<'a> {
             if self.over_limit() {
                 return PageOutcome::LimitReached;
             }
-            let query = match kind {
-                RetrievalKind::Literals => format!(
-                    // Q6/Q7.
-                    "SELECT DISTINCT ?o WHERE {{ ?s a <{class}> . ?s <{predicate}> ?o . \
-                     FILTER(isliteral(?o) && lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
-                     LIMIT {page} OFFSET {offset}",
-                    lang = self.config.language,
-                    max = self.config.literal_max_len,
-                ),
-                RetrievalKind::Significance => format!(
-                    // Q8: the predicate is literal-associated, so only the
-                    // language/length filters apply.
-                    "SELECT DISTINCT ?o (COUNT(?subject) AS ?frequency) WHERE {{ \
-                     ?s a <{class}> . ?subject ?p2 ?s . ?s <{predicate}> ?o . \
-                     FILTER(lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
-                     GROUP BY ?o ORDER BY DESC(?frequency) LIMIT {page} OFFSET {offset}",
-                    lang = self.config.language,
-                    max = self.config.literal_max_len,
-                ),
-            };
             match kind {
                 RetrievalKind::Literals => self.stats.literal_queries += 1,
                 RetrievalKind::Significance => self.stats.significance_queries += 1,
             }
-            match self.endpoint.select(&query) {
+            match self.endpoint.select(&query(page, offset)) {
                 Ok(s) => {
                     let fetched = s.len();
                     found_any |= fetched > 0;
@@ -387,60 +416,6 @@ impl<'a> Initializer<'a> {
                     return PageOutcome::TimedOut;
                 }
                 Err(_) => return PageOutcome::Done { found_any },
-            }
-        }
-    }
-
-    /// Warehouse-mode retrieval: Q9 (literals) and Q10 (significance) with
-    /// pagination only, no class partitioning.
-    fn retrieve_warehouse(&mut self) {
-        let page = self.config.init_page_size;
-        let lang = &self.config.language;
-        let max = self.config.literal_max_len;
-        let mut offset = 0usize;
-        loop {
-            if self.over_limit() {
-                return;
-            }
-            let q9 = format!(
-                "SELECT DISTINCT ?o WHERE {{ ?s ?p ?o . \
-                 FILTER(isliteral(?o) && lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
-                 LIMIT {page} OFFSET {offset}"
-            );
-            self.stats.literal_queries += 1;
-            match self.endpoint.select(&q9) {
-                Ok(s) => {
-                    let fetched = s.len();
-                    self.absorb(&s, RetrievalKind::Literals);
-                    if fetched < page {
-                        break;
-                    }
-                    offset += page;
-                }
-                Err(_) => break,
-            }
-        }
-        let mut offset = 0usize;
-        loop {
-            if self.over_limit() {
-                return;
-            }
-            let q10 = format!(
-                "SELECT DISTINCT ?o (COUNT(?s1) AS ?frequency) WHERE {{ ?s1 ?p ?s2 . ?s2 ?p2 ?o . \
-                 FILTER(isliteral(?o) && lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} \
-                 GROUP BY ?o ORDER BY DESC(?frequency) LIMIT {page} OFFSET {offset}"
-            );
-            self.stats.significance_queries += 1;
-            match self.endpoint.select(&q10) {
-                Ok(s) => {
-                    let fetched = s.len();
-                    self.absorb(&s, RetrievalKind::Significance);
-                    if fetched < page {
-                        break;
-                    }
-                    offset += page;
-                }
-                Err(_) => break,
             }
         }
     }
@@ -627,6 +602,64 @@ res:French a dbo:City ; dbo:name "Londres"@fr .
         assert_eq!(cache.literal_count(), 5);
         assert!(stats.literal_queries >= 1);
         assert!(stats.significance_queries >= 1);
+    }
+
+    /// Q9/Q10 over the whole fixture cache what the Federated walk caches,
+    /// page for page: five English names, scored by their entities'
+    /// incoming edges.
+    #[test]
+    fn warehouse_caches_what_the_federated_walk_caches() {
+        let ep = endpoint(None);
+        for (page, literal_queries, significance_queries) in [(1_000, 1, 1), (2, 3, 2)] {
+            let config = SapphireConfig {
+                init_page_size: page,
+                ..SapphireConfig::for_tests()
+            };
+            let parts = |mode| Initializer::new(&ep, &config, mode).parts().unwrap();
+            let (warehouse, stats) = parts(InitMode::Warehouse);
+            let (federated, _) = parts(InitMode::Federated);
+            let scores: Vec<(&str, u64)> = warehouse
+                .literals
+                .iter()
+                .map(|(text, score)| (text.as_str(), *score))
+                .collect();
+            assert_eq!(
+                scores,
+                [
+                    ("Ada Lovelace", 0),
+                    ("Alan Turing", 0),
+                    ("Grantham", 1),
+                    ("London", 2),
+                    ("Margaret Thatcher", 0)
+                ],
+                "page {page}"
+            );
+            assert_eq!(warehouse.literals, federated.literals, "page {page}");
+            assert_eq!(warehouse.predicates, federated.predicates, "page {page}");
+            assert_eq!(warehouse.classes, federated.classes, "page {page}");
+            assert_eq!(
+                (stats.literal_queries, stats.significance_queries),
+                (literal_queries, significance_queries),
+                "page {page}"
+            );
+            assert_eq!(stats.timeouts, 0);
+        }
+    }
+
+    /// A Warehouse page that times out is counted, as a Federated one is:
+    /// at this budget Q9 answers and Q10 does not, so every literal is
+    /// cached unscored.
+    #[test]
+    fn warehouse_counts_a_timed_out_page() {
+        let ep = endpoint(Some(50));
+        let config = SapphireConfig::for_tests();
+        let (parts, stats) = Initializer::new(&ep, &config, InitMode::Warehouse)
+            .parts()
+            .unwrap();
+        assert_eq!(stats.timeouts, 1);
+        assert_eq!((stats.literal_queries, stats.significance_queries), (1, 1));
+        assert_eq!(parts.literals.len(), 5);
+        assert!(parts.literals.iter().all(|(_, score)| *score == 0));
     }
 
     #[test]

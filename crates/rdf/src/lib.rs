@@ -20,10 +20,11 @@
 //! * [`snapshot`] — a versioned, checksummed on-disk format whose layout is
 //!   exactly the in-memory columns + interner table, so shards load a
 //!   partition with one sequential read instead of regenerating it.
-//! * [`ntriples`] / [`turtle`] — parsers and serializers for the text fixture
-//!   formats.
-//! * [`schema`] — `rdfs:subClassOf` hierarchy utilities that drive the
-//!   paper's timeout-aware literal retrieval (§5.1).
+//! * [`turtle`] — the one text reader: a Turtle-subset parser for fixtures
+//!   and examples (N-Triples, which [`Term`]'s `Display` writes, is a
+//!   subset it reads).
+//! * [`schema`] — the `rdfs:subClassOf` hierarchy that the paper's
+//!   timeout-aware literal retrieval walks top down (§5.1).
 //! * [`vocab`] — well-known IRIs (RDF/RDFS/OWL/XSD and the synthetic
 //!   DBpedia-like namespaces).
 //!
@@ -48,7 +49,6 @@
 
 pub mod graph;
 pub mod interner;
-pub mod ntriples;
 pub mod partition;
 pub mod schema;
 pub mod snapshot;

@@ -70,17 +70,6 @@ impl Literal {
         self.value.trim().parse::<f64>().ok()
     }
 
-    /// True if the datatype is one of the XSD numeric types.
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self.datatype.as_deref(),
-            Some(crate::vocab::xsd::INTEGER)
-                | Some(crate::vocab::xsd::DECIMAL)
-                | Some(crate::vocab::xsd::DOUBLE)
-                | Some(crate::vocab::xsd::FLOAT)
-        )
-    }
-
     /// The year component of an `xsd:date`/`xsd:dateTime`-shaped lexical form.
     pub fn year(&self) -> Option<i32> {
         let s = self.value.trim();
@@ -248,7 +237,7 @@ mod tests {
 
         let l = Literal::integer(42);
         assert_eq!(l.as_f64(), Some(42.0));
-        assert!(l.is_numeric());
+        assert_eq!(l.datatype.as_deref(), Some(crate::vocab::xsd::INTEGER));
     }
 
     #[test]

@@ -451,6 +451,91 @@ ex:alice a ex:Person ;
     }
 
     #[test]
+    fn parse_basic_triples() {
+        let doc = r#"
+# a comment
+<http://x/s> <http://x/p> <http://x/o> .
+<http://x/s> <http://x/name> "Alice"@en .
+<http://x/s> <http://x/age> "30"^^<http://www.w3.org/2001/XMLSchema#integer> .
+_:b0 <http://x/p> "plain" .
+"#;
+        let g = parse(doc).unwrap();
+        assert_eq!(g.len(), 4);
+        assert!(g.contains(
+            &Term::iri("http://x/s"),
+            &Term::iri("http://x/name"),
+            &Term::en("Alice")
+        ));
+        assert!(g.contains(
+            &Term::iri("http://x/s"),
+            &Term::iri("http://x/age"),
+            &Term::Literal(Literal::typed("30", vocab::xsd::INTEGER))
+        ));
+        assert!(g.contains(
+            &Term::blank("b0"),
+            &Term::iri("http://x/p"),
+            &Term::literal("plain")
+        ));
+    }
+
+    #[test]
+    fn parse_rejects_malformed_lines() {
+        assert!(parse("<a> <b> .").is_err());
+        assert!(parse("<a> <b> <c>").is_err());
+        assert!(parse("\"lit\" <b> <c> .").is_err());
+        assert!(parse("<a> \"lit\" <c> .").is_err());
+        assert!(parse("<a> <b> \"unterminated .").is_err());
+        assert!(parse("<a> <b> <c> . garbage").is_err());
+    }
+
+    #[test]
+    fn escaped_quote_inside_literal() {
+        let g = parse(r#"<s> <p> "say \"hi\"" ."#).unwrap();
+        assert!(g.contains(
+            &Term::iri("s"),
+            &Term::iri("p"),
+            &Term::literal("say \"hi\"")
+        ));
+    }
+
+    /// A document rendered one `{s} {p} {o} .` line per triple with
+    /// `Term`'s `Display` reads back to the same graph.
+    #[test]
+    fn roundtrip_preserves_graph() {
+        let doc = concat!(
+            "<http://x/s> <http://x/p> \"with \\\"quotes\\\" and \\n newline\"@en .\n",
+            "<http://x/s> <http://x/p> \"1945-05-08\"^^<http://www.w3.org/2001/XMLSchema#date> .\n",
+            "_:n1 <http://x/q> <http://x/o> .\n"
+        );
+        let g = parse(doc).unwrap();
+        assert!(g.contains(
+            &Term::iri("http://x/s"),
+            &Term::iri("http://x/p"),
+            &Term::en("with \"quotes\" and \n newline")
+        ));
+        let rendered: String = g
+            .iter_terms()
+            .map(|(s, p, o)| format!("{s} {p} {o} .\n"))
+            .collect();
+        let g2 = parse(&rendered).unwrap();
+        assert_eq!(g.len(), g2.len());
+        for (s, p, o) in g.iter_terms() {
+            assert!(g2.contains(s, p, o), "missing {s} {p} {o}");
+        }
+    }
+
+    #[test]
+    fn multibyte_whitespace_separates_terms() {
+        let g = parse("<http://x/s>\u{00A0}<http://x/p>\u{2003}\"o\"\u{3000}.").unwrap();
+        assert_eq!(g.len(), 1);
+        assert!(g.contains(
+            &Term::iri("http://x/s"),
+            &Term::iri("http://x/p"),
+            &Term::literal("o")
+        ));
+    }
+
+    #[test]
     fn comments_are_skipped() {
         let doc =
             "# leading comment\n@prefix ex: <http://x/> . # trailing\nex:a ex:b ex:c . # done\n";

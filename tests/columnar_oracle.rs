@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use sapphire_datagen::workload::{appendix_b, gold_answers};
 use sapphire_datagen::{generate, DatasetConfig};
 use sapphire_endpoint::{EndpointLimits, LocalEndpoint};
-use sapphire_rdf::{ntriples, snapshot, Graph, GraphBuilder, Term, TermId};
+use sapphire_rdf::{snapshot, turtle, Graph, GraphBuilder, Term, TermId};
 
 /// The seed's storage layout, verbatim: three rotated B-tree sets, range
 /// scans with inclusive `(prefix, 0)..=(prefix, u32::MAX)` bounds. Every
@@ -145,7 +145,8 @@ fn storage_paths(generated: &Graph) -> Vec<(&'static str, Vec<TermTriple>, Graph
         shuffled.swap(i, rng.gen_range(0..=i));
     }
 
-    // Two overlapping N-Triples documents into one builder: the second
+    // Two overlapping documents, one `{s} {p} {o} .` line per triple, read
+    // by the Turtle reader into one builder: the second
     // document repeats a third of the first's triples and terms.
     let cut = triples.len() / 3;
     let halves = [&triples[..2 * cut], &triples[cut..]]
@@ -153,7 +154,11 @@ fn storage_paths(generated: &Graph) -> Vec<(&'static str, Vec<TermTriple>, Graph
     let mut builder = GraphBuilder::new();
     let mut documents: Vec<TermTriple> = Vec::new();
     for half in &halves {
-        ntriples::parse_into(&ntriples::serialize(half), &mut builder).expect("own output parses");
+        let document: String = half
+            .iter_terms()
+            .map(|(s, p, o)| format!("{s} {p} {o} .\n"))
+            .collect();
+        turtle::parse_into(&document, &mut builder).expect("own rendering parses");
         // A document lists its graph in `iter_terms` order.
         documents.extend(owned(half));
     }

@@ -18,7 +18,7 @@ use sapphire_datagen::{appendix_b, generate, DatasetConfig};
 use sapphire_endpoint::{
     Endpoint, EndpointError, EndpointLimits, FederatedProcessor, LocalEndpoint,
 };
-use sapphire_rdf::{ntriples, turtle, Graph, Term};
+use sapphire_rdf::{turtle, Graph, Term};
 use sapphire_server::RunPayload;
 use sapphire_sparql::{
     evaluate_select, parse_select, Aggregate, Projection, Query, QueryResult, SelectItem,
@@ -524,9 +524,10 @@ fn reference_completions(cache: &CachedData, typed: &str, gamma: usize) -> Vec<C
 }
 
 proptest! {
-    /// N-Triples serialization round-trips arbitrary term-shaped graphs.
+    /// A graph rendered one `{s} {p} {o} .` line per triple with `Term`'s
+    /// `Display` reads back through Turtle to the same graph.
     #[test]
-    fn ntriples_roundtrip(
+    fn rendered_triples_read_back_through_turtle(
         triples in proptest::collection::vec(
             ("[a-z]{1,8}", "[a-z]{1,8}", "[ -~]{0,20}"),
             1..30,
@@ -539,11 +540,32 @@ proptest! {
                 Term::en(o.clone()),
             )
         }));
-        let text = ntriples::serialize(&g);
-        let g2 = ntriples::parse(&text).expect("serialized graph parses");
+        let text: String = g
+            .iter_terms()
+            .map(|(s, p, o)| format!("{s} {p} {o} .\n"))
+            .collect();
+        let g2 = turtle::parse(&text).expect("rendered graph parses");
         prop_assert_eq!(g.len(), g2.len());
         for (s, p, o) in g.iter_terms() {
             prop_assert!(g2.contains(s, p, o));
+        }
+    }
+
+    /// Any short string over Turtle's punctuation, ASCII and multi-byte
+    /// whitespace and a few multi-byte letters parses or is a
+    /// `TurtleError` at a character boundary: the reader never slices
+    /// inside a character.
+    #[test]
+    fn turtle_never_panics_on_mixed_width_input(
+        docs in proptest::collection::vec(
+            "[<>\"\\_:@^.,;#'+a-e019 \t\n\u{a0}\u{2003}\u{3000}é😀-]{0,40}",
+            1..64,
+        ),
+    ) {
+        for doc in &docs {
+            if let Err(e) = turtle::parse(doc) {
+                prop_assert!(doc.is_char_boundary(e.offset), "{doc:?}: {e}");
+            }
         }
     }
 
