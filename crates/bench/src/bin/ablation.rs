@@ -31,7 +31,7 @@ fn main() {
     let dataset = scale_from_args();
     println!("(generating dataset…)");
     let graph = generate(dataset);
-    let literals = harvest_literals(&graph, "en", 80);
+    let literals = harvest_literals(&graph);
     let predicates = harvest_predicates(&graph);
     let endpoint: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
         "dbpedia",
@@ -145,7 +145,6 @@ fn main() {
     for budget in [2usize, 5, 10, 25, 50, 100, 200] {
         let config = SteinerConfig {
             query_budget: budget,
-            ..SteinerConfig::default()
         };
         let relaxer = StructureRelaxer::new(&fed, config, preferred.clone());
         match relaxer.relax(&groups) {

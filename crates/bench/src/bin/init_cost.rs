@@ -58,17 +58,24 @@ fn main() {
             .run()
             .expect("init succeeds");
         let elapsed = start.elapsed();
+        // Q1–Q5 run in both modes; the retrieval queries are the mode's own.
+        let (literal_queries, significance_queries) = match mode {
+            InitMode::Federated => ("Q6/Q7", "Q8"),
+            InitMode::Warehouse => ("Q9", "Q10"),
+        };
 
         println!("{}", heading(&format!("Initialization — {label}")));
         println!("wall time:                {elapsed:?}  (paper: 17 h against live DBpedia)");
         println!("metadata queries (Q1–Q4): {}", stats.metadata_queries);
         println!("filter queries (Q5):      {}", stats.filter_queries);
         println!(
-            "literal queries (Q6/Q7):  {}  (paper: ≈800)",
+            "{:<26}{}  (paper: ≈800)",
+            format!("literal queries ({literal_queries}):"),
             stats.literal_queries
         );
         println!(
-            "significance (Q8):        {}  (paper: ≈3000)",
+            "{:<26}{}  (paper: ≈3000)",
+            format!("significance ({significance_queries}):"),
             stats.significance_queries
         );
         println!(

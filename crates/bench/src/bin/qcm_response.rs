@@ -53,7 +53,7 @@ fn main() {
     let dataset = scale_from_args();
     println!("(generating dataset and harvesting literal corpus…)");
     let graph = generate(dataset);
-    let literals = harvest_literals(&graph, "en", 80);
+    let literals = harvest_literals(&graph);
     let predicates = harvest_predicates(&graph);
     println!(
         "corpus: {} predicates, {} distinct literals",

@@ -27,10 +27,10 @@
 //!   the Appendix-B list has ~12% unique queries per round, so a single
 //!   round *by construction* cannot clear the floor even with a perfect
 //!   cache — one round fills, the second must hit.)
-//! * `leader_runs + bypass_runs ≤ 2 × burst_rounds` in the duplicate-burst
-//!   phase — a burst of identical cold requests must cost ~one model scan
-//!   per request class per round, not one per user (bypass scans count, so
-//!   a broken waiter cap cannot pass on leader count alone).
+//! * `leader_runs ≤ 2 × burst_rounds` in the duplicate-burst phase — a
+//!   burst of identical cold requests must cost ~one model scan per request
+//!   class per round, not one per user (every cold-path scan runs as a
+//!   flight's leader, so the leader count is the scan count).
 //! * `server.qsm_degraded_runs == 0` — this is the default no-shed posture
 //!   (`qsm_shed_budget` off), so *no* run may come back at a reduced budget
 //!   tier.
@@ -227,17 +227,15 @@ fn serve_gates(hub: &MetricsHub) -> Vec<Row> {
     }
     // Single-flight contract: a burst of identical cold requests costs one
     // scan per request class per round (QCM + QSM), give or take nothing.
-    // Bypass scans count too — a regression that made every duplicate
-    // bypass (e.g. a broken waiter cap) must not pass on leader count alone.
+    // Every cold-path scan runs as a flight's leader, so leaders are scans.
     g.check(
         "duplicate_burst scans",
         [
             ("config", "burst_rounds"),
             ("duplicate_burst", "leader_runs"),
-            ("duplicate_burst", "bypass_runs"),
         ],
-        |[rounds, leaders, bypasses]| {
-            let (scans, cap) = (leaders + bypasses, 2.0 * rounds);
+        |[rounds, scans]| {
+            let cap = 2.0 * rounds;
             (
                 scans <= cap,
                 format!("{scans} scans for {rounds} burst rounds (cap {cap})"),
@@ -760,7 +758,6 @@ mod tests {
         ("run_cache", "effective_hit_ratio", 0.949),
         ("config", "burst_rounds", 8.0),
         ("duplicate_burst", "leader_runs", 16.0),
-        ("duplicate_burst", "bypass_runs", 0.0),
         ("stats", "final_queued", 0.0),
         ("request_ledger", "offered_qcm", 97665.0),
         ("request_ledger", "counted_qcm", 97665.0),
@@ -942,8 +939,8 @@ mod tests {
                     ),
                     (
                         "duplicate_burst",
-                        "bypass_runs",
-                        1.0,
+                        "leader_runs",
+                        17.0,
                         "duplicate_burst scans",
                     ),
                     (

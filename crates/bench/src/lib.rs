@@ -14,7 +14,7 @@ pub mod frontend;
 pub mod overload;
 pub mod serve;
 
-use sapphire_core::SapphireConfig;
+use sapphire_core::{SapphireConfig, LANGUAGE, LITERAL_MAX_LEN};
 use sapphire_datagen::DatasetConfig;
 use sapphire_rdf::{Graph, Term};
 use sapphire_server::ServerConfig;
@@ -130,18 +130,19 @@ pub fn serving_posture() -> ServerConfig {
     }
 }
 
-/// Harvest all cacheable literals (language- and length-filtered) with their
-/// significance scores directly from a graph.
+/// Harvest all cacheable literals (filtered by §5.1's language and length
+/// bound, [`LANGUAGE`] and [`LITERAL_MAX_LEN`]) with their significance
+/// scores directly from a graph.
 ///
 /// This bypasses the initialization query pipeline; it is used only by
 /// report binaries (`qcm_response`, `ablation`) that need a large literal
 /// corpus without paying init time. `init_cost` uses the real pipeline.
-pub fn harvest_literals(graph: &Graph, language: &str, max_len: usize) -> Vec<(String, u64)> {
+pub fn harvest_literals(graph: &Graph) -> Vec<(String, u64)> {
     use std::collections::HashMap;
     let mut scores: HashMap<String, u64> = HashMap::new();
     for (s, _p, o) in graph.iter_terms() {
         let Term::Literal(lit) = o else { continue };
-        if lit.lang.as_deref() != Some(language) || lit.value.chars().count() >= max_len {
+        if lit.lang.as_deref() != Some(LANGUAGE) || lit.value.chars().count() >= LITERAL_MAX_LEN {
             continue;
         }
         let subject_id = graph.term_id(s).expect("subject interned");
@@ -196,7 +197,7 @@ mod tests {
     #[test]
     fn harvest_matches_init_filters() {
         let g = generate(DatasetConfig::tiny(7));
-        let lits = harvest_literals(&g, "en", 80);
+        let lits = harvest_literals(&g);
         assert!(!lits.is_empty());
         assert!(lits.iter().all(|(l, _)| l.chars().count() < 80));
         // Sorted by significance descending.

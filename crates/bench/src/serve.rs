@@ -600,10 +600,6 @@ pub fn run(opts: &ServeLoadOptions) -> MetricsHub {
             metrics.coalesce_leader_runs - before_burst.coalesce_leader_runs,
         )
         .field(
-            "bypass_runs",
-            metrics.coalesce_bypass_runs - before_burst.coalesce_bypass_runs,
-        )
-        .field(
             "coalesced_hits",
             metrics.coalesced_hits - before_burst.coalesced_hits,
         );

@@ -54,7 +54,7 @@ use sapphire_core::exec;
 use sapphire_core::qcm::Completion;
 use sapphire_core::qsm::{top_with_answers, AlteredPosition, StructureSuggestion, TermAlternative};
 use sapphire_core::{CacheStats, RequestKey, SteinerConfig};
-use sapphire_endpoint::{Backoff, Endpoint, EndpointError};
+use sapphire_endpoint::{Backoff, Endpoint, EndpointError, FederatedProcessor, FederationError};
 use sapphire_obs::{trace, MetricsHub, Obs, RequestMark, Stage, TraceScope};
 use sapphire_server::coalesce::{ReadThrough, Served};
 use sapphire_server::{ServerError, ShardService, TransportStats, WireReply, WireRequest};
@@ -98,7 +98,7 @@ pub struct ClusterConfig {
 
 /// When and how hard the edge requests QSM degradation from shards — the
 /// cluster-wide half of the shed ladder
-/// ([`SteinerConfig::shed_budgets`]).
+/// ([`SteinerConfig::SHED_BUDGETS`]).
 ///
 /// The edge picks the requested tier *before* any cache or coalescer
 /// lookup, from two signals, and takes the deeper of the two (clamped to
@@ -434,20 +434,20 @@ const ENDPOINT_NAME: &str = "sapphire-cluster";
 /// load-ordered, hedged, retried, counted and spanned shard call every
 /// scatter makes — so the join keeps choosing a replica per query instead
 /// of pinning whichever was least loaded (or alive) when the plan started.
-struct ShardEndpoint<'a> {
-    routing: &'a Arc<Routing>,
+struct ShardEndpoint {
+    routing: Arc<Routing>,
     shard: usize,
-    tenant: &'a str,
+    tenant: String,
 }
 
-impl Endpoint for ShardEndpoint<'_> {
+impl Endpoint for ShardEndpoint {
     fn name(&self) -> &str {
         ENDPOINT_NAME
     }
 
     fn execute_parsed(&self, query: &Query) -> Result<QueryResult, EndpointError> {
         let request = Arc::new(WireRequest::Raw {
-            tenant: self.tenant.to_string(),
+            tenant: self.tenant.clone(),
             query: query.clone(),
         });
         self.routing
@@ -748,13 +748,13 @@ impl ClusterRouter {
         hub
     }
 
-    /// Land one edge request in its metrics bucket (cache hits and bypasses
-    /// have no edge counter).
+    /// Land one edge request in its metrics bucket (cache hits have no edge
+    /// counter).
     fn count_served(&self, served: Served) {
         let counter = match served {
             Served::LateHit | Served::Follower => &self.routing.counters.edge_coalesced_hits,
             Served::Leader => &self.routing.counters.edge_coalesce_leaders,
-            Served::Hit | Served::Bypass => return,
+            Served::Hit => return,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -769,7 +769,7 @@ impl ClusterRouter {
         let (served, result) = self.completions.serve(
             &self.routing.obs,
             RequestKey::completion(term, self.k),
-            |_| self.scatter_complete(tenant, term),
+            || self.scatter_complete(tenant, term),
             |_| true,
         );
         self.count_served(served);
@@ -840,7 +840,7 @@ impl ClusterRouter {
         let (served, result) = self.runs.serve(
             &self.routing.obs,
             RequestKey::run(query.clone(), requested),
-            |_| self.scatter_run(tenant, query, requested, started),
+            || self.scatter_run(tenant, query, requested, started),
             // A payload that came back *deeper* than requested — a shard
             // shed on its own pressure beyond what the edge asked for — is
             // handed to the caller but never cached: its key would promise
@@ -1058,7 +1058,7 @@ impl ClusterRouter {
         let (served, result) = self.raw.serve(
             &self.routing.obs,
             RequestKey::raw(query.clone()),
-            |_| match query {
+            || match query {
                 Query::Select(select) => self
                     .cluster_answers(tenant, select)
                     .map(QueryResult::Solutions),
@@ -1122,28 +1122,33 @@ impl ClusterRouter {
 
     /// Cross-shard fallback: the federated plan over the shards, each a
     /// [`ShardEndpoint`], strict
-    /// ([`execute_partitioned`](sapphire_endpoint::federation::execute_partitioned)):
+    /// ([`FederatedProcessor::partitioned`]):
     /// an ASK per pattern per shard, then the query whole to the one shard
     /// that is the only source of every pattern, or else a bound join across
     /// the sources. Admission control and budgets still hold at every shard —
     /// the endpoints are the servers themselves.
     fn federated_rows(&self, tenant: &str, query: &SelectQuery) -> Result<Solutions, ClusterError> {
-        let shards: Vec<ShardEndpoint<'_>> = (0..self.shard_count())
-            .map(|shard| ShardEndpoint {
-                routing: &self.routing,
-                shard,
-                tenant,
+        let shards = (0..self.shard_count())
+            .map(|shard| {
+                Arc::new(ShardEndpoint {
+                    routing: self.routing.clone(),
+                    shard,
+                    tenant: tenant.to_string(),
+                }) as Arc<dyn Endpoint>
             })
             .collect();
-        let endpoints: Vec<&dyn Endpoint> = shards.iter().map(|s| s as &dyn Endpoint).collect();
         // The federated plan spans every shard, so a failure here cannot be
         // pinned on one shard index — it surfaces as the dedicated
         // cross-shard variant (still typed: back-pressure stays a
         // rejection).
-        sapphire_endpoint::federation::execute_partitioned(&endpoints, query).map_err(|e| {
-            ClusterError::CrossShard {
-                error: sapphire_server::error::from_federation(e),
-            }
+        let rows = FederatedProcessor::partitioned(shards)
+            .execute_parsed(&Query::Select(query.clone()))
+            .and_then(|answer| {
+                (answer.into_solutions())
+                    .ok_or_else(|| FederationError::Unsupported("expected SELECT".into()))
+            });
+        rows.map_err(|e| ClusterError::CrossShard {
+            error: sapphire_server::error::from_federation(e),
         })
     }
 

@@ -48,11 +48,6 @@ impl AnswerTable {
         };
     }
 
-    /// Clear the keyword filter.
-    pub fn clear_filter(&mut self) {
-        self.filter = None;
-    }
-
     /// Sort by a column; `descending` flips the order. Unknown columns are
     /// ignored (the UI cannot produce them).
     pub fn sort_by(&mut self, column: impl Into<String>, descending: bool) {
@@ -73,16 +68,6 @@ impl AnswerTable {
     /// Show a previously hidden column.
     pub fn show_column(&mut self, column: &str) {
         self.hidden.retain(|c| c != column);
-    }
-
-    /// Visible column names, in projection order.
-    pub fn visible_columns(&self) -> Vec<&str> {
-        self.solutions
-            .vars
-            .iter()
-            .map(String::as_str)
-            .filter(|v| !self.hidden.iter().any(|h| h == v))
-            .collect()
     }
 
     /// The visible view: filtered, sorted, hidden columns removed.
@@ -167,7 +152,7 @@ mod tests {
         t.set_filter("john");
         let v = t.view();
         assert_eq!(v.len(), 2);
-        t.clear_filter();
+        t.set_filter("");
         assert_eq!(t.view().len(), 3);
     }
 
@@ -186,10 +171,9 @@ mod tests {
     fn hide_and_show_columns() {
         let mut t = table();
         t.hide_column("person");
-        assert_eq!(t.visible_columns(), vec!["name"]);
         assert_eq!(t.view().vars, vec!["name"]);
         t.show_column("person");
-        assert_eq!(t.visible_columns().len(), 2);
+        assert_eq!(t.view().vars, vec!["person", "name"]);
     }
 
     #[test]

@@ -1,4 +1,17 @@
 //! Configuration knobs, with defaults matching the paper's reported values.
+//!
+//! What the paper fixes and no deployment varies is a constant, not a
+//! field: the cached literals' language and length bound (§5.1), and the
+//! Steiner search's edge weights, seed-group size and degraded-tier
+//! budgets (§6.2.2, plus the serving tier's shed ladder).
+
+/// Cached literal language (`"en"`, §5.1): initialization caches only
+/// literals tagged with it, and the QSM tags a keyword or an alternative
+/// with it so that the rewritten query ground-matches the data.
+pub const LANGUAGE: &str = "en";
+
+/// Cached literals are shorter than this many characters (80, §5.1).
+pub const LITERAL_MAX_LEN: usize = 80;
 
 /// All tunable parameters of Sapphire. Field defaults are the constants the
 /// paper states it uses; the ablation bench sweeps several of them.
@@ -16,10 +29,6 @@ pub struct SapphireConfig {
     pub beta: usize,
     /// Jaro-Winkler similarity threshold (`θ = 0.7`, §6.2.1).
     pub theta: f64,
-    /// Maximum cached literal length in characters (80, §5.1).
-    pub literal_max_len: usize,
-    /// Cached literal language (`"en"`, §5.1).
-    pub language: String,
     /// How many significant literals go into the suffix tree (the paper uses
     /// 40K for DBpedia; scale to your dataset).
     pub suffix_tree_capacity: usize,
@@ -50,56 +59,47 @@ pub struct SteinerConfig {
     /// SPARQL-query budget for graph expansion (100, §6.2.2) — the budget of
     /// tier 0, the only tier a non-shedding deployment ever runs.
     pub query_budget: usize,
-    /// The reduced budgets of the degraded tiers: tier `t > 0` relaxes with
-    /// `shed_budgets[t - 1]` expansion queries. Together with
-    /// [`query_budget`](Self::query_budget) this forms the serving tier's
-    /// budget ladder (see [`budget_for`](Self::budget_for)): under load a
-    /// server may *opt in* to answering at a lower rung, trading relaxation
-    /// depth for tail latency. Output produced at `t > 0` is flagged
-    /// `degraded` and must never share a cache entry with full-tier output.
-    pub shed_budgets: [usize; 2],
-    /// Edge weight for predicates matching the query (or their alternatives).
-    pub weight_query_predicate: f64,
-    /// Edge weight for all other predicates; must exceed
-    /// [`weight_query_predicate`](Self::weight_query_predicate).
-    pub weight_default: f64,
-    /// Seed group size: the literal itself plus up to `k - 1` alternatives
-    /// (Algorithm 3 line 3).
-    pub seeds_per_group: usize,
 }
 
 impl SteinerConfig {
     /// The deepest degraded tier; tiers are `0..=MAX_TIER`.
     pub const MAX_TIER: usize = 2;
 
+    /// The reduced budgets of the degraded tiers: tier `t > 0` relaxes with
+    /// `SHED_BUDGETS[t - 1]` expansion queries. Together with
+    /// [`query_budget`](Self::query_budget) this forms the serving tier's
+    /// budget ladder (see [`budget_for`](Self::budget_for)): under load a
+    /// server may *opt in* to answering at a lower rung, trading relaxation
+    /// depth for tail latency. Output produced at `t > 0` is flagged
+    /// `degraded` and must never share a cache entry with full-tier output.
+    pub const SHED_BUDGETS: [usize; Self::MAX_TIER] = [25, 5];
+
+    /// Edge weight `w_q` of predicates matching the query or one of its
+    /// alternatives (§6.2.2).
+    pub const WEIGHT_QUERY_PREDICATE: f64 = 1.0;
+
+    /// Edge weight of every other predicate; it exceeds
+    /// [`WEIGHT_QUERY_PREDICATE`](Self::WEIGHT_QUERY_PREDICATE), so the
+    /// search prefers the query's own predicates.
+    pub const WEIGHT_DEFAULT: f64 = 2.0;
+
+    /// Seed group size: the literal itself plus up to two of its
+    /// alternatives (Algorithm 3 line 3).
+    pub const SEEDS_PER_GROUP: usize = 3;
+
     /// The expansion budget of `tier`: `query_budget` at tier 0, the ladder
     /// entries below it (clamped to the last rung for out-of-range tiers).
     pub fn budget_for(&self, tier: usize) -> usize {
         match tier {
             0 => self.query_budget,
-            t => self.shed_budgets[(t - 1).min(self.shed_budgets.len() - 1)],
+            t => Self::SHED_BUDGETS[(t - 1).min(Self::MAX_TIER - 1)],
         }
-    }
-
-    /// The whole ladder, full tier first.
-    pub fn budget_ladder(&self) -> [usize; Self::MAX_TIER + 1] {
-        [
-            self.query_budget,
-            self.shed_budgets[0],
-            self.shed_budgets[1],
-        ]
     }
 }
 
 impl Default for SteinerConfig {
     fn default() -> Self {
-        SteinerConfig {
-            query_budget: 100,
-            shed_budgets: [25, 5],
-            weight_query_predicate: 1.0,
-            weight_default: 2.0,
-            seeds_per_group: 3,
-        }
+        SteinerConfig { query_budget: 100 }
     }
 }
 
@@ -111,8 +111,6 @@ impl Default for SapphireConfig {
             alpha: 2,
             beta: 3,
             theta: 0.7,
-            literal_max_len: 80,
-            language: "en".to_string(),
             suffix_tree_capacity: 40_000,
             processes: 8,
             init_query_limit: None,
@@ -147,18 +145,19 @@ mod tests {
         assert_eq!(c.alpha, 2);
         assert_eq!(c.beta, 3);
         assert!((c.theta - 0.7).abs() < f64::EPSILON);
-        assert_eq!(c.literal_max_len, 80);
-        assert_eq!(c.language, "en");
+        assert_eq!(LITERAL_MAX_LEN, 80);
+        assert_eq!(LANGUAGE, "en");
         assert_eq!(c.steiner.query_budget, 100);
-        assert!(c.steiner.weight_query_predicate < c.steiner.weight_default);
+        const { assert!(SteinerConfig::WEIGHT_QUERY_PREDICATE < SteinerConfig::WEIGHT_DEFAULT) };
     }
 
     #[test]
     fn budget_ladder_descends_from_the_paper_budget() {
         let s = SteinerConfig::default();
-        assert_eq!(s.budget_for(0), s.query_budget);
-        let ladder = s.budget_ladder();
-        assert_eq!(ladder[0], s.query_budget);
+        let ladder: Vec<usize> = (0..=SteinerConfig::MAX_TIER)
+            .map(|t| s.budget_for(t))
+            .collect();
+        assert_eq!(ladder, [s.query_budget, 25, 5]);
         assert!(
             ladder.windows(2).all(|w| w[0] > w[1]),
             "each rung strictly cheaper: {ladder:?}"
@@ -166,10 +165,7 @@ mod tests {
         // Out-of-range tiers clamp to the deepest rung rather than panic.
         assert_eq!(s.budget_for(99), ladder[SteinerConfig::MAX_TIER]);
         // A custom full budget flows through tier 0 untouched.
-        let custom = SteinerConfig {
-            query_budget: 7,
-            ..SteinerConfig::default()
-        };
+        let custom = SteinerConfig { query_budget: 7 };
         assert_eq!(custom.budget_for(0), 7);
     }
 }

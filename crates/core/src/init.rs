@@ -20,7 +20,7 @@ use sapphire_sparql::Solutions;
 use sapphire_text::surface_form;
 
 use crate::cache::{CachedClass, CachedData, CachedPredicate};
-use crate::config::SapphireConfig;
+use crate::config::{SapphireConfig, LANGUAGE, LITERAL_MAX_LEN};
 
 /// Initialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,8 +182,8 @@ impl<'a> Initializer<'a> {
             }
             let q5 = format!(
                 "SELECT DISTINCT ?o WHERE {{ ?s <{iri}> ?o . FILTER(isliteral(?o) && lang(?o) = \"{lang}\" && strlen(str(?o)) < {max}) }} LIMIT 1",
-                lang = self.config.language,
-                max = self.config.literal_max_len,
+                lang = LANGUAGE,
+                max = LITERAL_MAX_LEN,
             );
             self.stats.filter_queries += 1;
             match self.endpoint.select(&q5) {
@@ -341,8 +341,7 @@ impl<'a> Initializer<'a> {
     /// Issue the paginated Q6/Q7 (literals) or Q8 (significance) sequence for
     /// one (class, predicate) pair.
     fn paginate_class(&mut self, predicate: &str, class: &str, kind: RetrievalKind) -> PageOutcome {
-        let config = self.config;
-        let (lang, max) = (&config.language, config.literal_max_len);
+        let (lang, max) = (LANGUAGE, LITERAL_MAX_LEN);
         self.paginate(kind, |page, offset| match kind {
             // Q6/Q7.
             RetrievalKind::Literals => format!(
@@ -364,8 +363,7 @@ impl<'a> Initializer<'a> {
     /// Warehouse-mode retrieval: Q9 (literals) and Q10 (significance) with
     /// pagination only, no class partitioning.
     fn retrieve_warehouse(&mut self) {
-        let config = self.config;
-        let (lang, max) = (&config.language, config.literal_max_len);
+        let (lang, max) = (LANGUAGE, LITERAL_MAX_LEN);
         self.paginate(RetrievalKind::Literals, |page, offset| {
             format!(
                 "SELECT DISTINCT ?o WHERE {{ ?s ?p ?o . \

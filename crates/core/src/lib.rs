@@ -68,7 +68,7 @@ pub use cache::{
     BoundedCache, CacheStats, CachedClass, CachedData, CachedPredicate, KeyedRequest, LitRef,
     MatchSource, RequestKey, ShardedLru,
 };
-pub use config::{SapphireConfig, SteinerConfig};
+pub use config::{SapphireConfig, SteinerConfig, LANGUAGE, LITERAL_MAX_LEN};
 pub use exec::{ExecStats, Executor, TaskHandle};
 pub use init::{InitError, InitMode, InitStats, Initializer};
 pub use pum::{PredictiveUserModel, PumError, RunOutcome};

@@ -29,7 +29,7 @@ use sapphire_sparql::{
 use sapphire_text::{surface_form, Lexicon};
 
 use crate::cache::{CachedData, LitRef, ShardedLru};
-use crate::config::SapphireConfig;
+use crate::config::{SapphireConfig, LANGUAGE};
 use crate::qsm::MEMO_CACHE_SHARDS;
 
 /// Which position of a triple pattern an alternative replaces.
@@ -267,15 +267,15 @@ impl AlternativeFinder {
                 }
             }
             // Literals (objects only; literals cannot be subjects). Cached
-            // literals were retrieved with the configured language filter,
-            // so replacements keep the original's language tag (or gain the
-            // configured one) — this is what makes the rewritten query
+            // literals were retrieved with §5.1's language filter, so
+            // replacements keep the original's language tag (or gain
+            // [`LANGUAGE`]) — this is what makes the rewritten query
             // ground-match the data.
             if let TermPattern::Term(Term::Literal(lit)) = &triple.object {
                 literal_slots.push(LiteralSlot {
                     triple_index: ti,
                     original: &lit.value,
-                    lang: lit.lang.as_deref().unwrap_or(&self.config.language),
+                    lang: lit.lang.as_deref().unwrap_or(LANGUAGE),
                     alternatives: self.literal_alternatives(&lit.value),
                     terms: OnceCell::new(),
                 });

@@ -22,7 +22,7 @@ use sapphire_sparql::{Query, SelectQuery, Solutions, TermPattern};
 use sapphire_text::Lexicon;
 
 use crate::cache::CachedData;
-use crate::config::SapphireConfig;
+use crate::config::{SapphireConfig, SteinerConfig, LANGUAGE};
 
 pub use alternatives::{
     top_with_answers, AltCacheStats, AlteredPosition, AlternativeFinder, RankedCandidates, Slot,
@@ -178,16 +178,16 @@ impl QuerySuggestion {
             let groups: Vec<Vec<Term>> = literals
                 .iter()
                 .map(|lit| {
-                    let mut group = vec![ground_literal(lit, &self.config.language)];
+                    let mut group = vec![ground_literal(lit)];
                     for &(alt, _) in self
                         .finder
                         .literal_alternatives(&lit.value)
                         .iter()
-                        .take(self.config.steiner.seeds_per_group.saturating_sub(1))
+                        .take(SteinerConfig::SEEDS_PER_GROUP - 1)
                     {
                         group.push(Term::Literal(Literal::lang_tagged(
                             cache.literal_text(alt),
-                            self.config.language.as_str(),
+                            LANGUAGE,
                         )));
                     }
                     group
@@ -247,12 +247,12 @@ fn query_literals(query: &SelectQuery) -> Vec<Literal> {
     out
 }
 
-/// A literal as it appears in the data: cached literals carry the configured
+/// A literal as it appears in the data: cached literals carry the §5.1
 /// language tag.
-fn ground_literal(lit: &Literal, language: &str) -> Term {
+fn ground_literal(lit: &Literal) -> Term {
     match &lit.lang {
         Some(_) => Term::Literal(lit.clone()),
-        None => Term::Literal(Literal::lang_tagged(lit.value.clone(), language)),
+        None => Term::Literal(Literal::lang_tagged(lit.value.clone(), LANGUAGE)),
     }
 }
 

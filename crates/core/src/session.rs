@@ -13,6 +13,7 @@ use sapphire_sparql::{
 };
 
 use crate::answers::AnswerTable;
+use crate::config::LANGUAGE;
 use crate::pum::PredictiveUserModel;
 use crate::qcm::CompletionResult;
 use crate::qsm::{QsmOutput, StructureSuggestion, TermAlternative};
@@ -320,10 +321,7 @@ impl<'a> Session<'a> {
         }
         // Keywords become literals in the cache language (§5.1: Sapphire maps
         // keywords to literals).
-        TermPattern::Term(Term::Literal(Literal::lang_tagged(
-            t,
-            self.pum.config().language.clone(),
-        )))
+        TermPattern::Term(Term::Literal(Literal::lang_tagged(t, LANGUAGE)))
     }
 }
 

@@ -19,8 +19,8 @@
 //! The plan's one mode is how it reads an endpoint error. A lenient plan
 //! (independent datasets) reads it as "no match there": a failed probe and
 //! a refused sub-query alike. A strict plan fails on it, typed: over
-//! partitions of one dataset ([`execute_partitioned`]), where every
-//! endpoint holds rows no other has, and for a query with inline data
+//! partitions of one dataset ([`FederatedProcessor::partitioned`]), where
+//! every endpoint holds rows no other has, and for a query with inline data
 //! (`VALUES`), whose sender reads a value without rows as a value without
 //! matches.
 
@@ -72,6 +72,9 @@ type Binding = Vec<Option<Term>>;
 #[derive(Clone, Default)]
 pub struct FederatedProcessor {
     endpoints: Vec<Arc<dyn Endpoint>>,
+    /// The endpoints are partitions of one dataset (see
+    /// [`partitioned`](Self::partitioned)).
+    partitioned: bool,
 }
 
 impl FederatedProcessor {
@@ -86,6 +89,19 @@ impl FederatedProcessor {
         let mut p = Self::new();
         p.register(endpoint);
         p
+    }
+
+    /// A processor over **partitions** of one dataset — every endpoint
+    /// holding a slice of it. Its plan is strict: every endpoint holds rows
+    /// no other has, so a source that fails mid-plan cannot be skipped, and
+    /// the first failed probe or sub-query fails the plan, typed
+    /// ([`FederationError::AllSourcesFailed`]), instead of shrinking the
+    /// answer. Every query runs the plan, over one partition too.
+    pub fn partitioned(endpoints: Vec<Arc<dyn Endpoint>>) -> Self {
+        FederatedProcessor {
+            endpoints,
+            partitioned: true,
+        }
     }
 
     /// Register an endpoint.
@@ -117,56 +133,27 @@ impl FederatedProcessor {
     pub fn execute_parsed(&self, query: &Query) -> Result<QueryResult, FederationError> {
         match self.endpoints.len() {
             0 => Err(FederationError::NoEndpoints),
-            1 => self.endpoints[0]
+            1 if !self.partitioned => self.endpoints[0]
                 .execute_parsed(query)
                 .map_err(FederationError::AllSourcesFailed),
-            _ => self.execute_federated(query),
+            // Independent datasets: a source that fails a probe or a
+            // sub-query is a source without matches, and the others still
+            // answer. Not so over partitions, nor under inline data: whoever
+            // batches look-ups with `VALUES` reads a value without rows as a
+            // value without matches, so that answer is whole or an error.
+            _ => Plan {
+                endpoints: &self.endpoints,
+                strict: self.partitioned || query.pattern().values.is_some(),
+            }
+            .execute(query),
         }
-    }
-
-    fn execute_federated(&self, query: &Query) -> Result<QueryResult, FederationError> {
-        // Independent datasets: a source that fails a probe or a sub-query
-        // is a source without matches, and the others still answer. Not so
-        // under inline data: whoever batches look-ups with `VALUES` reads a
-        // value without rows as a value without matches, so that answer is
-        // whole or an error.
-        Plan {
-            endpoints: &self.endpoints.iter().map(Arc::as_ref).collect::<Vec<_>>(),
-            strict: query.pattern().values.is_some(),
-        }
-        .execute(query)
-    }
-}
-
-/// Execute a SELECT over **partitioned** backends — every endpoint holding a
-/// slice of one dataset — by the one federated plan, strict: every endpoint
-/// holds rows no other has, so a source that fails mid-plan cannot be
-/// skipped. The first failed probe or sub-query fails the plan, typed
-/// ([`FederationError::AllSourcesFailed`]), instead of shrinking the answer.
-///
-/// The endpoints are borrowed for the plan: the cluster router hands over
-/// per-shard adapters that live on its stack.
-pub fn execute_partitioned(
-    endpoints: &[&dyn Endpoint],
-    select: &SelectQuery,
-) -> Result<Solutions, FederationError> {
-    if endpoints.is_empty() {
-        return Err(FederationError::NoEndpoints);
-    }
-    let plan = Plan {
-        endpoints,
-        strict: true,
-    };
-    match plan.execute(&Query::Select(select.clone()))? {
-        QueryResult::Solutions(s) => Ok(s),
-        QueryResult::Boolean(_) => Err(FederationError::Unsupported("expected SELECT".into())),
     }
 }
 
 /// The federated plan over one set of endpoints: source selection, the
 /// single-source rule and the bound join.
 struct Plan<'a> {
-    endpoints: &'a [&'a dyn Endpoint],
+    endpoints: &'a [Arc<dyn Endpoint>],
     /// Whether an endpoint error fails the plan (partitions of one dataset,
     /// or inline data anywhere) or reads as "no match there" (independent
     /// datasets).
@@ -718,6 +705,18 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         }
     }
 
+    /// `select` over a partitioned processor of `endpoints`.
+    fn partitioned(
+        endpoints: &[Arc<dyn Endpoint>],
+        select: &SelectQuery,
+    ) -> Result<Solutions, FederationError> {
+        let fed = FederatedProcessor::partitioned(endpoints.to_vec());
+        match fed.execute_parsed(&Query::Select(select.clone()))? {
+            QueryResult::Solutions(rows) => Ok(rows),
+            QueryResult::Boolean(_) => unreachable!("a SELECT answers with rows"),
+        }
+    }
+
     fn shedding(inner: Arc<dyn Endpoint>, fail_from: usize) -> Shedding {
         Shedding {
             inner,
@@ -735,16 +734,16 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         let select =
             sapphire_sparql::parse_select(&format!("SELECT ?name {BY_POPULATION}")).unwrap();
         let people = make("people", PEOPLE);
-        let places = |fail_from| shedding(make("places", PLACES), fail_from);
+        let places = |fail_from| Arc::new(shedding(make("places", PLACES), fail_from));
         let healthy = places(usize::MAX);
-        let full = execute_partitioned(&[people.as_ref(), &healthy], &select).unwrap();
+        let full = partitioned(&[people.clone(), healthy.clone()], &select).unwrap();
         assert_eq!(names(&full), ["Bob", "Cy", "Ada", "Cy"]);
-        let calls = healthy.calls.into_inner();
+        let calls = healthy.calls.load(std::sync::atomic::Ordering::Relaxed);
         assert!(calls > 4, "probes and sub-queries both reach the source");
         for fail_from in 1..=calls {
             let flaky = places(fail_from);
             assert_eq!(
-                execute_partitioned(&[people.as_ref(), &flaky], &select),
+                partitioned(&[people.clone(), flaky], &select),
                 Err(FederationError::AllSourcesFailed(
                     EndpointError::Overloaded {
                         in_flight: fail_from
@@ -756,7 +755,7 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         // Between independent datasets the same source is simply skipped.
         let mut lenient = FederatedProcessor::new();
         lenient.register(people);
-        lenient.register(Arc::new(places(calls)));
+        lenient.register(places(calls));
         assert!(lenient
             .select(&format!("SELECT ?name {BY_POPULATION}"))
             .is_ok());
@@ -772,10 +771,13 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
         let text = format!("SELECT ?name {BY_POPULATION} LIMIT 3");
         let select = sapphire_sparql::parse_select(&text).unwrap();
         let one = FederatedProcessor::single(make("all", &all));
-        let other = shedding(make("other", "res:Zed dbo:author res:Ada ."), usize::MAX);
-        let sole = |fail_from| shedding(make("all", &all), fail_from);
+        let other = Arc::new(shedding(
+            make("other", "res:Zed dbo:author res:Ada ."),
+            usize::MAX,
+        ));
+        let sole = |fail_from| Arc::new(shedding(make("all", &all), fail_from));
         let healthy = sole(usize::MAX);
-        let answer = execute_partitioned(&[&other, &healthy], &select).unwrap();
+        let answer = partitioned(&[other.clone(), healthy.clone()], &select).unwrap();
         assert_eq!(answer, one.select(&text).unwrap());
         assert_eq!(names(&answer), ["Bob", "Cy", "Ada"]);
         let asks: Vec<Query> = select
@@ -796,7 +798,7 @@ res:D a dbo:City ; dbo:name "Dover" ; dbo:country res:Y ; dbo:population 200 .
 
         let flaky = sole(whole.len());
         assert_eq!(
-            execute_partitioned(&[&other, &flaky], &select),
+            partitioned(&[other, flaky], &select),
             Err(FederationError::AllSourcesFailed(
                 EndpointError::Overloaded {
                     in_flight: whole.len()

@@ -30,16 +30,12 @@ pub mod owl {
 
 /// XML Schema datatypes.
 pub mod xsd {
-    /// `xsd:string`.
-    pub const STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
     /// `xsd:integer`.
     pub const INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
     /// `xsd:decimal`.
     pub const DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
     /// `xsd:double`.
     pub const DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
-    /// `xsd:float`.
-    pub const FLOAT: &str = "http://www.w3.org/2001/XMLSchema#float";
     /// `xsd:date`.
     pub const DATE: &str = "http://www.w3.org/2001/XMLSchema#date";
     /// `xsd:boolean`.

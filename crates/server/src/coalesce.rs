@@ -9,22 +9,20 @@
 //! *follower* that blocks until the leader publishes its `Arc`'d result (or
 //! its typed error — failure is propagated, never a hang).
 //!
-//! Three properties keep coalescing from becoming a new failure mode:
+//! Two properties keep coalescing from becoming a new failure mode:
 //!
 //! * **Typed leader-failure propagation** — the leader completes its flight
 //!   with a `Result`; an `Err` is cloned to every follower, so a failing
 //!   backend fails the whole burst loudly instead of hanging it.
-//! * **Per-key waiter cap** — a flight accepts at most
-//!   `max_waiters_per_key` followers; once full, further duplicates *bypass*
-//!   coalescing and run their own scan. A hot key can therefore never grow
-//!   an unbounded queue of blocked requests behind one slow leader. A cap of
-//!   `0` disables coalescing entirely (every duplicate bypasses). Every
-//!   [`ReadThrough`] of the serving tiers uses one cap,
-//!   [`MAX_WAITERS_PER_KEY`].
 //! * **Abandoned-leader recovery** — if a leader unwinds without completing
 //!   (a panic in the scan), its flight is marked abandoned and every
 //!   follower retries from the top, one of them becoming the new leader.
 //!   Followers can block only while some leader is actually running.
+//!
+//! A flight takes any number of followers: its queue is bounded before the
+//! coalescer. On a server every follower already holds an admission slot,
+//! and at the cluster edge every follower is one caller's thread. A per-key
+//! cap that let the excess run its own scan would only add backend work.
 //!
 //! The coalescer is keyed like the response cache, by
 //! [`sapphire_core::RequestKey`] — the structural key of a normalized
@@ -81,9 +79,6 @@ pub struct CoalesceStats {
     pub leaders: u64,
     /// Requests that received a concurrent leader's result (or error).
     pub followers: u64,
-    /// Requests that found the flight's waiter cap full and ran their own
-    /// work instead of blocking.
-    pub bypasses: u64,
     /// Follower wake-ups caused by an abandoned leader; each retried and
     /// re-joined (or led) a fresh flight.
     pub abandoned_retries: u64,
@@ -98,9 +93,6 @@ pub enum Join<'a, V, E, K: Eq + Hash = String> {
     Leader(LeaderToken<'a, V, E, K>),
     /// A concurrent leader already executed the work; this is its outcome.
     Follower(Result<Arc<V>, E>),
-    /// The flight's waiter cap is full; the caller should execute the work
-    /// itself without coalescing.
-    Bypass,
 }
 
 /// One shard of the in-flight map: key → its live flight.
@@ -115,24 +107,21 @@ type FlightShard<V, E, K> = Mutex<HashMap<K, Arc<Flight<V, E>>>>;
 #[derive(Debug)]
 pub struct Coalescer<V, E, K = String> {
     shards: Vec<FlightShard<V, E, K>>,
-    max_waiters_per_key: usize,
     leaders: AtomicU64,
     followers: AtomicU64,
-    bypasses: AtomicU64,
     abandoned_retries: AtomicU64,
 }
 
 impl<V, E, K: Eq + Hash> Coalescer<V, E, K> {
-    /// A coalescer allowing at most `max_waiters_per_key` followers to block
-    /// behind one leader (`0` disables coalescing: every duplicate bypasses).
-    pub fn new(shards: usize, max_waiters_per_key: usize) -> Self {
+    /// A coalescer over `shards` flight maps. The second parameter is
+    /// unread — a flight takes any number of followers (see the module
+    /// docs) — and stays only because the benchmark ledger passes it.
+    pub fn new(shards: usize, _unused_waiter_cap: usize) -> Self {
         let shards = shards.clamp(1, 1024);
         Coalescer {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            max_waiters_per_key,
             leaders: AtomicU64::new(0),
             followers: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
             abandoned_retries: AtomicU64::new(0),
         }
     }
@@ -168,15 +157,14 @@ impl<V, E, K: Eq + Hash> Coalescer<V, E, K> {
         CoalesceStats {
             leaders: self.leaders.load(Ordering::Relaxed),
             followers: self.followers.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
             abandoned_retries: self.abandoned_retries.load(Ordering::Relaxed),
         }
     }
 }
 
 impl<V, E: Clone, K: Eq + Hash> Coalescer<V, E, K> {
-    /// Join the flight for `key`: become its leader, block as a follower
-    /// until the leader completes, or bypass if the waiter cap is full.
+    /// Join the flight for `key`: become its leader, or block as a follower
+    /// until the leader completes.
     ///
     /// Followers block with no timeout of their own — the leader is an
     /// already-admitted request doing bounded work, and an abandoned leader
@@ -209,10 +197,6 @@ impl<V, E: Clone, K: Eq + Hash> Coalescer<V, E, K> {
             };
             let mut state = flight.state.lock().unwrap();
             match &mut *state {
-                FlightState::Running { waiters } if *waiters >= self.max_waiters_per_key => {
-                    self.bypasses.fetch_add(1, Ordering::Relaxed);
-                    return Join::Bypass;
-                }
                 FlightState::Running { waiters } => {
                     *waiters += 1;
                     loop {
@@ -311,8 +295,6 @@ pub enum Served {
     Leader,
     /// Received a concurrent leader's outcome (its value *or* its error).
     Follower,
-    /// Ran the work uncoalesced: the flight's waiter cap was full.
-    Bypass,
 }
 
 impl Served {
@@ -338,10 +320,6 @@ pub struct ReadThrough<V, E> {
     flights: Coalescer<V, E, RequestKey>,
 }
 
-/// Followers one flight of a [`ReadThrough`] lets block behind its leader;
-/// further duplicates bypass it and run their own work.
-pub const MAX_WAITERS_PER_KEY: usize = 1024;
-
 impl<V, E: Clone> ReadThrough<V, E> {
     /// `surface` labels this front's trace spans (`"completion"`,
     /// `"edge run"`, ...). Cache and coalescer are sharded alike;
@@ -355,7 +333,7 @@ impl<V, E: Clone> ReadThrough<V, E> {
         ReadThrough {
             surface,
             cache: cache_capacity_per_shard.map(|cap| ShardedResponseCache::new(shards, cap)),
-            flights: Coalescer::new(shards, MAX_WAITERS_PER_KEY),
+            flights: Coalescer::new(shards, 0),
         }
     }
 
@@ -378,15 +356,15 @@ impl<V, E: Clone> ReadThrough<V, E> {
     /// Serve `key` from the cache, a concurrent identical request, or
     /// `work` — and say which.
     ///
-    /// `work` runs at most once, told whether it runs as
-    /// [`Served::Leader`] or [`Served::Bypass`]. Its value is cached unless
-    /// `insert` vetoes it (the value is still returned, and still shared
-    /// with followers — only the cache is skipped).
+    /// `work` runs at most once, as the flight's [`Served::Leader`]. Its
+    /// value is cached unless `insert` vetoes it (the value is still
+    /// returned, and still shared with followers — only the cache is
+    /// skipped).
     pub fn serve(
         &self,
         obs: &Obs,
         key: RequestKey,
-        work: impl FnOnce(Served) -> Result<V, E>,
+        work: impl FnOnce() -> Result<V, E>,
         insert: impl FnOnce(&V) -> bool,
     ) -> (Served, Result<Arc<V>, E>) {
         match self.lookup(obs, &key) {
@@ -416,15 +394,9 @@ impl<V, E: Clone> ReadThrough<V, E> {
         &self,
         obs: &Obs,
         key: RequestKey,
-        work: impl FnOnce(Served) -> Result<V, E>,
+        work: impl FnOnce() -> Result<V, E>,
         insert: impl FnOnce(&V) -> bool,
     ) -> (Served, Result<Arc<V>, E>) {
-        let run = |how: Served, key: RequestKey| {
-            work(how).map(|value| match &self.cache {
-                Some(cache) if insert(&value) => cache.insert(key, value),
-                _ => Arc::new(value),
-            })
-        };
         let join_started = Instant::now();
         match self.flights.join(&key) {
             Join::Leader(token) => {
@@ -433,7 +405,10 @@ impl<V, E: Clone> ReadThrough<V, E> {
                     token.complete(Ok(hit.clone()));
                     return (Served::LateHit, Ok(hit));
                 }
-                let outcome = run(Served::Leader, key);
+                let outcome = work().map(|value| match &self.cache {
+                    Some(cache) if insert(&value) => cache.insert(key, value),
+                    _ => Arc::new(value),
+                });
                 token.complete(outcome.clone());
                 (Served::Leader, outcome)
             }
@@ -443,7 +418,6 @@ impl<V, E: Clone> ReadThrough<V, E> {
                 });
                 (Served::Follower, outcome)
             }
-            Join::Bypass => (Served::Bypass, run(Served::Bypass, key)),
         }
     }
 }
@@ -473,7 +447,7 @@ mod tests {
     #[test]
     fn burst_executes_work_exactly_once() {
         const FOLLOWERS: usize = 6;
-        let coalescer = Arc::new(TestCoalescer::new(4, 64));
+        let coalescer = Arc::new(TestCoalescer::new(4, 0));
         let work_runs = Arc::new(AtomicUsize::new(0));
         let (leader_go_tx, leader_go_rx) = mpsc::channel::<()>();
 
@@ -517,14 +491,13 @@ mod tests {
         let stats = coalescer.stats();
         assert_eq!(stats.leaders, 1);
         assert_eq!(stats.followers, FOLLOWERS as u64);
-        assert_eq!(stats.bypasses, 0);
     }
 
     /// A failing leader fails its followers with the same typed error — no
     /// follower ever hangs on a flight whose work already died.
     #[test]
     fn leader_failure_propagates_typed_to_followers() {
-        let coalescer = Arc::new(TestCoalescer::new(1, 64));
+        let coalescer = Arc::new(TestCoalescer::new(1, 0));
         let Join::Leader(token) = coalescer.join("k") else {
             panic!("first join must lead");
         };
@@ -546,47 +519,11 @@ mod tests {
         );
     }
 
-    /// The waiter cap bounds how many requests can block behind one leader;
-    /// the overflow bypasses (runs its own work) instead of queueing.
-    #[test]
-    fn waiter_cap_overflows_to_bypass() {
-        let coalescer = Arc::new(TestCoalescer::new(1, 1));
-        let Join::Leader(token) = coalescer.join("k") else {
-            panic!("first join must lead");
-        };
-        let follower = {
-            let coalescer = coalescer.clone();
-            std::thread::spawn(move || match coalescer.join("k") {
-                Join::Follower(outcome) => outcome,
-                other => panic!("expected a follower, got {other:?}"),
-            })
-        };
-        while coalescer.waiting("k") < 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Cap reached: the next duplicate must not block.
-        assert!(matches!(coalescer.join("k"), Join::Bypass));
-        token.complete(Ok(Arc::new(7)));
-        assert_eq!(*follower.join().unwrap().unwrap(), 7);
-        assert_eq!(coalescer.stats().bypasses, 1);
-    }
-
-    /// A cap of zero disables coalescing: every duplicate runs its own work.
-    #[test]
-    fn zero_cap_disables_coalescing() {
-        let coalescer = TestCoalescer::new(1, 0);
-        let Join::Leader(token) = coalescer.join("k") else {
-            panic!("first join must lead");
-        };
-        assert!(matches!(coalescer.join("k"), Join::Bypass));
-        token.complete(Ok(Arc::new(1)));
-    }
-
     /// An abandoned leader (panic in the scan) wakes its followers, and one
     /// of them re-leads the flight instead of hanging forever.
     #[test]
     fn abandoned_leader_hands_off_to_a_follower() {
-        let coalescer = Arc::new(TestCoalescer::new(1, 64));
+        let coalescer = Arc::new(TestCoalescer::new(1, 0));
         let Join::Leader(token) = coalescer.join("k") else {
             panic!("first join must lead");
         };
@@ -615,7 +552,7 @@ mod tests {
     /// one burst to the next.
     #[test]
     fn completed_flights_reset_the_key() {
-        let coalescer = TestCoalescer::new(1, 8);
+        let coalescer = TestCoalescer::new(1, 0);
         for round in 0..3u64 {
             let Join::Leader(token) = coalescer.join("k") else {
                 panic!("round {round} must lead");
@@ -641,7 +578,7 @@ mod tests {
     /// flights: one never follows, or is answered by, the other.
     #[test]
     fn colliding_keys_lead_separate_flights() {
-        let coalescer: Coalescer<u64, String, Colliding> = Coalescer::new(4, 64);
+        let coalescer: Coalescer<u64, String, Colliding> = Coalescer::new(4, 0);
         let Join::Leader(a) = coalescer.join(&Colliding("a")) else {
             panic!("a leads");
         };
@@ -665,12 +602,12 @@ mod tests {
         RequestKey::completion("k", 10)
     }
 
-    fn no_work(_: Served) -> Result<u64, String> {
+    fn no_work() -> Result<u64, String> {
         panic!("this request must be served without running work")
     }
 
     /// Serve `"k"`, always caching.
-    fn serve(front: &Front, obs: &Obs, work: impl FnOnce(Served) -> Result<u64, String>) -> Out {
+    fn serve(front: &Front, obs: &Obs, work: impl FnOnce() -> Result<u64, String>) -> Out {
         front.serve(obs, key(), work, |_| true)
     }
 
@@ -686,15 +623,14 @@ mod tests {
         let (go, go_rx) = mpsc::channel::<()>();
         std::thread::scope(|scope| {
             let leader = scope.spawn(move || {
-                serve(front, obs, |how| {
-                    assert_eq!(how, Served::Leader);
+                serve(front, obs, || {
                     leading_tx.send(()).unwrap();
                     go_rx.recv().unwrap();
                     leader_outcome
                 })
             });
             leading.recv().unwrap();
-            let follower = scope.spawn(|| serve(front, obs, |_| Ok(99)));
+            let follower = scope.spawn(|| serve(front, obs, || Ok(99)));
             while front.flights.waiting(&key()) == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -706,7 +642,7 @@ mod tests {
     #[test]
     fn hit_is_one_counted_get_and_no_coalescer_touch() {
         let (front, obs) = (Front::new("test", 2, Some(8)), Obs::new());
-        let (served, value) = serve(&front, &obs, |_| Ok(7));
+        let (served, value) = serve(&front, &obs, || Ok(7));
         assert_eq!((served, *value.unwrap()), (Served::Leader, 7));
         let (served, value) = serve(&front, &obs, no_work);
         assert_eq!((served, *value.unwrap()), (Served::Hit, 7));
@@ -747,27 +683,7 @@ mod tests {
         assert_eq!(follower, (Served::Follower, Err("boom".to_string())));
         // Nothing was cached and the flight is gone: the next request leads.
         assert_eq!(front.occupancy(), 0);
-        assert_eq!(serve(&front, &obs, |_| Ok(1)).0, Served::Leader);
-    }
-
-    #[test]
-    fn full_waiter_cap_bypasses_and_still_fills_the_cache() {
-        let front = Front {
-            flights: Coalescer::new(2, 0),
-            ..Front::new("test", 2, Some(8))
-        };
-        let obs = Obs::new();
-        let (served, _) = serve(&front, &obs, |_| {
-            // A duplicate arriving mid-flight: cap 0, so it cannot park.
-            let (inner, value) = serve(&front, &obs, |how| Ok(how as u64));
-            assert_eq!(
-                (inner, *value.unwrap()),
-                (Served::Bypass, Served::Bypass as u64)
-            );
-            Ok(6)
-        });
-        assert_eq!(served, Served::Leader);
-        assert_eq!(serve(&front, &obs, no_work).0, Served::Hit);
+        assert_eq!(serve(&front, &obs, || Ok(1)).0, Served::Leader);
     }
 
     #[test]
@@ -777,7 +693,7 @@ mod tests {
         let obs = Obs::new();
         for round in 0..2 {
             for front in [&vetoing, &uncached] {
-                let out = front.serve(&obs, key(), |_| Ok(round), |_| false);
+                let out = front.serve(&obs, key(), || Ok(round), |_| false);
                 assert_eq!(out, (Served::Leader, Ok(Arc::new(round))));
             }
         }

@@ -27,7 +27,7 @@
 //! * **Single-flight coalescing** — a burst of identical not-yet-cached
 //!   requests costs *one* model scan: the first miss leads, concurrent
 //!   duplicates follow and receive the leader's shared result (or its typed
-//!   error), bounded by a per-key waiter cap ([`coalesce::Coalescer`]).
+//!   error) ([`coalesce::Coalescer`]).
 //! * **Shard replicas** — [`SapphireServer`] is a [`ShardService`]: a
 //!   cluster edge sends it completions, runs and raw queries
 //!   ([`SapphireServer::execute_query`]) as [`WireRequest`]s, in process or

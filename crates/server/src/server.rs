@@ -116,12 +116,9 @@ pub struct ServerMetrics {
     /// the run cache).
     pub run_coalesced_hits: u64,
     /// Model scans executed as single-flight leaders — for a burst of N
-    /// identical cold requests this increments once, not N times.
+    /// identical cold requests this increments once, not N times. It is the
+    /// total cold-path scan count.
     pub coalesce_leader_runs: u64,
-    /// Model scans executed because a flight's waiter cap was full: the
-    /// request ran its own scan instead of blocking. `coalesce_leader_runs + coalesce_bypass_runs` is the total
-    /// cold-path scan count.
-    pub coalesce_bypass_runs: u64,
     /// Admission slots handed directly from a finishing request to the
     /// oldest queued waiter (fair FIFO wakeup, no thundering herd).
     pub fifo_handoffs: u64,
@@ -153,7 +150,6 @@ struct Counters {
     coalesced_completion_hits: AtomicU64,
     coalesced_run_hits: AtomicU64,
     coalesce_leader_runs: AtomicU64,
-    coalesce_bypass_runs: AtomicU64,
     qsm_degraded_runs: AtomicU64,
 }
 
@@ -447,7 +443,6 @@ impl SapphireServer {
                 &self.counters.coalesced_hits
             }
             Served::Leader => &self.counters.coalesce_leader_runs,
-            Served::Bypass => &self.counters.coalesce_bypass_runs,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -793,15 +788,15 @@ impl SapphireServer {
         }
     }
 
-    /// The second half of [`post_gate`](Self::post_gate): lead, follow or
-    /// bypass the key's flight, drop the permit and commit a session run.
+    /// The second half of [`post_gate`](Self::post_gate): lead or follow
+    /// the key's flight, drop the permit and commit a session run.
     /// Single-flight followers hold their slot while they wait, exactly as
     /// if they were running the scan themselves.
     ///
     /// A burst of identical cold requests (many users pressing Run on the
     /// same question at once) costs one model scan; a run's `cached` flag
     /// stays an honest "this request ran no scan of its own": true for cache
-    /// hits and followers, false for the scanning leader and bypasses.
+    /// hits and followers, false for the scanning leader.
     pub(crate) fn work(&self, missed: Missed) -> Result<Reply, ServerError> {
         let Missed {
             key,
@@ -817,13 +812,8 @@ impl SapphireServer {
                 let (served, result) = self.completions.serve_miss(
                     &self.obs,
                     key,
-                    |how| {
-                        let mut t = self.obs.time(Stage::QcmScan);
-                        t.tag(if how == Served::Leader {
-                            "leader"
-                        } else {
-                            "bypass"
-                        });
+                    || {
+                        let _t = self.obs.time(Stage::QcmScan);
                         Ok(self.pum.complete_top(term, *k))
                     },
                     |_| true,
@@ -832,7 +822,7 @@ impl SapphireServer {
                 result.map(|found| Reply::Completion(Arc::unwrap_or_clone(found)))
             }
             KeyedRequest::Run { query, tier } => {
-                let scan = |_| Ok(self.scan(query, *tier));
+                let scan = || Ok(self.scan(query, *tier));
                 let (served, result) = self.runs.serve_miss(&self.obs, key, scan, |_| true);
                 self.count_served(served, Some(&self.counters.coalesced_run_hits));
                 let run = QueryRun {
@@ -845,7 +835,7 @@ impl SapphireServer {
                 let (served, result) = self.raw.serve_miss(
                     &self.obs,
                     key,
-                    |_| {
+                    || {
                         self.pum
                             .federation()
                             .execute_parsed(query)
@@ -946,7 +936,6 @@ impl SapphireServer {
                 .load(Ordering::Relaxed),
             run_coalesced_hits: self.counters.coalesced_run_hits.load(Ordering::Relaxed),
             coalesce_leader_runs: self.counters.coalesce_leader_runs.load(Ordering::Relaxed),
-            coalesce_bypass_runs: self.counters.coalesce_bypass_runs.load(Ordering::Relaxed),
             fifo_handoffs: self.admission.handoffs(),
             qsm_degraded_runs: self.counters.qsm_degraded_runs.load(Ordering::Relaxed),
             completion_cache: self.completions.cache_stats(),
@@ -972,7 +961,6 @@ impl SapphireServer {
             .field("completion_coalesced_hits", m.completion_coalesced_hits)
             .field("run_coalesced_hits", m.run_coalesced_hits)
             .field("coalesce_leader_runs", m.coalesce_leader_runs)
-            .field("coalesce_bypass_runs", m.coalesce_bypass_runs)
             .field("fifo_handoffs", m.fifo_handoffs)
             .field("qsm_degraded_runs", m.qsm_degraded_runs)
             .field("open_sessions", m.open_sessions);

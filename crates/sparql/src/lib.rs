@@ -49,5 +49,5 @@ pub use ast::{
     SelectQuery, TermPattern, TriplePattern,
 };
 pub use eval::{evaluate, evaluate_select, select_rows, term_order, EvalError, WorkBudget};
-pub use parser::{parse_query, parse_select, ParseError};
+pub use parser::{parse_query, parse_select, ParseError, MAX_EXPR_DEPTH};
 pub use solutions::{QueryResult, Solutions};

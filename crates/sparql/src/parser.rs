@@ -8,6 +8,14 @@ use sapphire_rdf::{vocab, Literal, Term};
 use crate::ast::*;
 use crate::lexer::{tokenize, LexError, Token};
 
+/// Deepest expression nesting the parser builds and the wire codec decodes.
+/// Both recurse over an expression, so without a bound a filter of nested
+/// `!`, parentheses or function calls would overflow the stack and abort
+/// the process. Real filters are a handful of levels deep; past this bound
+/// the parser returns a [`ParseError`] and the decoder a corrupt-frame
+/// error.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
 /// A parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -42,6 +50,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect(),
         agg_counter: 0,
+        depth: 0,
     };
     let q = p.query()?;
     if !p.at_end() {
@@ -65,6 +74,8 @@ struct Parser {
     pos: usize,
     prefixes: HashMap<String, String>,
     agg_counter: usize,
+    /// Nesting of the expression being parsed (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -468,21 +479,29 @@ impl Parser {
 
     // ---- expressions (precedence: || < && < unary ! < comparison < primary) ----
 
+    /// A chain `a || b || …` builds one `Or` node per link, each over the
+    /// last, so every link counts one level of nesting; so for `&&`.
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut left = self.and_expr()?;
         while self.eat(&Token::OrOr) {
+            self.nest()?;
             let right = self.and_expr()?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut left = self.cmp_expr()?;
         while self.eat(&Token::AndAnd) {
+            self.nest()?;
             let right = self.cmp_expr()?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
@@ -505,12 +524,30 @@ impl Parser {
         Ok(left)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Token::Bang) {
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Not(Box::new(inner)));
+    /// One level deeper, or a [`ParseError`] past [`MAX_EXPR_DEPTH`]. An
+    /// error ends the parse, so only a success needs to give the level back.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
         }
-        self.primary_expr()
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Every recursion of the expression grammar — `!`, a parenthesized
+    /// expression, a function's arguments — passes through here, one level
+    /// deeper.
+    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nest()?;
+        let expr = if self.eat(&Token::Bang) {
+            Expr::Not(Box::new(self.unary_expr()?))
+        } else {
+            self.primary_expr()?
+        };
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
@@ -852,6 +889,34 @@ SELECT DISTINCT count (?uri) WHERE {
             "SELECT ?s WHERE { ?s ?p ?v VALUES (?v ?s) { (<http://x/a> <http://x/b>) } }",
         ] {
             assert!(parse_query(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// `FILTER(` + `depth` × `open` + `?s` + `depth` × `close` + `)`.
+    fn nested_filter(open: &str, close: &str, depth: usize) -> String {
+        format!(
+            "SELECT ?s WHERE {{ ?s ?p ?o . FILTER({}?s{}) }}",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    /// Nesting past [`MAX_EXPR_DEPTH`] — `!`, parentheses, function calls,
+    /// `&&` links — is a typed error, not a stack overflow that aborts the
+    /// process (the parser's, or the evaluator's over what it built);
+    /// nesting within it parses.
+    #[test]
+    fn nesting_past_the_expression_bound_fails_typed() {
+        for (open, close) in [("!", ""), ("(", ")"), ("str(", ")"), ("?s && ", "")] {
+            let err = parse_query(&nested_filter(open, close, 100_000)).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{open}: {err}");
+            let past = parse_query(&nested_filter(open, close, MAX_EXPR_DEPTH));
+            assert!(
+                past.is_err(),
+                "{open}: {MAX_EXPR_DEPTH} levels and the variable"
+            );
+            let within = nested_filter(open, close, MAX_EXPR_DEPTH - 1);
+            assert!(parse_query(&within).is_ok(), "{open}");
         }
     }
 }

@@ -137,18 +137,6 @@ impl Lexicon {
         out
     }
 
-    /// True if two phrases verbalize each other.
-    pub fn are_synonyms(&self, a: &str, b: &str) -> bool {
-        let (na, nb) = (normalize(a), normalize(b));
-        if na == nb {
-            return true;
-        }
-        matches!(
-            (self.membership.get(&na), self.membership.get(&nb)),
-            (Some(x), Some(y)) if x == y
-        )
-    }
-
     /// Number of groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -171,16 +159,18 @@ mod tests {
     #[test]
     fn normalization_applies() {
         let lex = Lexicon::dbpedia_default();
-        assert!(lex.are_synonyms("Alma  Mater", "graduated from"));
-        assert!(lex.are_synonyms("almaMater".replace("M", " m").as_str(), "studied at"));
+        let lexica = lex.get_lexica("Alma  Mater");
+        assert_eq!(lexica[0], "alma mater");
+        assert!(lexica.contains(&"graduated from".to_string()));
+        let lexica = lex.get_lexica("almaMater".replace("M", " m").as_str());
+        assert!(lexica.contains(&"studied at".to_string()));
     }
 
     #[test]
     fn unknown_term_is_self_only() {
         let lex = Lexicon::dbpedia_default();
         assert_eq!(lex.get_lexica("zorble"), vec!["zorble".to_string()]);
-        assert!(!lex.are_synonyms("zorble", "spouse"));
-        assert!(lex.are_synonyms("zorble", "Zorble"));
+        assert_eq!(lex.get_lexica("Zorble"), vec!["zorble".to_string()]);
     }
 
     #[test]
@@ -188,7 +178,7 @@ mod tests {
         let mut lex = Lexicon::new();
         lex.add_group(["a", "b"]);
         lex.add_group(["b", "c"]);
-        assert!(lex.are_synonyms("a", "c"));
+        assert_eq!(lex.get_lexica("a"), ["a", "b", "c"]);
         assert_eq!(lex.group_count(), 1);
     }
 
@@ -197,7 +187,8 @@ mod tests {
         let mut lex = Lexicon::new();
         lex.add_group(["x", "y"]);
         lex.add_group(["p", "q"]);
-        assert!(!lex.are_synonyms("x", "p"));
+        assert_eq!(lex.get_lexica("x"), ["x", "y"]);
+        assert_eq!(lex.get_lexica("p"), ["p", "q"]);
         assert_eq!(lex.group_count(), 2);
     }
 }

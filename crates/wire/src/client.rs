@@ -49,8 +49,6 @@ use crate::frame::{self, kind, WireError, MAX_FRAME, WIRE_VERSION};
 /// Tuning knobs for a [`WireClient`].
 #[derive(Debug, Clone)]
 pub struct WireClientConfig {
-    /// Deadline for one TCP connect + handshake.
-    pub connect_timeout: Duration,
     /// Deadline for one request/reply exchange (the read side).
     pub call_timeout: Duration,
 }
@@ -58,11 +56,13 @@ pub struct WireClientConfig {
 impl Default for WireClientConfig {
     fn default() -> Self {
         WireClientConfig {
-            connect_timeout: Duration::from_secs(1),
             call_timeout: Duration::from_secs(10),
         }
     }
 }
+
+/// Deadline for one TCP connect + handshake.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How often the demux reader re-checks the failure flag while its socket
 /// is idle. Failure paths also shoot the socket, so this is a backstop,
@@ -154,14 +154,17 @@ impl WireClient {
 
     /// TCP connect + HELLO/HELLO_OK handshake.
     fn dial(&self) -> Result<(TcpStream, String, usize), WireError> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout).map_err(
-            |e| match e.kind() {
-                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => WireError::Timeout,
-                kind => WireError::Io(kind, e.to_string()),
-            },
-        )?;
+        let stream =
+            TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT).map_err(|e| {
+                match e.kind() {
+                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
+                        WireError::Timeout
+                    }
+                    kind => WireError::Io(kind, e.to_string()),
+                }
+            })?;
         stream.set_nodelay(true).ok();
-        frame::set_deadline(&stream, Some(self.config.connect_timeout))?;
+        frame::set_deadline(&stream, Some(CONNECT_TIMEOUT))?;
         let mut s = &stream;
         frame::write_frame(&mut s, kind::HELLO, &encode_hello(WIRE_VERSION))?;
         let (k, payload) = frame::read_frame(&mut s, MAX_FRAME)?;

@@ -47,7 +47,7 @@ use sapphire_server::{RunPayload, ServerError};
 pub use sapphire_server::{WireReply, WireRequest};
 use sapphire_sparql::{
     Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, Query, QueryResult,
-    SelectItem, SelectQuery, Solutions, TermPattern, TriplePattern,
+    SelectItem, SelectQuery, Solutions, TermPattern, TriplePattern, MAX_EXPR_DEPTH,
 };
 
 use crate::frame::WireError;
@@ -65,14 +65,6 @@ pub struct LoadHeader {
 }
 
 // ----------------------------------------------------------------- reader --
-
-/// Deepest expression nesting the decoder accepts. The decoder recurses
-/// over `Expr`, so without a bound a frame of nested unary tags (one byte
-/// per level — ~40KB of `Not` bytes fits trivially under the frame cap)
-/// would overflow the worker's stack and abort the process, breaking the
-/// "total decoder" contract. Real filters are a handful of levels deep;
-/// anything past this bound is rejected as [`WireError::Corrupt`].
-const MAX_EXPR_DEPTH: usize = 128;
 
 /// Cap on the bytes any single decode-side `Vec` pre-allocation may claim.
 /// A count is bounded by the bytes remaining, but for wide element types (a
@@ -495,7 +487,11 @@ impl Wire for Expr {
         }
     }
     /// The only recursive decode: each nested `Expr` is one level deeper,
-    /// and past [`MAX_EXPR_DEPTH`] the payload is `Corrupt`.
+    /// and past [`MAX_EXPR_DEPTH`] — the parser's bound, shared — the
+    /// payload is `Corrupt`. Without it a frame of nested unary tags (one
+    /// byte per level; ~40KB of `Not` bytes fits trivially under the frame
+    /// cap) would overflow the worker's stack and abort the process,
+    /// breaking the "total decoder" contract.
     fn get(r: &mut Reader) -> Result<Self, WireError> {
         if r.depth > MAX_EXPR_DEPTH {
             return Err(WireError::Corrupt("expr nested too deep".into()));

@@ -256,7 +256,6 @@ fn orphaned_correlation_ids_fail_typed_and_never_hang() {
         addr,
         WireClientConfig {
             call_timeout: Duration::from_secs(30),
-            ..WireClientConfig::default()
         },
     )
     .expect("dial");

@@ -260,7 +260,6 @@ fn pipelined_timeouts_keep_the_connection() {
         proxy.addr(),
         WireClientConfig {
             call_timeout: Duration::from_millis(300),
-            ..WireClientConfig::default()
         },
     )
     .expect("handshake through proxy");

@@ -2,7 +2,7 @@
 //! admission, exercised through the public `sapphire-server` API only.
 //!
 //! The unit tests in `crates/server` pin the mechanisms (leader election,
-//! waiter caps, strict handoff order); these tests pin the *service-level*
+//! abandoned flights, strict handoff order); these tests pin the *service-level*
 //! promises built on them:
 //!
 //! * a burst of identical cold requests costs exactly one model scan,

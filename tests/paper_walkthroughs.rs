@@ -26,7 +26,7 @@ fn pum() -> PredictiveUserModel {
 }
 
 /// Figures 2 and 4: "Kennedys" → no answers → "did you mean Kennedy?" →
-/// accept → filter the answer table by "john".
+/// accept → filter the answer table by "john", hide and show a column.
 #[test]
 fn figure_2_and_4_kennedys_walkthrough() {
     let pum = pum();
@@ -62,6 +62,13 @@ fn figure_2_and_4_kennedys_walkthrough() {
         .lexical()
         .to_lowercase()
         .contains("john")));
+
+    // Figure 4: hiding a column drops it from the view; showing it brings
+    // the same view back.
+    table.hide_column("person");
+    assert!(!table.view().vars.iter().any(|v| v == "person"));
+    table.show_column("person");
+    assert_eq!(table.view(), filtered, "the shown column is back");
 }
 
 /// Figures 6 and 7: the structurally naive Kerouac/Viking Press query is
