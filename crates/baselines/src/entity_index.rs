@@ -100,7 +100,7 @@ mod tests {
     use sapphire_endpoint::{EndpointLimits, LocalEndpoint};
 
     fn endpoint() -> LocalEndpoint {
-        let g = sapphire_rdf::turtle::parse(
+        let g = sapphire_sparql::turtle::parse(
             r#"
 res:JFK a dbo:Person ; dbo:name "John F. Kennedy"@en ; dbo:surname "Kennedy"@en .
 res:SLC a dbo:City ; dbo:name "Salt Lake City"@en .

@@ -256,7 +256,7 @@ mod tests {
     /// however the bindings were split over shards.
     #[test]
     fn bindings_merge_orders_by_unprojected_keys_like_the_evaluator() {
-        let graph = sapphire_rdf::turtle::parse(
+        let graph = sapphire_sparql::turtle::parse(
             r#"
 res:London dbo:name "London" ; dbo:population 9000000 .
 res:Paris dbo:name "Paris" ; dbo:population 11000000 .

@@ -484,7 +484,7 @@ fn pairs(s: &Solutions) -> Vec<(String, u64)> {
 mod tests {
     use super::*;
     use sapphire_endpoint::{EndpointLimits, LocalEndpoint};
-    use sapphire_rdf::turtle;
+    use sapphire_sparql::turtle;
 
     const FIXTURE: &str = r#"
 dbo:Person a owl:Class ; rdfs:subClassOf owl:Thing .

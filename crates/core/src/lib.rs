@@ -31,7 +31,7 @@
 //! use sapphire_core::prelude::*;
 //!
 //! // 1. Stand up an endpoint (in production this is a remote SPARQL server).
-//! let graph = sapphire_rdf::turtle::parse(
+//! let graph = sapphire_sparql::turtle::parse(
 //!     r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ."#,
 //! ).unwrap();
 //! let ep: Arc<dyn Endpoint> =

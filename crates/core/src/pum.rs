@@ -218,7 +218,7 @@ impl PredictiveUserModel {
 mod tests {
     use super::*;
     use sapphire_endpoint::{EndpointLimits, LocalEndpoint};
-    use sapphire_rdf::turtle;
+    use sapphire_sparql::turtle;
 
     const DATA: &str = r#"
 dbo:Person a owl:Class ; rdfs:subClassOf owl:Thing .

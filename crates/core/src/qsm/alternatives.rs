@@ -587,8 +587,8 @@ mod tests {
     use super::*;
     use crate::qsm::QuerySuggestion;
     use sapphire_endpoint::{Endpoint, EndpointLimits, FederatedProcessor, LocalEndpoint};
-    use sapphire_rdf::turtle;
     use sapphire_sparql::parse_select;
+    use sapphire_sparql::turtle;
     use std::convert::Infallible;
 
     const DATA: &str = r#"

@@ -277,8 +277,8 @@ fn preferred_predicates(query: &SelectQuery, alternatives: &[TermAlternative]) -
 mod tests {
     use super::*;
     use sapphire_endpoint::{Endpoint, EndpointLimits, LocalEndpoint};
-    use sapphire_rdf::turtle;
     use sapphire_sparql::parse_select;
+    use sapphire_sparql::turtle;
 
     const DATA: &str = r#"
 res:Kerouac a dbo:Writer ; dbo:name "Jack Kerouac"@en .

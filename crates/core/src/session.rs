@@ -362,7 +362,7 @@ mod tests {
     use crate::config::SapphireConfig;
     use crate::init::InitMode;
     use sapphire_endpoint::{Endpoint, EndpointLimits, LocalEndpoint};
-    use sapphire_rdf::turtle;
+    use sapphire_sparql::turtle;
     use sapphire_text::Lexicon;
     use std::sync::Arc;
 

@@ -108,7 +108,7 @@ pub fn generate(config: DatasetConfig) -> Graph {
     let mut g = GraphBuilder::new();
 
     emit_ontology(&mut g);
-    sapphire_rdf::turtle::parse_into(ANCHORS, &mut g).expect("anchor turtle parses");
+    sapphire_sparql::turtle::parse_into(ANCHORS, &mut g).expect("anchor turtle parses");
 
     let countries = emit_countries(&mut g, &mut rng, (config.cities / 8).max(2));
     let cities = emit_cities(&mut g, &mut rng, config.cities, &countries);

@@ -255,13 +255,13 @@ mod tests {
 
     #[test]
     fn anchors_parse_as_turtle() {
-        let g = sapphire_rdf::turtle::parse(ANCHORS).expect("anchor turtle parses");
+        let g = sapphire_sparql::turtle::parse(ANCHORS).expect("anchor turtle parses");
         assert!(g.len() > 150, "got {} triples", g.len());
     }
 
     #[test]
     fn hierarchy_covers_all_anchor_types() {
-        let g = sapphire_rdf::turtle::parse(ANCHORS).unwrap();
+        let g = sapphire_sparql::turtle::parse(ANCHORS).unwrap();
         let type_iri = sapphire_rdf::Term::iri(sapphire_rdf::vocab::rdf::TYPE);
         let tid = g.term_id(&type_iri).unwrap();
         let classes: std::collections::HashSet<String> =
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn predicate_list_covers_anchor_predicates() {
-        let g = sapphire_rdf::turtle::parse(ANCHORS).unwrap();
+        let g = sapphire_sparql::turtle::parse(ANCHORS).unwrap();
         let preds: std::collections::HashSet<String> = PREDICATES.iter().map(|p| dbo(p)).collect();
         for (_, p, _) in g.iter_terms() {
             let iri = p.lexical();

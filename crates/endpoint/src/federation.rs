@@ -328,7 +328,7 @@ fn substitute<'a>(tp: &TriplePattern, bound: impl Fn(&str) -> Option<&'a Term>) 
 mod tests {
     use super::*;
     use crate::endpoint::{EndpointLimits, LocalEndpoint};
-    use sapphire_rdf::turtle;
+    use sapphire_sparql::turtle;
 
     fn make(name: &str, ttl: &str) -> Arc<dyn Endpoint> {
         Arc::new(LocalEndpoint::new(

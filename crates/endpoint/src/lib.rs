@@ -28,7 +28,7 @@
 //! use std::sync::Arc;
 //! use sapphire_endpoint::{Endpoint, EndpointLimits, FederatedProcessor, LocalEndpoint};
 //!
-//! let g = sapphire_rdf::turtle::parse(r#"res:Ada a dbo:Scientist ."#).unwrap();
+//! let g = sapphire_sparql::turtle::parse(r#"res:Ada a dbo:Scientist ."#).unwrap();
 //! let ep = Arc::new(LocalEndpoint::new("dbpedia", g, EndpointLimits::public_endpoint(100_000)));
 //! let fed = FederatedProcessor::single(ep);
 //! let rows = fed.select("SELECT ?s WHERE { ?s a dbo:Scientist }").unwrap();

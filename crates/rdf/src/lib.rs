@@ -20,13 +20,13 @@
 //! * [`snapshot`] — a versioned, checksummed on-disk format whose layout is
 //!   exactly the in-memory columns + interner table, so shards load a
 //!   partition with one sequential read instead of regenerating it.
-//! * [`turtle`] — the one text reader: a Turtle-subset parser for fixtures
-//!   and examples (N-Triples, which [`Term`]'s `Display` writes, is a
-//!   subset it reads).
 //! * [`schema`] — the `rdfs:subClassOf` hierarchy that the paper's
 //!   timeout-aware literal retrieval walks top down (§5.1).
 //! * [`vocab`] — well-known IRIs (RDF/RDFS/OWL/XSD and the synthetic
 //!   DBpedia-like namespaces).
+//!
+//! The crate reads no RDF text: `sapphire_sparql::turtle` reads a Turtle
+//! document with the SPARQL grammar, into a [`GraphBuilder`].
 //!
 //! ## Example
 //!
@@ -53,7 +53,6 @@ pub mod partition;
 pub mod schema;
 pub mod snapshot;
 pub mod term;
-pub mod turtle;
 pub mod vocab;
 
 pub use graph::{Graph, GraphBuilder, IdTriple, Matches};

@@ -147,19 +147,41 @@ impl Partitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::turtle;
 
-    const DATA: &str = r#"
-dbo:Person a owl:Class ; rdfs:subClassOf owl:Thing ; rdfs:label "person"@en .
-res:JFK a dbo:Person ; dbo:surname "Kennedy"@en .
-res:RFK a dbo:Person ; dbo:surname "Kennedy"@en .
-res:Ada a dbo:Person ; dbo:surname "Lovelace"@en .
-res:Alan a dbo:Person ; dbo:surname "Turing"@en .
-"#;
+    /// A class with its schema triples and four people of that class.
+    fn data() -> Graph {
+        let person = Term::iri("http://dbpedia.org/ontology/Person");
+        let a = Term::iri(vocab::rdf::TYPE);
+        let mut triples = vec![
+            (person.clone(), a.clone(), Term::iri(vocab::owl::CLASS)),
+            (
+                person.clone(),
+                Term::iri(vocab::rdfs::SUB_CLASS_OF),
+                Term::iri(vocab::owl::THING),
+            ),
+            (
+                person.clone(),
+                Term::iri(vocab::rdfs::LABEL),
+                Term::en("person"),
+            ),
+        ];
+        let surname = Term::iri("http://dbpedia.org/ontology/surname");
+        for (who, name) in [
+            ("JFK", "Kennedy"),
+            ("RFK", "Kennedy"),
+            ("Ada", "Lovelace"),
+            ("Alan", "Turing"),
+        ] {
+            let s = Term::iri(format!("http://dbpedia.org/resource/{who}"));
+            triples.push((s.clone(), a.clone(), person.clone()));
+            triples.push((s, surname.clone(), Term::en(name)));
+        }
+        Graph::from_term_triples(triples)
+    }
 
     #[test]
     fn split_is_deterministic_and_lossless() {
-        let g = turtle::parse(DATA).unwrap();
+        let g = data();
         let p1 = Partitioner::new(3).split(&g);
         let p2 = Partitioner::new(3).split(&g);
         assert_eq!(p1.data_triples, p2.data_triples);
@@ -184,7 +206,7 @@ res:Alan a dbo:Person ; dbo:surname "Turing"@en .
 
     #[test]
     fn schema_slice_replicated_everywhere() {
-        let g = turtle::parse(DATA).unwrap();
+        let g = data();
         let p = Partitioner::new(4).split(&g);
         let person = Term::iri("http://dbpedia.org/ontology/Person");
         let thing = Term::iri("http://www.w3.org/2002/07/owl#Thing");
@@ -199,7 +221,7 @@ res:Alan a dbo:Person ; dbo:surname "Turing"@en .
 
     #[test]
     fn subject_stars_are_co_located() {
-        let g = turtle::parse(DATA).unwrap();
+        let g = data();
         let p = Partitioner::new(4).split(&g);
         for entity in ["JFK", "RFK", "Ada", "Alan"] {
             let s = Term::iri(format!("http://dbpedia.org/resource/{entity}"));
@@ -220,9 +242,9 @@ res:Alan a dbo:Person ; dbo:surname "Turing"@en .
     fn shards_equal_the_bulk_build() {
         // Each shard is exactly what a bulk build of the triples routed to
         // it yields — same term table, same columns, same snapshot bytes.
-        let g = turtle::parse(DATA).unwrap();
+        let g = data();
         let p = Partitioner::new(3).split(&g);
-        // The only class that is a subject in DATA.
+        // The only class that is a subject in the data.
         let person = Term::iri("http://dbpedia.org/ontology/Person");
         for (i, shard) in p.shards.iter().enumerate() {
             let routed = g
@@ -239,7 +261,7 @@ res:Alan a dbo:Person ; dbo:surname "Turing"@en .
 
     #[test]
     fn one_shard_is_the_identity() {
-        let g = turtle::parse(DATA).unwrap();
+        let g = data();
         let p = Partitioner::new(1).split(&g);
         assert_eq!(p.shards.len(), 1);
         assert_eq!(p.shards[0].len(), g.len());

@@ -448,7 +448,7 @@ mod tests {
     use std::time::Duration;
 
     fn pum() -> Arc<PredictiveUserModel> {
-        let graph = sapphire_rdf::turtle::parse(
+        let graph = sapphire_sparql::turtle::parse(
             r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:name "John F. Kennedy"@en ."#,
         )
         .unwrap();

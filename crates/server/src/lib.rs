@@ -41,7 +41,7 @@
 //! use sapphire_core::InitMode;
 //! use sapphire_server::{SapphireServer, ServerConfig};
 //!
-//! let graph = sapphire_rdf::turtle::parse(
+//! let graph = sapphire_sparql::turtle::parse(
 //!     r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ."#,
 //! ).unwrap();
 //! let ep: Arc<dyn Endpoint> =
@@ -105,7 +105,7 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
     fn pum() -> Arc<PredictiveUserModel> {
         let ep: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
             "dbpedia",
-            sapphire_rdf::turtle::parse(DATA).unwrap(),
+            sapphire_sparql::turtle::parse(DATA).unwrap(),
             EndpointLimits::warehouse(),
         ));
         Arc::new(

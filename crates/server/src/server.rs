@@ -1110,7 +1110,7 @@ mod tests {
     use std::sync::Mutex;
 
     fn pum() -> Arc<PredictiveUserModel> {
-        let graph = sapphire_rdf::turtle::parse(
+        let graph = sapphire_sparql::turtle::parse(
             r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:name "John F. Kennedy"@en ."#,
         )
         .unwrap();
@@ -1510,7 +1510,7 @@ mod tests {
 
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
-        let graph = sapphire_rdf::turtle::parse(
+        let graph = sapphire_sparql::turtle::parse(
             r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:name "John F. Kennedy"@en ."#,
         )
         .unwrap();

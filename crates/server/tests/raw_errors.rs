@@ -13,8 +13,9 @@ use sapphire_wire::{WireClient, WireClientConfig, WireServer, WireServerConfig};
 
 #[test]
 fn raw_query_errors_keep_their_type_across_the_shard_boundary() {
-    let graph = sapphire_rdf::turtle::parse(r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ."#)
-        .unwrap();
+    let graph =
+        sapphire_sparql::turtle::parse(r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ."#)
+            .unwrap();
     let ep: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
         "dbpedia",
         graph,

@@ -18,7 +18,7 @@ fn rendered(candidates: &[TermAlternative]) -> Vec<String> {
 
 #[test]
 fn a_run_reply_keeps_its_candidates_across_the_wire() {
-    let graph = sapphire_rdf::turtle::parse(
+    let graph = sapphire_sparql::turtle::parse(
         r#"res:JFK a dbo:Person ; dbo:surname "Kennedy"@en ; dbo:name "John F. Kennedy"@en ."#,
     )
     .unwrap();

@@ -1397,7 +1397,7 @@ res:Canberra a dbo:City ; dbo:name "Canberra"@en ; dbo:population 430000 ; dbo:c
 res:USA a dbo:Country ; dbo:name "United States"@en .
 res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra .
 "#;
-        sapphire_rdf::turtle::parse(ttl).unwrap()
+        crate::turtle::parse(ttl).unwrap()
     }
 
     fn run(graph: &Graph, q: &str) -> Solutions {

@@ -155,11 +155,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
     let mut tokens = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // Every token is ASCII-delimited, so `i` stays on a char boundary.
+    while let Some(c) = input[i..].chars().next() {
         match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                i += 1;
+            c if c.is_whitespace() => {
+                i += c.len_utf8();
             }
             '#' => {
                 while i < bytes.len() && bytes[i] != b'\n' {
@@ -240,7 +240,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
             }
             '<' => {
                 // Either an IRI `<...>` (no whitespace before `>`) or `<`/`<=`.
-                if let Some(end) = scan_iri(bytes, i) {
+                if let Some(end) = scan_iri(input, i) {
                     let iri = &input[i + 1..end];
                     tokens.push(Token::Iri(iri.to_string()));
                     i = end + 1;
@@ -448,19 +448,13 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
     Ok(tokens)
 }
 
-/// If `bytes[start] == '<'` begins a plausible IRI (a `>` appears before any
-/// whitespace, quote, or second `<`), return the index of the closing `>`.
-fn scan_iri(bytes: &[u8], start: usize) -> Option<usize> {
-    debug_assert_eq!(bytes[start], b'<');
-    let mut j = start + 1;
-    while j < bytes.len() {
-        match bytes[j] {
-            b'>' => return Some(j),
-            b' ' | b'\t' | b'\r' | b'\n' | b'"' | b'<' | b'{' | b'}' => return None,
-            _ => j += 1,
-        }
-    }
-    None
+/// If the `<` at `start` begins a plausible IRI (a `>` appears before any
+/// whitespace, quote, brace or second `<`), return the index of the closing
+/// `>`.
+fn scan_iri(input: &str, start: usize) -> Option<usize> {
+    let body = start + 1;
+    let end = body + input[body..].find(|c: char| c.is_whitespace() || "><\"{}".contains(c))?;
+    (input.as_bytes()[end] == b'>').then_some(end)
 }
 
 #[cfg(test)]
@@ -566,6 +560,16 @@ mod tests {
             toks,
             vec![Token::PName("res".into(), "New_York.City".into())]
         );
+    }
+
+    /// A refused character is named as itself, not as its first byte.
+    #[test]
+    fn an_error_names_the_refused_character() {
+        for (input, named) in [("?x é ?y", "'é'"), ("?x ~ ?y", "'~'"), ("😀", "'😀'")] {
+            let err = tokenize(input).unwrap_err();
+            assert!(err.message.contains(named), "{input:?}: {err}");
+            assert!(input.is_char_boundary(err.offset));
+        }
     }
 
     #[test]

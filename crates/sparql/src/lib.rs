@@ -14,6 +14,10 @@
 //!   `LIMIT`/`OFFSET`, `ASK`, and single-variable `VALUES`.
 //! * [`lexer`] / [`parser`] — hand-written tokenizer and recursive-descent
 //!   parser with prefix expansion.
+//! * [`turtle`] — the repo's one reader of RDF text: a Turtle document is
+//!   read by the same lexer and triple-block rule as a query's pattern, so
+//!   a fixture and a query cannot disagree on an IRI, a literal or a
+//!   separator.
 //! * [`eval`] — an evaluator over [`sapphire_rdf::Graph`] with greedy
 //!   selectivity-based join ordering and a deterministic [`eval::WorkBudget`]
 //!   that the endpoint layer uses to simulate remote timeouts (the driver of
@@ -25,9 +29,9 @@
 //! ## Example
 //!
 //! ```
-//! use sapphire_sparql::{parse_select, evaluate_select, WorkBudget};
+//! use sapphire_sparql::{parse_select, evaluate_select, turtle, WorkBudget};
 //!
-//! let g = sapphire_rdf::turtle::parse(
+//! let g = turtle::parse(
 //!     r#"res:Alice a dbo:Scientist ; dbo:name "Alice"@en ."#,
 //! ).unwrap();
 //! let q = parse_select("SELECT ?n WHERE { ?s a dbo:Scientist ; dbo:name ?n }").unwrap();
@@ -43,6 +47,7 @@ pub mod eval;
 pub mod lexer;
 pub mod parser;
 pub mod solutions;
+pub mod turtle;
 
 pub use ast::{
     Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, Query, SelectItem,

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use sapphire_rdf::{vocab, Literal, Term};
+use sapphire_rdf::{vocab, GraphBuilder, Literal, Term};
 
 use crate::ast::*;
 use crate::lexer::{tokenize, LexError, Token};
@@ -41,17 +41,7 @@ impl From<LexError> for ParseError {
 
 /// Parse a query string into a [`Query`].
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        prefixes: vocab::standard_prefixes()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        agg_counter: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(input)?;
     let q = p.query()?;
     if !p.at_end() {
         return Err(p.err(format!("trailing tokens starting at {}", p.peek_desc())));
@@ -69,16 +59,33 @@ pub fn parse_select(input: &str) -> Result<SelectQuery, ParseError> {
     }
 }
 
-struct Parser {
+pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     prefixes: HashMap<String, String>,
     agg_counter: usize,
     /// Nesting of the expression being parsed (see [`MAX_EXPR_DEPTH`]).
     depth: usize,
+    /// `_:label` reads as a blank node: true in a Turtle document, false in
+    /// a query, where `_` is an unknown prefix.
+    blank_nodes: bool,
 }
 
 impl Parser {
+    pub(crate) fn new(input: &str) -> Result<Self, ParseError> {
+        Ok(Parser {
+            tokens: tokenize(input)?,
+            pos: 0,
+            prefixes: vocab::standard_prefixes()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            agg_counter: 0,
+            depth: 0,
+            blank_nodes: false,
+        })
+    }
+
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             message: message.into(),
@@ -159,6 +166,40 @@ impl Parser {
                 self.peek_desc()
             )))
         }
+    }
+
+    /// A Turtle document: `@prefix … .` or `PREFIX …` directives and
+    /// ground triple blocks, each ended by `.`. Its triples go to `graph` in
+    /// document order.
+    pub(crate) fn document(&mut self, graph: &mut GraphBuilder) -> Result<(), ParseError> {
+        self.blank_nodes = true;
+        while !self.at_end() {
+            if self.eat_kw("PREFIX") {
+                self.prefix_decl()?;
+                continue;
+            }
+            if matches!(self.peek(), Some(Token::LangTag(t)) if t == "prefix") {
+                self.bump();
+                self.prefix_decl()?;
+                self.expect(&Token::Dot)?;
+                continue;
+            }
+            let mut block = GraphPattern::default();
+            self.triple_block(&mut block)?;
+            self.expect(&Token::Dot)?;
+            for t in block.triples {
+                let (TermPattern::Term(s), TermPattern::Term(p), TermPattern::Term(o)) =
+                    (t.subject, t.predicate, t.object)
+                else {
+                    return Err(self.err("a Turtle document has no variables"));
+                };
+                if s.is_literal() {
+                    return Err(self.err("literal in subject position"));
+                }
+                graph.insert(s, p, o);
+            }
+        }
+        Ok(())
     }
 
     fn prefix_decl(&mut self) -> Result<(), ParseError> {
@@ -372,6 +413,8 @@ impl Parser {
                 }
                 _ => {
                     self.triple_block(&mut gp)?;
+                    // '.' between triple blocks is optional before '}'.
+                    self.eat(&Token::Dot);
                 }
             }
         }
@@ -419,8 +462,6 @@ impl Parser {
                 break;
             }
         }
-        // '.' between triple blocks is optional before '}'.
-        self.eat(&Token::Dot);
         Ok(())
     }
 
@@ -447,6 +488,12 @@ impl Parser {
         match self.bump() {
             Some(Token::Var(v)) => Ok(TermPattern::Var(v)),
             Some(Token::Iri(iri)) => Ok(TermPattern::Term(Term::Iri(iri))),
+            Some(Token::PName(p, l)) if self.blank_nodes && p == "_" => {
+                if l.is_empty() {
+                    return Err(self.err("empty blank node label"));
+                }
+                Ok(TermPattern::Term(Term::blank(l)))
+            }
             Some(Token::PName(p, l)) => {
                 Ok(TermPattern::Term(Term::Iri(self.expand_pname(&p, &l)?)))
             }

@@ -26,7 +26,7 @@ fn main() {
     // One shared model: graph + cache + lexica, initialized once.
     let ep: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
         "dbpedia",
-        sapphire_rdf::turtle::parse(DATA).unwrap(),
+        sapphire_sparql::turtle::parse(DATA).unwrap(),
         EndpointLimits::warehouse(),
     ));
     let pum = Arc::new(

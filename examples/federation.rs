@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use sapphire_core::prelude::*;
 use sapphire_core::InitMode;
-use sapphire_rdf::turtle;
+use sapphire_sparql::turtle;
 
 const PEOPLE: &str = r#"
 dbo:Person a owl:Class ; rdfs:subClassOf owl:Thing .

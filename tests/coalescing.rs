@@ -33,7 +33,7 @@ res:Jack a dbo:Person ; dbo:surname "Kerry"@en ; dbo:name "John Kerry"@en .
 fn pum() -> Arc<PredictiveUserModel> {
     let ep: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
         "dbpedia",
-        sapphire_rdf::turtle::parse(DATA).unwrap(),
+        sapphire_sparql::turtle::parse(DATA).unwrap(),
         EndpointLimits::warehouse(),
     ));
     Arc::new(

@@ -17,7 +17,8 @@ use rand::{Rng, SeedableRng};
 use sapphire_datagen::workload::{appendix_b, gold_answers};
 use sapphire_datagen::{generate, DatasetConfig};
 use sapphire_endpoint::{EndpointLimits, LocalEndpoint};
-use sapphire_rdf::{snapshot, turtle, Graph, GraphBuilder, Term, TermId};
+use sapphire_rdf::{snapshot, Graph, GraphBuilder, Term, TermId};
+use sapphire_sparql::turtle;
 
 /// The seed's storage layout, verbatim: three rotated B-tree sets, range
 /// scans with inclusive `(prefix, 0)..=(prefix, u32::MAX)` bounds. Every

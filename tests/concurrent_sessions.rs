@@ -37,7 +37,7 @@ fn pum() -> Arc<PredictiveUserModel> {
     }
     let ep: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
         "dbpedia",
-        sapphire_rdf::turtle::parse(&turtle).unwrap(),
+        sapphire_sparql::turtle::parse(&turtle).unwrap(),
         EndpointLimits::warehouse(),
     ));
     Arc::new(

@@ -18,11 +18,11 @@ use sapphire_datagen::{appendix_b, generate, DatasetConfig};
 use sapphire_endpoint::{
     Endpoint, EndpointError, EndpointLimits, FederatedProcessor, LocalEndpoint,
 };
-use sapphire_rdf::{turtle, Graph, Term};
+use sapphire_rdf::{Graph, Term};
 use sapphire_server::RunPayload;
 use sapphire_sparql::{
-    evaluate_select, parse_select, Aggregate, Projection, Query, QueryResult, SelectItem,
-    SelectQuery, Solutions, TermPattern, WorkBudget,
+    evaluate_select, lexer, parse_query, parse_select, turtle, Aggregate, Projection, Query,
+    QueryResult, SelectItem, SelectQuery, Solutions, TermPattern, WorkBudget,
 };
 use sapphire_text::Lexicon;
 use sapphire_wire::codec::{encode_reply, encode_request, LoadHeader, WireReply, WireRequest};
@@ -552,9 +552,10 @@ proptest! {
     }
 
     /// Any short string over Turtle's punctuation, ASCII and multi-byte
-    /// whitespace and a few multi-byte letters parses or is a
-    /// `TurtleError` at a character boundary: the reader never slices
-    /// inside a character.
+    /// whitespace and a few multi-byte letters parses or fails typed, as a
+    /// document and as a query's pattern, and the lexer both read through
+    /// reports every error at a character boundary: it never slices inside
+    /// a character.
     #[test]
     fn turtle_never_panics_on_mixed_width_input(
         docs in proptest::collection::vec(
@@ -563,7 +564,9 @@ proptest! {
         ),
     ) {
         for doc in &docs {
-            if let Err(e) = turtle::parse(doc) {
+            let _ = turtle::parse(doc);
+            let _ = parse_query(&format!("ASK {{ {doc} }}"));
+            if let Err(e) = lexer::tokenize(doc) {
                 prop_assert!(doc.is_char_boundary(e.offset), "{doc:?}: {e}");
             }
         }
