@@ -12,7 +12,7 @@
 //! City") and has no mechanism for multi-hop joins, filters, aggregates, or
 //! superlatives — the questions where the paper shows Sapphire pulling ahead.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sapphire_endpoint::{Endpoint, FederatedProcessor};
 use sapphire_sparql::Solutions;
@@ -25,8 +25,9 @@ use sapphire_datagen::userstudy::NlQaSystem;
 pub struct QaKis {
     fed: FederatedProcessor,
     entities: EntityIndex,
-    /// Relation pattern (normalized phrase) → predicate IRIs.
-    patterns: HashMap<String, Vec<String>>,
+    /// Relation pattern (normalized phrase) → predicate IRIs, in pattern
+    /// order, so the eager fallback's ties go to the first pattern by text.
+    patterns: BTreeMap<String, Vec<String>>,
 }
 
 const STOPWORDS: &[&str] = &[
@@ -39,7 +40,7 @@ impl QaKis {
     /// Build the pattern store from an endpoint's vocabulary.
     pub fn build(endpoint: std::sync::Arc<dyn Endpoint>, lexicon: &Lexicon) -> Self {
         let entities = EntityIndex::build(endpoint.as_ref());
-        let mut patterns: HashMap<String, Vec<String>> = HashMap::new();
+        let mut patterns: BTreeMap<String, Vec<String>> = BTreeMap::new();
         // Harvest predicates with Q1 (the same query Sapphire uses).
         let preds = endpoint
             .select("SELECT DISTINCT ?p (COUNT(*) AS ?frequency) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?frequency)")
@@ -78,7 +79,8 @@ impl QaKis {
         }
         // Eager fallback — the source of QAKiS's characteristic wrong
         // answers: any word overlap between the residue and a pattern is
-        // taken as a relation match, best overlap first (ties broken by JW).
+        // taken as a relation match, best overlap first (ties broken by JW,
+        // then by pattern text).
         // Natural language is "inherently ambiguous" (§2), and QAKiS guesses.
         let mut best: Option<(f64, &str)> = None;
         for (pat, preds) in &self.patterns {
@@ -207,6 +209,24 @@ mod tests {
             .flatten()
             .any(|t| t.lexical().contains("Paul_of_Greece"));
         assert!(!has_gold);
+    }
+
+    #[test]
+    fn eager_fallback_ties_go_to_the_first_pattern_by_text() {
+        // Eight patterns overlap the residue in one word each and differ
+        // from its phrase in one letter at the same place: equal overlap,
+        // equal Jaro-Winkler score.
+        let mut q = qakis();
+        q.patterns = ('a'..='h')
+            .rev()
+            .map(|c| (format!("born {c}"), vec![format!("http://x/p{c}")]))
+            .collect();
+        let residue = ["born".to_string(), "z".to_string()];
+        assert_eq!(
+            jaro_winkler_ci("born z", "born a"),
+            jaro_winkler_ci("born z", "born h")
+        );
+        assert_eq!(q.match_relation(&residue), Some("http://x/pa"));
     }
 
     #[test]

@@ -209,25 +209,28 @@ impl LocalEndpoint {
             .triples
             .iter()
             .map(|tp| {
+                // The pattern's ground ids, resolved once, and the positions
+                // the `VALUES` variable stands in.
+                let mut ground = [None; 3];
+                let mut inlined = [false; 3];
+                for (at, position) in tp.positions().into_iter().enumerate() {
+                    match position {
+                        TermPattern::Term(t) => match self.graph.term_id(t) {
+                            Some(id) => ground[at] = Some(id),
+                            // A ground term absent from the graph ⇒ zero matches.
+                            None => return 0,
+                        },
+                        TermPattern::Var(v) => inlined[at] = inline.is_some_and(|d| d.var == *v),
+                    }
+                }
                 // The pattern's range with `value` standing where the
                 // `VALUES` variable does.
                 let range = |value: Option<TermId>| -> u64 {
-                    let mut ids = [None; 3];
-                    for (id, position) in ids.iter_mut().zip(tp.positions()) {
-                        *id = match position {
-                            TermPattern::Term(t) => match self.graph.term_id(t) {
-                                Some(id) => Some(id),
-                                // A ground term absent from the graph ⇒ zero matches.
-                                None => return 0,
-                            },
-                            TermPattern::Var(v) if inline.is_some_and(|d| d.var == *v) => value,
-                            TermPattern::Var(_) => None,
-                        };
-                    }
-                    let [s, p, o] = ids;
+                    let [s, p, o] =
+                        [0, 1, 2].map(|at| if inlined[at] { value } else { ground[at] });
                     self.graph.triples_matching(s, p, o).len() as u64
                 };
-                if inline.is_some_and(|d| tp.variables().any(|v| v == d.var)) {
+                if inlined.contains(&true) {
                     present.iter().map(|&id| range(Some(id))).sum()
                 } else {
                     range(None)

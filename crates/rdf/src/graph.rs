@@ -3,10 +3,17 @@
 //!
 //! Triples are stored as interned id-triples in three rotated, sorted
 //! columnar arrays (SPO, POS, OSP) so every bound/unbound combination of a
-//! triple pattern is answerable with a binary-search range scan over a
-//! contiguous `Vec` — the layout production triple stores persist, which is
-//! exactly why the [`crate::snapshot`] format can be the same bytes on disk
-//! as in memory.
+//! triple pattern is answerable with a range of a contiguous `Vec` — the
+//! layout production triple stores persist, which is exactly why the
+//! [`crate::snapshot`] format can be the same bytes on disk as in memory.
+//!
+//! Beside each column sits its *heads*: `interner.len() + 1` offsets, entry
+//! `i` the first row whose leading id is `i` (Hexastore's per-key vectors,
+//! flattened). A pattern's leading id is sliced with two reads, and only its
+//! second (and third) key is searched for, inside that slice; a degree is the
+//! slice's length. The heads cost 12 B per interned term, are derived in one
+//! counting pass whenever a graph is built or loaded, and are never written
+//! to a snapshot.
 //!
 //! Sapphire builds its data once and then only reads it, so a [`Graph`] has
 //! no method that adds a triple or interns a term. Construction goes through
@@ -68,12 +75,7 @@ impl GraphBuilder {
         pos.sort_unstable();
         let mut osp: Vec<Row> = spo.iter().map(|&(s, p, o)| (o, s, p)).collect();
         osp.sort_unstable();
-        Graph {
-            interner,
-            spo,
-            pos,
-            osp,
-        }
+        Graph::from_columns(interner, spo, pos, osp)
     }
 }
 
@@ -93,9 +95,48 @@ impl Extend<(Term, Term, Term)> for GraphBuilder {
 #[derive(Default, Debug)]
 pub struct Graph {
     interner: Interner,
-    spo: Vec<Row>,
-    pos: Vec<Row>,
-    osp: Vec<Row>,
+    spo: Column,
+    pos: Column,
+    osp: Column,
+}
+
+/// One sorted rotation of the triples and its heads.
+#[derive(Default, Debug)]
+struct Column {
+    rows: Vec<Row>,
+    /// `heads[i]` is the first row whose leading id is `i` or more, so the
+    /// rows led by `i` are `heads[i]..heads[i + 1]`: one entry per interned
+    /// term and one past the last.
+    heads: Vec<u32>,
+}
+
+impl Column {
+    /// Index sorted `rows` over ids `0..terms`: count the rows each id
+    /// leads, then sum the counts into offsets.
+    fn new(rows: Vec<Row>, terms: usize) -> Self {
+        assert!(
+            u32::try_from(rows.len()).is_ok(),
+            "a column's row offsets fit in u32"
+        );
+        let mut heads = vec![0u32; terms + 1];
+        for &(a, _, _) in &rows {
+            heads[a as usize + 1] += 1;
+        }
+        for i in 1..heads.len() {
+            heads[i] += heads[i - 1];
+        }
+        Column { rows, heads }
+    }
+
+    /// The rows whose leading id is `a` — empty for an id this graph does
+    /// not hold.
+    fn led_by(&self, a: u32) -> &[Row] {
+        let a = a as usize;
+        match (self.heads.get(a), self.heads.get(a + 1)) {
+            (Some(&lo), Some(&hi)) => &self.rows[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl Graph {
@@ -110,10 +151,11 @@ impl Graph {
         builder.build()
     }
 
-    /// Reassemble a graph from its interner and raw sorted columns — the
-    /// snapshot loader's constructor. The caller (the snapshot module) has
-    /// already validated sortedness, rotation consistency, and id bounds;
-    /// debug builds re-check sortedness.
+    /// Reassemble a graph from its interner and raw sorted columns, and
+    /// derive each column's heads — the builder's and the snapshot loader's
+    /// constructor. The caller has already sorted the columns (the builder)
+    /// or validated sortedness, rotation consistency, and id bounds (the
+    /// snapshot module); debug builds re-check sortedness.
     pub(crate) fn from_columns(
         interner: Interner,
         spo: Vec<Row>,
@@ -123,27 +165,28 @@ impl Graph {
         debug_assert!(spo.windows(2).all(|w| w[0] < w[1]), "spo column sorted");
         debug_assert!(pos.windows(2).all(|w| w[0] < w[1]), "pos column sorted");
         debug_assert!(osp.windows(2).all(|w| w[0] < w[1]), "osp column sorted");
+        let terms = interner.len();
         Graph {
             interner,
-            spo,
-            pos,
-            osp,
+            spo: Column::new(spo, terms),
+            pos: Column::new(pos, terms),
+            osp: Column::new(osp, terms),
         }
     }
 
     /// The SPO, POS and OSP columns, for the snapshot writer.
     pub(crate) fn columns(&self) -> [&[Row]; 3] {
-        [&self.spo, &self.pos, &self.osp]
+        [&self.spo.rows, &self.pos.rows, &self.osp.rows]
     }
 
     /// Number of (distinct) triples.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.spo.rows.len()
     }
 
     /// True if the graph holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.spo.rows.is_empty()
     }
 
     /// Access to the term interner (read-only).
@@ -164,7 +207,10 @@ impl Graph {
     /// True if the exact triple is present.
     pub fn contains(&self, s: &Term, p: &Term, o: &Term) -> bool {
         match (self.term_id(s), self.term_id(p), self.term_id(o)) {
-            (Some(s), Some(p), Some(o)) => self.spo.binary_search(&(s.0, p.0, o.0)).is_ok(),
+            (Some(s), Some(p), Some(o)) => self
+                .triples_matching(Some(s), Some(p), Some(o))
+                .next()
+                .is_some(),
             _ => false,
         }
     }
@@ -191,7 +237,9 @@ impl Graph {
     /// an [`ExactSizeIterator`]: `.len()` is the pattern's exact cardinality
     /// (what join ordering and scan accounting read) and costs nothing.
     ///
-    /// Chooses the most selective index for the bound positions. Results are
+    /// Chooses the column whose rotation leads with the bound positions,
+    /// slices the leading id's rows from the column's heads, and searches
+    /// only that slice for a second (and third) bound id. Results are
     /// produced in index order; every yielded triple is in (s, p, o) order.
     pub fn triples_matching(
         &self,
@@ -200,17 +248,13 @@ impl Graph {
         o: Option<TermId>,
     ) -> Matches<'_> {
         let (col, rows) = match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                let row = (s.0, p.0, o.0);
-                (Col::Spo, range(&self.spo, row, row))
-            }
-            (Some(s), Some(p), None) => (Col::Spo, scan2(&self.spo, s.0, p.0)),
-            (Some(s), None, None) => (Col::Spo, scan1(&self.spo, s.0)),
-            (None, Some(p), Some(o)) => (Col::Pos, scan2(&self.pos, p.0, o.0)),
-            (None, Some(p), None) => (Col::Pos, scan1(&self.pos, p.0)),
-            (None, None, Some(o)) => (Col::Osp, scan1(&self.osp, o.0)),
-            (Some(s), None, Some(o)) => (Col::Osp, scan2(&self.osp, o.0, s.0)),
-            (None, None, None) => (Col::Spo, &self.spo[..]),
+            (Some(s), Some(p), o) => (Col::Spo, within(self.spo.led_by(s.0), p.0, o)),
+            (Some(s), None, None) => (Col::Spo, self.spo.led_by(s.0)),
+            (None, Some(p), Some(o)) => (Col::Pos, within(self.pos.led_by(p.0), o.0, None)),
+            (None, Some(p), None) => (Col::Pos, self.pos.led_by(p.0)),
+            (None, None, Some(o)) => (Col::Osp, self.osp.led_by(o.0)),
+            (Some(s), None, Some(o)) => (Col::Osp, within(self.osp.led_by(o.0), s.0, None)),
+            (None, None, None) => (Col::Spo, &self.spo.rows[..]),
         };
         Matches {
             col,
@@ -221,12 +265,12 @@ impl Graph {
     /// In-degree of a term: the number of triples in which it is the object.
     /// This powers the literal significance score (Definition 1).
     pub fn in_degree(&self, id: TermId) -> usize {
-        scan1(&self.osp, id.0).len()
+        self.osp.led_by(id.0).len()
     }
 
     /// Out-degree of a term: the number of triples in which it is the subject.
     pub fn out_degree(&self, id: TermId) -> usize {
-        scan1(&self.spo, id.0).len()
+        self.spo.led_by(id.0).len()
     }
 
     /// Per-predicate triple counts, optionally restricted to triples with
@@ -234,7 +278,7 @@ impl Graph {
     /// planning and answer `GROUP BY ?p` aggregates from; the simulated
     /// endpoint uses it for the same purpose.
     pub fn predicate_counts(&self, literal_objects_only: bool) -> Vec<(TermId, usize)> {
-        let counted = self.pos.iter().filter(|&&(_p, o, _s)| {
+        let counted = self.pos.rows.iter().filter(|&&(_p, o, _s)| {
             !literal_objects_only || self.interner.resolve(TermId(o)).is_literal()
         });
         ranked_runs(counted.map(|&(p, _o, _s)| p))
@@ -248,12 +292,12 @@ impl Graph {
         };
         // The pos range for `rdf:type` is ordered by object, so each class's
         // triples are consecutive.
-        ranked_runs(scan1(&self.pos, type_id.0).iter().map(|&(_p, o, _s)| o))
+        ranked_runs(self.pos.led_by(type_id.0).iter().map(|&(_p, o, _s)| o))
     }
 
     /// Iterate over every triple as term references.
     pub fn iter_terms(&self) -> impl Iterator<Item = (&Term, &Term, &Term)> {
-        resolve_rows(&self.interner, &self.spo)
+        resolve_rows(&self.interner, &self.spo.rows)
     }
 }
 
@@ -285,27 +329,15 @@ fn ranked_runs(keys: impl Iterator<Item = u32>) -> Vec<(TermId, usize)> {
     out
 }
 
-/// All rows of a column whose first component is `a`.
-fn scan1(column: &[Row], a: u32) -> &[Row] {
-    range(column, (a, 0, 0), (a, u32::MAX, u32::MAX))
-}
-
-/// All rows of a column whose first two components are `(a, b)`.
-fn scan2(column: &[Row], a: u32, b: u32) -> &[Row] {
-    range(column, (a, b, 0), (a, b, u32::MAX))
-}
-
-/// The contiguous slice of a sorted column within `lo ..= hi`.
-fn range(column: &[Row], lo: Row, hi: Row) -> &[Row] {
-    let rest = &column[column.partition_point(|&r| r < lo)..];
-    // A pattern's range is short next to the column: find its end by
-    // doubling steps from its start, not by a second full bisection.
-    let mut step = 1;
-    while step < rest.len() && rest[step - 1] <= hi {
-        step *= 2;
-    }
-    let end = step / 2 + rest[step / 2..step.min(rest.len())].partition_point(|&r| r <= hi);
-    &rest[..end]
+/// The rows of one leading id's slice whose second component is `b` and,
+/// when `c` is given, whose third is `c`.
+fn within(rows: &[Row], b: u32, c: Option<TermId>) -> &[Row] {
+    let (lo, hi) = match c {
+        Some(c) => ((b, c.0), (b, c.0)),
+        None => ((b, 0), (b, u32::MAX)),
+    };
+    let rest = &rows[rows.partition_point(|&(_, b, c)| (b, c) < lo)..];
+    &rest[..rest.partition_point(|&(_, b, c)| (b, c) <= hi)]
 }
 
 #[derive(Clone, Copy)]

@@ -336,6 +336,16 @@ impl CompiledPattern {
 /// Inline data enters the walk once per value the graph interns, in list
 /// order, with the variable already bound: the work is that of the same
 /// pattern with the value written in its place, value after value.
+///
+/// Asked only which values have a solution ([`Walk::OncePerValue`]), the
+/// walk may instead be taken from the pattern's side: when its smallest
+/// ground-only range holds fewer rows than the list has values, and the
+/// join order without the values bound is connected (no step is a cross
+/// product), the pattern is walked once without inline data and each listed
+/// value equal to a term the walk bound to the variable answers one row, in
+/// list order. Only the walk taken is charged. The rule reads only the query
+/// and the graph: a probe of a hundred names joined to a predicate of three
+/// triples walks the three, not the names.
 fn match_bgp(
     graph: &Graph,
     gp: &GraphPattern,
@@ -344,22 +354,12 @@ fn match_bgp(
     walk: Walk,
 ) -> Result<BindingTable, EvalError> {
     let mut out = BindingTable::new(vars.len());
-    let seeds: Option<(usize, Vec<TermId>)> = match &gp.values {
-        None => None,
-        Some(data) if !gp.binds(&data.var) => {
-            return Err(EvalError::Unsupported(format!(
-                "VALUES ?{} without a triple pattern that binds it",
-                data.var
-            )))
-        }
-        Some(data) => {
-            let ids: Vec<TermId> = data.terms.iter().filter_map(|t| graph.term_id(t)).collect();
-            if ids.is_empty() {
-                return Ok(out);
-            }
-            Some((vars.get(&data.var).expect("var registered"), ids))
-        }
-    };
+    if let Some(data) = gp.values.as_ref().filter(|data| !gp.binds(&data.var)) {
+        return Err(EvalError::Unsupported(format!(
+            "VALUES ?{} without a triple pattern that binds it",
+            data.var
+        )));
+    }
     let compiled: Vec<CompiledPattern> = gp
         .triples
         .iter()
@@ -368,57 +368,52 @@ fn match_bgp(
     if compiled.iter().any(|c| !c.is_satisfiable()) {
         return Ok(out);
     }
-
-    // Greedy join order: repeatedly pick the remaining pattern with the most
-    // bound positions, breaking ties by the smaller base cardinality.
-    let seed = seeds.as_ref().map(|(var, ids)| (*var, ids[0]));
-    let order = plan_order(graph, &compiled, vars.len(), seed);
-
-    // The join order fixes the step at which each variable binds, and so the
-    // step at which each filter fires: the one that binds the last of its
-    // variables. Filters that never get there — no variables at all, or a
-    // variable no pattern binds (an unbound reference is a SPARQL error,
-    // which makes the filter false) — are evaluated on complete rows, in
-    // the extra last slot.
-    let mut binds_at: Vec<Option<usize>> = vec![None; vars.len()];
-    if let Some((var, _)) = seed {
-        binds_at[var] = Some(0);
-    }
-    for (step, &pattern) in order.iter().enumerate() {
-        for slot in &compiled[pattern].slots {
-            if let Slot::Var(v) = slot {
-                binds_at[*v].get_or_insert(step);
-            }
-        }
-    }
-    let mut filters_at: Vec<Vec<Filter<'_>>> = Vec::new();
-    filters_at.resize_with(order.len() + 1, Vec::new);
-    for expr in &gp.filters {
-        let steps: Option<Vec<usize>> = expr
-            .variables()
-            .iter()
-            .map(|v| binds_at[vars.get(v).expect("var registered")])
-            .collect();
-        let fires = steps.and_then(|steps| steps.into_iter().max());
-        filters_at[fires.unwrap_or(order.len())].push(Filter::new(expr));
-    }
-
-    let mut ctx = MatchCtx {
-        graph,
-        vars,
-        compiled: &compiled,
-        order: &order,
-        filters_at: &filters_at,
-        row_limit: match walk {
-            Walk::Rows(n) => Some(n),
-            Walk::All | Walk::OncePerValue => None,
-        },
-    };
     let mut bindings: Vec<Option<TermId>> = vec![None; vars.len()];
-    let Some((var, ids)) = seeds else {
+    let Some(data) = &gp.values else {
+        let ctx = MatchCtx::plan(graph, gp, vars, &compiled, None, walk);
         ctx.recurse(0, &mut bindings, &mut out, budget)?;
         return Ok(out);
     };
+    let var = vars.get(&data.var).expect("var registered");
+
+    if matches!(walk, Walk::OncePerValue) {
+        let smallest = compiled
+            .iter()
+            .map(|c| c.base_cardinality(graph, None))
+            .min();
+        if smallest.is_some_and(|r| r < data.terms.len()) {
+            let ctx = MatchCtx::plan(graph, gp, vars, &compiled, None, Walk::All);
+            if connected(&compiled, &ctx.order, vars.len()) {
+                let mut every = BindingTable::new(vars.len());
+                ctx.recurse(0, &mut bindings, &mut every, budget)?;
+                // The distinct terms the walk bound, sorted, each with its
+                // id. Terms and ids are in bijection in the graph's interner,
+                // so a listed term is found by comparison with these, not by
+                // a look-up in the term table.
+                let mut ids: Vec<TermId> = (0..every.len())
+                    .filter_map(|row| every.row(row)[var])
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let mut found: Vec<(&Term, TermId)> =
+                    ids.into_iter().map(|id| (graph.term(id), id)).collect();
+                found.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                for term in data.terms.iter() {
+                    if let Ok(at) = found.binary_search_by(|(f, _)| (*f).cmp(term)) {
+                        bindings[var] = Some(found[at].1);
+                        out.push(&bindings);
+                    }
+                }
+                return Ok(out);
+            }
+        }
+    }
+
+    let ids: Vec<TermId> = data.terms.iter().filter_map(|t| graph.term_id(t)).collect();
+    let Some(&first) = ids.first() else {
+        return Ok(out);
+    };
+    let mut ctx = MatchCtx::plan(graph, gp, vars, &compiled, Some((var, first)), walk);
     for id in ids {
         if matches!(walk, Walk::OncePerValue) {
             ctx.row_limit = Some(out.len() + 1);
@@ -429,6 +424,24 @@ fn match_bgp(
         ctx.recurse(0, &mut bindings, &mut out, budget)?;
     }
     Ok(out)
+}
+
+/// Whether every step of `order` after the first shares a variable with an
+/// earlier step.
+fn connected(compiled: &[CompiledPattern], order: &[usize], nvars: usize) -> bool {
+    let mut bound = vec![false; nvars];
+    order.iter().enumerate().all(|(step, &pattern)| {
+        let vars = compiled[pattern]
+            .slots
+            .iter()
+            .filter_map(|slot| match slot {
+                Slot::Var(v) => Some(*v),
+                Slot::Ground(_) | Slot::Absent => None,
+            });
+        let joins = step == 0 || vars.clone().any(|v| bound[v]);
+        vars.for_each(|v| bound[v] = true);
+        joins
+    })
 }
 
 /// Greedy join order. `seed` is the inline-data variable — bound before the
@@ -472,13 +485,65 @@ struct MatchCtx<'a> {
     graph: &'a Graph,
     vars: &'a VarTable,
     compiled: &'a [CompiledPattern],
-    order: &'a [usize],
+    order: Vec<usize>,
     /// Filters by the join step that fires them; complete-row filters last.
-    filters_at: &'a [Vec<Filter<'a>>],
+    filters_at: Vec<Vec<Filter<'a>>>,
     row_limit: Option<usize>,
 }
 
-impl MatchCtx<'_> {
+impl<'a> MatchCtx<'a> {
+    /// Order the patterns (`seed` as in [`plan_order`]) and place each
+    /// filter at the step that fires it.
+    fn plan(
+        graph: &'a Graph,
+        gp: &'a GraphPattern,
+        vars: &'a VarTable,
+        compiled: &'a [CompiledPattern],
+        seed: Option<(usize, TermId)>,
+        walk: Walk,
+    ) -> Self {
+        let order = plan_order(graph, compiled, vars.len(), seed);
+        // The join order fixes the step at which each variable binds, and so
+        // the step at which each filter fires: the one that binds the last of
+        // its variables. Filters that never get there — no variables at all,
+        // or a variable no pattern binds (an unbound reference is a SPARQL
+        // error, which makes the filter false) — are evaluated on complete
+        // rows, in the extra last slot.
+        let mut binds_at: Vec<Option<usize>> = vec![None; vars.len()];
+        if let Some((var, _)) = seed {
+            binds_at[var] = Some(0);
+        }
+        for (step, &pattern) in order.iter().enumerate() {
+            for slot in &compiled[pattern].slots {
+                if let Slot::Var(v) = slot {
+                    binds_at[*v].get_or_insert(step);
+                }
+            }
+        }
+        let mut filters_at: Vec<Vec<Filter<'a>>> = Vec::new();
+        filters_at.resize_with(order.len() + 1, Vec::new);
+        for expr in &gp.filters {
+            let steps: Option<Vec<usize>> = expr
+                .variables()
+                .iter()
+                .map(|v| binds_at[vars.get(v).expect("var registered")])
+                .collect();
+            let fires = steps.and_then(|steps| steps.into_iter().max());
+            filters_at[fires.unwrap_or(order.len())].push(Filter::new(expr));
+        }
+        MatchCtx {
+            graph,
+            vars,
+            compiled,
+            order,
+            filters_at,
+            row_limit: match walk {
+                Walk::Rows(n) => Some(n),
+                Walk::All | Walk::OncePerValue => None,
+            },
+        }
+    }
+
     fn full(&self, out: &BindingTable) -> bool {
         self.row_limit.is_some_and(|limit| out.len() >= limit)
     }
@@ -1936,12 +2001,15 @@ res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra
         let mut all = lexicals(&every, "k");
         all.dedup();
         assert_eq!(all[..2], lexicals(&which, "k")[..]);
-        // Australia (twice): its range of two country triples, the first
-        // one's name triple, one row; the USA has one of each. Every
-        // solution: the second Australian city's name and row as well.
+        // The list's four values outnumber the three country triples, so the
+        // pattern is walked once from its side: the country range, then
+        // each city's name triple and row — against 2 * 4 + 3 value by
+        // value (Australia, twice: its range of two, the first city's name
+        // triple, one row; the USA: one of each). Every solution, value by
+        // value: the second Australian city's name and row as well.
         assert_eq!(
             work(&g, &format!("SELECT DISTINCT ?k {pattern}")),
-            2 * 4 + 3
+            3 + 3 * 2
         );
         assert_eq!(work(&g, &format!("SELECT ?k {pattern}")), 2 * 6 + 3);
         // Another projected variable, or an order, and every solution counts.
@@ -1953,6 +2021,25 @@ res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra
             run(&g, &format!("SELECT DISTINCT ?k {pattern} ORDER BY ?n")).len(),
             2
         );
+    }
+
+    #[test]
+    fn fewer_values_than_the_smallest_range_are_walked_one_by_one() {
+        let g = city_graph();
+        let pattern =
+            "WHERE { ?c dbo:country ?k ; dbo:name ?n VALUES ?k { res:USA res:Australia } }";
+        let which = run(&g, &format!("SELECT DISTINCT ?k {pattern}"));
+        assert_eq!(
+            lexicals(&which, "k"),
+            [
+                "http://dbpedia.org/resource/USA",
+                "http://dbpedia.org/resource/Australia"
+            ]
+        );
+        // Two values against three country triples: the USA's range of one,
+        // its city's name triple, one row; Australia's range of two, the
+        // first city's name triple, one row.
+        assert_eq!(work(&g, &format!("SELECT DISTINCT ?k {pattern}")), 3 + 4);
     }
 
     #[test]
