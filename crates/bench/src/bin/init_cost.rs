@@ -84,6 +84,9 @@ fn main() {
         );
         println!("total queries:            {}", stats.total_queries());
         println!("literals cached:          {}", stats.literals_cached);
+        if stats.literals_cached == 0 && stats.timeouts > 0 {
+            println!("  (its literal queries timed out: this section measured nothing)");
+        }
         let indexed_chars: usize = cache.tree.strings().iter().map(|s| s.chars().count()).sum();
         println!(
             "suffix tree:              {} strings ({} predicates + {} significant literals), ≈{} KiB, {:.1} B per indexed char",

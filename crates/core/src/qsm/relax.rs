@@ -26,6 +26,23 @@
 //! byte-identical to a cold run (see that module's docs), and a relaxer
 //! built [`at_tier`](StructureRelaxer::at_tier) runs with a reduced budget
 //! from the [`SteinerConfig`] ladder — the serving tier's degraded mode.
+//!
+//! The explorer keeps one copy of the graph it explores. It numbers each
+//! vertex once, when the vertex is first seen, and keeps each expanded
+//! vertex's neighbour list beside that number, with every neighbour's
+//! number. Those lists *are* the union graph: the group searches walk them,
+//! and all four steps of Kou, Markowsky & Berman run over them on the same
+//! numbering. A group search records, whenever a vertex's distance
+//! improves, the seed that vertex's best path starts from, so a meeting
+//! vertex names its terminals without a walk back.
+//!
+//! Numbers only index; every tie breaks by `Term` order, so neither hash
+//! order nor discovery order can move a relaxation. The group searches pop
+//! `(distance, term)`. Step 1's Dijkstra pops `(distance, term)`, so of two
+//! equal paths the one through the earlier-popped vertex wins, and a
+//! parallel edge loses to the smaller `(subject, predicate, object)`; its
+//! Kruskal sorts `(distance, terminal, terminal)`. Step 3's Kruskal sorts
+//! `(weight, subject, predicate, object)`, which is the `tree`'s order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -40,6 +57,10 @@ use crate::config::SteinerConfig;
 
 /// A directed RDF edge discovered during expansion.
 pub type Edge = (Term, Term, Term);
+
+/// An edge of the explored graph with its endpoints by number:
+/// `(weight, subject, predicate, object)`.
+type NumberedEdge<'g> = (u64, usize, &'g Term, usize);
 
 /// The outcome of a relaxation attempt.
 #[derive(Debug, Clone)]
@@ -80,11 +101,20 @@ struct Explorer<'a> {
     fed: &'a FederatedProcessor,
     budget_left: usize,
     queries_used: usize,
-    /// Per-request memo: `Arc`'d so a repeat expansion within one relaxation
-    /// is a pointer bump, never a deep clone of the neighbor list.
-    memo: HashMap<Term, Arc<Vec<Neighbor>>>,
-    union_edges: HashSet<Edge>,
+    /// Every vertex seen so far, numbered once: term → number, and back.
+    ids: HashMap<Term, usize>,
+    vertices: Vec<Term>,
+    /// The union graph: by vertex number, the vertex's neighbour list once
+    /// it is expanded.
+    lists: Vec<Option<Expansion>>,
     shared: Option<&'a NeighborhoodCache>,
+}
+
+/// An expanded vertex's neighbour list, `Arc`'d as the shared cache holds
+/// it, and each neighbour's number, index for index.
+struct Expansion {
+    neighbors: Arc<Vec<Neighbor>>,
+    ids: Vec<usize>,
 }
 
 impl<'a> Explorer<'a> {
@@ -100,94 +130,77 @@ impl<'a> Explorer<'a> {
         )
     }
 
-    /// Insert the union-graph edges a neighbor list contributes — warm or
-    /// cold, once the list is built.
-    fn record_union_edges(&mut self, v: &Term, neighbors: &[Neighbor]) {
-        for (other, pred, outgoing) in neighbors {
-            let edge = if *outgoing {
-                (v.clone(), pred.clone(), other.clone())
-            } else {
-                (other.clone(), pred.clone(), v.clone())
-            };
-            self.union_edges.insert(edge);
+    /// The number of `t`, numbering it if it is new.
+    fn id(&mut self, t: &Term) -> usize {
+        if let Some(&id) = self.ids.get(t) {
+            return id;
         }
+        self.ids.insert(t.clone(), self.vertices.len());
+        self.vertices.push(t.clone());
+        self.lists.push(None);
+        self.vertices.len() - 1
     }
 
-    fn expand(&mut self, v: &Term) -> Option<Arc<Vec<Neighbor>>> {
-        if let Some(n) = self.memo.get(v) {
-            return Some(Arc::clone(n));
-        }
-        let needed = if v.is_literal() { 1 } else { 2 };
+    /// Expand vertex `v`, which no search has expanded: only the group that
+    /// first pops a vertex expands it.
+    fn expand(&mut self, v: usize) -> Option<&Expansion> {
+        let term = self.vertices[v].clone();
+        let needed = if term.is_literal() { 1 } else { 2 };
         if self.budget_left < needed {
             return None;
         }
         // What a cold expansion of `v` actually charges: the incoming-edge
-        // query always runs, the outgoing-edge query only for IRIs.
-        let charge = 1 + usize::from(v.is_iri());
-        if let Some(cache) = self.shared {
-            if let Some(neighbors) = cache.get(v) {
-                // Charge the budget exactly as the cold path below would —
-                // the search frontier must be byte-identical warm or cold —
-                // but skip the SPARQL round trips.
-                self.budget_left -= charge;
-                self.queries_used += charge;
+        // query always runs, the outgoing-edge query only for IRIs. A cache
+        // hit is charged exactly the same — the search frontier must be
+        // byte-identical warm or cold — but skips the SPARQL round trips.
+        let charge = 1 + usize::from(term.is_iri());
+        self.budget_left -= charge;
+        self.queries_used += charge;
+        let neighbors = match self.shared.map(|cache| (cache, cache.get(&term))) {
+            Some((cache, Some(neighbors))) => {
                 cache.note_saved(charge as u64);
-                self.record_union_edges(v, &neighbors);
-                self.memo.insert(v.clone(), Arc::clone(&neighbors));
-                return Some(neighbors);
+                neighbors
             }
-        }
+            _ => self.fetch(&term, charge),
+        };
+        let ids = neighbors.iter().map(|(n, _, _)| self.id(n)).collect();
+        self.lists[v] = Some(Expansion { neighbors, ids });
+        self.lists[v].as_ref()
+    }
+
+    /// Run `v`'s `charge` expansion queries: incoming edges `?s ?p v` for
+    /// every vertex, outgoing edges `v ?p ?o` for IRIs only (literals are
+    /// never subjects).
+    fn fetch(&self, v: &Term, charge: usize) -> Arc<Vec<Neighbor>> {
         let mut neighbors: Vec<Neighbor> = Vec::new();
         // True only if every expansion query actually answered — a failed
         // round trip (endpoint timeout, shed federation hop) yields a
         // *partial* neighbor list that must never be published to the
-        // shared cache, where it would poison every later relaxation; the
-        // per-request memo keeps it, preserving the old intra-request
-        // behavior.
+        // shared cache, where it would poison every later relaxation; this
+        // relaxation's own graph keeps it.
         let mut complete = true;
-        // Incoming edges: ?s ?p v — valid for both literals and IRIs.
-        self.budget_left -= 1;
-        self.queries_used += 1;
-        match self.run_pattern(
-            TermPattern::var("s"),
-            TermPattern::var("p"),
-            TermPattern::Term(v.clone()),
-        ) {
-            Some(sols) => {
-                for r in 0..sols.len() {
-                    if let (Some(s), Some(p)) = (sols.get(r, "s"), sols.get(r, "p")) {
-                        if Self::is_schema_edge(p) {
-                            continue;
-                        }
-                        neighbors.push((s.clone(), p.clone(), false));
+        for outgoing in [false, true].into_iter().take(charge) {
+            let (var, s, o) = if outgoing {
+                ("o", TermPattern::Term(v.clone()), TermPattern::var("o"))
+            } else {
+                ("s", TermPattern::var("s"), TermPattern::Term(v.clone()))
+            };
+            let query = Query::Select(SelectQuery::star(GraphPattern {
+                triples: vec![TriplePattern::new(s, TermPattern::var("p"), o)],
+                ..GraphPattern::default()
+            }));
+            let Ok(QueryResult::Solutions(sols)) = self.fed.execute_parsed(&query) else {
+                complete = false;
+                continue;
+            };
+            for r in 0..sols.len() {
+                if let (Some(n), Some(p)) = (sols.get(r, var), sols.get(r, "p")) {
+                    if !Self::is_schema_edge(p) {
+                        neighbors.push((n.clone(), p.clone(), outgoing));
                     }
                 }
             }
-            None => complete = false,
         }
-        // Outgoing edges: v ?p ?o — IRIs only (literals are never subjects).
-        if v.is_iri() {
-            self.budget_left -= 1;
-            self.queries_used += 1;
-            match self.run_pattern(
-                TermPattern::Term(v.clone()),
-                TermPattern::var("p"),
-                TermPattern::var("o"),
-            ) {
-                Some(sols) => {
-                    for r in 0..sols.len() {
-                        if let (Some(p), Some(o)) = (sols.get(r, "p"), sols.get(r, "o")) {
-                            if Self::is_schema_edge(p) {
-                                continue;
-                            }
-                            neighbors.push((o.clone(), p.clone(), true));
-                        }
-                    }
-                }
-                None => complete = false,
-            }
-        }
-        self.record_union_edges(v, &neighbors);
         let neighbors = Arc::new(neighbors);
         if let Some(cache) = self.shared {
             cache.note_executed(charge as u64);
@@ -195,64 +208,30 @@ impl<'a> Explorer<'a> {
                 cache.fill(v.clone(), Arc::clone(&neighbors));
             }
         }
-        self.memo.insert(v.clone(), Arc::clone(&neighbors));
-        Some(neighbors)
-    }
-
-    fn run_pattern(
-        &self,
-        s: TermPattern,
-        p: TermPattern,
-        o: TermPattern,
-    ) -> Option<sapphire_sparql::Solutions> {
-        let query = Query::Select(SelectQuery::star(GraphPattern {
-            triples: vec![TriplePattern::new(s, p, o)],
-            ..GraphPattern::default()
-        }));
-        match self.fed.execute_parsed(&query) {
-            Ok(QueryResult::Solutions(sols)) => Some(sols),
-            _ => None,
-        }
+        neighbors
     }
 }
 
-/// Per-group Dijkstra state.
+/// Per-group Dijkstra state, vertices by the explorer's numbers.
 struct GroupSearch {
-    dist: HashMap<Term, u64>,
-    /// child → (parent, predicate, outgoing-from-parent?)
-    parent: HashMap<Term, (Term, Term, bool)>,
-    heap: BinaryHeap<Reverse<(u64, Term, usize)>>,
-    seed_of: HashMap<Term, Term>,
+    /// Reached vertex → (distance, the seed its best path starts from).
+    reached: HashMap<usize, (u64, usize)>,
+    /// `(distance, vertex, its number, its siblings' fan-out)`.
+    heap: BinaryHeap<Reverse<(u64, Term, usize, usize)>>,
 }
 
 impl GroupSearch {
-    fn new(seeds: &[Term]) -> Self {
+    fn new(seeds: &[Term], explorer: &mut Explorer) -> Self {
         let mut g = GroupSearch {
-            dist: HashMap::new(),
-            parent: HashMap::new(),
+            reached: HashMap::new(),
             heap: BinaryHeap::new(),
-            seed_of: HashMap::new(),
         };
         for s in seeds {
-            g.dist.insert(s.clone(), 0);
-            g.seed_of.insert(s.clone(), s.clone());
-            g.heap.push(Reverse((0, s.clone(), 0)));
+            let id = explorer.id(s);
+            g.reached.insert(id, (0, id));
+            g.heap.push(Reverse((0, s.clone(), id, 0)));
         }
         g
-    }
-
-    /// The seed vertex this path originates from.
-    fn seed_for(&self, v: &Term) -> Option<Term> {
-        let mut cur = v.clone();
-        loop {
-            if let Some(seed) = self.seed_of.get(&cur) {
-                return Some(seed.clone());
-            }
-            match self.parent.get(&cur) {
-                Some((p, _, _)) => cur = p.clone(),
-                None => return None,
-            }
-        }
     }
 }
 
@@ -345,23 +324,27 @@ impl<'a> StructureRelaxer<'a> {
             fed: self.fed,
             budget_left: self.config.budget_for(self.tier),
             queries_used: 0,
-            memo: HashMap::new(),
-            union_edges: HashSet::new(),
+            ids: HashMap::new(),
+            vertices: Vec::new(),
+            lists: Vec::new(),
             shared: self.cache.as_deref(),
         };
-        let mut searches: Vec<GroupSearch> = groups.iter().map(|g| GroupSearch::new(g)).collect();
+        let mut searches: Vec<GroupSearch> = groups
+            .iter()
+            .map(|g| GroupSearch::new(g, &mut explorer))
+            .collect();
         // settled vertex → owning group.
-        let mut owner: HashMap<Term, usize> = HashMap::new();
+        let mut owner: HashMap<usize, usize> = HashMap::new();
         let mut uf = UnionFind::new(groups.len());
         // Connection records: (group a, group b, meeting vertex).
-        let mut connections: Vec<(usize, usize, Term)> = Vec::new();
+        let mut connections: Vec<(usize, usize, usize)> = Vec::new();
 
         // Groups "take turns in expansion" — round-robin over live heaps.
         let mut active = true;
         while active && !uf.all_connected(groups.len()) {
             active = false;
             for (gi, search) in searches.iter_mut().enumerate() {
-                let Some(Reverse((d, v, siblings))) = search.heap.pop() else {
+                let Some(Reverse((d, _, v, siblings))) = search.heap.pop() else {
                     continue;
                 };
                 active = true;
@@ -370,32 +353,29 @@ impl<'a> StructureRelaxer<'a> {
                     Some(&other) => {
                         // Meeting point: a path between two groups' seeds.
                         if uf.union(gi, other) {
-                            connections.push((gi, other, v.clone()));
+                            connections.push((gi, other, v));
                         }
                         continue;
                     }
                     None => {}
                 }
-                owner.insert(v.clone(), gi);
+                owner.insert(v, gi);
                 // Budget heuristic: skip expanding vertices whose sibling
                 // fan-out exceeds the remaining budget — hope another group
                 // reaches this region instead.
                 if siblings > explorer.budget_left {
                     continue;
                 }
-                let Some(neighbors) = explorer.expand(&v) else {
+                let Some(list) = explorer.expand(v) else {
                     continue;
                 };
-                let fanout = neighbors.len();
-                for (other, pred, outgoing) in neighbors.iter() {
+                let fanout = list.neighbors.len();
+                let seed = search.reached[&v].1;
+                for ((other, pred, _), &id) in list.neighbors.iter().zip(&list.ids) {
                     let nd = d + self.weight(pred);
-                    let better = search.dist.get(other).is_none_or(|&old| nd < old);
-                    if better {
-                        search.dist.insert(other.clone(), nd);
-                        search
-                            .parent
-                            .insert(other.clone(), (v.clone(), pred.clone(), *outgoing));
-                        search.heap.push(Reverse((nd, other.clone(), fanout)));
+                    if search.reached.get(&id).is_none_or(|&(old, _)| nd < old) {
+                        search.reached.insert(id, (nd, seed));
+                        search.heap.push(Reverse((nd, other.clone(), id, fanout)));
                     }
                 }
             }
@@ -407,43 +387,25 @@ impl<'a> StructureRelaxer<'a> {
         let complete = uf.all_connected(groups.len());
 
         // The terminals: the seeds the connecting paths start from.
-        let mut terminals: Vec<Term> = Vec::new();
-        for (ga, gb, v) in &connections {
-            for &gi in &[*ga, *gb] {
-                if let Some(seed) = searches[gi].seed_for(v) {
-                    if !terminals.contains(&seed) {
-                        terminals.push(seed);
-                    }
+        let mut terminals: Vec<usize> = Vec::new();
+        for &(ga, gb, v) in &connections {
+            for gi in [ga, gb] {
+                let seed = searches[gi].reached[&v].1;
+                if !terminals.contains(&seed) {
+                    terminals.push(seed);
                 }
             }
         }
-        // Step 1 result: g = the union of the distance network's MST paths.
-        let mut g_vertices: HashSet<Term> = HashSet::new();
-        for (s, _, o) in self.distance_network_paths(&explorer.union_edges, &terminals) {
-            g_vertices.insert(s.clone());
-            g_vertices.insert(o.clone());
-        }
-        for t in &terminals {
-            g_vertices.insert(t.clone());
-        }
-
-        // Step 2: induced subgraph g′ of g in the full explored union graph.
-        let induced: Vec<Edge> = explorer
-            .union_edges
-            .iter()
-            .filter(|(s, _, o)| g_vertices.contains(s) && g_vertices.contains(o))
-            .cloned()
+        let vertices = &explorer.vertices;
+        let tree: Vec<Edge> = self
+            .steiner_tree(&explorer, &terminals)
+            .into_iter()
+            .map(|(s, p, o)| (vertices[s].clone(), p.clone(), vertices[o].clone()))
             .collect();
-
-        // Minimum spanning tree of g′ (Kruskal).
-        let tree = self.mst(&g_vertices, &induced);
-
-        // Prune non-terminal degree-1 vertices repeatedly.
-        let tree = prune(tree, &terminals);
         if tree.is_empty() {
             return None;
         }
-
+        let terminals: Vec<Term> = terminals.iter().map(|&t| vertices[t].clone()).collect();
         let query = tree_to_query(&tree, &terminals);
         Some(RelaxedQuery {
             query,
@@ -454,153 +416,153 @@ impl<'a> StructureRelaxer<'a> {
         })
     }
 
-    /// Step 1 of Kou, Markowsky & Berman, over the explored union graph
-    /// (undirected, each edge weighing its predicate's [`weight`](Self::weight)):
-    /// the shortest paths between the terminals, the MST of that distance
-    /// network, and the edges of the MST's paths. It sends no query. Every
-    /// tie breaks by `Term` order: Dijkstra pops `(distance, term)`, so of
-    /// two equal paths the one through the earlier-popped vertex wins, a
-    /// parallel edge loses to the smaller one, and Kruskal sorts
-    /// `(distance, terminal, terminal)`.
-    fn distance_network_paths<'e>(
+    /// Kou, Markowsky & Berman over the explorer's union graph (undirected,
+    /// each edge weighing its predicate's [`weight`](Self::weight)), on its
+    /// numbering: (1) the vertices of the distance network's MST paths,
+    /// (2) the subgraph they and the terminals induce, (3) its MST, and (4)
+    /// that tree with non-terminal leaves deleted until none is left
+    /// (Algorithm 3 lines 17–19). It sends no query.
+    fn steiner_tree<'g>(
         &self,
-        union_edges: &'e HashSet<Edge>,
-        terminals: &'e [Term],
-    ) -> Vec<&'e Edge> {
-        let mut number: HashMap<&Term, usize> =
-            HashMap::with_capacity(union_edges.len() + terminals.len());
-        let mut vertices: Vec<&Term> = Vec::with_capacity(number.capacity());
-        let mut seen = |t: &'e Term| {
-            *number.entry(t).or_insert_with(|| {
-                vertices.push(t);
-                vertices.len() - 1
-            })
-        };
-        let terminal_number: Vec<usize> = terminals.iter().map(&mut seen).collect();
-        let edges: Vec<(usize, usize, &Edge)> = union_edges
-            .iter()
-            .map(|e| (seen(&e.0), seen(&e.2), e))
+        explorer: &'g Explorer,
+        terminals: &[usize],
+    ) -> Vec<(usize, &'g Term, usize)> {
+        let vertices = &explorer.vertices;
+        // An edge held by both its endpoints' lists is listed twice; the
+        // copies tie in every comparison, so the second never changes a
+        // step's choice.
+        let mut edges: Vec<NumberedEdge> = Vec::new();
+        for (v, list) in explorer.lists.iter().enumerate() {
+            let Some(list) = list else { continue };
+            for ((_, p, outgoing), &n) in list.neighbors.iter().zip(&list.ids) {
+                let (s, o) = if *outgoing { (v, n) } else { (n, v) };
+                edges.push((self.weight(p), s, p, o));
+            }
+        }
+        // (1) g: the terminals and the vertices of the MST's paths.
+        let mut in_g = vec![false; vertices.len()];
+        for &t in terminals {
+            in_g[t] = true;
+        }
+        for e in distance_network_paths(vertices, &edges, terminals) {
+            in_g[edges[e].1] = true;
+            in_g[edges[e].3] = true;
+        }
+        // (2) and (3): the subgraph g induces, and its MST by Kruskal.
+        let mut induced: Vec<&NumberedEdge> =
+            edges.iter().filter(|e| in_g[e.1] && in_g[e.3]).collect();
+        induced.sort_unstable_by_key(|&&(w, s, p, o)| (w, &vertices[s], p, &vertices[o]));
+        let mut uf = UnionFind::new(vertices.len());
+        let mut tree: Vec<(usize, &Term, usize)> = induced
+            .into_iter()
+            .filter(|e| uf.union(e.1, e.3))
+            .map(|&(_, s, p, o)| (s, p, o))
             .collect();
-        let mut adjacent: Vec<Vec<(usize, u64, usize)>> = vec![Vec::new(); vertices.len()];
-        for (i, &(s, o, e)) in edges.iter().enumerate() {
-            let w = self.weight(&e.1);
-            adjacent[s].push((o, w, i));
-            adjacent[o].push((s, w, i));
-        }
-        let across = |e: usize, v: usize| {
-            let (s, o, _) = edges[e];
-            if s == v {
-                o
-            } else {
-                s
+        // (4) Prune non-terminal leaves until none is left.
+        loop {
+            let mut degree = vec![0usize; vertices.len()];
+            for &(s, _, o) in &tree {
+                degree[s] += 1;
+                degree[o] += 1;
             }
-        };
-        // A Dijkstra from each terminal but the last, until every later
-        // terminal is settled: each vertex's distance and the edge that
-        // reached it.
-        let searches: Vec<Vec<(u64, Option<usize>)>> = (1..terminals.len())
-            .map(|later| {
-                let mut reached = vec![(u64::MAX, None); vertices.len()];
-                let start = terminal_number[later - 1];
-                reached[start].0 = 0;
-                let mut unsettled = terminals.len() - later;
-                let mut heap = BinaryHeap::from([Reverse((0, vertices[start], start))]);
-                while let Some(Reverse((d, _, v))) = heap.pop() {
-                    if d > reached[v].0 {
-                        continue;
-                    }
-                    if terminal_number[later..].contains(&v) {
-                        unsettled -= 1;
-                        if unsettled == 0 {
-                            break;
-                        }
-                    }
-                    for &(other, w, e) in &adjacent[v] {
-                        match reached[other] {
-                            (best, _) if d + w < best => {
-                                reached[other] = (d + w, Some(e));
-                                heap.push(Reverse((d + w, vertices[other], other)));
-                            }
-                            (best, Some(by))
-                                if d + w == best
-                                    && across(by, other) == v
-                                    && edges[e].2 < edges[by].2 =>
-                            {
-                                reached[other].1 = Some(e);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                reached
-            })
-            .collect();
-        let mut pairs = Vec::new();
-        for (i, &a) in terminal_number.iter().enumerate() {
-            for (j, &b) in terminal_number.iter().enumerate().skip(i + 1) {
-                let d = searches[i][b].0;
-                if d < u64::MAX {
-                    let (a, b) = (vertices[a], vertices[b]);
-                    pairs.push((d, a.min(b), a.max(b), i, j));
-                }
+            let leaf = |v: usize| degree[v] == 1 && !terminals.contains(&v);
+            let before = tree.len();
+            tree.retain(|&(s, _, o)| !leaf(s) && !leaf(o));
+            if tree.len() == before {
+                return tree;
             }
         }
-        pairs.sort_unstable();
-        let mut uf = UnionFind::new(terminals.len());
-        let mut paths = Vec::new();
-        for (_, _, _, i, j) in pairs {
-            if !uf.union(i, j) {
-                continue;
-            }
-            let mut v = terminal_number[j];
-            while let (_, Some(e)) = searches[i][v] {
-                paths.push(edges[e].2);
-                v = across(e, v);
-            }
-        }
-        paths
-    }
-
-    fn mst(&self, vertices: &HashSet<Term>, edges: &[Edge]) -> Vec<Edge> {
-        let verts: Vec<&Term> = vertices.iter().collect();
-        let index: HashMap<&Term, usize> = verts.iter().enumerate().map(|(i, v)| (*v, i)).collect();
-        let mut sorted: Vec<&Edge> = edges.iter().collect();
-        sorted.sort_by_key(|(s, p, o)| (self.weight(p), s.clone(), p.clone(), o.clone()));
-        let mut uf = UnionFind::new(verts.len());
-        let mut out = Vec::new();
-        for e in sorted {
-            let (s, _, o) = e;
-            let (a, b) = (index[s], index[o]);
-            if uf.union(a, b) {
-                out.push(e.clone());
-            }
-        }
-        out
     }
 }
 
-/// Repeatedly delete degree-1 vertices that are not terminals (Algorithm 3
-/// lines 17–19).
-fn prune(mut tree: Vec<Edge>, terminals: &[Term]) -> Vec<Edge> {
-    loop {
-        let mut degree: HashMap<&Term, usize> = HashMap::new();
-        for (s, _, o) in &tree {
-            *degree.entry(s).or_default() += 1;
-            *degree.entry(o).or_default() += 1;
+/// Step 1 of Kou, Markowsky & Berman: the shortest paths between the
+/// terminals, the MST of that distance network, and the indices into
+/// `edges` of the MST's paths.
+fn distance_network_paths(
+    vertices: &[Term],
+    edges: &[NumberedEdge],
+    terminals: &[usize],
+) -> Vec<usize> {
+    let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); vertices.len()];
+    for (e, &(_, s, _, o)) in edges.iter().enumerate() {
+        adjacent[s].push(e);
+        adjacent[o].push(e);
+    }
+    let across = |e: usize, v: usize| {
+        let (_, s, _, o) = edges[e];
+        if s == v {
+            o
+        } else {
+            s
         }
-        let removable: HashSet<Term> = degree
-            .iter()
-            .filter(|(v, &d)| d == 1 && !terminals.contains(v))
-            .map(|(v, _)| (*v).clone())
-            .collect();
-        if removable.is_empty() {
-            return tree;
-        }
-        tree.retain(|(s, _, o)| !removable.contains(s) && !removable.contains(o));
-        if tree.is_empty() {
-            return tree;
+    };
+    let terms = |e: usize| {
+        let (_, s, p, o) = edges[e];
+        (&vertices[s], p, &vertices[o])
+    };
+    // A Dijkstra from each terminal but the last, until every later
+    // terminal is settled: each vertex's distance and the edge that
+    // reached it.
+    let searches: Vec<Vec<(u64, Option<usize>)>> = (1..terminals.len())
+        .map(|later| {
+            let mut reached = vec![(u64::MAX, None); vertices.len()];
+            let start = terminals[later - 1];
+            reached[start].0 = 0;
+            let mut unsettled = terminals.len() - later;
+            let mut heap = BinaryHeap::from([Reverse((0, &vertices[start], start))]);
+            while let Some(Reverse((d, _, v))) = heap.pop() {
+                if d > reached[v].0 {
+                    continue;
+                }
+                if terminals[later..].contains(&v) {
+                    unsettled -= 1;
+                    if unsettled == 0 {
+                        break;
+                    }
+                }
+                for &e in &adjacent[v] {
+                    let (other, w) = (across(e, v), edges[e].0);
+                    match reached[other] {
+                        (best, _) if d + w < best => {
+                            reached[other] = (d + w, Some(e));
+                            heap.push(Reverse((d + w, &vertices[other], other)));
+                        }
+                        (best, Some(by))
+                            if d + w == best && across(by, other) == v && terms(e) < terms(by) =>
+                        {
+                            reached[other].1 = Some(e);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            reached
+        })
+        .collect();
+    let mut pairs = Vec::new();
+    for (i, &a) in terminals.iter().enumerate() {
+        for (j, &b) in terminals.iter().enumerate().skip(i + 1) {
+            let d = searches[i][b].0;
+            if d < u64::MAX {
+                let (a, b) = (&vertices[a], &vertices[b]);
+                pairs.push((d, a.min(b), a.max(b), i, j));
+            }
         }
     }
+    pairs.sort_unstable();
+    let mut uf = UnionFind::new(terminals.len());
+    let mut paths = Vec::new();
+    for (_, _, _, i, j) in pairs {
+        if !uf.union(i, j) {
+            continue;
+        }
+        let mut v = terminals[j];
+        while let (_, Some(e)) = searches[i][v] {
+            paths.push(e);
+            v = across(e, v);
+        }
+    }
+    paths
 }
 
 /// Convert the tree into a SPARQL query: terminals stay ground, every other
@@ -943,5 +905,149 @@ res:BigSur a dbo:Film ; dbo:name "Big Sur"@en ; dbo:writer res:Kerouac .
             .expect("must connect via real members");
         assert!(relaxed.terminals.contains(&Term::en("Jack Kerouac")));
         assert!(relaxed.terminals.contains(&Term::en("Viking Press")));
+    }
+
+    /// Hash order cannot move a relaxation: each of the ratio property's
+    /// random graphs (the same seed, drawn the same way), relaxed twice by
+    /// fresh relaxers whose maps hash differently, relaxes the same, tree
+    /// order included.
+    #[test]
+    fn a_relaxation_does_not_depend_on_hash_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        for case in 0..1500 {
+            let iris = rng.gen_range(3..=9usize);
+            let literals = rng.gen_range(2..=4usize);
+            let vertex = |v: usize| {
+                if v < iris {
+                    Term::iri(format!("http://x/e{v}"))
+                } else {
+                    Term::en(format!("L{}", v - iris))
+                }
+            };
+            let predicate = |p: usize| format!("http://x/p{p}");
+            let preferred: HashSet<String> = (0..3)
+                .filter(|_| rng.gen_bool(0.5))
+                .map(predicate)
+                .collect();
+            let mut triples = Vec::new();
+            for a in 0..iris {
+                for b in 0..iris {
+                    if a != b && rng.gen_bool(0.25) {
+                        triples.push((
+                            vertex(a),
+                            Term::iri(predicate(rng.gen_range(0..3))),
+                            vertex(b),
+                        ));
+                    }
+                }
+            }
+            for l in iris..iris + literals {
+                for _ in 0..rng.gen_range(1..=2) {
+                    let s = vertex(rng.gen_range(0..iris));
+                    triples.push((s, Term::iri(predicate(rng.gen_range(0..3))), vertex(l)));
+                }
+            }
+            let ep: Arc<dyn Endpoint> = Arc::new(LocalEndpoint::new(
+                "random",
+                sapphire_rdf::Graph::from_term_triples(triples),
+                EndpointLimits::warehouse(),
+            ));
+            let fed = FederatedProcessor::single(ep);
+            let config = SteinerConfig {
+                query_budget: usize::MAX,
+            };
+            let groups: Vec<Vec<Term>> = (iris..iris + literals).map(|l| vec![vertex(l)]).collect();
+            let relax = || StructureRelaxer::new(&fed, config, preferred.clone()).relax(&groups);
+            match (relax(), relax()) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.tree, b.tree, "case {case}");
+                    assert_eq!(a.terminals, b.terminals, "case {case}");
+                    assert_eq!(a.query, b.query, "case {case}");
+                    assert_eq!(a.queries_used, b.queries_used, "case {case}");
+                    assert_eq!(a.complete, b.complete, "case {case}");
+                }
+                (a, b) => panic!("case {case}: {a:?} against {b:?}"),
+            }
+        }
+    }
+
+    /// An endpoint that refuses every query with one vertex as its subject —
+    /// that vertex's outgoing-edge expansion — and counts the refusals.
+    struct RefusesOutgoing {
+        inner: LocalEndpoint,
+        vertex: Term,
+        refused: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Endpoint for RefusesOutgoing {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn execute_parsed(
+            &self,
+            query: &Query,
+        ) -> Result<QueryResult, sapphire_endpoint::EndpointError> {
+            if query.pattern().triples[0].subject == TermPattern::Term(self.vertex.clone()) {
+                self.refused
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                return Err(sapphire_endpoint::EndpointError::Timeout { work_used: 0 });
+            }
+            self.inner.execute_parsed(query)
+        }
+    }
+
+    /// A vertex whose outgoing-edge query fails keeps its partial neighbour
+    /// list in its own relaxation's graph, which still connects the groups
+    /// as a cold run does, but the shared cache never holds that list: the
+    /// next relaxation asks again.
+    #[test]
+    fn a_partial_neighbor_list_stays_in_its_own_graph_and_out_of_the_cache() {
+        let kerouac = Term::iri(format!("{}Kerouac", sapphire_rdf::vocab::dbp::RESOURCE));
+        let ep = Arc::new(RefusesOutgoing {
+            inner: LocalEndpoint::new(
+                "books",
+                turtle::parse(KEROUAC).unwrap(),
+                EndpointLimits::warehouse(),
+            ),
+            vertex: kerouac.clone(),
+            refused: Default::default(),
+        });
+        let fed = FederatedProcessor::single(ep.clone() as Arc<dyn Endpoint>);
+        let refused = || ep.refused.load(std::sync::atomic::Ordering::Relaxed);
+        let groups = vec![
+            vec![Term::en("Jack Kerouac")],
+            vec![Term::en("Viking Press")],
+        ];
+        let (intact, _) = setup();
+        let cold = StructureRelaxer::new(&intact, SteinerConfig::default(), preferred())
+            .relax(&groups)
+            .expect("the intact graph connects");
+        let cache = Arc::new(super::super::NeighborhoodCache::new(4, 256));
+        let relax = || {
+            StructureRelaxer::new(&fed, SteinerConfig::default(), preferred())
+                .with_cache(cache.clone())
+                .relax(&groups)
+                .expect("the partial list still connects")
+        };
+        let first = relax();
+        assert_eq!(refused(), 1, "the vertex was expanded");
+        assert!(first.complete);
+        assert!(
+            first.tree.iter().any(|(_, _, o)| *o == kerouac),
+            "the tree reaches the vertex through its incoming edges: {:?}",
+            first.tree
+        );
+        assert_eq!(first.tree, cold.tree);
+        assert_eq!(first.queries_used, cold.queries_used);
+        assert!(
+            cache.get(&kerouac).is_none(),
+            "a partial list is never published"
+        );
+        let second = relax();
+        assert_eq!(refused(), 2, "the next relaxation issues the query again");
+        assert_eq!(second.tree, first.tree);
     }
 }
