@@ -28,7 +28,8 @@
 //! from the [`SteinerConfig`] ladder — the serving tier's degraded mode.
 //!
 //! The explorer keeps one copy of the graph it explores. It numbers each
-//! vertex once, when the vertex is first seen, and keeps each expanded
+//! vertex once, when the vertex is first seen, in a per-request
+//! [`Interner`] that holds the vertex's term once, and keeps each expanded
 //! vertex's neighbour list beside that number, with every neighbour's
 //! number. Those lists *are* the union graph: the group searches walk them,
 //! and all four steps of Kou, Markowsky & Berman run over them on the same
@@ -49,7 +50,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use sapphire_endpoint::FederatedProcessor;
-use sapphire_rdf::Term;
+use sapphire_rdf::{Interner, Term};
 use sapphire_sparql::{GraphPattern, Query, QueryResult, SelectQuery, TermPattern, TriplePattern};
 
 use super::neighborhood::{Neighbor, NeighborhoodCache};
@@ -101,9 +102,8 @@ struct Explorer<'a> {
     fed: &'a FederatedProcessor,
     budget_left: usize,
     queries_used: usize,
-    /// Every vertex seen so far, numbered once: term → number, and back.
-    ids: HashMap<Term, usize>,
-    vertices: Vec<Term>,
+    /// Every vertex seen so far, numbered once, in the order it was seen.
+    vertices: Interner,
     /// The union graph: by vertex number, the vertex's neighbour list once
     /// it is expanded.
     lists: Vec<Option<Expansion>>,
@@ -132,19 +132,17 @@ impl<'a> Explorer<'a> {
 
     /// The number of `t`, numbering it if it is new.
     fn id(&mut self, t: &Term) -> usize {
-        if let Some(&id) = self.ids.get(t) {
-            return id;
+        if let Some(id) = self.vertices.get(t) {
+            return id.index();
         }
-        self.ids.insert(t.clone(), self.vertices.len());
-        self.vertices.push(t.clone());
         self.lists.push(None);
-        self.vertices.len() - 1
+        self.vertices.intern(t.clone()).index()
     }
 
     /// Expand vertex `v`, which no search has expanded: only the group that
     /// first pops a vertex expands it.
     fn expand(&mut self, v: usize) -> Option<&Expansion> {
-        let term = self.vertices[v].clone();
+        let term = self.vertices.terms()[v].clone();
         let needed = if term.is_literal() { 1 } else { 2 };
         if self.budget_left < needed {
             return None;
@@ -324,8 +322,7 @@ impl<'a> StructureRelaxer<'a> {
             fed: self.fed,
             budget_left: self.config.budget_for(self.tier),
             queries_used: 0,
-            ids: HashMap::new(),
-            vertices: Vec::new(),
+            vertices: Interner::new(),
             lists: Vec::new(),
             shared: self.cache.as_deref(),
         };
@@ -396,7 +393,7 @@ impl<'a> StructureRelaxer<'a> {
                 }
             }
         }
-        let vertices = &explorer.vertices;
+        let vertices = explorer.vertices.terms();
         let tree: Vec<Edge> = self
             .steiner_tree(&explorer, &terminals)
             .into_iter()
@@ -427,7 +424,7 @@ impl<'a> StructureRelaxer<'a> {
         explorer: &'g Explorer,
         terminals: &[usize],
     ) -> Vec<(usize, &'g Term, usize)> {
-        let vertices = &explorer.vertices;
+        let vertices = explorer.vertices.terms();
         // An edge held by both its endpoints' lists is listed twice; the
         // copies tie in every comparison, so the second never changes a
         // step's choice.

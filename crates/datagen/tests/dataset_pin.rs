@@ -35,3 +35,21 @@ fn tiny_42_and_its_first_shard_keep_their_bytes() {
         "shard 0 of a 2-way split of tiny(42)"
     );
 }
+
+/// `small` interns about ten times `tiny`'s terms, so its term table grows
+/// through many more resizes; recorded before the table's hashing changed.
+#[test]
+fn small_42_keeps_its_bytes() {
+    let g = generate(DatasetConfig::small(42));
+    assert_eq!(
+        fingerprint(&g),
+        (4660, 12_157, 3_686_390_170_183_293_377),
+        "small(42)"
+    );
+    let split = Partitioner::new(2).split(&g);
+    assert_eq!(
+        fingerprint(&split.shards[1]),
+        (2704, 6092, 414_362_835_344_826_171),
+        "shard 1 of a 2-way split of small(42)"
+    );
+}

@@ -56,7 +56,7 @@ pub mod term;
 pub mod vocab;
 
 pub use graph::{Graph, GraphBuilder, IdTriple, Matches};
-pub use interner::{FnvMap, Interner, TermId};
+pub use interner::{Interner, TermId};
 pub use partition::{shard_of, Partition, Partitioner};
 pub use schema::ClassHierarchy;
 pub use snapshot::SnapshotError;
