@@ -94,7 +94,7 @@ use sapphire_bench::args::Args;
 use sapphire_bench::cluster::{self, ClusterLoadOptions};
 use sapphire_bench::overload::{self, OverloadOptions};
 use sapphire_bench::serve::{self, ServeLoadOptions};
-use sapphire_obs::MetricsHub;
+use sapphire_obs::{MetricsHub, Stage};
 
 /// One judged gate: its name, whether it held, and the numbers behind it.
 type Row = (String, bool, String);
@@ -183,20 +183,6 @@ impl<'a> Gates<'a> {
     }
 }
 
-const STAGES: [&str; 11] = [
-    "frontend_queue",
-    "admission_wait",
-    "coalesce_wait",
-    "cache_lookup",
-    "qcm_scan",
-    "qsm_scan",
-    "steiner_relax",
-    "shard_rtt",
-    "edge_merge",
-    "exec_queue",
-    "end_to_end",
-];
-
 /// The single-server workload's gates (see the module docs).
 fn serve_gates(hub: &MetricsHub) -> Vec<Row> {
     let mut g = Gates::over(hub);
@@ -275,8 +261,9 @@ fn serve_gates(hub: &MetricsHub) -> Vec<Row> {
 
     // A stage that silently stopped recording is an instrumentation
     // regression, not a tuning knob; an unrecorded stage has no section.
-    let recorded: Vec<&str> = STAGES
+    let recorded: Vec<&str> = Stage::ALL
         .into_iter()
+        .map(Stage::name)
         .filter(|stage| hub.get_f64(stage, "count").is_some_and(|c| c >= 1.0))
         .collect();
     g.rows.push((

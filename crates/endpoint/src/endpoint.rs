@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use sapphire_rdf::{vocab, Graph, Literal, Term, TermId};
+use sapphire_rdf::{vocab, Graph, Literal, Term};
 use sapphire_sparql::ast::{Aggregate, Expr, Projection, SelectItem, TermPattern};
 use sapphire_sparql::eval::{evaluate, EvalError, WorkBudget};
 use sapphire_sparql::{parse_query, OrderKey, Query, QueryResult, SelectQuery, Solutions};
@@ -190,53 +190,13 @@ impl LocalEndpoint {
         *self.stats.lock().unwrap() = EndpointStats::default();
     }
 
-    /// The endpoint's up-front cost estimate for a query: the sum of index
-    /// cardinalities of its triple patterns with only ground terms bound —
-    /// a crude planner estimate, which is exactly what public endpoints use
-    /// for admission control. A `VALUES` variable counts as bound: a pattern
-    /// it occurs in costs the sum of its ranges over the values the graph
-    /// holds, so a batched look-up is priced as the look-ups it replaces,
-    /// not as a scan.
+    /// The endpoint's up-front cost estimate for a query — what the
+    /// [`reject_above`](EndpointLimits::reject_above) gate compares: the
+    /// evaluator's price of the query's pattern
+    /// ([`sapphire_sparql::estimate_cost`]), a crude planner estimate of the
+    /// kind public endpoints use for admission control.
     pub fn estimate_cost(&self, query: &Query) -> u64 {
-        let pattern = query.pattern();
-        let inline = pattern.values.as_ref();
-        let present: Vec<TermId> = inline
-            .iter()
-            .flat_map(|data| data.terms.iter())
-            .filter_map(|t| self.graph.term_id(t))
-            .collect();
-        pattern
-            .triples
-            .iter()
-            .map(|tp| {
-                // The pattern's ground ids, resolved once, and the positions
-                // the `VALUES` variable stands in.
-                let mut ground = [None; 3];
-                let mut inlined = [false; 3];
-                for (at, position) in tp.positions().into_iter().enumerate() {
-                    match position {
-                        TermPattern::Term(t) => match self.graph.term_id(t) {
-                            Some(id) => ground[at] = Some(id),
-                            // A ground term absent from the graph ⇒ zero matches.
-                            None => return 0,
-                        },
-                        TermPattern::Var(v) => inlined[at] = inline.is_some_and(|d| d.var == *v),
-                    }
-                }
-                // The pattern's range with `value` standing where the
-                // `VALUES` variable does.
-                let range = |value: Option<TermId>| -> u64 {
-                    let [s, p, o] =
-                        [0, 1, 2].map(|at| if inlined[at] { value } else { ground[at] });
-                    self.graph.triples_matching(s, p, o).len() as u64
-                };
-                if inlined.contains(&true) {
-                    present.iter().map(|&id| range(Some(id))).sum()
-                } else {
-                    range(None)
-                }
-            })
-            .sum()
+        sapphire_sparql::estimate_cost(&self.graph, query.pattern())
     }
 }
 

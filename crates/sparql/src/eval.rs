@@ -266,13 +266,10 @@ impl BindingTable {
 /// One position of a compiled pattern.
 #[derive(Clone, Copy)]
 enum Slot {
-    /// Ground term present in the graph.
+    /// Ground term, by its id in the graph.
     Ground(TermId),
     /// Variable index.
     Var(usize),
-    /// Ground term that does not occur in the graph at all — the pattern can
-    /// never match.
-    Absent,
 }
 
 struct CompiledPattern {
@@ -280,72 +277,98 @@ struct CompiledPattern {
 }
 
 impl CompiledPattern {
-    fn compile(tp: &TriplePattern, graph: &Graph, vars: &VarTable) -> Self {
+    /// `tp` over `graph`, its variables numbered by `vars`: ground terms
+    /// become their ids, so a walk and a price read ranges without looking a
+    /// term up again. `None` when a ground term does not occur in the graph
+    /// at all — the pattern, and any BGP it is in, matches nothing.
+    fn compile(tp: &TriplePattern, graph: &Graph, vars: &VarTable) -> Option<Self> {
         let compile_pos = |p: &TermPattern| match p {
-            TermPattern::Var(v) => Slot::Var(vars.get(v).expect("var registered")),
-            TermPattern::Term(t) => match graph.term_id(t) {
-                Some(id) => Slot::Ground(id),
-                None => Slot::Absent,
-            },
+            TermPattern::Var(v) => Some(Slot::Var(vars.get(v).expect("var registered"))),
+            TermPattern::Term(t) => graph.term_id(t).map(Slot::Ground),
         };
-        CompiledPattern {
+        Some(CompiledPattern {
             slots: [
-                compile_pos(&tp.subject),
-                compile_pos(&tp.predicate),
-                compile_pos(&tp.object),
+                compile_pos(&tp.subject)?,
+                compile_pos(&tp.predicate)?,
+                compile_pos(&tp.object)?,
             ],
-        }
+        })
     }
 
-    fn is_satisfiable(&self) -> bool {
-        !self.slots.iter().any(|s| matches!(s, Slot::Absent))
+    /// The variable of each variable position, in s/p/o order.
+    fn vars(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().filter_map(|slot| match slot {
+            Slot::Var(v) => Some(*v),
+            Slot::Ground(_) => None,
+        })
     }
 
     /// Number of positions that are ground or already bound.
     fn bound_count(&self, bound: &[bool]) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| match s {
-                Slot::Ground(_) => true,
-                Slot::Var(v) => bound[*v],
-                Slot::Absent => true,
-            })
-            .count()
+        3 - self.vars().filter(|&v| !bound[v]).count()
+    }
+
+    /// Whether walking this pattern after steps that bound `bound` joins
+    /// them rather than crossing them: it has no variable, or it shares one.
+    fn joins(&self, bound: &[bool]) -> bool {
+        let mut vars = self.vars().peekable();
+        vars.peek().is_none() || vars.any(|v| bound[v])
     }
 
     /// Base cardinality estimate using only ground positions — and, for the
     /// inline-data variable, the value `seed` stands in with.
     fn base_cardinality(&self, graph: &Graph, seed: Option<(usize, TermId)>) -> usize {
-        let pick = |s: &Slot| match s {
-            Slot::Ground(id) => Some(*id),
-            Slot::Var(v) => seed.filter(|(var, _)| var == v).map(|(_, id)| id),
-            Slot::Absent => None,
-        };
-        graph
-            .triples_matching(
-                pick(&self.slots[0]),
-                pick(&self.slots[1]),
-                pick(&self.slots[2]),
-            )
-            .len()
+        let [s, p, o] = self.slots.map(|slot| match slot {
+            Slot::Ground(id) => Some(id),
+            Slot::Var(v) => seed.filter(|(var, _)| *var == v).map(|(_, id)| id),
+        });
+        graph.triples_matching(s, p, o).len()
     }
+}
+
+/// The up-front price of matching `gp` over `graph` — the crude planner
+/// estimate public endpoints gate admission on (§5.1): the sum, over its
+/// triple patterns, of the range each matches with only its ground positions
+/// bound. A pattern with a ground term the graph lacks matches nothing and
+/// prices at 0. The `VALUES` variable counts as bound: a pattern it occurs
+/// in prices at the sum of its ranges over the listed values the graph
+/// holds, so a batched look-up costs the look-ups it replaces, not a scan.
+pub fn estimate_cost(graph: &Graph, gp: &GraphPattern) -> u64 {
+    let vars = VarTable::from_pattern(gp);
+    let inline = gp.values.as_ref().map(|data| {
+        let var = vars.get(&data.var).expect("var registered");
+        let ids: Vec<TermId> = data.terms.iter().filter_map(|t| graph.term_id(t)).collect();
+        (var, ids)
+    });
+    gp.triples
+        .iter()
+        .filter_map(|tp| CompiledPattern::compile(tp, graph, &vars))
+        .map(|c| match &inline {
+            Some((var, ids)) if c.vars().any(|v| v == *var) => ids
+                .iter()
+                .map(|&id| c.base_cardinality(graph, Some((*var, id))) as u64)
+                .sum(),
+            _ => c.base_cardinality(graph, None) as u64,
+        })
+        .sum()
 }
 
 /// Match the BGP and return its binding rows (columns per [`VarTable`]).
 ///
+/// A ground term the graph lacks empties the BGP before any work is done.
 /// Inline data enters the walk once per value the graph interns, in list
 /// order, with the variable already bound: the work is that of the same
 /// pattern with the value written in its place, value after value.
 ///
 /// Asked only which values have a solution ([`Walk::OncePerValue`]), the
 /// walk may instead be taken from the pattern's side: when its smallest
-/// ground-only range holds fewer rows than the list has values, and the
-/// join order without the values bound is connected (no step is a cross
-/// product), the pattern is walked once without inline data and each listed
-/// value equal to a term the walk bound to the variable answers one row, in
-/// list order. Only the walk taken is charged. The rule reads only the query
-/// and the graph: a probe of a hundred names joined to a predicate of three
-/// triples walks the three, not the names.
+/// ground-only range holds fewer rows than the list has values, the pattern
+/// is walked once without inline data — in [`plan_order`]'s order, which is
+/// a join at every step a connected BGP allows — and each listed value equal
+/// to a term the walk bound to the variable answers one row, in list order.
+/// Only the walk taken is charged. The rule reads only the query and the
+/// graph: a probe of a hundred names joined to a predicate of three triples
+/// walks the three, not the names.
 fn match_bgp(
     graph: &Graph,
     gp: &GraphPattern,
@@ -360,14 +383,14 @@ fn match_bgp(
             data.var
         )));
     }
-    let compiled: Vec<CompiledPattern> = gp
+    let Some(compiled) = gp
         .triples
         .iter()
         .map(|tp| CompiledPattern::compile(tp, graph, vars))
-        .collect();
-    if compiled.iter().any(|c| !c.is_satisfiable()) {
+        .collect::<Option<Vec<_>>>()
+    else {
         return Ok(out);
-    }
+    };
     let mut bindings: Vec<Option<TermId>> = vec![None; vars.len()];
     let Some(data) = &gp.values else {
         let ctx = MatchCtx::plan(graph, gp, vars, &compiled, None, walk);
@@ -383,29 +406,27 @@ fn match_bgp(
             .min();
         if smallest.is_some_and(|r| r < data.terms.len()) {
             let ctx = MatchCtx::plan(graph, gp, vars, &compiled, None, Walk::All);
-            if connected(&compiled, &ctx.order, vars.len()) {
-                let mut every = BindingTable::new(vars.len());
-                ctx.recurse(0, &mut bindings, &mut every, budget)?;
-                // The distinct terms the walk bound, sorted, each with its
-                // id. Terms and ids are in bijection in the graph's interner,
-                // so a listed term is found by comparison with these, not by
-                // a look-up in the term table.
-                let mut ids: Vec<TermId> = (0..every.len())
-                    .filter_map(|row| every.row(row)[var])
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                let mut found: Vec<(&Term, TermId)> =
-                    ids.into_iter().map(|id| (graph.term(id), id)).collect();
-                found.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                for term in data.terms.iter() {
-                    if let Ok(at) = found.binary_search_by(|(f, _)| (*f).cmp(term)) {
-                        bindings[var] = Some(found[at].1);
-                        out.push(&bindings);
-                    }
+            let mut every = BindingTable::new(vars.len());
+            ctx.recurse(0, &mut bindings, &mut every, budget)?;
+            // The distinct terms the walk bound, sorted, each with its id.
+            // Terms and ids are in bijection in the graph's interner, so a
+            // listed term is found by comparison with these, not by a
+            // look-up in the term table.
+            let mut ids: Vec<TermId> = (0..every.len())
+                .filter_map(|row| every.row(row)[var])
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let mut found: Vec<(&Term, TermId)> =
+                ids.into_iter().map(|id| (graph.term(id), id)).collect();
+            found.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            for term in data.terms.iter() {
+                if let Ok(at) = found.binary_search_by(|(f, _)| (*f).cmp(term)) {
+                    bindings[var] = Some(found[at].1);
+                    out.push(&bindings);
                 }
-                return Ok(out);
             }
+            return Ok(out);
         }
     }
 
@@ -426,27 +447,19 @@ fn match_bgp(
     Ok(out)
 }
 
-/// Whether every step of `order` after the first shares a variable with an
-/// earlier step.
-fn connected(compiled: &[CompiledPattern], order: &[usize], nvars: usize) -> bool {
-    let mut bound = vec![false; nvars];
-    order.iter().enumerate().all(|(step, &pattern)| {
-        let vars = compiled[pattern]
-            .slots
-            .iter()
-            .filter_map(|slot| match slot {
-                Slot::Var(v) => Some(*v),
-                Slot::Ground(_) | Slot::Absent => None,
-            });
-        let joins = step == 0 || vars.clone().any(|v| bound[v]);
-        vars.for_each(|v| bound[v] = true);
-        joins
-    })
-}
-
-/// Greedy join order. `seed` is the inline-data variable — bound before the
-/// walk starts — and one of its values, which sizes the patterns it occurs
-/// in: `(p, ?v)` is a range look-up, not a scan of `p`.
+/// Greedy join order, connected first. Each step takes, of the patterns
+/// left, the one that ranks first on:
+///
+/// 1. whether it *joins* — it is the first step, has no variable, or shares
+///    one an earlier step or the seed bound — so a connected BGP is never
+///    walked as a cross product;
+/// 2. more positions ground or bound;
+/// 3. a smaller ground-only range;
+/// 4. written order.
+///
+/// `seed` is the inline-data variable — bound before the walk starts — and
+/// one of its values, which sizes the patterns it occurs in: `(p, ?v)` is a
+/// range look-up, not a scan of `p`.
 fn plan_order(
     graph: &Graph,
     compiled: &[CompiledPattern],
@@ -465,16 +478,16 @@ fn plan_order(
             .enumerate()
             .min_by_key(|(_, &i)| {
                 let c = &compiled[i];
-                let bc = c.bound_count(&bound);
-                // Prefer more-bound patterns; tiebreak on base cardinality.
-                (3 - bc, c.base_cardinality(graph, seed))
+                (
+                    !(order.is_empty() || c.joins(&bound)),
+                    3 - c.bound_count(&bound),
+                    c.base_cardinality(graph, seed),
+                )
             })
             .expect("non-empty remaining");
         order.push(best);
-        for slot in &compiled[best].slots {
-            if let Slot::Var(v) = slot {
-                bound[*v] = true;
-            }
+        for v in compiled[best].vars() {
+            bound[v] = true;
         }
         remaining.remove(pos);
     }
@@ -514,10 +527,8 @@ impl<'a> MatchCtx<'a> {
             binds_at[var] = Some(0);
         }
         for (step, &pattern) in order.iter().enumerate() {
-            for slot in &compiled[pattern].slots {
-                if let Slot::Var(v) = slot {
-                    binds_at[*v].get_or_insert(step);
-                }
+            for v in compiled[pattern].vars() {
+                binds_at[v].get_or_insert(step);
             }
         }
         let mut filters_at: Vec<Vec<Filter<'a>>> = Vec::new();
@@ -580,7 +591,6 @@ impl<'a> MatchCtx<'a> {
         let [s, p, o] = slots.map(|slot| match slot {
             Slot::Ground(id) => Some(id),
             Slot::Var(v) => bindings[v],
-            Slot::Absent => unreachable!("absent patterns filtered before matching"),
         });
         // One unit per candidate scanned, charged for the whole range before
         // walking it (a LIMIT that stops the walk early has still paid for
@@ -2050,5 +2060,139 @@ res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra
             evaluate_select(&g, &q, &mut WorkBudget::unlimited()),
             Err(EvalError::Unsupported(_))
         ));
+    }
+
+    // --- join order --------------------------------------------------------
+
+    /// A graph term by number: `0..6` are nodes (subjects and objects, so
+    /// patterns chain), `6..8` literals.
+    fn join_term(k: usize) -> Term {
+        if k < 6 {
+            Term::iri(format!("http://x/n{k}"))
+        } else {
+            Term::en(format!("v{k}"))
+        }
+    }
+
+    /// Connected BGPs: four patterns a shape, any prefix of which is
+    /// connected, and a lone pattern without variables. Ground terms come
+    /// from `pick`, a triple of the graph as `[s, p, o]`.
+    fn connected_shapes(mut pick: impl FnMut() -> [String; 3]) -> Vec<(&'static str, Vec<String>)> {
+        let [_, p0, _] = pick();
+        let [_, p1, _] = pick();
+        let [_, p2, _] = pick();
+        let [s, p, o] = pick();
+        let f = |text: &str| text.to_string();
+        vec![
+            (
+                "star",
+                vec![
+                    format!("?a {p0} ?b"),
+                    format!("?a {p1} ?c"),
+                    f("?a ?v ?d"),
+                    format!("?a {p} {o}"),
+                ],
+            ),
+            (
+                "chain",
+                vec![
+                    format!("?a {p0} ?b"),
+                    format!("?b {p1} ?c"),
+                    format!("?c {p2} ?d"),
+                    f("?d ?v ?e"),
+                ],
+            ),
+            (
+                "anchored predicate-variable chain",
+                vec![
+                    format!("?a {p} {o}"),
+                    f("?a ?v ?b"),
+                    format!("?b {p1} ?c"),
+                    format!("?c {p2} ?d"),
+                ],
+            ),
+            (
+                "triangle",
+                vec![
+                    format!("?a {p0} ?b"),
+                    format!("?b {p1} ?c"),
+                    format!("?c {p2} ?a"),
+                    f("?a ?v ?d"),
+                ],
+            ),
+            (
+                "variable predicates",
+                vec![
+                    f("?a ?v ?b"),
+                    f("?b ?w ?c"),
+                    format!("?c {p} {o}"),
+                    format!("?a {p0} ?d"),
+                ],
+            ),
+            ("all-ground", vec![format!("{s} {p} {o}")]),
+        ]
+    }
+
+    /// The first step past step 0 of `plan_order`'s order for `bgp` that
+    /// crosses the steps before it — it has a variable and shares none with
+    /// an earlier step or the seed — described, if any. `seed` is a
+    /// pick among the BGP's variables and the value it stands in.
+    fn crossing_step(g: &Graph, bgp: &str, seed: Option<(usize, TermId)>) -> Option<String> {
+        let query = parse_select(&format!("SELECT * WHERE {{ {bgp} }}")).unwrap();
+        let vars = VarTable::from_pattern(&query.pattern);
+        let compiled: Vec<CompiledPattern> = query
+            .pattern
+            .triples
+            .iter()
+            .map(|tp| CompiledPattern::compile(tp, g, &vars).expect("terms of the graph"))
+            .collect();
+        let seed = seed.filter(|_| vars.len() > 0);
+        let seed = seed.map(|(pick, value)| (pick % vars.len(), value));
+        let order = plan_order(g, &compiled, vars.len(), seed);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..compiled.len()).collect::<Vec<_>>(), "{bgp}");
+        let mut bound: Vec<usize> = seed.map(|(var, _)| var).into_iter().collect();
+        for (step, &at) in order.iter().enumerate() {
+            let own: Vec<usize> = compiled[at].vars().collect();
+            if step > 0 && !own.is_empty() && !own.iter().any(|v| bound.contains(v)) {
+                return Some(format!(
+                    "seed {seed:?}: step {step} of {order:?} crosses: {bgp}"
+                ));
+            }
+            bound.extend(own);
+        }
+        None
+    }
+
+    proptest::proptest! {
+        /// Every join order of a connected BGP is connected, with and
+        /// without a `VALUES` seed. Among the shapes is `?a <p> "x" . ?a ?v
+        /// ?b . ?b <q> ?c`, which a planner ranking bound positions before
+        /// joins orders (0, 2, 1): `?b <q> ?c` is as bound as `?a ?v ?b`,
+        /// and its range is smaller.
+        #[test]
+        fn a_connected_bgp_is_planned_without_a_cross_product(
+            triples in proptest::collection::vec((0usize..6, 0usize..3, 0usize..8), 4..30),
+            picks in proptest::collection::vec(0usize..1024, 16..17),
+        ) {
+            let g = Graph::from_term_triples(triples.iter().map(|&(s, p, o)| {
+                (join_term(s), Term::iri(format!("http://x/p{p}")), join_term(o))
+            }));
+            let rows: Vec<[&Term; 3]> = g.iter_terms().map(|(s, p, o)| [s, p, o]).collect();
+            let mut picks = picks.iter().copied().cycle();
+            let mut next = || picks.next().expect("cycled");
+            let shapes = connected_shapes(|| rows[next() % rows.len()].map(Term::to_string));
+            for (name, patterns) in shapes {
+                for len in 1..=patterns.len() {
+                    let bgp = patterns[..len].join(" . ");
+                    let value = g.term_id(rows[next() % rows.len()][next() % 3]).unwrap();
+                    for seed in [None, Some((next(), value))] {
+                        let crossed = crossing_step(&g, &bgp, seed);
+                        proptest::prop_assert!(crossed.is_none(), "{name}, {crossed:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,9 @@
 //!   a fixture and a query cannot disagree on an IRI, a literal or a
 //!   separator.
 //! * [`eval`] — an evaluator over [`sapphire_rdf::Graph`] with greedy
-//!   selectivity-based join ordering and a deterministic [`eval::WorkBudget`]
+//!   connected-first, selectivity-based join ordering, the one up-front
+//!   price of a pattern ([`eval::estimate_cost`], what an endpoint's
+//!   admission gate reads), and a deterministic [`eval::WorkBudget`]
 //!   that the endpoint layer uses to simulate remote timeouts (the driver of
 //!   the paper's §5.1 initialization algorithm). Joins and every solution
 //!   modifier run on interned ids; terms are materialized for the rows that
@@ -53,6 +55,8 @@ pub use ast::{
     Aggregate, CmpOp, Expr, GraphPattern, InlineData, OrderKey, Projection, Query, SelectItem,
     SelectQuery, TermPattern, TriplePattern,
 };
-pub use eval::{evaluate, evaluate_select, select_rows, term_order, EvalError, WorkBudget};
+pub use eval::{
+    estimate_cost, evaluate, evaluate_select, select_rows, term_order, EvalError, WorkBudget,
+};
 pub use parser::{parse_query, parse_select, ParseError, MAX_EXPR_DEPTH};
 pub use solutions::{QueryResult, Solutions};

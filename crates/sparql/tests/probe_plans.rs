@@ -4,10 +4,10 @@
 //! `SELECT DISTINCT ?v WHERE { … VALUES ?v { … } }` is answered value by
 //! value when the list is short, and from the pattern's side — one walk
 //! without the list, then the list filtered by what the walk bound — when
-//! the list outnumbers the pattern's smallest ground-only range and the
-//! join is connected. Either way the answer must be the listed values whose
-//! query with the value written in place has a row, deduplicated, in list
-//! order. Random graphs are probed with stars, chains, a predicate variable,
+//! the list outnumbers the pattern's smallest ground-only range. Either way
+//! the answer must be the listed values whose query with the value written
+//! in place has a row, deduplicated, in list order. Random graphs are probed
+//! with stars, chains, a predicate variable (alone and anchored in a chain),
 //! a filter and a cross product; each probe gets a list shorter than its
 //! smallest range and one longer, both with absent and repeated terms.
 
@@ -96,6 +96,12 @@ fn probes() -> Vec<Probe> {
         Probe {
             name: "predicate variable",
             patterns: vec![[x, v, y], [y, P(0), z]],
+            filter: "",
+            value: predicate_value,
+        },
+        Probe {
+            name: "anchored predicate-variable chain",
+            patterns: vec![[x, P(0), y], [x, v, z], [z, P(1), Var("w")]],
             filter: "",
             value: predicate_value,
         },
