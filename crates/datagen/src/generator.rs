@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sapphire_rdf::{vocab, Graph, GraphBuilder, Literal, Term};
+use sapphire_rdf::{vocab, Graph, GraphBuilder, IdTriple, Literal, Term, TermId};
 
 use crate::names;
 use crate::ontology::{dbo, res, ANCHORS, CLASS_HIERARCHY};
@@ -514,7 +514,13 @@ fn mutate(s: &str, rng: &mut StdRng) -> String {
 /// class-hierarchy walk (§5.1) relies on it.
 fn materialize_types(g: &mut GraphBuilder) {
     use std::collections::HashMap;
-    let parents: HashMap<String, String> = CLASS_HIERARCHY
+    // Every class, `owl:Thing` and `rdf:type` are already interned by
+    // `emit_ontology`, so the inferred triples are rows of ids: they add no
+    // term, and term ids do not depend on the order they are found in.
+    let terms = g.interner();
+    let id = |iri: String| terms.get(&Term::Iri(iri)).expect("interned");
+    let type_id = id(vocab::rdf::TYPE.to_string());
+    let parents: HashMap<TermId, TermId> = CLASS_HIERARCHY
         .iter()
         .map(|(c, p)| {
             let parent = if *p == "Thing" {
@@ -522,25 +528,23 @@ fn materialize_types(g: &mut GraphBuilder) {
             } else {
                 dbo(p)
             };
-            (dbo(c), parent)
+            (id(dbo(c)), id(parent))
         })
         .collect();
-    // Every class and `owl:Thing` is already interned by `emit_ontology`,
-    // so these triples add rows, never terms: term ids do not depend on the
-    // order they are found in.
-    let type_term = Term::iri(vocab::rdf::TYPE);
-    let mut inferred: Vec<(Term, Term, Term)> = Vec::new();
-    for (s, p, o) in g.iter_terms() {
-        if *p != type_term {
+    let mut inferred: Vec<IdTriple> = Vec::new();
+    for [s, p, o] in g.triples() {
+        if p != type_id {
             continue;
         }
-        let mut class = o.lexical();
-        while let Some(parent) = parents.get(class) {
-            inferred.push((s.clone(), type_term.clone(), Term::iri(parent.clone())));
+        let mut class = o;
+        while let Some(&parent) = parents.get(&class) {
+            inferred.push([s, type_id, parent]);
             class = parent;
         }
     }
-    g.extend(inferred);
+    for triple in inferred {
+        g.insert_ids(triple);
+    }
 }
 
 #[cfg(test)]

@@ -56,10 +56,24 @@ impl GraphBuilder {
         self.rows.push((s.0, p.0, o.0));
     }
 
-    /// Every triple inserted so far as term references, in insertion order,
-    /// duplicates included.
-    pub fn iter_terms(&self) -> impl Iterator<Item = (&Term, &Term, &Term)> {
-        resolve_rows(&self.interner, &self.rows)
+    /// Add a triple of ids this builder has already interned — a row derived
+    /// from the rows so far costs no term hash and no clone.
+    pub fn insert_ids(&mut self, [s, p, o]: IdTriple) {
+        let largest = s.index().max(p.index()).max(o.index());
+        assert!(largest < self.interner.len(), "ids this builder interned");
+        self.rows.push((s.0, p.0, o.0));
+    }
+
+    /// The terms interned so far.
+    pub fn interner(&self) -> &Interner {
+        &self.interner
+    }
+
+    /// Every triple inserted so far as ids, in insertion order, duplicates
+    /// included.
+    pub fn triples(&self) -> impl Iterator<Item = IdTriple> + '_ {
+        let ids = |&(s, p, o): &Row| [TermId(s), TermId(p), TermId(o)];
+        self.rows.iter().map(ids)
     }
 
     /// Sort each column once, drop duplicate triples, and hand back the
@@ -297,22 +311,10 @@ impl Graph {
 
     /// Iterate over every triple as term references.
     pub fn iter_terms(&self) -> impl Iterator<Item = (&Term, &Term, &Term)> {
-        resolve_rows(&self.interner, &self.spo.rows)
+        let term = |id: u32| self.interner.resolve(TermId(id));
+        let rows = self.spo.rows.iter();
+        rows.map(move |&(s, p, o)| (term(s), term(p), term(o)))
     }
-}
-
-/// `(s, p, o)` rows as term references.
-fn resolve_rows<'a>(
-    interner: &'a Interner,
-    rows: &'a [Row],
-) -> impl Iterator<Item = (&'a Term, &'a Term, &'a Term)> {
-    rows.iter().map(move |&(s, p, o)| {
-        (
-            interner.resolve(TermId(s)),
-            interner.resolve(TermId(p)),
-            interner.resolve(TermId(o)),
-        )
-    })
 }
 
 /// Run lengths of a key sequence whose equal keys are consecutive, ranked
@@ -408,12 +410,31 @@ mod tests {
     }
 
     #[test]
+    fn insert_ids_adds_a_row_of_interned_ids() {
+        let mut b = GraphBuilder::new();
+        b.insert(Term::iri("s"), Term::iri("p"), Term::iri("o"));
+        let [s, p, o] = b.triples().next().unwrap();
+        b.insert_ids([o, p, s]);
+        let g = b.build();
+        assert_eq!((g.len(), g.interner().len()), (2, 3));
+        assert!(g.contains(&Term::iri("o"), &Term::iri("p"), &Term::iri("s")));
+    }
+
+    #[test]
+    #[should_panic(expected = "ids this builder interned")]
+    fn insert_ids_refuses_an_id_the_builder_did_not_intern() {
+        let mut b = GraphBuilder::new();
+        b.insert(Term::iri("s"), Term::iri("p"), Term::iri("o"));
+        b.insert_ids([TermId(0), TermId(1), TermId(3)]);
+    }
+
+    #[test]
     fn insert_deduplicates() {
         let mut b = GraphBuilder::new();
         b.extend(sample_triples());
         b.insert(Term::iri("s1"), Term::iri("p1"), Term::iri("o1"));
         assert_eq!(
-            b.iter_terms().count(),
+            b.triples().count(),
             6,
             "the builder keeps what it was given"
         );

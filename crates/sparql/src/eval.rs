@@ -91,7 +91,8 @@ impl WorkBudget {
     }
 }
 
-/// Evaluate a query against a graph within a budget.
+/// Evaluate a query against a graph within a budget. An ASK reads one
+/// solution of its pattern.
 pub fn evaluate(
     graph: &Graph,
     query: &Query,
@@ -100,8 +101,7 @@ pub fn evaluate(
     match query {
         Query::Select(s) => evaluate_select(graph, s, budget).map(QueryResult::Solutions),
         Query::Ask(gp) => {
-            let vars = VarTable::from_pattern(gp);
-            let rows = match_bgp(graph, gp, &vars, budget, Walk::Rows(1))?;
+            let rows = match_bgp(&plan(graph, gp, Walk::Rows(1))?, budget)?;
             Ok(QueryResult::Boolean(rows.len() > 0))
         }
     }
@@ -118,20 +118,9 @@ pub fn evaluate_select(
     query: &SelectQuery,
     budget: &mut WorkBudget,
 ) -> Result<Solutions, EvalError> {
-    let vars = VarTable::from_pattern(&query.pattern);
-    // LIMIT can be pushed into BGP matching only when no operator above the
-    // BGP can change row multiplicity or order. And when all that is asked
-    // of inline data is which of its values have a solution, one solution
-    // per value answers it.
-    let walk = if !query.distinct && query.order_by.is_empty() && !aggregated(query) {
-        slice_reach(query).map_or(Walk::All, Walk::Rows)
-    } else if asks_only_for_its_values(query) {
-        Walk::OncePerValue
-    } else {
-        Walk::All
-    };
-    let table = match_bgp(graph, &query.pattern, &vars, budget, walk)?;
-    select_table(graph.interner(), query, &vars, &table)
+    let plan = plan(graph, &query.pattern, Walk::of(query))?;
+    let table = match_bgp(&plan, budget)?;
+    select_table(graph.interner(), query, &plan.bgp.vars, &table)
 }
 
 /// The query's GROUP BY, aggregates, modifiers and projection over binding
@@ -196,19 +185,8 @@ fn asks_only_for_its_values(query: &SelectQuery) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Variable table and BGP matching
+// Variable table, compiled patterns and binding rows
 // ---------------------------------------------------------------------------
-
-/// How much of the BGP's solutions the caller reads.
-#[derive(Clone, Copy)]
-enum Walk {
-    /// Every solution.
-    All,
-    /// The first `n`, in walk order.
-    Rows(usize),
-    /// The first of each inline-data value.
-    OncePerValue,
-}
 
 /// Maps variable names to dense indices for the binding rows. Patterns name
 /// a handful of variables, so lookup is a scan, not a hash.
@@ -217,18 +195,8 @@ struct VarTable {
 }
 
 impl VarTable {
-    fn from_pattern(gp: &GraphPattern) -> Self {
-        VarTable {
-            names: gp.variables(),
-        }
-    }
-
     fn get(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
-    }
-
-    fn len(&self) -> usize {
-        self.names.len()
     }
 }
 
@@ -303,21 +271,9 @@ impl CompiledPattern {
         })
     }
 
-    /// Number of positions that are ground or already bound.
-    fn bound_count(&self, bound: &[bool]) -> usize {
-        3 - self.vars().filter(|&v| !bound[v]).count()
-    }
-
-    /// Whether walking this pattern after steps that bound `bound` joins
-    /// them rather than crossing them: it has no variable, or it shares one.
-    fn joins(&self, bound: &[bool]) -> bool {
-        let mut vars = self.vars().peekable();
-        vars.peek().is_none() || vars.any(|v| bound[v])
-    }
-
-    /// Base cardinality estimate using only ground positions — and, for the
-    /// inline-data variable, the value `seed` stands in with.
-    fn base_cardinality(&self, graph: &Graph, seed: Option<(usize, TermId)>) -> usize {
+    /// The range the pattern matches with only its ground positions bound —
+    /// and, for the inline-data variable, the value `seed` stands in with.
+    fn range(&self, graph: &Graph, seed: Option<(usize, TermId)>) -> usize {
         let [s, p, o] = self.slots.map(|slot| match slot {
             Slot::Ground(id) => Some(id),
             Slot::Var(v) => seed.filter(|(var, _)| *var == v).map(|(_, id)| id),
@@ -326,259 +282,348 @@ impl CompiledPattern {
     }
 }
 
+/// A BGP compiled against a graph: the step [`plan`] and [`estimate_cost`]
+/// share.
+struct Bgp<'a> {
+    gp: &'a GraphPattern,
+    vars: VarTable,
+    /// The patterns whose ground terms the graph all holds, in written order.
+    patterns: Vec<CompiledPattern>,
+    /// Whether some pattern has a ground term the graph lacks: that pattern,
+    /// and the BGP, match nothing.
+    absent: bool,
+    /// The inline-data variable and its listed values.
+    values: Option<(usize, &'a [Term])>,
+}
+
+impl<'a> Bgp<'a> {
+    fn compile(graph: &Graph, gp: &'a GraphPattern) -> Self {
+        let vars = VarTable {
+            names: gp.variables(),
+        };
+        let compiled: Vec<Option<CompiledPattern>> = gp
+            .triples
+            .iter()
+            .map(|tp| CompiledPattern::compile(tp, graph, &vars))
+            .collect();
+        let var = |data: &InlineData| vars.get(&data.var).expect("var registered");
+        let values = gp.values.as_ref().map(|data| (var(data), &data.terms[..]));
+        Bgp {
+            gp,
+            absent: compiled.iter().any(Option::is_none),
+            patterns: compiled.into_iter().flatten().collect(),
+            vars,
+            values,
+        }
+    }
+
+    /// The greedy join order, connected first, and the step that fires each
+    /// filter. `seed` is the inline-data variable — bound before the walk
+    /// starts — and the value that sizes the patterns it occurs in. Each
+    /// pattern's range is read once; each step takes, of the patterns left,
+    /// the one that ranks first on:
+    ///
+    /// 1. whether it *joins* — it is the first step, has no variable, or
+    ///    shares one an earlier step or the `seed` variable bound — so a
+    ///    connected BGP is never walked as a cross product;
+    /// 2. more positions ground or bound;
+    /// 3. a smaller range;
+    /// 4. written order.
+    ///
+    /// A filter fires at the step that binds the last of its variables.
+    /// Filters that never get there — no variables at all, or a variable no
+    /// pattern binds (an unbound reference is a SPARQL error, which makes
+    /// the filter false) — are evaluated on complete rows, in the extra last
+    /// slot.
+    fn order(
+        &self,
+        graph: &Graph,
+        seed: Option<(usize, TermId)>,
+    ) -> (Vec<Step>, Vec<Vec<Filter<'a>>>) {
+        let ranges: Vec<usize> = self.patterns.iter().map(|c| c.range(graph, seed)).collect();
+        // The step at which each variable binds.
+        let mut binds_at: Vec<Option<usize>> = vec![None; self.vars.names.len()];
+        if let Some((var, _)) = seed {
+            binds_at[var] = Some(0);
+        }
+        let mut remaining: Vec<usize> = (0..self.patterns.len()).collect();
+        let mut steps: Vec<Step> = Vec::with_capacity(remaining.len());
+        while !remaining.is_empty() {
+            let (pos, (crosses, _, _)) = remaining
+                .iter()
+                .map(|&i| {
+                    let c = &self.patterns[i];
+                    let vars = c.vars().count();
+                    let unbound = c.vars().filter(|&v| binds_at[v].is_none()).count();
+                    // Not the first step, a variable, and none bound yet.
+                    let crosses = !steps.is_empty() && vars > 0 && unbound == vars;
+                    (crosses, unbound, ranges[i])
+                })
+                .enumerate()
+                .min_by_key(|&(_, key)| key)
+                .expect("non-empty remaining");
+            let pattern = remaining.remove(pos);
+            for v in self.patterns[pattern].vars() {
+                binds_at[v].get_or_insert(steps.len());
+            }
+            steps.push(Step {
+                pattern,
+                range: ranges[pattern],
+                crosses,
+            });
+        }
+        let mut filters_at: Vec<Vec<Filter<'a>>> = (0..=steps.len()).map(|_| Vec::new()).collect();
+        for expr in &self.gp.filters {
+            let fires = expr.variables().iter().try_fold(None, |last, v| {
+                Some(last.max(Some(binds_at[self.vars.get(v).expect("var registered")]?)))
+            });
+            filters_at[fires.flatten().unwrap_or(steps.len())].push(Filter::new(expr));
+        }
+        (steps, filters_at)
+    }
+}
+
 /// The up-front price of matching `gp` over `graph` — the crude planner
 /// estimate public endpoints gate admission on (§5.1): the sum, over its
 /// triple patterns, of the range each matches with only its ground positions
-/// bound. A pattern with a ground term the graph lacks matches nothing and
-/// prices at 0. The `VALUES` variable counts as bound: a pattern it occurs
-/// in prices at the sum of its ranges over the listed values the graph
-/// holds, so a batched look-up costs the look-ups it replaces, not a scan.
+/// bound. It prices the BGP as the evaluator's planner compiles it — the
+/// same variable table, compiled patterns and absent-term check — so a
+/// pattern with a ground term the graph lacks matches nothing and prices at
+/// 0. The `VALUES` variable counts as bound: a pattern it occurs in prices
+/// at the sum of its ranges over the listed values the graph holds, so a
+/// batched look-up costs the look-ups it replaces, not a scan.
 pub fn estimate_cost(graph: &Graph, gp: &GraphPattern) -> u64 {
-    let vars = VarTable::from_pattern(gp);
-    let inline = gp.values.as_ref().map(|data| {
-        let var = vars.get(&data.var).expect("var registered");
-        let ids: Vec<TermId> = data.terms.iter().filter_map(|t| graph.term_id(t)).collect();
-        (var, ids)
-    });
-    gp.triples
+    let bgp = Bgp::compile(graph, gp);
+    let listed = bgp.values.map_or(&[][..], |(_, terms)| terms);
+    let ids: Vec<TermId> = listed.iter().filter_map(|t| graph.term_id(t)).collect();
+    bgp.patterns
         .iter()
-        .filter_map(|tp| CompiledPattern::compile(tp, graph, &vars))
-        .map(|c| match &inline {
-            Some((var, ids)) if c.vars().any(|v| v == *var) => ids
+        .map(|c| match bgp.values {
+            Some((var, _)) if c.vars().any(|v| v == var) => ids
                 .iter()
-                .map(|&id| c.base_cardinality(graph, Some((*var, id))) as u64)
+                .map(|&id| c.range(graph, Some((var, id))) as u64)
                 .sum(),
-            _ => c.base_cardinality(graph, None) as u64,
+            _ => c.range(graph, None) as u64,
         })
         .sum()
 }
 
-/// Match the BGP and return its binding rows (columns per [`VarTable`]).
+// ---------------------------------------------------------------------------
+// The plan, and the walk that executes it
+// ---------------------------------------------------------------------------
+
+/// How much of the BGP's solutions the caller reads.
+#[derive(Clone, Copy)]
+enum Walk {
+    /// Every solution.
+    All,
+    /// The first `n`, in walk order.
+    Rows(usize),
+    /// The first of each inline-data value.
+    OncePerValue,
+}
+
+impl Walk {
+    /// What a SELECT reads of its BGP. LIMIT can be pushed into the walk
+    /// only when no operator above the BGP can change row multiplicity or
+    /// order. And when all that is asked of inline data is which of its
+    /// values have a solution, one solution per value answers it.
+    fn of(query: &SelectQuery) -> Self {
+        if !query.distinct && query.order_by.is_empty() && !aggregated(query) {
+            slice_reach(query).map_or(Walk::All, Walk::Rows)
+        } else if asks_only_for_its_values(query) {
+            Walk::OncePerValue
+        } else {
+            Walk::All
+        }
+    }
+
+    /// The row count at which a walk entered with `rows` rows out stops.
+    fn stop(self, rows: usize) -> usize {
+        match self {
+            Walk::All => usize::MAX,
+            Walk::Rows(n) => n,
+            Walk::OncePerValue => rows + 1,
+        }
+    }
+}
+
+/// Where a BGP's inline data enters its walk.
+enum Side<'a> {
+    /// Nothing is walked: a ground term the graph lacks.
+    Empty,
+    /// No inline data: the order is walked once.
+    Whole,
+    /// Value by value: the order, planned with the variable bound to the
+    /// first listed value, is walked once per listed value the graph holds
+    /// (none, when it holds none) — the variable, and those values' ids in
+    /// list order.
+    Values(usize, Vec<TermId>),
+    /// From the pattern's side: the order, planned without the list, is
+    /// walked once, and each listed value the walk bound to the variable
+    /// answers one row — the variable, and the listed values.
+    Pattern(usize, &'a [Term]),
+}
+
+/// One step of a plan's join order.
+struct Step {
+    /// The pattern walked, by its position among the compiled patterns.
+    pattern: usize,
+    /// The range the step was sized by: the pattern's with its ground
+    /// positions bound — and, planned value by value, the first value.
+    range: usize,
+    /// Whether the step crosses the steps before it: it is not the first,
+    /// has a variable, and shares none with them or the inline data.
+    crosses: bool,
+}
+
+/// How one BGP is walked, decided before any work is done: [`plan`] builds
+/// it, [`match_bgp`] executes it, and nothing else decides.
+struct Plan<'a> {
+    graph: &'a Graph,
+    bgp: Bgp<'a>,
+    /// How far the walk goes.
+    walk: Walk,
+    side: Side<'a>,
+    /// The patterns in join order.
+    steps: Vec<Step>,
+    /// Filters by the step that fires them; complete-row filters last.
+    filters_at: Vec<Vec<Filter<'a>>>,
+}
+
+/// Plan the walk of `gp` over `graph` for a caller that reads `walk` of its
+/// solutions: compile the BGP, then fix its join order ([`Bgp::order`]),
+/// the step each filter fires at and the side its inline data enters from.
 ///
 /// A ground term the graph lacks empties the BGP before any work is done.
-/// Inline data enters the walk once per value the graph interns, in list
-/// order, with the variable already bound: the work is that of the same
-/// pattern with the value written in its place, value after value.
+/// Inline data enters value by value: the order is planned with the
+/// variable bound to the first listed value the graph holds, which sizes
+/// the patterns it occurs in (`(p, ?v)` is a range look-up, not a scan of
+/// `p`), so the work is that of the same pattern with each value written in
+/// its place, value after value.
 ///
 /// Asked only which values have a solution ([`Walk::OncePerValue`]), the
-/// walk may instead be taken from the pattern's side: when its smallest
-/// ground-only range holds fewer rows than the list has values, the pattern
-/// is walked once without inline data — in [`plan_order`]'s order, which is
-/// a join at every step a connected BGP allows — and each listed value equal
-/// to a term the walk bound to the variable answers one row, in list order.
-/// Only the walk taken is charged. The rule reads only the query and the
-/// graph: a probe of a hundred names joined to a predicate of three triples
-/// walks the three, not the names.
-fn match_bgp(
-    graph: &Graph,
-    gp: &GraphPattern,
-    vars: &VarTable,
-    budget: &mut WorkBudget,
-    walk: Walk,
-) -> Result<BindingTable, EvalError> {
-    let mut out = BindingTable::new(vars.len());
+/// plan takes the pattern's side instead when the order planned without the
+/// list has a step whose range holds fewer rows than the list has values,
+/// and crosses at no step. A connected BGP is never crossed, and a probe of
+/// a hundred names joined to a predicate of three triples walks the three,
+/// not the names. A cross product walked whole would cost the product, so a
+/// disconnected probe stays value by value. The rule reads only the query
+/// and the graph.
+///
+/// Each pattern's range is read at most twice: without the list and with
+/// its first value.
+fn plan<'a>(graph: &'a Graph, gp: &'a GraphPattern, walk: Walk) -> Result<Plan<'a>, EvalError> {
     if let Some(data) = gp.values.as_ref().filter(|data| !gp.binds(&data.var)) {
         return Err(EvalError::Unsupported(format!(
             "VALUES ?{} without a triple pattern that binds it",
             data.var
         )));
     }
-    let Some(compiled) = gp
-        .triples
-        .iter()
-        .map(|tp| CompiledPattern::compile(tp, graph, vars))
-        .collect::<Option<Vec<_>>>()
-    else {
-        return Ok(out);
+    let bgp = Bgp::compile(graph, gp);
+    let (side, (steps, filters_at)) = match bgp.values {
+        _ if bgp.absent => (Side::Empty, Default::default()),
+        None => (Side::Whole, bgp.order(graph, None)),
+        Some((var, terms)) => {
+            let pattern_side = matches!(walk, Walk::OncePerValue)
+                .then(|| bgp.order(graph, None))
+                .filter(|(steps, _)| {
+                    steps.iter().all(|step| !step.crosses)
+                        && steps.iter().any(|step| step.range < terms.len())
+                });
+            match pattern_side {
+                Some(order) => (Side::Pattern(var, terms), order),
+                None => {
+                    let ids: Vec<TermId> = terms.iter().filter_map(|t| graph.term_id(t)).collect();
+                    let order = bgp.order(graph, ids.first().map(|&first| (var, first)));
+                    (Side::Values(var, ids), order)
+                }
+            }
+        }
     };
-    let mut bindings: Vec<Option<TermId>> = vec![None; vars.len()];
-    let Some(data) = &gp.values else {
-        let ctx = MatchCtx::plan(graph, gp, vars, &compiled, None, walk);
-        ctx.recurse(0, &mut bindings, &mut out, budget)?;
-        return Ok(out);
-    };
-    let var = vars.get(&data.var).expect("var registered");
+    Ok(Plan {
+        graph,
+        bgp,
+        walk,
+        side,
+        steps,
+        filters_at,
+    })
+}
 
-    if matches!(walk, Walk::OncePerValue) {
-        let smallest = compiled
-            .iter()
-            .map(|c| c.base_cardinality(graph, None))
-            .min();
-        if smallest.is_some_and(|r| r < data.terms.len()) {
-            let ctx = MatchCtx::plan(graph, gp, vars, &compiled, None, Walk::All);
-            let mut every = BindingTable::new(vars.len());
-            ctx.recurse(0, &mut bindings, &mut every, budget)?;
-            // The distinct terms the walk bound, sorted, each with its id.
+/// Execute `plan` and return the BGP's binding rows (columns per
+/// [`VarTable`]). Every walk charges one unit per candidate in each range it
+/// scans and one per row it produces:
+///
+/// - [`Side::Whole`]: the order is walked once, as far as the plan's
+///   [`Walk`] reads.
+/// - [`Side::Values`]: the order is walked once per listed value the graph
+///   holds, in list order, the variable bound to it; asked
+///   [`Walk::OncePerValue`], each value's walk stops at its first row.
+/// - [`Side::Pattern`]: the order is walked once, for every solution; then
+///   each listed value the walk bound to the variable answers one row, in
+///   list order. Only the walk is charged.
+fn match_bgp(plan: &Plan<'_>, budget: &mut WorkBudget) -> Result<BindingTable, EvalError> {
+    let width = plan.bgp.vars.names.len();
+    let mut out = BindingTable::new(width);
+    let mut bindings: Vec<Option<TermId>> = vec![None; width];
+    match &plan.side {
+        Side::Empty => {}
+        Side::Whole => plan.recurse(0, &mut bindings, &mut out, budget, plan.walk.stop(0))?,
+        Side::Values(var, ids) => {
+            for &id in ids {
+                let stop = plan.walk.stop(out.len());
+                bindings[*var] = Some(id);
+                plan.recurse(0, &mut bindings, &mut out, budget, stop)?;
+            }
+        }
+        Side::Pattern(var, terms) => {
+            let mut every = BindingTable::new(width);
+            plan.recurse(0, &mut bindings, &mut every, budget, usize::MAX)?;
+            // The distinct ids the walk bound, in the order of their terms.
             // Terms and ids are in bijection in the graph's interner, so a
             // listed term is found by comparison with these, not by a
             // look-up in the term table.
-            let mut ids: Vec<TermId> = (0..every.len())
-                .filter_map(|row| every.row(row)[var])
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            let mut found: Vec<(&Term, TermId)> =
-                ids.into_iter().map(|id| (graph.term(id), id)).collect();
-            found.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            for term in data.terms.iter() {
-                if let Ok(at) = found.binary_search_by(|(f, _)| (*f).cmp(term)) {
-                    bindings[var] = Some(found[at].1);
+            let mut found: Vec<TermId> =
+                every.cells.chunks(width).filter_map(|r| r[*var]).collect();
+            found.sort_unstable();
+            found.dedup();
+            found.sort_unstable_by_key(|&id| plan.graph.term(id));
+            for term in terms.iter() {
+                if let Ok(at) = found.binary_search_by(|&id| plan.graph.term(id).cmp(term)) {
+                    bindings[*var] = Some(found[at]);
                     out.push(&bindings);
                 }
             }
-            return Ok(out);
         }
-    }
-
-    let ids: Vec<TermId> = data.terms.iter().filter_map(|t| graph.term_id(t)).collect();
-    let Some(&first) = ids.first() else {
-        return Ok(out);
-    };
-    let mut ctx = MatchCtx::plan(graph, gp, vars, &compiled, Some((var, first)), walk);
-    for id in ids {
-        if matches!(walk, Walk::OncePerValue) {
-            ctx.row_limit = Some(out.len() + 1);
-        } else if ctx.full(&out) {
-            break;
-        }
-        bindings[var] = Some(id);
-        ctx.recurse(0, &mut bindings, &mut out, budget)?;
     }
     Ok(out)
 }
 
-/// Greedy join order, connected first. Each step takes, of the patterns
-/// left, the one that ranks first on:
-///
-/// 1. whether it *joins* — it is the first step, has no variable, or shares
-///    one an earlier step or the seed bound — so a connected BGP is never
-///    walked as a cross product;
-/// 2. more positions ground or bound;
-/// 3. a smaller ground-only range;
-/// 4. written order.
-///
-/// `seed` is the inline-data variable — bound before the walk starts — and
-/// one of its values, which sizes the patterns it occurs in: `(p, ?v)` is a
-/// range look-up, not a scan of `p`.
-fn plan_order(
-    graph: &Graph,
-    compiled: &[CompiledPattern],
-    nvars: usize,
-    seed: Option<(usize, TermId)>,
-) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..compiled.len()).collect();
-    let mut bound = vec![false; nvars];
-    if let Some((var, _)) = seed {
-        bound[var] = true;
-    }
-    let mut order = Vec::with_capacity(compiled.len());
-    while !remaining.is_empty() {
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &i)| {
-                let c = &compiled[i];
-                (
-                    !(order.is_empty() || c.joins(&bound)),
-                    3 - c.bound_count(&bound),
-                    c.base_cardinality(graph, seed),
-                )
-            })
-            .expect("non-empty remaining");
-        order.push(best);
-        for v in compiled[best].vars() {
-            bound[v] = true;
-        }
-        remaining.remove(pos);
-    }
-    order
-}
-
-struct MatchCtx<'a> {
-    graph: &'a Graph,
-    vars: &'a VarTable,
-    compiled: &'a [CompiledPattern],
-    order: Vec<usize>,
-    /// Filters by the join step that fires them; complete-row filters last.
-    filters_at: Vec<Vec<Filter<'a>>>,
-    row_limit: Option<usize>,
-}
-
-impl<'a> MatchCtx<'a> {
-    /// Order the patterns (`seed` as in [`plan_order`]) and place each
-    /// filter at the step that fires it.
-    fn plan(
-        graph: &'a Graph,
-        gp: &'a GraphPattern,
-        vars: &'a VarTable,
-        compiled: &'a [CompiledPattern],
-        seed: Option<(usize, TermId)>,
-        walk: Walk,
-    ) -> Self {
-        let order = plan_order(graph, compiled, vars.len(), seed);
-        // The join order fixes the step at which each variable binds, and so
-        // the step at which each filter fires: the one that binds the last of
-        // its variables. Filters that never get there — no variables at all,
-        // or a variable no pattern binds (an unbound reference is a SPARQL
-        // error, which makes the filter false) — are evaluated on complete
-        // rows, in the extra last slot.
-        let mut binds_at: Vec<Option<usize>> = vec![None; vars.len()];
-        if let Some((var, _)) = seed {
-            binds_at[var] = Some(0);
-        }
-        for (step, &pattern) in order.iter().enumerate() {
-            for v in compiled[pattern].vars() {
-                binds_at[v].get_or_insert(step);
-            }
-        }
-        let mut filters_at: Vec<Vec<Filter<'a>>> = Vec::new();
-        filters_at.resize_with(order.len() + 1, Vec::new);
-        for expr in &gp.filters {
-            let steps: Option<Vec<usize>> = expr
-                .variables()
-                .iter()
-                .map(|v| binds_at[vars.get(v).expect("var registered")])
-                .collect();
-            let fires = steps.and_then(|steps| steps.into_iter().max());
-            filters_at[fires.unwrap_or(order.len())].push(Filter::new(expr));
-        }
-        MatchCtx {
-            graph,
-            vars,
-            compiled,
-            order,
-            filters_at,
-            row_limit: match walk {
-                Walk::Rows(n) => Some(n),
-                Walk::All | Walk::OncePerValue => None,
-            },
-        }
-    }
-
-    fn full(&self, out: &BindingTable) -> bool {
-        self.row_limit.is_some_and(|limit| out.len() >= limit)
-    }
-
+impl Plan<'_> {
     fn filters_pass(&self, step: usize, bindings: &[Option<TermId>]) -> bool {
         self.filters_at[step].iter().all(|filter| {
             filter.passes(&|name: &str| {
-                let id = bindings[self.vars.get(name)?]?;
+                let id = bindings[self.bgp.vars.get(name)?]?;
                 Some(self.graph.term(id))
             })
         })
     }
 
+    /// Walk the steps from `depth` on, stopping once `out` holds `stop`
+    /// rows.
     fn recurse(
         &self,
         depth: usize,
         bindings: &mut [Option<TermId>],
         out: &mut BindingTable,
         budget: &mut WorkBudget,
+        stop: usize,
     ) -> Result<(), EvalError> {
-        if self.full(out) {
+        if out.len() >= stop {
             return Ok(());
         }
-        if depth == self.order.len() {
+        if depth == self.steps.len() {
             // All patterns matched; one unit per produced row.
             if self.filters_pass(depth, bindings) {
                 budget.charge(1)?;
@@ -587,7 +632,7 @@ impl<'a> MatchCtx<'a> {
             return Ok(());
         }
 
-        let slots = &self.compiled[self.order[depth]].slots;
+        let slots = &self.bgp.patterns[self.steps[depth].pattern].slots;
         let [s, p, o] = slots.map(|slot| match slot {
             Slot::Ground(id) => Some(id),
             Slot::Var(v) => bindings[v],
@@ -620,12 +665,12 @@ impl<'a> MatchCtx<'a> {
                 }
             }
             if consistent && self.filters_pass(depth, bindings) {
-                self.recurse(depth + 1, bindings, out, budget)?;
+                self.recurse(depth + 1, bindings, out, budget, stop)?;
             }
             for &v in &newly_bound[..n_new] {
                 bindings[v] = None;
             }
-            if self.full(out) {
+            if out.len() >= stop {
                 return Ok(());
             }
         }
@@ -2133,36 +2178,98 @@ res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra
         ]
     }
 
-    /// The first step past step 0 of `plan_order`'s order for `bgp` that
-    /// crosses the steps before it — it has a variable and shares none with
-    /// an earlier step or the seed — described, if any. `seed` is a
-    /// pick among the BGP's variables and the value it stands in.
-    fn crossing_step(g: &Graph, bgp: &str, seed: Option<(usize, TermId)>) -> Option<String> {
-        let query = parse_select(&format!("SELECT * WHERE {{ {bgp} }}")).unwrap();
-        let vars = VarTable::from_pattern(&query.pattern);
-        let compiled: Vec<CompiledPattern> = query
-            .pattern
-            .triples
-            .iter()
-            .map(|tp| CompiledPattern::compile(tp, g, &vars).expect("terms of the graph"))
-            .collect();
-        let seed = seed.filter(|_| vars.len() > 0);
-        let seed = seed.map(|(pick, value)| (pick % vars.len(), value));
-        let order = plan_order(g, &compiled, vars.len(), seed);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..compiled.len()).collect::<Vec<_>>(), "{bgp}");
-        let mut bound: Vec<usize> = seed.map(|(var, _)| var).into_iter().collect();
-        for (step, &at) in order.iter().enumerate() {
-            let own: Vec<usize> = compiled[at].vars().collect();
-            if step > 0 && !own.is_empty() && !own.iter().any(|v| bound.contains(v)) {
-                return Some(format!(
-                    "seed {seed:?}: step {step} of {order:?} crosses: {bgp}"
-                ));
-            }
+    /// `?x <p0> ?v . ?y <p1> ?z` over a graph of `p0` and `p1` triples:
+    /// the BGP is a cross product.
+    fn disconnected_shape([p0, p1]: [String; 2]) -> String {
+        format!("?x {p0} ?v . ?y {p1} ?z")
+    }
+
+    /// The steps, in join order, of the plan of `SELECT * WHERE { bgp }`
+    /// walked whole. `seed` is a pick among the BGP's variables and a value:
+    /// `VALUES` lists the value for the picked variable, so the BGP is
+    /// planned value by value with that variable bound. Each step's
+    /// `crosses` flag is checked against the order: a step past the first
+    /// crosses when it has variables and none is the seed's or an earlier
+    /// step's.
+    fn plan_steps(g: &Graph, bgp: &str, seed: Option<(usize, TermId)>) -> Vec<Step> {
+        let text = format!("SELECT * WHERE {{ {bgp} }}");
+        let names = parse_select(&text).unwrap().pattern.variables();
+        let seed = seed.filter(|_| !names.is_empty());
+        let seed = seed.map(|(pick, value)| (names[pick % names.len()].as_str(), value));
+        let values = match seed {
+            Some((var, value)) => format!("VALUES ?{var} {{ {} }}", g.term(value)),
+            None => String::new(),
+        };
+        let query = parse_select(&format!("SELECT * WHERE {{ {bgp} {values} }}")).unwrap();
+        let plan = plan(g, &query.pattern, Walk::All).unwrap();
+        let triples = &query.pattern.triples;
+        let planned = match plan.side {
+            Side::Values(..) => seed.is_some(),
+            Side::Whole => seed.is_none(),
+            _ => false,
+        };
+        assert!(
+            planned && plan.steps.len() == triples.len(),
+            "{bgp} {values}"
+        );
+        let mut bound: Vec<&str> = seed.map(|(var, _)| var).into_iter().collect();
+        for (at, step) in plan.steps.iter().enumerate() {
+            let own: Vec<&str> = triples[step.pattern].variables().collect();
+            let crosses = at > 0 && !own.is_empty() && !own.iter().any(|v| bound.contains(v));
+            assert_eq!(step.crosses, crosses, "step {at}: {bgp} {values}");
             bound.extend(own);
         }
-        None
+        plan.steps
+    }
+
+    /// The first step past step 0 of the plan of `bgp` (as [`plan_steps`]
+    /// makes it) that crosses the steps before it — it has a variable and
+    /// shares none with an earlier step or the seed — described, if any.
+    fn crossing_step(g: &Graph, bgp: &str, seed: Option<(usize, TermId)>) -> Option<String> {
+        let steps = plan_steps(g, bgp, seed);
+        let order: Vec<usize> = steps.iter().map(|step| step.pattern).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..steps.len()).collect::<Vec<_>>(), "{bgp}");
+        let step = steps.iter().position(|step| step.crosses)?;
+        Some(format!(
+            "seed {seed:?}: step {step} of {order:?} crosses: {bgp}"
+        ))
+    }
+
+    /// Forty `p0` triples on twenty objects, two subjects each, and thirty
+    /// `p1` triples: [`disconnected_shape`] over it is a 30 × 40 product.
+    fn disconnected_graph() -> Graph {
+        let node = |kind: &str, k: usize| Term::iri(format!("http://x/{kind}{k}"));
+        let p0 = (0..40).map(|k| (node("s", k), node("p", 0), node("o", k % 20)));
+        let p1 = (0..30).map(|k| (node("t", k), node("p", 1), node("u", k)));
+        Graph::from_term_triples(p0.chain(p1))
+    }
+
+    #[test]
+    fn a_disconnected_probe_is_answered_value_by_value() {
+        let g = disconnected_graph();
+        let bgp = disconnected_shape(["<http://x/p0>".into(), "<http://x/p1>".into()]);
+        // Fifty values: the twenty objects, last first, at every other one
+        // of the first forty places, and thirty terms the graph lacks.
+        let listed: Vec<String> = (0..50)
+            .map(|k| match k {
+                k if k % 2 == 0 && k < 40 => format!("<http://x/o{}>", 19 - k / 2),
+                k => format!("<http://x/none{k}>"),
+            })
+            .collect();
+        let q = format!(
+            "SELECT DISTINCT ?v WHERE {{ {bgp} VALUES ?v {{ {} }} }}",
+            listed.join(" ")
+        );
+        let want: Vec<String> = (0..20).rev().map(|k| format!("http://x/o{k}")).collect();
+        assert_eq!(lexicals(&run(&g, &q), "v"), want);
+        // The fifty values outnumber `p1`'s thirty triples, but the BGP
+        // crosses: walked from its side it would read `p1`'s range, `p0`'s
+        // for each of its rows and the 1,200 rows (2,430). Value by value
+        // each object reads its two `p0` triples, `p1`'s thirty for the
+        // first of them, and one row.
+        assert_eq!(work(&g, &q), 20 * (2 + 30 + 1));
     }
 
     proptest::proptest! {
@@ -2192,6 +2299,28 @@ res:Australia a dbo:Country ; dbo:name "Australia"@en ; dbo:capital res:Canberra
                         proptest::prop_assert!(crossed.is_none(), "{name}, {crossed:?}");
                     }
                 }
+            }
+        }
+
+        /// A BGP of two patterns that share no variable crosses at exactly
+        /// one step, with and without a `VALUES` seed on any of its
+        /// variables.
+        #[test]
+        fn a_disconnected_bgp_is_planned_with_one_cross_product(
+            triples in proptest::collection::vec((0usize..6, 0usize..3, 0usize..8), 4..30),
+            picks in proptest::collection::vec(0usize..1024, 4..5),
+        ) {
+            let g = Graph::from_term_triples(triples.iter().map(|&(s, p, o)| {
+                (join_term(s), Term::iri(format!("http://x/p{p}")), join_term(o))
+            }));
+            let rows: Vec<[&Term; 3]> = g.iter_terms().map(|(s, p, o)| [s, p, o]).collect();
+            let row = |pick: usize| rows[pick % rows.len()];
+            let bgp = disconnected_shape([picks[0], picks[1]].map(|pick| row(pick)[1].to_string()));
+            let value = g.term_id(row(picks[2])[picks[3] % 3]).unwrap();
+            for seed in [None, Some((picks[3], value))] {
+                let steps = plan_steps(&g, &bgp, seed);
+                let crossings = steps.iter().filter(|step| step.crosses).count();
+                proptest::prop_assert!(crossings == 1, "{bgp} {seed:?}: {crossings} crossings");
             }
         }
     }

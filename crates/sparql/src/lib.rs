@@ -18,10 +18,13 @@
 //!   read by the same lexer and triple-block rule as a query's pattern, so
 //!   a fixture and a query cannot disagree on an IRI, a literal or a
 //!   separator.
-//! * [`eval`] — an evaluator over [`sapphire_rdf::Graph`] with greedy
-//!   connected-first, selectivity-based join ordering, the one up-front
-//!   price of a pattern ([`eval::estimate_cost`], what an endpoint's
-//!   admission gate reads), and a deterministic [`eval::WorkBudget`]
+//! * [`eval`] — an evaluator over [`sapphire_rdf::Graph`] that plans each
+//!   BGP once, into one plan value — how far to walk, a greedy
+//!   connected-first, selectivity-based join order, the step each filter
+//!   fires at, and the side a `VALUES` list enters from — and walks that
+//!   plan; the one up-front price of a pattern ([`eval::estimate_cost`],
+//!   what an endpoint's admission gate reads, from the plan's compile
+//!   step); and a deterministic [`eval::WorkBudget`]
 //!   that the endpoint layer uses to simulate remote timeouts (the driver of
 //!   the paper's §5.1 initialization algorithm). Joins and every solution
 //!   modifier run on interned ids; terms are materialized for the rows that
