@@ -19,7 +19,10 @@
 //!   that asked**: [`Frontend::submit`] on an idle session takes the
 //!   session's turn itself and answers a session edit or a response-cache
 //!   hit before it returns — the commonest requests of an interactive
-//!   service cost no thread hand-off at all;
+//!   service cost no thread hand-off at all. The blocking [`Frontend::call`]
+//!   goes one step further: its thread waits for the answer anyway, so on
+//!   an idle session it also runs a cache miss itself, flight and scan
+//!   included, instead of handing it to a worker and sleeping;
 //! * the **reactor** (`reactor::Reactor`) holds the sessions that have
 //!   runnable work in one ready queue — the sessions themselves, so a
 //!   session closed with requests still queued drains on its turn, and is
@@ -28,10 +31,11 @@
 //!   ([`sapphire_core::exec::global`]) — at most `FrontendConfig::workers`
 //!   at once — pop ready sessions and drive [`SapphireServer`] request
 //!   execution to completion: the requests a submitter could not finish,
-//!   i.e. cache misses (handed over once, past their counted lookup, slot
-//!   in hand), sessions resuming from a parked ticket, and submissions to a
-//!   busy session. A turn task ends when the queue is empty; the next
-//!   ready session starts another;
+//!   i.e. cache misses [`Frontend::submit`] took (handed over once, past
+//!   their counted lookup, slot in hand), sessions resuming from a parked
+//!   ticket, and submissions — `call`'s included — to a busy session. A
+//!   turn task ends when the queue is empty; the next ready session starts
+//!   another;
 //! * **admission never parks a thread**: a full gate hands back an
 //!   [`AdmissionTicket`](crate::admission::AdmissionTicket) and the
 //!   *session* waits in `AwaitingGrant` — the queue wait lives in the
@@ -39,11 +43,11 @@
 //!   ([`AdmissionController::admit_evented`](crate::admission::AdmissionController::admit_evented)),
 //!   and its deadline is an executor timer.
 //!
-//! Submitter and turn tasks run the *same* dispatch (`worker::Turn`); which of
-//! them holds a session is the phase tag, so per-session ordering is exactly
-//! submission order (one thread operates on a session at a time) and the
-//! evented tier answers byte-for-byte like the thread-per-request tier —
-//! pinned by the root `tests/frontend.rs` oracle. Every request a session
+//! Submitter, caller and turn tasks run the *same* dispatch (`worker::Turn`);
+//! which of them holds a session is the phase tag, so per-session ordering
+//! is exactly submission order (one thread operates on a session at a time)
+//! and the evented tier answers byte-for-byte like the thread-per-request
+//! tier — pinned by the root `tests/frontend.rs` oracle. Every request a session
 //! submits, a raw [`FrontRequest::Query`] included, goes to its own server
 //! through that dispatch.
 
@@ -64,6 +68,7 @@ use crate::server::SapphireServer;
 pub use session::{FrontRequest, FrontResponse, ResponseCallback};
 
 use session::Phase;
+use worker::Runner;
 
 /// Tuning knobs of a [`Frontend`].
 #[derive(Debug, Clone)]
@@ -113,12 +118,14 @@ pub struct FrontendMetrics {
     pub completed: u64,
     /// Requests answered on the submitting thread, before
     /// [`Frontend::submit`] returned: session edits and response-cache hits
-    /// on an idle session (and whatever fails typed before it could wait).
+    /// on an idle session (and whatever fails typed before it could wait) —
+    /// and, through [`Frontend::call`], the cache misses its thread ran.
     pub answered_inline: u64,
     /// Requests answered by a turn task on the shared executor.
     pub answered_by_worker: u64,
     /// Requests a submitting thread took as far as a counted cache miss and
-    /// a turn task finished — the one thread hand-off a cold request pays.
+    /// a turn task finished — the one thread hand-off a cold request pays
+    /// through [`Frontend::submit`]; [`Frontend::call`] never hands over.
     pub handed_over: u64,
     /// Admission-controlled requests granted a free slot immediately.
     pub immediate_grants: u64,
@@ -244,6 +251,18 @@ impl Frontend {
         request: FrontRequest,
         respond: ResponseCallback,
     ) -> Result<(), ServerError> {
+        self.enqueue(id, request, respond, Runner::Submitter)
+    }
+
+    /// [`submit`](Self::submit), with `runner` as the kind of turn the
+    /// submitting thread takes when it finds the session idle.
+    fn enqueue(
+        &self,
+        id: SessionId,
+        request: FrontRequest,
+        respond: ResponseCallback,
+        runner: Runner,
+    ) -> Result<(), ServerError> {
         let reject = |e: ServerError, respond: ResponseCallback| {
             respond(Err(e.clone()));
             Err(e)
@@ -310,7 +329,7 @@ impl Frontend {
             Phase::Idle if worker::submitter_may_dispatch(&self.shared) => {
                 st.phase = Phase::Running;
                 drop(st);
-                worker::dispatch_on_submitter(&self.shared, &session, q);
+                worker::dispatch_on_submitter(&self.shared, &session, q, runner);
             }
             Phase::Idle => {
                 st.queue.push_back(q);
@@ -325,11 +344,26 @@ impl Frontend {
         Ok(())
     }
 
-    /// Submit and wait for the response — the blocking convenience for
-    /// tests and simple clients (an edit or a cache hit on an idle session
-    /// finds its slot already filled and never sleeps). Must not be called
-    /// from inside a response callback (it would wait on the worker it runs
-    /// on).
+    /// Submit and wait for the response — the blocking entry for clients
+    /// that have a thread to spend on each request in flight.
+    ///
+    /// A thread that blocks anyway might as well compute: on an idle
+    /// session, the calling thread takes the session's turn as
+    /// [`submit`](Self::submit) would, and runs not only an edit or a cache
+    /// hit but also a cache miss — the flight and the model scan — itself,
+    /// where `submit` would hand it to a turn task and this thread would
+    /// sleep until a worker woke it. Such a request counts in
+    /// [`FrontendMetrics::answered_inline`], and its `frontend_queue` wait
+    /// is 0.
+    /// Everything else is `submit`'s: a request to a busy session queues
+    /// behind the ones before it, a full admission gate parks the session on
+    /// a ticket, and in both cases a worker answers while this thread waits.
+    /// It works only on the request it submitted; requests queued behind
+    /// that one meanwhile go to a worker.
+    ///
+    /// Must not be called from inside a response callback (it would wait on
+    /// the worker it runs on). A model panic in a request this thread runs
+    /// unwinds into the caller.
     pub fn call(&self, id: SessionId, request: FrontRequest) -> Result<FrontResponse, ServerError> {
         struct Slot {
             done: Mutex<Option<Result<FrontResponse, ServerError>>>,
@@ -343,13 +377,14 @@ impl Frontend {
         // The submission error also arrives through the callback; surface
         // the callback-delivered result either way so the two reporting
         // paths can never disagree.
-        let _ = self.submit(
+        let _ = self.enqueue(
             id,
             request,
             Box::new(move |result| {
                 *cb_slot.done.lock().unwrap() = Some(result);
                 cb_slot.cv.notify_one();
             }),
+            Runner::Caller,
         );
         let mut done = slot.done.lock().unwrap();
         while done.is_none() {
@@ -897,8 +932,14 @@ mod tests {
             typed: "Kenn".into(),
         };
         fe.call(s, kennedy()).unwrap();
-        fe.call(s, kenn()).unwrap();
-        fe.call(s, FrontRequest::Run).unwrap();
+        // Warm the caches through `submit`, whose misses a worker answers
+        // (`call` would run them on this thread).
+        for cold in [kenn(), FrontRequest::Run] {
+            let Err(later) = answered_by_return(&fe, s, cold) else {
+                panic!("a cold request was answered without a worker");
+            };
+            later.recv().unwrap().expect("answered by a worker");
+        }
 
         // Every worker is busy for as long as this test likes.
         let pins = pin_workers(&fe, FrontendConfig::for_tests().workers);
@@ -940,7 +981,10 @@ mod tests {
         let kenn = || FrontRequest::Complete {
             typed: "Kenn".into(),
         };
-        fe.call(s, kenn()).unwrap();
+        let Err(later) = answered_by_return(&fe, s, kenn()) else {
+            panic!("a cold completion was answered without a worker");
+        };
+        later.recv().unwrap().expect("answered by a worker");
 
         let m = server.metrics();
         assert_eq!(m.completion_requests, 1);
@@ -1054,6 +1098,174 @@ mod tests {
         later.recv().unwrap().expect("granted once the slot frees");
         let m = fe.shutdown();
         assert_eq!(m.ticket_grants + m.late_grants, 1);
+        assert_eq!(
+            (m.answered_inline, m.answered_by_worker, m.handed_over),
+            (0, 1, 0),
+            "a granted ticket resumes on a worker, which runs both halves"
+        );
+    }
+
+    #[test]
+    fn a_cold_call_runs_on_the_calling_thread_with_every_worker_pinned() {
+        let fe = frontend(ServerConfig::for_tests());
+        let server = fe.server().clone();
+        let s = fe.open_session("alice").unwrap();
+        let kennedy = TripleInput::new("?p", "surname", "Kennedy");
+        fe.call(
+            s,
+            FrontRequest::SetRow {
+                idx: 0,
+                input: kennedy,
+            },
+        )
+        .unwrap();
+        // No worker is free: only the calling thread can answer.
+        let pins = pin_workers(&fe, FrontendConfig::for_tests().workers);
+        server.obs().set_sampling(1);
+        let kenn = FrontRequest::Complete {
+            typed: "Kenn".into(),
+        };
+        assert!(matches!(
+            fe.call(s, kenn),
+            Ok(FrontResponse::Completion(c)) if !c.suggestions.is_empty()
+        ));
+        match fe.call(s, FrontRequest::Run) {
+            Ok(FrontResponse::Run(out)) => {
+                assert!(!out.cached);
+                assert_eq!(out.answers.total_rows(), 1);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+
+        // Two pins and the completion missed the completion cache; the run
+        // missed the run cache. Each was scanned once.
+        let m = server.metrics();
+        let (completions, runs) = (m.completion_cache, m.run_cache);
+        assert_eq!((completions.hits, completions.misses), (0, 3));
+        assert_eq!((runs.hits, runs.misses), (0, 1));
+        assert_eq!(m.coalesce_leader_runs, 4, "one scan each");
+        assert_eq!(server.admission_load(), (0, 0), "the slots came back");
+        let f = fe.metrics();
+        assert_eq!(f.handed_over, 2, "the pins' misses, none of the caller's");
+        assert_eq!(
+            (f.answered_inline, f.answered_by_worker),
+            (3, 2),
+            "the edit, the completion and the run on the caller"
+        );
+
+        let traces = server.obs().recorder().recent();
+        assert_eq!(traces.len(), 2, "one trace a request");
+        for (kind, scan) in [("complete", Stage::QcmScan), ("run", Stage::QsmScan)] {
+            let trace = traces
+                .iter()
+                .find(|t| t.kind == kind)
+                .unwrap_or_else(|| panic!("the {kind} left no trace"));
+            let queued: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|span| span.name == Stage::FrontendQueue.name())
+                .collect();
+            assert_eq!(queued.len(), 1, "{}", trace.render());
+            assert_eq!(queued[0].dur_us, 0, "{}", trace.render());
+            for stage in [Stage::AdmissionWait, Stage::CacheLookup, scan] {
+                assert!(
+                    trace.spans.iter().any(|span| span.name == stage.name()),
+                    "no {} span in {}",
+                    stage.name(),
+                    trace.render()
+                );
+            }
+        }
+        drop(pins);
+        fe.shutdown();
+    }
+
+    #[test]
+    fn a_call_to_a_held_session_is_answered_after_the_request_holding_it() {
+        let fe = frontend(ServerConfig::for_tests());
+        let s = fe.open_session("alice").unwrap();
+        // A worker holds `s` inside its raw query's callback until released.
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (pinned_tx, pinned) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let query = sapphire_sparql::parse_query("ASK { ?s ?p ?o }").unwrap();
+        let log = order.clone();
+        fe.submit(
+            s,
+            FrontRequest::Query { query },
+            Box::new(move |r| {
+                r.expect("the query succeeds");
+                pinned_tx.send(()).unwrap();
+                let _ = released.recv();
+                log.lock().unwrap().push("query");
+            }),
+        )
+        .unwrap();
+        pinned.recv().unwrap();
+
+        std::thread::scope(|scope| {
+            let caller = scope.spawn(|| {
+                let kenn = FrontRequest::Complete {
+                    typed: "Kenn".into(),
+                };
+                let answer = fe.call(s, kenn);
+                order.lock().unwrap().push("call");
+                answer
+            });
+            // Accepted, and queued behind the query: the caller may not run
+            // a turn on a session somebody else holds.
+            while fe.backlog() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(!caller.is_finished(), "answered past the held session");
+            release.send(()).unwrap();
+            assert!(matches!(
+                caller.join().unwrap(),
+                Ok(FrontResponse::Completion(_))
+            ));
+        });
+        assert_eq!(*order.lock().unwrap(), ["query", "call"]);
+        let m = fe.shutdown();
+        assert_eq!(
+            (m.answered_inline, m.answered_by_worker, m.handed_over),
+            (0, 2, 1),
+            "the query handed over by `submit`, the queued call a worker's"
+        );
+    }
+
+    #[test]
+    fn a_call_through_a_full_gate_returns_once_the_slot_frees() {
+        let fe = frontend(one_slot_gate());
+        let s = fe.open_session("alice").unwrap();
+        let slot = fe.server().hold_slot().unwrap();
+        std::thread::scope(|scope| {
+            let caller = scope.spawn(|| {
+                let kenn = FrontRequest::Complete {
+                    typed: "Kenn".into(),
+                };
+                fe.call(s, kenn)
+            });
+            // The session parks on a ticket; the caller waits, as it did
+            // before it could work.
+            while fe.metrics().parked == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(!caller.is_finished(), "answered through a full gate");
+            drop(slot);
+            assert!(matches!(
+                caller.join().unwrap(),
+                Ok(FrontResponse::Completion(_))
+            ));
+        });
+        let m = fe.shutdown();
+        assert_eq!(
+            (
+                m.immediate_grants,
+                m.ticket_waits,
+                m.ticket_grants + m.late_grants
+            ),
+            (0, 1, 1)
+        );
         assert_eq!(
             (m.answered_inline, m.answered_by_worker, m.handed_over),
             (0, 1, 0),

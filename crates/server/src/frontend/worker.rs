@@ -14,7 +14,14 @@
 //!   hits on the spot and hands a request it cannot answer to a worker —
 //!   once, past its counted cache lookup, slot in hand. A raw query is one
 //!   of the three model-touching kinds like any other, bound for the same
-//!   server; it is never response-cached, so a worker always finishes it.
+//!   server; it is never response-cached, so a worker always finishes it;
+//! * the **caller** — the thread inside the blocking
+//!   [`Frontend::call`](super::Frontend::call) — takes the same turn as a
+//!   submitter, but its thread waits for the answer anyway, so it may wait
+//!   and work ([`Runner::Caller`]): the same counted lookup, and a miss runs
+//!   on the calling thread instead of being handed over. It works only on
+//!   the one request it submitted; what queued behind that request meanwhile
+//!   is a worker's.
 //!
 //! Admission-controlled requests never park a thread: a full gate yields an
 //! [`AdmissionTicket`](crate::admission::AdmissionTicket) and the *session*
@@ -59,12 +66,16 @@ pub(crate) fn run_turns(shared: &Arc<Shared>) {
 
 /// Who is taking a [`Turn`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Runner {
+pub(crate) enum Runner {
     /// A turn task: may wait in a flight and scan the model.
     Worker,
     /// The thread inside [`Frontend::submit`](super::Frontend::submit): may
     /// neither wait nor work.
     Submitter,
+    /// The thread inside [`Frontend::call`](super::Frontend::call): it
+    /// blocks until the answer either way, so it may wait in a flight and
+    /// scan the model — but only for the one request it submitted.
+    Caller,
 }
 
 /// Whether the thread still holds its session after a dispatch step.
@@ -159,14 +170,16 @@ pub(crate) fn submitter_may_dispatch(shared: &Shared) -> bool {
     !DISPATCHING.get() && !shared.reactor.backlogged()
 }
 
-/// The submitter's turn: `q` found its session idle and the caller set the
-/// phase to `Running`. Answers `q` if that takes neither waiting nor work;
-/// otherwise the session leaves this thread parked on a ticket or handed
-/// over, and a worker answers.
+/// The submitting thread's turn: `q` found its session idle and the
+/// submitter set the phase to `Running`. A [`Runner::Submitter`] answers `q`
+/// if that takes neither waiting nor work, a [`Runner::Caller`] answers it
+/// unless the gate is full; otherwise the session leaves this thread parked
+/// on a ticket or handed over, and a worker answers.
 pub(crate) fn dispatch_on_submitter(
     shared: &Arc<Shared>,
     session: &Arc<OpenSession>,
     q: QueuedRequest,
+    runner: Runner,
 ) {
     struct Reset;
     impl Drop for Reset {
@@ -179,7 +192,7 @@ pub(crate) fn dispatch_on_submitter(
     let turn = Turn {
         shared,
         session,
-        runner: Runner::Submitter,
+        runner,
     };
     match turn.start(q) {
         Ownership::Parked => {}
@@ -251,7 +264,7 @@ impl Turn<'_> {
         let counters = &self.shared.counters;
         let by = match self.runner {
             Runner::Worker => &counters.answered_by_worker,
-            Runner::Submitter => &counters.answered_inline,
+            Runner::Submitter | Runner::Caller => &counters.answered_inline,
         };
         by.fetch_add(1, Ordering::Relaxed);
         respond(result);
@@ -259,12 +272,12 @@ impl Turn<'_> {
 
     /// Begin the head request `q`. The `frontend_queue` stage is the time a
     /// request waited for a worker: submit → pick-up here, nothing when the
-    /// submitter dispatches it (recorded as 0, so the stage still counts
-    /// every request).
+    /// submitting thread dispatches it (recorded as 0, so the stage still
+    /// counts every request).
     fn start(&self, q: QueuedRequest) -> Ownership {
         let queued_us = match self.runner {
             Runner::Worker => q.enqueued.elapsed().as_micros() as u64,
-            Runner::Submitter => 0,
+            Runner::Submitter | Runner::Caller => 0,
         };
         note_wait(
             self.shared,
@@ -492,11 +505,11 @@ impl Turn<'_> {
     }
 
     /// Run a request through the server's post-gate half, permit in hand: a
-    /// worker runs all of it; a submitter runs its first half — the counted
-    /// cache lookup — and hands a miss over. The body executes inside this
-    /// request's trace context with the request depth marked, so the server
-    /// knows a front-end tier already owns the end-to-end measurement and
-    /// the root trace.
+    /// worker or a caller runs all of it; a submitter runs its first half —
+    /// the counted cache lookup — and hands a miss over. The body executes
+    /// inside this request's trace context with the request depth marked, so
+    /// the server knows a front-end tier already owns the end-to-end
+    /// measurement and the root trace.
     fn execute(
         &self,
         request: Request<'static>,
@@ -508,7 +521,7 @@ impl Turn<'_> {
         let _mark = RequestMark::new();
         let _scope = TraceScope::enter(trace.clone());
         let result = match self.runner {
-            Runner::Worker => shared.server.post_gate(request, permit),
+            Runner::Worker | Runner::Caller => shared.server.post_gate(request, permit),
             Runner::Submitter => match shared.server.lookup(request, permit) {
                 Ok(Lookup::Hit(reply)) => Ok(reply),
                 Ok(Lookup::Miss(missed)) => return self.hand_over(missed, respond, trace),
